@@ -18,12 +18,6 @@
 // best-effort by design: tiles outside a kernel's exactness envelope fall
 // back to automatic selection (scores never change, only speed).
 //
-// The [sync-flush] row reruns plain lockstep with --sra-async off: special
-// rows are written (and checkpointed) on the compute thread, the pipeline's
-// pre-overlap behavior. The per-entry "stage-1 async-flush speedup" line
-// against the plain (async-default) row measures the compute/IO overlap the
-// dedicated SRA writer thread buys on flush-heavy entries.
-//
 //   --fast    smallest roster entry only (the CI smoke configuration)
 //   --out F   JSON output path ("off" disables the artifact)
 #include <string_view>
@@ -41,7 +35,6 @@ struct Variant {
   cudalign::engine::ExecutorKind executor;
   bool prune;
   const char* kernel = "";  ///< Process-wide kernel pin for this row ("" = auto).
-  bool sync_flush = false;  ///< Synchronous SRA flushes (--sra-async off).
 };
 
 std::vector<Variant> variants_for(const cudalign::bench::RosterEntry& e) {
@@ -49,10 +42,6 @@ std::vector<Variant> variants_for(const cudalign::bench::RosterEntry& e) {
   std::vector<Variant> v = {
       {"", ExecutorKind::kLockstep, false},
       {" [dataflow]", ExecutorKind::kDataflow, false},
-      // The synchronous flush reference: identical work, but every special
-      // row's write + checkpoint blocks the wavefront. The gap against the
-      // plain (async) row is the Stage-1 compute/IO overlap win.
-      {" [sync-flush]", ExecutorKind::kLockstep, false, "", true},
       {" [v16]", ExecutorKind::kLockstep, false, "v16-local+best"},
       {" [striped8]", ExecutorKind::kLockstep, false, "striped8-local+best"},
       {" [striped16]", ExecutorKind::kLockstep, false, "striped16-local+best"},
@@ -64,6 +53,13 @@ std::vector<Variant> variants_for(const cudalign::bench::RosterEntry& e) {
     v.push_back({" [pruned, dataflow]", ExecutorKind::kDataflow, true});
   }
   return v;
+}
+
+/// JSON label: the sizes actually run plus the paper pair's name, e.g.
+/// "2Kx2K (herpesvirus, short local hit)" for the scaled herpesvirus entry.
+std::string json_label(const cudalign::bench::RosterEntry& e) {
+  const std::string_view paper = e.paper_label;
+  return cudalign::bench::label(e) + std::string(paper.substr(paper.find(" (")));
 }
 
 }  // namespace
@@ -94,13 +90,11 @@ int main(int argc, char** argv) {
     double s1_pruned[2] = {0, 0};
     bool have_pruned = false;
     double s1_v16 = 0, s1_striped8 = 0, s1_striped16 = 0;  // For the striped-vs-v16 speedup line.
-    double s1_sync = 0;  // Synchronous-flush reference, for the async-overlap line.
 
     for (const Variant& v : variants_for(e)) {
       core::PipelineOptions options = bench_options();
       options.executor = v.executor;
       options.block_pruning = v.prune;
-      options.sra_async = !v.sync_flush;
       obs::Telemetry telemetry;
       options.telemetry = &telemetry;
       engine::set_kernel_override(v.kernel);
@@ -118,11 +112,7 @@ int main(int argc, char** argv) {
       const double total = result.total_seconds();
       const double stage1 = result.stages[0].seconds;
       const int df = options.executor == engine::ExecutorKind::kDataflow ? 1 : 0;
-      if (v.sync_flush) {
-        s1_sync = stage1;
-      } else if (v.kernel[0] == '\0') {
-        (v.prune ? s1_pruned : s1_plain)[df] = stage1;
-      }
+      if (v.kernel[0] == '\0') (v.prune ? s1_pruned : s1_plain)[df] = stage1;
       have_pruned = have_pruned || v.prune;
       if (std::string_view(v.kernel) == "v16-local+best") s1_v16 = stage1;
       if (std::string_view(v.kernel) == "striped8-local+best") s1_striped8 = stage1;
@@ -142,7 +132,7 @@ int main(int argc, char** argv) {
       ctx.result = &result;
       ctx.telemetry = &telemetry;
       runs.push(obs::Json::object()
-                    .set("label", std::string(e.paper_label) + v.suffix)
+                    .set("label", json_label(e) + v.suffix)
                     .set("report", obs::build_run_report(ctx)));
     }
 
@@ -157,11 +147,6 @@ int main(int argc, char** argv) {
       std::printf("  stage-1 striped16 vs v16 speedup: %.2fx", s1_v16 / s1_striped16);
       if (s1_striped8 > 0) std::printf(", striped8 %.2fx", s1_v16 / s1_striped8);
       std::printf("\n");
-    }
-    if (s1_sync > 0 && s1_plain[0] > 0) {
-      std::printf("  stage-1 async-flush speedup: %.2fx (sync %s -> async %s)\n",
-                  s1_sync / s1_plain[0], format_seconds(s1_sync).c_str(),
-                  format_seconds(s1_plain[0]).c_str());
     }
   }
 

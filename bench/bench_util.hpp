@@ -1,8 +1,8 @@
 // Shared infrastructure for the paper-reproduction benchmarks.
 //
 // Each bench binary regenerates one table or figure of the paper. Absolute
-// numbers differ from the GTX 285 (this is a single-core CPU reproduction of
-// the execution model); sizes are scaled down ~100x from the paper's roster
+// numbers differ from the GTX 285 (this is a multi-threaded CPU reproduction
+// of the execution model); sizes are scaled down ~100x from the paper's roster
 // (Table II) and scale back up via CUDALIGN_BENCH_SCALE. What must reproduce
 // is the *shape*: who wins, the trends across SRA sizes, the crossovers, the
 // near-constant MCUPS plateau.

@@ -57,8 +57,6 @@ struct TileArchetype {
 constexpr TileArchetype kArchetypes[] = {
     {"local", true, false, false, false},
     {"local+best", true, true, false, false},
-    {"local+taps", true, false, true, false},
-    {"local+find", true, false, false, true},
     {"global", false, false, false, false},
     {"global+taps", false, false, true, false},
 };

@@ -15,7 +15,8 @@
 #      compares it against bench/baseline.json (tolerance
 #      ${CUDALIGN_BENCH_TOLERANCE:-15} percent; the gate's own self-test runs
 #      in both modes, the baseline comparison only in full mode — timing on a
-#      busy dev box is too noisy for the pre-push loop).
+#      busy dev box is too noisy for the pre-push loop). Both modes then run
+#      the repo benchmark's smoke check (e2ebench/run.sh --smoke).
 #   3. Debug build with AddressSanitizer + UndefinedBehaviorSanitizer + full
 #      ctest (contract DCHECKs compiled in)
 #   4. ThreadSanitizer build + full ctest, suppressions in tsan.supp (kept
@@ -31,7 +32,8 @@
 # backstop on top of the per-test TIMEOUT properties.
 #
 # Usage: ./ci.sh [--fast] [jobs]   (jobs defaults to nproc)
-#   --fast  lint + Release suite + gate self-test only: the quick pre-push loop.
+#   --fast  lint + Release suite + gate self-test + e2ebench smoke only: the
+#           quick pre-push loop.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -247,6 +249,11 @@ else
   build-ci-release/tools/bench_gate "$ART_DIR"/BENCH_pipeline*.json bench/baseline.json \
     --tolerance "${CUDALIGN_BENCH_TOLERANCE:-15}"
 fi
+# The repo benchmark (e2ebench/, BENCHMARK.json) builds from src/ in its own
+# tree (build-bench/); its smoke run fails CI when a src/ change breaks that
+# build or the benchmark's result checks.
+stage "bench: e2ebench smoke"
+e2ebench/run.sh --smoke
 
 if [[ "$FAST" -eq 1 ]]; then
   echo "ci.sh: fast mode — lint + release suite passed"

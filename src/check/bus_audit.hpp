@@ -139,14 +139,13 @@ class BusAuditor {
   // --- flush pipeline (driver thread) --------------------------------------
 
   /// Strip `strip` retires and hands its special row to the flush path —
-  /// the synchronous put() or the async SRA writer's staging buffer
-  /// (sra/async_writer.hpp). Validates the flush pipeline's contract:
-  /// hand-offs arrive in strictly ascending strip order (the prefix property
-  /// the checkpoint cursor's durable-ack advance relies on), and the
-  /// assembled row is complete — no hbus slot still carries a pass older
-  /// than this strip (row segments are captured per tile, so equal-or-newer
-  /// overwrites by successor strips are legal). The staging copy happens on
-  /// the hand-off thread before this returns; the SRA writer thread itself
+  /// the SRA writer's queue (sra/async_writer.hpp). Validates the flush
+  /// pipeline's contract: hand-offs arrive in strictly ascending strip order
+  /// (the prefix property the checkpoint cursor's durable-ack advance relies
+  /// on), and the assembled row is complete — no hbus slot still carries a
+  /// pass older than this strip (row segments are captured per tile, so
+  /// equal-or-newer overwrites by successor strips are legal). The copy into
+  /// the queue happens on the hand-off thread; the SRA writer thread itself
   /// never touches the buses, so it legitimately appears in no other audit
   /// event.
   void flush_handoff(Index strip, Index diagonal);

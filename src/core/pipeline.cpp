@@ -200,11 +200,10 @@ PipelineResult align_pipeline(const seq::Sequence& s0, const seq::Sequence& s1,
 
   // Fault injection: both forms fire right after the Nth checkpoint save, so
   // the state left behind is exactly a real crash's (durable rows + a
-  // manifest that references them). Under `sra_async` the on_checkpoint
-  // callback below — and therefore the injected SIGKILL / throw — runs on
-  // the SRA writer thread; the state it mutates is untouched by this thread
-  // until run_stage1 has drained the writer, and the throw form is rethrown
-  // from that drain.
+  // manifest that references them). The on_checkpoint callback below — and
+  // therefore the injected SIGKILL / throw — runs on the SRA writer thread;
+  // the state it mutates is untouched by this thread until run_stage1 has
+  // drained the writer, and the throw form is rethrown from that drain.
   const Index kill_after = checkpointed ? env_kill_after_saves() : 0;
   Index checkpoint_saves = 0;
 
@@ -216,7 +215,6 @@ PipelineResult align_pipeline(const seq::Sequence& s0, const seq::Sequence& s1,
     c1.rows_area = options.flush_special_rows ? &rows_area : nullptr;
     c1.block_pruning = options.block_pruning;
     c1.executor = options.executor;
-    c1.sra_async = options.sra_async;
     c1.bus_audit = options.bus_audit;
     c1.resume_row = resume_row;
     c1.resume_hbus = resume_hbus;

@@ -56,17 +56,6 @@ struct PipelineOptions {
   /// produce byte-identical results, so a checkpoint taken under one may be
   /// resumed under the other.
   engine::ExecutorKind executor = engine::ExecutorKind::kLockstep;
-  /// Asynchronous stage-1 special-row flushing (`--sra-async`; DESIGN.md
-  /// "Stage-1 I/O overlap"): rows are handed to a dedicated SRA writer
-  /// thread so strip retirement overlaps the CRC'd write + fsync + manifest
-  /// save instead of stalling on them. The checkpoint cursor still advances
-  /// only on durable-ack, in row order, so the store, the manifest sequence
-  /// and kill-and-resume behavior are byte-identical to the synchronous
-  /// path — which stays selectable (`--sra-async=off`) as the reference to
-  /// diff against, mirroring the lockstep/dataflow executor split. Like the
-  /// executor choice, deliberately NOT part of the checkpoint envelope: a
-  /// checkpoint taken under one setting may be resumed under the other.
-  bool sra_async = true;
   bool save_special_columns = true; ///< Off = skip Stage 3 (Stage 4 absorbs it).
   bool balanced_splitting = true;   ///< Stage 4 ablation (Figure 10).
   bool orthogonal_stage4 = true;    ///< Stage 4 ablation (Table IX).

@@ -43,39 +43,19 @@ Stage1Result run_stage1(seq::SequenceView s0, seq::SequenceView s1, const Stage1
     result.flush_interval = sra::flush_interval_for_budget(
         m, n, config.grid.strip_rows(), config.rows_area->budget_bytes());
     hooks.special_row_interval = result.flush_interval;
-    if (config.sra_async) {
-      // Async flush pipeline (DESIGN.md "Stage-1 I/O overlap"): the hooks
-      // stage the row on the driver thread and the writer thread performs
-      // the put() + checkpoint ack off the compute critical path. The two
-      // hooks fire back-to-back per flush, so the stage/commit pair always
-      // pairs up; the cells are copied in on_special_row because the span
-      // dies when it returns (engine/executor.hpp).
-      writer.emplace(*config.rows_area);
-      hooks.on_special_row = [&](Index row, std::span<const engine::BusCell> cells) {
-        writer->stage(sra::RowKey{row, 0, n, config.group}, cells);
-        ++result.special_rows_saved;
-      };
-      hooks.after_special_row = [&](Index row, const dp::LocalBest& best) {
-        std::function<void()> ack;
-        if (config.on_checkpoint) {
-          const Index rows_saved = result.special_rows_saved;
-          ack = [&config, row, rows_saved, best] { config.on_checkpoint(row, rows_saved, best); };
-        }
-        writer->commit(std::move(ack));
-      };
-    } else {
-      hooks.on_special_row = [&](Index row, std::span<const engine::BusCell> cells) {
-        config.rows_area->put(sra::RowKey{row, 0, n, config.group}, cells);
-        ++result.special_rows_saved;
-      };
+    // Flush pipeline (DESIGN.md "Stage-1 I/O overlap"): the hook copies the
+    // row into the writer's queue on the driver thread, and the writer thread
+    // performs the put() and then the checkpoint ack, off the compute path.
+    writer.emplace(*config.rows_area);
+    hooks.on_special_row = [&](Index row, std::span<const engine::BusCell> cells,
+                               const dp::LocalBest& best) {
+      const Index rows_saved = ++result.special_rows_saved;
+      std::function<void()> ack;
       if (config.on_checkpoint) {
-        // Runs after on_special_row, so the row the checkpoint references is
-        // already durable (SRA-before-manifest write ordering).
-        hooks.after_special_row = [&](Index row, const dp::LocalBest& best) {
-          config.on_checkpoint(row, result.special_rows_saved, best);
-        };
+        ack = [&config, row, rows_saved, best] { config.on_checkpoint(row, rows_saved, best); };
       }
-    }
+      writer->submit(sra::RowKey{row, 0, n, config.group}, cells, std::move(ack));
+    };
   }
 
   const std::int64_t flushed_before =
@@ -96,7 +76,6 @@ Stage1Result run_stage1(seq::SequenceView s0, seq::SequenceView s1, const Stage1
   result.stats.add_run(run.stats);
   if (config.rows_area != nullptr) {
     result.stats.sra_rows_flushed = result.special_rows_saved;
-    if (!config.sra_async) result.stats.sra_rows_acked = result.special_rows_saved;
     result.stats.sra_bytes_flushed = config.rows_area->total_bytes_written() - flushed_before;
   }
   result.stats.crosspoints = 1;  // L_1 = {*, C_1}.

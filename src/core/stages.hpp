@@ -46,11 +46,11 @@ struct StageStats {
   std::int64_t sra_bytes_flushed = 0, sra_bytes_read = 0;
   /// Flush-pipeline accounting (sra/async_writer.hpp). `sra_rows_acked`
   /// counts durably acknowledged rows — equal to `sra_rows_flushed` at
-  /// completion in both modes (the run-report validator enforces it).
-  /// `sra_flush_wait_seconds` is the compute-side stall inside the flush
-  /// hooks: the whole write cost when synchronous, staging + backpressure
-  /// when asynchronous. The queue peak and writer-busy time are zero when
-  /// synchronous (there is no writer thread).
+  /// completion (the run-report validator enforces it).
+  /// `sra_flush_wait_seconds` is the time spent inside the flush hook on the
+  /// driver thread: the row copy plus queue backpressure (engine RunStats
+  /// `special_row_wait_seconds`; under dataflow not a compute stall).
+  /// `sra_writer_busy_seconds` is the writer thread's time in put() + ack.
   Index sra_rows_acked = 0;
   std::size_t sra_flush_queue_peak = 0;
   double sra_flush_wait_seconds = 0;
@@ -120,22 +120,14 @@ struct Stage1Config {
   Index resume_row = 0;
   std::span<const engine::BusCell> resume_hbus;
   dp::LocalBest resume_best;
-  /// Asynchronous special-row flushing (DESIGN.md "Stage-1 I/O overlap"):
-  /// stage 1 stands up a dedicated SRA writer thread (sra/async_writer.hpp)
-  /// and the flush hooks hand rows off instead of writing inline, so strip
-  /// retirement returns to compute immediately. Durable-ack ordering is
-  /// preserved — `on_checkpoint` then runs on the writer thread, strictly
-  /// after its row's CRC'd write (+ fsync) — and stage 1 drains the writer
-  /// before returning, handing exclusive ownership of everything the
-  /// callback touched back to the caller. Results are byte-identical either
-  /// way. Ignored without `rows_area`.
-  bool sra_async = false;
   /// Checkpoint hand-off: invoked right after each special row is durable in
   /// `rows_area`, with the row, the rows saved *by this run* and the merged
-  /// best-so-far covering every cell up to that row. Deterministic
-  /// (ascending-row) order, on the flushing thread: the driver under the
-  /// synchronous path, the SRA writer thread under `sra_async` — the
-  /// pipeline turns each call into a manifest save.
+  /// best-so-far covering every cell up to that row. Special rows are written
+  /// by a dedicated SRA writer thread (sra/async_writer.hpp; DESIGN.md
+  /// "Stage-1 I/O overlap"), so this runs on that thread, in ascending-row
+  /// order, strictly after its row's CRC'd write (+ fsync). Stage 1 drains
+  /// the writer before returning, handing everything the callback touched
+  /// back to the caller. The pipeline turns each call into a manifest save.
   std::function<void(Index row, Index rows_saved, const dp::LocalBest& best)> on_checkpoint;
   /// Liveness: fraction of Stage-1 cells completed (long chromosome runs).
   std::function<void(double fraction)> progress;

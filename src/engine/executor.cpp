@@ -290,13 +290,12 @@ RunResult run_dataflow(const ProblemSpec& spec, const Hooks& hooks, ThreadPool* 
       // Diagonal coordinate for strip retirement: the strip's last external
       // diagonal (s + blocks - 1), matching the tile that completed it.
       if (audit != nullptr) audit->flush_handoff(s, s + blocks - 1);
-      Timer flush_timer;
-      hooks.on_special_row(r1, slot.special_row);
       // Checkpoint hand-off: the merged best here covers every tile of
       // strips <= s — a superset of rows <= r1, which is all a resume needs
       // (re-merging recomputed candidates is idempotent). The value can
       // differ from lockstep's at the same row; final results cannot.
-      if (hooks.after_special_row) hooks.after_special_row(r1, result.best);
+      Timer flush_timer;
+      hooks.on_special_row(r1, slot.special_row, result.best);
       result.stats.special_row_wait_seconds += flush_timer.seconds();
     }
     if (hooks.on_progress) hooks.on_progress((s + 1) * blocks, total_tiles);
@@ -461,7 +460,7 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
   std::vector<TileResult> tile_results(static_cast<std::size_t>(blocks));
   std::vector<std::vector<Index>> tile_taps(static_cast<std::size_t>(blocks));
   // Per-strip best accumulators, folded into result.best only when the strip
-  // completes: the best handed to after_special_row is then exactly the best
+  // completes: the best handed to on_special_row is then exactly the best
   // over rows <= r1 — the same value the dataflow executor's strip watermark
   // produces, keeping checkpoints executor-independent. (Merging per tile in
   // diagonal order would fold tiles from strips below the flushed row.)
@@ -682,14 +681,13 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
             static_cast<std::int64_t>((c1 - c0) * static_cast<Index>(sizeof(BusCell)));
         if (++row.chunks_done == blocks) {
           if (audit != nullptr) audit->flush_handoff(s, d);
-          Timer flush_timer;
-          hooks.on_special_row(r1, row.cells);
-          pending_rows.erase(it);
           // Checkpoint hand-off: best-so-far here covers (at least) every
           // cell of rows <= r1 — all earlier strips have fully completed and
           // this strip just merged its last chunk.
-          if (hooks.after_special_row) hooks.after_special_row(r1, result.best);
+          Timer flush_timer;
+          hooks.on_special_row(r1, row.cells, result.best);
           result.stats.special_row_wait_seconds += flush_timer.seconds();
+          pending_rows.erase(it);
         }
       }
     }
@@ -795,7 +793,7 @@ RunResult run_reference(const ProblemSpec& spec, const Hooks& hooks) {
           cells[static_cast<std::size_t>(j)] = BusCell{row.h[static_cast<std::size_t>(j)],
                                                        row.f[static_cast<std::size_t>(j)]};
         }
-        hooks.on_special_row(row.i, cells);
+        hooks.on_special_row(row.i, cells, result.best);
       }
     }
   };

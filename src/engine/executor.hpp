@@ -134,20 +134,16 @@ enum class HookAction {
 };
 
 struct Hooks {
-  /// Flush every `special_row_interval` strips: on_special_row(row, cells)
-  /// receives the complete (H, F) row at vertex row `row` (a multiple of the
-  /// strip height, as in the paper). 0 disables flushing.
+  /// Flush every `special_row_interval` strips: on_special_row(row, cells,
+  /// best_so_far) receives the complete (H, F) row at vertex row `row` (a
+  /// multiple of the strip height, as in the paper) and the run's merged
+  /// best-so-far (local mode) covering every cell up to that row —
+  /// everything a checkpoint needs to make the flush durable progress.
+  /// Called once per flush on the driver thread, in ascending row order.
+  /// 0 disables flushing.
   Index special_row_interval = 0;
-  std::function<void(Index row, std::span<const BusCell>)> on_special_row;
-
-  /// Called immediately after on_special_row returns, with the run's merged
-  /// best-so-far (local mode) at that point — everything a checkpoint needs
-  /// to make the flush durable progress. Driver thread, deterministic order.
-  /// The pair is invoked back-to-back per flush, but the cells span handed
-  /// to on_special_row is NOT guaranteed to outlive that call (the lockstep
-  /// executor frees the assembled row before after_special_row) — copy
-  /// inside on_special_row when deferring the write.
-  std::function<void(Index row, const dp::LocalBest& best_so_far)> after_special_row;
+  std::function<void(Index row, std::span<const BusCell> cells, const dp::LocalBest& best_so_far)>
+      on_special_row;
 
   /// Column taps (ascending vertex columns in (0..n]): after each strip, the
   /// hook receives the (H, E) values at the tap column; entry k of the span
@@ -220,11 +216,12 @@ struct RunStats {
   Index hbus_reads = 0, hbus_writes = 0;
   Index vbus_reads = 0, vbus_writes = 0;
   std::int64_t hbus_bytes = 0, vbus_bytes = 0;
-  /// Time the strip-retirement path spent inside the special-row flush hooks
-  /// (on_special_row + after_special_row, both executors): the synchronous
-  /// write cost, or the staging + backpressure cost when the flush pipeline
-  /// is asynchronous (core/stage1.cpp) — the compute-side I/O stall either
-  /// way.
+  /// Time the strip-retirement path spent inside on_special_row (both
+  /// executors). Stage 1's hook copies the row into the SRA writer's queue
+  /// and waits on backpressure (core/stage1.cpp). Under lockstep that wait
+  /// stalls the whole diagonal; under dataflow it is driver-thread hand-off
+  /// time (copy plus backpressure) while workers keep computing, not a
+  /// compute stall.
   double special_row_wait_seconds = 0;
   double seconds = 0;
   /// Tiles/cells per kernel variant (pruned tiles are not attributed).

@@ -116,14 +116,7 @@ extern template TileResult run_scalar<false, false, false, false>(const TileJob&
 extern template TileResult run_scalar<false, false, false, true>(const TileJob&, TileScratch&);
 extern template TileResult run_scalar<false, false, true, false>(const TileJob&, TileScratch&);
 extern template TileResult run_scalar<false, false, true, true>(const TileJob&, TileScratch&);
-extern template TileResult run_scalar<true, false, false, false>(const TileJob&, TileScratch&);
-extern template TileResult run_scalar<true, false, false, true>(const TileJob&, TileScratch&);
-extern template TileResult run_scalar<true, false, true, false>(const TileJob&, TileScratch&);
-extern template TileResult run_scalar<true, false, true, true>(const TileJob&, TileScratch&);
 extern template TileResult run_scalar<true, true, false, false>(const TileJob&, TileScratch&);
-extern template TileResult run_scalar<true, true, false, true>(const TileJob&, TileScratch&);
-extern template TileResult run_scalar<true, true, true, false>(const TileJob&, TileScratch&);
-extern template TileResult run_scalar<true, true, true, true>(const TileJob&, TileScratch&);
 
 extern template TileResult run_vector<std::int16_t, false>(const TileJob&, TileScratch&);
 extern template TileResult run_vector<std::int16_t, true>(const TileJob&, TileScratch&);

@@ -65,22 +65,8 @@ constexpr std::size_t kCount = kKernelIdCount;
 const std::array<Entry, kCount>& table() {
   static const std::array<Entry, kCount> kTable = {{
       {{KernelId::kLegacy, "legacy", 30, &any_job, &detail::run_legacy}},
-      {{KernelId::kScalarLocal, "scalar-local", 20, &scalar_can_run<true, false, false, false>,
-        &detail::run_scalar<true, false, false, false>}},
       {{KernelId::kScalarLocalBest, "scalar-local+best", 20,
         &scalar_can_run<true, true, false, false>, &detail::run_scalar<true, true, false, false>}},
-      {{KernelId::kScalarLocalTaps, "scalar-local+taps", 20,
-        &scalar_can_run<true, false, true, false>, &detail::run_scalar<true, false, true, false>}},
-      {{KernelId::kScalarLocalBestTaps, "scalar-local+best+taps", 20,
-        &scalar_can_run<true, true, true, false>, &detail::run_scalar<true, true, true, false>}},
-      {{KernelId::kScalarLocalFind, "scalar-local+find", 20,
-        &scalar_can_run<true, false, false, true>, &detail::run_scalar<true, false, false, true>}},
-      {{KernelId::kScalarLocalBestFind, "scalar-local+best+find", 20,
-        &scalar_can_run<true, true, false, true>, &detail::run_scalar<true, true, false, true>}},
-      {{KernelId::kScalarLocalTapsFind, "scalar-local+taps+find", 20,
-        &scalar_can_run<true, false, true, true>, &detail::run_scalar<true, false, true, true>}},
-      {{KernelId::kScalarLocalBestTapsFind, "scalar-local+best+taps+find", 20,
-        &scalar_can_run<true, true, true, true>, &detail::run_scalar<true, true, true, true>}},
       {{KernelId::kScalarGlobal, "scalar-global", 20, &scalar_can_run<false, false, false, false>,
         &detail::run_scalar<false, false, false, false>}},
       {{KernelId::kScalarGlobalTaps, "scalar-global+taps", 20,

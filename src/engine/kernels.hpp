@@ -35,14 +35,7 @@ namespace cudalign::engine {
 /// can see exactly which code path ran.
 enum class KernelId : std::uint8_t {
   kLegacy = 0,        ///< The original do-everything scalar loop (fallback + bench baseline).
-  kScalarLocal,       ///< Specialized row sweeps (query-profile inner loop) ...
-  kScalarLocalBest,
-  kScalarLocalTaps,
-  kScalarLocalBestTaps,
-  kScalarLocalFind,
-  kScalarLocalBestFind,
-  kScalarLocalTapsFind,
-  kScalarLocalBestTapsFind,
+  kScalarLocalBest,   ///< Specialized row sweeps (query-profile inner loop) ...
   kScalarGlobal,
   kScalarGlobalTaps,
   kScalarGlobalFind,

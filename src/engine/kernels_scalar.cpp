@@ -229,13 +229,6 @@ template TileResult run_scalar<false, false, false, false>(const TileJob&, TileS
 template TileResult run_scalar<false, false, false, true>(const TileJob&, TileScratch&);
 template TileResult run_scalar<false, false, true, false>(const TileJob&, TileScratch&);
 template TileResult run_scalar<false, false, true, true>(const TileJob&, TileScratch&);
-template TileResult run_scalar<true, false, false, false>(const TileJob&, TileScratch&);
-template TileResult run_scalar<true, false, false, true>(const TileJob&, TileScratch&);
-template TileResult run_scalar<true, false, true, false>(const TileJob&, TileScratch&);
-template TileResult run_scalar<true, false, true, true>(const TileJob&, TileScratch&);
 template TileResult run_scalar<true, true, false, false>(const TileJob&, TileScratch&);
-template TileResult run_scalar<true, true, false, true>(const TileJob&, TileScratch&);
-template TileResult run_scalar<true, true, true, false>(const TileJob&, TileScratch&);
-template TileResult run_scalar<true, true, true, true>(const TileJob&, TileScratch&);
 
 }  // namespace cudalign::engine::detail

@@ -66,8 +66,8 @@ Json stage_json(int stage, const core::StageStats& s) {
                       .set("flush_wait_seconds", s.sra_flush_wait_seconds)
                       .set("writer_busy_seconds", s.sra_writer_busy_seconds)
                       // Fraction of flush I/O hidden behind compute: 1 when
-                      // the writer thread absorbed it all, 0 when every
-                      // second stalled the wavefront (synchronous mode).
+                      // the writer thread absorbed it all, 0 when the hook
+                      // waited as long as the writer worked.
                       .set("overlap_ratio",
                            s.sra_writer_busy_seconds > 0
                                ? std::max(0.0, s.sra_writer_busy_seconds -

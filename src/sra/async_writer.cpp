@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/error.hpp"
 #include "common/timer.hpp"
 
 namespace cudalign::sra {
@@ -23,50 +22,37 @@ AsyncSraWriter::~AsyncSraWriter() {
   if (writer_.joinable()) writer_.join();
 }
 
-void AsyncSraWriter::stage(const RowKey& key, std::span<const engine::BusCell> cells) {
-  CUDALIGN_CHECK(!staged_.has_value(),
-                 "AsyncSraWriter::stage called twice without an intervening commit");
-  StagedRow row;
-  row.key = key;
+void AsyncSraWriter::submit(const RowKey& key, std::span<const engine::BusCell> cells,
+                            std::function<void()> on_durable) {
+  StagedRow row{key, {}, std::move(on_durable)};
   {
+    // Backpressure before the copy: waiting holds no extra row buffer, and
+    // the copy then reuses the buffer the writer has just retired instead of
+    // allocating a new one.
     std::unique_lock<std::mutex> lock(mutex_);
+    if (failure_ == nullptr && queue_.size() >= capacity_) {
+      Timer wait;
+      space_cv_.wait(lock, [&] { return failure_ != nullptr || queue_.size() < capacity_; });
+      stats_.submit_wait_seconds += wait.seconds();
+    }
+    ++stats_.rows_submitted;
+    // Poisoned: drop the row — nothing may be written past a failed one, and
+    // drain() will surface the failure to the submitter.
+    if (failure_ != nullptr) return;
     if (!free_buffers_.empty()) {
       row.cells = std::move(free_buffers_.back());
       free_buffers_.pop_back();
     }
   }
-  // The copy runs outside the lock: it is the bulk of the staging cost and
-  // must not serialize against the writer's retire path.
+  // The copy runs outside the lock: it is the bulk of the hand-off cost and
+  // must not serialize against the writer's retire path. Only this thread
+  // enqueues, so the slot found above is still free afterwards.
   row.cells.assign(cells.begin(), cells.end());
-  staged_.emplace(std::move(row));
-}
-
-void AsyncSraWriter::commit(std::function<void()> on_durable) {
-  CUDALIGN_CHECK(staged_.has_value(), "AsyncSraWriter::commit without a staged row");
-  StagedRow row = std::move(*staged_);
-  staged_.reset();
-  row.on_durable = std::move(on_durable);
   std::unique_lock<std::mutex> lock(mutex_);
-  if (failure_ == nullptr && queue_.size() >= capacity_) {
-    Timer wait;
-    space_cv_.wait(lock, [&] { return failure_ != nullptr || queue_.size() < capacity_; });
-    stats_.submit_wait_seconds += wait.seconds();
-  }
-  ++stats_.rows_submitted;
-  if (failure_ != nullptr) {
-    // Poisoned: drop the row — nothing may be written past a failed one, and
-    // drain() will surface the failure to the submitter.
-    return;
-  }
+  if (failure_ != nullptr) return;
   queue_.push_back(std::move(row));
   stats_.queue_peak = std::max(stats_.queue_peak, queue_.size());
   work_cv_.notify_one();
-}
-
-void AsyncSraWriter::submit(const RowKey& key, std::span<const engine::BusCell> cells,
-                            std::function<void()> on_durable) {
-  stage(key, cells);
-  commit(std::move(on_durable));
 }
 
 void AsyncSraWriter::drain() {

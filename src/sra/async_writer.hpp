@@ -7,21 +7,19 @@
 // exactly this reason (paper §IV-B makes special-row saves the linear-space
 // design's recurring cost).
 //
-// Durability ordering is preserved, not relaxed: each staged row's
-// durable-ack callback (the pipeline's checkpoint-manifest save) runs on the
-// writer thread strictly after SpecialRowsArea::put() has returned for that
-// row — i.e. after the CRC'd write completes (and, in durable mode, after
-// the write-fsync-rename-fsync protocol). Rows are written in submission
-// (= ascending flush-row) order by the single writer, so the on-disk store
-// and manifest sequence are byte-identical to the synchronous path, and
-// kill-and-resume semantics are unchanged: a crash between a row's put() and
-// its manifest save leaves an orphan row beyond the checkpoint cursor, which
-// the resume reconciliation already sweeps.
+// Durability ordering: each row's durable-ack callback (the pipeline's
+// checkpoint-manifest save) runs on the writer thread strictly after
+// SpecialRowsArea::put() has returned for that row — i.e. after the CRC'd
+// write completes (and, in durable mode, after the write-fsync-rename-fsync
+// protocol). Rows are written in submission (= ascending flush-row) order by
+// the single writer, so the checkpoint cursor only ever references durable
+// rows: a crash between a row's put() and its manifest save leaves an orphan
+// row beyond the cursor, which the resume reconciliation sweeps.
 //
 // Ownership protocol (phase-based, not lock-based): between construction and
 // drain() the writer thread is the sole owner of the SpecialRowsArea and of
 // everything the ack callbacks touch (checkpoint state + manifest). The
-// submitting thread only copies cells into staged buffers and moves them
+// submitting thread only copies cells into row buffers and moves them
 // through the queue; it must not read area statistics until drain() has
 // returned. drain() establishes the happens-before edge back to the caller
 // (queue mutex + condition variable), after which single-threaded access
@@ -45,7 +43,6 @@
 #include <exception>
 #include <functional>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <thread>
 #include <vector>
@@ -57,7 +54,7 @@ namespace cudalign::sra {
 
 /// Writer-pipeline accounting for StageStats / the run report (obs/report).
 struct AsyncWriterStats {
-  Index rows_submitted = 0;  ///< Rows handed to the writer (staged + committed).
+  Index rows_submitted = 0;  ///< Rows handed to the writer.
   Index rows_acked = 0;      ///< Rows durably written and acknowledged.
   std::size_t queue_peak = 0;        ///< High-water staged rows in the queue.
   double submit_wait_seconds = 0;    ///< Compute-side backpressure stalls.
@@ -80,22 +77,16 @@ class AsyncSraWriter {
   /// during unwinding; call drain() first to observe errors.
   ~AsyncSraWriter();
 
-  /// Phase 1 of a hand-off: copy `cells` into a staged buffer (recycled from
-  /// the free list when possible). The copy happens on the calling thread
-  /// because the span's storage (the executor's bus planes) may be reused the
-  /// moment the flush hook returns. Must be followed by commit().
-  void stage(const RowKey& key, std::span<const engine::BusCell> cells);
-
-  /// Phase 2: enqueue the staged row for writing, blocking while the queue
-  /// is full (backpressure). `on_durable` — may be empty — runs on the
-  /// writer thread after this row's put() has returned.
-  void commit(std::function<void()> on_durable);
-
-  /// stage() + commit() in one call (single-phase callers and tests).
+  /// Copies `cells` into a row buffer (recycled from the free list when
+  /// possible) and enqueues it for writing, blocking while the queue is full
+  /// (backpressure). The copy happens on the calling thread because the
+  /// span's storage (the executor's bus planes) may be reused the moment the
+  /// flush hook returns. `on_durable` — may be empty — runs on the writer
+  /// thread after this row's put() has returned.
   void submit(const RowKey& key, std::span<const engine::BusCell> cells,
               std::function<void()> on_durable = {});
 
-  /// Blocks until every committed row is durable and acknowledged (or the
+  /// Blocks until every submitted row is durable and acknowledged (or the
   /// writer failed), then rethrows any writer-thread exception. Establishes
   /// the ownership hand-back edge: after drain() returns the caller may
   /// again touch the SpecialRowsArea and the ack callbacks' state.
@@ -114,10 +105,6 @@ class AsyncSraWriter {
 
   SpecialRowsArea& area_;
   const std::size_t capacity_;
-
-  /// Compute-thread-only scratch between stage() and commit(); never touched
-  /// by the writer thread, so deliberately outside the mutex.
-  std::optional<StagedRow> staged_;
 
   mutable std::mutex mutex_;
   std::condition_variable work_cv_;   ///< Signals the writer: row queued / stop.

@@ -81,29 +81,19 @@ if "$CLI" align "$DIR/a.fasta" "$DIR/b.fasta" --executor warp 2>/dev/null; then
   echo "unknown executor was accepted" >&2
   exit 1
 fi
-# Async SRA flush pipeline: the synchronous reference path must produce
-# byte-identical output, and --sra-async only accepts on|off.
-"$CLI" align "$DIR/a.fasta" "$DIR/b.fasta" --sra-async off \
-       --out "$DIR/sync.bin" | grep -q "best score"
-cmp "$DIR/ref.bin" "$DIR/sync.bin"
-if "$CLI" align "$DIR/a.fasta" "$DIR/b.fasta" --sra-async sometimes 2>"$DIR/async.err"; then
-  echo "invalid --sra-async value was accepted" >&2
-  exit 1
-fi
-grep -q "sra-async" "$DIR/async.err"
-# Kill-and-resume where SIGKILL lands mid-async-flush: the checkpoint cursor
-# only advances on durable acks, so the manifest never points past a row that
-# is not on disk. Resume under the sync path (cross-flush-mode) must still be
-# byte-identical; a torn staging temp left in the rows directory must be swept.
+# Kill-and-resume where SIGKILL lands mid-flush: the SRA writer thread
+# advances the checkpoint cursor only on durable acks, so the manifest never
+# points past a row that is not on disk. Resume must be byte-identical, and a
+# torn staging temp left in the rows directory must be swept.
 if CUDALIGN_CHECKPOINT_CRASH_AFTER=3 "$CLI" align "$DIR/a.fasta" "$DIR/b.fasta" \
-     --sra-async on --checkpoint-dir "$DIR/ckpt-async" --out "$DIR/crash-async.bin" \
+     --checkpoint-dir "$DIR/ckpt-async" --out "$DIR/crash-async.bin" \
      >/dev/null 2>&1; then
-  echo "fault-injected async-flush run did not crash" >&2
+  echo "fault-injected mid-flush run did not crash" >&2
   exit 1
 fi
 test -s "$DIR/ckpt-async/checkpoint.json"
 : > "$DIR/ckpt-async/rows/sra-torn.bin.tmp"
-"$CLI" align "$DIR/a.fasta" "$DIR/b.fasta" --sra-async off \
+"$CLI" align "$DIR/a.fasta" "$DIR/b.fasta" \
        --checkpoint-dir "$DIR/ckpt-async" --resume --out "$DIR/resumed-async.bin" \
   | grep -q "resumed from checkpoint"
 cmp "$DIR/ref.bin" "$DIR/resumed-async.bin"

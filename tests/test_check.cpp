@@ -656,7 +656,9 @@ TEST(EngineAudit, CleanWithSpecialRowFlushes) {
     hooks.bus_audit = &auditor;
     hooks.special_row_interval = 1;
     Index flushed = 0;
-    hooks.on_special_row = [&](Index, std::span<const engine::BusCell>) { ++flushed; };
+    hooks.on_special_row = [&](Index, std::span<const engine::BusCell>, const dp::LocalBest&) {
+      ++flushed;
+    };
     (void)engine::run_wavefront(spec, hooks, &pool);
     EXPECT_TRUE(auditor.ok()) << "executor=" << static_cast<int>(kind) << "\n"
                               << auditor.report();

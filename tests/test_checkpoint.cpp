@@ -394,37 +394,5 @@ TEST(CheckpointResume, EmptyAlignmentCheckpointCompletes) {
   EXPECT_EQ(manifest.load().stage, CheckpointStage::kDone);
 }
 
-TEST(CheckpointResume, CrossFlushModeResumeIsByteIdentical) {
-  // --sra-async is deliberately NOT part of the checkpoint envelope (like the
-  // executor choice): a run crashed under one flush mode must resume under
-  // the other and still reproduce the uninterrupted alignment byte for byte.
-  const auto pair = seq::make_related_pair(300, 290, 4242);
-  PipelineOptions options = small_options();
-  const PipelineResult reference = align_pipeline(pair.s0, pair.s1, options);
-  ASSERT_GT(reference.special_rows_saved, 2);
-
-  for (const bool crash_under_async : {true, false}) {
-    TempDir dir;
-    options.checkpoint_dir = dir.path() / "ckpt";
-    options.sra_async = crash_under_async;
-    options.checkpoint_crash_after_flushes = 2;
-    EXPECT_THROW((void)align_pipeline(pair.s0, pair.s1, options), Error);
-
-    options.sra_async = !crash_under_async;
-    options.checkpoint_crash_after_flushes = 0;
-    options.resume = true;
-    const PipelineResult resumed = align_pipeline(pair.s0, pair.s1, options);
-    options.resume = false;
-    options.checkpoint_dir.clear();
-
-    EXPECT_EQ(resumed.best_score, reference.best_score) << "async=" << crash_under_async;
-    EXPECT_TRUE(resumed.alignment.transcript == reference.alignment.transcript);
-    EXPECT_EQ(resumed.binary, reference.binary);
-    EXPECT_EQ(resumed.special_rows_saved, reference.special_rows_saved);
-    EXPECT_TRUE(resumed.resume.resumed);
-    EXPECT_GT(resumed.resume.rows_restored, 0);
-  }
-}
-
 }  // namespace
 }  // namespace cudalign::core

@@ -152,8 +152,10 @@ TEST(Gotoh, FullMatricesMatchBruteForceEverywhere) {
 // over every test scheme and a grid of sizes.
 // ---------------------------------------------------------------------------
 
+// No padding: gtest prints the parameter's raw bytes into each test name, and
+// uninitialised padding would make the names differ from run to run.
 struct BruteCase {
-  int scheme_index;
+  std::size_t scheme_index;
   Index m, n;
   std::uint64_t seed;
 };
@@ -162,7 +164,7 @@ class GotohVsBruteForce : public ::testing::TestWithParam<BruteCase> {};
 
 TEST_P(GotohVsBruteForce, GlobalScoreAgrees) {
   const auto p = GetParam();
-  const auto scheme = test::test_schemes()[static_cast<std::size_t>(p.scheme_index)];
+  const auto scheme = test::test_schemes()[p.scheme_index];
   const auto a = rand_seq(p.m, p.seed);
   const auto b = rand_seq(p.n, p.seed ^ 0xabcdef);
   const auto got = dp::align_global(a.bases(), b.bases(), scheme);
@@ -173,7 +175,7 @@ TEST_P(GotohVsBruteForce, GlobalScoreAgrees) {
 
 TEST_P(GotohVsBruteForce, LocalScoreAgrees) {
   const auto p = GetParam();
-  const auto scheme = test::test_schemes()[static_cast<std::size_t>(p.scheme_index)];
+  const auto scheme = test::test_schemes()[p.scheme_index];
   const auto a = rand_seq(p.m, p.seed ^ 0x1111);
   const auto b = rand_seq(p.n, p.seed ^ 0x2222);
   const auto got = dp::align_local(a.bases(), b.bases(), scheme);
@@ -182,7 +184,7 @@ TEST_P(GotohVsBruteForce, LocalScoreAgrees) {
 
 TEST_P(GotohVsBruteForce, StartStateConstraintsAgree) {
   const auto p = GetParam();
-  const auto scheme = test::test_schemes()[static_cast<std::size_t>(p.scheme_index)];
+  const auto scheme = test::test_schemes()[p.scheme_index];
   const auto a = rand_seq(std::min<Index>(p.m, 6), p.seed ^ 0x3333);
   const auto b = rand_seq(std::min<Index>(p.n, 6), p.seed ^ 0x4444);
   for (const CellState start : {CellState::kH, CellState::kE, CellState::kF}) {
@@ -200,7 +202,7 @@ TEST_P(GotohVsBruteForce, StartStateConstraintsAgree) {
 std::vector<BruteCase> brute_cases() {
   std::vector<BruteCase> cases;
   std::uint64_t seed = 1000;
-  for (int s = 0; s < 4; ++s) {
+  for (std::size_t s = 0; s < 4; ++s) {
     for (const auto& [m, n] : {std::pair<Index, Index>{4, 9}, {8, 8}, {12, 5}, {10, 10}}) {
       cases.push_back(BruteCase{s, m, n, seed++});
     }

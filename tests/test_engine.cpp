@@ -82,7 +82,7 @@ Captured run_with_hooks(const ProblemSpec& spec, Index interval, std::vector<Ind
   Hooks hooks;
   hooks.special_row_interval = interval;
   if (interval > 0) {
-    hooks.on_special_row = [&](Index row, std::span<const BusCell> cells) {
+    hooks.on_special_row = [&](Index row, std::span<const BusCell> cells, const dp::LocalBest&) {
       captured.special_rows[row] = std::vector<BusCell>(cells.begin(), cells.end());
     };
   }
@@ -391,10 +391,9 @@ ExecRun run_with_executor(ProblemSpec spec, engine::ExecutorKind kind, int worke
   ExecRun out;
   Hooks hooks;
   hooks.special_row_interval = interval;
-  hooks.on_special_row = [&](Index row, std::span<const BusCell> cells) {
+  hooks.on_special_row = [&](Index row, std::span<const BusCell> cells,
+                             const dp::LocalBest& best) {
     out.flushes.emplace_back(row, std::vector<BusCell>(cells.begin(), cells.end()));
-  };
-  hooks.after_special_row = [&](Index, const dp::LocalBest& best) {
     out.flush_best.push_back(best);
   };
   ThreadPool pool(workers);
@@ -571,11 +570,9 @@ TEST(Engine, ResumeFromSpecialRowMatchesFullRun) {
     std::vector<Flush> flushes;
     Hooks hooks;
     hooks.special_row_interval = 2;  // Every 32 rows.
-    hooks.on_special_row = [&](Index row, std::span<const BusCell> bus) {
-      flushes.push_back({row, {bus.begin(), bus.end()}, {}});
-    };
-    hooks.after_special_row = [&](Index, const dp::LocalBest& best) {
-      flushes.back().best = best;
+    hooks.on_special_row = [&](Index row, std::span<const BusCell> bus,
+                               const dp::LocalBest& best) {
+      flushes.push_back({row, {bus.begin(), bus.end()}, best});
     };
     const auto run = engine::run_wavefront(run_spec, hooks);
     return std::pair{flushes, run.best};

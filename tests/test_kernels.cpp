@@ -485,7 +485,7 @@ TEST(StripedIsa, CrossExecutorSpecialRowsIdenticalWithStripedPinned) {
     std::map<Index, std::vector<BusCell>> rows;
     engine::Hooks hooks;
     hooks.special_row_interval = 3;
-    hooks.on_special_row = [&](Index row, std::span<const BusCell> cells) {
+    hooks.on_special_row = [&](Index row, std::span<const BusCell> cells, const dp::LocalBest&) {
       rows[row] = std::vector<BusCell>(cells.begin(), cells.end());
     };
     const auto result = engine::run_wavefront(spec, hooks);

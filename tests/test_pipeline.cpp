@@ -277,43 +277,8 @@ TEST(Pipeline, DeterministicAcrossRuns) {
 }
 
 // ---------------------------------------------------------------------------
-// Asynchronous SRA flush pipeline: the async writer must be invisible in the
-// output — byte-identical alignments against the synchronous reference path
-// for every executor — while its accounting proves the hand-off happened.
+// SRA writer thread under a steal-heavy dataflow run.
 // ---------------------------------------------------------------------------
-
-TEST(PipelineAsyncFlush, ByteIdenticalToSyncAcrossExecutors) {
-  const auto pair = seq::make_related_pair(500, 480, 9090);
-  for (const auto kind : {engine::ExecutorKind::kLockstep, engine::ExecutorKind::kDataflow}) {
-    PipelineOptions options = small_options();
-    options.executor = kind;
-    ThreadPool pool(4);
-    if (kind == engine::ExecutorKind::kDataflow) options.pool = &pool;
-
-    options.sra_async = false;
-    const PipelineResult sync_run = align_pipeline(pair.s0, pair.s1, options);
-    options.sra_async = true;
-    const PipelineResult async_run = align_pipeline(pair.s0, pair.s1, options);
-
-    EXPECT_EQ(async_run.best_score, sync_run.best_score);
-    EXPECT_EQ(async_run.end_point, sync_run.end_point);
-    EXPECT_EQ(async_run.start_point, sync_run.start_point);
-    EXPECT_TRUE(async_run.alignment.transcript == sync_run.alignment.transcript);
-    EXPECT_EQ(async_run.binary, sync_run.binary);
-    EXPECT_EQ(async_run.special_rows_saved, sync_run.special_rows_saved);
-    EXPECT_EQ(async_run.crosspoint_counts, sync_run.crosspoint_counts);
-
-    // Accounting: every flushed row was durably acked, and the async run
-    // actually staged rows through the bounded queue.
-    const StageStats& sync_s1 = sync_run.stages[0];
-    const StageStats& async_s1 = async_run.stages[0];
-    EXPECT_EQ(sync_s1.sra_rows_acked, sync_run.special_rows_saved);
-    EXPECT_EQ(async_s1.sra_rows_acked, async_run.special_rows_saved);
-    EXPECT_EQ(sync_s1.sra_flush_queue_peak, 0u);
-    EXPECT_GE(async_s1.sra_flush_queue_peak, 1u);
-    EXPECT_GT(async_run.special_rows_saved, 0);
-  }
-}
 
 TEST(PipelineAsyncFlush, StealHeavyDataflowWithAsyncWriter) {
   // Many more workers than blocks forces heavy work stealing while the SRA
@@ -325,7 +290,6 @@ TEST(PipelineAsyncFlush, StealHeavyDataflowWithAsyncWriter) {
   options.grid_stage1 = tiny_grid(2, 4, 2);
   ThreadPool pool(8);
   options.pool = &pool;
-  options.sra_async = true;
 
   const PipelineResult result = align_pipeline(pair.s0, pair.s1, options);
   const auto reference =

@@ -342,36 +342,6 @@ TEST(AsyncWriter, WritesRowsDurablyInSubmissionOrder) {
   }
 }
 
-TEST(AsyncWriter, TwoPhaseStageCommitMatchesSynchronousStore) {
-  // stage() copies while the engine still owns the row buffer; commit() may
-  // run after the engine freed it (the lockstep hand-off). The stored bytes
-  // must match the synchronous put() path exactly.
-  TempDir dir;
-  SpecialRowsArea sync_area(dir.path() / "sync", 1 << 20);
-  SpecialRowsArea async_area(dir.path() / "async", 1 << 20);
-  {
-    AsyncSraWriter writer(async_area);
-    for (Index k = 0; k < 5; ++k) {
-      const auto row = make_row(32, static_cast<Score>(10 * k));
-      const RowKey key{(k + 1) * 8, 0, 31, 2};
-      (void)sync_area.put(key, row);
-      {
-        auto doomed = row;  // The engine's buffer: gone before commit().
-        writer.stage(key, doomed);
-        doomed.assign(doomed.size(), cell(-1, -1));
-      }
-      writer.commit({});
-    }
-    writer.drain();
-  }
-  ASSERT_EQ(async_area.size(), sync_area.size());
-  for (std::size_t idx = 0; idx < sync_area.size(); ++idx) {
-    EXPECT_EQ(async_area.key(idx).position, sync_area.key(idx).position);
-    EXPECT_EQ(async_area.get(idx), sync_area.get(idx));
-  }
-  EXPECT_EQ(async_area.used_bytes(), sync_area.used_bytes());
-}
-
 TEST(AsyncWriter, BackpressureBoundsQueueDepth) {
   TempDir dir;
   SpecialRowsArea area(dir.path(), 1 << 20);
@@ -426,22 +396,9 @@ TEST(AsyncWriter, AckFailurePoisonsBeforeCursorAdvance) {
   EXPECT_EQ(writer.stats().rows_acked, 1);
 }
 
-TEST(AsyncWriter, StageCommitContractEnforced) {
-  TempDir dir;
-  SpecialRowsArea area(dir.path(), 1 << 20);
-  AsyncSraWriter writer(area);
-  EXPECT_THROW(writer.commit({}), Error);  // Nothing staged.
-  const auto row = make_row(8, 3);
-  writer.stage(RowKey{1, 0, 7, 1}, row);
-  EXPECT_THROW(writer.stage(RowKey{2, 0, 7, 1}, row), Error);  // Double stage.
-  writer.commit({});
-  writer.drain();
-  EXPECT_EQ(area.size(), 1u);
-}
-
 TEST(AsyncWriter, DestructorFlushesPendingRows) {
   // An engine that never calls drain() (e.g. during stack unwinding) must
-  // still leave every committed row durable: the destructor drains first.
+  // still leave every submitted row durable: the destructor drains first.
   TempDir dir;
   SpecialRowsArea area(dir.path(), 1 << 20);
   {
@@ -449,9 +406,6 @@ TEST(AsyncWriter, DestructorFlushesPendingRows) {
     for (Index k = 0; k < 6; ++k) {
       writer.submit(RowKey{k + 1, 0, 15, 1}, make_row(16, static_cast<Score>(k)));
     }
-    // A staged-but-never-committed row is simply dropped — the engine owns
-    // the decision to commit, and destruction must not invent a write.
-    writer.stage(RowKey{99, 0, 15, 1}, make_row(16, 9));
   }
   EXPECT_EQ(area.size(), 6u);
   for (std::size_t idx = 0; idx < area.size(); ++idx) {

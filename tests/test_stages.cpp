@@ -3,6 +3,11 @@
 // re-scoring for the crosspoint chains of Stages 2-4).
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/io_util.hpp"
 #include "core/stages.hpp"
 #include "dp/linear.hpp"
@@ -98,6 +103,56 @@ TEST(Stage1, TinyBudgetRaisesFlushInterval) {
   EXPECT_GE(st1.flush_interval, 25);
   EXPECT_LE(st1.special_rows_saved, 2);
   EXPECT_LE(h.rows.used_bytes(), budget);
+}
+
+// Stage 1 hands special rows to the SRA writer thread (sra/async_writer.hpp).
+// Under either executor, every stored row must be byte-identical to the row
+// the reference sweep flushes at the same interval, and every flushed row
+// must be durably acknowledged.
+TEST(Stage1, StoredRowsMatchReferenceAcrossExecutors) {
+  const auto pair = test::small_related(300, 290, 3200);
+  for (const auto kind : {engine::ExecutorKind::kLockstep, engine::ExecutorKind::kDataflow}) {
+    const std::string label = engine::executor_name(kind);
+    StageHarness h(pair);
+    ThreadPool pool(4);
+    Stage1Config c;
+    c.scheme = paper();
+    c.grid = tiny_grid();
+    c.rows_area = &h.rows;
+    c.executor = kind;
+    c.pool = &pool;
+    const auto st1 = run_stage1(pair.s0.bases(), pair.s1.bases(), c);
+
+    engine::ProblemSpec spec;
+    spec.a = pair.s0.bases();
+    spec.b = pair.s1.bases();
+    spec.recurrence = engine::Recurrence::local(paper());
+    spec.grid = c.grid;
+    engine::Hooks hooks;
+    hooks.special_row_interval = st1.flush_interval;
+    std::vector<std::pair<Index, std::vector<engine::BusCell>>> expected;
+    hooks.on_special_row = [&](Index row, std::span<const engine::BusCell> cells,
+                               const dp::LocalBest&) {
+      expected.emplace_back(row, std::vector<engine::BusCell>(cells.begin(), cells.end()));
+    };
+    (void)engine::run_reference(spec, hooks);
+    ASSERT_GT(expected.size(), 2u) << label;
+
+    EXPECT_EQ(st1.special_rows_saved, static_cast<Index>(expected.size())) << label;
+    EXPECT_EQ(st1.stats.sra_rows_flushed, st1.special_rows_saved) << label;
+    EXPECT_EQ(st1.stats.sra_rows_acked, st1.special_rows_saved) << label;
+    const auto members = h.rows.group_members(1);
+    ASSERT_EQ(members.size(), expected.size()) << label;
+    for (std::size_t k = 0; k < expected.size(); ++k) {
+      const auto& [row, cells] = expected[k];
+      EXPECT_EQ(h.rows.key(members[k]).position, row) << label;
+      const auto stored = h.rows.get(members[k]);
+      ASSERT_EQ(stored.size(), cells.size()) << label << " row " << row;
+      EXPECT_EQ(std::memcmp(stored.data(), cells.data(), cells.size() * sizeof(engine::BusCell)),
+                0)
+          << label << " stored row " << row << " differs from the reference";
+    }
+  }
 }
 
 TEST(Stage2, ChainIsValidAndTelescopes) {

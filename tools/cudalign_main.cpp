@@ -36,7 +36,6 @@ int usage() {
            [--gap-ext N] [--no-stage3] [--stats] [--prune] [--both-strands]
            [--cigar FILE] [--kernel NAME] [--executor NAME] [--audit-bus]
            [--report FILE] [--progress] [--checkpoint-dir DIR] [--resume]
-           [--sra-async on|off]
   cudalign score A.fasta B.fasta [--match N] [--mismatch N] [--gap-first N]
            [--gap-ext N] [--kernel NAME] [--executor NAME] [--audit-bus]
 
@@ -44,19 +43,17 @@ int usage() {
 v16-local+best, striped8-local+best, striped16-local+best; equivalent to
 CUDALIGN_KERNEL); tiles outside the variant's envelope fall back to
 automatic selection, so scores are unaffected. The striped kernels pick
-their SIMD backend at runtime; CUDALIGN_SIMD=auto|generic|sse2|avx2 forces
-one (unknown or unsupported values fail fast with exit code 2).
+their SIMD backend at runtime; CUDALIGN_SIMD=auto|generic|sse2|avx2|avx512
+forces one (unknown or unsupported values fail fast with exit code 2).
 --executor picks the Stage-1 tile-grid executor: lockstep (default; one
 barrier per external diagonal) or dataflow (dependency-driven work stealing,
 no barrier). Results are byte-identical either way, including resume — a
 checkpoint taken under one executor may be resumed under the other.
 --audit-bus verifies every wavefront bus hand-off against the grid model's
 happens-before relation (check/bus_audit.hpp) and fails the run on violation.
---sra-async (default on) overlaps Stage-1 special-row flushes with tile
-compute on a dedicated SRA writer thread; the checkpoint cursor still
-advances only after each row's durable write, so results — including
-kill-and-resume — are byte-identical to --sra-async=off, the synchronous
-reference path.
+Stage-1 special rows are written by a dedicated SRA writer thread that
+overlaps tile compute; the checkpoint cursor advances only after each row's
+durable write.
   cudalign view ALN.bin A.fasta B.fasta [--text FILE] [--tsv FILE] [--plot]
   cudalign generate OUT.fasta --length N [--seed N] [--mutate-of FILE]
            [--substitution R] [--indel R]
@@ -90,7 +87,7 @@ int cmd_align(const common::Args& args) {
   args.check_known({"out", "sra", "workdir", "max-partition", "match", "mismatch", "gap-first",
                     "gap-ext", "no-stage3", "stats", "prune", "both-strands", "cigar",
                     "kernel", "executor", "audit-bus", "report", "progress", "checkpoint-dir",
-                    "resume", "sra-async"});
+                    "resume"});
   if (args.positional().size() != 2) return usage();
   if (args.has("kernel")) engine::set_kernel_override(args.str("kernel"));
   const auto s0 = seq::read_single_fasta(args.positional()[0]);
@@ -107,12 +104,6 @@ int cmd_align(const common::Args& args) {
   options.save_special_columns = !args.has("no-stage3");
   options.block_pruning = args.has("prune");
   if (args.has("executor")) options.executor = engine::executor_from_name(args.str("executor"));
-  if (args.has("sra-async")) {
-    const std::string mode = args.str("sra-async");
-    CUDALIGN_CHECK(mode == "on" || mode == "off", "--sra-async expects on or off, got '", mode,
-                   "'");
-    options.sra_async = mode == "on";
-  }
   if (args.has("workdir")) options.workdir = args.str("workdir");
   if (args.has("checkpoint-dir")) options.checkpoint_dir = args.str("checkpoint-dir");
   options.resume = args.has("resume");
