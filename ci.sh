@@ -228,6 +228,12 @@ CLI=build-ci-release/tools/cudalign
 "$CLI" align "$OBS_DIR/a.fasta" "$OBS_DIR/b.fasta" --out "$OBS_DIR/aln.bin" \
   --report "$ART_DIR/run-report-sample.json" >/dev/null
 "$CLI" report-check "$ART_DIR/run-report-sample.json"
+# The same pair under the dataflow executor: its report must validate too,
+# and its binary alignment must match the lockstep run byte for byte.
+"$CLI" align "$OBS_DIR/a.fasta" "$OBS_DIR/b.fasta" --executor dataflow \
+  --out "$OBS_DIR/aln-dataflow.bin" --report "$OBS_DIR/run-report-dataflow.json" >/dev/null
+"$CLI" report-check "$OBS_DIR/run-report-dataflow.json"
+cmp "$OBS_DIR/aln.bin" "$OBS_DIR/aln-dataflow.bin"
 
 # 2. Bench + regression gate. The self-test exercises the comparator with a
 # synthetic 30% slowdown and must detect it; the real comparison pits the

@@ -115,8 +115,8 @@ void BusAuditor::check_read(Shadow& cell, bool horizontal, Index slot,
              (cell.seed ? cell.writer.diagonal > reader.diagonal
                         : cell.writer.diagonal >= reader.diagonal)) {
     // Lockstep only: tile-to-tile hand-offs must cross an external-diagonal
-    // barrier; executor seeds happen on the caller thread before the diagonal
-    // launches, so equality is legal for them. Under kTileHappensBefore the
+    // barrier; a column-0 seed is written by its reading tile itself, before
+    // the read, so equality is legal for it. Under kTileHappensBefore the
     // writer merely has to have published first — the mutex-serialized event
     // stream IS that order, so a premature read already surfaced above as
     // read-before-write.

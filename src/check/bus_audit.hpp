@@ -117,12 +117,14 @@ class BusAuditor {
                  std::vector<Index> cuts, OrderModel order = OrderModel::kDiagonalBarrier,
                  Index vplanes = 2);
 
-  // --- executor seeding (caller thread, before tiles launch) ---------------
+  // --- executor seeding -----------------------------------------------------
 
-  /// Row-0 horizontal-bus fill: slots [0..n], conceptually strip -1.
+  /// Row-0 horizontal-bus fill: slots [0..n], conceptually strip -1 (caller
+  /// thread, before tiles launch).
   void seed_horizontal();
-  /// Column-0 vertical-bus fill for `strip`, rows [0..rows]; happens on the
-  /// caller thread at external diagonal == strip, before that diagonal runs.
+  /// Column-0 vertical-bus fill for `strip`, rows [0..rows]; done by the
+  /// strip's first tile (strip, 0), at external diagonal == strip, before
+  /// it reads the boundary.
   void seed_vertical(Index strip, Index rows);
 
   // --- tile events (worker threads) ----------------------------------------

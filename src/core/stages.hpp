@@ -104,8 +104,8 @@ struct Stage1Config {
   /// Block pruning (post-paper CUDAlign optimization; engine/executor.hpp).
   bool block_pruning = false;
   /// Tile-grid executor for the stage-1 wavefront (engine/executor.hpp).
-  /// Stages 2+ always run lockstep: their engine runs use taps and value
-  /// probes, which the dataflow executor rejects.
+  /// Both executors support every hook; stages 2+ keep the default
+  /// (lockstep) engine schedule for their short, tap-driven runs.
   engine::ExecutorKind executor = engine::ExecutorKind::kLockstep;
   /// Flush special rows to `rows_area` (nullptr disables; Table IV's
   /// "No Flush" column).

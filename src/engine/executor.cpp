@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
-#include <map>
+#include <utility>
 
 #include "check/bus_audit.hpp"
 #include "check/checked.hpp"
@@ -29,291 +29,20 @@ void merge_best(dp::LocalBest& best, const dp::LocalBest& cand) {
   }
 }
 
-/// Assembles one pending special row from per-chunk segments.
-struct PendingRow {
-  std::vector<BusCell> cells;
-  Index chunks_done = 0;
+/// One strip's share of the run, folded by its own tiles and consumed by
+/// retire(). Tiles of one strip fold in chunk order — (s, b) happens after
+/// (s, b - 1) under both schedules — so the fold needs no synchronization.
+struct StripSlot {
+  WideScore cells = 0;
+  WideScore pruned_cells = 0;
+  Index pruned_tiles = 0;
+  std::array<KernelTally, kKernelIdCount> kernels{};
+  dp::LocalBest best;
+  bool found = false;                       ///< Row-major-first probe hit of the strip.
+  Index found_i = 0, found_j = 0;
+  std::vector<std::vector<BusCell>> taps;   ///< Per tap column: rows (r0, r1].
+  std::span<BusCell> row;                   ///< Special strips only: vertex row r1.
 };
-
-/// Dataflow executor (ProblemSpec::executor == kDataflow): drives the tile
-/// grid through sched::run_tile_graph instead of the per-diagonal barrier.
-/// Validation, kernel pinning and the m/n == 0 fast path mirror run_wavefront
-/// exactly; `forced_kernel` is already resolved by the caller.
-///
-/// Per-strip resources (vertical-bus planes, result slots, the pending
-/// special row, pruning-closure rows) rotate over wcap = window + 2 buffers
-/// indexed strip % wcap. Safe because the scheduler's window gate keeps at
-/// most window + 1 strips in flight: strip s + wcap cannot enter before the
-/// driver retired strip s, so plane reuse never overlaps a live strip.
-RunResult run_dataflow(const ProblemSpec& spec, const Hooks& hooks, ThreadPool* pool,
-                       const KernelVariant* forced_kernel) {
-  CUDALIGN_CHECK(hooks.tap_columns.empty() && !hooks.find_value,
-                 "the dataflow executor does not support taps or value probes (their "
-                 "delivery is keyed to diagonal order; use the lockstep executor)");
-  const Index m = check::checked_cast<Index>(spec.a.size());
-  const Index n = check::checked_cast<Index>(spec.b.size());
-
-  Timer timer;
-  RunResult result;
-  const GridSpec grid = fit_to_width(spec.grid, n);
-  const Index strip_rows = grid.strip_rows();
-  const Index row0 = spec.start_row;
-  if (row0 != 0 || !spec.initial_hbus.empty()) {
-    CUDALIGN_CHECK(row0 >= 0 && row0 < m, "resume start row must lie inside the matrix");
-    CUDALIGN_CHECK(row0 % strip_rows == 0,
-                   "resume start row must be a strip boundary (a flushed special row)");
-    CUDALIGN_CHECK(static_cast<Index>(spec.initial_hbus.size()) == n + 1,
-                   "resume needs the complete restored horizontal bus (n+1 cells)");
-  }
-  const Index base_strip = row0 / strip_rows;
-  const Index strips = (m - row0 + strip_rows - 1) / strip_rows;
-  const Index blocks = std::max<Index>(1, std::min(grid.blocks, n));
-  result.best = spec.initial_best;
-  result.stats.blocks_used = blocks;
-  result.stats.threads_used = grid.threads;
-  const Recurrence& rec = spec.recurrence;
-
-  if (m == 0 || n == 0) {
-    result.stats.seconds = timer.seconds();
-    return result;
-  }
-
-  std::vector<Index> cuts(static_cast<std::size_t>(blocks) + 1);
-  for (Index b = 0; b <= blocks; ++b) {
-    cuts[static_cast<std::size_t>(b)] = n * b / blocks;
-  }
-
-  const int workers = std::max<int>(1, static_cast<int>(pool->worker_count()));
-  const Index window = std::max<Index>(4, 2 * static_cast<Index>(workers));
-  const Index wcap = window + 2;
-
-  check::BusAuditor* audit = hooks.bus_audit;
-  if (audit != nullptr) {
-    audit->begin_run(n, strips, blocks, strip_rows, cuts,
-                     check::OrderModel::kTileHappensBefore, wcap);
-  }
-
-  std::vector<BusCell> hbus(static_cast<std::size_t>(n) + 1);
-  if (!spec.initial_hbus.empty()) {
-    std::copy(spec.initial_hbus.begin(), spec.initial_hbus.end(), hbus.begin());
-  } else {
-    for (Index j = 0; j <= n; ++j) hbus[static_cast<std::size_t>(j)] = rec.top_boundary(j);
-  }
-  if (audit != nullptr) audit->seed_horizontal();
-
-  const std::size_t vbus_len = static_cast<std::size_t>(strip_rows) + 1;
-  std::vector<std::vector<BusCell>> vbus(static_cast<std::size_t>(blocks + 1) *
-                                         static_cast<std::size_t>(wcap));
-  for (auto& buf : vbus) buf.resize(vbus_len);
-  auto vbus_at = [&](Index boundary, Index strip) -> std::vector<BusCell>& {
-    return vbus[static_cast<std::size_t>(boundary * wcap + strip % wcap)];
-  };
-  result.stats.bus_bytes = hbus.size() * sizeof(BusCell) + vbus.size() * vbus_len * sizeof(BusCell);
-
-  auto strip_is_special = [&](Index s) {
-    if (hooks.special_row_interval == 0) return false;
-    const Index g = base_strip + s;
-    const Index r1 = (g + 1) * strip_rows;
-    return (g + 1) % hooks.special_row_interval == 0 && r1 < m;
-  };
-
-  /// Rotating per-strip state, consumed by the driver at strip retirement.
-  struct StripSlot {
-    std::vector<TileResult> results;
-    std::vector<std::uint8_t> pruned;     ///< Allocated only under pruning.
-    std::vector<BusCell> special_row;     ///< Filled only on special strips.
-  };
-  std::vector<StripSlot> slots(static_cast<std::size_t>(wcap));
-  for (StripSlot& slot : slots) {
-    slot.results.resize(static_cast<std::size_t>(blocks));
-    if (spec.block_pruning) slot.pruned.assign(static_cast<std::size_t>(blocks), 0);
-  }
-
-  // Pruning closure (see ProblemSpec::block_pruning): closure[s % wcap][b]
-  // holds the best score over tile (s, b)'s ancestor rectangle plus the
-  // resume seed. Plain (non-atomic) Score: the scheduler's dependency edges
-  // order every access — (s, b) reads rows written by (s-1, b) and (s, b-1),
-  // and slot reuse at wcap distance sits below (s, b) in the same column
-  // chain.
-  std::vector<Score> closure;
-  if (spec.block_pruning) {
-    closure.assign(static_cast<std::size_t>(wcap) * static_cast<std::size_t>(blocks), 0);
-  }
-
-  const Index total_tiles = strips * blocks;
-
-  auto body = [&](Index s, Index b, int /*worker*/) {
-    const Index r0 = row0 + s * strip_rows;
-    const Index r1 = std::min(m, r0 + strip_rows);
-    const Index c0 = cuts[static_cast<std::size_t>(b)];
-    const Index c1 = cuts[static_cast<std::size_t>(b + 1)];
-    const Index d = s + b;  // Logical diagonal, for audit reports only.
-    StripSlot& slot = slots[static_cast<std::size_t>(s % wcap)];
-
-    if (b == 0) {
-      // Column-0 seeding happens on the worker that opens the strip (the
-      // lockstep driver does this per diagonal; here there is no driver
-      // touchpoint before the strip retires).
-      auto& buf = vbus_at(0, s);
-      for (Index i = r0; i <= r1; ++i) {
-        buf[static_cast<std::size_t>(i - r0)] = rec.left_boundary(i);
-      }
-      if (audit != nullptr) audit->seed_vertical(s, r1 - r0);
-      if (strip_is_special(s)) {
-        slot.special_row.assign(static_cast<std::size_t>(n) + 1, BusCell{});
-        slot.special_row[0] = BusCell{rec.left_boundary(r1).h, rec.left_boundary_f(r1)};
-      }
-    }
-
-    TileJob job;
-    job.r0 = r0;
-    job.r1 = r1;
-    job.c0 = c0;
-    job.c1 = c1;
-    job.a = spec.a;
-    job.b = spec.b;
-    job.recurrence = &rec;
-    job.hbus = std::span<BusCell>(hbus).subspan(static_cast<std::size_t>(c0),
-                                                static_cast<std::size_t>(c1 - c0) + 1);
-    const Index rows = r1 - r0;
-    job.vbus_in = std::span<const BusCell>(vbus_at(b, s)).subspan(0,
-                                                                  static_cast<std::size_t>(rows) + 1);
-    job.vbus_out = std::span<BusCell>(vbus_at(b + 1, s)).subspan(0,
-                                                                 static_cast<std::size_t>(rows) + 1);
-    job.track_best = rec.mode == AlignMode::kLocal;
-
-    if (audit != nullptr) {
-      audit->read_horizontal(s, b, d, c0, c1);
-      audit->read_vertical(s, b, d, rows);
-    }
-
-    bool tile_pruned = false;
-    Score closure_in = 0;
-    if (spec.block_pruning) {
-      closure_in = spec.initial_best.score;
-      if (s > 0) {
-        closure_in = std::max(
-            closure_in, closure[static_cast<std::size_t>(((s - 1) % wcap) * blocks + b)]);
-      }
-      if (b > 0) {
-        closure_in =
-            std::max(closure_in, closure[static_cast<std::size_t>((s % wcap) * blocks + b - 1)]);
-      }
-      if (closure_in > 0) {
-        // Best incoming H across the tile's boundary (the corner arrives via
-        // the vertical bus; hbus index 0 is the left neighbour's and stale).
-        Score max_in = 0;  // Local mode: a fresh alignment can start anywhere.
-        for (std::size_t k = 1; k < job.hbus.size(); ++k) {
-          max_in = std::max(max_in, job.hbus[k].h);
-        }
-        for (const BusCell& cell : job.vbus_in) max_in = std::max(max_in, cell.h);
-        const WideScore bound =
-            max_in + static_cast<WideScore>(rec.scheme.match) * std::min(m - r0, n - c0);
-        if (bound < closure_in) {
-          // Publish safe lower bounds and skip the kernel.
-          for (std::size_t k = 1; k < job.hbus.size(); ++k) job.hbus[k] = BusCell{0, kNegInf};
-          for (auto& cell : job.vbus_out) cell = BusCell{0, kNegInf};
-          slot.results[static_cast<std::size_t>(b)] = TileResult{};
-          slot.pruned[static_cast<std::size_t>(b)] = 1;
-          tile_pruned = true;
-          if (audit != nullptr) {
-            audit->write_horizontal(s, b, d, c0, c1);
-            audit->write_vertical(s, b, d, rows);
-          }
-        }
-      }
-    }
-
-    if (!tile_pruned) {
-      static thread_local TileScratch scratch;
-      slot.results[static_cast<std::size_t>(b)] = run_tile(job, scratch, forced_kernel);
-      if (spec.block_pruning) slot.pruned[static_cast<std::size_t>(b)] = 0;
-      if (audit != nullptr) {
-        audit->write_horizontal(s, b, d, c0, c1);
-        audit->write_vertical(s, b, d, rows);
-      }
-    }
-    if (spec.block_pruning) {
-      closure[static_cast<std::size_t>((s % wcap) * blocks + b)] =
-          std::max(closure_in, slot.results[static_cast<std::size_t>(b)].best.score);
-    }
-
-    // Special-row capture must happen here, inside the tile: the down
-    // successor (s + 1, b) is released the moment this body returns and would
-    // overwrite the hbus segment before the driver ever sees it.
-    if (strip_is_special(s)) {
-      for (Index j = c0 + 1; j <= c1; ++j) {
-        slot.special_row[static_cast<std::size_t>(j)] = hbus[static_cast<std::size_t>(j)];
-      }
-    }
-  };
-
-  auto strip_done = [&](Index s) -> bool {
-    StripSlot& slot = slots[static_cast<std::size_t>(s % wcap)];
-    const Index r0 = row0 + s * strip_rows;
-    const Index r1 = std::min(m, r0 + strip_rows);
-    const bool special = strip_is_special(s);
-    for (Index b = 0; b < blocks; ++b) {
-      TileResult& tr = slot.results[static_cast<std::size_t>(b)];
-      result.stats.cells += tr.cells;
-      ++result.stats.tiles;
-      const Index c0 = cuts[static_cast<std::size_t>(b)];
-      const Index c1 = cuts[static_cast<std::size_t>(b + 1)];
-      if (spec.block_pruning && slot.pruned[static_cast<std::size_t>(b)]) {
-        ++result.stats.pruned_tiles;
-        result.stats.pruned_cells += static_cast<WideScore>(r1 - r0) * (c1 - c0);
-      } else {
-        KernelTally& tally = result.stats.kernels[static_cast<std::size_t>(tr.kernel)];
-        ++tally.tiles;
-        tally.cells += tr.cells;
-      }
-      // Bus traffic accounting, identical to lockstep (RunStats doc).
-      const auto h_seg_bytes =
-          static_cast<std::int64_t>((c1 - c0 + 1) * static_cast<Index>(sizeof(BusCell)));
-      const auto v_seg_bytes =
-          static_cast<std::int64_t>((r1 - r0 + 1) * static_cast<Index>(sizeof(BusCell)));
-      ++result.stats.hbus_reads;
-      ++result.stats.hbus_writes;
-      ++result.stats.vbus_reads;
-      ++result.stats.vbus_writes;
-      result.stats.hbus_bytes += 2 * h_seg_bytes;
-      result.stats.vbus_bytes += 2 * v_seg_bytes;
-      if (special) {
-        ++result.stats.hbus_reads;
-        result.stats.hbus_bytes +=
-            static_cast<std::int64_t>((c1 - c0) * static_cast<Index>(sizeof(BusCell)));
-      }
-      if (tr.best.score > 0) merge_best(result.best, tr.best);
-    }
-    ++result.stats.strips;
-    if (special) {
-      // Diagonal coordinate for strip retirement: the strip's last external
-      // diagonal (s + blocks - 1), matching the tile that completed it.
-      if (audit != nullptr) audit->flush_handoff(s, s + blocks - 1);
-      // Checkpoint hand-off: the merged best here covers every tile of
-      // strips <= s — a superset of rows <= r1, which is all a resume needs
-      // (re-merging recomputed candidates is idempotent). The value can
-      // differ from lockstep's at the same row; final results cannot.
-      Timer flush_timer;
-      hooks.on_special_row(r1, slot.special_row, result.best);
-      result.stats.special_row_wait_seconds += flush_timer.seconds();
-    }
-    if (hooks.on_progress) hooks.on_progress((s + 1) * blocks, total_tiles);
-    return true;
-  };
-
-  sched::SchedOptions sched_options;
-  sched_options.strips = strips;
-  sched_options.blocks = blocks;
-  sched_options.workers = workers;
-  sched_options.window = window;
-  const sched::SchedStats sched_stats = sched::run_tile_graph(sched_options, body, strip_done);
-  result.stats.tiles_stolen = static_cast<Index>(sched_stats.tiles_stolen);
-  result.stats.starvation_waits = static_cast<Index>(sched_stats.starvation_waits);
-
-  result.stats.seconds = timer.seconds();
-  return result;
-}
 
 }  // namespace
 
@@ -363,16 +92,13 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
   }
   (void)kernel_override();
 
-  if (spec.executor == ExecutorKind::kDataflow) {
-    return run_dataflow(spec, hooks, pool, forced_kernel);
-  }
-
   const Index m = check::checked_cast<Index>(spec.a.size());
   const Index n = check::checked_cast<Index>(spec.b.size());
-  for (std::size_t t = 0; t < hooks.tap_columns.size(); ++t) {
-    const Index c = hooks.tap_columns[t];
+  const std::vector<Index>& tap_columns = hooks.tap_columns;
+  for (std::size_t t = 0; t < tap_columns.size(); ++t) {
+    const Index c = tap_columns[t];
     CUDALIGN_CHECK(c >= 1 && c <= n, "tap columns must be in [1, n]");
-    CUDALIGN_CHECK(t == 0 || hooks.tap_columns[t - 1] < c, "tap columns must be unique");
+    CUDALIGN_CHECK(t == 0 || tap_columns[t - 1] < c, "tap columns must be unique");
   }
 
   Timer timer;
@@ -386,7 +112,7 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
                    "resume start row must be a strip boundary (a flushed special row)");
     CUDALIGN_CHECK(static_cast<Index>(spec.initial_hbus.size()) == n + 1,
                    "resume needs the complete restored horizontal bus (n+1 cells)");
-    CUDALIGN_CHECK(hooks.tap_columns.empty() && !hooks.find_value,
+    CUDALIGN_CHECK(tap_columns.empty() && !hooks.find_value,
                    "resume cannot be combined with taps or value probes (their row-0 "
                    "boundary delivery would not reflect the restored bus)");
   }
@@ -400,8 +126,7 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
   const Recurrence& rec = spec.recurrence;
 
   // Row-0 tap delivery (boundary vertices, before any strip).
-  for (std::size_t t = 0; t < hooks.tap_columns.size(); ++t) {
-    const Index col = hooks.tap_columns[t];
+  for (const Index col : tap_columns) {
     const BusCell entry{rec.top_boundary(col).h, rec.top_boundary_e(col)};
     if (hooks.on_tap(col, 0, std::span<const BusCell>(&entry, 1)) == HookAction::kStop) {
       result.stopped_early = true;
@@ -414,15 +139,36 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
     return result;
   }
 
-  // Chunk boundaries: blocks near-equal column spans.
+  // Chunk boundaries: blocks near-equal column spans. Chunk b covers the tap
+  // columns with indices [tap_lo[b], tap_lo[b + 1]).
   std::vector<Index> cuts(static_cast<std::size_t>(blocks) + 1);
+  std::vector<std::size_t> tap_lo(static_cast<std::size_t>(blocks) + 1);
   for (Index b = 0; b <= blocks; ++b) {
-    cuts[static_cast<std::size_t>(b)] = n * b / blocks;
+    const auto k = static_cast<std::size_t>(b);
+    cuts[k] = n * b / blocks;
+    tap_lo[k] = static_cast<std::size_t>(
+        std::upper_bound(tap_columns.begin(), tap_columns.end(), cuts[k]) - tap_columns.begin());
   }
+
+  // The schedule fixes how many strips are in flight at once, and with it how
+  // many buffers every per-strip resource rotates over (index s % count).
+  // Lockstep: a diagonal spans at most `blocks` strips, and the vertical bus
+  // and pruning closure are double-buffered by strip parity (the
+  // same-diagonal hazard; see executor.hpp). Dataflow: the scheduler's window
+  // gate admits strip s only once strip s - window - 1 has retired, so
+  // window + 2 buffers never overlap a live strip.
+  const bool dataflow = spec.executor == ExecutorKind::kDataflow;
+  const int workers = std::max<int>(1, static_cast<int>(pool->worker_count()));
+  const Index window = std::max<Index>(4, 2 * static_cast<Index>(workers));
+  const Index planes = dataflow ? window + 2 : 2;
+  const Index ring = std::min(strips, dataflow ? window + 2 : blocks);
 
   check::BusAuditor* audit = hooks.bus_audit;
   if (audit != nullptr) {
-    audit->begin_run(n, strips, blocks, strip_rows, cuts);
+    audit->begin_run(n, strips, blocks, strip_rows, cuts,
+                     dataflow ? check::OrderModel::kTileHappensBefore
+                              : check::OrderModel::kDiagonalBarrier,
+                     planes);
   }
 
   // Horizontal bus: (H, F) per column vertex, initialized to row `row0` — the
@@ -435,139 +181,111 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
   }
   if (audit != nullptr) audit->seed_horizontal();
 
-  // Vertical buses: (H, E) per row vertex of the current strip, one buffer
-  // per chunk boundary, double-buffered by strip parity (same-diagonal
-  // hazard; see executor.hpp).
+  // Vertical buses: (H, E) per row vertex of a strip, one buffer per chunk
+  // boundary per plane.
   const std::size_t vbus_len = static_cast<std::size_t>(strip_rows) + 1;
-  std::vector<std::vector<BusCell>> vbus(static_cast<std::size_t>(blocks + 1) * 2);
+  std::vector<std::vector<BusCell>> vbus(static_cast<std::size_t>(blocks + 1) *
+                                         static_cast<std::size_t>(planes));
   for (auto& buf : vbus) buf.resize(vbus_len);
   auto vbus_at = [&](Index boundary, Index strip) -> std::vector<BusCell>& {
-    return vbus[static_cast<std::size_t>(boundary * 2 + (strip & 1))];
+    return vbus[static_cast<std::size_t>(boundary * planes + strip % planes)];
   };
-
   result.stats.bus_bytes = hbus.size() * sizeof(BusCell) + vbus.size() * vbus_len * sizeof(BusCell);
 
-  // Special-row assembly state. Strip indices here are *global* (offset by
-  // base_strip), so a resumed run flushes exactly the rows a fresh run would.
-  std::map<Index, PendingRow> pending_rows;
+  // Strip indices here are *global* (offset by base_strip), so a resumed run
+  // flushes exactly the rows a fresh run would.
+  const Index interval = hooks.special_row_interval;
   auto strip_is_special = [&](Index s) {
-    if (hooks.special_row_interval == 0) return false;
+    if (interval == 0) return false;
     const Index g = base_strip + s;
     const Index r1 = (g + 1) * strip_rows;
-    return (g + 1) % hooks.special_row_interval == 0 && r1 < m;
+    return (g + 1) % interval == 0 && r1 < m;
   };
 
-  std::vector<TileResult> tile_results(static_cast<std::size_t>(blocks));
-  std::vector<std::vector<Index>> tile_taps(static_cast<std::size_t>(blocks));
-  // Per-strip best accumulators, folded into result.best only when the strip
-  // completes: the best handed to on_special_row is then exactly the best
-  // over rows <= r1 — the same value the dataflow executor's strip watermark
-  // produces, keeping checkpoints executor-independent. (Merging per tile in
-  // diagonal order would fold tiles from strips below the flushed row.)
-  std::vector<dp::LocalBest> strip_best(static_cast<std::size_t>(strips));
-  // Pruning-only state, not allocated otherwise. tile_pruned is
-  // std::uint8_t, not bool: tiles on one diagonal write distinct slots
-  // concurrently, and vector<bool>'s bit packing would turn those into
-  // read-modify-write races on shared words. `closure` is the ancestor
-  // closure of best scores (see ProblemSpec::block_pruning), double-buffered
-  // by strip parity like the vertical bus: tile (s, b) reads rows written at
-  // least one diagonal earlier and same-diagonal tiles write distinct slots.
-  std::vector<std::uint8_t> tile_pruned(
-      spec.block_pruning ? static_cast<std::size_t>(blocks) : 0);
-  std::vector<Score> closure(spec.block_pruning ? 2 * static_cast<std::size_t>(blocks) : 0);
+  std::vector<StripSlot> slots(static_cast<std::size_t>(ring));
+  // Special-row buffers, reused: `ring` consecutive strips hold at most
+  // (ring - 1) / interval + 1 special ones, so special strip k (counted
+  // globally) takes buffer k % count without overlapping a live row.
+  std::vector<std::vector<BusCell>> row_buffers(
+      interval == 0 ? 0 : static_cast<std::size_t>((ring - 1) / interval + 1),
+      std::vector<BusCell>(static_cast<std::size_t>(n) + 1));
 
-  // Diagonal-bucket spans: the wavefront phase profile for the run report.
-  obs::Telemetry* telemetry = hooks.telemetry;
-  const Index total_tiles = strips * blocks;
-  Index tiles_completed = 0;  // For on_progress (per-tile, see Hooks).
-  const Index total_diagonals = strips + blocks - 1;
-  const Index bucket_size =
-      telemetry != nullptr
-          ? (total_diagonals + kDiagonalBuckets - 1) / kDiagonalBuckets
-          : 0;
+  // Pruning closure (see ProblemSpec::block_pruning): closure[s % planes][b]
+  // holds the best score over tile (s, b)'s ancestor rectangle plus the
+  // resume seed. Tile (s, b) reads the rows written by (s - 1, b) and
+  // (s, b - 1), which both schedules order before it. Not allocated unless
+  // pruning.
+  std::vector<Score> closure(
+      spec.block_pruning ? static_cast<std::size_t>(planes) * static_cast<std::size_t>(blocks)
+                         : 0);
 
-  for (Index d = 0; d < total_diagonals && !result.stopped_early; ++d) {
-    if (bucket_size > 0 && d % bucket_size == 0) {
-      const Index last = std::min(d + bucket_size, total_diagonals) - 1;
-      telemetry->begin("diagonals " + std::to_string(d) + "-" + std::to_string(last));
-    }
-    const Index s_lo = std::max<Index>(0, d - blocks + 1);
-    const Index s_hi = std::min<Index>(strips - 1, d);
+  // The tile body, shared by both schedules.
+  auto tile = [&](Index s, Index b) {
+    const Index r0 = row0 + s * strip_rows;
+    const Index r1 = std::min(m, r0 + strip_rows);
+    const Index rows = r1 - r0;
+    const Index c0 = cuts[static_cast<std::size_t>(b)];
+    const Index c1 = cuts[static_cast<std::size_t>(b + 1)];
+    const Index d = s + b;  // External diagonal, the audit coordinate.
+    StripSlot& slot = slots[static_cast<std::size_t>(s % ring)];
 
-    // Fill the column-0 vertical bus for the strip entering the wavefront.
-    if (d < strips) {
-      const Index s = d;
-      const Index r0 = row0 + s * strip_rows;
-      const Index r1 = std::min(m, r0 + strip_rows);
+    if (b == 0) {
+      // The strip's first tile seeds its column-0 vertical bus and opens its
+      // slot (retire() left it empty).
       auto& buf = vbus_at(0, s);
       for (Index i = r0; i <= r1; ++i) {
         buf[static_cast<std::size_t>(i - r0)] = rec.left_boundary(i);
       }
-      if (audit != nullptr) audit->seed_vertical(s, r1 - r0);
+      if (audit != nullptr) audit->seed_vertical(s, rows);
+      slot.taps.resize(tap_columns.size());
+      if (strip_is_special(s)) {
+        auto& row = row_buffers[static_cast<std::size_t>((base_strip + s + 1) / interval) %
+                                row_buffers.size()];
+        row[0] = BusCell{rec.left_boundary(r1).h, rec.left_boundary_f(r1)};
+        slot.row = row;
+      }
     }
 
-    // Launch the diagonal.
-    struct Slot {
-      Index s, b;
-    };
-    std::vector<Slot> slots;
-    for (Index s = s_hi; s >= s_lo; --s) slots.push_back(Slot{s, d - s});
+    const std::size_t tap_begin = tap_lo[static_cast<std::size_t>(b)];
+    TileJob job;
+    job.r0 = r0;
+    job.r1 = r1;
+    job.c0 = c0;
+    job.c1 = c1;
+    job.a = spec.a;
+    job.b = spec.b;
+    job.recurrence = &rec;
+    job.hbus = std::span<BusCell>(hbus).subspan(static_cast<std::size_t>(c0),
+                                                static_cast<std::size_t>(c1 - c0) + 1);
+    const auto vbus_rows = static_cast<std::size_t>(rows) + 1;
+    job.vbus_in = std::span<const BusCell>(vbus_at(b, s)).subspan(0, vbus_rows);
+    job.vbus_out = std::span<BusCell>(vbus_at(b + 1, s)).subspan(0, vbus_rows);
+    job.tap_cols = std::span<const Index>(tap_columns)
+                       .subspan(tap_begin, tap_lo[static_cast<std::size_t>(b + 1)] - tap_begin);
+    job.track_best = rec.mode == AlignMode::kLocal;
+    job.find_value = hooks.find_value;
 
-    pool->parallel_for(slots.size(), [&](std::size_t idx) {
-      const auto [s, b] = slots[idx];
-      const Index r0 = row0 + s * strip_rows;
-      const Index r1 = std::min(m, r0 + strip_rows);
-      const Index c0 = cuts[static_cast<std::size_t>(b)];
-      const Index c1 = cuts[static_cast<std::size_t>(b + 1)];
+    // Audit: the tile consumes its row-r0 horizontal segment and its
+    // incoming vertical boundary before publishing anything (both the
+    // kernel and the pruning bound-scan below read them).
+    if (audit != nullptr) {
+      audit->read_horizontal(s, b, d, c0, c1);
+      audit->read_vertical(s, b, d, rows);
+    }
 
-      // Taps covered by this chunk.
-      auto& taps = tile_taps[static_cast<std::size_t>(b)];
-      taps.clear();
-      for (Index col : hooks.tap_columns) {
-        if (col > c0 && col <= c1) taps.push_back(col);
+    bool pruned = false;
+    Score closure_in = 0;
+    if (spec.block_pruning) {
+      closure_in = spec.initial_best.score;
+      if (s > 0) {
+        closure_in = std::max(
+            closure_in, closure[static_cast<std::size_t>(((s - 1) % planes) * blocks + b)]);
       }
-
-      TileJob job;
-      job.r0 = r0;
-      job.r1 = r1;
-      job.c0 = c0;
-      job.c1 = c1;
-      job.a = spec.a;
-      job.b = spec.b;
-      job.recurrence = &rec;
-      job.hbus = std::span<BusCell>(hbus).subspan(static_cast<std::size_t>(c0),
-                                                  static_cast<std::size_t>(c1 - c0) + 1);
-      const Index rows = r1 - r0;
-      job.vbus_in = std::span<const BusCell>(vbus_at(b, s)).subspan(0,
-                                                                    static_cast<std::size_t>(rows) + 1);
-      job.vbus_out = std::span<BusCell>(vbus_at(b + 1, s)).subspan(0,
-                                                                   static_cast<std::size_t>(rows) + 1);
-      job.tap_cols = taps;
-      job.track_best = rec.mode == AlignMode::kLocal;
-      job.find_value = hooks.find_value;
-
-      // Audit: the tile consumes its row-r0 horizontal segment and its
-      // incoming vertical boundary before publishing anything (both the
-      // kernel and the pruning bound-scan below read them).
-      if (audit != nullptr) {
-        audit->read_horizontal(s, b, d, c0, c1);
-        audit->read_vertical(s, b, d, r1 - r0);
+      if (b > 0) {
+        closure_in =
+            std::max(closure_in, closure[static_cast<std::size_t>((s % planes) * blocks + b - 1)]);
       }
-
-      Score closure_in = 0;
-      if (spec.block_pruning) {
-        tile_pruned[static_cast<std::size_t>(b)] = false;
-        closure_in = spec.initial_best.score;
-        if (s > 0) {
-          closure_in =
-              std::max(closure_in, closure[static_cast<std::size_t>(((s - 1) & 1) * blocks + b)]);
-        }
-        if (b > 0) {
-          closure_in =
-              std::max(closure_in, closure[static_cast<std::size_t>((s & 1) * blocks + b - 1)]);
-        }
-      }
-      if (spec.block_pruning && closure_in > 0) {
+      if (closure_in > 0) {
         // Best incoming H across the tile's boundary (the corner arrives via
         // the vertical bus; hbus index 0 is the left neighbour's and stale).
         Score max_in = 0;  // Local mode: a fresh alignment can start anywhere.
@@ -581,130 +299,146 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
           // Publish safe lower bounds and skip the kernel.
           for (std::size_t k = 1; k < job.hbus.size(); ++k) job.hbus[k] = BusCell{0, kNegInf};
           for (auto& cell : job.vbus_out) cell = BusCell{0, kNegInf};
-          tile_results[static_cast<std::size_t>(b)] = TileResult{};
-          tile_pruned[static_cast<std::size_t>(b)] = true;
-          closure[static_cast<std::size_t>((s & 1) * blocks + b)] = closure_in;
-          if (audit != nullptr) {
-            audit->write_horizontal(s, b, d, c0, c1);
-            audit->write_vertical(s, b, d, r1 - r0);
-          }
-          return;
+          pruned = true;
         }
       }
+    }
 
+    TileResult tr;
+    if (!pruned) {
       // Scratch is reused across tiles of the same worker thread.
       static thread_local TileScratch scratch;
-      tile_results[static_cast<std::size_t>(b)] = run_tile(job, scratch, forced_kernel);
-      if (spec.block_pruning) {
-        closure[static_cast<std::size_t>((s & 1) * blocks + b)] =
-            std::max(closure_in, tile_results[static_cast<std::size_t>(b)].best.score);
-      }
-      if (audit != nullptr) {
-        audit->write_horizontal(s, b, d, c0, c1);
-        audit->write_vertical(s, b, d, r1 - r0);
-      }
-    });
-
-    // Deterministic post-processing in ascending strip order.
-    for (Index s = s_lo; s <= s_hi && !result.stopped_early; ++s) {
-      const Index b = d - s;
-      TileResult& tr = tile_results[static_cast<std::size_t>(b)];
-      result.stats.cells += tr.cells;
-      ++result.stats.tiles;
-      if (spec.block_pruning && tile_pruned[static_cast<std::size_t>(b)]) {
-        ++result.stats.pruned_tiles;
-        const Index pr0 = row0 + s * strip_rows;
-        result.stats.pruned_cells +=
-            static_cast<WideScore>(std::min(m, pr0 + strip_rows) - pr0) *
-            (cuts[static_cast<std::size_t>(b + 1)] - cuts[static_cast<std::size_t>(b)]);
-      } else {
-        KernelTally& tally = result.stats.kernels[static_cast<std::size_t>(tr.kernel)];
-        ++tally.tiles;
-        tally.cells += tr.cells;
-      }
-      const Index r0 = row0 + s * strip_rows;
-      const Index r1 = std::min(m, r0 + strip_rows);
-      const Index c0 = cuts[static_cast<std::size_t>(b)];
-      const Index c1 = cuts[static_cast<std::size_t>(b + 1)];
-
-      // Bus traffic accounting (see RunStats): one read + one write per bus
-      // per tile, pruned or not (pruning scans the boundary and publishes
-      // lower bounds).
-      const auto h_seg_bytes =
-          static_cast<std::int64_t>((c1 - c0 + 1) * static_cast<Index>(sizeof(BusCell)));
-      const auto v_seg_bytes =
-          static_cast<std::int64_t>((r1 - r0 + 1) * static_cast<Index>(sizeof(BusCell)));
-      ++result.stats.hbus_reads;
-      ++result.stats.hbus_writes;
-      ++result.stats.vbus_reads;
-      ++result.stats.vbus_writes;
-      result.stats.hbus_bytes += 2 * h_seg_bytes;
-      result.stats.vbus_bytes += 2 * v_seg_bytes;
-
-      if (tr.best.score > 0) merge_best(strip_best[static_cast<std::size_t>(s)], tr.best);
-      if (tr.found && !result.found) {
-        result.found = true;
-        result.found_i = tr.found_i;
-        result.found_j = tr.found_j;
-        result.stopped_early = true;
-      }
-
-      // Tap deliveries for this tile's rows.
-      const auto& taps = tile_taps[static_cast<std::size_t>(b)];
-      for (std::size_t t = 0; t < taps.size() && !result.stopped_early; ++t) {
-        if (hooks.on_tap(taps[t], r0 + 1, tr.taps[t]) == HookAction::kStop) {
-          result.stopped_early = true;
-        }
-      }
-
-      if (b == blocks - 1) {
-        ++result.stats.strips;
-        if (strip_best[static_cast<std::size_t>(s)].score > 0) {
-          merge_best(result.best, strip_best[static_cast<std::size_t>(s)]);
-        }
-      }
-
-      // Special-row segment assembly.
-      if (strip_is_special(s) && !result.stopped_early) {
-        auto [it, inserted] = pending_rows.try_emplace(s);
-        PendingRow& row = it->second;
-        if (inserted) {
-          row.cells.resize(static_cast<std::size_t>(n) + 1);
-          row.cells[0] = BusCell{rec.left_boundary(r1).h, rec.left_boundary_f(r1)};
-        }
-        // The tile just published row r1 into hbus (c0..c1].
-        for (Index j = c0 + 1; j <= c1; ++j) {
-          row.cells[static_cast<std::size_t>(j)] = hbus[static_cast<std::size_t>(j)];
-        }
-        ++result.stats.hbus_reads;
-        result.stats.hbus_bytes +=
-            static_cast<std::int64_t>((c1 - c0) * static_cast<Index>(sizeof(BusCell)));
-        if (++row.chunks_done == blocks) {
-          if (audit != nullptr) audit->flush_handoff(s, d);
-          // Checkpoint hand-off: best-so-far here covers (at least) every
-          // cell of rows <= r1 — all earlier strips have fully completed and
-          // this strip just merged its last chunk.
-          Timer flush_timer;
-          hooks.on_special_row(r1, row.cells, result.best);
-          result.stats.special_row_wait_seconds += flush_timer.seconds();
-          pending_rows.erase(it);
-        }
-      }
+      tr = run_tile(job, scratch, forced_kernel);
     }
-    ++result.stats.diagonals;
-    if (bucket_size > 0 &&
-        ((d + 1) % bucket_size == 0 || d + 1 == total_diagonals || result.stopped_early)) {
-      telemetry->end();
+    if (audit != nullptr) {
+      audit->write_horizontal(s, b, d, c0, c1);
+      audit->write_vertical(s, b, d, rows);
     }
-    tiles_completed += s_hi - s_lo + 1;
-    if (hooks.on_progress) hooks.on_progress(tiles_completed, total_tiles);
-  }
+    if (spec.block_pruning) {
+      closure[static_cast<std::size_t>((s % planes) * blocks + b)] =
+          std::max(closure_in, tr.best.score);
+    }
 
-  // An early stop leaves partial strips unfolded; their tiles did run, so
-  // fold them for the returned best (idempotent for completed strips — the
-  // merge is a max under a total order).
-  for (const dp::LocalBest& sb : strip_best) {
-    if (sb.score > 0) merge_best(result.best, sb);
+    // Special-row capture happens here, inside the tile: the down successor
+    // (s + 1, b) may overwrite the hbus segment before the strip retires.
+    if (!slot.row.empty()) {
+      std::copy(hbus.begin() + c0 + 1, hbus.begin() + c1 + 1, slot.row.begin() + c0 + 1);
+    }
+
+    // Fold into the strip's slot.
+    slot.cells += tr.cells;
+    if (pruned) {
+      ++slot.pruned_tiles;
+      slot.pruned_cells += static_cast<WideScore>(rows) * (c1 - c0);
+    } else {
+      KernelTally& tally = slot.kernels[static_cast<std::size_t>(tr.kernel)];
+      ++tally.tiles;
+      tally.cells += tr.cells;
+    }
+    if (tr.best.score > 0) merge_best(slot.best, tr.best);
+    if (tr.found && (!slot.found || std::pair{tr.found_i, tr.found_j} <
+                                        std::pair{slot.found_i, slot.found_j})) {
+      slot.found = true;
+      slot.found_i = tr.found_i;
+      slot.found_j = tr.found_j;
+    }
+    for (std::size_t k = 0; k < tr.taps.size(); ++k) {
+      slot.taps[tap_begin + k] = std::move(tr.taps[k]);
+    }
+  };
+
+  // Strip retirement, in ascending strip order under both schedules: the only
+  // place results become observable. Returns false to stop the run.
+  const Index total_tiles = strips * blocks;
+  auto retire = [&](Index s) -> bool {
+    StripSlot& slot = slots[static_cast<std::size_t>(s % ring)];
+    const Index r0 = row0 + s * strip_rows;
+    const Index r1 = std::min(m, r0 + strip_rows);
+    const bool special = !slot.row.empty();
+    RunStats& stats = result.stats;
+    stats.cells += slot.cells;
+    stats.pruned_cells += slot.pruned_cells;
+    stats.pruned_tiles += slot.pruned_tiles;
+    for (std::size_t k = 0; k < kKernelIdCount; ++k) {
+      stats.kernels[k].tiles += slot.kernels[k].tiles;
+      stats.kernels[k].cells += slot.kernels[k].cells;
+    }
+    stats.tiles += blocks;
+    ++stats.strips;
+    // Bus traffic (see RunStats): each tile reads and writes its horizontal
+    // segment (c1 - c0 + 1 cells, n + blocks over the strip) and vertical
+    // boundary; a special row re-reads the strip's n published cells.
+    constexpr auto kCell = static_cast<std::int64_t>(sizeof(BusCell));
+    stats.hbus_reads += special ? 2 * blocks : blocks;
+    stats.hbus_writes += blocks;
+    stats.vbus_reads += blocks;
+    stats.vbus_writes += blocks;
+    stats.hbus_bytes += (2 * (n + blocks) + (special ? n : 0)) * kCell;
+    stats.vbus_bytes += 2 * blocks * (r1 - r0 + 1) * kCell;
+    if (slot.best.score > 0) merge_best(result.best, slot.best);
+
+    bool go = true;
+    if (slot.found) {
+      result.found = true;
+      result.found_i = slot.found_i;
+      result.found_j = slot.found_j;
+      go = false;
+    }
+    for (std::size_t t = 0; t < tap_columns.size() && go; ++t) {
+      go = hooks.on_tap(tap_columns[t], r0 + 1, slot.taps[t]) != HookAction::kStop;
+    }
+    if (go && special) {
+      // Diagonal coordinate: the strip's last external diagonal, the one its
+      // final tile ran on.
+      if (audit != nullptr) audit->flush_handoff(s, s + blocks - 1);
+      // Checkpoint hand-off: the merged best covers every tile of strips
+      // <= s, exactly the cells of rows <= r1.
+      Timer flush_timer;
+      hooks.on_special_row(r1, slot.row, result.best);
+      stats.special_row_wait_seconds += flush_timer.seconds();
+    }
+    if (go && hooks.on_progress) hooks.on_progress((s + 1) * blocks, total_tiles);
+    slot = StripSlot{};
+    result.stopped_early = !go;
+    return go;
+  };
+
+  if (dataflow) {
+    sched::SchedOptions sched_options;
+    sched_options.strips = strips;
+    sched_options.blocks = blocks;
+    sched_options.workers = workers;
+    sched_options.window = window;
+    const sched::SchedStats sched_stats = sched::run_tile_graph(
+        sched_options, [&](Index s, Index b, int /*worker*/) { tile(s, b); }, retire);
+    result.stats.tiles_stolen = static_cast<Index>(sched_stats.tiles_stolen);
+    result.stats.starvation_waits = static_cast<Index>(sched_stats.starvation_waits);
+  } else {
+    // Lockstep: one parallel_for per external diagonal; strip d - blocks + 1
+    // retires after diagonal d, which ran its last tile. Diagonal-bucket
+    // spans give the run report its wavefront phase profile.
+    obs::Telemetry* telemetry = hooks.telemetry;
+    const Index total_diagonals = strips + blocks - 1;
+    const Index bucket_size =
+        telemetry != nullptr ? (total_diagonals + kDiagonalBuckets - 1) / kDiagonalBuckets : 0;
+    for (Index d = 0; d < total_diagonals; ++d) {
+      if (bucket_size > 0 && d % bucket_size == 0) {
+        const Index last = std::min(d + bucket_size, total_diagonals) - 1;
+        telemetry->begin("diagonals " + std::to_string(d) + "-" + std::to_string(last));
+      }
+      const Index s_lo = std::max<Index>(0, d - blocks + 1);
+      const Index s_hi = std::min<Index>(strips - 1, d);
+      pool->parallel_for(static_cast<std::size_t>(s_hi - s_lo + 1), [&](std::size_t k) {
+        const Index s = s_hi - static_cast<Index>(k);
+        tile(s, d - s);
+      });
+      ++result.stats.diagonals;
+      const bool go = d < blocks - 1 || retire(s_lo);
+      if (bucket_size > 0 && ((d + 1) % bucket_size == 0 || d + 1 == total_diagonals || !go)) {
+        telemetry->end();
+      }
+      if (!go) break;
+    }
   }
 
   result.stats.seconds = timer.seconds();

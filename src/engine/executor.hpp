@@ -1,28 +1,33 @@
 // Wavefront executor: the CPU stand-in for the CUDA grid scheduler.
 //
 // The DP matrix is processed as strips (height alpha*T) x chunks (B column
-// chunks). Two registry-selectable executors cover the same tile grid:
+// chunks). One wavefront core covers the tile grid: a tile body (s, b) that
+// runs the kernel and folds its result into its strip's slot, and a strip
+// retirement step that makes the slot observable — stats, best, probe hit,
+// taps, special row, progress — in ascending strip order. Two
+// registry-selectable executors differ only in the schedule that drives them:
 //
 //   * kLockstep — tiles on the same external diagonal are dispatched to a
 //     thread pool with a barrier per diagonal, exactly the synchronization
-//     the GPU grid provides between external diagonals.
+//     the GPU grid provides between external diagonals; a strip retires
+//     after the diagonal that ran its last tile.
 //   * kDataflow — each tile carries an atomic dependency counter (left-bus +
 //     top-bus inputs) and runs the moment both are published; workers pull
 //     from work-stealing deques (engine/sched.hpp), so a slow tile stalls
-//     only its own successors instead of the whole pool. Hooks are keyed to
-//     the row-completion watermark (strips retire in order on the driver)
-//     rather than to diagonals.
+//     only its own successors instead of the whole pool. Strips retire at
+//     the row-completion watermark on the caller thread.
 //
-// Either way, hook callbacks run on the caller thread in deterministic
-// (strip, chunk) order, so results are bit-identical for any worker count —
-// and bit-identical between the two executors (the lockstep schedule is one
-// legal execution of the dataflow dependency graph).
+// Either way, hook callbacks run on the caller thread at strip retirement, so
+// results are bit-identical for any worker count and between the two
+// executors (the lockstep schedule is one legal execution of the dataflow
+// dependency graph).
 //
 // Memory is the buses only: O(n) horizontal + O(B * alpha * T) vertical
 // (lockstep double-buffers by strip parity to avoid the same-diagonal
 // write/read hazard the paper's minimum size requirement addresses; dataflow
-// rotates window + 2 planes because up to window + 1 strips are in flight) —
-// the engine is linear-space by construction.
+// rotates window + 2 planes because up to window + 1 strips are in flight),
+// plus one reused n-cell row buffer per special strip that can be in flight
+// — the engine is linear-space by construction.
 //
 // Thread-safety discipline: the executor itself owns no atomics and no
 // locks. Every cross-thread hand-off is delegated to the schedulers
@@ -62,9 +67,10 @@ class Telemetry;
 
 namespace cudalign::engine {
 
-/// Which tile-grid executor drives the run (see the header comment). Both
-/// produce byte-identical results; lockstep is the reference schedule, the
-/// dataflow executor retires the external-diagonal barrier.
+/// Which schedule drives the tile grid (see the header comment). Both run the
+/// same tile body and retirement step and produce byte-identical results;
+/// lockstep is the reference schedule, the dataflow executor retires the
+/// external-diagonal barrier.
 enum class ExecutorKind : std::uint8_t {
   kLockstep,
   kDataflow,
@@ -119,18 +125,18 @@ struct ProblemSpec {
   /// bit-identical to an uninterrupted run's.
   dp::LocalBest initial_best;
 
-  /// Tile-grid executor. kDataflow rejects taps and value probes (their
-  /// delivery is keyed to diagonal order); everything else — including
-  /// special rows, checkpointing and resume — behaves identically. The
-  /// choice is deliberately NOT part of the checkpoint envelope: a
-  /// checkpoint taken under one executor may be resumed under the other.
+  /// Tile-grid schedule. Every hook — taps, value probes, special rows,
+  /// checkpoints, progress — is delivered at strip retirement under both,
+  /// so the results are identical. The choice is deliberately NOT part of
+  /// the checkpoint envelope: a checkpoint taken under one executor may be
+  /// resumed under the other.
   ExecutorKind executor = ExecutorKind::kLockstep;
 };
 
 /// Hook verdict after observing a special row / tap segment.
 enum class HookAction {
   kContinue,
-  kStop,  ///< Stop scheduling further diagonals (orthogonal early exit).
+  kStop,  ///< Stop scheduling further tiles (orthogonal early exit).
 };
 
 struct Hooks {
@@ -145,22 +151,22 @@ struct Hooks {
   std::function<void(Index row, std::span<const BusCell> cells, const dp::LocalBest& best_so_far)>
       on_special_row;
 
-  /// Column taps (ascending vertex columns in (0..n]): after each strip, the
-  /// hook receives the (H, E) values at the tap column; entry k of the span
-  /// is row first_row + k (inclusive). The row-0 boundary values are
-  /// delivered once up front as a single-entry span with first_row = 0.
+  /// Column taps (ascending vertex columns in (0..n]): as each strip retires,
+  /// the hook receives the (H, E) values at each tap column in ascending
+  /// column order; entry k of the span is row first_row + k (inclusive). The
+  /// row-0 boundary values are delivered once up front as a single-entry
+  /// span with first_row = 0.
   std::vector<Index> tap_columns;
   std::function<HookAction(Index col, Index first_row, std::span<const BusCell>)> on_tap;
 
-  /// Probe: report the first cell (row-major over diagonals) whose H equals
-  /// this value, then stop.
+  /// Probe: report the row-major-first cell whose H equals this value, then
+  /// stop. Checked as each strip retires, before its taps: the first strip
+  /// with a hit reports the smallest (i, j) among its tiles' hits.
   std::optional<Score> find_value;
 
-  /// Liveness reporting for long runs: called on the driver thread with
-  /// (tiles done, tiles total). Tile counts — not diagonals — so the
-  /// completion fraction is monotone and comparable under both executors
-  /// (the dataflow executor completes tiles out of diagonal order; lockstep
-  /// reports after each diagonal, dataflow after each retired strip).
+  /// Liveness reporting for long runs: called on the driver thread after
+  /// each retired strip with (tiles of retired strips, tiles total) — a
+  /// monotone fraction, identical under both executors.
   std::function<void(Index done, Index total)> on_progress;
 
   /// Opt-in bus access auditor (check/bus_audit.hpp): when set, the executor
@@ -193,7 +199,9 @@ struct KernelTally {
 };
 
 struct RunStats {
-  WideScore cells = 0;        ///< DP cells actually computed.
+  /// DP cells computed by retired strips (an early stop leaves the tiles of
+  /// strips still in flight uncounted, as it leaves their hooks undelivered).
+  WideScore cells = 0;
   WideScore pruned_cells = 0; ///< Cells skipped by block pruning.
   Index pruned_tiles = 0;
   Index tiles = 0;
@@ -203,12 +211,12 @@ struct RunStats {
   /// the report's replacement for the lockstep diagonal-bucket profile.
   Index tiles_stolen = 0;
   Index starvation_waits = 0;
-  Index strips = 0;           ///< Strips fully completed.
+  Index strips = 0;           ///< Strips retired.
   Index blocks_used = 0;      ///< B after the minimum-size fit.
   Index threads_used = 0;     ///< T (unchanged by the fit).
   std::size_t bus_bytes = 0;  ///< Peak bus memory (the engine's "VRAM").
-  /// Bus traffic, tallied per tile on the driver thread (near-zero overhead;
-  /// always on). Each tile performs one read and one write of its horizontal
+  /// Bus traffic, tallied per retired strip (near-zero overhead; always
+  /// on). Each tile performs one read and one write of its horizontal
   /// segment and of its vertical boundary — pruned tiles included, which
   /// scan their boundary for the bound and publish safe lower bounds — and
   /// special-row assembly re-reads each flushed horizontal segment. *_reads /
@@ -216,12 +224,11 @@ struct RunStats {
   Index hbus_reads = 0, hbus_writes = 0;
   Index vbus_reads = 0, vbus_writes = 0;
   std::int64_t hbus_bytes = 0, vbus_bytes = 0;
-  /// Time the strip-retirement path spent inside on_special_row (both
-  /// executors). Stage 1's hook copies the row into the SRA writer's queue
-  /// and waits on backpressure (core/stage1.cpp). Under lockstep that wait
-  /// stalls the whole diagonal; under dataflow it is driver-thread hand-off
-  /// time (copy plus backpressure) while workers keep computing, not a
-  /// compute stall.
+  /// Time strip retirement spent inside on_special_row. Stage 1's hook
+  /// copies the row into the SRA writer's queue and waits on backpressure
+  /// (core/stage1.cpp). Under lockstep that wait stalls the next diagonal;
+  /// under dataflow it is driver-thread hand-off time while workers keep
+  /// computing, not a compute stall.
   double special_row_wait_seconds = 0;
   double seconds = 0;
   /// Tiles/cells per kernel variant (pruned tiles are not attributed).
@@ -236,7 +243,7 @@ struct RunStats {
 [[nodiscard]] std::string kernel_usage_summary(const RunStats& stats);
 
 struct RunResult {
-  dp::LocalBest best;          ///< kLocal mode: best H and its vertex.
+  dp::LocalBest best;          ///< kLocal mode: best H and its vertex (retired strips).
   bool found = false;          ///< find_value probe hit.
   Index found_i = 0, found_j = 0;
   bool stopped_early = false;  ///< A hook returned kStop (or probe hit).

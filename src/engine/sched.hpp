@@ -23,7 +23,7 @@
 //   * Window gating. Tile (s, 0) is withheld (parked) until
 //     s <= watermark + window. This bounds in-flight strips to window + 1,
 //     which in turn bounds every per-strip resource the executor rotates
-//     (vertical-bus planes, result slots, pending special rows) — without it
+//     (vertical-bus planes, strip slots and their special rows) — without it
 //     a depth-first column-0 chain could activate O(strips) strips.
 //   * Epoch-based quiescence. Completion is a monotone epoch counter
 //     (tiles_done); workers spin down when it reaches the tile total or when
@@ -33,7 +33,7 @@
 //
 // Memory ordering: the dependency decrement is fetch_sub(acq_rel), so the
 // worker that observes a counter hit zero has acquired every write both
-// predecessor tiles published (bus segments, result slots); deque push/steal
+// predecessor tiles published (bus segments, strip slots); deque push/steal
 // adds the usual release/acquire edge to whichever worker actually runs the
 // tile. The per-strip remaining-tiles counter gives the driver the same
 // guarantee for whole strips. Everything a tile writes may therefore be

@@ -3,11 +3,9 @@
 // pack with good/bad fixture pairs (path-sensitive guarded-by, whole-program
 // lock-order-cycle with its witness path, use-after-move, unchecked
 // envelope arithmetic), the per-rule suppression budget (parse + fail-closed
-// semantics), parallel-run determinism with the dataflow rules live, and the
-// scan cache (hit/miss + byte-identical replay).
+// semantics), and parallel-run determinism with the dataflow rules live.
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -371,7 +369,7 @@ TEST(CudalintBudgetV3, TreeWithRuleEntriesFailsClosedForUnlistedRules) {
 }
 
 // ---------------------------------------------------------------------------
-// determinism and the scan cache.
+// determinism.
 
 TEST(CudalintDriverV3, DataflowReportIsIdenticalAtAnyWorkerCount) {
   std::vector<SourceFile> sources;
@@ -399,27 +397,6 @@ TEST(CudalintDriverV3, DataflowReportIsIdenticalAtAnyWorkerCount) {
   cudalint::lint_sources(sources, nullptr, nullptr, parallel, b);
   EXPECT_EQ(cudalint::to_text(a), cudalint::to_text(b));
   EXPECT_EQ(a.diagnostics.size(), 7u);  // 6 moves + 1 cycle.
-}
-
-TEST(CudalintCache, SecondRunHitsAndReplaysByteIdentical) {
-  namespace fs = std::filesystem;
-  const fs::path cache = fs::temp_directory_path() / "cudalint-v3-cache-test";
-  fs::remove_all(cache);
-  RunOptions options;
-  options.root = CUDALINT_REPO_ROOT;
-  options.paths = {"tools/cudalint"};
-  options.cache_dir = cache.string();
-  const RunResult cold = cudalint::run(options);
-  EXPECT_FALSE(cold.from_cache);
-  const RunResult warm = cudalint::run(options);
-  EXPECT_TRUE(warm.from_cache);
-  EXPECT_EQ(cudalint::to_text(cold), cudalint::to_text(warm));
-  EXPECT_EQ(cudalint::to_json(cold).dump(), cudalint::to_json(warm).dump());
-  // A config change is a different key: the disabled-rule run must miss.
-  options.disabled_rules = {"naked-new"};
-  const RunResult other = cudalint::run(options);
-  EXPECT_FALSE(other.from_cache);
-  fs::remove_all(cache);
 }
 
 }  // namespace

@@ -1,9 +1,11 @@
 // The wavefront engine vs the single-sweep reference: identical DP values,
-// special rows, taps and best cells for every grid shape and worker count.
+// special rows, taps and best cells for every grid shape, worker count and
+// executor.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <map>
+#include <optional>
 
 #include "common/rng.hpp"
 #include "dp/linear.hpp"
@@ -23,6 +25,9 @@ using engine::ProblemSpec;
 using test::rand_seq;
 
 scoring::Scheme paper() { return scoring::Scheme::paper_defaults(); }
+
+constexpr engine::ExecutorKind kExecutors[] = {engine::ExecutorKind::kLockstep,
+                                               engine::ExecutorKind::kDataflow};
 
 GridSpec tiny_grid(Index blocks, Index threads, Index alpha) {
   GridSpec g;
@@ -76,8 +81,9 @@ struct Captured {
   std::map<std::pair<Index, Index>, std::vector<BusCell>> taps;  // (col, first_row).
 };
 
-Captured run_with_hooks(const ProblemSpec& spec, Index interval, std::vector<Index> taps,
-                        bool reference, dp::LocalBest* best_out) {
+/// Runs the engine under `executor`, or the reference sweep when it is empty.
+Captured run_with_hooks(ProblemSpec spec, Index interval, std::vector<Index> taps,
+                        std::optional<engine::ExecutorKind> executor, dp::LocalBest* best_out) {
   Captured captured;
   Hooks hooks;
   hooks.special_row_interval = interval;
@@ -93,8 +99,9 @@ Captured run_with_hooks(const ProblemSpec& spec, Index interval, std::vector<Ind
       return HookAction::kContinue;
     };
   }
+  if (executor) spec.executor = *executor;
   const auto result =
-      reference ? engine::run_reference(spec, hooks) : engine::run_wavefront(spec, hooks);
+      executor ? engine::run_wavefront(spec, hooks) : engine::run_reference(spec, hooks);
   if (best_out) *best_out = result.best;
   return captured;
 }
@@ -118,25 +125,30 @@ TEST_P(EngineEquivalence, MatchesReferenceSweep) {
   std::vector<Index> taps{std::max<Index>(1, p.n / 3), std::max<Index>(1, p.n / 2), p.n};
   taps.erase(std::unique(taps.begin(), taps.end()), taps.end());
 
-  dp::LocalBest engine_best, reference_best;
-  const Captured engine_out = run_with_hooks(spec, interval, taps, false, &engine_best);
-  const Captured reference_out = run_with_hooks(spec, interval, taps, true, &reference_best);
+  dp::LocalBest reference_best;
+  const Captured reference_out =
+      run_with_hooks(spec, interval, taps, std::nullopt, &reference_best);
+  for (const auto kind : kExecutors) {
+    SCOPED_TRACE(engine::executor_name(kind));
+    dp::LocalBest engine_best;
+    const Captured engine_out = run_with_hooks(spec, interval, taps, kind, &engine_best);
 
-  EXPECT_EQ(engine_best.score, reference_best.score);
-  EXPECT_EQ(engine_best.i, reference_best.i);
-  EXPECT_EQ(engine_best.j, reference_best.j);
+    EXPECT_EQ(engine_best.score, reference_best.score);
+    EXPECT_EQ(engine_best.i, reference_best.i);
+    EXPECT_EQ(engine_best.j, reference_best.j);
 
-  ASSERT_EQ(engine_out.special_rows.size(), reference_out.special_rows.size());
-  for (const auto& [row, cells] : reference_out.special_rows) {
-    ASSERT_TRUE(engine_out.special_rows.contains(row)) << "missing special row " << row;
-    EXPECT_EQ(engine_out.special_rows.at(row), cells) << "special row " << row;
-  }
-  ASSERT_EQ(engine_out.taps.size(), reference_out.taps.size());
-  for (const auto& [key, cells] : reference_out.taps) {
-    ASSERT_TRUE(engine_out.taps.contains(key))
-        << "missing tap col " << key.first << " first_row " << key.second;
-    EXPECT_EQ(engine_out.taps.at(key), cells)
-        << "tap col " << key.first << " first_row " << key.second;
+    ASSERT_EQ(engine_out.special_rows.size(), reference_out.special_rows.size());
+    for (const auto& [row, cells] : reference_out.special_rows) {
+      ASSERT_TRUE(engine_out.special_rows.contains(row)) << "missing special row " << row;
+      EXPECT_EQ(engine_out.special_rows.at(row), cells) << "special row " << row;
+    }
+    ASSERT_EQ(engine_out.taps.size(), reference_out.taps.size());
+    for (const auto& [key, cells] : reference_out.taps) {
+      ASSERT_TRUE(engine_out.taps.contains(key))
+          << "missing tap col " << key.first << " first_row " << key.second;
+      EXPECT_EQ(engine_out.taps.at(key), cells)
+          << "tap col " << key.first << " first_row " << key.second;
+    }
   }
 }
 
@@ -175,7 +187,8 @@ INSTANTIATE_TEST_SUITE_P(Shapes, EngineEquivalence, ::testing::ValuesIn(engine_c
                            return name;
                          });
 
-// Fuzz: random geometry, grids, modes and tap sets, engine vs reference.
+// Fuzz: random geometry, grids, modes and tap sets, engine (both executors)
+// vs reference.
 class EngineFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(EngineFuzz, RandomConfigurationMatchesReference) {
@@ -202,14 +215,18 @@ TEST_P(EngineFuzz, RandomConfigurationMatchesReference) {
   }
   const Index interval = 1 + static_cast<Index>(rng.below(4));
 
-  dp::LocalBest eb, rb;
-  const Captured engine_out = run_with_hooks(spec, interval, taps, false, &eb);
-  const Captured reference_out = run_with_hooks(spec, interval, taps, true, &rb);
-  EXPECT_EQ(eb.score, rb.score);
-  EXPECT_EQ(eb.i, rb.i);
-  EXPECT_EQ(eb.j, rb.j);
-  EXPECT_EQ(engine_out.special_rows, reference_out.special_rows);
-  EXPECT_EQ(engine_out.taps, reference_out.taps);
+  dp::LocalBest rb;
+  const Captured reference_out = run_with_hooks(spec, interval, taps, std::nullopt, &rb);
+  for (const auto kind : kExecutors) {
+    SCOPED_TRACE(engine::executor_name(kind));
+    dp::LocalBest eb;
+    const Captured engine_out = run_with_hooks(spec, interval, taps, kind, &eb);
+    EXPECT_EQ(eb.score, rb.score);
+    EXPECT_EQ(eb.i, rb.i);
+    EXPECT_EQ(eb.j, rb.j);
+    EXPECT_EQ(engine_out.special_rows, reference_out.special_rows);
+    EXPECT_EQ(engine_out.taps, reference_out.taps);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineFuzz, ::testing::Range<std::uint64_t>(1, 33));
@@ -290,18 +307,26 @@ TEST(Engine, TapStopEndsRun) {
   spec.b = b.bases();
   spec.grid = tiny_grid(2, 4, 2);
   spec.recurrence = engine::Recurrence::global_start(CellState::kH, paper());
-  Hooks hooks;
-  hooks.tap_columns = {50};
-  int calls = 0;
-  hooks.on_tap = [&](Index, Index first_row, std::span<const BusCell>) {
-    ++calls;
-    // Stop as soon as rows past 16 arrive.
-    return first_row > 16 ? HookAction::kStop : HookAction::kContinue;
-  };
-  const auto run = engine::run_wavefront(spec, hooks);
-  EXPECT_TRUE(run.stopped_early);
-  EXPECT_LT(run.stats.cells, 100 * 100);
-  EXPECT_GT(calls, 1);
+  for (const auto kind : kExecutors) {
+    SCOPED_TRACE(engine::executor_name(kind));
+    spec.executor = kind;
+    Hooks hooks;
+    hooks.tap_columns = {50};
+    int calls = 0;
+    hooks.on_tap = [&](Index, Index first_row, std::span<const BusCell>) {
+      ++calls;
+      // Stop as soon as rows past 16 arrive.
+      return first_row > 16 ? HookAction::kStop : HookAction::kContinue;
+    };
+    ThreadPool pool(4);
+    const auto run = engine::run_wavefront(spec, hooks, &pool);
+    EXPECT_TRUE(run.stopped_early);
+    // Row-0 boundary, then strips starting at rows 1, 9 and 17 (height 8):
+    // the stop lands when the third strip retires.
+    EXPECT_EQ(calls, 4);
+    EXPECT_EQ(run.stats.strips, 3);
+    EXPECT_EQ(run.stats.cells, 3 * 8 * 100);
+  }
 }
 
 TEST(Engine, EmptyProblemDeliversBoundaryTaps) {
@@ -519,24 +544,42 @@ TEST(DataflowProgress, PerTileFractionIsMonotoneAndComplete) {
   }
 }
 
-TEST(Dataflow, RejectsTapsAndValueProbes) {
-  const auto a = rand_seq(50, 64001);
+// The probe reports the row-major-first cell with H == value under both
+// executors and any worker count, whatever order the tiles ran in: the first
+// retired strip with a hit reports the smallest (i, j) among its tiles' hits.
+TEST(Dataflow, ProbeReportsRowMajorFirstHitUnderBothExecutors) {
+  // Unrelated sequences scatter small H values over many tiles, so the first
+  // hit by external diagonal is usually not the row-major-first one.
+  const auto a = rand_seq(120, 64001);
+  const auto b = rand_seq(130, 64002);
   ProblemSpec spec;
   spec.a = a.bases();
-  spec.b = a.bases();
-  spec.grid = tiny_grid(2, 2, 2);
+  spec.b = b.bases();
+  spec.grid = tiny_grid(6, 2, 2);  // Strip height 4, six chunks.
   spec.recurrence = engine::Recurrence::local(paper());
-  spec.executor = engine::ExecutorKind::kDataflow;
-  {
-    Hooks hooks;
-    hooks.tap_columns = {10};
-    hooks.on_tap = [](Index, Index, std::span<const BusCell>) { return HookAction::kContinue; };
-    EXPECT_THROW((void)engine::run_wavefront(spec, hooks), Error);
-  }
-  {
-    Hooks hooks;
-    hooks.find_value = 5;
-    EXPECT_THROW((void)engine::run_wavefront(spec, hooks), Error);
+  const auto full = dp::compute_full(spec.a, spec.b, paper(), AlignMode::kLocal);
+  for (const Score value : {3, 4, 5, 6}) {
+    std::optional<std::pair<Index, Index>> want;
+    for (Index i = 1; i <= full.m() && !want; ++i) {
+      for (Index j = 1; j <= full.n() && !want; ++j) {
+        if (full.at(i, j).h == value) want = std::pair{i, j};
+      }
+    }
+    ASSERT_TRUE(want) << "no cell with H == " << value;
+    for (const auto kind : kExecutors) {
+      for (const int workers : {1, 4}) {
+        const std::string label = std::string(engine::executor_name(kind)) + " value " +
+                                  std::to_string(value) + " workers " + std::to_string(workers);
+        spec.executor = kind;
+        Hooks hooks;
+        hooks.find_value = value;
+        ThreadPool pool(workers);
+        const auto run = engine::run_wavefront(spec, hooks, &pool);
+        EXPECT_TRUE(run.found) << label;
+        EXPECT_TRUE(run.stopped_early) << label;
+        EXPECT_EQ(std::pair(run.found_i, run.found_j), *want) << label;
+      }
+    }
   }
 }
 

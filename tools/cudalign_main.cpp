@@ -45,10 +45,12 @@ CUDALIGN_KERNEL); tiles outside the variant's envelope fall back to
 automatic selection, so scores are unaffected. The striped kernels pick
 their SIMD backend at runtime; CUDALIGN_SIMD=auto|generic|sse2|avx2|avx512
 forces one (unknown or unsupported values fail fast with exit code 2).
---executor picks the Stage-1 tile-grid executor: lockstep (default; one
-barrier per external diagonal) or dataflow (dependency-driven work stealing,
-no barrier). Results are byte-identical either way, including resume — a
-checkpoint taken under one executor may be resumed under the other.
+--executor picks the schedule of the Stage-1 wavefront: lockstep (default;
+one barrier per external diagonal) or dataflow (dependency-driven work
+stealing, no barrier). Both run the same tile body and deliver results as
+each strip retires, so output is byte-identical either way, including
+resume — a checkpoint taken under one executor may be resumed under the
+other.
 --audit-bus verifies every wavefront bus hand-off against the grid model's
 happens-before relation (check/bus_audit.hpp) and fails the run on violation.
 Stage-1 special rows are written by a dedicated SRA writer thread that

@@ -1,7 +1,6 @@
 #include "cudalint/driver.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -132,68 +131,6 @@ void parallel_for_n(std::size_t n, const RunOptions& options,
   }
   for (std::size_t i = 0; i < n; i += jobs) work(i);
   for (std::future<void>& worker : workers) worker.get();
-}
-
-// ------------------------------------------------------------- scan cache
-
-/// FNV-1a 64-bit over length-delimited pieces (the 0xff separator cannot
-/// appear inside UTF-8-free ASCII config, and even for file content the
-/// separator plus per-piece ordering keeps concatenation collisions out).
-struct CacheHasher {
-  std::uint64_t h = 1469598103934665603ULL;
-
-  void mix(std::string_view piece) {
-    for (const unsigned char c : piece) {
-      h ^= c;
-      h *= 1099511628211ULL;
-    }
-    h ^= 0xffU;
-    h *= 1099511628211ULL;
-  }
-
-  void mix_int(long long v) { mix(std::to_string(v)); }
-
-  [[nodiscard]] std::string hex() const {
-    static constexpr char kDigits[] = "0123456789abcdef";
-    std::string out(16, '0');
-    std::uint64_t v = h;
-    for (std::size_t i = 16; i > 0; --i, v >>= 4) out[i - 1] = kDigits[v & 0xF];
-    return out;
-  }
-};
-
-/// The cache must die with the binary: a rebuilt cudalint (new rules, fixed
-/// bugs) invalidates every entry via the exe's size+mtime in the key.
-void mix_self_exe(CacheHasher& hasher) {
-  std::error_code ec;
-  const fs::path exe = "/proc/self/exe";
-  const auto size = fs::file_size(exe, ec);
-  hasher.mix_int(ec ? 0 : static_cast<long long>(size));
-  const auto mtime = fs::last_write_time(exe, ec);
-  hasher.mix_int(ec ? 0 : static_cast<long long>(mtime.time_since_epoch().count()));
-}
-
-/// Rebuilds a RunResult from its own to_json dump. Only clean-config results
-/// are cached, so config_errors is always empty here. Throws on shape
-/// mismatch (caller treats any throw as a cache miss).
-[[nodiscard]] RunResult result_from_json(const cudalign::obs::Json& json) {
-  RunResult result;
-  for (const auto& d : json.at("diagnostics").as_array()) {
-    result.diagnostics.push_back(Diagnostic{d.at("file").as_string(),
-                                            static_cast<int>(d.at("line").as_int()),
-                                            d.at("rule").as_string(),
-                                            d.at("message").as_string()});
-  }
-  for (const auto& s : json.at("suppressions").as_array()) {
-    result.suppressions.push_back(SuppressionUse{
-        s.at("file").as_string(), static_cast<int>(s.at("line").as_int()),
-        s.at("rule").as_string(), static_cast<int>(s.at("count").as_int())});
-  }
-  result.files_scanned = static_cast<int>(json.at("files_scanned").as_int());
-  result.suppressed_total = static_cast<int>(json.at("suppressed_total").as_int());
-  result.markers_total = static_cast<int>(json.at("markers_total").as_int());
-  result.from_cache = true;
-  return result;
 }
 
 }  // namespace
@@ -364,11 +301,9 @@ RunResult run(const RunOptions& options) {
                                      ? root / "tools/cudalint/layering.manifest"
                                      : fs::path(options.manifest_path);
   std::optional<LayeringManifest> manifest;
-  std::string manifest_text;
   if (const auto text = read_file(manifest_path); !text.has_value()) {
     result.config_errors.push_back("cannot read layering manifest: " + manifest_path.string());
   } else {
-    manifest_text = *text;
     std::string error;
     manifest = LayeringManifest::parse(*text, &error);
     if (!manifest.has_value()) {
@@ -386,7 +321,6 @@ RunResult run(const RunOptions& options) {
 
   // Budget file, when requested (resolved relative to the root).
   std::optional<SuppressionBudget> budget;
-  std::string budget_text;
   if (!options.budget_path.empty()) {
     const fs::path budget_path = fs::path(options.budget_path).is_absolute()
                                      ? fs::path(options.budget_path)
@@ -394,7 +328,6 @@ RunResult run(const RunOptions& options) {
     if (const auto text = read_file(budget_path); !text.has_value()) {
       result.config_errors.push_back("cannot read suppression budget: " + budget_path.string());
     } else {
-      budget_text = *text;
       SuppressionBudget parsed_budget;
       parsed_budget.source_path = options.budget_path;
       std::string error;
@@ -443,53 +376,8 @@ RunResult run(const RunOptions& options) {
     sources.push_back(
         SourceFile{file.lexically_relative(root).generic_string(), *std::move(content)});
   }
-  // Scan cache: one entry per (binary, full input set, rule configuration).
-  // Jobs are deliberately NOT part of the key — output is byte-identical at
-  // any worker count, so a cached replay is too. Only clean-config scans are
-  // cached; any cache trouble falls through to a live scan.
-  fs::path cache_file;
-  if (!options.cache_dir.empty() && result.config_errors.empty()) {
-    CacheHasher hasher;
-    hasher.mix("cudalint-scan-cache-v1");
-    mix_self_exe(hasher);
-    hasher.mix(manifest_text);
-    hasher.mix(budget_text);
-    std::vector<std::string> disabled = options.disabled_rules;
-    std::sort(disabled.begin(), disabled.end());
-    for (const std::string& rule : disabled) hasher.mix(rule);
-    hasher.mix_int(options.max_suppressions);
-    for (const SourceFile& source : sources) {
-      hasher.mix(source.path);
-      hasher.mix(source.content);
-    }
-    const fs::path cache_dir = fs::path(options.cache_dir).is_absolute()
-                                   ? fs::path(options.cache_dir)
-                                   : root / options.cache_dir;
-    cache_file = cache_dir / (hasher.hex() + ".json");
-    if (const auto text = read_file(cache_file); text.has_value()) {
-      try {
-        return result_from_json(cudalign::obs::Json::parse(*text));
-      } catch (...) {
-        // Corrupt entry: fall through to a live scan that overwrites it.
-      }
-    }
-  }
-
   lint_sources(sources, manifest.has_value() ? &*manifest : nullptr,
                budget.has_value() ? &*budget : nullptr, options, result);
-
-  if (!cache_file.empty() && result.config_errors.empty()) {
-    std::error_code ec;
-    fs::create_directories(cache_file.parent_path(), ec);
-    const fs::path tmp = cache_file.string() + ".tmp";
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    out << to_json(result).dump();
-    out.close();
-    if (out.good()) {
-      fs::rename(tmp, cache_file, ec);  // Atomic publish.
-    }
-    if (!out.good() || ec) fs::remove(tmp, ec);  // Cache failure is not a lint failure.
-  }
   return result;
 }
 

@@ -41,11 +41,6 @@ struct RunOptions {
   std::vector<std::string> disabled_rules;  ///< Per-tree config: rules to skip entirely.
   int max_suppressions = -1;        ///< Global marker cap; -1 = off.
   int jobs = 0;                     ///< Analysis workers; 0 = hardware concurrency.
-  /// Scan-result cache directory; "" = off. The cache key hashes the tool
-  /// binary (size+mtime), every input file's path and content, the manifest
-  /// and budget text, and the rule configuration — any change misses. Cached
-  /// replays are byte-identical to live runs.
-  std::string cache_dir;
 };
 
 /// One allow-marker that fired, with how many diagnostics it swallowed.
@@ -63,7 +58,6 @@ struct RunResult {
   int files_scanned = 0;
   int suppressed_total = 0;
   int markers_total = 0;  ///< All allow markers seen (used or not) — budget input.
-  bool from_cache = false;  ///< Replayed from the scan cache (not serialized).
 
   [[nodiscard]] bool clean() const noexcept {
     return diagnostics.empty() && config_errors.empty();

@@ -1,8 +1,7 @@
 // cudalint CLI — the repo-native static analyzer.
 //
 //   cudalint [--root DIR] [--manifest FILE] [--budget FILE] [--disable R[,R]]
-//            [--max-suppressions N] [--jobs N] [--cache-dir DIR] [--no-cache]
-//            [--json] [--github] [paths...]
+//            [--max-suppressions N] [--jobs N] [--json] [--github] [paths...]
 //   cudalint --list-rules
 //
 // Paths (default: src) are resolved relative to --root (default: .) and
@@ -15,10 +14,6 @@
 //                         their allow-marker cap fail the run.
 //   --max-suppressions N  global allow-marker cap across the whole scan.
 //   --jobs N              analysis workers (default: hardware concurrency).
-//   --cache-dir DIR       scan-result cache (relative to --root). Keyed on the
-//                         binary, every input file, and the rule config; a hit
-//                         replays the exact bytes a live scan would print.
-//   --no-cache            ignore AND clear --cache-dir for this run.
 //   --github              also print `::error file=...` GitHub annotations so
 //                         findings surface inline on PRs.
 //
@@ -26,7 +21,6 @@
 // (unreadable manifest/budget, manifest cycle, bad path, unknown rule).
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -39,7 +33,7 @@ void print_usage() {
   std::fputs(
       "usage: cudalint [--root DIR] [--manifest FILE] [--budget FILE]\n"
       "                [--disable RULE[,RULE]] [--max-suppressions N] [--jobs N]\n"
-      "                [--cache-dir DIR] [--no-cache] [--json] [--github] [paths...]\n"
+      "                [--json] [--github] [paths...]\n"
       "       cudalint --list-rules\n",
       stderr);
 }
@@ -87,7 +81,6 @@ int main(int argc, char** argv) {
   bool json = false;
   bool github = false;
   bool list_rules = false;
-  bool no_cache = false;
   std::vector<std::string> args(argv + 1, argv + argc);
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
@@ -128,12 +121,6 @@ int main(int argc, char** argv) {
       const std::string* v = value("--jobs");
       if (v == nullptr) return 2;
       options.jobs = std::atoi(v->c_str());
-    } else if (arg == "--cache-dir") {
-      const std::string* v = value("--cache-dir");
-      if (v == nullptr) return 2;
-      options.cache_dir = *v;
-    } else if (arg == "--no-cache") {
-      no_cache = true;
     } else if (arg == "--help" || arg == "-h") {
       print_usage();
       return 0;
@@ -152,18 +139,6 @@ int main(int argc, char** argv) {
                    std::string(rule.description).c_str());
     }
     return 0;
-  }
-
-  if (no_cache) {
-    if (!options.cache_dir.empty()) {
-      namespace fs = std::filesystem;
-      const fs::path dir = fs::path(options.cache_dir).is_absolute()
-                               ? fs::path(options.cache_dir)
-                               : fs::path(options.root) / options.cache_dir;
-      std::error_code ec;
-      fs::remove_all(dir, ec);  // Stale entries gone; failures are harmless.
-    }
-    options.cache_dir.clear();
   }
 
   const cudalint::RunResult result = cudalint::run(options);

@@ -9,13 +9,6 @@
 #   tools/lint.sh            cudalint + clang-tidy (if installed)
 #   tools/lint.sh --no-tidy  cudalint only
 #   tools/lint.sh --json     machine-readable cudalint report (implies --no-tidy)
-#   tools/lint.sh --no-cache drop and bypass the incremental scan cache
-#
-# cudalint scans are cached under <build>/cudalint-cache keyed on the binary,
-# the sources and every config input, so the unchanged-tree re-lint in the
-# ci.sh fast lane is a few ms instead of a full re-parse. The cache is
-# byte-identical by construction (it replays the stored report); --no-cache
-# forces the from-scratch path when diagnosing the cache itself.
 #
 # cudalint runs per tree with the same configurations as the ctest gates in
 # tools/cudalint/CMakeLists.txt: src/ and tools/ with the full rule set,
@@ -37,12 +30,10 @@ cd "$(dirname "$0")/.."
 
 RUN_TIDY=1
 JSON=0
-NO_CACHE=0
 for arg in "$@"; do
   case "$arg" in
     --no-tidy) RUN_TIDY=0 ;;
     --json) JSON=1; RUN_TIDY=0 ;;
-    --no-cache) NO_CACHE=1 ;;
     *) echo "lint.sh: unknown flag $arg" >&2; exit 2 ;;
   esac
 done
@@ -61,18 +52,15 @@ cmake --build "$BUILD_DIR" --target cudalint -j "$(nproc)" >/dev/null
 
 CUDALINT="$BUILD_DIR/tools/cudalint/cudalint"
 BUDGET=(--budget tools/cudalint/suppressions.budget)
-CACHE=(--cache-dir "$BUILD_DIR/cudalint-cache")
-# --no-cache with the dir still named: cudalint deletes the stale entries too.
-[[ "$NO_CACHE" -eq 1 ]] && CACHE+=(--no-cache)
 GITHUB=()
 [[ "${GITHUB_ACTIONS:-}" == "true" ]] && GITHUB=(--github)
 if [[ "$JSON" -eq 1 ]]; then
   # One tree per report keeps the schema simple; src is the interesting one.
-  exec "$CUDALINT" --root . "${BUDGET[@]}" "${CACHE[@]}" --json src
+  exec "$CUDALINT" --root . "${BUDGET[@]}" --json src
 fi
-"$CUDALINT" --root . "${BUDGET[@]}" "${CACHE[@]}" "${GITHUB[@]}" src
-"$CUDALINT" --root . "${BUDGET[@]}" "${CACHE[@]}" "${GITHUB[@]}" --disable explicit-memory-order tests
-"$CUDALINT" --root . "${BUDGET[@]}" "${CACHE[@]}" "${GITHUB[@]}" tools
+"$CUDALINT" --root . "${BUDGET[@]}" "${GITHUB[@]}" src
+"$CUDALINT" --root . "${BUDGET[@]}" "${GITHUB[@]}" --disable explicit-memory-order tests
+"$CUDALINT" --root . "${BUDGET[@]}" "${GITHUB[@]}" tools
 
 # clang-tidy stage (optional by toolchain availability).
 if [[ "$RUN_TIDY" -eq 1 ]]; then
