@@ -187,7 +187,8 @@ void write_binary_file(const std::filesystem::path& path, const BinaryAlignment&
   std::ofstream os(path, std::ios::binary | std::ios::trunc);
   CUDALIGN_CHECK(os.good(), "cannot open binary alignment file for writing: " + path.string());
   write_binary(os, binary);
-  CUDALIGN_CHECK(os.good(), "error writing binary alignment file: " + path.string());
+  os.close();  // A full disk may only fail the final flush.
+  CUDALIGN_CHECK(!os.fail(), "error writing binary alignment file: " + path.string());
 }
 
 BinaryAlignment read_binary_file(const std::filesystem::path& path) {

@@ -51,7 +51,8 @@ void write_file(const std::filesystem::path& path, const std::string& contents) 
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   CUDALIGN_CHECK(out.good(), "cannot open file for writing: " + path.string());
   out.write(contents.data(), static_cast<std::streamsize>(contents.size()));
-  CUDALIGN_CHECK(out.good(), "error while writing file: " + path.string());
+  out.close();  // A full disk may only fail the final flush.
+  CUDALIGN_CHECK(!out.fail(), "error while writing file: " + path.string());
 }
 
 namespace {
@@ -92,14 +93,12 @@ class Fd {
   std::string path_;
 };
 
-void fsync_parent_directory(const std::filesystem::path& path) {
-  std::filesystem::path dir = path.parent_path();
-  if (dir.empty()) dir = ".";
-  const Fd fd(dir, O_RDONLY | O_DIRECTORY);
+}  // namespace
+
+void fsync_directory(const std::filesystem::path& dir) {
+  const Fd fd(dir.empty() ? "." : dir, O_RDONLY | O_DIRECTORY);
   fd.sync();
 }
-
-}  // namespace
 
 void write_file_durable(const std::filesystem::path& path, const void* data, std::size_t size) {
   const Fd fd(path, O_WRONLY | O_CREAT | O_TRUNC);
@@ -112,7 +111,7 @@ void replace_file_durable(const std::filesystem::path& tmp, const std::filesyste
   std::filesystem::rename(tmp, path, ec);
   CUDALIGN_CHECK(!ec, "atomic rename " + tmp.string() + " -> " + path.string() +
                           " failed: " + ec.message());
-  fsync_parent_directory(path);
+  fsync_directory(path.parent_path());
 }
 
 void atomic_write_file_durable(const std::filesystem::path& path, std::string_view contents) {

@@ -97,6 +97,10 @@ void write_file_durable(const std::filesystem::path& path, const void* data, std
 /// directory so the replacement itself survives a crash.
 void replace_file_durable(const std::filesystem::path& tmp, const std::filesystem::path& path);
 
+/// Fsyncs a directory, making the creations, renames and deletions of its
+/// entries durable ("" is the working directory).
+void fsync_directory(const std::filesystem::path& dir);
+
 /// The full write-fsync-rename-fsync protocol in one call: `contents` lands
 /// at `path` atomically and durably (via `<path>.tmp`).
 void atomic_write_file_durable(const std::filesystem::path& path, std::string_view contents);

@@ -13,9 +13,6 @@ namespace cudalign::core {
 
 namespace {
 
-/// The stage-1 SRA group tag (Stage1Config's default; the pipeline keeps it).
-constexpr std::int64_t kRowsGroup = 1;
-
 CheckpointEnvelope make_envelope(seq::SequenceView v0, seq::SequenceView v1,
                                  const PipelineOptions& options) {
   CheckpointEnvelope e;
@@ -150,10 +147,11 @@ PipelineResult align_pipeline(const seq::Sequence& s0, const seq::Sequence& s1,
                     "checkpoint flush interval ", state.stage1.flush_interval,
                     " disagrees with the recomputed interval ", flush_interval,
                     " despite a matching envelope");
-    // Reconcile the SRA with the manifest: a crash between a row's put() and
-    // the manifest save can leave rows *beyond* the checkpoint — they will be
-    // recomputed, so drop them (keeping them would duplicate positions).
-    // Rows the manifest references must all be present.
+    // Reconcile the SRA with the checkpoint: a crash between a row's put()
+    // and the checkpoint save can leave rows *beyond* the checkpoint — they
+    // will be recomputed, so drop them (keeping them would duplicate
+    // positions). The store's only index is its row files, so a deleted row
+    // file shows up here as a count short of the checkpoint's.
     Index kept = 0;
     bool found_restore_row = false;
     std::size_t restore_index = 0;
@@ -173,10 +171,11 @@ PipelineResult align_pipeline(const seq::Sequence& s0, const seq::Sequence& s1,
     for (const std::size_t index : orphans) rows_area.drop_row(index);
     CUDALIGN_CHECK(kept == resume_rows_base, "cannot resume: the checkpoint records ",
                    resume_rows_base, " special rows up to row ", resume_row,
-                   " but the SRA store holds ", kept, " — the store was altered");
+                   " but the SRA store holds ", kept,
+                   " — special row files are missing or the store was altered");
     if (resume_row > 0) {
       CUDALIGN_CHECK(found_restore_row, "cannot resume: the checkpoint references special row ",
-                     resume_row, " but the SRA store does not hold it");
+                     resume_row, " but its file is missing from the SRA store");
       resume_hbus = rows_area.get(restore_index);  // CRC-verified restore.
       CUDALIGN_CHECK(static_cast<Index>(resume_hbus.size()) == n + 1,
                      "cannot resume: restored special row holds ", resume_hbus.size(),

@@ -54,7 +54,7 @@ Stage1Result run_stage1(seq::SequenceView s0, seq::SequenceView s1, const Stage1
       if (config.on_checkpoint) {
         ack = [&config, row, rows_saved, best] { config.on_checkpoint(row, rows_saved, best); };
       }
-      writer->submit(sra::RowKey{row, 0, n, config.group}, cells, std::move(ack));
+      writer->submit(sra::RowKey{row, 0, n, kRowsGroup}, cells, std::move(ack));
     };
   }
 

@@ -54,7 +54,7 @@ Stage2Result run_stage2(seq::SequenceView s0, seq::SequenceView s1, const Crossp
   Stage2Result result;
 
   // Stage-1 special rows, ascending by row.
-  std::vector<std::size_t> row_ids = config.rows_area->group_members(config.rows_group);
+  std::vector<std::size_t> row_ids = config.rows_area->group_members(kRowsGroup);
 
   // Budget for special columns: spread the columns area across the expected
   // iterations (one per partition). When an iteration's share cannot hold a
@@ -66,6 +66,11 @@ Stage2Result run_stage2(seq::SequenceView s0, seq::SequenceView s1, const Crossp
   }
   const std::int64_t per_iter_budget =
       config.cols_area ? config.cols_area->budget_bytes() / expected_iterations : 0;
+
+  // Both sequences reversed once: every iteration's problem is a view of
+  // these, so the loop copies no sequence data.
+  const std::vector<seq::Base> s0_rev(s0.rbegin(), s0.rend());
+  const std::vector<seq::Base> s1_rev(s1.rbegin(), s1.rend());
 
   std::vector<Crosspoint> reverse_chain{end_point};
   Crosspoint cur = end_point;
@@ -96,15 +101,11 @@ Stage2Result run_stage2(seq::SequenceView s0, seq::SequenceView s1, const Crossp
 
     // Transposed + reversed problem: engine rows are original columns
     // (orthogonal execution), the engine origin is the current crosspoint.
-    std::vector<seq::Base> a_t(s1.rbegin() + static_cast<std::ptrdiff_t>(s1.size() - cur.j),
-                               s1.rend());
-    std::vector<seq::Base> b_t(
-        s0.rbegin() + static_cast<std::ptrdiff_t>(s0.size() - cur.i),
-        s0.rbegin() + static_cast<std::ptrdiff_t>(s0.size() - r_star));
-
+    // Rows are s1[0..cur.j) reversed, columns s0[r*..cur.i) reversed.
     engine::ProblemSpec spec;
-    spec.a = a_t;
-    spec.b = b_t;
+    spec.a = seq::SequenceView(s1_rev).last(static_cast<std::size_t>(cur.j));
+    spec.b = seq::SequenceView(s0_rev).subspan(s0.size() - static_cast<std::size_t>(cur.i),
+                                               static_cast<std::size_t>(rect_h));
     spec.recurrence =
         engine::Recurrence::global_end(transpose_state(cur.type), config.scheme);
     spec.grid = config.grid;
@@ -154,7 +155,7 @@ Stage2Result run_stage2(seq::SequenceView s0, seq::SequenceView s1, const Crossp
     if (max_gain >= cur.score) hooks.find_value = cur.score;
 
     // Special columns for Stage 3 (the iteration's group is its partition's).
-    const std::int64_t group = config.cols_group_base + iteration;
+    const std::int64_t group = kColsGroupBase + iteration;
     Index interval = 0;
     if (config.cols_area && per_iter_budget >= 8 * (rect_h + 1) && rect_w > 0) {
       interval = sra::flush_interval_for_budget(rect_w, rect_h, config.grid.strip_rows(),

@@ -126,7 +126,7 @@ Stage3Result run_stage3(seq::SequenceView s0, seq::SequenceView s1, const Crossp
       const Partition& part = parts[static_cast<std::size_t>(p)];
       // Stage 2 iterated from the end point backwards: partition p (from the
       // start) was produced by iteration part_count - 1 - p.
-      const std::int64_t group = config.cols_group_base + (part_count - 1 - p);
+      const std::int64_t group = kColsGroupBase + (part_count - 1 - p);
       for (std::size_t id : config.cols_area->group_members(group)) {
         const sra::RowKey& key = config.cols_area->key(id);
         // Only columns strictly inside the partition can carry a crosspoint.

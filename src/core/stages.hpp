@@ -94,6 +94,12 @@ struct StageStats {
   }
 };
 
+/// SRA group tags: Stage-1 special rows go to group kRowsGroup of the rows
+/// area; the special columns of Stage-2 iteration k go to group
+/// kColsGroupBase + k of the columns area.
+inline constexpr std::int64_t kRowsGroup = 1;
+inline constexpr std::int64_t kColsGroupBase = 1000;
+
 // ---------------------------------------------------------------------------
 // Stage 1 — obtain the best score (paper §IV-B).
 // ---------------------------------------------------------------------------
@@ -110,8 +116,6 @@ struct Stage1Config {
   /// Flush special rows to `rows_area` (nullptr disables; Table IV's
   /// "No Flush" column).
   sra::SpecialRowsArea* rows_area = nullptr;
-  /// SRA group tag for stage-1 rows.
-  std::int64_t group = 1;
   /// Resume (DESIGN.md "Checkpoint & resume"): start the wavefront at vertex
   /// row `resume_row` (a flush boundary; 0 = fresh run) with `resume_hbus` —
   /// the restored special row at that boundary, n+1 (H, F) cells — and
@@ -162,10 +166,7 @@ struct Stage2Config {
   scoring::Scheme scheme;
   engine::GridSpec grid = engine::GridSpec::stage23_defaults();
   sra::SpecialRowsArea* rows_area = nullptr;  ///< Stage-1 rows (required).
-  std::int64_t rows_group = 1;
   sra::SpecialRowsArea* cols_area = nullptr;  ///< Sink for special columns (optional).
-  /// Special-column groups are `cols_group_base + partition_index`.
-  std::int64_t cols_group_base = 1000;
   check::BusAuditor* bus_audit = nullptr;
   /// Opt-in span telemetry: one span per traceback iteration (= partition).
   obs::Telemetry* telemetry = nullptr;
@@ -190,7 +191,6 @@ struct Stage3Config {
   scoring::Scheme scheme;
   engine::GridSpec grid = engine::GridSpec::stage23_defaults();
   sra::SpecialRowsArea* cols_area = nullptr;  ///< Stage-2 columns (required).
-  std::int64_t cols_group_base = 1000;
   check::BusAuditor* bus_audit = nullptr;
   /// Opt-in span telemetry: column gather vs. partition-split phases only
   /// (partitions run on pool workers, so no per-partition engine spans).

@@ -88,6 +88,8 @@ void write_fasta_file(const std::filesystem::path& path, const std::vector<Seque
   std::ofstream out(path);
   CUDALIGN_CHECK(out.good(), "cannot open FASTA file for writing: " + path.string());
   write_fasta(out, records, width);
+  out.close();  // A full disk may only fail the final flush.
+  CUDALIGN_CHECK(!out.fail(), "error while writing FASTA file: " + path.string());
 }
 
 }  // namespace cudalign::seq

@@ -2,23 +2,23 @@
 // DESIGN.md section of the same name): a dedicated writer thread drains a
 // bounded queue of staged row buffers so the executor's strip retirement
 // hands a row off and returns to compute immediately, instead of paying the
-// CRC'd write (+ fsync + manifest rewrite in durable mode) on the critical
-// path. CUDAlign 2.1's lineage overlaps disk flushes with GPU compute for
-// exactly this reason (paper §IV-B makes special-row saves the linear-space
-// design's recurring cost).
+// CRC'd write (+ fsyncs in durable mode) on the critical path. CUDAlign
+// 2.1's lineage overlaps disk flushes with GPU compute for exactly this
+// reason (paper §IV-B makes special-row saves the linear-space design's
+// recurring cost).
 //
 // Durability ordering: each row's durable-ack callback (the pipeline's
-// checkpoint-manifest save) runs on the writer thread strictly after
+// checkpoint save) runs on the writer thread strictly after
 // SpecialRowsArea::put() has returned for that row — i.e. after the CRC'd
 // write completes (and, in durable mode, after the write-fsync-rename-fsync
 // protocol). Rows are written in submission (= ascending flush-row) order by
 // the single writer, so the checkpoint cursor only ever references durable
-// rows: a crash between a row's put() and its manifest save leaves an orphan
+// rows: a crash between a row's put() and its checkpoint save leaves an orphan
 // row beyond the cursor, which the resume reconciliation sweeps.
 //
 // Ownership protocol (phase-based, not lock-based): between construction and
 // drain() the writer thread is the sole owner of the SpecialRowsArea and of
-// everything the ack callbacks touch (checkpoint state + manifest). The
+// everything the ack callbacks touch (checkpoint state and file). The
 // submitting thread only copies cells into row buffers and moves them
 // through the queue; it must not read area statistics until drain() has
 // returned. drain() establishes the happens-before edge back to the caller

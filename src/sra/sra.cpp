@@ -1,9 +1,11 @@
 #include "sra/sra.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstring>
 #include <fstream>
-#include <sstream>
+#include <optional>
+#include <string_view>
 
 #include "common/crc32.hpp"
 #include "common/error.hpp"
@@ -26,12 +28,11 @@ Index flush_interval_for_budget(Index m, Index n, Index strip_rows, std::int64_t
 
 namespace {
 
-constexpr std::uint32_t kManifestMagic = 0x53524132;  // "SRA2" (v1 was 0x53524131).
-constexpr std::uint32_t kRowMagic = 0x53524157;       // "SRAW"
+constexpr std::uint32_t kRowMagic = 0x53524157;  // "SRAW"
 
-/// Self-describing header at the start of every row file: a row file torn
-/// loose from its store (or handed a stale index) still names exactly what
-/// it holds, and the CRC proves the payload is the one that was written.
+/// Self-describing header at the start of every row file: a row file names
+/// exactly what it holds (which is what lets the files be the store's only
+/// index), and the CRC proves the payload is the one that was written.
 struct RowFileHeader {
   std::uint32_t magic = kRowMagic;
   std::uint16_t version = kSraFormatVersion;
@@ -43,6 +44,41 @@ struct RowFileHeader {
 };
 static_assert(sizeof(RowFileHeader) == 8 + sizeof(RowKey) + 16);
 
+/// Payload bytes of a row: two 4-byte values per cell of its key's range.
+std::int64_t row_bytes(const RowKey& key) {
+  return (key.end - key.begin + 1) * static_cast<std::int64_t>(sizeof(engine::BusCell));
+}
+
+/// The storage index n a row file's name `sra-<n>.bin` encodes; nullopt for
+/// any other name, including a non-canonical n such as "007" and an n past
+/// 32 bits, which no store reaches.
+std::optional<std::size_t> row_index_of(std::string_view name) {
+  if (!name.starts_with("sra-") || !name.ends_with(".bin")) return std::nullopt;
+  const std::string_view digits = name.substr(4, name.size() - 8);
+  std::uint32_t index = 0;
+  (void)std::from_chars(digits.data(), digits.data() + digits.size(), index);
+  if (std::to_string(index) != digits) return std::nullopt;
+  return index;
+}
+
+/// Reads a row file's header and refuses a bad magic, another format version
+/// or a cell count that contradicts the header's own key range. The key
+/// comes from disk, so its range is checked before any arithmetic on it.
+RowFileHeader read_header(std::istream& is, const std::filesystem::path& file) {
+  const auto header = read_pod<RowFileHeader>(is);
+  CUDALIGN_CHECK(header.magic == kRowMagic, "SRA row file ", file.string(),
+                 " has a bad magic (not an SRA row, or a pre-v2 format: old stores are "
+                 "refused, not reinterpreted)");
+  CUDALIGN_CHECK(header.version == kSraFormatVersion, "SRA row file ", file.string(),
+                 " has format version ", header.version, " but this build reads version ",
+                 kSraFormatVersion, " — refusing to reinterpret it");
+  const RowKey& key = header.key;
+  CUDALIGN_CHECK(key.begin >= 0 && key.end >= key.begin - 1 &&
+                     static_cast<std::uint64_t>(key.end - key.begin) + 1 == header.cell_count,
+                 "SRA row file ", file.string(), " cell count does not match its key range");
+  return header;
+}
+
 }  // namespace
 
 SpecialRowsArea::SpecialRowsArea(std::filesystem::path directory, std::int64_t budget_bytes,
@@ -50,78 +86,15 @@ SpecialRowsArea::SpecialRowsArea(std::filesystem::path directory, std::int64_t b
     : dir_(std::move(directory)), budget_(budget_bytes), durability_(durability) {
   CUDALIGN_CHECK(budget_ > 0, "SRA budget must be positive");
   std::filesystem::create_directories(dir_);
-  if (std::filesystem::exists(dir_ / "manifest.bin")) load_manifest();
-  // Sweep torn durable writes: a crash between "write tmp" and "rename" can
-  // only leave `*.tmp` files, which no manifest references.
+  // The row files are the index. A crash between "write tmp" and "rename"
+  // can only leave a `*.tmp` file, which is swept; any other file (older
+  // builds kept a separate index file here) is ignored.
   for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
     if (entry.path().extension() == ".tmp") {
       std::error_code ec;
       std::filesystem::remove(entry.path(), ec);
-    }
-  }
-}
-
-void SpecialRowsArea::save_manifest() const {
-  std::ostringstream buffer(std::ios::binary);
-  constexpr std::uint16_t kReserved = 0;
-  write_pod(buffer, kManifestMagic);
-  write_pod(buffer, kSraFormatVersion);
-  write_pod(buffer, kReserved);
-  write_pod(buffer, static_cast<std::uint64_t>(keys_.size()));
-  for (std::size_t i = 0; i < keys_.size(); ++i) {
-    write_pod(buffer, keys_[i]);
-    write_pod(buffer, sizes_[i]);
-    write_pod(buffer, crcs_[i]);
-    // Provably lossless: serializing a bool as a manifest byte, the source
-    // domain is {0, 1}.
-    write_pod(buffer, static_cast<std::uint8_t>(live_[i] ? 1 : 0));  // cudalint: allow(narrow-cast)
-  }
-  const std::string bytes = buffer.str();
-  const auto manifest = dir_ / "manifest.bin";
-  if (durability_ == Durability::kDurable) {
-    atomic_write_file_durable(manifest, bytes);
-  } else {
-    // Write-then-rename keeps the manifest consistent under normal exits;
-    // kFast makes no promises about crashes mid-write.
-    const auto tmp = dir_ / "manifest.bin.tmp";
-    write_file(tmp, bytes);
-    std::filesystem::rename(tmp, manifest);
-  }
-}
-
-void SpecialRowsArea::load_manifest() {
-  std::ifstream is(dir_ / "manifest.bin", std::ios::binary);
-  CUDALIGN_CHECK(is.good(), "cannot open SRA manifest");
-  CUDALIGN_CHECK(read_pod<std::uint32_t>(is) == kManifestMagic,
-                 "bad SRA manifest magic (not an SRA store, or a pre-v2 format: "
-                 "old stores are refused, not reinterpreted)");
-  const auto version = read_pod<std::uint16_t>(is);
-  CUDALIGN_CHECK(version == kSraFormatVersion,
-                 "SRA store has format version ", version, " but this build reads version ",
-                 kSraFormatVersion, " — refusing to reinterpret it");
-  (void)read_pod<std::uint16_t>(is);  // Reserved.
-  const auto count = read_pod<std::uint64_t>(is);
-  keys_.clear();
-  sizes_.clear();
-  crcs_.clear();
-  live_.clear();
-  used_ = 0;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    keys_.push_back(read_pod<RowKey>(is));
-    sizes_.push_back(read_pod<std::int64_t>(is));
-    crcs_.push_back(read_pod<std::uint32_t>(is));
-    const bool live = read_pod<std::uint8_t>(is) != 0;
-    live_.push_back(live);
-    if (live) {
-      const auto file = file_for(keys_.size() - 1);
-      CUDALIGN_CHECK(std::filesystem::exists(file),
-                     "SRA manifest references a missing row file: " + file.string());
-      const auto expected =
-          static_cast<std::uintmax_t>(sizes_.back()) + sizeof(RowFileHeader);
-      const auto actual = std::filesystem::file_size(file);
-      CUDALIGN_CHECK(actual == expected, "SRA row file ", file.string(), " is truncated: ",
-                     actual, " bytes on disk, expected ", expected);
-      used_ += sizes_.back();
+    } else if (const auto index = row_index_of(entry.path().filename().string())) {
+      adopt_row(*index);
     }
   }
   CUDALIGN_CHECK(used_ <= budget_, "recovered SRA exceeds the configured budget");
@@ -129,14 +102,39 @@ void SpecialRowsArea::load_manifest() {
   written_ = used_;
 }
 
+void SpecialRowsArea::adopt_row(std::size_t index) {
+  const auto file = file_for(index);
+  std::ifstream is(file, std::ios::binary);
+  CUDALIGN_CHECK(is.good(), "cannot open SRA row file ", file.string());
+  const RowFileHeader header = read_header(is, file);
+  // The count comes from disk: divide the payload (at least a header was
+  // read) rather than multiply the count, which could wrap.
+  const std::uintmax_t actual = std::filesystem::file_size(file);
+  const std::uintmax_t payload = actual - sizeof(RowFileHeader);
+  CUDALIGN_CHECK(payload % sizeof(engine::BusCell) == 0 &&
+                     payload / sizeof(engine::BusCell) == header.cell_count,
+                 "SRA row file ", file.string(), " is truncated: ", actual,
+                 " bytes on disk, expected a ", sizeof(RowFileHeader), "-byte header and ",
+                 header.cell_count, " cells");
+  if (index >= keys_.size()) {
+    keys_.resize(index + 1);
+    live_.resize(index + 1, false);
+    crcs_.resize(index + 1);
+  }
+  keys_[index] = header.key;
+  live_[index] = true;
+  crcs_[index] = header.payload_crc;
+  used_ += row_bytes(header.key);
+}
+
 std::filesystem::path SpecialRowsArea::file_for(std::size_t index) const {
   return dir_ / ("sra-" + std::to_string(index) + ".bin");
 }
 
 std::size_t SpecialRowsArea::put(const RowKey& key, std::span<const engine::BusCell> cells) {
-  CUDALIGN_CHECK(key.end - key.begin + 1 == static_cast<Index>(cells.size()),
+  CUDALIGN_CHECK(key.begin >= 0 && key.end - key.begin + 1 == static_cast<Index>(cells.size()),
                  "special row cell count does not match its key range");
-  const auto bytes = static_cast<std::int64_t>(cells.size_bytes());
+  const std::int64_t bytes = row_bytes(key);
   CUDALIGN_CHECK(used_ + bytes <= budget_,
                  "SRA budget exceeded; flush interval was sized incorrectly");
   const std::size_t index = keys_.size();
@@ -146,49 +144,44 @@ std::size_t SpecialRowsArea::put(const RowKey& key, std::span<const engine::BusC
   header.cell_count = cells.size();
   header.payload_crc = common::crc32(cells.data(), cells.size_bytes());
 
+  // Write-then-rename in both modes: `sra-<n>.bin` either holds its whole row
+  // or does not exist.
   const auto file = file_for(index);
   if (durability_ == Durability::kDurable) {
     std::string buffer(sizeof(header) + cells.size_bytes(), '\0');
     std::memcpy(buffer.data(), &header, sizeof(header));
     std::memcpy(buffer.data() + sizeof(header), cells.data(), cells.size_bytes());
+    atomic_write_file_durable(file, buffer);
+  } else {
     std::filesystem::path tmp = file;
     tmp += ".tmp";
-    write_file_durable(tmp, buffer.data(), buffer.size());
-    replace_file_durable(tmp, file);
-  } else {
-    std::ofstream os(file, std::ios::binary | std::ios::trunc);
-    CUDALIGN_CHECK(os.good(), "cannot open SRA file for writing");
+    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
+    CUDALIGN_CHECK(os.good(), "cannot open SRA file for writing: " + tmp.string());
     write_pod(os, header);
     write_span(os, cells);
+    os.close();  // A full disk may only fail the final flush.
+    CUDALIGN_CHECK(!os.fail(), "error while writing SRA file " + tmp.string());
+    std::filesystem::rename(tmp, file);
   }
   keys_.push_back(key);
   live_.push_back(true);
-  sizes_.push_back(bytes);
   crcs_.push_back(header.payload_crc);
   used_ += bytes;
   written_ += bytes;
   peak_ = std::max(peak_, used_);
-  save_manifest();
   return index;
 }
 
 std::vector<engine::BusCell> SpecialRowsArea::get(std::size_t index) const {
-  CUDALIGN_CHECK(index < keys_.size() && live_[index], "SRA row does not exist");
-  const RowKey& key = keys_[index];
+  const RowKey& expected = key(index);
   const auto file = file_for(index);
   std::ifstream is(file, std::ios::binary);
   CUDALIGN_CHECK(is.good(), "cannot open SRA file for reading: " + file.string());
-  const auto header = read_pod<RowFileHeader>(is);
-  CUDALIGN_CHECK(header.magic == kRowMagic, "SRA row file ", file.string(),
-                 " has a bad magic — not an SRA row");
-  CUDALIGN_CHECK(header.version == kSraFormatVersion, "SRA row file ", file.string(),
-                 " has format version ", header.version, ", expected ", kSraFormatVersion);
-  CUDALIGN_CHECK(header.key.position == key.position && header.key.begin == key.begin &&
-                     header.key.end == key.end && header.key.group == key.group,
-                 "SRA row file ", file.string(), " describes a different row than the manifest");
-  CUDALIGN_CHECK(header.cell_count == static_cast<std::uint64_t>(key.end - key.begin + 1),
-                 "SRA row file ", file.string(), " cell count does not match its key range");
-  std::vector<engine::BusCell> cells(static_cast<std::size_t>(key.end - key.begin + 1));
+  const RowFileHeader header = read_header(is, file);
+  CUDALIGN_CHECK(header.key.position == expected.position && header.key.begin == expected.begin &&
+                     header.key.end == expected.end && header.key.group == expected.group,
+                 "SRA row file ", file.string(), " describes a different row than the index");
+  std::vector<engine::BusCell> cells(header.cell_count);
   read_span(is, std::span<engine::BusCell>(cells));
   const std::uint32_t crc = common::crc32(cells.data(), cells.size() * sizeof(engine::BusCell));
   CUDALIGN_CHECK(crc == header.payload_crc && crc == crcs_[index],
@@ -215,39 +208,36 @@ std::vector<std::size_t> SpecialRowsArea::group_members(std::int64_t group) cons
   return members;
 }
 
-void SpecialRowsArea::remove_row_file(std::size_t index) {
-  std::error_code ec;
-  std::filesystem::remove(file_for(index), ec);
-  live_[index] = false;
-  used_ -= sizes_[index];
+void SpecialRowsArea::drop_rows(const std::function<bool(std::size_t)>& selected) {
+  bool dropped = false;
+  for (std::size_t i = 0; i < keys_.size(); ++i) {
+    if (!live_[i] || !selected(i)) continue;
+    const auto file = file_for(i);
+    std::error_code ec;
+    std::filesystem::remove(file, ec);
+    CUDALIGN_CHECK(!ec, "cannot delete SRA row file ", file.string(), ": ", ec.message());
+    live_[i] = false;
+    used_ -= row_bytes(keys_[i]);
+    dropped = true;
+  }
+  // One directory fsync makes every unlink above survive a crash.
+  if (dropped && durability_ == Durability::kDurable) fsync_directory(dir_);
 }
 
 void SpecialRowsArea::drop_row(std::size_t index) {
-  CUDALIGN_CHECK(index < keys_.size() && live_[index], "SRA row does not exist");
-  remove_row_file(index);
-  save_manifest();
+  (void)key(index);  // Throws unless the row exists.
+  drop_rows([index](std::size_t i) { return i == index; });
 }
 
 void SpecialRowsArea::drop_group(std::int64_t group) {
-  for (std::size_t i = 0; i < keys_.size(); ++i) {
-    if (live_[i] && keys_[i].group == group) remove_row_file(i);
-  }
-  if (!keys_.empty()) save_manifest();
+  drop_rows([&](std::size_t i) { return keys_[i].group == group; });
 }
 
 void SpecialRowsArea::drop_all() {
-  for (std::size_t i = 0; i < keys_.size(); ++i) {
-    if (live_[i]) {
-      std::error_code ec;
-      std::filesystem::remove(file_for(i), ec);
-    }
-  }
+  drop_rows([](std::size_t) { return true; });
   keys_.clear();
   live_.clear();
-  sizes_.clear();
   crcs_.clear();
-  used_ = 0;
-  save_manifest();
 }
 
 }  // namespace cudalign::sra

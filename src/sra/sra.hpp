@@ -7,17 +7,18 @@
 // at least ceil(8*m*n / (alpha*T*|SRA|)) blocks between flushes, i.e. the
 // budget is never exceeded no matter the matrix size.
 //
-// On-disk format (version 2, DESIGN.md "Checkpoint & resume"): every row
-// file is self-describing — magic, format version, its RowKey, cell count
-// and a CRC-32 of the payload — and the store manifest records the same CRC,
-// so truncation and bit rot are detected on load instead of silently
-// corrupting a resumed alignment. Version-1 stores (no CRCs) are refused
-// with a format-version diagnostic, never reinterpreted.
+// On-disk format (version 2, DESIGN.md "Checkpoint & resume"): one file
+// `sra-<n>.bin` per row, where n is the row's storage index, and nothing
+// else. Every row file is self-describing — magic, format version, its
+// RowKey, cell count and a CRC-32 of the payload — so the row files are the
+// store's only index, and truncation and bit rot are detected on open or
+// read instead of silently corrupting a resumed alignment. Version-1 stores
+// (no CRCs) are refused, never reinterpreted.
 #pragma once
 
 #include <cstdint>
 #include <filesystem>
-#include <optional>
+#include <functional>
 #include <vector>
 
 #include "common/types.hpp"
@@ -37,19 +38,21 @@ struct RowKey {
 };
 
 /// The SRA on-disk format version this build reads and writes. Bumped when
-/// the row-file or manifest layout changes; a store written by a different
-/// version is refused on open (checkpoints never cross format versions).
+/// the row-file layout changes; a store written by a different version is
+/// refused on open (checkpoints never cross format versions).
 inline constexpr std::uint16_t kSraFormatVersion = 2;
 
-/// How hard the store tries to survive a crash mid-write.
+/// How hard the store tries to survive a crash mid-write. Both modes write a
+/// row to `sra-<n>.bin.tmp` and rename it, so a live row file is never
+/// partial after a normal exit.
 enum class Durability : std::uint8_t {
-  /// Plain buffered writes (manifest still replaced via rename). The mode
-  /// for self-cleaning temp-dir runs: fast, but a crash may tear files.
+  /// No fsyncs. The mode for self-cleaning temp-dir runs: fast, but a power
+  /// loss may lose or tear rows (a torn row is refused on the next open).
   kFast,
-  /// Every row file and manifest update goes through the full
-  /// write-fsync-rename-fsync protocol (common/io_util.hpp): after put()
-  /// returns, the row survives SIGKILL or power loss. The mode checkpointed
-  /// pipelines use.
+  /// Every row goes through the full write-fsync-rename-fsync protocol
+  /// (common/io_util.hpp), and every drop fsyncs the directory once: after
+  /// put() or a drop returns, it survives SIGKILL or power loss. The mode
+  /// checkpointed pipelines use.
   kDurable,
 };
 
@@ -64,12 +67,13 @@ enum class Durability : std::uint8_t {
 /// throws — callers size their flush interval so this cannot happen, exactly
 /// the paper's invariant).
 ///
-/// The index is persisted in a manifest file alongside the rows, so a store
-/// reopened on the same directory recovers its contents — chromosome-scale
-/// Stage-1 runs take many hours (18.5 h in the paper) and must not lose
-/// their special rows to a crash or restart. Opening also sweeps stale
-/// `*.tmp` files (torn durable writes from a previous crash) and validates
-/// that every live row file exists with its full recorded size.
+/// A store reopened on the same directory rebuilds its index from the row
+/// file headers, so it recovers its contents — chromosome-scale Stage-1 runs
+/// take many hours (18.5 h in the paper) and must not lose their special
+/// rows to a crash or restart. Opening sweeps stale `*.tmp` files (writes
+/// torn by a crash) and refuses any row file with a bad magic, another
+/// format version, a cell count that contradicts its key, or the wrong size.
+/// Other files in the directory are ignored.
 class SpecialRowsArea {
  public:
   SpecialRowsArea(std::filesystem::path directory, std::int64_t budget_bytes,
@@ -79,9 +83,10 @@ class SpecialRowsArea {
   std::size_t put(const RowKey& key, std::span<const engine::BusCell> cells);
 
   /// Loads a row by storage index, verifying the file header against the
-  /// manifest and the payload against its CRC-32. Throws on any mismatch.
+  /// index and the payload against its CRC-32. Throws on any mismatch.
   [[nodiscard]] std::vector<engine::BusCell> get(std::size_t index) const;
   [[nodiscard]] const RowKey& key(std::size_t index) const;
+  /// Storage indices in use so far, dropped rows included.
   [[nodiscard]] std::size_t size() const noexcept { return keys_.size(); }
 
   /// All indices in `group`, sorted by position ascending.
@@ -106,16 +111,17 @@ class SpecialRowsArea {
   [[nodiscard]] std::int64_t peak_bytes() const noexcept { return peak_; }
   [[nodiscard]] std::int64_t total_bytes_written() const noexcept { return written_; }
   /// Cumulative read-back traffic (stage 2/3 matching); counts get() calls
-  /// and the bytes they loaded. Observability only — not persisted in the
-  /// manifest, so a reopened store restarts them at zero.
+  /// and the bytes they loaded. Observability only — not persisted, so a
+  /// reopened store restarts them at zero.
   [[nodiscard]] std::int64_t total_bytes_read() const noexcept { return read_; }
   [[nodiscard]] Index rows_read() const noexcept { return rows_read_; }
 
  private:
   [[nodiscard]] std::filesystem::path file_for(std::size_t index) const;
-  void load_manifest();
-  void save_manifest() const;
-  void remove_row_file(std::size_t index);
+  /// Adds an existing row file to the index (open), validating its header.
+  void adopt_row(std::size_t index);
+  /// Deletes every live row `selected` picks.
+  void drop_rows(const std::function<bool(std::size_t)>& selected);
 
   std::filesystem::path dir_;
   std::int64_t budget_;
@@ -128,7 +134,6 @@ class SpecialRowsArea {
   mutable Index rows_read_ = 0;
   std::vector<RowKey> keys_;
   std::vector<bool> live_;
-  std::vector<std::int64_t> sizes_;
   std::vector<std::uint32_t> crcs_;
 };
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <functional>
 
 #include "common/io_util.hpp"
 #include "core/checkpoint.hpp"
@@ -177,8 +178,11 @@ TEST(CheckpointManifestTest, StateInvariantsEnforced) {
 // ---------------------------------------------------------------------------
 
 /// Runs the uninterrupted pipeline and a crash-at-save-k + resume pair on the
-/// same problem and asserts byte-identical results.
-void expect_resume_equivalence(Index crash_after_saves) {
+/// same problem and asserts byte-identical results. `between_runs`, if set,
+/// gets the checkpoint directory after the crash and before the resume.
+void expect_resume_equivalence(
+    Index crash_after_saves,
+    const std::function<void(const std::filesystem::path&)>& between_runs = {}) {
   const auto pair = seq::make_related_pair(300, 290, 4242);
   PipelineOptions options = small_options();
   const PipelineResult reference = align_pipeline(pair.s0, pair.s1, options);
@@ -189,6 +193,7 @@ void expect_resume_equivalence(Index crash_after_saves) {
   options.checkpoint_dir = dir.path() / "ckpt";
   options.checkpoint_crash_after_flushes = crash_after_saves;
   EXPECT_THROW((void)align_pipeline(pair.s0, pair.s1, options), Error);
+  if (between_runs) between_runs(options.checkpoint_dir);
 
   options.checkpoint_crash_after_flushes = 0;
   options.resume = true;
@@ -214,6 +219,15 @@ TEST(CheckpointResume, KilledAfterFirstSaveMatchesUninterrupted) {
 
 TEST(CheckpointResume, KilledAfterThirdSaveMatchesUninterrupted) {
   expect_resume_equivalence(3);
+}
+
+TEST(CheckpointResume, StaleSraManifestIgnoredOnResume) {
+  // Older builds kept a manifest.bin next to the special-row files. The row
+  // files are now the store's only index, so a stale manifest left in the
+  // directory must not change what the resumed run computes.
+  expect_resume_equivalence(2, [](const std::filesystem::path& checkpoint_dir) {
+    write_file(checkpoint_dir / "rows" / "manifest.bin", "stale index of an older build");
+  });
 }
 
 TEST(CheckpointResume, StageBoundaryResumeMatchesUninterrupted) {
@@ -327,18 +341,9 @@ TEST(CheckpointResume, ManifestReferencingMissingSraRowRefused) {
   options.checkpoint_dir = dir.path() / "ckpt";
   options.checkpoint_crash_after_flushes = 2;
   EXPECT_THROW((void)align_pipeline(pair.s0, pair.s1, options), Error);
-  // Remove one referenced special row: the SRA store itself detects the
-  // missing file when the resume reopens it.
-  bool removed = false;
-  for (const auto& entry :
-       std::filesystem::directory_iterator(options.checkpoint_dir / "rows")) {
-    if (entry.path().filename() != "manifest.bin") {
-      std::filesystem::remove(entry.path());
-      removed = true;
-      break;
-    }
-  }
-  ASSERT_TRUE(removed);
+  // Remove one referenced special row: the reopened store no longer holds as
+  // many rows as the checkpoint records, and the resume refuses.
+  ASSERT_TRUE(std::filesystem::remove(options.checkpoint_dir / "rows" / "sra-0.bin"));
   options.checkpoint_crash_after_flushes = 0;
   options.resume = true;
   try {

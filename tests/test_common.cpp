@@ -5,6 +5,7 @@
 #include <set>
 #include <sstream>
 
+#include "alignment/gaplist.hpp"
 #include "common/args.hpp"
 #include "common/format.hpp"
 #include "common/io_util.hpp"
@@ -12,6 +13,7 @@
 #include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 #include "common/types.hpp"
+#include "seq/fasta.hpp"
 
 namespace cudalign {
 namespace {
@@ -171,6 +173,17 @@ TEST(IoUtil, TempDirCreatesAndCleans) {
 
 TEST(IoUtil, ReadMissingFileThrows) {
   EXPECT_THROW((void)read_file("/nonexistent/definitely/missing"), Error);
+}
+
+TEST(IoUtil, SmallWritesToAFullDiskThrow) {
+  // /dev/full fails every write with ENOSPC. An output smaller than the
+  // stream buffer only reaches the disk when the stream is flushed, so a
+  // writer that checks the stream before closing it would lose the error.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "/dev/full is absent";
+  EXPECT_THROW(write_file("/dev/full", "twenty bytes of text"), Error);
+  EXPECT_THROW(alignment::write_binary_file("/dev/full", alignment::BinaryAlignment{}), Error);
+  EXPECT_THROW(seq::write_fasta_file("/dev/full", {seq::Sequence::from_string("s", "ACGT")}),
+               Error);
 }
 
 TEST(Format, Counts) {

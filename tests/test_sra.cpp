@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <set>
+#include <string>
 #include <thread>
 
 #include "common/io_util.hpp"
@@ -99,28 +101,39 @@ TEST(Sra, GetDroppedRowThrows) {
   EXPECT_THROW((void)area.get(idx), Error);
 }
 
-TEST(Sra, ManifestSurvivesReopen) {
+TEST(Sra, ReopenRebuildsIndexFromRowFiles) {
   TempDir dir;
+  const auto store = dir.path() / "persist";
   const auto row1 = make_row(32, 5);
-  const auto row2 = make_row(32, 9);
+  const auto row2 = make_row(33, 9);
+  std::int64_t used = 0;
   {
-    SpecialRowsArea area(dir.path() / "persist", 1 << 20);
+    SpecialRowsArea area(store, 1 << 20);
     (void)area.put(RowKey{64, 0, 31, 1}, row1);
-    (void)area.put(RowKey{128, 0, 31, 1}, row2);
-    area.drop_group(2);  // No-op; exercises manifest rewrite.
+    (void)area.put(RowKey{128, 2, 34, 1}, row2);
+    used = area.used_bytes();
   }
-  // Reopen on the same directory: the index and contents must be recovered.
-  SpecialRowsArea reopened(dir.path() / "persist", 1 << 20);
+  // A manifest.bin left by an older build is not an index any more.
+  write_file(store / "manifest.bin", "stale index of an older build");
+  // Reopen on the same directory: the index, the contents and the byte
+  // counts are rebuilt from the row file headers alone.
+  SpecialRowsArea reopened(store, 1 << 20);
   ASSERT_EQ(reopened.size(), 2u);
   const auto members = reopened.group_members(1);
   ASSERT_EQ(members.size(), 2u);
+  const RowKey& second = reopened.key(members[1]);
   EXPECT_EQ(reopened.key(members[0]).position, 64);
+  EXPECT_EQ(second.position, 128);
+  EXPECT_EQ(second.begin, 2);
+  EXPECT_EQ(second.end, 34);
   EXPECT_EQ(reopened.get(members[0]), row1);
   EXPECT_EQ(reopened.get(members[1]), row2);
-  EXPECT_GT(reopened.used_bytes(), 0);
+  EXPECT_EQ(reopened.used_bytes(), used);
+  EXPECT_EQ(reopened.peak_bytes(), used);
+  EXPECT_TRUE(std::filesystem::exists(store / "manifest.bin"));
 }
 
-TEST(Sra, ManifestRemembersDroppedGroups) {
+TEST(Sra, DroppedGroupsStayDroppedAfterReopen) {
   TempDir dir;
   {
     SpecialRowsArea area(dir.path() / "persist", 1 << 20);
@@ -146,25 +159,27 @@ TEST(Sra, ReopenWithSmallerBudgetThrows) {
 }
 
 TEST(Sra, FilesActuallyOnDisk) {
-  TempDir dir;
-  SpecialRowsArea area(dir.path() / "sub", 1 << 20);
-  (void)area.put(RowKey{1, 0, 3, 1}, make_row(4, 1));
-  int row_files = 0, manifests = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(dir.path() / "sub")) {
-    if (entry.path().filename() == "manifest.bin") {
-      ++manifests;
-    } else {
-      ++row_files;
+  // The store writes its row files and nothing else, in both modes, and a
+  // drop deletes them.
+  for (const Durability durability : {Durability::kFast, Durability::kDurable}) {
+    TempDir dir;
+    SpecialRowsArea area(dir.path() / "sub", 1 << 20, durability);
+    (void)area.put(RowKey{1, 0, 3, 1}, make_row(4, 1));
+    (void)area.put(RowKey{2, 0, 3, 1}, make_row(4, 2));
+    std::set<std::string> names;
+    for (const auto& entry : std::filesystem::directory_iterator(dir.path() / "sub")) {
+      names.insert(entry.path().filename().string());
     }
+    EXPECT_EQ(names, (std::set<std::string>{"sra-0.bin", "sra-1.bin"}));
+    area.drop_all();
+    EXPECT_TRUE(std::filesystem::is_empty(dir.path() / "sub"));
   }
-  EXPECT_EQ(row_files, 1);
-  EXPECT_EQ(manifests, 1);
 }
 
 // ---------------------------------------------------------------------------
-// Durability edge cases (format v2): every way a crashed or tampered store
-// can disagree with its manifest must be detected on open or read — resume
-// must never silently compute over corrupt special rows.
+// Durability edge cases (format v2): every way a crashed or tampered row
+// file can disagree with what was written must be detected on open or read —
+// resume must never silently compute over corrupt special rows.
 // ---------------------------------------------------------------------------
 
 /// Flips one byte at `offset` in `file` (negative = from the end).
@@ -227,50 +242,42 @@ TEST(SraDurability, RowHeaderCorruptionDetectedOnRead) {
   EXPECT_THROW((void)area.get(idx), Error);
 }
 
-TEST(SraDurability, FormatVersionBumpRefusedOnReopen) {
-  TempDir dir;
-  const auto store = dir.path() / "persist";
+/// Writes one row to a fresh store at `store`, then flips the byte at
+/// `offset` of its file and expects the next open to refuse the store with a
+/// message containing `diagnostic`.
+void expect_refused_on_reopen(const std::filesystem::path& store, std::int64_t offset,
+                              const std::string& diagnostic) {
   {
     SpecialRowsArea area(store, 1 << 20);
     (void)area.put(RowKey{64, 0, 31, 1}, make_row(32, 5));
   }
-  // The manifest's version lives right after the 4-byte magic; flipping it
-  // simulates a store written by a different format version.
-  corrupt_byte(store / "manifest.bin", 4);
+  corrupt_byte(row_file(store, 0), offset);
   try {
     SpecialRowsArea reopened(store, 1 << 20);
-    FAIL() << "format-version mismatch was not refused";
+    FAIL() << "corrupt row header at offset " << offset << " was not refused";
   } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("format version"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find(diagnostic), std::string::npos) << e.what();
   }
+}
+
+TEST(SraDurability, FormatVersionBumpRefusedOnReopen) {
+  // The row header's version lives right after its 4-byte magic; flipping
+  // it simulates a store written by a different format version.
+  TempDir dir;
+  expect_refused_on_reopen(dir.path() / "persist", 4, "format version");
 }
 
 TEST(SraDurability, PreV2MagicRefusedOnReopen) {
   TempDir dir;
-  const auto store = dir.path() / "persist";
-  {
-    SpecialRowsArea area(store, 1 << 20);
-    (void)area.put(RowKey{64, 0, 31, 1}, make_row(32, 5));
-  }
-  corrupt_byte(store / "manifest.bin", 0);
-  EXPECT_THROW(SpecialRowsArea(store, 1 << 20), Error);
+  expect_refused_on_reopen(dir.path() / "persist", 0, "bad magic");
 }
 
-TEST(SraDurability, ManifestReferencingMissingRowDetected) {
+TEST(SraDurability, CellCountMismatchRefusedOnReopen) {
+  // The cell count follows the 8-byte magic/version word and the RowKey;
+  // RowKey::begin is its second 8-byte field.
   TempDir dir;
-  const auto store = dir.path() / "persist";
-  {
-    SpecialRowsArea area(store, 1 << 20);
-    (void)area.put(RowKey{64, 0, 31, 1}, make_row(32, 5));
-    (void)area.put(RowKey{128, 0, 31, 1}, make_row(32, 9));
-  }
-  std::filesystem::remove(row_file(store, 1));
-  try {
-    SpecialRowsArea reopened(store, 1 << 20);
-    FAIL() << "missing row file was not detected";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("missing"), std::string::npos) << e.what();
-  }
+  expect_refused_on_reopen(dir.path() / "count", 8 + sizeof(RowKey), "cell count");
+  expect_refused_on_reopen(dir.path() / "begin", 8 + 15, "cell count");
 }
 
 TEST(SraDurability, DropRowRemovesExactlyOne) {
@@ -306,6 +313,41 @@ TEST(SraDurability, DurableModeRoundTripsAndSweepsTornTmpFiles) {
   EXPECT_FALSE(std::filesystem::exists(store / "sra-99.bin.tmp"));
   ASSERT_EQ(reopened.size(), 1u);
   EXPECT_EQ(reopened.get(0), row);
+}
+
+/// Makes the write of row `index` fail with ENOSPC by planting its staging
+/// temp as a symlink to /dev/full. False where /dev/full is absent.
+bool plant_full_disk(const std::filesystem::path& store, std::size_t index) {
+  if (!std::filesystem::exists("/dev/full")) return false;
+  std::filesystem::create_symlink("/dev/full", row_file(store, index).string() + ".tmp");
+  return true;
+}
+
+/// True while `path` names anything, a symlink included.
+bool present(const std::filesystem::path& path) {
+  return std::filesystem::exists(std::filesystem::symlink_status(path));
+}
+
+TEST(SraDurability, FullDiskFailsPutAndLeavesNoRowFile) {
+  for (const Durability durability : {Durability::kFast, Durability::kDurable}) {
+    TempDir dir;
+    const auto store = dir.path() / "persist";
+    const auto row = make_row(32, 5);
+    {
+      SpecialRowsArea area(store, 1 << 20, durability);
+      (void)area.put(RowKey{64, 0, 31, 1}, row);
+      if (!plant_full_disk(store, 1)) GTEST_SKIP() << "/dev/full is absent";
+      // The row is smaller than a stream buffer: only the final flush fails.
+      EXPECT_THROW((void)area.put(RowKey{128, 0, 31, 1}, row), Error);
+      EXPECT_FALSE(present(row_file(store, 1)));
+      EXPECT_EQ(area.size(), 1u);
+    }
+    // The next open sweeps the planted link and keeps the row before it.
+    SpecialRowsArea reopened(store, 1 << 20, durability);
+    EXPECT_FALSE(present(row_file(store, 1).string() + ".tmp"));
+    ASSERT_EQ(reopened.size(), 1u);
+    EXPECT_EQ(reopened.get(0), row);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -379,10 +421,36 @@ TEST(AsyncWriter, PutFailurePoisonsLaterRowsAndDrainRethrows) {
   EXPECT_THROW(writer.drain(), Error);
 }
 
+TEST(AsyncWriter, FullDiskPoisonsLaterRowsAndDrainRethrows) {
+  TempDir dir;
+  SpecialRowsArea area(dir.path(), 1 << 20, Durability::kDurable);
+  if (!plant_full_disk(dir.path(), 2)) GTEST_SKIP() << "/dev/full is absent";
+  AsyncSraWriter writer(area);
+  Index acks = 0;
+  for (Index k = 0; k < 5; ++k) {
+    writer.submit(RowKey{k + 1, 0, 15, 1}, make_row(16, static_cast<Score>(k)),
+                  [&acks] { ++acks; });
+  }
+  EXPECT_THROW(writer.drain(), Error);
+  // Rows 0..1 are durable and acked; neither the failed row 2 nor any row
+  // after it reached the store.
+  EXPECT_EQ(acks, 2);
+  EXPECT_EQ(writer.stats().rows_acked, 2);
+  EXPECT_EQ(area.size(), 2u);
+  for (std::size_t k = 2; k < 5; ++k) EXPECT_FALSE(present(row_file(dir.path(), k)));
+  // The next open sweeps the planted link.
+  SpecialRowsArea reopened(dir.path(), 1 << 20, Durability::kDurable);
+  EXPECT_FALSE(present(row_file(dir.path(), 2).string() + ".tmp"));
+  ASSERT_EQ(reopened.size(), 2u);
+  for (std::size_t k = 0; k < 2; ++k) {
+    EXPECT_EQ(reopened.get(k), make_row(16, static_cast<Score>(k)));
+  }
+}
+
 TEST(AsyncWriter, AckFailurePoisonsBeforeCursorAdvance) {
   // An ack (checkpoint save) that throws must stop the pipeline with the row
-  // on disk but unacked — the same state a crash between flush and manifest
-  // update leaves, which resume's orphan sweep already handles.
+  // on disk but unacked — the same state a crash between flush and checkpoint
+  // save leaves, which resume's orphan sweep already handles.
   TempDir dir;
   SpecialRowsArea area(dir.path(), 1 << 20);
   AsyncSraWriter writer(area);
