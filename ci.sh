@@ -7,10 +7,10 @@
 #      every suite below, so a lint violation is a test failure too.
 #   1. Release build with the strict zero-warning wall (-DCUDALIGN_STRICT=ON:
 #      -Wall -Wextra -Wconversion -Wshadow -Werror) + full ctest. The SIMD
-#      backend is a matrix axis: fast mode reruns the kernel-equivalence
-#      suites under forced sse2/generic; full mode reruns the ENTIRE ctest
-#      suite under every ISA the runner supports (generic, sse2, avx2, and
-#      avx512 on capable CPUs).
+#      backend is a matrix axis: fast mode reruns the kernel-equivalence and
+#      Stage-4 tile suites under every supported ISA; full mode reruns the
+#      ENTIRE ctest suite under every ISA the runner supports (generic, sse2,
+#      avx2, and avx512 on capable CPUs).
 #   2. Bench + regression gate: bench_pipeline --fast, then tools/bench_gate
 #      compares it against bench/baseline.json (tolerance
 #      ${CUDALIGN_BENCH_TOLERANCE:-15} percent; the gate's own self-test runs
@@ -184,8 +184,9 @@ stage "release: ctest"
 # The striped kernels pick their SIMD backend at runtime, so the default
 # ctest pass only proves correctness for the ISA the runner auto-selects
 # (AVX2 on modern hosts). The ISA is a real matrix axis:
-#   fast mode  — rerun just the kernel equivalence/dispatch suites with the
-#                backend forced down the tiers (the cheap pre-push proof);
+#   fast mode  — rerun just the kernel equivalence/dispatch suites and the
+#                Stage-4 tile suite under every supported backend (the cheap
+#                pre-push proof);
 #   full mode  — rerun the ENTIRE ctest suite under every ISA the runner
 #                supports, so pipeline/checkpoint/engine behavior (not only
 #                kernel byte-identity) is proven per backend.
@@ -204,10 +205,10 @@ isa_matrix() {
   echo "$isas"
 }
 if [[ "$FAST" -eq 1 ]]; then
-  stage "release: kernel equivalence, forced ISAs"
-  for isa in sse2 generic; do
+  stage "release: kernel equivalence and Stage-4 tiles, forced ISAs"
+  for isa in $(isa_matrix); do
     CUDALIGN_SIMD="$isa" build-ci-release/tests/cudalign_tests \
-      --gtest_filter='KernelEquivalence.*:KernelDispatch.*:LaneEnvelope.*' \
+      --gtest_filter='KernelEquivalence.*:KernelDispatch.*:LaneEnvelope.*:Striped32Global.*:Stage4Tiles.*' \
       --gtest_brief=1
   done
 else

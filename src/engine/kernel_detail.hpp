@@ -82,6 +82,9 @@ inline constexpr LaneEnvelope kLaneEnvelope8{16, -64, 100};
 /// representable and no reachable score can leave the lanes. O(w + rows).
 [[nodiscard]] bool vector16_can_run(const TileJob& job);
 
+/// Most lanes any striped backend has (AVX-512 int8): bounds a tile's pad.
+inline constexpr Index kMaxStripedLanes = 64;
+
 // --- kernels_striped.cpp / kernels_striped_avx2.cpp ------------------------
 
 /// Farrar-striped row sweep with the lazy-F correction loop eliminated
@@ -92,13 +95,36 @@ inline constexpr LaneEnvelope kLaneEnvelope8{16, -64, 100};
 template <typename LaneT, bool kBest>
 TileResult run_striped(const TileJob& job, TileScratch& scratch);
 
+/// The same sweep in global mode on int32 lanes (plain arithmetic, no zero
+/// floor), dispatched to its taps/probe specialisation and then to the ISA.
+TileResult run_striped32_global(const TileJob& job, TileScratch& scratch);
+
 /// vector_can_run plus the 8-bit / 16-bit lane envelope prechecks.
 [[nodiscard]] bool striped8_can_run(const TileJob& job);
 [[nodiscard]] bool striped16_can_run(const TileJob& job);
 
+/// The striped32-global envelope: a global job without best tracking, at
+/// least one row, no sentinel H among its inputs (hbus[1..w] and
+/// vbus_in[0..rows]), sentinel gaps above 2 * kNegInf, and a checked
+/// reachable-score bound below |kNegInf| / 2 (see DESIGN.md). O(w + rows).
+[[nodiscard]] bool striped32_global_can_run(const TileJob& job);
+
+/// The striped tuples every ISA backend TU compiles: the four local (lane,
+/// best) pairs and the four global int32 (taps, find) pairs. `PREFIX` is
+/// `template` in the defining TU and `extern template` here.
+#define CUDALIGN_STRIPED_ISA_INSTANTIATIONS(PREFIX, FN)                                  \
+  PREFIX TileResult FN<std::int8_t, false, false, false>(const TileJob&, TileScratch&);  \
+  PREFIX TileResult FN<std::int8_t, true, false, false>(const TileJob&, TileScratch&);   \
+  PREFIX TileResult FN<std::int16_t, false, false, false>(const TileJob&, TileScratch&); \
+  PREFIX TileResult FN<std::int16_t, true, false, false>(const TileJob&, TileScratch&);  \
+  PREFIX TileResult FN<std::int32_t, false, false, false>(const TileJob&, TileScratch&); \
+  PREFIX TileResult FN<std::int32_t, false, false, true>(const TileJob&, TileScratch&);  \
+  PREFIX TileResult FN<std::int32_t, false, true, false>(const TileJob&, TileScratch&);  \
+  PREFIX TileResult FN<std::int32_t, false, true, true>(const TileJob&, TileScratch&);
+
 /// AVX2 entry points, compiled in the -mavx2 translation unit. Only called
 /// when avx2_kernels_compiled() and the CPU supports AVX2.
-template <typename LaneT, bool kBest>
+template <typename LaneT, bool kBest, bool kTaps, bool kFind>
 TileResult run_striped_avx2(const TileJob& job, TileScratch& scratch);
 
 /// True when kernels_striped_avx2.cpp was built with AVX2 code generation.
@@ -106,7 +132,7 @@ TileResult run_striped_avx2(const TileJob& job, TileScratch& scratch);
 
 /// AVX-512 entry points, compiled in the -mavx512bw translation unit. Only
 /// called when avx512_kernels_compiled() and the CPU supports AVX-512BW.
-template <typename LaneT, bool kBest>
+template <typename LaneT, bool kBest, bool kTaps, bool kFind>
 TileResult run_striped_avx512(const TileJob& job, TileScratch& scratch);
 
 /// True when kernels_striped_avx512.cpp was built with AVX-512BW codegen.
@@ -128,14 +154,7 @@ extern template TileResult run_striped<std::int8_t, true>(const TileJob&, TileSc
 extern template TileResult run_striped<std::int16_t, false>(const TileJob&, TileScratch&);
 extern template TileResult run_striped<std::int16_t, true>(const TileJob&, TileScratch&);
 
-extern template TileResult run_striped_avx2<std::int8_t, false>(const TileJob&, TileScratch&);
-extern template TileResult run_striped_avx2<std::int8_t, true>(const TileJob&, TileScratch&);
-extern template TileResult run_striped_avx2<std::int16_t, false>(const TileJob&, TileScratch&);
-extern template TileResult run_striped_avx2<std::int16_t, true>(const TileJob&, TileScratch&);
-
-extern template TileResult run_striped_avx512<std::int8_t, false>(const TileJob&, TileScratch&);
-extern template TileResult run_striped_avx512<std::int8_t, true>(const TileJob&, TileScratch&);
-extern template TileResult run_striped_avx512<std::int16_t, false>(const TileJob&, TileScratch&);
-extern template TileResult run_striped_avx512<std::int16_t, true>(const TileJob&, TileScratch&);
+CUDALIGN_STRIPED_ISA_INSTANTIATIONS(extern template, run_striped_avx2)
+CUDALIGN_STRIPED_ISA_INSTANTIATIONS(extern template, run_striped_avx512)
 
 }  // namespace cudalign::engine::detail

@@ -48,9 +48,10 @@ bool striped16_can_run(const TileJob& job) {
   return job.track_best == kBest && detail::striped16_can_run(job);
 }
 
-/// Anti-diagonal sweeps only pay off when the diagonals are long enough to
-/// fill vector lanes; below these shapes the automatic order prefers the row
-/// sweeps. Overrides bypass the gate (can_run still guards correctness).
+/// Anti-diagonal and striped sweeps only pay off when the diagonals / lane
+/// segments are long enough to fill vector lanes; below these shapes the
+/// automatic order prefers the row sweeps. Overrides bypass the gate (can_run
+/// still guards correctness).
 constexpr Index kVectorMinWidth = 16;
 constexpr Index kVectorMinRows = 8;
 
@@ -105,6 +106,10 @@ const std::array<Entry, kCount>& table() {
        kVectorMinRows},
       {{KernelId::kStriped16LocalBest, "striped16-local+best", 8, &striped16_can_run<true>,
         &detail::run_striped<std::int16_t, true>},
+       kVectorMinWidth,
+       kVectorMinRows},
+      {{KernelId::kStriped32Global, "striped32-global", 9, &detail::striped32_global_can_run,
+        &detail::run_striped32_global},
        kVectorMinWidth,
        kVectorMinRows},
   }};

@@ -5,9 +5,11 @@
 // `can_run` predicate describing the (mode, feature, value-range) envelope it
 // is exact for. Dispatch walks the registry in cost order and picks the
 // cheapest variant whose predicate accepts the job — so the Stage-1 hot path
-// (plain local, small scores) lands on the 16-lane anti-diagonal sweep while
-// a taps+probe global tile lands on its specialized row sweep, and anything
-// else falls back to the legacy do-everything loop. All variants are
+// (plain local, small scores) lands on a narrow striped sweep, a global tile
+// of Stages 2-4 (taps and probe included) on the int32 striped sweep, a
+// global tile outside its envelope (narrow, or with sentinel H inputs) on its
+// specialized scalar row sweep, and anything else on the legacy
+// do-everything loop. All variants are
 // bit-identical to run_reference; predicates encode *exactness* (e.g. the
 // 16-bit kernel rejects tiles whose scores could overflow its lanes), while
 // size heuristics live in the selector.

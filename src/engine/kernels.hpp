@@ -48,6 +48,7 @@ enum class KernelId : std::uint8_t {
   kStriped8LocalBest,
   kStriped16Local,    ///< Farrar-striped row sweep, 16-bit lanes.
   kStriped16LocalBest,
+  kStriped32Global,   ///< Farrar-striped row sweep, global mode, 32-bit lanes (taps/probe).
   kCount,
 };
 
@@ -137,13 +138,15 @@ struct TileScratch {
   std::vector<seq::Base> arev;  ///< Tile's row sequence, reversed.
   std::vector<seq::Base> bseg;  ///< Tile's column sequence, 1-based.
   // Striped kernels: H/F/Htmp/E lane planes plus shift/entry staging, per
-  // lane width, and the pad mask used for the row-max reduction.
+  // lane width, and the pad mask used for the (local) row-max reduction.
   std::vector<std::int8_t> striped8;
   std::vector<std::int16_t> striped16;
+  std::vector<std::int32_t> striped32;
   std::vector<std::int8_t> striped_mask8;
   std::vector<std::int16_t> striped_mask16;
   scoring::StripedProfile<std::int8_t> striped_profile8;
   scoring::StripedProfile<std::int16_t> striped_profile16;
+  scoring::StripedProfile<std::int32_t> striped_profile32;
 };
 
 /// Runs one tile through the registry-selected kernel variant (see

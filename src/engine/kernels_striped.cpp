@@ -13,6 +13,7 @@
 // uses the classic bias trick: flip the sign bit, take the *unsigned* max,
 // flip back — xor with 0x80 is an order-isomorphism from signed to unsigned.
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -33,16 +34,18 @@ namespace cudalign::engine {
 
 namespace {
 
-/// Portable emulation of the saturating lane ops; bit-identical to the SIMD
-/// backends by construction (same widths, same saturation points). 128-bit
-/// shaped so generic-vs-SSE2 runs stripe the tile identically.
+/// Portable emulation of the lane ops; bit-identical to the SIMD backends by
+/// construction (same widths, same saturation points; int32 lanes never
+/// reach theirs inside the global envelope, where the SIMD backends' plain
+/// adds would wrap). 128-bit shaped so generic-vs-SSE2 runs stripe the tile
+/// identically.
 template <typename LaneT, int N, LaneT kNinf>
 struct GenericBackend {
   using Lane = LaneT;
   static constexpr Index kLanes = N;
   static constexpr Lane kNinfLane = kNinf;
-  static constexpr int kMin = std::numeric_limits<Lane>::min();
-  static constexpr int kMax = std::numeric_limits<Lane>::max();
+  static constexpr std::int64_t kMin = std::numeric_limits<Lane>::min();
+  static constexpr std::int64_t kMax = std::numeric_limits<Lane>::max();
 
   struct V {
     Lane v[N];
@@ -68,14 +71,16 @@ struct GenericBackend {
   static V adds(V a, V b) {
     V r;
     for (int i = 0; i < N; ++i) {
-      r.v[i] = static_cast<Lane>(std::clamp(a.v[i] + b.v[i], kMin, kMax));
+      r.v[i] = static_cast<Lane>(
+          std::clamp<std::int64_t>(std::int64_t{a.v[i]} + b.v[i], kMin, kMax));
     }
     return r;
   }
   static V subs(V a, V b) {
     V r;
     for (int i = 0; i < N; ++i) {
-      r.v[i] = static_cast<Lane>(std::clamp(a.v[i] - b.v[i], kMin, kMax));
+      r.v[i] = static_cast<Lane>(
+          std::clamp<std::int64_t>(std::int64_t{a.v[i]} - b.v[i], kMin, kMax));
     }
     return r;
   }
@@ -84,10 +89,21 @@ struct GenericBackend {
     for (int i = 0; i < N; ++i) r.v[i] = static_cast<Lane>(a.v[i] & b.v[i]);
     return r;
   }
+  static V or_(V a, V b) {
+    V r;
+    for (int i = 0; i < N; ++i) r.v[i] = static_cast<Lane>(a.v[i] | b.v[i]);
+    return r;
+  }
+  static V eq(V a, V b) {
+    V r;
+    for (int i = 0; i < N; ++i) r.v[i] = a.v[i] == b.v[i] ? Lane{-1} : Lane{0};
+    return r;
+  }
 };
 
 using Generic8 = GenericBackend<std::int8_t, 16, std::int8_t{-128}>;
 using Generic16 = GenericBackend<std::int16_t, 8, std::int16_t{-16384}>;
+using Generic32 = GenericBackend<std::int32_t, 4, kNegInf>;
 
 #if defined(__SSE2__)
 
@@ -130,6 +146,31 @@ struct Sse2Backend<std::int8_t> {
   static V adds(V a, V b) { return _mm_adds_epi8(a, b); }
   static V subs(V a, V b) { return _mm_subs_epi8(a, b); }
   static V and_(V a, V b) { return _mm_and_si128(a, b); }
+};
+
+/// int32 lanes for global mode: plain add/sub (the global envelope keeps
+/// every value far from wrapping). SSE2 has no _mm_max_epi32 (SSE4.1), so
+/// max selects through a compare mask.
+template <>
+struct Sse2Backend<std::int32_t> {
+  using Lane = std::int32_t;
+  static constexpr Index kLanes = 4;
+  static constexpr Lane kNinfLane = kNegInf;
+  using V = __m128i;
+
+  static V load(const Lane* p) { return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)); }
+  static void store(Lane* p, V x) { _mm_storeu_si128(reinterpret_cast<__m128i*>(p), x); }
+  static V set1(Lane x) { return _mm_set1_epi32(x); }
+  static V zero() { return _mm_setzero_si128(); }
+  static V max(V a, V b) {
+    const V a_wins = _mm_cmpgt_epi32(a, b);
+    return _mm_or_si128(_mm_and_si128(a_wins, a), _mm_andnot_si128(a_wins, b));
+  }
+  static V adds(V a, V b) { return _mm_add_epi32(a, b); }
+  static V subs(V a, V b) { return _mm_sub_epi32(a, b); }
+  static V and_(V a, V b) { return _mm_and_si128(a, b); }
+  static V or_(V a, V b) { return _mm_or_si128(a, b); }
+  static V eq(V a, V b) { return _mm_cmpeq_epi32(a, b); }
 };
 
 #endif  // __SSE2__
@@ -259,16 +300,59 @@ bool striped16_can_run(const TileJob& job) {
   return vector_can_run(job) && lane_envelope_admits(job, kLaneEnvelope16);
 }
 
-template <typename LaneT, bool kBest>
-TileResult run_striped(const TileJob& job, TileScratch& scratch) {
+bool striped32_global_can_run(const TileJob& job) {
+  const Index rows = check::checked_sub(job.r1, job.r0);
+  const Index w = check::checked_sub(job.c1, job.c0);
+  if (job.recurrence->mode != dp::AlignMode::kGlobal || job.track_best || rows < 1) {
+    return false;
+  }
+  // Sentinel H inputs are rejected: the envelope argument starts from
+  // genuine H everywhere. Gap inputs may be sentinels — every gap update is
+  // max(gap - G_ext, H - G_first), so the genuine H branch wins within one
+  // step — provided they sit above kNegInf * 2, so one G_ext more cannot
+  // wrap.
+  WideScore max_abs = 0;
+  auto admit = [&](const BusCell& cell) {
+    if (is_neg_inf(cell.h)) return false;
+    max_abs = std::max<WideScore>(max_abs, std::abs(WideScore{cell.h}));
+    if (is_neg_inf(cell.gap)) return WideScore{cell.gap} >= WideScore{kNegInf} * 2;
+    max_abs = std::max<WideScore>(max_abs, std::abs(WideScore{cell.gap}));
+    return true;
+  };
+  for (std::size_t k = 1; k < job.hbus.size(); ++k) {
+    if (!admit(job.hbus[k])) return false;
+  }
+  for (const BusCell& cell : job.vbus_in) {
+    if (!admit(cell)) return false;
+  }
+  // Reachable-score bound: every value the sweep computes — genuine cells,
+  // pad slots, decayed bridge terms — is an input moved by at most
+  // rows + padded width steps of at most `step` each. Keeping that below
+  // |kNegInf| / 2 keeps genuine values clear of is_neg_inf and leaves the
+  // sentinel chains (>= 2 * kNegInf, minus the same bound) inside int32.
+  const scoring::Scheme& s = job.recurrence->scheme;
+  const WideScore step = std::max<WideScore>(
+      {std::abs(WideScore{s.match}), std::abs(WideScore{s.mismatch}), WideScore{s.gap_first},
+       WideScore{s.gap_ext}});
+  const WideScore bound = check::checked_add<WideScore>(
+      max_abs, check::checked_mul<WideScore>(
+                   step, check::checked_add<WideScore>(rows, w + kMaxStripedLanes)));
+  return bound < -(WideScore{kNegInf} / 2);
+}
+
+namespace {
+
+/// Runtime ISA dispatch shared by every striped entry point.
+template <typename LaneT, bool kBest, bool kTaps, bool kFind>
+TileResult run_striped_isa(const TileJob& job, TileScratch& scratch) {
   switch (active_simd_isa()) {
     case SimdIsa::kAvx512:
-      return run_striped_avx512<LaneT, kBest>(job, scratch);
+      return run_striped_avx512<LaneT, kBest, kTaps, kFind>(job, scratch);
     case SimdIsa::kAvx2:
-      return run_striped_avx2<LaneT, kBest>(job, scratch);
+      return run_striped_avx2<LaneT, kBest, kTaps, kFind>(job, scratch);
     case SimdIsa::kSse2:
 #if defined(__SSE2__)
-      return run_striped_core<Sse2Backend<LaneT>, kBest>(job, scratch);
+      return run_striped_core<Sse2Backend<LaneT>, kBest, kTaps, kFind>(job, scratch);
 #else
       break;  // Unreachable: active_simd_isa never reports an unsupported ISA.
 #endif
@@ -276,10 +360,28 @@ TileResult run_striped(const TileJob& job, TileScratch& scratch) {
       break;
   }
   if constexpr (sizeof(LaneT) == 1) {
-    return run_striped_core<Generic8, kBest>(job, scratch);
+    return run_striped_core<Generic8, kBest, kTaps, kFind>(job, scratch);
+  } else if constexpr (sizeof(LaneT) == 2) {
+    return run_striped_core<Generic16, kBest, kTaps, kFind>(job, scratch);
   } else {
-    return run_striped_core<Generic16, kBest>(job, scratch);
+    return run_striped_core<Generic32, kBest, kTaps, kFind>(job, scratch);
   }
+}
+
+}  // namespace
+
+template <typename LaneT, bool kBest>
+TileResult run_striped(const TileJob& job, TileScratch& scratch) {
+  return run_striped_isa<LaneT, kBest, false, false>(job, scratch);
+}
+
+TileResult run_striped32_global(const TileJob& job, TileScratch& scratch) {
+  const bool taps = !job.tap_cols.empty();
+  const bool find = job.find_value.has_value();
+  if (taps && find) return run_striped_isa<std::int32_t, false, true, true>(job, scratch);
+  if (taps) return run_striped_isa<std::int32_t, false, true, false>(job, scratch);
+  if (find) return run_striped_isa<std::int32_t, false, false, true>(job, scratch);
+  return run_striped_isa<std::int32_t, false, false, false>(job, scratch);
 }
 
 template TileResult run_striped<std::int8_t, false>(const TileJob&, TileScratch&);

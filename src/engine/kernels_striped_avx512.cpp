@@ -3,8 +3,8 @@
 //
 // Same isolation contract as kernels_striped_avx2.cpp: the rest of the engine
 // builds for the baseline ISA while this file provides 512-bit backends
-// (64 x int8 / 32 x int16 lanes) behind a runtime CPU check. The dispatch in
-// kernels_striped.cpp only calls these entry points after
+// (64 x int8 / 32 x int16 / 16 x int32 lanes) behind a runtime CPU check. The
+// dispatch in kernels_striped.cpp only calls these entry points after
 // __builtin_cpu_supports("avx512bw") and avx512_kernels_compiled() both pass,
 // so no AVX-512 instruction is ever reached on an older CPU. When the
 // toolchain cannot target AVX-512BW the stubs keep the link whole and report
@@ -63,19 +63,40 @@ struct Avx512Backend<std::int8_t> {
   static V and_(V a, V b) { return _mm512_and_si512(a, b); }
 };
 
+/// int32 lanes for global mode: plain add/sub (see striped_core.hpp). The
+/// compare yields a mask register; expanding it back to lanes stays in
+/// AVX-512F (the movm form would need DQ).
+template <>
+struct Avx512Backend<std::int32_t> {
+  using Lane = std::int32_t;
+  static constexpr Index kLanes = 16;
+  static constexpr Lane kNinfLane = kNegInf;
+  using V = __m512i;
+
+  static V load(const Lane* p) { return _mm512_loadu_si512(p); }
+  static void store(Lane* p, V x) { _mm512_storeu_si512(p, x); }
+  static V set1(Lane x) { return _mm512_set1_epi32(x); }
+  static V zero() { return _mm512_setzero_si512(); }
+  // The all-lanes masked form: GCC's plain _mm512_max_epi32 passes an
+  // undefined pass-through vector that trips -Wmaybe-uninitialized.
+  static V max(V a, V b) { return _mm512_maskz_max_epi32(0xFFFF, a, b); }
+  static V adds(V a, V b) { return _mm512_add_epi32(a, b); }
+  static V subs(V a, V b) { return _mm512_sub_epi32(a, b); }
+  static V and_(V a, V b) { return _mm512_and_si512(a, b); }
+  static V or_(V a, V b) { return _mm512_or_si512(a, b); }
+  static V eq(V a, V b) { return _mm512_maskz_set1_epi32(_mm512_cmpeq_epi32_mask(a, b), -1); }
+};
+
 }  // namespace
 
 bool avx512_kernels_compiled() noexcept { return true; }
 
-template <typename LaneT, bool kBest>
+template <typename LaneT, bool kBest, bool kTaps, bool kFind>
 TileResult run_striped_avx512(const TileJob& job, TileScratch& scratch) {
-  return run_striped_core<Avx512Backend<LaneT>, kBest>(job, scratch);
+  return run_striped_core<Avx512Backend<LaneT>, kBest, kTaps, kFind>(job, scratch);
 }
 
-template TileResult run_striped_avx512<std::int8_t, false>(const TileJob&, TileScratch&);
-template TileResult run_striped_avx512<std::int8_t, true>(const TileJob&, TileScratch&);
-template TileResult run_striped_avx512<std::int16_t, false>(const TileJob&, TileScratch&);
-template TileResult run_striped_avx512<std::int16_t, true>(const TileJob&, TileScratch&);
+CUDALIGN_STRIPED_ISA_INSTANTIATIONS(template, run_striped_avx512)
 
 }  // namespace cudalign::engine::detail
 
@@ -85,7 +106,7 @@ namespace cudalign::engine::detail {
 
 bool avx512_kernels_compiled() noexcept { return false; }
 
-template <typename LaneT, bool kBest>
+template <typename LaneT, bool kBest, bool kTaps, bool kFind>
 TileResult run_striped_avx512(const TileJob& job, TileScratch& scratch) {
   (void)job;
   (void)scratch;
@@ -93,10 +114,7 @@ TileResult run_striped_avx512(const TileJob& job, TileScratch& scratch) {
   return TileResult{};
 }
 
-template TileResult run_striped_avx512<std::int8_t, false>(const TileJob&, TileScratch&);
-template TileResult run_striped_avx512<std::int8_t, true>(const TileJob&, TileScratch&);
-template TileResult run_striped_avx512<std::int16_t, false>(const TileJob&, TileScratch&);
-template TileResult run_striped_avx512<std::int16_t, true>(const TileJob&, TileScratch&);
+CUDALIGN_STRIPED_ISA_INSTANTIATIONS(template, run_striped_avx512)
 
 }  // namespace cudalign::engine::detail
 

@@ -34,15 +34,26 @@
 //            per-lane decay is linear in distance, so doubling composes);
 //   pass 2   E = max(Eseg, entry - k*G_ext), H = max(Htmp, E), row max.
 //
-// Exactness (byte-identity with the scalar kernels) holds inside the lane
-// envelope the striped prechecks admit (kernel_detail.hpp): in local mode
-// every H >= 0, so every *published* E/F value is genuine (>= -G_first) and
-// the sentinel / saturated chains lose every max they enter; the
-// reachable-score bound keeps genuine arithmetic below the saturation point,
-// so saturating adds/subs equal exact arithmetic on every winning branch.
+// Two modes share the sweep, chosen by the lane width (StripedBindings):
+//
+//   * local (int8 / int16 lanes, saturating): H floors at 0. Exactness
+//     (byte-identity with the scalar kernels) holds inside the lane envelope
+//     the striped prechecks admit (kernel_detail.hpp): every H >= 0, so every
+//     *published* E/F value is genuine (>= -G_first) and the sentinel /
+//     saturated chains lose every max they enter; the reachable-score bound
+//     keeps genuine arithmetic below the saturation point, so saturating
+//     adds/subs equal exact arithmetic on every winning branch.
+//   * global (int32 lanes, plain add/sub): no zero floor. The lanes perform
+//     the scalar kernels' own int32 arithmetic, and the closed form above is
+//     an identity of exact integer arithmetic, so the sweep is byte-identical
+//     wherever nothing wraps — which the global envelope's checked
+//     reachable-score bound guarantees (striped32_global_can_run). Taps read
+//     (H, E) after pass 2; the value probe scans a row in row-major order
+//     once a vector compare has seen the target in it.
+//
 // Pad columns (slots >= w of the last lanes) receive real values but — all
-// dataflow being non-decreasing in column index — never feed one, and the
-// row-max reduction masks them out.
+// dataflow being non-decreasing in column index — never feed one; the
+// row-max reduction masks them out and the probe never reports them.
 #pragma once
 
 #include <algorithm>
@@ -55,13 +66,14 @@
 
 namespace cudalign::engine::detail {
 
-/// Lane-width bindings: which envelope a lane type is checked against and
-/// which TileScratch buffers it uses.
+/// Lane-width bindings: the recurrence mode a lane type runs, which envelope
+/// it is checked against and which TileScratch buffers it uses.
 template <typename LaneT>
 struct StripedBindings;
 
 template <>
 struct StripedBindings<std::int8_t> {
+  static constexpr bool kLocal = true;
   static constexpr LaneEnvelope kEnvelope = kLaneEnvelope8;
   static std::vector<std::int8_t>& workspace(TileScratch& s) { return s.striped8; }
   static std::vector<std::int8_t>& mask(TileScratch& s) { return s.striped_mask8; }
@@ -72,6 +84,7 @@ struct StripedBindings<std::int8_t> {
 
 template <>
 struct StripedBindings<std::int16_t> {
+  static constexpr bool kLocal = true;
   static constexpr LaneEnvelope kEnvelope = kLaneEnvelope16;
   static std::vector<std::int16_t>& workspace(TileScratch& s) { return s.striped16; }
   static std::vector<std::int16_t>& mask(TileScratch& s) { return s.striped_mask16; }
@@ -80,20 +93,38 @@ struct StripedBindings<std::int16_t> {
   }
 };
 
+/// int32 lanes run global mode: plain arithmetic, the scalar sentinel, and
+/// no mask (best tracking is local-only).
+template <>
+struct StripedBindings<std::int32_t> {
+  static constexpr bool kLocal = false;
+  static std::vector<std::int32_t>& workspace(TileScratch& s) { return s.striped32; }
+  static scoring::StripedProfile<std::int32_t>& profile(TileScratch& s) {
+    return s.striped_profile32;
+  }
+};
+
 /// The striped sweep over a SIMD backend B. A backend provides:
-///   Lane               int8_t or int16_t
+///   Lane               int8_t or int16_t (local), int32_t (global)
 ///   kLanes             lanes per vector (p)
 ///   kNinfLane          sentinel: loses every max inside the envelope
 ///   V                  vector register type
 ///   load/store/set1/zero/max/adds/subs/and_   elementwise Lane ops
-/// (adds/subs saturate; inside the envelope no genuine value saturates).
-template <typename B, bool kBest>
+///   eq/or_             (int32 only, for the value probe) lane compare
+/// (narrow adds/subs saturate, int32 ones wrap; inside the envelope no
+/// genuine value does either). kBest is local-only; kTaps and kFind are
+/// global-only.
+template <typename B, bool kBest, bool kTaps = false, bool kFind = false>
 TileResult run_striped_core(const TileJob& job, TileScratch& scratch) {
   using Lane = typename B::Lane;
   using V = typename B::V;
   static constexpr Index p = B::kLanes;
   static constexpr Lane kNinfLane = B::kNinfLane;
-  static constexpr LaneEnvelope kEnv = StripedBindings<Lane>::kEnvelope;
+  static constexpr bool kLocal = StripedBindings<Lane>::kLocal;
+  static_assert(kLocal || sizeof(Lane) == sizeof(Score),
+                "global mode needs the scalar kernels' int32 arithmetic");
+  static_assert(kLocal ? !kTaps && !kFind : !kBest,
+                "striped features: best tracking in local mode, taps/probe in global mode");
 
   const Recurrence& rec = *job.recurrence;
   const scoring::Scheme& s = rec.scheme;
@@ -110,13 +141,19 @@ TileResult run_striped_core(const TileJob& job, TileScratch& scratch) {
   const auto slot = [t](Index j) {
     return static_cast<std::size_t>((j % t) * p + j / t);
   };
-  // Envelope-checked narrowing, the striped to_lane (sentinels keep losing).
-  const auto to_lane = [](Score v) {
-    if (is_neg_inf(v)) return kNinfLane;
-    CUDALIGN_DCHECK(v >= kEnv.real_floor && v <= kEnv.ceiling, "striped lane input ", v,
-                    " outside the admitted envelope [", kEnv.real_floor, ", ", kEnv.ceiling,
-                    "] — striped precheck violated");
-    return static_cast<Lane>(v);
+  // Envelope-checked narrowing, the striped to_lane (sentinels keep losing;
+  // int32 lanes take every input as is, drifted sentinels included).
+  const auto to_lane = [](Score v) -> Lane {
+    if constexpr (kLocal) {
+      constexpr LaneEnvelope kEnv = StripedBindings<Lane>::kEnvelope;
+      if (is_neg_inf(v)) return kNinfLane;
+      CUDALIGN_DCHECK(v >= kEnv.real_floor && v <= kEnv.ceiling, "striped lane input ", v,
+                      " outside the admitted envelope [", kEnv.real_floor, ", ", kEnv.ceiling,
+                      "] — striped precheck violated");
+      return static_cast<Lane>(v);
+    } else {
+      return v;
+    }
   };
 
   // Workspace: three lane planes — H (previous row during pass 1, rewritten
@@ -136,9 +173,11 @@ TileResult run_striped_core(const TileJob& job, TileScratch& scratch) {
   Lane* entry_row = scan_pad + p;
   std::fill(scan_pad, scan_pad + p, kNinfLane);
 
-  auto& mask = StripedBindings<Lane>::mask(scratch);
+  [[maybe_unused]] Lane* mask = nullptr;
   if constexpr (kBest) {
-    mask.resize(static_cast<std::size_t>(wpad));
+    auto& mask_plane = StripedBindings<Lane>::mask(scratch);
+    mask_plane.resize(static_cast<std::size_t>(wpad));
+    mask = mask_plane.data();
     for (Index k = 0; k < t; ++k) {
       for (Index l = 0; l < p; ++l) {
         mask[static_cast<std::size_t>(k * p + l)] =
@@ -154,8 +193,8 @@ TileResult run_striped_core(const TileJob& job, TileScratch& scratch) {
 
   // Row-0 state from the horizontal bus (index 0, the corner vertex, is
   // owned by the vertical bus — see kernels_scalar.cpp load_row_state). Pad
-  // slots start at the local floor (H = 0, F = sentinel): they receive from
-  // real columns but never feed one.
+  // slots start at the floor (H = 0 local, the sentinel global; F =
+  // sentinel): they receive from real columns but never feed one.
   for (Index l = 0; l < p; ++l) {
     for (Index k = 0; k < t; ++k) {
       const Index j = l * t + k;
@@ -165,7 +204,7 @@ TileResult run_striped_core(const TileJob& job, TileScratch& scratch) {
         H[sl] = to_lane(cell.h);
         F[sl] = to_lane(cell.gap);
       } else {
-        H[sl] = 0;
+        H[sl] = kLocal ? Lane{0} : kNinfLane;
         F[sl] = kNinfLane;
       }
     }
@@ -178,6 +217,8 @@ TileResult run_striped_core(const TileJob& job, TileScratch& scratch) {
   const V v_first = B::set1(static_cast<Lane>(s.gap_first));
   const V v_zero = B::zero();
   const V v_ninf = B::set1(kNinfLane);
+  [[maybe_unused]] V v_target = v_zero;
+  if constexpr (kFind) v_target = B::set1(*job.find_value);
   const Score ext = s.gap_ext;
   const Score first = s.gap_first;
   const Score seg_decay = check::checked_mul<Score>(static_cast<Score>(t), ext);
@@ -188,7 +229,9 @@ TileResult run_striped_core(const TileJob& job, TileScratch& scratch) {
   // only weakens terms that were already lost: a term whose decay clamped is
   // <= ceiling - lane_max, strictly below every lane's own exit term
   // (>= -G_first inside the envelope), so it loses every max it enters —
-  // exactly as the unclamped arithmetic would have lost.
+  // exactly as the unclamped arithmetic would have lost. (In int32 lanes the
+  // global envelope bounds every decay far below the clamp, which never
+  // binds.)
   static_assert((p & (p - 1)) == 0, "striped lane count must be a power of two");
   constexpr int kScanSteps = [] {
     int n = 0;
@@ -238,7 +281,7 @@ TileResult run_striped_core(const TileJob& job, TileScratch& scratch) {
       B::store(F + k * p, v_f);
       V v_ht = B::adds(v_diag, B::load(prow + k * p));
       v_ht = B::max(v_ht, v_f);
-      v_ht = B::max(v_ht, v_zero);
+      if constexpr (kLocal) v_ht = B::max(v_ht, v_zero);
       B::store(H + k * p, v_ht);
       v_diag = v_hp;
       v_e = B::max(B::subs(v_e, v_ext), B::subs(v_ht, v_first));
@@ -266,8 +309,12 @@ TileResult run_striped_core(const TileJob& job, TileScratch& scratch) {
     B::store(entry_row + 1, B::max(B::subs(B::load(E + (t - 1) * p), v_ext),
                                    B::subs(B::load(H + (t - 1) * p), v_first)));
     const Score seed = std::max<Score>(left.gap - ext, left.h - first);
-    entry_row[0] = static_cast<Lane>(
-        std::clamp<Score>(seed, static_cast<Score>(kNinfLane), kEnv.ceiling));
+    if constexpr (kLocal) {
+      entry_row[0] = static_cast<Lane>(std::clamp<Score>(
+          seed, static_cast<Score>(kNinfLane), StripedBindings<Lane>::kEnvelope.ceiling));
+    } else {
+      entry_row[0] = seed;
+    }
     for (int st = 0; st < kScanSteps; ++st) {
       B::store(entry_row,
                B::max(B::load(entry_row),
@@ -279,22 +326,59 @@ TileResult run_striped_core(const TileJob& job, TileScratch& scratch) {
     // Pass 2: fold the decayed entry into the gap scan and finish H.
     V v_decay = B::load(entry_row);
     V v_rowmax = v_zero;
+    [[maybe_unused]] V v_hit = v_zero;
     for (Index k = 0; k < t; ++k) {
       const V v_ef = B::max(B::load(E + k * p), v_decay);
       const V v_h = B::max(B::load(H + k * p), v_ef);
       B::store(H + k * p, v_h);
       if constexpr (kBest) {
-        v_rowmax = B::max(v_rowmax, B::and_(v_h, B::load(mask.data() + k * p)));
+        v_rowmax = B::max(v_rowmax, B::and_(v_h, B::load(mask + k * p)));
       }
+      if constexpr (kFind) v_hit = B::or_(v_hit, B::eq(v_h, v_target));
       v_decay = B::subs(v_decay, v_ext);
     }
 
     // Rectified vertical bus: the true last-column (H, E) of this row.
     const Score h_last = static_cast<Score>(H[last_slot]);
-    CUDALIGN_DCHECK(h_last <= kEnv.ceiling, "striped lane published H ", h_last,
-                    " above the ceiling ", kEnv.ceiling);
+    if constexpr (kLocal) {
+      CUDALIGN_DCHECK(h_last <= StripedBindings<Lane>::kEnvelope.ceiling,
+                      "striped lane published H ", h_last, " above the ceiling");
+    }
     job.vbus_out[static_cast<std::size_t>(i)] = BusCell{h_last, e_pub};
     h0_prev = left.h;
+
+    if constexpr (kTaps) {
+      // Tap (H, E) at column j (0-based, lane l, vector k): E folds the
+      // lane's entry exactly as pass 2 did, as e_pub does for the last column.
+      for (std::size_t tp = 0; tp < job.tap_cols.size(); ++tp) {
+        const Index j = job.tap_cols[tp] - job.c0 - 1;
+        const std::size_t sl = slot(j);
+        const Score e_tap = std::max(static_cast<Score>(E[sl]),
+                                     static_cast<Score>(entry_row[j / t]) -
+                                         static_cast<Score>(j % t) * ext);
+        result.taps[tp][static_cast<std::size_t>(i - 1)] =
+            BusCell{static_cast<Score>(H[sl]), e_tap};
+      }
+    }
+
+    if constexpr (kFind) {
+      // A lane compare saw the target somewhere in this row (perhaps only in
+      // a pad slot): scan the real columns in row-major order for the first
+      // hit, the scalar kernels' report.
+      if (!result.found) {
+        B::store(shift_row, v_hit);
+        bool any = false;
+        for (Index l = 0; l < p; ++l) any = any || shift_row[l] != 0;
+        for (Index j = 0; any && j < w; ++j) {
+          if (static_cast<Score>(H[slot(j)]) == *job.find_value) {
+            result.found = true;
+            result.found_i = job.r0 + i;
+            result.found_j = job.c0 + j + 1;
+            break;
+          }
+        }
+      }
+    }
 
     if constexpr (kBest) {
       // Reduce the masked row max, then locate its first (smallest-j)
@@ -330,8 +414,10 @@ TileResult run_striped_core(const TileJob& job, TileScratch& scratch) {
       if (j >= w) break;
       const std::size_t sl = static_cast<std::size_t>(k * p + l);
       const Score h_out = static_cast<Score>(H[sl]);
-      CUDALIGN_DCHECK(h_out <= kEnv.ceiling, "striped lane published H ", h_out,
-                      " above the ceiling ", kEnv.ceiling);
+      if constexpr (kLocal) {
+        CUDALIGN_DCHECK(h_out <= StripedBindings<Lane>::kEnvelope.ceiling,
+                        "striped lane published H ", h_out, " above the ceiling");
+      }
       job.hbus[static_cast<std::size_t>(j) + 1] = BusCell{h_out, static_cast<Score>(F[sl])};
     }
   }

@@ -242,8 +242,24 @@ std::vector<std::string> validate_run_report(const Json& report) {
       require(stage.find(key) != nullptr,
               std::string("stage entry missing key \"") + key + "\"");
     }
-    if (const Json* cells = stage.find("cells"); cells != nullptr && cells->is_int()) {
-      total_cells += cells->as_int();
+    const Json* cells = stage.find("cells");
+    if (cells == nullptr || !cells->is_int()) continue;
+    total_cells += cells->as_int();
+    // Invariant: a stage that attributes its tiles to kernels attributes all
+    // of its cells — the per-kernel cells sum to the stage's.
+    if (const Json* kernels = stage.find("kernels");
+        kernels != nullptr && kernels->is_array() && !kernels->as_array().empty()) {
+      std::int64_t kernel_cells = 0;
+      for (const Json& k : kernels->as_array()) {
+        if (const Json* kc = k.find("cells"); kc != nullptr && kc->is_int()) {
+          kernel_cells += kc->as_int();
+        }
+      }
+      const Json* id = stage.find("stage");
+      require(kernel_cells == cells->as_int(),
+              "stage " + (id != nullptr && id->is_int() ? std::to_string(id->as_int()) : "?") +
+                  " kernel cells (" + std::to_string(kernel_cells) + ") != stage cells (" +
+                  std::to_string(cells->as_int()) + ")");
     }
   }
 

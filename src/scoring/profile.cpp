@@ -57,5 +57,6 @@ void StripedProfile<LaneT>::build(seq::SequenceView b, Index c0, Index c1, const
 
 template class StripedProfile<std::int8_t>;
 template class StripedProfile<std::int16_t>;
+template class StripedProfile<std::int32_t>;
 
 }  // namespace cudalign::scoring

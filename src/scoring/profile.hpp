@@ -55,9 +55,10 @@ class QueryProfile {
 /// strongly losing score that keeps pad columns from ever producing a
 /// competitive match.
 ///
-/// LaneT is the kernel's lane type (int8_t / int16_t); the narrowing from
-/// Score is exact because the striped kernels' range prechecks admit only
-/// schemes whose penalties fit the lane envelope (engine/kernel_detail.hpp).
+/// LaneT is the kernel's lane type (int8_t / int16_t / int32_t); the
+/// narrowing from Score is exact because the narrow striped kernels' range
+/// prechecks admit only schemes whose penalties fit the lane envelope
+/// (engine/kernel_detail.hpp), and int32_t does not narrow.
 template <typename LaneT>
 class StripedProfile {
  public:
@@ -92,5 +93,6 @@ class StripedProfile {
 
 extern template class StripedProfile<std::int8_t>;
 extern template class StripedProfile<std::int16_t>;
+extern template class StripedProfile<std::int32_t>;
 
 }  // namespace cudalign::scoring

@@ -1,12 +1,16 @@
 // common substrate: RNG determinism, thread pool, binary I/O, formatting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <set>
 #include <sstream>
+#include <vector>
 
 #include "alignment/gaplist.hpp"
 #include "common/args.hpp"
+#include "common/crc32.hpp"
 #include "common/format.hpp"
 #include "common/io_util.hpp"
 #include "common/rng.hpp"
@@ -184,6 +188,53 @@ TEST(IoUtil, SmallWritesToAFullDiskThrow) {
   EXPECT_THROW(alignment::write_binary_file("/dev/full", alignment::BinaryAlignment{}), Error);
   EXPECT_THROW(seq::write_fasta_file("/dev/full", {seq::Sequence::from_string("s", "ACGT")}),
                Error);
+}
+
+/// The bytewise table loop the slice-by-8 CRC must reproduce bit for bit.
+std::uint32_t crc32_bytewise(const unsigned char* data, std::size_t size) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    c ^= data[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, KnownAnswer) {
+  EXPECT_EQ(common::crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(common::crc32(""), 0u);
+}
+
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  Rng rng(3210);
+  std::vector<unsigned char> buf(80);
+  for (auto& byte : buf) byte = static_cast<unsigned char>(rng.below(256));
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 67; ++len) {
+      EXPECT_EQ(common::crc32(buf.data() + offset, len), crc32_bytewise(buf.data() + offset, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32, ChainedUpdatesEqualOneShot) {
+  Rng rng(3211);
+  std::vector<unsigned char> buf(1000);
+  for (auto& byte : buf) byte = static_cast<unsigned char>(rng.below(256));
+  const std::uint32_t whole = common::crc32(buf.data(), buf.size());
+  EXPECT_EQ(whole, crc32_bytewise(buf.data(), buf.size()));
+  for (const std::size_t cut : {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{8},
+                                std::size_t{13}, std::size_t{500}, std::size_t{999}}) {
+    std::uint32_t crc = common::crc32_update(0, buf.data(), cut);
+    crc = common::crc32_update(crc, buf.data() + cut, buf.size() - cut);
+    EXPECT_EQ(crc, whole) << "cut at " << cut;
+  }
+  // Many small chunks of varying length.
+  std::uint32_t crc = 0;
+  for (std::size_t pos = 0, step = 1; pos < buf.size(); pos += step, step = step % 11 + 1) {
+    crc = common::crc32_update(crc, buf.data() + pos, std::min(step, buf.size() - pos));
+  }
+  EXPECT_EQ(crc, whole);
 }
 
 TEST(Format, Counts) {

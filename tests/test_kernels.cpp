@@ -5,6 +5,7 @@
 // boundary corners.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <map>
@@ -421,9 +422,16 @@ TEST(LaneEnvelope, Int8GapFloorEscalatesToWiderLanes) {
 // ISA dispatch: every compiled backend must produce byte-identical tiles.
 // ---------------------------------------------------------------------------
 
+/// Every SIMD ISA the striped kernels know; tests skip the ones this build
+/// or CPU cannot force.
+const std::vector<engine::SimdIsa>& all_isas() {
+  static const std::vector<engine::SimdIsa> kIsas = {
+      engine::SimdIsa::kGeneric, engine::SimdIsa::kSse2, engine::SimdIsa::kAvx2,
+      engine::SimdIsa::kAvx512};
+  return kIsas;
+}
+
 TEST(StripedIsa, EveryCompiledBackendMatchesLegacyByteForByte) {
-  const std::vector<engine::SimdIsa> isas = {engine::SimdIsa::kGeneric, engine::SimdIsa::kSse2,
-                                             engine::SimdIsa::kAvx2, engine::SimdIsa::kAvx512};
   Rng rng(5150);
   std::vector<TileCase> cases;
   for (int iter = 0; iter < 12; ++iter) {
@@ -433,7 +441,7 @@ TEST(StripedIsa, EveryCompiledBackendMatchesLegacyByteForByte) {
                               "isa" + std::to_string(iter)));
   }
   int forced = 0;
-  for (const engine::SimdIsa isa : isas) {
+  for (const engine::SimdIsa isa : all_isas()) {
     try {
       engine::set_simd_isa_override(isa);
     } catch (const Error&) {
@@ -542,18 +550,290 @@ TEST(KernelOverrideDeathTest, UnknownEnvSimdIsaFailsFastWithExitCode2) {
   engine::reload_simd_isa_from_env();
 }
 
-TEST(KernelDispatch, GlobalModeUsesSpecializedScalarSweep) {
-  const auto a = rand_seq(90, 9001);
-  const auto b = rand_seq(110, 9002);
+engine::RunResult run_global(Index m, Index n, engine::GridSpec grid, const Recurrence& rec) {
+  const auto a = rand_seq(m, 9001);
+  const auto b = rand_seq(n, 9002);
   engine::ProblemSpec spec;
   spec.a = a.bases();
   spec.b = b.bases();
-  spec.grid = engine::GridSpec{2, 8, 2, 1};
-  spec.recurrence = Recurrence::global_start(dp::CellState::kH, paper());
-  const auto run = engine::run_wavefront(spec, engine::Hooks{});
-  const auto& tally =
-      run.stats.kernels[static_cast<std::size_t>(KernelId::kScalarGlobal)];
-  EXPECT_EQ(tally.tiles, run.stats.tiles) << engine::kernel_usage_summary(run.stats);
+  spec.grid = grid;
+  spec.recurrence = rec;
+  return engine::run_wavefront(spec, engine::Hooks{});
+}
+
+// Global tiles go to the striped int32 sweep; tiles narrower than the
+// registry's vector shape gate (16 columns), or outside its envelope (a
+// sentinel H input), fall back to the specialized scalar row sweep.
+TEST(KernelDispatch, GlobalModeUsesSpecializedScalarSweep) {
+  const auto tally = [](const engine::RunResult& run, KernelId id) {
+    return run.stats.kernels[static_cast<std::size_t>(id)];
+  };
+  // Wide tiles, genuine boundaries: every tile runs striped.
+  const auto wide = run_global(90, 110, engine::GridSpec{2, 8, 2, 1},
+                               Recurrence::global_start(dp::CellState::kH, paper()));
+  EXPECT_EQ(tally(wide, KernelId::kStriped32Global).tiles, wide.stats.tiles)
+      << engine::kernel_usage_summary(wide.stats);
+  // Narrow tiles (110 / 10 = 11 columns < 16): every tile runs scalar.
+  const auto narrow = run_global(90, 110, engine::GridSpec{10, 4, 4, 1},
+                                 Recurrence::global_start(dp::CellState::kH, paper()));
+  EXPECT_EQ(tally(narrow, KernelId::kScalarGlobal).tiles, narrow.stats.tiles)
+      << engine::kernel_usage_summary(narrow.stats);
+  // An end-in-E reverse sweep has H = -inf on column 0, so exactly the first
+  // chunk's tiles see sentinel H on their vertical bus and stay scalar.
+  const auto sentinel = run_global(90, 110, engine::GridSpec{2, 8, 2, 1},
+                                   Recurrence::global_end(dp::CellState::kE, paper()));
+  EXPECT_EQ(tally(sentinel, KernelId::kScalarGlobal).tiles, sentinel.stats.strips)
+      << engine::kernel_usage_summary(sentinel.stats);
+  EXPECT_EQ(tally(sentinel, KernelId::kStriped32Global).tiles,
+            sentinel.stats.tiles - sentinel.stats.strips)
+      << engine::kernel_usage_summary(sentinel.stats);
+}
+
+// ---------------------------------------------------------------------------
+// striped32-global: the striped sweep in global mode on int32 lanes must be
+// byte-identical to legacy and to its scalar-global* twin for every feature
+// tuple, under every compiled ISA, at every lane-count edge.
+// ---------------------------------------------------------------------------
+
+/// The scalar-global* variant whose feature tuple matches the case.
+const KernelVariant& scalar_twin(const TileCase& tc) {
+  const bool taps = !tc.tap_cols.empty();
+  const bool find = tc.find_value.has_value();
+  const KernelId id = taps && find ? KernelId::kScalarGlobalTapsFind
+                      : taps       ? KernelId::kScalarGlobalTaps
+                      : find       ? KernelId::kScalarGlobalFind
+                                   : KernelId::kScalarGlobal;
+  return engine::kernel_info(id);
+}
+
+/// Runs striped32-global on `tc` (bypassing the selector's width gate, which
+/// is a cost choice, not an exactness bound) and compares it with legacy and
+/// the scalar twin.
+void expect_striped32_exact(const TileCase& tc, const std::string& label) {
+  const KernelVariant& striped = engine::kernel_info(KernelId::kStriped32Global);
+  const TileOutputs expected = run_variant(tc, engine::kernel_info(KernelId::kLegacy));
+  expect_identical(expected, run_variant(tc, scalar_twin(tc)), label + " / scalar twin");
+  expect_identical(expected, run_variant(tc, striped), label + " / striped32-global");
+}
+
+/// Columns worth tapping: the first and last, and the first and last column
+/// of every lane segment for p = 4, 8 and 16 lanes.
+std::vector<Index> lane_edge_taps(const TileCase& tc) {
+  const Index w = tc.c1 - tc.c0;
+  std::vector<Index> cols = {tc.c0 + 1, tc.c1};
+  for (const Index p : {4, 8, 16}) {
+    const Index t = (w + p - 1) / p;
+    for (Index l = 1; l < p && l * t < w; ++l) {
+      cols.push_back(tc.c0 + l * t);      // Last column of lane l - 1.
+      cols.push_back(tc.c0 + l * t + 1);  // First column of lane l.
+    }
+  }
+  std::sort(cols.begin(), cols.end());
+  cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
+  return cols;
+}
+
+/// The H value legacy computes at (row, col) of the tile (1-based within it).
+Score legacy_h_at(TileCase tc, Index row, Index col) {
+  tc.tap_cols = {tc.c0 + col};
+  tc.find_value.reset();
+  return run_variant(tc, engine::kernel_info(KernelId::kLegacy))
+      .result.taps[0][static_cast<std::size_t>(row - 1)]
+      .h;
+}
+
+TEST(Striped32Global, FeatureTuplesAcrossLaneEdgesAndIsas) {
+  const std::vector<Index> widths = {3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 24, 32, 48, 64};
+  Rng rng(8080);
+  std::vector<TileCase> cases;
+  for (const Index w : widths) {
+    for (int feat = 0; feat < 4; ++feat) {
+      const bool taps = feat & 1;
+      const bool find = feat & 2;
+      std::string name = "w";
+      name += std::to_string(w);
+      name += "_feat";
+      name += std::to_string(feat);
+      TileCase tc = make_case(rng, 1 + static_cast<Index>(rng.below(24)), w, 1 + feat % 4, false,
+                              false, false, paper(), name);
+      if (taps) tc.tap_cols = lane_edge_taps(tc);
+      if (find) {
+        // Rotate the probe target: the first cell, the last cell, absent.
+        const Index rows = tc.r1 - tc.r0;
+        const int which = static_cast<int>(w % 3);
+        tc.find_value = which == 0   ? legacy_h_at(tc, 1, 1)
+                        : which == 1 ? legacy_h_at(tc, rows, w)
+                                     : Score{1000000};
+      }
+      cases.push_back(std::move(tc));
+    }
+  }
+  int forced = 0;
+  for (const engine::SimdIsa isa : all_isas()) {
+    try {
+      engine::set_simd_isa_override(isa);
+    } catch (const Error&) {
+      continue;
+    }
+    ++forced;
+    for (const TileCase& tc : cases) {
+      expect_striped32_exact(tc, tc.name + " / " + std::string(engine::simd_isa_name(isa)));
+    }
+  }
+  engine::clear_simd_isa_override();
+  EXPECT_GE(forced, 1);
+}
+
+TEST(Striped32Global, ProbeReportsFirstCellHitAndAbsence) {
+  Rng rng(8081);
+  TileCase tc = make_case(rng, 20, 40, 1, false, false, false, paper(), "probe");
+  const KernelVariant& striped = engine::kernel_info(KernelId::kStriped32Global);
+  tc.find_value = legacy_h_at(tc, 1, 1);
+  TileOutputs got = run_variant(tc, striped);
+  EXPECT_TRUE(got.result.found);
+  EXPECT_EQ(got.result.found_i, tc.r0 + 1);
+  EXPECT_EQ(got.result.found_j, tc.c0 + 1);
+  tc.find_value = Score{1000000};
+  got = run_variant(tc, striped);
+  EXPECT_FALSE(got.result.found);
+  expect_striped32_exact(tc, "probe-absent");
+}
+
+TEST(Striped32Global, EnvelopeAdmitsGenuineTilesOnly) {
+  Rng rng(8082);
+  const KernelVariant& striped = engine::kernel_info(KernelId::kStriped32Global);
+  TileCase tc = make_case(rng, 12, 16, 1, false, true, true, paper(), "envelope");
+  EXPECT_TRUE(variant_accepts(tc, striped));
+  expect_striped32_exact(tc, "envelope");
+  // Gap sentinels are admitted: the genuine H branch wins within one step.
+  tc.hbus[3].gap = kNegInf;
+  tc.vbus_in[2].gap = kNegInf - 50;
+  EXPECT_TRUE(variant_accepts(tc, striped));
+  expect_striped32_exact(tc, "gap-sentinels");
+  // Sentinel H anywhere among the inputs, the corner included: scalar only.
+  for (const int where : {0, 1, 2}) {
+    TileCase bad = tc;
+    if (where == 0) bad.vbus_in[0].h = kNegInf;
+    if (where == 1) bad.vbus_in[5].h = kNegInf;
+    if (where == 2) bad.hbus[16].h = kNegInf - 7;
+    EXPECT_FALSE(variant_accepts(bad, striped)) << "sentinel H case " << where;
+    EXPECT_TRUE(variant_accepts(bad, scalar_twin(bad)));
+  }
+  // The hbus corner (index 0) belongs to the left neighbour and is ignored.
+  TileCase corner = tc;
+  corner.hbus[0].h = kNegInf;
+  EXPECT_TRUE(variant_accepts(corner, striped));
+  // Narrow tiles are exact too: width is the selector's shape gate, not part
+  // of the envelope. Best tracking and local mode are rejected.
+  const TileCase narrow = make_case(rng, 12, 3, 1, false, true, true, paper(), "narrow");
+  EXPECT_TRUE(variant_accepts(narrow, striped));
+  expect_striped32_exact(narrow, "narrow");
+  EXPECT_FALSE(variant_accepts(make_case(rng, 12, 32, 1, true, false, false, paper(), "best"),
+                               striped));
+  EXPECT_FALSE(variant_accepts(make_case(rng, 12, 32, 0, false, false, false, paper(), "local"),
+                               striped));
+  // The reachable-score bound: inputs near |kNegInf| / 2 are refused.
+  TileCase huge = tc;
+  huge.hbus[4].h = -(kNegInf / 2) - 100;
+  EXPECT_FALSE(variant_accepts(huge, striped));
+  huge.hbus[4].h = 1000000;
+  EXPECT_TRUE(variant_accepts(huge, striped));
+  expect_striped32_exact(huge, "large-genuine");
+}
+
+TEST(Striped32Global, FuzzAgainstLegacyAndScalar) {
+  Rng rng(8083);
+  const std::vector<scoring::Scheme> schemes = {paper(), scoring::Scheme{2, -1, 3, 1},
+                                                scoring::Scheme{3, -2, 7, 2},
+                                                scoring::Scheme{5, -4, 10, 1}};
+  for (int iter = 0; iter < 150; ++iter) {
+    const Index rows = 1 + static_cast<Index>(rng.below(50));
+    const Index w = 1 + static_cast<Index>(rng.below(90));
+    const int mode = 1 + static_cast<int>(rng.below(4));
+    TileCase tc = make_case(rng, rows, w, mode, false, rng.chance(0.5), rng.chance(0.5),
+                            schemes[iter % schemes.size()], "s32fuzz" + std::to_string(iter));
+    expect_striped32_exact(tc, tc.name);
+  }
+}
+
+/// Problem level: run_wavefront with automatic selection (striped32 wherever
+/// admitted) against run_reference (taps) and a legacy-pinned run (taps and
+/// probe), for every global start/end state and every (taps, find) tuple.
+TEST(Striped32Global, ProblemLevelMatchesReferenceForEveryCellState) {
+  const auto a = rand_seq(150, 6100);
+  const auto b = rand_seq(170, 6101);
+  const auto same_or_both_unreachable = [](const BusCell& x, const BusCell& y) {
+    const auto eq = [](Score u, Score v) { return u == v || (is_neg_inf(u) && is_neg_inf(v)); };
+    return eq(x.h, y.h) && eq(x.gap, y.gap);
+  };
+  for (const dp::CellState state : {dp::CellState::kH, dp::CellState::kE, dp::CellState::kF}) {
+    for (const bool end : {false, true}) {
+      engine::ProblemSpec spec;
+      spec.a = a.bases();
+      spec.b = b.bases();
+      spec.grid = engine::GridSpec{3, 8, 4, 1};
+      spec.recurrence = end ? Recurrence::global_end(state, paper())
+                            : Recurrence::global_start(state, paper());
+      std::map<Index, std::vector<BusCell>> taps;
+      engine::Hooks hooks;
+      hooks.tap_columns = {1, 57, 113, 170};
+      hooks.on_tap = [&](Index col, Index, std::span<const BusCell> cells) {
+        auto& out = taps[col];
+        out.insert(out.end(), cells.begin(), cells.end());
+        return engine::HookAction::kContinue;
+      };
+      const auto run_taps = [&](const engine::ProblemSpec& sp, const engine::Hooks& hk,
+                                bool reference) {
+        taps.clear();
+        auto result = reference ? engine::run_reference(sp, hk) : engine::run_wavefront(sp, hk);
+        return std::make_pair(result, taps);
+      };
+      const auto [ref, ref_taps] = run_taps(spec, hooks, true);
+      // A probe target the sweep reaches mid-problem: H at vertex (100, 113).
+      const Score target = ref_taps.at(113)[100].h;
+      for (int feat = 0; feat < 4; ++feat) {
+        const std::string label = std::string(end ? "end" : "start") +
+                                  std::to_string(static_cast<int>(state)) + "_feat" +
+                                  std::to_string(feat);
+        engine::Hooks hk = hooks;
+        if ((feat & 1) == 0) {
+          hk.tap_columns.clear();
+          hk.on_tap = nullptr;
+        }
+        if (feat & 2) hk.find_value = target;
+        spec.kernel_override.clear();
+        const auto [run, got_taps] = run_taps(spec, hk, false);
+        spec.kernel_override = "legacy";
+        const auto [legacy, legacy_taps] = run_taps(spec, hk, false);
+
+        // A probe may stop inside the first strip, which an end-in-F sweep
+        // (sentinel H on row 0) runs entirely scalar.
+        if ((feat & 2) == 0) {
+          EXPECT_GT(
+              run.stats.kernels[static_cast<std::size_t>(KernelId::kStriped32Global)].tiles, 0)
+              << label << ": " << engine::kernel_usage_summary(run.stats);
+        }
+        EXPECT_EQ(got_taps, legacy_taps) << label;
+        EXPECT_EQ(run.found, legacy.found) << label;
+        EXPECT_EQ(run.found_i, legacy.found_i) << label;
+        EXPECT_EQ(run.found_j, legacy.found_j) << label;
+        if (feat & 2) {
+          EXPECT_TRUE(run.found) << label;
+          EXPECT_LE(run.found_i, 100) << label;
+        } else if (feat & 1) {
+          ASSERT_EQ(got_taps.size(), ref_taps.size()) << label;
+          for (const auto& [col, cells] : ref_taps) {
+            const auto& entries = got_taps.at(col);
+            ASSERT_EQ(entries.size(), cells.size()) << label << " tap " << col;
+            for (std::size_t k = 0; k < cells.size(); ++k) {
+              EXPECT_TRUE(same_or_both_unreachable(entries[k], cells[k]))
+                  << label << " tap " << col << " entry " << k;
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

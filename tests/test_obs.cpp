@@ -345,5 +345,35 @@ TEST(RunReport, ValidatorFlagsFlushAckMismatch) {
   EXPECT_FALSE(validate_run_report(tampered).empty());
 }
 
+TEST(RunReport, KernelCellsSumToStageCells) {
+  // Stages 1-4 attribute every computed cell to a kernel variant; the
+  // validator rejects a stage whose per-kernel cells drift from its total.
+  const SmallRun run = small_pipeline_run();
+  const Json report = build_run_report(context_of(run));
+  const auto& original = report.at("stages").as_array();
+  // Stage 3 runs no tiles on this small input.
+  for (const std::size_t k : {0, 1, 3}) {
+    EXPECT_FALSE(original[k].at("kernels").as_array().empty()) << "stage " << k + 1;
+  }
+  EXPECT_TRUE(validate_run_report(report).empty());
+
+  Json stage4 = original[3];
+  Json kernels = Json::array();
+  const auto& entries = stage4.at("kernels").as_array();
+  for (std::size_t k = 0; k < entries.size(); ++k) {
+    Json entry = entries[k];
+    if (k == 0) entry.set("cells", entry.at("cells").as_int() + 1);
+    kernels.push(entry);
+  }
+  stage4.set("kernels", kernels);
+  Json stages = Json::array();
+  for (std::size_t k = 0; k < original.size(); ++k) stages.push(k == 3 ? stage4 : original[k]);
+  Json tampered = report;
+  tampered.set("stages", stages);
+  const auto problems = validate_run_report(tampered);
+  ASSERT_EQ(problems.size(), 1u);
+  EXPECT_NE(problems.front().find("stage 4 kernel cells"), std::string::npos) << problems.front();
+}
+
 }  // namespace
 }  // namespace cudalign::obs
