@@ -184,9 +184,9 @@ stage "release: ctest"
 # The striped kernels pick their SIMD backend at runtime, so the default
 # ctest pass only proves correctness for the ISA the runner auto-selects
 # (AVX2 on modern hosts). The ISA is a real matrix axis:
-#   fast mode  — rerun just the kernel equivalence/dispatch suites and the
-#                Stage-4 tile suite under every supported backend (the cheap
-#                pre-push proof);
+#   fast mode  — rerun just the kernel equivalence/dispatch suites, the
+#                sentinel-sweep suite and the Stage-4 suite under every
+#                supported backend (the cheap pre-push proof);
 #   full mode  — rerun the ENTIRE ctest suite under every ISA the runner
 #                supports, so pipeline/checkpoint/engine behavior (not only
 #                kernel byte-identity) is proven per backend.
@@ -205,10 +205,10 @@ isa_matrix() {
   echo "$isas"
 }
 if [[ "$FAST" -eq 1 ]]; then
-  stage "release: kernel equivalence and Stage-4 tiles, forced ISAs"
+  stage "release: kernel equivalence, sentinel sweeps and Stage 4, forced ISAs"
   for isa in $(isa_matrix); do
     CUDALIGN_SIMD="$isa" build-ci-release/tests/cudalign_tests \
-      --gtest_filter='KernelEquivalence.*:KernelDispatch.*:LaneEnvelope.*:Striped32Global.*:Stage4Tiles.*' \
+      --gtest_filter='KernelEquivalence.*:KernelDispatch.*:LaneEnvelope.*:Striped32Global.*:EngineSentinel.*:Stage4Tiles.*' \
       --gtest_brief=1
   done
 else

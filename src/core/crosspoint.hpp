@@ -10,11 +10,13 @@
 // score_e - score_s.
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "check/checked.hpp"
 #include "common/types.hpp"
 #include "dp/dp_common.hpp"
+#include "engine/kernels.hpp"
 #include "scoring/scoring.hpp"
 #include "seq/sequence.hpp"
 
@@ -52,6 +54,24 @@ struct Partition {
     case dp::CellState::kH:
     default: return dp::CellState::kH;
   }
+}
+
+/// Goal-based matching (paper Figure 6): the state in which an optimal path
+/// of score `goal` crosses a line at a vertex with forward values `fwd` and
+/// reverse values `rev`, whose gap entries hold the state `gap` running
+/// across the line. H when Hf + Hr == goal; else `gap` when
+/// Gf + Gr + G_open == goal (both halves charge the crossing run's opening;
+/// adding G_open back counts it once); else none.
+[[nodiscard]] inline std::optional<dp::CellState> junction(const engine::BusCell& fwd,
+                                                           const engine::BusCell& rev, Score goal,
+                                                           const scoring::Scheme& scheme,
+                                                           dp::CellState gap) {
+  if (!is_neg_inf(fwd.h) && !is_neg_inf(rev.h) && fwd.h + rev.h == goal) return dp::CellState::kH;
+  if (!is_neg_inf(fwd.gap) && !is_neg_inf(rev.gap) &&
+      fwd.gap + rev.gap + scheme.gap_open() == goal) {
+    return gap;
+  }
+  return std::nullopt;
 }
 
 /// Consecutive pairs of a crosspoint list as partitions.

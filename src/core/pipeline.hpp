@@ -68,8 +68,9 @@ struct PipelineOptions {
   std::function<void(int stage, double fraction)> progress;
 
   /// Opt-in bus hand-off auditing for every engine run of Stages 1-3
-  /// (check/bus_audit.hpp; the CLI's --audit-bus). The caller inspects the
-  /// auditor after the pipeline returns.
+  /// (check/bus_audit.hpp; the CLI's --audit-bus). Stage 4's one-chunk runs
+  /// are not audited. The caller inspects the auditor after the pipeline
+  /// returns.
   check::BusAuditor* bus_audit = nullptr;
 
   /// Opt-in span telemetry (obs/telemetry.hpp; the CLI's --report): the

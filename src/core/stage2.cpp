@@ -128,19 +128,14 @@ Stage2Result run_stage2(seq::SequenceView s0, seq::SequenceView s1, const Crossp
         for (std::size_t k = 0; k < entries.size(); ++k) {
           const Index r_t = first_row + static_cast<Index>(k);
           const Index j = cur.j - r_t;  // Original column of this entry.
-          const engine::BusCell& fwd = forward.cells[static_cast<std::size_t>(j)];
-          const engine::BusCell& rev = entries[k];
-          // Diagonal/clean junction: Hf + Hr == goal.
-          if (!is_neg_inf(rev.h) && !is_neg_inf(fwd.h) && fwd.h + rev.h == cur.score) {
-            hit = MatchHit{j, fwd.h, dp::CellState::kH};
-            return engine::HookAction::kStop;
-          }
-          // Vertical gap run crossing the row: Ff + Fr + G_open == goal.
-          // A non-positive forward prefix in a gap state cannot be on an
-          // optimal path (trimming it would improve the alignment).
-          if (!is_neg_inf(rev.gap) && !is_neg_inf(fwd.gap) && fwd.gap > 0 &&
-              fwd.gap + rev.gap + config.scheme.gap_open() == cur.score) {
-            hit = MatchHit{j, fwd.gap, dp::CellState::kF};
+          engine::BusCell fwd = forward.cells[static_cast<std::size_t>(j)];
+          // A vertical gap run crosses the row only from a positive forward
+          // prefix: a non-positive one cannot be on an optimal path
+          // (trimming it would improve the alignment).
+          if (fwd.gap <= 0) fwd.gap = kNegInf;
+          if (const auto state =
+                  junction(fwd, entries[k], cur.score, config.scheme, dp::CellState::kF)) {
+            hit = MatchHit{j, *state == dp::CellState::kH ? fwd.h : fwd.gap, *state};
             return engine::HookAction::kStop;
           }
         }

@@ -74,19 +74,13 @@ PartitionOutcome split_partition(seq::SequenceView s0, seq::SequenceView s1,
     for (std::size_t k = 0; k < entries.size(); ++k) {
       const Index i = part.start.i + first_row + static_cast<Index>(k);
       if (i < it->row_begin) continue;
-      const engine::BusCell& rev = it->cells[static_cast<std::size_t>(i - it->row_begin)];
       const engine::BusCell& fwd = entries[k];
-      // Clean junction through H.
-      if (!is_neg_inf(fwd.h) && !is_neg_inf(rev.h) && fwd.h + rev.h == goal) {
-        found.emplace(col, Crosspoint{i, col, static_cast<Score>(part.start.score + fwd.h),
-                                      dp::CellState::kH});
-        break;
-      }
-      // Horizontal gap run crossing the column: Ef + Er + G_open == goal.
-      if (!is_neg_inf(fwd.gap) && !is_neg_inf(rev.gap) &&
-          fwd.gap + rev.gap + config.scheme.gap_open() == goal) {
-        found.emplace(col, Crosspoint{i, col, static_cast<Score>(part.start.score + fwd.gap),
-                                      dp::CellState::kE});
+      // A horizontal gap run (E) is what crosses a column.
+      if (const auto state = junction(fwd, it->cells[static_cast<std::size_t>(i - it->row_begin)],
+                                      goal, config.scheme, dp::CellState::kE)) {
+        const Score prefix = *state == dp::CellState::kH ? fwd.h : fwd.gap;
+        found.emplace(col, Crosspoint{i, col, static_cast<Score>(part.start.score + prefix),
+                                      *state});
         break;
       }
     }
@@ -140,10 +134,17 @@ Stage3Result run_stage3(seq::SequenceView s0, seq::SequenceView s1, const Crossp
   std::vector<PartitionOutcome> outcomes(parts.size());
   {
     obs::ScopedSpan split_span(config.telemetry, "split partitions");
-    ThreadPool& pool = config.pool ? *config.pool : ThreadPool::shared();
-    pool.parallel_for(parts.size(), [&](std::size_t p) {
+    const auto split = [&](std::size_t p) {
       outcomes[p] = split_partition(s0, s1, parts[p], std::move(per_partition[p]), config);
-    });
+    };
+    if (config.bus_audit != nullptr) {
+      // One auditor audits one engine run at a time (check/bus_audit.hpp),
+      // so an audited Stage 3 runs its partitions in turn.
+      for (std::size_t p = 0; p < parts.size(); ++p) split(p);
+    } else {
+      ThreadPool& pool = config.pool ? *config.pool : ThreadPool::shared();
+      pool.parallel_for(parts.size(), split);
+    }
   }
 
   for (std::size_t p = 0; p < parts.size(); ++p) {

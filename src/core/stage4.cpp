@@ -13,11 +13,13 @@
 //    whose junction reaches the goal score — on average half of the bottom
 //    half is skipped.
 //
-// Every sweep runs as engine tiles (engine::run_tile), so Stage 4 computes
-// its cells with the same kernel family as Stages 1-3 — the striped int32
-// global sweep wherever its envelope admits the tile. The implementation is
-// iterative (a worklist, not recursion), which the paper notes is the
-// GPU-friendly formulation.
+// Every sweep is an engine run (engine::run_wavefront on a one-chunk grid
+// sized from the split), so Stage 4 computes its cells with the same
+// executor and kernel family as Stages 1-3 — the striped int32 global sweep
+// wherever its envelope admits the tile — and reads the middle row through
+// the same column tap as Stage 2. The implementation is iterative (a
+// worklist, not recursion), which the paper notes is the GPU-friendly
+// formulation.
 #include <algorithm>
 #include <deque>
 #include <span>
@@ -32,219 +34,122 @@ namespace cudalign::core {
 
 namespace {
 
-/// Rows per tile of the orthogonal reverse pass over n rows: n / 16, kept
+/// Rows per strip of the orthogonal reverse pass over n rows: n / 16, kept
 /// within [8, 64] (8 is the fewest rows the striped kernels are picked for).
-/// The pass checks for the goal once per tile, so past the match it computes
-/// less than one tile — at most 1/16 of the reverse half once n >= 128.
-Index reverse_tile_rows(Index n) { return std::clamp<Index>(n / 16, 8, 64); }
+/// The pass checks for the goal once per strip, so past the match it computes
+/// less than one strip — at most 1/16 of the reverse half once n >= 128.
+Index reverse_strip_rows(Index n) { return std::clamp<Index>(n / 16, 8, 64); }
 
 struct SplitOutcome {
   Crosspoint mid;
-  /// The split's tiles: cells, tile count and per-kernel tallies, folded
-  /// into Stage 4's StageStats like an engine run.
-  engine::RunStats stats;
+  /// The split's two engine runs (forward half, reverse pass), folded into
+  /// Stage 4's StageStats like every other stage's runs.
+  engine::RunStats fwd, rev;
 };
 
-/// A full-width tile sweep of one problem: a horizontal bus over columns
-/// 0..n, seeded with the recurrence's row-0 boundary, advanced one chunk of
-/// rows (r0, r1] at a time. After advance(), row_cell(r1, j) is the (H, F)
-/// of vertex (r1, j) and vbus_out()[i - r0] the (H, E) of vertex (i, n) —
-/// the rectified vertical bus at the last column.
-///
-/// The reverse corners of end types E and F (dp::end_corner) make the H of
-/// column 0 or of row 0 a sentinel, which keeps striped32-global off every
-/// tile that reads it. Such a column or row runs as its own one-wide tile,
-/// so the tiles after it start from genuine H.
-class TileSweep {
- public:
-  TileSweep(seq::SequenceView a, seq::SequenceView b, const engine::Recurrence& rec,
-            engine::RunStats& stats)
-      : a_(a), b_(b), rec_(rec), stats_(stats), hbus_(b.size() + 1),
-        split_col0_(b.size() > 1 && is_neg_inf(rec.left_boundary(1).h)),
-        split_row0_(!b.empty() && is_neg_inf(rec.top_boundary(1).h)) {
-    for (std::size_t j = 0; j < hbus_.size(); ++j) {
-      hbus_[j] = rec_.top_boundary(static_cast<Index>(j));
-    }
-  }
-
-  void advance(Index r0, Index r1) {
-    vbus_in_.resize(static_cast<std::size_t>(r1 - r0) + 1);
-    vbus_out_.resize(vbus_in_.size());
-    for (Index i = r0; i <= r1; ++i) {
-      vbus_in_[static_cast<std::size_t>(i - r0)] = rec_.left_boundary(i);
-    }
-    if (r0 == 0 && r1 > 1 && split_row0_) {
-      run_rows(0, 0, 1);
-      // The next tile publishes its corner (row 1) without E; keep row 1's.
-      const engine::BusCell row1 = vbus_out_[1];
-      run_rows(0, 1, r1);
-      vbus_out_[1] = row1;
-    } else {
-      run_rows(r0, r0, r1);
-    }
-  }
-
-  /// (H, F) of vertex (row, j) after advance(.., row): index 0 comes from
-  /// the column-0 boundary, which no tile writes.
-  [[nodiscard]] engine::BusCell row_cell(Index row, Index j) const {
-    if (j == 0) return engine::BusCell{rec_.left_boundary(row).h, rec_.left_boundary_f(row)};
-    return hbus_[static_cast<std::size_t>(j)];
-  }
-  [[nodiscard]] const std::vector<engine::BusCell>& vbus_out() const { return vbus_out_; }
-
- private:
-  /// Rows (r0, r1] of the chunk starting at `base`, across the full width.
-  void run_rows(Index base, Index r0, Index r1) {
-    const auto rows = static_cast<std::size_t>(r1 - r0) + 1;
-    const auto off = static_cast<std::size_t>(r0 - base);
-    const std::span<const engine::BusCell> vin = std::span(vbus_in_).subspan(off, rows);
-    const std::span<engine::BusCell> vout = std::span(vbus_out_).subspan(off, rows);
-    const Index n = static_cast<Index>(b_.size());
-    if (split_col0_) {
-      vbus_mid_.resize(rows);
-      run(r0, r1, 0, 1, vin, vbus_mid_);
-      run(r0, r1, 1, n, vbus_mid_, vout);
-    } else {
-      run(r0, r1, 0, n, vin, vout);
-    }
-  }
-
-  void run(Index r0, Index r1, Index c0, Index c1, std::span<const engine::BusCell> vin,
-           std::span<engine::BusCell> vout) {
-    engine::TileJob job;
-    job.r0 = r0;
-    job.r1 = r1;
-    job.c0 = c0;
-    job.c1 = c1;
-    job.a = a_;
-    job.b = b_;
-    job.recurrence = &rec_;
-    job.hbus = std::span(hbus_).subspan(static_cast<std::size_t>(c0),
-                                        static_cast<std::size_t>(c1 - c0) + 1);
-    job.vbus_in = vin;
-    job.vbus_out = vout;
-    // Per-worker scratch, as the wavefront executor keeps it.
-    static thread_local engine::TileScratch scratch;
-    const engine::TileResult tile = engine::run_tile(job, scratch);
-    stats_.cells += tile.cells;
-    ++stats_.tiles;
-    auto& tally = stats_.kernels[static_cast<std::size_t>(tile.kernel)];
-    ++tally.tiles;
-    tally.cells += tile.cells;
-  }
-
-  seq::SequenceView a_, b_;
-  const engine::Recurrence& rec_;
-  engine::RunStats& stats_;
-  std::vector<engine::BusCell> hbus_, vbus_in_, vbus_out_, vbus_mid_;
-  bool split_col0_, split_row0_;
-};
-
-/// Splits `part` at the middle row of (sub0 x sub1). Sequences are the
-/// partition's sub-views in the orientation chosen by the caller.
-SplitOutcome split_by_row(seq::SequenceView sub0, seq::SequenceView sub1, const Partition& part,
-                          const scoring::Scheme& scheme, bool orthogonal) {
-  const Index m = static_cast<Index>(sub0.size());
-  const Index n = static_cast<Index>(sub1.size());
-  const Index mid = m / 2;
-  CUDALIGN_ASSERT(mid >= 1 && mid < m);
-
-  SplitOutcome out;
-  // Forward half: one tile of `mid` rows; its published horizontal bus is
-  // (CC, DD) = (H, F) at the middle row.
-  const engine::Recurrence fwd_rec = engine::Recurrence::global_start(part.start.type, scheme);
-  TileSweep fwd(sub0, sub1, fwd_rec, out.stats);
-  fwd.advance(0, mid);
-  std::vector<Score> cc(static_cast<std::size_t>(n) + 1), dd(cc.size());
-  for (Index j = 0; j <= n; ++j) {
-    const engine::BusCell cell = fwd.row_cell(mid, j);
-    cc[static_cast<std::size_t>(j)] = cell.h;
-    dd[static_cast<std::size_t>(j)] = cell.gap;
-  }
-
-  if (!orthogonal) {
-    // Full reverse pass: one tile of the reversed bottom half, whose row
-    // m - mid at column q is the original vertex (mid, n - q).
-    const std::vector<seq::Base> ar(sub0.rbegin(),
-                                    sub0.rbegin() + static_cast<std::ptrdiff_t>(m - mid));
-    const std::vector<seq::Base> br(sub1.rbegin(), sub1.rend());
-    const engine::Recurrence rev_rec = engine::Recurrence::global_end(part.end.type, scheme);
-    TileSweep rev(ar, br, rev_rec, out.stats);
-    rev.advance(0, m - mid);
-    std::vector<Score> rr(cc.size()), ss(cc.size());
-    for (Index j = 0; j <= n; ++j) {
-      const engine::BusCell cell = rev.row_cell(m - mid, n - j);
-      rr[static_cast<std::size_t>(j)] = cell.h;
-      ss[static_cast<std::size_t>(j)] = cell.gap;
-    }
-    const dp::RowMatch match = dp::match_row(cc, dd, rr, ss, scheme);
-    const dp::CellHEF at_mid{cc[static_cast<std::size_t>(match.j)], kNegInf,
-                             dd[static_cast<std::size_t>(match.j)]};
-    out.mid = Crosspoint{
-        mid, match.j,
-        static_cast<Score>(part.start.score + dp::value_in_state(at_mid, match.state)),
-        match.state};
-    return out;
-  }
-
-  // Orthogonal reverse pass: sweep original columns right-to-left. This is a
-  // forward row sweep over the transposed+reversed suffix problem: its row r
-  // is original column n - r, and its last column q* = m - mid is the middle
-  // row, so the rectified vertical bus of each tile carries the original
-  // vertex (mid, n - r) — H gives RR, E gives SS (the transposition maps the
-  // original vertical-gap state F to E).
-  const Score goal = part.score();
-  const std::vector<seq::Base> a_t(sub1.rbegin(), sub1.rend());
-  const std::vector<seq::Base> b_t(sub0.rbegin(),
-                                   sub0.rbegin() + static_cast<std::ptrdiff_t>(m - mid));
-  const engine::Recurrence rev_rec =
-      engine::Recurrence::global_end(transpose_state(part.end.type), scheme);
-  const auto q_star = m - mid;
-
-  auto try_match = [&](Index r_t, Score rr, Score ss) -> std::optional<Crosspoint> {
-    const Index j = n - r_t;
-    const Score fcc = cc[static_cast<std::size_t>(j)];
-    const Score fdd = dd[static_cast<std::size_t>(j)];
-    if (!is_neg_inf(fcc) && !is_neg_inf(rr) && fcc + rr == goal) {
-      return Crosspoint{mid, j, static_cast<Score>(part.start.score + fcc), dp::CellState::kH};
-    }
-    if (!is_neg_inf(fdd) && !is_neg_inf(ss) && fdd + ss + scheme.gap_open() == goal) {
-      return Crosspoint{mid, j, static_cast<Score>(part.start.score + fdd), dp::CellState::kF};
-    }
-    return std::nullopt;
-  };
-
-  // Column n (the partition's right edge) is the transposed problem's row-0
-  // boundary.
-  if (auto cp = try_match(0, rev_rec.top_boundary(q_star).h, rev_rec.top_boundary_e(q_star))) {
-    out.mid = *cp;
-    return out;
-  }
-  TileSweep rev(a_t, b_t, rev_rec, out.stats);
-  const Index chunk = reverse_tile_rows(n);
-  for (Index r0 = 0; r0 < n; r0 += chunk) {
-    const Index r1 = std::min(n, r0 + chunk);
-    rev.advance(r0, r1);
-    for (Index r_t = r0 + 1; r_t <= r1; ++r_t) {
-      const engine::BusCell& cell = rev.vbus_out()[static_cast<std::size_t>(r_t - r0)];
-      if (auto cp = try_match(r_t, cell.h, cell.gap)) {
-        out.mid = *cp;
-        return out;
-      }
-    }
-  }
-  CUDALIGN_CHECK(false, "stage 4 orthogonal matching exhausted all columns without reaching "
-                        "the goal score (partition " + std::to_string(m) + "x" +
-                        std::to_string(n) + " start type " +
-                        std::to_string(static_cast<int>(part.start.type)) + " end type " +
-                        std::to_string(static_cast<int>(part.end.type)) + " goal " +
-                        std::to_string(goal) + ")");
+/// `s[from, from + len)` as a view.
+seq::SequenceView slice(seq::SequenceView s, Index from, Index len) {
+  return s.subspan(static_cast<std::size_t>(from), static_cast<std::size_t>(len));
 }
 
-/// Transposes a partition into (S1 x S0) coordinates.
-Partition transpose_partition(const Partition& p) {
-  return Partition{Crosspoint{p.start.j, p.start.i, p.start.score, transpose_state(p.start.type)},
-                   Crosspoint{p.end.j, p.end.i, p.end.score, transpose_state(p.end.type)}};
+/// Splits `part` at its middle row. `a` (rows) and `b` (columns) are the
+/// whole sequences in the orientation the caller chose, `a_rev` and `b_rev`
+/// their reversals, and `part` and the returned crosspoint are in the same
+/// coordinates.
+SplitOutcome split_by_row(seq::SequenceView a, seq::SequenceView a_rev, seq::SequenceView b,
+                          seq::SequenceView b_rev, const Partition& part,
+                          const Stage4Config& config) {
+  const scoring::Scheme& scheme = config.scheme;
+  const Index m = part.height();
+  const Index n = part.width();
+  const Index mid = m / 2;
+  CUDALIGN_ASSERT(mid >= 1 && mid < m);
+  SplitOutcome out;
+
+  // Forward half, transposed: engine row j is partition column j and engine
+  // column `mid` the middle row, so the tap there carries (CC, DD) = (H, F)
+  // of vertex (mid, j) — the transposition maps F to E. Entry 0 is the
+  // row-0 tap delivery.
+  engine::ProblemSpec fwd;
+  fwd.a = slice(b, part.start.j, n);
+  fwd.b = slice(a, part.start.i, mid);
+  fwd.recurrence = engine::Recurrence::global_start(transpose_state(part.start.type), scheme);
+  fwd.grid = engine::GridSpec{1, std::max<Index>(n, 1), 1, 1};
+  std::vector<engine::BusCell> cc_dd;
+  cc_dd.reserve(static_cast<std::size_t>(n) + 1);
+  engine::Hooks hooks;
+  hooks.tap_columns = {mid};
+  hooks.on_tap = [&](Index, Index, std::span<const engine::BusCell> entries) {
+    cc_dd.insert(cc_dd.end(), entries.begin(), entries.end());
+    return engine::HookAction::kContinue;
+  };
+  out.fwd = engine::run_wavefront(fwd, hooks, config.pool).stats;
+  const auto crosspoint = [&](Index j, dp::CellState state) {
+    const engine::BusCell& cell = cc_dd[static_cast<std::size_t>(j)];
+    return Crosspoint{part.start.i + mid, part.start.j + j,
+                      static_cast<Score>(part.start.score +
+                                         (state == dp::CellState::kH ? cell.h : cell.gap)),
+                      state};
+  };
+
+  // Reverse pass over the bottom half, transposed and reversed: engine row r
+  // is partition column n - r and engine column q* = m - mid the middle row,
+  // so the tap at q* carries (RR, SS) of vertex (mid, n - r). The orthogonal
+  // pass sweeps columns right-to-left in short strips and stops at the first
+  // goal-reaching junction; the full pass (the ablation) collects the whole
+  // row for dp::match_row's maximum search.
+  const Index q_star = m - mid;
+  engine::ProblemSpec rev;
+  rev.a = slice(b_rev, static_cast<Index>(b.size()) - part.end.j, n);
+  rev.b = slice(a_rev, static_cast<Index>(a.size()) - part.end.i, q_star);
+  rev.recurrence = engine::Recurrence::global_end(transpose_state(part.end.type), scheme);
+  rev.grid = engine::GridSpec{1, config.orthogonal ? reverse_strip_rows(n) : std::max<Index>(n, 1),
+                              1, 1};
+  std::vector<engine::BusCell> rr_ss;  // Entry r: partition column n - r.
+  std::optional<Crosspoint> hit;
+  hooks.tap_columns = {q_star};
+  hooks.on_tap = [&](Index, Index first_row, std::span<const engine::BusCell> entries) {
+    if (!config.orthogonal) {
+      rr_ss.insert(rr_ss.end(), entries.begin(), entries.end());
+      return engine::HookAction::kContinue;
+    }
+    for (std::size_t k = 0; k < entries.size(); ++k) {
+      const Index j = n - first_row - static_cast<Index>(k);
+      if (const auto state = junction(cc_dd[static_cast<std::size_t>(j)], entries[k],
+                                      part.score(), scheme, dp::CellState::kF)) {
+        hit = crosspoint(j, *state);
+        return engine::HookAction::kStop;
+      }
+    }
+    return engine::HookAction::kContinue;
+  };
+  out.rev = engine::run_wavefront(rev, hooks, config.pool).stats;
+
+  if (!config.orthogonal) {
+    std::vector<Score> cc(cc_dd.size()), dd(cc.size()), rr(cc.size()), ss(cc.size());
+    for (std::size_t j = 0; j < cc.size(); ++j) {
+      cc[j] = cc_dd[j].h;
+      dd[j] = cc_dd[j].gap;
+      rr[j] = rr_ss[cc.size() - 1 - j].h;
+      ss[j] = rr_ss[cc.size() - 1 - j].gap;
+    }
+    const dp::RowMatch match = dp::match_row(cc, dd, rr, ss, scheme);
+    out.mid = crosspoint(match.j, match.state);
+    return out;
+  }
+  CUDALIGN_CHECK(hit.has_value(),
+                 "stage 4 orthogonal matching exhausted all columns without reaching "
+                 "the goal score (partition " + std::to_string(m) + "x" + std::to_string(n) +
+                     " start type " + std::to_string(static_cast<int>(part.start.type)) +
+                     " end type " + std::to_string(static_cast<int>(part.end.type)) + " goal " +
+                     std::to_string(part.score()) + ")");
+  out.mid = *hit;
+  return out;
+}
+
+/// A crosspoint in (S1 x S0) coordinates, and back.
+Crosspoint transpose(const Crosspoint& c) {
+  return Crosspoint{c.j, c.i, c.score, transpose_state(c.type)};
 }
 
 }  // namespace
@@ -255,6 +160,11 @@ Stage4Result run_stage4(seq::SequenceView s0, seq::SequenceView s1, const Crossp
   CUDALIGN_CHECK(config.max_partition_size >= 2, "maximum partition size must be at least 2");
   Timer timer;
   Stage4Result result;
+
+  // Both sequences reversed once: every split's reverse pass is a view of
+  // these, so the iterations copy no sequence data.
+  const std::vector<seq::Base> s0_rev(s0.rbegin(), s0.rend());
+  const std::vector<seq::Base> s1_rev(s1.rbegin(), s1.rend());
 
   std::deque<Partition> work;
   for (const Partition& p : partitions_of(l3)) work.push_back(p);
@@ -294,7 +204,6 @@ Stage4Result run_stage4(seq::SequenceView s0, seq::SequenceView s1, const Crossp
     }
 
     std::vector<SplitOutcome> outcomes(oversized.size());
-    std::vector<Crosspoint> mids(oversized.size());
     ThreadPool& pool = config.pool ? *config.pool : ThreadPool::shared();
     pool.parallel_for(oversized.size(), [&](std::size_t idx) {
       const Partition& p = oversized[idx];
@@ -302,32 +211,21 @@ Stage4Result run_stage4(seq::SequenceView s0, seq::SequenceView s1, const Crossp
       // baseline always splits by row (when it can).
       const bool by_row = config.balanced_splitting ? p.height() >= p.width() : p.height() >= 2;
       if (by_row) {
-        const auto sub0 = s0.subspan(static_cast<std::size_t>(p.start.i),
-                                     static_cast<std::size_t>(p.height()));
-        const auto sub1 = s1.subspan(static_cast<std::size_t>(p.start.j),
-                                     static_cast<std::size_t>(p.width()));
-        outcomes[idx] = split_by_row(sub0, sub1, p, config.scheme, config.orthogonal);
-        const SplitOutcome& split = outcomes[idx];
-        mids[idx] = Crosspoint{p.start.i + split.mid.i, p.start.j + split.mid.j, split.mid.score,
-                               split.mid.type};
+        outcomes[idx] = split_by_row(s0, s0_rev, s1, s1_rev, p, config);
       } else {
-        const Partition tp = transpose_partition(p);
-        const auto sub0 = s1.subspan(static_cast<std::size_t>(tp.start.i),
-                                     static_cast<std::size_t>(tp.height()));
-        const auto sub1 = s0.subspan(static_cast<std::size_t>(tp.start.j),
-                                     static_cast<std::size_t>(tp.width()));
-        outcomes[idx] = split_by_row(sub0, sub1, tp, config.scheme, config.orthogonal);
-        const SplitOutcome& split = outcomes[idx];
-        mids[idx] = Crosspoint{p.start.i + split.mid.j, p.start.j + split.mid.i, split.mid.score,
-                               transpose_state(split.mid.type)};
+        outcomes[idx] = split_by_row(s1, s1_rev, s0, s0_rev,
+                                     Partition{transpose(p.start), transpose(p.end)}, config);
+        outcomes[idx].mid = transpose(outcomes[idx].mid);
       }
     });
     for (std::size_t idx = 0; idx < oversized.size(); ++idx) {
-      it.cells += outcomes[idx].stats.cells;
-      result.stats.add_run(outcomes[idx].stats);
-      collected.push_back(mids[idx]);
-      next.push_back(Partition{oversized[idx].start, mids[idx]});
-      next.push_back(Partition{mids[idx], oversized[idx].end});
+      const SplitOutcome& split = outcomes[idx];
+      it.cells += split.fwd.cells + split.rev.cells;
+      result.stats.add_run(split.fwd);
+      result.stats.add_run(split.rev);
+      collected.push_back(split.mid);
+      next.push_back(Partition{oversized[idx].start, split.mid});
+      next.push_back(Partition{split.mid, oversized[idx].end});
     }
     work = std::move(next);
     it.seconds = iter_timer.seconds();

@@ -33,6 +33,7 @@ void merge_best(dp::LocalBest& best, const dp::LocalBest& cand) {
 /// retire(). Tiles of one strip fold in chunk order — (s, b) happens after
 /// (s, b - 1) under both schedules — so the fold needs no synchronization.
 struct StripSlot {
+  Index tiles = 0;                          ///< Kernel calls plus pruned tiles.
   WideScore cells = 0;
   WideScore pruned_cells = 0;
   Index pruned_tiles = 0;
@@ -116,14 +117,18 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
                    "resume cannot be combined with taps or value probes (their row-0 "
                    "boundary delivery would not reflect the restored bus)");
   }
+  const Recurrence& rec = spec.recurrence;
+  // Sentinel boundaries (see executor.hpp): column 0 runs as its own
+  // one-wide chunk, and a fresh run's strip-0 tiles run row 1 apart.
+  const Index peel_col0 = n > 1 && is_neg_inf(rec.left_boundary(1).h) ? 1 : 0;
+  const bool peel_row0 = spec.initial_hbus.empty() && n > 0 && is_neg_inf(rec.top_boundary(1).h);
+
   const Index base_strip = row0 / strip_rows;
   const Index strips = (m - row0 + strip_rows - 1) / strip_rows;
-  const Index blocks = std::max<Index>(1, std::min(grid.blocks, n));
+  const Index blocks = peel_col0 + std::max<Index>(1, std::min(grid.blocks, n - peel_col0));
   result.best = spec.initial_best;
   result.stats.blocks_used = blocks;
   result.stats.threads_used = grid.threads;
-
-  const Recurrence& rec = spec.recurrence;
 
   // Row-0 tap delivery (boundary vertices, before any strip).
   for (const Index col : tap_columns) {
@@ -139,13 +144,15 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
     return result;
   }
 
-  // Chunk boundaries: blocks near-equal column spans. Chunk b covers the tap
-  // columns with indices [tap_lo[b], tap_lo[b + 1]).
+  // Chunk boundaries: near-equal column spans after the peeled column, if
+  // any. Chunk b covers the tap columns with indices [tap_lo[b], tap_lo[b + 1]).
   std::vector<Index> cuts(static_cast<std::size_t>(blocks) + 1);
   std::vector<std::size_t> tap_lo(static_cast<std::size_t>(blocks) + 1);
   for (Index b = 0; b <= blocks; ++b) {
     const auto k = static_cast<std::size_t>(b);
-    cuts[k] = n * b / blocks;
+    cuts[k] = b < peel_col0
+                  ? 0
+                  : peel_col0 + (n - peel_col0) * (b - peel_col0) / (blocks - peel_col0);
     tap_lo[k] = static_cast<std::size_t>(
         std::upper_bound(tap_columns.begin(), tap_columns.end(), cuts[k]) - tap_columns.begin());
   }
@@ -304,11 +311,53 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
       }
     }
 
-    TileResult tr;
-    if (!pruned) {
-      // Scratch is reused across tiles of the same worker thread.
+    // One kernel call, folded into the strip's slot. Scratch is reused
+    // across tiles of the same worker thread.
+    Score tile_best = 0;
+    auto call = [&](const TileJob& part) {
       static thread_local TileScratch scratch;
-      tr = run_tile(job, scratch, forced_kernel);
+      TileResult tr = run_tile(part, scratch, forced_kernel);
+      ++slot.tiles;
+      slot.cells += tr.cells;
+      KernelTally& tally = slot.kernels[static_cast<std::size_t>(tr.kernel)];
+      ++tally.tiles;
+      tally.cells += tr.cells;
+      tile_best = tr.best.score;
+      if (tr.best.score > 0) merge_best(slot.best, tr.best);
+      if (tr.found && (!slot.found || std::pair{tr.found_i, tr.found_j} <
+                                          std::pair{slot.found_i, slot.found_j})) {
+        slot.found = true;
+        slot.found_i = tr.found_i;
+        slot.found_j = tr.found_j;
+      }
+      for (std::size_t k = 0; k < tr.taps.size(); ++k) {
+        auto& taps = slot.taps[tap_begin + k];
+        taps.insert(taps.end(), tr.taps[k].begin(), tr.taps[k].end());
+      }
+    };
+    if (pruned) {
+      ++slot.tiles;
+      ++slot.pruned_tiles;
+      slot.pruned_cells += static_cast<WideScore>(rows) * (c1 - c0);
+    } else if (peel_row0 && s == 0 && rows > 1) {
+      // Row 1 apart, then rows (1, r1] from genuine H. The second call
+      // publishes its corner (row 1) without E, so the first call's entry is
+      // kept; taps append and the row-major-first probe hit wins, as across
+      // tiles.
+      TileJob head = job;
+      head.r1 = 1;
+      head.vbus_in = job.vbus_in.first(2);
+      head.vbus_out = job.vbus_out.first(2);
+      call(head);
+      const BusCell row1 = job.vbus_out[1];
+      TileJob rest = job;
+      rest.r0 = 1;
+      rest.vbus_in = job.vbus_in.subspan(1);
+      rest.vbus_out = job.vbus_out.subspan(1);
+      call(rest);
+      job.vbus_out[1] = row1;
+    } else {
+      call(job);
     }
     if (audit != nullptr) {
       audit->write_horizontal(s, b, d, c0, c1);
@@ -316,34 +365,13 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
     }
     if (spec.block_pruning) {
       closure[static_cast<std::size_t>((s % planes) * blocks + b)] =
-          std::max(closure_in, tr.best.score);
+          std::max(closure_in, tile_best);
     }
 
     // Special-row capture happens here, inside the tile: the down successor
     // (s + 1, b) may overwrite the hbus segment before the strip retires.
     if (!slot.row.empty()) {
       std::copy(hbus.begin() + c0 + 1, hbus.begin() + c1 + 1, slot.row.begin() + c0 + 1);
-    }
-
-    // Fold into the strip's slot.
-    slot.cells += tr.cells;
-    if (pruned) {
-      ++slot.pruned_tiles;
-      slot.pruned_cells += static_cast<WideScore>(rows) * (c1 - c0);
-    } else {
-      KernelTally& tally = slot.kernels[static_cast<std::size_t>(tr.kernel)];
-      ++tally.tiles;
-      tally.cells += tr.cells;
-    }
-    if (tr.best.score > 0) merge_best(slot.best, tr.best);
-    if (tr.found && (!slot.found || std::pair{tr.found_i, tr.found_j} <
-                                        std::pair{slot.found_i, slot.found_j})) {
-      slot.found = true;
-      slot.found_i = tr.found_i;
-      slot.found_j = tr.found_j;
-    }
-    for (std::size_t k = 0; k < tr.taps.size(); ++k) {
-      slot.taps[tap_begin + k] = std::move(tr.taps[k]);
     }
   };
 
@@ -363,7 +391,7 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
       stats.kernels[k].tiles += slot.kernels[k].tiles;
       stats.kernels[k].cells += slot.kernels[k].cells;
     }
-    stats.tiles += blocks;
+    stats.tiles += slot.tiles;
     ++stats.strips;
     // Bus traffic (see RunStats): each tile reads and writes its horizontal
     // segment (c1 - c0 + 1 cells, n + blocks over the strip) and vertical

@@ -22,6 +22,14 @@
 // executors (the lockstep schedule is one legal execution of the dataflow
 // dependency graph).
 //
+// Sentinel boundaries: the reverse corners of end types E and F
+// (dp::end_corner) make H = -inf on column 0 (end in E) or on row 0 (end in
+// F), and the striped global kernel's envelope rejects every tile that reads
+// a sentinel H. The executor peels that line off once, for every stage: a
+// sentinel column 0 becomes its own one-wide chunk, and each strip-0 tile of
+// a fresh run with a sentinel row 0 runs its first row as a separate kernel
+// call, so the tiles after them start from genuine H.
+//
 // Memory is the buses only: O(n) horizontal + O(B * alpha * T) vertical
 // (lockstep double-buffers by strip parity to avoid the same-diagonal
 // write/read hazard the paper's minimum size requirement addresses; dataflow
@@ -204,7 +212,7 @@ struct RunStats {
   WideScore cells = 0;
   WideScore pruned_cells = 0; ///< Cells skipped by block pruning.
   Index pruned_tiles = 0;
-  Index tiles = 0;
+  Index tiles = 0;            ///< Kernel calls (a peeled tile makes two) plus pruned tiles.
   Index diagonals = 0;        ///< External diagonals executed (lockstep; 0 under dataflow).
   /// Dataflow scheduler counters (0 under lockstep): tiles executed off
   /// another worker's deque, and idle scans that found every source empty —

@@ -16,6 +16,10 @@ test -s "$DIR/aln.cigar"
        --text "$DIR/aln.txt" --tsv "$DIR/aln.tsv" | grep -q "identity"
 test -s "$DIR/aln.txt"
 test -s "$DIR/aln.tsv"
+# Bus audit over the whole pipeline: with a small SRA, Stage 3 splits
+# several partitions, which must audit clean too.
+"$CLI" align "$DIR/a.fasta" "$DIR/b.fasta" --sra 128K --audit-bus --out "$DIR/audit.bin" \
+  | grep -q "best score"
 # Both-strands path.
 "$CLI" align "$DIR/a.fasta" "$DIR/b.fasta" --both-strands --out "$DIR/aln2.bin" \
   | grep -q "strand: forward"

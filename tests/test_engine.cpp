@@ -3,10 +3,12 @@
 // executor.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <optional>
 
+#include "check/bus_audit.hpp"
 #include "common/rng.hpp"
 #include "dp/linear.hpp"
 #include "engine/executor.hpp"
@@ -693,6 +695,103 @@ TEST(Engine, DataflowResumeFromSpecialRowMatchesFullRunAcrossExecutors) {
                               resumed.flushes[k].second.size() * sizeof(BusCell)),
                   0)
             << label << " flushed row " << resumed.flushes[k].first << " diverged after resume";
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Sentinel boundaries: an end-in-E sweep starts from H = -inf on column 0, an
+// end-in-F sweep on row 0 (dp::end_corner). The executor peels that line off
+// — column 0 as its own chunk, row 1 of each strip-0 tile as its own kernel
+// call — so the rest of the problem runs on striped32-global, exactly.
+// ---------------------------------------------------------------------------
+
+/// Equal, or both unreachable: sweeps may carry different sentinel values.
+bool same_or_both_unreachable(const std::vector<BusCell>& x, const std::vector<BusCell>& y) {
+  const auto eq = [](Score u, Score v) { return u == v || (is_neg_inf(u) && is_neg_inf(v)); };
+  return x.size() == y.size() && std::equal(x.begin(), x.end(), y.begin(), [&](auto& p, auto& q) {
+           return eq(p.h, q.h) && eq(p.gap, q.gap);
+         });
+}
+
+WideScore striped_cells(const engine::RunStats& stats) {
+  return stats.kernels[static_cast<std::size_t>(engine::KernelId::kStriped32Global)].cells;
+}
+
+TEST(EngineSentinel, PeeledSweepsMatchReferenceOnStripedTiles) {
+  const auto a = rand_seq(128, 7100);
+  const auto b = rand_seq(140, 7101);
+  const Index n = 140;
+  for (const CellState end : {CellState::kE, CellState::kF}) {
+    ProblemSpec spec;
+    spec.a = a.bases();
+    spec.b = b.bases();
+    spec.recurrence = engine::Recurrence::global_end(end, paper());
+    // Row 1 of the problem, for the probe: any of its values is first met,
+    // in row-major order, at the smallest column holding it on row 1.
+    std::vector<Score> row1;
+    (void)dp::sweep_rows_from(spec.a, spec.b, paper(), spec.recurrence.corner,
+                              [&](const dp::RowView& row) {
+                                if (row.i == 1) row1.assign(row.h.begin(), row.h.end());
+                              });
+    const Index probe_col = n / 2;
+    const Score target = row1[static_cast<std::size_t>(probe_col)];
+    ASSERT_FALSE(is_neg_inf(target));
+    const Index want_j = static_cast<Index>(
+        std::find(row1.begin() + 1, row1.end(), target) - row1.begin());
+    for (const Index blocks : {1, 4}) {
+      spec.grid = tiny_grid(blocks, 16, 2);  // Strips of 32 rows.
+      const Captured reference = run_with_hooks(spec, 1, {1, n}, std::nullopt, nullptr);
+      for (const auto kind : kExecutors) {
+        const std::string label = std::string("end") + std::to_string(static_cast<int>(end)) +
+                                  " B=" + std::to_string(blocks) + " " +
+                                  engine::executor_name(kind);
+        spec.executor = kind;
+        check::BusAuditor auditor;
+        Captured got;
+        Hooks hooks;
+        hooks.bus_audit = &auditor;
+        hooks.special_row_interval = 1;
+        hooks.on_special_row = [&](Index row, std::span<const BusCell> cells,
+                                   const dp::LocalBest&) {
+          got.special_rows[row] = std::vector<BusCell>(cells.begin(), cells.end());
+        };
+        hooks.tap_columns = {1, n};
+        hooks.on_tap = [&](Index col, Index first_row, std::span<const BusCell> cells) {
+          got.taps[{col, first_row}] = std::vector<BusCell>(cells.begin(), cells.end());
+          return HookAction::kContinue;
+        };
+        const auto run = engine::run_wavefront(spec, hooks);
+        EXPECT_TRUE(auditor.ok()) << label << "\n" << auditor.report();
+        EXPECT_GE(striped_cells(run.stats) * 100, run.stats.cells * 95)
+            << label << ": " << engine::kernel_usage_summary(run.stats);
+        WideScore kernel_cells = 0;
+        Index kernel_tiles = 0;
+        for (const auto& tally : run.stats.kernels) {
+          kernel_cells += tally.cells;
+          kernel_tiles += tally.tiles;
+        }
+        EXPECT_EQ(kernel_cells, run.stats.cells) << label;
+        EXPECT_EQ(kernel_tiles, run.stats.tiles) << label;
+        ASSERT_EQ(got.special_rows.size(), reference.special_rows.size()) << label;
+        for (const auto& [row, cells] : reference.special_rows) {
+          EXPECT_TRUE(same_or_both_unreachable(got.special_rows[row], cells))
+              << label << " special row " << row;
+        }
+        ASSERT_EQ(got.taps.size(), reference.taps.size()) << label;
+        for (const auto& [key, cells] : reference.taps) {
+          EXPECT_TRUE(same_or_both_unreachable(got.taps[key], cells))
+              << label << " tap col " << key.first << " first_row " << key.second;
+        }
+
+        Hooks probe;
+        probe.bus_audit = &auditor;
+        probe.find_value = target;
+        const auto hit = engine::run_wavefront(spec, probe);
+        EXPECT_TRUE(auditor.ok()) << label << " probe\n" << auditor.report();
+        EXPECT_TRUE(hit.found) << label;
+        EXPECT_EQ(std::pair(hit.found_i, hit.found_j), std::pair(Index{1}, want_j)) << label;
       }
     }
   }

@@ -578,11 +578,14 @@ TEST(KernelDispatch, GlobalModeUsesSpecializedScalarSweep) {
                                  Recurrence::global_start(dp::CellState::kH, paper()));
   EXPECT_EQ(tally(narrow, KernelId::kScalarGlobal).tiles, narrow.stats.tiles)
       << engine::kernel_usage_summary(narrow.stats);
-  // An end-in-E reverse sweep has H = -inf on column 0, so exactly the first
-  // chunk's tiles see sentinel H on their vertical bus and stay scalar.
+  // An end-in-E reverse sweep has H = -inf on column 0. The executor runs
+  // that column as its own one-wide chunk, so exactly one column of cells
+  // stays scalar and every other tile starts from genuine H.
   const auto sentinel = run_global(90, 110, engine::GridSpec{2, 8, 2, 1},
                                    Recurrence::global_end(dp::CellState::kE, paper()));
   EXPECT_EQ(tally(sentinel, KernelId::kScalarGlobal).tiles, sentinel.stats.strips)
+      << engine::kernel_usage_summary(sentinel.stats);
+  EXPECT_EQ(tally(sentinel, KernelId::kScalarGlobal).cells, 90)
       << engine::kernel_usage_summary(sentinel.stats);
   EXPECT_EQ(tally(sentinel, KernelId::kStriped32Global).tiles,
             sentinel.stats.tiles - sentinel.stats.strips)

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "baseline/full_matrix.hpp"
+#include "check/bus_audit.hpp"
 #include "common/io_util.hpp"
 #include "common/rng.hpp"
 #include "core/pipeline.hpp"
@@ -219,6 +220,29 @@ TEST(Pipeline, StageStatisticsArePopulated) {
   EXPECT_GT(result.sra_peak_bytes, 0);
   EXPECT_GT(result.h_max_after_stage3, 0);
   EXPECT_GT(result.total_seconds(), 0.0);
+}
+
+// The bus audit over the whole pipeline (the CLI's --audit-bus). Stage 3
+// runs its partitions concurrently on the pool, but one auditor audits one
+// engine run at a time, so an audited run must stay clean with several
+// Stage-3 partitions and several workers.
+TEST(Pipeline, BusAuditCleanWithSeveralStage3Partitions) {
+  const auto pair = test::small_related(600, 600, 4321);
+  PipelineOptions options = small_options();
+  // Few special rows, so Stage 2's rectangles are tall enough to save
+  // special columns and Stage 3 has work in each partition.
+  options.sra_rows_budget = 4 * 8 * 601;
+  check::BusAuditor auditor;
+  options.bus_audit = &auditor;
+  ThreadPool pool(4);
+  options.pool = &pool;
+  const PipelineResult result = align_pipeline(pair.s0, pair.s1, options);
+  ASSERT_GE(result.crosspoint_counts[1], 3) << "case no longer has two Stage-3 partitions";
+  EXPECT_GT(result.stages[2].cells, 0);
+  EXPECT_TRUE(auditor.ok()) << auditor.report();
+  const auto reference =
+      baseline::align_full_matrix(pair.s0.bases(), pair.s1.bases(), options.scheme);
+  EXPECT_EQ(result.alignment.score, reference.alignment.score);
 }
 
 TEST(Pipeline, Stage2CellsShrinkWithBiggerSra) {
