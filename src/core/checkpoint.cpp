@@ -1,7 +1,5 @@
 #include "core/checkpoint.hpp"
 
-#include <sstream>
-
 #include "common/crc32.hpp"
 #include "common/io_util.hpp"
 
@@ -48,23 +46,6 @@ std::uint64_t parse_hex64(const std::string& text) {
   return value;
 }
 
-obs::Json grid_to_json(const engine::GridSpec& grid) {
-  return obs::Json::object()
-      .set("blocks", grid.blocks)
-      .set("threads", grid.threads)
-      .set("alpha", grid.alpha)
-      .set("multiprocessors", grid.multiprocessors);
-}
-
-engine::GridSpec grid_from_json(const obs::Json& json) {
-  engine::GridSpec grid;
-  grid.blocks = json.at("blocks").as_int();
-  grid.threads = json.at("threads").as_int();
-  grid.alpha = json.at("alpha").as_int();
-  grid.multiprocessors = json.at("multiprocessors").as_int();
-  return grid;
-}
-
 obs::Json crosspoint_to_json(const Crosspoint& p) {
   return obs::Json::object()
       .set("i", p.i)
@@ -102,94 +83,43 @@ obs::Json envelope_to_json(const CheckpointEnvelope& e) {
       .set("s1_digest", hex64(e.s1_digest))
       .set("s0_length", e.s0_length)
       .set("s1_length", e.s1_length)
-      .set("scheme", obs::Json::object()
-                         .set("match", e.scheme.match)
-                         .set("mismatch", e.scheme.mismatch)
-                         .set("gap_first", e.scheme.gap_first)
-                         .set("gap_ext", e.scheme.gap_ext))
-      .set("grid_stage1", grid_to_json(e.grid_stage1))
-      .set("grid_stage23", grid_to_json(e.grid_stage23))
-      .set("sra_rows_budget", e.sra_rows_budget)
-      .set("sra_cols_budget", e.sra_cols_budget)
-      .set("max_partition_size", e.max_partition_size)
-      .set("flush_special_rows", e.flush_special_rows)
-      .set("block_pruning", e.block_pruning)
-      .set("save_special_columns", e.save_special_columns)
-      .set("balanced_splitting", e.balanced_splitting)
-      .set("orthogonal_stage4", e.orthogonal_stage4)
-      .set("kernel_override", e.kernel_override);
+      .set("options", e.options);
 }
 
 CheckpointEnvelope envelope_from_json(const obs::Json& json) {
-  CheckpointEnvelope e;
-  e.s0_digest = parse_hex64(json.at("s0_digest").as_string());
-  e.s1_digest = parse_hex64(json.at("s1_digest").as_string());
-  e.s0_length = json.at("s0_length").as_int();
-  e.s1_length = json.at("s1_length").as_int();
-  const obs::Json& scheme = json.at("scheme");
-  e.scheme.match = static_cast<Score>(scheme.at("match").as_int());
-  e.scheme.mismatch = static_cast<Score>(scheme.at("mismatch").as_int());
-  e.scheme.gap_first = static_cast<Score>(scheme.at("gap_first").as_int());
-  e.scheme.gap_ext = static_cast<Score>(scheme.at("gap_ext").as_int());
-  e.grid_stage1 = grid_from_json(json.at("grid_stage1"));
-  e.grid_stage23 = grid_from_json(json.at("grid_stage23"));
-  e.sra_rows_budget = json.at("sra_rows_budget").as_int();
-  e.sra_cols_budget = json.at("sra_cols_budget").as_int();
-  e.max_partition_size = json.at("max_partition_size").as_int();
-  e.flush_special_rows = json.at("flush_special_rows").as_bool();
-  e.block_pruning = json.at("block_pruning").as_bool();
-  e.save_special_columns = json.at("save_special_columns").as_bool();
-  e.balanced_splitting = json.at("balanced_splitting").as_bool();
-  e.orthogonal_stage4 = json.at("orthogonal_stage4").as_bool();
-  e.kernel_override = json.at("kernel_override").as_string();
-  return e;
+  return CheckpointEnvelope{parse_hex64(json.at("s0_digest").as_string()),
+                            parse_hex64(json.at("s1_digest").as_string()),
+                            json.at("s0_length").as_int(), json.at("s1_length").as_int(),
+                            json.at("options")};
 }
 
-/// One mismatch line: "<field>: checkpoint has <a>, this run has <b>".
-template <typename T>
-void diff(std::vector<std::string>& out, const char* field, const T& mine, const T& theirs) {
-  if (mine == theirs) return;
-  std::ostringstream os;
-  os << field << ": checkpoint has " << mine << ", this run has " << theirs;
-  out.push_back(os.str());
-}
-
-void diff_grid(std::vector<std::string>& out, const char* field, const engine::GridSpec& mine,
-               const engine::GridSpec& theirs) {
-  auto show = [](const engine::GridSpec& g) {
-    std::ostringstream os;
-    os << "B=" << g.blocks << " T=" << g.threads << " alpha=" << g.alpha
-       << " SMs=" << g.multiprocessors;
-    return os.str();
-  };
-  const std::string a = show(mine), b = show(theirs);
-  if (a != b) diff(out, field, a, b);
+/// Appends one line per leaf where the two trees differ, "<path>: checkpoint
+/// has <a>, this run has <b>" (values as compact JSON; a key only one side
+/// has shows as `absent` on the other).
+void diff_json(std::vector<std::string>& out, const std::string& path, const obs::Json* mine,
+               const obs::Json* theirs) {
+  const auto child = [&](const std::string& key) { return path.empty() ? key : path + "." + key; };
+  if (mine != nullptr && theirs != nullptr && mine->is_object() && theirs->is_object()) {
+    for (const auto& [key, value] : mine->as_object()) {
+      diff_json(out, child(key), &value, theirs->find(key));
+    }
+    for (const auto& [key, value] : theirs->as_object()) {
+      if (mine->find(key) == nullptr) diff_json(out, child(key), nullptr, &value);
+    }
+    return;
+  }
+  const std::string a = mine != nullptr ? mine->dump(0) : "absent";
+  const std::string b = theirs != nullptr ? theirs->dump(0) : "absent";
+  if (a != b) out.push_back(path + ": checkpoint has " + a + ", this run has " + b);
 }
 
 }  // namespace
 
 std::vector<std::string> CheckpointEnvelope::mismatches(const CheckpointEnvelope& other) const {
   std::vector<std::string> out;
-  diff(out, "sequence 0 digest", hex64(s0_digest), hex64(other.s0_digest));
-  diff(out, "sequence 1 digest", hex64(s1_digest), hex64(other.s1_digest));
-  diff(out, "sequence 0 length", s0_length, other.s0_length);
-  diff(out, "sequence 1 length", s1_length, other.s1_length);
-  diff(out, "scheme.match", scheme.match, other.scheme.match);
-  diff(out, "scheme.mismatch", scheme.mismatch, other.scheme.mismatch);
-  diff(out, "scheme.gap_first", scheme.gap_first, other.scheme.gap_first);
-  diff(out, "scheme.gap_ext", scheme.gap_ext, other.scheme.gap_ext);
-  diff_grid(out, "grid_stage1", grid_stage1, other.grid_stage1);
-  diff_grid(out, "grid_stage23", grid_stage23, other.grid_stage23);
-  diff(out, "sra_rows_budget", sra_rows_budget, other.sra_rows_budget);
-  diff(out, "sra_cols_budget", sra_cols_budget, other.sra_cols_budget);
-  diff(out, "max_partition_size", max_partition_size, other.max_partition_size);
-  diff(out, "flush_special_rows", flush_special_rows, other.flush_special_rows);
-  diff(out, "block_pruning", block_pruning, other.block_pruning);
-  diff(out, "save_special_columns", save_special_columns, other.save_special_columns);
-  diff(out, "balanced_splitting", balanced_splitting, other.balanced_splitting);
-  diff(out, "orthogonal_stage4", orthogonal_stage4, other.orthogonal_stage4);
-  diff(out, "kernel_override", std::string("\"") + kernel_override + "\"",
-       std::string("\"") + other.kernel_override + "\"");
+  const obs::Json mine = envelope_to_json(*this);
+  const obs::Json theirs = envelope_to_json(other);
+  diff_json(out, "", &mine, &theirs);
   return out;
 }
 
@@ -205,9 +135,13 @@ void validate_checkpoint_state(const CheckpointState& state) {
                      p.special_rows_saved >= 0 && p.flush_interval >= 0,
                  "checkpoint stage-1 progress is out of range");
   if (p.last_flushed_row > 0) {
-    const Index strip_rows = e.grid_stage1.strip_rows();
-    CUDALIGN_CHECK(p.flush_interval > 0 && p.special_rows_saved > 0,
-                   "checkpoint records a flushed row but no flush interval / saved rows");
+    // Only a flushed row needs the grid: a state with none may carry no
+    // options at all.
+    const obs::Json& grid = e.options.at("grid_stage1");
+    const Index strip_rows = grid.at("alpha").as_int() * grid.at("threads").as_int();
+    CUDALIGN_CHECK(strip_rows > 0 && p.flush_interval > 0 && p.special_rows_saved > 0,
+                   "checkpoint records a flushed row but no strip height / flush interval / "
+                   "saved rows");
     CUDALIGN_CHECK(p.last_flushed_row % strip_rows == 0,
                    "checkpoint stage-1 row ", p.last_flushed_row,
                    " is not on a strip boundary (strip height ", strip_rows, ")");
@@ -338,11 +272,6 @@ void CheckpointManifest::save(const CheckpointState& state) {
   atomic_write_file_durable(file_, text);
   bytes_written_ += static_cast<std::int64_t>(text.size());
   ++updates_;
-}
-
-void CheckpointManifest::remove() {
-  std::error_code ec;
-  std::filesystem::remove(file_, ec);
 }
 
 }  // namespace cudalign::core

@@ -10,10 +10,11 @@
 // of two valid checkpoints — never a torn mixture.
 //
 // Resume refuses to proceed unless the manifest's envelope (sequence digests
-// and lengths, scoring scheme, grid shapes, SRA budgets, stage options, the
-// kernel pin) matches the new invocation exactly: a checkpoint is only
-// byte-reproducible under the configuration that wrote it, and silently
-// recomputing over mismatched state would be worse than failing.
+// and lengths, plus the run's options_json: scoring scheme, grid shapes, SRA
+// budgets, stage options, the kernel pin) matches the new invocation exactly:
+// a checkpoint is only byte-reproducible under the configuration that wrote
+// it, and silently recomputing over mismatched state would be worse than
+// failing.
 #pragma once
 
 #include <cstdint>
@@ -22,15 +23,13 @@
 #include <vector>
 
 #include "core/crosspoint.hpp"
-#include "dp/gotoh.hpp"
-#include "engine/grid.hpp"
 #include "obs/json.hpp"
 
 namespace cudalign::core {
 
 /// Manifest schema identity (mirrors the run-report convention).
 inline constexpr const char* kCheckpointSchemaName = "cudalign-checkpoint";
-inline constexpr std::int64_t kCheckpointFormatVersion = 1;
+inline constexpr std::int64_t kCheckpointFormatVersion = 2;
 /// File name inside the checkpoint directory.
 inline constexpr const char* kCheckpointFileName = "checkpoint.json";
 
@@ -40,40 +39,25 @@ inline constexpr const char* kCheckpointFileName = "checkpoint.json";
 [[nodiscard]] std::uint64_t sequence_digest(seq::SequenceView bases) noexcept;
 
 /// Everything that must match bit-for-bit between the run that wrote a
-/// checkpoint and the run that resumes it. Grid shapes matter because special
-/// rows land on strip boundaries (alpha*T); budgets matter because they set
-/// the flush interval; flags matter because they change which artifacts exist
-/// and what the stages recompute.
+/// checkpoint and the run that resumes it: the sequences, and every option
+/// that can change the output (core::options_json). Grid shapes matter
+/// because special rows land on strip boundaries (alpha*T); budgets matter
+/// because they set the flush interval; the kernel pin is there out of
+/// caution — pinned kernels are exact, but resuming under a different pin is
+/// refused rather than reasoned about.
 struct CheckpointEnvelope {
   std::uint64_t s0_digest = 0;
   std::uint64_t s1_digest = 0;
   Index s0_length = 0;
   Index s1_length = 0;
-  scoring::Scheme scheme;
-  engine::GridSpec grid_stage1;
-  engine::GridSpec grid_stage23;
-  std::int64_t sra_rows_budget = 0;
-  std::int64_t sra_cols_budget = 0;
-  Index max_partition_size = 0;
-  bool flush_special_rows = true;
-  bool block_pruning = false;
-  bool save_special_columns = true;
-  bool balanced_splitting = true;
-  bool orthogonal_stage4 = true;
-  /// Effective kernel pin when the checkpoint was written ("" = automatic).
-  /// Pinned kernels are exact, so this is an envelope field out of caution:
-  /// resuming under a different pin is refused rather than reasoned about.
-  std::string kernel_override;
+  obs::Json options;  ///< options_json of the run that wrote the checkpoint.
 
-  /// Human-readable differences vs `other` (empty = compatible), each naming
-  /// the field and both values — the resume-refusal diagnostic.
+  /// Human-readable differences vs `other` (empty = compatible): one line
+  /// per differing JSON leaf, naming its path and both values — the
+  /// resume-refusal diagnostic.
   [[nodiscard]] std::vector<std::string> mismatches(const CheckpointEnvelope& other) const;
 
-  /// Scheme/GridSpec carry no operator==, so equality is defined as "no
-  /// mismatches" — the same predicate resume uses.
-  friend bool operator==(const CheckpointEnvelope& a, const CheckpointEnvelope& b) {
-    return a.mismatches(b).empty();
-  }
+  friend bool operator==(const CheckpointEnvelope&, const CheckpointEnvelope&) = default;
 };
 
 /// The pipeline stage a checkpoint has durably *completed up to*. kStage1
@@ -128,7 +112,7 @@ void validate_checkpoint_state(const CheckpointState& state);
 [[nodiscard]] obs::Json checkpoint_to_json(const CheckpointState& state);
 [[nodiscard]] CheckpointState checkpoint_from_json(const obs::Json& document);
 
-/// The durable manifest file: load/save/remove plus I/O accounting for the
+/// The durable manifest file: load/save plus I/O accounting for the
 /// run report's `resume` block. Saving is atomic and fsync'd; loading
 /// verifies schema name, format version and a CRC-32 of the body before
 /// decoding, and runs validate_checkpoint_state on the result.
@@ -141,8 +125,6 @@ class CheckpointManifest {
 
   [[nodiscard]] CheckpointState load();
   void save(const CheckpointState& state);
-  /// Deletes the manifest (fresh runs clear stale checkpoints up front).
-  void remove();
 
   [[nodiscard]] std::int64_t bytes_written() const noexcept { return bytes_written_; }
   [[nodiscard]] std::int64_t bytes_read() const noexcept { return bytes_read_; }

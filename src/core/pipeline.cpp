@@ -13,29 +13,6 @@ namespace cudalign::core {
 
 namespace {
 
-CheckpointEnvelope make_envelope(seq::SequenceView v0, seq::SequenceView v1,
-                                 const PipelineOptions& options) {
-  CheckpointEnvelope e;
-  e.s0_digest = sequence_digest(v0);
-  e.s1_digest = sequence_digest(v1);
-  e.s0_length = static_cast<Index>(v0.size());
-  e.s1_length = static_cast<Index>(v1.size());
-  e.scheme = options.scheme;
-  e.grid_stage1 = options.grid_stage1;
-  e.grid_stage23 = options.grid_stage23;
-  e.sra_rows_budget = options.sra_rows_budget;
-  e.sra_cols_budget = options.sra_cols_budget;
-  e.max_partition_size = options.max_partition_size;
-  e.flush_special_rows = options.flush_special_rows;
-  e.block_pruning = options.block_pruning;
-  e.save_special_columns = options.save_special_columns;
-  e.balanced_splitting = options.balanced_splitting;
-  e.orthogonal_stage4 = options.orthogonal_stage4;
-  const engine::KernelVariant* pin = engine::kernel_override();
-  e.kernel_override = pin != nullptr ? pin->name : "";
-  return e;
-}
-
 /// CUDALIGN_CHECKPOINT_CRASH_AFTER=N: raise SIGKILL after the Nth stage-1
 /// checkpoint save — whole-process crash realism for the CLI smoke test
 /// (0 / unset / unparsable = off).
@@ -49,6 +26,31 @@ Index env_kill_after_saves() {
 }
 
 }  // namespace
+
+obs::Json options_json(const PipelineOptions& options) {
+  const auto grid = [](const engine::GridSpec& g) {
+    return obs::Json::object()
+        .set("blocks", g.blocks)
+        .set("threads", g.threads)
+        .set("alpha", g.alpha)
+        .set("multiprocessors", g.multiprocessors);
+  };
+  const engine::KernelVariant* pin = engine::kernel_override();
+  return obs::Json::object()
+      .set("scheme", obs::Json::object()
+                         .set("match", options.scheme.match)
+                         .set("mismatch", options.scheme.mismatch)
+                         .set("gap_first", options.scheme.gap_first)
+                         .set("gap_ext", options.scheme.gap_ext))
+      .set("sra_rows_budget", options.sra_rows_budget)
+      .set("sra_cols_budget", options.sra_cols_budget)
+      .set("grid_stage1", grid(options.grid_stage1))
+      .set("grid_stage23", grid(options.grid_stage23))
+      .set("max_partition_size", options.max_partition_size)
+      .set("block_pruning", options.block_pruning)
+      .set("save_special_columns", options.save_special_columns)
+      .set("kernel", pin != nullptr ? pin->name : "");
+}
 
 PipelineResult align_pipeline(const seq::Sequence& s0, const seq::Sequence& s1,
                               const PipelineOptions& options) {
@@ -88,7 +90,8 @@ PipelineResult align_pipeline(const seq::Sequence& s0, const seq::Sequence& s1,
   bool resuming = false;
   if (checkpointed) {
     manifest.emplace(options.checkpoint_dir);
-    state.envelope = make_envelope(v0, v1, options);
+    state.envelope = CheckpointEnvelope{sequence_digest(v0), sequence_digest(v1), m, n,
+                                        options_json(options)};
     if (options.resume) {
       CUDALIGN_CHECK(manifest->exists(), "cannot resume: no checkpoint manifest at ",
                      manifest->path().string());
@@ -131,7 +134,7 @@ PipelineResult align_pipeline(const seq::Sequence& s0, const seq::Sequence& s1,
   // resumed run recomputes the exact interval the checkpoint was written
   // under (and flush rows land identically thanks to global strip numbering).
   Index flush_interval = 0;
-  if (options.flush_special_rows && m > 0 && n > 0) {
+  if (m > 0 && n > 0) {
     flush_interval = sra::flush_interval_for_budget(
         m, n, options.grid_stage1.strip_rows(), options.sra_rows_budget);
   }
@@ -211,7 +214,7 @@ PipelineResult align_pipeline(const seq::Sequence& s0, const seq::Sequence& s1,
     Stage1Config c1;
     c1.scheme = options.scheme;
     c1.grid = options.grid_stage1;
-    c1.rows_area = options.flush_special_rows ? &rows_area : nullptr;
+    c1.rows_area = &rows_area;
     c1.block_pruning = options.block_pruning;
     c1.executor = options.executor;
     c1.bus_audit = options.bus_audit;
@@ -219,7 +222,7 @@ PipelineResult align_pipeline(const seq::Sequence& s0, const seq::Sequence& s1,
     c1.resume_hbus = resume_hbus;
     c1.resume_best =
         dp::LocalBest{state.stage1.best_score, state.stage1.best_i, state.stage1.best_j};
-    if (manifest && options.flush_special_rows) {
+    if (manifest) {
       c1.on_checkpoint = [&](Index row, Index rows_this_run, const dp::LocalBest& best) {
         state.stage = CheckpointStage::kStage1;
         state.stage1.last_flushed_row = row;
@@ -289,9 +292,6 @@ PipelineResult align_pipeline(const seq::Sequence& s0, const seq::Sequence& s1,
     finalize_resume();
     return result;
   }
-  CUDALIGN_CHECK(options.flush_special_rows,
-                 "retrieving the alignment requires special rows (enable flush_special_rows "
-                 "or use stage 1 alone for score-only runs)");
 
   // Stage 2 — crosspoints on special rows + start point; special columns.
   CrosspointList l2;
@@ -368,8 +368,6 @@ PipelineResult align_pipeline(const seq::Sequence& s0, const seq::Sequence& s1,
     Stage4Config c4;
     c4.scheme = options.scheme;
     c4.max_partition_size = options.max_partition_size;
-    c4.balanced_splitting = options.balanced_splitting;
-    c4.orthogonal = options.orthogonal_stage4;
     c4.telemetry = telemetry;
     c4.pool = options.pool;
     Stage4Result st4;
@@ -408,8 +406,8 @@ PipelineResult align_pipeline(const seq::Sequence& s0, const seq::Sequence& s1,
   result.alignment = std::move(st5.alignment);
   result.binary = std::move(st5.binary);
 
-  // Stage 6 — visualization (optional, like the paper's).
-  if (options.run_stage6) {
+  // Stage 6 — visualization.
+  {
     obs::ScopedSpan span(telemetry, "stage 6 (visualization)");
     Stage6Result st6 = run_stage6(v0, v1, result.binary, options.scheme);
     result.stages[5] = st6.stats;

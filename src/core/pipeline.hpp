@@ -8,6 +8,7 @@
 #include <optional>
 
 #include "core/stages.hpp"
+#include "obs/json.hpp"
 
 namespace cudalign::core {
 
@@ -32,9 +33,9 @@ struct PipelineOptions {
   /// `workdir` for SRA placement.
   std::filesystem::path checkpoint_dir;
   /// Continue the checkpoint in `checkpoint_dir`. Refused (cudalign::Error,
-  /// naming every differing field) when the manifest's envelope — sequences,
-  /// scheme, grids, budgets, stage options, kernel pin — does not match this
-  /// invocation, when no manifest exists, or when the run already completed.
+  /// naming every differing field) when the manifest's envelope — the
+  /// sequences and options_json below — does not match this invocation, when
+  /// no manifest exists, or when the run already completed.
   /// Without `resume`, a fresh run refuses to start over an existing
   /// manifest: checkpoints are never silently recomputed over.
   bool resume = false;
@@ -49,17 +50,12 @@ struct PipelineOptions {
 
   Index max_partition_size = 16;
 
-  bool flush_special_rows = true;   ///< Off = score-only (Table IV "No Flush").
   bool block_pruning = false;       ///< Stage-1 block pruning (engine/executor.hpp).
   /// Stage-1 tile-grid executor (engine/executor.hpp; `--executor`).
-  /// Deliberately NOT part of the checkpoint envelope: both executors
-  /// produce byte-identical results, so a checkpoint taken under one may be
-  /// resumed under the other.
+  /// Deliberately NOT in options_json: both executors produce byte-identical
+  /// results, so a checkpoint taken under one may be resumed under the other.
   engine::ExecutorKind executor = engine::ExecutorKind::kLockstep;
   bool save_special_columns = true; ///< Off = skip Stage 3 (Stage 4 absorbs it).
-  bool balanced_splitting = true;   ///< Stage 4 ablation (Figure 10).
-  bool orthogonal_stage4 = true;    ///< Stage 4 ablation (Table IX).
-  bool run_stage6 = true;
 
   /// Progress callback: stage (1-6) and completed fraction of that stage's
   /// cells. Invoked from the driver thread between engine diagonals of Stage
@@ -142,7 +138,18 @@ struct PipelineResult {
   }
 };
 
-/// Runs all stages. S0 is the vertical sequence (rows, size m), S1 horizontal
+/// Every option that can change the output, as JSON: the scheme, both SRA
+/// budgets, both grids, max_partition_size, block_pruning,
+/// save_special_columns and the effective kernel pin (`kernel`, "" =
+/// automatic selection). The one serialization of the run configuration:
+/// the checkpoint envelope stores it and the run report's `options` block is
+/// it plus `executor`.
+[[nodiscard]] obs::Json options_json(const PipelineOptions& options);
+
+/// Runs all stages — always flushing special rows, splitting Stage-4
+/// partitions balanced and orthogonally, and rendering Stage 6; the stage
+/// ablations (Tables IV and IX, Figure 10) run through Stage1Config and
+/// Stage4Config. S0 is the vertical sequence (rows, size m), S1 horizontal
 /// (columns, size n) — the paper's convention.
 [[nodiscard]] PipelineResult align_pipeline(const seq::Sequence& s0, const seq::Sequence& s1,
                                             const PipelineOptions& options = {});

@@ -22,6 +22,7 @@
 // enabled only when the goal is reachable inside the current rectangle — the
 // paper's "only when the reverse alignment is near to its end" check.
 #include <algorithm>
+#include <memory>
 
 #include "common/timer.hpp"
 #include "core/stages.hpp"
@@ -83,8 +84,21 @@ Stage2Result run_stage2(seq::SequenceView s0, seq::SequenceView s1, const Crossp
   const std::int64_t cols_flushed_before =
       config.cols_area != nullptr ? config.cols_area->total_bytes_written() : 0;
 
+  // At most engine::kDiagonalBuckets spans, "iterations a-b", as Stage 1
+  // buckets its external diagonals: a span per iteration would grow the
+  // report with the number of special rows. Each iteration ends on the next
+  // special row up (or at the start point), so expected_iterations bounds the
+  // loop.
+  const Index bucket_size =
+      (expected_iterations + engine::kDiagonalBuckets - 1) / engine::kDiagonalBuckets;
+  std::unique_ptr<obs::ScopedSpan> bucket_span;
   while (cur.score > 0) {
-    obs::ScopedSpan iter_span(config.telemetry, "iteration " + std::to_string(iteration));
+    if (iteration % bucket_size == 0) {
+      const Index last = std::min(iteration + bucket_size, expected_iterations) - 1;
+      bucket_span.reset();  // Closed before the next opens: buckets are siblings.
+      bucket_span = std::make_unique<obs::ScopedSpan>(
+          config.telemetry, "iterations " + std::to_string(iteration) + "-" + std::to_string(last));
+    }
     // Nearest special row strictly above the current crosspoint.
     Index r_star = 0;
     std::optional<std::size_t> row_id;

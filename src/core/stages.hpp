@@ -168,7 +168,8 @@ struct Stage2Config {
   sra::SpecialRowsArea* rows_area = nullptr;  ///< Stage-1 rows (required).
   sra::SpecialRowsArea* cols_area = nullptr;  ///< Sink for special columns (optional).
   check::BusAuditor* bus_audit = nullptr;
-  /// Opt-in span telemetry: one span per traceback iteration (= partition).
+  /// Opt-in span telemetry: the traceback iterations (one per partition) in
+  /// at most engine::kDiagonalBuckets spans, "iterations a-b".
   obs::Telemetry* telemetry = nullptr;
   ThreadPool* pool = nullptr;
 };

@@ -128,7 +128,6 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
   const Index blocks = peel_col0 + std::max<Index>(1, std::min(grid.blocks, n - peel_col0));
   result.best = spec.initial_best;
   result.stats.blocks_used = blocks;
-  result.stats.threads_used = grid.threads;
 
   // Row-0 tap delivery (boundary vertices, before any strip).
   for (const Index col : tap_columns) {

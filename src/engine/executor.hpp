@@ -221,7 +221,6 @@ struct RunStats {
   Index starvation_waits = 0;
   Index strips = 0;           ///< Strips retired.
   Index blocks_used = 0;      ///< B after the minimum-size fit.
-  Index threads_used = 0;     ///< T (unchanged by the fit).
   std::size_t bus_bytes = 0;  ///< Peak bus memory (the engine's "VRAM").
   /// Bus traffic, tallied per retired strip (near-zero overhead; always
   /// on). Each tile performs one read and one write of its horizontal

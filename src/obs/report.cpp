@@ -9,14 +9,6 @@ namespace cudalign::obs {
 
 namespace {
 
-Json grid_json(const engine::GridSpec& grid) {
-  return Json::object()
-      .set("blocks", static_cast<std::int64_t>(grid.blocks))
-      .set("threads", static_cast<std::int64_t>(grid.threads))
-      .set("alpha", static_cast<std::int64_t>(grid.alpha))
-      .set("strip_rows", static_cast<std::int64_t>(grid.strip_rows()));
-}
-
 Json crosspoint_json(const core::Crosspoint& cp) {
   return Json::object()
       .set("i", static_cast<std::int64_t>(cp.i))
@@ -98,28 +90,8 @@ Json build_run_report(const ReportContext& ctx) {
                                 .set("name", ctx.s1_name)
                                 .set("length", static_cast<std::int64_t>(ctx.s1_length))));
 
-  report.set("options",
-             Json::object()
-                 .set("scheme", Json::object()
-                                    .set("match", static_cast<std::int64_t>(opt.scheme.match))
-                                    .set("mismatch",
-                                         static_cast<std::int64_t>(opt.scheme.mismatch))
-                                    .set("gap_first",
-                                         static_cast<std::int64_t>(opt.scheme.gap_first))
-                                    .set("gap_ext",
-                                         static_cast<std::int64_t>(opt.scheme.gap_ext)))
-                 .set("sra_rows_budget", opt.sra_rows_budget)
-                 .set("sra_cols_budget", opt.sra_cols_budget)
-                 .set("grid_stage1", grid_json(opt.grid_stage1))
-                 .set("grid_stage23", grid_json(opt.grid_stage23))
-                 .set("max_partition_size", static_cast<std::int64_t>(opt.max_partition_size))
-                 .set("flush_special_rows", opt.flush_special_rows)
-                 .set("block_pruning", opt.block_pruning)
-                 .set("executor", engine::executor_name(opt.executor))
-                 .set("save_special_columns", opt.save_special_columns)
-                 .set("balanced_splitting", opt.balanced_splitting)
-                 .set("orthogonal_stage4", opt.orthogonal_stage4)
-                 .set("run_stage6", opt.run_stage6));
+  report.set("options", core::options_json(opt).set("executor",
+                                                   engine::executor_name(opt.executor)));
 
   report.set("result", Json::object()
                            .set("empty", res.empty)
@@ -157,8 +129,6 @@ Json build_run_report(const ReportContext& ctx) {
                            .set("w_max", static_cast<std::int64_t>(res.stage5_w_max)));
 
   report.set("sra", Json::object()
-                        .set("rows_budget", opt.sra_rows_budget)
-                        .set("cols_budget", opt.sra_cols_budget)
                         .set("peak_bytes", res.sra_peak_bytes)
                         .set("special_rows_saved",
                              static_cast<std::int64_t>(res.special_rows_saved))

@@ -1,8 +1,8 @@
 // The versioned machine-readable run report (DESIGN.md "Observability"): a
 // single JSON document capturing everything a pipeline run measured — inputs,
 // options, per-stage counters, SRA traffic, partition statistics and the span
-// tree. The schema is intentionally append-only: consumers match on
-// `schema` + `schema_version` and new fields only ever add keys.
+// tree. Consumers match on `schema` + `schema_version`: adding a key keeps
+// the version, removing or re-typing one bumps it.
 #pragma once
 
 #include <filesystem>
@@ -16,7 +16,7 @@
 namespace cudalign::obs {
 
 inline constexpr const char* kReportSchemaName = "cudalign-run-report";
-inline constexpr int kReportSchemaVersion = 1;
+inline constexpr int kReportSchemaVersion = 2;
 
 /// Everything the report builder reads. All pointers are borrowed and may not
 /// be null except `telemetry` (omitting it omits the "spans" subtree).
@@ -30,7 +30,7 @@ struct ReportContext {
   const Telemetry* telemetry = nullptr;
 };
 
-/// Builds the schema-v1 report document. Call Telemetry::finish() first so
+/// Builds the report document. Call Telemetry::finish() first so
 /// the span tree is closed and timed.
 [[nodiscard]] Json build_run_report(const ReportContext& ctx);
 
@@ -41,7 +41,7 @@ void write_report_file(const Json& report, const std::filesystem::path& path);
 /// keys, six stages, and the cross-counter consistency invariants (Stage-1
 /// cells + pruned cells == m*n; Stage-1 rows flushed == special rows saved;
 /// totals == sum over stages). Returns human-readable problems, empty if the
-/// document is a well-formed v1 report. Used by `cudalign report-check`.
+/// document is a well-formed report of kReportSchemaVersion. Used by `cudalign report-check`.
 [[nodiscard]] std::vector<std::string> validate_run_report(const Json& report);
 
 }  // namespace cudalign::obs

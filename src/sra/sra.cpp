@@ -229,10 +229,6 @@ void SpecialRowsArea::drop_row(std::size_t index) {
   drop_rows([index](std::size_t i) { return i == index; });
 }
 
-void SpecialRowsArea::drop_group(std::int64_t group) {
-  drop_rows([&](std::size_t i) { return keys_[i].group == group; });
-}
-
 void SpecialRowsArea::drop_all() {
   drop_rows([](std::size_t) { return true; });
   keys_.clear();

@@ -97,10 +97,6 @@ class SpecialRowsArea {
   /// keeping them would duplicate positions within the group).
   void drop_row(std::size_t index);
 
-  /// Deletes all rows in `group`, reclaiming budget (stages drop their
-  /// intermediate data once consumed, like the paper's constant-|SRA| reuse).
-  void drop_group(std::int64_t group);
-
   /// Deletes everything (a fresh pipeline run on a reused working directory
   /// must not inherit a previous run's rows).
   void drop_all();

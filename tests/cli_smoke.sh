@@ -31,11 +31,15 @@ test -s "$DIR/run.json"
 grep -q "stage ./6" "$DIR/progress.err"
 "$CLI" report-check "$DIR/run.json" | grep -q "well-formed"
 # A tampered report must fail validation.
-sed 's/"schema_version": 1/"schema_version": 999/' "$DIR/run.json" > "$DIR/bad.json"
+sed 's/"schema_version": [0-9]*/"schema_version": 999/' "$DIR/run.json" > "$DIR/bad.json"
 if "$CLI" report-check "$DIR/bad.json" 2>/dev/null; then
   echo "tampered report passed validation" >&2
   exit 1
 fi
+# A kernel pin is part of the run configuration the report records.
+"$CLI" align "$DIR/a.fasta" "$DIR/b.fasta" --kernel striped16-local+best \
+       --out "$DIR/pinned.bin" --report "$DIR/pinned.json" | grep -q "run report"
+grep -q '"kernel": "striped16-local+best"' "$DIR/pinned.json"
 # A multi-record FASTA input must be rejected, naming the record count.
 cat "$DIR/a.fasta" "$DIR/b.fasta" > "$DIR/multi.fasta"
 if "$CLI" score "$DIR/multi.fasta" "$DIR/b.fasta" 2>"$DIR/multi.err"; then
@@ -127,6 +131,13 @@ if "$CLI" align "$DIR/b.fasta" "$DIR/a.fasta" --checkpoint-dir "$DIR/ckpt2" \
   exit 1
 fi
 grep -q "digest" "$DIR/swap.err"
+# Resuming under a different kernel pin must be refused, naming the option.
+if "$CLI" align "$DIR/a.fasta" "$DIR/b.fasta" --checkpoint-dir "$DIR/ckpt2" \
+     --resume --kernel legacy --out "$DIR/pin.bin" 2>"$DIR/pin.err"; then
+  echo "resume under a different kernel pin was accepted" >&2
+  exit 1
+fi
+grep -q "options.kernel" "$DIR/pin.err"
 # An unknown kernel override must fail fast (exit 2) and name the valid set
 # before any tile work starts.
 if CUDALIGN_KERNEL=warp9 "$CLI" score "$DIR/a.fasta" "$DIR/b.fasta" 2>"$DIR/kern.err"; then

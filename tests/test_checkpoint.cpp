@@ -6,10 +6,12 @@
 
 #include <fstream>
 #include <functional>
+#include <map>
 
 #include "common/io_util.hpp"
 #include "core/checkpoint.hpp"
 #include "core/pipeline.hpp"
+#include "engine/kernel_registry.hpp"
 #include "obs/report.hpp"
 #include "obs/telemetry.hpp"
 #include "test_util.hpp"
@@ -39,17 +41,20 @@ PipelineOptions small_options() {
 }
 
 CheckpointEnvelope sample_envelope() {
-  CheckpointEnvelope e;
-  e.s0_digest = 0x0123456789abcdefull;
-  e.s1_digest = 0xfedcba9876543210ull;
-  e.s0_length = 300;
-  e.s1_length = 240;
-  e.grid_stage1 = tiny_grid(3, 4, 2);
-  e.grid_stage23 = tiny_grid(2, 4, 2);
-  e.sra_rows_budget = 1 << 16;
-  e.sra_cols_budget = 1 << 20;
-  e.max_partition_size = 16;
-  return e;
+  return CheckpointEnvelope{0x0123456789abcdefull, 0xfedcba9876543210ull, 300, 240,
+                            options_json(small_options())};
+}
+
+/// Dotted paths of every non-object value under `json`.
+void collect_leaves(const obs::Json& json, const std::string& path,
+                    std::vector<std::string>& out) {
+  if (!json.is_object()) {
+    out.push_back(path);
+    return;
+  }
+  for (const auto& [key, value] : json.as_object()) {
+    collect_leaves(value, path.empty() ? key : path + "." + key, out);
+  }
 }
 
 CheckpointState sample_state() {
@@ -71,17 +76,63 @@ TEST(CheckpointEnvelopeTest, IdenticalEnvelopesHaveNoMismatches) {
 
 TEST(CheckpointEnvelopeTest, EveryDifferingFieldIsNamed) {
   const CheckpointEnvelope a = sample_envelope();
+  // One perturbation per option that options_json writes; the leaf walk below
+  // fails if options_json gains a leaf this table does not cover.
+  using Perturb = std::function<void(PipelineOptions&)>;
+  const std::map<std::string, Perturb> perturb = {
+      {"scheme.match", [](PipelineOptions& o) { ++o.scheme.match; }},
+      {"scheme.mismatch", [](PipelineOptions& o) { ++o.scheme.mismatch; }},
+      {"scheme.gap_first", [](PipelineOptions& o) { ++o.scheme.gap_first; }},
+      {"scheme.gap_ext", [](PipelineOptions& o) { ++o.scheme.gap_ext; }},
+      {"sra_rows_budget", [](PipelineOptions& o) { ++o.sra_rows_budget; }},
+      {"sra_cols_budget", [](PipelineOptions& o) { ++o.sra_cols_budget; }},
+      {"grid_stage1.blocks", [](PipelineOptions& o) { ++o.grid_stage1.blocks; }},
+      {"grid_stage1.threads", [](PipelineOptions& o) { ++o.grid_stage1.threads; }},
+      {"grid_stage1.alpha", [](PipelineOptions& o) { ++o.grid_stage1.alpha; }},
+      {"grid_stage1.multiprocessors",
+       [](PipelineOptions& o) { ++o.grid_stage1.multiprocessors; }},
+      {"grid_stage23.blocks", [](PipelineOptions& o) { ++o.grid_stage23.blocks; }},
+      {"grid_stage23.threads", [](PipelineOptions& o) { ++o.grid_stage23.threads; }},
+      {"grid_stage23.alpha", [](PipelineOptions& o) { ++o.grid_stage23.alpha; }},
+      {"grid_stage23.multiprocessors",
+       [](PipelineOptions& o) { ++o.grid_stage23.multiprocessors; }},
+      {"max_partition_size", [](PipelineOptions& o) { ++o.max_partition_size; }},
+      {"block_pruning", [](PipelineOptions& o) { o.block_pruning = !o.block_pruning; }},
+      {"save_special_columns",
+       [](PipelineOptions& o) { o.save_special_columns = !o.save_special_columns; }},
+      {"kernel", [](PipelineOptions&) { engine::set_kernel_override("legacy"); }},
+  };
+  std::vector<std::string> leaves;
+  collect_leaves(a.options, "", leaves);
+  EXPECT_EQ(leaves.size(), perturb.size());
+  for (const std::string& leaf : leaves) {
+    SCOPED_TRACE(leaf);
+    ASSERT_TRUE(perturb.contains(leaf)) << "no perturbation for options leaf " << leaf;
+    PipelineOptions options = small_options();
+    perturb.at(leaf)(options);
+    CheckpointEnvelope b = a;
+    b.options = options_json(options);
+    engine::reload_kernel_override_from_env();
+    const std::vector<std::string> diffs = a.mismatches(b);
+    ASSERT_EQ(diffs.size(), 1u);
+    EXPECT_EQ(diffs[0].rfind("options." + leaf + ": checkpoint has ", 0), 0u) << diffs[0];
+  }
+
   CheckpointEnvelope b = a;
   b.s0_digest ^= 1;
-  b.scheme.match = 99;
-  b.block_pruning = !b.block_pruning;
-  b.kernel_override = "legacy";
+  b.s1_length = 241;
   const std::vector<std::string> diffs = a.mismatches(b);
-  ASSERT_EQ(diffs.size(), 4u);
-  EXPECT_NE(diffs[0].find("sequence 0 digest"), std::string::npos);
-  EXPECT_NE(diffs[1].find("scheme.match"), std::string::npos);
-  EXPECT_NE(diffs[2].find("block_pruning"), std::string::npos);
-  EXPECT_NE(diffs[3].find("kernel_override"), std::string::npos);
+  ASSERT_EQ(diffs.size(), 2u);
+  EXPECT_EQ(diffs[0], "s0_digest: checkpoint has \"0123456789abcdef\", this run has "
+                      "\"0123456789abcdee\"");
+  EXPECT_EQ(diffs[1], "s1_length: checkpoint has 240, this run has 241");
+
+  // The executor cannot change the output, so it is not in the envelope.
+  PipelineOptions dataflow = small_options();
+  dataflow.executor = engine::ExecutorKind::kDataflow;
+  b = a;
+  b.options = options_json(dataflow);
+  EXPECT_TRUE(a.mismatches(b).empty());
 }
 
 TEST(CheckpointManifestTest, SaveLoadRoundTrip) {
@@ -148,13 +199,13 @@ TEST(CheckpointManifestTest, FormatVersionBumpRefused) {
   CheckpointManifest manifest(dir.path());
   manifest.save(sample_state());
   std::string text = read_file(manifest.path());
-  const auto pos = text.find("\"format_version\": 1");
+  const auto pos = text.find("\"format_version\": 2");
   ASSERT_NE(pos, std::string::npos);
-  text.replace(pos, 19, "\"format_version\": 9");
+  text.replace(pos, 19, "\"format_version\": 1");
   write_file(manifest.path(), text);
   try {
     (void)manifest.load();
-    FAIL() << "future format version was not refused";
+    FAIL() << "format version 1 was not refused";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("format version"), std::string::npos) << e.what();
   }

@@ -9,6 +9,7 @@
 #include "common/error.hpp"
 #include "common/io_util.hpp"
 #include "core/pipeline.hpp"
+#include "engine/kernel_registry.hpp"
 #include "obs/json.hpp"
 #include "obs/progress.hpp"
 #include "obs/report.hpp"
@@ -373,6 +374,20 @@ TEST(RunReport, KernelCellsSumToStageCells) {
   const auto problems = validate_run_report(tampered);
   ASSERT_EQ(problems.size(), 1u);
   EXPECT_NE(problems.front().find("stage 4 kernel cells"), std::string::npos) << problems.front();
+}
+
+TEST(RunReport, OptionsBlockIsTheRunConfiguration) {
+  // The report writes the run configuration the checkpoint envelope stores,
+  // plus the executor, the one option that cannot change the output.
+  const SmallRun run = small_pipeline_run();
+  Json expected = core::options_json(run.options);
+  expected.set("executor", engine::executor_name(run.options.executor));
+  EXPECT_EQ(build_run_report(context_of(run)).at("options"), expected);
+
+  engine::set_kernel_override("striped16-local+best");
+  const Json pinned = build_run_report(context_of(run));
+  engine::reload_kernel_override_from_env();
+  EXPECT_EQ(pinned.at("options").at("kernel").as_string(), "striped16-local+best");
 }
 
 }  // namespace

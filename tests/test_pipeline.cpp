@@ -4,11 +4,14 @@
 // linear space).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "baseline/full_matrix.hpp"
 #include "check/bus_audit.hpp"
 #include "common/io_util.hpp"
 #include "common/rng.hpp"
 #include "core/pipeline.hpp"
+#include "obs/telemetry.hpp"
 #include "test_util.hpp"
 
 namespace cudalign::core {
@@ -139,8 +142,6 @@ TEST_P(PipelineFuzz, RandomConfigurationStaysOptimal) {
   options.sra_cols_budget = options.sra_rows_budget;
   options.block_pruning = rng.chance(0.4);
   options.save_special_columns = rng.chance(0.8);
-  options.balanced_splitting = rng.chance(0.8);
-  options.orthogonal_stage4 = rng.chance(0.8);
 
   const PipelineResult result = align_pipeline(pair.s0, pair.s1, options);
   const auto reference =
@@ -189,11 +190,26 @@ TEST(Pipeline, EmptyInputSequences) {
   EXPECT_TRUE(result.empty);
 }
 
-TEST(Pipeline, ScoreOnlyModeSkipsTraceback) {
-  const auto pair = test::small_related(200, 200, 777);
+TEST(Pipeline, Stage2SpansAreBucketed) {
+  // One special row per 8-row strip: Stage 2 runs one iteration per special
+  // row it crosses, far more than the span tree may hold.
+  const auto pair = seq::make_related_pair(300, 290, 4242);
   PipelineOptions options = small_options();
-  options.flush_special_rows = false;
-  EXPECT_THROW((void)align_pipeline(pair.s0, pair.s1, options), Error);
+  obs::Telemetry telemetry;
+  options.telemetry = &telemetry;
+  const PipelineResult result = align_pipeline(pair.s0, pair.s1, options);
+  telemetry.finish();
+  ASSERT_GT(result.crosspoint_counts[1] - 1, engine::kDiagonalBuckets);  // Iterations.
+
+  const obs::Span& pipeline = telemetry.root().children.at(0);
+  const auto stage2 =
+      std::find_if(pipeline.children.begin(), pipeline.children.end(),
+                   [](const obs::Span& s) { return s.name == "stage 2 (partial traceback)"; });
+  ASSERT_NE(stage2, pipeline.children.end());
+  EXPECT_FALSE(stage2->children.empty());
+  EXPECT_LE(static_cast<Index>(stage2->children.size()), engine::kDiagonalBuckets);
+  EXPECT_EQ(stage2->children.front().name.rfind("iterations 0-", 0), 0u)
+      << stage2->children.front().name;
 }
 
 TEST(Pipeline, WithoutSpecialColumnsStage4Absorbs) {

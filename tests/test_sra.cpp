@@ -84,7 +84,7 @@ TEST(Sra, DropGroupReclaimsBudget) {
   SpecialRowsArea area(dir.path(), 2 * bytes);
   (void)area.put(RowKey{1, 0, 99, 5}, row);
   (void)area.put(RowKey{2, 0, 99, 5}, row);
-  area.drop_group(5);
+  for (const std::size_t index : area.group_members(5)) area.drop_row(index);
   EXPECT_EQ(area.used_bytes(), 0);
   EXPECT_TRUE(area.group_members(5).empty());
   // Budget is reusable; peak remembers the high-water mark.
@@ -97,7 +97,7 @@ TEST(Sra, GetDroppedRowThrows) {
   TempDir dir;
   SpecialRowsArea area(dir.path(), 1 << 20);
   const auto idx = area.put(RowKey{1, 0, 3, 9}, make_row(4, 1));
-  area.drop_group(9);
+  area.drop_row(idx);
   EXPECT_THROW((void)area.get(idx), Error);
 }
 
@@ -139,7 +139,7 @@ TEST(Sra, DroppedGroupsStayDroppedAfterReopen) {
     SpecialRowsArea area(dir.path() / "persist", 1 << 20);
     (void)area.put(RowKey{1, 0, 3, 7}, make_row(4, 1));
     (void)area.put(RowKey{2, 0, 3, 8}, make_row(4, 2));
-    area.drop_group(7);
+    for (const std::size_t index : area.group_members(7)) area.drop_row(index);
   }
   SpecialRowsArea reopened(dir.path() / "persist", 1 << 20);
   EXPECT_TRUE(reopened.group_members(7).empty());
