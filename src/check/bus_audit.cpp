@@ -65,7 +65,9 @@ void BusAuditor::begin_run(Index n, Index strips, Index blocks, Index strip_rows
   CUDALIGN_CHECK(static_cast<Index>(cuts.size()) == blocks + 1,
                  "bus audit: cuts must have blocks + 1 entries");
   CUDALIGN_CHECK(strip_rows < kVSlotStride, "bus audit: strip height exceeds the slot encoding");
-  CUDALIGN_CHECK(vplanes >= 2, "bus audit: a run rotates at least two vertical-bus planes");
+  CUDALIGN_CHECK(vplanes >= std::min<Index>(strips, 2),
+                 "bus audit: a run of two or more strips rotates at least two vertical-bus "
+                 "planes");
   std::lock_guard lock(mutex_);
   n_ = n;
   strips_ = strips;

@@ -111,8 +111,8 @@ class BusAuditor {
   /// Resets shadow state for a new engine run over an n-column problem with
   /// the given chunk boundaries (`cuts`, size blocks + 1). `vplanes` is the
   /// number of vertical-bus planes the executor rotates (2 for lockstep's
-  /// parity double-buffer; window + 2 for dataflow). Violations and event
-  /// counts accumulate across runs.
+  /// parity double-buffer; min(strips, window + 2) for dataflow). Violations
+  /// and event counts accumulate across runs.
   void begin_run(Index n, Index strips, Index blocks, Index strip_rows,
                  std::vector<Index> cuts, OrderModel order = OrderModel::kDiagonalBarrier,
                  Index vplanes = 2);
@@ -138,7 +138,7 @@ class BusAuditor {
   /// Tile (strip, block) writes vertical boundary `block + 1`, rows [0..rows].
   void write_vertical(Index strip, Index block, Index diagonal, Index rows);
 
-  // --- flush pipeline (driver thread) --------------------------------------
+  // --- flush pipeline (strip retirement) -----------------------------------
 
   /// Strip `strip` retires and hands its special row to the flush path —
   /// the SRA writer's queue (sra/async_writer.hpp). Validates the flush

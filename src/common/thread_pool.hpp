@@ -1,18 +1,19 @@
 // A small fixed-size thread pool with a blocking parallel_for.
 //
-// This is the CPU stand-in for the CUDA block scheduler: the wavefront
-// executor submits the blocks of an external diagonal as one shared job and
-// joins the diagonal before advancing (exactly the inter-diagonal
-// synchronization the GPU grid provides).
+// This is the CPU stand-in for the CUDA block scheduler and the only owner of
+// compute threads: the lockstep wavefront submits the blocks of an external
+// diagonal as one shared job and joins the diagonal before advancing (exactly
+// the inter-diagonal synchronization the GPU grid provides), and the dataflow
+// scheduler (engine/sched.hpp) runs one job of worker_count() participants
+// that pull ready tiles until the tile graph is done.
 //
 // parallel_for publishes a single job — a pointer to the caller's function, an
 // iteration count and a shared atomic cursor — and bumps a generation counter
 // to wake the workers. Every participant (workers and the caller) claims
 // iterations from the cursor until it runs dry, so the call allocates nothing
 // and queues nothing: there is no per-iteration task object, and load
-// balancing falls out of the cursor. Concurrent callers are serialized; the
-// dependency structure being modelled (per-diagonal fan-out with a barrier)
-// has exactly one job in flight anyway.
+// balancing falls out of the cursor. Concurrent callers are serialized; both
+// executors have exactly one job in flight anyway.
 #pragma once
 
 #include <atomic>

@@ -155,25 +155,23 @@ void validate_checkpoint_state(const CheckpointState& state) {
     CUDALIGN_CHECK(end.type == dp::CellState::kH && end.score >= 0 && end.i >= 0 &&
                        end.i <= m && end.j >= 0 && end.j <= n,
                    "checkpoint end point is invalid");
+    // Every list the cursor implies must be a valid chain (monotone, inside
+    // the matrix) from L2's start point to the end point.
+    const auto check_list = [&](const CrosspointList& list, const char* name) {
+      validate_chain(list, m, n, end.score);
+      CUDALIGN_CHECK(list.back() == end && list.front() == state.l2.front(), "checkpoint ", name,
+                     " does not chain between the start and end points");
+    };
     // Best score 0 = empty optimal alignment: the pipeline short-circuits
     // after Stage 1 and the crosspoint lists legitimately stay empty.
     if (end.score > 0) {
       if (state.stage >= CheckpointStage::kStage3) {
-        CUDALIGN_CHECK(state.l2.size() >= 2 && state.l2.back() == end,
-                       "checkpoint L2 does not chain to the end point");
+        check_list(state.l2, "L2");
         CUDALIGN_CHECK(state.special_cols_saved >= 0,
                        "checkpoint special-column count is negative");
       }
-      if (state.stage >= CheckpointStage::kStage4) {
-        CUDALIGN_CHECK(state.l3.size() >= 2 && state.l3.back() == end &&
-                           state.l3.front() == state.l2.front(),
-                       "checkpoint L3 does not chain between the start and end points");
-      }
-      if (state.stage >= CheckpointStage::kStage5) {
-        CUDALIGN_CHECK(state.l4.size() >= 2 && state.l4.back() == end &&
-                           state.l4.front() == state.l2.front(),
-                       "checkpoint L4 does not chain between the start and end points");
-      }
+      if (state.stage >= CheckpointStage::kStage4) check_list(state.l3, "L3");
+      if (state.stage >= CheckpointStage::kStage5) check_list(state.l4, "L4");
     }
   }
 }

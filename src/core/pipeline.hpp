@@ -58,9 +58,10 @@ struct PipelineOptions {
   bool save_special_columns = true; ///< Off = skip Stage 3 (Stage 4 absorbs it).
 
   /// Progress callback: stage (1-6) and completed fraction of that stage's
-  /// cells. Invoked from the driver thread between engine diagonals of Stage
-  /// 1 and between stages otherwise — chromosome-scale runs take hours
-  /// (18.5 h in the paper) and need liveness reporting.
+  /// cells. Invoked at each strip retirement of Stage 1 (under dataflow
+  /// possibly on a pool worker, one call at a time) and between stages
+  /// otherwise — chromosome-scale runs take hours (18.5 h in the paper) and
+  /// need liveness reporting.
   std::function<void(int stage, double fraction)> progress;
 
   /// Opt-in bus hand-off auditing for every engine run of Stages 1-3
@@ -71,7 +72,7 @@ struct PipelineOptions {
 
   /// Opt-in span telemetry (obs/telemetry.hpp; the CLI's --report): the
   /// pipeline records a "pipeline" span with one child per stage, Stage 1
-  /// bucketing its external diagonals below that. Driver-thread only; the
+  /// bucketing its external diagonals below that. Calling thread only; the
   /// caller reads the tree after the pipeline returns (obs/report.hpp turns
   /// it plus this result into the versioned JSON run report).
   obs::Telemetry* telemetry = nullptr;

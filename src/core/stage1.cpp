@@ -44,7 +44,7 @@ Stage1Result run_stage1(seq::SequenceView s0, seq::SequenceView s1, const Stage1
         m, n, config.grid.strip_rows(), config.rows_area->budget_bytes());
     hooks.special_row_interval = result.flush_interval;
     // Flush pipeline (DESIGN.md "Stage-1 I/O overlap"): the hook copies the
-    // row into the writer's queue on the driver thread, and the writer thread
+    // row into the writer's queue at strip retirement, and the writer thread
     // performs the put() and then the checkpoint ack, off the compute path.
     writer.emplace(*config.rows_area);
     hooks.on_special_row = [&](Index row, std::span<const engine::BusCell> cells,

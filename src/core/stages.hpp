@@ -24,7 +24,8 @@ namespace cudalign::core {
 
 /// Per-stage accounting feeding Tables IV, V, VII and VIII and the
 /// observability run report (obs/report.hpp). All counters are always
-/// collected — they are driver-thread tallies, cheap enough to never gate.
+/// collected — they are tallied on the calling thread after each engine run,
+/// cheap enough to never gate.
 struct StageStats {
   double seconds = 0;
   WideScore cells = 0;       ///< DP cells processed (the paper's Cells_k).
@@ -34,7 +35,8 @@ struct StageStats {
   Index tiles = 0;           ///< Engine tiles dispatched across all runs.
   Index diagonals = 0;       ///< External diagonals executed across all runs.
   /// Dataflow scheduler counters (engine RunStats semantics; 0 under
-  /// lockstep): stolen tiles and empty-handed idle scans, summed over runs.
+  /// lockstep): tiles run by a participant other than the one that made them
+  /// ready, and waits on an empty ready queue, summed over runs.
   Index tiles_stolen = 0;
   Index starvation_waits = 0;
   /// Wavefront bus traffic (engine RunStats semantics, summed over runs).
@@ -47,9 +49,10 @@ struct StageStats {
   /// Flush-pipeline accounting (sra/async_writer.hpp). `sra_rows_acked`
   /// counts durably acknowledged rows — equal to `sra_rows_flushed` at
   /// completion (the run-report validator enforces it).
-  /// `sra_flush_wait_seconds` is the time spent inside the flush hook on the
-  /// driver thread: the row copy plus queue backpressure (engine RunStats
-  /// `special_row_wait_seconds`; under dataflow not a compute stall).
+  /// `sra_flush_wait_seconds` is the time spent inside the flush hook at
+  /// strip retirement: the row copy plus queue backpressure (engine RunStats
+  /// `special_row_wait_seconds`; under dataflow, compute time lost on the
+  /// retiring participant while the others keep computing).
   /// `sra_writer_busy_seconds` is the writer thread's time in put() + ack.
   Index sra_rows_acked = 0;
   std::size_t sra_flush_queue_peak = 0;
@@ -138,7 +141,7 @@ struct Stage1Config {
   /// Opt-in bus hand-off verification (engine/executor.hpp Hooks::bus_audit).
   check::BusAuditor* bus_audit = nullptr;
   /// Opt-in span telemetry (obs/telemetry.hpp): Stage 1 forwards it into the
-  /// engine, which records one span per external-diagonal bucket. Driver
+  /// engine, which records one span per external-diagonal bucket. Calling
   /// thread only.
   obs::Telemetry* telemetry = nullptr;
   ThreadPool* pool = nullptr;

@@ -162,12 +162,13 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
   // and pruning closure are double-buffered by strip parity (the
   // same-diagonal hazard; see executor.hpp). Dataflow: the scheduler's window
   // gate admits strip s only once strip s - window - 1 has retired, so
-  // window + 2 buffers never overlap a live strip.
+  // window + 2 buffers never overlap a live strip, and a run of fewer strips
+  // needs one buffer per strip.
   const bool dataflow = spec.executor == ExecutorKind::kDataflow;
-  const int workers = std::max<int>(1, static_cast<int>(pool->worker_count()));
-  const Index window = std::max<Index>(4, 2 * static_cast<Index>(workers));
-  const Index planes = dataflow ? window + 2 : 2;
+  const Index workers = std::max<Index>(1, static_cast<Index>(pool->worker_count()));
+  const Index window = std::max<Index>(4, 2 * workers);
   const Index ring = std::min(strips, dataflow ? window + 2 : blocks);
+  const Index planes = dataflow ? ring : 2;
 
   check::BusAuditor* audit = hooks.bus_audit;
   if (audit != nullptr) {
@@ -434,10 +435,9 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
     sched::SchedOptions sched_options;
     sched_options.strips = strips;
     sched_options.blocks = blocks;
-    sched_options.workers = workers;
     sched_options.window = window;
-    const sched::SchedStats sched_stats = sched::run_tile_graph(
-        sched_options, [&](Index s, Index b, int /*worker*/) { tile(s, b); }, retire);
+    const sched::SchedStats sched_stats =
+        sched::run_tile_graph(sched_options, *pool, tile, retire);
     result.stats.tiles_stolen = static_cast<Index>(sched_stats.tiles_stolen);
     result.stats.starvation_waits = static_cast<Index>(sched_stats.starvation_waits);
   } else {

@@ -11,16 +11,16 @@
 //     thread pool with a barrier per diagonal, exactly the synchronization
 //     the GPU grid provides between external diagonals; a strip retires
 //     after the diagonal that ran its last tile.
-//   * kDataflow — each tile carries an atomic dependency counter (left-bus +
-//     top-bus inputs) and runs the moment both are published; workers pull
-//     from work-stealing deques (engine/sched.hpp), so a slow tile stalls
-//     only its own successors instead of the whole pool. Strips retire at
-//     the row-completion watermark on the caller thread.
+//   * kDataflow — each tile runs the moment its left-bus and top-bus inputs
+//     are published; the same pool's workers take ready tiles from one
+//     locked queue (engine/sched.hpp), so a slow tile stalls only its own
+//     successors instead of the whole pool. Strips retire at the
+//     row-completion watermark, on whichever participant completes it.
 //
-// Either way, hook callbacks run on the caller thread at strip retirement, so
-// results are bit-identical for any worker count and between the two
-// executors (the lockstep schedule is one legal execution of the dataflow
-// dependency graph).
+// Either way, hook callbacks run one strip at a time, in ascending strip
+// order, at strip retirement, so results are bit-identical for any worker
+// count and between the two executors (the lockstep schedule is one legal
+// execution of the dataflow dependency graph).
 //
 // Sentinel boundaries: the reverse corners of end types E and F
 // (dp::end_corner) make H = -inf on column 0 (end in E) or on row 0 (end in
@@ -33,14 +33,15 @@
 // Memory is the buses only: O(n) horizontal + O(B * alpha * T) vertical
 // (lockstep double-buffers by strip parity to avoid the same-diagonal
 // write/read hazard the paper's minimum size requirement addresses; dataflow
-// rotates window + 2 planes because up to window + 1 strips are in flight),
+// rotates min(strips, window + 2) planes because up to window + 1 strips are
+// in flight),
 // plus one reused n-cell row buffer per special strip that can be in flight
 // — the engine is linear-space by construction.
 //
 // Thread-safety discipline: the executor itself owns no atomics and no
 // locks. Every cross-thread hand-off is delegated to the schedulers
 // (common/thread_pool.hpp, engine/sched.hpp) whose shared state carries
-// CUDALIGN_GUARDED_BY annotations and `// order:` justifications
+// CUDALIGN_GUARDED_BY annotations (and, in the pool, `// order:` notes)
 // (check/annotations.hpp; enforced by cudalint's concurrency rule pack) —
 // tile data itself stays plain because the scheduler edges order it, as the
 // bus auditor (check/bus_audit.hpp) verifies dynamically.
@@ -153,7 +154,8 @@ struct Hooks {
   /// multiple of the strip height, as in the paper) and the run's merged
   /// best-so-far (local mode) covering every cell up to that row —
   /// everything a checkpoint needs to make the flush durable progress.
-  /// Called once per flush on the driver thread, in ascending row order.
+  /// Called once per flush at strip retirement, in ascending row order; under
+  /// dataflow that may be on a pool worker.
   /// 0 disables flushing.
   Index special_row_interval = 0;
   std::function<void(Index row, std::span<const BusCell> cells, const dp::LocalBest& best_so_far)>
@@ -172,9 +174,9 @@ struct Hooks {
   /// with a hit reports the smallest (i, j) among its tiles' hits.
   std::optional<Score> find_value;
 
-  /// Liveness reporting for long runs: called on the driver thread after
-  /// each retired strip with (tiles of retired strips, tiles total) — a
-  /// monotone fraction, identical under both executors.
+  /// Liveness reporting for long runs: called at each strip retirement with
+  /// (tiles of retired strips, tiles total) — a monotone fraction, identical
+  /// under both executors.
   std::function<void(Index done, Index total)> on_progress;
 
   /// Opt-in bus access auditor (check/bus_audit.hpp): when set, the executor
@@ -189,8 +191,9 @@ struct Hooks {
   /// Opt-in span telemetry (obs/telemetry.hpp): when set, the executor
   /// records one child span per bucket of external diagonals (at most
   /// kDiagonalBuckets of them) under the caller's open span — the wavefront
-  /// phase profile behind the run report. Driver-thread only: never pass a
-  /// shared recorder into engine runs launched from pool workers.
+  /// phase profile behind the run report. Used on the calling thread only:
+  /// never pass a shared recorder into engine runs launched from pool
+  /// workers.
   obs::Telemetry* telemetry = nullptr;
 };
 
@@ -214,9 +217,10 @@ struct RunStats {
   Index pruned_tiles = 0;
   Index tiles = 0;            ///< Kernel calls (a peeled tile makes two) plus pruned tiles.
   Index diagonals = 0;        ///< External diagonals executed (lockstep; 0 under dataflow).
-  /// Dataflow scheduler counters (0 under lockstep): tiles executed off
-  /// another worker's deque, and idle scans that found every source empty —
-  /// the report's replacement for the lockstep diagonal-bucket profile.
+  /// Dataflow scheduler counters (0 under lockstep): tiles run by a
+  /// participant other than the one that made them ready, and waits on an
+  /// empty ready queue — the report's replacement for the lockstep
+  /// diagonal-bucket profile.
   Index tiles_stolen = 0;
   Index starvation_waits = 0;
   Index strips = 0;           ///< Strips retired.
@@ -234,8 +238,8 @@ struct RunStats {
   /// Time strip retirement spent inside on_special_row. Stage 1's hook
   /// copies the row into the SRA writer's queue and waits on backpressure
   /// (core/stage1.cpp). Under lockstep that wait stalls the next diagonal;
-  /// under dataflow it is driver-thread hand-off time while workers keep
-  /// computing, not a compute stall.
+  /// under dataflow it is compute time lost on the retiring participant
+  /// while the others keep computing.
   double special_row_wait_seconds = 0;
   double seconds = 0;
   /// Tiles/cells per kernel variant (pruned tiles are not attributed).

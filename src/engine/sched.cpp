@@ -1,11 +1,12 @@
 #include "engine/sched.hpp"
 
-#include <chrono>
+#include <algorithm>
 #include <condition_variable>
 #include <deque>
 #include <exception>
+#include <iterator>
 #include <mutex>
-#include <thread>
+#include <vector>
 
 #include "check/annotations.hpp"
 #include "check/contracts.hpp"
@@ -14,316 +15,174 @@ namespace cudalign::engine::sched {
 
 namespace {
 
-std::size_t ceil_pow2(std::size_t v) {
-  std::size_t p = 1;
-  while (p < v) p <<= 1;
-  return p;
-}
+constexpr std::int64_t kNoTile = -1;
 
-}  // namespace
+/// A ready tile, s * blocks + b, and the participant that made it ready.
+struct ReadyTile {
+  std::int64_t tile = kNoTile;
+  std::size_t maker = 0;
+};
 
-WorkStealingDeque::WorkStealingDeque(std::size_t capacity_pow2)
-    : buffer_(ceil_pow2(capacity_pow2)), mask_(static_cast<std::int64_t>(buffer_.size()) - 1) {}
+class GraphRun {
+ public:
+  GraphRun(const SchedOptions& opt, const std::function<void(Index, Index)>& body,
+           const std::function<bool(Index)>& strip_done)
+      : opt_(opt),
+        body_(body),
+        strip_done_(strip_done),
+        ready_{ReadyTile{0, 0}},
+        progress_(static_cast<std::size_t>(opt.strips), 0) {}
 
-bool WorkStealingDeque::push(std::int64_t value) {
-  // order: relaxed — bottom_ is only written by the owner; this is its own last value.
-  const std::int64_t b = bottom_.load(std::memory_order_relaxed);
-  const std::int64_t t = top_.load(std::memory_order_acquire);
-  if (b - t > mask_) return false;  // Full; caller reroutes to the injector.
-  // order: relaxed — the release store of bottom_ below publishes the slot to thieves.
-  buffer_[static_cast<std::size_t>(b & mask_)].store(value, std::memory_order_relaxed);
-  bottom_.store(b + 1, std::memory_order_release);
-  return true;
-}
-
-bool WorkStealingDeque::pop(std::int64_t* out) {
-  // order: relaxed — owner-only bottom_; the seq_cst fence below does the ordering.
-  const std::int64_t b = bottom_.load(std::memory_order_relaxed) - 1;
-  bottom_.store(b, std::memory_order_relaxed);
-  // order: seq_cst — the fence must totally order the bottom_ store against the
-  // thieves' top_ reads; weaker fences let pop and steal both claim the element.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  // order: relaxed — the fence above already orders this top_ read.
-  std::int64_t t = top_.load(std::memory_order_relaxed);
-  if (t > b) {  // Was empty: restore bottom.
-    // order: relaxed — owner-only restore; thieves gate on top_, not bottom_.
-    bottom_.store(b + 1, std::memory_order_relaxed);
-    return false;
-  }
-  // order: relaxed — the slot value was published by this owner's own push.
-  *out = buffer_[static_cast<std::size_t>(b & mask_)].load(std::memory_order_relaxed);
-  if (t < b) return true;  // More than one element left: no race possible.
-  // Single element: race the thieves for it via top.
-  // order: seq_cst CAS joins the fence total order; relaxed on failure (t is discarded).
-  const bool won =
-      top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst, std::memory_order_relaxed);
-  // order: relaxed — owner-only reset; the next push's release publishes it.
-  bottom_.store(b + 1, std::memory_order_relaxed);
-  return won;
-}
-
-bool WorkStealingDeque::steal(std::int64_t* out) {
-  std::int64_t t = top_.load(std::memory_order_acquire);
-  // order: seq_cst — pairs with pop's fence: a thief must observe either the
-  // shrunken bottom_ or the owner's CAS; weaker orders let both claim the tile.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  const std::int64_t b = bottom_.load(std::memory_order_acquire);
-  if (t >= b) return false;
-  // order: relaxed — the acquire load of top_ above published this slot.
-  const std::int64_t value = buffer_[static_cast<std::size_t>(t & mask_)].load(std::memory_order_relaxed);
-  // order: seq_cst CAS claims the slot in the fence total order; relaxed failure rescans.
-  if (!top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
-                                    std::memory_order_relaxed)) {
-    return false;  // Lost to the owner's pop or another thief; caller rescans.
-  }
-  *out = value;
-  return true;
-}
-
-namespace {
-
-/// Shared run state. Tiles are identified as s * blocks + b.
-struct GraphRun {
-  SchedOptions opt;
-  std::int64_t total = 0;
-
-  /// Unsatisfied inputs per tile: (s > 0) + (b > 0).
-  std::vector<std::atomic<std::uint8_t>> deps;
-  /// Remaining tiles per strip (for the watermark hand-off to the driver).
-  std::vector<std::atomic<Index>> strip_left;
-
-  /// std::deque, not vector: WorkStealingDeque holds atomics and is immovable.
-  std::deque<WorkStealingDeque> deques;
-
-  /// Injector + window gate, one mutex: deque-overflow spillover, parked
-  /// column-0 tiles, and the published watermark the gate tests against.
-  std::mutex queue_mutex;
-  std::deque<std::int64_t> injector CUDALIGN_GUARDED_BY(queue_mutex);
-  /// Ascending (column-0 readiness arrives in order).
-  std::deque<Index> parked CUDALIGN_GUARDED_BY(queue_mutex);
-  /// Strips retired by the driver.
-  Index watermark CUDALIGN_GUARDED_BY(queue_mutex) = 0;
-
-  /// Quiescence epoch + stop flag (early stop or captured exception).
-  std::atomic<std::int64_t> tiles_done{0};
-  std::atomic<bool> stop{false};
-
-  /// Driver wake-up: strip completion flags and the first captured error.
-  std::mutex done_mutex;
-  std::condition_variable done_cv;
-  std::vector<std::uint8_t> strip_complete CUDALIGN_GUARDED_BY(done_mutex);
-  std::exception_ptr error CUDALIGN_GUARDED_BY(done_mutex);
-
-  std::mutex stats_mutex;
-  SchedStats stats CUDALIGN_GUARDED_BY(stats_mutex);
-
-  const std::function<void(Index, Index, int)>* body = nullptr;
-
-  void fail(std::exception_ptr e) {
-    {
-      std::lock_guard<std::mutex> lock(done_mutex);
-      if (!error) error = std::move(e);
-    }
-    stop.store(true, std::memory_order_release);
-    done_cv.notify_all();
-  }
-
-  void inject(std::int64_t tile) {
-    std::lock_guard<std::mutex> lock(queue_mutex);
-    injector.push_back(tile);
-  }
-
-  void enqueue(int worker, std::int64_t tile) {
-    if (!deques[static_cast<std::size_t>(worker)].push(tile)) inject(tile);
-  }
-
-  /// Tile (s, 0) just became dependency-free; admit it only if the strip is
-  /// inside the watermark window, otherwise park it for the driver.
-  void gate_strip(int worker, Index s) {
-    bool ready;
-    {
-      std::lock_guard<std::mutex> lock(queue_mutex);
-      ready = s <= watermark + opt.window;
-      if (!ready) parked.push_back(s);
-    }
-    if (ready) enqueue(worker, s * opt.blocks);
-  }
-
-  void execute(std::int64_t tile, int worker) {
-    const Index s = tile / opt.blocks;
-    const Index b = tile % opt.blocks;
+  /// One participant: runs ready tiles until every strip has retired or the
+  /// run stops. The first exception stops every participant and is kept for
+  /// the caller.
+  void participate(std::size_t me) {
     try {
-      (*body)(s, b, worker);
+      work(me);
     } catch (...) {
-      // Successors stay blocked (their inputs were never published); the
-      // driver observes the error and stops the run.
-      fail(std::current_exception());
-      return;
-    }
-    // Release successors: the acq_rel decrement hands the tile's bus writes
-    // to whichever worker observes the counter reach zero.
-    if (b + 1 < opt.blocks &&
-        deps[static_cast<std::size_t>(tile + 1)].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      enqueue(worker, tile + 1);
-    }
-    if (s + 1 < opt.strips) {
-      const std::int64_t down = tile + opt.blocks;
-      if (deps[static_cast<std::size_t>(down)].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        if (b == 0) {
-          gate_strip(worker, s + 1);
-        } else {
-          enqueue(worker, down);
-        }
-      }
-    }
-    tiles_done.fetch_add(1, std::memory_order_release);
-    if (strip_left[static_cast<std::size_t>(s)].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> lock(done_mutex);
-      strip_complete[static_cast<std::size_t>(s)] = 1;
-      done_cv.notify_all();
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (!error_) error_ = std::current_exception();
+      stop_ = true;
+      cv_.notify_all();
     }
   }
 
-  bool pop_injector(std::int64_t* out) {
-    std::lock_guard<std::mutex> lock(queue_mutex);
-    if (injector.empty()) return false;
-    *out = injector.front();
-    injector.pop_front();
-    return true;
+  SchedStats finish() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (error_) std::rethrow_exception(error_);
+    return stats_;
   }
 
-  void worker_loop(int w) {
-    SchedStats local;
-    int idle_spins = 0;
+ private:
+  void work(std::size_t me) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    std::int64_t tile = kNoTile;  // Held down successor, run without queueing.
+    Index column = -1;            // Column chunk of the last tile run.
     for (;;) {
-      std::int64_t tile = -1;
-      if (!deques[static_cast<std::size_t>(w)].pop(&tile)) {
-        tile = -1;
-        if (!pop_injector(&tile)) {
-          tile = -1;
-          for (int i = 1; i < opt.workers; ++i) {
-            if (deques[static_cast<std::size_t>((w + i) % opt.workers)].steal(&tile)) {
-              ++local.tiles_stolen;
-              break;
-            }
-            tile = -1;
-          }
-        }
+      while (tile == kNoTile && !stop_ && watermark_ < opt_.strips && ready_.empty()) {
+        ++stats_.starvation_waits;
+        cv_.wait(lock);
       }
-      if (tile < 0) {
-        if (stop.load(std::memory_order_acquire) ||
-            tiles_done.load(std::memory_order_acquire) >= total) {
-          break;
-        }
-        ++local.starvation_waits;
-        if (++idle_spins < 64) {
-          std::this_thread::yield();
-        } else {
-          std::this_thread::sleep_for(std::chrono::microseconds(50));
-        }
-        continue;
+      if (stop_ || watermark_ == opt_.strips) return;
+      if (tile == kNoTile) tile = pop(me, column);
+      column = tile % opt_.blocks;
+      lock.unlock();
+      body_(tile / opt_.blocks, tile % opt_.blocks);
+      lock.lock();
+      tile = complete(tile, me);
+      // watermark_ <= the strip just completed, so the index is in range.
+      if (!retiring_ && progress_[static_cast<std::size_t>(watermark_)] == opt_.blocks) {
+        // Retiring may take a while (special-row hand-off): let another
+        // participant take the held tile meanwhile.
+        if (tile != kNoTile) push(tile, me);
+        tile = kNoTile;
+        retire(lock, me);
       }
-      idle_spins = 0;
-      if (stop.load(std::memory_order_acquire)) break;  // Abandon the tile.
-      execute(tile, w);
-      ++local.tiles_executed;
     }
-    std::lock_guard<std::mutex> lock(stats_mutex);
-    stats.tiles_executed += local.tiles_executed;
-    stats.tiles_stolen += local.tiles_stolen;
-    stats.starvation_waits += local.starvation_waits;
   }
+
+  /// Takes a ready tile, preferring one in `column`: the striped kernels keep
+  /// a thread's column profile while its consecutive tiles share a chunk
+  /// (scoring::StripedProfile), which halves a Stage-1 tile's time. Next
+  /// comes the newest tile `me` made ready, then the oldest.
+  std::int64_t pop(std::size_t me, Index column) CUDALIGN_REQUIRES(mutex_) {
+    auto it = std::find_if(ready_.begin(), ready_.end(),
+                           [&](const ReadyTile& r) { return r.tile % opt_.blocks == column; });
+    if (it == ready_.end()) {
+      const auto own = std::find_if(ready_.rbegin(), ready_.rend(),
+                                    [me](const ReadyTile& r) { return r.maker == me; });
+      it = own == ready_.rend() ? ready_.begin() : std::prev(own.base());
+    }
+    if (it->maker != me) ++stats_.tiles_stolen;
+    const std::int64_t tile = it->tile;
+    ready_.erase(it);
+    return tile;
+  }
+
+  /// Records `tile` as completed: queues its right successor if that became
+  /// ready, and returns its down successor if that became ready and the
+  /// window lets its strip in (parking the strip otherwise). Within a strip
+  /// tiles complete left to right, so one completed-tile count per strip is
+  /// the whole dependency state: (s, b) has run iff progress_[s] > b.
+  std::int64_t complete(std::int64_t tile, std::size_t me) CUDALIGN_REQUIRES(mutex_) {
+    const Index s = tile / opt_.blocks;
+    const Index b = tile % opt_.blocks;
+    ++stats_.tiles_executed;
+    ++progress_[static_cast<std::size_t>(s)];
+    if (b + 1 < opt_.blocks && (s == 0 || progress_[static_cast<std::size_t>(s - 1)] > b + 1)) {
+      push(tile + 1, me);
+    }
+    if (s + 1 == opt_.strips || (b > 0 && progress_[static_cast<std::size_t>(s + 1)] < b)) {
+      return kNoTile;
+    }
+    if (b == 0 && s + 1 > watermark_ + opt_.window) {
+      parked_.push_back(s + 1);
+      return kNoTile;
+    }
+    return tile + opt_.blocks;
+  }
+
+  void push(std::int64_t tile, std::size_t maker) CUDALIGN_REQUIRES(mutex_) {
+    ready_.push_back(ReadyTile{tile, maker});
+    cv_.notify_one();
+  }
+
+  /// Retires every consecutive completed strip from the watermark on, one
+  /// participant at a time, with the mutex released around strip_done; each
+  /// advance of the watermark releases the parked strips it lets in.
+  void retire(std::unique_lock<std::mutex>& lock, std::size_t me) CUDALIGN_REQUIRES(mutex_) {
+    retiring_ = true;
+    while (!stop_ && watermark_ < opt_.strips &&
+           progress_[static_cast<std::size_t>(watermark_)] == opt_.blocks) {
+      const Index s = watermark_;
+      lock.unlock();
+      const bool go = !strip_done_ || strip_done_(s);
+      lock.lock();
+      if (!go) {
+        stop_ = true;
+        break;
+      }
+      watermark_ = s + 1;
+      while (!parked_.empty() && parked_.front() <= watermark_ + opt_.window) {
+        push(parked_.front() * opt_.blocks, me);
+        parked_.pop_front();
+      }
+    }
+    retiring_ = false;
+    if (stop_ || watermark_ == opt_.strips) cv_.notify_all();
+  }
+
+  const SchedOptions opt_;
+  const std::function<void(Index, Index)>& body_;
+  const std::function<bool(Index)>& strip_done_;
+
+  std::mutex mutex_;
+  std::condition_variable cv_;  ///< Ready work, stop, or the last retirement.
+  std::deque<ReadyTile> ready_ CUDALIGN_GUARDED_BY(mutex_);
+  /// Strips whose tile (s, 0) is ready but outside the window; ascending.
+  std::deque<Index> parked_ CUDALIGN_GUARDED_BY(mutex_);
+  /// Completed tiles per strip.
+  std::vector<Index> progress_ CUDALIGN_GUARDED_BY(mutex_);
+  /// Strips retired so far.
+  Index watermark_ CUDALIGN_GUARDED_BY(mutex_) = 0;
+  bool retiring_ CUDALIGN_GUARDED_BY(mutex_) = false;
+  bool stop_ CUDALIGN_GUARDED_BY(mutex_) = false;
+  std::exception_ptr error_ CUDALIGN_GUARDED_BY(mutex_);
+  SchedStats stats_ CUDALIGN_GUARDED_BY(mutex_);
 };
 
 }  // namespace
 
-SchedStats run_tile_graph(const SchedOptions& options,
-                          const std::function<void(Index s, Index b, int worker)>& body,
+SchedStats run_tile_graph(const SchedOptions& options, ThreadPool& pool,
+                          const std::function<void(Index s, Index b)>& body,
                           const std::function<bool(Index s)>& strip_done) {
   CUDALIGN_CHECK(options.strips > 0 && options.blocks > 0, "tile graph must be non-empty");
-  CUDALIGN_CHECK(options.workers > 0, "tile graph needs at least one worker");
   CUDALIGN_CHECK(options.window > 0, "strip window must be positive");
   CUDALIGN_CHECK(body != nullptr, "tile graph needs a body");
 
-  GraphRun run;
-  run.opt = options;
-  run.total = static_cast<std::int64_t>(options.strips) * options.blocks;
-  run.body = &body;
-  run.deps = std::vector<std::atomic<std::uint8_t>>(static_cast<std::size_t>(run.total));
-  for (Index s = 0; s < options.strips; ++s) {
-    for (Index b = 0; b < options.blocks; ++b) {
-      const std::uint8_t inputs = s > 0 && b > 0 ? 2 : (s > 0 || b > 0 ? 1 : 0);
-      // order: relaxed — pre-start initialization; thread creation publishes it.
-      run.deps[static_cast<std::size_t>(s * options.blocks + b)].store(
-          inputs, std::memory_order_relaxed);
-    }
-  }
-  run.strip_left = std::vector<std::atomic<Index>>(static_cast<std::size_t>(options.strips));
-  // order: relaxed — pre-start initialization; thread creation publishes it.
-  for (auto& left : run.strip_left) left.store(options.blocks, std::memory_order_relaxed);
-  run.strip_complete.assign(static_cast<std::size_t>(options.strips), 0);
-  // In-flight strips are bounded by window + 1 and each contributes at most
-  // one ready tile (within-strip execution is sequential), so this capacity
-  // is never the limit in practice; overflow spills to the injector anyway.
-  const std::size_t deque_capacity = ceil_pow2(static_cast<std::size_t>(options.window) + 2) * 2;
-  for (int w = 0; w < options.workers; ++w) run.deques.emplace_back(deque_capacity);
-
-  // Seed the root: worker 0's deque starts with tile (0, 0).
-  (void)run.deques[0].push(0);
-
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<std::size_t>(options.workers));
-  for (int w = 0; w < options.workers; ++w) {
-    workers.emplace_back([&run, w] { run.worker_loop(w); });
-  }
-
-  // Driver loop: retire strips in ascending order (the row watermark).
-  std::exception_ptr driver_error;
-  {
-    std::unique_lock<std::mutex> lock(run.done_mutex);
-    for (Index s = 0; s < options.strips; ++s) {
-      run.done_cv.wait(lock, [&run, s] {
-        return run.error != nullptr || run.strip_complete[static_cast<std::size_t>(s)] != 0;
-      });
-      if (run.error != nullptr) break;
-      lock.unlock();
-      bool keep_going = true;
-      if (strip_done) {
-        try {
-          keep_going = strip_done(s);
-        } catch (...) {
-          driver_error = std::current_exception();
-          keep_going = false;
-        }
-      }
-      if (keep_going) {
-        // Advance the watermark and admit parked strips that now fit.
-        std::vector<std::int64_t> released;
-        {
-          std::lock_guard<std::mutex> gate(run.queue_mutex);
-          run.watermark = s + 1;
-          while (!run.parked.empty() && run.parked.front() <= run.watermark + options.window) {
-            released.push_back(run.parked.front() * options.blocks);
-            run.parked.pop_front();
-          }
-          for (std::int64_t tile : released) run.injector.push_back(tile);
-        }
-      } else {
-        run.stop.store(true, std::memory_order_release);
-      }
-      lock.lock();
-      if (!keep_going) break;
-    }
-  }
-  run.stop.store(true, std::memory_order_release);
-  for (std::thread& t : workers) t.join();
-
-  if (driver_error) std::rethrow_exception(driver_error);
-  {
-    std::lock_guard<std::mutex> lock(run.done_mutex);
-    if (run.error) std::rethrow_exception(run.error);
-  }
-  return run.stats;
+  GraphRun run(options, body, strip_done);
+  pool.parallel_for(pool.worker_count(), [&run](std::size_t me) { run.participate(me); });
+  return run.finish();
 }
 
 }  // namespace cudalign::engine::sched

@@ -580,8 +580,8 @@ TEST_F(BusAuditReplay, FlushHandoffCleanInAscendingOrder) {
 
 TEST_F(BusAuditReplay, FlushHandoffToleratesSuccessorOverwrites) {
   // Lockstep assembles rows from per-tile captures, so strip 1's early tiles
-  // may overwrite the hbus before strip 0's hand-off lands on the driver
-  // thread. Equal-or-newer slots are legal; only stale ones are defects.
+  // may overwrite the hbus before strip 0's hand-off at its retirement.
+  // Equal-or-newer slots are legal; only stale ones are defects.
   BusAuditor auditor;
   legal_prefix(auditor, 3);       // Tile (1, 0) already republished slots 1..2.
   auditor.flush_handoff(0, 1);

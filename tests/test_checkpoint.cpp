@@ -222,6 +222,15 @@ TEST(CheckpointManifestTest, StateInvariantsEnforced) {
   state.end_point = Crosspoint{280, 230, 120, dp::CellState::kH};
   state.l2.clear();
   EXPECT_THROW(validate_checkpoint_state(state), Error);
+  // Valid endpoints around a non-monotone interior crosspoint: column 240
+  // lies inside the 300 x 240 matrix but past the end point's column 230.
+  const Crosspoint start{0, 0, 0, dp::CellState::kH};
+  state.stage = CheckpointStage::kStage4;
+  state.l2 = {start, state.end_point};
+  state.l3 = {start, Crosspoint{140, 110, 60, dp::CellState::kH}, state.end_point};
+  EXPECT_NO_THROW(validate_checkpoint_state(state));
+  state.l3[1].j = 240;
+  EXPECT_THROW(validate_checkpoint_state(state), Error);
 }
 
 // ---------------------------------------------------------------------------

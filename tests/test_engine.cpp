@@ -487,8 +487,9 @@ TEST(DataflowEquivalence, MatchesLockstepAcrossShapesWorkersPruningAndKernels) {
 
 TEST(DataflowEquivalence, StealHeavyGridMatchesLockstep) {
   // Many tiny tiles (200 strips x 8 chunks of height 2) with more workers
-  // than chunks: maximizes steals, parking and starvation scans. Primarily a
-  // ThreadSanitizer target — the CI TSan lane runs the full suite.
+  // than chunks: maximizes cross-participant hand-offs, parking and waits on
+  // an empty ready queue. Primarily a ThreadSanitizer target — the CI TSan
+  // lane runs the full suite.
   const auto pair = seq::make_related_pair(400, 420, 8801);
   ProblemSpec spec;
   spec.a = pair.s0.bases();
@@ -582,6 +583,30 @@ TEST(Dataflow, ProbeReportsRowMajorFirstHitUnderBothExecutors) {
         EXPECT_EQ(std::pair(run.found_i, run.found_j), *want) << label;
       }
     }
+  }
+}
+
+TEST(Dataflow, BusPlanesMatchTheStripsThatExist) {
+  // With fewer strips than window + 2 (window = 8 on a 4-worker pool), a
+  // dataflow run allocates one vertical-bus plane per strip: the horizontal
+  // bus (n + 1 cells) plus (blocks + 1) boundaries x strips planes x
+  // (strip_rows + 1) cells.
+  const auto b = rand_seq(200, 65002);
+  for (const Index m : {8, 20}) {  // 1 and 3 strips of 8 rows.
+    const auto a = rand_seq(m, 65001);
+    ProblemSpec spec;
+    spec.a = a.bases();
+    spec.b = b.bases();
+    spec.grid = tiny_grid(4, 4, 2);
+    spec.recurrence = engine::Recurrence::local(paper());
+    spec.executor = engine::ExecutorKind::kDataflow;
+    ThreadPool pool(4);
+    const auto run = engine::run_wavefront(spec, Hooks{}, &pool);
+    const auto strips = static_cast<std::size_t>(run.stats.strips);
+    ASSERT_EQ(strips, static_cast<std::size_t>((m + 7) / 8));
+    const auto blocks = static_cast<std::size_t>(run.stats.blocks_used);
+    EXPECT_EQ(run.stats.bus_bytes, (201 + (blocks + 1) * strips * 9) * sizeof(BusCell))
+        << "m=" << m;
   }
 }
 

@@ -321,9 +321,9 @@ TEST(Pipeline, DeterministicAcrossRuns) {
 // ---------------------------------------------------------------------------
 
 TEST(PipelineAsyncFlush, StealHeavyDataflowWithAsyncWriter) {
-  // Many more workers than blocks forces heavy work stealing while the SRA
-  // writer thread runs concurrently — the TSan lane's target configuration
-  // for driver/worker/writer interleavings.
+  // Many more workers than blocks forces heavy cross-participant hand-offs
+  // while the SRA writer thread runs concurrently — the TSan lane's target
+  // configuration for retirer/worker/writer interleavings.
   const auto pair = seq::make_related_pair(700, 650, 2468);
   PipelineOptions options = small_options();
   options.executor = engine::ExecutorKind::kDataflow;

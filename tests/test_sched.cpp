@@ -1,17 +1,16 @@
-// Dataflow tile scheduler: Chase-Lev deque semantics under contention, the
-// dependency-order property of run_tile_graph, the strip-retirement watermark
-// (ascending, on the caller thread), window gating, early stop and exception
-// propagation.
+// Dataflow tile scheduler: the dependency-order property of run_tile_graph,
+// the strip-retirement watermark (ascending, one strip at a time), window
+// gating, early stop, exception propagation, and nested and one-worker calls.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <mutex>
-#include <set>
+#include <chrono>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "check/contracts.hpp"
+#include "common/thread_pool.hpp"
 #include "engine/sched.hpp"
 
 namespace cudalign {
@@ -19,101 +18,16 @@ namespace {
 
 using engine::sched::SchedOptions;
 using engine::sched::SchedStats;
-using engine::sched::WorkStealingDeque;
 using engine::sched::run_tile_graph;
-
-// ---------------------------------------------------------------------------
-// WorkStealingDeque unit semantics.
-// ---------------------------------------------------------------------------
-
-TEST(WorkStealingDeque, OwnerPopIsLifo) {
-  WorkStealingDeque d(8);
-  for (std::int64_t v = 0; v < 5; ++v) ASSERT_TRUE(d.push(v));
-  std::int64_t out = -1;
-  for (std::int64_t v = 4; v >= 0; --v) {
-    ASSERT_TRUE(d.pop(&out));
-    EXPECT_EQ(out, v);
-  }
-  EXPECT_FALSE(d.pop(&out));
-}
-
-TEST(WorkStealingDeque, ThiefStealIsFifo) {
-  WorkStealingDeque d(8);
-  for (std::int64_t v = 0; v < 5; ++v) ASSERT_TRUE(d.push(v));
-  std::int64_t out = -1;
-  for (std::int64_t v = 0; v < 5; ++v) {
-    ASSERT_TRUE(d.steal(&out));
-    EXPECT_EQ(out, v);
-  }
-  EXPECT_FALSE(d.steal(&out));
-}
-
-TEST(WorkStealingDeque, PushReportsFullInsteadOfGrowing) {
-  WorkStealingDeque d(4);  // Capacity rounds up to a power of two.
-  int accepted = 0;
-  while (d.push(accepted)) ++accepted;
-  EXPECT_EQ(accepted, 4);
-  // Draining one slot re-admits exactly one push.
-  std::int64_t out = -1;
-  ASSERT_TRUE(d.steal(&out));
-  EXPECT_EQ(out, 0);
-  EXPECT_TRUE(d.push(99));
-  EXPECT_FALSE(d.push(100));
-}
-
-TEST(WorkStealingDeque, OwnerAndThievesConsumeEachItemExactlyOnce) {
-  // The owner interleaves pushes and pops while three thieves hammer steal;
-  // every pushed value must be consumed by exactly one thread. Under TSan
-  // this doubles as the data-race proof for the benign push/steal overlap.
-  constexpr std::int64_t kItems = 20000;
-  WorkStealingDeque d(1024);
-  std::atomic<bool> done{false};
-  std::mutex mu;
-  std::vector<std::int64_t> consumed;
-
-  auto thief = [&] {
-    std::vector<std::int64_t> local;
-    std::int64_t out = -1;
-    while (!done.load(std::memory_order_acquire)) {
-      if (d.steal(&out)) local.push_back(out);
-    }
-    while (d.steal(&out)) local.push_back(out);  // Final drain.
-    std::lock_guard<std::mutex> lock(mu);
-    consumed.insert(consumed.end(), local.begin(), local.end());
-  };
-  std::vector<std::thread> thieves;
-  for (int t = 0; t < 3; ++t) thieves.emplace_back(thief);
-
-  std::vector<std::int64_t> owner_got;
-  std::int64_t next = 0;
-  while (next < kItems) {
-    for (int burst = 0; burst < 64 && next < kItems; ++burst) {
-      if (!d.push(next)) break;  // Full: let the thieves drain a little.
-      ++next;
-    }
-    std::int64_t out = -1;
-    if (d.pop(&out)) owner_got.push_back(out);
-  }
-  done.store(true, std::memory_order_release);
-  for (auto& t : thieves) t.join();
-  std::int64_t out = -1;
-  while (d.pop(&out)) owner_got.push_back(out);
-
-  consumed.insert(consumed.end(), owner_got.begin(), owner_got.end());
-  ASSERT_EQ(consumed.size(), static_cast<std::size_t>(kItems));
-  std::set<std::int64_t> unique(consumed.begin(), consumed.end());
-  EXPECT_EQ(unique.size(), static_cast<std::size_t>(kItems));  // No duplicates.
-}
 
 // ---------------------------------------------------------------------------
 // run_tile_graph: ordering, watermark, window, stop and error paths.
 // ---------------------------------------------------------------------------
 
-SchedOptions graph(Index strips, Index blocks, int workers, Index window = 8) {
+SchedOptions graph(Index strips, Index blocks, Index window = 8) {
   SchedOptions o;
   o.strips = strips;
   o.blocks = blocks;
-  o.workers = workers;
   o.window = window;
   return o;
 }
@@ -123,31 +37,67 @@ TEST(TileGraph, ExecutesEveryTileOnceRespectingDependencies) {
   std::vector<std::atomic<int>> done(static_cast<std::size_t>(strips * blocks));
   for (auto& f : done) f.store(0);
   std::atomic<int> violations{0};
-  const auto body = [&](Index s, Index b, int) {
+  ThreadPool pool(4);
+  const auto body = [&](Index s, Index b) {
     // Both input tiles must be complete before this one starts.
     if (b > 0 && done[static_cast<std::size_t>(s * blocks + b - 1)].load() == 0) ++violations;
     if (s > 0 && done[static_cast<std::size_t>((s - 1) * blocks + b)].load() == 0) ++violations;
     done[static_cast<std::size_t>(s * blocks + b)].fetch_add(1);
   };
-  const SchedStats stats = run_tile_graph(graph(strips, blocks, 4), body, {});
+  const SchedStats stats = run_tile_graph(graph(strips, blocks), pool, body, {});
   EXPECT_EQ(violations.load(), 0);
   for (const auto& f : done) EXPECT_EQ(f.load(), 1);
   EXPECT_EQ(stats.tiles_executed, strips * blocks);
 }
 
 TEST(TileGraph, StripDoneRunsAscendingOnCallerThread) {
+  // strip_done may run on any participant, but strictly one strip at a time
+  // and in ascending order; the sleep widens any overlap window.
   const Index strips = 9, blocks = 5;
-  const auto caller = std::this_thread::get_id();
+  ThreadPool pool(3);
+  std::atomic<int> inside{0};
+  std::atomic<int> overlaps{0};
   std::vector<Index> retired;
-  const auto body = [](Index, Index, int) {};
+  const auto body = [](Index, Index) {};
   const auto strip_done = [&](Index s) {
-    EXPECT_EQ(std::this_thread::get_id(), caller);
+    if (inside.fetch_add(1) != 0) ++overlaps;
     retired.push_back(s);
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    inside.fetch_sub(1);
     return true;
   };
-  (void)run_tile_graph(graph(strips, blocks, 3), body, strip_done);
+  (void)run_tile_graph(graph(strips, blocks), pool, body, strip_done);
+  EXPECT_EQ(overlaps.load(), 0);
   ASSERT_EQ(retired.size(), static_cast<std::size_t>(strips));
   for (Index s = 0; s < strips; ++s) EXPECT_EQ(retired[static_cast<std::size_t>(s)], s);
+}
+
+TEST(TileGraph, NestedAndOneWorkerCallsRetireEveryStrip) {
+  // Inside a pool iteration, and on a one-worker pool, the call runs as one
+  // inline participant that computes and retires everything itself.
+  const Index strips = 12, blocks = 3;
+  const auto body = [](Index, Index) {};
+  const auto retire_all = [&](ThreadPool& pool) {
+    std::vector<Index> retired;
+    const SchedStats stats =
+        run_tile_graph(graph(strips, blocks, 2), pool, body, [&](Index s) {
+          retired.push_back(s);
+          return true;
+        });
+    EXPECT_EQ(stats.tiles_executed, strips * blocks);
+    EXPECT_EQ(stats.tiles_stolen, 0);
+    return retired;
+  };
+  std::vector<Index> ascending(static_cast<std::size_t>(strips));
+  for (Index s = 0; s < strips; ++s) ascending[static_cast<std::size_t>(s)] = s;
+
+  ThreadPool pool(4);
+  std::vector<std::vector<Index>> nested(4);
+  pool.parallel_for(nested.size(), [&](std::size_t i) { nested[i] = retire_all(pool); });
+  for (const auto& retired : nested) EXPECT_EQ(retired, ascending);
+
+  ThreadPool one(1);
+  EXPECT_EQ(retire_all(one), ascending);
 }
 
 TEST(TileGraph, WindowBoundsInFlightStrips) {
@@ -156,26 +106,28 @@ TEST(TileGraph, WindowBoundsInFlightStrips) {
   const Index strips = 40, blocks = 3, window = 2;
   std::atomic<Index> watermark{0};
   std::atomic<int> violations{0};
-  const auto body = [&](Index s, Index, int) {
+  ThreadPool pool(4);
+  const auto body = [&](Index s, Index) {
     if (s > watermark.load(std::memory_order_acquire) + window) ++violations;
   };
   const auto strip_done = [&](Index s) {
     watermark.store(s + 1, std::memory_order_release);
     return true;
   };
-  (void)run_tile_graph(graph(strips, blocks, 4, window), body, strip_done);
+  (void)run_tile_graph(graph(strips, blocks, window), pool, body, strip_done);
   EXPECT_EQ(violations.load(), 0);
 }
 
 TEST(TileGraph, StripDoneReturningFalseStopsTheRun) {
   const Index strips = 30, blocks = 4;
   std::vector<Index> retired;
-  const auto body = [](Index, Index, int) {};
+  ThreadPool pool(4);
+  const auto body = [](Index, Index) {};
   const auto strip_done = [&](Index s) {
     retired.push_back(s);
     return s < 2;  // Stop after retiring strip 2.
   };
-  const SchedStats stats = run_tile_graph(graph(strips, blocks, 4, 2), body, strip_done);
+  const SchedStats stats = run_tile_graph(graph(strips, blocks, 2), pool, body, strip_done);
   ASSERT_EQ(retired.size(), 3u);
   EXPECT_EQ(retired.back(), 2);
   // The window kept the abandoned tail small: nowhere near the full grid ran.
@@ -183,11 +135,12 @@ TEST(TileGraph, StripDoneReturningFalseStopsTheRun) {
 }
 
 TEST(TileGraph, BodyExceptionPropagatesToCaller) {
-  const auto body = [](Index s, Index b, int) {
+  ThreadPool pool(4);
+  const auto body = [](Index s, Index b) {
     if (s == 3 && b == 1) throw std::runtime_error("tile blew up");
   };
   try {
-    (void)run_tile_graph(graph(8, 4, 4), body, {});
+    (void)run_tile_graph(graph(8, 4), pool, body, {});
     FAIL() << "exception was swallowed";
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "tile blew up");
@@ -195,44 +148,48 @@ TEST(TileGraph, BodyExceptionPropagatesToCaller) {
 }
 
 TEST(TileGraph, StripDoneExceptionPropagatesToCaller) {
-  const auto body = [](Index, Index, int) {};
+  ThreadPool pool(4);
+  const auto body = [](Index, Index) {};
   const auto strip_done = [](Index s) -> bool {
     if (s == 2) throw std::runtime_error("flush failed");
     return true;
   };
-  EXPECT_THROW((void)run_tile_graph(graph(8, 4, 4), body, strip_done), std::runtime_error);
+  EXPECT_THROW((void)run_tile_graph(graph(8, 4), pool, body, strip_done), std::runtime_error);
 }
 
 TEST(TileGraph, SingleWorkerAndSingleTileDegenerates) {
   int calls = 0;
-  const auto body = [&](Index s, Index b, int) {
+  ThreadPool pool(1);
+  const auto body = [&](Index s, Index b) {
     EXPECT_EQ(s, 0);
     EXPECT_EQ(b, 0);
     ++calls;
   };
-  const SchedStats stats = run_tile_graph(graph(1, 1, 1), body, {});
+  const SchedStats stats = run_tile_graph(graph(1, 1), pool, body, {});
   EXPECT_EQ(calls, 1);
   EXPECT_EQ(stats.tiles_executed, 1);
   EXPECT_EQ(stats.tiles_stolen, 0);
 }
 
 TEST(TileGraph, RejectsEmptyGridAndBadOptions) {
-  const auto body = [](Index, Index, int) {};
-  EXPECT_THROW((void)run_tile_graph(graph(0, 4, 1), body, {}), Error);
-  EXPECT_THROW((void)run_tile_graph(graph(4, 0, 1), body, {}), Error);
-  EXPECT_THROW((void)run_tile_graph(graph(4, 4, 0), body, {}), Error);
-  EXPECT_THROW((void)run_tile_graph(graph(4, 4, 1, 0), body, {}), Error);
+  ThreadPool pool(1);
+  const auto body = [](Index, Index) {};
+  EXPECT_THROW((void)run_tile_graph(graph(0, 4), pool, body, {}), Error);
+  EXPECT_THROW((void)run_tile_graph(graph(4, 0), pool, body, {}), Error);
+  EXPECT_THROW((void)run_tile_graph(graph(4, 4, 0), pool, body, {}), Error);
 }
 
 TEST(TileGraph, TallNarrowGridStealsAcrossWorkers) {
-  // One block per strip: a pure chain. Workers mostly starve, which
-  // exercises the idle/steal scan without deadlocking.
-  const Index strips = 200;
+  // Two blocks per strip: at most two tiles are ever ready, so participants
+  // mostly starve, which exercises the wait/hand-off path without
+  // deadlocking. (A one-block grid would be sequential by construction.)
+  const Index strips = 200, blocks = 2;
+  ThreadPool pool(4);
   std::atomic<Index> count{0};
-  const auto body = [&](Index, Index, int) { count.fetch_add(1); };
-  const SchedStats stats = run_tile_graph(graph(strips, 1, 4, 4), body, {});
-  EXPECT_EQ(count.load(), strips);
-  EXPECT_EQ(stats.tiles_executed, strips);
+  const auto body = [&](Index, Index) { count.fetch_add(1); };
+  const SchedStats stats = run_tile_graph(graph(strips, blocks, 4), pool, body, {});
+  EXPECT_EQ(count.load(), strips * blocks);
+  EXPECT_EQ(stats.tiles_executed, strips * blocks);
 }
 
 }  // namespace
