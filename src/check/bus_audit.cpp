@@ -4,6 +4,7 @@
 #include <functional>
 #include <sstream>
 #include <thread>
+#include <utility>
 
 #include "check/contracts.hpp"
 
@@ -61,25 +62,22 @@ std::string BusViolation::describe() const {
 }
 
 void BusAuditor::begin_run(Index n, Index strips, Index blocks, Index strip_rows,
-                           std::vector<Index> cuts, OrderModel order, Index vplanes) {
+                           std::vector<Index> cuts, OrderModel order, Index ring) {
   CUDALIGN_CHECK(static_cast<Index>(cuts.size()) == blocks + 1,
                  "bus audit: cuts must have blocks + 1 entries");
   CUDALIGN_CHECK(strip_rows < kVSlotStride, "bus audit: strip height exceeds the slot encoding");
-  CUDALIGN_CHECK(vplanes >= std::min<Index>(strips, 2),
-                 "bus audit: a run of two or more strips rotates at least two vertical-bus "
-                 "planes");
+  CUDALIGN_CHECK(ring >= 1, "bus audit: the vertical bus needs at least one strip slot");
   std::lock_guard lock(mutex_);
   n_ = n;
   strips_ = strips;
   blocks_ = blocks;
   strip_rows_ = strip_rows;
   order_ = order;
-  vplanes_ = vplanes;
+  ring_ = ring;
   cuts_ = std::move(cuts);
   last_flush_ = BusEndpoint{-1, BusEndpoint::kFlushBlock, -1, 0};
   hshadow_.assign(static_cast<std::size_t>(n) + 1, Shadow{});
-  vshadow_.assign(static_cast<std::size_t>(vplanes) * static_cast<std::size_t>(blocks + 1) *
-                      static_cast<std::size_t>(strip_rows + 1),
+  vshadow_.assign(2 * static_cast<std::size_t>(ring) * static_cast<std::size_t>(strip_rows + 1),
                   Shadow{});
 }
 
@@ -92,12 +90,13 @@ Index BusAuditor::owner_of(Index slot) const {
 }
 
 BusAuditor::Shadow& BusAuditor::vcell(Index strip, Index boundary, Index row) {
-  const std::size_t plane = static_cast<std::size_t>(strip % vplanes_) *
-                            static_cast<std::size_t>(blocks_ + 1) *
-                            static_cast<std::size_t>(strip_rows_ + 1);
-  return vshadow_[plane +
-                  static_cast<std::size_t>(boundary) * static_cast<std::size_t>(strip_rows_ + 1) +
+  const auto buffer = static_cast<std::size_t>(2 * (strip % ring_) + boundary % 2);
+  return vshadow_[buffer * static_cast<std::size_t>(strip_rows_ + 1) +
                   static_cast<std::size_t>(row)];
+}
+
+bool BusAuditor::vertical_consumed(const Shadow& cell) const {
+  return !cell.written || cell.read_since_write || cell.writer.block + 1 == blocks_;
 }
 
 void BusAuditor::record(BusViolation::Rule rule, bool horizontal, Index slot,
@@ -108,10 +107,10 @@ void BusAuditor::record(BusViolation::Rule rule, bool horizontal, Index slot,
   }
 }
 
-void BusAuditor::check_read(Shadow& cell, bool horizontal, Index slot,
-                            Index expected_writer_strip, const BusEndpoint& reader) {
+void BusAuditor::check_read(Shadow& cell, bool horizontal, Index slot, bool fresh,
+                            const BusEndpoint& reader) {
   ++events_;
-  if (!cell.written || cell.writer_strip < expected_writer_strip) {
+  if (!fresh) {
     record(BusViolation::Rule::kReadBeforeWrite, horizontal, slot, cell.writer, reader);
   } else if (order_ == OrderModel::kDiagonalBarrier &&
              (cell.seed ? cell.writer.diagonal > reader.diagonal
@@ -167,10 +166,10 @@ void BusAuditor::seed_vertical(Index strip, Index rows) {
   for (Index t = 0; t <= rows; ++t) {
     Shadow& cell = vcell(strip, 0, t);
     ++events_;
-    // Boundary 0 of this plane was last seeded for strip - vplanes and
-    // consumed by tile (strip - vplanes, 0). An unconsumed value is a lost
-    // hand-off, the same defect overwrite-before-read reports for tiles.
-    if (cell.written && !cell.read_since_write) {
+    // Buffer 0 of this slot last carried an even boundary of strip - ring.
+    // An unconsumed value there is a lost hand-off, the same defect
+    // overwrite-before-read reports for tiles.
+    if (!vertical_consumed(cell)) {
       record(BusViolation::Rule::kOverwriteBeforeRead, false, t, cell.writer, seed);
     }
     cell.written = true;
@@ -192,7 +191,7 @@ void BusAuditor::read_horizontal(Index strip, Index block, Index diagonal, Index
       continue;
     }
     // The row-r0 input must be the row published by the previous pass.
-    check_read(cell, true, j, strip - 1, reader);
+    check_read(cell, true, j, cell.written && cell.writer_strip >= strip - 1, reader);
   }
 }
 
@@ -214,9 +213,21 @@ void BusAuditor::read_vertical(Index strip, Index block, Index diagonal, Index r
   std::lock_guard lock(mutex_);
   const BusEndpoint reader{strip, block, diagonal, this_thread_hash()};
   for (Index t = 0; t <= rows; ++t) {
-    // Boundary `block` is the only one tile (strip, block) may read; the
-    // hand-off is within the same strip pass (and thus the same parity plane).
-    check_read(vcell(strip, block, t), false, block * kVSlotStride + t, strip, reader);
+    // Boundary `block` is the only one tile (strip, block) may read: the
+    // value its left neighbour (strip, block - 1) published, or the seed
+    // (kSeedBlock == -1) for block 0. A later writer of the same buffer
+    // means the value was lost before this read.
+    Shadow& cell = vcell(strip, block, t);
+    const Index slot = block * kVSlotStride + t;
+    if (cell.written &&
+        std::pair{cell.writer_strip, cell.writer.block} > std::pair{strip, block - 1}) {
+      ++events_;
+      record(BusViolation::Rule::kReadAfterOverwrite, false, slot, cell.writer, reader);
+      continue;
+    }
+    check_read(cell, false, slot,
+               cell.written && cell.writer_strip == strip && cell.writer.block == block - 1,
+               reader);
   }
 }
 
@@ -225,21 +236,16 @@ void BusAuditor::write_vertical(Index strip, Index block, Index diagonal, Index 
   const BusEndpoint writer{strip, block, diagonal, this_thread_hash()};
   for (Index t = 0; t <= rows; ++t) {
     Shadow& cell = vcell(strip, block + 1, t);
-    // The final boundary (blocks_) has no reader; skip the consumed-value
-    // rule there, keep the double-write rule.
-    if (cell.written && cell.writer_strip == strip) {
-      ++events_;
-      record(BusViolation::Rule::kDoubleWrite, false, (block + 1) * kVSlotStride + t,
-             cell.writer, writer);
-      continue;
-    }
-    if (cell.written && !cell.read_since_write && block + 1 != blocks_) {
-      ++events_;
-      record(BusViolation::Rule::kOverwriteBeforeRead, false, (block + 1) * kVSlotStride + t,
-             cell.writer, writer);
-      continue;
-    }
+    const Index slot = (block + 1) * kVSlotStride + t;
     ++events_;
+    if (cell.written && cell.writer_strip == strip && cell.writer.block == block) {
+      record(BusViolation::Rule::kDoubleWrite, false, slot, cell.writer, writer);
+      continue;
+    }
+    if (!vertical_consumed(cell)) {
+      record(BusViolation::Rule::kOverwriteBeforeRead, false, slot, cell.writer, writer);
+      continue;
+    }
     cell.written = true;
     cell.seed = false;
     cell.writer_strip = strip;

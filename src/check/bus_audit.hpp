@@ -19,13 +19,15 @@
 // segment read/write with (strip, block, external diagonal, thread)
 // coordinates, the auditor replays them against per-slot shadow state and
 // records violations with BOTH endpoints (the offending access and the access
-// it conflicts with), like a race detector report. The vertical shadow is
-// plane-rotated by strip exactly like the executor's bus (`vplanes` buffers,
-// plane = strip % vplanes): tile (s + 1, b) legitimately writes boundary
-// b + 1 on the very diagonal tile (s, b + 1) reads it, and only the plane
-// split makes that hand-off race-free — a single-buffer shadow would report
-// interleaving-dependent false hazards there (the same-diagonal hazard the
-// paper's minimum size requirement addresses).
+// it conflicts with), like a race detector report. The vertical shadow
+// models the executor's buffers exactly: `ring` strip slots of two buffers
+// each, tile (s, b) reading buffer b % 2 of slot s % ring and writing buffer
+// (b + 1) % 2. A buffer thus carries boundaries b - 2, b, b + 2, ... of one
+// strip and then of strip s + ring, so a read must find its left
+// neighbour's value (the seed, for b = 0), and a write may replace only a
+// consumed value or the final boundary, which has no reader. A ring smaller
+// than the strips the schedule keeps in flight surfaces as
+// overwrite-before-read.
 //
 // Two ordering models (OrderModel, chosen per run):
 //
@@ -109,13 +111,13 @@ class BusAuditor {
   explicit BusAuditor(std::size_t max_recorded = 32) : max_recorded_(max_recorded) {}
 
   /// Resets shadow state for a new engine run over an n-column problem with
-  /// the given chunk boundaries (`cuts`, size blocks + 1). `vplanes` is the
-  /// number of vertical-bus planes the executor rotates (2 for lockstep's
-  /// parity double-buffer; min(strips, window + 2) for dataflow). Violations
-  /// and event counts accumulate across runs.
+  /// the given chunk boundaries (`cuts`, size blocks + 1). `ring` is the
+  /// number of strip slots the executor rotates its vertical-bus buffer
+  /// pairs over (min(strips, blocks) for lockstep, min(strips, window + 2)
+  /// for dataflow). Violations and event counts accumulate across runs.
   void begin_run(Index n, Index strips, Index blocks, Index strip_rows,
                  std::vector<Index> cuts, OrderModel order = OrderModel::kDiagonalBarrier,
-                 Index vplanes = 2);
+                 Index ring = 2);
 
   // --- executor seeding -----------------------------------------------------
 
@@ -176,15 +178,20 @@ class BusAuditor {
   // CUDALIGN_REQUIRES documents (and cudalint enforces) that contract.
   void record(BusViolation::Rule rule, bool horizontal, Index slot,
               const BusEndpoint& prior, const BusEndpoint& current) CUDALIGN_REQUIRES(mutex_);
-  void check_read(Shadow& cell, bool horizontal, Index slot, Index expected_writer_strip,
+  /// `fresh`: the cell holds the value this read must consume (otherwise
+  /// read-before-write).
+  void check_read(Shadow& cell, bool horizontal, Index slot, bool fresh,
                   const BusEndpoint& reader) CUDALIGN_REQUIRES(mutex_);
   void check_write(Shadow& cell, bool horizontal, Index slot, const BusEndpoint& writer)
       CUDALIGN_REQUIRES(mutex_);
   /// Chunk owning hbus slot (or -2).
   [[nodiscard]] Index owner_of(Index slot) const CUDALIGN_REQUIRES(mutex_);
-  /// Vertical shadow cell for the plane `strip` uses (writes and reads of a
-  /// strip both target its own plane, mirroring the executor's buffers).
+  /// Vertical shadow cell of the buffer that carries `boundary` of `strip`:
+  /// buffer boundary % 2 of slot strip % ring, as in the executor.
   [[nodiscard]] Shadow& vcell(Index strip, Index boundary, Index row) CUDALIGN_REQUIRES(mutex_);
+  /// Whether a write may replace the vertical value in `cell`: it was
+  /// consumed, or it is the final boundary, which has no reader.
+  [[nodiscard]] bool vertical_consumed(const Shadow& cell) const CUDALIGN_REQUIRES(mutex_);
 
   mutable std::mutex mutex_;
   std::size_t max_recorded_;  ///< Immutable after construction.
@@ -193,11 +200,11 @@ class BusAuditor {
   Index blocks_ CUDALIGN_GUARDED_BY(mutex_) = 0;
   Index strip_rows_ CUDALIGN_GUARDED_BY(mutex_) = 0;
   OrderModel order_ CUDALIGN_GUARDED_BY(mutex_) = OrderModel::kDiagonalBarrier;
-  Index vplanes_ CUDALIGN_GUARDED_BY(mutex_) = 2;
+  Index ring_ CUDALIGN_GUARDED_BY(mutex_) = 2;
   std::vector<Index> cuts_ CUDALIGN_GUARDED_BY(mutex_);
   /// Per hbus slot [0..n].
   std::vector<Shadow> hshadow_ CUDALIGN_GUARDED_BY(mutex_);
-  /// vplanes x (blocks + 1) x (strip_rows + 1): plane-major.
+  /// ring x 2 x (strip_rows + 1): slot-major, then buffer.
   std::vector<Shadow> vshadow_ CUDALIGN_GUARDED_BY(mutex_);
   /// Last flush_handoff, for the ascending-order rule (strip -1 = none yet).
   BusEndpoint last_flush_ CUDALIGN_GUARDED_BY(mutex_){-1, BusEndpoint::kFlushBlock, -1, 0};

@@ -51,10 +51,12 @@ struct PipelineOptions {
   Index max_partition_size = 16;
 
   bool block_pruning = false;       ///< Stage-1 block pruning (engine/executor.hpp).
-  /// Stage-1 tile-grid executor (engine/executor.hpp; `--executor`).
-  /// Deliberately NOT in options_json: both executors produce byte-identical
-  /// results, so a checkpoint taken under one may be resumed under the other.
-  engine::ExecutorKind executor = engine::ExecutorKind::kLockstep;
+  /// Stage-1 tile-grid executor (engine/executor.hpp; `--executor`):
+  /// dataflow by default, lockstep as the reference schedule. Stages 2-4
+  /// always run dataflow. Deliberately NOT in options_json: both executors
+  /// produce byte-identical results, so a checkpoint taken under one may be
+  /// resumed under the other.
+  engine::ExecutorKind executor = engine::ExecutorKind::kDataflow;
   bool save_special_columns = true; ///< Off = skip Stage 3 (Stage 4 absorbs it).
 
   /// Progress callback: stage (1-6) and completed fraction of that stage's

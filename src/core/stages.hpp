@@ -113,9 +113,9 @@ struct Stage1Config {
   /// Block pruning (post-paper CUDAlign optimization; engine/executor.hpp).
   bool block_pruning = false;
   /// Tile-grid executor for the stage-1 wavefront (engine/executor.hpp).
-  /// Both executors support every hook; stages 2+ keep the default
-  /// (lockstep) engine schedule for their short, tap-driven runs.
-  engine::ExecutorKind executor = engine::ExecutorKind::kLockstep;
+  /// Both executors support every hook; stages 2-4 always run the engine's
+  /// default, dataflow.
+  engine::ExecutorKind executor = engine::ExecutorKind::kDataflow;
   /// Flush special rows to `rows_area` (nullptr disables; Table IV's
   /// "No Flush" column).
   sra::SpecialRowsArea* rows_area = nullptr;

@@ -81,9 +81,12 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
 
   // Resolve kernel pinning up front so a bad name fails on the caller thread
   // with a proper message. The spec override is API input and throws; the
-  // environment override is resolved by kernel_override() itself, which
-  // fail-fast exits on an unknown CUDALIGN_KERNEL name — touching it here
-  // guarantees that happens before any tile work starts.
+  // environment overrides are resolved by kernel_override() and
+  // active_simd_isa() themselves, which fail-fast exit on an unknown
+  // CUDALIGN_KERNEL or CUDALIGN_SIMD value — touching them here guarantees
+  // that happens before any tile work starts, on this thread: an exit from a
+  // pool worker would join the pool from one of its own threads during static
+  // destruction and hang.
   const KernelVariant* forced_kernel = nullptr;
   if (!spec.kernel_override.empty()) {
     forced_kernel = find_kernel(spec.kernel_override);
@@ -92,6 +95,7 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
                        spec.kernel_override + " (valid: " + kernel_names_list() + ")");
   }
   (void)kernel_override();
+  (void)active_simd_isa();
 
   const Index m = check::checked_cast<Index>(spec.a.size());
   const Index n = check::checked_cast<Index>(spec.b.size());
@@ -157,25 +161,23 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
   }
 
   // The schedule fixes how many strips are in flight at once, and with it how
-  // many buffers every per-strip resource rotates over (index s % count).
-  // Lockstep: a diagonal spans at most `blocks` strips, and the vertical bus
-  // and pruning closure are double-buffered by strip parity (the
-  // same-diagonal hazard; see executor.hpp). Dataflow: the scheduler's window
-  // gate admits strip s only once strip s - window - 1 has retired, so
-  // window + 2 buffers never overlap a live strip, and a run of fewer strips
-  // needs one buffer per strip.
+  // many slots every per-strip resource rotates over (index s % ring).
+  // Lockstep: a diagonal spans at most `blocks` strips, and strip s retires
+  // before strip s + blocks starts. Dataflow: the scheduler's window gate
+  // admits strip s only once strip s - window - 1 has retired, so window + 2
+  // slots never overlap a live strip. A run of fewer strips needs one slot
+  // per strip.
   const bool dataflow = spec.executor == ExecutorKind::kDataflow;
   const Index workers = std::max<Index>(1, static_cast<Index>(pool->worker_count()));
   const Index window = std::max<Index>(4, 2 * workers);
   const Index ring = std::min(strips, dataflow ? window + 2 : blocks);
-  const Index planes = dataflow ? ring : 2;
 
   check::BusAuditor* audit = hooks.bus_audit;
   if (audit != nullptr) {
     audit->begin_run(n, strips, blocks, strip_rows, cuts,
                      dataflow ? check::OrderModel::kTileHappensBefore
                               : check::OrderModel::kDiagonalBarrier,
-                     planes);
+                     ring);
   }
 
   // Horizontal bus: (H, F) per column vertex, initialized to row `row0` — the
@@ -188,16 +190,17 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
   }
   if (audit != nullptr) audit->seed_horizontal();
 
-  // Vertical buses: (H, E) per row vertex of a strip, one buffer per chunk
-  // boundary per plane.
+  // Vertical buses: (H, E) per row vertex of a strip, two buffers per strip
+  // slot. Tile (s, b) reads buffer b % 2 and writes buffer (b + 1) % 2 of
+  // slot s % ring; the tiles of one strip run in chunk order under both
+  // schedules, so the buffer a tile overwrites was consumed by its left
+  // neighbour.
   const std::size_t vbus_len = static_cast<std::size_t>(strip_rows) + 1;
-  std::vector<std::vector<BusCell>> vbus(static_cast<std::size_t>(blocks + 1) *
-                                         static_cast<std::size_t>(planes));
-  for (auto& buf : vbus) buf.resize(vbus_len);
+  std::vector<std::vector<BusCell>> vbus(2 * static_cast<std::size_t>(ring),
+                                         std::vector<BusCell>(vbus_len));
   auto vbus_at = [&](Index boundary, Index strip) -> std::vector<BusCell>& {
-    return vbus[static_cast<std::size_t>(boundary * planes + strip % planes)];
+    return vbus[static_cast<std::size_t>(2 * (strip % ring) + boundary % 2)];
   };
-  result.stats.bus_bytes = hbus.size() * sizeof(BusCell) + vbus.size() * vbus_len * sizeof(BusCell);
 
   // Strip indices here are *global* (offset by base_strip), so a resumed run
   // flushes exactly the rows a fresh run would.
@@ -216,14 +219,17 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
   std::vector<std::vector<BusCell>> row_buffers(
       interval == 0 ? 0 : static_cast<std::size_t>((ring - 1) / interval + 1),
       std::vector<BusCell>(static_cast<std::size_t>(n) + 1));
+  result.stats.bus_bytes =
+      (hbus.size() + vbus.size() * vbus_len + row_buffers.size() * hbus.size()) * sizeof(BusCell);
 
-  // Pruning closure (see ProblemSpec::block_pruning): closure[s % planes][b]
+  // Pruning closure (see ProblemSpec::block_pruning): closure[s % ring][b]
   // holds the best score over tile (s, b)'s ancestor rectangle plus the
-  // resume seed. Tile (s, b) reads the rows written by (s - 1, b) and
-  // (s, b - 1), which both schedules order before it. Not allocated unless
-  // pruning.
+  // resume seed. Tile (s, b) reads the entries written by (s - 1, b) and
+  // (s, b - 1), which both schedules order before it, and the next writer of
+  // an entry is the same chunk's tile `ring` strips later, which both order
+  // after its readers. Not allocated unless pruning.
   std::vector<Score> closure(
-      spec.block_pruning ? static_cast<std::size_t>(planes) * static_cast<std::size_t>(blocks)
+      spec.block_pruning ? static_cast<std::size_t>(ring) * static_cast<std::size_t>(blocks)
                          : 0);
 
   // The tile body, shared by both schedules.
@@ -286,11 +292,11 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
       closure_in = spec.initial_best.score;
       if (s > 0) {
         closure_in = std::max(
-            closure_in, closure[static_cast<std::size_t>(((s - 1) % planes) * blocks + b)]);
+            closure_in, closure[static_cast<std::size_t>(((s - 1) % ring) * blocks + b)]);
       }
       if (b > 0) {
         closure_in =
-            std::max(closure_in, closure[static_cast<std::size_t>((s % planes) * blocks + b - 1)]);
+            std::max(closure_in, closure[static_cast<std::size_t>((s % ring) * blocks + b - 1)]);
       }
       if (closure_in > 0) {
         // Best incoming H across the tile's boundary (the corner arrives via
@@ -364,7 +370,7 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
       audit->write_vertical(s, b, d, rows);
     }
     if (spec.block_pruning) {
-      closure[static_cast<std::size_t>((s % planes) * blocks + b)] =
+      closure[static_cast<std::size_t>((s % ring) * blocks + b)] =
           std::max(closure_in, tile_best);
     }
 
@@ -393,6 +399,9 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
     }
     stats.tiles += slot.tiles;
     ++stats.strips;
+    // Lockstep has run exactly this many external diagonals when strip s
+    // retires; dataflow reports the same count.
+    stats.diagonals = s + blocks;
     // Bus traffic (see RunStats): each tile reads and writes its horizontal
     // segment (c1 - c0 + 1 cells, n + blocks over the strip) and vertical
     // boundary; a special row re-reads the strip's n published cells.
@@ -431,20 +440,42 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
     return go;
   };
 
+  obs::Telemetry* telemetry = hooks.telemetry;
   if (dataflow) {
+    // Strip-bucket spans give the run report its wavefront phase profile:
+    // bucket k ends when its last strip retires (or the run stops). The
+    // stamps are taken in retire(), which the scheduler serializes, and
+    // recorded on this thread once the run returns.
+    const Index bucket_size =
+        telemetry != nullptr ? (strips + kDiagonalBuckets - 1) / kDiagonalBuckets : 0;
+    std::vector<std::pair<Index, double>> bucket_ends;  // (last strip, seconds)
+    const double start = timer.seconds();
     sched::SchedOptions sched_options;
     sched_options.strips = strips;
     sched_options.blocks = blocks;
     sched_options.window = window;
     const sched::SchedStats sched_stats =
-        sched::run_tile_graph(sched_options, *pool, tile, retire);
+        sched::run_tile_graph(sched_options, *pool, tile, [&](Index s) {
+          const bool go = retire(s);
+          if (bucket_size > 0 && ((s + 1) % bucket_size == 0 || s + 1 == strips || !go)) {
+            bucket_ends.emplace_back(s, timer.seconds());
+          }
+          return go;
+        });
     result.stats.tiles_stolen = static_cast<Index>(sched_stats.tiles_stolen);
     result.stats.starvation_waits = static_cast<Index>(sched_stats.starvation_waits);
+    Index first = 0;
+    double begun = start;
+    for (const auto& [last, seconds] : bucket_ends) {
+      telemetry->record("strips " + std::to_string(first) + "-" + std::to_string(last),
+                        seconds - begun);
+      first = last + 1;
+      begun = seconds;
+    }
   } else {
     // Lockstep: one parallel_for per external diagonal; strip d - blocks + 1
     // retires after diagonal d, which ran its last tile. Diagonal-bucket
     // spans give the run report its wavefront phase profile.
-    obs::Telemetry* telemetry = hooks.telemetry;
     const Index total_diagonals = strips + blocks - 1;
     const Index bucket_size =
         telemetry != nullptr ? (total_diagonals + kDiagonalBuckets - 1) / kDiagonalBuckets : 0;
@@ -459,7 +490,6 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
         const Index s = s_hi - static_cast<Index>(k);
         tile(s, d - s);
       });
-      ++result.stats.diagonals;
       const bool go = d < blocks - 1 || retire(s_lo);
       if (bucket_size > 0 && ((d + 1) % bucket_size == 0 || d + 1 == total_diagonals || !go)) {
         telemetry->end();

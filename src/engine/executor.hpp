@@ -30,13 +30,13 @@
 // a fresh run with a sentinel row 0 runs its first row as a separate kernel
 // call, so the tiles after them start from genuine H.
 //
-// Memory is the buses only: O(n) horizontal + O(B * alpha * T) vertical
-// (lockstep double-buffers by strip parity to avoid the same-diagonal
-// write/read hazard the paper's minimum size requirement addresses; dataflow
-// rotates min(strips, window + 2) planes because up to window + 1 strips are
-// in flight),
-// plus one reused n-cell row buffer per special strip that can be in flight
-// — the engine is linear-space by construction.
+// Memory is the buses only: O(n) horizontal + O(ring * alpha * T) vertical,
+// two buffers per strip slot (a strip's tiles run in chunk order, so its
+// vertical hand-off needs only the buffer being read and the one being
+// written), where the ring holds the strips in flight — min(strips, blocks)
+// under lockstep, min(strips, window + 2) under dataflow — plus one reused
+// n-cell row buffer per special strip that can be in flight: the engine is
+// linear-space by construction.
 //
 // Thread-safety discipline: the executor itself owns no atomics and no
 // locks. Every cross-thread hand-off is delegated to the schedulers
@@ -78,7 +78,7 @@ namespace cudalign::engine {
 
 /// Which schedule drives the tile grid (see the header comment). Both run the
 /// same tile body and retirement step and produce byte-identical results;
-/// lockstep is the reference schedule, the dataflow executor retires the
+/// dataflow is the default, lockstep the reference schedule with one
 /// external-diagonal barrier.
 enum class ExecutorKind : std::uint8_t {
   kLockstep,
@@ -138,8 +138,9 @@ struct ProblemSpec {
   /// checkpoints, progress — is delivered at strip retirement under both,
   /// so the results are identical. The choice is deliberately NOT part of
   /// the checkpoint envelope: a checkpoint taken under one executor may be
-  /// resumed under the other.
-  ExecutorKind executor = ExecutorKind::kLockstep;
+  /// resumed under the other. Dataflow by default for every stage: it holds
+  /// only window + 2 strips in flight where lockstep holds `blocks`.
+  ExecutorKind executor = ExecutorKind::kDataflow;
 };
 
 /// Hook verdict after observing a special row / tap segment.
@@ -189,8 +190,9 @@ struct Hooks {
   check::BusAuditor* bus_audit = nullptr;
 
   /// Opt-in span telemetry (obs/telemetry.hpp): when set, the executor
-  /// records one child span per bucket of external diagonals (at most
-  /// kDiagonalBuckets of them) under the caller's open span — the wavefront
+  /// records one child span per bucket of external diagonals (lockstep,
+  /// "diagonals a-b") or of retired strips (dataflow, "strips a-b"), at most
+  /// kDiagonalBuckets of them, under the caller's open span — the wavefront
   /// phase profile behind the run report. Used on the calling thread only:
   /// never pass a shared recorder into engine runs launched from pool
   /// workers.
@@ -216,16 +218,19 @@ struct RunStats {
   WideScore pruned_cells = 0; ///< Cells skipped by block pruning.
   Index pruned_tiles = 0;
   Index tiles = 0;            ///< Kernel calls (a peeled tile makes two) plus pruned tiles.
-  Index diagonals = 0;        ///< External diagonals executed (lockstep; 0 under dataflow).
+  /// External diagonals up to the last retired strip: s + blocks after strip
+  /// s retires, the count lockstep has run by then, under both executors.
+  Index diagonals = 0;
   /// Dataflow scheduler counters (0 under lockstep): tiles run by a
   /// participant other than the one that made them ready, and waits on an
-  /// empty ready queue — the report's replacement for the lockstep
-  /// diagonal-bucket profile.
+  /// empty ready queue.
   Index tiles_stolen = 0;
   Index starvation_waits = 0;
   Index strips = 0;           ///< Strips retired.
   Index blocks_used = 0;      ///< B after the minimum-size fit.
-  std::size_t bus_bytes = 0;  ///< Peak bus memory (the engine's "VRAM").
+  /// Peak bus memory (the engine's "VRAM"): horizontal bus, vertical-bus
+  /// buffers and the special-row ring.
+  std::size_t bus_bytes = 0;
   /// Bus traffic, tallied per retired strip (near-zero overhead; always
   /// on). Each tile performs one read and one write of its horizontal
   /// segment and of its vertical boundary — pruned tiles included, which

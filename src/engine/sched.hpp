@@ -40,7 +40,7 @@ struct SchedOptions {
 };
 
 /// Scheduler-level counters folded into RunStats (and from there into the
-/// run report) — the dataflow replacement for the lockstep diagonal profile.
+/// run report).
 struct SchedStats {
   std::int64_t tiles_executed = 0;
   std::int64_t tiles_stolen = 0;     ///< Run by a participant that did not make them ready.

@@ -33,6 +33,11 @@ void Telemetry::end() {
   frame.span->seconds = std::chrono::duration<double>(Clock::now() - frame.start).count();
 }
 
+void Telemetry::record(std::string name, double seconds) {
+  Span& parent = stack_.empty() ? root_ : *stack_.back().span;
+  parent.children.push_back(Span{std::move(name), seconds, {}});
+}
+
 const Span& Telemetry::finish() {
   while (!stack_.empty()) end();
   root_.seconds = std::chrono::duration<double>(Clock::now() - started_).count();

@@ -1,11 +1,12 @@
 // Hierarchical run telemetry: a tree of wall-time spans recorded against a
-// monotonic clock (pipeline -> stage -> external-diagonal bucket).
+// monotonic clock (pipeline -> stage -> external-diagonal or strip bucket).
 //
 // Near-zero overhead when idle: every producer holds a `Telemetry*` that is
 // null unless the caller opted in (--report), so the disabled path is one
 // pointer test. The recorder itself is driver-thread-only by design — stages
-// open spans between engine runs and the engine buckets diagonals on the
-// caller thread, exactly where the executor already serializes its hooks;
+// open spans between engine runs and the engine records its bucket spans on
+// the caller thread (timing dataflow buckets at strip retirement, which the
+// scheduler serializes, and recording them once the run returns);
 // never share one Telemetry across concurrently-running producers.
 #pragma once
 
@@ -35,6 +36,10 @@ class Telemetry {
   /// Closes the innermost open span, recording its wall time. Throws when no
   /// span is open — unbalanced instrumentation is a bug, not a state.
   void end();
+
+  /// Adds a closed leaf span of `seconds` under the innermost open span: a
+  /// phase timed elsewhere (say, on a pool worker) and recorded here.
+  void record(std::string name, double seconds);
 
   /// Number of currently open spans (instrumentation sanity checks).
   [[nodiscard]] std::size_t open_spans() const noexcept { return stack_.size(); }

@@ -64,8 +64,8 @@ struct AsyncWriterStats {
 class AsyncSraWriter {
  public:
   /// One row in flight plus two staged absorbs flush bursts without
-  /// unbounding memory: rows are n+1 BusCells each, the same order of
-  /// magnitude as the engine's bus planes.
+  /// unbounding memory: rows are n+1 BusCells each, the same size as the
+  /// engine's horizontal bus and special-row buffers.
   static constexpr std::size_t kDefaultQueueCapacity = 3;
 
   explicit AsyncSraWriter(SpecialRowsArea& area,
@@ -80,7 +80,7 @@ class AsyncSraWriter {
   /// Copies `cells` into a row buffer (recycled from the free list when
   /// possible) and enqueues it for writing, blocking while the queue is full
   /// (backpressure). The copy happens on the calling thread because the
-  /// span's storage (the executor's bus planes) may be reused the moment the
+  /// span's storage (the executor's special-row buffer) may be reused the moment the
   /// flush hook returns. `on_durable` — may be empty — runs on the writer
   /// thread after this row's put() has returned.
   void submit(const RowKey& key, std::span<const engine::BusCell> cells,

@@ -67,23 +67,23 @@ grep "best score" "$DIR/resume.out" > "$DIR/resume.score"
 cmp "$DIR/ref.score" "$DIR/resume.score"
 "$CLI" report-check "$DIR/resume.json" | grep -q "well-formed"
 grep '"cells_skipped":' "$DIR/resume.json" | grep -vq ': 0'
-# Dataflow executor: byte-identical output to the lockstep reference, and
-# kill-and-resume works there too (the executor is not part of the checkpoint
-# envelope, so the crash ran dataflow while ref.bin came from lockstep).
-"$CLI" align "$DIR/a.fasta" "$DIR/b.fasta" --executor dataflow \
-       --out "$DIR/df.bin" | grep -q "best score"
-cmp "$DIR/ref.bin" "$DIR/df.bin"
+# Lockstep executor (the reference schedule): byte-identical output to the
+# default dataflow run, and a checkpoint it leaves resumes under dataflow
+# (the executor is not part of the checkpoint envelope).
+"$CLI" align "$DIR/a.fasta" "$DIR/b.fasta" --executor lockstep \
+       --out "$DIR/ls.bin" | grep -q "best score"
+cmp "$DIR/ref.bin" "$DIR/ls.bin"
 if CUDALIGN_CHECKPOINT_CRASH_AFTER=2 "$CLI" align "$DIR/a.fasta" "$DIR/b.fasta" \
-     --executor dataflow --checkpoint-dir "$DIR/ckpt-df" --out "$DIR/crash-df.bin" \
+     --executor lockstep --checkpoint-dir "$DIR/ckpt-ls" --out "$DIR/crash-ls.bin" \
      >/dev/null 2>&1; then
-  echo "fault-injected dataflow run did not crash" >&2
+  echo "fault-injected lockstep run did not crash" >&2
   exit 1
 fi
-test -s "$DIR/ckpt-df/checkpoint.json"
-"$CLI" align "$DIR/a.fasta" "$DIR/b.fasta" --executor dataflow \
-       --checkpoint-dir "$DIR/ckpt-df" --resume --out "$DIR/resumed-df.bin" \
+test -s "$DIR/ckpt-ls/checkpoint.json"
+"$CLI" align "$DIR/a.fasta" "$DIR/b.fasta" \
+       --checkpoint-dir "$DIR/ckpt-ls" --resume --out "$DIR/resumed-ls.bin" \
   | grep -q "resumed from checkpoint"
-cmp "$DIR/ref.bin" "$DIR/resumed-df.bin"
+cmp "$DIR/ref.bin" "$DIR/resumed-ls.bin"
 # An unknown executor name must be refused.
 if "$CLI" align "$DIR/a.fasta" "$DIR/b.fasta" --executor warp 2>/dev/null; then
   echo "unknown executor was accepted" >&2
@@ -138,20 +138,29 @@ if "$CLI" align "$DIR/a.fasta" "$DIR/b.fasta" --checkpoint-dir "$DIR/ckpt2" \
   exit 1
 fi
 grep -q "options.kernel" "$DIR/pin.err"
-# An unknown kernel override must fail fast (exit 2) and name the valid set
-# before any tile work starts.
-if CUDALIGN_KERNEL=warp9 "$CLI" score "$DIR/a.fasta" "$DIR/b.fasta" 2>"$DIR/kern.err"; then
-  echo "unknown CUDALIGN_KERNEL was accepted" >&2
-  exit 1
-fi
-grep -q "unknown kernel name" "$DIR/kern.err"
-grep -q "valid names" "$DIR/kern.err"
-# Same contract for a forced SIMD ISA the build cannot honor.
-if CUDALIGN_SIMD=avx9 "$CLI" score "$DIR/a.fasta" "$DIR/b.fasta" 2>"$DIR/isa.err"; then
-  echo "unknown CUDALIGN_SIMD was accepted" >&2
-  exit 1
-fi
-grep -q "unknown SIMD ISA" "$DIR/isa.err"
+# An unknown kernel override, or a forced SIMD ISA the build cannot honor,
+# must fail fast with exit status 2 and a clear message before any tile work
+# starts, under both executors. `timeout` turns a deadlock on the way out
+# (an exit from a pool worker) into status 124 after 20 s instead of a hang.
+for executor in dataflow lockstep; do
+  rc=0
+  CUDALIGN_KERNEL=warp9 timeout 20 "$CLI" score "$DIR/a.fasta" "$DIR/b.fasta" \
+    --executor "$executor" 2>"$DIR/kern.err" || rc=$?
+  if [ "$rc" -ne 2 ]; then
+    echo "unknown CUDALIGN_KERNEL under $executor: exit $rc, expected 2" >&2
+    exit 1
+  fi
+  grep -q "unknown kernel name" "$DIR/kern.err"
+  grep -q "valid names" "$DIR/kern.err"
+  rc=0
+  CUDALIGN_SIMD=avx9 timeout 20 "$CLI" score "$DIR/a.fasta" "$DIR/b.fasta" \
+    --executor "$executor" 2>"$DIR/isa.err" || rc=$?
+  if [ "$rc" -ne 2 ]; then
+    echo "unknown CUDALIGN_SIMD under $executor: exit $rc, expected 2" >&2
+    exit 1
+  fi
+  grep -q "unknown SIMD ISA" "$DIR/isa.err"
+done
 # A known kernel name pins the selection end to end.
 CUDALIGN_KERNEL=striped16-local+best "$CLI" score "$DIR/a.fasta" "$DIR/b.fasta" \
   | grep -q "best score"

@@ -279,7 +279,7 @@ TEST_F(BusAuditReplay, LostVerticalHandOffFlagged) {
   legal_prefix(auditor, 1);
   // Tile (0, 1) was skipped (a dropped hand-off): the value tile (0, 0)
   // published on boundary 1 is still unconsumed when the strip-2 pass — the
-  // next user of this parity plane — overwrites it.
+  // next user of strip 0's slot — overwrites it.
   auditor.write_vertical(2, 0, 2, 2);
   ASSERT_FALSE(auditor.ok());
   const auto v = auditor.violations();
@@ -318,8 +318,8 @@ TEST_F(BusAuditReplay, ViolationRecordingIsCapped) {
 
 class BusAuditHappensBefore : public BusAuditReplay {
  protected:
-  void begin_hb(BusAuditor& a, Index vplanes = 3) {
-    a.begin_run(4, 4, 2, 2, {0, 2, 4}, check::OrderModel::kTileHappensBefore, vplanes);
+  void begin_hb(BusAuditor& a, Index ring = 3) {
+    a.begin_run(4, 4, 2, 2, {0, 2, 4}, check::OrderModel::kTileHappensBefore, ring);
   }
 };
 
@@ -381,10 +381,10 @@ TEST_F(BusAuditHappensBefore, NeverWrittenReadIsStillFlagged) {
   EXPECT_EQ(auditor.violations()[0].prior.block, BusEndpoint::kSeedBlock);
 }
 
-TEST_F(BusAuditHappensBefore, VerticalPlanesRotateModuloVplanes) {
-  // vplanes = 3: strips 0, 1, 2 seed distinct planes (no collision even
-  // though nothing consumed them yet); strip 3 wraps onto strip 0's plane and
-  // its unconsumed seed is a lost hand-off.
+TEST_F(BusAuditHappensBefore, VerticalSlotsRotateModuloRing) {
+  // ring = 3: strips 0, 1, 2 seed distinct slots (no collision even though
+  // nothing consumed them yet); strip 3 wraps onto strip 0's slot and its
+  // unconsumed seed is a lost hand-off.
   BusAuditor auditor;
   begin_hb(auditor, 3);
   auditor.seed_horizontal();
@@ -402,7 +402,7 @@ TEST_F(BusAuditHappensBefore, ConsumedPlaneIsReusableAfterRotation) {
   begin_hb(auditor, 3);
   auditor.seed_horizontal();
   auditor.seed_vertical(0, 2);
-  tile(auditor, 0, 0);  // Consumes boundary 0 of plane 0, publishes boundary 1.
+  tile(auditor, 0, 0);  // Consumes boundary 0 of slot 0, publishes boundary 1.
   auditor.seed_vertical(1, 2);
   tile(auditor, 0, 1);  // Consumes boundary 1.
   auditor.seed_vertical(2, 2);
@@ -410,14 +410,59 @@ TEST_F(BusAuditHappensBefore, ConsumedPlaneIsReusableAfterRotation) {
   tile(auditor, 1, 1);
   tile(auditor, 2, 0);
   tile(auditor, 2, 1);
-  auditor.seed_vertical(3, 2);  // Plane 0 again — everything on it was read.
+  auditor.seed_vertical(3, 2);  // Slot 0 again — everything on it was read or final.
   EXPECT_TRUE(auditor.ok()) << auditor.report();
 }
 
-TEST(BusAuditModel, RejectsDegeneratePlaneCount) {
+TEST(BusAuditModel, RejectsEmptyRing) {
   BusAuditor auditor;
   EXPECT_THROW(
-      auditor.begin_run(4, 2, 2, 2, {0, 2, 4}, check::OrderModel::kTileHappensBefore, 1), Error);
+      auditor.begin_run(4, 2, 2, 2, {0, 2, 4}, check::OrderModel::kTileHappensBefore, 0), Error);
+}
+
+// Replays the external-diagonal order over `strips` x `blocks` tiles of
+// two columns and two rows each, highest strip first within a diagonal (the
+// executor's lockstep order; also a legal dataflow order). Every diagonal
+// holds `blocks` strips in flight, so a ring of `blocks` slots is clean, and
+// one slot fewer lets a strip's first tile overwrite an unread hand-off of
+// the strip `blocks - 1` above it.
+void replay_diagonals(BusAuditor& a, Index strips, Index blocks, check::OrderModel order,
+                      Index ring) {
+  std::vector<Index> cuts;
+  for (Index b = 0; b <= blocks; ++b) cuts.push_back(2 * b);
+  a.begin_run(2 * blocks, strips, blocks, 2, cuts, order, ring);
+  a.seed_horizontal();
+  for (Index d = 0; d < strips + blocks - 1; ++d) {
+    for (Index s = std::min(strips - 1, d); s >= std::max<Index>(0, d - blocks + 1); --s) {
+      const Index b = d - s;
+      if (b == 0) a.seed_vertical(s, 2);
+      a.read_horizontal(s, b, d, 2 * b, 2 * b + 2);
+      a.read_vertical(s, b, d, 2);
+      a.write_horizontal(s, b, d, 2 * b, 2 * b + 2);
+      a.write_vertical(s, b, d, 2);
+    }
+  }
+}
+
+TEST(BusAuditModel, RingOneSlotShortOfTheStripsInFlightIsFlagged) {
+  for (const auto order : {check::OrderModel::kDiagonalBarrier,
+                           check::OrderModel::kTileHappensBefore}) {
+    for (const Index blocks : {3, 4}) {  // Odd and even final boundaries.
+      const std::string label = "order " + std::to_string(static_cast<int>(order)) +
+                                " blocks " + std::to_string(blocks);
+      BusAuditor fits;
+      replay_diagonals(fits, 10, blocks, order, blocks);
+      EXPECT_TRUE(fits.ok()) << label << "\n" << fits.report();
+      BusAuditor short_ring;
+      replay_diagonals(short_ring, 10, blocks, order, blocks - 1);
+      ASSERT_FALSE(short_ring.ok()) << label;
+      const BusViolation v = short_ring.violations()[0];
+      EXPECT_EQ(v.rule, BusViolation::Rule::kOverwriteBeforeRead) << label << "\n"
+                                                                   << short_ring.report();
+      EXPECT_FALSE(v.horizontal) << label;
+      EXPECT_EQ(v.current.strip - v.prior.strip, blocks - 1) << label;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -455,6 +500,7 @@ TEST(EngineAudit, WavefrontProtocolCleanAcrossShapes) {
                             ? engine::Recurrence::local(scoring::Scheme::paper_defaults())
                             : engine::Recurrence::global_start(CellState::kH,
                                                               scoring::Scheme::paper_defaults());
+      spec.executor = engine::ExecutorKind::kLockstep;
       check::BusAuditor auditor;
       Hooks hooks;
       hooks.bus_audit = &auditor;
@@ -475,6 +521,7 @@ TEST(EngineAudit, CleanUnderMultithreadedPool) {
   spec.b = b.bases();
   spec.grid = audit_grid(5, 4, 2);
   spec.recurrence = engine::Recurrence::local(scoring::Scheme::paper_defaults());
+  spec.executor = engine::ExecutorKind::kLockstep;
   ThreadPool pool(4);
   check::BusAuditor auditor;
   Hooks hooks;
@@ -493,6 +540,7 @@ TEST(EngineAudit, CleanWithBlockPruning) {
   spec.grid = audit_grid(6, 4, 2);
   spec.recurrence = engine::Recurrence::local(scoring::Scheme::paper_defaults());
   spec.block_pruning = true;
+  spec.executor = engine::ExecutorKind::kLockstep;
   check::BusAuditor auditor;
   Hooks hooks;
   hooks.bus_audit = &auditor;
@@ -503,7 +551,7 @@ TEST(EngineAudit, CleanWithBlockPruning) {
 
 TEST(EngineAudit, DataflowCleanAcrossShapes) {
   // The dataflow executor audits itself under the relaxed happens-before
-  // model with its full plane-rotation depth; any scheduler bug that lets a
+  // model with its full strip-slot ring; any scheduler bug that lets a
   // tile start before its inputs were published lands here.
   std::uint64_t seed = 33000;
   for (const auto& [blocks, threads, alpha] :
@@ -546,19 +594,50 @@ TEST(EngineAudit, DataflowCleanWithBlockPruning) {
 }
 
 TEST(EngineAudit, CleanOnDegenerateGeometry) {
-  for (const auto& [m, n] : {std::pair<Index, Index>{1, 40}, {40, 1}, {5, 5}}) {
-    const auto a = rand_seq(m, 32004);
-    const auto b = rand_seq(n, 32005);
+  for (const auto kind : {engine::ExecutorKind::kLockstep, engine::ExecutorKind::kDataflow}) {
+    for (const auto& [m, n] : {std::pair<Index, Index>{1, 40}, {40, 1}, {5, 5}}) {
+      const auto a = rand_seq(m, 32004);
+      const auto b = rand_seq(n, 32005);
+      ProblemSpec spec;
+      spec.a = a.bases();
+      spec.b = b.bases();
+      spec.grid = audit_grid(8, 8, 4);  // Grid larger than the problem.
+      spec.recurrence = engine::Recurrence::local(scoring::Scheme::paper_defaults());
+      spec.executor = kind;
+      check::BusAuditor auditor;
+      Hooks hooks;
+      hooks.bus_audit = &auditor;
+      (void)engine::run_wavefront(spec, hooks);
+      EXPECT_TRUE(auditor.ok()) << engine::executor_name(kind) << " m=" << m << " n=" << n
+                                << "\n"
+                                << auditor.report();
+    }
+  }
+}
+
+TEST(EngineAudit, CleanWithMoreStripsThanTheRing) {
+  // 50 strips of 4 rows on a 2-worker pool: the ring holds window + 2 = 6
+  // strip slots under dataflow and `blocks` = 5 under lockstep, so every slot
+  // and both of its vertical-bus buffers are reused many times over, with
+  // special rows and pruning on.
+  const auto pair = test::small_related(200, 180, 35001);
+  for (const auto kind : {engine::ExecutorKind::kLockstep, engine::ExecutorKind::kDataflow}) {
     ProblemSpec spec;
-    spec.a = a.bases();
-    spec.b = b.bases();
-    spec.grid = audit_grid(8, 8, 4);  // Grid larger than the problem.
+    spec.a = pair.s0.bases();
+    spec.b = pair.s1.bases();
+    spec.grid = audit_grid(5, 2, 2);
     spec.recurrence = engine::Recurrence::local(scoring::Scheme::paper_defaults());
+    spec.block_pruning = true;
+    spec.executor = kind;
+    ThreadPool pool(2);
     check::BusAuditor auditor;
     Hooks hooks;
     hooks.bus_audit = &auditor;
-    (void)engine::run_wavefront(spec, hooks);
-    EXPECT_TRUE(auditor.ok()) << "m=" << m << " n=" << n << "\n" << auditor.report();
+    hooks.special_row_interval = 3;
+    hooks.on_special_row = [](Index, std::span<const engine::BusCell>, const dp::LocalBest&) {};
+    const auto run = engine::run_wavefront(spec, hooks, &pool);
+    EXPECT_EQ(run.stats.strips, 50) << engine::executor_name(kind);
+    EXPECT_TRUE(auditor.ok()) << engine::executor_name(kind) << "\n" << auditor.report();
   }
 }
 

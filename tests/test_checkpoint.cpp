@@ -128,10 +128,10 @@ TEST(CheckpointEnvelopeTest, EveryDifferingFieldIsNamed) {
   EXPECT_EQ(diffs[1], "s1_length: checkpoint has 240, this run has 241");
 
   // The executor cannot change the output, so it is not in the envelope.
-  PipelineOptions dataflow = small_options();
-  dataflow.executor = engine::ExecutorKind::kDataflow;
+  PipelineOptions lockstep = small_options();
+  lockstep.executor = engine::ExecutorKind::kLockstep;
   b = a;
-  b.options = options_json(dataflow);
+  b.options = options_json(lockstep);
   EXPECT_TRUE(a.mismatches(b).empty());
 }
 

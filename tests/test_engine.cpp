@@ -478,7 +478,7 @@ TEST(DataflowEquivalence, MatchesLockstepAcrossShapesWorkersPruningAndKernels) {
           const ExecRun dataflow =
               run_with_executor(spec, engine::ExecutorKind::kDataflow, workers, 2);
           expect_same_run(lockstep, dataflow, label);
-          EXPECT_EQ(dataflow.stats.diagonals, 0) << label;
+          EXPECT_EQ(dataflow.stats.diagonals, lockstep.stats.diagonals) << label;
         }
       }
     }
@@ -588,9 +588,8 @@ TEST(Dataflow, ProbeReportsRowMajorFirstHitUnderBothExecutors) {
 
 TEST(Dataflow, BusPlanesMatchTheStripsThatExist) {
   // With fewer strips than window + 2 (window = 8 on a 4-worker pool), a
-  // dataflow run allocates one vertical-bus plane per strip: the horizontal
-  // bus (n + 1 cells) plus (blocks + 1) boundaries x strips planes x
-  // (strip_rows + 1) cells.
+  // dataflow run keeps one strip slot per strip: the horizontal bus (n + 1
+  // cells) plus two vertical-bus buffers of strip_rows + 1 cells per slot.
   const auto b = rand_seq(200, 65002);
   for (const Index m : {8, 20}) {  // 1 and 3 strips of 8 rows.
     const auto a = rand_seq(m, 65001);
@@ -604,9 +603,50 @@ TEST(Dataflow, BusPlanesMatchTheStripsThatExist) {
     const auto run = engine::run_wavefront(spec, Hooks{}, &pool);
     const auto strips = static_cast<std::size_t>(run.stats.strips);
     ASSERT_EQ(strips, static_cast<std::size_t>((m + 7) / 8));
-    const auto blocks = static_cast<std::size_t>(run.stats.blocks_used);
-    EXPECT_EQ(run.stats.bus_bytes, (201 + (blocks + 1) * strips * 9) * sizeof(BusCell))
-        << "m=" << m;
+    EXPECT_EQ(run.stats.bus_bytes, (201 + 2 * strips * 9) * sizeof(BusCell)) << "m=" << m;
+  }
+}
+
+TEST(Engine, VerticalBusDoesNotGrowWithBlocks) {
+  // The vertical bus is two buffers of strip_rows + 1 cells per strip slot,
+  // whatever the chunk count. The ring holds min(strips, window + 2) slots
+  // under dataflow (window = 4 on a 2-worker pool) and min(strips, blocks)
+  // under lockstep; special rows (interval 4) add (ring - 1) / 4 + 1 buffers
+  // of n + 1 cells. So 4 and 16 chunks cost the same bus memory under both
+  // executors on 3 strips, and under dataflow on 40.
+  const auto b = rand_seq(200, 66002);
+  const std::size_t n1 = 201, vbus_len = 9;
+  for (const Index m : {24, 320}) {  // 3 and 40 strips of 8 rows.
+    const auto a = rand_seq(m, 66001);
+    for (const auto kind : kExecutors) {
+      std::vector<std::size_t> bytes;
+      for (const Index blocks : {4, 16}) {
+        const std::string label = std::string(engine::executor_name(kind)) + " m " +
+                                  std::to_string(m) + " blocks " + std::to_string(blocks);
+        ProblemSpec spec;
+        spec.a = a.bases();
+        spec.b = b.bases();
+        spec.grid = tiny_grid(blocks, 4, 2);
+        spec.recurrence = engine::Recurrence::local(paper());
+        spec.executor = kind;
+        Hooks hooks;
+        hooks.special_row_interval = 4;
+        hooks.on_special_row = [](Index, std::span<const BusCell>, const dp::LocalBest&) {};
+        ThreadPool pool(2);
+        const auto run = engine::run_wavefront(spec, hooks, &pool);
+        ASSERT_EQ(run.stats.strips, m / 8) << label;
+        ASSERT_EQ(run.stats.blocks_used, blocks) << label;
+        const auto ring = static_cast<std::size_t>(std::min<Index>(
+            m / 8, kind == engine::ExecutorKind::kDataflow ? 6 : blocks));
+        const std::size_t rows = (ring - 1) / 4 + 1;
+        EXPECT_EQ(run.stats.bus_bytes, (n1 + 2 * ring * vbus_len + rows * n1) * sizeof(BusCell))
+            << label;
+        bytes.push_back(run.stats.bus_bytes);
+      }
+      if (m == 24 || kind == engine::ExecutorKind::kDataflow) {
+        EXPECT_EQ(bytes[0], bytes[1]) << engine::executor_name(kind) << " m " << m;
+      }
+    }
   }
 }
 

@@ -46,12 +46,13 @@ outside the variant's envelope fall back to automatic selection, so scores
 are unaffected. The striped kernels pick
 their SIMD backend at runtime; CUDALIGN_SIMD=auto|generic|sse2|avx2|avx512
 forces one (unknown or unsupported values fail fast with exit code 2).
---executor picks the schedule of the Stage-1 wavefront: lockstep (default;
-one barrier per external diagonal) or dataflow (dependency-driven work
-stealing, no barrier). Both run the same tile body and deliver results as
-each strip retires, so output is byte-identical either way, including
-resume — a checkpoint taken under one executor may be resumed under the
-other.
+--executor picks the schedule of the Stage-1 wavefront: dataflow (default;
+each tile runs once its inputs are published, no barrier, a bounded window
+of strips in flight) or lockstep (the reference schedule: one barrier per
+external diagonal). Stages 2-4 always run dataflow. Both run the same tile
+body and deliver results as each strip retires, so output is byte-identical
+either way, including resume — a checkpoint taken under one executor may be
+resumed under the other.
 --audit-bus verifies every wavefront bus hand-off against the grid model's
 happens-before relation (check/bus_audit.hpp) and fails the run on violation.
 Stage-1 special rows are written by a dedicated SRA writer thread that
