@@ -209,7 +209,7 @@ if [[ "$FAST" -eq 1 ]]; then
   stage "release: kernel equivalence, sentinel sweeps and Stage 4, forced ISAs"
   for isa in $(isa_matrix); do
     CUDALIGN_SIMD="$isa" build-ci-release/tests/cudalign_tests \
-      --gtest_filter='KernelEquivalence.*:KernelDispatch.*:LaneEnvelope.*:Striped32Global.*:EngineSentinel.*:Stage4Tiles.*' \
+      --gtest_filter='KernelEquivalence.*:KernelDispatch.*:LaneEnvelope.*:Striped32Global.*:Striped32Local.*:Int16EnvelopeCrossing.*:EngineSentinel.*:Stage4Tiles.*' \
       --gtest_brief=1
   done
 else

@@ -100,13 +100,15 @@ void fsync_directory(const std::filesystem::path& dir) {
   fd.sync();
 }
 
-void write_file_durable(const std::filesystem::path& path, const void* data, std::size_t size) {
-  const Fd fd(path, O_WRONLY | O_CREAT | O_TRUNC);
-  fd.write_all(data, size);
-  fd.sync();
-}
-
-void replace_file_durable(const std::filesystem::path& tmp, const std::filesystem::path& path) {
+void atomic_write_file_durable(const std::filesystem::path& path,
+                               std::initializer_list<std::span<const std::byte>> parts) {
+  std::filesystem::path tmp = path;
+  tmp += ".tmp";
+  {
+    const Fd fd(tmp, O_WRONLY | O_CREAT | O_TRUNC);
+    for (const std::span<const std::byte> part : parts) fd.write_all(part.data(), part.size());
+    fd.sync();
+  }
   std::error_code ec;
   std::filesystem::rename(tmp, path, ec);
   CUDALIGN_CHECK(!ec, "atomic rename " + tmp.string() + " -> " + path.string() +
@@ -115,10 +117,7 @@ void replace_file_durable(const std::filesystem::path& tmp, const std::filesyste
 }
 
 void atomic_write_file_durable(const std::filesystem::path& path, std::string_view contents) {
-  std::filesystem::path tmp = path;
-  tmp += ".tmp";
-  write_file_durable(tmp, contents.data(), contents.size());
-  replace_file_durable(tmp, path);
+  atomic_write_file_durable(path, {std::as_bytes(std::span(contents.data(), contents.size()))});
 }
 
 }  // namespace cudalign

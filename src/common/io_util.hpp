@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <span>
 #include <string>
 #include <string_view>
@@ -88,21 +89,18 @@ void write_file(const std::filesystem::path& path, const std::string& contents);
 // complete new version, never a torn file; a crash can at worst leave a
 // stale `<path>.tmp` behind, which the next durable write replaces.
 
-/// Writes `size` bytes at `data` to `path` and fsyncs the file before
-/// closing. Throws on any I/O failure. Not atomic on its own — combine with
-/// replace_file_durable for the full protocol.
-void write_file_durable(const std::filesystem::path& path, const void* data, std::size_t size);
-
-/// Atomically replaces `path` with `tmp` (rename) and fsyncs the parent
-/// directory so the replacement itself survives a crash.
-void replace_file_durable(const std::filesystem::path& tmp, const std::filesystem::path& path);
-
 /// Fsyncs a directory, making the creations, renames and deletions of its
 /// entries durable ("" is the working directory).
 void fsync_directory(const std::filesystem::path& dir);
 
-/// The full write-fsync-rename-fsync protocol in one call: `contents` lands
-/// at `path` atomically and durably (via `<path>.tmp`).
+/// The full write-fsync-rename-fsync protocol in one call: the byte ranges
+/// `parts`, concatenated in order, land at `path` atomically and durably
+/// (via `<path>.tmp`). Each range is written from where it lies, so a
+/// header-plus-payload file needs no assembled copy.
+void atomic_write_file_durable(const std::filesystem::path& path,
+                               std::initializer_list<std::span<const std::byte>> parts);
+
+/// atomic_write_file_durable for one contiguous buffer.
 void atomic_write_file_durable(const std::filesystem::path& path, std::string_view contents);
 
 }  // namespace cudalign

@@ -1,9 +1,10 @@
 // Internal seams of the kernel family (not part of the engine's public API).
 //
-// kernels_scalar.cpp and kernels_vector.cpp implement the entry points
-// declared here; kernel_registry.cpp wires them into the variant table. The
-// tiny helpers keep the per-tile contract (bus sizes, result shape, corner
-// conventions) in exactly one place so every variant inherits it.
+// kernels_scalar.cpp, kernels_vector.cpp and the kernels_striped*.cpp
+// backends implement the entry points declared here; kernel_registry.cpp
+// wires them into the variant table. The tiny helpers keep the per-tile
+// contract (bus sizes, result shape, corner conventions) in exactly one
+// place so every variant inherits it.
 #pragma once
 
 #include <cstdint>
@@ -85,13 +86,14 @@ inline constexpr LaneEnvelope kLaneEnvelope8{16, -64, 100};
 /// Most lanes any striped backend has (AVX-512 int8): bounds a tile's pad.
 inline constexpr Index kMaxStripedLanes = 64;
 
-// --- kernels_striped.cpp / kernels_striped_avx2.cpp ------------------------
+// --- kernels_striped.cpp / kernels_striped_avx2.cpp / _avx512.cpp --------
 
 /// Farrar-striped row sweep with the lazy-F correction loop eliminated
-/// (deterministic two-pass gap scan; see striped_core.hpp). LaneT is int8_t
-/// (saturating, kLaneEnvelope8) or int16_t (kLaneEnvelope16). Dispatches at
-/// runtime to the best compiled ISA backend (generic / SSE2 / AVX2; see
-/// active_simd_isa() in kernel_registry.hpp).
+/// (deterministic two-pass gap scan; see striped_core.hpp), in local mode.
+/// LaneT is int8_t (saturating, kLaneEnvelope8), int16_t (kLaneEnvelope16)
+/// or int32_t (plain arithmetic, striped32_local_can_run; best tracking
+/// only). Dispatches at runtime to the best compiled ISA backend (generic /
+/// SSE2 / AVX2 / AVX-512; see active_simd_isa() in kernel_registry.hpp).
 template <typename LaneT, bool kBest>
 TileResult run_striped(const TileJob& job, TileScratch& scratch);
 
@@ -109,22 +111,31 @@ TileResult run_striped32_global(const TileJob& job, TileScratch& scratch);
 /// reachable-score bound below |kNegInf| / 2 (see DESIGN.md). O(w + rows).
 [[nodiscard]] bool striped32_global_can_run(const TileJob& job);
 
-/// The striped tuples every ISA backend TU compiles: the four local (lane,
-/// best) pairs and the four global int32 (taps, find) pairs. `PREFIX` is
-/// `template` in the defining TU and `extern template` here.
-#define CUDALIGN_STRIPED_ISA_INSTANTIATIONS(PREFIX, FN)                                  \
-  PREFIX TileResult FN<std::int8_t, false, false, false>(const TileJob&, TileScratch&);  \
-  PREFIX TileResult FN<std::int8_t, true, false, false>(const TileJob&, TileScratch&);   \
-  PREFIX TileResult FN<std::int16_t, false, false, false>(const TileJob&, TileScratch&); \
-  PREFIX TileResult FN<std::int16_t, true, false, false>(const TileJob&, TileScratch&);  \
-  PREFIX TileResult FN<std::int32_t, false, false, false>(const TileJob&, TileScratch&); \
-  PREFIX TileResult FN<std::int32_t, false, false, true>(const TileJob&, TileScratch&);  \
-  PREFIX TileResult FN<std::int32_t, false, true, false>(const TileJob&, TileScratch&);  \
-  PREFIX TileResult FN<std::int32_t, false, true, true>(const TileJob&, TileScratch&);
+/// The striped32-local envelope: vector_can_run (local, no taps or probe,
+/// non-empty) and the same int32 input and reachable-score checks as
+/// striped32_global_can_run — sentinel H refused (those tiles stay on
+/// v32-local*), every bound far below |kNegInf| so paper-scale scores fit.
+/// Best tracking is the registry's concern. O(w + rows).
+[[nodiscard]] bool striped32_local_can_run(const TileJob& job);
+
+/// The striped tuples every ISA backend TU compiles, as (lane, local, best,
+/// taps, find): the four narrow local (lane, best) pairs, int32 local+best,
+/// and the four global int32 (taps, find) pairs. `PREFIX` is `template` in
+/// the defining TU and `extern template` here.
+#define CUDALIGN_STRIPED_ISA_INSTANTIATIONS(PREFIX, FN)                                        \
+  PREFIX TileResult FN<std::int8_t, true, false, false, false>(const TileJob&, TileScratch&);  \
+  PREFIX TileResult FN<std::int8_t, true, true, false, false>(const TileJob&, TileScratch&);   \
+  PREFIX TileResult FN<std::int16_t, true, false, false, false>(const TileJob&, TileScratch&); \
+  PREFIX TileResult FN<std::int16_t, true, true, false, false>(const TileJob&, TileScratch&);  \
+  PREFIX TileResult FN<std::int32_t, true, true, false, false>(const TileJob&, TileScratch&);  \
+  PREFIX TileResult FN<std::int32_t, false, false, false, false>(const TileJob&, TileScratch&); \
+  PREFIX TileResult FN<std::int32_t, false, false, false, true>(const TileJob&, TileScratch&);  \
+  PREFIX TileResult FN<std::int32_t, false, false, true, false>(const TileJob&, TileScratch&);  \
+  PREFIX TileResult FN<std::int32_t, false, false, true, true>(const TileJob&, TileScratch&);
 
 /// AVX2 entry points, compiled in the -mavx2 translation unit. Only called
 /// when avx2_kernels_compiled() and the CPU supports AVX2.
-template <typename LaneT, bool kBest, bool kTaps, bool kFind>
+template <typename LaneT, bool kLocal, bool kBest, bool kTaps, bool kFind>
 TileResult run_striped_avx2(const TileJob& job, TileScratch& scratch);
 
 /// True when kernels_striped_avx2.cpp was built with AVX2 code generation.
@@ -132,7 +143,7 @@ TileResult run_striped_avx2(const TileJob& job, TileScratch& scratch);
 
 /// AVX-512 entry points, compiled in the -mavx512bw translation unit. Only
 /// called when avx512_kernels_compiled() and the CPU supports AVX-512BW.
-template <typename LaneT, bool kBest, bool kTaps, bool kFind>
+template <typename LaneT, bool kLocal, bool kBest, bool kTaps, bool kFind>
 TileResult run_striped_avx512(const TileJob& job, TileScratch& scratch);
 
 /// True when kernels_striped_avx512.cpp was built with AVX-512BW codegen.
@@ -153,6 +164,7 @@ extern template TileResult run_striped<std::int8_t, false>(const TileJob&, TileS
 extern template TileResult run_striped<std::int8_t, true>(const TileJob&, TileScratch&);
 extern template TileResult run_striped<std::int16_t, false>(const TileJob&, TileScratch&);
 extern template TileResult run_striped<std::int16_t, true>(const TileJob&, TileScratch&);
+extern template TileResult run_striped<std::int32_t, true>(const TileJob&, TileScratch&);
 
 CUDALIGN_STRIPED_ISA_INSTANTIATIONS(extern template, run_striped_avx2)
 CUDALIGN_STRIPED_ISA_INSTANTIATIONS(extern template, run_striped_avx512)

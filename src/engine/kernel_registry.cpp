@@ -48,6 +48,12 @@ bool striped16_can_run(const TileJob& job) {
   return job.track_best == kBest && detail::striped16_can_run(job);
 }
 
+/// Only the best-tracking tuple: the executor tracks the best on every local
+/// tile, so an int32 local sweep without it would never be selected.
+bool striped32_local_best_can_run(const TileJob& job) {
+  return job.track_best && detail::striped32_local_can_run(job);
+}
+
 /// Anti-diagonal and striped sweeps only pay off when the diagonals / lane
 /// segments are long enough to fill vector lanes; below these shapes the
 /// automatic order prefers the row sweeps. Overrides bypass the gate (can_run
@@ -110,6 +116,10 @@ const std::array<Entry, kCount>& table() {
        kVectorMinRows},
       {{KernelId::kStriped32Global, "striped32-global", 9, &detail::striped32_global_can_run,
         &detail::run_striped32_global},
+       kVectorMinWidth,
+       kVectorMinRows},
+      {{KernelId::kStriped32LocalBest, "striped32-local+best", 9, &striped32_local_best_can_run,
+        &detail::run_striped<std::int32_t, true>},
        kVectorMinWidth,
        kVectorMinRows},
   }};

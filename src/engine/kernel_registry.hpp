@@ -5,11 +5,11 @@
 // `can_run` predicate describing the (mode, feature, value-range) envelope it
 // is exact for. Dispatch walks the registry in cost order and picks the
 // cheapest variant whose predicate accepts the job — so the Stage-1 hot path
-// (plain local, small scores) lands on a narrow striped sweep, a global tile
-// of Stages 2-4 (taps and probe included) on the int32 striped sweep, a
-// global tile outside its envelope (narrow, or with sentinel H inputs) on its
-// specialized scalar row sweep, and anything else on the legacy
-// do-everything loop. All variants are
+// (plain local, small scores) lands on a narrow striped sweep, a Stage-1 tile
+// past the int16 envelope and a global tile of Stages 2-4 (taps and probe
+// included) on the int32 striped sweep, a global tile outside its envelope
+// (narrow, or with sentinel H inputs) on its specialized scalar row sweep,
+// and anything else on the legacy do-everything loop. All variants are
 // bit-identical to run_reference; predicates encode *exactness* (e.g. the
 // 16-bit kernel rejects tiles whose scores could overflow its lanes), while
 // size heuristics live in the selector.
@@ -20,8 +20,9 @@
 // outside its envelope fall back to automatic selection, so an override can
 // never produce wrong results.
 //
-// A future SIMD/GPU backend plugs in here: add an id to KernelId, implement
-// the entry point (engine/kernels_vector.cpp shows the shape), and append a
+// A future SIMD/GPU backend plugs in here: append an id to KernelId,
+// implement the entry point (a new SIMD ISA is one lane-ops backend for
+// engine/striped_core.hpp, as kernels_striped_avx2.cpp shows), and append a
 // row to the table in kernel_registry.cpp — executor, stages and tests pick
 // it up unchanged.
 #pragma once

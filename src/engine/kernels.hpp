@@ -49,6 +49,7 @@ enum class KernelId : std::uint8_t {
   kStriped16Local,    ///< Farrar-striped row sweep, 16-bit lanes.
   kStriped16LocalBest,
   kStriped32Global,   ///< Farrar-striped row sweep, global mode, 32-bit lanes (taps/probe).
+  kStriped32LocalBest,  ///< Farrar-striped row sweep, local mode, 32-bit lanes (past int16).
   kCount,
 };
 
@@ -144,6 +145,7 @@ struct TileScratch {
   std::vector<std::int32_t> striped32;
   std::vector<std::int8_t> striped_mask8;
   std::vector<std::int16_t> striped_mask16;
+  std::vector<std::int32_t> striped_mask32;
   scoring::StripedProfile<std::int8_t> striped_profile8;
   scoring::StripedProfile<std::int16_t> striped_profile16;
   scoring::StripedProfile<std::int32_t> striped_profile32;

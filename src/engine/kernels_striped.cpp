@@ -36,9 +36,9 @@ namespace {
 
 /// Portable emulation of the lane ops; bit-identical to the SIMD backends by
 /// construction (same widths, same saturation points; int32 lanes never
-/// reach theirs inside the global envelope, where the SIMD backends' plain
-/// adds would wrap). 128-bit shaped so generic-vs-SSE2 runs stripe the tile
-/// identically.
+/// reach theirs inside the striped32 envelopes, where the SIMD backends'
+/// plain adds would wrap). 128-bit shaped so generic-vs-SSE2 runs stripe the
+/// tile identically.
 template <typename LaneT, int N, LaneT kNinf>
 struct GenericBackend {
   using Lane = LaneT;
@@ -148,9 +148,9 @@ struct Sse2Backend<std::int8_t> {
   static V and_(V a, V b) { return _mm_and_si128(a, b); }
 };
 
-/// int32 lanes for global mode: plain add/sub (the global envelope keeps
-/// every value far from wrapping). SSE2 has no _mm_max_epi32 (SSE4.1), so
-/// max selects through a compare mask.
+/// int32 lanes: plain add/sub (the striped32 envelopes keep every value far
+/// from wrapping). SSE2 has no _mm_max_epi32 (SSE4.1), so max selects
+/// through a compare mask.
 template <>
 struct Sse2Backend<std::int32_t> {
   using Lane = std::int32_t;
@@ -300,12 +300,13 @@ bool striped16_can_run(const TileJob& job) {
   return vector_can_run(job) && lane_envelope_admits(job, kLaneEnvelope16);
 }
 
-bool striped32_global_can_run(const TileJob& job) {
+namespace {
+
+/// The int32 lanes' input and reachable-score checks, shared by both modes.
+/// O(w + rows).
+bool striped32_inputs_admit(const TileJob& job) {
   const Index rows = check::checked_sub(job.r1, job.r0);
   const Index w = check::checked_sub(job.c1, job.c0);
-  if (job.recurrence->mode != dp::AlignMode::kGlobal || job.track_best || rows < 1) {
-    return false;
-  }
   // Sentinel H inputs are rejected: the envelope argument starts from
   // genuine H everywhere. Gap inputs may be sentinels — every gap update is
   // max(gap - G_ext, H - G_first), so the genuine H branch wins within one
@@ -334,25 +335,37 @@ bool striped32_global_can_run(const TileJob& job) {
   const WideScore step = std::max<WideScore>(
       {std::abs(WideScore{s.match}), std::abs(WideScore{s.mismatch}), WideScore{s.gap_first},
        WideScore{s.gap_ext}});
-  const WideScore bound = check::checked_add<WideScore>(
-      max_abs, check::checked_mul<WideScore>(
-                   step, check::checked_add<WideScore>(rows, w + kMaxStripedLanes)));
+  const WideScore steps = check::checked_add<WideScore>(
+      check::checked_add<WideScore>(rows, w), kMaxStripedLanes);
+  const WideScore bound =
+      check::checked_add<WideScore>(max_abs, check::checked_mul<WideScore>(step, steps));
   return bound < -(WideScore{kNegInf} / 2);
+}
+
+}  // namespace
+
+bool striped32_global_can_run(const TileJob& job) {
+  return job.recurrence->mode == dp::AlignMode::kGlobal && !job.track_best && job.r1 > job.r0 &&
+         striped32_inputs_admit(job);
+}
+
+bool striped32_local_can_run(const TileJob& job) {
+  return vector_can_run(job) && striped32_inputs_admit(job);
 }
 
 namespace {
 
 /// Runtime ISA dispatch shared by every striped entry point.
-template <typename LaneT, bool kBest, bool kTaps, bool kFind>
+template <typename LaneT, bool kLocal, bool kBest, bool kTaps, bool kFind>
 TileResult run_striped_isa(const TileJob& job, TileScratch& scratch) {
   switch (active_simd_isa()) {
     case SimdIsa::kAvx512:
-      return run_striped_avx512<LaneT, kBest, kTaps, kFind>(job, scratch);
+      return run_striped_avx512<LaneT, kLocal, kBest, kTaps, kFind>(job, scratch);
     case SimdIsa::kAvx2:
-      return run_striped_avx2<LaneT, kBest, kTaps, kFind>(job, scratch);
+      return run_striped_avx2<LaneT, kLocal, kBest, kTaps, kFind>(job, scratch);
     case SimdIsa::kSse2:
 #if defined(__SSE2__)
-      return run_striped_core<Sse2Backend<LaneT>, kBest, kTaps, kFind>(job, scratch);
+      return run_striped_core<Sse2Backend<LaneT>, kLocal, kBest, kTaps, kFind>(job, scratch);
 #else
       break;  // Unreachable: active_simd_isa never reports an unsupported ISA.
 #endif
@@ -360,11 +373,11 @@ TileResult run_striped_isa(const TileJob& job, TileScratch& scratch) {
       break;
   }
   if constexpr (sizeof(LaneT) == 1) {
-    return run_striped_core<Generic8, kBest, kTaps, kFind>(job, scratch);
+    return run_striped_core<Generic8, kLocal, kBest, kTaps, kFind>(job, scratch);
   } else if constexpr (sizeof(LaneT) == 2) {
-    return run_striped_core<Generic16, kBest, kTaps, kFind>(job, scratch);
+    return run_striped_core<Generic16, kLocal, kBest, kTaps, kFind>(job, scratch);
   } else {
-    return run_striped_core<Generic32, kBest, kTaps, kFind>(job, scratch);
+    return run_striped_core<Generic32, kLocal, kBest, kTaps, kFind>(job, scratch);
   }
 }
 
@@ -372,22 +385,23 @@ TileResult run_striped_isa(const TileJob& job, TileScratch& scratch) {
 
 template <typename LaneT, bool kBest>
 TileResult run_striped(const TileJob& job, TileScratch& scratch) {
-  return run_striped_isa<LaneT, kBest, false, false>(job, scratch);
+  return run_striped_isa<LaneT, true, kBest, false, false>(job, scratch);
 }
 
 TileResult run_striped32_global(const TileJob& job, TileScratch& scratch) {
   const bool taps = !job.tap_cols.empty();
   const bool find = job.find_value.has_value();
-  if (taps && find) return run_striped_isa<std::int32_t, false, true, true>(job, scratch);
-  if (taps) return run_striped_isa<std::int32_t, false, true, false>(job, scratch);
-  if (find) return run_striped_isa<std::int32_t, false, false, true>(job, scratch);
-  return run_striped_isa<std::int32_t, false, false, false>(job, scratch);
+  if (taps && find) return run_striped_isa<std::int32_t, false, false, true, true>(job, scratch);
+  if (taps) return run_striped_isa<std::int32_t, false, false, true, false>(job, scratch);
+  if (find) return run_striped_isa<std::int32_t, false, false, false, true>(job, scratch);
+  return run_striped_isa<std::int32_t, false, false, false, false>(job, scratch);
 }
 
 template TileResult run_striped<std::int8_t, false>(const TileJob&, TileScratch&);
 template TileResult run_striped<std::int8_t, true>(const TileJob&, TileScratch&);
 template TileResult run_striped<std::int16_t, false>(const TileJob&, TileScratch&);
 template TileResult run_striped<std::int16_t, true>(const TileJob&, TileScratch&);
+template TileResult run_striped<std::int32_t, true>(const TileJob&, TileScratch&);
 
 }  // namespace detail
 

@@ -60,7 +60,7 @@ struct Avx2Backend<std::int8_t> {
   static V and_(V a, V b) { return _mm256_and_si256(a, b); }
 };
 
-/// int32 lanes for global mode: plain add/sub (see striped_core.hpp).
+/// int32 lanes (either mode): plain add/sub (see striped_core.hpp).
 template <>
 struct Avx2Backend<std::int32_t> {
   using Lane = std::int32_t;
@@ -84,9 +84,9 @@ struct Avx2Backend<std::int32_t> {
 
 bool avx2_kernels_compiled() noexcept { return true; }
 
-template <typename LaneT, bool kBest, bool kTaps, bool kFind>
+template <typename LaneT, bool kLocal, bool kBest, bool kTaps, bool kFind>
 TileResult run_striped_avx2(const TileJob& job, TileScratch& scratch) {
-  return run_striped_core<Avx2Backend<LaneT>, kBest, kTaps, kFind>(job, scratch);
+  return run_striped_core<Avx2Backend<LaneT>, kLocal, kBest, kTaps, kFind>(job, scratch);
 }
 
 CUDALIGN_STRIPED_ISA_INSTANTIATIONS(template, run_striped_avx2)
@@ -99,7 +99,7 @@ namespace cudalign::engine::detail {
 
 bool avx2_kernels_compiled() noexcept { return false; }
 
-template <typename LaneT, bool kBest, bool kTaps, bool kFind>
+template <typename LaneT, bool kLocal, bool kBest, bool kTaps, bool kFind>
 TileResult run_striped_avx2(const TileJob& job, TileScratch& scratch) {
   (void)job;
   (void)scratch;

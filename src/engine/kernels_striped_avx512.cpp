@@ -63,7 +63,7 @@ struct Avx512Backend<std::int8_t> {
   static V and_(V a, V b) { return _mm512_and_si512(a, b); }
 };
 
-/// int32 lanes for global mode: plain add/sub (see striped_core.hpp). The
+/// int32 lanes (either mode): plain add/sub (see striped_core.hpp). The
 /// compare yields a mask register; expanding it back to lanes stays in
 /// AVX-512F (the movm form would need DQ).
 template <>
@@ -91,9 +91,9 @@ struct Avx512Backend<std::int32_t> {
 
 bool avx512_kernels_compiled() noexcept { return true; }
 
-template <typename LaneT, bool kBest, bool kTaps, bool kFind>
+template <typename LaneT, bool kLocal, bool kBest, bool kTaps, bool kFind>
 TileResult run_striped_avx512(const TileJob& job, TileScratch& scratch) {
-  return run_striped_core<Avx512Backend<LaneT>, kBest, kTaps, kFind>(job, scratch);
+  return run_striped_core<Avx512Backend<LaneT>, kLocal, kBest, kTaps, kFind>(job, scratch);
 }
 
 CUDALIGN_STRIPED_ISA_INSTANTIATIONS(template, run_striped_avx512)
@@ -106,7 +106,7 @@ namespace cudalign::engine::detail {
 
 bool avx512_kernels_compiled() noexcept { return false; }
 
-template <typename LaneT, bool kBest, bool kTaps, bool kFind>
+template <typename LaneT, bool kLocal, bool kBest, bool kTaps, bool kFind>
 TileResult run_striped_avx512(const TileJob& job, TileScratch& scratch) {
   (void)job;
   (void)scratch;

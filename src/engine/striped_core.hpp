@@ -34,22 +34,29 @@
 //            per-lane decay is linear in distance, so doubling composes);
 //   pass 2   E = max(Eseg, entry - k*G_ext), H = max(Htmp, E), row max.
 //
-// Two modes share the sweep, chosen by the lane width (StripedBindings):
+// Two recurrence modes share the sweep, chosen by the kLocal template
+// parameter; the lane width only picks the arithmetic. Three (mode, lane)
+// pairings exist:
 //
-//   * local (int8 / int16 lanes, saturating): H floors at 0. Exactness
-//     (byte-identity with the scalar kernels) holds inside the lane envelope
-//     the striped prechecks admit (kernel_detail.hpp): every H >= 0, so every
-//     *published* E/F value is genuine (>= -G_first) and the sentinel /
-//     saturated chains lose every max they enter; the reachable-score bound
-//     keeps genuine arithmetic below the saturation point, so saturating
-//     adds/subs equal exact arithmetic on every winning branch.
-//   * global (int32 lanes, plain add/sub): no zero floor. The lanes perform
-//     the scalar kernels' own int32 arithmetic, and the closed form above is
-//     an identity of exact integer arithmetic, so the sweep is byte-identical
-//     wherever nothing wraps — which the global envelope's checked
-//     reachable-score bound guarantees (striped32_global_can_run). Taps read
-//     (H, E) after pass 2; the value probe scans a row in row-major order
-//     once a vector compare has seen the target in it.
+//   * local (zero floor, best tracking) on int8 / int16 lanes (saturating):
+//     H floors at 0. Exactness (byte-identity with the scalar kernels) holds
+//     inside the lane envelope the striped prechecks admit
+//     (kernel_detail.hpp): every H >= 0, so every *published* E/F value is
+//     genuine (>= -G_first) and the sentinel / saturated chains lose every
+//     max they enter; the reachable-score bound keeps genuine arithmetic
+//     below the saturation point, so saturating adds/subs equal exact
+//     arithmetic on every winning branch.
+//   * local on int32 lanes (plain add/sub): the same zero floor and masked
+//     row max, past the int16 envelope. The lanes perform the scalar
+//     kernels' own int32 arithmetic, so — as in global mode below — the
+//     sweep is byte-identical wherever nothing wraps, which
+//     striped32_local_can_run's checked reachable-score bound guarantees.
+//   * global (int32 lanes only, plain add/sub): no zero floor. The closed
+//     form above is an identity of exact integer arithmetic, so the sweep is
+//     byte-identical wherever nothing wraps — which the global envelope's
+//     checked reachable-score bound guarantees (striped32_global_can_run).
+//     Taps read (H, E) after pass 2; the value probe scans a row in
+//     row-major order once a vector compare has seen the target in it.
 //
 // Pad columns (slots >= w of the last lanes) receive real values but — all
 // dataflow being non-decreasing in column index — never feed one; the
@@ -66,14 +73,15 @@
 
 namespace cudalign::engine::detail {
 
-/// Lane-width bindings: the recurrence mode a lane type runs, which envelope
-/// it is checked against and which TileScratch buffers it uses.
+/// Lane-width bindings: the TileScratch buffers a lane type uses and, for
+/// the narrow (saturating) lanes, the envelope their inputs are checked
+/// against. The recurrence mode is the core's kLocal parameter, not a
+/// property of the lane.
 template <typename LaneT>
 struct StripedBindings;
 
 template <>
 struct StripedBindings<std::int8_t> {
-  static constexpr bool kLocal = true;
   static constexpr LaneEnvelope kEnvelope = kLaneEnvelope8;
   static std::vector<std::int8_t>& workspace(TileScratch& s) { return s.striped8; }
   static std::vector<std::int8_t>& mask(TileScratch& s) { return s.striped_mask8; }
@@ -84,7 +92,6 @@ struct StripedBindings<std::int8_t> {
 
 template <>
 struct StripedBindings<std::int16_t> {
-  static constexpr bool kLocal = true;
   static constexpr LaneEnvelope kEnvelope = kLaneEnvelope16;
   static std::vector<std::int16_t>& workspace(TileScratch& s) { return s.striped16; }
   static std::vector<std::int16_t>& mask(TileScratch& s) { return s.striped_mask16; }
@@ -93,19 +100,18 @@ struct StripedBindings<std::int16_t> {
   }
 };
 
-/// int32 lanes run global mode: plain arithmetic, the scalar sentinel, and
-/// no mask (best tracking is local-only).
+/// int32 lanes: plain arithmetic and the scalar sentinel, in either mode.
 template <>
 struct StripedBindings<std::int32_t> {
-  static constexpr bool kLocal = false;
   static std::vector<std::int32_t>& workspace(TileScratch& s) { return s.striped32; }
+  static std::vector<std::int32_t>& mask(TileScratch& s) { return s.striped_mask32; }
   static scoring::StripedProfile<std::int32_t>& profile(TileScratch& s) {
     return s.striped_profile32;
   }
 };
 
 /// The striped sweep over a SIMD backend B. A backend provides:
-///   Lane               int8_t or int16_t (local), int32_t (global)
+///   Lane               int8_t or int16_t (local only), int32_t (either mode)
 ///   kLanes             lanes per vector (p)
 ///   kNinfLane          sentinel: loses every max inside the envelope
 ///   V                  vector register type
@@ -114,15 +120,16 @@ struct StripedBindings<std::int32_t> {
 /// (narrow adds/subs saturate, int32 ones wrap; inside the envelope no
 /// genuine value does either). kBest is local-only; kTaps and kFind are
 /// global-only.
-template <typename B, bool kBest, bool kTaps = false, bool kFind = false>
+template <typename B, bool kLocal, bool kBest, bool kTaps = false, bool kFind = false>
 TileResult run_striped_core(const TileJob& job, TileScratch& scratch) {
   using Lane = typename B::Lane;
   using V = typename B::V;
   static constexpr Index p = B::kLanes;
   static constexpr Lane kNinfLane = B::kNinfLane;
-  static constexpr bool kLocal = StripedBindings<Lane>::kLocal;
-  static_assert(kLocal || sizeof(Lane) == sizeof(Score),
-                "global mode needs the scalar kernels' int32 arithmetic");
+  /// Narrow lanes saturate and are checked against their LaneEnvelope;
+  /// int32 lanes perform the scalar kernels' own arithmetic.
+  static constexpr bool kNarrow = sizeof(Lane) < sizeof(Score);
+  static_assert(kLocal || !kNarrow, "global mode needs the scalar kernels' int32 arithmetic");
   static_assert(kLocal ? !kTaps && !kFind : !kBest,
                 "striped features: best tracking in local mode, taps/probe in global mode");
 
@@ -144,7 +151,7 @@ TileResult run_striped_core(const TileJob& job, TileScratch& scratch) {
   // Envelope-checked narrowing, the striped to_lane (sentinels keep losing;
   // int32 lanes take every input as is, drifted sentinels included).
   const auto to_lane = [](Score v) -> Lane {
-    if constexpr (kLocal) {
+    if constexpr (kNarrow) {
       constexpr LaneEnvelope kEnv = StripedBindings<Lane>::kEnvelope;
       if (is_neg_inf(v)) return kNinfLane;
       CUDALIGN_DCHECK(v >= kEnv.real_floor && v <= kEnv.ceiling, "striped lane input ", v,
@@ -230,7 +237,7 @@ TileResult run_striped_core(const TileJob& job, TileScratch& scratch) {
   // <= ceiling - lane_max, strictly below every lane's own exit term
   // (>= -G_first inside the envelope), so it loses every max it enters —
   // exactly as the unclamped arithmetic would have lost. (In int32 lanes the
-  // global envelope bounds every decay far below the clamp, which never
+  // striped32 envelopes bound every decay far below the clamp, which never
   // binds.)
   static_assert((p & (p - 1)) == 0, "striped lane count must be a power of two");
   constexpr int kScanSteps = [] {
@@ -309,7 +316,7 @@ TileResult run_striped_core(const TileJob& job, TileScratch& scratch) {
     B::store(entry_row + 1, B::max(B::subs(B::load(E + (t - 1) * p), v_ext),
                                    B::subs(B::load(H + (t - 1) * p), v_first)));
     const Score seed = std::max<Score>(left.gap - ext, left.h - first);
-    if constexpr (kLocal) {
+    if constexpr (kNarrow) {
       entry_row[0] = static_cast<Lane>(std::clamp<Score>(
           seed, static_cast<Score>(kNinfLane), StripedBindings<Lane>::kEnvelope.ceiling));
     } else {
@@ -340,7 +347,7 @@ TileResult run_striped_core(const TileJob& job, TileScratch& scratch) {
 
     // Rectified vertical bus: the true last-column (H, E) of this row.
     const Score h_last = static_cast<Score>(H[last_slot]);
-    if constexpr (kLocal) {
+    if constexpr (kNarrow) {
       CUDALIGN_DCHECK(h_last <= StripedBindings<Lane>::kEnvelope.ceiling,
                       "striped lane published H ", h_last, " above the ceiling");
     }
@@ -414,7 +421,7 @@ TileResult run_striped_core(const TileJob& job, TileScratch& scratch) {
       if (j >= w) break;
       const std::size_t sl = static_cast<std::size_t>(k * p + l);
       const Score h_out = static_cast<Score>(H[sl]);
-      if constexpr (kLocal) {
+      if constexpr (kNarrow) {
         CUDALIGN_DCHECK(h_out <= StripedBindings<Lane>::kEnvelope.ceiling,
                         "striped lane published H ", h_out, " above the ceiling");
       }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cstring>
 #include <fstream>
 #include <optional>
 #include <string_view>
@@ -148,10 +147,7 @@ std::size_t SpecialRowsArea::put(const RowKey& key, std::span<const engine::BusC
   // or does not exist.
   const auto file = file_for(index);
   if (durability_ == Durability::kDurable) {
-    std::string buffer(sizeof(header) + cells.size_bytes(), '\0');
-    std::memcpy(buffer.data(), &header, sizeof(header));
-    std::memcpy(buffer.data() + sizeof(header), cells.data(), cells.size_bytes());
-    atomic_write_file_durable(file, buffer);
+    atomic_write_file_durable(file, {std::as_bytes(std::span(&header, 1)), std::as_bytes(cells)});
   } else {
     std::filesystem::path tmp = file;
     tmp += ".tmp";

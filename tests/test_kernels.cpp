@@ -15,6 +15,7 @@
 
 #include "common/rng.hpp"
 #include "engine/executor.hpp"
+#include "engine/kernel_detail.hpp"
 #include "engine/kernel_registry.hpp"
 #include "test_util.hpp"
 
@@ -50,33 +51,9 @@ struct TileOutputs {
   TileResult result;
 };
 
-TileOutputs run_variant(const TileCase& tc, const KernelVariant& variant) {
-  TileOutputs out;
-  out.hbus = tc.hbus;
-  out.vbus_out.resize(tc.vbus_in.size());
-  TileJob job;
-  job.r0 = tc.r0;
-  job.r1 = tc.r1;
-  job.c0 = tc.c0;
-  job.c1 = tc.c1;
-  job.a = tc.a.bases();
-  job.b = tc.b.bases();
-  job.recurrence = &tc.recurrence;
-  job.hbus = out.hbus;
-  job.vbus_in = tc.vbus_in;
-  job.vbus_out = out.vbus_out;
-  job.tap_cols = tc.tap_cols;
-  job.track_best = tc.track_best;
-  job.find_value = tc.find_value;
-  TileScratch scratch;
-  out.result = variant.run(job, scratch);
-  return out;
-}
-
-bool variant_accepts(const TileCase& tc, const KernelVariant& variant) {
-  // can_run may inspect the buses, so build a throwaway job view.
-  std::vector<BusCell> hbus = tc.hbus;
-  std::vector<BusCell> vbus_out(tc.vbus_in.size());
+/// A job over the case's sequences and scheme, reading `hbus` / `vbus_out`
+/// (the caller's copies) and the case's incoming vertical bus.
+TileJob job_view(const TileCase& tc, std::vector<BusCell>& hbus, std::vector<BusCell>& vbus_out) {
   TileJob job;
   job.r0 = tc.r0;
   job.r1 = tc.r1;
@@ -91,7 +68,30 @@ bool variant_accepts(const TileCase& tc, const KernelVariant& variant) {
   job.tap_cols = tc.tap_cols;
   job.track_best = tc.track_best;
   job.find_value = tc.find_value;
-  return variant.can_run(job);
+  return job;
+}
+
+TileOutputs run_variant(const TileCase& tc, const KernelVariant& variant) {
+  TileOutputs out;
+  out.hbus = tc.hbus;
+  out.vbus_out.resize(tc.vbus_in.size());
+  TileScratch scratch;
+  out.result = variant.run(job_view(tc, out.hbus, out.vbus_out), scratch);
+  return out;
+}
+
+bool variant_accepts(const TileCase& tc, const KernelVariant& variant) {
+  // can_run may inspect the buses, so build a throwaway job view.
+  std::vector<BusCell> hbus = tc.hbus;
+  std::vector<BusCell> vbus_out(tc.vbus_in.size());
+  return variant.can_run(job_view(tc, hbus, vbus_out));
+}
+
+/// The variant automatic selection picks for the case (no pin in force).
+KernelId auto_selected(const TileCase& tc) {
+  std::vector<BusCell> hbus = tc.hbus;
+  std::vector<BusCell> vbus_out(tc.vbus_in.size());
+  return engine::select_kernel(job_view(tc, hbus, vbus_out)).id;
 }
 
 void expect_identical(const TileOutputs& expected, const TileOutputs& got,
@@ -431,6 +431,24 @@ const std::vector<engine::SimdIsa>& all_isas() {
   return kIsas;
 }
 
+/// Runs `body` once per SIMD ISA this build and CPU can force (skipping the
+/// ones it cannot); returns how many ran (the generic baseline always does).
+template <typename Body>
+int for_each_isa(Body body) {
+  int forced = 0;
+  for (const engine::SimdIsa isa : all_isas()) {
+    try {
+      engine::set_simd_isa_override(isa);
+    } catch (const Error&) {
+      continue;
+    }
+    ++forced;
+    body(std::string(engine::simd_isa_name(isa)));
+  }
+  engine::clear_simd_isa_override();
+  return forced;
+}
+
 TEST(StripedIsa, EveryCompiledBackendMatchesLegacyByteForByte) {
   Rng rng(5150);
   std::vector<TileCase> cases;
@@ -440,28 +458,18 @@ TEST(StripedIsa, EveryCompiledBackendMatchesLegacyByteForByte) {
     cases.push_back(make_case(rng, rows, w, 0, iter % 2 == 1, false, false, paper(),
                               "isa" + std::to_string(iter)));
   }
-  int forced = 0;
-  for (const engine::SimdIsa isa : all_isas()) {
-    try {
-      engine::set_simd_isa_override(isa);
-    } catch (const Error&) {
-      continue;  // Backend not compiled in / CPU lacks it; nothing to force.
-    }
-    ++forced;
+  const int forced = for_each_isa([&](const std::string& isa) {
     for (const TileCase& tc : cases) {
       const TileOutputs expected = run_variant(tc, engine::kernel_info(KernelId::kLegacy));
       for (const char* name : {"striped8-local", "striped8-local+best", "striped16-local",
-                               "striped16-local+best"}) {
+                               "striped16-local+best", "striped32-local+best"}) {
         const KernelVariant* variant = engine::find_kernel(name);
         ASSERT_NE(variant, nullptr) << name;
         if (!variant_accepts(tc, *variant)) continue;
-        expect_identical(expected, run_variant(tc, *variant),
-                         tc.name + " / " + name + " / " +
-                             std::string(engine::simd_isa_name(isa)));
+        expect_identical(expected, run_variant(tc, *variant), tc.name + " / " + name + " / " + isa);
       }
     }
-  }
-  engine::clear_simd_isa_override();
+  });
   EXPECT_GE(forced, 1);  // The generic baseline is always available.
 }
 
@@ -671,19 +679,9 @@ TEST(Striped32Global, FeatureTuplesAcrossLaneEdgesAndIsas) {
       cases.push_back(std::move(tc));
     }
   }
-  int forced = 0;
-  for (const engine::SimdIsa isa : all_isas()) {
-    try {
-      engine::set_simd_isa_override(isa);
-    } catch (const Error&) {
-      continue;
-    }
-    ++forced;
-    for (const TileCase& tc : cases) {
-      expect_striped32_exact(tc, tc.name + " / " + std::string(engine::simd_isa_name(isa)));
-    }
-  }
-  engine::clear_simd_isa_override();
+  const int forced = for_each_isa([&](const std::string& isa) {
+    for (const TileCase& tc : cases) expect_striped32_exact(tc, tc.name + " / " + isa);
+  });
   EXPECT_GE(forced, 1);
 }
 
@@ -837,6 +835,156 @@ TEST(Striped32Global, ProblemLevelMatchesReferenceForEveryCellState) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// striped32-local+best: the striped sweep in local mode on int32 lanes takes
+// the Stage-1 tiles past the int16 envelope. It must be byte-identical to
+// legacy under every compiled ISA, admit exactly its envelope, and keep the
+// scalar kernels' first-occurrence tie-break.
+// ---------------------------------------------------------------------------
+
+const KernelVariant& striped32_local() {
+  return engine::kernel_info(KernelId::kStriped32LocalBest);
+}
+
+/// Lifts a local case's genuine bus values by `base` (sentinel gaps stay),
+/// so the tile starts where a related pair's Stage 1 is after many rows.
+void lift_bus(TileCase& tc, Score base) {
+  for (auto* bus : {&tc.hbus, &tc.vbus_in}) {
+    for (BusCell& cell : *bus) {
+      cell.h += base;
+      if (!is_neg_inf(cell.gap)) cell.gap += base;
+    }
+  }
+}
+
+TEST(Striped32Local, MatchesLegacyPastInt16UnderEveryIsa) {
+  const std::vector<Index> widths = {3, 4, 5, 8, 9, 16, 17, 31, 33, 64, 65, 100};
+  const std::vector<Score> bases = {28001, 40000, 250000, 1000000};
+  const std::vector<scoring::Scheme> schemes = {paper(), scoring::Scheme{2, -1, 3, 1},
+                                                scoring::Scheme{100, -300, 500, 200}};
+  Rng rng(9090);
+  std::vector<TileCase> cases;
+  for (std::size_t k = 0; k < widths.size() * bases.size(); ++k) {
+    const Index w = widths[k % widths.size()];
+    TileCase tc = make_case(rng, 1 + static_cast<Index>(rng.below(40)), w, 0, true, false, false,
+                            schemes[k % schemes.size()], "lift" + std::to_string(k));
+    lift_bus(tc, bases[k / widths.size()]);
+    cases.push_back(std::move(tc));
+  }
+  const KernelVariant* s16 = engine::find_kernel("striped16-local+best");
+  ASSERT_NE(s16, nullptr);
+  const int forced = for_each_isa([&](const std::string& isa) {
+    for (const TileCase& tc : cases) {
+      ASSERT_FALSE(variant_accepts(tc, *s16)) << tc.name;
+      ASSERT_TRUE(variant_accepts(tc, striped32_local())) << tc.name;
+      expect_identical(run_variant(tc, engine::kernel_info(KernelId::kLegacy)),
+                       run_variant(tc, striped32_local()), tc.name + " / " + isa);
+    }
+  });
+  EXPECT_GE(forced, 1);
+}
+
+TEST(Striped32Local, EnvelopeEdges) {
+  Rng rng(9091);
+  // Just past the int16 ceiling (see LaneEnvelope.Int16CeilingBoundary...):
+  // striped16 refuses, the int32 lanes take the tile and stay exact.
+  TileCase tc = make_case(rng, 24, 24, 0, true, false, false, paper(), "past-16");
+  tc.hbus[5].h = 27977;
+  EXPECT_FALSE(variant_accepts(tc, *engine::find_kernel("striped16-local+best")));
+  ASSERT_TRUE(variant_accepts(tc, striped32_local()));
+  const TileOutputs legacy = run_variant(tc, engine::kernel_info(KernelId::kLegacy));
+  expect_identical(legacy, run_variant(tc, striped32_local()), "past-16");
+
+  // Sentinel H anywhere among the inputs stays on v32, which reproduces the
+  // scalar sentinel drift.
+  for (const int where : {0, 1, 2}) {
+    TileCase bad = tc;
+    if (where == 0) bad.vbus_in[0].h = kNegInf;
+    if (where == 1) bad.vbus_in[7].h = kNegInf;
+    if (where == 2) bad.hbus[24].h = kNegInf - 3;
+    EXPECT_FALSE(variant_accepts(bad, striped32_local())) << "sentinel H case " << where;
+    EXPECT_EQ(auto_selected(bad), KernelId::kVec32LocalBest) << "sentinel H case " << where;
+    expect_identical(run_variant(bad, engine::kernel_info(KernelId::kLegacy)),
+                     run_variant(bad, engine::kernel_info(KernelId::kVec32LocalBest)),
+                     "sentinel H / v32");
+  }
+
+  // Paper-scale scores (about 27 M) are admitted and exact.
+  TileCase paper_scale = tc;
+  lift_bus(paper_scale, 27000000);
+  ASSERT_TRUE(variant_accepts(paper_scale, striped32_local()));
+  expect_identical(run_variant(paper_scale, engine::kernel_info(KernelId::kLegacy)),
+                   run_variant(paper_scale, striped32_local()), "paper-scale");
+
+  // The reachable-score bound max|input| + step * (rows + w + lane pad) must
+  // stay below |kNegInf| / 2: at the bound the tile is refused, one below it
+  // is admitted and exact. The paper scheme's largest step is G_first = 5.
+  const Score at_bound = static_cast<Score>(-(kNegInf / 2) -
+                                            5 * (24 + 24 + engine::detail::kMaxStripedLanes));
+  TileCase edge = tc;
+  edge.hbus[5].h = at_bound;
+  EXPECT_FALSE(variant_accepts(edge, striped32_local()));
+  edge.hbus[5].h = at_bound - 1;
+  ASSERT_TRUE(variant_accepts(edge, striped32_local()));
+  expect_identical(run_variant(edge, engine::kernel_info(KernelId::kLegacy)),
+                   run_variant(edge, striped32_local()), "bound-edge");
+
+  // Local mode without taps or probe only; best tracking is the registry's.
+  TileCase taps = tc;
+  taps.tap_cols = {tc.c0 + 3};
+  EXPECT_FALSE(variant_accepts(taps, striped32_local()));
+  TileCase find = tc;
+  find.find_value = 5;
+  EXPECT_FALSE(variant_accepts(find, striped32_local()));
+  TileCase no_best = tc;
+  no_best.track_best = false;
+  EXPECT_FALSE(variant_accepts(no_best, striped32_local()));
+  EXPECT_FALSE(variant_accepts(make_case(rng, 12, 32, 1, false, false, false, paper(), "global"),
+                               striped32_local()));
+}
+
+// A row whose maximum repeats across lanes reports its first (smallest-j)
+// occurrence, and a later row that only ties the best does not replace it.
+TEST(Striped32Local, RepeatedRowMaximaKeepFirstOccurrence) {
+  for (const Index rows : {1, 6}) {
+    TileCase tc;
+    tc.name = "ties" + std::to_string(rows);
+    tc.r0 = 3;
+    tc.c0 = 2;
+    tc.r1 = tc.r0 + rows;
+    tc.c1 = tc.c0 + 64;
+    tc.a = seq::Sequence("a", std::vector<seq::Base>(static_cast<std::size_t>(tc.r1), seq::kA));
+    tc.b = seq::Sequence("b", std::vector<seq::Base>(static_cast<std::size_t>(tc.c1), seq::kA));
+    tc.recurrence = Recurrence::local(paper());
+    tc.track_best = true;
+    // Row 1's diagonal feeds from hbus[j - 1]: H = 30001 on every column
+    // j >= 38 and lower before it. Column 38 sits mid-segment for p = 4, 8
+    // and 16 lanes, with every later lane tying it.
+    tc.hbus.assign(65, BusCell{29000, kNegInf});
+    for (Index j = 37; j <= 64; ++j) tc.hbus[static_cast<std::size_t>(j)] = BusCell{30000, kNegInf};
+    tc.vbus_in.assign(static_cast<std::size_t>(rows) + 1, BusCell{29000, kNegInf});
+    const TileOutputs legacy = run_variant(tc, engine::kernel_info(KernelId::kLegacy));
+    if (rows == 1) {
+      EXPECT_EQ(legacy.result.best.score, 30001);
+      EXPECT_EQ(legacy.result.best.i, tc.r0 + 1);
+      EXPECT_EQ(legacy.result.best.j, tc.c0 + 38);
+    }
+    for_each_isa([&](const std::string& isa) {
+      expect_identical(legacy, run_variant(tc, striped32_local()), tc.name + " / " + isa);
+    });
+  }
+}
+
+TEST(Striped32Local, AutomaticSelectionTakesStage1TilesPastInt16) {
+  Rng rng(9092);
+  TileCase tc = make_case(rng, 64, 512, 0, true, false, false, paper(), "stage1");
+  EXPECT_NE(auto_selected(tc), KernelId::kStriped32LocalBest);  // Inside int16: narrower lanes.
+  lift_bus(tc, 30000);
+  EXPECT_EQ(auto_selected(tc), KernelId::kStriped32LocalBest);
+  lift_bus(tc, 5000000);
+  EXPECT_EQ(auto_selected(tc), KernelId::kStriped32LocalBest);
 }
 
 }  // namespace

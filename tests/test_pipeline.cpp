@@ -11,6 +11,8 @@
 #include "common/io_util.hpp"
 #include "common/rng.hpp"
 #include "core/pipeline.hpp"
+#include "engine/executor.hpp"
+#include "engine/kernel_registry.hpp"
 #include "obs/telemetry.hpp"
 #include "test_util.hpp"
 
@@ -337,6 +339,58 @@ TEST(PipelineAsyncFlush, StealHeavyDataflowWithAsyncWriter) {
   EXPECT_EQ(result.best_score, reference.alignment.score);
   EXPECT_EQ(result.stages[0].sra_rows_acked, result.special_rows_saved);
   EXPECT_GT(result.special_rows_saved, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Past the int16 envelope: a related pair whose scores leave the 16-bit lanes
+// a few hundred rows in, so Stage 1's later tiles run on the int32 striped
+// local sweep. Checked at the default ISA and with the generic one forced.
+// ---------------------------------------------------------------------------
+
+TEST(Int16EnvelopeCrossing, RelatedPairStaysOptimalOnStriped32Local) {
+  const auto pair = seq::make_related_pair(2000, 2000, 5150);
+  const scoring::Scheme scheme{100, -300, 500, 200};
+  const auto reference = baseline::align_full_matrix(pair.s0.bases(), pair.s1.bases(), scheme);
+  ASSERT_GT(reference.alignment.score, 28000 * 4);
+  for (const bool generic : {false, true}) {
+    const std::string label = generic ? "generic" : "default ISA";
+    if (generic) engine::set_simd_isa_override(engine::SimdIsa::kGeneric);
+
+    engine::ProblemSpec spec;
+    spec.a = pair.s0.bases();
+    spec.b = pair.s1.bases();
+    spec.grid = engine::GridSpec{8, 16, 4, 1};  // 64-row strips, 250-column tiles.
+    spec.recurrence = engine::Recurrence::local(scheme);
+    const auto stage1 = engine::run_wavefront(spec, engine::Hooks{});
+    const auto oracle = engine::run_reference(spec, engine::Hooks{});
+    EXPECT_EQ(stage1.best.score, oracle.best.score) << label;
+    EXPECT_EQ(stage1.best.i, oracle.best.i) << label;
+    EXPECT_EQ(stage1.best.j, oracle.best.j) << label;
+    const auto tally = [&](engine::KernelId id) {
+      return stage1.stats.kernels[static_cast<std::size_t>(id)].tiles;
+    };
+    EXPECT_GT(tally(engine::KernelId::kStriped32LocalBest), 0)
+        << label << ": " << engine::kernel_usage_summary(stage1.stats);
+    EXPECT_EQ(tally(engine::KernelId::kVec32LocalBest) + tally(engine::KernelId::kVec32Local), 0)
+        << label << ": " << engine::kernel_usage_summary(stage1.stats);
+
+    PipelineOptions options;
+    options.scheme = scheme;
+    const PipelineResult result = align_pipeline(pair.s0, pair.s1, options);
+    if (generic) engine::clear_simd_isa_override();
+    EXPECT_EQ(result.best_score, reference.alignment.score) << label;
+    EXPECT_EQ(result.end_point.i, reference.alignment.i1) << label;
+    EXPECT_EQ(result.end_point.j, reference.alignment.j1) << label;
+    EXPECT_EQ(result.alignment.score, reference.alignment.score) << label;
+    EXPECT_NO_THROW(
+        alignment::validate(result.alignment, pair.s0.bases(), pair.s1.bases(), scheme))
+        << label;
+    EXPECT_GT(result.stages[0]
+                  .kernels[static_cast<std::size_t>(engine::KernelId::kStriped32LocalBest)]
+                  .tiles,
+              0)
+        << label << ": " << engine::kernel_usage_summary(result.stages[0].kernels);
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstring>
 #include <set>
 #include <string>
 #include <thread>
@@ -313,6 +314,25 @@ TEST(SraDurability, DurableModeRoundTripsAndSweepsTornTmpFiles) {
   EXPECT_FALSE(std::filesystem::exists(store / "sra-99.bin.tmp"));
   ASSERT_EQ(reopened.size(), 1u);
   EXPECT_EQ(reopened.get(0), row);
+}
+
+// The durable path writes the header and cells straight from the caller's
+// row; the bytes on disk must match the buffered (fast) path's exactly.
+TEST(SraDurability, DurableAndFastStoresWriteIdenticalRowFiles) {
+  TempDir dir;
+  const auto row = make_row(257, 11);
+  std::vector<std::filesystem::path> files;
+  for (const Durability durability : {Durability::kFast, Durability::kDurable}) {
+    const auto store = dir.path() / (durability == Durability::kFast ? "fast" : "durable");
+    SpecialRowsArea area(store, 1 << 20, durability);
+    (void)area.put(RowKey{64, 0, 31, 1}, make_row(32, 5));
+    files.push_back(row_file(store, area.put(RowKey{320, 3, 259, 2}, row)));
+  }
+  const std::string fast = read_file(files[0]);
+  const std::size_t payload = row.size() * sizeof(engine::BusCell);
+  ASSERT_GT(fast.size(), payload);
+  EXPECT_EQ(0, std::memcmp(fast.data() + fast.size() - payload, row.data(), payload));
+  EXPECT_EQ(fast, read_file(files[1]));
 }
 
 /// Makes the write of row `index` fail with ENOSPC by planting its staging

@@ -41,10 +41,10 @@ int usage() {
 
 --kernel pins a tile-kernel variant (e.g. legacy, scalar-local+best,
 scalar-global, v16-local+best, striped8-local+best, striped16-local+best,
-striped32-global; equivalent to CUDALIGN_KERNEL) for Stages 1-4; tiles
-outside the variant's envelope fall back to automatic selection, so scores
-are unaffected. The striped kernels pick
-their SIMD backend at runtime; CUDALIGN_SIMD=auto|generic|sse2|avx2|avx512
+striped32-local+best, striped32-global; equivalent to CUDALIGN_KERNEL) for
+Stages 1-4; tiles outside the variant's envelope fall back to automatic
+selection, so scores are unaffected. The striped kernels pick their SIMD
+backend at runtime; CUDALIGN_SIMD=auto|generic|sse2|avx2|avx512
 forces one (unknown or unsupported values fail fast with exit code 2).
 --executor picks the schedule of the Stage-1 wavefront: dataflow (default;
 each tile runs once its inputs are published, no barrier, a bounded window
