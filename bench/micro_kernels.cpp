@@ -67,11 +67,14 @@ constexpr TileArchetype kArchetypes[] = {
     {"local+best-past-int16", true, true, false, false, 30000},
 };
 
-/// Stage-1 tile shapes swept: the classic alpha*T x n/B block (256x512) and
-/// the thin-strip variant (64x512) whose min(rows, w) reachable-score bound
-/// fits the 8-bit striped envelope — the shape where the byte-lane kernels
-/// are admissible.
-constexpr std::pair<Index, Index> kTileShapes[] = {{256, 512}, {64, 512}};
+/// Stage-1 tile shapes swept: the classic alpha*T x n/B block (256x512); the
+/// thin-strip variant (64x512) whose min(rows, w) reachable-score bound fits
+/// the 8-bit striped envelope — the shape where the byte-lane kernels are
+/// admissible; the default Stage-1 tile of a 100 Kbp pair (256 x n/240 =
+/// 256x417); and a narrow 256x64 tile whose time is almost all fixed per-row
+/// cost (ns_per_row in BENCH_kernels.json shows that cost on its own).
+constexpr std::pair<Index, Index> kTileShapes[] = {
+    {256, 512}, {64, 512}, {256, 417}, {256, 64}};
 
 /// Owns one tile problem (Stage-1-shaped by default) with pristine buses; the
 /// timed loop restores the buses each iteration so inputs never drift (the
@@ -131,8 +134,14 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
-/// Cells per second (in GCUPS) for one variant on one archetype.
-double time_variant_gcups(const engine::KernelVariant& variant, TileBench& bench) {
+/// One variant's throughput on one archetype: cells per second and the
+/// time per tile row.
+struct TileTiming {
+  double gcups = 0;
+  double ns_per_row = 0;
+};
+
+TileTiming time_variant(const engine::KernelVariant& variant, TileBench& bench) {
   engine::TileScratch scratch;
   bench.reset_bus();
   (void)variant.run(bench.job(), scratch);  // Warm-up (scratch allocation).
@@ -145,15 +154,15 @@ double time_variant_gcups(const engine::KernelVariant& variant, TileBench& bench
     ++iters;
     elapsed = seconds_since(t0);
   } while (elapsed < 0.15);
-  return static_cast<double>(bench.rows) * static_cast<double>(bench.cols) *
-         static_cast<double>(iters) / elapsed / 1e9;
+  const double rows = static_cast<double>(bench.rows) * static_cast<double>(iters);
+  return TileTiming{rows * static_cast<double>(bench.cols) / elapsed / 1e9, elapsed / rows * 1e9};
 }
 
 struct VariantSample {
   std::string archetype;
   std::string kernel;
   Index rows = 0, cols = 0;
-  double gcups = 0;
+  TileTiming timing;
 };
 
 struct EngineSample {
@@ -211,10 +220,11 @@ void run_kernel_sweep(const std::string& path) {
         s.kernel = variant.name;
         s.rows = rows;
         s.cols = cols;
-        s.gcups = time_variant_gcups(variant, bench);
+        s.timing = time_variant(variant, bench);
         tile_samples.push_back(s);
-        std::fprintf(stderr, "[kernel-sweep] %4ldx%-4ld %-21s %-24s %7.3f GCUPS\n", long(rows),
-                     long(cols), s.archetype.c_str(), s.kernel.c_str(), s.gcups);
+        std::fprintf(stderr, "[kernel-sweep] %4ldx%-4ld %-21s %-24s %7.3f GCUPS %8.1f ns/row\n",
+                     long(rows), long(cols), s.archetype.c_str(), s.kernel.c_str(),
+                     s.timing.gcups, s.timing.ns_per_row);
       }
     }
   }
@@ -241,7 +251,8 @@ void run_kernel_sweep(const std::string& path) {
     const VariantSample& s = tile_samples[i];
     out << "    {\"job\": \"" << json_escape(s.archetype) << "\", \"kernel\": \""
         << json_escape(s.kernel) << "\", \"rows\": " << s.rows << ", \"cols\": " << s.cols
-        << ", \"gcups\": " << s.gcups << "}" << (i + 1 < tile_samples.size() ? "," : "") << "\n";
+        << ", \"gcups\": " << s.timing.gcups << ", \"ns_per_row\": " << s.timing.ns_per_row
+        << "}" << (i + 1 < tile_samples.size() ? "," : "") << "\n";
   }
   out << "  ],\n  \"stage1\": {\"n\": " << n << ", \"runs\": [\n";
   for (std::size_t i = 0; i < engine_samples.size(); ++i) {

@@ -15,8 +15,10 @@
 #      compares it against bench/baseline.json (tolerance
 #      ${CUDALIGN_BENCH_TOLERANCE:-15} percent; the gate's own self-test runs
 #      in both modes, the baseline comparison only in full mode — timing on a
-#      busy dev box is too noisy for the pre-push loop). Both modes then run
-#      the repo benchmark's smoke check (e2ebench/run.sh --smoke).
+#      busy dev box is too noisy for the pre-push loop). Full mode also runs
+#      the micro_kernels kernel sweep into ci-artifacts/BENCH_kernels.json
+#      (an artifact, no gate). Both modes then run the repo benchmark's smoke
+#      check (e2ebench/run.sh --smoke).
 #   3. Debug build with AddressSanitizer + UndefinedBehaviorSanitizer + full
 #      ctest (contract DCHECKs compiled in)
 #   4. ThreadSanitizer build + full ctest, suppressions in tsan.supp (kept
@@ -230,6 +232,7 @@ CLI=build-ci-release/tools/cudalign
 "$CLI" align "$OBS_DIR/a.fasta" "$OBS_DIR/b.fasta" --out "$OBS_DIR/aln.bin" \
   --report "$ART_DIR/run-report-sample.json" >/dev/null
 "$CLI" report-check "$ART_DIR/run-report-sample.json"
+grep -q '"peak_rss_bytes"' "$ART_DIR/run-report-sample.json"
 # The same pair under the lockstep reference executor: its report must
 # validate too, and its binary alignment must match the default (dataflow)
 # run byte for byte.
@@ -257,6 +260,14 @@ else
   build-ci-release/bench/bench_pipeline --fast --out "$ART_DIR/BENCH_pipeline.3.json" >/dev/null
   build-ci-release/tools/bench_gate "$ART_DIR"/BENCH_pipeline*.json bench/baseline.json \
     --tolerance "${CUDALIGN_BENCH_TOLERANCE:-15}"
+  # The self-timed kernel sweep (GCUPS and ns per row for every variant on
+  # every tile shape), kept as an artifact so each change carries its
+  # per-shape kernel numbers. No gate: single-thread tile timings drift too
+  # much on shared hosts to fail a build on.
+  stage "bench: micro_kernels sweep (artifact)"
+  CUDALIGN_BENCH_JSON="$ART_DIR/BENCH_kernels.json" build-ci-release/bench/micro_kernels \
+    --benchmark_filter='^$' >/dev/null
+  test -s "$ART_DIR/BENCH_kernels.json"
 fi
 # The repo benchmark (e2ebench/, BENCHMARK.json) builds from src/ in its own
 # tree (build-bench/); its smoke run fails CI when a src/ change breaks that

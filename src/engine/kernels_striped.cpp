@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <mutex>
 #include <string_view>
@@ -99,6 +100,25 @@ struct GenericBackend {
     for (int i = 0; i < N; ++i) r.v[i] = a.v[i] == b.v[i] ? Lane{-1} : Lane{0};
     return r;
   }
+  static V shift_in(V a, Lane x) {
+    V r;
+    r.v[0] = x;
+    for (int i = 1; i < N; ++i) r.v[i] = a.v[i - 1];
+    return r;
+  }
+  template <int kSt>
+  static V shift_up(V a) {
+    constexpr int k = 1 << kSt;
+    V r;
+    for (int i = 0; i < N; ++i) r.v[i] = i >= k ? a.v[i - k] : kNinf;
+    return r;
+  }
+  static bool any_gt(V a, Lane x) {
+    return std::any_of(std::begin(a.v), std::end(a.v), [x](Lane e) { return e > x; });
+  }
+  static bool any_nonzero(V a) {
+    return std::any_of(std::begin(a.v), std::end(a.v), [](Lane e) { return e != 0; });
+  }
 };
 
 using Generic8 = GenericBackend<std::int8_t, 16, std::int8_t{-128}>;
@@ -106,6 +126,13 @@ using Generic16 = GenericBackend<std::int16_t, 8, std::int16_t{-16384}>;
 using Generic32 = GenericBackend<std::int32_t, 4, kNegInf>;
 
 #if defined(__SSE2__)
+
+/// v moved up kBytes bytes, the vacated low bytes taken from the top of
+/// `fill` (the lane moves of every SSE2 backend; kBytes <= 8 there).
+template <int kBytes>
+__m128i sse2_shift_up(__m128i v, __m128i fill) {
+  return _mm_or_si128(_mm_slli_si128(v, kBytes), _mm_srli_si128(fill, 16 - kBytes));
+}
 
 template <typename LaneT>
 struct Sse2Backend;
@@ -125,6 +152,12 @@ struct Sse2Backend<std::int16_t> {
   static V adds(V a, V b) { return _mm_adds_epi16(a, b); }
   static V subs(V a, V b) { return _mm_subs_epi16(a, b); }
   static V and_(V a, V b) { return _mm_and_si128(a, b); }
+  static V shift_in(V v, Lane x) { return sse2_shift_up<sizeof(Lane)>(v, set1(x)); }
+  template <int kSt>
+  static V shift_up(V v) {
+    return sse2_shift_up<(sizeof(Lane) << kSt)>(v, set1(kNinfLane));
+  }
+  static bool any_gt(V v, Lane x) { return _mm_movemask_epi8(_mm_cmpgt_epi16(v, set1(x))) != 0; }
 };
 
 template <>
@@ -146,6 +179,12 @@ struct Sse2Backend<std::int8_t> {
   static V adds(V a, V b) { return _mm_adds_epi8(a, b); }
   static V subs(V a, V b) { return _mm_subs_epi8(a, b); }
   static V and_(V a, V b) { return _mm_and_si128(a, b); }
+  static V shift_in(V v, Lane x) { return sse2_shift_up<sizeof(Lane)>(v, set1(x)); }
+  template <int kSt>
+  static V shift_up(V v) {
+    return sse2_shift_up<(sizeof(Lane) << kSt)>(v, set1(kNinfLane));
+  }
+  static bool any_gt(V v, Lane x) { return _mm_movemask_epi8(_mm_cmpgt_epi8(v, set1(x))) != 0; }
 };
 
 /// int32 lanes: plain add/sub (the striped32 envelopes keep every value far
@@ -171,6 +210,15 @@ struct Sse2Backend<std::int32_t> {
   static V and_(V a, V b) { return _mm_and_si128(a, b); }
   static V or_(V a, V b) { return _mm_or_si128(a, b); }
   static V eq(V a, V b) { return _mm_cmpeq_epi32(a, b); }
+  static V shift_in(V v, Lane x) { return sse2_shift_up<sizeof(Lane)>(v, set1(x)); }
+  template <int kSt>
+  static V shift_up(V v) {
+    return sse2_shift_up<(sizeof(Lane) << kSt)>(v, set1(kNinfLane));
+  }
+  static bool any_gt(V v, Lane x) { return _mm_movemask_epi8(_mm_cmpgt_epi32(v, set1(x))) != 0; }
+  static bool any_nonzero(V v) {
+    return _mm_movemask_epi8(_mm_cmpeq_epi32(v, zero())) != 0xFFFF;
+  }
 };
 
 #endif  // __SSE2__

@@ -23,6 +23,21 @@ namespace cudalign::engine::detail {
 
 namespace {
 
+/// v moved up kBytes bytes (kBytes <= 16, half a register), the vacated low
+/// bytes taken from the top of `fill`: permute2x128 lines up
+/// [fill.hi | v.lo] under v, and alignr pulls each 128-bit half's low bytes
+/// from the half below it.
+template <int kBytes>
+__m256i avx2_shift_up(__m256i v, __m256i fill) {
+  static_assert(kBytes > 0 && kBytes <= 16);
+  const __m256i below = _mm256_permute2x128_si256(v, fill, 0x03);
+  if constexpr (kBytes == 16) {
+    return below;
+  } else {
+    return _mm256_alignr_epi8(v, below, 16 - kBytes);
+  }
+}
+
 template <typename LaneT>
 struct Avx2Backend;
 
@@ -41,6 +56,12 @@ struct Avx2Backend<std::int16_t> {
   static V adds(V a, V b) { return _mm256_adds_epi16(a, b); }
   static V subs(V a, V b) { return _mm256_subs_epi16(a, b); }
   static V and_(V a, V b) { return _mm256_and_si256(a, b); }
+  static V shift_in(V v, Lane x) { return avx2_shift_up<sizeof(Lane)>(v, set1(x)); }
+  template <int kSt>
+  static V shift_up(V v) {
+    return avx2_shift_up<(sizeof(Lane) << kSt)>(v, set1(kNinfLane));
+  }
+  static bool any_gt(V v, Lane x) { return _mm256_movemask_epi8(_mm256_cmpgt_epi16(v, set1(x))) != 0; }
 };
 
 template <>
@@ -58,6 +79,12 @@ struct Avx2Backend<std::int8_t> {
   static V adds(V a, V b) { return _mm256_adds_epi8(a, b); }
   static V subs(V a, V b) { return _mm256_subs_epi8(a, b); }
   static V and_(V a, V b) { return _mm256_and_si256(a, b); }
+  static V shift_in(V v, Lane x) { return avx2_shift_up<sizeof(Lane)>(v, set1(x)); }
+  template <int kSt>
+  static V shift_up(V v) {
+    return avx2_shift_up<(sizeof(Lane) << kSt)>(v, set1(kNinfLane));
+  }
+  static bool any_gt(V v, Lane x) { return _mm256_movemask_epi8(_mm256_cmpgt_epi8(v, set1(x))) != 0; }
 };
 
 /// int32 lanes (either mode): plain add/sub (see striped_core.hpp).
@@ -78,6 +105,13 @@ struct Avx2Backend<std::int32_t> {
   static V and_(V a, V b) { return _mm256_and_si256(a, b); }
   static V or_(V a, V b) { return _mm256_or_si256(a, b); }
   static V eq(V a, V b) { return _mm256_cmpeq_epi32(a, b); }
+  static V shift_in(V v, Lane x) { return avx2_shift_up<sizeof(Lane)>(v, set1(x)); }
+  template <int kSt>
+  static V shift_up(V v) {
+    return avx2_shift_up<(sizeof(Lane) << kSt)>(v, set1(kNinfLane));
+  }
+  static bool any_gt(V v, Lane x) { return _mm256_movemask_epi8(_mm256_cmpgt_epi32(v, set1(x))) != 0; }
+  static bool any_nonzero(V v) { return _mm256_testz_si256(v, v) == 0; }
 };
 
 }  // namespace

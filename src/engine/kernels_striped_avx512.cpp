@@ -26,6 +26,33 @@ namespace cudalign::engine::detail {
 
 namespace {
 
+/// v moved up kBytes bytes (kBytes <= 32, half a register), the vacated low
+/// bytes taken from the top of `fill`. valignd over the [v | fill] pair moves
+/// whole 128-bit blocks; for the remaining bytes alignr pulls each block's
+/// low bytes from the block below it (one more valignd lines that up). One
+/// byte-level helper serves every lane width with no index tables, and the
+/// maskz forms keep GCC from passing an undefined vector through (see max
+/// below).
+template <int kBytes>
+__m512i avx512_shift_up(__m512i v, __m512i fill) {
+  static_assert(kBytes > 0 && kBytes <= 32);
+  constexpr int kBlocks = kBytes / 16;
+  constexpr int kRest = kBytes % 16;
+  const __m512i blocks = [&] {
+    if constexpr (kBlocks == 0) {
+      return v;
+    } else {
+      return _mm512_maskz_alignr_epi32(0xFFFF, v, fill, 16 - 4 * kBlocks);
+    }
+  }();
+  if constexpr (kRest == 0) {
+    return blocks;
+  } else {
+    const __m512i below = _mm512_maskz_alignr_epi32(0xFFFF, v, fill, 12 - 4 * kBlocks);
+    return _mm512_maskz_alignr_epi8(~__mmask64{0}, blocks, below, 16 - kRest);
+  }
+}
+
 template <typename LaneT>
 struct Avx512Backend;
 
@@ -44,6 +71,12 @@ struct Avx512Backend<std::int16_t> {
   static V adds(V a, V b) { return _mm512_adds_epi16(a, b); }
   static V subs(V a, V b) { return _mm512_subs_epi16(a, b); }
   static V and_(V a, V b) { return _mm512_and_si512(a, b); }
+  static V shift_in(V v, Lane x) { return avx512_shift_up<sizeof(Lane)>(v, set1(x)); }
+  template <int kSt>
+  static V shift_up(V v) {
+    return avx512_shift_up<(sizeof(Lane) << kSt)>(v, set1(kNinfLane));
+  }
+  static bool any_gt(V v, Lane x) { return _mm512_cmpgt_epi16_mask(v, set1(x)) != 0; }
 };
 
 template <>
@@ -61,6 +94,12 @@ struct Avx512Backend<std::int8_t> {
   static V adds(V a, V b) { return _mm512_adds_epi8(a, b); }
   static V subs(V a, V b) { return _mm512_subs_epi8(a, b); }
   static V and_(V a, V b) { return _mm512_and_si512(a, b); }
+  static V shift_in(V v, Lane x) { return avx512_shift_up<sizeof(Lane)>(v, set1(x)); }
+  template <int kSt>
+  static V shift_up(V v) {
+    return avx512_shift_up<(sizeof(Lane) << kSt)>(v, set1(kNinfLane));
+  }
+  static bool any_gt(V v, Lane x) { return _mm512_cmpgt_epi8_mask(v, set1(x)) != 0; }
 };
 
 /// int32 lanes (either mode): plain add/sub (see striped_core.hpp). The
@@ -85,6 +124,13 @@ struct Avx512Backend<std::int32_t> {
   static V and_(V a, V b) { return _mm512_and_si512(a, b); }
   static V or_(V a, V b) { return _mm512_or_si512(a, b); }
   static V eq(V a, V b) { return _mm512_maskz_set1_epi32(_mm512_cmpeq_epi32_mask(a, b), -1); }
+  static V shift_in(V v, Lane x) { return avx512_shift_up<sizeof(Lane)>(v, set1(x)); }
+  template <int kSt>
+  static V shift_up(V v) {
+    return avx512_shift_up<(sizeof(Lane) << kSt)>(v, set1(kNinfLane));
+  }
+  static bool any_gt(V v, Lane x) { return _mm512_cmpgt_epi32_mask(v, set1(x)) != 0; }
+  static bool any_nonzero(V v) { return _mm512_test_epi32_mask(v, v) != 0; }
 };
 
 }  // namespace

@@ -125,6 +125,17 @@ bool lane_envelope_admits(const TileJob& job, const LaneEnvelope& env) {
       s.gap_ext < 0) {
     return false;
   }
+  // Every match advances one row AND one column, so any path confined to the
+  // tile makes at most min(rows, w) matches — that bounds every reachable
+  // H/E/F from the admitted bus inputs by max_h + match * min(rows, w). The
+  // bound is computed with overflow-checked arithmetic (an envelope decided
+  // by wrapped arithmetic would be no envelope at all), and its match term
+  // is tested before the O(w + rows) bus scan: max_h >= 0, so a tile whose
+  // match term alone passes the ceiling is refused whatever its buses hold.
+  const Index rows = check::checked_sub(job.r1, job.r0);
+  const Index w = check::checked_sub(job.c1, job.c0);
+  const WideScore reach = check::checked_mul<WideScore>(s.match, std::min(rows, w));
+  if (reach > env.ceiling) return false;
   // Genuine H inputs must be representable; sentinel H inputs are rejected
   // outright because the scalar kernels let sentinel chains drift below
   // kNegInf, which narrow lanes cannot reproduce bit-for-bit. (The executor
@@ -146,16 +157,7 @@ bool lane_envelope_admits(const TileJob& job, const LaneEnvelope& env) {
   for (const BusCell& cell : job.vbus_in) {
     if (!admit(cell)) return false;
   }
-  // Every match advances one row AND one column, so any path confined to the
-  // tile makes at most min(rows, w) matches — that bounds every reachable
-  // H/E/F from the admitted bus inputs. The bound itself is computed with
-  // overflow-checked arithmetic: an envelope decided by wrapped arithmetic
-  // would be no envelope at all.
-  const Index rows = check::checked_sub(job.r1, job.r0);
-  const Index w = check::checked_sub(job.c1, job.c0);
-  const WideScore bound = check::checked_add<WideScore>(
-      max_h, check::checked_mul<WideScore>(s.match, std::min(rows, w)));
-  return bound <= env.ceiling;
+  return check::checked_add<WideScore>(max_h, reach) <= env.ceiling;
 }
 
 bool vector16_can_run(const TileJob& job) {

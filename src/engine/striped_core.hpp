@@ -31,7 +31,11 @@
 //            x[0] seeds from the vertical bus and x[l] = exit[l-1] =
 //            max(Eseg_last[l-1] - G_ext, Htmp_last[l-1] - G_first), as a
 //            log2(p)-step Hillis-Steele max-plus scan over the lanes (the
-//            per-lane decay is linear in distance, so doubling composes);
+//            per-lane decay is linear in distance, so doubling composes).
+//            The scan stays in vector registers: the exits move up a lane
+//            with the seed entering lane 0 (shift_in), and step s pulls the
+//            lanes 2^s below, the vacated low lanes reading the sentinel
+//            (shift_up);
 //   pass 2   E = max(Eseg, entry - k*G_ext), H = max(Htmp, E), row max.
 //
 // Two recurrence modes share the sweep, chosen by the kLocal template
@@ -65,8 +69,8 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <limits>
+#include <utility>
 
 #include "check/checked.hpp"
 #include "engine/kernel_detail.hpp"
@@ -116,10 +120,16 @@ struct StripedBindings<std::int32_t> {
 ///   kNinfLane          sentinel: loses every max inside the envelope
 ///   V                  vector register type
 ///   load/store/set1/zero/max/adds/subs/and_   elementwise Lane ops
-///   eq/or_             (int32 only, for the value probe) lane compare
+///   shift_in(v, x)     lane l takes lane l-1 of v, lane 0 takes x
+///   shift_up<st>(v)    lane l takes lane l-2^st of v, the low 2^st lanes
+///                      take kNinfLane (st < log2(p))
+///   any_gt(v, x)       whether any lane of v is above x
+///   eq/or_/any_nonzero (int32 only, for the value probe) lane compare, and
+///                      whether any lane of v is nonzero
 /// (narrow adds/subs saturate, int32 ones wrap; inside the envelope no
-/// genuine value does either). kBest is local-only; kTaps and kFind are
-/// global-only.
+/// genuine value does either). Every lane movement and test of the row
+/// epilogue goes through these ops, so it stays in vector registers. kBest
+/// is local-only; kTaps and kFind are global-only.
 template <typename B, bool kLocal, bool kBest, bool kTaps = false, bool kFind = false>
 TileResult run_striped_core(const TileJob& job, TileScratch& scratch) {
   using Lane = typename B::Lane;
@@ -165,20 +175,14 @@ TileResult run_striped_core(const TileJob& job, TileScratch& scratch) {
 
   // Workspace: three lane planes — H (previous row during pass 1, rewritten
   // in place), F, and the intra-segment gap scan E (one spare vector so pass
-  // 1 can store the shifted scan unconditionally) — plus staging rows: the
-  // diagonal lane shift, and the bridge-scan strip [p sentinel lanes |
-  // entry_row | p slack lanes]. The sentinel pad feeds the scan's shifted
-  // loads below lane 0 with values that lose every max; the slack absorbs
-  // the top lane of the unaligned exit store.
+  // 1 can store the shifted scan unconditionally) — plus entry_row, the
+  // bridge result, stored once per row for the last-column E and the taps.
   auto& ws = StripedBindings<Lane>::workspace(scratch);
-  ws.resize(static_cast<std::size_t>(3 * wpad + 5 * p));
+  ws.resize(static_cast<std::size_t>(3 * wpad + 2 * p));
   Lane* H = ws.data();
   Lane* F = H + wpad;
   Lane* E = F + wpad;
-  Lane* shift_row = E + static_cast<std::size_t>(wpad + p);
-  Lane* scan_pad = shift_row + p;
-  Lane* entry_row = scan_pad + p;
-  std::fill(scan_pad, scan_pad + p, kNinfLane);
+  Lane* entry_row = E + static_cast<std::size_t>(wpad + p);
 
   [[maybe_unused]] Lane* mask = nullptr;
   if constexpr (kBest) {
@@ -266,12 +270,9 @@ TileResult run_striped_core(const TileJob& job, TileScratch& scratch) {
     const Lane* prow = prof.row(ai);
 
     // Diagonal seed of vector 0: the previous row's H one column to the left
-    // of each lane's segment — the last vector shifted down a lane (its lanes
-    // are contiguous slots, hence the memcpy) with the tile's left-boundary H
-    // entering lane 0.
-    shift_row[0] = to_lane(h0_prev);
-    std::memcpy(shift_row + 1, H + (t - 1) * p, static_cast<std::size_t>(p - 1) * sizeof(Lane));
-    V v_diag = B::load(shift_row);
+    // of each lane's segment — the last vector moved up a lane, with the
+    // tile's left-boundary H entering lane 0.
+    V v_diag = B::shift_in(B::load(H + (t - 1) * p), to_lane(h0_prev));
 
     // Pass 1 — one sweep computes, per vector k:
     //   F[k]    the vertical gap (depends on the previous row only),
@@ -301,37 +302,41 @@ TileResult run_striped_core(const TileJob& job, TileScratch& scratch) {
     //
     // with x[0] the vertical-bus seed and x[l] = exit[l-1] for l >= 1. The
     // exits exit[l] = max(Eseg_last - G_ext, Htmp_last - G_first) vectorize
-    // (stored unaligned at entry_row + 1, the top lane spilling into the
-    // slack); a sentinel Eseg saturating at the lane floor still loses to
-    // Htmp - G_first >= -G_first, exactly as exact arithmetic would. The max
-    // over m then resolves as a log2(p)-step Hillis-Steele max-plus scan:
-    // the decay is linear in lane distance, so step s folds in every term
-    // 2^s lanes below with a precomputed 2^s * t * G_ext decay (loads below
-    // lane 0 read the sentinel pad and lose). Lane arithmetic here is exact
-    // on every winning branch: each lane's zero-decay term x[l] >= -G_first
-    // is computed without saturation, while any term a clamp or saturation
-    // touched is <= ceiling - lane_max < -G_first and loses — so the scan's
-    // lane results equal the 32-bit chain on every real lane, including the
-    // published last-column E = max(Eseg, entry - kw*G_ext) at (kw, lw).
-    B::store(entry_row + 1, B::max(B::subs(B::load(E + (t - 1) * p), v_ext),
-                                   B::subs(B::load(H + (t - 1) * p), v_first)));
+    // and move up a lane, the seed entering lane 0 (the top lane's exit
+    // leaves the tile through e_pub instead); a sentinel Eseg saturating at
+    // the lane floor still loses to Htmp - G_first >= -G_first, exactly as
+    // exact arithmetic would. The max over m then resolves as a log2(p)-step
+    // Hillis-Steele max-plus scan: the decay is linear in lane distance, so
+    // step s folds in every term 2^s lanes below with a precomputed
+    // 2^s * t * G_ext decay (the low lanes shift_up vacates hold the sentinel
+    // and lose). Lane arithmetic here is exact on every winning branch: each
+    // lane's zero-decay term x[l] >= -G_first is computed without
+    // saturation, while any term a clamp or saturation touched is
+    // <= ceiling - lane_max < -G_first and loses — so the scan's lane results
+    // equal the 32-bit chain on every real lane, including the published
+    // last-column E = max(Eseg, entry - kw*G_ext) at (kw, lw).
     const Score seed = std::max<Score>(left.gap - ext, left.h - first);
+    Lane seed_lane = kNinfLane;
     if constexpr (kNarrow) {
-      entry_row[0] = static_cast<Lane>(std::clamp<Score>(
-          seed, static_cast<Score>(kNinfLane), StripedBindings<Lane>::kEnvelope.ceiling));
+      seed_lane = static_cast<Lane>(std::clamp<Score>(seed, static_cast<Score>(kNinfLane),
+                                                      StripedBindings<Lane>::kEnvelope.ceiling));
     } else {
-      entry_row[0] = seed;
+      seed_lane = seed;
     }
-    for (int st = 0; st < kScanSteps; ++st) {
-      B::store(entry_row,
-               B::max(B::load(entry_row),
-                      B::subs(B::load(entry_row - (Index{1} << st)), v_scan_decay[st])));
-    }
+    V v_entry = B::shift_in(B::max(B::subs(B::load(E + (t - 1) * p), v_ext),
+                                   B::subs(B::load(H + (t - 1) * p), v_first)),
+                            seed_lane);
+    [&]<int... kSt>(std::integer_sequence<int, kSt...>) {
+      ((v_entry = B::max(v_entry, B::subs(B::template shift_up<kSt>(v_entry),
+                                          v_scan_decay[kSt]))),
+       ...);
+    }(std::make_integer_sequence<int, kScanSteps>{});
+    B::store(entry_row, v_entry);
     const Score e_pub = std::max(static_cast<Score>(E[static_cast<std::size_t>(kw * p + lw)]),
                                  static_cast<Score>(entry_row[lw]) - static_cast<Score>(kw) * ext);
 
     // Pass 2: fold the decayed entry into the gap scan and finish H.
-    V v_decay = B::load(entry_row);
+    V v_decay = v_entry;
     V v_rowmax = v_zero;
     [[maybe_unused]] V v_hit = v_zero;
     for (Index k = 0; k < t; ++k) {
@@ -372,11 +377,8 @@ TileResult run_striped_core(const TileJob& job, TileScratch& scratch) {
       // A lane compare saw the target somewhere in this row (perhaps only in
       // a pad slot): scan the real columns in row-major order for the first
       // hit, the scalar kernels' report.
-      if (!result.found) {
-        B::store(shift_row, v_hit);
-        bool any = false;
-        for (Index l = 0; l < p; ++l) any = any || shift_row[l] != 0;
-        for (Index j = 0; any && j < w; ++j) {
+      if (!result.found && B::any_nonzero(v_hit)) {
+        for (Index j = 0; j < w; ++j) {
           if (static_cast<Score>(H[slot(j)]) == *job.find_value) {
             result.found = true;
             result.found_i = job.r0 + i;
@@ -388,14 +390,17 @@ TileResult run_striped_core(const TileJob& job, TileScratch& scratch) {
     }
 
     if constexpr (kBest) {
-      // Reduce the masked row max, then locate its first (smallest-j)
-      // occurrence only when it strictly improves — exactly the scalar
-      // kernels' progressive row-major tie-break.
-      B::store(shift_row, v_rowmax);
-      Lane rm = 0;
-      for (Index l = 0; l < p; ++l) rm = std::max(rm, shift_row[l]);
-      const Score row_max = static_cast<Score>(rm);
-      if (row_max > result.best.score) {
+      // Only a row whose masked max strictly improves on the best (a lane
+      // compare; the best starts at 0 and only ever takes a lane value, so it
+      // fits the lane exactly) is reduced, and its first (smallest-j)
+      // occurrence located — exactly the scalar kernels' progressive
+      // row-major tie-break.
+      if (B::any_gt(v_rowmax, static_cast<Lane>(result.best.score))) {
+        alignas(64) Lane lanes[p];
+        B::store(lanes, v_rowmax);
+        Lane rm = 0;
+        for (const Lane x : lanes) rm = std::max(rm, x);
+        const Score row_max = static_cast<Score>(rm);
         for (Index l = 0; l < p; ++l) {
           Index hit = -1;
           for (Index k = 0; k < t && l * t + k < w; ++k) {

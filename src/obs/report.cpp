@@ -1,5 +1,7 @@
 #include "obs/report.hpp"
 
+#include <sys/resource.h>
+
 #include <algorithm>
 
 #include "common/io_util.hpp"
@@ -8,6 +10,14 @@
 namespace cudalign::obs {
 
 namespace {
+
+/// The process's peak resident set so far, in bytes (Linux reports
+/// ru_maxrss in KiB); 0 when getrusage fails.
+std::int64_t peak_rss_bytes() {
+  rusage usage{};
+  if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
+  return static_cast<std::int64_t>(usage.ru_maxrss) * 1024;
+}
 
 Json crosspoint_json(const core::Crosspoint& cp) {
   return Json::object()
@@ -160,13 +170,16 @@ Json build_run_report(const ReportContext& ctx) {
   WideScore total_cells = 0;
   for (const core::StageStats& s : res.stages) total_cells += s.cells;
   const double total_seconds = res.total_seconds();
-  report.set("totals",
-             Json::object()
-                 .set("seconds", total_seconds)
-                 .set("cells", static_cast<std::int64_t>(total_cells))
-                 .set("gcups", total_seconds > 0
-                                   ? static_cast<double>(total_cells) / total_seconds / 1e9
-                                   : 0.0));
+  Json totals = Json::object()
+                    .set("seconds", total_seconds)
+                    .set("cells", static_cast<std::int64_t>(total_cells))
+                    .set("gcups", total_seconds > 0
+                                      ? static_cast<double>(total_cells) / total_seconds / 1e9
+                                      : 0.0);
+  // Peak RSS of the whole process up to now: the bus, the SRA writer queue
+  // and everything else the run held at its high-water mark.
+  if (const std::int64_t rss = peak_rss_bytes(); rss > 0) totals.set("peak_rss_bytes", rss);
+  report.set("totals", std::move(totals));
 
   if (ctx.telemetry != nullptr) report.set("spans", ctx.telemetry->to_json());
   return report;
@@ -299,6 +312,9 @@ std::vector<std::string> validate_run_report(const Json& report) {
   require(reported_total == total_cells,
           "totals.cells (" + std::to_string(reported_total) + ") != sum over stages (" +
               std::to_string(total_cells) + ")");
+  if (const Json* rss = totals->find("peak_rss_bytes"); rss != nullptr) {
+    require(rss->is_int() && rss->as_int() > 0, "totals.peak_rss_bytes is not a positive integer");
+  }
 
   return problems;
 }

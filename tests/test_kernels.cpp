@@ -418,6 +418,32 @@ TEST(LaneEnvelope, Int8GapFloorEscalatesToWiderLanes) {
                    run_variant(tc, *s16), "floor-8-escalated/striped16");
 }
 
+// The match term alone decides a tall tile: with every bus H at 0 the int8
+// bound is match * min(rows, w), so 100 rows sit exactly on the ceiling and
+// 101 pass it. A default Stage-1 tile (256 rows, the paper's alpha * T) is
+// refused by striped8 on that term and admitted by striped16, which stays
+// exact and is what automatic selection runs.
+TEST(LaneEnvelope, TallTileRefusedByInt8OnItsMatchTermAlone) {
+  const KernelVariant* s8 = engine::find_kernel("striped8-local+best");
+  const KernelVariant* s16 = engine::find_kernel("striped16-local+best");
+  ASSERT_NE(s8, nullptr);
+  ASSERT_NE(s16, nullptr);
+  Rng rng(4246);
+  for (const Index rows : {100, 101, 256}) {
+    TileCase tc = make_case(rng, rows, 417, 0, true, false, false, paper(),
+                            "tall" + std::to_string(rows));
+    for (BusCell& cell : tc.hbus) cell = BusCell{0, kNegInf};
+    for (BusCell& cell : tc.vbus_in) cell = BusCell{0, kNegInf};
+    EXPECT_EQ(variant_accepts(tc, *s8), rows <= 100) << tc.name;
+    ASSERT_TRUE(variant_accepts(tc, *s16)) << tc.name;
+    EXPECT_EQ(auto_selected(tc),
+              rows <= 100 ? KernelId::kStriped8LocalBest : KernelId::kStriped16LocalBest)
+        << tc.name;
+    expect_identical(run_variant(tc, engine::kernel_info(KernelId::kLegacy)),
+                     run_variant(tc, *s16), tc.name + " / striped16");
+  }
+}
+
 // ---------------------------------------------------------------------------
 // ISA dispatch: every compiled backend must produce byte-identical tiles.
 // ---------------------------------------------------------------------------
@@ -449,6 +475,29 @@ int for_each_isa(Body body) {
   return forced;
 }
 
+/// The striped local variants, every lane width with and without best
+/// tracking.
+constexpr const char* kStripedLocalNames[] = {"striped8-local", "striped8-local+best",
+                                              "striped16-local", "striped16-local+best",
+                                              "striped32-local+best"};
+
+/// Runs every striped local variant that admits each case under every
+/// forced ISA and compares it with legacy byte for byte.
+void expect_striped_local_exact(const std::vector<TileCase>& cases) {
+  const int forced = for_each_isa([&](const std::string& isa) {
+    for (const TileCase& tc : cases) {
+      const TileOutputs expected = run_variant(tc, engine::kernel_info(KernelId::kLegacy));
+      for (const char* name : kStripedLocalNames) {
+        const KernelVariant* variant = engine::find_kernel(name);
+        ASSERT_NE(variant, nullptr) << name;
+        if (!variant_accepts(tc, *variant)) continue;
+        expect_identical(expected, run_variant(tc, *variant), tc.name + " / " + name + " / " + isa);
+      }
+    }
+  });
+  EXPECT_GE(forced, 1);  // The generic baseline is always available.
+}
+
 TEST(StripedIsa, EveryCompiledBackendMatchesLegacyByteForByte) {
   Rng rng(5150);
   std::vector<TileCase> cases;
@@ -458,19 +507,83 @@ TEST(StripedIsa, EveryCompiledBackendMatchesLegacyByteForByte) {
     cases.push_back(make_case(rng, rows, w, 0, iter % 2 == 1, false, false, paper(),
                               "isa" + std::to_string(iter)));
   }
-  const int forced = for_each_isa([&](const std::string& isa) {
-    for (const TileCase& tc : cases) {
-      const TileOutputs expected = run_variant(tc, engine::kernel_info(KernelId::kLegacy));
-      for (const char* name : {"striped8-local", "striped8-local+best", "striped16-local",
-                               "striped16-local+best", "striped32-local+best"}) {
-        const KernelVariant* variant = engine::find_kernel(name);
-        ASSERT_NE(variant, nullptr) << name;
-        if (!variant_accepts(tc, *variant)) continue;
-        expect_identical(expected, run_variant(tc, *variant), tc.name + " / " + name + " / " + isa);
+  expect_striped_local_exact(cases);
+}
+
+// Real segment lengths: widths p*t - 1, p*t and p*t + 1 for every lane count
+// a backend stripes (4 to 64) and t up to 14, so every ISA runs long
+// segments with one, no and p - 1 pad slots.
+TEST(StripedIsa, LaneEdgeWidthsAtRealSegmentLengths) {
+  Rng rng(5151);
+  std::vector<TileCase> cases;
+  for (const Index p : {4, 8, 16, 32, 64}) {
+    for (Index t = 1; t <= 14; ++t) {
+      for (const Index w : {p * t - 1, p * t, p * t + 1}) {
+        const Index rows = 1 + static_cast<Index>(rng.below(300));
+        std::string name = "p";
+        name += std::to_string(p);
+        name += "_w";
+        name += std::to_string(w);
+        cases.push_back(
+            make_case(rng, rows, w, 0, rng.chance(0.5), false, false, paper(), name));
       }
     }
-  });
-  EXPECT_GE(forced, 1);  // The generic baseline is always available.
+  }
+  expect_striped_local_exact(cases);
+}
+
+// Best tracking at the lane edge: a row that only ties the running best keeps
+// the earlier cell, and a later row that beats it in the last real column
+// takes over. w = 64t - 1 leaves exactly one pad slot, right after the last
+// real column, for every lane count.
+TEST(StripedIsa, RowMaxTiesKeepTheEarlierCellAndPadAdjacentWinsReplaceIt) {
+  for (const Index w : {63, 191, 447}) {
+    for (const Index rows : {2, 3}) {
+      TileCase tc;
+      tc.name = "w" + std::to_string(w) + "_rows" + std::to_string(rows);
+      tc.r0 = 2;
+      tc.c0 = 5;
+      tc.r1 = tc.r0 + rows;
+      tc.c1 = tc.c0 + w;
+      // Rows A, A, G over columns alternating C/A and ending in A, G: rows 1
+      // and 2 both peak at 1 (on every A), and row 3 scores 2 only at the
+      // last column (its diagonal predecessor is row 2's A).
+      std::vector<seq::Base> a(static_cast<std::size_t>(tc.r1), seq::kA);
+      a.back() = rows == 3 ? seq::kG : seq::kA;
+      std::vector<seq::Base> b(static_cast<std::size_t>(tc.c1), seq::kC);
+      for (Index j = 0; j < w; ++j) {
+        if ((w - 2 - j) % 2 == 0) b[static_cast<std::size_t>(tc.c0 + j)] = seq::kA;
+      }
+      b.back() = seq::kG;
+      tc.a = seq::Sequence("a", std::move(a));
+      tc.b = seq::Sequence("b", std::move(b));
+      tc.recurrence = Recurrence::local(paper());
+      tc.track_best = true;
+      tc.hbus.resize(static_cast<std::size_t>(w) + 1);
+      for (Index j = 0; j <= w; ++j) {
+        tc.hbus[static_cast<std::size_t>(j)] = tc.recurrence.top_boundary(j);
+      }
+      tc.vbus_in.resize(static_cast<std::size_t>(rows) + 1);
+      for (Index i = 0; i <= rows; ++i) {
+        tc.vbus_in[static_cast<std::size_t>(i)] = tc.recurrence.left_boundary(i);
+      }
+      const TileOutputs legacy = run_variant(tc, engine::kernel_info(KernelId::kLegacy));
+      const dp::LocalBest want = rows == 2 ? dp::LocalBest{1, tc.r0 + 1, tc.c0 + 1 + w % 2}
+                                           : dp::LocalBest{2, tc.r0 + 3, tc.c1};
+      EXPECT_EQ(legacy.result.best.score, want.score) << tc.name;
+      EXPECT_EQ(legacy.result.best.i, want.i) << tc.name;
+      EXPECT_EQ(legacy.result.best.j, want.j) << tc.name;
+      for_each_isa([&](const std::string& isa) {
+        for (const char* name : {"striped8-local+best", "striped16-local+best",
+                                 "striped32-local+best"}) {
+          const KernelVariant* variant = engine::find_kernel(name);
+          ASSERT_NE(variant, nullptr) << name;
+          ASSERT_TRUE(variant_accepts(tc, *variant)) << tc.name << " / " << name;
+          expect_identical(legacy, run_variant(tc, *variant), tc.name + " / " + name + " / " + isa);
+        }
+      });
+    }
+  }
 }
 
 TEST(StripedIsa, ForcedGenericBaselineMatchesReferenceProblemLevel) {
@@ -698,6 +811,34 @@ TEST(Striped32Global, ProbeReportsFirstCellHitAndAbsence) {
   got = run_variant(tc, striped);
   EXPECT_FALSE(got.result.found);
   expect_striped32_exact(tc, "probe-absent");
+}
+
+// A probe whose first row-major hit is the last real column, the lane slot
+// right before the single pad slot that w = 64t - 1 leaves for every lane
+// count.
+TEST(Striped32Global, ProbeHitInPadAdjacentLaneUnderEveryIsa) {
+  Rng rng(8083);
+  for (const Index w : {63, 191}) {
+    TileCase tc = make_case(rng, 12, w, 1, false, false, false, paper(),
+                            "pad-probe" + std::to_string(w));
+    // Left-boundary H climbing 1000 per row makes each row's H the left
+    // gap run — strictly falling along the row — above every earlier row's,
+    // so each value occurs once and row 7's last column is its own first hit.
+    for (Index i = 0; i <= tc.r1 - tc.r0; ++i) {
+      tc.vbus_in[static_cast<std::size_t>(i)].h = static_cast<Score>(1000 * i);
+    }
+    tc.find_value = legacy_h_at(tc, 7, w);
+    const TileOutputs legacy = run_variant(tc, engine::kernel_info(KernelId::kLegacy));
+    ASSERT_TRUE(legacy.result.found) << tc.name;
+    ASSERT_EQ(legacy.result.found_i, tc.r0 + 7) << tc.name;
+    ASSERT_EQ(legacy.result.found_j, tc.c1) << tc.name;
+    const int forced = for_each_isa([&](const std::string& isa) {
+      const TileOutputs got = run_variant(tc, engine::kernel_info(KernelId::kStriped32Global));
+      EXPECT_EQ(got.result.found_j, tc.c1) << tc.name << " / " << isa;
+      expect_striped32_exact(tc, tc.name + " / " + isa);
+    });
+    EXPECT_GE(forced, 1);
+  }
 }
 
 TEST(Striped32Global, EnvelopeAdmitsGenuineTilesOnly) {

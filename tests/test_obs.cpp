@@ -261,6 +261,9 @@ TEST(RunReport, BuildsValidConsistentDocument) {
   EXPECT_GT(stages[0].at("diagonals").as_int(), 0);
   EXPECT_FALSE(stages[0].at("kernels").as_array().empty());
 
+  // The process held at least the two sequences at its high-water mark.
+  EXPECT_GT(report.at("totals").at("peak_rss_bytes").as_int(), m + n);
+
   // Stage 2 reads back what Stage 1 flushed.
   EXPECT_EQ(stages[1].at("sra").at("bytes_read").as_int(),
             stages[0].at("sra").at("bytes_flushed").as_int());
@@ -303,6 +306,14 @@ TEST(RunReport, ValidatorFlagsTampering) {
   Json broken_totals = report;
   broken_totals.set("totals", Json::object().set("seconds", 0.0).set("cells", 1).set("gcups", 0.0));
   EXPECT_FALSE(validate_run_report(broken_totals).empty());
+
+  for (const Json& rss : {Json(0), Json(-4096), Json("1 MB")}) {
+    Json bad_rss = report;
+    Json totals = report.at("totals");
+    totals.set("peak_rss_bytes", rss);
+    bad_rss.set("totals", totals);
+    EXPECT_FALSE(validate_run_report(bad_rss).empty()) << rss.dump(0);
+  }
 
   EXPECT_FALSE(validate_run_report(Json("not an object")).empty());
 }
