@@ -178,7 +178,8 @@ EngineSample time_engine_gcups(const std::string& kernel, Index n) {
   spec.b = seq_b().view(0, n);
   spec.grid = engine::GridSpec{8, 64, 4, 1};  // Strip height 256, 512-wide chunks.
   spec.recurrence = engine::Recurrence::local(scoring::Scheme::paper_defaults());
-  spec.kernel_override = kernel;
+  const engine::KernelVariant* previous_pin = engine::kernel_override();
+  engine::set_kernel_override(kernel);
   engine::RunResult last;
   long iters = 0;
   const auto t0 = std::chrono::steady_clock::now();
@@ -188,6 +189,7 @@ EngineSample time_engine_gcups(const std::string& kernel, Index n) {
     ++iters;
     elapsed = seconds_since(t0);
   } while (elapsed < 0.5);
+  engine::set_kernel_override(previous_pin != nullptr ? previous_pin->name : "");
   EngineSample sample;
   sample.kernel = kernel;
   sample.gcups = static_cast<double>(n) * static_cast<double>(n) *

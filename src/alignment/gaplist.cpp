@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "common/io_util.hpp"
 
@@ -22,16 +23,16 @@ void write_varint(std::ostream& os, std::uint64_t v) {
   CUDALIGN_CHECK(os.good(), "varint write failed");
 }
 
-[[nodiscard]] std::uint64_t read_varint(std::istream& is) {
+[[nodiscard]] std::uint64_t read_varint(std::istream& is, const char* field) {
   std::uint64_t v = 0;
   int shift = 0;
   for (;;) {
     const int c = is.get();
-    CUDALIGN_CHECK(c != EOF, "truncated varint");
+    CUDALIGN_CHECK(c != EOF, "corrupt binary alignment: truncated varint in ", field);
     v |= static_cast<std::uint64_t>(c & 0x7F) << shift;
     if ((c & 0x80) == 0) return v;
     shift += 7;
-    CUDALIGN_CHECK(shift < 64, "varint too long");
+    CUDALIGN_CHECK(shift < 64, "corrupt binary alignment: varint too long in ", field);
   }
 }
 
@@ -51,16 +52,33 @@ void write_gap_list(std::ostream& os, const std::vector<GapEntry>& gaps) {
   }
 }
 
+/// Reads one varint field that must fit a non-negative Index.
+[[nodiscard]] Index read_index(std::istream& is, const char* field) {
+  const std::uint64_t v = read_varint(is, field);
+  CUDALIGN_CHECK(std::in_range<Index>(v), "corrupt binary alignment: ", field, " ", v,
+                 " out of range");
+  return static_cast<Index>(v);
+}
+
+/// Inverse of write_gap_list. The count and every delta come from the file,
+/// so nothing is reserved from the count (a corrupt count must not turn into
+/// a huge allocation) and each coordinate sum is checked.
 [[nodiscard]] std::vector<GapEntry> read_gap_list(std::istream& is) {
-  const auto count = read_varint(is);
+  const std::uint64_t count = read_varint(is, "gap count");
   std::vector<GapEntry> gaps;
-  gaps.reserve(count);
   Index prev_i = 0, prev_j = 0;
   for (std::uint64_t k = 0; k < count; ++k) {
+    CUDALIGN_CHECK(is.peek() != EOF, "corrupt binary alignment: gap count ", count,
+                   " but the list ends after ", k, " gaps");
     GapEntry gap;
-    gap.i = prev_i + static_cast<Index>(read_varint(is));
-    gap.j = prev_j + static_cast<Index>(read_varint(is));
-    gap.length = static_cast<Index>(read_varint(is));
+    const bool row_overflow =
+        __builtin_add_overflow(prev_i, read_index(is, "gap row delta"), &gap.i);
+    CUDALIGN_CHECK(!row_overflow, "corrupt binary alignment: gap row overflows");
+    const bool col_overflow =
+        __builtin_add_overflow(prev_j, read_index(is, "gap column delta"), &gap.j);
+    CUDALIGN_CHECK(!col_overflow, "corrupt binary alignment: gap column overflows");
+    gap.length = read_index(is, "gap length");
+    CUDALIGN_CHECK(gap.length > 0, "corrupt binary alignment: gap length 0");
     prev_i = gap.i;
     prev_j = gap.j;
     gaps.push_back(gap);
@@ -172,11 +190,11 @@ BinaryAlignment read_binary(std::istream& is) {
   CUDALIGN_CHECK(read_pod<std::uint32_t>(is) == kVersion,
                  "unsupported binary alignment version");
   BinaryAlignment out;
-  out.i0 = static_cast<Index>(read_varint(is));
-  out.j0 = static_cast<Index>(read_varint(is));
-  out.i1 = static_cast<Index>(read_varint(is));
-  out.j1 = static_cast<Index>(read_varint(is));
-  const auto zigzag = read_varint(is);
+  out.i0 = read_index(is, "i0");
+  out.j0 = read_index(is, "j0");
+  out.i1 = read_index(is, "i1");
+  out.j1 = read_index(is, "j1");
+  const auto zigzag = read_varint(is, "score");
   out.score = static_cast<WideScore>((zigzag >> 1) ^ (~(zigzag & 1) + 1));
   out.gaps_s0 = read_gap_list(is);
   out.gaps_s1 = read_gap_list(is);

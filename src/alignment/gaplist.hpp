@@ -44,7 +44,9 @@ struct BinaryAlignment {
 /// (i1, j1). Throws if the gap lists are not consistent with the endpoints.
 [[nodiscard]] Alignment from_binary(const BinaryAlignment& binary);
 
-/// Serialization (magic + version header; varint delta coding).
+/// Serialization (magic + version header; varint delta coding). read_binary
+/// treats the file as untrusted: a truncated, out-of-range or zero-length
+/// field throws cudalign::Error naming it, and no allocation is sized from it.
 void write_binary(std::ostream& os, const BinaryAlignment& binary);
 [[nodiscard]] BinaryAlignment read_binary(std::istream& is);
 void write_binary_file(const std::filesystem::path& path, const BinaryAlignment& binary);

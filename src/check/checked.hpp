@@ -5,7 +5,8 @@
 // either be proven in range or checked at the site. These helpers make the
 // checked form as terse as the unchecked one, so there is no excuse to write
 // a naked static_cast in score arithmetic. All of them assert via
-// CUDALIGN_ASSERT (policy-configurable, see contracts.hpp).
+// CUDALIGN_ASSERT, so a failed bound always throws cudalign::Error (see
+// contracts.hpp).
 #pragma once
 
 #include <limits>

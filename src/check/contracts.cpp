@@ -1,67 +1,13 @@
 #include "check/contracts.hpp"
 
-#include <atomic>
-#include <cstdio>
-#include <cstdlib>
+namespace cudalign::check::detail {
 
-namespace cudalign::check {
-
-namespace {
-
-std::atomic<FailurePolicy> g_policy{FailurePolicy::kThrow};
-std::atomic<std::uint64_t> g_logged_failures{0};
-
-std::string render(const char* kind, const char* cond, const char* file, int line,
-                   const std::string& msg) {
+void fail(const char* kind, const char* cond, const char* file, int line,
+          const std::string& msg) {
   std::ostringstream os;
   os << kind << " failed: " << cond << " at " << file << ":" << line;
   if (!msg.empty()) os << " — " << msg;
-  return os.str();
+  throw Error(os.str());
 }
 
-}  // namespace
-
-// order: relaxed — the policy is a standalone flag; no data is published under it.
-FailurePolicy failure_policy() noexcept { return g_policy.load(std::memory_order_relaxed); }
-
-void set_failure_policy(FailurePolicy policy) noexcept {
-  // order: relaxed — same standalone flag; callers configure before spawning work.
-  g_policy.store(policy, std::memory_order_relaxed);
-}
-
-std::uint64_t logged_failures() noexcept {
-  // order: relaxed — a monotonic count read after the run joins; nothing rides on it.
-  return g_logged_failures.load(std::memory_order_relaxed);
-}
-
-void reset_logged_failures() noexcept {
-  // order: relaxed — reset happens between runs, with no concurrent writers.
-  g_logged_failures.store(0, std::memory_order_relaxed);
-}
-
-namespace detail {
-
-void fail_check(const char* cond, const char* file, int line, const std::string& msg) {
-  throw Error(render("check", cond, file, line, msg));
-}
-
-void fail_assert(const char* kind, const char* cond, const char* file, int line,
-                 const std::string& msg) {
-  const std::string what = render(kind, cond, file, line, msg);
-  switch (failure_policy()) {
-    case FailurePolicy::kThrow:
-      throw Error(what);
-    case FailurePolicy::kAbort:
-      std::fprintf(stderr, "cudalign: %s\n", what.c_str());
-      std::abort();
-    case FailurePolicy::kLog:
-      std::fprintf(stderr, "cudalign: %s\n", what.c_str());
-      // order: relaxed — a pure event counter; the log line above carries the story.
-      g_logged_failures.fetch_add(1, std::memory_order_relaxed);
-      return;
-  }
-  std::abort();  // Unreachable: every policy is handled above.
-}
-
-}  // namespace detail
-}  // namespace cudalign::check
+}  // namespace cudalign::check::detail

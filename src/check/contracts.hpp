@@ -7,11 +7,9 @@
 //                                  cudalign::Error — callers can catch it.
 //   CUDALIGN_ASSERT(cond, msg...)  internal invariant; a failure is a library
 //                                  bug. Always on (alignment-correctness bugs
-//                                  are silent-data-corruption bugs) but the
-//                                  reaction is policy-configurable: throw
-//                                  (default), abort (debugging: die at the
-//                                  scene with the stack intact), or log
-//                                  (soak runs: count and continue).
+//                                  are silent-data-corruption bugs) and always
+//                                  throws cudalign::Error: a broken invariant
+//                                  never lets the run continue.
 //   CUDALIGN_DCHECK(cond, msg...)  internal invariant too expensive for
 //                                  release hot loops (per-cell, per-lane
 //                                  checks). Compiled out when NDEBUG is
@@ -23,7 +21,6 @@
 // failure: CUDALIGN_ASSERT(i < n, "row ", i, " of ", n).
 #pragma once
 
-#include <cstdint>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -31,45 +28,13 @@
 namespace cudalign {
 
 /// The library's one exception type: user-facing failures (bad input, I/O,
-/// configuration) and — under the default policy — broken internal contracts.
+/// configuration) and broken internal contracts.
 class Error : public std::runtime_error {
  public:
   explicit Error(const std::string& what) : std::runtime_error(what) {}
 };
 
-namespace check {
-
-/// Reaction to a failed CUDALIGN_ASSERT / CUDALIGN_DCHECK. CUDALIGN_CHECK is
-/// exempt: precondition violations always throw so callers can report them.
-enum class FailurePolicy : std::uint8_t {
-  kThrow,  ///< Throw cudalign::Error (default; what tests expect).
-  kAbort,  ///< Print to stderr and std::abort (debug at the scene).
-  kLog,    ///< Print to stderr, count, continue (soak / triage runs).
-};
-
-[[nodiscard]] FailurePolicy failure_policy() noexcept;
-void set_failure_policy(FailurePolicy policy) noexcept;
-
-/// Failures swallowed under FailurePolicy::kLog since the last reset.
-[[nodiscard]] std::uint64_t logged_failures() noexcept;
-void reset_logged_failures() noexcept;
-
-/// RAII policy override for a scope (tests, soak harnesses).
-class ScopedFailurePolicy {
- public:
-  explicit ScopedFailurePolicy(FailurePolicy policy)
-      : previous_(failure_policy()) {
-    set_failure_policy(policy);
-  }
-  ScopedFailurePolicy(const ScopedFailurePolicy&) = delete;
-  ScopedFailurePolicy& operator=(const ScopedFailurePolicy&) = delete;
-  ~ScopedFailurePolicy() { set_failure_policy(previous_); }
-
- private:
-  FailurePolicy previous_;
-};
-
-namespace detail {
+namespace check::detail {
 
 /// Lazy stream formatting of the optional message parts.
 template <typename... Parts>
@@ -83,35 +48,30 @@ template <typename... Parts>
   }
 }
 
-/// CUDALIGN_CHECK failure: unconditionally throws cudalign::Error.
-[[noreturn]] void fail_check(const char* cond, const char* file, int line,
-                             const std::string& msg);
+/// Failure of any contract tier (`kind` is "check", "assert" or "dcheck"):
+/// unconditionally throws cudalign::Error naming the condition and site.
+[[noreturn]] void fail(const char* kind, const char* cond, const char* file, int line,
+                       const std::string& msg);
 
-/// CUDALIGN_ASSERT / CUDALIGN_DCHECK failure: honors the failure policy
-/// (returns only under FailurePolicy::kLog).
-void fail_assert(const char* kind, const char* cond, const char* file, int line,
-                 const std::string& msg);
-
-}  // namespace detail
-}  // namespace check
+}  // namespace check::detail
 }  // namespace cudalign
 
 /// Validates user-facing preconditions; throws cudalign::Error on failure.
 #define CUDALIGN_CHECK(cond, ...)                                          \
   do {                                                                     \
     if (!(cond)) {                                                         \
-      ::cudalign::check::detail::fail_check(                               \
-          #cond, __FILE__, __LINE__,                                       \
+      ::cudalign::check::detail::fail(                                     \
+          "check", #cond, __FILE__, __LINE__,                              \
           ::cudalign::check::detail::format_message(__VA_ARGS__));         \
     }                                                                      \
   } while (0)
 
-/// Internal invariant; a failure indicates a library bug. Reaction follows
-/// cudalign::check::failure_policy().
+/// Internal invariant; a failure indicates a library bug and throws
+/// cudalign::Error.
 #define CUDALIGN_ASSERT(cond, ...)                                         \
   do {                                                                     \
     if (!(cond)) {                                                         \
-      ::cudalign::check::detail::fail_assert(                              \
+      ::cudalign::check::detail::fail(                                     \
           "assert", #cond, __FILE__, __LINE__,                             \
           ::cudalign::check::detail::format_message(__VA_ARGS__));         \
     }                                                                      \
@@ -124,7 +84,7 @@ void fail_assert(const char* kind, const char* cond, const char* file, int line,
 #define CUDALIGN_DCHECK(cond, ...)                                         \
   do {                                                                     \
     if (!(cond)) {                                                         \
-      ::cudalign::check::detail::fail_assert(                              \
+      ::cudalign::check::detail::fail(                                     \
           "dcheck", #cond, __FILE__, __LINE__,                             \
           ::cudalign::check::detail::format_message(__VA_ARGS__));         \
     }                                                                      \

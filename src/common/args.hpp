@@ -55,16 +55,21 @@ class Args {
     if (pos == v.size()) return value;
     // Accept size suffixes: K, M, G — as the final character only ("4KB" is
     // a typo, not 4096).
+    std::int64_t scale = 0;
     switch (v[pos]) {
-      case 'k': case 'K': value <<= 10; break;
-      case 'm': case 'M': value <<= 20; break;
-      case 'g': case 'G': value <<= 30; break;
+      case 'k': case 'K': scale = std::int64_t{1} << 10; break;
+      case 'm': case 'M': scale = std::int64_t{1} << 20; break;
+      case 'g': case 'G': scale = std::int64_t{1} << 30; break;
       default:
         throw Error("bad numeric suffix in --" + name + "=" + v);
     }
     CUDALIGN_CHECK(pos + 1 == v.size(),
                    "trailing characters after numeric suffix in --" + name + "=" + v);
-    return value;
+    std::int64_t scaled = 0;
+    const bool overflow = __builtin_mul_overflow(value, scale, &scaled);
+    CUDALIGN_CHECK(!overflow, "flag --" + name + "=" + v +
+                                  " is out of range (must fit a signed 64-bit integer)");
+    return scaled;
   }
 
   /// Throws if any flag was not consumed by `known` (typo protection).

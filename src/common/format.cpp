@@ -42,9 +42,4 @@ std::string format_sci(double v) {
   return printf_str("%.2e", v);
 }
 
-std::string pad_left(const std::string& s, int width) {
-  if (static_cast<int>(s.size()) >= width) return s;
-  return std::string(static_cast<std::size_t>(width) - s.size(), ' ') + s;
-}
-
 }  // namespace cudalign

@@ -19,7 +19,4 @@ namespace cudalign {
 /// "2.79e+10" — scientific with 3 significant digits (paper's Cells column).
 [[nodiscard]] std::string format_sci(double v);
 
-/// Fixed-width column helper: pads/truncates to `width`, right-aligned.
-[[nodiscard]] std::string pad_left(const std::string& s, int width);
-
 }  // namespace cudalign

@@ -4,97 +4,75 @@
 
 namespace cudalign::dp {
 
-RowSweeper::RowSweeper(seq::SequenceView a, seq::SequenceView b, const scoring::Scheme& scheme,
-                       AlignMode mode, CellState start)
-    : a_(a), b_(b), scheme_(scheme), mode_(mode) {
-  scheme_.validate();
-  CUDALIGN_CHECK(mode == AlignMode::kGlobal || start == CellState::kH,
-                 "local alignment has no start-state constraint");
-  const CellHEF corner =
-      (mode == AlignMode::kLocal) ? CellHEF{0, kNegInf, kNegInf} : start_corner(start);
-  init_boundary(corner);
-}
-
-RowSweeper::RowSweeper(seq::SequenceView a, seq::SequenceView b, const scoring::Scheme& scheme,
-                       CellHEF corner)
-    : a_(a), b_(b), scheme_(scheme), mode_(AlignMode::kGlobal) {
-  scheme_.validate();
-  init_boundary(corner);
-}
-
-void RowSweeper::init_boundary(CellHEF corner) {
-  const std::size_t width = b_.size() + 1;
-  h_.assign(width, kNegInf);
-  e_.assign(width, kNegInf);
-  f_.assign(width, kNegInf);
-  h_[0] = corner.h;
-  e_[0] = corner.e;
-  f_[0] = corner.f;
-  for (std::size_t j = 1; j < width; ++j) {
-    e_[j] = std::max(sat_add(e_[j - 1], -scheme_.gap_ext),
-                     sat_add(h_[j - 1], -scheme_.gap_first));
-    f_[j] = kNegInf;
-    h_[j] = (mode_ == AlignMode::kLocal) ? std::max<Score>(0, e_[j]) : e_[j];
-  }
-}
-
-void RowSweeper::advance(Index i) {
-  CUDALIGN_CHECK(i == row_ + 1 && i <= static_cast<Index>(a_.size()),
-                 "RowSweeper rows must advance strictly sequentially");
-  row_ = i;
-  const seq::Base ai = a_[static_cast<std::size_t>(i - 1)];
-  const bool local = mode_ == AlignMode::kLocal;
-  // Column-0 boundary.
-  Score diag_h = h_[0];  // H(i-1, 0) before overwrite.
-  f_[0] = std::max(sat_add(f_[0], -scheme_.gap_ext), sat_add(h_[0], -scheme_.gap_first));
-  e_[0] = kNegInf;
-  h_[0] = local ? std::max<Score>(0, f_[0]) : f_[0];
-  Score e_run = kNegInf;
-  const std::size_t n = b_.size();
-  for (std::size_t j = 1; j <= n; ++j) {
-    const Score up_h = h_[j];  // H(i-1, j).
-    const Score new_f =
-        std::max(sat_add(f_[j], -scheme_.gap_ext), sat_add(up_h, -scheme_.gap_first));
-    const Score new_e =
-        std::max(sat_add(e_run, -scheme_.gap_ext), sat_add(h_[j - 1], -scheme_.gap_first));
-    Score new_h = std::max(new_e, new_f);
-    new_h = std::max(new_h, sat_add(diag_h, scheme_.pair(ai, b_[j - 1])));
-    if (local) new_h = std::max<Score>(new_h, 0);
-    diag_h = up_h;
-    h_[j] = new_h;
-    f_[j] = new_f;
-    e_[j] = new_e;
-    e_run = new_e;
-  }
-}
-
 namespace {
-RowVectors drive_sweeper(RowSweeper& sweeper, Index m, const RowVisitor& visit) {
-  auto view = [&] {
-    return RowView{sweeper.current_row(), sweeper.h(), sweeper.e(), sweeper.f()};
-  };
-  if (visit) visit(view());
-  for (Index i = 1; i <= m; ++i) {
-    sweeper.advance(i);
-    if (visit) visit(view());
+
+/// The one rolling-row sweep: seeds row 0 from `corner`, then advances row by
+/// row keeping a single live (H, E, F) row, showing each row (0..m) to `visit`.
+RowVectors sweep(seq::SequenceView a, seq::SequenceView b, const scoring::Scheme& scheme,
+                 AlignMode mode, CellHEF corner, const RowVisitor& visit) {
+  scheme.validate();
+  const bool local = mode == AlignMode::kLocal;
+  const std::size_t n = b.size();
+  RowVectors row{std::vector<Score>(n + 1, kNegInf), std::vector<Score>(n + 1, kNegInf),
+                 std::vector<Score>(n + 1, kNegInf)};
+  std::vector<Score>& h = row.h;
+  std::vector<Score>& e = row.e;
+  std::vector<Score>& f = row.f;
+  h[0] = corner.h;
+  e[0] = corner.e;
+  f[0] = corner.f;
+  for (std::size_t j = 1; j <= n; ++j) {
+    e[j] = std::max(sat_add(e[j - 1], -scheme.gap_ext), sat_add(h[j - 1], -scheme.gap_first));
+    h[j] = local ? std::max<Score>(0, e[j]) : e[j];
   }
-  return RowVectors{std::vector<Score>(sweeper.h().begin(), sweeper.h().end()),
-                    std::vector<Score>(sweeper.e().begin(), sweeper.e().end()),
-                    std::vector<Score>(sweeper.f().begin(), sweeper.f().end())};
+  const auto show = [&](Index i) {
+    if (visit) visit(RowView{i, h, e, f});
+  };
+  show(0);
+  const Index m = static_cast<Index>(a.size());
+  for (Index i = 1; i <= m; ++i) {
+    const seq::Base ai = a[static_cast<std::size_t>(i - 1)];
+    // Column-0 boundary.
+    Score diag_h = h[0];  // H(i-1, 0) before overwrite.
+    f[0] = std::max(sat_add(f[0], -scheme.gap_ext), sat_add(h[0], -scheme.gap_first));
+    e[0] = kNegInf;
+    h[0] = local ? std::max<Score>(0, f[0]) : f[0];
+    Score e_run = kNegInf;
+    for (std::size_t j = 1; j <= n; ++j) {
+      const Score up_h = h[j];  // H(i-1, j).
+      const Score new_f =
+          std::max(sat_add(f[j], -scheme.gap_ext), sat_add(up_h, -scheme.gap_first));
+      const Score new_e =
+          std::max(sat_add(e_run, -scheme.gap_ext), sat_add(h[j - 1], -scheme.gap_first));
+      Score new_h = std::max(new_e, new_f);
+      new_h = std::max(new_h, sat_add(diag_h, scheme.pair(ai, b[j - 1])));
+      if (local) new_h = std::max<Score>(new_h, 0);
+      diag_h = up_h;
+      h[j] = new_h;
+      f[j] = new_f;
+      e[j] = new_e;
+      e_run = new_e;
+    }
+    show(i);
+  }
+  return row;
 }
+
 }  // namespace
 
 RowVectors sweep_rows(seq::SequenceView a, seq::SequenceView b, const scoring::Scheme& scheme,
                       AlignMode mode, CellState start, const RowVisitor& visit) {
-  RowSweeper sweeper(a, b, scheme, mode, start);
-  return drive_sweeper(sweeper, static_cast<Index>(a.size()), visit);
+  CUDALIGN_CHECK(mode == AlignMode::kGlobal || start == CellState::kH,
+                 "local alignment has no start-state constraint");
+  const CellHEF corner =
+      mode == AlignMode::kLocal ? CellHEF{0, kNegInf, kNegInf} : start_corner(start);
+  return sweep(a, b, scheme, mode, corner, visit);
 }
 
 RowVectors sweep_rows_from(seq::SequenceView a, seq::SequenceView b,
                            const scoring::Scheme& scheme, CellHEF corner,
                            const RowVisitor& visit) {
-  RowSweeper sweeper(a, b, scheme, corner);
-  return drive_sweeper(sweeper, static_cast<Index>(a.size()), visit);
+  return sweep(a, b, scheme, AlignMode::kGlobal, corner, visit);
 }
 
 LocalBest linear_local_best(seq::SequenceView a, seq::SequenceView b,

@@ -34,37 +34,6 @@ struct RowVectors {
   std::vector<Score> f;
 };
 
-/// Incremental rolling-row sweep: callers advance one row at a time and may
-/// stop early (Stage 4's orthogonal execution aborts its reverse sweep at the
-/// first goal match). Row i's H/E/F vectors are valid between advance calls.
-class RowSweeper {
- public:
-  RowSweeper(seq::SequenceView a, seq::SequenceView b, const scoring::Scheme& scheme,
-             AlignMode mode, CellState start = CellState::kH);
-
-  /// Global sweep from an explicit corner seed (reverse sweeps pass
-  /// end_corner(); forward sub-problem sweeps pass start_corner()).
-  RowSweeper(seq::SequenceView a, seq::SequenceView b, const scoring::Scheme& scheme,
-             CellHEF corner);
-
-  /// Advances from row i-1 to row i (1 <= i <= m, strictly sequential).
-  void advance(Index i);
-
-  [[nodiscard]] Index current_row() const noexcept { return row_; }
-  [[nodiscard]] std::span<const Score> h() const noexcept { return h_; }
-  [[nodiscard]] std::span<const Score> e() const noexcept { return e_; }
-  [[nodiscard]] std::span<const Score> f() const noexcept { return f_; }
-
- private:
-  void init_boundary(CellHEF corner);
-
-  seq::SequenceView a_, b_;
-  scoring::Scheme scheme_;
-  AlignMode mode_;
-  Index row_ = 0;
-  std::vector<Score> h_, e_, f_;
-};
-
 /// Sweeps all rows. In kGlobal mode the corner is seeded by
 /// start_corner(start); in kLocal mode H floors at 0 (start must be kH).
 /// `visit` (optional) observes every row i = 0..m, including the boundary.

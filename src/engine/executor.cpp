@@ -79,22 +79,14 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
   }
   if (pool == nullptr) pool = &ThreadPool::shared();
 
-  // Resolve kernel pinning up front so a bad name fails on the caller thread
-  // with a proper message. The spec override is API input and throws; the
-  // environment overrides are resolved by kernel_override() and
-  // active_simd_isa() themselves, which fail-fast exit on an unknown
-  // CUDALIGN_KERNEL or CUDALIGN_SIMD value — touching them here guarantees
-  // that happens before any tile work starts, on this thread: an exit from a
-  // pool worker would join the pool from one of its own threads during static
-  // destruction and hang.
-  const KernelVariant* forced_kernel = nullptr;
-  if (!spec.kernel_override.empty()) {
-    forced_kernel = find_kernel(spec.kernel_override);
-    CUDALIGN_CHECK(forced_kernel != nullptr,
-                   "unknown kernel variant in ProblemSpec::kernel_override: " +
-                       spec.kernel_override + " (valid: " + kernel_names_list() + ")");
-  }
-  (void)kernel_override();
+  // Resolve the process-wide kernel pin once, here, and hand it to every tile
+  // as `forced`: select_kernel then reads no global state per tile. The
+  // environment overrides fail fast (exit 2) on an unknown CUDALIGN_KERNEL or
+  // CUDALIGN_SIMD value inside kernel_override() and active_simd_isa();
+  // touching both here guarantees that happens before any tile work starts,
+  // on this thread: an exit from a pool worker would join the pool from one
+  // of its own threads during static destruction and hang.
+  const KernelVariant* forced_kernel = kernel_override();
   (void)active_simd_isa();
 
   const Index m = check::checked_cast<Index>(spec.a.size());

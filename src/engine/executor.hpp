@@ -112,12 +112,6 @@ struct ProblemSpec {
   /// with taps or probes.
   bool block_pruning = false;
 
-  /// Pins a kernel variant by registry name for this run (stronger than the
-  /// CUDALIGN_KERNEL environment override; see kernel_registry.hpp). Tiles
-  /// outside the pinned variant's envelope fall back to automatic selection,
-  /// so results are identical either way. Empty = automatic.
-  std::string kernel_override;
-
   /// Resume support (checkpoint/resume, DESIGN.md "Checkpoint & resume"):
   /// start the wavefront at vertex row `start_row` instead of row 0. Must be
   /// a multiple of the grid's strip height and is only meaningful with
@@ -267,7 +261,9 @@ struct RunResult {
 };
 
 /// Runs the wavefront over the whole problem. `pool` defaults to the shared
-/// pool. Deterministic for any worker count.
+/// pool. Deterministic for any worker count. The process-wide kernel pin
+/// (CUDALIGN_KERNEL / set_kernel_override) is read once, on the calling
+/// thread, and applies to every tile of the run.
 [[nodiscard]] RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks,
                                       ThreadPool* pool = nullptr);
 

@@ -166,15 +166,11 @@ const KernelVariant& kernel_info(KernelId id) noexcept {
 }
 
 void set_kernel_override(std::string_view name) {
+  const KernelVariant* v = name.empty() ? nullptr : find_kernel(name);
+  CUDALIGN_CHECK(name.empty() || v != nullptr,
+                 "unknown kernel variant (see kernel_registry()): " + std::string(name));
   std::lock_guard lock(g_override_mutex);
   g_override_initialized = true;
-  if (name.empty()) {
-    g_override = nullptr;
-    return;
-  }
-  const KernelVariant* v = find_kernel(name);
-  CUDALIGN_CHECK(v != nullptr, "unknown kernel variant (see kernel_registry()): " +
-                                   std::string(name));
   g_override = v;
 }
 
@@ -220,10 +216,6 @@ void reload_kernel_override_from_env() {
 
 const KernelVariant& select_kernel(const TileJob& job, const KernelVariant* forced) {
   if (forced != nullptr && forced->can_run(job)) return *forced;
-  if (const KernelVariant* pinned = kernel_override();
-      pinned != nullptr && pinned != forced && pinned->can_run(job)) {
-    return *pinned;
-  }
   const Index w = job.c1 - job.c0;
   const Index rows = job.r1 - job.r0;
   for (std::size_t idx : cost_order()) {

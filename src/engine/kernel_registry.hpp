@@ -15,10 +15,11 @@
 // size heuristics live in the selector.
 //
 // Overrides: the CUDALIGN_KERNEL environment variable, or
-// set_kernel_override() / ProblemSpec::kernel_override, pins a variant by
-// name. A pinned variant still only runs where its predicate allows — jobs
-// outside its envelope fall back to automatic selection, so an override can
-// never produce wrong results.
+// set_kernel_override(), pins a variant by name for the whole process.
+// run_wavefront resolves the pin once per run and passes it to every tile as
+// `forced`; select_kernel itself reads no global state. A pinned variant
+// still only runs where its predicate allows — jobs outside its envelope fall
+// back to automatic selection, so an override can never produce wrong results.
 //
 // A future SIMD/GPU backend plugs in here: append an id to KernelId,
 // implement the entry point (a new SIMD ISA is one lane-ops backend for
@@ -67,14 +68,15 @@ struct KernelVariant {
 /// Metadata for a kernel id (valid for any id < kCount).
 [[nodiscard]] const KernelVariant& kernel_info(KernelId id) noexcept;
 
-/// Picks the cheapest variant that can run `job`. `forced` (when non-null and
-/// eligible) wins; otherwise the process-wide override (CUDALIGN_KERNEL env,
-/// or set_kernel_override) is tried, then the automatic cost order.
+/// Picks the variant that runs `job`: `forced` when non-null and eligible,
+/// otherwise the cheapest eligible variant in automatic cost order. The
+/// process-wide pin only applies through `forced` (run_wavefront passes it).
 [[nodiscard]] const KernelVariant& select_kernel(const TileJob& job,
                                                  const KernelVariant* forced = nullptr);
 
 /// Sets the process-wide override by name (empty string clears it). Throws
-/// Error for an unknown name. Thread-safe; takes effect for subsequent tiles.
+/// Error for an unknown name. Thread-safe; takes effect for subsequent
+/// run_wavefront calls.
 void set_kernel_override(std::string_view name);
 
 /// The active process-wide override, or nullptr (reflects CUDALIGN_KERNEL on

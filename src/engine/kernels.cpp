@@ -73,7 +73,7 @@ BusCell Recurrence::left_boundary(Index i) const {
 
 TileResult run_tile(const TileJob& job, TileScratch& scratch, const KernelVariant* forced) {
   const KernelVariant& kernel = select_kernel(job, forced);
-  // Dispatch contract: whatever won selection (forced, pinned or automatic)
+  // Dispatch contract: whatever won selection (forced or automatic)
   // must be exact for this job — running outside the envelope is the silent
   // score-corruption path the registry exists to prevent.
   CUDALIGN_DCHECK(kernel.can_run(job), "selected kernel '", kernel.name,

@@ -153,7 +153,8 @@ struct TileScratch {
 
 /// Runs one tile through the registry-selected kernel variant (see
 /// kernel_registry.hpp). `forced` pins a specific variant when it can run the
-/// job; otherwise selection falls back to the automatic choice. Deterministic;
+/// job; otherwise selection falls back to the automatic choice (the process
+/// pin is not consulted here: run_wavefront passes it as `forced`). Deterministic;
 /// no shared state beyond the job's spans. Every variant is bit-identical to
 /// run_reference.
 struct KernelVariant;

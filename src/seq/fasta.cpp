@@ -59,13 +59,12 @@ std::vector<Sequence> read_fasta_file(const std::filesystem::path& path) {
   return read_fasta(in);
 }
 
-Sequence read_single_fasta(const std::filesystem::path& path, bool allow_extra) {
+Sequence read_single_fasta(const std::filesystem::path& path) {
   auto records = read_fasta_file(path);
   CUDALIGN_CHECK(!records.empty(), "FASTA file has no records: " + path.string());
-  CUDALIGN_CHECK(allow_extra || records.size() == 1,
+  CUDALIGN_CHECK(records.size() == 1,
                  "FASTA file " + path.string() + " has " + std::to_string(records.size()) +
-                     " records where exactly one was expected (pass a single-record file, "
-                     "or opt into first-record semantics explicitly)");
+                     " records where exactly one was expected (pass a single-record file)");
   return std::move(records.front());
 }
 

@@ -20,12 +20,10 @@ namespace cudalign::seq {
 [[nodiscard]] std::vector<Sequence> read_fasta(std::istream& in);
 [[nodiscard]] std::vector<Sequence> read_fasta_file(const std::filesystem::path& path);
 
-/// Reads exactly one record. Throws if the file has none — or, unless
-/// `allow_extra` is set, if it has more than one: silently aligning the first
-/// record of a multi-record file is a classic way to waste a chromosome-scale
-/// run. `allow_extra` opts back into first-record semantics explicitly.
-[[nodiscard]] Sequence read_single_fasta(const std::filesystem::path& path,
-                                         bool allow_extra = false);
+/// Reads exactly one record. Throws if the file has none or more than one:
+/// silently aligning the first record of a multi-record file is a classic way
+/// to waste a chromosome-scale run.
+[[nodiscard]] Sequence read_single_fasta(const std::filesystem::path& path);
 
 /// Writes records with lines wrapped at `width` characters.
 void write_fasta(std::ostream& out, const std::vector<Sequence>& records, int width = 70);

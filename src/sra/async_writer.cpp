@@ -30,12 +30,7 @@ void AsyncSraWriter::submit(const RowKey& key, std::span<const engine::BusCell> 
     // the copy then reuses the buffer the writer has just retired instead of
     // allocating a new one.
     std::unique_lock<std::mutex> lock(mutex_);
-    if (failure_ == nullptr && queue_.size() >= capacity_) {
-      Timer wait;
-      space_cv_.wait(lock, [&] { return failure_ != nullptr || queue_.size() < capacity_; });
-      stats_.submit_wait_seconds += wait.seconds();
-    }
-    ++stats_.rows_submitted;
+    space_cv_.wait(lock, [&] { return failure_ != nullptr || queue_.size() < capacity_; });
     // Poisoned: drop the row — nothing may be written past a failed one, and
     // drain() will surface the failure to the submitter.
     if (failure_ != nullptr) return;

@@ -54,11 +54,9 @@ namespace cudalign::sra {
 
 /// Writer-pipeline accounting for StageStats / the run report (obs/report).
 struct AsyncWriterStats {
-  Index rows_submitted = 0;  ///< Rows handed to the writer.
-  Index rows_acked = 0;      ///< Rows durably written and acknowledged.
-  std::size_t queue_peak = 0;        ///< High-water staged rows in the queue.
-  double submit_wait_seconds = 0;    ///< Compute-side backpressure stalls.
-  double writer_busy_seconds = 0;    ///< Writer-thread time in put() + ack.
+  Index rows_acked = 0;            ///< Rows durably written and acknowledged.
+  std::size_t queue_peak = 0;      ///< High-water staged rows in the queue.
+  double writer_busy_seconds = 0;  ///< Writer-thread time in put() + ack.
 };
 
 class AsyncSraWriter {

@@ -164,6 +164,29 @@ done
 # A known kernel name pins the selection end to end.
 CUDALIGN_KERNEL=striped16-local+best "$CLI" score "$DIR/a.fasta" "$DIR/b.fasta" \
   | grep -q "best score"
+# A size suffix that overflows int64 must be refused, naming the flag (it
+# once wrapped silently: 17179869185G read as exactly 1 GiB).
+if "$CLI" align "$DIR/a.fasta" "$DIR/b.fasta" --sra 17179869185G \
+     --out "$DIR/wrap.bin" 2>"$DIR/wrap.err"; then
+  echo "overflowing --sra size suffix was accepted" >&2
+  exit 1
+fi
+grep -q -- "--sra" "$DIR/wrap.err"
+# A corrupt alignment file that declares 2^40 gaps must fail with a
+# diagnostic naming the field, not by trying to allocate them.
+printf '2LAC\001\000\000\000\000\000\000\000\000\200\200\200\200\200\040' \
+  > "$DIR/corrupt.bin"
+rc=0
+"$CLI" view "$DIR/corrupt.bin" "$DIR/a.fasta" "$DIR/b.fasta" 2>"$DIR/corrupt.err" || rc=$?
+if [ "$rc" -ne 1 ]; then
+  echo "view of a corrupt alignment file: exit $rc, expected 1" >&2
+  exit 1
+fi
+grep -q "gap count" "$DIR/corrupt.err"
+if grep -q "bad_alloc" "$DIR/corrupt.err"; then
+  echo "view of a corrupt alignment file ran out of memory" >&2
+  exit 1
+fi
 # Unknown flag must fail.
 if "$CLI" align "$DIR/a.fasta" "$DIR/b.fasta" --no-such-flag 2>/dev/null; then
   echo "unknown flag was accepted" >&2

@@ -2,7 +2,10 @@
 // gap-list codec, and Stage-6 rendering.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "alignment/alignment.hpp"
 #include "alignment/gaplist.hpp"
@@ -138,6 +141,48 @@ TEST(GapList, CorruptMagicThrows) {
   write_pod(ss, std::uint32_t{0x12345678});
   write_pod(ss, std::uint32_t{1});
   EXPECT_THROW((void)read_binary(ss), Error);
+}
+
+/// A binary alignment file with a valid header and the given raw varints
+/// (i0, j0, i1, j1, score, then the gap lists), written byte by byte.
+std::string raw_binary(std::initializer_list<std::uint64_t> varints) {
+  std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
+  write_pod(ss, std::uint32_t{0x43414C32});
+  write_pod(ss, std::uint32_t{1});
+  for (std::uint64_t v : varints) {
+    for (; v >= 0x80; v >>= 7) ss.put(static_cast<char>((v & 0x7F) | 0x80));
+    ss.put(static_cast<char>(v));
+  }
+  return ss.str();
+}
+
+TEST(GapList, CorruptCountOrDeltaThrows) {
+  constexpr std::uint64_t kHalf = std::uint64_t{1} << 62;
+  const std::pair<std::string, std::string> cases[] = {
+      // 2^40 declared gaps, none present: fails on the first missing entry
+      // instead of reserving a terabyte.
+      {raw_binary({0, 0, 0, 0, 0, std::uint64_t{1} << 40}), "gap count"},
+      {raw_binary({0, 0, 0, 0, 0, 1, 5}), "truncated varint in gap column delta"},
+      {raw_binary({0, 0, 0, 0, 0, 1, 5, 5, 0, 0}), "gap length 0"},
+      {raw_binary({0, 0, 0, 0, 0, 2, kHalf, 0, 1, kHalf, 0, 1, 0}), "gap row overflows"},
+      {raw_binary({0, 0, 0, 0, 0, 0, 1, 0, std::uint64_t{1} << 63, 1, 0}),
+       "gap column delta 9223372036854775808 out of range"},
+  };
+  for (const auto& [bytes, field] : cases) {
+    std::istringstream is(bytes, std::ios::binary);
+    try {
+      (void)read_binary(is);
+      ADD_FAILURE() << "expected Error naming " << field;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+    }
+  }
+  // The valid prefix of the same encoding still reads.
+  std::istringstream ok(raw_binary({1, 2, 9, 9, 7, 1, 3, 3, 1, 0}), std::ios::binary);
+  const BinaryAlignment good = read_binary(ok);
+  ASSERT_EQ(good.gaps_s0.size(), 1u);
+  EXPECT_EQ(good.gaps_s0[0], (GapEntry{3, 3, 1}));
+  EXPECT_TRUE(good.gaps_s1.empty());
 }
 
 TEST(GapList, InconsistentGapListThrows) {

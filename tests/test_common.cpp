@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <vector>
@@ -322,7 +323,21 @@ TEST(Args, NumNonNumericSaysExpectsANumber) {
 }
 
 TEST(Args, NumOutOfRangeThrows) {
-  EXPECT_THROW((void)one_flag("--n=99999999999999999999999").num("n", 0), Error);
+  // A suffixed value must not wrap: 17179869185G shifted by 30 is exactly 1 GiB
+  // modulo 2^64, and 9000000000G comes out negative.
+  for (const char* bad : {"--n=99999999999999999999999", "--n=17179869185G", "--n=9000000000G",
+                          "--n=-8589934593G", "--n=9007199254740992K"}) {
+    try {
+      (void)one_flag(bad).num("n", 0);
+      FAIL() << "expected Error for " << bad;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("--n"), std::string::npos) << e.what();
+    }
+  }
+  // The int64 edges themselves still parse.
+  EXPECT_EQ(one_flag("--n=8589934591G").num("n", 0),
+            std::numeric_limits<std::int64_t>::max() - ((std::int64_t{1} << 30) - 1));
+  EXPECT_EQ(one_flag("--n=-8589934592G").num("n", 0), std::numeric_limits<std::int64_t>::min());
 }
 
 }  // namespace

@@ -83,14 +83,6 @@ TEST(LinearLocalBest, AgreesWithFullMatrixSearchIncludingTieBreak) {
   }
 }
 
-TEST(RowSweeper, RejectsNonSequentialAdvance) {
-  const auto a = rand_seq(4, 1);
-  const auto b = rand_seq(4, 2);
-  dp::RowSweeper sweeper(a.bases(), b.bases(), paper(), AlignMode::kGlobal);
-  sweeper.advance(1);
-  EXPECT_THROW(sweeper.advance(3), Error);
-}
-
 TEST(MiddleRowVectors, ForwardEqualsFullMatrixRow) {
   const auto a = rand_seq(20, 61);
   const auto b = rand_seq(15, 62);

@@ -467,7 +467,7 @@ TEST(DataflowEquivalence, MatchesLockstepAcrossShapesWorkersPruningAndKernels) {
     for (const bool prune : {false, true}) {
       spec.block_pruning = prune;
       for (const char* kernel : {"", "scalar-local+best"}) {
-        spec.kernel_override = kernel;
+        const test::ScopedKernelPin pin(kernel);
         const ExecRun lockstep =
             run_with_executor(spec, engine::ExecutorKind::kLockstep, 1, 2);
         for (const int workers : {1, 4}) {

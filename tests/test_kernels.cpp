@@ -87,7 +87,7 @@ bool variant_accepts(const TileCase& tc, const KernelVariant& variant) {
   return variant.can_run(job_view(tc, hbus, vbus_out));
 }
 
-/// The variant automatic selection picks for the case (no pin in force).
+/// The variant automatic selection picks for the case.
 KernelId auto_selected(const TileCase& tc) {
   std::vector<BusCell> hbus = tc.hbus;
   std::vector<BusCell> vbus_out(tc.vbus_in.size());
@@ -252,7 +252,8 @@ TEST(KernelEquivalence, Vector16RejectsSentinelHInputs) {
 // Problem level: run_wavefront pinned to each variant vs run_reference.
 // ---------------------------------------------------------------------------
 
-engine::RunResult run_pinned(const std::string& kernel, Index m, Index n, std::uint64_t seed) {
+/// A local problem on random sequences, run under whatever pin is active.
+engine::RunResult run_local(Index m, Index n, std::uint64_t seed) {
   const auto a = rand_seq(m, seed);
   const auto b = rand_seq(n, seed ^ 0xbeef);
   engine::ProblemSpec spec;
@@ -260,8 +261,13 @@ engine::RunResult run_pinned(const std::string& kernel, Index m, Index n, std::u
   spec.b = b.bases();
   spec.grid = engine::GridSpec{3, 8, 4, 1};  // strip_rows 32, chunks ~n/3.
   spec.recurrence = Recurrence::local(paper());
-  spec.kernel_override = kernel;
   return engine::run_wavefront(spec, engine::Hooks{});
+}
+
+/// run_local with the process pin set to `kernel` ("" = automatic).
+engine::RunResult run_pinned(const std::string& kernel, Index m, Index n, std::uint64_t seed) {
+  const test::ScopedKernelPin pin(kernel);
+  return run_local(m, n, seed);
 }
 
 TEST(KernelDispatch, EveryVariantMatchesReferenceOnLocalProblems) {
@@ -311,24 +317,40 @@ TEST(KernelDispatch, AutomaticSelectionPrefersStripedKernelOnStage1Tiles) {
 }
 
 TEST(KernelDispatch, UnknownOverrideNameIsRejected) {
-  engine::ProblemSpec spec;
-  const auto a = rand_seq(8, 1);
-  spec.a = a.bases();
-  spec.b = a.bases();
-  spec.grid = engine::GridSpec{1, 2, 1, 1};
-  spec.recurrence = Recurrence::local(paper());
-  spec.kernel_override = "no-such-kernel";
-  EXPECT_THROW((void)engine::run_wavefront(spec, engine::Hooks{}), Error);
+  const test::ScopedKernelPin pin("legacy");
   EXPECT_THROW(engine::set_kernel_override("no-such-kernel"), Error);
+  // A rejected name leaves the active pin untouched.
+  EXPECT_EQ(engine::kernel_override(), engine::find_kernel("legacy"));
 }
 
 TEST(KernelDispatch, ProcessOverridePinsSelection) {
-  engine::set_kernel_override("legacy");
-  const auto run = run_pinned("", 100, 120, 777);
-  engine::set_kernel_override("");
+  engine::RunResult run;
+  {
+    const test::ScopedKernelPin pin("legacy");
+    run = run_local(100, 120, 777);
+  }
   const auto& legacy = run.stats.kernels[static_cast<std::size_t>(KernelId::kLegacy)];
   EXPECT_EQ(legacy.tiles, run.stats.tiles - run.stats.pruned_tiles)
       << engine::kernel_usage_summary(run.stats);
+}
+
+// run_wavefront is the one place the process pin is resolved: a direct
+// run_tile call without `forced` takes the automatic choice even while a pin
+// is active.
+TEST(KernelDispatch, DirectRunTileIgnoresProcessPin) {
+  Rng rng(4040);
+  const TileCase tc = make_case(rng, 64, 96, 0, true, false, false, paper(), "direct");
+  const KernelId automatic = auto_selected(tc);
+  ASSERT_NE(automatic, KernelId::kLegacy);
+  const test::ScopedKernelPin pin("legacy");
+  std::vector<BusCell> hbus = tc.hbus;
+  std::vector<BusCell> vbus_out(tc.vbus_in.size());
+  TileScratch scratch;
+  EXPECT_EQ(engine::run_tile(job_view(tc, hbus, vbus_out), scratch).kernel, automatic);
+  hbus = tc.hbus;
+  EXPECT_EQ(engine::run_tile(job_view(tc, hbus, vbus_out), scratch, engine::kernel_override())
+                .kernel,
+            KernelId::kLegacy);
 }
 
 // ---------------------------------------------------------------------------
@@ -609,7 +631,6 @@ TEST(StripedIsa, CrossExecutorSpecialRowsIdenticalWithStripedPinned) {
     spec.b = b.bases();
     spec.grid = engine::GridSpec{3, 8, 4, 1};
     spec.recurrence = Recurrence::local(paper());
-    spec.kernel_override = "striped16-local+best";
     spec.executor = kind;
     std::map<Index, std::vector<BusCell>> rows;
     engine::Hooks hooks;
@@ -623,6 +644,7 @@ TEST(StripedIsa, CrossExecutorSpecialRowsIdenticalWithStripedPinned) {
     EXPECT_GT(tally.tiles, 0) << engine::kernel_usage_summary(result.stats);
     return rows;
   };
+  const test::ScopedKernelPin pin("striped16-local+best");
   const auto lockstep = run_one(engine::ExecutorKind::kLockstep);
   const auto dataflow = run_one(engine::ExecutorKind::kDataflow);
   ASSERT_EQ(lockstep.size(), dataflow.size());
@@ -943,10 +965,11 @@ TEST(Striped32Global, ProblemLevelMatchesReferenceForEveryCellState) {
           hk.on_tap = nullptr;
         }
         if (feat & 2) hk.find_value = target;
-        spec.kernel_override.clear();
         const auto [run, got_taps] = run_taps(spec, hk, false);
-        spec.kernel_override = "legacy";
-        const auto [legacy, legacy_taps] = run_taps(spec, hk, false);
+        const auto [legacy, legacy_taps] = [&] {
+          const test::ScopedKernelPin pin("legacy");
+          return run_taps(spec, hk, false);
+        }();
 
         // A probe may stop inside the first strip, which an end-in-F sweep
         // (sentinel H on row 0) runs entirely scalar.

@@ -263,6 +263,40 @@ TEST(Pipeline, BusAuditCleanWithSeveralStage3Partitions) {
   EXPECT_EQ(result.alignment.score, reference.alignment.score);
 }
 
+// The process-wide kernel pin (the CLI's --kernel) reaches every engine run
+// of the pipeline, including Stage 3's partitions split concurrently on pool
+// workers (no bus auditor, so they run in parallel): run_wavefront resolves
+// the pin once per run and forces it on every tile.
+TEST(Pipeline, ProcessKernelPinReachesEveryEngineRun) {
+  const auto pair = test::small_related(600, 600, 4321);
+  PipelineOptions options = small_options();
+  // Few special rows and columns: Stage 3 splits several partitions and
+  // leaves some larger than max_partition_size for Stage 4.
+  options.sra_rows_budget = 4 * 8 * 601;
+  options.sra_cols_budget = 4 * 8 * 601;
+  ThreadPool pool(4);
+  options.pool = &pool;
+  const PipelineResult automatic = align_pipeline(pair.s0, pair.s1, options);
+  const PipelineResult pinned = [&] {
+    const test::ScopedKernelPin pin("legacy");
+    return align_pipeline(pair.s0, pair.s1, options);
+  }();
+  ASSERT_GE(pinned.crosspoint_counts[1], 3) << "case no longer has two Stage-3 partitions";
+  constexpr auto kLegacy = static_cast<std::size_t>(engine::KernelId::kLegacy);
+  for (std::size_t s = 0; s < 4; ++s) {
+    const auto& kernels = pinned.stages[s].kernels;
+    EXPECT_GT(kernels[kLegacy].tiles, 0) << "stage " << s + 1;
+    for (std::size_t k = 0; k < kernels.size(); ++k) {
+      if (k == kLegacy) continue;
+      EXPECT_EQ(kernels[k].tiles, 0) << "stage " << s + 1 << " ran "
+                                     << engine::kernel_info(static_cast<engine::KernelId>(k)).name;
+    }
+  }
+  EXPECT_NE(automatic.stages[0].kernels[kLegacy].tiles, automatic.stages[0].tiles)
+      << "the unpinned run must not already be all-legacy";
+  EXPECT_EQ(pinned.binary, automatic.binary);
+}
+
 TEST(Pipeline, Stage2CellsShrinkWithBiggerSra) {
   const auto pair = test::small_related(500, 260, 1234);
   PipelineOptions small_sra = small_options();

@@ -176,15 +176,6 @@ TEST(Fasta, ReadSingleRejectsMultiRecordFiles) {
   }
 }
 
-TEST(Fasta, ReadSingleAllowExtraKeepsFirstRecord) {
-  TempDir dir("fasta-test");
-  const auto path = dir.path() / "multi.fasta";
-  { std::ofstream(path) << ">a\nACGT\n>b\nTTTT\n"; }
-  const auto first = read_single_fasta(path, /*allow_extra=*/true);
-  EXPECT_EQ(first.name(), "a");
-  EXPECT_EQ(first.to_string(), "ACGT");
-}
-
 TEST(Fasta, ReadSingleAcceptsSingleRecord) {
   TempDir dir("fasta-test");
   const auto path = dir.path() / "one.fasta";

@@ -2,9 +2,11 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "engine/kernel_registry.hpp"
 #include "scoring/scoring.hpp"
 #include "seq/generator.hpp"
 #include "seq/sequence.hpp"
@@ -34,6 +36,22 @@ inline std::vector<scoring::Scheme> test_schemes() {
       scoring::Scheme{3, -2, 4, 3},       // Mild.
   };
 }
+
+/// Pins the process-wide kernel (the CUDALIGN_KERNEL / --kernel channel) for
+/// a scope ("" = automatic) and restores the previous pin on exit, so a suite
+/// run in one process keeps its environment's pin.
+class ScopedKernelPin {
+ public:
+  explicit ScopedKernelPin(std::string_view name) : previous_(engine::kernel_override()) {
+    engine::set_kernel_override(name);
+  }
+  ScopedKernelPin(const ScopedKernelPin&) = delete;
+  ScopedKernelPin& operator=(const ScopedKernelPin&) = delete;
+  ~ScopedKernelPin() { engine::set_kernel_override(previous_ != nullptr ? previous_->name : ""); }
+
+ private:
+  const engine::KernelVariant* previous_;
+};
 
 /// Pretty parameter names for TEST_P instantiations.
 inline std::string scheme_name(const scoring::Scheme& s) {
