@@ -15,8 +15,11 @@
 // lockstep configuration with the process-wide kernel override set, so the
 // Stage-1 throughput of the auto-vectorized anti-diagonal sweep and the
 // hand-striped Farrar kernels can be compared on identical work. The pin is
-// best-effort by design: tiles outside a kernel's exactness envelope fall
-// back to automatic selection (scores never change, only speed).
+// best-effort by design: tiles outside a kernel's envelope fall back to
+// automatic selection, and a tile that overflows a pinned narrow kernel's
+// lanes re-runs on wider ones (scores never change, only speed). [striped8]
+// admits a tile by its bus inputs alone, so it runs every Stage-1 tile whose
+// inputs stay at most 100, the full 256-row strips included.
 //
 //   --fast    smallest roster entry only (the CI smoke configuration)
 //   --out F   JSON output path ("off" disables the artifact)

@@ -67,12 +67,12 @@ constexpr TileArchetype kArchetypes[] = {
     {"local+best-past-int16", true, true, false, false, 30000},
 };
 
-/// Stage-1 tile shapes swept: the classic alpha*T x n/B block (256x512); the
-/// thin-strip variant (64x512) whose min(rows, w) reachable-score bound fits
-/// the 8-bit striped envelope — the shape where the byte-lane kernels are
-/// admissible; the default Stage-1 tile of a 100 Kbp pair (256 x n/240 =
-/// 256x417); and a narrow 256x64 tile whose time is almost all fixed per-row
-/// cost (ns_per_row in BENCH_kernels.json shows that cost on its own).
+/// Stage-1 tile shapes swept: the classic alpha*T x n/B block (256x512); a
+/// thin strip (64x512); the default Stage-1 tile of a 100 Kbp pair (256 x
+/// n/240 = 256x417), where the int8 striped kernels run the low-score tiles
+/// (they admit a tile by its inputs and detect overflow); and a narrow
+/// 256x64 tile whose time is almost all fixed per-row cost (ns_per_row in
+/// BENCH_kernels.json shows that cost on its own).
 constexpr std::pair<Index, Index> kTileShapes[] = {
     {256, 512}, {64, 512}, {256, 417}, {256, 64}};
 
@@ -141,16 +141,19 @@ struct TileTiming {
   double ns_per_row = 0;
 };
 
-TileTiming time_variant(const engine::KernelVariant& variant, TileBench& bench) {
+/// Times `variant` pinned through run_tile; nullopt when a narrow variant
+/// overflows the tile and a costlier one publishes it.
+std::optional<TileTiming> time_variant(const engine::KernelVariant& variant, TileBench& bench) {
   engine::TileScratch scratch;
   bench.reset_bus();
-  (void)variant.run(bench.job(), scratch);  // Warm-up (scratch allocation).
+  // Warm-up (scratch allocation) and the check that the variant publishes.
+  if (engine::run_tile(bench.job(), scratch, &variant).kernel != variant.id) return std::nullopt;
   long iters = 0;
   const auto t0 = std::chrono::steady_clock::now();
   double elapsed = 0;
   do {
     bench.reset_bus();
-    benchmark::DoNotOptimize(variant.run(bench.job(), scratch));
+    benchmark::DoNotOptimize(engine::run_tile(bench.job(), scratch, &variant));
     ++iters;
     elapsed = seconds_since(t0);
   } while (elapsed < 0.15);
@@ -217,12 +220,14 @@ void run_kernel_sweep(const std::string& path) {
       TileBench bench(arch, rows, cols);
       for (const engine::KernelVariant& variant : engine::kernel_registry()) {
         if (!variant.can_run(bench.job())) continue;
+        const std::optional<TileTiming> timing = time_variant(variant, bench);
+        if (!timing) continue;
         VariantSample s;
         s.archetype = arch.name;
         s.kernel = variant.name;
         s.rows = rows;
         s.cols = cols;
-        s.timing = time_variant(variant, bench);
+        s.timing = *timing;
         tile_samples.push_back(s);
         std::fprintf(stderr, "[kernel-sweep] %4ldx%-4ld %-21s %-24s %7.3f GCUPS %8.1f ns/row\n",
                      long(rows), long(cols), s.archetype.c_str(), s.kernel.c_str(),
@@ -307,7 +312,7 @@ void register_variant_benchmarks() {
           engine::TileScratch scratch;
           for (auto _ : state) {
             bench.reset_bus();
-            benchmark::DoNotOptimize(v->run(bench.job(), scratch));
+            benchmark::DoNotOptimize(engine::run_tile(bench.job(), scratch, v));
           }
           state.counters["MCUPS"] = benchmark::Counter(
               static_cast<double>(r) * static_cast<double>(c) *

@@ -188,8 +188,10 @@ stage "release: ctest"
 # ctest pass only proves correctness for the ISA the runner auto-selects
 # (AVX2 on modern hosts). The ISA is a real matrix axis:
 #   fast mode  — rerun just the kernel equivalence/dispatch suites, the
-#                sentinel-sweep suite and the Stage-4 suite under every
-#                supported backend (the cheap pre-push proof);
+#                narrow-overflow suite, the sentinel-sweep suite, the
+#                Stage-4 suite and the CRC-32 suite under every supported
+#                backend (the cheap pre-push proof; CUDALIGN_SIMD=generic
+#                also moves the CRC onto its slice-by-8 fallback);
 #   full mode  — rerun the ENTIRE ctest suite under every ISA the runner
 #                supports, so pipeline/checkpoint/engine behavior (not only
 #                kernel byte-identity) is proven per backend.
@@ -208,10 +210,10 @@ isa_matrix() {
   echo "$isas"
 }
 if [[ "$FAST" -eq 1 ]]; then
-  stage "release: kernel equivalence, sentinel sweeps and Stage 4, forced ISAs"
+  stage "release: kernel equivalence, sentinel sweeps, Stage 4 and CRC, forced ISAs"
   for isa in $(isa_matrix); do
     CUDALIGN_SIMD="$isa" build-ci-release/tests/cudalign_tests \
-      --gtest_filter='KernelEquivalence.*:KernelDispatch.*:LaneEnvelope.*:Striped32Global.*:Striped32Local.*:Int16EnvelopeCrossing.*:EngineSentinel.*:Stage4Tiles.*' \
+      --gtest_filter='KernelEquivalence.*:KernelDispatch.*:LaneEnvelope.*:NarrowOverflow.*:Striped32Global.*:Striped32Local.*:Int16EnvelopeCrossing.*:EngineSentinel.*:Stage4Tiles.*:Crc32.*' \
       --gtest_brief=1
   done
 else

@@ -1,4 +1,4 @@
-// CRC-32 (IEEE 802.3, polynomial 0xEDB88320, reflected, slice-by-8).
+// CRC-32 (IEEE 802.3, polynomial 0xEDB88320, reflected).
 //
 // Guards every durable artifact the checkpoint/resume subsystem trusts after
 // a crash: Special Rows Area row payloads and the pipeline checkpoint
@@ -6,11 +6,18 @@
 // that were written — the loader refuses them with a diagnostic instead of
 // resuming from corrupt state.
 //
-// Slice-by-8 folds eight input bytes per step through eight 256-entry
-// tables: table k maps a byte to its CRC contribution k bytes further back,
-// so one step is eight independent lookups instead of a chain of eight. The
-// values are those of the bytewise table loop (which still runs the tail),
-// so stored CRCs do not change.
+// Two implementations compute the same values, so stored CRCs never depend
+// on the machine that wrote them:
+//   * PCLMULQDQ folding (crc32.cpp; Gopal et al., "Fast CRC Computation for
+//     Generic Polynomials Using PCLMULQDQ Instruction", Intel 2009): four
+//     128-bit lanes fold 64 bytes per step by carry-less multiplication, then
+//     reduce to 32 bits with a Barrett step. Chosen once per process when the
+//     CPU has PCLMULQDQ and CUDALIGN_SIMD does not force the generic
+//     baseline.
+//   * slice-by-8 (below), the fallback and the test oracle: eight 256-entry
+//     tables, table k mapping a byte to its CRC contribution k bytes further
+//     back, so one step is eight independent lookups instead of a chain of
+//     eight. The bytewise table loop runs the tail.
 #pragma once
 
 #include <array>
@@ -44,10 +51,9 @@ inline constexpr std::array<std::array<std::uint32_t, 256>, 8> kCrc32Tables = cr
 
 }  // namespace detail
 
-/// Incrementally extends `crc` (pass the result of a previous call, or 0 for
-/// the first chunk) over `size` bytes at `data`.
-[[nodiscard]] inline std::uint32_t crc32_update(std::uint32_t crc, const void* data,
-                                                std::size_t size) noexcept {
+/// The slice-by-8 path of crc32_update (same contract).
+[[nodiscard]] inline std::uint32_t crc32_update_table(std::uint32_t crc, const void* data,
+                                                      std::size_t size) noexcept {
   const auto& t = detail::kCrc32Tables;
   const auto* bytes = static_cast<const unsigned char*>(data);
   std::uint32_t c = crc ^ 0xFFFFFFFFu;
@@ -66,6 +72,14 @@ inline constexpr std::array<std::array<std::uint32_t, 256>, 8> kCrc32Tables = cr
   }
   return c ^ 0xFFFFFFFFu;
 }
+
+/// Whether crc32_update runs the PCLMULQDQ path in this process.
+[[nodiscard]] bool crc32_hardware_active() noexcept;
+
+/// Incrementally extends `crc` (pass the result of a previous call, or 0 for
+/// the first chunk) over `size` bytes at `data`.
+[[nodiscard]] std::uint32_t crc32_update(std::uint32_t crc, const void* data,
+                                         std::size_t size) noexcept;
 
 /// One-shot CRC-32 of a byte buffer.
 [[nodiscard]] inline std::uint32_t crc32(const void* data, std::size_t size) noexcept {

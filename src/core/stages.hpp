@@ -34,6 +34,11 @@ struct StageStats {
   std::size_t ram_bytes = 0; ///< Peak engine bus memory ("VRAM_k").
   Index tiles = 0;           ///< Engine tiles dispatched across all runs.
   Index diagonals = 0;       ///< External diagonals executed across all runs.
+  /// Tiles whose narrow-lane attempt overflowed and re-ran on wider lanes,
+  /// and their cells (engine RunStats semantics, summed over runs; the cells
+  /// are a subset of `cells`).
+  Index narrow_rerun_tiles = 0;
+  WideScore narrow_rerun_cells = 0;
   /// Dataflow scheduler counters (engine RunStats semantics; 0 under
   /// lockstep): tiles run by a participant other than the one that made them
   /// ready, and waits on an empty ready queue, summed over runs.
@@ -82,6 +87,8 @@ struct StageStats {
     cells += run.cells;
     tiles += run.tiles;
     diagonals += run.diagonals;
+    narrow_rerun_tiles += run.narrow_rerun_tiles;
+    narrow_rerun_cells += run.narrow_rerun_cells;
     tiles_stolen += run.tiles_stolen;
     starvation_waits += run.starvation_waits;
     hbus_reads += run.hbus_reads;

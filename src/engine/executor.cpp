@@ -37,6 +37,8 @@ struct StripSlot {
   WideScore cells = 0;
   WideScore pruned_cells = 0;
   Index pruned_tiles = 0;
+  Index narrow_rerun_tiles = 0;
+  WideScore narrow_rerun_cells = 0;
   std::array<KernelTally, kKernelIdCount> kernels{};
   dp::LocalBest best;
   bool found = false;                       ///< Row-major-first probe hit of the strip.
@@ -320,6 +322,10 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
       KernelTally& tally = slot.kernels[static_cast<std::size_t>(tr.kernel)];
       ++tally.tiles;
       tally.cells += tr.cells;
+      if (tr.rerun) {
+        ++slot.narrow_rerun_tiles;
+        slot.narrow_rerun_cells += tr.cells;
+      }
       tile_best = tr.best.score;
       if (tr.best.score > 0) merge_best(slot.best, tr.best);
       if (tr.found && (!slot.found || std::pair{tr.found_i, tr.found_j} <
@@ -385,6 +391,8 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
     stats.cells += slot.cells;
     stats.pruned_cells += slot.pruned_cells;
     stats.pruned_tiles += slot.pruned_tiles;
+    stats.narrow_rerun_tiles += slot.narrow_rerun_tiles;
+    stats.narrow_rerun_cells += slot.narrow_rerun_cells;
     for (std::size_t k = 0; k < kKernelIdCount; ++k) {
       stats.kernels[k].tiles += slot.kernels[k].tiles;
       stats.kernels[k].cells += slot.kernels[k].cells;

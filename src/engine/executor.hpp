@@ -212,6 +212,12 @@ struct RunStats {
   WideScore pruned_cells = 0; ///< Cells skipped by block pruning.
   Index pruned_tiles = 0;
   Index tiles = 0;            ///< Kernel calls (a peeled tile makes two) plus pruned tiles.
+  /// Kernel calls whose narrow striped attempt overflowed its lanes and
+  /// re-ran on wider ones (TileResult::rerun), and their cells (counted
+  /// once, so never more than `cells`). Their tallies in `kernels` name the
+  /// variant that published.
+  Index narrow_rerun_tiles = 0;
+  WideScore narrow_rerun_cells = 0;
   /// External diagonals up to the last retired strip: s + blocks after strip
   /// s retires, the count lockstep has run by then, under both executors.
   Index diagonals = 0;

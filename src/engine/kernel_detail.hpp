@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 
 #include "common/error.hpp"
 #include "engine/kernels.hpp"
@@ -55,32 +56,37 @@ TileResult run_vector(const TileJob& job, TileScratch& scratch);
 [[nodiscard]] bool vector_can_run(const TileJob& job);
 
 /// A narrow-lane exactness envelope: the value ranges a fixed-width lane
-/// kernel admits. One precheck shape (lane_envelope_admits) serves every
-/// narrow lane width — the 16-bit anti-diagonal kernel, and the striped
-/// 8-bit/16-bit kernels — so the checked-arithmetic reachable-score bound is
-/// written exactly once.
+/// kernel admits. One precheck (lane_inputs_admit) serves every narrow lane
+/// width — the 16-bit anti-diagonal kernel, and the striped 8-bit/16-bit
+/// kernels — so the input checks are written exactly once.
 struct LaneEnvelope {
   Score penalty_cap;  ///< Largest |penalty| and match score admitted.
   Score real_floor;   ///< Most negative genuine bus input admitted.
-  Score ceiling;      ///< Reachable-score bound (+match still fits the lanes).
+  /// Largest genuine bus input admitted, and the largest H a narrow kernel
+  /// may publish: ceiling + penalty_cap stays below the lane maximum, so the
+  /// first H past the ceiling is still computed exactly (DESIGN.md).
+  Score ceiling;
 };
 
 /// int16 lane envelope (v16-local* and striped16-local*).
 inline constexpr LaneEnvelope kLaneEnvelope16{4096, -4096, 28000};
-/// int8 lane envelope (striped8-local*): ceiling + penalty_cap stays below
-/// INT8_MAX, so one more match can never saturate a genuine score.
+/// int8 lane envelope (striped8-local*).
 inline constexpr LaneEnvelope kLaneEnvelope8{16, -64, 100};
 
-/// Range precheck shared by every narrow-lane kernel: penalties within the
-/// cap, every genuine bus input representable (sentinel H rejected outright —
-/// scalar sentinel drift is not reproducible in narrow lanes; gap sentinels
-/// are fine, the genuine branch wins within one step in local mode), and the
-/// overflow-checked reachable-score bound max_h + match * max(rows, w) within
-/// env.ceiling. O(w + rows).
-[[nodiscard]] bool lane_envelope_admits(const TileJob& job, const LaneEnvelope& env);
+/// Input precheck shared by every narrow-lane kernel: penalties within the
+/// cap and every genuine bus input within [env.real_floor, env.ceiling]
+/// (sentinel H rejected outright — scalar sentinel drift is not
+/// reproducible in narrow lanes; gap sentinels are fine, the genuine branch
+/// wins within one step in local mode). Returns the largest H input when
+/// the job is admitted. It bounds nothing the tile computes: the striped
+/// kernels detect an H past the ceiling and report the tile overflowed, and
+/// v16 adds a static reachable-score bound (vector16_can_run). O(w + rows).
+[[nodiscard]] std::optional<Score> lane_inputs_admit(const TileJob& job, const LaneEnvelope& env);
 
-/// vector_can_run plus the 16-bit range precheck: every input bus value
-/// representable and no reachable score can leave the lanes. O(w + rows).
+/// vector_can_run, the 16-bit input precheck and the overflow-checked
+/// reachable-score bound max_h + match * min(rows, w) <= ceiling: the
+/// anti-diagonal sweep cannot detect an overflow, so it must rule one out
+/// before running. O(w + rows).
 [[nodiscard]] bool vector16_can_run(const TileJob& job);
 
 /// Most lanes any striped backend has (AVX-512 int8): bounds a tile's pad.
@@ -92,8 +98,11 @@ inline constexpr Index kMaxStripedLanes = 64;
 /// (deterministic two-pass gap scan; see striped_core.hpp), in local mode.
 /// LaneT is int8_t (saturating, kLaneEnvelope8), int16_t (kLaneEnvelope16)
 /// or int32_t (plain arithmetic, striped32_local_can_run; best tracking
-/// only). Dispatches at runtime to the best compiled ISA backend (generic /
-/// SSE2 / AVX2 / AVX-512; see active_simd_isa() in kernel_registry.hpp).
+/// only). The narrow widths return TileResult::overflowed, having published
+/// nothing to the horizontal bus, when an H passes their ceiling; run_tile
+/// then re-runs the tile on wider lanes. Dispatches at runtime to the best
+/// compiled ISA backend (generic / SSE2 / AVX2 / AVX-512; see
+/// active_simd_isa() in kernel_registry.hpp).
 template <typename LaneT, bool kBest>
 TileResult run_striped(const TileJob& job, TileScratch& scratch);
 
@@ -101,7 +110,7 @@ TileResult run_striped(const TileJob& job, TileScratch& scratch);
 /// floor), dispatched to its taps/probe specialisation and then to the ISA.
 TileResult run_striped32_global(const TileJob& job, TileScratch& scratch);
 
-/// vector_can_run plus the 8-bit / 16-bit lane envelope prechecks.
+/// vector_can_run plus the 8-bit / 16-bit lane input prechecks.
 [[nodiscard]] bool striped8_can_run(const TileJob& job);
 [[nodiscard]] bool striped16_can_run(const TileJob& job);
 

@@ -214,16 +214,31 @@ void reload_kernel_override_from_env() {
   (void)kernel_override();
 }
 
-const KernelVariant& select_kernel(const TileJob& job, const KernelVariant* forced) {
-  if (forced != nullptr && forced->can_run(job)) return *forced;
+namespace {
+
+/// The cheapest variant costlier than `min_cost` whose shape gate and
+/// predicate accept the job.
+const KernelVariant& cheapest_eligible(const TileJob& job, int min_cost) {
   const Index w = job.c1 - job.c0;
   const Index rows = job.r1 - job.r0;
   for (std::size_t idx : cost_order()) {
     const Entry& entry = table()[idx];
+    if (entry.variant.cost <= min_cost) continue;
     if (w < entry.min_width || rows < entry.min_rows) continue;
     if (entry.variant.can_run(job)) return entry.variant;
   }
   return kernel_info(KernelId::kLegacy);  // Unreachable: legacy accepts any job.
+}
+
+}  // namespace
+
+const KernelVariant& select_kernel(const TileJob& job, const KernelVariant* forced) {
+  if (forced != nullptr && forced->can_run(job)) return *forced;
+  return cheapest_eligible(job, -1);
+}
+
+const KernelVariant& select_costlier_kernel(const TileJob& job, const KernelVariant& overflowed) {
+  return cheapest_eligible(job, overflowed.cost);
 }
 
 }  // namespace cudalign::engine

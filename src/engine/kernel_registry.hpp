@@ -11,8 +11,11 @@
 // (narrow, or with sentinel H inputs) on its specialized scalar row sweep,
 // and anything else on the legacy do-everything loop. All variants are
 // bit-identical to run_reference; predicates encode *exactness* (e.g. the
-// 16-bit kernel rejects tiles whose scores could overflow its lanes), while
-// size heuristics live in the selector.
+// anti-diagonal 16-bit kernel rejects tiles whose scores could overflow its
+// lanes), while size heuristics live in the selector. The narrow striped
+// kernels are the one exception to "admitted means exact": they admit a tile
+// by its inputs and detect an overflow instead, and run_tile re-runs such a
+// tile on select_costlier_kernel's pick.
 //
 // Overrides: the CUDALIGN_KERNEL environment variable, or
 // set_kernel_override(), pins a variant by name for the whole process.
@@ -73,6 +76,12 @@ struct KernelVariant {
 /// process-wide pin only applies through `forced` (run_wavefront passes it).
 [[nodiscard]] const KernelVariant& select_kernel(const TileJob& job,
                                                  const KernelVariant* forced = nullptr);
+
+/// The cheapest eligible variant strictly costlier than `overflowed`, in
+/// automatic cost order: run_tile's re-selection after a narrow kernel
+/// reported TileResult::overflowed. Legacy, the costliest, accepts any job.
+[[nodiscard]] const KernelVariant& select_costlier_kernel(const TileJob& job,
+                                                          const KernelVariant& overflowed);
 
 /// Sets the process-wide override by name (empty string clears it). Throws
 /// Error for an unknown name. Thread-safe; takes effect for subsequent

@@ -72,15 +72,27 @@ BusCell Recurrence::left_boundary(Index i) const {
 }
 
 TileResult run_tile(const TileJob& job, TileScratch& scratch, const KernelVariant* forced) {
-  const KernelVariant& kernel = select_kernel(job, forced);
-  // Dispatch contract: whatever won selection (forced or automatic)
-  // must be exact for this job — running outside the envelope is the silent
-  // score-corruption path the registry exists to prevent.
-  CUDALIGN_DCHECK(kernel.can_run(job), "selected kernel '", kernel.name,
-                  "' cannot run this job");
-  TileResult result = kernel.run(job, scratch);
-  result.kernel = kernel.id;
-  return result;
+  const KernelVariant* kernel = &select_kernel(job, forced);
+  bool rerun = false;
+  for (;;) {
+    // Dispatch contract: whatever won selection (forced, automatic or a
+    // re-selection) must be exact for this job — running outside the
+    // envelope is the silent score-corruption path the registry exists to
+    // prevent.
+    CUDALIGN_DCHECK(kernel->can_run(job), "selected kernel '", kernel->name,
+                    "' cannot run this job");
+    TileResult result = kernel->run(job, scratch);
+    if (!result.overflowed) {
+      result.kernel = kernel->id;
+      result.rerun = rerun;
+      return result;
+    }
+    // Narrow lanes passed their ceiling: nothing reached the horizontal bus,
+    // so the tile re-runs from its untouched inputs on wider lanes. Each
+    // re-selection is strictly costlier, and legacy never overflows.
+    kernel = &select_costlier_kernel(job, *kernel);
+    rerun = true;
+  }
 }
 
 }  // namespace cudalign::engine

@@ -124,6 +124,13 @@ struct TileResult {
   std::vector<std::vector<BusCell>> taps;        ///< Per tap col: rows (r0..r1].
   WideScore cells = 0;
   KernelId kernel = KernelId::kLegacy;           ///< Variant that computed the tile.
+  /// Set by a narrow striped kernel whose lanes passed their envelope
+  /// ceiling: it published nothing to the horizontal bus, and its vertical
+  /// bus and the fields above are garbage. run_tile never returns one.
+  bool overflowed = false;
+  /// Set by run_tile when a narrow attempt overflowed and `kernel`, a
+  /// costlier variant, re-ran the tile from its untouched inputs.
+  bool rerun = false;
 };
 
 /// Reusable per-worker scratch (avoids per-tile allocation). Each kernel
@@ -154,8 +161,13 @@ struct TileScratch {
 /// Runs one tile through the registry-selected kernel variant (see
 /// kernel_registry.hpp). `forced` pins a specific variant when it can run the
 /// job; otherwise selection falls back to the automatic choice (the process
-/// pin is not consulted here: run_wavefront passes it as `forced`). Deterministic;
-/// no shared state beyond the job's spans. Every variant is bit-identical to
+/// pin is not consulted here: run_wavefront passes it as `forced`). A narrow
+/// striped variant admits a tile by its inputs alone; when its lanes
+/// overflow, the tile re-runs on the cheapest eligible strictly costlier
+/// variant (int8 -> int16 -> int32 lanes) and the result says so
+/// (TileResult::rerun). The vertical bus is rewritten in full by the re-run,
+/// so a job's vbus_out must not alias its inputs. Deterministic; no shared
+/// state beyond the job's spans. Every variant is bit-identical to
 /// run_reference.
 struct KernelVariant;
 [[nodiscard]] TileResult run_tile(const TileJob& job, TileScratch& scratch,

@@ -341,11 +341,11 @@ std::string_view simd_isa_name(SimdIsa isa) noexcept {
 namespace detail {
 
 bool striped8_can_run(const TileJob& job) {
-  return vector_can_run(job) && lane_envelope_admits(job, kLaneEnvelope8);
+  return vector_can_run(job) && lane_inputs_admit(job, kLaneEnvelope8).has_value();
 }
 
 bool striped16_can_run(const TileJob& job) {
-  return vector_can_run(job) && lane_envelope_admits(job, kLaneEnvelope16);
+  return vector_can_run(job) && lane_inputs_admit(job, kLaneEnvelope16).has_value();
 }
 
 namespace {

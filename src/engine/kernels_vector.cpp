@@ -118,24 +118,13 @@ bool vector_can_run(const TileJob& job) {
          !job.find_value.has_value() && job.c1 > job.c0 && job.r1 > job.r0;
 }
 
-bool lane_envelope_admits(const TileJob& job, const LaneEnvelope& env) {
+std::optional<Score> lane_inputs_admit(const TileJob& job, const LaneEnvelope& env) {
   const scoring::Scheme& s = job.recurrence->scheme;
   if (s.match > env.penalty_cap || s.mismatch < -env.penalty_cap || s.mismatch > 0 ||
       s.gap_first > env.penalty_cap || s.gap_first < 0 || s.gap_ext > env.penalty_cap ||
       s.gap_ext < 0) {
-    return false;
+    return std::nullopt;
   }
-  // Every match advances one row AND one column, so any path confined to the
-  // tile makes at most min(rows, w) matches — that bounds every reachable
-  // H/E/F from the admitted bus inputs by max_h + match * min(rows, w). The
-  // bound is computed with overflow-checked arithmetic (an envelope decided
-  // by wrapped arithmetic would be no envelope at all), and its match term
-  // is tested before the O(w + rows) bus scan: max_h >= 0, so a tile whose
-  // match term alone passes the ceiling is refused whatever its buses hold.
-  const Index rows = check::checked_sub(job.r1, job.r0);
-  const Index w = check::checked_sub(job.c1, job.c0);
-  const WideScore reach = check::checked_mul<WideScore>(s.match, std::min(rows, w));
-  if (reach > env.ceiling) return false;
   // Genuine H inputs must be representable; sentinel H inputs are rejected
   // outright because the scalar kernels let sentinel chains drift below
   // kNegInf, which narrow lanes cannot reproduce bit-for-bit. (The executor
@@ -152,16 +141,30 @@ bool lane_envelope_admits(const TileJob& job, const LaneEnvelope& env) {
     return true;
   };
   for (std::size_t k = 1; k < job.hbus.size(); ++k) {
-    if (!admit(job.hbus[k])) return false;
+    if (!admit(job.hbus[k])) return std::nullopt;
   }
   for (const BusCell& cell : job.vbus_in) {
-    if (!admit(cell)) return false;
+    if (!admit(cell)) return std::nullopt;
   }
-  return check::checked_add<WideScore>(max_h, reach) <= env.ceiling;
+  return max_h;
 }
 
 bool vector16_can_run(const TileJob& job) {
-  return vector_can_run(job) && lane_envelope_admits(job, kLaneEnvelope16);
+  if (!vector_can_run(job)) return false;
+  // Every match advances one row AND one column, so any path confined to the
+  // tile makes at most min(rows, w) matches — that bounds every reachable
+  // H/E/F from the admitted bus inputs by max_h + match * min(rows, w). The
+  // bound is computed with overflow-checked arithmetic (a bound decided by
+  // wrapped arithmetic would be no bound at all), and its match term is
+  // tested before the O(w + rows) bus scan: max_h >= 0, so a tile whose
+  // match term alone passes the ceiling is refused whatever its buses hold.
+  const Index rows = check::checked_sub(job.r1, job.r0);
+  const Index w = check::checked_sub(job.c1, job.c0);
+  const WideScore reach =
+      check::checked_mul<WideScore>(job.recurrence->scheme.match, std::min(rows, w));
+  if (reach > kScoreCeiling16) return false;
+  const std::optional<Score> max_h = lane_inputs_admit(job, kLaneEnvelope16);
+  return max_h.has_value() && check::checked_add<WideScore>(*max_h, reach) <= kScoreCeiling16;
 }
 
 template <typename LaneT, bool kBest>

@@ -43,13 +43,20 @@
 // pairings exist:
 //
 //   * local (zero floor, best tracking) on int8 / int16 lanes (saturating):
-//     H floors at 0. Exactness (byte-identity with the scalar kernels) holds
-//     inside the lane envelope the striped prechecks admit
-//     (kernel_detail.hpp): every H >= 0, so every *published* E/F value is
-//     genuine (>= -G_first) and the sentinel / saturated chains lose every
-//     max they enter; the reachable-score bound keeps genuine arithmetic
-//     below the saturation point, so saturating adds/subs equal exact
-//     arithmetic on every winning branch.
+//     H floors at 0. The striped prechecks admit a tile by its inputs alone
+//     (kernel_detail.hpp lane_inputs_admit): every input within
+//     [real_floor, ceiling]. While every H stays at most the ceiling, the
+//     sweep is byte-identical with the scalar kernels: every H >= 0, so every
+//     *published* E/F value is genuine (>= -G_first) and the sentinel /
+//     saturated chains lose every max they enter, and ceiling + penalty_cap
+//     stays below the lane maximum, so saturating adds/subs equal exact
+//     arithmetic on every winning branch. The sweep checks the H it computed
+//     instead of bounding it up front: the first cell whose exact H passes
+//     the ceiling has exact inputs, so its lane value is exact and above the
+//     ceiling, and the row's max sees it. The tile then returns
+//     TileResult::overflowed before publishing the horizontal bus (run_tile
+//     re-runs it on wider lanes); a tile that never trips the test computed
+//     no value past the ceiling, so every byte it publishes is exact.
 //   * local on int32 lanes (plain add/sub): the same zero floor and masked
 //     row max, past the int16 envelope. The lanes perform the scalar
 //     kernels' own int32 arithmetic, so — as in global mode below — the
@@ -239,7 +246,7 @@ TileResult run_striped_core(const TileJob& job, TileScratch& scratch) {
   // decayed by 2^s * t * G_ext and clamped to the lane maximum. The clamp
   // only weakens terms that were already lost: a term whose decay clamped is
   // <= ceiling - lane_max, strictly below every lane's own exit term
-  // (>= -G_first inside the envelope), so it loses every max it enters —
+  // (>= -G_first while no H has passed the ceiling), so it loses every max it enters —
   // exactly as the unclamped arithmetic would have lost. (In int32 lanes the
   // striped32 envelopes bound every decay far below the clamp, which never
   // binds.)
@@ -335,7 +342,9 @@ TileResult run_striped_core(const TileJob& job, TileScratch& scratch) {
     const Score e_pub = std::max(static_cast<Score>(E[static_cast<std::size_t>(kw * p + lw)]),
                                  static_cast<Score>(entry_row[lw]) - static_cast<Score>(kw) * ext);
 
-    // Pass 2: fold the decayed entry into the gap scan and finish H.
+    // Pass 2: fold the decayed entry into the gap scan and finish H. The
+    // row max is masked for best tracking; the narrow overflow test may take
+    // it unmasked, since a pad slot never exceeds max(0, the real columns).
     V v_decay = v_entry;
     V v_rowmax = v_zero;
     [[maybe_unused]] V v_hit = v_zero;
@@ -345,9 +354,52 @@ TileResult run_striped_core(const TileJob& job, TileScratch& scratch) {
       B::store(H + k * p, v_h);
       if constexpr (kBest) {
         v_rowmax = B::max(v_rowmax, B::and_(v_h, B::load(mask + k * p)));
+      } else if constexpr (kNarrow) {
+        v_rowmax = B::max(v_rowmax, v_h);
       }
       if constexpr (kFind) v_hit = B::or_(v_hit, B::eq(v_h, v_target));
       v_decay = B::subs(v_decay, v_ext);
+    }
+
+    if constexpr (kBest) {
+      // Only a row whose masked max strictly improves on the best (a lane
+      // compare; the best starts at 0 and only ever takes a lane value, so it
+      // fits the lane exactly) is reduced, and its first (smallest-j)
+      // occurrence located — exactly the scalar kernels' progressive
+      // row-major tie-break. In narrow lanes the best never passes the
+      // ceiling, so a row with an H past it always takes this branch, which
+      // is where the overflow test runs.
+      if (B::any_gt(v_rowmax, static_cast<Lane>(result.best.score))) {
+        alignas(64) Lane lanes[p];
+        B::store(lanes, v_rowmax);
+        Lane rm = 0;
+        for (const Lane x : lanes) rm = std::max(rm, x);
+        const Score row_max = static_cast<Score>(rm);
+        if constexpr (kNarrow) {
+          if (row_max > StripedBindings<Lane>::kEnvelope.ceiling) {
+            result.overflowed = true;
+            return result;
+          }
+        }
+        for (Index l = 0; l < p; ++l) {
+          Index hit = -1;
+          for (Index k = 0; k < t && l * t + k < w; ++k) {
+            if (static_cast<Score>(H[static_cast<std::size_t>(k * p + l)]) == row_max) {
+              hit = l * t + k;
+              break;
+            }
+          }
+          if (hit >= 0) {
+            result.best = dp::LocalBest{row_max, job.r0 + i, job.c0 + hit + 1};
+            break;
+          }
+        }
+      }
+    } else if constexpr (kNarrow) {
+      if (B::any_gt(v_rowmax, static_cast<Lane>(StripedBindings<Lane>::kEnvelope.ceiling))) {
+        result.overflowed = true;
+        return result;
+      }
     }
 
     // Rectified vertical bus: the true last-column (H, E) of this row.
@@ -388,38 +440,12 @@ TileResult run_striped_core(const TileJob& job, TileScratch& scratch) {
         }
       }
     }
-
-    if constexpr (kBest) {
-      // Only a row whose masked max strictly improves on the best (a lane
-      // compare; the best starts at 0 and only ever takes a lane value, so it
-      // fits the lane exactly) is reduced, and its first (smallest-j)
-      // occurrence located — exactly the scalar kernels' progressive
-      // row-major tie-break.
-      if (B::any_gt(v_rowmax, static_cast<Lane>(result.best.score))) {
-        alignas(64) Lane lanes[p];
-        B::store(lanes, v_rowmax);
-        Lane rm = 0;
-        for (const Lane x : lanes) rm = std::max(rm, x);
-        const Score row_max = static_cast<Score>(rm);
-        for (Index l = 0; l < p; ++l) {
-          Index hit = -1;
-          for (Index k = 0; k < t && l * t + k < w; ++k) {
-            if (static_cast<Score>(H[static_cast<std::size_t>(k * p + l)]) == row_max) {
-              hit = l * t + k;
-              break;
-            }
-          }
-          if (hit >= 0) {
-            result.best = dp::LocalBest{row_max, job.r0 + i, job.c0 + hit + 1};
-            break;
-          }
-        }
-      }
-    }
   }
 
   // Publish row r1 back to the horizontal bus (index 0 belongs to the left
-  // neighbour's span and is skipped, as in the scalar kernels).
+  // neighbour's span and is skipped, as in the scalar kernels) — only now,
+  // after every row passed the narrow overflow test, so an overflowed tile
+  // leaves its input bus untouched for the re-run.
   for (Index l = 0; l < p; ++l) {
     for (Index k = 0; k < t; ++k) {
       const Index j = l * t + k;

@@ -46,6 +46,8 @@ Json stage_json(int stage, const core::StageStats& s) {
       .set("tiles_per_second",
            s.seconds > 0 ? static_cast<double>(s.tiles) / s.seconds : 0.0)
       .set("diagonals", static_cast<std::int64_t>(s.diagonals))
+      .set("narrow_rerun_tiles", static_cast<std::int64_t>(s.narrow_rerun_tiles))
+      .set("narrow_rerun_cells", static_cast<std::int64_t>(s.narrow_rerun_cells))
       .set("tiles_stolen", static_cast<std::int64_t>(s.tiles_stolen))
       .set("starvation_waits", static_cast<std::int64_t>(s.starvation_waits))
       .set("blocks_used", static_cast<std::int64_t>(s.blocks_used))
@@ -221,13 +223,21 @@ std::vector<std::string> validate_run_report(const Json& report) {
     if (!require(stage.is_object(), "stage entry is not an object")) continue;
     for (const char* key :
          {"stage", "seconds", "cells", "gcups", "tiles", "tiles_per_second", "diagonals",
-          "tiles_stolen", "starvation_waits", "hbus", "vbus", "sra"}) {
+          "narrow_rerun_tiles", "narrow_rerun_cells", "tiles_stolen", "starvation_waits", "hbus",
+          "vbus", "sra"}) {
       require(stage.find(key) != nullptr,
               std::string("stage entry missing key \"") + key + "\"");
     }
     const Json* cells = stage.find("cells");
     if (cells == nullptr || !cells->is_int()) continue;
     total_cells += cells->as_int();
+    // Invariant: narrow re-runs count each re-run tile's cells once, and
+    // those tiles are among the stage's.
+    if (const Json* rerun = stage.find("narrow_rerun_cells"); rerun != nullptr && rerun->is_int()) {
+      require(rerun->as_int() >= 0 && rerun->as_int() <= cells->as_int(),
+              "stage narrow_rerun_cells (" + std::to_string(rerun->as_int()) +
+                  ") outside [0, stage cells (" + std::to_string(cells->as_int()) + ")]");
+    }
     // Invariant: a stage that attributes its tiles to kernels attributes all
     // of its cells — the per-kernel cells sum to the stage's.
     if (const Json* kernels = stage.find("kernels");

@@ -4,9 +4,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <set>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "alignment/gaplist.hpp"
@@ -236,6 +238,39 @@ TEST(Crc32, ChainedUpdatesEqualOneShot) {
     crc = common::crc32_update(crc, buf.data() + pos, std::min(step, buf.size() - pos));
   }
   EXPECT_EQ(crc, whole);
+}
+
+// crc32_update folds with PCLMULQDQ where the CPU has it (and CUDALIGN_SIMD
+// is not "generic"); either way it must equal the slice-by-8 table path, so
+// stored CRCs never depend on the machine that wrote them.
+TEST(Crc32, DispatchedPathMatchesTablePath) {
+  Rng rng(3212);
+  std::vector<unsigned char> buf(1 << 20);
+  for (auto& byte : buf) byte = static_cast<unsigned char>(rng.below(256));
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const unsigned char* p = buf.data() + offset;
+      ASSERT_EQ(common::crc32_update(0, p, len), common::crc32_update_table(0, p, len))
+          << "offset " << offset << " length " << len;
+      ASSERT_EQ(common::crc32_update(0x9E3779B9u, p, len),
+                common::crc32_update_table(0x9E3779B9u, p, len))
+          << "seeded, offset " << offset << " length " << len;
+    }
+  }
+  EXPECT_EQ(common::crc32(buf.data(), buf.size()),
+            common::crc32_update_table(0, buf.data(), buf.size()));
+  EXPECT_EQ(common::crc32(buf.data() + 3, buf.size() - 3),
+            crc32_bytewise(buf.data() + 3, buf.size() - 3));
+}
+
+TEST(Crc32, HardwarePathFollowsCpuAndGenericBaseline) {
+  const char* simd = std::getenv("CUDALIGN_SIMD");
+  const bool generic = simd != nullptr && std::string_view(simd) == "generic";
+#if defined(__x86_64__) || defined(__i386__)
+  EXPECT_EQ(common::crc32_hardware_active(), !generic && __builtin_cpu_supports("pclmul") != 0);
+#else
+  EXPECT_FALSE(common::crc32_hardware_active());
+#endif
 }
 
 TEST(Format, Counts) {

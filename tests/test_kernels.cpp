@@ -71,12 +71,25 @@ TileJob job_view(const TileCase& tc, std::vector<BusCell>& hbus, std::vector<Bus
   return job;
 }
 
+/// Runs the case through run_tile with `variant` pinned: the variant itself
+/// when it admits the case, and — should its narrow lanes overflow — the
+/// costlier variant that re-ran the tile (result.kernel names it).
 TileOutputs run_variant(const TileCase& tc, const KernelVariant& variant) {
   TileOutputs out;
   out.hbus = tc.hbus;
   out.vbus_out.resize(tc.vbus_in.size());
   TileScratch scratch;
-  out.result = variant.run(job_view(tc, out.hbus, out.vbus_out), scratch);
+  out.result = engine::run_tile(job_view(tc, out.hbus, out.vbus_out), scratch, &variant);
+  return out;
+}
+
+/// The case through run_tile under automatic selection.
+TileOutputs run_automatic(const TileCase& tc) {
+  TileOutputs out;
+  out.hbus = tc.hbus;
+  out.vbus_out.resize(tc.vbus_in.size());
+  TileScratch scratch;
+  out.result = engine::run_tile(job_view(tc, out.hbus, out.vbus_out), scratch);
   return out;
 }
 
@@ -207,6 +220,21 @@ TEST(KernelEquivalence, FuzzRandomTiles) {
                                   "fuzz" + std::to_string(iter));
     check_all_variants(tc);
   }
+  // Tall local tiles with bus H near the int8 ceiling: the narrow striped
+  // kernels admit them by their inputs, and some overflow and re-run.
+  int reruns = 0;
+  for (int iter = 0; iter < 40; ++iter) {
+    const Index rows = 100 + static_cast<Index>(rng.below(200));
+    const Index w = 1 + static_cast<Index>(rng.below(120));
+    TileCase tc = make_case(rng, rows, w, 0, rng.chance(0.7), false, false, paper(),
+                            "fuzz-tall" + std::to_string(iter));
+    for (auto* bus : {&tc.hbus, &tc.vbus_in}) {
+      for (BusCell& cell : *bus) cell.h = 100 - static_cast<Score>(rng.below(30));
+    }
+    check_all_variants(tc);
+    reruns += run_automatic(tc).result.rerun ? 1 : 0;
+  }
+  EXPECT_GT(reruns, 0);
 }
 
 // The 16-bit kernel must refuse tiles whose scores could leave its lanes, and
@@ -362,7 +390,7 @@ TEST(KernelDispatch, DirectRunTileIgnoresProcessPin) {
 TEST(LaneEnvelope, Int16CeilingBoundaryStaysAdmittedAndExact) {
   Rng rng(4242);
   TileCase tc = make_case(rng, 24, 24, 0, true, false, false, paper(), "ceiling-16");
-  // paper match = 1, max(rows, w) = 24: the reachable-score bound is
+  // paper match = 1, min(rows, w) = 24: v16's reachable-score bound is
   // max_h + 24, so max_h = 27976 lands exactly on the 28000 ceiling.
   tc.hbus[5].h = 27976;
   const KernelVariant* v16 = engine::find_kernel("v16-local+best");
@@ -374,9 +402,16 @@ TEST(LaneEnvelope, Int16CeilingBoundaryStaysAdmittedAndExact) {
   const TileOutputs expected = run_variant(tc, engine::kernel_info(KernelId::kLegacy));
   expect_identical(expected, run_variant(tc, *v16), "ceiling-16/v16");
   expect_identical(expected, run_variant(tc, *s16), "ceiling-16/striped16");
-  // One above the boundary the bound can leave the lanes: both must refuse.
-  tc.hbus[5].h = 27977;
-  EXPECT_FALSE(variant_accepts(tc, *v16));
+  // One above, v16's bound can leave the lanes and it refuses. striped16
+  // admits inputs up to the ceiling itself and detects an overflow instead.
+  for (const Score h : {27977, 28000}) {
+    tc.hbus[5].h = h;
+    EXPECT_FALSE(variant_accepts(tc, *v16)) << h;
+    EXPECT_TRUE(variant_accepts(tc, *s16)) << h;
+    expect_identical(run_variant(tc, engine::kernel_info(KernelId::kLegacy)),
+                     run_variant(tc, *s16), "ceiling-16/striped16/" + std::to_string(h));
+  }
+  tc.hbus[5].h = 28001;
   EXPECT_FALSE(variant_accepts(tc, *s16));
 }
 
@@ -404,20 +439,28 @@ TEST(LaneEnvelope, Int16GapFloorBoundary) {
 TEST(LaneEnvelope, Int8CeilingEscalatesToWiderLanes) {
   Rng rng(4244);
   TileCase tc = make_case(rng, 16, 16, 0, true, false, false, paper(), "ceiling-8");
-  // Reachable-score bound = max_h + 16; 84 lands exactly on the 100 ceiling.
-  tc.hbus[3].h = 84;
+  // Inputs up to the 100 ceiling are admitted; an H the tile computes past it
+  // makes striped8 report an overflow, and run_tile re-runs the tile on
+  // striped16, which publishes.
+  for (BusCell& cell : tc.hbus) cell.h = 100;
   const KernelVariant* s8 = engine::find_kernel("striped8-local+best");
   const KernelVariant* s16 = engine::find_kernel("striped16-local+best");
   ASSERT_NE(s8, nullptr);
   ASSERT_NE(s16, nullptr);
   EXPECT_TRUE(variant_accepts(tc, *s8));
+  EXPECT_EQ(auto_selected(tc), KernelId::kStriped8LocalBest);
   const TileOutputs expected = run_variant(tc, engine::kernel_info(KernelId::kLegacy));
-  expect_identical(expected, run_variant(tc, *s8), "ceiling-8/striped8");
-  // One above: the 8-bit lanes could overflow, so the precheck escalates the
-  // tile to the 16-bit variant, which stays exact.
-  tc.hbus[3].h = 85;
+  ASSERT_GT(expected.result.best.score, 100);
+  const TileOutputs got = run_variant(tc, *s8);
+  expect_identical(expected, got, "ceiling-8/striped8");
+  EXPECT_TRUE(got.result.rerun);
+  EXPECT_EQ(got.result.kernel, KernelId::kStriped16LocalBest);
+  // One above the ceiling the inputs themselves do not fit: selection
+  // escalates the tile to the 16-bit variant before it runs.
+  tc.hbus[3].h = 101;
   EXPECT_FALSE(variant_accepts(tc, *s8));
   ASSERT_TRUE(variant_accepts(tc, *s16));
+  EXPECT_EQ(auto_selected(tc), KernelId::kStriped16LocalBest);
   expect_identical(run_variant(tc, engine::kernel_info(KernelId::kLegacy)),
                    run_variant(tc, *s16), "ceiling-8-escalated/striped16");
 }
@@ -440,29 +483,26 @@ TEST(LaneEnvelope, Int8GapFloorEscalatesToWiderLanes) {
                    run_variant(tc, *s16), "floor-8-escalated/striped16");
 }
 
-// The match term alone decides a tall tile: with every bus H at 0 the int8
-// bound is match * min(rows, w), so 100 rows sit exactly on the ceiling and
-// 101 pass it. A default Stage-1 tile (256 rows, the paper's alpha * T) is
-// refused by striped8 on that term and admitted by striped16, which stays
-// exact and is what automatic selection runs.
-TEST(LaneEnvelope, TallTileRefusedByInt8OnItsMatchTermAlone) {
+// A tall tile is admitted by its inputs, not by its height: with every bus H
+// at 0, a default Stage-1 tile (256 rows, the paper's alpha * T) of random
+// sequences runs on striped8 under automatic selection and stays exact
+// without a re-run.
+TEST(LaneEnvelope, TallLowValueTileRunsOnInt8) {
   const KernelVariant* s8 = engine::find_kernel("striped8-local+best");
-  const KernelVariant* s16 = engine::find_kernel("striped16-local+best");
   ASSERT_NE(s8, nullptr);
-  ASSERT_NE(s16, nullptr);
   Rng rng(4246);
   for (const Index rows : {100, 101, 256}) {
     TileCase tc = make_case(rng, rows, 417, 0, true, false, false, paper(),
                             "tall" + std::to_string(rows));
     for (BusCell& cell : tc.hbus) cell = BusCell{0, kNegInf};
     for (BusCell& cell : tc.vbus_in) cell = BusCell{0, kNegInf};
-    EXPECT_EQ(variant_accepts(tc, *s8), rows <= 100) << tc.name;
-    ASSERT_TRUE(variant_accepts(tc, *s16)) << tc.name;
-    EXPECT_EQ(auto_selected(tc),
-              rows <= 100 ? KernelId::kStriped8LocalBest : KernelId::kStriped16LocalBest)
-        << tc.name;
-    expect_identical(run_variant(tc, engine::kernel_info(KernelId::kLegacy)),
-                     run_variant(tc, *s16), tc.name + " / striped16");
+    EXPECT_TRUE(variant_accepts(tc, *s8)) << tc.name;
+    EXPECT_EQ(auto_selected(tc), KernelId::kStriped8LocalBest) << tc.name;
+    const TileOutputs got = run_variant(tc, *s8);
+    expect_identical(run_variant(tc, engine::kernel_info(KernelId::kLegacy)), got,
+                     tc.name + " / striped8");
+    EXPECT_FALSE(got.result.rerun) << tc.name;
+    EXPECT_EQ(got.result.kernel, KernelId::kStriped8LocalBest) << tc.name;
   }
 }
 
@@ -1052,10 +1092,11 @@ TEST(Striped32Local, MatchesLegacyPastInt16UnderEveryIsa) {
 
 TEST(Striped32Local, EnvelopeEdges) {
   Rng rng(9091);
-  // Just past the int16 ceiling (see LaneEnvelope.Int16CeilingBoundary...):
-  // striped16 refuses, the int32 lanes take the tile and stay exact.
+  // An input just past the int16 ceiling (see
+  // LaneEnvelope.Int16CeilingBoundary...): striped16 refuses, the int32 lanes
+  // take the tile and stay exact.
   TileCase tc = make_case(rng, 24, 24, 0, true, false, false, paper(), "past-16");
-  tc.hbus[5].h = 27977;
+  tc.hbus[5].h = 28001;
   EXPECT_FALSE(variant_accepts(tc, *engine::find_kernel("striped16-local+best")));
   ASSERT_TRUE(variant_accepts(tc, striped32_local()));
   const TileOutputs legacy = run_variant(tc, engine::kernel_info(KernelId::kLegacy));
@@ -1149,6 +1190,131 @@ TEST(Striped32Local, AutomaticSelectionTakesStage1TilesPastInt16) {
   EXPECT_EQ(auto_selected(tc), KernelId::kStriped32LocalBest);
   lift_bus(tc, 5000000);
   EXPECT_EQ(auto_selected(tc), KernelId::kStriped32LocalBest);
+}
+
+// ---------------------------------------------------------------------------
+// Narrow overflow: the int8 / int16 striped kernels admit a tile by its
+// inputs and report an overflow when an H passes their ceiling, without
+// touching the horizontal bus; run_tile re-runs the tile on the cheapest
+// costlier variant. Every published byte must equal legacy's.
+// ---------------------------------------------------------------------------
+
+/// A local best-tracking tile whose row segment is a prefix of its column
+/// segment, so H climbs by the match score down the main diagonal; every bus
+/// cell carries H = `bus_h` and an unreachable gap.
+TileCase identical_tile(Index rows, Index w, Score bus_h, std::uint64_t seed) {
+  TileCase tc;
+  tc.name = "identical" + std::to_string(rows) + "x" + std::to_string(w) + "_h" +
+            std::to_string(bus_h);
+  tc.r1 = rows;
+  tc.c1 = w;
+  tc.b = rand_seq(w, seed);
+  const seq::SequenceView b = tc.b.bases();
+  tc.a = seq::Sequence("a", std::vector<seq::Base>(b.begin(), b.begin() + rows));
+  tc.recurrence = Recurrence::local(paper());
+  tc.track_best = true;
+  tc.hbus.assign(static_cast<std::size_t>(w) + 1, BusCell{bus_h, kNegInf});
+  tc.vbus_in.assign(static_cast<std::size_t>(rows) + 1, BusCell{bus_h, kNegInf});
+  return tc;
+}
+
+/// Runs `variant` alone (no re-run) and expects an overflow that left the
+/// horizontal bus as it was.
+void expect_overflow_publishes_nothing(const TileCase& tc, const KernelVariant& variant,
+                                       const std::string& label) {
+  std::vector<BusCell> hbus = tc.hbus;
+  std::vector<BusCell> vbus_out(tc.vbus_in.size());
+  TileScratch scratch;
+  const TileResult raw = variant.run(job_view(tc, hbus, vbus_out), scratch);
+  EXPECT_TRUE(raw.overflowed) << label;
+  EXPECT_EQ(hbus, tc.hbus) << label << ": an overflowed tile published its horizontal bus";
+}
+
+TEST(NarrowOverflow, IdenticalSequenceTileOverflowsInt8) {
+  const TileCase tc = identical_tile(256, 417, 0, 8080);
+  const KernelVariant& s8_best = engine::kernel_info(KernelId::kStriped8LocalBest);
+  const KernelVariant& s8 = engine::kernel_info(KernelId::kStriped8Local);
+  TileCase plain = tc;
+  plain.track_best = false;
+  ASSERT_TRUE(variant_accepts(tc, s8_best));
+  ASSERT_TRUE(variant_accepts(plain, s8));
+  EXPECT_EQ(auto_selected(tc), KernelId::kStriped8LocalBest);
+  const TileOutputs legacy = run_variant(tc, engine::kernel_info(KernelId::kLegacy));
+  const TileOutputs legacy_plain = run_variant(plain, engine::kernel_info(KernelId::kLegacy));
+  ASSERT_EQ(legacy.result.best.score, 256);
+  const int forced = for_each_isa([&](const std::string& isa) {
+    expect_overflow_publishes_nothing(tc, s8_best, isa);
+    expect_overflow_publishes_nothing(plain, s8, isa + " / plain");
+    const TileOutputs got = run_automatic(tc);
+    expect_identical(legacy, got, "automatic / " + isa);
+    EXPECT_TRUE(got.result.rerun) << isa;
+    EXPECT_EQ(got.result.kernel, KernelId::kStriped16LocalBest) << isa;
+    const TileOutputs got_plain = run_variant(plain, s8);
+    expect_identical(legacy_plain, got_plain, "pinned striped8-local / " + isa);
+    EXPECT_TRUE(got_plain.result.rerun) << isa;
+    EXPECT_EQ(got_plain.result.kernel, KernelId::kStriped16Local) << isa;
+  });
+  EXPECT_GE(forced, 1);
+}
+
+TEST(NarrowOverflow, Int16TileNearCeilingOverflows) {
+  // Inputs at 27900 fit the int16 envelope; 100 matches later H passes 28000.
+  const TileCase tc = identical_tile(256, 417, 27900, 8081);
+  const KernelVariant& s16 = engine::kernel_info(KernelId::kStriped16LocalBest);
+  ASSERT_FALSE(variant_accepts(tc, engine::kernel_info(KernelId::kStriped8LocalBest)));
+  ASSERT_TRUE(variant_accepts(tc, s16));
+  EXPECT_EQ(auto_selected(tc), KernelId::kStriped16LocalBest);
+  const TileOutputs legacy = run_variant(tc, engine::kernel_info(KernelId::kLegacy));
+  ASSERT_EQ(legacy.result.best.score, 27900 + 256);
+  const int forced = for_each_isa([&](const std::string& isa) {
+    expect_overflow_publishes_nothing(tc, s16, isa);
+    const TileOutputs got = run_automatic(tc);
+    expect_identical(legacy, got, "automatic / " + isa);
+    EXPECT_TRUE(got.result.rerun) << isa;
+    EXPECT_EQ(got.result.kernel, KernelId::kStriped32LocalBest) << isa;
+  });
+  EXPECT_GE(forced, 1);
+}
+
+TEST(NarrowOverflow, PinnedStriped8TileOverflowsAndRunCountsIt) {
+  // Tile level: bus H at 90 is admitted, and the diagonal passes 100 early.
+  const TileCase tc = identical_tile(64, 200, 90, 8082);
+  const KernelVariant& s8 = engine::kernel_info(KernelId::kStriped8LocalBest);
+  ASSERT_TRUE(variant_accepts(tc, s8));
+  const TileOutputs legacy = run_variant(tc, engine::kernel_info(KernelId::kLegacy));
+  const int forced = for_each_isa([&](const std::string& isa) {
+    expect_overflow_publishes_nothing(tc, s8, isa);
+    const TileOutputs got = run_variant(tc, s8);
+    expect_identical(legacy, got, "pinned striped8 / " + isa);
+    EXPECT_TRUE(got.result.rerun) << isa;
+    EXPECT_EQ(got.result.kernel, KernelId::kStriped16LocalBest) << isa;
+  });
+  EXPECT_GE(forced, 1);
+
+  // Problem level: a self-alignment climbs past 100 a little over a hundred
+  // rows in; the pinned run re-runs the tiles where it happens, counts them,
+  // and still attributes every cell to the variant that published.
+  const auto a = rand_seq(400, 8083);
+  engine::ProblemSpec spec;
+  spec.a = a.bases();
+  spec.b = a.bases();
+  spec.grid = engine::GridSpec{3, 8, 4, 1};
+  spec.recurrence = Recurrence::local(paper());
+  const auto expected = engine::run_reference(spec, engine::Hooks{});
+  engine::RunResult run;
+  {
+    const test::ScopedKernelPin pin("striped8-local+best");
+    run = engine::run_wavefront(spec, engine::Hooks{});
+  }
+  EXPECT_EQ(run.best.score, expected.best.score);
+  EXPECT_EQ(run.best.i, expected.best.i);
+  EXPECT_EQ(run.best.j, expected.best.j);
+  EXPECT_GT(run.stats.narrow_rerun_tiles, 0) << engine::kernel_usage_summary(run.stats);
+  EXPECT_GT(run.stats.narrow_rerun_cells, 0);
+  EXPECT_LE(run.stats.narrow_rerun_cells, run.stats.cells);
+  WideScore cells = 0;
+  for (const auto& tally : run.stats.kernels) cells += tally.cells;
+  EXPECT_EQ(cells, run.stats.cells);
 }
 
 }  // namespace

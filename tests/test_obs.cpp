@@ -307,6 +307,20 @@ TEST(RunReport, ValidatorFlagsTampering) {
   broken_totals.set("totals", Json::object().set("seconds", 0.0).set("cells", 1).set("gcups", 0.0));
   EXPECT_FALSE(validate_run_report(broken_totals).empty());
 
+  // Narrow re-run cells are a subset of their stage's cells.
+  {
+    const auto& stages = report.at("stages").as_array();
+    Json rebuilt = Json::array();
+    for (std::size_t k = 0; k < stages.size(); ++k) {
+      Json stage = stages[k];
+      if (k == 0) stage.set("narrow_rerun_cells", stage.at("cells").as_int() + 1);
+      rebuilt.push(std::move(stage));
+    }
+    Json bad_rerun = report;
+    bad_rerun.set("stages", rebuilt);
+    EXPECT_FALSE(validate_run_report(bad_rerun).empty());
+  }
+
   for (const Json& rss : {Json(0), Json(-4096), Json("1 MB")}) {
     Json bad_rss = report;
     Json totals = report.at("totals");

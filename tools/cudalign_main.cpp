@@ -43,7 +43,9 @@ int usage() {
 scalar-global, v16-local+best, striped8-local+best, striped16-local+best,
 striped32-local+best, striped32-global; equivalent to CUDALIGN_KERNEL) for
 Stages 1-4; tiles outside the variant's envelope fall back to automatic
-selection, so scores are unaffected. The striped kernels pick their SIMD
+selection, and a tile whose scores overflow a pinned striped8/striped16
+variant's lanes re-runs on wider lanes (counted as "narrow re-runs" by
+--stats), so scores are unaffected. The striped kernels pick their SIMD
 backend at runtime; CUDALIGN_SIMD=auto|generic|sse2|avx2|avx512
 forces one (unknown or unsupported values fail fast with exit code 2).
 --executor picks the schedule of the Stage-1 wavefront: dataflow (default;
@@ -212,9 +214,12 @@ int cmd_align(const common::Args& args) {
     }
     std::printf("\nkernel usage (tiles/cells):\n");
     for (int k = 0; k < 6; ++k) {
-      const std::string usage =
-          engine::kernel_usage_summary(result.stages[static_cast<std::size_t>(k)].kernels);
-      if (!usage.empty()) std::printf("  stage %d: %s\n", k + 1, usage.c_str());
+      const auto& st = result.stages[static_cast<std::size_t>(k)];
+      const std::string usage = engine::kernel_usage_summary(st.kernels);
+      if (usage.empty()) continue;
+      std::printf("  stage %d: %s; narrow re-runs %lld/%lld\n", k + 1, usage.c_str(),
+                  static_cast<long long>(st.narrow_rerun_tiles),
+                  static_cast<long long>(st.narrow_rerun_cells));
     }
   }
   return 0;
@@ -244,6 +249,9 @@ int cmd_score(const common::Args& args) {
               format_seconds(st1.stats.seconds).c_str(),
               static_cast<double>(st1.stats.cells) / st1.stats.seconds / 1e6);
   std::printf("kernels: %s\n", engine::kernel_usage_summary(st1.stats.kernels).c_str());
+  std::printf("narrow re-runs (tiles/cells): %lld/%lld\n",
+              static_cast<long long>(st1.stats.narrow_rerun_tiles),
+              static_cast<long long>(st1.stats.narrow_rerun_cells));
   return 0;
 }
 
