@@ -5,14 +5,13 @@
 // sizes grow, and bus/SRA traffic scales with the matrix area, not with the
 // alignment length.
 //
-// Each entry runs under both Stage-1 executors (lockstep and dataflow), and
-// pruning-heavy entries (the unrelated regime, where most tiles prune) also
-// run with block pruning on. The per-entry "stage-1 dataflow speedup" line is
-// the headline: pruning makes tile costs wildly uneven, which is exactly the
-// load the per-diagonal barrier pays for and the dataflow executor does not.
+// Pruning-heavy entries (the unrelated regime, where most tiles prune) also
+// run with block pruning on ([pruned]): pruning makes tile costs wildly
+// uneven, the load the dataflow wavefront absorbs without a per-diagonal
+// barrier.
 //
 // Kernel-pinned rows ([v16] / [striped8] / [striped16]) rerun the plain
-// lockstep configuration with the process-wide kernel override set, so the
+// configuration with the process-wide kernel override set, so the
 // Stage-1 throughput of the auto-vectorized anti-diagonal sweep and the
 // hand-striped Farrar kernels can be compared on identical work. The pin is
 // best-effort by design: tiles outside a kernel's envelope fall back to
@@ -27,6 +26,7 @@
 
 #include "bench_util.hpp"
 #include "common/args.hpp"
+#include "common/thread_pool.hpp"
 #include "engine/kernel_registry.hpp"
 #include "obs/report.hpp"
 #include "obs/telemetry.hpp"
@@ -35,25 +35,21 @@ namespace {
 
 struct Variant {
   const char* suffix;  ///< Appended to both the table and the JSON label.
-  cudalign::engine::ExecutorKind executor;
   bool prune;
   const char* kernel = "";  ///< Process-wide kernel pin for this row ("" = auto).
 };
 
 std::vector<Variant> variants_for(const cudalign::bench::RosterEntry& e) {
-  using cudalign::engine::ExecutorKind;
   std::vector<Variant> v = {
-      {"", ExecutorKind::kLockstep, false},
-      {" [dataflow]", ExecutorKind::kDataflow, false},
-      {" [v16]", ExecutorKind::kLockstep, false, "v16-local+best"},
-      {" [striped8]", ExecutorKind::kLockstep, false, "striped8-local+best"},
-      {" [striped16]", ExecutorKind::kLockstep, false, "striped16-local+best"},
+      {"", false},
+      {" [v16]", false, "v16-local+best"},
+      {" [striped8]", false, "striped8-local+best"},
+      {" [striped16]", false, "striped16-local+best"},
   };
   if (!e.related) {
     // Short local optimum: block pruning skips most of the matrix and tile
     // costs become bimodal — the pruning-heavy configuration.
-    v.push_back({" [pruned]", ExecutorKind::kLockstep, true});
-    v.push_back({" [pruned, dataflow]", ExecutorKind::kDataflow, true});
+    v.push_back({" [pruned]", true});
   }
   return v;
 }
@@ -82,21 +78,20 @@ int main(int argc, char** argv) {
   std::printf("%-32s | %8s %8s | %7s | %10s %10s | %8s\n", "Comparison", "total", "stage 1",
               "GCUPS", "bus MB", "SRA MB", "score");
 
+  // Start the shared pool before any row is timed: its thread start-up is
+  // process setup, and would otherwise land on whichever row runs first.
+  (void)ThreadPool::shared();
+
   obs::Json runs = obs::Json::array();
   std::vector<RosterEntry> entries = roster(/*include_large=*/!fast);
   if (fast) entries.resize(1);
 
   for (const auto& e : entries) {
     const auto pair = make_pair(e);
-    // Stage-1 seconds per variant, for the lockstep-vs-dataflow speedup line.
-    double s1_plain[2] = {0, 0};   // [0] lockstep, [1] dataflow.
-    double s1_pruned[2] = {0, 0};
-    bool have_pruned = false;
     double s1_v16 = 0, s1_striped8 = 0, s1_striped16 = 0;  // For the striped-vs-v16 speedup line.
 
     for (const Variant& v : variants_for(e)) {
       core::PipelineOptions options = bench_options();
-      options.executor = v.executor;
       options.block_pruning = v.prune;
       obs::Telemetry telemetry;
       options.telemetry = &telemetry;
@@ -116,9 +111,6 @@ int main(int argc, char** argv) {
       const WideScore matrix_cells =
           static_cast<WideScore>(pair.s0.size()) * static_cast<WideScore>(pair.s1.size());
       const double stage1 = result.stages[0].seconds;
-      const int df = options.executor == engine::ExecutorKind::kDataflow ? 1 : 0;
-      if (v.kernel[0] == '\0') (v.prune ? s1_pruned : s1_plain)[df] = stage1;
-      have_pruned = have_pruned || v.prune;
       if (std::string_view(v.kernel) == "v16-local+best") s1_v16 = stage1;
       if (std::string_view(v.kernel) == "striped8-local+best") s1_striped8 = stage1;
       if (std::string_view(v.kernel) == "striped16-local+best") s1_striped16 = stage1;
@@ -141,13 +133,6 @@ int main(int argc, char** argv) {
                     .set("report", obs::build_run_report(ctx)));
     }
 
-    if (s1_plain[1] > 0) {
-      std::printf("  stage-1 dataflow speedup: %.2fx plain", s1_plain[0] / s1_plain[1]);
-      if (have_pruned && s1_pruned[1] > 0) {
-        std::printf(", %.2fx pruned", s1_pruned[0] / s1_pruned[1]);
-      }
-      std::printf("\n");
-    }
     if (s1_v16 > 0 && s1_striped16 > 0) {
       std::printf("  stage-1 striped16 vs v16 speedup: %.2fx", s1_v16 / s1_striped16);
       if (s1_striped8 > 0) std::printf(", striped8 %.2fx", s1_v16 / s1_striped8);
@@ -156,8 +141,7 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\nShape check: Stage 1 dominates the total and GCUPS stays near-flat\n"
-              "across sizes (the paper's near-constant MCUPS plateau, Figure 11);\n"
-              "the dataflow executor pulls ahead where pruning skews tile costs.\n");
+              "across sizes (the paper's near-constant MCUPS plateau, Figure 11).\n");
 
   if (json_path != "off") {
     obs::Json doc = obs::Json::object()

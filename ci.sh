@@ -11,6 +11,9 @@
 #      Stage-4 tile suites under every supported ISA; full mode reruns the
 #      ENTIRE ctest suite under every ISA the runner supports (generic, sse2,
 #      avx2, and avx512 on capable CPUs).
+#      Then the run-report smoke: a small align's report must pass
+#      report-check, and a second run with --audit-bus must audit clean,
+#      validate, and write a binary alignment identical to the first.
 #   2. Bench + regression gate: bench_pipeline --fast, then tools/bench_gate
 #      compares it against bench/baseline.json (tolerance
 #      ${CUDALIGN_BENCH_TOLERANCE:-15} percent; the gate's own self-test runs
@@ -235,13 +238,13 @@ CLI=build-ci-release/tools/cudalign
   --report "$ART_DIR/run-report-sample.json" >/dev/null
 "$CLI" report-check "$ART_DIR/run-report-sample.json"
 grep -q '"peak_rss_bytes"' "$ART_DIR/run-report-sample.json"
-# The same pair under the lockstep reference executor: its report must
-# validate too, and its binary alignment must match the default (dataflow)
+# The same pair with every bus hand-off audited: the audit must pass, its
+# report must validate too, and its binary alignment must match the default
 # run byte for byte.
-"$CLI" align "$OBS_DIR/a.fasta" "$OBS_DIR/b.fasta" --executor lockstep \
-  --out "$OBS_DIR/aln-lockstep.bin" --report "$OBS_DIR/run-report-lockstep.json" >/dev/null
-"$CLI" report-check "$OBS_DIR/run-report-lockstep.json"
-cmp "$OBS_DIR/aln.bin" "$OBS_DIR/aln-lockstep.bin"
+"$CLI" align "$OBS_DIR/a.fasta" "$OBS_DIR/b.fasta" --audit-bus \
+  --out "$OBS_DIR/aln-audit.bin" --report "$OBS_DIR/run-report-audit.json" >/dev/null
+"$CLI" report-check "$OBS_DIR/run-report-audit.json"
+cmp "$OBS_DIR/aln.bin" "$OBS_DIR/aln-audit.bin"
 
 # 2. Bench + regression gate. The self-test exercises the comparator with a
 # synthetic 30% slowdown and must detect it; the real comparison pits the

@@ -29,7 +29,6 @@ const char* rule_name(BusViolation::Rule rule) {
     case BusViolation::Rule::kReadAfterOverwrite: return "read-after-overwrite";
     case BusViolation::Rule::kIllegalReader: return "illegal-reader";
     case BusViolation::Rule::kIllegalWriter: return "illegal-writer";
-    case BusViolation::Rule::kSameDiagonalHazard: return "same-diagonal-hazard";
     case BusViolation::Rule::kOverwriteBeforeRead: return "overwrite-before-read";
     case BusViolation::Rule::kFlushOutOfOrder: return "flush-out-of-order";
   }
@@ -39,11 +38,11 @@ const char* rule_name(BusViolation::Rule rule) {
 std::string BusEndpoint::describe() const {
   std::ostringstream os;
   if (block == kSeedBlock) {
-    os << "executor seed (strip " << strip << ") at diagonal " << diagonal;
+    os << "executor seed (strip " << strip << ")";
   } else if (block == kFlushBlock) {
-    os << "flush hand-off (strip " << strip << ") at diagonal " << diagonal;
+    os << "flush hand-off (strip " << strip << ")";
   } else {
-    os << "tile (strip " << strip << ", block " << block << ") on diagonal " << diagonal;
+    os << "tile (strip " << strip << ", block " << block << ")";
   }
   os << " [thread " << std::hex << thread_id << std::dec << "]";
   return os.str();
@@ -62,7 +61,7 @@ std::string BusViolation::describe() const {
 }
 
 void BusAuditor::begin_run(Index n, Index strips, Index blocks, Index strip_rows,
-                           std::vector<Index> cuts, OrderModel order, Index ring) {
+                           std::vector<Index> cuts, Index ring) {
   CUDALIGN_CHECK(static_cast<Index>(cuts.size()) == blocks + 1,
                  "bus audit: cuts must have blocks + 1 entries");
   CUDALIGN_CHECK(strip_rows < kVSlotStride, "bus audit: strip height exceeds the slot encoding");
@@ -72,10 +71,9 @@ void BusAuditor::begin_run(Index n, Index strips, Index blocks, Index strip_rows
   strips_ = strips;
   blocks_ = blocks;
   strip_rows_ = strip_rows;
-  order_ = order;
   ring_ = ring;
   cuts_ = std::move(cuts);
-  last_flush_ = BusEndpoint{-1, BusEndpoint::kFlushBlock, -1, 0};
+  last_flush_ = BusEndpoint{-1, BusEndpoint::kFlushBlock, 0};
   hshadow_.assign(static_cast<std::size_t>(n) + 1, Shadow{});
   vshadow_.assign(2 * static_cast<std::size_t>(ring) * static_cast<std::size_t>(strip_rows + 1),
                   Shadow{});
@@ -110,18 +108,10 @@ void BusAuditor::record(BusViolation::Rule rule, bool horizontal, Index slot,
 void BusAuditor::check_read(Shadow& cell, bool horizontal, Index slot, bool fresh,
                             const BusEndpoint& reader) {
   ++events_;
+  // The writer merely has to have published first: the mutex-serialized
+  // event stream is that order, so a premature read surfaces here.
   if (!fresh) {
     record(BusViolation::Rule::kReadBeforeWrite, horizontal, slot, cell.writer, reader);
-  } else if (order_ == OrderModel::kDiagonalBarrier &&
-             (cell.seed ? cell.writer.diagonal > reader.diagonal
-                        : cell.writer.diagonal >= reader.diagonal)) {
-    // Lockstep only: tile-to-tile hand-offs must cross an external-diagonal
-    // barrier; a column-0 seed is written by its reading tile itself, before
-    // the read, so equality is legal for it. Under kTileHappensBefore the
-    // writer merely has to have published first — the mutex-serialized event
-    // stream IS that order, so a premature read already surfaced above as
-    // read-before-write.
-    record(BusViolation::Rule::kSameDiagonalHazard, horizontal, slot, cell.writer, reader);
   }
   cell.read_since_write = true;
   cell.reader = reader;
@@ -145,7 +135,7 @@ void BusAuditor::check_write(Shadow& cell, bool horizontal, Index slot,
 
 void BusAuditor::seed_horizontal() {
   std::lock_guard lock(mutex_);
-  const BusEndpoint seed{-1, BusEndpoint::kSeedBlock, -1, this_thread_hash()};
+  const BusEndpoint seed{-1, BusEndpoint::kSeedBlock, this_thread_hash()};
   for (Index j = 0; j <= n_; ++j) {
     Shadow& cell = hshadow_[static_cast<std::size_t>(j)];
     ++events_;
@@ -162,7 +152,7 @@ void BusAuditor::seed_horizontal() {
 
 void BusAuditor::seed_vertical(Index strip, Index rows) {
   std::lock_guard lock(mutex_);
-  const BusEndpoint seed{strip, BusEndpoint::kSeedBlock, strip, this_thread_hash()};
+  const BusEndpoint seed{strip, BusEndpoint::kSeedBlock, this_thread_hash()};
   for (Index t = 0; t <= rows; ++t) {
     Shadow& cell = vcell(strip, 0, t);
     ++events_;
@@ -180,9 +170,9 @@ void BusAuditor::seed_vertical(Index strip, Index rows) {
   }
 }
 
-void BusAuditor::read_horizontal(Index strip, Index block, Index diagonal, Index c0, Index c1) {
+void BusAuditor::read_horizontal(Index strip, Index block, Index c0, Index c1) {
   std::lock_guard lock(mutex_);
-  const BusEndpoint reader{strip, block, diagonal, this_thread_hash()};
+  const BusEndpoint reader{strip, block, this_thread_hash()};
   for (Index j = c0 + 1; j <= c1; ++j) {
     Shadow& cell = hshadow_[static_cast<std::size_t>(j)];
     if (owner_of(j) != block) {
@@ -195,9 +185,9 @@ void BusAuditor::read_horizontal(Index strip, Index block, Index diagonal, Index
   }
 }
 
-void BusAuditor::write_horizontal(Index strip, Index block, Index diagonal, Index c0, Index c1) {
+void BusAuditor::write_horizontal(Index strip, Index block, Index c0, Index c1) {
   std::lock_guard lock(mutex_);
-  const BusEndpoint writer{strip, block, diagonal, this_thread_hash()};
+  const BusEndpoint writer{strip, block, this_thread_hash()};
   for (Index j = c0 + 1; j <= c1; ++j) {
     Shadow& cell = hshadow_[static_cast<std::size_t>(j)];
     if (owner_of(j) != block) {
@@ -209,9 +199,9 @@ void BusAuditor::write_horizontal(Index strip, Index block, Index diagonal, Inde
   }
 }
 
-void BusAuditor::read_vertical(Index strip, Index block, Index diagonal, Index rows) {
+void BusAuditor::read_vertical(Index strip, Index block, Index rows) {
   std::lock_guard lock(mutex_);
-  const BusEndpoint reader{strip, block, diagonal, this_thread_hash()};
+  const BusEndpoint reader{strip, block, this_thread_hash()};
   for (Index t = 0; t <= rows; ++t) {
     // Boundary `block` is the only one tile (strip, block) may read: the
     // value its left neighbour (strip, block - 1) published, or the seed
@@ -231,9 +221,9 @@ void BusAuditor::read_vertical(Index strip, Index block, Index diagonal, Index r
   }
 }
 
-void BusAuditor::write_vertical(Index strip, Index block, Index diagonal, Index rows) {
+void BusAuditor::write_vertical(Index strip, Index block, Index rows) {
   std::lock_guard lock(mutex_);
-  const BusEndpoint writer{strip, block, diagonal, this_thread_hash()};
+  const BusEndpoint writer{strip, block, this_thread_hash()};
   for (Index t = 0; t <= rows; ++t) {
     Shadow& cell = vcell(strip, block + 1, t);
     const Index slot = (block + 1) * kVSlotStride + t;
@@ -254,22 +244,22 @@ void BusAuditor::write_vertical(Index strip, Index block, Index diagonal, Index 
   }
 }
 
-void BusAuditor::flush_handoff(Index strip, Index diagonal) {
+void BusAuditor::flush_handoff(Index strip) {
   std::lock_guard lock(mutex_);
-  const BusEndpoint handoff{strip, BusEndpoint::kFlushBlock, diagonal, this_thread_hash()};
+  const BusEndpoint handoff{strip, BusEndpoint::kFlushBlock, this_thread_hash()};
   ++events_;
   // The prefix property: special rows reach the flush pipeline (and thus the
   // SRA store, the durable-ack queue and the checkpoint cursor) in strictly
-  // ascending strip order under both executors.
+  // ascending strip order.
   if (strip <= last_flush_.strip) {
     record(BusViolation::Rule::kFlushOutOfOrder, true, 0, last_flush_, handoff);
   }
   last_flush_ = handoff;
   // Row completeness: by retirement every chunk of this strip has published
   // its hbus segment, so no slot may still carry a pass *older* than this
-  // strip. Equal-or-newer is legal under both models — row segments are
-  // captured per tile, and successor strips may have overwritten early
-  // chunks by the time the strip retires.
+  // strip. Equal-or-newer is legal: row segments are captured per tile, and
+  // successor strips may have overwritten early chunks by the time the strip
+  // retires.
   for (Index j = 1; j <= n_; ++j) {
     Shadow& cell = hshadow_[static_cast<std::size_t>(j)];
     if (!cell.written || cell.writer_strip < strip) {

@@ -6,18 +6,16 @@
 //
 //   * horizontal bus slot j (a column vertex) is owned by one column chunk b;
 //     it is written exactly once per strip pass — by tile (s, b), holding row
-//     r1 — and read exactly once, by the successor tile (s+1, b), strictly
-//     later in external-diagonal order;
+//     r1 — and read exactly once, by the successor tile (s+1, b);
 //   * vertical bus boundary k is written by tile (s, k-1) (or seeded by the
-//     executor for k = 0) and read by tile (s, k) within the same strip, one
-//     external diagonal later;
-//   * no tile may read a slot before its writer's diagonal has completed
-//     (read-before-write across external diagonals), and no tile may
-//     overwrite a slot whose previous value has not been consumed.
+//     executor for k = 0) and read by tile (s, k) within the same strip;
+//   * no tile may read a slot before its writer has published
+//     (read-before-write), and no tile may overwrite a slot whose previous
+//     value has not been consumed.
 //
 // The auditor is an opt-in shadow recorder: the executor reports every bus
-// segment read/write with (strip, block, external diagonal, thread)
-// coordinates, the auditor replays them against per-slot shadow state and
+// segment read/write with (strip, block, thread) coordinates, the auditor
+// replays them against per-slot shadow state and
 // records violations with BOTH endpoints (the offending access and the access
 // it conflicts with), like a race detector report. The vertical shadow
 // models the executor's buffers exactly: `ring` strip slots of two buffers
@@ -29,18 +27,12 @@
 // than the strips the schedule keeps in flight surfaces as
 // overwrite-before-read.
 //
-// Two ordering models (OrderModel, chosen per run):
-//
-//   * kDiagonalBarrier (lockstep): tile-to-tile hand-offs must additionally
-//     cross an external-diagonal barrier — a read on its writer's own
-//     diagonal is the same-diagonal hazard, reported even though the values
-//     happen to be correct.
-//   * kTileHappensBefore (dataflow): there is no barrier; the hand-off
-//     contract is per-tile happens-before — each slot's writer must have
-//     published before its unique reader consumes. The auditor's mutex
-//     serializes events in real execution order, so a premature concurrent
-//     read surfaces as read-before-write (or read-after-overwrite) with both
-//     endpoints; the diagonal-barrier rule is deliberately not applied.
+// The ordering model is per-tile happens-before, the dataflow executor's
+// contract: there is no external-diagonal barrier, and each slot's writer
+// must have published before its unique reader consumes. The auditor's mutex
+// serializes events in real execution order, so a premature concurrent read
+// surfaces as read-before-write (or read-after-overwrite) with both
+// endpoints.
 //
 // Overhead is O(slots touched) per tile plus one mutex acquisition; it is a
 // debug/verification tool (Engine*Audit tests, `cudalign --audit-bus`), not a
@@ -67,7 +59,6 @@ using Index = std::int64_t;
 struct BusEndpoint {
   Index strip = 0;
   Index block = 0;     ///< kSeedBlock for executor boundary seeding.
-  Index diagonal = 0;  ///< External diagonal (kSeedBlock rows: seeding point).
   std::uint64_t thread_id = 0;  ///< Hashed std::thread::id of the accessor.
 
   static constexpr Index kSeedBlock = -1;
@@ -84,7 +75,6 @@ struct BusViolation {
     kReadAfterOverwrite, ///< Read of a slot its own pass already overwrote.
     kIllegalReader,      ///< Read by a block that does not own the hand-off.
     kIllegalWriter,      ///< Write by a block that does not own the slot.
-    kSameDiagonalHazard, ///< Read on the writer's own external diagonal.
     kOverwriteBeforeRead,///< Write destroying a value never consumed.
     kFlushOutOfOrder,    ///< Special-row hand-off out of ascending strip order.
   };
@@ -100,12 +90,6 @@ struct BusViolation {
 
 [[nodiscard]] const char* rule_name(BusViolation::Rule rule);
 
-/// Which happens-before relation a run is audited against (header comment).
-enum class OrderModel : std::uint8_t {
-  kDiagonalBarrier,    ///< Lockstep: hand-offs must cross a diagonal barrier.
-  kTileHappensBefore,  ///< Dataflow: per-tile publish-before-consume only.
-};
-
 class BusAuditor {
  public:
   explicit BusAuditor(std::size_t max_recorded = 32) : max_recorded_(max_recorded) {}
@@ -113,11 +97,10 @@ class BusAuditor {
   /// Resets shadow state for a new engine run over an n-column problem with
   /// the given chunk boundaries (`cuts`, size blocks + 1). `ring` is the
   /// number of strip slots the executor rotates its vertical-bus buffer
-  /// pairs over (min(strips, blocks) for lockstep, min(strips, window + 2)
-  /// for dataflow). Violations and event counts accumulate across runs.
+  /// pairs over, min(strips, window + 2). Violations and event counts
+  /// accumulate across runs.
   void begin_run(Index n, Index strips, Index blocks, Index strip_rows,
-                 std::vector<Index> cuts, OrderModel order = OrderModel::kDiagonalBarrier,
-                 Index ring = 2);
+                 std::vector<Index> cuts, Index ring = 2);
 
   // --- executor seeding -----------------------------------------------------
 
@@ -125,20 +108,19 @@ class BusAuditor {
   /// thread, before tiles launch).
   void seed_horizontal();
   /// Column-0 vertical-bus fill for `strip`, rows [0..rows]; done by the
-  /// strip's first tile (strip, 0), at external diagonal == strip, before
-  /// it reads the boundary.
+  /// strip's first tile (strip, 0) before it reads the boundary.
   void seed_vertical(Index strip, Index rows);
 
   // --- tile events (worker threads) ----------------------------------------
 
-  /// Tile (strip, block) on `diagonal` reads its row-r0 input: slots (c0..c1].
-  void read_horizontal(Index strip, Index block, Index diagonal, Index c0, Index c1);
+  /// Tile (strip, block) reads its row-r0 input: slots (c0..c1].
+  void read_horizontal(Index strip, Index block, Index c0, Index c1);
   /// Tile (strip, block) publishes its row-r1 output: slots (c0..c1].
-  void write_horizontal(Index strip, Index block, Index diagonal, Index c0, Index c1);
+  void write_horizontal(Index strip, Index block, Index c0, Index c1);
   /// Tile (strip, block) reads vertical boundary `block`, rows [0..rows].
-  void read_vertical(Index strip, Index block, Index diagonal, Index rows);
+  void read_vertical(Index strip, Index block, Index rows);
   /// Tile (strip, block) writes vertical boundary `block + 1`, rows [0..rows].
-  void write_vertical(Index strip, Index block, Index diagonal, Index rows);
+  void write_vertical(Index strip, Index block, Index rows);
 
   // --- flush pipeline (strip retirement) -----------------------------------
 
@@ -152,7 +134,7 @@ class BusAuditor {
   /// the queue happens on the hand-off thread; the SRA writer thread itself
   /// never touches the buses, so it legitimately appears in no other audit
   /// event.
-  void flush_handoff(Index strip, Index diagonal);
+  void flush_handoff(Index strip);
 
   // --- results -------------------------------------------------------------
 
@@ -199,7 +181,6 @@ class BusAuditor {
   Index strips_ CUDALIGN_GUARDED_BY(mutex_) = 0;
   Index blocks_ CUDALIGN_GUARDED_BY(mutex_) = 0;
   Index strip_rows_ CUDALIGN_GUARDED_BY(mutex_) = 0;
-  OrderModel order_ CUDALIGN_GUARDED_BY(mutex_) = OrderModel::kDiagonalBarrier;
   Index ring_ CUDALIGN_GUARDED_BY(mutex_) = 2;
   std::vector<Index> cuts_ CUDALIGN_GUARDED_BY(mutex_);
   /// Per hbus slot [0..n].
@@ -207,7 +188,7 @@ class BusAuditor {
   /// ring x 2 x (strip_rows + 1): slot-major, then buffer.
   std::vector<Shadow> vshadow_ CUDALIGN_GUARDED_BY(mutex_);
   /// Last flush_handoff, for the ascending-order rule (strip -1 = none yet).
-  BusEndpoint last_flush_ CUDALIGN_GUARDED_BY(mutex_){-1, BusEndpoint::kFlushBlock, -1, 0};
+  BusEndpoint last_flush_ CUDALIGN_GUARDED_BY(mutex_){-1, BusEndpoint::kFlushBlock, 0};
   std::vector<BusViolation> violations_ CUDALIGN_GUARDED_BY(mutex_);
   std::uint64_t violation_count_ CUDALIGN_GUARDED_BY(mutex_) = 0;
   std::uint64_t events_ CUDALIGN_GUARDED_BY(mutex_) = 0;

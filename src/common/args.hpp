@@ -1,6 +1,7 @@
 // Minimal dependency-free command-line flag parser (used by the cudalign CLI).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -12,14 +13,20 @@ namespace cudalign::common {
 
 class Args {
  public:
-  Args(int argc, char** argv, int first) {
+  /// `switches` names the value-less flags (read only through has()): a
+  /// switch never takes the next token as its value, so "--stats a.fa b.fa"
+  /// keeps both positionals. Any other "--flag" without "=" takes the next
+  /// token unless that token starts with "--".
+  Args(int argc, char** argv, int first, const std::vector<std::string>& switches = {}) {
     for (int k = first; k < argc; ++k) {
       std::string arg = argv[k];
       if (arg.rfind("--", 0) == 0) {
         const auto eq = arg.find('=');
+        const bool is_switch =
+            std::find(switches.begin(), switches.end(), arg.substr(2)) != switches.end();
         if (eq != std::string::npos) {
           flags_[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
-        } else if (k + 1 < argc && std::string(argv[k + 1]).rfind("--", 0) != 0) {
+        } else if (!is_switch && k + 1 < argc && std::string(argv[k + 1]).rfind("--", 0) != 0) {
           flags_[arg.substr(2)] = argv[++k];
         } else {
           flags_[arg.substr(2)] = "";

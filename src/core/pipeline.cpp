@@ -216,7 +216,6 @@ PipelineResult align_pipeline(const seq::Sequence& s0, const seq::Sequence& s1,
     c1.grid = options.grid_stage1;
     c1.rows_area = &rows_area;
     c1.block_pruning = options.block_pruning;
-    c1.executor = options.executor;
     c1.bus_audit = options.bus_audit;
     c1.resume_row = resume_row;
     c1.resume_hbus = resume_hbus;

@@ -51,11 +51,9 @@ struct PipelineOptions {
   Index max_partition_size = 16;
 
   bool block_pruning = false;       ///< Stage-1 block pruning (engine/executor.hpp).
-  /// Stage-1 tile-grid executor (engine/executor.hpp; `--executor`):
-  /// dataflow by default, lockstep as the reference schedule. Stages 2-4
-  /// always run dataflow. Deliberately NOT in options_json: both executors
-  /// produce byte-identical results, so a checkpoint taken under one may be
-  /// resumed under the other.
+  /// Held only for e2ebench/traced.cpp:199, which reads it; the pipeline
+  /// never does, and it is not in options_json. It goes together with that
+  /// line.
   engine::ExecutorKind executor = engine::ExecutorKind::kDataflow;
   bool save_special_columns = true; ///< Off = skip Stage 3 (Stage 4 absorbs it).
 
@@ -146,7 +144,7 @@ struct PipelineResult {
 /// save_special_columns and the effective kernel pin (`kernel`, "" =
 /// automatic selection). The one serialization of the run configuration:
 /// the checkpoint envelope stores it and the run report's `options` block is
-/// it plus `executor`.
+/// it.
 [[nodiscard]] obs::Json options_json(const PipelineOptions& options);
 
 /// Runs all stages — always flushing special rows, splitting Stage-4

@@ -25,7 +25,6 @@ Stage1Result run_stage1(seq::SequenceView s0, seq::SequenceView s1, const Stage1
   spec.recurrence = engine::Recurrence::local(config.scheme);
   spec.grid = config.grid;
   spec.block_pruning = config.block_pruning;
-  spec.executor = config.executor;
   spec.start_row = config.resume_row;
   spec.initial_hbus = config.resume_hbus;
   spec.initial_best = config.resume_best;

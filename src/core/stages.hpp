@@ -39,9 +39,9 @@ struct StageStats {
   /// are a subset of `cells`).
   Index narrow_rerun_tiles = 0;
   WideScore narrow_rerun_cells = 0;
-  /// Dataflow scheduler counters (engine RunStats semantics; 0 under
-  /// lockstep): tiles run by a participant other than the one that made them
-  /// ready, and waits on an empty ready queue, summed over runs.
+  /// Scheduler counters (engine RunStats semantics): tiles run by a
+  /// participant other than the one that made them ready, and waits on an
+  /// empty ready queue, summed over runs.
   Index tiles_stolen = 0;
   Index starvation_waits = 0;
   /// Wavefront bus traffic (engine RunStats semantics, summed over runs).
@@ -119,10 +119,6 @@ struct Stage1Config {
   engine::GridSpec grid = engine::GridSpec::stage1_defaults();
   /// Block pruning (post-paper CUDAlign optimization; engine/executor.hpp).
   bool block_pruning = false;
-  /// Tile-grid executor for the stage-1 wavefront (engine/executor.hpp).
-  /// Both executors support every hook; stages 2-4 always run the engine's
-  /// default, dataflow.
-  engine::ExecutorKind executor = engine::ExecutorKind::kDataflow;
   /// Flush special rows to `rows_area` (nullptr disables; Table IV's
   /// "No Flush" column).
   sra::SpecialRowsArea* rows_area = nullptr;

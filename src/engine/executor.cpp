@@ -31,7 +31,7 @@ void merge_best(dp::LocalBest& best, const dp::LocalBest& cand) {
 
 /// One strip's share of the run, folded by its own tiles and consumed by
 /// retire(). Tiles of one strip fold in chunk order — (s, b) happens after
-/// (s, b - 1) under both schedules — so the fold needs no synchronization.
+/// (s, b - 1) — so the fold needs no synchronization.
 struct StripSlot {
   Index tiles = 0;                          ///< Kernel calls plus pruned tiles.
   WideScore cells = 0;
@@ -48,22 +48,6 @@ struct StripSlot {
 };
 
 }  // namespace
-
-const char* executor_name(ExecutorKind kind) {
-  switch (kind) {
-    case ExecutorKind::kLockstep: return "lockstep";
-    case ExecutorKind::kDataflow: return "dataflow";
-  }
-  return "unknown";
-}
-
-ExecutorKind executor_from_name(std::string_view name) {
-  if (name == "lockstep") return ExecutorKind::kLockstep;
-  if (name == "dataflow") return ExecutorKind::kDataflow;
-  CUDALIGN_CHECK(false, "unknown executor \"" + std::string(name) +
-                            "\" (expected \"lockstep\" or \"dataflow\")");
-  return ExecutorKind::kLockstep;
-}
 
 RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool* pool) {
   spec.recurrence.scheme.validate();
@@ -155,24 +139,16 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
   }
 
   // The schedule fixes how many strips are in flight at once, and with it how
-  // many slots every per-strip resource rotates over (index s % ring).
-  // Lockstep: a diagonal spans at most `blocks` strips, and strip s retires
-  // before strip s + blocks starts. Dataflow: the scheduler's window gate
-  // admits strip s only once strip s - window - 1 has retired, so window + 2
-  // slots never overlap a live strip. A run of fewer strips needs one slot
-  // per strip.
-  const bool dataflow = spec.executor == ExecutorKind::kDataflow;
+  // many slots every per-strip resource rotates over (index s % ring): the
+  // scheduler's window gate admits strip s only once strip s - window - 1 has
+  // retired, so window + 2 slots never overlap a live strip. A run of fewer
+  // strips needs one slot per strip.
   const Index workers = std::max<Index>(1, static_cast<Index>(pool->worker_count()));
   const Index window = std::max<Index>(4, 2 * workers);
-  const Index ring = std::min(strips, dataflow ? window + 2 : blocks);
+  const Index ring = std::min(strips, window + 2);
 
   check::BusAuditor* audit = hooks.bus_audit;
-  if (audit != nullptr) {
-    audit->begin_run(n, strips, blocks, strip_rows, cuts,
-                     dataflow ? check::OrderModel::kTileHappensBefore
-                              : check::OrderModel::kDiagonalBarrier,
-                     ring);
-  }
+  if (audit != nullptr) audit->begin_run(n, strips, blocks, strip_rows, cuts, ring);
 
   // Horizontal bus: (H, F) per column vertex, initialized to row `row0` — the
   // top boundary for a fresh run, the restored special row for a resume.
@@ -186,9 +162,8 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
 
   // Vertical buses: (H, E) per row vertex of a strip, two buffers per strip
   // slot. Tile (s, b) reads buffer b % 2 and writes buffer (b + 1) % 2 of
-  // slot s % ring; the tiles of one strip run in chunk order under both
-  // schedules, so the buffer a tile overwrites was consumed by its left
-  // neighbour.
+  // slot s % ring; the tiles of one strip run in chunk order, so the buffer a
+  // tile overwrites was consumed by its left neighbour.
   const std::size_t vbus_len = static_cast<std::size_t>(strip_rows) + 1;
   std::vector<std::vector<BusCell>> vbus(2 * static_cast<std::size_t>(ring),
                                          std::vector<BusCell>(vbus_len));
@@ -219,21 +194,19 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
   // Pruning closure (see ProblemSpec::block_pruning): closure[s % ring][b]
   // holds the best score over tile (s, b)'s ancestor rectangle plus the
   // resume seed. Tile (s, b) reads the entries written by (s - 1, b) and
-  // (s, b - 1), which both schedules order before it, and the next writer of
-  // an entry is the same chunk's tile `ring` strips later, which both order
+  // (s, b - 1), which the scheduler orders before it, and the next writer of
+  // an entry is the same chunk's tile `ring` strips later, which it orders
   // after its readers. Not allocated unless pruning.
   std::vector<Score> closure(
       spec.block_pruning ? static_cast<std::size_t>(ring) * static_cast<std::size_t>(blocks)
                          : 0);
 
-  // The tile body, shared by both schedules.
   auto tile = [&](Index s, Index b) {
     const Index r0 = row0 + s * strip_rows;
     const Index r1 = std::min(m, r0 + strip_rows);
     const Index rows = r1 - r0;
     const Index c0 = cuts[static_cast<std::size_t>(b)];
     const Index c1 = cuts[static_cast<std::size_t>(b + 1)];
-    const Index d = s + b;  // External diagonal, the audit coordinate.
     StripSlot& slot = slots[static_cast<std::size_t>(s % ring)];
 
     if (b == 0) {
@@ -276,8 +249,8 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
     // incoming vertical boundary before publishing anything (both the
     // kernel and the pruning bound-scan below read them).
     if (audit != nullptr) {
-      audit->read_horizontal(s, b, d, c0, c1);
-      audit->read_vertical(s, b, d, rows);
+      audit->read_horizontal(s, b, c0, c1);
+      audit->read_vertical(s, b, rows);
     }
 
     bool pruned = false;
@@ -364,8 +337,8 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
       call(job);
     }
     if (audit != nullptr) {
-      audit->write_horizontal(s, b, d, c0, c1);
-      audit->write_vertical(s, b, d, rows);
+      audit->write_horizontal(s, b, c0, c1);
+      audit->write_vertical(s, b, rows);
     }
     if (spec.block_pruning) {
       closure[static_cast<std::size_t>((s % ring) * blocks + b)] =
@@ -379,8 +352,8 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
     }
   };
 
-  // Strip retirement, in ascending strip order under both schedules: the only
-  // place results become observable. Returns false to stop the run.
+  // Strip retirement, in ascending strip order: the only place results become
+  // observable. Returns false to stop the run.
   const Index total_tiles = strips * blocks;
   auto retire = [&](Index s) -> bool {
     StripSlot& slot = slots[static_cast<std::size_t>(s % ring)];
@@ -399,8 +372,8 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
     }
     stats.tiles += slot.tiles;
     ++stats.strips;
-    // Lockstep has run exactly this many external diagonals when strip s
-    // retires; dataflow reports the same count.
+    // A per-diagonal barrier schedule has run exactly this many external
+    // diagonals when strip s retires.
     stats.diagonals = s + blocks;
     // Bus traffic (see RunStats): each tile reads and writes its horizontal
     // segment (c1 - c0 + 1 cells, n + blocks over the strip) and vertical
@@ -425,9 +398,7 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
       go = hooks.on_tap(tap_columns[t], r0 + 1, slot.taps[t]) != HookAction::kStop;
     }
     if (go && special) {
-      // Diagonal coordinate: the strip's last external diagonal, the one its
-      // final tile ran on.
-      if (audit != nullptr) audit->flush_handoff(s, s + blocks - 1);
+      if (audit != nullptr) audit->flush_handoff(s);
       // Checkpoint hand-off: the merged best covers every tile of strips
       // <= s, exactly the cells of rows <= r1.
       Timer flush_timer;
@@ -440,62 +411,36 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
     return go;
   };
 
+  // Strip-bucket spans give the run report its wavefront phase profile:
+  // bucket k ends when its last strip retires (or the run stops). The stamps
+  // are taken in retire(), which the scheduler serializes, and recorded on
+  // this thread once the run returns.
   obs::Telemetry* telemetry = hooks.telemetry;
-  if (dataflow) {
-    // Strip-bucket spans give the run report its wavefront phase profile:
-    // bucket k ends when its last strip retires (or the run stops). The
-    // stamps are taken in retire(), which the scheduler serializes, and
-    // recorded on this thread once the run returns.
-    const Index bucket_size =
-        telemetry != nullptr ? (strips + kDiagonalBuckets - 1) / kDiagonalBuckets : 0;
-    std::vector<std::pair<Index, double>> bucket_ends;  // (last strip, seconds)
-    const double start = timer.seconds();
-    sched::SchedOptions sched_options;
-    sched_options.strips = strips;
-    sched_options.blocks = blocks;
-    sched_options.window = window;
-    const sched::SchedStats sched_stats =
-        sched::run_tile_graph(sched_options, *pool, tile, [&](Index s) {
-          const bool go = retire(s);
-          if (bucket_size > 0 && ((s + 1) % bucket_size == 0 || s + 1 == strips || !go)) {
-            bucket_ends.emplace_back(s, timer.seconds());
-          }
-          return go;
-        });
-    result.stats.tiles_stolen = static_cast<Index>(sched_stats.tiles_stolen);
-    result.stats.starvation_waits = static_cast<Index>(sched_stats.starvation_waits);
-    Index first = 0;
-    double begun = start;
-    for (const auto& [last, seconds] : bucket_ends) {
-      telemetry->record("strips " + std::to_string(first) + "-" + std::to_string(last),
-                        seconds - begun);
-      first = last + 1;
-      begun = seconds;
-    }
-  } else {
-    // Lockstep: one parallel_for per external diagonal; strip d - blocks + 1
-    // retires after diagonal d, which ran its last tile. Diagonal-bucket
-    // spans give the run report its wavefront phase profile.
-    const Index total_diagonals = strips + blocks - 1;
-    const Index bucket_size =
-        telemetry != nullptr ? (total_diagonals + kDiagonalBuckets - 1) / kDiagonalBuckets : 0;
-    for (Index d = 0; d < total_diagonals; ++d) {
-      if (bucket_size > 0 && d % bucket_size == 0) {
-        const Index last = std::min(d + bucket_size, total_diagonals) - 1;
-        telemetry->begin("diagonals " + std::to_string(d) + "-" + std::to_string(last));
-      }
-      const Index s_lo = std::max<Index>(0, d - blocks + 1);
-      const Index s_hi = std::min<Index>(strips - 1, d);
-      pool->parallel_for(static_cast<std::size_t>(s_hi - s_lo + 1), [&](std::size_t k) {
-        const Index s = s_hi - static_cast<Index>(k);
-        tile(s, d - s);
+  const Index bucket_size =
+      telemetry != nullptr ? (strips + kDiagonalBuckets - 1) / kDiagonalBuckets : 0;
+  std::vector<std::pair<Index, double>> bucket_ends;  // (last strip, seconds)
+  const double start = timer.seconds();
+  sched::SchedOptions sched_options;
+  sched_options.strips = strips;
+  sched_options.blocks = blocks;
+  sched_options.window = window;
+  const sched::SchedStats sched_stats =
+      sched::run_tile_graph(sched_options, *pool, tile, [&](Index s) {
+        const bool go = retire(s);
+        if (bucket_size > 0 && ((s + 1) % bucket_size == 0 || s + 1 == strips || !go)) {
+          bucket_ends.emplace_back(s, timer.seconds());
+        }
+        return go;
       });
-      const bool go = d < blocks - 1 || retire(s_lo);
-      if (bucket_size > 0 && ((d + 1) % bucket_size == 0 || d + 1 == total_diagonals || !go)) {
-        telemetry->end();
-      }
-      if (!go) break;
-    }
+  result.stats.tiles_stolen = static_cast<Index>(sched_stats.tiles_stolen);
+  result.stats.starvation_waits = static_cast<Index>(sched_stats.starvation_waits);
+  Index first = 0;
+  double begun = start;
+  for (const auto& [last, seconds] : bucket_ends) {
+    telemetry->record("strips " + std::to_string(first) + "-" + std::to_string(last),
+                      seconds - begun);
+    first = last + 1;
+    begun = seconds;
   }
 
   result.stats.seconds = timer.seconds();

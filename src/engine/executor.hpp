@@ -4,23 +4,17 @@
 // chunks). One wavefront core covers the tile grid: a tile body (s, b) that
 // runs the kernel and folds its result into its strip's slot, and a strip
 // retirement step that makes the slot observable — stats, best, probe hit,
-// taps, special row, progress — in ascending strip order. Two
-// registry-selectable executors differ only in the schedule that drives them:
+// taps, special row, progress — in ascending strip order.
 //
-//   * kLockstep — tiles on the same external diagonal are dispatched to a
-//     thread pool with a barrier per diagonal, exactly the synchronization
-//     the GPU grid provides between external diagonals; a strip retires
-//     after the diagonal that ran its last tile.
-//   * kDataflow — each tile runs the moment its left-bus and top-bus inputs
-//     are published; the same pool's workers take ready tiles from one
-//     locked queue (engine/sched.hpp), so a slow tile stalls only its own
-//     successors instead of the whole pool. Strips retire at the
-//     row-completion watermark, on whichever participant completes it.
-//
-// Either way, hook callbacks run one strip at a time, in ascending strip
-// order, at strip retirement, so results are bit-identical for any worker
-// count and between the two executors (the lockstep schedule is one legal
-// execution of the dataflow dependency graph).
+// The schedule is dataflow: each tile runs the moment its left-bus and
+// top-bus inputs are published, and the pool's workers take ready tiles from
+// one locked queue (engine/sched.hpp), so a slow tile stalls only its own
+// successors. The paper's grid puts a barrier between external diagonals
+// instead; that is one legal execution of the same dependency graph, with
+// the same results. Strips retire at the row-completion watermark, on
+// whichever participant completes it, and hook callbacks run one strip at a
+// time, in ascending strip order, so results are bit-identical for any
+// worker count.
 //
 // Sentinel boundaries: the reverse corners of end types E and F
 // (dp::end_corner) make H = -inf on column 0 (end in E) or on row 0 (end in
@@ -33,10 +27,9 @@
 // Memory is the buses only: O(n) horizontal + O(ring * alpha * T) vertical,
 // two buffers per strip slot (a strip's tiles run in chunk order, so its
 // vertical hand-off needs only the buffer being read and the one being
-// written), where the ring holds the strips in flight — min(strips, blocks)
-// under lockstep, min(strips, window + 2) under dataflow — plus one reused
-// n-cell row buffer per special strip that can be in flight: the engine is
-// linear-space by construction.
+// written), where the ring holds the strips in flight, min(strips,
+// window + 2), plus one reused n-cell row buffer per special strip that can
+// be in flight: the engine is linear-space by construction.
 //
 // Thread-safety discipline: the executor itself owns no atomics and no
 // locks. Every cross-thread hand-off is delegated to the schedulers
@@ -59,7 +52,6 @@
 #include <functional>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -76,19 +68,10 @@ class Telemetry;
 
 namespace cudalign::engine {
 
-/// Which schedule drives the tile grid (see the header comment). Both run the
-/// same tile body and retirement step and produce byte-identical results;
-/// dataflow is the default, lockstep the reference schedule with one
-/// external-diagonal barrier.
-enum class ExecutorKind : std::uint8_t {
-  kLockstep,
-  kDataflow,
-};
-
-/// Registry name of an executor ("lockstep" / "dataflow").
-[[nodiscard]] const char* executor_name(ExecutorKind kind);
-/// Inverse of executor_name; throws cudalign::Error on unknown names.
-[[nodiscard]] ExecutorKind executor_from_name(std::string_view name);
+/// The one tile-grid schedule (see the header comment). Nothing reads it: it
+/// types the two held fields below, ProblemSpec::executor and
+/// core::PipelineOptions::executor, and goes with them.
+enum class ExecutorKind : std::uint8_t { kDataflow };
 
 struct ProblemSpec {
   seq::SequenceView a;  ///< Rows (the problem's local orientation).
@@ -102,9 +85,9 @@ struct ProblemSpec {
   /// pruning bound. The bound is the *ancestor closure*: the best tile score
   /// seen anywhere in the tile's ancestor rectangle (strips <= s, chunks
   /// <= b), seeded with initial_best on resume — a function of the
-  /// dependency DAG alone, so prune decisions are identical under both
-  /// executors and for any worker count (a global evolving best would make
-  /// them schedule-dependent under dataflow). Exact: a tile containing any
+  /// dependency DAG alone, so prune decisions are identical for any worker
+  /// count (a global evolving best would make them schedule-dependent).
+  /// Exact: a tile containing any
   /// cell of an optimal alignment has bound >= optimum >= closure (the path
   /// itself gains optimum - prefix with at most min(m - r0, n - c0) diagonal
   /// steps), so it is never pruned, and pruned tiles publish valid lower
@@ -128,12 +111,8 @@ struct ProblemSpec {
   /// bit-identical to an uninterrupted run's.
   dp::LocalBest initial_best;
 
-  /// Tile-grid schedule. Every hook — taps, value probes, special rows,
-  /// checkpoints, progress — is delivered at strip retirement under both,
-  /// so the results are identical. The choice is deliberately NOT part of
-  /// the checkpoint envelope: a checkpoint taken under one executor may be
-  /// resumed under the other. Dataflow by default for every stage: it holds
-  /// only window + 2 strips in flight where lockstep holds `blocks`.
+  /// Held only for e2ebench/traced.cpp:199, which assigns it; the engine
+  /// never reads it. It goes together with that line.
   ExecutorKind executor = ExecutorKind::kDataflow;
 };
 
@@ -171,22 +150,21 @@ struct Hooks {
 
   /// Liveness reporting for long runs: called at each strip retirement with
   /// (tiles of retired strips, tiles total) — a monotone fraction, identical
-  /// under both executors.
+  /// for any worker count.
   std::function<void(Index done, Index total)> on_progress;
 
   /// Opt-in bus access auditor (check/bus_audit.hpp): when set, the executor
   /// reports every horizontal/vertical bus segment read and write with
-  /// (strip, block, external diagonal, thread) coordinates and the auditor
-  /// verifies the grid model's happens-before relation — write-once per pass,
-  /// legal successor reads only, no read-before-write across diagonals. The
+  /// (strip, block, thread) coordinates and the auditor verifies the grid
+  /// model's happens-before relation — write-once per pass, legal successor
+  /// reads only, no read before its writer has published. The
   /// caller inspects the auditor after the run. Null = no auditing (one
   /// branch per tile of overhead).
   check::BusAuditor* bus_audit = nullptr;
 
   /// Opt-in span telemetry (obs/telemetry.hpp): when set, the executor
-  /// records one child span per bucket of external diagonals (lockstep,
-  /// "diagonals a-b") or of retired strips (dataflow, "strips a-b"), at most
-  /// kDiagonalBuckets of them, under the caller's open span — the wavefront
+  /// records one child span per bucket of retired strips ("strips a-b"), at
+  /// most kDiagonalBuckets of them, under the caller's open span — the wavefront
   /// phase profile behind the run report. Used on the calling thread only:
   /// never pass a shared recorder into engine runs launched from pool
   /// workers.
@@ -219,9 +197,9 @@ struct RunStats {
   Index narrow_rerun_tiles = 0;
   WideScore narrow_rerun_cells = 0;
   /// External diagonals up to the last retired strip: s + blocks after strip
-  /// s retires, the count lockstep has run by then, under both executors.
+  /// s retires, the count a per-diagonal barrier schedule has run by then.
   Index diagonals = 0;
-  /// Dataflow scheduler counters (0 under lockstep): tiles run by a
+  /// Scheduler counters (engine/sched.hpp): tiles run by a
   /// participant other than the one that made them ready, and waits on an
   /// empty ready queue.
   Index tiles_stolen = 0;
@@ -242,9 +220,8 @@ struct RunStats {
   std::int64_t hbus_bytes = 0, vbus_bytes = 0;
   /// Time strip retirement spent inside on_special_row. Stage 1's hook
   /// copies the row into the SRA writer's queue and waits on backpressure
-  /// (core/stage1.cpp). Under lockstep that wait stalls the next diagonal;
-  /// under dataflow it is compute time lost on the retiring participant
-  /// while the others keep computing.
+  /// (core/stage1.cpp). That wait is compute time lost on the retiring
+  /// participant while the others keep computing.
   double special_row_wait_seconds = 0;
   double seconds = 0;
   /// Tiles/cells per kernel variant (pruned tiles are not attributed).

@@ -102,8 +102,7 @@ Json build_run_report(const ReportContext& ctx) {
                                 .set("name", ctx.s1_name)
                                 .set("length", static_cast<std::int64_t>(ctx.s1_length))));
 
-  report.set("options", core::options_json(opt).set("executor",
-                                                   engine::executor_name(opt.executor)));
+  report.set("options", core::options_json(opt));
 
   report.set("result", Json::object()
                            .set("empty", res.empty)

@@ -133,7 +133,6 @@ TEST(Checked, ConstexprUsable) {
 // ---------------------------------------------------------------------------
 
 // Grid under audit: n = 4 columns, cuts {0, 2, 4}; strips 0..1 of height 2.
-// External diagonal of tile (s, b) is s + b.
 class BusAuditReplay : public ::testing::Test {
  protected:
   void begin(BusAuditor& a) { a.begin_run(4, 2, 2, 2, {0, 2, 4}); }
@@ -144,23 +143,22 @@ class BusAuditReplay : public ::testing::Test {
     a.seed_horizontal();
     a.seed_vertical(0, 2);
     if (tiles < 1) return;
-    tile(a, 0, 0);  // diagonal 0
+    tile(a, 0, 0);
     a.seed_vertical(1, 2);
     if (tiles < 2) return;
-    tile(a, 0, 1);  // diagonal 1
+    tile(a, 0, 1);
     if (tiles < 3) return;
-    tile(a, 1, 0);  // diagonal 1
+    tile(a, 1, 0);
     if (tiles < 4) return;
-    tile(a, 1, 1);  // diagonal 2
+    tile(a, 1, 1);
   }
 
   void tile(BusAuditor& a, Index s, Index b) {
-    const Index d = s + b;
     const Index c0 = b * 2, c1 = b * 2 + 2;
-    a.read_horizontal(s, b, d, c0, c1);
-    a.read_vertical(s, b, d, 2);
-    a.write_horizontal(s, b, d, c0, c1);
-    a.write_vertical(s, b, d, 2);
+    a.read_horizontal(s, b, c0, c1);
+    a.read_vertical(s, b, 2);
+    a.write_horizontal(s, b, c0, c1);
+    a.write_vertical(s, b, 2);
   }
 };
 
@@ -186,7 +184,7 @@ TEST_F(BusAuditReplay, DoubleWriteFlagged) {
   BusAuditor auditor;
   legal_prefix(auditor, 1);
   // Tile (0, 0) publishes its row twice in the same pass.
-  auditor.write_horizontal(0, 0, 0, 0, 2);
+  auditor.write_horizontal(0, 0, 0, 2);
   ASSERT_FALSE(auditor.ok());
   const auto v = auditor.violations();
   ASSERT_FALSE(v.empty());
@@ -205,7 +203,7 @@ TEST_F(BusAuditReplay, ReadBeforeWriteFlagged) {
   auditor.seed_horizontal();
   auditor.seed_vertical(0, 2);
   // Tile (1, 0) consumes row 2 before tile (0, 0) ever produced it.
-  auditor.read_horizontal(1, 0, 1, 0, 2);
+  auditor.read_horizontal(1, 0, 0, 2);
   ASSERT_FALSE(auditor.ok());
   const auto v = auditor.violations();
   ASSERT_FALSE(v.empty());
@@ -214,25 +212,11 @@ TEST_F(BusAuditReplay, ReadBeforeWriteFlagged) {
   EXPECT_EQ(v[0].current.block, 0);
 }
 
-TEST_F(BusAuditReplay, SameDiagonalHazardFlagged) {
-  BusAuditor auditor;
-  legal_prefix(auditor, 1);
-  // Scheduler bug: successor runs on the writer's own external diagonal, so
-  // there is no barrier between the write and this read.
-  auditor.read_horizontal(1, 0, 0, 0, 2);
-  ASSERT_FALSE(auditor.ok());
-  const auto v = auditor.violations();
-  ASSERT_FALSE(v.empty());
-  EXPECT_EQ(v[0].rule, BusViolation::Rule::kSameDiagonalHazard);
-  EXPECT_EQ(v[0].prior.diagonal, 0);
-  EXPECT_EQ(v[0].current.diagonal, 0);
-}
-
 TEST_F(BusAuditReplay, IllegalReaderFlagged) {
   BusAuditor auditor;
   legal_prefix(auditor, 1);
   // Chunk 1 reads slots (0..2], which chunk 0 owns.
-  auditor.read_horizontal(0, 1, 1, 0, 2);
+  auditor.read_horizontal(0, 1, 0, 2);
   ASSERT_FALSE(auditor.ok());
   ASSERT_FALSE(auditor.violations().empty());
   EXPECT_EQ(auditor.violations()[0].rule, BusViolation::Rule::kIllegalReader);
@@ -242,7 +226,7 @@ TEST_F(BusAuditReplay, IllegalWriterFlagged) {
   BusAuditor auditor;
   legal_prefix(auditor, 1);
   // Chunk 1 publishes into chunk 0's slots.
-  auditor.write_horizontal(0, 1, 1, 0, 2);
+  auditor.write_horizontal(0, 1, 0, 2);
   ASSERT_FALSE(auditor.ok());
   ASSERT_FALSE(auditor.violations().empty());
   EXPECT_EQ(auditor.violations()[0].rule, BusViolation::Rule::kIllegalWriter);
@@ -254,7 +238,7 @@ TEST_F(BusAuditReplay, LostVerticalHandOffFlagged) {
   // Tile (0, 1) was skipped (a dropped hand-off): the value tile (0, 0)
   // published on boundary 1 is still unconsumed when the strip-2 pass — the
   // next user of strip 0's slot — overwrites it.
-  auditor.write_vertical(2, 0, 2, 2);
+  auditor.write_vertical(2, 0, 2);
   ASSERT_FALSE(auditor.ok());
   const auto v = auditor.violations();
   ASSERT_FALSE(v.empty());
@@ -267,7 +251,7 @@ TEST_F(BusAuditReplay, LostVerticalHandOffFlagged) {
 TEST_F(BusAuditReplay, ReportNamesRuleAndBothEndpoints) {
   BusAuditor auditor;
   legal_prefix(auditor, 1);
-  auditor.write_horizontal(0, 0, 0, 0, 2);
+  auditor.write_horizontal(0, 0, 0, 2);
   const std::string report = auditor.report();
   EXPECT_NE(report.find("double-write"), std::string::npos) << report;
   EXPECT_NE(report.find("conflicts with"), std::string::npos) << report;
@@ -277,41 +261,36 @@ TEST_F(BusAuditReplay, ReportNamesRuleAndBothEndpoints) {
 TEST_F(BusAuditReplay, ViolationRecordingIsCapped) {
   BusAuditor auditor(2);
   legal_prefix(auditor, 1);
-  for (int i = 0; i < 5; ++i) auditor.write_horizontal(0, 0, 0, 0, 2);
+  for (int i = 0; i < 5; ++i) auditor.write_horizontal(0, 0, 0, 2);
   EXPECT_EQ(auditor.violations().size(), 2u);   // Cap applies to the details...
   EXPECT_EQ(auditor.violation_count(), 10u);    // ...but every one is counted.
   EXPECT_NE(auditor.report().find("more"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
-// Relaxed per-tile happens-before ordering (the dataflow executor's model):
-// the mutex-serialized event stream IS the real publish/consume order, so the
-// same-diagonal rule is off — but a premature read still surfaces as
-// read-before-write, with both endpoints named.
+// Per-tile happens-before ordering (the dataflow executor's model): the
+// mutex-serialized event stream IS the real publish/consume order, so there
+// is no external-diagonal barrier to cross — but a premature read still
+// surfaces as read-before-write, with both endpoints named.
 // ---------------------------------------------------------------------------
 
 class BusAuditHappensBefore : public BusAuditReplay {
  protected:
-  void begin_hb(BusAuditor& a, Index ring = 3) {
-    a.begin_run(4, 4, 2, 2, {0, 2, 4}, check::OrderModel::kTileHappensBefore, ring);
-  }
+  void begin_hb(BusAuditor& a, Index ring = 3) { a.begin_run(4, 4, 2, 2, {0, 2, 4}, ring); }
 };
 
 TEST_F(BusAuditHappensBefore, SameDiagonalHandOffIsLegal) {
   // Under the dataflow executor tile (1, 0) may start the instant (0, 0)
-  // publishes — no barrier in between. The identical replay trips
-  // kSameDiagonalHazard under the barrier model (SameDiagonalHazardFlagged
-  // above); under happens-before it is clean.
+  // publishes, while (0, 1), which shares (1, 0)'s external diagonal, has
+  // not run: the auditor needs no barrier, only the writer's publish.
   BusAuditor auditor;
   begin_hb(auditor);
   auditor.seed_horizontal();
   auditor.seed_vertical(0, 2);
   tile(auditor, 0, 0);
-  // Reader claims the writer's own diagonal: legal here, the write already
-  // appeared in the serialized stream.
   auditor.seed_vertical(1, 2);
-  auditor.read_horizontal(1, 0, 0, 0, 2);
-  auditor.read_vertical(1, 0, 0, 2);
+  auditor.read_horizontal(1, 0, 0, 2);
+  auditor.read_vertical(1, 0, 2);
   EXPECT_TRUE(auditor.ok()) << auditor.report();
 }
 
@@ -325,7 +304,7 @@ TEST_F(BusAuditHappensBefore, PrematureReadReportsBothEndpoints) {
   auditor.seed_vertical(0, 2);
   tile(auditor, 0, 0);
   auditor.seed_vertical(2, 2);
-  auditor.read_horizontal(2, 0, 2, 0, 2);
+  auditor.read_horizontal(2, 0, 0, 2);
   ASSERT_FALSE(auditor.ok());
   const auto v = auditor.violations();
   ASSERT_FALSE(v.empty());
@@ -348,7 +327,7 @@ TEST_F(BusAuditHappensBefore, NeverWrittenReadIsStillFlagged) {
   auditor.seed_vertical(0, 2);
   auditor.seed_vertical(1, 2);
   // Row 2 was never produced by (0, 0); only the executor seed is present.
-  auditor.read_horizontal(1, 0, 1, 0, 2);
+  auditor.read_horizontal(1, 0, 0, 2);
   ASSERT_FALSE(auditor.ok());
   ASSERT_FALSE(auditor.violations().empty());
   EXPECT_EQ(auditor.violations()[0].rule, BusViolation::Rule::kReadBeforeWrite);
@@ -391,51 +370,46 @@ TEST_F(BusAuditHappensBefore, ConsumedPlaneIsReusableAfterRotation) {
 TEST(BusAuditModel, RejectsEmptyRing) {
   BusAuditor auditor;
   EXPECT_THROW(
-      auditor.begin_run(4, 2, 2, 2, {0, 2, 4}, check::OrderModel::kTileHappensBefore, 0), Error);
+      auditor.begin_run(4, 2, 2, 2, {0, 2, 4}, 0), Error);
 }
 
 // Replays the external-diagonal order over `strips` x `blocks` tiles of
 // two columns and two rows each, highest strip first within a diagonal (the
-// executor's lockstep order; also a legal dataflow order). Every diagonal
-// holds `blocks` strips in flight, so a ring of `blocks` slots is clean, and
-// one slot fewer lets a strip's first tile overwrite an unread hand-off of
-// the strip `blocks - 1` above it.
-void replay_diagonals(BusAuditor& a, Index strips, Index blocks, check::OrderModel order,
-                      Index ring) {
+// paper's barrier order, one legal dataflow order). Every diagonal holds
+// `blocks` strips in flight, so a ring of `blocks` slots is clean, and one
+// slot fewer lets a strip's first tile overwrite an unread hand-off of the
+// strip `blocks - 1` above it.
+void replay_diagonals(BusAuditor& a, Index strips, Index blocks, Index ring) {
   std::vector<Index> cuts;
   for (Index b = 0; b <= blocks; ++b) cuts.push_back(2 * b);
-  a.begin_run(2 * blocks, strips, blocks, 2, cuts, order, ring);
+  a.begin_run(2 * blocks, strips, blocks, 2, cuts, ring);
   a.seed_horizontal();
   for (Index d = 0; d < strips + blocks - 1; ++d) {
     for (Index s = std::min(strips - 1, d); s >= std::max<Index>(0, d - blocks + 1); --s) {
       const Index b = d - s;
       if (b == 0) a.seed_vertical(s, 2);
-      a.read_horizontal(s, b, d, 2 * b, 2 * b + 2);
-      a.read_vertical(s, b, d, 2);
-      a.write_horizontal(s, b, d, 2 * b, 2 * b + 2);
-      a.write_vertical(s, b, d, 2);
+      a.read_horizontal(s, b, 2 * b, 2 * b + 2);
+      a.read_vertical(s, b, 2);
+      a.write_horizontal(s, b, 2 * b, 2 * b + 2);
+      a.write_vertical(s, b, 2);
     }
   }
 }
 
 TEST(BusAuditModel, RingOneSlotShortOfTheStripsInFlightIsFlagged) {
-  for (const auto order : {check::OrderModel::kDiagonalBarrier,
-                           check::OrderModel::kTileHappensBefore}) {
-    for (const Index blocks : {3, 4}) {  // Odd and even final boundaries.
-      const std::string label = "order " + std::to_string(static_cast<int>(order)) +
-                                " blocks " + std::to_string(blocks);
-      BusAuditor fits;
-      replay_diagonals(fits, 10, blocks, order, blocks);
-      EXPECT_TRUE(fits.ok()) << label << "\n" << fits.report();
-      BusAuditor short_ring;
-      replay_diagonals(short_ring, 10, blocks, order, blocks - 1);
-      ASSERT_FALSE(short_ring.ok()) << label;
-      const BusViolation v = short_ring.violations()[0];
-      EXPECT_EQ(v.rule, BusViolation::Rule::kOverwriteBeforeRead) << label << "\n"
-                                                                   << short_ring.report();
-      EXPECT_FALSE(v.horizontal) << label;
-      EXPECT_EQ(v.current.strip - v.prior.strip, blocks - 1) << label;
-    }
+  for (const Index blocks : {3, 4}) {  // Odd and even final boundaries.
+    const std::string label = "blocks " + std::to_string(blocks);
+    BusAuditor fits;
+    replay_diagonals(fits, 10, blocks, blocks);
+    EXPECT_TRUE(fits.ok()) << label << "\n" << fits.report();
+    BusAuditor short_ring;
+    replay_diagonals(short_ring, 10, blocks, blocks - 1);
+    ASSERT_FALSE(short_ring.ok()) << label;
+    const BusViolation v = short_ring.violations()[0];
+    EXPECT_EQ(v.rule, BusViolation::Rule::kOverwriteBeforeRead) << label << "\n"
+                                                                 << short_ring.report();
+    EXPECT_FALSE(v.horizontal) << label;
+    EXPECT_EQ(v.current.strip - v.prior.strip, blocks - 1) << label;
   }
 }
 
@@ -474,7 +448,6 @@ TEST(EngineAudit, WavefrontProtocolCleanAcrossShapes) {
                             ? engine::Recurrence::local(scoring::Scheme::paper_defaults())
                             : engine::Recurrence::global_start(CellState::kH,
                                                               scoring::Scheme::paper_defaults());
-      spec.executor = engine::ExecutorKind::kLockstep;
       check::BusAuditor auditor;
       Hooks hooks;
       hooks.bus_audit = &auditor;
@@ -495,7 +468,6 @@ TEST(EngineAudit, CleanUnderMultithreadedPool) {
   spec.b = b.bases();
   spec.grid = audit_grid(5, 4, 2);
   spec.recurrence = engine::Recurrence::local(scoring::Scheme::paper_defaults());
-  spec.executor = engine::ExecutorKind::kLockstep;
   ThreadPool pool(4);
   check::BusAuditor auditor;
   Hooks hooks;
@@ -506,7 +478,8 @@ TEST(EngineAudit, CleanUnderMultithreadedPool) {
 
 TEST(EngineAudit, CleanWithBlockPruning) {
   // Pruned tiles publish on a dedicated early-return path; the hand-off
-  // protocol must hold there too.
+  // protocol must hold there too. One participant runs the tiles in a single
+  // order (DataflowCleanWithBlockPruning interleaves them).
   const auto pair = test::small_related(600, 600, 71);
   ProblemSpec spec;
   spec.a = pair.s0.bases();
@@ -514,19 +487,19 @@ TEST(EngineAudit, CleanWithBlockPruning) {
   spec.grid = audit_grid(6, 4, 2);
   spec.recurrence = engine::Recurrence::local(scoring::Scheme::paper_defaults());
   spec.block_pruning = true;
-  spec.executor = engine::ExecutorKind::kLockstep;
+  ThreadPool pool(1);
   check::BusAuditor auditor;
   Hooks hooks;
   hooks.bus_audit = &auditor;
-  const auto run = engine::run_wavefront(spec, hooks);
+  const auto run = engine::run_wavefront(spec, hooks, &pool);
   EXPECT_TRUE(auditor.ok()) << auditor.report();
   EXPECT_GT(run.stats.pruned_tiles, 0) << "case no longer exercises pruning";
 }
 
 TEST(EngineAudit, DataflowCleanAcrossShapes) {
-  // The dataflow executor audits itself under the relaxed happens-before
-  // model with its full strip-slot ring; any scheduler bug that lets a
-  // tile start before its inputs were published lands here.
+  // The dataflow executor audits itself under the happens-before model with
+  // its full strip-slot ring; any scheduler bug that lets a tile start
+  // before its inputs were published lands here.
   std::uint64_t seed = 33000;
   for (const auto& [blocks, threads, alpha] :
        {std::tuple<Index, Index, Index>{1, 2, 1}, {3, 2, 2}, {4, 4, 1}, {7, 2, 3}}) {
@@ -537,7 +510,6 @@ TEST(EngineAudit, DataflowCleanAcrossShapes) {
     spec.b = b.bases();
     spec.grid = audit_grid(blocks, threads, alpha);
     spec.recurrence = engine::Recurrence::local(scoring::Scheme::paper_defaults());
-    spec.executor = engine::ExecutorKind::kDataflow;
     ThreadPool pool(4);
     check::BusAuditor auditor;
     Hooks hooks;
@@ -557,7 +529,6 @@ TEST(EngineAudit, DataflowCleanWithBlockPruning) {
   spec.grid = audit_grid(6, 4, 2);
   spec.recurrence = engine::Recurrence::local(scoring::Scheme::paper_defaults());
   spec.block_pruning = true;
-  spec.executor = engine::ExecutorKind::kDataflow;
   ThreadPool pool(4);
   check::BusAuditor auditor;
   Hooks hooks;
@@ -568,7 +539,7 @@ TEST(EngineAudit, DataflowCleanWithBlockPruning) {
 }
 
 TEST(EngineAudit, CleanOnDegenerateGeometry) {
-  for (const auto kind : {engine::ExecutorKind::kLockstep, engine::ExecutorKind::kDataflow}) {
+  for (const int workers : {1, 4}) {
     for (const auto& [m, n] : {std::pair<Index, Index>{1, 40}, {40, 1}, {5, 5}}) {
       const auto a = rand_seq(m, 32004);
       const auto b = rand_seq(n, 32005);
@@ -577,12 +548,12 @@ TEST(EngineAudit, CleanOnDegenerateGeometry) {
       spec.b = b.bases();
       spec.grid = audit_grid(8, 8, 4);  // Grid larger than the problem.
       spec.recurrence = engine::Recurrence::local(scoring::Scheme::paper_defaults());
-      spec.executor = kind;
+      ThreadPool pool(workers);
       check::BusAuditor auditor;
       Hooks hooks;
       hooks.bus_audit = &auditor;
-      (void)engine::run_wavefront(spec, hooks);
-      EXPECT_TRUE(auditor.ok()) << engine::executor_name(kind) << " m=" << m << " n=" << n
+      (void)engine::run_wavefront(spec, hooks, &pool);
+      EXPECT_TRUE(auditor.ok()) << "workers " << workers << " m=" << m << " n=" << n
                                 << "\n"
                                 << auditor.report();
     }
@@ -590,28 +561,26 @@ TEST(EngineAudit, CleanOnDegenerateGeometry) {
 }
 
 TEST(EngineAudit, CleanWithMoreStripsThanTheRing) {
-  // 50 strips of 4 rows on a 2-worker pool: the ring holds window + 2 = 6
-  // strip slots under dataflow and `blocks` = 5 under lockstep, so every slot
-  // and both of its vertical-bus buffers are reused many times over, with
-  // special rows and pruning on.
+  // 50 strips of 4 rows on a 1- or 2-worker pool: the ring holds
+  // window + 2 = 6 strip slots, so every slot and both of its vertical-bus
+  // buffers are reused many times over, with special rows and pruning on.
   const auto pair = test::small_related(200, 180, 35001);
-  for (const auto kind : {engine::ExecutorKind::kLockstep, engine::ExecutorKind::kDataflow}) {
+  for (const int workers : {1, 2}) {
     ProblemSpec spec;
     spec.a = pair.s0.bases();
     spec.b = pair.s1.bases();
     spec.grid = audit_grid(5, 2, 2);
     spec.recurrence = engine::Recurrence::local(scoring::Scheme::paper_defaults());
     spec.block_pruning = true;
-    spec.executor = kind;
-    ThreadPool pool(2);
+    ThreadPool pool(workers);
     check::BusAuditor auditor;
     Hooks hooks;
     hooks.bus_audit = &auditor;
     hooks.special_row_interval = 3;
     hooks.on_special_row = [](Index, std::span<const engine::BusCell>, const dp::LocalBest&) {};
     const auto run = engine::run_wavefront(spec, hooks, &pool);
-    EXPECT_EQ(run.stats.strips, 50) << engine::executor_name(kind);
-    EXPECT_TRUE(auditor.ok()) << engine::executor_name(kind) << "\n" << auditor.report();
+    EXPECT_EQ(run.stats.strips, 50) << "workers " << workers;
+    EXPECT_TRUE(auditor.ok()) << "workers " << workers << "\n" << auditor.report();
   }
 }
 
@@ -624,28 +593,28 @@ TEST(EngineAudit, CleanWithMoreStripsThanTheRing) {
 TEST_F(BusAuditReplay, FlushHandoffCleanInAscendingOrder) {
   BusAuditor auditor;
   legal_prefix(auditor, 2);       // Strip 0 fully published.
-  auditor.flush_handoff(0, 1);    // Retires at its last external diagonal.
+  auditor.flush_handoff(0);       // Strip 0 retires.
   tile(auditor, 1, 0);
   tile(auditor, 1, 1);
-  auditor.flush_handoff(1, 2);
+  auditor.flush_handoff(1);
   EXPECT_TRUE(auditor.ok()) << auditor.report();
 }
 
 TEST_F(BusAuditReplay, FlushHandoffToleratesSuccessorOverwrites) {
-  // Lockstep assembles rows from per-tile captures, so strip 1's early tiles
-  // may overwrite the hbus before strip 0's hand-off at its retirement.
+  // The executor assembles rows from per-tile captures, so strip 1's early
+  // tiles may overwrite the hbus before strip 0's hand-off at its retirement.
   // Equal-or-newer slots are legal; only stale ones are defects.
   BusAuditor auditor;
   legal_prefix(auditor, 3);       // Tile (1, 0) already republished slots 1..2.
-  auditor.flush_handoff(0, 1);
+  auditor.flush_handoff(0);
   EXPECT_TRUE(auditor.ok()) << auditor.report();
 }
 
 TEST_F(BusAuditReplay, FlushHandoffOutOfOrderFlagged) {
   BusAuditor auditor;
   legal_prefix(auditor, 4);
-  auditor.flush_handoff(1, 2);
-  auditor.flush_handoff(0, 1);    // Regression: cursor would move backwards.
+  auditor.flush_handoff(1);
+  auditor.flush_handoff(0);    // Regression: cursor would move backwards.
   ASSERT_FALSE(auditor.ok());
   const auto v = auditor.violations();
   ASSERT_FALSE(v.empty());
@@ -660,8 +629,8 @@ TEST_F(BusAuditReplay, FlushHandoffOutOfOrderFlagged) {
 TEST_F(BusAuditReplay, FlushHandoffRepeatedStripFlagged) {
   BusAuditor auditor;
   legal_prefix(auditor, 2);
-  auditor.flush_handoff(0, 1);
-  auditor.flush_handoff(0, 1);    // Double hand-off of the same special row.
+  auditor.flush_handoff(0);
+  auditor.flush_handoff(0);    // Double hand-off of the same special row.
   ASSERT_FALSE(auditor.ok());
   ASSERT_FALSE(auditor.violations().empty());
   EXPECT_EQ(auditor.violations()[0].rule, BusViolation::Rule::kFlushOutOfOrder);
@@ -672,7 +641,7 @@ TEST_F(BusAuditReplay, FlushHandoffIncompleteRowFlagged) {
   // strip-0 pass: handing the row off now would flush a torn special row.
   BusAuditor auditor;
   legal_prefix(auditor, 3);
-  auditor.flush_handoff(1, 2);
+  auditor.flush_handoff(1);
   ASSERT_FALSE(auditor.ok());
   const auto v = auditor.violations();
   ASSERT_FALSE(v.empty());
@@ -685,16 +654,17 @@ TEST_F(BusAuditReplay, FlushHandoffIncompleteRowFlagged) {
 TEST_F(BusAuditReplay, FlushStateResetsAcrossRuns) {
   BusAuditor auditor;
   legal_prefix(auditor, 4);
-  auditor.flush_handoff(1, 2);    // Last hand-off of run one: strip 1.
+  auditor.flush_handoff(1);    // Last hand-off of run one: strip 1.
   legal_prefix(auditor, 2);       // begin_run inside: flush cursor must reset.
-  auditor.flush_handoff(0, 1);    // Strip 0 again — legal in the new run.
+  auditor.flush_handoff(0);    // Strip 0 again — legal in the new run.
   EXPECT_TRUE(auditor.ok()) << auditor.report();
 }
 
 TEST(EngineAudit, CleanWithSpecialRowFlushes) {
-  // Both executors must emit their flush hand-offs in ascending strip order
-  // with complete rows — the contract the async SRA writer builds on.
-  for (const auto kind : {engine::ExecutorKind::kLockstep, engine::ExecutorKind::kDataflow}) {
+  // The executor must emit its flush hand-offs in ascending strip order with
+  // complete rows, at any worker count — the contract the async SRA writer
+  // builds on.
+  for (const int workers : {1, 4}) {
     const auto a = rand_seq(150, 34001);
     const auto b = rand_seq(160, 34002);
     ProblemSpec spec;
@@ -702,8 +672,7 @@ TEST(EngineAudit, CleanWithSpecialRowFlushes) {
     spec.b = b.bases();
     spec.grid = audit_grid(4, 4, 2);
     spec.recurrence = engine::Recurrence::local(scoring::Scheme::paper_defaults());
-    spec.executor = kind;
-    ThreadPool pool(4);
+    ThreadPool pool(workers);
     check::BusAuditor auditor;
     Hooks hooks;
     hooks.bus_audit = &auditor;
@@ -713,7 +682,7 @@ TEST(EngineAudit, CleanWithSpecialRowFlushes) {
       ++flushed;
     };
     (void)engine::run_wavefront(spec, hooks, &pool);
-    EXPECT_TRUE(auditor.ok()) << "executor=" << static_cast<int>(kind) << "\n"
+    EXPECT_TRUE(auditor.ok()) << "workers " << workers << "\n"
                               << auditor.report();
     EXPECT_GT(flushed, 0) << "case no longer exercises special rows";
   }

@@ -1,6 +1,5 @@
 // The wavefront engine vs the single-sweep reference: identical DP values,
-// special rows, taps and best cells for every grid shape, worker count and
-// executor.
+// special rows, taps and best cells for every grid shape and worker count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,8 +27,9 @@ using test::rand_seq;
 
 scoring::Scheme paper() { return scoring::Scheme::paper_defaults(); }
 
-constexpr engine::ExecutorKind kExecutors[] = {engine::ExecutorKind::kLockstep,
-                                               engine::ExecutorKind::kDataflow};
+/// Worker counts every equivalence check runs the wavefront at: one
+/// participant runs the tiles in a single order, four interleave them.
+constexpr int kWorkerCounts[] = {1, 4};
 
 GridSpec tiny_grid(Index blocks, Index threads, Index alpha) {
   GridSpec g;
@@ -83,9 +83,10 @@ struct Captured {
   std::map<std::pair<Index, Index>, std::vector<BusCell>> taps;  // (col, first_row).
 };
 
-/// Runs the engine under `executor`, or the reference sweep when it is empty.
-Captured run_with_hooks(ProblemSpec spec, Index interval, std::vector<Index> taps,
-                        std::optional<engine::ExecutorKind> executor, dp::LocalBest* best_out) {
+/// Runs the engine on a pool of `workers`, or the reference sweep when it is
+/// empty.
+Captured run_with_hooks(const ProblemSpec& spec, Index interval, std::vector<Index> taps,
+                        std::optional<int> workers, dp::LocalBest* best_out) {
   Captured captured;
   Hooks hooks;
   hooks.special_row_interval = interval;
@@ -101,9 +102,10 @@ Captured run_with_hooks(ProblemSpec spec, Index interval, std::vector<Index> tap
       return HookAction::kContinue;
     };
   }
-  if (executor) spec.executor = *executor;
+  std::optional<ThreadPool> pool;
+  if (workers) pool.emplace(*workers);
   const auto result =
-      executor ? engine::run_wavefront(spec, hooks) : engine::run_reference(spec, hooks);
+      pool ? engine::run_wavefront(spec, hooks, &*pool) : engine::run_reference(spec, hooks);
   if (best_out) *best_out = result.best;
   return captured;
 }
@@ -130,10 +132,10 @@ TEST_P(EngineEquivalence, MatchesReferenceSweep) {
   dp::LocalBest reference_best;
   const Captured reference_out =
       run_with_hooks(spec, interval, taps, std::nullopt, &reference_best);
-  for (const auto kind : kExecutors) {
-    SCOPED_TRACE(engine::executor_name(kind));
+  for (const int workers : kWorkerCounts) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
     dp::LocalBest engine_best;
-    const Captured engine_out = run_with_hooks(spec, interval, taps, kind, &engine_best);
+    const Captured engine_out = run_with_hooks(spec, interval, taps, workers, &engine_best);
 
     EXPECT_EQ(engine_best.score, reference_best.score);
     EXPECT_EQ(engine_best.i, reference_best.i);
@@ -189,7 +191,7 @@ INSTANTIATE_TEST_SUITE_P(Shapes, EngineEquivalence, ::testing::ValuesIn(engine_c
                            return name;
                          });
 
-// Fuzz: random geometry, grids, modes and tap sets, engine (both executors)
+// Fuzz: random geometry, grids, modes and tap sets, engine (1 and 4 workers)
 // vs reference.
 class EngineFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -219,10 +221,10 @@ TEST_P(EngineFuzz, RandomConfigurationMatchesReference) {
 
   dp::LocalBest rb;
   const Captured reference_out = run_with_hooks(spec, interval, taps, std::nullopt, &rb);
-  for (const auto kind : kExecutors) {
-    SCOPED_TRACE(engine::executor_name(kind));
+  for (const int workers : kWorkerCounts) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
     dp::LocalBest eb;
-    const Captured engine_out = run_with_hooks(spec, interval, taps, kind, &eb);
+    const Captured engine_out = run_with_hooks(spec, interval, taps, workers, &eb);
     EXPECT_EQ(eb.score, rb.score);
     EXPECT_EQ(eb.i, rb.i);
     EXPECT_EQ(eb.j, rb.j);
@@ -309,9 +311,8 @@ TEST(Engine, TapStopEndsRun) {
   spec.b = b.bases();
   spec.grid = tiny_grid(2, 4, 2);
   spec.recurrence = engine::Recurrence::global_start(CellState::kH, paper());
-  for (const auto kind : kExecutors) {
-    SCOPED_TRACE(engine::executor_name(kind));
-    spec.executor = kind;
+  for (const int workers : kWorkerCounts) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
     Hooks hooks;
     hooks.tap_columns = {50};
     int calls = 0;
@@ -320,7 +321,7 @@ TEST(Engine, TapStopEndsRun) {
       // Stop as soon as rows past 16 arrive.
       return first_row > 16 ? HookAction::kStop : HookAction::kContinue;
     };
-    ThreadPool pool(4);
+    ThreadPool pool(workers);
     const auto run = engine::run_wavefront(spec, hooks, &pool);
     EXPECT_TRUE(run.stopped_early);
     // Row-0 boundary, then strips starting at rows 1, 9 and 17 (height 8):
@@ -399,10 +400,11 @@ TEST(Engine, SpecialRowsNeedSink) {
 }
 
 // ---------------------------------------------------------------------------
-// Dataflow executor vs lockstep. The lockstep schedule is one legal execution
-// of the dependency graph, so everything observable — best cell, cell and
-// prune counts, every flushed special row byte — must be identical for any
-// worker count, with or without pruning, under any pinned kernel.
+// Dataflow at one worker vs many. One participant runs the dependency graph in
+// a single order; many interleave it. Everything observable — best cell, cell,
+// tile, diagonal and prune counts, kernel tallies, bus traffic, every flushed
+// special row byte — must be identical, with or without pruning, under any
+// pinned kernel, and equal to the reference sweep where it has the hooks.
 // ---------------------------------------------------------------------------
 
 struct ExecRun {
@@ -412,9 +414,9 @@ struct ExecRun {
   std::vector<dp::LocalBest> flush_best;
 };
 
-ExecRun run_with_executor(ProblemSpec spec, engine::ExecutorKind kind, int workers,
-                          Index interval) {
-  spec.executor = kind;
+/// Runs the wavefront on a pool of `workers`, or the reference sweep when it
+/// is empty, flushing a special row every `interval` strips.
+ExecRun run_with_workers(const ProblemSpec& spec, std::optional<int> workers, Index interval) {
   ExecRun out;
   Hooks hooks;
   hooks.special_row_interval = interval;
@@ -423,8 +425,10 @@ ExecRun run_with_executor(ProblemSpec spec, engine::ExecutorKind kind, int worke
     out.flushes.emplace_back(row, std::vector<BusCell>(cells.begin(), cells.end()));
     out.flush_best.push_back(best);
   };
-  ThreadPool pool(workers);
-  const auto run = engine::run_wavefront(spec, hooks, &pool);
+  std::optional<ThreadPool> pool;
+  if (workers) pool.emplace(*workers);
+  const auto run =
+      pool ? engine::run_wavefront(spec, hooks, &*pool) : engine::run_reference(spec, hooks);
   out.best = run.best;
   out.stats = run.stats;
   return out;
@@ -454,7 +458,25 @@ void expect_same_run(const ExecRun& want, const ExecRun& got, const std::string&
   }
 }
 
-TEST(DataflowEquivalence, MatchesLockstepAcrossShapesWorkersPruningAndKernels) {
+/// expect_same_run plus the wavefront's own counters, which the reference
+/// sweep does not keep: two wavefront runs of one spec must also agree on
+/// them (bus_bytes aside, which sizes the ring by the worker count).
+void expect_same_wavefront_run(const ExecRun& want, const ExecRun& got, const std::string& label) {
+  expect_same_run(want, got, label);
+  EXPECT_EQ(got.stats.diagonals, want.stats.diagonals) << label;
+  EXPECT_EQ(got.stats.tiles, want.stats.tiles) << label;
+  EXPECT_EQ(got.stats.strips, want.stats.strips) << label;
+  EXPECT_EQ(got.stats.narrow_rerun_tiles, want.stats.narrow_rerun_tiles) << label;
+  EXPECT_EQ(got.stats.kernels, want.stats.kernels) << label;
+  EXPECT_EQ(got.stats.hbus_reads, want.stats.hbus_reads) << label;
+  EXPECT_EQ(got.stats.hbus_writes, want.stats.hbus_writes) << label;
+  EXPECT_EQ(got.stats.vbus_reads, want.stats.vbus_reads) << label;
+  EXPECT_EQ(got.stats.vbus_writes, want.stats.vbus_writes) << label;
+  EXPECT_EQ(got.stats.hbus_bytes, want.stats.hbus_bytes) << label;
+  EXPECT_EQ(got.stats.vbus_bytes, want.stats.vbus_bytes) << label;
+}
+
+TEST(DataflowEquivalence, OneWorkerMatchesManyAcrossShapesPruningAndKernels) {
   std::uint64_t seed = 61000;
   for (const auto& [blocks, threads, alpha] :
        {std::tuple<Index, Index, Index>{1, 2, 1}, {3, 2, 2}, {4, 4, 1}, {7, 2, 3}}) {
@@ -468,24 +490,23 @@ TEST(DataflowEquivalence, MatchesLockstepAcrossShapesWorkersPruningAndKernels) {
       spec.block_pruning = prune;
       for (const char* kernel : {"", "scalar-local+best"}) {
         const test::ScopedKernelPin pin(kernel);
-        const ExecRun lockstep =
-            run_with_executor(spec, engine::ExecutorKind::kLockstep, 1, 2);
-        for (const int workers : {1, 4}) {
-          std::string label = "B=" + std::to_string(blocks) + " T=" + std::to_string(threads) +
-                              " a=" + std::to_string(alpha) + " prune=" + (prune ? "1" : "0") +
-                              " kernel=" + (kernel[0] ? kernel : "auto") +
-                              " workers=" + std::to_string(workers);
-          const ExecRun dataflow =
-              run_with_executor(spec, engine::ExecutorKind::kDataflow, workers, 2);
-          expect_same_run(lockstep, dataflow, label);
-          EXPECT_EQ(dataflow.stats.diagonals, lockstep.stats.diagonals) << label;
+        const std::string shape = "B=" + std::to_string(blocks) +
+                                  " T=" + std::to_string(threads) + " a=" + std::to_string(alpha) +
+                                  " prune=" + (prune ? "1" : "0") +
+                                  " kernel=" + (kernel[0] ? kernel : "auto");
+        const ExecRun one = run_with_workers(spec, 1, 2);
+        // Pruned tiles publish lower bounds, so only unpruned rows are exact.
+        if (!prune) expect_same_run(run_with_workers(spec, std::nullopt, 2), one, shape + " ref");
+        for (const int workers : {2, 4}) {
+          expect_same_wavefront_run(one, run_with_workers(spec, workers, 2),
+                                    shape + " workers=" + std::to_string(workers));
         }
       }
     }
   }
 }
 
-TEST(DataflowEquivalence, StealHeavyGridMatchesLockstep) {
+TEST(DataflowEquivalence, StealHeavyGridMatchesOneWorker) {
   // Many tiny tiles (200 strips x 8 chunks of height 2) with more workers
   // than chunks: maximizes cross-participant hand-offs, parking and waits on
   // an empty ready queue. Primarily a ThreadSanitizer target — the CI TSan
@@ -497,11 +518,12 @@ TEST(DataflowEquivalence, StealHeavyGridMatchesLockstep) {
   spec.grid = tiny_grid(8, 2, 1);
   spec.recurrence = engine::Recurrence::local(paper());
   spec.block_pruning = true;
-  const ExecRun lockstep = run_with_executor(spec, engine::ExecutorKind::kLockstep, 4, 4);
-  const ExecRun dataflow = run_with_executor(spec, engine::ExecutorKind::kDataflow, 8, 4);
-  expect_same_run(lockstep, dataflow, "steal-heavy");
-  EXPECT_EQ(lockstep.stats.tiles_stolen, 0);
-  EXPECT_EQ(lockstep.stats.starvation_waits, 0);
+  const ExecRun one = run_with_workers(spec, 1, 4);
+  const ExecRun many = run_with_workers(spec, 8, 4);
+  expect_same_wavefront_run(one, many, "steal-heavy");
+  // A lone participant makes every tile ready itself and never waits.
+  EXPECT_EQ(one.stats.tiles_stolen, 0);
+  EXPECT_EQ(one.stats.starvation_waits, 0);
 }
 
 TEST(DataflowEquivalence, DegenerateGeometries) {
@@ -513,22 +535,22 @@ TEST(DataflowEquivalence, DegenerateGeometries) {
     spec.b = b.bases();
     spec.grid = tiny_grid(8, 8, 4);  // Grid larger than the problem.
     spec.recurrence = engine::Recurrence::local(paper());
-    const ExecRun lockstep = run_with_executor(spec, engine::ExecutorKind::kLockstep, 1, 1);
-    const ExecRun dataflow = run_with_executor(spec, engine::ExecutorKind::kDataflow, 4, 1);
-    expect_same_run(lockstep, dataflow, "m=" + std::to_string(m) + " n=" + std::to_string(n));
+    const std::string label = "m=" + std::to_string(m) + " n=" + std::to_string(n);
+    const ExecRun one = run_with_workers(spec, 1, 1);
+    expect_same_run(run_with_workers(spec, std::nullopt, 1), one, label + " ref");
+    expect_same_wavefront_run(one, run_with_workers(spec, 4, 1), label);
   }
 }
 
 TEST(DataflowProgress, PerTileFractionIsMonotoneAndComplete) {
   const auto a = rand_seq(200, 63001);
   const auto b = rand_seq(210, 63002);
-  for (const auto kind : {engine::ExecutorKind::kLockstep, engine::ExecutorKind::kDataflow}) {
+  for (const int workers : kWorkerCounts) {
     ProblemSpec spec;
     spec.a = a.bases();
     spec.b = b.bases();
     spec.grid = tiny_grid(4, 4, 2);
     spec.recurrence = engine::Recurrence::local(paper());
-    spec.executor = kind;
     Hooks hooks;
     Index last_done = 0, last_total = 0;
     int calls = 0;
@@ -539,18 +561,18 @@ TEST(DataflowProgress, PerTileFractionIsMonotoneAndComplete) {
       last_total = total;
       ++calls;
     };
-    ThreadPool pool(4);
+    ThreadPool pool(workers);
     (void)engine::run_wavefront(spec, hooks, &pool);
-    EXPECT_GT(calls, 1) << executor_name(kind);
-    EXPECT_EQ(last_done, last_total) << executor_name(kind);
-    EXPECT_GT(last_total, 0) << executor_name(kind);
+    EXPECT_GT(calls, 1) << "workers " << workers;
+    EXPECT_EQ(last_done, last_total) << "workers " << workers;
+    EXPECT_GT(last_total, 0) << "workers " << workers;
   }
 }
 
-// The probe reports the row-major-first cell with H == value under both
-// executors and any worker count, whatever order the tiles ran in: the first
-// retired strip with a hit reports the smallest (i, j) among its tiles' hits.
-TEST(Dataflow, ProbeReportsRowMajorFirstHitUnderBothExecutors) {
+// The probe reports the row-major-first cell with H == value at any worker
+// count, whatever order the tiles ran in: the first retired strip with a hit
+// reports the smallest (i, j) among its tiles' hits.
+TEST(Dataflow, ProbeReportsRowMajorFirstHitAtAnyWorkerCount) {
   // Unrelated sequences scatter small H values over many tiles, so the first
   // hit by external diagonal is usually not the row-major-first one.
   const auto a = rand_seq(120, 64001);
@@ -569,19 +591,16 @@ TEST(Dataflow, ProbeReportsRowMajorFirstHitUnderBothExecutors) {
       }
     }
     ASSERT_TRUE(want) << "no cell with H == " << value;
-    for (const auto kind : kExecutors) {
-      for (const int workers : {1, 4}) {
-        const std::string label = std::string(engine::executor_name(kind)) + " value " +
-                                  std::to_string(value) + " workers " + std::to_string(workers);
-        spec.executor = kind;
-        Hooks hooks;
-        hooks.find_value = value;
-        ThreadPool pool(workers);
-        const auto run = engine::run_wavefront(spec, hooks, &pool);
-        EXPECT_TRUE(run.found) << label;
-        EXPECT_TRUE(run.stopped_early) << label;
-        EXPECT_EQ(std::pair(run.found_i, run.found_j), *want) << label;
-      }
+    for (const int workers : kWorkerCounts) {
+      const std::string label =
+          "value " + std::to_string(value) + " workers " + std::to_string(workers);
+      Hooks hooks;
+      hooks.find_value = value;
+      ThreadPool pool(workers);
+      const auto run = engine::run_wavefront(spec, hooks, &pool);
+      EXPECT_TRUE(run.found) << label;
+      EXPECT_TRUE(run.stopped_early) << label;
+      EXPECT_EQ(std::pair(run.found_i, run.found_j), *want) << label;
     }
   }
 }
@@ -598,7 +617,6 @@ TEST(Dataflow, BusPlanesMatchTheStripsThatExist) {
     spec.b = b.bases();
     spec.grid = tiny_grid(4, 4, 2);
     spec.recurrence = engine::Recurrence::local(paper());
-    spec.executor = engine::ExecutorKind::kDataflow;
     ThreadPool pool(4);
     const auto run = engine::run_wavefront(spec, Hooks{}, &pool);
     const auto strips = static_cast<std::size_t>(run.stats.strips);
@@ -610,52 +628,36 @@ TEST(Dataflow, BusPlanesMatchTheStripsThatExist) {
 TEST(Engine, VerticalBusDoesNotGrowWithBlocks) {
   // The vertical bus is two buffers of strip_rows + 1 cells per strip slot,
   // whatever the chunk count. The ring holds min(strips, window + 2) slots
-  // under dataflow (window = 4 on a 2-worker pool) and min(strips, blocks)
-  // under lockstep; special rows (interval 4) add (ring - 1) / 4 + 1 buffers
-  // of n + 1 cells. So 4 and 16 chunks cost the same bus memory under both
-  // executors on 3 strips, and under dataflow on 40.
+  // (window = 4 on a 2-worker pool); special rows (interval 4) add
+  // (ring - 1) / 4 + 1 buffers of n + 1 cells. So 4 and 16 chunks cost the
+  // same bus memory on 3 strips and on 40.
   const auto b = rand_seq(200, 66002);
   const std::size_t n1 = 201, vbus_len = 9;
   for (const Index m : {24, 320}) {  // 3 and 40 strips of 8 rows.
     const auto a = rand_seq(m, 66001);
-    for (const auto kind : kExecutors) {
-      std::vector<std::size_t> bytes;
-      for (const Index blocks : {4, 16}) {
-        const std::string label = std::string(engine::executor_name(kind)) + " m " +
-                                  std::to_string(m) + " blocks " + std::to_string(blocks);
-        ProblemSpec spec;
-        spec.a = a.bases();
-        spec.b = b.bases();
-        spec.grid = tiny_grid(blocks, 4, 2);
-        spec.recurrence = engine::Recurrence::local(paper());
-        spec.executor = kind;
-        Hooks hooks;
-        hooks.special_row_interval = 4;
-        hooks.on_special_row = [](Index, std::span<const BusCell>, const dp::LocalBest&) {};
-        ThreadPool pool(2);
-        const auto run = engine::run_wavefront(spec, hooks, &pool);
-        ASSERT_EQ(run.stats.strips, m / 8) << label;
-        ASSERT_EQ(run.stats.blocks_used, blocks) << label;
-        const auto ring = static_cast<std::size_t>(std::min<Index>(
-            m / 8, kind == engine::ExecutorKind::kDataflow ? 6 : blocks));
-        const std::size_t rows = (ring - 1) / 4 + 1;
-        EXPECT_EQ(run.stats.bus_bytes, (n1 + 2 * ring * vbus_len + rows * n1) * sizeof(BusCell))
-            << label;
-        bytes.push_back(run.stats.bus_bytes);
-      }
-      if (m == 24 || kind == engine::ExecutorKind::kDataflow) {
-        EXPECT_EQ(bytes[0], bytes[1]) << engine::executor_name(kind) << " m " << m;
-      }
+    std::vector<std::size_t> bytes;
+    for (const Index blocks : {4, 16}) {
+      const std::string label = "m " + std::to_string(m) + " blocks " + std::to_string(blocks);
+      ProblemSpec spec;
+      spec.a = a.bases();
+      spec.b = b.bases();
+      spec.grid = tiny_grid(blocks, 4, 2);
+      spec.recurrence = engine::Recurrence::local(paper());
+      Hooks hooks;
+      hooks.special_row_interval = 4;
+      hooks.on_special_row = [](Index, std::span<const BusCell>, const dp::LocalBest&) {};
+      ThreadPool pool(2);
+      const auto run = engine::run_wavefront(spec, hooks, &pool);
+      ASSERT_EQ(run.stats.strips, m / 8) << label;
+      ASSERT_EQ(run.stats.blocks_used, blocks) << label;
+      const auto ring = static_cast<std::size_t>(std::min<Index>(m / 8, 6));
+      const std::size_t rows = (ring - 1) / 4 + 1;
+      EXPECT_EQ(run.stats.bus_bytes, (n1 + 2 * ring * vbus_len + rows * n1) * sizeof(BusCell))
+          << label;
+      bytes.push_back(run.stats.bus_bytes);
     }
+    EXPECT_EQ(bytes[0], bytes[1]) << "m " << m;
   }
-}
-
-TEST(Dataflow, ExecutorRegistryNamesRoundTrip) {
-  EXPECT_STREQ(engine::executor_name(engine::ExecutorKind::kLockstep), "lockstep");
-  EXPECT_STREQ(engine::executor_name(engine::ExecutorKind::kDataflow), "dataflow");
-  EXPECT_EQ(engine::executor_from_name("lockstep"), engine::ExecutorKind::kLockstep);
-  EXPECT_EQ(engine::executor_from_name("dataflow"), engine::ExecutorKind::kDataflow);
-  EXPECT_THROW((void)engine::executor_from_name("warp"), Error);
 }
 
 // The checkpoint/resume contract at the engine layer: restarting from a
@@ -715,10 +717,9 @@ TEST(Engine, ResumeFromSpecialRowMatchesFullRun) {
   }
 }
 
-// Same contract under the dataflow executor, in all four full/resume executor
-// pairings: the executor is deliberately not part of the checkpoint envelope,
-// so a checkpoint taken under one must resume byte-identically under the
-// other.
+// Same contract across executors: the full run is the reference sweep, and a
+// resume from one of its special rows on the wavefront, at one worker or
+// many, must flush the rest of its rows byte for byte.
 TEST(Engine, DataflowResumeFromSpecialRowMatchesFullRunAcrossExecutors) {
   const auto a = rand_seq(250, 2301);
   const auto b = rand_seq(240, 2302);
@@ -728,11 +729,7 @@ TEST(Engine, DataflowResumeFromSpecialRowMatchesFullRunAcrossExecutors) {
   spec.grid = tiny_grid(3, 8, 2);  // Strip height 16.
   spec.recurrence = engine::Recurrence::local(paper());
 
-  const auto collect = [&](ProblemSpec run_spec, engine::ExecutorKind kind) {
-    return run_with_executor(std::move(run_spec), kind, 4, 2);  // Every 32 rows.
-  };
-
-  const ExecRun full = collect(spec, engine::ExecutorKind::kLockstep);
+  const ExecRun full = run_with_workers(spec, std::nullopt, 2);  // Every 32 rows.
   ASSERT_GE(full.flushes.size(), 3u);
   const auto& [middle_row, middle_bus] = full.flushes[1];
   ProblemSpec resumed_spec = spec;
@@ -740,27 +737,21 @@ TEST(Engine, DataflowResumeFromSpecialRowMatchesFullRunAcrossExecutors) {
   resumed_spec.initial_hbus = middle_bus;
   resumed_spec.initial_best = full.flush_best[1];
 
-  for (const auto full_kind :
-       {engine::ExecutorKind::kLockstep, engine::ExecutorKind::kDataflow}) {
-    const ExecRun whole = collect(spec, full_kind);
-    expect_same_run(full, whole, std::string("full under ") + executor_name(full_kind));
-    for (const auto resume_kind :
-         {engine::ExecutorKind::kLockstep, engine::ExecutorKind::kDataflow}) {
-      const std::string label = std::string("full ") + executor_name(full_kind) + " -> resume " +
-                                executor_name(resume_kind);
-      const ExecRun resumed = collect(resumed_spec, resume_kind);
-      EXPECT_EQ(resumed.best.score, full.best.score) << label;
-      EXPECT_EQ(resumed.best.i, full.best.i) << label;
-      EXPECT_EQ(resumed.best.j, full.best.j) << label;
-      ASSERT_EQ(resumed.flushes.size(), full.flushes.size() - 2) << label;
-      for (std::size_t k = 0; k < resumed.flushes.size(); ++k) {
-        EXPECT_EQ(resumed.flushes[k].first, full.flushes[k + 2].first) << label;
-        ASSERT_EQ(resumed.flushes[k].second.size(), full.flushes[k + 2].second.size()) << label;
-        EXPECT_EQ(std::memcmp(resumed.flushes[k].second.data(), full.flushes[k + 2].second.data(),
-                              resumed.flushes[k].second.size() * sizeof(BusCell)),
-                  0)
-            << label << " flushed row " << resumed.flushes[k].first << " diverged after resume";
-      }
+  for (const int workers : kWorkerCounts) {
+    const std::string label = "workers " + std::to_string(workers);
+    expect_same_run(full, run_with_workers(spec, workers, 2), "full run, " + label);
+    const ExecRun resumed = run_with_workers(resumed_spec, workers, 2);
+    EXPECT_EQ(resumed.best.score, full.best.score) << label;
+    EXPECT_EQ(resumed.best.i, full.best.i) << label;
+    EXPECT_EQ(resumed.best.j, full.best.j) << label;
+    ASSERT_EQ(resumed.flushes.size(), full.flushes.size() - 2) << label;
+    for (std::size_t k = 0; k < resumed.flushes.size(); ++k) {
+      EXPECT_EQ(resumed.flushes[k].first, full.flushes[k + 2].first) << label;
+      ASSERT_EQ(resumed.flushes[k].second.size(), full.flushes[k + 2].second.size()) << label;
+      EXPECT_EQ(std::memcmp(resumed.flushes[k].second.data(), full.flushes[k + 2].second.data(),
+                            resumed.flushes[k].second.size() * sizeof(BusCell)),
+                0)
+          << label << " flushed row " << resumed.flushes[k].first << " diverged after resume";
     }
   }
 }
@@ -808,11 +799,11 @@ TEST(EngineSentinel, PeeledSweepsMatchReferenceOnStripedTiles) {
     for (const Index blocks : {1, 4}) {
       spec.grid = tiny_grid(blocks, 16, 2);  // Strips of 32 rows.
       const Captured reference = run_with_hooks(spec, 1, {1, n}, std::nullopt, nullptr);
-      for (const auto kind : kExecutors) {
+      for (const int workers : kWorkerCounts) {
         const std::string label = std::string("end") + std::to_string(static_cast<int>(end)) +
-                                  " B=" + std::to_string(blocks) + " " +
-                                  engine::executor_name(kind);
-        spec.executor = kind;
+                                  " B=" + std::to_string(blocks) +
+                                  " workers " + std::to_string(workers);
+        ThreadPool pool(workers);
         check::BusAuditor auditor;
         Captured got;
         Hooks hooks;
@@ -827,7 +818,7 @@ TEST(EngineSentinel, PeeledSweepsMatchReferenceOnStripedTiles) {
           got.taps[{col, first_row}] = std::vector<BusCell>(cells.begin(), cells.end());
           return HookAction::kContinue;
         };
-        const auto run = engine::run_wavefront(spec, hooks);
+        const auto run = engine::run_wavefront(spec, hooks, &pool);
         EXPECT_TRUE(auditor.ok()) << label << "\n" << auditor.report();
         EXPECT_GE(striped_cells(run.stats) * 100, run.stats.cells * 95)
             << label << ": " << engine::kernel_usage_summary(run.stats);
@@ -853,7 +844,7 @@ TEST(EngineSentinel, PeeledSweepsMatchReferenceOnStripedTiles) {
         Hooks probe;
         probe.bus_audit = &auditor;
         probe.find_value = target;
-        const auto hit = engine::run_wavefront(spec, probe);
+        const auto hit = engine::run_wavefront(spec, probe, &pool);
         EXPECT_TRUE(auditor.ok()) << label << " probe\n" << auditor.report();
         EXPECT_TRUE(hit.found) << label;
         EXPECT_EQ(std::pair(hit.found_i, hit.found_j), std::pair(Index{1}, want_j)) << label;

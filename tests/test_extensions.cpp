@@ -237,11 +237,11 @@ TEST(Parallelism, NestedParallelForRunsInline) {
 // CLI argument parser
 // ---------------------------------------------------------------------------
 
-common::Args parse(std::vector<std::string> argv) {
+common::Args parse(std::vector<std::string> argv, const std::vector<std::string>& switches = {}) {
   std::vector<char*> raw;
   raw.push_back(const_cast<char*>("prog"));
   for (auto& s : argv) raw.push_back(s.data());
-  return common::Args(static_cast<int>(raw.size()), raw.data(), 1);
+  return common::Args(static_cast<int>(raw.size()), raw.data(), 1, switches);
 }
 
 TEST(Args, PositionalAndFlags) {
@@ -251,6 +251,14 @@ TEST(Args, PositionalAndFlags) {
   EXPECT_EQ(args.str("out"), "x.bin");
   EXPECT_TRUE(args.has("stats"));
   EXPECT_FALSE(args.has("missing"));
+  // A switch before the positionals must not swallow the first of them.
+  auto leading = parse({"--stats", "a.fasta", "--out", "x.bin", "b.fasta"}, {"stats"});
+  ASSERT_EQ(leading.positional().size(), 2u);
+  EXPECT_EQ(leading.positional()[0], "a.fasta");
+  EXPECT_EQ(leading.positional()[1], "b.fasta");
+  EXPECT_TRUE(leading.has("stats"));
+  EXPECT_EQ(leading.str("stats", "unset"), "");
+  EXPECT_EQ(leading.str("out"), "x.bin");
 }
 
 TEST(Args, EqualsSyntaxAndDefaults) {

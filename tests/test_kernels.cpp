@@ -660,24 +660,28 @@ TEST(StripedIsa, ForcedGenericBaselineMatchesReferenceProblemLevel) {
   EXPECT_GT(tally.tiles, 0) << engine::kernel_usage_summary(run.stats);
 }
 
-// Lockstep and dataflow executors must flush byte-identical special rows with
-// a striped kernel pinned (the checkpoint store consumes these bytes).
+// The wavefront executor must flush special rows byte-identical to the
+// reference sweep's with a striped kernel pinned (the checkpoint store
+// consumes these bytes).
 TEST(StripedIsa, CrossExecutorSpecialRowsIdenticalWithStripedPinned) {
   const auto a = rand_seq(200, 7007);
   const auto b = rand_seq(230, 7008);
-  auto run_one = [&](engine::ExecutorKind kind) {
-    engine::ProblemSpec spec;
-    spec.a = a.bases();
-    spec.b = b.bases();
-    spec.grid = engine::GridSpec{3, 8, 4, 1};
-    spec.recurrence = Recurrence::local(paper());
-    spec.executor = kind;
+  engine::ProblemSpec spec;
+  spec.a = a.bases();
+  spec.b = b.bases();
+  spec.grid = engine::GridSpec{3, 8, 4, 1};
+  spec.recurrence = Recurrence::local(paper());
+  auto run_one = [&](bool reference) {
     std::map<Index, std::vector<BusCell>> rows;
     engine::Hooks hooks;
     hooks.special_row_interval = 3;
     hooks.on_special_row = [&](Index row, std::span<const BusCell> cells, const dp::LocalBest&) {
       rows[row] = std::vector<BusCell>(cells.begin(), cells.end());
     };
+    if (reference) {
+      (void)engine::run_reference(spec, hooks);
+      return rows;
+    }
     const auto result = engine::run_wavefront(spec, hooks);
     const auto& tally =
         result.stats.kernels[static_cast<std::size_t>(KernelId::kStriped16LocalBest)];
@@ -685,12 +689,13 @@ TEST(StripedIsa, CrossExecutorSpecialRowsIdenticalWithStripedPinned) {
     return rows;
   };
   const test::ScopedKernelPin pin("striped16-local+best");
-  const auto lockstep = run_one(engine::ExecutorKind::kLockstep);
-  const auto dataflow = run_one(engine::ExecutorKind::kDataflow);
-  ASSERT_EQ(lockstep.size(), dataflow.size());
-  for (const auto& [row, cells] : lockstep) {
-    const auto it = dataflow.find(row);
-    ASSERT_NE(it, dataflow.end()) << "row " << row;
+  const auto reference = run_one(true);
+  const auto wavefront = run_one(false);
+  ASSERT_FALSE(reference.empty());
+  ASSERT_EQ(reference.size(), wavefront.size());
+  for (const auto& [row, cells] : reference) {
+    const auto it = wavefront.find(row);
+    ASSERT_NE(it, wavefront.end()) << "row " << row;
     ASSERT_EQ(cells.size(), it->second.size()) << "row " << row;
     EXPECT_EQ(0, std::memcmp(cells.data(), it->second.data(),
                              cells.size() * sizeof(BusCell)))

@@ -402,12 +402,10 @@ TEST(RunReport, KernelCellsSumToStageCells) {
 }
 
 TEST(RunReport, OptionsBlockIsTheRunConfiguration) {
-  // The report writes the run configuration the checkpoint envelope stores,
-  // plus the executor, the one option that cannot change the output.
+  // The report writes exactly the run configuration the checkpoint envelope
+  // stores.
   const SmallRun run = small_pipeline_run();
-  Json expected = core::options_json(run.options);
-  expected.set("executor", engine::executor_name(run.options.executor));
-  EXPECT_EQ(build_run_report(context_of(run)).at("options"), expected);
+  EXPECT_EQ(build_run_report(context_of(run)).at("options"), core::options_json(run.options));
 
   engine::set_kernel_override("striped16-local+best");
   const Json pinned = build_run_report(context_of(run));

@@ -362,7 +362,6 @@ TEST(PipelineAsyncFlush, StealHeavyDataflowWithAsyncWriter) {
   // configuration for retirer/worker/writer interleavings.
   const auto pair = seq::make_related_pair(700, 650, 2468);
   PipelineOptions options = small_options();
-  options.executor = engine::ExecutorKind::kDataflow;
   options.grid_stage1 = tiny_grid(2, 4, 2);
   ThreadPool pool(8);
   options.pool = &pool;

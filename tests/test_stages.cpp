@@ -106,20 +106,19 @@ TEST(Stage1, TinyBudgetRaisesFlushInterval) {
 }
 
 // Stage 1 hands special rows to the SRA writer thread (sra/async_writer.hpp).
-// Under either executor, every stored row must be byte-identical to the row
+// At any worker count, every stored row must be byte-identical to the row
 // the reference sweep flushes at the same interval, and every flushed row
 // must be durably acknowledged.
 TEST(Stage1, StoredRowsMatchReferenceAcrossExecutors) {
   const auto pair = test::small_related(300, 290, 3200);
-  for (const auto kind : {engine::ExecutorKind::kLockstep, engine::ExecutorKind::kDataflow}) {
-    const std::string label = engine::executor_name(kind);
+  for (const int workers : {1, 4}) {
+    const std::string label = "workers " + std::to_string(workers);
     StageHarness h(pair);
-    ThreadPool pool(4);
+    ThreadPool pool(workers);
     Stage1Config c;
     c.scheme = paper();
     c.grid = tiny_grid();
     c.rows_area = &h.rows;
-    c.executor = kind;
     c.pool = &pool;
     const auto st1 = run_stage1(pair.s0.bases(), pair.s1.bases(), c);
 

@@ -34,10 +34,10 @@ int usage() {
   cudalign align A.fasta B.fasta [--out ALN.bin] [--sra BYTES] [--workdir DIR]
            [--max-partition N] [--match N] [--mismatch N] [--gap-first N]
            [--gap-ext N] [--no-stage3] [--stats] [--prune] [--both-strands]
-           [--cigar FILE] [--kernel NAME] [--executor NAME] [--audit-bus]
-           [--report FILE] [--progress] [--checkpoint-dir DIR] [--resume]
+           [--cigar FILE] [--kernel NAME] [--audit-bus] [--report FILE]
+           [--progress] [--checkpoint-dir DIR] [--resume]
   cudalign score A.fasta B.fasta [--match N] [--mismatch N] [--gap-first N]
-           [--gap-ext N] [--kernel NAME] [--executor NAME] [--audit-bus]
+           [--gap-ext N] [--kernel NAME] [--audit-bus]
 
 --kernel pins a tile-kernel variant (e.g. legacy, scalar-local+best,
 scalar-global, v16-local+best, striped8-local+best, striped16-local+best,
@@ -48,13 +48,10 @@ variant's lanes re-runs on wider lanes (counted as "narrow re-runs" by
 --stats), so scores are unaffected. The striped kernels pick their SIMD
 backend at runtime; CUDALIGN_SIMD=auto|generic|sse2|avx2|avx512
 forces one (unknown or unsupported values fail fast with exit code 2).
---executor picks the schedule of the Stage-1 wavefront: dataflow (default;
-each tile runs once its inputs are published, no barrier, a bounded window
-of strips in flight) or lockstep (the reference schedule: one barrier per
-external diagonal). Stages 2-4 always run dataflow. Both run the same tile
-body and deliver results as each strip retires, so output is byte-identical
-either way, including resume — a checkpoint taken under one executor may be
-resumed under the other.
+The wavefront of Stages 1-4 runs each tile once its inputs are published,
+with no barrier between external diagonals and a bounded window of strips in
+flight; results are delivered as each strip retires, so output is
+byte-identical for any thread count, including resume.
 --audit-bus verifies every wavefront bus hand-off against the grid model's
 happens-before relation (check/bus_audit.hpp) and fails the run on violation.
 Stage-1 special rows are written by a dedicated SRA writer thread that
@@ -92,8 +89,7 @@ scoring::Scheme scheme_from(const common::Args& args) {
 int cmd_align(const common::Args& args) {
   args.check_known({"out", "sra", "workdir", "max-partition", "match", "mismatch", "gap-first",
                     "gap-ext", "no-stage3", "stats", "prune", "both-strands", "cigar",
-                    "kernel", "executor", "audit-bus", "report", "progress", "checkpoint-dir",
-                    "resume"});
+                    "kernel", "audit-bus", "report", "progress", "checkpoint-dir", "resume"});
   if (args.positional().size() != 2) return usage();
   if (args.has("kernel")) engine::set_kernel_override(args.str("kernel"));
   const auto s0 = seq::read_single_fasta(args.positional()[0]);
@@ -109,7 +105,6 @@ int cmd_align(const common::Args& args) {
   options.max_partition_size = args.num("max-partition", 16);
   options.save_special_columns = !args.has("no-stage3");
   options.block_pruning = args.has("prune");
-  if (args.has("executor")) options.executor = engine::executor_from_name(args.str("executor"));
   if (args.has("workdir")) options.workdir = args.str("workdir");
   if (args.has("checkpoint-dir")) options.checkpoint_dir = args.str("checkpoint-dir");
   options.resume = args.has("resume");
@@ -226,15 +221,13 @@ int cmd_align(const common::Args& args) {
 }
 
 int cmd_score(const common::Args& args) {
-  args.check_known({"match", "mismatch", "gap-first", "gap-ext", "kernel", "executor",
-                    "audit-bus"});
+  args.check_known({"match", "mismatch", "gap-first", "gap-ext", "kernel", "audit-bus"});
   if (args.positional().size() != 2) return usage();
   if (args.has("kernel")) engine::set_kernel_override(args.str("kernel"));
   const auto s0 = seq::read_single_fasta(args.positional()[0]);
   const auto s1 = seq::read_single_fasta(args.positional()[1]);
   core::Stage1Config config;
   config.scheme = scheme_from(args);
-  if (args.has("executor")) config.executor = engine::executor_from_name(args.str("executor"));
   check::BusAuditor auditor;
   if (args.has("audit-bus")) config.bus_audit = &auditor;
   const auto st1 = core::run_stage1(s0.bases(), s1.bases(), config);
@@ -332,7 +325,10 @@ int main(int argc, char** argv) {
   try {
     if (argc < 2) return usage();
     const std::string command = argv[1];
-    const common::Args args(argc, argv, 2);
+    // The flags the commands read only through has(): they never take a value.
+    const common::Args args(argc, argv, 2,
+                            {"stats", "prune", "resume", "no-stage3", "both-strands", "audit-bus",
+                             "progress", "plot"});
     if (command == "align") return cmd_align(args);
     if (command == "score") return cmd_score(args);
     if (command == "view") return cmd_view(args);
