@@ -96,6 +96,8 @@ inline core::PipelineOptions bench_options(std::int64_t sra_budget = 64 << 20) {
   o.sra_rows_budget = sra_budget;
   o.sra_cols_budget = sra_budget;
   o.max_partition_size = 16;
+  // The paper's Stage 1 computes all m*n cells: Cells_1 in Tables III-VIII.
+  o.block_pruning = false;
   return o;
 }
 

@@ -29,6 +29,7 @@ int main() {
     core::Stage1Config no_flush;
     no_flush.scheme = scheme;
     no_flush.grid = bench_grid_stage1();
+    no_flush.block_pruning = false;  // Table IV's Stage 1 computes all m*n cells.
     const auto r0 = core::run_stage1(pair.s0.bases(), pair.s1.bases(), no_flush);
 
     // SRA budget proportional to the pair, mirroring the paper's 5M..50G

@@ -13,7 +13,9 @@
 #      avx2, and avx512 on capable CPUs).
 #      Then the run-report smoke: a small align's report must pass
 #      report-check, and a second run with --audit-bus must audit clean,
-#      validate, and write a binary alignment identical to the first.
+#      validate, and write a binary alignment identical to the first; a
+#      third with --no-prune must too, reporting 0 pruned cells where the
+#      pruned default reports some.
 #   2. Bench + regression gate: bench_pipeline --fast, then tools/bench_gate
 #      compares it against bench/baseline.json (tolerance
 #      ${CUDALIGN_BENCH_TOLERANCE:-15} percent; the gate's own self-test runs
@@ -245,6 +247,16 @@ grep -q '"peak_rss_bytes"' "$ART_DIR/run-report-sample.json"
   --out "$OBS_DIR/aln-audit.bin" --report "$OBS_DIR/run-report-audit.json" >/dev/null
 "$CLI" report-check "$OBS_DIR/run-report-audit.json"
 cmp "$OBS_DIR/aln.bin" "$OBS_DIR/aln-audit.bin"
+# Stage 1 prunes by default. The same pair with --no-prune computes every
+# cell: its report must show nothing pruned and validate, and its binary
+# alignment must match the pruned default run's byte for byte, which must
+# have pruned something.
+"$CLI" align "$OBS_DIR/a.fasta" "$OBS_DIR/b.fasta" --no-prune \
+  --out "$OBS_DIR/aln-noprune.bin" --report "$OBS_DIR/run-report-noprune.json" >/dev/null
+"$CLI" report-check "$OBS_DIR/run-report-noprune.json"
+cmp "$OBS_DIR/aln.bin" "$OBS_DIR/aln-noprune.bin"
+grep -Eq '"pruned_cells": 0,?$' "$OBS_DIR/run-report-noprune.json"
+grep -Eq '"pruned_cells": [1-9][0-9]*,?$' "$ART_DIR/run-report-sample.json"
 
 # 2. Bench + regression gate. The self-test exercises the comparator with a
 # synthetic 30% slowdown and must detect it; the real comparison pits the

@@ -29,7 +29,7 @@ namespace cudalign::core {
 
 /// Manifest schema identity (mirrors the run-report convention).
 inline constexpr const char* kCheckpointSchemaName = "cudalign-checkpoint";
-inline constexpr std::int64_t kCheckpointFormatVersion = 2;
+inline constexpr std::int64_t kCheckpointFormatVersion = 3;
 /// File name inside the checkpoint directory.
 inline constexpr const char* kCheckpointFileName = "checkpoint.json";
 
@@ -74,7 +74,7 @@ enum class CheckpointStage : std::int64_t {
 };
 
 /// Mid-Stage-1 progress: everything a resumed wavefront needs beyond the SRA
-/// row itself (engine ProblemSpec::start_row / initial_best).
+/// row itself (engine ProblemSpec::start_row / initial_best / initial_prune).
 struct Stage1Progress {
   Index last_flushed_row = 0;   ///< 0 = nothing durable yet (restart row 0).
   Index special_rows_saved = 0; ///< Rows durable at (and below) that point.
@@ -84,6 +84,11 @@ struct Stage1Progress {
   Score best_score = 0;
   Index best_i = 0;
   Index best_j = 0;
+  /// Block-pruning state at last_flushed_row (engine::PruneState): the
+  /// closure row of the last flushed strip and the kPruneLag lagged bests.
+  /// Empty when pruning is off or nothing is flushed yet.
+  std::vector<Score> prune_closure;
+  std::vector<Score> prune_lagged;
 
   friend bool operator==(const Stage1Progress&, const Stage1Progress&) = default;
 };

@@ -183,6 +183,11 @@ PipelineResult align_pipeline(const seq::Sequence& s0, const seq::Sequence& s1,
       CUDALIGN_CHECK(static_cast<Index>(resume_hbus.size()) == n + 1,
                      "cannot resume: restored special row holds ", resume_hbus.size(),
                      " cells, expected ", n + 1);
+      CUDALIGN_CHECK(options.block_pruning == !state.stage1.prune_lagged.empty(),
+                     "cannot resume: the checkpoint at row ", resume_row,
+                     options.block_pruning
+                         ? " carries no block-pruning state for this pruned run"
+                         : " carries block-pruning state but this run does not prune");
     }
     result.resume.resumed_from_row = resume_row;
     result.resume.cells_skipped = static_cast<WideScore>(resume_row) * n;
@@ -221,8 +226,10 @@ PipelineResult align_pipeline(const seq::Sequence& s0, const seq::Sequence& s1,
     c1.resume_hbus = resume_hbus;
     c1.resume_best =
         dp::LocalBest{state.stage1.best_score, state.stage1.best_i, state.stage1.best_j};
+    c1.resume_prune = engine::PruneState{state.stage1.prune_closure, state.stage1.prune_lagged};
     if (manifest) {
-      c1.on_checkpoint = [&](Index row, Index rows_this_run, const dp::LocalBest& best) {
+      c1.on_checkpoint = [&](Index row, Index rows_this_run, const dp::LocalBest& best,
+                             const engine::PruneState& prune) {
         state.stage = CheckpointStage::kStage1;
         state.stage1.last_flushed_row = row;
         state.stage1.special_rows_saved = resume_rows_base + rows_this_run;
@@ -230,6 +237,8 @@ PipelineResult align_pipeline(const seq::Sequence& s0, const seq::Sequence& s1,
         state.stage1.best_score = best.score;
         state.stage1.best_i = best.i;
         state.stage1.best_j = best.j;
+        state.stage1.prune_closure = prune.closure;
+        state.stage1.prune_lagged = prune.lagged;
         manifest->save(state);
         ++checkpoint_saves;
         if (kill_after > 0 && checkpoint_saves >= kill_after) {

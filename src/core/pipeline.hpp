@@ -50,7 +50,9 @@ struct PipelineOptions {
 
   Index max_partition_size = 16;
 
-  bool block_pruning = false;       ///< Stage-1 block pruning (engine/executor.hpp).
+  /// Stage-1 block pruning (engine/executor.hpp): exact, and on by default.
+  /// Stage-1 cells then fall short of m*n by stage1_pruned_cells.
+  bool block_pruning = true;
   /// Held only for e2ebench/traced.cpp:199, which reads it; the pipeline
   /// never does, and it is not in options_json. It goes together with that
   /// line.

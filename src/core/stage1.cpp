@@ -28,6 +28,7 @@ Stage1Result run_stage1(seq::SequenceView s0, seq::SequenceView s1, const Stage1
   spec.start_row = config.resume_row;
   spec.initial_hbus = config.resume_hbus;
   spec.initial_best = config.resume_best;
+  spec.initial_prune = config.resume_prune;
 
   engine::Hooks hooks;
   hooks.bus_audit = config.bus_audit;
@@ -47,11 +48,13 @@ Stage1Result run_stage1(seq::SequenceView s0, seq::SequenceView s1, const Stage1
     // performs the put() and then the checkpoint ack, off the compute path.
     writer.emplace(*config.rows_area);
     hooks.on_special_row = [&](Index row, std::span<const engine::BusCell> cells,
-                               const dp::LocalBest& best) {
+                               const dp::LocalBest& best, const engine::PruneState& prune) {
       const Index rows_saved = ++result.special_rows_saved;
       std::function<void()> ack;
       if (config.on_checkpoint) {
-        ack = [&config, row, rows_saved, best] { config.on_checkpoint(row, rows_saved, best); };
+        ack = [&config, row, rows_saved, best, prune] {
+          config.on_checkpoint(row, rows_saved, best, prune);
+        };
       }
       writer->submit(sra::RowKey{row, 0, n, kRowsGroup}, cells, std::move(ack));
     };

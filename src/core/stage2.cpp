@@ -171,7 +171,7 @@ Stage2Result run_stage2(seq::SequenceView s0, seq::SequenceView s1, const Crossp
                                                 per_iter_budget);
       hooks.special_row_interval = interval;
       hooks.on_special_row = [&](Index row_t, std::span<const engine::BusCell> cells,
-                                 const dp::LocalBest&) {
+                                 const dp::LocalBest&, const engine::PruneState&) {
         // Engine row row_t == original column cur.j - row_t; entry q maps to
         // original row cur.i - q. Store in original (ascending-row) order.
         std::vector<engine::BusCell> original(cells.rbegin(), cells.rend());

@@ -118,27 +118,34 @@ struct Stage1Config {
   scoring::Scheme scheme;
   engine::GridSpec grid = engine::GridSpec::stage1_defaults();
   /// Block pruning (post-paper CUDAlign optimization; engine/executor.hpp).
-  bool block_pruning = false;
+  /// On by default: exact, and on related pairs it skips about half the
+  /// matrix. Cells_1 is then less than m*n (Tables IV-VIII turn it off).
+  bool block_pruning = true;
   /// Flush special rows to `rows_area` (nullptr disables; Table IV's
   /// "No Flush" column).
   sra::SpecialRowsArea* rows_area = nullptr;
   /// Resume (DESIGN.md "Checkpoint & resume"): start the wavefront at vertex
   /// row `resume_row` (a flush boundary; 0 = fresh run) with `resume_hbus` —
-  /// the restored special row at that boundary, n+1 (H, F) cells — and
-  /// `resume_best`, the checkpointed best-so-far. Strip numbering stays
+  /// the restored special row at that boundary, n+1 (H, F) cells —
+  /// `resume_best`, the checkpointed best-so-far, and `resume_prune`, the
+  /// checkpointed pruning state (pruned runs only). Strip numbering stays
   /// global, so flushes of the resumed run land on the same rows.
   Index resume_row = 0;
   std::span<const engine::BusCell> resume_hbus;
   dp::LocalBest resume_best;
+  engine::PruneState resume_prune;
   /// Checkpoint hand-off: invoked right after each special row is durable in
-  /// `rows_area`, with the row, the rows saved *by this run* and the merged
-  /// best-so-far covering every cell up to that row. Special rows are written
+  /// `rows_area`, with the row, the rows saved *by this run*, the merged
+  /// best-so-far covering every cell up to that row and the pruning state
+  /// there (empty unless pruning). Special rows are written
   /// by a dedicated SRA writer thread (sra/async_writer.hpp; DESIGN.md
   /// "Stage-1 I/O overlap"), so this runs on that thread, in ascending-row
   /// order, strictly after its row's CRC'd write (+ fsync). Stage 1 drains
   /// the writer before returning, handing everything the callback touched
   /// back to the caller. The pipeline turns each call into a manifest save.
-  std::function<void(Index row, Index rows_saved, const dp::LocalBest& best)> on_checkpoint;
+  std::function<void(Index row, Index rows_saved, const dp::LocalBest& best,
+                     const engine::PruneState& prune)>
+      on_checkpoint;
   /// Liveness: fraction of Stage-1 cells completed (long chromosome runs).
   std::function<void(double fraction)> progress;
   /// Opt-in bus hand-off verification (engine/executor.hpp Hooks::bus_audit).

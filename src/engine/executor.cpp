@@ -110,6 +110,17 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
   const Index blocks = peel_col0 + std::max<Index>(1, std::min(grid.blocks, n - peel_col0));
   result.best = spec.initial_best;
   result.stats.blocks_used = blocks;
+  const bool resumed_pruning = spec.block_pruning && row0 > 0;
+  if (resumed_pruning) {
+    CUDALIGN_CHECK(static_cast<Index>(spec.initial_prune.closure.size()) == blocks &&
+                       static_cast<Index>(spec.initial_prune.lagged.size()) == kPruneLag,
+                   "a resumed pruned run needs the checkpoint's pruning state: ", blocks,
+                   " closure entries and ", kPruneLag, " lagged bests, got ",
+                   spec.initial_prune.closure.size(), " and ", spec.initial_prune.lagged.size());
+  } else {
+    CUDALIGN_CHECK(spec.initial_prune.closure.empty() && spec.initial_prune.lagged.empty(),
+                   "initial pruning state is only meaningful when resuming a pruned run");
+  }
 
   // Row-0 tap delivery (boundary vertices, before any strip).
   for (const Index col : tap_columns) {
@@ -142,9 +153,11 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
   // many slots every per-strip resource rotates over (index s % ring): the
   // scheduler's window gate admits strip s only once strip s - window - 1 has
   // retired, so window + 2 slots never overlap a live strip. A run of fewer
-  // strips needs one slot per strip.
+  // strips needs one slot per strip. The window stays below kPruneLag, so
+  // strip s - kPruneLag, whose cumulative best the pruning closure of strip s
+  // reads, has retired too (the tile body checks it).
   const Index workers = std::max<Index>(1, static_cast<Index>(pool->worker_count()));
-  const Index window = std::max<Index>(4, 2 * workers);
+  const Index window = std::min(std::max<Index>(4, 2 * workers), kPruneLag - 1);
   const Index ring = std::min(strips, window + 2);
 
   check::BusAuditor* audit = hooks.bus_audit;
@@ -192,14 +205,26 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
       (hbus.size() + vbus.size() * vbus_len + row_buffers.size() * hbus.size()) * sizeof(BusCell);
 
   // Pruning closure (see ProblemSpec::block_pruning): closure[s % ring][b]
-  // holds the best score over tile (s, b)'s ancestor rectangle plus the
-  // resume seed. Tile (s, b) reads the entries written by (s - 1, b) and
-  // (s, b - 1), which the scheduler orders before it, and the next writer of
-  // an entry is the same chunk's tile `ring` strips later, which it orders
-  // after its readers. Not allocated unless pruning.
+  // holds tile (s, b)'s closure. Tile (s, b) reads the entries written by
+  // (s - 1, b) — on a resume's first strip, the restored closure row instead
+  // — and (s, b - 1), which the scheduler orders before it, and the next
+  // writer of an entry is the same chunk's tile `ring` strips later, which it
+  // orders after its readers. Not allocated unless pruning.
   std::vector<Score> closure(
       spec.block_pruning ? static_cast<std::size_t>(ring) * static_cast<std::size_t>(blocks)
                          : 0);
+  // Lagged bests: entry g % kPruneLag holds (g, cumulative best after global
+  // strip g retired), written only by retire(g). Strip g reads the entry of
+  // strip g - kPruneLag — the same slot, before retire(g) overwrites it — and
+  // the window gate orders that strip's retirement before strip g's
+  // admission. Seeded with the kPruneLag strips before the first: zeros for a
+  // fresh run, the checkpoint's for a resume.
+  std::array<std::pair<Index, Score>, kPruneLag> lagged{};
+  for (Index k = 0; k < kPruneLag; ++k) {
+    lagged[static_cast<std::size_t>((base_strip + k) % kPruneLag)] = {
+        base_strip - kPruneLag + k,
+        resumed_pruning ? spec.initial_prune.lagged[static_cast<std::size_t>(k)] : 0};
+  }
 
   auto tile = [&](Index s, Index b) {
     const Index r0 = row0 + s * strip_rows;
@@ -256,10 +281,16 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
     bool pruned = false;
     Score closure_in = 0;
     if (spec.block_pruning) {
-      closure_in = spec.initial_best.score;
+      const Index g = base_strip + s;
+      const auto& [lag_strip, lag_best] = lagged[static_cast<std::size_t>(g % kPruneLag)];
+      CUDALIGN_CHECK(lag_strip == g - kPruneLag, "strip ", g, " was admitted before strip ",
+                     g - kPruneLag, " retired");
+      closure_in = lag_best;
       if (s > 0) {
         closure_in = std::max(
             closure_in, closure[static_cast<std::size_t>(((s - 1) % ring) * blocks + b)]);
+      } else if (resumed_pruning) {
+        closure_in = std::max(closure_in, spec.initial_prune.closure[static_cast<std::size_t>(b)]);
       }
       if (b > 0) {
         closure_in =
@@ -386,6 +417,8 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
     stats.hbus_bytes += (2 * (n + blocks) + (special ? n : 0)) * kCell;
     stats.vbus_bytes += 2 * blocks * (r1 - r0 + 1) * kCell;
     if (slot.best.score > 0) merge_best(result.best, slot.best);
+    const Index g = base_strip + s;
+    lagged[static_cast<std::size_t>(g % kPruneLag)] = {g, result.best.score};
 
     bool go = true;
     if (slot.found) {
@@ -400,9 +433,18 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
     if (go && special) {
       if (audit != nullptr) audit->flush_handoff(s);
       // Checkpoint hand-off: the merged best covers every tile of strips
-      // <= s, exactly the cells of rows <= r1.
+      // <= s, exactly the cells of rows <= r1. The strip's closure slot is
+      // intact here: its next writer is `ring` strips on, not yet admitted.
+      PruneState prune;
+      if (spec.block_pruning) {
+        const auto row_begin = closure.begin() + (s % ring) * blocks;
+        prune.closure.assign(row_begin, row_begin + blocks);
+        for (Index k = 1; k <= kPruneLag; ++k) {
+          prune.lagged.push_back(lagged[static_cast<std::size_t>((g + k) % kPruneLag)].second);
+        }
+      }
       Timer flush_timer;
-      hooks.on_special_row(r1, slot.row, result.best);
+      hooks.on_special_row(r1, slot.row, result.best, prune);
       stats.special_row_wait_seconds += flush_timer.seconds();
     }
     if (go && hooks.on_progress) hooks.on_progress((s + 1) * blocks, total_tiles);
@@ -529,7 +571,7 @@ RunResult run_reference(const ProblemSpec& spec, const Hooks& hooks) {
           cells[static_cast<std::size_t>(j)] = BusCell{row.h[static_cast<std::size_t>(j)],
                                                        row.f[static_cast<std::size_t>(j)]};
         }
-        hooks.on_special_row(row.i, cells, result.best);
+        hooks.on_special_row(row.i, cells, result.best, PruneState{});
       }
     }
   };

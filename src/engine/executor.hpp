@@ -73,6 +73,23 @@ namespace cudalign::engine {
 /// core::PipelineOptions::executor, and goes with them.
 enum class ExecutorKind : std::uint8_t { kDataflow };
 
+/// Strips between a retired strip and the strips whose pruning closure reads
+/// its cumulative best (ProblemSpec::block_pruning). The strip window is
+/// clamped below it, so the strip read has always retired.
+inline constexpr Index kPruneLag = 16;
+
+/// Block-pruning state at a strip boundary: what a wavefront resumed there
+/// needs to prune exactly as an uninterrupted run does. Empty unless pruning.
+struct PruneState {
+  /// The closure of the boundary's strip, one entry per column chunk.
+  std::vector<Score> closure;
+  /// Cumulative best score after each of the kPruneLag strips ending at the
+  /// boundary retired, oldest first (0 for strips before row 0).
+  std::vector<Score> lagged;
+
+  friend bool operator==(const PruneState&, const PruneState&) = default;
+};
+
 struct ProblemSpec {
   seq::SequenceView a;  ///< Rows (the problem's local orientation).
   seq::SequenceView b;  ///< Columns.
@@ -82,15 +99,17 @@ struct ProblemSpec {
   /// Block pruning (the optimization the CUDAlign lineage added after this
   /// paper): in local mode, skip a tile when even a perfect-match
   /// continuation of its best incoming bus value cannot *strictly* beat the
-  /// pruning bound. The bound is the *ancestor closure*: the best tile score
-  /// seen anywhere in the tile's ancestor rectangle (strips <= s, chunks
-  /// <= b), seeded with initial_best on resume — a function of the
-  /// dependency DAG alone, so prune decisions are identical for any worker
-  /// count (a global evolving best would make them schedule-dependent).
-  /// Exact: a tile containing any
-  /// cell of an optimal alignment has bound >= optimum >= closure (the path
-  /// itself gains optimum - prefix with at most min(m - r0, n - c0) diagonal
-  /// steps), so it is never pruned, and pruned tiles publish valid lower
+  /// pruning bound. The bound is the tile's *closure*: the max of the
+  /// closures of (s - 1, b) and (s, b - 1), the cumulative best after strip
+  /// s - kPruneLag retired, and its own tile best once it has run — the best
+  /// score seen in its ancestor rectangle or anywhere kPruneLag strips above.
+  /// Every term is a function of the dependency DAG and of retired strips
+  /// only, so prune decisions are identical for any worker count (a global
+  /// evolving best would make them schedule-dependent). Exact: every closure
+  /// value is a score some alignment achieves, so closure <= optimum, and a
+  /// tile containing any cell of an optimal alignment has bound >= optimum
+  /// (the path itself gains optimum - prefix with at most min(m - r0, n - c0)
+  /// diagonal steps), so it is never pruned; pruned tiles publish valid lower
   /// bounds (H = 0) on their buses. Only meaningful with kLocal; rejected
   /// with taps or probes.
   bool block_pruning = false;
@@ -111,6 +130,12 @@ struct ProblemSpec {
   /// bit-identical to an uninterrupted run's.
   dp::LocalBest initial_best;
 
+  /// Pruning state carried across a resume (block_pruning only): the
+  /// PruneState on_special_row delivered with the restored row. Required
+  /// when a pruned run starts past row 0, so the resumed run prunes exactly
+  /// the tiles an uninterrupted run prunes.
+  PruneState initial_prune;
+
   /// Held only for e2ebench/traced.cpp:199, which assigns it; the engine
   /// never reads it. It goes together with that line.
   ExecutorKind executor = ExecutorKind::kDataflow;
@@ -124,15 +149,17 @@ enum class HookAction {
 
 struct Hooks {
   /// Flush every `special_row_interval` strips: on_special_row(row, cells,
-  /// best_so_far) receives the complete (H, F) row at vertex row `row` (a
-  /// multiple of the strip height, as in the paper) and the run's merged
-  /// best-so-far (local mode) covering every cell up to that row —
-  /// everything a checkpoint needs to make the flush durable progress.
+  /// best_so_far, prune) receives the complete (H, F) row at vertex row `row`
+  /// (a multiple of the strip height, as in the paper), the run's merged
+  /// best-so-far (local mode) covering every cell up to that row, and the
+  /// pruning state there (empty unless pruning) — everything a checkpoint
+  /// needs to make the flush durable progress.
   /// Called once per flush at strip retirement, in ascending row order; under
   /// dataflow that may be on a pool worker.
   /// 0 disables flushing.
   Index special_row_interval = 0;
-  std::function<void(Index row, std::span<const BusCell> cells, const dp::LocalBest& best_so_far)>
+  std::function<void(Index row, std::span<const BusCell> cells, const dp::LocalBest& best_so_far,
+                     const PruneState& prune)>
       on_special_row;
 
   /// Column taps (ascending vertex columns in (0..n]): as each strip retires,

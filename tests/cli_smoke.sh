@@ -9,9 +9,27 @@ trap 'rm -rf "$DIR"' EXIT
 "$CLI" generate "$DIR/b.fasta" --mutate-of "$DIR/a.fasta" --seed 12
 "$CLI" score "$DIR/a.fasta" "$DIR/b.fasta" | grep -q "best score"
 "$CLI" align "$DIR/a.fasta" "$DIR/b.fasta" --out "$DIR/aln.bin" --stats \
-       --cigar "$DIR/aln.cigar" --prune | grep -q "best score"
+       --cigar "$DIR/aln.cigar" > "$DIR/aln.out"
+grep -q "best score" "$DIR/aln.out"
 test -s "$DIR/aln.bin"
 test -s "$DIR/aln.cigar"
+# Stage 1 prunes by default, and --stats says how much of m*n it skipped.
+grep -Eq "^stage-1 pruned cells: [0-9.e+]+ \([0-9.]+% of m\*n\)$" "$DIR/aln.out"
+if grep -q "^stage-1 pruned cells: 0 " "$DIR/aln.out"; then
+  echo "the default run pruned nothing on a related pair" >&2
+  exit 1
+fi
+# Pruning is exact: --no-prune computes every cell and writes the same bytes.
+"$CLI" align "$DIR/a.fasta" "$DIR/b.fasta" --out "$DIR/noprune.bin" --stats --no-prune \
+  | grep -q "^stage-1 pruned cells: 0 (0.0% of m\*n)$"
+cmp "$DIR/aln.bin" "$DIR/noprune.bin"
+# --prune is gone (pruning is the default): it is an unknown flag.
+if "$CLI" align "$DIR/a.fasta" "$DIR/b.fasta" --prune --out "$DIR/prune.bin" \
+     2>"$DIR/prune.err"; then
+  echo "--prune was accepted" >&2
+  exit 1
+fi
+grep -q -- "--prune" "$DIR/prune.err"
 # A value-less flag before the inputs must not swallow the first of them.
 "$CLI" align --stats "$DIR/a.fasta" "$DIR/b.fasta" --out "$DIR/lead.bin" | grep -q "best score"
 "$CLI" view "$DIR/aln.bin" "$DIR/a.fasta" "$DIR/b.fasta" --plot \
@@ -49,11 +67,14 @@ if "$CLI" score "$DIR/multi.fasta" "$DIR/b.fasta" 2>"$DIR/multi.err"; then
   exit 1
 fi
 grep -q "2 records" "$DIR/multi.err"
-# Kill-and-resume: fault injection SIGKILLs the process right after the 2nd
-# stage-1 checkpoint save; the resumed run must produce byte-identical output.
-# No --prune here: pruning keeps the score and endpoint identical but may pick
-# a different co-optimal alignment, which would break the byte comparison.
+# Kill-and-resume, pruned (the default): fault injection SIGKILLs the process
+# right after the 2nd stage-1 checkpoint save; the resumed run must produce
+# byte-identical output, and the special rows an uninterrupted checkpointed
+# run writes, file for file (the checkpoint carries the pruning state).
 "$CLI" align "$DIR/a.fasta" "$DIR/b.fasta" --out "$DIR/ref.bin" > "$DIR/ref.out"
+"$CLI" align "$DIR/a.fasta" "$DIR/b.fasta" --checkpoint-dir "$DIR/whole" \
+       --out "$DIR/whole.bin" >/dev/null
+cmp "$DIR/ref.bin" "$DIR/whole.bin"
 if CUDALIGN_CHECKPOINT_CRASH_AFTER=2 "$CLI" align "$DIR/a.fasta" "$DIR/b.fasta" \
      --checkpoint-dir "$DIR/ckpt" --out "$DIR/crash.bin" >/dev/null 2>&1; then
   echo "fault-injected run did not crash" >&2
@@ -64,6 +85,7 @@ test -s "$DIR/ckpt/checkpoint.json"
        --out "$DIR/resumed.bin" --report "$DIR/resume.json" > "$DIR/resume.out"
 grep -q "resumed from checkpoint" "$DIR/resume.out"
 cmp "$DIR/ref.bin" "$DIR/resumed.bin"
+diff -r "$DIR/whole/rows" "$DIR/ckpt/rows"
 grep "best score" "$DIR/ref.out" > "$DIR/ref.score"
 grep "best score" "$DIR/resume.out" > "$DIR/resume.score"
 cmp "$DIR/ref.score" "$DIR/resume.score"
@@ -92,6 +114,7 @@ test -s "$DIR/ckpt-async/checkpoint.json"
        --checkpoint-dir "$DIR/ckpt-async" --resume --out "$DIR/resumed-async.bin" \
   | grep -q "resumed from checkpoint"
 cmp "$DIR/ref.bin" "$DIR/resumed-async.bin"
+diff -r "$DIR/whole/rows" "$DIR/ckpt-async/rows"
 for f in "$DIR"/ckpt-async/rows/*; do
   case "${f##*/}" in
     sra-[0-9]*.bin) ;;

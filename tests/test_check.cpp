@@ -577,7 +577,8 @@ TEST(EngineAudit, CleanWithMoreStripsThanTheRing) {
     Hooks hooks;
     hooks.bus_audit = &auditor;
     hooks.special_row_interval = 3;
-    hooks.on_special_row = [](Index, std::span<const engine::BusCell>, const dp::LocalBest&) {};
+    hooks.on_special_row = [](Index, std::span<const engine::BusCell>, const dp::LocalBest&,
+                              const engine::PruneState&) {};
     const auto run = engine::run_wavefront(spec, hooks, &pool);
     EXPECT_EQ(run.stats.strips, 50) << "workers " << workers;
     EXPECT_TRUE(auditor.ok()) << "workers " << workers << "\n" << auditor.report();
@@ -678,7 +679,8 @@ TEST(EngineAudit, CleanWithSpecialRowFlushes) {
     hooks.bus_audit = &auditor;
     hooks.special_row_interval = 1;
     Index flushed = 0;
-    hooks.on_special_row = [&](Index, std::span<const engine::BusCell>, const dp::LocalBest&) {
+    hooks.on_special_row = [&](Index, std::span<const engine::BusCell>, const dp::LocalBest&,
+                               const engine::PruneState&) {
       ++flushed;
     };
     (void)engine::run_wavefront(spec, hooks, &pool);

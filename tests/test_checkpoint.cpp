@@ -11,6 +11,7 @@
 #include "common/io_util.hpp"
 #include "core/checkpoint.hpp"
 #include "core/pipeline.hpp"
+#include "engine/executor.hpp"
 #include "engine/kernel_registry.hpp"
 #include "obs/report.hpp"
 #include "obs/telemetry.hpp"
@@ -67,6 +68,9 @@ CheckpointState sample_state() {
   s.stage1.best_score = 42;
   s.stage1.best_i = 15;
   s.stage1.best_j = 99;
+  s.stage1.prune_closure = {42, 40, 42};  // small_options() prunes on 3 chunks.
+  s.stage1.prune_lagged.assign(static_cast<std::size_t>(engine::kPruneLag), 0);
+  s.stage1.prune_lagged.back() = 42;
   return s;
 }
 
@@ -190,21 +194,53 @@ TEST(CheckpointManifestTest, BodyTamperFailsCrc) {
   }
 }
 
-TEST(CheckpointManifestTest, FormatVersionBumpRefused) {
+/// Saves sample_state(), rewrites the manifest's format version to
+/// `version` and returns the message load() refuses it with ("" if it loads).
+std::string load_error_as_version(std::int64_t version) {
   TempDir dir;
   CheckpointManifest manifest(dir.path());
   manifest.save(sample_state());
   std::string text = read_file(manifest.path());
-  const auto pos = text.find("\"format_version\": 2");
-  ASSERT_NE(pos, std::string::npos);
-  text.replace(pos, 19, "\"format_version\": 1");
+  const std::string current = "\"format_version\": " + std::to_string(kCheckpointFormatVersion);
+  const auto pos = text.find(current);
+  EXPECT_NE(pos, std::string::npos);
+  if (pos == std::string::npos) return "";
+  text.replace(pos, current.size(), "\"format_version\": " + std::to_string(version));
   write_file(manifest.path(), text);
   try {
     (void)manifest.load();
-    FAIL() << "format version 1 was not refused";
   } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("format version"), std::string::npos) << e.what();
+    return e.what();
   }
+  return "";
+}
+
+TEST(CheckpointManifestTest, FormatVersionBumpRefused) {
+  const std::string error = load_error_as_version(1);
+  EXPECT_NE(error.find("format version"), std::string::npos) << "format version 1: " << error;
+}
+
+TEST(CheckpointManifestTest, Version2ManifestRefusedNamingBothVersions) {
+  // A v2 manifest carries no pruning state, so a pruned run cannot resume
+  // from it exactly: it is refused, not reinterpreted.
+  ASSERT_EQ(kCheckpointFormatVersion, 3);
+  const std::string error = load_error_as_version(2);
+  EXPECT_NE(error.find("format version 2"), std::string::npos) << error;
+  EXPECT_NE(error.find("reads version 3"), std::string::npos) << error;
+}
+
+TEST(CheckpointManifestTest, PruningStateIsAllOrNothing) {
+  CheckpointState state = sample_state();
+  EXPECT_NO_THROW(validate_checkpoint_state(state));
+  state.stage1.prune_lagged.pop_back();  // One lagged best short.
+  EXPECT_THROW(validate_checkpoint_state(state), Error);
+  state = sample_state();
+  state.stage1.prune_closure.clear();  // Lagged bests without a closure row.
+  EXPECT_THROW(validate_checkpoint_state(state), Error);
+  state = sample_state();
+  state.stage1.prune_closure.clear();  // No pruning state at all is valid.
+  state.stage1.prune_lagged.clear();
+  EXPECT_NO_THROW(validate_checkpoint_state(state));
 }
 
 TEST(CheckpointManifestTest, StateInvariantsEnforced) {
@@ -233,9 +269,21 @@ TEST(CheckpointManifestTest, StateInvariantsEnforced) {
 // Pipeline-level crash/resume.
 // ---------------------------------------------------------------------------
 
+/// The special-row files of the SRA store in `dir` (name -> contents).
+std::map<std::string, std::string> read_rows(const std::filesystem::path& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("sra-", 0) == 0) files[name] = read_file(entry.path());
+  }
+  return files;
+}
+
 /// Runs the uninterrupted pipeline and a crash-at-save-k + resume pair on the
-/// same problem and asserts byte-identical results. `between_runs`, if set,
-/// gets the checkpoint directory after the crash and before the resume.
+/// same problem (pruned: the default) and asserts byte-identical results,
+/// down to every special-row file an uninterrupted checkpointed run writes.
+/// `between_runs`, if set, gets the checkpoint directory after the crash and
+/// before the resume.
 void expect_resume_equivalence(
     Index crash_after_saves,
     const std::function<void(const std::filesystem::path&)>& between_runs = {}) {
@@ -245,7 +293,14 @@ void expect_resume_equivalence(
   ASSERT_GT(reference.best_score, 0);
   ASSERT_GT(reference.special_rows_saved, 2);
 
+  ASSERT_GT(reference.stage1_pruned_cells, 0);
+
   TempDir dir;
+  options.checkpoint_dir = dir.path() / "whole";
+  (void)align_pipeline(pair.s0, pair.s1, options);
+  const auto whole_rows = read_rows(options.checkpoint_dir / "rows");
+  ASSERT_EQ(static_cast<Index>(whole_rows.size()), reference.special_rows_saved);
+
   options.checkpoint_dir = dir.path() / "ckpt";
   options.checkpoint_crash_after_flushes = crash_after_saves;
   EXPECT_THROW((void)align_pipeline(pair.s0, pair.s1, options), Error);
@@ -261,6 +316,8 @@ void expect_resume_equivalence(
   EXPECT_TRUE(resumed.alignment.transcript == reference.alignment.transcript);
   EXPECT_EQ(resumed.binary, reference.binary);
   EXPECT_EQ(resumed.special_rows_saved, reference.special_rows_saved);
+  EXPECT_TRUE(read_rows(options.checkpoint_dir / "rows") == whole_rows)
+      << "resumed special rows differ from the uninterrupted run's";
   EXPECT_TRUE(resumed.resume.resumed);
   EXPECT_EQ(resumed.resume.resumed_stage, 1);
   EXPECT_GT(resumed.resume.resumed_from_row, 0);

@@ -91,7 +91,8 @@ Captured run_with_hooks(const ProblemSpec& spec, Index interval, std::vector<Ind
   Hooks hooks;
   hooks.special_row_interval = interval;
   if (interval > 0) {
-    hooks.on_special_row = [&](Index row, std::span<const BusCell> cells, const dp::LocalBest&) {
+    hooks.on_special_row = [&](Index row, std::span<const BusCell> cells, const dp::LocalBest&,
+                               const engine::PruneState&) {
       captured.special_rows[row] = std::vector<BusCell>(cells.begin(), cells.end());
     };
   }
@@ -412,6 +413,7 @@ struct ExecRun {
   engine::RunStats stats;
   std::vector<std::pair<Index, std::vector<BusCell>>> flushes;
   std::vector<dp::LocalBest> flush_best;
+  std::vector<engine::PruneState> flush_prune;
 };
 
 /// Runs the wavefront on a pool of `workers`, or the reference sweep when it
@@ -421,9 +423,10 @@ ExecRun run_with_workers(const ProblemSpec& spec, std::optional<int> workers, In
   Hooks hooks;
   hooks.special_row_interval = interval;
   hooks.on_special_row = [&](Index row, std::span<const BusCell> cells,
-                             const dp::LocalBest& best) {
+                             const dp::LocalBest& best, const engine::PruneState& prune) {
     out.flushes.emplace_back(row, std::vector<BusCell>(cells.begin(), cells.end()));
     out.flush_best.push_back(best);
+    out.flush_prune.push_back(prune);
   };
   std::optional<ThreadPool> pool;
   if (workers) pool.emplace(*workers);
@@ -456,6 +459,7 @@ void expect_same_run(const ExecRun& want, const ExecRun& got, const std::string&
     EXPECT_EQ(got.flush_best[k].i, want.flush_best[k].i) << label;
     EXPECT_EQ(got.flush_best[k].j, want.flush_best[k].j) << label;
   }
+  EXPECT_EQ(got.flush_prune, want.flush_prune) << label;
 }
 
 /// expect_same_run plus the wavefront's own counters, which the reference
@@ -526,6 +530,28 @@ TEST(DataflowEquivalence, StealHeavyGridMatchesOneWorker) {
   EXPECT_EQ(one.stats.starvation_waits, 0);
 }
 
+TEST(DataflowEquivalence, EightWorkersRunIntoTheWindowClampAndMatchOneWorker) {
+  // 2 * 8 workers would allow 16 strips in flight; the window is clamped to
+  // kPruneLag - 1 so the lagged best a strip reads has always retired. 96
+  // strips of height 4 put most of them past the lag.
+  const auto pair = seq::make_related_pair(384, 300, 9107);
+  ProblemSpec spec;
+  spec.a = pair.s0.bases();
+  spec.b = pair.s1.bases();
+  spec.grid = tiny_grid(5, 4, 1);
+  spec.recurrence = engine::Recurrence::local(paper());
+  spec.block_pruning = true;
+  const ExecRun one = run_with_workers(spec, 1, 3);
+  const ExecRun eight = run_with_workers(spec, 8, 3);
+  expect_same_wavefront_run(one, eight, "1 vs 8 workers");
+  ASSERT_GT(one.stats.strips, 2 * engine::kPruneLag);
+  EXPECT_GT(one.stats.pruned_tiles, 0) << "case no longer exercises pruning";
+  // The ring, and with it the bus memory, follows the clamped window: 12
+  // workers get the same one as 8.
+  EXPECT_EQ(run_with_workers(spec, 12, 3).stats.bus_bytes, eight.stats.bus_bytes);
+  EXPECT_LT(run_with_workers(spec, 4, 3).stats.bus_bytes, eight.stats.bus_bytes);
+}
+
 TEST(DataflowEquivalence, DegenerateGeometries) {
   for (const auto& [m, n] : {std::pair<Index, Index>{1, 40}, {40, 1}, {5, 5}, {1, 1}}) {
     const auto a = rand_seq(m, 62001);
@@ -539,6 +565,76 @@ TEST(DataflowEquivalence, DegenerateGeometries) {
     const ExecRun one = run_with_workers(spec, 1, 1);
     expect_same_run(run_with_workers(spec, std::nullopt, 1), one, label + " ref");
     expect_same_wavefront_run(one, run_with_workers(spec, 4, 1), label);
+  }
+}
+
+/// The pruned cells and tiles of the strips flushed at `run.flushes[0..k]`,
+/// which must be every strip up to the k-th (flush interval 1). A pruned tile
+/// publishes F = -inf across its horizontal segment, which no computed
+/// local-mode cell does, so each flushed row shows which tiles of its strip
+/// were pruned. Local mode peels no column, so chunk b spans vertex columns
+/// (n * b / blocks, n * (b + 1) / blocks].
+std::pair<WideScore, Index> pruned_through(const ExecRun& run, std::size_t k, Index strip_rows) {
+  WideScore cells = 0;
+  Index tiles = 0;
+  const Index blocks = run.stats.blocks_used;
+  for (std::size_t f = 0; f <= k; ++f) {
+    const std::vector<BusCell>& row = run.flushes[f].second;
+    const Index n = static_cast<Index>(row.size()) - 1;
+    for (Index b = 0; b < blocks; ++b) {
+      const Index c0 = n * b / blocks;
+      const Index c1 = n * (b + 1) / blocks;
+      if (row[static_cast<std::size_t>(c0 + 1)].gap == kNegInf) {
+        cells += static_cast<WideScore>(strip_rows) * (c1 - c0);
+        ++tiles;
+      }
+    }
+  }
+  return {cells, tiles};
+}
+
+// Pruned resume at a random flushed row: a run restarted there from what the
+// flush delivered (row, best, pruning state), on 1 and 4 workers, must flush
+// the same later rows and pruning states, find the same best, and prune the
+// same cells and tiles as the uninterrupted run does after that row.
+TEST_P(EngineFuzz, PrunedResumeAtRandomFlushMatchesUninterrupted) {
+  Rng rng(GetParam() * 104729);
+  const Index m = 150 + static_cast<Index>(rng.below(250));
+  const Index n = 60 + static_cast<Index>(rng.below(240));
+  const auto pair = seq::make_related_pair(m, n, rng.next());
+  ProblemSpec spec;
+  spec.a = pair.s0.bases();
+  spec.b = pair.s1.bases();
+  spec.grid = tiny_grid(2 + static_cast<Index>(rng.below(6)), 1 + static_cast<Index>(rng.below(4)),
+                        1 + static_cast<Index>(rng.below(2)));
+  spec.recurrence = engine::Recurrence::local(paper());
+  spec.block_pruning = true;
+  const ExecRun whole = run_with_workers(spec, 1, 1);
+  ASSERT_FALSE(whole.flushes.empty());
+  EXPECT_GT(whole.stats.pruned_tiles, 0) << "case no longer exercises pruning";
+
+  const std::size_t k = rng.below(whole.flushes.size());
+  ProblemSpec resumed = spec;
+  resumed.start_row = whole.flushes[k].first;
+  resumed.initial_hbus = whole.flushes[k].second;
+  resumed.initial_best = whole.flush_best[k];
+  resumed.initial_prune = whole.flush_prune[k];
+  ASSERT_EQ(whole.flush_prune[k].lagged.size(), static_cast<std::size_t>(engine::kPruneLag));
+  const auto [cells_before, tiles_before] = pruned_through(whole, k, spec.grid.strip_rows());
+
+  ExecRun want;
+  want.best = whole.best;
+  want.stats.pruned_cells = whole.stats.pruned_cells - cells_before;
+  want.stats.pruned_tiles = whole.stats.pruned_tiles - tiles_before;
+  want.stats.cells = static_cast<WideScore>(m - resumed.start_row) * n - want.stats.pruned_cells;
+  const auto after = static_cast<std::ptrdiff_t>(k + 1);
+  want.flushes.assign(whole.flushes.begin() + after, whole.flushes.end());
+  want.flush_best.assign(whole.flush_best.begin() + after, whole.flush_best.end());
+  want.flush_prune.assign(whole.flush_prune.begin() + after, whole.flush_prune.end());
+  for (const int workers : kWorkerCounts) {
+    expect_same_run(want, run_with_workers(resumed, workers, 1),
+                    "resume at row " + std::to_string(resumed.start_row) + ", workers " +
+                        std::to_string(workers));
   }
 }
 
@@ -645,7 +741,8 @@ TEST(Engine, VerticalBusDoesNotGrowWithBlocks) {
       spec.recurrence = engine::Recurrence::local(paper());
       Hooks hooks;
       hooks.special_row_interval = 4;
-      hooks.on_special_row = [](Index, std::span<const BusCell>, const dp::LocalBest&) {};
+      hooks.on_special_row = [](Index, std::span<const BusCell>, const dp::LocalBest&,
+                                const engine::PruneState&) {};
       ThreadPool pool(2);
       const auto run = engine::run_wavefront(spec, hooks, &pool);
       ASSERT_EQ(run.stats.strips, m / 8) << label;
@@ -683,7 +780,7 @@ TEST(Engine, ResumeFromSpecialRowMatchesFullRun) {
     Hooks hooks;
     hooks.special_row_interval = 2;  // Every 32 rows.
     hooks.on_special_row = [&](Index row, std::span<const BusCell> bus,
-                               const dp::LocalBest& best) {
+                               const dp::LocalBest& best, const engine::PruneState&) {
       flushes.push_back({row, {bus.begin(), bus.end()}, best});
     };
     const auto run = engine::run_wavefront(run_spec, hooks);
@@ -810,7 +907,7 @@ TEST(EngineSentinel, PeeledSweepsMatchReferenceOnStripedTiles) {
         hooks.bus_audit = &auditor;
         hooks.special_row_interval = 1;
         hooks.on_special_row = [&](Index row, std::span<const BusCell> cells,
-                                   const dp::LocalBest&) {
+                                   const dp::LocalBest&, const engine::PruneState&) {
           got.special_rows[row] = std::vector<BusCell>(cells.begin(), cells.end());
         };
         hooks.tap_columns = {1, n};

@@ -113,6 +113,28 @@ TEST(BlockPruning, IdenticalResultsAndSavesWork) {
   EXPECT_EQ(pruned.stats.cells + pruned.stats.pruned_cells, plain.stats.cells);
 }
 
+TEST(BlockPruning, LaggedBestPrunesMoreThanTheAncestorClosure) {
+  // 150 strips of height 8, far more than 2 * kPruneLag. Under the
+  // ancestor-only closure (tiles above and to the left, no lagged best) this
+  // pair pruned 401,000 of its 1,200,000 cells; the cumulative best of the
+  // strip kPruneLag up also reaches the lower-left triangle.
+  constexpr WideScore kAncestorOnlyPrunedCells = 401000;
+  const auto pair = test::small_related(1200, 1000, 74);
+  engine::ProblemSpec spec;
+  spec.a = pair.s0.bases();
+  spec.b = pair.s1.bases();
+  spec.grid = engine::GridSpec{8, 4, 2, 1};
+  spec.recurrence = engine::Recurrence::local(paper());
+  const auto plain = engine::run_wavefront(spec, engine::Hooks{});
+  spec.block_pruning = true;
+  const auto pruned = engine::run_wavefront(spec, engine::Hooks{});
+  ASSERT_GT(pruned.stats.strips, 2 * engine::kPruneLag);
+  EXPECT_EQ(pruned.best.score, plain.best.score);
+  EXPECT_EQ(pruned.best.i, plain.best.i);
+  EXPECT_EQ(pruned.best.j, plain.best.j);
+  EXPECT_GT(pruned.stats.pruned_cells, kAncestorOnlyPrunedCells);
+}
+
 TEST(BlockPruning, HarmlessOnUnrelatedPairs) {
   // Low best score -> bound rarely binds; correctness must still hold.
   const auto pair = seq::make_unrelated_pair(300, 300, 15, 72);

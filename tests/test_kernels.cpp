@@ -675,7 +675,8 @@ TEST(StripedIsa, CrossExecutorSpecialRowsIdenticalWithStripedPinned) {
     std::map<Index, std::vector<BusCell>> rows;
     engine::Hooks hooks;
     hooks.special_row_interval = 3;
-    hooks.on_special_row = [&](Index row, std::span<const BusCell> cells, const dp::LocalBest&) {
+    hooks.on_special_row = [&](Index row, std::span<const BusCell> cells, const dp::LocalBest&,
+                               const engine::PruneState&) {
       rows[row] = std::vector<BusCell>(cells.begin(), cells.end());
     };
     if (reference) {

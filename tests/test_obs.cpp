@@ -211,6 +211,7 @@ SmallRun small_pipeline_run() {
   run.options.grid_stage23 = engine::GridSpec{4, 8, 4, 2};
   run.options.sra_rows_budget = 1 << 20;
   run.options.sra_cols_budget = 1 << 20;
+  run.options.block_pruning = false;  // Stage 1 then visits exactly m*n cells.
   run.options.telemetry = &run.telemetry;
   run.result = core::align_pipeline(run.pair.s0, run.pair.s1, run.options);
   run.telemetry.finish();

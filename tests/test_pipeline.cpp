@@ -227,7 +227,9 @@ TEST(Pipeline, WithoutSpecialColumnsStage4Absorbs) {
 
 TEST(Pipeline, StageStatisticsArePopulated) {
   const auto pair = test::small_related(300, 300, 999);
-  const auto result = align_pipeline(pair.s0, pair.s1, small_options());
+  PipelineOptions options = small_options();
+  options.block_pruning = false;  // Cells_1 = m*n is the unpruned Stage 1.
+  const auto result = align_pipeline(pair.s0, pair.s1, options);
   EXPECT_EQ(result.stages[0].cells, 300 * 300);
   EXPECT_GT(result.stages[1].cells, 0);
   EXPECT_GT(result.crosspoint_counts[1], 1);

@@ -42,10 +42,11 @@ struct StageHarness {
         rows(dir.path() / "rows", rows_budget),
         cols(dir.path() / "cols", cols_budget) {}
 
-  Stage1Result stage1(engine::GridSpec grid = tiny_grid()) {
+  Stage1Result stage1(engine::GridSpec grid = tiny_grid(), bool block_pruning = true) {
     Stage1Config c;
     c.scheme = paper();
     c.grid = grid;
+    c.block_pruning = block_pruning;
     c.rows_area = &rows;
     return run_stage1(pair.s0.bases(), pair.s1.bases(), c);
   }
@@ -70,15 +71,25 @@ struct StageHarness {
 
 TEST(Stage1, BestMatchesLinearReference) {
   for (std::uint64_t seed = 0; seed < 4; ++seed) {
-    StageHarness h(test::small_related(180, 190, 2000 + seed));
-    const auto st1 = h.stage1();
-    const auto expected =
-        dp::linear_local_best(h.pair.s0.bases(), h.pair.s1.bases(), paper());
-    EXPECT_EQ(st1.end_point.score, expected.score);
-    EXPECT_EQ(st1.end_point.i, expected.i);
-    EXPECT_EQ(st1.end_point.j, expected.j);
-    EXPECT_GT(st1.special_rows_saved, 0);
-    EXPECT_EQ(st1.stats.cells, h.pair.s0.size() * h.pair.s1.size());
+    for (const bool prune : {false, true}) {
+      StageHarness h(test::small_related(180, 190, 2000 + seed));
+      const auto st1 = h.stage1(tiny_grid(), prune);
+      const auto expected =
+          dp::linear_local_best(h.pair.s0.bases(), h.pair.s1.bases(), paper());
+      EXPECT_EQ(st1.end_point.score, expected.score);
+      EXPECT_EQ(st1.end_point.i, expected.i);
+      EXPECT_EQ(st1.end_point.j, expected.j);
+      EXPECT_GT(st1.special_rows_saved, 0);
+      // Unpruned, Stage 1 visits all m*n cells (the paper's Cells_1); pruned,
+      // the computed and the pruned cells still cover the matrix.
+      const auto matrix = static_cast<WideScore>(h.pair.s0.size() * h.pair.s1.size());
+      if (prune) {
+        EXPECT_EQ(st1.stats.cells + st1.pruned_cells, matrix);
+      } else {
+        EXPECT_EQ(st1.stats.cells, matrix);
+        EXPECT_EQ(st1.pruned_cells, 0);
+      }
+    }
   }
 }
 
@@ -118,6 +129,7 @@ TEST(Stage1, StoredRowsMatchReferenceAcrossExecutors) {
     Stage1Config c;
     c.scheme = paper();
     c.grid = tiny_grid();
+    c.block_pruning = false;  // The reference sweep computes every cell.
     c.rows_area = &h.rows;
     c.pool = &pool;
     const auto st1 = run_stage1(pair.s0.bases(), pair.s1.bases(), c);
@@ -131,7 +143,7 @@ TEST(Stage1, StoredRowsMatchReferenceAcrossExecutors) {
     hooks.special_row_interval = st1.flush_interval;
     std::vector<std::pair<Index, std::vector<engine::BusCell>>> expected;
     hooks.on_special_row = [&](Index row, std::span<const engine::BusCell> cells,
-                               const dp::LocalBest&) {
+                               const dp::LocalBest&, const engine::PruneState&) {
       expected.emplace_back(row, std::vector<engine::BusCell>(cells.begin(), cells.end()));
     };
     (void)engine::run_reference(spec, hooks);

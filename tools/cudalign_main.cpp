@@ -33,11 +33,17 @@ int usage() {
   std::fprintf(stderr, R"(usage:
   cudalign align A.fasta B.fasta [--out ALN.bin] [--sra BYTES] [--workdir DIR]
            [--max-partition N] [--match N] [--mismatch N] [--gap-first N]
-           [--gap-ext N] [--no-stage3] [--stats] [--prune] [--both-strands]
+           [--gap-ext N] [--no-stage3] [--stats] [--no-prune] [--both-strands]
            [--cigar FILE] [--kernel NAME] [--audit-bus] [--report FILE]
            [--progress] [--checkpoint-dir DIR] [--resume]
   cudalign score A.fasta B.fasta [--match N] [--mismatch N] [--gap-first N]
            [--gap-ext N] [--kernel NAME] [--audit-bus]
+
+Stage 1 prunes by default: a tile whose best possible continuation cannot
+beat the best score already seen (in its ancestor tiles, or 16 strips up) is
+skipped. Pruning is exact: the score, end point and --out are byte-identical
+to --no-prune, which computes all m*n cells (the paper's Stage 1). --stats
+prints the pruned cells and their share of m*n.
 
 --kernel pins a tile-kernel variant (e.g. legacy, scalar-local+best,
 scalar-global, v16-local+best, striped8-local+best, striped16-local+best,
@@ -88,7 +94,7 @@ scoring::Scheme scheme_from(const common::Args& args) {
 
 int cmd_align(const common::Args& args) {
   args.check_known({"out", "sra", "workdir", "max-partition", "match", "mismatch", "gap-first",
-                    "gap-ext", "no-stage3", "stats", "prune", "both-strands", "cigar",
+                    "gap-ext", "no-stage3", "stats", "no-prune", "both-strands", "cigar",
                     "kernel", "audit-bus", "report", "progress", "checkpoint-dir", "resume"});
   if (args.positional().size() != 2) return usage();
   if (args.has("kernel")) engine::set_kernel_override(args.str("kernel"));
@@ -104,7 +110,7 @@ int cmd_align(const common::Args& args) {
   options.sra_cols_budget = options.sra_rows_budget;
   options.max_partition_size = args.num("max-partition", 16);
   options.save_special_columns = !args.has("no-stage3");
-  options.block_pruning = args.has("prune");
+  options.block_pruning = !args.has("no-prune");
   if (args.has("workdir")) options.workdir = args.str("workdir");
   if (args.has("checkpoint-dir")) options.checkpoint_dir = args.str("checkpoint-dir");
   options.resume = args.has("resume");
@@ -207,6 +213,10 @@ int cmd_align(const common::Args& args) {
                   format_sci(static_cast<double>(st.cells)).c_str(),
                   static_cast<long long>(st.crosspoints));
     }
+    const auto pruned = static_cast<double>(result.stage1_pruned_cells);
+    const double matrix = static_cast<double>(s0.size()) * static_cast<double>(aligned_s1.size());
+    std::printf("stage-1 pruned cells: %s (%.1f%% of m*n)\n", format_sci(pruned).c_str(),
+                matrix > 0 ? 100.0 * pruned / matrix : 0.0);
     std::printf("\nkernel usage (tiles/cells):\n");
     for (int k = 0; k < 6; ++k) {
       const auto& st = result.stages[static_cast<std::size_t>(k)];
@@ -327,8 +337,8 @@ int main(int argc, char** argv) {
     const std::string command = argv[1];
     // The flags the commands read only through has(): they never take a value.
     const common::Args args(argc, argv, 2,
-                            {"stats", "prune", "resume", "no-stage3", "both-strands", "audit-bus",
-                             "progress", "plot"});
+                            {"stats", "no-prune", "resume", "no-stage3", "both-strands",
+                             "audit-bus", "progress", "plot"});
     if (command == "align") return cmd_align(args);
     if (command == "score") return cmd_score(args);
     if (command == "view") return cmd_view(args);
