@@ -31,8 +31,8 @@ int main() {
       std::printf("!! pruning changed the result on %s\n", label(e).c_str());
       return 1;
     }
-    const double pruned_pct = 100.0 * static_cast<double>(r1.pruned_cells) /
-                              static_cast<double>(r1.stats.cells + r1.pruned_cells);
+    const double pruned_pct = 100.0 * static_cast<double>(r1.stats.pruned_cells) /
+                              static_cast<double>(r1.stats.cells + r1.stats.pruned_cells);
     std::printf("%-12s %-10s | %8s %8s | %7.1f%% | %6.2fx\n", label(e).c_str(),
                 e.related ? "related" : "unrelated", format_seconds(r0.stats.seconds).c_str(),
                 format_seconds(r1.stats.seconds).c_str(), pruned_pct,

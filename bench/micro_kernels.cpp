@@ -197,7 +197,7 @@ EngineSample time_engine_gcups(const std::string& kernel, Index n) {
   sample.kernel = kernel;
   sample.gcups = static_cast<double>(n) * static_cast<double>(n) *
                  static_cast<double>(iters) / elapsed / 1e9;
-  sample.usage = engine::kernel_usage_summary(last.stats);
+  sample.usage = engine::kernel_usage_summary(last.stats.kernels);
   return sample;
 }
 

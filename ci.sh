@@ -250,13 +250,15 @@ cmp "$OBS_DIR/aln.bin" "$OBS_DIR/aln-audit.bin"
 # Stage 1 prunes by default. The same pair with --no-prune computes every
 # cell: its report must show nothing pruned and validate, and its binary
 # alignment must match the pruned default run's byte for byte, which must
-# have pruned something.
+# have pruned something. Every stage entry carries pruned_cells and Stages
+# 2-6 never prune, so both checks read Stage 1's entry only.
 "$CLI" align "$OBS_DIR/a.fasta" "$OBS_DIR/b.fasta" --no-prune \
   --out "$OBS_DIR/aln-noprune.bin" --report "$OBS_DIR/run-report-noprune.json" >/dev/null
 "$CLI" report-check "$OBS_DIR/run-report-noprune.json"
 cmp "$OBS_DIR/aln.bin" "$OBS_DIR/aln-noprune.bin"
-grep -Eq '"pruned_cells": 0,?$' "$OBS_DIR/run-report-noprune.json"
-grep -Eq '"pruned_cells": [1-9][0-9]*,?$' "$ART_DIR/run-report-sample.json"
+stage1_entry() { sed -n '/"stage": 1,/,/"stage": 2,/p' "$1"; }
+stage1_entry "$OBS_DIR/run-report-noprune.json" | grep -Eq '"pruned_cells": 0,?$'
+stage1_entry "$ART_DIR/run-report-sample.json" | grep -Eq '"pruned_cells": [1-9][0-9]*,?$'
 
 # 2. Bench + regression gate. The self-test exercises the comparator with a
 # synthetic 30% slowdown and must detect it; the real comparison pits the

@@ -47,8 +47,7 @@ int main(int argc, char** argv) {
 
     // Consumer: reconstruct everything from sequences + binary file alone.
     const auto binary = alignment::read_binary_file(bin_path);
-    const auto report = core::run_stage6(s0.bases(), s1.bases(), binary,
-                                         scoring::Scheme::paper_defaults(), 256);
+    const auto report = core::run_stage6(s0.bases(), s1.bases(), binary, 256);
 
     const auto& c = report.composition;
     std::printf("\ncomposition (Table X style):\n");

@@ -11,7 +11,7 @@ namespace cudalign::alignment {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x43414C32;  // "CAL2"
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kVersion = 2;  // 2 added the scheme.
 
 void write_varint(std::ostream& os, std::uint64_t v) {
   while (v >= 0x80) {
@@ -34,6 +34,16 @@ void write_varint(std::ostream& os, std::uint64_t v) {
     shift += 7;
     CUDALIGN_CHECK(shift < 64, "corrupt binary alignment: varint too long in ", field);
   }
+}
+
+/// Scores and scheme values may be negative: zig-zag encoded.
+void write_signed(std::ostream& os, WideScore v) {
+  write_varint(os, (static_cast<std::uint64_t>(v) << 1) ^ static_cast<std::uint64_t>(v >> 63));
+}
+
+[[nodiscard]] WideScore read_signed(std::istream& is, const char* field) {
+  const std::uint64_t zigzag = read_varint(is, field);
+  return static_cast<WideScore>((zigzag >> 1) ^ (~(zigzag & 1) + 1));
 }
 
 /// Gap starts are strictly increasing along the path, so coordinates are
@@ -88,8 +98,9 @@ void write_gap_list(std::ostream& os, const std::vector<GapEntry>& gaps) {
 
 }  // namespace
 
-BinaryAlignment to_binary(const Alignment& alignment) {
+BinaryAlignment to_binary(const Alignment& alignment, const scoring::Scheme& scheme) {
   BinaryAlignment out;
+  out.scheme = scheme;
   out.i0 = alignment.i0;
   out.j0 = alignment.j0;
   out.i1 = alignment.i1;
@@ -173,29 +184,39 @@ Alignment from_binary(const BinaryAlignment& binary) {
 void write_binary(std::ostream& os, const BinaryAlignment& binary) {
   write_pod(os, kMagic);
   write_pod(os, kVersion);
+  for (const Score v : {binary.scheme.match, binary.scheme.mismatch, binary.scheme.gap_first,
+                        binary.scheme.gap_ext}) {
+    write_signed(os, v);
+  }
   write_varint(os, static_cast<std::uint64_t>(binary.i0));
   write_varint(os, static_cast<std::uint64_t>(binary.j0));
   write_varint(os, static_cast<std::uint64_t>(binary.i1));
   write_varint(os, static_cast<std::uint64_t>(binary.j1));
-  // Scores may be negative in principle; zig-zag encode.
-  const auto zigzag = (static_cast<std::uint64_t>(binary.score) << 1) ^
-                      static_cast<std::uint64_t>(binary.score >> 63);
-  write_varint(os, zigzag);
+  write_signed(os, binary.score);
   write_gap_list(os, binary.gaps_s0);
   write_gap_list(os, binary.gaps_s1);
 }
 
 BinaryAlignment read_binary(std::istream& is) {
   CUDALIGN_CHECK(read_pod<std::uint32_t>(is) == kMagic, "not a CUDAlign binary alignment file");
-  CUDALIGN_CHECK(read_pod<std::uint32_t>(is) == kVersion,
-                 "unsupported binary alignment version");
+  const auto version = read_pod<std::uint32_t>(is);
+  CUDALIGN_CHECK(version == kVersion, "unsupported binary alignment version ", version,
+                 ": this build reads version ", kVersion,
+                 " only (version 1 records no scoring scheme; re-run align)");
   BinaryAlignment out;
+  for (Score* field : {&out.scheme.match, &out.scheme.mismatch, &out.scheme.gap_first,
+                       &out.scheme.gap_ext}) {
+    const WideScore v = read_signed(is, "scheme");
+    CUDALIGN_CHECK(std::in_range<Score>(v), "corrupt binary alignment: scheme value ", v,
+                   " out of range");
+    *field = static_cast<Score>(v);
+  }
+  out.scheme.validate();
   out.i0 = read_index(is, "i0");
   out.j0 = read_index(is, "j0");
   out.i1 = read_index(is, "i1");
   out.j1 = read_index(is, "j1");
-  const auto zigzag = read_varint(is, "score");
-  out.score = static_cast<WideScore>((zigzag >> 1) ^ (~(zigzag & 1) + 1));
+  out.score = read_signed(is, "score");
   out.gaps_s0 = read_gap_list(is);
   out.gaps_s1 = read_gap_list(is);
   return out;

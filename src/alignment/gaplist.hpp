@@ -1,7 +1,7 @@
 // Stage-5 binary alignment representation (paper §IV-F).
 //
-// An alignment is stored as: start and end positions, the best score, and two
-// lists GAP_1 / GAP_2 of (i_gap, j_gap, length) tuples — the positions where
+// An alignment is stored as: the scoring scheme it was made with, start and
+// end positions, the best score, and two lists GAP_1 / GAP_2 of (i_gap, j_gap, length) tuples — the positions where
 // gap runs open in S0 (type 1) and S1 (type 2). The characters of the
 // sequences are NOT stored; Stage 6 reconstructs the textual alignment by
 // walking diagonals between gap events. The on-disk codec delta+varint
@@ -27,6 +27,7 @@ struct GapEntry {
 };
 
 struct BinaryAlignment {
+  scoring::Scheme scheme;  ///< The scheme `score` is under (Stage 6 rescores with it).
   Index i0 = 0, j0 = 0;  ///< Start position (paper's (i0, j0)).
   Index i1 = 0, j1 = 0;  ///< End position.
   WideScore score = 0;
@@ -36,17 +37,20 @@ struct BinaryAlignment {
   friend bool operator==(const BinaryAlignment&, const BinaryAlignment&) = default;
 };
 
-/// Extracts the gap lists from a transcript alignment.
-[[nodiscard]] BinaryAlignment to_binary(const Alignment& alignment);
+/// Extracts the gap lists from a transcript alignment scored under `scheme`.
+[[nodiscard]] BinaryAlignment to_binary(const Alignment& alignment,
+                                        const scoring::Scheme& scheme);
 
 /// Rebuilds the transcript by joining the gaps (paper §IV-G): walk
 /// diagonally from (i0, j0), splicing in each gap run in path order, until
 /// (i1, j1). Throws if the gap lists are not consistent with the endpoints.
 [[nodiscard]] Alignment from_binary(const BinaryAlignment& binary);
 
-/// Serialization (magic + version header; varint delta coding). read_binary
-/// treats the file as untrusted: a truncated, out-of-range or zero-length
-/// field throws cudalign::Error naming it, and no allocation is sized from it.
+/// Serialization (magic + version header, the scheme, varint delta coding).
+/// read_binary treats the file as untrusted: a truncated, out-of-range or
+/// zero-length field throws cudalign::Error naming it, no allocation is sized
+/// from it, and the scheme must pass Scheme::validate. Version 1 files, which
+/// record no scheme, are refused.
 void write_binary(std::ostream& os, const BinaryAlignment& binary);
 [[nodiscard]] BinaryAlignment read_binary(std::istream& is);
 void write_binary_file(const std::filesystem::path& path, const BinaryAlignment& binary);

@@ -266,7 +266,6 @@ PipelineResult align_pipeline(const seq::Sequence& s0, const seq::Sequence& s1,
     result.end_point = st1.end_point;
     result.best_score = st1.end_point.score;
     result.special_rows_saved = resume_rows_base + st1.special_rows_saved;
-    result.stage1_pruned_cells = st1.pruned_cells;
     result.flush_interval = st1.flush_interval;
 
     if (manifest) {
@@ -296,7 +295,7 @@ PipelineResult align_pipeline(const seq::Sequence& s0, const seq::Sequence& s1,
     result.empty = true;
     result.start_point = result.end_point;
     result.alignment.score = 0;
-    result.binary = alignment::to_binary(result.alignment);
+    result.binary = alignment::to_binary(result.alignment, options.scheme);
     finalize_resume();
     return result;
   }
@@ -417,7 +416,7 @@ PipelineResult align_pipeline(const seq::Sequence& s0, const seq::Sequence& s1,
   // Stage 6 — visualization.
   {
     obs::ScopedSpan span(telemetry, "stage 6 (visualization)");
-    Stage6Result st6 = run_stage6(v0, v1, result.binary, options.scheme);
+    Stage6Result st6 = run_stage6(v0, v1, result.binary);
     result.stages[5] = st6.stats;
     result.visualization = std::move(st6);
   }

@@ -51,7 +51,7 @@ struct PipelineOptions {
   Index max_partition_size = 16;
 
   /// Stage-1 block pruning (engine/executor.hpp): exact, and on by default.
-  /// Stage-1 cells then fall short of m*n by stage1_pruned_cells.
+  /// Stage-1 cells then fall short of m*n by stages[0].pruned_cells.
   bool block_pruning = true;
   /// Held only for e2ebench/traced.cpp:199, which reads it; the pipeline
   /// never does, and it is not in options_json. It goes together with that
@@ -74,7 +74,7 @@ struct PipelineOptions {
 
   /// Opt-in span telemetry (obs/telemetry.hpp; the CLI's --report): the
   /// pipeline records a "pipeline" span with one child per stage, Stage 1
-  /// bucketing its external diagonals below that. Calling thread only; the
+  /// bucketing its retired strips below that. Calling thread only; the
   /// caller reads the tree after the pipeline returns (obs/report.hpp turns
   /// it plus this result into the versioned JSON run report).
   obs::Telemetry* telemetry = nullptr;
@@ -123,7 +123,6 @@ struct PipelineResult {
   Index h_max_after_stage3 = 0;
   Index w_max_after_stage3 = 0;
 
-  WideScore stage1_pruned_cells = 0;
   Index special_rows_saved = 0;
   Index special_cols_saved = 0;
   Index flush_interval = 0;

@@ -74,7 +74,6 @@ Stage1Result run_stage1(seq::SequenceView s0, seq::SequenceView s1, const Stage1
     result.stats.sra_writer_busy_seconds = ws.writer_busy_seconds;
   }
   result.end_point = Crosspoint{run.best.i, run.best.j, run.best.score, dp::CellState::kH};
-  result.pruned_cells = run.stats.pruned_cells;
   result.stats.add_run(run.stats);
   if (config.rows_area != nullptr) {
     result.stats.sra_rows_flushed = result.special_rows_saved;

@@ -84,13 +84,13 @@ Stage2Result run_stage2(seq::SequenceView s0, seq::SequenceView s1, const Crossp
   const std::int64_t cols_flushed_before =
       config.cols_area != nullptr ? config.cols_area->total_bytes_written() : 0;
 
-  // At most engine::kDiagonalBuckets spans, "iterations a-b", as Stage 1
-  // buckets its external diagonals: a span per iteration would grow the
+  // At most engine::kSpanBuckets spans, "iterations a-b", as Stage 1
+  // buckets its retired strips: a span per iteration would grow the
   // report with the number of special rows. Each iteration ends on the next
   // special row up (or at the start point), so expected_iterations bounds the
   // loop.
   const Index bucket_size =
-      (expected_iterations + engine::kDiagonalBuckets - 1) / engine::kDiagonalBuckets;
+      (expected_iterations + engine::kSpanBuckets - 1) / engine::kSpanBuckets;
   std::unique_ptr<obs::ScopedSpan> bucket_span;
   while (cur.score > 0) {
     if (iteration % bucket_size == 0) {

@@ -47,7 +47,7 @@ Stage5Result run_stage5(seq::SequenceView s0, seq::SequenceView s1, const Crossp
   }
 
   alignment::validate(result.alignment, s0, s1, config.scheme);
-  result.binary = alignment::to_binary(result.alignment);
+  result.binary = alignment::to_binary(result.alignment, config.scheme);
   result.stats.crosspoints = static_cast<Index>(l4.size());
   result.stats.seconds = timer.seconds();
   return result;

@@ -7,8 +7,8 @@
 namespace cudalign::core {
 
 Stage6Result run_stage6(seq::SequenceView s0, seq::SequenceView s1,
-                        const alignment::BinaryAlignment& binary, const scoring::Scheme& scheme,
-                        Index path_samples) {
+                        const alignment::BinaryAlignment& binary, Index path_samples) {
+  const scoring::Scheme& scheme = binary.scheme;
   scheme.validate();
   Timer timer;
   Stage6Result result;

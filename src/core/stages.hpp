@@ -23,31 +23,19 @@ class Telemetry;
 namespace cudalign::core {
 
 /// Per-stage accounting feeding Tables IV, V, VII and VIII and the
-/// observability run report (obs/report.hpp). All counters are always
+/// observability run report (obs/report.hpp): the engine tally of the
+/// stage's runs (engine/executor.hpp; `cells` is the paper's Cells_k) plus
+/// what the schedule, the SRA and the clock add. All counters are always
 /// collected — they are tallied on the calling thread after each engine run,
 /// cheap enough to never gate.
-struct StageStats {
+struct StageStats : engine::Tally {
   double seconds = 0;
-  WideScore cells = 0;       ///< DP cells processed (the paper's Cells_k).
   Index crosspoints = 0;     ///< |L_k| after the stage.
   Index blocks_used = 0;     ///< Max B_k actually used (after min-size fits).
   std::size_t ram_bytes = 0; ///< Peak engine bus memory ("VRAM_k").
-  Index tiles = 0;           ///< Engine tiles dispatched across all runs.
-  Index diagonals = 0;       ///< External diagonals executed across all runs.
-  /// Tiles whose narrow-lane attempt overflowed and re-ran on wider lanes,
-  /// and their cells (engine RunStats semantics, summed over runs; the cells
-  /// are a subset of `cells`).
-  Index narrow_rerun_tiles = 0;
-  WideScore narrow_rerun_cells = 0;
-  /// Scheduler counters (engine RunStats semantics): tiles run by a
-  /// participant other than the one that made them ready, and waits on an
-  /// empty ready queue, summed over runs.
+  /// Scheduler counters (engine RunStats semantics, summed over runs).
   Index tiles_stolen = 0;
   Index starvation_waits = 0;
-  /// Wavefront bus traffic (engine RunStats semantics, summed over runs).
-  Index hbus_reads = 0, hbus_writes = 0;
-  Index vbus_reads = 0, vbus_writes = 0;
-  std::int64_t hbus_bytes = 0, vbus_bytes = 0;
   /// SRA traffic attributed to this stage (special rows or columns).
   Index sra_rows_flushed = 0, sra_rows_read = 0;
   std::int64_t sra_bytes_flushed = 0, sra_bytes_read = 0;
@@ -56,51 +44,29 @@ struct StageStats {
   /// completion (the run-report validator enforces it).
   /// `sra_flush_wait_seconds` is the time spent inside the flush hook at
   /// strip retirement: the row copy plus queue backpressure (engine RunStats
-  /// `special_row_wait_seconds`; under dataflow, compute time lost on the
-  /// retiring participant while the others keep computing).
+  /// `special_row_wait_seconds`; compute time lost on the retiring
+  /// participant while the others keep computing).
   /// `sra_writer_busy_seconds` is the writer thread's time in put() + ack.
   Index sra_rows_acked = 0;
   std::size_t sra_flush_queue_peak = 0;
   double sra_flush_wait_seconds = 0;
   double sra_writer_busy_seconds = 0;
-  /// Tiles/cells per kernel variant, accumulated over the stage's engine
-  /// runs (engine/kernel_registry.hpp).
-  std::array<engine::KernelTally, engine::kKernelIdCount> kernels{};
 
   /// The paper's throughput metric (§V-A) at giga scale.
   [[nodiscard]] double gcups() const noexcept {
     return seconds > 0 ? static_cast<double>(cells) / seconds / 1e9 : 0;
   }
 
-  /// Folds one engine run's per-variant tallies into this stage's.
-  void add_kernels(const engine::RunStats& run) {
-    for (std::size_t k = 0; k < kernels.size(); ++k) {
-      kernels[k].tiles += run.kernels[k].tiles;
-      kernels[k].cells += run.kernels[k].cells;
-    }
-  }
-
-  /// Folds one complete engine run into this stage: cells, tiles, diagonals,
-  /// bus traffic and kernel tallies accumulate; blocks and bus memory keep
+  /// Folds one complete engine run into this stage: the tally, the scheduler
+  /// counters and the flush-hook wait accumulate; blocks and bus memory keep
   /// their high-water marks.
   void add_run(const engine::RunStats& run) {
-    cells += run.cells;
-    tiles += run.tiles;
-    diagonals += run.diagonals;
-    narrow_rerun_tiles += run.narrow_rerun_tiles;
-    narrow_rerun_cells += run.narrow_rerun_cells;
+    *this += run;
     tiles_stolen += run.tiles_stolen;
     starvation_waits += run.starvation_waits;
-    hbus_reads += run.hbus_reads;
-    hbus_writes += run.hbus_writes;
-    vbus_reads += run.vbus_reads;
-    vbus_writes += run.vbus_writes;
-    hbus_bytes += run.hbus_bytes;
-    vbus_bytes += run.vbus_bytes;
     sra_flush_wait_seconds += run.special_row_wait_seconds;
     blocks_used = std::max(blocks_used, run.blocks_used);
     ram_bytes = std::max(ram_bytes, run.bus_bytes);
-    add_kernels(run);
   }
 };
 
@@ -151,7 +117,7 @@ struct Stage1Config {
   /// Opt-in bus hand-off verification (engine/executor.hpp Hooks::bus_audit).
   check::BusAuditor* bus_audit = nullptr;
   /// Opt-in span telemetry (obs/telemetry.hpp): Stage 1 forwards it into the
-  /// engine, which records one span per external-diagonal bucket. Calling
+  /// engine, which records one span per bucket of retired strips. Calling
   /// thread only.
   obs::Telemetry* telemetry = nullptr;
   ThreadPool* pool = nullptr;
@@ -159,7 +125,6 @@ struct Stage1Config {
 
 struct Stage1Result {
   Crosspoint end_point;          ///< Best score and its position (type 0).
-  WideScore pruned_cells = 0;    ///< Cells skipped by block pruning.
   Index special_rows_saved = 0;
   Index flush_interval = 0;      ///< Strips between flushes (0 = no flushing).
   StageStats stats;
@@ -182,7 +147,7 @@ struct Stage2Config {
   sra::SpecialRowsArea* cols_area = nullptr;  ///< Sink for special columns (optional).
   check::BusAuditor* bus_audit = nullptr;
   /// Opt-in span telemetry: the traceback iterations (one per partition) in
-  /// at most engine::kDiagonalBuckets spans, "iterations a-b".
+  /// at most engine::kSpanBuckets spans, "iterations a-b".
   obs::Telemetry* telemetry = nullptr;
   ThreadPool* pool = nullptr;
 };
@@ -280,7 +245,8 @@ struct Stage5Result {
 
 // ---------------------------------------------------------------------------
 // Stage 6 — visualization (paper §IV-G): reconstruct the alignment from its
-// binary representation; render text, statistics and the Figure-12 path dump.
+// binary representation, scored by the scheme it records; render text,
+// statistics and the Figure-12 path dump.
 // ---------------------------------------------------------------------------
 
 struct Stage6Result {
@@ -292,6 +258,6 @@ struct Stage6Result {
 
 [[nodiscard]] Stage6Result run_stage6(seq::SequenceView s0, seq::SequenceView s1,
                                       const alignment::BinaryAlignment& binary,
-                                      const scoring::Scheme& scheme, Index path_samples = 2048);
+                                      Index path_samples = 2048);
 
 }  // namespace cudalign::core

@@ -33,13 +33,7 @@ void merge_best(dp::LocalBest& best, const dp::LocalBest& cand) {
 /// retire(). Tiles of one strip fold in chunk order — (s, b) happens after
 /// (s, b - 1) — so the fold needs no synchronization.
 struct StripSlot {
-  Index tiles = 0;                          ///< Kernel calls plus pruned tiles.
-  WideScore cells = 0;
-  WideScore pruned_cells = 0;
-  Index pruned_tiles = 0;
-  Index narrow_rerun_tiles = 0;
-  WideScore narrow_rerun_cells = 0;
-  std::array<KernelTally, kKernelIdCount> kernels{};
+  Tally tally;
   dp::LocalBest best;
   bool found = false;                       ///< Row-major-first probe hit of the strip.
   Index found_i = 0, found_j = 0;
@@ -321,14 +315,15 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
     auto call = [&](const TileJob& part) {
       static thread_local TileScratch scratch;
       TileResult tr = run_tile(part, scratch, forced_kernel);
-      ++slot.tiles;
-      slot.cells += tr.cells;
-      KernelTally& tally = slot.kernels[static_cast<std::size_t>(tr.kernel)];
+      Tally& tally = slot.tally;
       ++tally.tiles;
       tally.cells += tr.cells;
+      KernelTally& kernel = tally.kernels[static_cast<std::size_t>(tr.kernel)];
+      ++kernel.tiles;
+      kernel.cells += tr.cells;
       if (tr.rerun) {
-        ++slot.narrow_rerun_tiles;
-        slot.narrow_rerun_cells += tr.cells;
+        ++tally.narrow_rerun_tiles;
+        tally.narrow_rerun_cells += tr.cells;
       }
       tile_best = tr.best.score;
       if (tr.best.score > 0) merge_best(slot.best, tr.best);
@@ -344,9 +339,9 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
       }
     };
     if (pruned) {
-      ++slot.tiles;
-      ++slot.pruned_tiles;
-      slot.pruned_cells += static_cast<WideScore>(rows) * (c1 - c0);
+      ++slot.tally.tiles;
+      ++slot.tally.pruned_tiles;
+      slot.tally.pruned_cells += static_cast<WideScore>(rows) * (c1 - c0);
     } else if (peel_row0 && s == 0 && rows > 1) {
       // Row 1 apart, then rows (1, r1] from genuine H. The second call
       // publishes its corner (row 1) without E, so the first call's entry is
@@ -392,30 +387,14 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
     const Index r1 = std::min(m, r0 + strip_rows);
     const bool special = !slot.row.empty();
     RunStats& stats = result.stats;
-    stats.cells += slot.cells;
-    stats.pruned_cells += slot.pruned_cells;
-    stats.pruned_tiles += slot.pruned_tiles;
-    stats.narrow_rerun_tiles += slot.narrow_rerun_tiles;
-    stats.narrow_rerun_cells += slot.narrow_rerun_cells;
-    for (std::size_t k = 0; k < kKernelIdCount; ++k) {
-      stats.kernels[k].tiles += slot.kernels[k].tiles;
-      stats.kernels[k].cells += slot.kernels[k].cells;
-    }
-    stats.tiles += slot.tiles;
-    ++stats.strips;
-    // A per-diagonal barrier schedule has run exactly this many external
-    // diagonals when strip s retires.
-    stats.diagonals = s + blocks;
-    // Bus traffic (see RunStats): each tile reads and writes its horizontal
+    // Bus traffic (see Tally): each tile reads and writes its horizontal
     // segment (c1 - c0 + 1 cells, n + blocks over the strip) and vertical
     // boundary; a special row re-reads the strip's n published cells.
     constexpr auto kCell = static_cast<std::int64_t>(sizeof(BusCell));
-    stats.hbus_reads += special ? 2 * blocks : blocks;
-    stats.hbus_writes += blocks;
-    stats.vbus_reads += blocks;
-    stats.vbus_writes += blocks;
-    stats.hbus_bytes += (2 * (n + blocks) + (special ? n : 0)) * kCell;
-    stats.vbus_bytes += 2 * blocks * (r1 - r0 + 1) * kCell;
+    slot.tally.hbus_bytes = (2 * (n + blocks) + (special ? n : 0)) * kCell;
+    slot.tally.vbus_bytes = 2 * blocks * (r1 - r0 + 1) * kCell;
+    stats += slot.tally;
+    ++stats.strips;
     if (slot.best.score > 0) merge_best(result.best, slot.best);
     const Index g = base_strip + s;
     lagged[static_cast<std::size_t>(g % kPruneLag)] = {g, result.best.score};
@@ -459,7 +438,7 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
   // this thread once the run returns.
   obs::Telemetry* telemetry = hooks.telemetry;
   const Index bucket_size =
-      telemetry != nullptr ? (strips + kDiagonalBuckets - 1) / kDiagonalBuckets : 0;
+      telemetry != nullptr ? (strips + kSpanBuckets - 1) / kSpanBuckets : 0;
   std::vector<std::pair<Index, double>> bucket_ends;  // (last strip, seconds)
   const double start = timer.seconds();
   sched::SchedOptions sched_options;
@@ -502,10 +481,6 @@ std::string kernel_usage_summary(const std::array<KernelTally, kKernelIdCount>& 
     out += std::to_string(tally.cells);
   }
   return out;
-}
-
-std::string kernel_usage_summary(const RunStats& stats) {
-  return kernel_usage_summary(stats.kernels);
 }
 
 RunResult run_reference(const ProblemSpec& spec, const Hooks& hooks) {

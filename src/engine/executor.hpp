@@ -43,8 +43,7 @@
 // shapes so the wavefront never drains between external diagonals. A CPU
 // thread pool gets the same effect for free — idle workers pick up any ready
 // tile — so the executor models delegation's *effect* (full parallelism,
-// identical cell counts) rather than its GPU-register mechanics; fill/drain
-// accounting is still reported in RunStats for the benchmarks.
+// identical cell counts) rather than its GPU-register mechanics.
 #pragma once
 
 #include <array>
@@ -191,18 +190,19 @@ struct Hooks {
 
   /// Opt-in span telemetry (obs/telemetry.hpp): when set, the executor
   /// records one child span per bucket of retired strips ("strips a-b"), at
-  /// most kDiagonalBuckets of them, under the caller's open span — the wavefront
+  /// most kSpanBuckets of them, under the caller's open span — the wavefront
   /// phase profile behind the run report. Used on the calling thread only:
   /// never pass a shared recorder into engine runs launched from pool
   /// workers.
   obs::Telemetry* telemetry = nullptr;
 };
 
-/// Span-bucket cap for Hooks::telemetry (8 buckets ≈ the short phase, the
+/// Span-bucket cap: Hooks::telemetry buckets retired strips, and Stage 2
+/// buckets its traceback iterations (8 buckets ≈ the short phase, the
 /// plateau and the drain of the paper's Figure 5 wavefront profile).
-inline constexpr Index kDiagonalBuckets = 8;
+inline constexpr Index kSpanBuckets = 8;
 
-/// Per-kernel-variant tally (indexed by KernelId in RunStats::kernels).
+/// Per-kernel-variant tally (indexed by KernelId in Tally::kernels).
 struct KernelTally {
   Index tiles = 0;
   WideScore cells = 0;
@@ -210,7 +210,12 @@ struct KernelTally {
   friend bool operator==(const KernelTally&, const KernelTally&) = default;
 };
 
-struct RunStats {
+/// The deterministic work counters of a run: they do not depend on the
+/// worker count or the schedule, so two runs of one spec compare their
+/// tallies with one ==. Each strip's tiles count into
+/// its slot's tally, retirement folds it into the run's (RunStats), and
+/// core::StageStats folds the runs of a stage.
+struct Tally {
   /// DP cells computed by retired strips (an early stop leaves the tiles of
   /// strips still in flight uncounted, as it leaves their hooks undelivered).
   WideScore cells = 0;
@@ -223,44 +228,58 @@ struct RunStats {
   /// variant that published.
   Index narrow_rerun_tiles = 0;
   WideScore narrow_rerun_cells = 0;
-  /// External diagonals up to the last retired strip: s + blocks after strip
-  /// s retires, the count a per-diagonal barrier schedule has run by then.
-  Index diagonals = 0;
-  /// Scheduler counters (engine/sched.hpp): tiles run by a
-  /// participant other than the one that made them ready, and waits on an
-  /// empty ready queue.
-  Index tiles_stolen = 0;
-  Index starvation_waits = 0;
+  /// Bus payload moved in both directions, tallied per retired strip. Each
+  /// tile reads and writes its horizontal segment and its vertical boundary
+  /// — pruned tiles included, which scan their boundary for the bound and
+  /// publish safe lower bounds — and special-row assembly re-reads each
+  /// flushed horizontal segment.
+  std::int64_t hbus_bytes = 0, vbus_bytes = 0;
+  /// Tiles/cells per kernel variant (pruned tiles are not attributed).
+  std::array<KernelTally, kKernelIdCount> kernels{};
+
+  Tally& operator+=(const Tally& other) {
+    cells += other.cells;
+    pruned_cells += other.pruned_cells;
+    pruned_tiles += other.pruned_tiles;
+    tiles += other.tiles;
+    narrow_rerun_tiles += other.narrow_rerun_tiles;
+    narrow_rerun_cells += other.narrow_rerun_cells;
+    hbus_bytes += other.hbus_bytes;
+    vbus_bytes += other.vbus_bytes;
+    for (std::size_t k = 0; k < kernels.size(); ++k) {
+      kernels[k].tiles += other.kernels[k].tiles;
+      kernels[k].cells += other.kernels[k].cells;
+    }
+    return *this;
+  }
+  friend bool operator==(const Tally&, const Tally&) = default;
+};
+
+/// One run: its tally plus what depends on the schedule or the machine.
+struct RunStats : Tally {
   Index strips = 0;           ///< Strips retired.
   Index blocks_used = 0;      ///< B after the minimum-size fit.
   /// Peak bus memory (the engine's "VRAM"): horizontal bus, vertical-bus
   /// buffers and the special-row ring.
   std::size_t bus_bytes = 0;
-  /// Bus traffic, tallied per retired strip (near-zero overhead; always
-  /// on). Each tile performs one read and one write of its horizontal
-  /// segment and of its vertical boundary — pruned tiles included, which
-  /// scan their boundary for the bound and publish safe lower bounds — and
-  /// special-row assembly re-reads each flushed horizontal segment. *_reads /
-  /// *_writes count segments; *_bytes count payload moved in both directions.
-  Index hbus_reads = 0, hbus_writes = 0;
-  Index vbus_reads = 0, vbus_writes = 0;
-  std::int64_t hbus_bytes = 0, vbus_bytes = 0;
+  /// Scheduler counters (engine/sched.hpp): tiles run by a participant other
+  /// than the one that made them ready, and waits on an empty ready queue.
+  /// They depend on the worker count, so they stay outside the tally.
+  Index tiles_stolen = 0;
+  Index starvation_waits = 0;
   /// Time strip retirement spent inside on_special_row. Stage 1's hook
   /// copies the row into the SRA writer's queue and waits on backpressure
   /// (core/stage1.cpp). That wait is compute time lost on the retiring
   /// participant while the others keep computing.
   double special_row_wait_seconds = 0;
   double seconds = 0;
-  /// Tiles/cells per kernel variant (pruned tiles are not attributed).
-  std::array<KernelTally, kKernelIdCount> kernels{};
 };
 
 /// "name=tiles/cells" per variant that ran, comma-separated ("" if none) —
 /// the human-readable form of a per-variant tally array for logs and --stats
-/// output (stages accumulate the same array shape in StageStats).
+/// output.
 [[nodiscard]] std::string kernel_usage_summary(
     const std::array<KernelTally, kKernelIdCount>& kernels);
-[[nodiscard]] std::string kernel_usage_summary(const RunStats& stats);
 
 struct RunResult {
   dp::LocalBest best;          ///< kLocal mode: best H and its vertex (retired strips).

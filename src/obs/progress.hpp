@@ -1,7 +1,7 @@
 // Live progress line for long pipeline runs (the paper's chromosome pair
 // takes 18.5 h on the GTX 285): stage, completion bar, elapsed and ETA,
 // driven by the pipeline's per-stage fraction callback — which Stage 1 feeds
-// per completed external diagonal, the unit of the paper's wavefront.
+// at each strip retirement.
 #pragma once
 
 #include <cstdio>

@@ -27,39 +27,40 @@ Json crosspoint_json(const core::Crosspoint& cp) {
       .set("type", static_cast<std::int64_t>(static_cast<int>(cp.type)));
 }
 
-Json stage_json(int stage, const core::StageStats& s) {
+/// Every engine::Tally counter, in one place for every stage entry.
+void set_tally(Json& out, const engine::Tally& t) {
   Json kernels = Json::array();
-  for (std::size_t k = 0; k < s.kernels.size(); ++k) {
-    if (s.kernels[k].tiles == 0) continue;
+  for (std::size_t k = 0; k < t.kernels.size(); ++k) {
+    if (t.kernels[k].tiles == 0) continue;
     kernels.push(Json::object()
                      .set("name", engine::kernel_info(static_cast<engine::KernelId>(k)).name)
-                     .set("tiles", static_cast<std::int64_t>(s.kernels[k].tiles))
-                     .set("cells", static_cast<std::int64_t>(s.kernels[k].cells)));
+                     .set("tiles", static_cast<std::int64_t>(t.kernels[k].tiles))
+                     .set("cells", static_cast<std::int64_t>(t.kernels[k].cells)));
   }
-  return Json::object()
-      .set("stage", stage)
-      .set("seconds", s.seconds)
-      .set("cells", static_cast<std::int64_t>(s.cells))
+  out.set("cells", static_cast<std::int64_t>(t.cells))
+      .set("pruned_cells", static_cast<std::int64_t>(t.pruned_cells))
+      .set("tiles", static_cast<std::int64_t>(t.tiles))
+      .set("pruned_tiles", static_cast<std::int64_t>(t.pruned_tiles))
+      .set("narrow_rerun_tiles", static_cast<std::int64_t>(t.narrow_rerun_tiles))
+      .set("narrow_rerun_cells", static_cast<std::int64_t>(t.narrow_rerun_cells))
+      .set("hbus", Json::object().set("bytes", t.hbus_bytes))
+      .set("vbus", Json::object().set("bytes", t.vbus_bytes))
+      .set("kernels", std::move(kernels));
+}
+
+Json stage_json(int stage, const core::StageStats& s) {
+  Json out = Json::object();
+  out.set("stage", stage);
+  set_tally(out, s);
+  out.set("seconds", s.seconds)
       .set("gcups", s.gcups())
       .set("crosspoints", static_cast<std::int64_t>(s.crosspoints))
-      .set("tiles", static_cast<std::int64_t>(s.tiles))
       .set("tiles_per_second",
            s.seconds > 0 ? static_cast<double>(s.tiles) / s.seconds : 0.0)
-      .set("diagonals", static_cast<std::int64_t>(s.diagonals))
-      .set("narrow_rerun_tiles", static_cast<std::int64_t>(s.narrow_rerun_tiles))
-      .set("narrow_rerun_cells", static_cast<std::int64_t>(s.narrow_rerun_cells))
       .set("tiles_stolen", static_cast<std::int64_t>(s.tiles_stolen))
       .set("starvation_waits", static_cast<std::int64_t>(s.starvation_waits))
       .set("blocks_used", static_cast<std::int64_t>(s.blocks_used))
       .set("bus_ram_bytes", static_cast<std::int64_t>(s.ram_bytes))
-      .set("hbus", Json::object()
-                       .set("reads", static_cast<std::int64_t>(s.hbus_reads))
-                       .set("writes", static_cast<std::int64_t>(s.hbus_writes))
-                       .set("bytes", s.hbus_bytes))
-      .set("vbus", Json::object()
-                       .set("reads", static_cast<std::int64_t>(s.vbus_reads))
-                       .set("writes", static_cast<std::int64_t>(s.vbus_writes))
-                       .set("bytes", s.vbus_bytes))
       .set("sra", Json::object()
                       .set("rows_flushed", static_cast<std::int64_t>(s.sra_rows_flushed))
                       .set("rows_acked", static_cast<std::int64_t>(s.sra_rows_acked))
@@ -77,8 +78,8 @@ Json stage_json(int stage, const core::StageStats& s) {
                                ? std::max(0.0, s.sra_writer_busy_seconds -
                                                    s.sra_flush_wait_seconds) /
                                      s.sra_writer_busy_seconds
-                               : 0.0))
-      .set("kernels", std::move(kernels));
+                               : 0.0));
+  return out;
 }
 
 }  // namespace
@@ -117,7 +118,6 @@ Json build_run_report(const ReportContext& ctx) {
   report.set("stages", std::move(stages));
 
   report.set("stage1", Json::object()
-                           .set("pruned_cells", static_cast<std::int64_t>(res.stage1_pruned_cells))
                            .set("special_rows_saved",
                                 static_cast<std::int64_t>(res.special_rows_saved))
                            .set("flush_interval", static_cast<std::int64_t>(res.flush_interval)));
@@ -221,9 +221,9 @@ std::vector<std::string> validate_run_report(const Json& report) {
   for (const Json& stage : stages->as_array()) {
     if (!require(stage.is_object(), "stage entry is not an object")) continue;
     for (const char* key :
-         {"stage", "seconds", "cells", "gcups", "tiles", "tiles_per_second", "diagonals",
-          "narrow_rerun_tiles", "narrow_rerun_cells", "tiles_stolen", "starvation_waits", "hbus",
-          "vbus", "sra"}) {
+         {"stage", "seconds", "cells", "pruned_cells", "gcups", "tiles", "pruned_tiles",
+          "tiles_per_second", "narrow_rerun_tiles", "narrow_rerun_cells", "tiles_stolen",
+          "starvation_waits", "hbus", "vbus", "sra"}) {
       require(stage.find(key) != nullptr,
               std::string("stage entry missing key \"") + key + "\"");
     }
@@ -289,7 +289,7 @@ std::vector<std::string> validate_run_report(const Json& report) {
   const std::int64_t m = inputs->at("s0").at("length").as_int();
   const std::int64_t n = inputs->at("s1").at("length").as_int();
   const std::int64_t stage1_cells = stages->as_array()[0].at("cells").as_int();
-  const std::int64_t pruned = stage1->at("pruned_cells").as_int();
+  const std::int64_t pruned = stages->as_array()[0].at("pruned_cells").as_int();
   require(stage1_cells + pruned + cells_skipped == m * n,
           "stage 1 cells (" + std::to_string(stage1_cells) + ") + pruned (" +
               std::to_string(pruned) + ") + skipped (" + std::to_string(cells_skipped) +

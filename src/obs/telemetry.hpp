@@ -1,5 +1,6 @@
 // Hierarchical run telemetry: a tree of wall-time spans recorded against a
-// monotonic clock (pipeline -> stage -> external-diagonal or strip bucket).
+// monotonic clock (pipeline -> stage -> bucket of retired strips or of
+// Stage-2 iterations).
 //
 // Near-zero overhead when idle: every producer holds a `Telemetry*` that is
 // null unless the caller opted in (--report), so the disabled path is one

@@ -44,6 +44,8 @@ struct Scheme {
 
   /// The exact parameter set used throughout the paper's evaluation (§V).
   static constexpr Scheme paper_defaults() noexcept { return Scheme{1, -3, 5, 2}; }
+
+  friend bool operator==(const Scheme&, const Scheme&) = default;
 };
 
 }  // namespace cudalign::scoring

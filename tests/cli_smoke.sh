@@ -36,6 +36,14 @@ grep -q -- "--prune" "$DIR/prune.err"
        --text "$DIR/aln.txt" --tsv "$DIR/aln.tsv" | grep -q "identity"
 test -s "$DIR/aln.txt"
 test -s "$DIR/aln.tsv"
+# The alignment file records its scoring scheme: an alignment made with
+# non-default scoring views cleanly, with the score align reported.
+"$CLI" align "$DIR/a.fasta" "$DIR/b.fasta" --match 2 --out "$DIR/match2.bin" \
+  > "$DIR/match2.out"
+score=$(sed -n 's/^best score \([0-9]*\) .*/\1/p' "$DIR/match2.out")
+test -n "$score"
+"$CLI" view "$DIR/match2.bin" "$DIR/a.fasta" "$DIR/b.fasta" > "$DIR/match2.view"
+grep -q "score $score, identity" "$DIR/match2.view"
 # Bus audit over the whole pipeline: with a small SRA, Stage 3 splits
 # several partitions, which must audit clean too.
 "$CLI" align "$DIR/a.fasta" "$DIR/b.fasta" --sra 128K --audit-bus --out "$DIR/audit.bin" \
@@ -179,9 +187,10 @@ if "$CLI" align "$DIR/a.fasta" "$DIR/b.fasta" --sra 17179869185G \
   exit 1
 fi
 grep -q -- "--sra" "$DIR/wrap.err"
-# A corrupt alignment file that declares 2^40 gaps must fail with a
-# diagnostic naming the field, not by trying to allocate them.
-printf '2LAC\001\000\000\000\000\000\000\000\000\200\200\200\200\200\040' \
+# A corrupt alignment file (format version 2, the paper's scheme) that
+# declares 2^40 gaps must fail with a diagnostic naming the field, not by
+# trying to allocate them.
+printf '2LAC\002\000\000\000\002\005\012\004\000\000\000\000\000\200\200\200\200\200\040' \
   > "$DIR/corrupt.bin"
 rc=0
 "$CLI" view "$DIR/corrupt.bin" "$DIR/a.fasta" "$DIR/b.fasta" 2>"$DIR/corrupt.err" || rc=$?

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "alignment/alignment.hpp"
 #include "alignment/gaplist.hpp"
@@ -52,8 +53,9 @@ TEST(Transcript, Reverse) {
   EXPECT_EQ(t.runs()[1].op, Op::kDiagonal);
 }
 
-Alignment sample_alignment(const Sequence& a, const Sequence& b) {
-  const auto local = dp::align_local(a.bases(), b.bases(), paper());
+Alignment sample_alignment(const Sequence& a, const Sequence& b,
+                           const scoring::Scheme& scheme = paper()) {
+  const auto local = dp::align_local(a.bases(), b.bases(), scheme);
   return Alignment{local.i0, local.j0, local.i1, local.j1, local.score, local.transcript};
 }
 
@@ -107,7 +109,7 @@ class GapListRoundTrip : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(GapListRoundTrip, TranscriptSurvivesBinaryForm) {
   const auto pair = seq::make_related_pair(300, 310, GetParam());
   const auto aln = sample_alignment(pair.s0, pair.s1);
-  const BinaryAlignment binary = to_binary(aln);
+  const BinaryAlignment binary = to_binary(aln, paper());
   const Alignment back = from_binary(binary);
   EXPECT_EQ(back.i0, aln.i0);
   EXPECT_EQ(back.j1, aln.j1);
@@ -121,7 +123,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, GapListRoundTrip, ::testing::Values(21, 22, 23, 
 TEST(GapList, FileRoundTrip) {
   const auto pair = seq::make_related_pair(250, 250, 31);
   const auto aln = sample_alignment(pair.s0, pair.s1);
-  const BinaryAlignment binary = to_binary(aln);
+  const BinaryAlignment binary = to_binary(aln, paper());
   TempDir dir;
   write_binary_file(dir.path() / "aln.bin", binary);
   const BinaryAlignment back = read_binary_file(dir.path() / "aln.bin");
@@ -130,10 +132,24 @@ TEST(GapList, FileRoundTrip) {
 
 TEST(GapList, EmptyAlignment) {
   const Alignment empty;
-  const BinaryAlignment binary = to_binary(empty);
+  const BinaryAlignment binary = to_binary(empty, paper());
   EXPECT_TRUE(binary.gaps_s0.empty());
   const Alignment back = from_binary(binary);
   EXPECT_EQ(back.transcript.columns(), 0);
+}
+
+TEST(GapList, SchemeRoundTripsThroughFile) {
+  const auto pair = seq::make_related_pair(250, 250, 32);
+  const scoring::Scheme scheme{2, -4, 7, 1};
+  const auto aln = sample_alignment(pair.s0, pair.s1, scheme);
+  const BinaryAlignment binary = to_binary(aln, scheme);
+  EXPECT_EQ(binary.scheme, scheme);
+  TempDir dir;
+  write_binary_file(dir.path() / "aln.bin", binary);
+  const BinaryAlignment back = read_binary_file(dir.path() / "aln.bin");
+  EXPECT_EQ(back.scheme, scheme);
+  EXPECT_EQ(back, binary);
+  EXPECT_NO_THROW(validate(from_binary(back), pair.s0.bases(), pair.s1.bases(), back.scheme));
 }
 
 TEST(GapList, CorruptMagicThrows) {
@@ -143,17 +159,56 @@ TEST(GapList, CorruptMagicThrows) {
   EXPECT_THROW((void)read_binary(ss), Error);
 }
 
-/// A binary alignment file with a valid header and the given raw varints
-/// (i0, j0, i1, j1, score, then the gap lists), written byte by byte.
-std::string raw_binary(std::initializer_list<std::uint64_t> varints) {
+/// A binary alignment file with the given header version and raw varints,
+/// written byte by byte.
+std::string raw_file(std::uint32_t version, const std::vector<std::uint64_t>& varints) {
   std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
   write_pod(ss, std::uint32_t{0x43414C32});
-  write_pod(ss, std::uint32_t{1});
+  write_pod(ss, version);
   for (std::uint64_t v : varints) {
     for (; v >= 0x80; v >>= 7) ss.put(static_cast<char>((v & 0x7F) | 0x80));
     ss.put(static_cast<char>(v));
   }
   return ss.str();
+}
+
+/// A current-version file under the paper's scheme (zig-zag coded: 1, -3, 5,
+/// 2) with the given raw varints (i0, j0, i1, j1, score, then the gap lists).
+std::string raw_binary(std::vector<std::uint64_t> varints) {
+  varints.insert(varints.begin(), {2, 5, 10, 4});
+  return raw_file(2, varints);
+}
+
+/// The Error message read_binary throws on `bytes`, or "" if it reads.
+std::string read_error(const std::string& bytes) {
+  std::istringstream is(bytes, std::ios::binary);
+  try {
+    (void)read_binary(is);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(GapList, VersionOneIsRefusedNamingBothVersions) {
+  const std::string error = read_error(raw_file(1, {0, 0, 0, 0, 0, 0, 0}));
+  EXPECT_NE(error.find("version 1"), std::string::npos) << error;
+  EXPECT_NE(error.find("version 2"), std::string::npos) << error;
+}
+
+TEST(GapList, InvalidSchemeIsRefused) {
+  EXPECT_EQ(read_error(raw_binary({0, 0, 0, 0, 0, 0, 0})), "");
+  const std::pair<std::vector<std::uint64_t>, std::string> cases[] = {
+      {{0, 5, 10, 4}, "match score must be positive"},         // match 0
+      {{2, 2, 10, 4}, "mismatch score must be non-positive"},  // mismatch +1
+      {{2, 5, 2, 4}, "gap_first must be >= gap_ext"},          // gap_first 1 < gap_ext 2
+      {{2, 5, 10, std::uint64_t{1} << 40}, "scheme value"},   // out of Score's range
+  };
+  for (auto [fields, message] : cases) {
+    fields.insert(fields.end(), 7, 0);  // An empty alignment after the scheme.
+    const std::string error = read_error(raw_file(2, fields));
+    EXPECT_NE(error.find(message), std::string::npos) << error;
+  }
 }
 
 TEST(GapList, CorruptCountOrDeltaThrows) {
@@ -198,7 +253,7 @@ TEST(GapList, BinaryMuchSmallerThanText) {
   // ratio is smaller but must still be large for gap-sparse alignments.
   const auto pair = seq::make_related_pair(4000, 4000, 37);
   const auto aln = sample_alignment(pair.s0, pair.s1);
-  const std::size_t binary_size = encoded_size(to_binary(aln));
+  const std::size_t binary_size = encoded_size(to_binary(aln, paper()));
   const std::string text = render_text(aln, pair.s0.bases(), pair.s1.bases());
   EXPECT_LT(binary_size * 10, text.size());
 }

@@ -293,7 +293,7 @@ void expect_resume_equivalence(
   ASSERT_GT(reference.best_score, 0);
   ASSERT_GT(reference.special_rows_saved, 2);
 
-  ASSERT_GT(reference.stage1_pruned_cells, 0);
+  ASSERT_GT(reference.stages[0].pruned_cells, 0);
 
   TempDir dir;
   options.checkpoint_dir = dir.path() / "whole";

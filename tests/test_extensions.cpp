@@ -178,7 +178,7 @@ TEST(BlockPruning, PipelineEndToEndStillOptimal) {
     EXPECT_EQ(result.best_score, reference.alignment.score);
     EXPECT_NO_THROW(
         alignment::validate(result.alignment, pair.s0.bases(), pair.s1.bases(), paper()));
-    EXPECT_GT(result.stage1_pruned_cells, 0);
+    EXPECT_GT(result.stages[0].pruned_cells, 0);
   }
 }
 

@@ -332,7 +332,7 @@ TEST(KernelDispatch, PinnedVariantActuallyRunsAndIsCounted) {
   }
   EXPECT_EQ(tiles, run.stats.tiles - run.stats.pruned_tiles);
   EXPECT_EQ(cells, run.stats.cells);
-  EXPECT_FALSE(engine::kernel_usage_summary(run.stats).empty());
+  EXPECT_FALSE(engine::kernel_usage_summary(run.stats.kernels).empty());
 }
 
 TEST(KernelDispatch, AutomaticSelectionPrefersStripedKernelOnStage1Tiles) {
@@ -341,7 +341,7 @@ TEST(KernelDispatch, AutomaticSelectionPrefersStripedKernelOnStage1Tiles) {
   const auto run = run_pinned("", 160, 180, 555);
   const auto& striped8 =
       run.stats.kernels[static_cast<std::size_t>(KernelId::kStriped8LocalBest)];
-  EXPECT_GT(striped8.tiles, 0) << engine::kernel_usage_summary(run.stats);
+  EXPECT_GT(striped8.tiles, 0) << engine::kernel_usage_summary(run.stats.kernels);
 }
 
 TEST(KernelDispatch, UnknownOverrideNameIsRejected) {
@@ -359,7 +359,7 @@ TEST(KernelDispatch, ProcessOverridePinsSelection) {
   }
   const auto& legacy = run.stats.kernels[static_cast<std::size_t>(KernelId::kLegacy)];
   EXPECT_EQ(legacy.tiles, run.stats.tiles - run.stats.pruned_tiles)
-      << engine::kernel_usage_summary(run.stats);
+      << engine::kernel_usage_summary(run.stats.kernels);
 }
 
 // run_wavefront is the one place the process pin is resolved: a direct
@@ -657,7 +657,7 @@ TEST(StripedIsa, ForcedGenericBaselineMatchesReferenceProblemLevel) {
   EXPECT_EQ(run.best.i, ref.best.i);
   EXPECT_EQ(run.best.j, ref.best.j);
   const auto& tally = run.stats.kernels[static_cast<std::size_t>(KernelId::kStriped16LocalBest)];
-  EXPECT_GT(tally.tiles, 0) << engine::kernel_usage_summary(run.stats);
+  EXPECT_GT(tally.tiles, 0) << engine::kernel_usage_summary(run.stats.kernels);
 }
 
 // The wavefront executor must flush special rows byte-identical to the
@@ -686,7 +686,7 @@ TEST(StripedIsa, CrossExecutorSpecialRowsIdenticalWithStripedPinned) {
     const auto result = engine::run_wavefront(spec, hooks);
     const auto& tally =
         result.stats.kernels[static_cast<std::size_t>(KernelId::kStriped16LocalBest)];
-    EXPECT_GT(tally.tiles, 0) << engine::kernel_usage_summary(result.stats);
+    EXPECT_GT(tally.tiles, 0) << engine::kernel_usage_summary(result.stats.kernels);
     return rows;
   };
   const test::ScopedKernelPin pin("striped16-local+best");
@@ -761,24 +761,24 @@ TEST(KernelDispatch, GlobalModeUsesSpecializedScalarSweep) {
   const auto wide = run_global(90, 110, engine::GridSpec{2, 8, 2, 1},
                                Recurrence::global_start(dp::CellState::kH, paper()));
   EXPECT_EQ(tally(wide, KernelId::kStriped32Global).tiles, wide.stats.tiles)
-      << engine::kernel_usage_summary(wide.stats);
+      << engine::kernel_usage_summary(wide.stats.kernels);
   // Narrow tiles (110 / 10 = 11 columns < 16): every tile runs scalar.
   const auto narrow = run_global(90, 110, engine::GridSpec{10, 4, 4, 1},
                                  Recurrence::global_start(dp::CellState::kH, paper()));
   EXPECT_EQ(tally(narrow, KernelId::kScalarGlobal).tiles, narrow.stats.tiles)
-      << engine::kernel_usage_summary(narrow.stats);
+      << engine::kernel_usage_summary(narrow.stats.kernels);
   // An end-in-E reverse sweep has H = -inf on column 0. The executor runs
   // that column as its own one-wide chunk, so exactly one column of cells
   // stays scalar and every other tile starts from genuine H.
   const auto sentinel = run_global(90, 110, engine::GridSpec{2, 8, 2, 1},
                                    Recurrence::global_end(dp::CellState::kE, paper()));
   EXPECT_EQ(tally(sentinel, KernelId::kScalarGlobal).tiles, sentinel.stats.strips)
-      << engine::kernel_usage_summary(sentinel.stats);
+      << engine::kernel_usage_summary(sentinel.stats.kernels);
   EXPECT_EQ(tally(sentinel, KernelId::kScalarGlobal).cells, 90)
-      << engine::kernel_usage_summary(sentinel.stats);
+      << engine::kernel_usage_summary(sentinel.stats.kernels);
   EXPECT_EQ(tally(sentinel, KernelId::kStriped32Global).tiles,
             sentinel.stats.tiles - sentinel.stats.strips)
-      << engine::kernel_usage_summary(sentinel.stats);
+      << engine::kernel_usage_summary(sentinel.stats.kernels);
 }
 
 // ---------------------------------------------------------------------------
@@ -1022,7 +1022,7 @@ TEST(Striped32Global, ProblemLevelMatchesReferenceForEveryCellState) {
         if ((feat & 2) == 0) {
           EXPECT_GT(
               run.stats.kernels[static_cast<std::size_t>(KernelId::kStriped32Global)].tiles, 0)
-              << label << ": " << engine::kernel_usage_summary(run.stats);
+              << label << ": " << engine::kernel_usage_summary(run.stats.kernels);
         }
         EXPECT_EQ(got_taps, legacy_taps) << label;
         EXPECT_EQ(run.found, legacy.found) << label;
@@ -1315,7 +1315,7 @@ TEST(NarrowOverflow, PinnedStriped8TileOverflowsAndRunCountsIt) {
   EXPECT_EQ(run.best.score, expected.best.score);
   EXPECT_EQ(run.best.i, expected.best.i);
   EXPECT_EQ(run.best.j, expected.best.j);
-  EXPECT_GT(run.stats.narrow_rerun_tiles, 0) << engine::kernel_usage_summary(run.stats);
+  EXPECT_GT(run.stats.narrow_rerun_tiles, 0) << engine::kernel_usage_summary(run.stats.kernels);
   EXPECT_GT(run.stats.narrow_rerun_cells, 0);
   EXPECT_LE(run.stats.narrow_rerun_cells, run.stats.cells);
   WideScore cells = 0;

@@ -246,8 +246,7 @@ TEST(RunReport, BuildsValidConsistentDocument) {
   const auto& stages = report.at("stages").as_array();
   ASSERT_EQ(stages.size(), 6u);
   EXPECT_EQ(stages[0].at("cells").as_int(), m * n);
-  EXPECT_EQ(stages[0].at("cells").as_int() + report.at("stage1").at("pruned_cells").as_int(),
-            m * n);
+  EXPECT_EQ(stages[0].at("cells").as_int() + stages[0].at("pruned_cells").as_int(), m * n);
 
   // Every special row Stage 1 saved is one SRA flush, byte-accounted.
   EXPECT_EQ(stages[0].at("sra").at("rows_flushed").as_int(),
@@ -256,10 +255,9 @@ TEST(RunReport, BuildsValidConsistentDocument) {
   EXPECT_GT(stages[0].at("sra").at("bytes_flushed").as_int(), 0);
 
   // The wavefront moved data over both buses and tallied its kernels.
-  EXPECT_GT(stages[0].at("hbus").at("writes").as_int(), 0);
-  EXPECT_GT(stages[0].at("vbus").at("writes").as_int(), 0);
+  EXPECT_GT(stages[0].at("hbus").at("bytes").as_int(), 0);
+  EXPECT_GT(stages[0].at("vbus").at("bytes").as_int(), 0);
   EXPECT_GT(stages[0].at("tiles").as_int(), 0);
-  EXPECT_GT(stages[0].at("diagonals").as_int(), 0);
   EXPECT_FALSE(stages[0].at("kernels").as_array().empty());
 
   // The process held at least the two sequences at its high-water mark.

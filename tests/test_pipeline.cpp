@@ -201,7 +201,7 @@ TEST(Pipeline, Stage2SpansAreBucketed) {
   options.telemetry = &telemetry;
   const PipelineResult result = align_pipeline(pair.s0, pair.s1, options);
   telemetry.finish();
-  ASSERT_GT(result.crosspoint_counts[1] - 1, engine::kDiagonalBuckets);  // Iterations.
+  ASSERT_GT(result.crosspoint_counts[1] - 1, engine::kSpanBuckets);  // Iterations.
 
   const obs::Span& pipeline = telemetry.root().children.at(0);
   const auto stage2 =
@@ -209,7 +209,7 @@ TEST(Pipeline, Stage2SpansAreBucketed) {
                    [](const obs::Span& s) { return s.name == "stage 2 (partial traceback)"; });
   ASSERT_NE(stage2, pipeline.children.end());
   EXPECT_FALSE(stage2->children.empty());
-  EXPECT_LE(static_cast<Index>(stage2->children.size()), engine::kDiagonalBuckets);
+  EXPECT_LE(static_cast<Index>(stage2->children.size()), engine::kSpanBuckets);
   EXPECT_EQ(stage2->children.front().name.rfind("iterations 0-", 0), 0u)
       << stage2->children.front().name;
 }
@@ -341,8 +341,7 @@ TEST(Pipeline, AlignmentBinaryRoundTripsThroughDisk) {
   alignment::write_binary_file(dir.path() / "a.bin", result.binary);
   const auto back = alignment::read_binary_file(dir.path() / "a.bin");
   EXPECT_EQ(back, result.binary);
-  const auto st6 =
-      run_stage6(pair.s0.bases(), pair.s1.bases(), back, scoring::Scheme::paper_defaults());
+  const auto st6 = run_stage6(pair.s0.bases(), pair.s1.bases(), back);
   EXPECT_EQ(st6.alignment.score, result.alignment.score);
 }
 
@@ -405,9 +404,9 @@ TEST(Int16EnvelopeCrossing, RelatedPairStaysOptimalOnStriped32Local) {
       return stage1.stats.kernels[static_cast<std::size_t>(id)].tiles;
     };
     EXPECT_GT(tally(engine::KernelId::kStriped32LocalBest), 0)
-        << label << ": " << engine::kernel_usage_summary(stage1.stats);
+        << label << ": " << engine::kernel_usage_summary(stage1.stats.kernels);
     EXPECT_EQ(tally(engine::KernelId::kVec32LocalBest) + tally(engine::KernelId::kVec32Local), 0)
-        << label << ": " << engine::kernel_usage_summary(stage1.stats);
+        << label << ": " << engine::kernel_usage_summary(stage1.stats.kernels);
 
     PipelineOptions options;
     options.scheme = scheme;

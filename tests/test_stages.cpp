@@ -29,6 +29,72 @@ engine::GridSpec tiny_grid(Index blocks = 3, Index threads = 4, Index alpha = 2)
   return g;
 }
 
+/// A tally whose fields all differ and are non-zero: field k holds base + k.
+engine::Tally numbered_tally(std::int64_t base) {
+  engine::Tally t;
+  t.cells = base + 1;
+  t.pruned_cells = base + 2;
+  t.pruned_tiles = base + 3;
+  t.tiles = base + 4;
+  t.narrow_rerun_tiles = base + 5;
+  t.narrow_rerun_cells = base + 6;
+  t.hbus_bytes = base + 7;
+  t.vbus_bytes = base + 8;
+  for (std::size_t k = 0; k < t.kernels.size(); ++k) {
+    const auto offset = static_cast<std::int64_t>(2 * k);
+    t.kernels[k] = engine::KernelTally{base + 9 + offset, base + 10 + offset};
+  }
+  return t;
+}
+
+TEST(Tally, FoldSumsEveryField) {
+  const engine::Tally a = numbered_tally(100);
+  const engine::Tally b = numbered_tally(1000);
+  engine::Tally sum = a;
+  sum += b;
+  EXPECT_EQ(sum.cells, a.cells + b.cells);
+  EXPECT_EQ(sum.pruned_cells, a.pruned_cells + b.pruned_cells);
+  EXPECT_EQ(sum.pruned_tiles, a.pruned_tiles + b.pruned_tiles);
+  EXPECT_EQ(sum.tiles, a.tiles + b.tiles);
+  EXPECT_EQ(sum.narrow_rerun_tiles, a.narrow_rerun_tiles + b.narrow_rerun_tiles);
+  EXPECT_EQ(sum.narrow_rerun_cells, a.narrow_rerun_cells + b.narrow_rerun_cells);
+  EXPECT_EQ(sum.hbus_bytes, a.hbus_bytes + b.hbus_bytes);
+  EXPECT_EQ(sum.vbus_bytes, a.vbus_bytes + b.vbus_bytes);
+  for (std::size_t k = 0; k < sum.kernels.size(); ++k) {
+    EXPECT_EQ(sum.kernels[k].tiles, a.kernels[k].tiles + b.kernels[k].tiles) << k;
+    EXPECT_EQ(sum.kernels[k].cells, a.kernels[k].cells + b.kernels[k].cells) << k;
+  }
+}
+
+TEST(StageStats, AddRunFoldsTheTallyAndKeepsHighWaterMarks) {
+  engine::RunStats first;
+  static_cast<engine::Tally&>(first) = numbered_tally(100);
+  first.blocks_used = 7;
+  first.bus_bytes = 500;
+  first.tiles_stolen = 3;
+  first.starvation_waits = 4;
+  first.special_row_wait_seconds = 0.25;
+  engine::RunStats second;
+  static_cast<engine::Tally&>(second) = numbered_tally(1000);
+  second.blocks_used = 5;
+  second.bus_bytes = 900;
+  second.tiles_stolen = 10;
+  second.starvation_waits = 20;
+  second.special_row_wait_seconds = 0.5;
+
+  StageStats stage;
+  stage.add_run(first);
+  stage.add_run(second);
+  engine::Tally want = numbered_tally(100);
+  want += numbered_tally(1000);
+  EXPECT_EQ(static_cast<const engine::Tally&>(stage), want);
+  EXPECT_EQ(stage.blocks_used, 7);    // Max, from the first run.
+  EXPECT_EQ(stage.ram_bytes, 900u);   // Max, from the second run.
+  EXPECT_EQ(stage.tiles_stolen, 13);
+  EXPECT_EQ(stage.starvation_waits, 24);
+  EXPECT_DOUBLE_EQ(stage.sra_flush_wait_seconds, 0.75);
+}
+
 struct StageHarness {
   seq::SequencePair pair;
   TempDir dir;
@@ -84,10 +150,10 @@ TEST(Stage1, BestMatchesLinearReference) {
       // the computed and the pruned cells still cover the matrix.
       const auto matrix = static_cast<WideScore>(h.pair.s0.size() * h.pair.s1.size());
       if (prune) {
-        EXPECT_EQ(st1.stats.cells + st1.pruned_cells, matrix);
+        EXPECT_EQ(st1.stats.cells + st1.stats.pruned_cells, matrix);
       } else {
         EXPECT_EQ(st1.stats.cells, matrix);
-        EXPECT_EQ(st1.pruned_cells, 0);
+        EXPECT_EQ(st1.stats.pruned_cells, 0);
       }
     }
   }
@@ -346,7 +412,7 @@ TEST(Stage6, ReconstructionMatchesStage5) {
   Stage5Config c5;
   c5.scheme = paper();
   const auto st5 = run_stage5(h.pair.s0.bases(), h.pair.s1.bases(), st4.crosspoints, c5);
-  const auto st6 = run_stage6(h.pair.s0.bases(), h.pair.s1.bases(), st5.binary, paper());
+  const auto st6 = run_stage6(h.pair.s0.bases(), h.pair.s1.bases(), st5.binary);
   EXPECT_EQ(st6.alignment.transcript, st5.alignment.transcript);
   EXPECT_EQ(st6.composition.total_score(), st5.alignment.score);
 }

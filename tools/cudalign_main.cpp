@@ -213,7 +213,7 @@ int cmd_align(const common::Args& args) {
                   format_sci(static_cast<double>(st.cells)).c_str(),
                   static_cast<long long>(st.crosspoints));
     }
-    const auto pruned = static_cast<double>(result.stage1_pruned_cells);
+    const auto pruned = static_cast<double>(result.stages[0].pruned_cells);
     const double matrix = static_cast<double>(s0.size()) * static_cast<double>(aligned_s1.size());
     std::printf("stage-1 pruned cells: %s (%.1f%% of m*n)\n", format_sci(pruned).c_str(),
                 matrix > 0 ? 100.0 * pruned / matrix : 0.0);
@@ -264,8 +264,7 @@ int cmd_view(const common::Args& args) {
   const auto binary = alignment::read_binary_file(args.positional()[0]);
   const auto s0 = seq::read_single_fasta(args.positional()[1]);
   const auto s1 = seq::read_single_fasta(args.positional()[2]);
-  const auto report =
-      core::run_stage6(s0.bases(), s1.bases(), binary, scoring::Scheme::paper_defaults());
+  const auto report = core::run_stage6(s0.bases(), s1.bases(), binary);
   std::printf("alignment (%lld, %lld) .. (%lld, %lld), score %lld, identity %.2f%%\n",
               static_cast<long long>(report.alignment.i0),
               static_cast<long long>(report.alignment.j0),
