@@ -6,7 +6,9 @@
 //
 // Before handing over to google-benchmark, main() runs a self-timed sweep of
 // the kernel registry — every variant on every tile archetype it can run,
-// plus a 4 KBP x 4 KBP Stage-1 engine run per dispatch mode — and writes the
+// warm (one column segment) and, for the Stage-1 archetype, cold (two
+// alternating segments, so every call rebuilds its profile), plus a 4 KBP x
+// 4 KBP Stage-1 engine run per dispatch mode — and writes the
 // results to BENCH_kernels.json (override the path with CUDALIGN_BENCH_JSON;
 // set it to "off" to skip the sweep).
 #include <benchmark/benchmark.h>
@@ -17,6 +19,7 @@
 #include <fstream>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -81,6 +84,7 @@ constexpr std::pair<Index, Index> kTileShapes[] = {
 /// horizontal bus is updated in place and would otherwise feed back).
 struct TileBench {
   Index rows, cols;
+  Index c0 = 0;  ///< First column of the tile's segment of seq_b().
   engine::Recurrence rec;
   std::vector<engine::BusCell> hbus0, vin;
   std::vector<engine::BusCell> hbus, vout;
@@ -113,8 +117,8 @@ struct TileBench {
     engine::TileJob j;
     j.r0 = 0;
     j.r1 = rows;
-    j.c0 = 0;
-    j.c1 = cols;
+    j.c0 = c0;
+    j.c1 = c0 + cols;
     j.a = seq_a().bases();
     j.b = seq_b().bases();
     j.recurrence = &rec;
@@ -128,6 +132,11 @@ struct TileBench {
   }
 
   void reset_bus() { hbus = hbus0; }
+
+  /// Moves the tile to the other of two column segments, so the next call
+  /// finds its striped profile cold, as a Stage-1 tile does whenever its
+  /// participant last ran another column chunk.
+  void switch_segment() { c0 = c0 == 0 ? cols : 0; }
 };
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
@@ -142,16 +151,25 @@ struct TileTiming {
 };
 
 /// Times `variant` pinned through run_tile; nullopt when a narrow variant
-/// overflows the tile and a costlier one publishes it.
-std::optional<TileTiming> time_variant(const engine::KernelVariant& variant, TileBench& bench) {
+/// overflows the tile and a costlier one publishes it. `cold` alternates
+/// two column segments between calls, so every call pays the per-tile
+/// set-up (profile rebuild) that the warm rows amortize.
+std::optional<TileTiming> time_variant(const engine::KernelVariant& variant, TileBench& bench,
+                                       bool cold) {
   engine::TileScratch scratch;
   bench.reset_bus();
-  // Warm-up (scratch allocation) and the check that the variant publishes.
-  if (engine::run_tile(bench.job(), scratch, &variant).kernel != variant.id) return std::nullopt;
+  // Warm-up (scratch allocation) and the check that the variant publishes,
+  // on both segments when cold.
+  for (int k = 0; k < (cold ? 2 : 1); ++k) {
+    if (cold) bench.switch_segment();
+    bench.reset_bus();
+    if (engine::run_tile(bench.job(), scratch, &variant).kernel != variant.id) return std::nullopt;
+  }
   long iters = 0;
   const auto t0 = std::chrono::steady_clock::now();
   double elapsed = 0;
   do {
+    if (cold) bench.switch_segment();
     bench.reset_bus();
     benchmark::DoNotOptimize(engine::run_tile(bench.job(), scratch, &variant));
     ++iters;
@@ -165,6 +183,7 @@ struct VariantSample {
   std::string archetype;
   std::string kernel;
   Index rows = 0, cols = 0;
+  bool cold = false;  ///< Profile rebuilt on every call (see time_variant).
   TileTiming timing;
 };
 
@@ -218,20 +237,29 @@ void run_kernel_sweep(const std::string& path) {
   for (const auto& [rows, cols] : kTileShapes) {
     for (const TileArchetype& arch : kArchetypes) {
       TileBench bench(arch, rows, cols);
+      // The Stage-1 archetype also runs cold: warm minus cold is the
+      // per-tile set-up a real run pays on a column-chunk switch.
+      const bool stage1 = std::string_view(arch.name) == "local+best";
       for (const engine::KernelVariant& variant : engine::kernel_registry()) {
-        if (!variant.can_run(bench.job())) continue;
-        const std::optional<TileTiming> timing = time_variant(variant, bench);
-        if (!timing) continue;
-        VariantSample s;
-        s.archetype = arch.name;
-        s.kernel = variant.name;
-        s.rows = rows;
-        s.cols = cols;
-        s.timing = *timing;
-        tile_samples.push_back(s);
-        std::fprintf(stderr, "[kernel-sweep] %4ldx%-4ld %-21s %-24s %7.3f GCUPS %8.1f ns/row\n",
-                     long(rows), long(cols), s.archetype.c_str(), s.kernel.c_str(),
-                     s.timing.gcups, s.timing.ns_per_row);
+        const engine::TileJob job = bench.job();
+        if (!variant.admits(job, engine::scan_bus_inputs(job))) continue;
+        for (const bool cold : {false, true}) {
+          if (cold && !stage1) continue;
+          const std::optional<TileTiming> timing = time_variant(variant, bench, cold);
+          if (!timing) continue;
+          VariantSample s;
+          s.archetype = arch.name;
+          s.kernel = variant.name;
+          s.rows = rows;
+          s.cols = cols;
+          s.cold = cold;
+          s.timing = *timing;
+          tile_samples.push_back(s);
+          std::fprintf(stderr,
+                       "[kernel-sweep] %4ldx%-4ld %-21s %-24s %-4s %7.3f GCUPS %8.1f ns/row\n",
+                       long(rows), long(cols), s.archetype.c_str(), s.kernel.c_str(),
+                       cold ? "cold" : "warm", s.timing.gcups, s.timing.ns_per_row);
+        }
       }
     }
   }
@@ -258,8 +286,9 @@ void run_kernel_sweep(const std::string& path) {
     const VariantSample& s = tile_samples[i];
     out << "    {\"job\": \"" << json_escape(s.archetype) << "\", \"kernel\": \""
         << json_escape(s.kernel) << "\", \"rows\": " << s.rows << ", \"cols\": " << s.cols
-        << ", \"gcups\": " << s.timing.gcups << ", \"ns_per_row\": " << s.timing.ns_per_row
-        << "}" << (i + 1 < tile_samples.size() ? "," : "") << "\n";
+        << ", \"profile\": \"" << (s.cold ? "cold" : "warm") << "\", \"gcups\": " << s.timing.gcups
+        << ", \"ns_per_row\": " << s.timing.ns_per_row << "}"
+        << (i + 1 < tile_samples.size() ? "," : "") << "\n";
   }
   out << "  ],\n  \"stage1\": {\"n\": " << n << ", \"runs\": [\n";
   for (std::size_t i = 0; i < engine_samples.size(); ++i) {
@@ -300,7 +329,8 @@ void register_variant_benchmarks() {
       for (const TileArchetype& arch : kArchetypes) {
         // Probe eligibility once with a throwaway bench.
         TileBench probe(arch, rows, cols);
-        if (!variant.can_run(probe.job())) continue;
+        const engine::TileJob job = probe.job();
+        if (!variant.admits(job, engine::scan_bus_inputs(job))) continue;
         const std::string name = std::string("BM_KernelVariant/") + variant.name + "/" +
                                  arch.name + "/" + std::to_string(rows) + "x" +
                                  std::to_string(cols);

@@ -1,5 +1,7 @@
 #include "common/thread_pool.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 
 namespace cudalign {
@@ -86,9 +88,9 @@ void ThreadPool::worker_loop() {
 
 void ThreadPool::parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn) {
   if (count == 0) return;
-  if (count == 1 || threads_.size() == 1 || tl_inside_pool_worker) {
-    // Run inline: with one worker (this host) the wakeup round-trip is pure
-    // overhead and inline execution keeps stack traces readable.
+  if (count == 1 || tl_inside_pool_worker) {
+    // Run inline: one iteration needs no second thread, and a nested call
+    // must not publish a job while its own is in flight (see above).
     for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
   }
@@ -124,7 +126,9 @@ void ThreadPool::parallel_for(std::size_t count, const std::function<void(std::s
 }
 
 ThreadPool& ThreadPool::shared() {
-  static ThreadPool pool;
+  // The caller computes too, so one worker fewer than the hardware threads
+  // keeps every core busy without oversubscribing one.
+  static ThreadPool pool(std::max(2U, std::thread::hardware_concurrency()) - 1);
   return pool;
 }
 

@@ -2,8 +2,9 @@
 //
 // This is the CPU stand-in for the CUDA block scheduler and the only owner of
 // compute threads: the wavefront scheduler (engine/sched.hpp) runs one job of
-// worker_count() participants that pull ready tiles until the tile graph is
-// done, and Stages 3-5 run their independent partitions as one job each.
+// thread_count() participants (the workers and the caller) that pull ready
+// tiles until the tile graph is done, and Stages 3-5 run their independent
+// partitions as one job each.
 //
 // parallel_for publishes a single job — a pointer to the caller's function, an
 // iteration count and a shared atomic cursor — and bumps a generation counter
@@ -39,14 +40,19 @@ class ThreadPool {
   ~ThreadPool();
 
   [[nodiscard]] std::size_t worker_count() const noexcept { return threads_.size(); }
+  /// Threads a parallel_for computes on: the workers plus the caller.
+  [[nodiscard]] std::size_t thread_count() const noexcept { return threads_.size() + 1; }
 
-  /// Runs fn(i) for i in [0, count) across the pool and blocks until all
-  /// iterations finish. Iterations should not throw; exceptions are rethrown
-  /// on the caller thread after the barrier (first one wins). Nested calls
-  /// (from inside an iteration) run inline on the calling thread.
+  /// Runs fn(i) for i in [0, count) across the workers and the calling
+  /// thread, and blocks until all iterations finish. Iterations should not
+  /// throw; exceptions are rethrown on the caller thread after the barrier
+  /// (first one wins). A single iteration, and a nested call (from inside an
+  /// iteration), run inline on the calling thread.
   void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn);
 
-  /// Process-wide shared pool (lazily constructed, sized to the hardware).
+  /// Process-wide shared pool (lazily constructed): hardware threads minus
+  /// one workers (at least one), so with the caller it computes on every
+  /// hardware thread.
   static ThreadPool& shared();
 
  private:

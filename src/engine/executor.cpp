@@ -149,9 +149,10 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
   // retired, so window + 2 slots never overlap a live strip. A run of fewer
   // strips needs one slot per strip. The window stays below kPruneLag, so
   // strip s - kPruneLag, whose cumulative best the pruning closure of strip s
-  // reads, has retired too (the tile body checks it).
-  const Index workers = std::max<Index>(1, static_cast<Index>(pool->worker_count()));
-  const Index window = std::min(std::max<Index>(4, 2 * workers), kPruneLag - 1);
+  // reads, has retired too (the tile body checks it). The window scales with
+  // the scheduler's participants: the pool's workers and the caller.
+  const auto participants = static_cast<Index>(pool->thread_count());
+  const Index window = std::min(std::max<Index>(4, 2 * participants), kPruneLag - 1);
   const Index ring = std::min(strips, window + 2);
 
   check::BusAuditor* audit = hooks.bus_audit;
@@ -272,6 +273,9 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
       audit->read_vertical(s, b, rows);
     }
 
+    // The tile's one pass over its bus inputs: kernel admission and the
+    // pruning bound below both read it.
+    const BusInputs in = scan_bus_inputs(job);
     bool pruned = false;
     Score closure_in = 0;
     if (spec.block_pruning) {
@@ -292,14 +296,10 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
       }
       if (closure_in > 0) {
         // Best incoming H across the tile's boundary (the corner arrives via
-        // the vertical bus; hbus index 0 is the left neighbour's and stale).
-        Score max_in = 0;  // Local mode: a fresh alignment can start anywhere.
-        for (std::size_t k = 1; k < job.hbus.size(); ++k) {
-          max_in = std::max(max_in, job.hbus[k].h);
-        }
-        for (const BusCell& cell : job.vbus_in) max_in = std::max(max_in, cell.h);
-        const WideScore bound =
-            max_in + static_cast<WideScore>(rec.scheme.match) * std::min(m - r0, n - c0);
+        // the vertical bus; hbus index 0 is the left neighbour's and stale),
+        // and at least 0: in local mode a fresh alignment can start anywhere.
+        const WideScore bound = WideScore{in.max_h()} +
+                                static_cast<WideScore>(rec.scheme.match) * std::min(m - r0, n - c0);
         if (bound < closure_in) {
           // Publish safe lower bounds and skip the kernel.
           for (std::size_t k = 1; k < job.hbus.size(); ++k) job.hbus[k] = BusCell{0, kNegInf};
@@ -312,9 +312,9 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
     // One kernel call, folded into the strip's slot. Scratch is reused
     // across tiles of the same worker thread.
     Score tile_best = 0;
-    auto call = [&](const TileJob& part) {
+    auto call = [&](const TileJob& part, const BusInputs& part_in) {
       static thread_local TileScratch scratch;
-      TileResult tr = run_tile(part, scratch, forced_kernel);
+      TileResult tr = run_tile(part, part_in, scratch, forced_kernel);
       Tally& tally = slot.tally;
       ++tally.tiles;
       tally.cells += tr.cells;
@@ -351,16 +351,16 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
       head.r1 = 1;
       head.vbus_in = job.vbus_in.first(2);
       head.vbus_out = job.vbus_out.first(2);
-      call(head);
+      call(head, scan_bus_inputs(head));
       const BusCell row1 = job.vbus_out[1];
       TileJob rest = job;
       rest.r0 = 1;
       rest.vbus_in = job.vbus_in.subspan(1);
       rest.vbus_out = job.vbus_out.subspan(1);
-      call(rest);
+      call(rest, scan_bus_inputs(rest));
       job.vbus_out[1] = row1;
     } else {
-      call(job);
+      call(job, in);
     }
     if (audit != nullptr) {
       audit->write_horizontal(s, b, c0, c1);

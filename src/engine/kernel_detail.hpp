@@ -7,8 +7,11 @@
 // place so every variant inherits it.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <optional>
+#include <span>
 
 #include "common/error.hpp"
 #include "engine/kernels.hpp"
@@ -80,14 +83,54 @@ inline constexpr LaneEnvelope kLaneEnvelope8{16, -64, 100};
 /// wins within one step in local mode). Returns the largest H input when
 /// the job is admitted. It bounds nothing the tile computes: the striped
 /// kernels detect an H past the ceiling and report the tile overflowed, and
-/// v16 adds a static reachable-score bound (vector16_can_run). O(w + rows).
-[[nodiscard]] std::optional<Score> lane_inputs_admit(const TileJob& job, const LaneEnvelope& env);
+/// v16 adds a static reachable-score bound (vector16_can_run). O(1) on the
+/// job's scan_bus_inputs.
+[[nodiscard]] std::optional<Score> lane_inputs_admit(const TileJob& job, const BusInputs& in,
+                                                     const LaneEnvelope& env);
 
 /// vector_can_run, the 16-bit input precheck and the overflow-checked
 /// reachable-score bound max_h + match * min(rows, w) <= ceiling: the
 /// anti-diagonal sweep cannot detect an overflow, so it must rule one out
-/// before running. O(w + rows).
-[[nodiscard]] bool vector16_can_run(const TileJob& job);
+/// before running. O(1).
+[[nodiscard]] bool vector16_can_run(const TileJob& job, const BusInputs& in);
+
+/// The loop behind scan_bus_inputs. Each ISA translation unit instantiates
+/// it with a tag of its own, so the copies compiled for different ISAs keep
+/// distinct symbols; scan_bus_inputs picks one by active_simd_isa(). Local
+/// accumulators and mask arithmetic (`keep ? v : other` feeding a min/max
+/// becomes a conditional reduction GCC 12 does not vectorize) keep every
+/// reduction vectorized.
+template <typename IsaTag>
+BusInputs scan_bus_inputs_for(const TileJob& job) noexcept {
+  constexpr Score kMax = std::numeric_limits<Score>::max();
+  constexpr Score kMin = std::numeric_limits<Score>::min();
+  const auto keep_or = [](bool keep, Score v, Score other) {
+    const Score mask = -static_cast<Score>(keep);
+    return (v & mask) | (other & ~mask);
+  };
+  BusInputs in;
+  const auto fold = [&in, &keep_or](std::span<const BusCell> cells) {
+    Score hl = in.h_lo, hh = in.h_hi, gl = in.gap_lo, gh = in.gap_hi, gf = in.gap_floor;
+    for (const BusCell& cell : cells) {
+      const bool real_gap = !is_neg_inf(cell.gap);
+      hl = std::min(hl, cell.h);
+      hh = std::max(hh, cell.h);
+      gl = std::min(gl, keep_or(real_gap, cell.gap, kMax));
+      gh = std::max(gh, keep_or(real_gap, cell.gap, kMin));
+      gf = std::min(gf, cell.gap);
+    }
+    in = BusInputs{hl, hh, gl, gh, gf};
+  };
+  if (!job.hbus.empty()) fold(job.hbus.subspan(1));
+  fold(job.vbus_in);
+  return in;
+}
+
+/// scan_bus_inputs_for compiled in kernels_striped_avx2.cpp and
+/// kernels_striped_avx512.cpp; called only where that striped backend may
+/// run (active_simd_isa()).
+[[nodiscard]] BusInputs scan_bus_inputs_avx2(const TileJob& job) noexcept;
+[[nodiscard]] BusInputs scan_bus_inputs_avx512(const TileJob& job) noexcept;
 
 /// Most lanes any striped backend has (AVX-512 int8): bounds a tile's pad.
 inline constexpr Index kMaxStripedLanes = 64;
@@ -110,22 +153,22 @@ TileResult run_striped(const TileJob& job, TileScratch& scratch);
 /// floor), dispatched to its taps/probe specialisation and then to the ISA.
 TileResult run_striped32_global(const TileJob& job, TileScratch& scratch);
 
-/// vector_can_run plus the 8-bit / 16-bit lane input prechecks.
-[[nodiscard]] bool striped8_can_run(const TileJob& job);
-[[nodiscard]] bool striped16_can_run(const TileJob& job);
+/// vector_can_run plus the 8-bit / 16-bit lane input prechecks. O(1).
+[[nodiscard]] bool striped8_can_run(const TileJob& job, const BusInputs& in);
+[[nodiscard]] bool striped16_can_run(const TileJob& job, const BusInputs& in);
 
 /// The striped32-global envelope: a global job without best tracking, at
 /// least one row, no sentinel H among its inputs (hbus[1..w] and
-/// vbus_in[0..rows]), sentinel gaps above 2 * kNegInf, and a checked
-/// reachable-score bound below |kNegInf| / 2 (see DESIGN.md). O(w + rows).
-[[nodiscard]] bool striped32_global_can_run(const TileJob& job);
+/// vbus_in[0..rows]), sentinel gaps at or above 2 * kNegInf, and a checked
+/// reachable-score bound below |kNegInf| / 2 (see DESIGN.md). O(1).
+[[nodiscard]] bool striped32_global_can_run(const TileJob& job, const BusInputs& in);
 
 /// The striped32-local envelope: vector_can_run (local, no taps or probe,
 /// non-empty) and the same int32 input and reachable-score checks as
 /// striped32_global_can_run — sentinel H refused (those tiles stay on
 /// v32-local*), every bound far below |kNegInf| so paper-scale scores fit.
-/// Best tracking is the registry's concern. O(w + rows).
-[[nodiscard]] bool striped32_local_can_run(const TileJob& job);
+/// Best tracking is the registry's concern. O(1).
+[[nodiscard]] bool striped32_local_can_run(const TileJob& job, const BusInputs& in);
 
 /// The striped tuples every ISA backend TU compiles, as (lane, local, best,
 /// taps, find): the four narrow local (lane, best) pairs, int32 local+best,

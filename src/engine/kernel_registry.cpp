@@ -17,46 +17,46 @@ namespace {
 
 using dp::AlignMode;
 
-bool any_job(const TileJob&) { return true; }
+bool any_job(const TileJob&, const BusInputs&) { return true; }
 
 /// Exact feature match: a specialized sweep runs precisely the jobs whose
 /// trait tuple equals its template instantiation (a broader variant would
 /// compute unused features; a narrower one would miss requested ones).
 template <bool kLocal, bool kBest, bool kTaps, bool kFind>
-bool scalar_can_run(const TileJob& job) {
+bool scalar_can_run(const TileJob& job, const BusInputs&) {
   return KernelTraits::of(job) ==
          KernelTraits{kLocal ? AlignMode::kLocal : AlignMode::kGlobal, kBest, kTaps, kFind};
 }
 
 template <bool kBest>
-bool vec16_can_run(const TileJob& job) {
-  return job.track_best == kBest && detail::vector16_can_run(job);
+bool vec16_can_run(const TileJob& job, const BusInputs& in) {
+  return job.track_best == kBest && detail::vector16_can_run(job, in);
 }
 
 template <bool kBest>
-bool vec32_can_run(const TileJob& job) {
+bool vec32_can_run(const TileJob& job, const BusInputs&) {
   return job.track_best == kBest && detail::vector_can_run(job);
 }
 
 template <bool kBest>
-bool striped8_can_run(const TileJob& job) {
-  return job.track_best == kBest && detail::striped8_can_run(job);
+bool striped8_can_run(const TileJob& job, const BusInputs& in) {
+  return job.track_best == kBest && detail::striped8_can_run(job, in);
 }
 
 template <bool kBest>
-bool striped16_can_run(const TileJob& job) {
-  return job.track_best == kBest && detail::striped16_can_run(job);
+bool striped16_can_run(const TileJob& job, const BusInputs& in) {
+  return job.track_best == kBest && detail::striped16_can_run(job, in);
 }
 
 /// Only the best-tracking tuple: the executor tracks the best on every local
 /// tile, so an int32 local sweep without it would never be selected.
-bool striped32_local_best_can_run(const TileJob& job) {
-  return job.track_best && detail::striped32_local_can_run(job);
+bool striped32_local_best_can_run(const TileJob& job, const BusInputs& in) {
+  return job.track_best && detail::striped32_local_can_run(job, in);
 }
 
 /// Anti-diagonal and striped sweeps only pay off when the diagonals / lane
 /// segments are long enough to fill vector lanes; below these shapes the
-/// automatic order prefers the row sweeps. Overrides bypass the gate (can_run
+/// automatic order prefers the row sweeps. Overrides bypass the gate (admits
 /// still guards correctness).
 constexpr Index kVectorMinWidth = 16;
 constexpr Index kVectorMinRows = 8;
@@ -218,27 +218,29 @@ namespace {
 
 /// The cheapest variant costlier than `min_cost` whose shape gate and
 /// predicate accept the job.
-const KernelVariant& cheapest_eligible(const TileJob& job, int min_cost) {
+const KernelVariant& cheapest_eligible(const TileJob& job, const BusInputs& in, int min_cost) {
   const Index w = job.c1 - job.c0;
   const Index rows = job.r1 - job.r0;
   for (std::size_t idx : cost_order()) {
     const Entry& entry = table()[idx];
     if (entry.variant.cost <= min_cost) continue;
     if (w < entry.min_width || rows < entry.min_rows) continue;
-    if (entry.variant.can_run(job)) return entry.variant;
+    if (entry.variant.admits(job, in)) return entry.variant;
   }
   return kernel_info(KernelId::kLegacy);  // Unreachable: legacy accepts any job.
 }
 
 }  // namespace
 
-const KernelVariant& select_kernel(const TileJob& job, const KernelVariant* forced) {
-  if (forced != nullptr && forced->can_run(job)) return *forced;
-  return cheapest_eligible(job, -1);
+const KernelVariant& select_kernel(const TileJob& job, const BusInputs& in,
+                                   const KernelVariant* forced) {
+  if (forced != nullptr && forced->admits(job, in)) return *forced;
+  return cheapest_eligible(job, in, -1);
 }
 
-const KernelVariant& select_costlier_kernel(const TileJob& job, const KernelVariant& overflowed) {
-  return cheapest_eligible(job, overflowed.cost);
+const KernelVariant& select_costlier_kernel(const TileJob& job, const BusInputs& in,
+                                            const KernelVariant& overflowed) {
+  return cheapest_eligible(job, in, overflowed.cost);
 }
 
 }  // namespace cudalign::engine

@@ -1,13 +1,15 @@
 // Kernel registry and dispatch: the seam between the executor and the tile
 // kernel family.
 //
-// Every kernel variant is a free function with the run_tile signature plus a
-// `can_run` predicate describing the (mode, feature, value-range) envelope it
-// is exact for. Dispatch walks the registry in cost order and picks the
-// cheapest variant whose predicate accepts the job — so the Stage-1 hot path
-// (plain local, small scores) lands on a narrow striped sweep, a Stage-1 tile
-// past the int16 envelope and a global tile of Stages 2-4 (taps and probe
-// included) on the int32 striped sweep, a global tile outside its envelope
+// Every kernel variant is a free function with the run_tile signature plus an
+// `admits` predicate describing the (mode, feature, value-range) envelope it
+// is exact for. Predicates read the bus inputs only through one
+// scan_bus_inputs pass per tile, so each is O(1). Dispatch walks the
+// registry in cost order and picks the cheapest variant whose predicate
+// accepts the job — so the Stage-1 hot path (plain local, small scores)
+// lands on a narrow striped sweep, a Stage-1 tile past the int16 envelope
+// and a global tile of Stages 2-4 (taps and probe included) on the int32
+// striped sweep, a global tile outside its envelope
 // (narrow, or with sentinel H inputs) on its specialized scalar row sweep,
 // and anything else on the legacy do-everything loop. All variants are
 // bit-identical to run_reference; predicates encode *exactness* (e.g. the
@@ -57,8 +59,9 @@ struct KernelVariant {
   KernelId id = KernelId::kLegacy;
   const char* name = "";  ///< Stable name for CUDALIGN_KERNEL and stats output.
   int cost = 0;           ///< Selection preference; lower wins among eligible variants.
-  /// True if the variant computes this job exactly (mode/features/value range).
-  bool (*can_run)(const TileJob& job) = nullptr;
+  /// True if the variant computes this job exactly (mode/features/value
+  /// range), given the job's scan_bus_inputs: O(1).
+  bool (*admits)(const TileJob& job, const BusInputs& in) = nullptr;
   TileResult (*run)(const TileJob& job, TileScratch& scratch) = nullptr;
 };
 
@@ -71,16 +74,19 @@ struct KernelVariant {
 /// Metadata for a kernel id (valid for any id < kCount).
 [[nodiscard]] const KernelVariant& kernel_info(KernelId id) noexcept;
 
-/// Picks the variant that runs `job`: `forced` when non-null and eligible,
-/// otherwise the cheapest eligible variant in automatic cost order. The
-/// process-wide pin only applies through `forced` (run_wavefront passes it).
-[[nodiscard]] const KernelVariant& select_kernel(const TileJob& job,
+/// Picks the variant that runs `job`, whose bus inputs scan to `in`:
+/// `forced` when non-null and eligible, otherwise the cheapest eligible
+/// variant in automatic cost order. The process-wide pin only applies
+/// through `forced` (run_wavefront passes it).
+[[nodiscard]] const KernelVariant& select_kernel(const TileJob& job, const BusInputs& in,
                                                  const KernelVariant* forced = nullptr);
 
 /// The cheapest eligible variant strictly costlier than `overflowed`, in
 /// automatic cost order: run_tile's re-selection after a narrow kernel
-/// reported TileResult::overflowed. Legacy, the costliest, accepts any job.
+/// reported TileResult::overflowed, on the same scan. Legacy, the costliest,
+/// accepts any job.
 [[nodiscard]] const KernelVariant& select_costlier_kernel(const TileJob& job,
+                                                          const BusInputs& in,
                                                           const KernelVariant& overflowed);
 
 /// Sets the process-wide override by name (empty string clears it). Throws

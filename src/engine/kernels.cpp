@@ -1,12 +1,14 @@
-// Recurrence boundary math plus the run_tile dispatch shim. The kernel
-// implementations themselves live in kernels_scalar.cpp / kernels_vector.cpp
-// and are selected through kernel_registry.hpp.
+// Recurrence boundary math, the per-tile admission scan and the run_tile
+// dispatch shim. The kernel implementations themselves live in
+// kernels_scalar.cpp / kernels_vector.cpp / kernels_striped*.cpp and are
+// selected through kernel_registry.hpp.
 #include "engine/kernels.hpp"
 
 #include <algorithm>
 
 #include "check/checked.hpp"
 #include "check/contracts.hpp"
+#include "engine/kernel_detail.hpp"
 #include "engine/kernel_registry.hpp"
 
 namespace cudalign::engine {
@@ -71,15 +73,37 @@ BusCell Recurrence::left_boundary(Index i) const {
   return BusCell{boundary_run(corner.f, corner.h, i, scheme), kNegInf};
 }
 
+BusInputs scan_bus_inputs(const TileJob& job) noexcept {
+  // The pass is all 32-bit min/max, which SSE2 lacks: run it in the widest
+  // ISA translation unit the striped kernels may use.
+  switch (active_simd_isa()) {
+    case SimdIsa::kAvx512:
+      return detail::scan_bus_inputs_avx512(job);
+    case SimdIsa::kAvx2:
+      return detail::scan_bus_inputs_avx2(job);
+    case SimdIsa::kGeneric:
+    case SimdIsa::kSse2:
+      break;
+  }
+  struct BaselineIsa {};
+  return detail::scan_bus_inputs_for<BaselineIsa>(job);
+}
+
 TileResult run_tile(const TileJob& job, TileScratch& scratch, const KernelVariant* forced) {
-  const KernelVariant* kernel = &select_kernel(job, forced);
+  return run_tile(job, scan_bus_inputs(job), scratch, forced);
+}
+
+TileResult run_tile(const TileJob& job, const BusInputs& in, TileScratch& scratch,
+                    const KernelVariant* forced) {
+  // One admission pass serves the selection and every re-selection.
+  const KernelVariant* kernel = &select_kernel(job, in, forced);
   bool rerun = false;
   for (;;) {
     // Dispatch contract: whatever won selection (forced, automatic or a
     // re-selection) must be exact for this job — running outside the
     // envelope is the silent score-corruption path the registry exists to
     // prevent.
-    CUDALIGN_DCHECK(kernel->can_run(job), "selected kernel '", kernel->name,
+    CUDALIGN_DCHECK(kernel->admits(job, in), "selected kernel '", kernel->name,
                     "' cannot run this job");
     TileResult result = kernel->run(job, scratch);
     if (!result.overflowed) {
@@ -90,7 +114,7 @@ TileResult run_tile(const TileJob& job, TileScratch& scratch, const KernelVarian
     // Narrow lanes passed their ceiling: nothing reached the horizontal bus,
     // so the tile re-runs from its untouched inputs on wider lanes. Each
     // re-selection is strictly costlier, and legacy never overflows.
-    kernel = &select_costlier_kernel(job, *kernel);
+    kernel = &select_costlier_kernel(job, in, *kernel);
     rerun = true;
   }
 }

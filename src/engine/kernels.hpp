@@ -16,7 +16,9 @@
 //     2's start-point detection).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <span>
 #include <vector>
@@ -117,6 +119,29 @@ struct TileJob {
   std::optional<Score> find_value;
 };
 
+/// What every kernel's value-range admission reads of a tile's inputs,
+/// gathered in one branch-free min/max pass over hbus[1..w] and
+/// vbus_in[0..rows] (hbus[0], the corner, belongs to the vertical bus). A
+/// gap is "genuine" when it is not is_neg_inf; the genuine gap range of a
+/// tile without one reads lo = max, hi = min, so range tests pass it.
+struct BusInputs {
+  Score h_lo = std::numeric_limits<Score>::max();    ///< H range, sentinels included.
+  Score h_hi = std::numeric_limits<Score>::min();
+  Score gap_lo = std::numeric_limits<Score>::max();  ///< Genuine gap range.
+  Score gap_hi = std::numeric_limits<Score>::min();
+  Score gap_floor = std::numeric_limits<Score>::max();  ///< Smallest gap, sentinels included.
+
+  /// Some H input is a sentinel. Otherwise [h_lo, h_hi] is genuine.
+  [[nodiscard]] bool sentinel_h() const noexcept { return is_neg_inf(h_lo); }
+  /// Some gap input lies below 2 * kNegInf.
+  [[nodiscard]] bool deep_gap() const noexcept { return gap_floor < 2 * kNegInf; }
+  /// Largest H input, and 0 if none is larger (local mode's floor).
+  [[nodiscard]] Score max_h() const noexcept { return std::max<Score>(0, h_hi); }
+};
+
+/// The one admission pass over `job`'s bus inputs. O(w + rows).
+[[nodiscard]] BusInputs scan_bus_inputs(const TileJob& job) noexcept;
+
 struct TileResult {
   dp::LocalBest best;                            ///< Valid if track_best.
   bool found = false;                            ///< find_value hit.
@@ -171,6 +196,11 @@ struct TileScratch {
 /// run_reference.
 struct KernelVariant;
 [[nodiscard]] TileResult run_tile(const TileJob& job, TileScratch& scratch,
+                                  const KernelVariant* forced = nullptr);
+
+/// run_tile for a caller that already holds the job's scan_bus_inputs
+/// (the executor reads it for block pruning too).
+[[nodiscard]] TileResult run_tile(const TileJob& job, const BusInputs& in, TileScratch& scratch,
                                   const KernelVariant* forced = nullptr);
 
 }  // namespace cudalign::engine

@@ -21,6 +21,7 @@
 #include <limits>
 #include <mutex>
 #include <string_view>
+#include <utility>
 
 #if defined(__SSE2__)
 #include <emmintrin.h>
@@ -340,39 +341,30 @@ std::string_view simd_isa_name(SimdIsa isa) noexcept {
 
 namespace detail {
 
-bool striped8_can_run(const TileJob& job) {
-  return vector_can_run(job) && lane_inputs_admit(job, kLaneEnvelope8).has_value();
+bool striped8_can_run(const TileJob& job, const BusInputs& in) {
+  return vector_can_run(job) && lane_inputs_admit(job, in, kLaneEnvelope8).has_value();
 }
 
-bool striped16_can_run(const TileJob& job) {
-  return vector_can_run(job) && lane_inputs_admit(job, kLaneEnvelope16).has_value();
+bool striped16_can_run(const TileJob& job, const BusInputs& in) {
+  return vector_can_run(job) && lane_inputs_admit(job, in, kLaneEnvelope16).has_value();
 }
 
 namespace {
 
 /// The int32 lanes' input and reachable-score checks, shared by both modes.
-/// O(w + rows).
-bool striped32_inputs_admit(const TileJob& job) {
+bool striped32_inputs_admit(const TileJob& job, const BusInputs& in) {
   const Index rows = check::checked_sub(job.r1, job.r0);
   const Index w = check::checked_sub(job.c1, job.c0);
   // Sentinel H inputs are rejected: the envelope argument starts from
   // genuine H everywhere. Gap inputs may be sentinels — every gap update is
   // max(gap - G_ext, H - G_first), so the genuine H branch wins within one
-  // step — provided they sit above kNegInf * 2, so one G_ext more cannot
-  // wrap.
+  // step — provided they sit at or above kNegInf * 2, so one G_ext more
+  // cannot wrap.
+  if (in.sentinel_h() || in.deep_gap()) return false;
+  // Largest |input| over the genuine values: the ends of their ranges.
   WideScore max_abs = 0;
-  auto admit = [&](const BusCell& cell) {
-    if (is_neg_inf(cell.h)) return false;
-    max_abs = std::max<WideScore>(max_abs, std::abs(WideScore{cell.h}));
-    if (is_neg_inf(cell.gap)) return WideScore{cell.gap} >= WideScore{kNegInf} * 2;
-    max_abs = std::max<WideScore>(max_abs, std::abs(WideScore{cell.gap}));
-    return true;
-  };
-  for (std::size_t k = 1; k < job.hbus.size(); ++k) {
-    if (!admit(job.hbus[k])) return false;
-  }
-  for (const BusCell& cell : job.vbus_in) {
-    if (!admit(cell)) return false;
+  for (const auto& [lo, hi] : {std::pair{in.h_lo, in.h_hi}, std::pair{in.gap_lo, in.gap_hi}}) {
+    if (lo <= hi) max_abs = std::max({max_abs, std::abs(WideScore{lo}), std::abs(WideScore{hi})});
   }
   // Reachable-score bound: every value the sweep computes — genuine cells,
   // pad slots, decayed bridge terms — is an input moved by at most
@@ -392,13 +384,13 @@ bool striped32_inputs_admit(const TileJob& job) {
 
 }  // namespace
 
-bool striped32_global_can_run(const TileJob& job) {
+bool striped32_global_can_run(const TileJob& job, const BusInputs& in) {
   return job.recurrence->mode == dp::AlignMode::kGlobal && !job.track_best && job.r1 > job.r0 &&
-         striped32_inputs_admit(job);
+         striped32_inputs_admit(job, in);
 }
 
-bool striped32_local_can_run(const TileJob& job) {
-  return vector_can_run(job) && striped32_inputs_admit(job);
+bool striped32_local_can_run(const TileJob& job, const BusInputs& in) {
+  return vector_can_run(job) && striped32_inputs_admit(job, in);
 }
 
 namespace {

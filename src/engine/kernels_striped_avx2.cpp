@@ -118,6 +118,11 @@ struct Avx2Backend<std::int32_t> {
 
 bool avx2_kernels_compiled() noexcept { return true; }
 
+BusInputs scan_bus_inputs_avx2(const TileJob& job) noexcept {
+  struct Avx2Isa {};
+  return scan_bus_inputs_for<Avx2Isa>(job);
+}
+
 template <typename LaneT, bool kLocal, bool kBest, bool kTaps, bool kFind>
 TileResult run_striped_avx2(const TileJob& job, TileScratch& scratch) {
   return run_striped_core<Avx2Backend<LaneT>, kLocal, kBest, kTaps, kFind>(job, scratch);
@@ -132,6 +137,11 @@ CUDALIGN_STRIPED_ISA_INSTANTIATIONS(template, run_striped_avx2)
 namespace cudalign::engine::detail {
 
 bool avx2_kernels_compiled() noexcept { return false; }
+
+BusInputs scan_bus_inputs_avx2(const TileJob& job) noexcept {
+  struct BaselineIsa {};
+  return scan_bus_inputs_for<BaselineIsa>(job);
+}
 
 template <typename LaneT, bool kLocal, bool kBest, bool kTaps, bool kFind>
 TileResult run_striped_avx2(const TileJob& job, TileScratch& scratch) {

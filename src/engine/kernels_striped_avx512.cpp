@@ -137,6 +137,11 @@ struct Avx512Backend<std::int32_t> {
 
 bool avx512_kernels_compiled() noexcept { return true; }
 
+BusInputs scan_bus_inputs_avx512(const TileJob& job) noexcept {
+  struct Avx512Isa {};
+  return scan_bus_inputs_for<Avx512Isa>(job);
+}
+
 template <typename LaneT, bool kLocal, bool kBest, bool kTaps, bool kFind>
 TileResult run_striped_avx512(const TileJob& job, TileScratch& scratch) {
   return run_striped_core<Avx512Backend<LaneT>, kLocal, kBest, kTaps, kFind>(job, scratch);
@@ -151,6 +156,11 @@ CUDALIGN_STRIPED_ISA_INSTANTIATIONS(template, run_striped_avx512)
 namespace cudalign::engine::detail {
 
 bool avx512_kernels_compiled() noexcept { return false; }
+
+BusInputs scan_bus_inputs_avx512(const TileJob& job) noexcept {
+  struct BaselineIsa {};
+  return scan_bus_inputs_for<BaselineIsa>(job);
+}
 
 template <typename LaneT, bool kLocal, bool kBest, bool kTaps, bool kFind>
 TileResult run_striped_avx512(const TileJob& job, TileScratch& scratch) {

@@ -118,7 +118,8 @@ bool vector_can_run(const TileJob& job) {
          !job.find_value.has_value() && job.c1 > job.c0 && job.r1 > job.r0;
 }
 
-std::optional<Score> lane_inputs_admit(const TileJob& job, const LaneEnvelope& env) {
+std::optional<Score> lane_inputs_admit(const TileJob& job, const BusInputs& in,
+                                       const LaneEnvelope& env) {
   const scoring::Scheme& s = job.recurrence->scheme;
   if (s.match > env.penalty_cap || s.mismatch < -env.penalty_cap || s.mismatch > 0 ||
       s.gap_first > env.penalty_cap || s.gap_first < 0 || s.gap_ext > env.penalty_cap ||
@@ -131,39 +132,25 @@ std::optional<Score> lane_inputs_admit(const TileJob& job, const LaneEnvelope& e
   // never produces sentinel H in local mode — H >= 0 on every bus.) Gap
   // inputs may be sentinels: in local mode the non-sentinel recurrence branch
   // wins within one step, so the sentinel never escapes into an output.
-  Score max_h = 0;
-  auto admit = [&](const BusCell& cell) {
-    if (is_neg_inf(cell.h) || cell.h < env.real_floor || cell.h > env.ceiling) return false;
-    if (!is_neg_inf(cell.gap) && (cell.gap < env.real_floor || cell.gap > env.ceiling)) {
-      return false;
-    }
-    max_h = std::max(max_h, cell.h);
-    return true;
-  };
-  for (std::size_t k = 1; k < job.hbus.size(); ++k) {
-    if (!admit(job.hbus[k])) return std::nullopt;
+  if (in.sentinel_h() || in.h_lo < env.real_floor || in.h_hi > env.ceiling ||
+      in.gap_lo < env.real_floor || in.gap_hi > env.ceiling) {
+    return std::nullopt;
   }
-  for (const BusCell& cell : job.vbus_in) {
-    if (!admit(cell)) return std::nullopt;
-  }
-  return max_h;
+  return in.max_h();
 }
 
-bool vector16_can_run(const TileJob& job) {
+bool vector16_can_run(const TileJob& job, const BusInputs& in) {
   if (!vector_can_run(job)) return false;
   // Every match advances one row AND one column, so any path confined to the
   // tile makes at most min(rows, w) matches — that bounds every reachable
   // H/E/F from the admitted bus inputs by max_h + match * min(rows, w). The
   // bound is computed with overflow-checked arithmetic (a bound decided by
-  // wrapped arithmetic would be no bound at all), and its match term is
-  // tested before the O(w + rows) bus scan: max_h >= 0, so a tile whose
-  // match term alone passes the ceiling is refused whatever its buses hold.
+  // wrapped arithmetic would be no bound at all).
   const Index rows = check::checked_sub(job.r1, job.r0);
   const Index w = check::checked_sub(job.c1, job.c0);
   const WideScore reach =
       check::checked_mul<WideScore>(job.recurrence->scheme.match, std::min(rows, w));
-  if (reach > kScoreCeiling16) return false;
-  const std::optional<Score> max_h = lane_inputs_admit(job, kLaneEnvelope16);
+  const std::optional<Score> max_h = lane_inputs_admit(job, in, kLaneEnvelope16);
   return max_h.has_value() && check::checked_add<WideScore>(*max_h, reach) <= kScoreCeiling16;
 }
 

@@ -83,8 +83,10 @@ class GraphRun {
 
   /// Takes a ready tile, preferring one in `column`: the striped kernels keep
   /// a thread's column profile while its consecutive tiles share a chunk
-  /// (scoring::StripedProfile), which halves a Stage-1 tile's time. Next
-  /// comes the newest tile `me` made ready, then the oldest.
+  /// (scoring::StripedProfile; bench/micro_kernels' cold rows time a
+  /// rebuild), and the held down successor's horizontal-bus segment is
+  /// still in cache. Next comes the newest tile `me` made ready, then the
+  /// oldest.
   std::int64_t pop(std::size_t me, Index column) CUDALIGN_REQUIRES(mutex_) {
     auto it = std::find_if(ready_.begin(), ready_.end(),
                            [&](const ReadyTile& r) { return r.tile % opt_.blocks == column; });
@@ -181,7 +183,7 @@ SchedStats run_tile_graph(const SchedOptions& options, ThreadPool& pool,
   CUDALIGN_CHECK(body != nullptr, "tile graph needs a body");
 
   GraphRun run(options, body, strip_done);
-  pool.parallel_for(pool.worker_count(), [&run](std::size_t me) { run.participate(me); });
+  pool.parallel_for(pool.thread_count(), [&run](std::size_t me) { run.participate(me); });
   return run.finish();
 }
 

@@ -4,7 +4,8 @@
 // and top (s-1, b) inputs are published, so one slow tile (pruned
 // neighborhood, cold SRA flush) stalls only its successors, not the pool.
 //
-// The run is one ThreadPool::parallel_for whose iterations are participants.
+// The run is one ThreadPool::parallel_for whose iterations are participants,
+// one per thread of the pool: its workers and the caller.
 // All scheduler state sits behind one mutex: within a strip each tile
 // depends on the one to its left, so at most window + 1 tiles are ready or
 // running at once. A participant runs the down successor (s+1, b) of its
@@ -51,10 +52,11 @@ struct SchedStats {
 /// left + top dependency edges. `strip_done(s)` runs in ascending strip
 /// order, one strip at a time, as strips complete (the row watermark), on
 /// whichever participant completed the strip — the caller or a pool worker;
-/// returning false stops the run (remaining tiles are abandoned). A call from
-/// inside a pool iteration, or on a one-worker pool, runs as one inline
-/// participant. Exceptions thrown by `body` or `strip_done` stop the run and
-/// are rethrown on the caller.
+/// returning false stops the run (remaining tiles are abandoned). The run has
+/// pool.thread_count() participants: every worker and the caller. A call
+/// from inside a pool iteration runs as one inline participant. Exceptions
+/// thrown by `body` or `strip_done` stop the run and are rethrown on the
+/// caller.
 SchedStats run_tile_graph(const SchedOptions& options, ThreadPool& pool,
                           const std::function<void(Index s, Index b)>& body,
                           const std::function<bool(Index s)>& strip_done);

@@ -1,5 +1,6 @@
 #include "scoring/profile.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 namespace cudalign::scoring {
@@ -34,23 +35,32 @@ void StripedProfile<LaneT>::build(seq::SequenceView b, Index c0, Index c1, const
   seg_len_ = (w + lanes - 1) / lanes;
   if (seg_len_ == 0) seg_len_ = 1;  // Degenerate empty segment keeps row() valid.
   stride_ = static_cast<std::size_t>(seg_len_) * static_cast<std::size_t>(lanes);
-  cells_.assign(stride_ * seq::kAlphabetSize, pad);
-  const seq::Base* seg = seg_in;
+
+  // Stripe the base codes once: slot k * lanes + l holds 0-based segment
+  // column l * seg_len + k, and the pad slots of the last lanes hold
+  // kPadCode, which is no base.
+  codes_.assign(stride_, kPadCode);
+  for (Index l = 0; l * seg_len_ < w; ++l) {
+    const Index first = l * seg_len_;
+    const Index len = std::min(seg_len_, w - first);
+    seq::Base* slot = codes_.data() + l;
+    for (Index k = 0; k < len; ++k) slot[static_cast<std::size_t>(k * lanes)] = seg_in[first + k];
+  }
+
+  // Every row is then one select per slot, which the compiler vectorizes.
+  // It equals pair(sym, c) on real slots: N pairs with nothing, N included.
+  // The casts are exact: the striped prechecks only admit schemes whose
+  // penalties fit the lane envelope.
+  cells_.resize(stride_ * seq::kAlphabetSize);
+  const auto mismatch = static_cast<LaneT>(scheme.mismatch);
+  const seq::Base* codes = codes_.data();
+  const std::size_t stride = stride_;  // A local: int8 stores may alias members.
   for (seq::Base sym = 0; sym < seq::kAlphabetSize; ++sym) {
-    LaneT* out = cells_.data() + static_cast<std::size_t>(sym) * stride_;
-    // Striped slot of 0-based segment column j: vector j % seg, lane j / seg.
-    // Lane-major iteration (j = l * seg + k, slot = k * lanes + l) keeps the
-    // mapping in additions — a division per column would rival the DP cost on
-    // thin tiles.
-    for (Index l = 0; l < lanes; ++l) {
-      for (Index k = 0; k < seg_len_; ++k) {
-        const Index j = l * seg_len_ + k;
-        if (j >= w) break;
-        // Exact: the striped prechecks only admit schemes whose penalties fit
-        // the lane envelope, so pair() is representable in LaneT.
-        out[static_cast<std::size_t>(k) * static_cast<std::size_t>(lanes) +
-            static_cast<std::size_t>(l)] = static_cast<LaneT>(scheme.pair(sym, seg[j]));
-      }
+    const LaneT hit = sym != seq::kN ? static_cast<LaneT>(scheme.match) : mismatch;
+    LaneT* out = cells_.data() + static_cast<std::size_t>(sym) * stride;
+    for (std::size_t i = 0; i < stride; ++i) {
+      const seq::Base c = codes[i];
+      out[i] = c == kPadCode ? pad : (c == sym ? hit : mismatch);
     }
   }
 }

@@ -79,12 +79,22 @@ class StripedProfile {
   std::size_t stride_ = 0;    ///< lanes * seg_len_ (pad slots included).
   Index seg_len_ = 0;
 
+  /// Base code of a pad slot in codes_: no base, so no row scores it.
+  static constexpr seq::Base kPadCode = 0xFF;
+
+  /// The segment's base codes in striped slot order, pad slots kPadCode.
+  std::vector<seq::Base> codes_;
+
   // Rebuild-skip key. Stage-1 executors sweep one column chunk with many row
   // strips, so consecutive tiles usually stripe the same segment; comparing
   // the cached segment *contents* (not the pointer — scratch outlives runs,
   // so a recycled allocation could alias a stale pointer) makes the rebuild
   // a w-byte memcmp in the steady state. pair() reads only match/mismatch,
-  // so those two scores complete the key.
+  // so those two scores complete the key. A rebuild costs one w-byte
+  // striping pass plus kAlphabetSize vectorized select rows: bench/
+  // micro_kernels' cold rows put it at 0.5-1.7 us per int8/int16 tile of
+  // 417-512 columns on one AVX-512BW core, 2-7% of the tile. The key keeps
+  // the steady state at a memcmp.
   std::vector<seq::Base> key_seg_;
   Index key_lanes_ = -1;
   Score key_match_ = 0;

@@ -3,12 +3,16 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
+#include <mutex>
 #include <set>
 #include <sstream>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "alignment/gaplist.hpp"
@@ -135,12 +139,38 @@ TEST(ThreadPool, DestructionDuringExceptionUnwindDoesNotDeadlock) {
   }
 }
 
-TEST(ThreadPool, SingleWorkerRunsInline) {
+TEST(ThreadPool, OneWorkerComputesOnTwoThreads) {
+  // The caller participates, so a one-worker pool runs two iterations at
+  // once: each waits (bounded, so a lone thread fails rather than hangs)
+  // until the other has started.
   ThreadPool pool(1);
-  const auto caller = std::this_thread::get_id();
-  std::thread::id seen;
-  pool.parallel_for(3, [&](std::size_t) { seen = std::this_thread::get_id(); });
-  EXPECT_EQ(seen, caller);
+  EXPECT_EQ(pool.thread_count(), 2u);
+  std::mutex mutex;
+  std::condition_variable cv;
+  int started = 0;
+  std::vector<std::thread::id> ids(2);
+  pool.parallel_for(2, [&](std::size_t i) {
+    std::unique_lock<std::mutex> lock(mutex);
+    ids[i] = std::this_thread::get_id();
+    ++started;
+    cv.notify_all();
+    EXPECT_TRUE(cv.wait_for(lock, std::chrono::seconds(20), [&] { return started == 2; }));
+  });
+  EXPECT_NE(ids[0], ids[1]);
+}
+
+TEST(ThreadPool, NestedCallRunsInline) {
+  // A parallel_for from inside an iteration runs every inner iteration on
+  // the thread that made the call.
+  ThreadPool pool(2);
+  std::vector<int> inline_runs(3, 0);
+  pool.parallel_for(inline_runs.size(), [&](std::size_t i) {
+    const auto outer = std::this_thread::get_id();
+    pool.parallel_for(4, [&](std::size_t) {
+      if (std::this_thread::get_id() == outer) ++inline_runs[i];
+    });
+  });
+  for (const int runs : inline_runs) EXPECT_EQ(runs, 4);
 }
 
 TEST(IoUtil, PodRoundTrip) {

@@ -516,18 +516,25 @@ TEST(DataflowEquivalence, StealHeavyGridMatchesOneWorker) {
   spec.grid = tiny_grid(8, 2, 1);
   spec.recurrence = engine::Recurrence::local(paper());
   spec.block_pruning = true;
-  const ExecRun one = run_with_workers(spec, 1, 4);
+  // Called from inside a pool iteration, the one-worker run has a lone
+  // participant, which makes every tile ready itself and never waits.
+  std::optional<ExecRun> lone;
+  ThreadPool host(1);
+  host.parallel_for(2, [&](std::size_t i) {
+    if (i == 0) lone = run_with_workers(spec, 1, 4);
+  });
+  const ExecRun one = *lone;
   const ExecRun many = run_with_workers(spec, 8, 4);
   expect_same_wavefront_run(one, many, "steal-heavy");
-  // A lone participant makes every tile ready itself and never waits.
+  expect_same_wavefront_run(one, run_with_workers(spec, 1, 4), "one worker, two participants");
   EXPECT_EQ(one.stats.tiles_stolen, 0);
   EXPECT_EQ(one.stats.starvation_waits, 0);
 }
 
 TEST(DataflowEquivalence, EightWorkersRunIntoTheWindowClampAndMatchOneWorker) {
-  // 2 * 8 workers would allow 16 strips in flight; the window is clamped to
-  // kPruneLag - 1 so the lagged best a strip reads has always retired. 96
-  // strips of height 4 put most of them past the lag.
+  // 8 workers and the caller would allow 2 * 9 = 18 strips in flight; the
+  // window is clamped to kPruneLag - 1 so the lagged best a strip reads has
+  // always retired. 96 strips of height 4 put most of them past the lag.
   const auto pair = seq::make_related_pair(384, 300, 9107);
   ProblemSpec spec;
   spec.a = pair.s0.bases();
@@ -718,9 +725,9 @@ TEST(Dataflow, BusPlanesMatchTheStripsThatExist) {
 TEST(Engine, VerticalBusDoesNotGrowWithBlocks) {
   // The vertical bus is two buffers of strip_rows + 1 cells per strip slot,
   // whatever the chunk count. The ring holds min(strips, window + 2) slots
-  // (window = 4 on a 2-worker pool); special rows (interval 4) add
-  // (ring - 1) / 4 + 1 buffers of n + 1 cells. So 4 and 16 chunks cost the
-  // same bus memory on 3 strips and on 40.
+  // (window = 2 * 3 participants = 6 on a 2-worker pool); special rows
+  // (interval 4) add (ring - 1) / 4 + 1 buffers of n + 1 cells. So 4 and 16
+  // chunks cost the same bus memory on 3 strips and on 40.
   const auto b = rand_seq(200, 66002);
   const std::size_t n1 = 201, vbus_len = 9;
   for (const Index m : {24, 320}) {  // 3 and 40 strips of 8 rows.
@@ -741,7 +748,7 @@ TEST(Engine, VerticalBusDoesNotGrowWithBlocks) {
       const auto run = engine::run_wavefront(spec, hooks, &pool);
       ASSERT_EQ(run.stats.strips, m / 8) << label;
       ASSERT_EQ(run.stats.blocks_used, blocks) << label;
-      const auto ring = static_cast<std::size_t>(std::min<Index>(m / 8, 6));
+      const auto ring = static_cast<std::size_t>(std::min<Index>(m / 8, 8));
       const std::size_t rows = (ring - 1) / 4 + 1;
       EXPECT_EQ(run.stats.bus_bytes, (n1 + 2 * ring * vbus_len + rows * n1) * sizeof(BusCell))
           << label;

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "check/checked.hpp"
 #include "common/rng.hpp"
 #include "engine/executor.hpp"
 #include "engine/kernel_detail.hpp"
@@ -94,17 +95,19 @@ TileOutputs run_automatic(const TileCase& tc) {
 }
 
 bool variant_accepts(const TileCase& tc, const KernelVariant& variant) {
-  // can_run may inspect the buses, so build a throwaway job view.
+  // admits reads the buses' scan, so build a throwaway job view.
   std::vector<BusCell> hbus = tc.hbus;
   std::vector<BusCell> vbus_out(tc.vbus_in.size());
-  return variant.can_run(job_view(tc, hbus, vbus_out));
+  const TileJob job = job_view(tc, hbus, vbus_out);
+  return variant.admits(job, engine::scan_bus_inputs(job));
 }
 
 /// The variant automatic selection picks for the case.
 KernelId auto_selected(const TileCase& tc) {
   std::vector<BusCell> hbus = tc.hbus;
   std::vector<BusCell> vbus_out(tc.vbus_in.size());
-  return engine::select_kernel(job_view(tc, hbus, vbus_out)).id;
+  const TileJob job = job_view(tc, hbus, vbus_out);
+  return engine::select_kernel(job, engine::scan_bus_inputs(job)).id;
 }
 
 void expect_identical(const TileOutputs& expected, const TileOutputs& got,
@@ -1321,6 +1324,230 @@ TEST(NarrowOverflow, PinnedStriped8TileOverflowsAndRunCountsIt) {
   WideScore cells = 0;
   for (const auto& tally : run.stats.kernels) cells += tally.cells;
   EXPECT_EQ(cells, run.stats.cells);
+}
+
+// ---------------------------------------------------------------------------
+// Admission: every predicate reads the job's buses through one
+// scan_bus_inputs pass. A test-local copy of the per-cell predicates that
+// scanned the buses themselves must agree with it on every variant, and so
+// must automatic, forced and costlier selection, with bus values drawn at
+// every envelope edge.
+// ---------------------------------------------------------------------------
+
+namespace per_cell {
+
+struct Envelope {
+  Score penalty_cap, real_floor, ceiling;
+};
+constexpr Envelope kInt8{16, -64, 100};
+constexpr Envelope kInt16{4096, -4096, 28000};
+constexpr Index kMaxLanes = 64;
+
+bool vector_shape(const TileJob& job) {
+  return job.recurrence->mode == dp::AlignMode::kLocal && job.tap_cols.empty() &&
+         !job.find_value.has_value() && job.c1 > job.c0 && job.r1 > job.r0;
+}
+
+std::optional<Score> lane_admit(const TileJob& job, const Envelope& env) {
+  const scoring::Scheme& s = job.recurrence->scheme;
+  if (s.match > env.penalty_cap || s.mismatch < -env.penalty_cap || s.mismatch > 0 ||
+      s.gap_first > env.penalty_cap || s.gap_first < 0 || s.gap_ext > env.penalty_cap ||
+      s.gap_ext < 0) {
+    return std::nullopt;
+  }
+  Score max_h = 0;
+  auto admit = [&](const BusCell& cell) {
+    if (is_neg_inf(cell.h) || cell.h < env.real_floor || cell.h > env.ceiling) return false;
+    if (!is_neg_inf(cell.gap) && (cell.gap < env.real_floor || cell.gap > env.ceiling)) {
+      return false;
+    }
+    max_h = std::max(max_h, cell.h);
+    return true;
+  };
+  for (std::size_t k = 1; k < job.hbus.size(); ++k) {
+    if (!admit(job.hbus[k])) return std::nullopt;
+  }
+  for (const BusCell& cell : job.vbus_in) {
+    if (!admit(cell)) return std::nullopt;
+  }
+  return max_h;
+}
+
+bool vector16(const TileJob& job) {
+  if (!vector_shape(job)) return false;
+  const WideScore reach = check::checked_mul<WideScore>(
+      job.recurrence->scheme.match, std::min(job.r1 - job.r0, job.c1 - job.c0));
+  if (reach > kInt16.ceiling) return false;
+  const std::optional<Score> max_h = lane_admit(job, kInt16);
+  return max_h.has_value() && check::checked_add<WideScore>(*max_h, reach) <= kInt16.ceiling;
+}
+
+bool striped32_inputs(const TileJob& job) {
+  WideScore max_abs = 0;
+  auto admit = [&](const BusCell& cell) {
+    if (is_neg_inf(cell.h)) return false;
+    max_abs = std::max<WideScore>(max_abs, std::abs(WideScore{cell.h}));
+    if (is_neg_inf(cell.gap)) return WideScore{cell.gap} >= WideScore{kNegInf} * 2;
+    max_abs = std::max<WideScore>(max_abs, std::abs(WideScore{cell.gap}));
+    return true;
+  };
+  for (std::size_t k = 1; k < job.hbus.size(); ++k) {
+    if (!admit(job.hbus[k])) return false;
+  }
+  for (const BusCell& cell : job.vbus_in) {
+    if (!admit(cell)) return false;
+  }
+  const scoring::Scheme& s = job.recurrence->scheme;
+  const WideScore step = std::max<WideScore>({std::abs(WideScore{s.match}),
+                                              std::abs(WideScore{s.mismatch}),
+                                              WideScore{s.gap_first}, WideScore{s.gap_ext}});
+  const WideScore steps = check::checked_add<WideScore>(
+      check::checked_add<WideScore>(job.r1 - job.r0, job.c1 - job.c0), kMaxLanes);
+  return check::checked_add<WideScore>(max_abs, check::checked_mul<WideScore>(step, steps)) <
+         -(WideScore{kNegInf} / 2);
+}
+
+bool traits_are(const TileJob& job, dp::AlignMode mode, bool best, bool taps, bool find) {
+  return engine::KernelTraits::of(job) == engine::KernelTraits{mode, best, taps, find};
+}
+
+bool admits(KernelId id, const TileJob& job) {
+  using dp::AlignMode;
+  const bool local = vector_shape(job);
+  switch (id) {
+    case KernelId::kLegacy:
+      return true;
+    case KernelId::kScalarLocalBest:
+      return traits_are(job, AlignMode::kLocal, true, false, false);
+    case KernelId::kScalarGlobal:
+      return traits_are(job, AlignMode::kGlobal, false, false, false);
+    case KernelId::kScalarGlobalTaps:
+      return traits_are(job, AlignMode::kGlobal, false, true, false);
+    case KernelId::kScalarGlobalFind:
+      return traits_are(job, AlignMode::kGlobal, false, false, true);
+    case KernelId::kScalarGlobalTapsFind:
+      return traits_are(job, AlignMode::kGlobal, false, true, true);
+    case KernelId::kVec16Local:
+      return !job.track_best && vector16(job);
+    case KernelId::kVec16LocalBest:
+      return job.track_best && vector16(job);
+    case KernelId::kVec32Local:
+      return !job.track_best && local;
+    case KernelId::kVec32LocalBest:
+      return job.track_best && local;
+    case KernelId::kStriped8Local:
+      return !job.track_best && local && lane_admit(job, kInt8).has_value();
+    case KernelId::kStriped8LocalBest:
+      return job.track_best && local && lane_admit(job, kInt8).has_value();
+    case KernelId::kStriped16Local:
+      return !job.track_best && local && lane_admit(job, kInt16).has_value();
+    case KernelId::kStriped16LocalBest:
+      return job.track_best && local && lane_admit(job, kInt16).has_value();
+    case KernelId::kStriped32Global:
+      return job.recurrence->mode == dp::AlignMode::kGlobal && !job.track_best &&
+             job.r1 > job.r0 && striped32_inputs(job);
+    case KernelId::kStriped32LocalBest:
+      return job.track_best && local && striped32_inputs(job);
+    case KernelId::kCount:
+      break;
+  }
+  return false;
+}
+
+/// The selection of the per-cell era: the cheapest variant costlier than
+/// `min_cost` (stable in registry order) whose shape gate and predicate pass.
+/// Every vector and striped variant is gated at width 16 and 8 rows.
+KernelId select(const TileJob& job, int min_cost) {
+  std::vector<const KernelVariant*> order;
+  for (const KernelVariant& v : engine::kernel_registry()) order.push_back(&v);
+  std::stable_sort(order.begin(), order.end(), [](const KernelVariant* a, const KernelVariant* b) {
+    return a->cost < b->cost;
+  });
+  const bool shape_ok = job.c1 - job.c0 >= 16 && job.r1 - job.r0 >= 8;
+  for (const KernelVariant* v : order) {
+    if (v->cost <= min_cost) continue;
+    if (v->id >= KernelId::kVec16Local && !shape_ok) continue;
+    if (admits(v->id, job)) return v->id;
+  }
+  return KernelId::kLegacy;
+}
+
+}  // namespace per_cell
+
+TEST(Admission, OnePassScanAgreesWithPerCellPredicatesAtEveryEdge) {
+  Rng rng(31337);
+  const std::vector<scoring::Scheme> schemes = {paper(), scoring::Scheme{2, -1, 3, 1},
+                                                scoring::Scheme{20, -30, 40, 5},
+                                                scoring::Scheme{5000, -1, 6, 3}};
+  constexpr Score kBelowTwiceNegInf = 2 * kNegInf - 1;
+  std::map<std::pair<KernelId, bool>, int> seen;  // (variant, admitted) counts.
+  const int kJobs = 2400;
+  for (int iter = 0; iter < kJobs; ++iter) {
+    const scoring::Scheme& scheme = schemes[static_cast<std::size_t>(iter) % schemes.size()];
+    const Index rows = 1 + static_cast<Index>(rng.below(48));
+    const Index w = 1 + static_cast<Index>(rng.below(64));
+    const int mode = rng.chance(0.7) ? 0 : 1 + static_cast<int>(rng.below(4));
+    TileCase tc = make_case(rng, rows, w, mode, rng.chance(0.8), rng.chance(0.15),
+                            rng.chance(0.15), scheme, "admission" + std::to_string(iter));
+
+    // The int32 reachable-score bound for this shape and scheme: an input of
+    // |bound32| is refused, one less is admitted.
+    const Score step = std::max({scheme.match, -scheme.mismatch, scheme.gap_first, scheme.gap_ext});
+    const auto bound32 =
+        static_cast<Score>(-(kNegInf / 2) - step * (rows + w + per_cell::kMaxLanes));
+    const std::vector<Score> edges = {-65,         -64,         100,          101,
+                                      -4097,       -4096,       28000,        28001,
+                                      kNegInf,     kNegInf / 2, kNegInf / 2 + 1, kBelowTwiceNegInf,
+                                      2 * kNegInf, bound32,     bound32 - 1,  -bound32,
+                                      1 - bound32, 0};
+    // Every cell from one regime's range (int8, int16 or int32 values), then
+    // a few planted edge values in H or gap slots.
+    const int regime = static_cast<int>(rng.below(3));
+    const auto draw = [&]() -> Score {
+      switch (regime) {
+        case 0:
+          return static_cast<Score>(rng.below(165)) - 64;
+        case 1:
+          return static_cast<Score>(rng.below(32097)) - 4096;
+        default:
+          return static_cast<Score>(rng.below(2000000)) - 1000000;
+      }
+    };
+    for (auto* bus : {&tc.hbus, &tc.vbus_in}) {
+      for (BusCell& cell : *bus) cell = BusCell{draw(), rng.chance(0.2) ? kNegInf : draw()};
+    }
+    const int planted = static_cast<int>(rng.below(4));
+    for (int k = 0; k < planted; ++k) {
+      auto& bus = rng.chance(0.5) ? tc.hbus : tc.vbus_in;
+      BusCell& cell = bus[static_cast<std::size_t>(rng.below(bus.size()))];
+      (rng.chance(0.5) ? cell.h : cell.gap) = edges[rng.below(edges.size())];
+    }
+
+    std::vector<BusCell> hbus = tc.hbus;
+    std::vector<BusCell> vbus_out(tc.vbus_in.size());
+    const TileJob job = job_view(tc, hbus, vbus_out);
+    const engine::BusInputs in = engine::scan_bus_inputs(job);
+    const KernelId want = per_cell::select(job, -1);
+    ASSERT_EQ(engine::select_kernel(job, in).id, want) << tc.name;
+    for (const KernelVariant& v : engine::kernel_registry()) {
+      const bool admitted = per_cell::admits(v.id, job);
+      ++seen[{v.id, admitted}];
+      ASSERT_EQ(v.admits(job, in), admitted) << tc.name << " " << v.name;
+      ASSERT_EQ(engine::select_kernel(job, in, &v).id, admitted ? v.id : want)
+          << tc.name << " pinned " << v.name;
+      ASSERT_EQ(engine::select_costlier_kernel(job, in, v).id, per_cell::select(job, v.cost))
+          << tc.name << " past " << v.name;
+    }
+  }
+  // The edges were reached: each value-range predicate both admitted and
+  // refused some jobs.
+  for (const KernelId id : {KernelId::kStriped8LocalBest, KernelId::kStriped16LocalBest,
+                            KernelId::kVec16LocalBest, KernelId::kStriped32LocalBest,
+                            KernelId::kStriped32Global}) {
+    const char* name = engine::kernel_info(id).name;
+    EXPECT_GT((seen[{id, true}]), 20) << name << " never admitted";
+    EXPECT_GT((seen[{id, false}]), 20) << name << " never refused";
+  }
 }
 
 }  // namespace

@@ -1,10 +1,14 @@
 // Dataflow tile scheduler: the dependency-order property of run_tile_graph,
 // the strip-retirement watermark (ascending, one strip at a time), window
-// gating, early stop, exception propagation, and nested and one-worker calls.
+// gating, early stop, exception propagation, the caller as a participant, and
+// nested and one-worker calls.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -73,11 +77,12 @@ TEST(TileGraph, StripDoneRunsAscendingOnCallerThread) {
 }
 
 TEST(TileGraph, NestedAndOneWorkerCallsRetireEveryStrip) {
-  // Inside a pool iteration, and on a one-worker pool, the call runs as one
-  // inline participant that computes and retires everything itself.
+  // Inside a pool iteration the call runs as one inline participant that
+  // computes and retires everything itself, and steals nothing. A one-worker
+  // pool computes on two participants, its worker and the caller.
   const Index strips = 12, blocks = 3;
   const auto body = [](Index, Index) {};
-  const auto retire_all = [&](ThreadPool& pool) {
+  const auto retire_all = [&](ThreadPool& pool, bool lone) {
     std::vector<Index> retired;
     const SchedStats stats =
         run_tile_graph(graph(strips, blocks, 2), pool, body, [&](Index s) {
@@ -85,7 +90,9 @@ TEST(TileGraph, NestedAndOneWorkerCallsRetireEveryStrip) {
           return true;
         });
     EXPECT_EQ(stats.tiles_executed, strips * blocks);
-    EXPECT_EQ(stats.tiles_stolen, 0);
+    if (lone) {
+      EXPECT_EQ(stats.tiles_stolen, 0);
+    }
     return retired;
   };
   std::vector<Index> ascending(static_cast<std::size_t>(strips));
@@ -93,11 +100,45 @@ TEST(TileGraph, NestedAndOneWorkerCallsRetireEveryStrip) {
 
   ThreadPool pool(4);
   std::vector<std::vector<Index>> nested(4);
-  pool.parallel_for(nested.size(), [&](std::size_t i) { nested[i] = retire_all(pool); });
+  pool.parallel_for(nested.size(), [&](std::size_t i) { nested[i] = retire_all(pool, true); });
   for (const auto& retired : nested) EXPECT_EQ(retired, ascending);
 
   ThreadPool one(1);
-  EXPECT_EQ(retire_all(one), ascending);
+  EXPECT_EQ(retire_all(one, false), ascending);
+  std::vector<std::vector<Index>> nested_one(2);
+  one.parallel_for(nested_one.size(),
+                   [&](std::size_t i) { nested_one[i] = retire_all(one, true); });
+  for (const auto& retired : nested_one) EXPECT_EQ(retired, ascending);
+}
+
+TEST(TileGraph, CallerParticipates) {
+  // ThreadPool(3) computes on 4 threads: its 3 workers and the caller. The 4
+  // tiles of anti-diagonal 3 of a 4 x 4 grid become ready together (every
+  // later tile depends on one of them), and each waits until all 4 have
+  // started, so they can only all start on 4 distinct threads. The wait is
+  // bounded: with a participant missing the test fails instead of hanging.
+  ThreadPool pool(3);
+  std::mutex mutex;
+  std::condition_variable cv;
+  int arrived = 0;
+  bool gave_up = false;
+  std::set<std::thread::id> threads;
+  const auto body = [&](Index s, Index b) {
+    std::unique_lock<std::mutex> lock(mutex);
+    threads.insert(std::this_thread::get_id());
+    if (s + b != 3) return;
+    ++arrived;
+    cv.notify_all();
+    if (!cv.wait_for(lock, std::chrono::seconds(20), [&] { return arrived == 4 || gave_up; })) {
+      gave_up = true;
+      cv.notify_all();
+    }
+  };
+  const SchedStats stats = run_tile_graph(graph(4, 4), pool, body, {});
+  EXPECT_FALSE(gave_up) << "anti-diagonal 3 never ran on 4 threads at once";
+  EXPECT_EQ(arrived, 4);
+  EXPECT_EQ(threads.size(), 4u);
+  EXPECT_EQ(stats.tiles_executed, 16);
 }
 
 TEST(TileGraph, WindowBoundsInFlightStrips) {
@@ -158,7 +199,10 @@ TEST(TileGraph, StripDoneExceptionPropagatesToCaller) {
 }
 
 TEST(TileGraph, SingleWorkerAndSingleTileDegenerates) {
-  int calls = 0;
+  // One tile on a one-worker pool's two participants: one of them runs it,
+  // stolen when it is not the participant that seeded it. Nested inside a
+  // pool iteration, the lone inline participant runs it and steals nothing.
+  std::atomic<int> calls{0};
   ThreadPool pool(1);
   const auto body = [&](Index s, Index b) {
     EXPECT_EQ(s, 0);
@@ -166,9 +210,18 @@ TEST(TileGraph, SingleWorkerAndSingleTileDegenerates) {
     ++calls;
   };
   const SchedStats stats = run_tile_graph(graph(1, 1), pool, body, {});
-  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(calls.load(), 1);
   EXPECT_EQ(stats.tiles_executed, 1);
-  EXPECT_EQ(stats.tiles_stolen, 0);
+  EXPECT_LE(stats.tiles_stolen, 1);
+
+  calls = 0;
+  SchedStats nested;
+  pool.parallel_for(2, [&](std::size_t i) {
+    if (i == 0) nested = run_tile_graph(graph(1, 1), pool, body, {});
+  });
+  EXPECT_EQ(calls.load(), 1);
+  EXPECT_EQ(nested.tiles_executed, 1);
+  EXPECT_EQ(nested.tiles_stolen, 0);
 }
 
 TEST(TileGraph, RejectsEmptyGridAndBadOptions) {
