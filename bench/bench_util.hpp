@@ -76,7 +76,7 @@ inline engine::GridSpec bench_grid_stage1() {
   g.blocks = 32;
   g.threads = 16;
   g.alpha = 4;
-  g.multiprocessors = 4;
+  g.min_chunk_cols = 2 * g.threads;
   return g;
 }
 
@@ -85,7 +85,7 @@ inline engine::GridSpec bench_grid_stage23() {
   g.blocks = 8;
   g.threads = 32;
   g.alpha = 4;
-  g.multiprocessors = 4;
+  g.min_chunk_cols = 2 * g.threads;
   return g;
 }
 

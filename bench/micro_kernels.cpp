@@ -70,14 +70,16 @@ constexpr TileArchetype kArchetypes[] = {
     {"local+best-past-int16", true, true, false, false, 30000},
 };
 
-/// Stage-1 tile shapes swept: the classic alpha*T x n/B block (256x512); a
-/// thin strip (64x512); the default Stage-1 tile of a 100 Kbp pair (256 x
-/// n/240 = 256x417), where the int8 striped kernels run the low-score tiles
-/// (they admit a tile by its inputs and detect overflow); and a narrow
-/// 256x64 tile whose time is almost all fixed per-row cost (ns_per_row in
-/// BENCH_kernels.json shows that cost on its own).
+/// Stage-1 tile shapes swept: 256-row strips at chunk widths 417, 834, 1667
+/// and 3334 (a 100 Kbp pair on 240, 120, 60 and 30 blocks; the default grid
+/// runs 60 there, GridSpec::stage1_defaults), where the int8 striped kernels
+/// run the low-score tiles (they admit a tile by its inputs and detect
+/// overflow); a thin strip (64x512); and a narrow 256x64 tile whose time is
+/// almost all fixed per-row cost (ns_per_row in BENCH_kernels.json shows
+/// that cost on its own). The width sweep is where the default's 1664-column
+/// minimum chunk comes from.
 constexpr std::pair<Index, Index> kTileShapes[] = {
-    {256, 512}, {64, 512}, {256, 417}, {256, 64}};
+    {256, 417}, {256, 834}, {256, 1667}, {256, 3334}, {64, 512}, {256, 64}};
 
 /// Owns one tile problem (Stage-1-shaped by default) with pristine buses; the
 /// timed loop restores the buses each iteration so inputs never drift (the
@@ -198,7 +200,7 @@ EngineSample time_engine_gcups(const std::string& kernel, Index n) {
   engine::ProblemSpec spec;
   spec.a = seq_a().view(0, n);
   spec.b = seq_b().view(0, n);
-  spec.grid = engine::GridSpec{8, 64, 4, 1};  // Strip height 256, 512-wide chunks.
+  spec.grid = engine::GridSpec{8, 64, 4, 128};  // Strip height 256, 512-wide chunks.
   spec.recurrence = engine::Recurrence::local(scoring::Scheme::paper_defaults());
   const engine::KernelVariant* previous_pin = engine::kernel_override();
   engine::set_kernel_override(kernel);
@@ -375,7 +377,7 @@ void BM_WavefrontEngine(benchmark::State& state) {
   engine::ProblemSpec spec;
   spec.a = seq_a().view(0, n);
   spec.b = seq_b().view(0, n);
-  spec.grid = engine::GridSpec{32, 16, 4, 4};
+  spec.grid = engine::GridSpec{32, 16, 4, 32};
   spec.recurrence = engine::Recurrence::local(scoring::Scheme::paper_defaults());
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine::run_wavefront(spec, engine::Hooks{}));

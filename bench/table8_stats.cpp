@@ -1,5 +1,5 @@
 // Table VIII — execution statistics of the chromosome comparison across SRA
-// sizes: B_k (after the minimum-size fit), Cells_k, |L_k|, the largest
+// sizes: B_k (after fit_to_width), Cells_k, |L_k|, the largest
 // partition dimensions after Stage 3, and the engine memory ("VRAM").
 #include "bench_util.hpp"
 

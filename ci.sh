@@ -7,10 +7,11 @@
 #      every suite below, so a lint violation is a test failure too.
 #   1. Release build with the strict zero-warning wall (-DCUDALIGN_STRICT=ON:
 #      -Wall -Wextra -Wconversion -Wshadow -Werror) + full ctest. The SIMD
-#      backend is a matrix axis: fast mode reruns the kernel-equivalence and
-#      Stage-4 tile suites under every supported ISA; full mode reruns the
-#      ENTIRE ctest suite under every ISA the runner supports (generic, sse2,
-#      avx2, and avx512 on capable CPUs).
+#      backend is a matrix axis: fast mode reruns the kernel-equivalence,
+#      grid-fit, tile-shape and Stage-4 tile suites under every supported ISA
+#      (the chunk width sets each ISA's striped segment length); full mode
+#      reruns the ENTIRE ctest suite under every ISA the runner supports
+#      (generic, sse2, avx2, and avx512 on capable CPUs).
 #      Then the run-report smoke: a small align's report must pass
 #      report-check, and a second run with --audit-bus must audit clean,
 #      validate, and write a binary alignment identical to the first; a
@@ -215,10 +216,10 @@ isa_matrix() {
   echo "$isas"
 }
 if [[ "$FAST" -eq 1 ]]; then
-  stage "release: kernel equivalence, sentinel sweeps, Stage 4 and CRC, forced ISAs"
+  stage "release: kernel equivalence, sentinel sweeps, grid fit and tile shapes, Stage 4 and CRC, forced ISAs"
   for isa in $(isa_matrix); do
     CUDALIGN_SIMD="$isa" build-ci-release/tests/cudalign_tests \
-      --gtest_filter='KernelEquivalence.*:KernelDispatch.*:LaneEnvelope.*:NarrowOverflow.*:Striped32Global.*:Striped32Local.*:Int16EnvelopeCrossing.*:EngineSentinel.*:Stage4Tiles.*:Crc32.*' \
+      --gtest_filter='KernelEquivalence.*:KernelDispatch.*:LaneEnvelope.*:NarrowOverflow.*:Striped32Global.*:Striped32Local.*:Int16EnvelopeCrossing.*:EngineSentinel.*:Grid.*:TileShapeEquivalence.*:Stage4Tiles.*:Crc32.*' \
       --gtest_brief=1
   done
 else

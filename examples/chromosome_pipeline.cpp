@@ -26,8 +26,8 @@ int main(int argc, char** argv) {
     core::PipelineOptions options;
     options.sra_rows_budget = sra_rows * 8 * (pair.s1.size() + 1);
     options.sra_cols_budget = options.sra_rows_budget;
-    options.grid_stage1 = engine::GridSpec{32, 16, 4, 4};
-    options.grid_stage23 = engine::GridSpec{8, 32, 4, 4};
+    options.grid_stage1 = engine::GridSpec{32, 16, 4, 32};
+    options.grid_stage23 = engine::GridSpec{8, 32, 4, 64};
     options.workdir = std::filesystem::temp_directory_path() / "cudalign-chromosome-demo";
     const auto result = core::align_pipeline(pair.s0, pair.s1, options);
 

@@ -27,8 +27,8 @@ int main(int argc, char** argv) {
       core::PipelineOptions options;
       options.sra_rows_budget = rows * row_bytes;
       options.sra_cols_budget = rows * row_bytes;
-      options.grid_stage1 = engine::GridSpec{32, 16, 4, 4};
-      options.grid_stage23 = engine::GridSpec{8, 32, 4, 4};
+      options.grid_stage1 = engine::GridSpec{32, 16, 4, 32};
+      options.grid_stage23 = engine::GridSpec{8, 32, 4, 64};
       const auto result = core::align_pipeline(pair.s0, pair.s1, options);
       const double total = result.total_seconds();
       const bool improved = total < best_total;

@@ -33,7 +33,7 @@ obs::Json options_json(const PipelineOptions& options) {
         .set("blocks", g.blocks)
         .set("threads", g.threads)
         .set("alpha", g.alpha)
-        .set("multiprocessors", g.multiprocessors);
+        .set("min_chunk_cols", g.min_chunk_cols);
   };
   const engine::KernelVariant* pin = engine::kernel_override();
   return obs::Json::object()

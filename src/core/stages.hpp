@@ -31,7 +31,7 @@ namespace cudalign::core {
 struct StageStats : engine::Tally {
   double seconds = 0;
   Index crosspoints = 0;     ///< |L_k| after the stage.
-  Index blocks_used = 0;     ///< Max B_k actually used (after min-size fits).
+  Index blocks_used = 0;     ///< Max B_k actually used (after fit_to_width).
   std::size_t ram_bytes = 0; ///< Peak engine bus memory ("VRAM_k").
   /// Scheduler counters (engine RunStats semantics, summed over runs).
   Index tiles_stolen = 0;

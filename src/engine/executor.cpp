@@ -103,7 +103,7 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
   const Index strips = (m - row0 + strip_rows - 1) / strip_rows;
   const Index blocks = peel_col0 + std::max<Index>(1, std::min(grid.blocks, n - peel_col0));
   result.best = spec.initial_best;
-  result.stats.blocks_used = blocks;
+  result.stats.blocks_used = blocks - peel_col0;
   const bool resumed_pruning = spec.block_pruning && row0 > 0;
   if (resumed_pruning) {
     CUDALIGN_CHECK(static_cast<Index>(spec.initial_prune.closure.size()) == blocks &&

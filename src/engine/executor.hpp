@@ -258,7 +258,7 @@ struct Tally {
 /// One run: its tally plus what depends on the schedule or the machine.
 struct RunStats : Tally {
   Index strips = 0;           ///< Strips retired.
-  Index blocks_used = 0;      ///< B after the minimum-size fit.
+  Index blocks_used = 0;      ///< B after fit_to_width (a peeled sentinel column not counted).
   /// Peak bus memory (the engine's "VRAM"): horizontal bus, vertical-bus
   /// buffers and the special-row ring.
   std::size_t bus_bytes = 0;

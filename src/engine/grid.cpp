@@ -7,16 +7,7 @@ namespace cudalign::engine {
 GridSpec fit_to_width(GridSpec spec, Index width) {
   spec.validate();
   CUDALIGN_CHECK(width >= 0, "problem width must be non-negative");
-  if (width >= spec.min_width()) return spec;
-
-  // Largest B with 2*B*T <= width.
-  Index b = width / (2 * spec.threads);
-  if (b >= spec.multiprocessors) {
-    // Round down to a multiple of the multiprocessor count so no SM idles at
-    // the end of an external diagonal (paper §V).
-    b -= b % spec.multiprocessors;
-  }
-  spec.blocks = std::max<Index>(1, b);
+  spec.blocks = std::clamp<Index>(width / spec.min_chunk_cols, 1, spec.blocks);
   return spec;
 }
 

@@ -4,13 +4,17 @@
 // row strips of height alpha*T (each CUDA block runs T threads, each thread
 // owns alpha rows) by B column chunks. Blocks on the same *external diagonal*
 // are independent; the horizontal bus carries (H, F) across strip boundaries
-// and the vertical bus carries (H, E) across chunk boundaries. The paper's
-// *minimum size requirement* demands the problem be at least 2*B*T columns
-// wide so same-diagonal blocks never touch the same bus region; when a
-// sub-problem is too narrow the number of blocks is reduced at runtime
-// (paper §V: "The number of blocks may be reduced during runtime in order to
-// satisfy the minimum size requirement in each stage"), preferably to a
-// multiple of the multiprocessor count.
+// and the vertical bus carries (H, E) across chunk boundaries.
+//
+// The paper sizes B for the GTX 285: a multiple of its 30 multiprocessors,
+// shrunk at runtime until the problem is at least 2*B*T columns wide (its
+// *minimum size requirement*, §V). On the CPU the chunk width is what sets a
+// tile's speed: a striped sweep pays a fixed cost per row (diagonal seed,
+// bridge scan, vertical-bus write, row max), so narrow chunks spend a large
+// share of each row on it. The CPU rule therefore keeps every chunk at least
+// `min_chunk_cols` wide and uses at most `blocks` chunks. The block count
+// depends on the width alone, never on the worker count, so tallies, pruning
+// and special rows are the same on any pool.
 #pragma once
 
 #include "common/error.hpp"
@@ -19,35 +23,34 @@
 namespace cudalign::engine {
 
 struct GridSpec {
-  Index blocks = 60;            ///< B_k: CUDA blocks (CPU: column chunks).
+  Index blocks = 60;            ///< B_k: at most this many column chunks.
   Index threads = 128;          ///< T_k: threads per block.
   Index alpha = 4;              ///< Rows per thread.
-  Index multiprocessors = 30;   ///< SMs on the modelled board (GTX 285: 30).
+  Index min_chunk_cols = 256;   ///< Narrowest column chunk the fit may make.
 
   /// Rows processed per strip (the paper's block height alpha*T).
   [[nodiscard]] Index strip_rows() const noexcept { return alpha * threads; }
-
-  /// Minimum problem width for hazard-free shared-bus access (2*B*T).
-  [[nodiscard]] Index min_width() const noexcept { return 2 * blocks * threads; }
 
   void validate() const {
     CUDALIGN_CHECK(blocks > 0, "grid needs at least one block");
     CUDALIGN_CHECK(threads > 0, "grid needs at least one thread per block");
     CUDALIGN_CHECK(alpha > 0, "alpha must be positive");
-    CUDALIGN_CHECK(multiprocessors > 0, "multiprocessor count must be positive");
+    CUDALIGN_CHECK(min_chunk_cols > 0, "minimum chunk width must be positive");
   }
 
-  /// The configuration used for the GTX 285 in the paper's Stage 1
-  /// (alpha = 4, B1 = 240, T1 = 2^6).
-  static constexpr GridSpec stage1_defaults() noexcept { return GridSpec{240, 64, 4, 30}; }
-  /// Stage 2/3 configuration (B = 60, T = 2^7).
-  static constexpr GridSpec stage23_defaults() noexcept { return GridSpec{60, 128, 4, 30}; }
+  /// Stage 1: the paper's strip height (alpha = 4, T1 = 2^6) and its
+  /// B1 = 240 as the cap, with chunks of at least 1664 columns (26 AVX-512
+  /// int8 vectors). A 100 Kbp pair runs 60 blocks; from about 400 Kbp up the
+  /// paper's 240.
+  static constexpr GridSpec stage1_defaults() noexcept { return GridSpec{240, 64, 4, 1664}; }
+  /// Stage 2/3 configuration (B = 60, T = 2^7), chunks at least 2T wide.
+  static constexpr GridSpec stage23_defaults() noexcept { return GridSpec{60, 128, 4, 256}; }
 };
 
-/// Shrinks `spec.blocks` until the minimum size requirement holds for a
-/// problem `width` columns wide, preferring multiples of the multiprocessor
-/// count (paper §V). Never returns fewer than 1 block; a width of zero is
-/// accepted (degenerate problems run on one block).
+/// The grid for a problem `width` columns wide: `blocks` becomes
+/// clamp(width / min_chunk_cols, 1, blocks), so no chunk is narrower than
+/// `min_chunk_cols` unless the whole problem is (a width of zero runs on one
+/// block).
 [[nodiscard]] GridSpec fit_to_width(GridSpec spec, Index width);
 
 }  // namespace cudalign::engine

@@ -5,7 +5,7 @@ CLI="$1"
 DIR="$(mktemp -d)"
 trap 'rm -rf "$DIR"' EXIT
 
-"$CLI" generate "$DIR/a.fasta" --length 3000 --seed 11
+"$CLI" generate "$DIR/a.fasta" --length 6000 --seed 11
 "$CLI" generate "$DIR/b.fasta" --mutate-of "$DIR/a.fasta" --seed 12
 "$CLI" score "$DIR/a.fasta" "$DIR/b.fasta" | grep -q "best score"
 "$CLI" align "$DIR/a.fasta" "$DIR/b.fasta" --out "$DIR/aln.bin" --stats \

@@ -429,7 +429,7 @@ GridSpec audit_grid(Index blocks, Index threads, Index alpha) {
   g.blocks = blocks;
   g.threads = threads;
   g.alpha = alpha;
-  g.multiprocessors = 1;
+  g.min_chunk_cols = check::checked_mul<Index>(2, threads);
   return g;
 }
 

@@ -8,6 +8,7 @@
 #include <functional>
 #include <map>
 
+#include "check/checked.hpp"
 #include "common/io_util.hpp"
 #include "core/checkpoint.hpp"
 #include "core/pipeline.hpp"
@@ -25,7 +26,7 @@ engine::GridSpec tiny_grid(Index blocks, Index threads, Index alpha) {
   g.blocks = blocks;
   g.threads = threads;
   g.alpha = alpha;
-  g.multiprocessors = 1;
+  g.min_chunk_cols = check::checked_mul<Index>(2, threads);
   return g;
 }
 
@@ -93,13 +94,13 @@ TEST(CheckpointEnvelopeTest, EveryDifferingFieldIsNamed) {
       {"grid_stage1.blocks", [](PipelineOptions& o) { ++o.grid_stage1.blocks; }},
       {"grid_stage1.threads", [](PipelineOptions& o) { ++o.grid_stage1.threads; }},
       {"grid_stage1.alpha", [](PipelineOptions& o) { ++o.grid_stage1.alpha; }},
-      {"grid_stage1.multiprocessors",
-       [](PipelineOptions& o) { ++o.grid_stage1.multiprocessors; }},
+      {"grid_stage1.min_chunk_cols",
+       [](PipelineOptions& o) { ++o.grid_stage1.min_chunk_cols; }},
       {"grid_stage23.blocks", [](PipelineOptions& o) { ++o.grid_stage23.blocks; }},
       {"grid_stage23.threads", [](PipelineOptions& o) { ++o.grid_stage23.threads; }},
       {"grid_stage23.alpha", [](PipelineOptions& o) { ++o.grid_stage23.alpha; }},
-      {"grid_stage23.multiprocessors",
-       [](PipelineOptions& o) { ++o.grid_stage23.multiprocessors; }},
+      {"grid_stage23.min_chunk_cols",
+       [](PipelineOptions& o) { ++o.grid_stage23.min_chunk_cols; }},
       {"max_partition_size", [](PipelineOptions& o) { ++o.max_partition_size; }},
       {"block_pruning", [](PipelineOptions& o) { o.block_pruning = !o.block_pruning; }},
       {"save_special_columns",
@@ -409,6 +410,43 @@ TEST(CheckpointResume, DifferentOptionsRefused) {
     FAIL() << "resume with a different scheme was not refused";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("scheme.gap_ext"), std::string::npos) << e.what();
+  }
+}
+
+// A manifest from before the grid's fourth field became min_chunk_cols
+// records the GPU's `multiprocessors` instead. Its grids tiled differently,
+// so the envelope check refuses it and names both keys.
+TEST(CheckpointResume, ManifestWithTheMultiprocessorsGridKeyRefused) {
+  const auto pair = seq::make_related_pair(300, 290, 36);
+  PipelineOptions options = small_options();
+  TempDir dir;
+  options.checkpoint_dir = dir.path() / "ckpt";
+  options.checkpoint_crash_after_flushes = 1;
+  EXPECT_THROW((void)align_pipeline(pair.s0, pair.s1, options), Error);
+  CheckpointManifest manifest(options.checkpoint_dir);
+  CheckpointState state = manifest.load();
+  const auto old_grid = [](const engine::GridSpec& g) {
+    return obs::Json::object()
+        .set("blocks", g.blocks)
+        .set("threads", g.threads)
+        .set("alpha", g.alpha)
+        .set("multiprocessors", 30);
+  };
+  state.envelope.options.set("grid_stage1", old_grid(options.grid_stage1))
+      .set("grid_stage23", old_grid(options.grid_stage23));
+  manifest.save(state);
+  options.checkpoint_crash_after_flushes = 0;
+  options.resume = true;
+  try {
+    (void)align_pipeline(pair.s0, pair.s1, options);
+    FAIL() << "a manifest with the multiprocessors grid key was not refused";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    for (const char* line : {"options.grid_stage1.min_chunk_cols: checkpoint has absent",
+                             "options.grid_stage1.multiprocessors: checkpoint has 30",
+                             "options.grid_stage23.min_chunk_cols: checkpoint has absent"}) {
+      EXPECT_NE(what.find(line), std::string::npos) << line << "\n" << what;
+    }
   }
 }
 

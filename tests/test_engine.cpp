@@ -8,6 +8,7 @@
 #include <optional>
 
 #include "check/bus_audit.hpp"
+#include "check/checked.hpp"
 #include "common/rng.hpp"
 #include "dp/linear.hpp"
 #include "engine/executor.hpp"
@@ -36,31 +37,94 @@ GridSpec tiny_grid(Index blocks, Index threads, Index alpha) {
   g.blocks = blocks;
   g.threads = threads;
   g.alpha = alpha;
-  g.multiprocessors = 1;
+  g.min_chunk_cols = check::checked_mul<Index>(2, threads);
   return g;
 }
 
-TEST(Grid, MinimumSizeRequirementShrinksBlocks) {
-  GridSpec g = tiny_grid(60, 128, 4);
-  g.multiprocessors = 30;
-  // width 1000 << 2*60*128: B must shrink to 1000/(2*128) = 3.
-  const GridSpec fit = engine::fit_to_width(g, 1000);
-  EXPECT_EQ(fit.blocks, 3);
-  // Wide problems keep the full grid.
-  EXPECT_EQ(engine::fit_to_width(g, 2 * 60 * 128).blocks, 60);
-}
-
-TEST(Grid, FitPrefersMultiprocessorMultiples) {
-  GridSpec g = tiny_grid(240, 64, 4);
-  g.multiprocessors = 30;
-  // width 10000: B = 10000/128 = 78 -> rounded down to 60.
-  EXPECT_EQ(engine::fit_to_width(g, 10000).blocks, 60);
+// The CPU fit is B = clamp(width / min_chunk_cols, 1, blocks): the most
+// chunks that keep each one at least min_chunk_cols wide, capped at blocks.
+TEST(Grid, ChunksAreNeverNarrowerThanMinChunkCols) {
+  for (const Index min_cols : {1, 16, 128, 1664}) {
+    for (const Index cap : {1, 3, 60, 240}) {
+      GridSpec g = tiny_grid(cap, 64, 4);
+      g.min_chunk_cols = min_cols;
+      const Index step = std::max<Index>(1, min_cols / 7);
+      for (Index width = 0; width <= (cap + 2) * min_cols + 1; width += step) {
+        SCOPED_TRACE("min_cols " + std::to_string(min_cols) + " cap " + std::to_string(cap) +
+                     " width " + std::to_string(width));
+        const GridSpec fit = engine::fit_to_width(g, width);
+        ASSERT_GE(fit.blocks, 1);
+        ASSERT_LE(fit.blocks, cap);
+        // Chunk b spans (width*b/B, width*(b+1)/B], so the narrowest is
+        // width/B wide; only a problem narrower than one chunk goes below.
+        if (width >= min_cols) {
+          EXPECT_GE(width / fit.blocks, min_cols);
+        }
+        // Maximal: one more chunk would be too narrow, unless B is capped.
+        if (fit.blocks < cap) {
+          EXPECT_LT(width / (fit.blocks + 1), min_cols);
+        }
+        EXPECT_EQ(fit.threads, g.threads);
+        EXPECT_EQ(fit.alpha, g.alpha);
+        EXPECT_EQ(fit.min_chunk_cols, min_cols);
+      }
+    }
+  }
 }
 
 TEST(Grid, FitNeverReturnsZeroBlocks) {
-  GridSpec g = tiny_grid(8, 64, 4);
-  EXPECT_EQ(engine::fit_to_width(g, 1).blocks, 1);
-  EXPECT_EQ(engine::fit_to_width(g, 0).blocks, 1);
+  for (const Index min_cols : {1, 128, 1664}) {
+    GridSpec g = tiny_grid(8, 64, 4);
+    g.min_chunk_cols = min_cols;
+    EXPECT_EQ(engine::fit_to_width(g, 1).blocks, 1);
+    EXPECT_EQ(engine::fit_to_width(g, 0).blocks, 1);
+  }
+}
+
+// The block count is a function of the width (and the spec's own cap and
+// minimum chunk): not of the strip shape, and not of the pool that runs it,
+// so tallies, pruning and special rows match on any worker count.
+TEST(Grid, BlockCountDependsOnlyOnTheWidth) {
+  for (const Index width : {0, 1, 100, 257, 1000, 5000}) {
+    GridSpec g = tiny_grid(12, 4, 2);
+    g.min_chunk_cols = 64;
+    const Index blocks = engine::fit_to_width(g, width).blocks;
+    for (const Index threads : {1, 4, 64, 512}) {
+      for (const Index alpha : {1, 4}) {
+        GridSpec h = g;
+        h.threads = threads;
+        h.alpha = alpha;
+        EXPECT_EQ(engine::fit_to_width(h, width).blocks, blocks) << width;
+      }
+    }
+  }
+  const auto a = rand_seq(200, 65001);
+  const auto b = rand_seq(1000, 65002);
+  ProblemSpec spec;
+  spec.a = a.bases();
+  spec.b = b.bases();
+  spec.grid = tiny_grid(40, 4, 2);
+  spec.grid.min_chunk_cols = 64;
+  spec.recurrence = engine::Recurrence::local(paper());
+  for (const int workers : kWorkerCounts) {
+    ThreadPool pool(workers);
+    EXPECT_EQ(engine::run_wavefront(spec, Hooks{}, &pool).stats.blocks_used, 1000 / 64)
+        << workers << " workers";
+  }
+}
+
+// Stage 1's default grid: the paper's 240 blocks only once chunks reach
+// 1664 columns, fewer (never narrower chunks) below that.
+TEST(Grid, Stage1DefaultShapeAcrossSizes) {
+  const GridSpec g = GridSpec::stage1_defaults();
+  EXPECT_EQ(g.blocks, 240);
+  EXPECT_EQ(g.strip_rows(), 256);
+  EXPECT_EQ(g.min_chunk_cols, 1664);
+  const std::pair<Index, Index> expected[] = {
+      {5'000, 3}, {100'000, 60}, {110'000, 66}, {400'000, 240}, {1'000'000, 240}};
+  for (const auto& [n, blocks] : expected) {
+    EXPECT_EQ(engine::fit_to_width(g, n).blocks, blocks) << n;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -947,6 +1011,24 @@ TEST(EngineSentinel, PeeledSweepsMatchReferenceOnStripedTiles) {
         EXPECT_TRUE(hit.found) << label;
         EXPECT_EQ(std::pair(hit.found_i, hit.found_j), std::pair(Index{1}, want_j)) << label;
       }
+    }
+  }
+}
+
+// blocks_used reports the fitted B: a peeled sentinel column 0 runs as its
+// own one-wide chunk but is not one of the grid's blocks.
+TEST(EngineSentinel, PeeledColumnIsNotCountedAsABlock) {
+  const auto a = rand_seq(40, 7102);
+  const auto b = rand_seq(50, 7103);
+  ProblemSpec spec;
+  spec.a = a.bases();
+  spec.b = b.bases();
+  for (const Index blocks : {1, 3}) {
+    spec.grid = tiny_grid(blocks, 4, 2);
+    for (const CellState end : {CellState::kH, CellState::kE}) {
+      spec.recurrence = engine::Recurrence::global_end(end, paper());
+      const auto run = engine::run_wavefront(spec, Hooks{});
+      EXPECT_EQ(run.stats.blocks_used, blocks) << "end " << static_cast<int>(end);
     }
   }
 }

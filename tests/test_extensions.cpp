@@ -99,7 +99,7 @@ TEST(BlockPruning, IdenticalResultsAndSavesWork) {
   engine::ProblemSpec spec;
   spec.a = pair.s0.bases();
   spec.b = pair.s1.bases();
-  spec.grid = engine::GridSpec{6, 4, 2, 1};
+  spec.grid = engine::GridSpec{6, 4, 2, 8};
   spec.recurrence = engine::Recurrence::local(paper());
 
   const auto plain = engine::run_wavefront(spec, engine::Hooks{});
@@ -123,7 +123,7 @@ TEST(BlockPruning, LaggedBestPrunesMoreThanTheAncestorClosure) {
   engine::ProblemSpec spec;
   spec.a = pair.s0.bases();
   spec.b = pair.s1.bases();
-  spec.grid = engine::GridSpec{8, 4, 2, 1};
+  spec.grid = engine::GridSpec{8, 4, 2, 8};
   spec.recurrence = engine::Recurrence::local(paper());
   const auto plain = engine::run_wavefront(spec, engine::Hooks{});
   spec.block_pruning = true;
@@ -141,7 +141,7 @@ TEST(BlockPruning, HarmlessOnUnrelatedPairs) {
   engine::ProblemSpec spec;
   spec.a = pair.s0.bases();
   spec.b = pair.s1.bases();
-  spec.grid = engine::GridSpec{4, 4, 2, 1};
+  spec.grid = engine::GridSpec{4, 4, 2, 8};
   spec.recurrence = engine::Recurrence::local(paper());
   const auto plain = engine::run_wavefront(spec, engine::Hooks{});
   spec.block_pruning = true;
@@ -155,7 +155,7 @@ TEST(BlockPruning, RejectedInGlobalModeAndWithProbes) {
   engine::ProblemSpec spec;
   spec.a = a.bases();
   spec.b = a.bases();
-  spec.grid = engine::GridSpec{2, 2, 2, 1};
+  spec.grid = engine::GridSpec{2, 2, 2, 4};
   spec.block_pruning = true;
   spec.recurrence = engine::Recurrence::global_start(dp::CellState::kH, paper());
   EXPECT_THROW((void)engine::run_wavefront(spec, engine::Hooks{}), Error);
@@ -169,8 +169,8 @@ TEST(BlockPruning, PipelineEndToEndStillOptimal) {
   for (std::uint64_t seed = 0; seed < 3; ++seed) {
     const auto pair = test::small_related(280, 290, 80 + seed);
     core::PipelineOptions options;
-    options.grid_stage1 = engine::GridSpec{3, 4, 2, 1};
-    options.grid_stage23 = engine::GridSpec{2, 4, 2, 1};
+    options.grid_stage1 = engine::GridSpec{3, 4, 2, 8};
+    options.grid_stage23 = engine::GridSpec{2, 4, 2, 8};
     options.block_pruning = true;
     const auto result = core::align_pipeline(pair.s0, pair.s1, options);
     const auto reference =
@@ -210,8 +210,8 @@ TEST(Parallelism, PipelineIdenticalAcrossWorkerCounts) {
   ThreadPool one(1), four(4);
   core::PipelineOptions options;
   options.sra_rows_budget = 4 * 8 * 381;  // Large partitions: stages 3-5 busy.
-  options.grid_stage1 = engine::GridSpec{3, 4, 2, 1};
-  options.grid_stage23 = engine::GridSpec{2, 4, 2, 1};
+  options.grid_stage1 = engine::GridSpec{3, 4, 2, 8};
+  options.grid_stage23 = engine::GridSpec{2, 4, 2, 8};
   options.pool = &one;
   const auto r1 = core::align_pipeline(pair.s0, pair.s1, options);
   options.pool = &four;
@@ -224,8 +224,8 @@ TEST(Parallelism, PipelineIdenticalAcrossWorkerCounts) {
 TEST(Progress, PipelineReportsMonotoneFractions) {
   const auto pair = test::small_related(300, 300, 95);
   core::PipelineOptions options;
-  options.grid_stage1 = engine::GridSpec{3, 4, 2, 1};
-  options.grid_stage23 = engine::GridSpec{2, 4, 2, 1};
+  options.grid_stage1 = engine::GridSpec{3, 4, 2, 8};
+  options.grid_stage23 = engine::GridSpec{2, 4, 2, 8};
   std::vector<std::pair<int, double>> events;
   options.progress = [&](int stage, double fraction) { events.push_back({stage, fraction}); };
   (void)core::align_pipeline(pair.s0, pair.s1, options);

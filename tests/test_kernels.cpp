@@ -290,7 +290,7 @@ engine::RunResult run_local(Index m, Index n, std::uint64_t seed) {
   engine::ProblemSpec spec;
   spec.a = a.bases();
   spec.b = b.bases();
-  spec.grid = engine::GridSpec{3, 8, 4, 1};  // strip_rows 32, chunks ~n/3.
+  spec.grid = engine::GridSpec{3, 8, 4, 16};  // strip_rows 32, chunks ~n/3.
   spec.recurrence = Recurrence::local(paper());
   return engine::run_wavefront(spec, engine::Hooks{});
 }
@@ -308,7 +308,7 @@ TEST(KernelDispatch, EveryVariantMatchesReferenceOnLocalProblems) {
   engine::ProblemSpec spec;
   spec.a = a.bases();
   spec.b = b.bases();
-  spec.grid = engine::GridSpec{3, 8, 4, 1};
+  spec.grid = engine::GridSpec{3, 8, 4, 16};
   spec.recurrence = Recurrence::local(paper());
   const auto expected = engine::run_reference(spec, engine::Hooks{});
   for (const KernelVariant& variant : engine::kernel_registry()) {
@@ -672,7 +672,7 @@ TEST(StripedIsa, CrossExecutorSpecialRowsIdenticalWithStripedPinned) {
   engine::ProblemSpec spec;
   spec.a = a.bases();
   spec.b = b.bases();
-  spec.grid = engine::GridSpec{3, 8, 4, 1};
+  spec.grid = engine::GridSpec{3, 8, 4, 16};
   spec.recurrence = Recurrence::local(paper());
   auto run_one = [&](bool reference) {
     std::map<Index, std::vector<BusCell>> rows;
@@ -761,19 +761,19 @@ TEST(KernelDispatch, GlobalModeUsesSpecializedScalarSweep) {
     return run.stats.kernels[static_cast<std::size_t>(id)];
   };
   // Wide tiles, genuine boundaries: every tile runs striped.
-  const auto wide = run_global(90, 110, engine::GridSpec{2, 8, 2, 1},
+  const auto wide = run_global(90, 110, engine::GridSpec{2, 8, 2, 16},
                                Recurrence::global_start(dp::CellState::kH, paper()));
   EXPECT_EQ(tally(wide, KernelId::kStriped32Global).tiles, wide.stats.tiles)
       << engine::kernel_usage_summary(wide.stats.kernels);
   // Narrow tiles (110 / 10 = 11 columns < 16): every tile runs scalar.
-  const auto narrow = run_global(90, 110, engine::GridSpec{10, 4, 4, 1},
+  const auto narrow = run_global(90, 110, engine::GridSpec{10, 4, 4, 8},
                                  Recurrence::global_start(dp::CellState::kH, paper()));
   EXPECT_EQ(tally(narrow, KernelId::kScalarGlobal).tiles, narrow.stats.tiles)
       << engine::kernel_usage_summary(narrow.stats.kernels);
   // An end-in-E reverse sweep has H = -inf on column 0. The executor runs
   // that column as its own one-wide chunk, so exactly one column of cells
   // stays scalar and every other tile starts from genuine H.
-  const auto sentinel = run_global(90, 110, engine::GridSpec{2, 8, 2, 1},
+  const auto sentinel = run_global(90, 110, engine::GridSpec{2, 8, 2, 16},
                                    Recurrence::global_end(dp::CellState::kE, paper()));
   EXPECT_EQ(tally(sentinel, KernelId::kScalarGlobal).tiles, sentinel.stats.strips)
       << engine::kernel_usage_summary(sentinel.stats.kernels);
@@ -984,7 +984,7 @@ TEST(Striped32Global, ProblemLevelMatchesReferenceForEveryCellState) {
       engine::ProblemSpec spec;
       spec.a = a.bases();
       spec.b = b.bases();
-      spec.grid = engine::GridSpec{3, 8, 4, 1};
+      spec.grid = engine::GridSpec{3, 8, 4, 16};
       spec.recurrence = end ? Recurrence::global_end(state, paper())
                             : Recurrence::global_start(state, paper());
       std::map<Index, std::vector<BusCell>> taps;
@@ -1307,7 +1307,7 @@ TEST(NarrowOverflow, PinnedStriped8TileOverflowsAndRunCountsIt) {
   engine::ProblemSpec spec;
   spec.a = a.bases();
   spec.b = a.bases();
-  spec.grid = engine::GridSpec{3, 8, 4, 1};
+  spec.grid = engine::GridSpec{3, 8, 4, 16};
   spec.recurrence = Recurrence::local(paper());
   const auto expected = engine::run_reference(spec, engine::Hooks{});
   engine::RunResult run;

@@ -207,8 +207,8 @@ struct SmallRun {
 SmallRun small_pipeline_run() {
   SmallRun run;
   run.pair = seq::make_related_pair(600, 620, 77);
-  run.options.grid_stage1 = engine::GridSpec{8, 8, 4, 2};
-  run.options.grid_stage23 = engine::GridSpec{4, 8, 4, 2};
+  run.options.grid_stage1 = engine::GridSpec{8, 8, 4, 16};
+  run.options.grid_stage23 = engine::GridSpec{4, 8, 4, 16};
   run.options.sra_rows_budget = 1 << 20;
   run.options.sra_cols_budget = 1 << 20;
   run.options.block_pruning = false;  // Stage 1 then visits exactly m*n cells.

@@ -5,9 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <map>
+#include <optional>
+#include <sstream>
 
 #include "baseline/full_matrix.hpp"
 #include "check/bus_audit.hpp"
+#include "check/checked.hpp"
 #include "common/io_util.hpp"
 #include "common/rng.hpp"
 #include "core/pipeline.hpp"
@@ -24,7 +29,7 @@ engine::GridSpec tiny_grid(Index blocks, Index threads, Index alpha) {
   g.blocks = blocks;
   g.threads = threads;
   g.alpha = alpha;
-  g.multiprocessors = 1;
+  g.min_chunk_cols = check::checked_mul<Index>(2, threads);
   return g;
 }
 
@@ -393,7 +398,7 @@ TEST(Int16EnvelopeCrossing, RelatedPairStaysOptimalOnStriped32Local) {
     engine::ProblemSpec spec;
     spec.a = pair.s0.bases();
     spec.b = pair.s1.bases();
-    spec.grid = engine::GridSpec{8, 16, 4, 1};  // 64-row strips, 250-column tiles.
+    spec.grid = engine::GridSpec{8, 16, 4, 32};  // 64-row strips, 250-column tiles.
     spec.recurrence = engine::Recurrence::local(scheme);
     const auto stage1 = engine::run_wavefront(spec, engine::Hooks{});
     const auto oracle = engine::run_reference(spec, engine::Hooks{});
@@ -424,6 +429,137 @@ TEST(Int16EnvelopeCrossing, RelatedPairStaysOptimalOnStriped32Local) {
                   .tiles,
               0)
         << label << ": " << engine::kernel_usage_summary(result.stages[0].kernels);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Tile shape: the paper's Stage-1 grid (240 blocks of at least 128 columns)
+// and the default one (chunks of at least 1664 columns) must give the same
+// answer on a related pair whose scores leave the int16 lanes, so int8,
+// int16 and int32 tiles all run, on 1 and 4 workers. The chunk width sets
+// each ISA's striped segment length, so ci.sh also runs this under every
+// forced CUDALIGN_SIMD.
+// ---------------------------------------------------------------------------
+
+const seq::SequencePair& tile_shape_pair() {
+  static const seq::SequencePair pair = seq::make_related_pair(32000, 32000, 3303);
+  return pair;
+}
+
+constexpr engine::GridSpec kPaperStage1Grid{240, 64, 4, 128};
+
+TEST(TileShapeEquivalence, PaperAndDefaultStage1GridsGiveOneAlignment) {
+  const auto& pair = tile_shape_pair();
+  const auto m = static_cast<WideScore>(pair.s0.size());
+  const auto n = static_cast<WideScore>(pair.s1.size());
+  const engine::GridSpec grids[] = {kPaperStage1Grid, engine::GridSpec::stage1_defaults()};
+  ASSERT_EQ(engine::fit_to_width(grids[0], pair.s1.size()).blocks, 240);
+  ASSERT_EQ(engine::fit_to_width(grids[1], pair.s1.size()).blocks, 19);
+  std::string first_out;
+  Score first_best = 0;
+  Crosspoint first_end;
+  for (const engine::GridSpec& grid : grids) {
+    std::optional<std::array<engine::Tally, 6>> one_worker;
+    for (const int workers : {1, 4}) {
+      const std::string label = "B " + std::to_string(grid.blocks) + " min_chunk_cols " +
+                                std::to_string(grid.min_chunk_cols) + ", " +
+                                std::to_string(workers) + " workers";
+      ThreadPool pool(workers);
+      PipelineOptions options;
+      options.grid_stage1 = grid;
+      options.pool = &pool;
+      const PipelineResult result = align_pipeline(pair.s0, pair.s1, options);
+      const StageStats& stage1 = result.stages[0];
+      EXPECT_EQ(stage1.cells + stage1.pruned_cells, m * n) << label;
+      EXPECT_GT(stage1.pruned_cells, 0) << label;
+      for (const auto id : {engine::KernelId::kStriped8LocalBest,
+                            engine::KernelId::kStriped16LocalBest,
+                            engine::KernelId::kStriped32LocalBest}) {
+        EXPECT_GT(stage1.kernels[static_cast<std::size_t>(id)].cells, 0)
+            << label << ": " << engine::kernel_usage_summary(stage1.kernels);
+      }
+      std::array<engine::Tally, 6> tallies;
+      for (std::size_t k = 0; k < tallies.size(); ++k) tallies[k] = result.stages[k];
+      if (!one_worker) {
+        one_worker = tallies;
+      } else {
+        for (std::size_t k = 0; k < tallies.size(); ++k) {
+          EXPECT_EQ(tallies[k], (*one_worker)[k]) << label << ", stage " << k + 1;
+        }
+      }
+      std::ostringstream out;
+      alignment::write_binary(out, result.binary);
+      if (first_out.empty()) {
+        ASSERT_GT(result.best_score, 28000) << "the pair must leave the int16 envelope";
+        first_out = out.str();
+        first_best = result.best_score;
+        first_end = result.end_point;
+      }
+      EXPECT_EQ(out.str(), first_out) << label;
+      EXPECT_EQ(result.best_score, first_best) << label;
+      EXPECT_EQ(result.end_point, first_end) << label;
+    }
+  }
+}
+
+/// Stage 1's special rows of the tile-shape pair: every fourth strip row,
+/// with the best the run found.
+struct SpecialRowsRun {
+  std::map<Index, std::vector<engine::BusCell>> rows;
+  dp::LocalBest best;
+  WideScore pruned_cells = 0;
+};
+
+SpecialRowsRun stage1_special_rows(const engine::GridSpec& grid, bool block_pruning) {
+  const auto& pair = tile_shape_pair();
+  engine::ProblemSpec spec;
+  spec.a = pair.s0.bases();
+  spec.b = pair.s1.bases();
+  spec.grid = grid;
+  spec.recurrence = engine::Recurrence::local(scoring::Scheme::paper_defaults());
+  spec.block_pruning = block_pruning;
+  SpecialRowsRun run;
+  engine::Hooks hooks;
+  hooks.special_row_interval = 4;
+  hooks.on_special_row = [&](Index row, std::span<const engine::BusCell> cells,
+                             const dp::LocalBest&, const engine::PruneState&) {
+    run.rows[row].assign(cells.begin(), cells.end());
+  };
+  ThreadPool pool(4);
+  const engine::RunResult result = engine::run_wavefront(spec, hooks, &pool);
+  run.best = result.best;
+  run.pruned_cells = result.stats.pruned_cells;
+  return run;
+}
+
+// Unpruned, both grids flush the exact DP rows. Pruned, where the tiles
+// differ with the grid, every row cell is a lower bound of the exact one:
+// pruned tiles publish H 0 and F unreachable, and tiles below them compute
+// from those bounds.
+TEST(TileShapeEquivalence, UnprunedSpecialRowsAgreeAndPrunedOnesBoundThem) {
+  const SpecialRowsRun exact = stage1_special_rows(kPaperStage1Grid, false);
+  ASSERT_FALSE(exact.rows.empty());
+  const SpecialRowsRun exact_default =
+      stage1_special_rows(engine::GridSpec::stage1_defaults(), false);
+  EXPECT_EQ(exact_default.rows, exact.rows);
+  EXPECT_EQ(exact_default.best.score, exact.best.score);
+  for (const engine::GridSpec& grid :
+       {kPaperStage1Grid, engine::GridSpec::stage1_defaults()}) {
+    const SpecialRowsRun pruned = stage1_special_rows(grid, true);
+    const std::string label = "B " + std::to_string(grid.blocks);
+    EXPECT_GT(pruned.pruned_cells, 0) << label;
+    EXPECT_EQ(pruned.best.score, exact.best.score) << label;
+    EXPECT_EQ(std::pair(pruned.best.i, pruned.best.j), std::pair(exact.best.i, exact.best.j))
+        << label;
+    ASSERT_EQ(pruned.rows.size(), exact.rows.size()) << label;
+    for (const auto& [row, cells] : exact.rows) {
+      const std::vector<engine::BusCell>& got = pruned.rows.at(row);
+      ASSERT_EQ(got.size(), cells.size()) << label;
+      for (std::size_t j = 0; j < cells.size(); ++j) {
+        ASSERT_TRUE(got[j].h <= cells[j].h && got[j].gap <= cells[j].gap)
+            << label << " row " << row << " column " << j;
+      }
+    }
   }
 }
 

@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "check/checked.hpp"
 #include "common/io_util.hpp"
 #include "core/stages.hpp"
 #include "dp/linear.hpp"
@@ -25,7 +26,7 @@ engine::GridSpec tiny_grid(Index blocks = 3, Index threads = 4, Index alpha = 2)
   g.blocks = blocks;
   g.threads = threads;
   g.alpha = alpha;
-  g.multiprocessors = 1;
+  g.min_chunk_cols = check::checked_mul<Index>(2, threads);
   return g;
 }
 
