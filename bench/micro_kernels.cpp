@@ -244,7 +244,7 @@ void run_kernel_sweep(const std::string& path) {
       const bool stage1 = std::string_view(arch.name) == "local+best";
       for (const engine::KernelVariant& variant : engine::kernel_registry()) {
         const engine::TileJob job = bench.job();
-        if (!variant.admits(job, engine::scan_bus_inputs(job))) continue;
+        if (!engine::admits(variant, job, engine::scan_bus_inputs(job))) continue;
         for (const bool cold : {false, true}) {
           if (cold && !stage1) continue;
           const std::optional<TileTiming> timing = time_variant(variant, bench, cold);
@@ -332,7 +332,7 @@ void register_variant_benchmarks() {
         // Probe eligibility once with a throwaway bench.
         TileBench probe(arch, rows, cols);
         const engine::TileJob job = probe.job();
-        if (!variant.admits(job, engine::scan_bus_inputs(job))) continue;
+        if (!engine::admits(variant, job, engine::scan_bus_inputs(job))) continue;
         const std::string name = std::string("BM_KernelVariant/") + variant.name + "/" +
                                  arch.name + "/" + std::to_string(rows) + "x" +
                                  std::to_string(cols);

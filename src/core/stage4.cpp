@@ -28,6 +28,7 @@
 #include "core/stages.hpp"
 #include "dp/linear.hpp"
 #include "engine/executor.hpp"
+#include "engine/kernel_registry.hpp"
 #include "obs/telemetry.hpp"
 
 namespace cudalign::core {
@@ -35,10 +36,13 @@ namespace cudalign::core {
 namespace {
 
 /// Rows per strip of the orthogonal reverse pass over n rows: n / 16, kept
-/// within [8, 64] (8 is the fewest rows the striped kernels are picked for).
-/// The pass checks for the goal once per strip, so past the match it computes
-/// less than one strip — at most 1/16 of the reverse half once n >= 128.
-Index reverse_strip_rows(Index n) { return std::clamp<Index>(n / 16, 8, 64); }
+/// within [kShapeGateMinRows, 64]: the shape gate's row minimum, so every
+/// strip is tall enough for the striped kernels. The pass checks for the goal
+/// once per strip, so past the match it computes less than one strip — at
+/// most 1/16 of the reverse half once n >= 128.
+Index reverse_strip_rows(Index n) {
+  return std::clamp<Index>(n / 16, engine::kShapeGateMinRows, 64);
+}
 
 struct SplitOutcome {
   Crosspoint mid;

@@ -1,16 +1,17 @@
 // Internal seams of the kernel family (not part of the engine's public API).
 //
 // kernels_scalar.cpp, kernels_vector.cpp and the kernels_striped*.cpp
-// backends implement the entry points declared here; kernel_registry.cpp
-// wires them into the variant table. The tiny helpers keep the per-tile
-// contract (bus sizes, result shape, corner conventions) in exactly one
-// place so every variant inherits it.
+// backends implement the entry points declared here and hold no admission
+// code: kernel_registry.cpp wires them into the variant table, whose rows
+// state each kernel's envelope and whose admits() checks it. The narrow lane
+// windows below are the one piece of it the sweeps read too. The tiny
+// helpers keep the per-tile contract (bus sizes, result shape, corner
+// conventions) in exactly one place so every variant inherits it.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <optional>
 #include <span>
 
 #include "common/error.hpp"
@@ -49,50 +50,27 @@ TileResult run_scalar(const TileJob& job, TileScratch& scratch);
 
 /// Branch-free anti-diagonal sweep over LaneT lanes (int16_t or int32_t),
 /// local mode only, no taps/probe. The int16_t instantiation is exact only
-/// within the range vector16_can_run admits; int32_t is exact everywhere the
-/// shape gate passes.
+/// within its registry row's kInt16Reach rule; int32_t is exact on every
+/// non-empty local tile.
 template <typename LaneT, bool kBest>
 TileResult run_vector(const TileJob& job, TileScratch& scratch);
 
-/// Shape/feature envelope shared by both lane widths (local, no taps, no
-/// probe, non-empty tile).
-[[nodiscard]] bool vector_can_run(const TileJob& job);
-
-/// A narrow-lane exactness envelope: the value ranges a fixed-width lane
-/// kernel admits. One precheck (lane_inputs_admit) serves every narrow lane
-/// width — the 16-bit anti-diagonal kernel, and the striped 8-bit/16-bit
-/// kernels — so the input checks are written exactly once.
-struct LaneEnvelope {
-  Score penalty_cap;  ///< Largest |penalty| and match score admitted.
-  Score real_floor;   ///< Most negative genuine bus input admitted.
-  /// Largest genuine bus input admitted, and the largest H a narrow kernel
-  /// may publish: ceiling + penalty_cap stays below the lane maximum, so the
-  /// first H past the ceiling is still computed exactly (DESIGN.md).
+/// A narrow lane's exactness window (DESIGN.md "Narrow-lane overflow
+/// contract"). admits() takes a tile whose penalties are at most `cap` and
+/// whose genuine bus inputs lie in [floor, ceiling], with no sentinel H.
+/// `ceiling` is also the largest H a narrow kernel may publish: ceiling +
+/// cap stays below the lane maximum, so the first H past the ceiling is
+/// still computed exactly, and the striped sweeps report it as an overflow.
+struct LaneWindow {
+  Score cap;
+  Score floor;
   Score ceiling;
 };
 
-/// int16 lane envelope (v16-local* and striped16-local*).
-inline constexpr LaneEnvelope kLaneEnvelope16{4096, -4096, 28000};
-/// int8 lane envelope (striped8-local*).
-inline constexpr LaneEnvelope kLaneEnvelope8{16, -64, 100};
-
-/// Input precheck shared by every narrow-lane kernel: penalties within the
-/// cap and every genuine bus input within [env.real_floor, env.ceiling]
-/// (sentinel H rejected outright — scalar sentinel drift is not
-/// reproducible in narrow lanes; gap sentinels are fine, the genuine branch
-/// wins within one step in local mode). Returns the largest H input when
-/// the job is admitted. It bounds nothing the tile computes: the striped
-/// kernels detect an H past the ceiling and report the tile overflowed, and
-/// v16 adds a static reachable-score bound (vector16_can_run). O(1) on the
-/// job's scan_bus_inputs.
-[[nodiscard]] std::optional<Score> lane_inputs_admit(const TileJob& job, const BusInputs& in,
-                                                     const LaneEnvelope& env);
-
-/// vector_can_run, the 16-bit input precheck and the overflow-checked
-/// reachable-score bound max_h + match * min(rows, w) <= ceiling: the
-/// anti-diagonal sweep cannot detect an overflow, so it must rule one out
-/// before running. O(1).
-[[nodiscard]] bool vector16_can_run(const TileJob& job, const BusInputs& in);
+/// int8 lanes (striped8-local*).
+inline constexpr LaneWindow kInt8Window{16, -64, 100};
+/// int16 lanes (striped16-local* and v16-local*).
+inline constexpr LaneWindow kInt16Window{4096, -4096, 28000};
 
 /// The loop behind scan_bus_inputs. Each ISA translation unit instantiates
 /// it with a tag of its own, so the copies compiled for different ISAs keep
@@ -139,8 +117,8 @@ inline constexpr Index kMaxStripedLanes = 64;
 
 /// Farrar-striped row sweep with the lazy-F correction loop eliminated
 /// (deterministic two-pass gap scan; see striped_core.hpp), in local mode.
-/// LaneT is int8_t (saturating, kLaneEnvelope8), int16_t (kLaneEnvelope16)
-/// or int32_t (plain arithmetic, striped32_local_can_run; best tracking
+/// LaneT is int8_t (saturating, kInt8Window), int16_t (kInt16Window) or
+/// int32_t (plain arithmetic, the registry's kInt32 rule; best tracking
 /// only). The narrow widths return TileResult::overflowed, having published
 /// nothing to the horizontal bus, when an H passes their ceiling; run_tile
 /// then re-runs the tile on wider lanes. Dispatches at runtime to the best
@@ -150,25 +128,9 @@ template <typename LaneT, bool kBest>
 TileResult run_striped(const TileJob& job, TileScratch& scratch);
 
 /// The same sweep in global mode on int32 lanes (plain arithmetic, no zero
-/// floor), dispatched to its taps/probe specialisation and then to the ISA.
+/// floor, the kInt32 rule), dispatched to its taps/probe specialisation and
+/// then to the ISA.
 TileResult run_striped32_global(const TileJob& job, TileScratch& scratch);
-
-/// vector_can_run plus the 8-bit / 16-bit lane input prechecks. O(1).
-[[nodiscard]] bool striped8_can_run(const TileJob& job, const BusInputs& in);
-[[nodiscard]] bool striped16_can_run(const TileJob& job, const BusInputs& in);
-
-/// The striped32-global envelope: a global job without best tracking, at
-/// least one row, no sentinel H among its inputs (hbus[1..w] and
-/// vbus_in[0..rows]), sentinel gaps at or above 2 * kNegInf, and a checked
-/// reachable-score bound below |kNegInf| / 2 (see DESIGN.md). O(1).
-[[nodiscard]] bool striped32_global_can_run(const TileJob& job, const BusInputs& in);
-
-/// The striped32-local envelope: vector_can_run (local, no taps or probe,
-/// non-empty) and the same int32 input and reachable-score checks as
-/// striped32_global_can_run — sentinel H refused (those tiles stay on
-/// v32-local*), every bound far below |kNegInf| so paper-scale scores fit.
-/// Best tracking is the registry's concern. O(1).
-[[nodiscard]] bool striped32_local_can_run(const TileJob& job, const BusInputs& in);
 
 /// The striped tuples every ISA backend TU compiles, as (lane, local, best,
 /// taps, find): the four narrow local (lane, best) pairs, int32 local+best,

@@ -1,30 +1,33 @@
 // Kernel registry and dispatch: the seam between the executor and the tile
 // kernel family.
 //
-// Every kernel variant is a free function with the run_tile signature plus an
-// `admits` predicate describing the (mode, feature, value-range) envelope it
-// is exact for. Predicates read the bus inputs only through one
-// scan_bus_inputs pass per tile, so each is O(1). Dispatch walks the
-// registry in cost order and picks the cheapest variant whose predicate
-// accepts the job — so the Stage-1 hot path (plain local, small scores)
-// lands on a narrow striped sweep, a Stage-1 tile past the int16 envelope
-// and a global tile of Stages 2-4 (taps and probe included) on the int32
-// striped sweep, a global tile outside its envelope
-// (narrow, or with sentinel H inputs) on its specialized scalar row sweep,
-// and anything else on the legacy do-everything loop. All variants are
-// bit-identical to run_reference; predicates encode *exactness* (e.g. the
-// anti-diagonal 16-bit kernel rejects tiles whose scores could overflow its
-// lanes), while size heuristics live in the selector. The narrow striped
-// kernels are the one exception to "admitted means exact": they admit a tile
-// by its inputs and detect an overflow instead, and run_tile re-runs such a
-// tile on select_costlier_kernel's pick.
+// Every kernel variant is one row of the table in kernel_registry.cpp: a
+// free function with the run_tile signature plus, as data, the envelope it
+// is exact for — the feature tuples it computes, a lane rule bounding the
+// values its lanes may hold, and whether automatic selection gates it by
+// tile shape. One admits() evaluates any row against the tile's single
+// scan_bus_inputs pass, so admission is O(1) per row and no kernel
+// translation unit holds admission code. Dispatch walks the table in cost
+// order and picks the cheapest row that admits the job — so the Stage-1 hot
+// path (plain local, small scores) lands on a narrow striped sweep, a
+// Stage-1 tile past the int16 window and a global tile of Stages 2-4 (taps
+// and probe included) on the int32 striped sweep, a global tile outside its
+// envelope (narrow, or with sentinel H inputs) on its specialized scalar row
+// sweep, and anything else on the legacy do-everything loop. All variants
+// are bit-identical to run_reference; lane rules encode *exactness* (the
+// anti-diagonal 16-bit kernel refuses tiles whose scores could overflow its
+// lanes), while the shape gate is a speed heuristic. The narrow striped
+// kernels are the one exception to "admitted means exact": their rule
+// admits a tile by its inputs, the sweep detects an overflow, and run_tile
+// re-runs such a tile on select_costlier_kernel's pick.
 //
 // Overrides: the CUDALIGN_KERNEL environment variable, or
 // set_kernel_override(), pins a variant by name for the whole process.
 // run_wavefront resolves the pin once per run and passes it to every tile as
 // `forced`; select_kernel itself reads no global state. A pinned variant
-// still only runs where its predicate allows — jobs outside its envelope fall
-// back to automatic selection, so an override can never produce wrong results.
+// bypasses the shape gate but still only runs where admits() allows — jobs
+// outside its envelope fall back to automatic selection, so an override can
+// never produce wrong results.
 //
 // A future SIMD/GPU backend plugs in here: append an id to KernelId,
 // implement the entry point (a new SIMD ISA is one lane-ops backend for
@@ -33,6 +36,7 @@
 // it up unchanged.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <string>
 #include <string_view>
@@ -41,7 +45,8 @@
 
 namespace cudalign::engine {
 
-/// The feature set a TileJob requests; used for exact-match selection.
+/// The feature tuple a TileJob requests; a variant computes exactly the
+/// tuples in its row.
 struct KernelTraits {
   dp::AlignMode mode = dp::AlignMode::kLocal;
   bool best = false;
@@ -52,18 +57,58 @@ struct KernelTraits {
     return KernelTraits{job.recurrence->mode, job.track_best, !job.tap_cols.empty(),
                         job.find_value.has_value()};
   }
+  /// This tuple's bit in a row's tuple set: one of 16 (mode x best x taps x
+  /// find).
+  [[nodiscard]] constexpr unsigned bit() const noexcept {
+    const unsigned index = (mode == dp::AlignMode::kGlobal ? 8U : 0U) | (best ? 4U : 0U) |
+                           (taps ? 2U : 0U) | (find ? 1U : 0U);
+    return 1U << index;
+  }
   friend bool operator==(const KernelTraits&, const KernelTraits&) = default;
 };
 
+/// The values a row's lanes are exact for, checked on the tile's
+/// scan_bus_inputs (DESIGN.md "Kernel admission"). Every rule but kNone
+/// also needs a row, and in local mode a column, to sweep.
+enum class LaneRule : std::uint8_t {
+  /// Row sweeps in the scalar kernels' int32 arithmetic: any tile.
+  kNone,
+  /// int32 lanes that keep kNegInf and its drift, so the scalar kernels'
+  /// arithmetic: any input.
+  kInt32Drift,
+  /// detail::kInt8Window / kInt16Window, no sentinel H; the sweep detects
+  /// an overflow.
+  kInt8,
+  kInt16,
+  /// The int16 window plus max_h + match * min(rows, w) <= its ceiling.
+  kInt16Reach,
+  /// max|input| + step * (rows + w + kMaxStripedLanes) < |kNegInf| / 2, no
+  /// sentinel H, sentinel gaps at or above 2 * kNegInf.
+  kInt32,
+};
+
+/// The automatic-selection shape gate: a gated row is picked automatically
+/// only for tiles at least this wide and this tall, where its lanes fill.
+/// It is a speed heuristic, not a correctness bound, so pins bypass it.
+inline constexpr Index kShapeGateMinWidth = 16;
+inline constexpr Index kShapeGateMinRows = 8;
+
+/// One registry row: a tile kernel and, as data, the envelope it is exact
+/// for.
 struct KernelVariant {
   KernelId id = KernelId::kLegacy;
   const char* name = "";  ///< Stable name for CUDALIGN_KERNEL and stats output.
   int cost = 0;           ///< Selection preference; lower wins among eligible variants.
-  /// True if the variant computes this job exactly (mode/features/value
-  /// range), given the job's scan_bus_inputs: O(1).
-  bool (*admits)(const TileJob& job, const BusInputs& in) = nullptr;
+  unsigned tuples = 0;               ///< KernelTraits::bit() of each tuple it computes.
+  LaneRule lanes = LaneRule::kNone;  ///< The values its lanes are exact for.
+  bool shape_gate = false;           ///< Automatic selection applies the shape gate.
   TileResult (*run)(const TileJob& job, TileScratch& scratch) = nullptr;
 };
+
+/// True if `variant` computes `job`, whose bus inputs scan to `in`, exactly:
+/// the job's feature tuple is in the row and its inputs pass the row's lane
+/// rule. The shape gate is selection's concern, not this. O(1).
+[[nodiscard]] bool admits(const KernelVariant& variant, const TileJob& job, const BusInputs& in);
 
 /// All registered variants, in registry (not cost) order.
 [[nodiscard]] std::span<const KernelVariant> kernel_registry() noexcept;
@@ -75,9 +120,9 @@ struct KernelVariant {
 [[nodiscard]] const KernelVariant& kernel_info(KernelId id) noexcept;
 
 /// Picks the variant that runs `job`, whose bus inputs scan to `in`:
-/// `forced` when non-null and eligible, otherwise the cheapest eligible
-/// variant in automatic cost order. The process-wide pin only applies
-/// through `forced` (run_wavefront passes it).
+/// `forced` when non-null and admitted, otherwise the cheapest variant in
+/// automatic cost order that passes its shape gate and is admitted. The
+/// process-wide pin only applies through `forced` (run_wavefront passes it).
 [[nodiscard]] const KernelVariant& select_kernel(const TileJob& job, const BusInputs& in,
                                                  const KernelVariant* forced = nullptr);
 

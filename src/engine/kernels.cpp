@@ -103,7 +103,7 @@ TileResult run_tile(const TileJob& job, const BusInputs& in, TileScratch& scratc
     // re-selection) must be exact for this job — running outside the
     // envelope is the silent score-corruption path the registry exists to
     // prevent.
-    CUDALIGN_DCHECK(kernel->admits(job, in), "selected kernel '", kernel->name,
+    CUDALIGN_DCHECK(admits(*kernel, job, in), "selected kernel '", kernel->name,
                     "' cannot run this job");
     TileResult result = kernel->run(job, scratch);
     if (!result.overflowed) {

@@ -21,7 +21,6 @@
 #include <limits>
 #include <mutex>
 #include <string_view>
-#include <utility>
 
 #if defined(__SSE2__)
 #include <emmintrin.h>
@@ -340,58 +339,6 @@ std::string_view simd_isa_name(SimdIsa isa) noexcept {
 }
 
 namespace detail {
-
-bool striped8_can_run(const TileJob& job, const BusInputs& in) {
-  return vector_can_run(job) && lane_inputs_admit(job, in, kLaneEnvelope8).has_value();
-}
-
-bool striped16_can_run(const TileJob& job, const BusInputs& in) {
-  return vector_can_run(job) && lane_inputs_admit(job, in, kLaneEnvelope16).has_value();
-}
-
-namespace {
-
-/// The int32 lanes' input and reachable-score checks, shared by both modes.
-bool striped32_inputs_admit(const TileJob& job, const BusInputs& in) {
-  const Index rows = check::checked_sub(job.r1, job.r0);
-  const Index w = check::checked_sub(job.c1, job.c0);
-  // Sentinel H inputs are rejected: the envelope argument starts from
-  // genuine H everywhere. Gap inputs may be sentinels — every gap update is
-  // max(gap - G_ext, H - G_first), so the genuine H branch wins within one
-  // step — provided they sit at or above kNegInf * 2, so one G_ext more
-  // cannot wrap.
-  if (in.sentinel_h() || in.deep_gap()) return false;
-  // Largest |input| over the genuine values: the ends of their ranges.
-  WideScore max_abs = 0;
-  for (const auto& [lo, hi] : {std::pair{in.h_lo, in.h_hi}, std::pair{in.gap_lo, in.gap_hi}}) {
-    if (lo <= hi) max_abs = std::max({max_abs, std::abs(WideScore{lo}), std::abs(WideScore{hi})});
-  }
-  // Reachable-score bound: every value the sweep computes — genuine cells,
-  // pad slots, decayed bridge terms — is an input moved by at most
-  // rows + padded width steps of at most `step` each. Keeping that below
-  // |kNegInf| / 2 keeps genuine values clear of is_neg_inf and leaves the
-  // sentinel chains (>= 2 * kNegInf, minus the same bound) inside int32.
-  const scoring::Scheme& s = job.recurrence->scheme;
-  const WideScore step = std::max<WideScore>(
-      {std::abs(WideScore{s.match}), std::abs(WideScore{s.mismatch}), WideScore{s.gap_first},
-       WideScore{s.gap_ext}});
-  const WideScore steps = check::checked_add<WideScore>(
-      check::checked_add<WideScore>(rows, w), kMaxStripedLanes);
-  const WideScore bound =
-      check::checked_add<WideScore>(max_abs, check::checked_mul<WideScore>(step, steps));
-  return bound < -(WideScore{kNegInf} / 2);
-}
-
-}  // namespace
-
-bool striped32_global_can_run(const TileJob& job, const BusInputs& in) {
-  return job.recurrence->mode == dp::AlignMode::kGlobal && !job.track_best && job.r1 > job.r0 &&
-         striped32_inputs_admit(job, in);
-}
-
-bool striped32_local_can_run(const TileJob& job, const BusInputs& in) {
-  return vector_can_run(job) && striped32_inputs_admit(job, in);
-}
 
 namespace {
 

@@ -12,9 +12,9 @@
 // Lane widths: LaneT = int32_t performs the exact arithmetic of the scalar
 // kernels (including -infinity sentinel drift) and is exact for every local
 // tile. LaneT = int16_t doubles the lanes per vector; it is exact only when
-// no intermediate value can leave the lanes, which vector16_can_run
-// establishes up front by scanning the input buses — overflow risk is
-// detected *before* running, and dispatch falls back to the wide kernel
+// no intermediate value can leave the lanes, which its registry row's
+// kInt16Reach rule establishes up front from the input buses — overflow risk
+// is ruled out *before* running, and dispatch falls back to the wide kernel
 // (kernel_registry.cpp), so no saturation can silently corrupt a score.
 //
 // Feature envelope: local mode, optional best tracking; no taps, no value
@@ -25,19 +25,13 @@
 #include <algorithm>
 #include <cstdint>
 
-#include "check/checked.hpp"
 #include "engine/kernel_detail.hpp"
 
 namespace cudalign::engine::detail {
 
 namespace {
 
-/// int16 range envelope (kernel_detail.hpp kLaneEnvelope16, shared with the
-/// striped 16-bit kernels): penalties and genuine bus values must fit well
-/// inside the lanes, with headroom for the largest score the tile can reach.
-constexpr Score kRealFloor16 = kLaneEnvelope16.real_floor;
-constexpr Score kScoreCeiling16 = kLaneEnvelope16.ceiling;
-constexpr std::int16_t kNinf16 = -16384;    ///< Sentinel: loses every max by construction.
+constexpr std::int16_t kNinf16 = -16384;  ///< Sentinel: loses every max by construction.
 
 template <typename LaneT>
 struct LaneTraits;
@@ -62,11 +56,11 @@ LaneT to_lane(Score v) {
     return v;
   } else {
     if (is_neg_inf(v)) return LaneTraits<LaneT>::kNinf;
-    // Envelope contract: vector16_can_run admitted every genuine input before
-    // this kernel was selected, so the narrowing below is provably lossless.
-    CUDALIGN_DCHECK(v >= kRealFloor16 && v <= kScoreCeiling16,
-                    "int16 lane input ", v, " outside the admitted envelope [", kRealFloor16,
-                    ", ", kScoreCeiling16, "] — vector16_can_run precheck violated");
+    // The kInt16Reach rule admitted every genuine input before this kernel
+    // was selected, so the narrowing below is provably lossless.
+    CUDALIGN_DCHECK(v >= kInt16Window.floor && v <= kInt16Window.ceiling, "int16 lane input ",
+                    v, " outside the admitted window [", kInt16Window.floor, ", ",
+                    kInt16Window.ceiling, "] — kInt16Reach rule violated");
     return static_cast<LaneT>(v);
   }
 }
@@ -112,47 +106,6 @@ LaneT diag_max(const LaneT* __restrict hc, Index lo, Index hi, LaneT init) {
 }
 
 }  // namespace
-
-bool vector_can_run(const TileJob& job) {
-  return job.recurrence->mode == dp::AlignMode::kLocal && job.tap_cols.empty() &&
-         !job.find_value.has_value() && job.c1 > job.c0 && job.r1 > job.r0;
-}
-
-std::optional<Score> lane_inputs_admit(const TileJob& job, const BusInputs& in,
-                                       const LaneEnvelope& env) {
-  const scoring::Scheme& s = job.recurrence->scheme;
-  if (s.match > env.penalty_cap || s.mismatch < -env.penalty_cap || s.mismatch > 0 ||
-      s.gap_first > env.penalty_cap || s.gap_first < 0 || s.gap_ext > env.penalty_cap ||
-      s.gap_ext < 0) {
-    return std::nullopt;
-  }
-  // Genuine H inputs must be representable; sentinel H inputs are rejected
-  // outright because the scalar kernels let sentinel chains drift below
-  // kNegInf, which narrow lanes cannot reproduce bit-for-bit. (The executor
-  // never produces sentinel H in local mode — H >= 0 on every bus.) Gap
-  // inputs may be sentinels: in local mode the non-sentinel recurrence branch
-  // wins within one step, so the sentinel never escapes into an output.
-  if (in.sentinel_h() || in.h_lo < env.real_floor || in.h_hi > env.ceiling ||
-      in.gap_lo < env.real_floor || in.gap_hi > env.ceiling) {
-    return std::nullopt;
-  }
-  return in.max_h();
-}
-
-bool vector16_can_run(const TileJob& job, const BusInputs& in) {
-  if (!vector_can_run(job)) return false;
-  // Every match advances one row AND one column, so any path confined to the
-  // tile makes at most min(rows, w) matches — that bounds every reachable
-  // H/E/F from the admitted bus inputs by max_h + match * min(rows, w). The
-  // bound is computed with overflow-checked arithmetic (a bound decided by
-  // wrapped arithmetic would be no bound at all).
-  const Index rows = check::checked_sub(job.r1, job.r0);
-  const Index w = check::checked_sub(job.c1, job.c0);
-  const WideScore reach =
-      check::checked_mul<WideScore>(job.recurrence->scheme.match, std::min(rows, w));
-  const std::optional<Score> max_h = lane_inputs_admit(job, in, kLaneEnvelope16);
-  return max_h.has_value() && check::checked_add<WideScore>(*max_h, reach) <= kScoreCeiling16;
-}
 
 template <typename LaneT, bool kBest>
 TileResult run_vector(const TileJob& job, TileScratch& scratch) {
@@ -253,8 +206,8 @@ TileResult run_vector(const TileJob& job, TileScratch& scratch) {
         // Envelope post-condition: a published H above the admitted ceiling
         // means a score escaped the lanes despite the precheck (overflow
         // would corrupt downstream tiles silently — the SSW failure mode).
-        CUDALIGN_DCHECK(hc[w] <= kScoreCeiling16, "int16 lane published H ", hc[w],
-                        " above the ceiling ", kScoreCeiling16);
+        CUDALIGN_DCHECK(hc[w] <= kInt16Window.ceiling, "int16 lane published H ", hc[w],
+                        " above the ceiling ", kInt16Window.ceiling);
       }
       job.vbus_out[static_cast<std::size_t>(i)] =
           BusCell{static_cast<Score>(hc[w]), static_cast<Score>(ec[w])};
@@ -265,8 +218,8 @@ TileResult run_vector(const TileJob& job, TileScratch& scratch) {
     if (d > rows) {
       const Index j = d - rows;
       if constexpr (sizeof(LaneT) == sizeof(std::int16_t)) {
-        CUDALIGN_DCHECK(hc[j] <= kScoreCeiling16, "int16 lane published H ", hc[j],
-                        " above the ceiling ", kScoreCeiling16);
+        CUDALIGN_DCHECK(hc[j] <= kInt16Window.ceiling, "int16 lane published H ", hc[j],
+                        " above the ceiling ", kInt16Window.ceiling);
       }
       job.hbus[static_cast<std::size_t>(j)] =
           BusCell{static_cast<Score>(hc[j]), static_cast<Score>(fc[j])};

@@ -43,12 +43,12 @@
 // pairings exist:
 //
 //   * local (zero floor, best tracking) on int8 / int16 lanes (saturating):
-//     H floors at 0. The striped prechecks admit a tile by its inputs alone
-//     (kernel_detail.hpp lane_inputs_admit): every input within
-//     [real_floor, ceiling]. While every H stays at most the ceiling, the
+//     H floors at 0. The registry's window rule admits a tile by its inputs
+//     alone (kernel_detail.hpp LaneWindow): every input within
+//     [floor, ceiling]. While every H stays at most the ceiling, the
 //     sweep is byte-identical with the scalar kernels: every H >= 0, so every
 //     *published* E/F value is genuine (>= -G_first) and the sentinel /
-//     saturated chains lose every max they enter, and ceiling + penalty_cap
+//     saturated chains lose every max they enter, and ceiling + cap
 //     stays below the lane maximum, so saturating adds/subs equal exact
 //     arithmetic on every winning branch. The sweep checks the H it computed
 //     instead of bounding it up front: the first cell whose exact H passes
@@ -60,12 +60,12 @@
 //   * local on int32 lanes (plain add/sub): the same zero floor and masked
 //     row max, past the int16 envelope. The lanes perform the scalar
 //     kernels' own int32 arithmetic, so — as in global mode below — the
-//     sweep is byte-identical wherever nothing wraps, which
-//     striped32_local_can_run's checked reachable-score bound guarantees.
+//     sweep is byte-identical wherever nothing wraps, which the registry's
+//     kInt32 rule, a checked reachable-score bound, guarantees.
 //   * global (int32 lanes only, plain add/sub): no zero floor. The closed
 //     form above is an identity of exact integer arithmetic, so the sweep is
-//     byte-identical wherever nothing wraps — which the global envelope's
-//     checked reachable-score bound guarantees (striped32_global_can_run).
+//     byte-identical wherever nothing wraps — which the same kInt32 rule
+//     guarantees.
 //     Taps read (H, E) after pass 2; the value probe scans a row in
 //     row-major order once a vector compare has seen the target in it.
 //
@@ -85,15 +85,15 @@
 namespace cudalign::engine::detail {
 
 /// Lane-width bindings: the TileScratch buffers a lane type uses and, for
-/// the narrow (saturating) lanes, the envelope their inputs are checked
-/// against. The recurrence mode is the core's kLocal parameter, not a
-/// property of the lane.
+/// the narrow (saturating) lanes, the window their inputs were admitted by.
+/// The recurrence mode is the core's kLocal parameter, not a property of the
+/// lane.
 template <typename LaneT>
 struct StripedBindings;
 
 template <>
 struct StripedBindings<std::int8_t> {
-  static constexpr LaneEnvelope kEnvelope = kLaneEnvelope8;
+  static constexpr LaneWindow kWindow = kInt8Window;
   static std::vector<std::int8_t>& workspace(TileScratch& s) { return s.striped8; }
   static std::vector<std::int8_t>& mask(TileScratch& s) { return s.striped_mask8; }
   static scoring::StripedProfile<std::int8_t>& profile(TileScratch& s) {
@@ -103,7 +103,7 @@ struct StripedBindings<std::int8_t> {
 
 template <>
 struct StripedBindings<std::int16_t> {
-  static constexpr LaneEnvelope kEnvelope = kLaneEnvelope16;
+  static constexpr LaneWindow kWindow = kInt16Window;
   static std::vector<std::int16_t>& workspace(TileScratch& s) { return s.striped16; }
   static std::vector<std::int16_t>& mask(TileScratch& s) { return s.striped_mask16; }
   static scoring::StripedProfile<std::int16_t>& profile(TileScratch& s) {
@@ -143,7 +143,7 @@ TileResult run_striped_core(const TileJob& job, TileScratch& scratch) {
   using V = typename B::V;
   static constexpr Index p = B::kLanes;
   static constexpr Lane kNinfLane = B::kNinfLane;
-  /// Narrow lanes saturate and are checked against their LaneEnvelope;
+  /// Narrow lanes saturate and are checked against their LaneWindow;
   /// int32 lanes perform the scalar kernels' own arithmetic.
   static constexpr bool kNarrow = sizeof(Lane) < sizeof(Score);
   static_assert(kLocal || !kNarrow, "global mode needs the scalar kernels' int32 arithmetic");
@@ -169,11 +169,11 @@ TileResult run_striped_core(const TileJob& job, TileScratch& scratch) {
   // int32 lanes take every input as is, drifted sentinels included).
   const auto to_lane = [](Score v) -> Lane {
     if constexpr (kNarrow) {
-      constexpr LaneEnvelope kEnv = StripedBindings<Lane>::kEnvelope;
+      constexpr LaneWindow kWin = StripedBindings<Lane>::kWindow;
       if (is_neg_inf(v)) return kNinfLane;
-      CUDALIGN_DCHECK(v >= kEnv.real_floor && v <= kEnv.ceiling, "striped lane input ", v,
-                      " outside the admitted envelope [", kEnv.real_floor, ", ", kEnv.ceiling,
-                      "] — striped precheck violated");
+      CUDALIGN_DCHECK(v >= kWin.floor && v <= kWin.ceiling, "striped lane input ", v,
+                      " outside the admitted window [", kWin.floor, ", ", kWin.ceiling,
+                      "] — registry lane rule violated");
       return static_cast<Lane>(v);
     } else {
       return v;
@@ -326,7 +326,7 @@ TileResult run_striped_core(const TileJob& job, TileScratch& scratch) {
     Lane seed_lane = kNinfLane;
     if constexpr (kNarrow) {
       seed_lane = static_cast<Lane>(std::clamp<Score>(seed, static_cast<Score>(kNinfLane),
-                                                      StripedBindings<Lane>::kEnvelope.ceiling));
+                                                      StripedBindings<Lane>::kWindow.ceiling));
     } else {
       seed_lane = seed;
     }
@@ -376,7 +376,7 @@ TileResult run_striped_core(const TileJob& job, TileScratch& scratch) {
         for (const Lane x : lanes) rm = std::max(rm, x);
         const Score row_max = static_cast<Score>(rm);
         if constexpr (kNarrow) {
-          if (row_max > StripedBindings<Lane>::kEnvelope.ceiling) {
+          if (row_max > StripedBindings<Lane>::kWindow.ceiling) {
             result.overflowed = true;
             return result;
           }
@@ -396,7 +396,7 @@ TileResult run_striped_core(const TileJob& job, TileScratch& scratch) {
         }
       }
     } else if constexpr (kNarrow) {
-      if (B::any_gt(v_rowmax, static_cast<Lane>(StripedBindings<Lane>::kEnvelope.ceiling))) {
+      if (B::any_gt(v_rowmax, static_cast<Lane>(StripedBindings<Lane>::kWindow.ceiling))) {
         result.overflowed = true;
         return result;
       }
@@ -405,7 +405,7 @@ TileResult run_striped_core(const TileJob& job, TileScratch& scratch) {
     // Rectified vertical bus: the true last-column (H, E) of this row.
     const Score h_last = static_cast<Score>(H[last_slot]);
     if constexpr (kNarrow) {
-      CUDALIGN_DCHECK(h_last <= StripedBindings<Lane>::kEnvelope.ceiling,
+      CUDALIGN_DCHECK(h_last <= StripedBindings<Lane>::kWindow.ceiling,
                       "striped lane published H ", h_last, " above the ceiling");
     }
     job.vbus_out[static_cast<std::size_t>(i)] = BusCell{h_last, e_pub};
@@ -453,7 +453,7 @@ TileResult run_striped_core(const TileJob& job, TileScratch& scratch) {
       const std::size_t sl = static_cast<std::size_t>(k * p + l);
       const Score h_out = static_cast<Score>(H[sl]);
       if constexpr (kNarrow) {
-        CUDALIGN_DCHECK(h_out <= StripedBindings<Lane>::kEnvelope.ceiling,
+        CUDALIGN_DCHECK(h_out <= StripedBindings<Lane>::kWindow.ceiling,
                         "striped lane published H ", h_out, " above the ceiling");
       }
       job.hbus[static_cast<std::size_t>(j) + 1] = BusCell{h_out, static_cast<Score>(F[sl])};
