@@ -195,9 +195,11 @@ stage "release: ctest"
 # (AVX2 on modern hosts). The ISA is a real matrix axis:
 #   fast mode  — rerun just the kernel equivalence/dispatch suites, the
 #                narrow-overflow suite, the sentinel-sweep suite, the
-#                Stage-4 suite and the CRC-32 suite under every supported
-#                backend (the cheap pre-push proof; CUDALIGN_SIMD=generic
-#                also moves the CRC onto its slice-by-8 fallback);
+#                Stage-2, row-crossing and Stage-4 suites (striped32-global
+#                with taps and the probe) and the CRC-32 suite under every
+#                supported backend (the cheap pre-push proof;
+#                CUDALIGN_SIMD=generic also moves the CRC onto its
+#                slice-by-8 fallback);
 #   full mode  — rerun the ENTIRE ctest suite under every ISA the runner
 #                supports, so pipeline/checkpoint/engine behavior (not only
 #                kernel byte-identity) is proven per backend.
@@ -216,10 +218,10 @@ isa_matrix() {
   echo "$isas"
 }
 if [[ "$FAST" -eq 1 ]]; then
-  stage "release: kernel equivalence and admission, sentinel sweeps, grid fit and tile shapes, Stage 4 and CRC, forced ISAs"
+  stage "release: kernel equivalence and admission, sentinel sweeps, grid fit and tile shapes, Stages 2 and 4, row crossing and CRC, forced ISAs"
   for isa in $(isa_matrix); do
     CUDALIGN_SIMD="$isa" build-ci-release/tests/cudalign_tests \
-      --gtest_filter='KernelEquivalence.*:KernelDispatch.*:Admission.*:LaneEnvelope.*:NarrowOverflow.*:Striped32Global.*:Striped32Local.*:Int16EnvelopeCrossing.*:EngineSentinel.*:Grid.*:TileShapeEquivalence.*:Stage4Tiles.*:Crc32.*' \
+      --gtest_filter='KernelEquivalence.*:KernelDispatch.*:Admission.*:LaneEnvelope.*:NarrowOverflow.*:Striped32Global.*:Striped32Local.*:Int16EnvelopeCrossing.*:EngineSentinel.*:Grid.*:TileShapeEquivalence.*:Stage2.*:CrossRow.*:Stage4Tiles.*:Crc32.*' \
       --gtest_brief=1
   done
 else

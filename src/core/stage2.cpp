@@ -3,15 +3,16 @@
 // From the end point, the DP matrices are recomputed in the *reverse*
 // direction with the global recurrence, one strip at a time: each iteration
 // covers the rectangle between the current crosspoint and the nearest
-// special row above it. Two of the paper's optimizations shape the code:
+// special row above it. Two of the paper's optimizations shape the code, and
+// both live in cross_row, which Stage 4 shares for its middle rows:
 //
 //  * Orthogonal execution: the reverse computation runs along original
 //    *columns* (implemented by handing the engine the transposed+reversed
 //    problem, so "rows" of the engine problem are original columns). The
-//    matching vector — the original special row — is then the engine
-//    problem's final column, delivered strip by strip as the rectified
-//    vertical bus; the run stops at the first goal match, skipping the
-//    remaining area (Figure 7's gray region).
+//    matching vector — the row to cross — is then the engine problem's final
+//    column, delivered strip by strip as the rectified vertical bus; the run
+//    stops at the first goal match, skipping the remaining area (Figure 7's
+//    gray region).
 //
 //  * Goal-based matching: the optimal score through the current crosspoint is
 //    known, so the matcher scans for equality (Hf + Hr == goal, or
@@ -30,21 +31,61 @@
 
 namespace cudalign::core {
 
-namespace {
+RowCrossing cross_row(seq::SequenceView a_rev, seq::SequenceView b_rev, const Crosspoint& corner,
+                      const Crosspoint& from, std::span<const engine::BusCell> forward, bool probe,
+                      const engine::GridSpec& grid, const scoring::Scheme& scheme,
+                      engine::Hooks hooks, ThreadPool* pool) {
+  const Index height = from.i - corner.i;
+  const Index width = from.j - corner.j;
+  CUDALIGN_CHECK(height > 0 && width >= 0, "the row to cross must lie above the crosspoint");
+  const Score goal = from.score - corner.score;
 
-/// Loaded stage-1 special row, ready for matching.
-struct ForwardRow {
-  Index row = 0;
-  std::vector<engine::BusCell> cells;  ///< (H, F) per column vertex.
-};
+  // Transposed + reversed problem: engine rows are original columns
+  // (orthogonal execution), the engine origin is `from`. Rows are
+  // b[corner.j..from.j) reversed, columns a[corner.i..from.i) reversed.
+  engine::ProblemSpec spec;
+  spec.a = b_rev.subspan(b_rev.size() - static_cast<std::size_t>(from.j),
+                         static_cast<std::size_t>(width));
+  spec.b = a_rev.subspan(a_rev.size() - static_cast<std::size_t>(from.i),
+                         static_cast<std::size_t>(height));
+  spec.recurrence = engine::Recurrence::global_end(transpose_state(from.type), scheme);
+  spec.grid = grid;
 
-struct MatchHit {
-  Index j = 0;       ///< Original column of the crosspoint.
-  Score score = 0;   ///< Absolute prefix score (the stored forward value).
-  dp::CellState type = dp::CellState::kH;
-};
+  // Matching vector: the engine problem's final column == the row to cross.
+  // Engine row r is original column from.j - r, forward entry width - r.
+  std::optional<Crosspoint> hit;
+  if (!forward.empty()) {
+    CUDALIGN_CHECK(static_cast<Index>(forward.size()) > width,
+                   "the forward row must cover every column of the rectangle");
+    hooks.tap_columns = {height};
+    hooks.on_tap = [&](Index /*col*/, Index first_row, std::span<const engine::BusCell> entries) {
+      for (std::size_t k = 0; k < entries.size(); ++k) {
+        const Index j = width - first_row - static_cast<Index>(k);
+        const engine::BusCell& fwd = forward[static_cast<std::size_t>(j)];
+        if (const auto state = junction(fwd, entries[k], goal, scheme, dp::CellState::kF)) {
+          const Score prefix = *state == dp::CellState::kH ? fwd.h : fwd.gap;
+          hit = Crosspoint{corner.i, corner.j + j, static_cast<Score>(corner.score + prefix),
+                           *state};
+          return engine::HookAction::kStop;
+        }
+      }
+      return engine::HookAction::kContinue;
+    };
+  }
 
-}  // namespace
+  // Start-point probe, enabled only when the goal is reachable inside this
+  // rectangle (at most match * min(h, w) can be gained by any sub-path).
+  if (probe && static_cast<WideScore>(scheme.match) * std::min(height, width) >= goal) {
+    hooks.find_value = goal;
+  }
+
+  const engine::RunResult run = engine::run_wavefront(spec, hooks, pool);
+  // The probe's engine cell (i_t, j_t) is the vertex (from.i - j_t, from.j - i_t).
+  if (run.found) {
+    hit = Crosspoint{from.i - run.found_j, from.j - run.found_i, corner.score, dp::CellState::kH};
+  }
+  return RowCrossing{hit, run.stats};
+}
 
 Stage2Result run_stage2(seq::SequenceView s0, seq::SequenceView s1, const Crosspoint& end_point,
                         const Stage2Config& config) {
@@ -53,18 +94,19 @@ Stage2Result run_stage2(seq::SequenceView s0, seq::SequenceView s1, const Crossp
   CUDALIGN_CHECK(end_point.type == dp::CellState::kH, "the end point always has type 0");
   Timer timer;
   Stage2Result result;
+  sra::SpecialRowsArea& rows_area = *config.rows_area;
 
-  // Stage-1 special rows, ascending by row.
-  std::vector<std::size_t> row_ids = config.rows_area->group_members(kRowsGroup);
+  // Stage-1 special rows above the end point, ascending by row: the loop
+  // takes them from the back, nearest row first.
+  std::vector<std::size_t> row_ids = rows_area.group_members(kRowsGroup);
+  std::erase_if(row_ids,
+                [&](std::size_t id) { return rows_area.key(id).position >= end_point.i; });
 
   // Budget for special columns: spread the columns area across the expected
   // iterations (one per partition). When an iteration's share cannot hold a
   // single column, that iteration saves none and Stage 4 absorbs the
   // partition instead — graceful degradation, never a budget violation.
-  Index expected_iterations = 1;
-  for (std::size_t id : row_ids) {
-    if (config.rows_area->key(id).position < end_point.i) ++expected_iterations;
-  }
+  const Index expected_iterations = static_cast<Index>(row_ids.size()) + 1;
   const std::int64_t per_iter_budget =
       config.cols_area ? config.cols_area->budget_bytes() / expected_iterations : 0;
 
@@ -79,8 +121,8 @@ Stage2Result run_stage2(seq::SequenceView s0, seq::SequenceView s1, const Crossp
   CUDALIGN_CHECK(cur.score > 0, "stage 2 needs a positive best score (empty alignments are "
                                 "resolved by the pipeline before stage 2)");
 
-  const std::int64_t rows_read_before = config.rows_area->total_bytes_read();
-  const Index rows_count_before = config.rows_area->rows_read();
+  const std::int64_t rows_read_before = rows_area.total_bytes_read();
+  const Index rows_count_before = rows_area.rows_read();
   const std::int64_t cols_flushed_before =
       config.cols_area != nullptr ? config.cols_area->total_bytes_written() : 0;
 
@@ -99,77 +141,32 @@ Stage2Result run_stage2(seq::SequenceView s0, seq::SequenceView s1, const Crossp
       bucket_span = std::make_unique<obs::ScopedSpan>(
           config.telemetry, "iterations " + std::to_string(iteration) + "-" + std::to_string(last));
     }
-    // Nearest special row strictly above the current crosspoint.
+    // The nearest special row above the current crosspoint, with its (H, F)
+    // per column vertex; none left means the top rectangle, where only the
+    // start-point probe can end the run.
     Index r_star = 0;
-    std::optional<std::size_t> row_id;
-    for (std::size_t id : row_ids) {
-      const Index pos = config.rows_area->key(id).position;
-      if (pos < cur.i && pos >= r_star) {
-        r_star = pos;
-        row_id = id;
+    std::vector<engine::BusCell> forward;
+    if (!row_ids.empty()) {
+      r_star = rows_area.key(row_ids.back()).position;
+      forward = rows_area.get(row_ids.back());
+      row_ids.pop_back();
+      // A vertical gap run crosses the row only from a positive forward
+      // prefix: a non-positive one cannot be on an optimal path (trimming it
+      // would improve the alignment). Local mode's rule, so Stage 2's alone.
+      for (engine::BusCell& cell : forward) {
+        if (cell.gap <= 0) cell.gap = kNegInf;
       }
     }
     const Index rect_h = cur.i - r_star;
     const Index rect_w = cur.j;
-    CUDALIGN_CHECK(rect_h > 0, "crosspoint must lie below the next special row");
 
-    // Transposed + reversed problem: engine rows are original columns
-    // (orthogonal execution), the engine origin is the current crosspoint.
-    // Rows are s1[0..cur.j) reversed, columns s0[r*..cur.i) reversed.
-    engine::ProblemSpec spec;
-    spec.a = seq::SequenceView(s1_rev).last(static_cast<std::size_t>(cur.j));
-    spec.b = seq::SequenceView(s0_rev).subspan(s0.size() - static_cast<std::size_t>(cur.i),
-                                               static_cast<std::size_t>(rect_h));
-    spec.recurrence =
-        engine::Recurrence::global_end(transpose_state(cur.type), config.scheme);
-    spec.grid = config.grid;
-
-    ForwardRow forward;
-    if (row_id) {
-      forward.row = r_star;
-      forward.cells = config.rows_area->get(*row_id);
-    }
-
-    std::optional<MatchHit> hit;
     engine::Hooks hooks;
     hooks.bus_audit = config.bus_audit;
-
-    // Matching vector: the engine problem's final column == original row r*.
-    if (row_id) {
-      hooks.tap_columns = {rect_h};
-      hooks.on_tap = [&](Index /*col*/, Index first_row,
-                         std::span<const engine::BusCell> entries) {
-        for (std::size_t k = 0; k < entries.size(); ++k) {
-          const Index r_t = first_row + static_cast<Index>(k);
-          const Index j = cur.j - r_t;  // Original column of this entry.
-          engine::BusCell fwd = forward.cells[static_cast<std::size_t>(j)];
-          // A vertical gap run crosses the row only from a positive forward
-          // prefix: a non-positive one cannot be on an optimal path
-          // (trimming it would improve the alignment).
-          if (fwd.gap <= 0) fwd.gap = kNegInf;
-          if (const auto state =
-                  junction(fwd, entries[k], cur.score, config.scheme, dp::CellState::kF)) {
-            hit = MatchHit{j, *state == dp::CellState::kH ? fwd.h : fwd.gap, *state};
-            return engine::HookAction::kStop;
-          }
-        }
-        return engine::HookAction::kContinue;
-      };
-    }
-
-    // Start-point probe, enabled only when the goal is reachable inside this
-    // rectangle (at most match * min(h, w) can be gained by any sub-path).
-    const WideScore max_gain =
-        static_cast<WideScore>(config.scheme.match) * std::min(rect_h, rect_w);
-    if (max_gain >= cur.score) hooks.find_value = cur.score;
-
     // Special columns for Stage 3 (the iteration's group is its partition's).
     const std::int64_t group = kColsGroupBase + iteration;
-    Index interval = 0;
     if (config.cols_area && per_iter_budget >= 8 * (rect_h + 1) && rect_w > 0) {
-      interval = sra::flush_interval_for_budget(rect_w, rect_h, config.grid.strip_rows(),
-                                                per_iter_budget);
-      hooks.special_row_interval = interval;
+      hooks.special_row_interval = sra::flush_interval_for_budget(
+          rect_w, rect_h, config.grid.strip_rows(), per_iter_budget);
       hooks.on_special_row = [&](Index row_t, std::span<const engine::BusCell> cells,
                                  const dp::LocalBest&, const engine::PruneState&) {
         // Engine row row_t == original column cur.j - row_t; entry q maps to
@@ -180,30 +177,22 @@ Stage2Result run_stage2(seq::SequenceView s0, seq::SequenceView s1, const Crossp
       };
     }
 
-    const engine::RunResult run = engine::run_wavefront(spec, hooks, config.pool);
-    result.stats.add_run(run.stats);
-
-    if (run.found) {
-      // Start point: engine cell (i_t, j_t) maps back to the original vertex
-      // (cur.i - j_t, cur.j - i_t).
-      const Crosspoint start{cur.i - run.found_j, cur.j - run.found_i, 0, dp::CellState::kH};
-      reverse_chain.push_back(start);
-      cur = start;
-    } else if (hit) {
-      const Crosspoint next{r_star, hit->j, hit->score, hit->type};
-      reverse_chain.push_back(next);
-      cur = next;
-    } else {
-      CUDALIGN_CHECK(false, "stage 2 found neither a crosspoint nor the start point — "
-                            "goal-based matching invariant violated");
-    }
+    const RowCrossing crossing = cross_row(s0_rev, s1_rev, Crosspoint{r_star, 0, 0}, cur, forward,
+                                           /*probe=*/true, config.grid, config.scheme,
+                                           std::move(hooks), config.pool);
+    result.stats.add_run(crossing.run);
+    CUDALIGN_CHECK(crossing.next.has_value(),
+                   "stage 2 found neither a crosspoint nor the start point — "
+                   "goal-based matching invariant violated");
+    cur = *crossing.next;
+    reverse_chain.push_back(cur);
     ++iteration;
   }
 
   result.crosspoints.assign(reverse_chain.rbegin(), reverse_chain.rend());
   result.stats.crosspoints = static_cast<Index>(result.crosspoints.size());
-  result.stats.sra_rows_read = config.rows_area->rows_read() - rows_count_before;
-  result.stats.sra_bytes_read = config.rows_area->total_bytes_read() - rows_read_before;
+  result.stats.sra_rows_read = rows_area.rows_read() - rows_count_before;
+  result.stats.sra_bytes_read = rows_area.total_bytes_read() - rows_read_before;
   if (config.cols_area != nullptr) {
     result.stats.sra_rows_flushed = result.special_cols_saved;
     result.stats.sra_bytes_flushed =

@@ -16,10 +16,9 @@
 // Every sweep is an engine run (engine::run_wavefront on a one-chunk grid
 // sized from the split), so Stage 4 computes its cells with the same
 // executor and kernel family as Stages 1-3 — the striped int32 global sweep
-// wherever its envelope admits the tile — and reads the middle row through
-// the same column tap as Stage 2. The implementation is iterative (a
-// worklist, not recursion), which the paper notes is the GPU-friendly
-// formulation.
+// wherever its envelope admits the tile — and crosses the middle row with
+// Stage 2's cross_row. The implementation is iterative (a worklist, not
+// recursion), which the paper notes is the GPU-friendly formulation.
 #include <algorithm>
 #include <deque>
 #include <span>
@@ -88,66 +87,53 @@ SplitOutcome split_by_row(seq::SequenceView a, seq::SequenceView a_rev, seq::Seq
     return engine::HookAction::kContinue;
   };
   out.fwd = engine::run_wavefront(fwd, hooks, config.pool).stats;
-  const auto crosspoint = [&](Index j, dp::CellState state) {
-    const engine::BusCell& cell = cc_dd[static_cast<std::size_t>(j)];
-    return Crosspoint{part.start.i + mid, part.start.j + j,
-                      static_cast<Score>(part.start.score +
-                                         (state == dp::CellState::kH ? cell.h : cell.gap)),
-                      state};
-  };
 
-  // Reverse pass over the bottom half, transposed and reversed: engine row r
-  // is partition column n - r and engine column q* = m - mid the middle row,
-  // so the tap at q* carries (RR, SS) of vertex (mid, n - r). The orthogonal
-  // pass sweeps columns right-to-left in short strips and stops at the first
-  // goal-reaching junction; the full pass (the ablation) collects the whole
-  // row for dp::match_row's maximum search.
+  // Orthogonal reverse pass over the bottom half: columns right-to-left in
+  // short strips, stopping at the first goal-reaching junction.
+  if (config.orthogonal) {
+    const RowCrossing crossing =
+        cross_row(a_rev, b_rev, Crosspoint{part.start.i + mid, part.start.j, part.start.score},
+                  part.end, cc_dd, /*probe=*/false,
+                  engine::GridSpec{1, reverse_strip_rows(n), 1, 1}, scheme, {}, config.pool);
+    out.rev = crossing.run;
+    CUDALIGN_CHECK(crossing.next.has_value(),
+                   "stage 4 orthogonal matching reached no goal column (partition ", m, "x", n,
+                   " start type ", static_cast<int>(part.start.type), " end type ",
+                   static_cast<int>(part.end.type), " goal ", part.score(), ")");
+    out.mid = *crossing.next;
+    return out;
+  }
+
+  // The full reverse pass (the ablation), transposed and reversed: engine row
+  // r is partition column n - r and engine column q* = m - mid the middle
+  // row, so the tap at q* carries (RR, SS) of vertex (mid, n - r). It
+  // collects the whole row for dp::match_row's maximum search.
   const Index q_star = m - mid;
   engine::ProblemSpec rev;
   rev.a = slice(b_rev, static_cast<Index>(b.size()) - part.end.j, n);
   rev.b = slice(a_rev, static_cast<Index>(a.size()) - part.end.i, q_star);
   rev.recurrence = engine::Recurrence::global_end(transpose_state(part.end.type), scheme);
-  rev.grid = engine::GridSpec{1, config.orthogonal ? reverse_strip_rows(n) : std::max<Index>(n, 1),
-                              1, 1};
+  rev.grid = engine::GridSpec{1, std::max<Index>(n, 1), 1, 1};
   std::vector<engine::BusCell> rr_ss;  // Entry r: partition column n - r.
-  std::optional<Crosspoint> hit;
   hooks.tap_columns = {q_star};
-  hooks.on_tap = [&](Index, Index first_row, std::span<const engine::BusCell> entries) {
-    if (!config.orthogonal) {
-      rr_ss.insert(rr_ss.end(), entries.begin(), entries.end());
-      return engine::HookAction::kContinue;
-    }
-    for (std::size_t k = 0; k < entries.size(); ++k) {
-      const Index j = n - first_row - static_cast<Index>(k);
-      if (const auto state = junction(cc_dd[static_cast<std::size_t>(j)], entries[k],
-                                      part.score(), scheme, dp::CellState::kF)) {
-        hit = crosspoint(j, *state);
-        return engine::HookAction::kStop;
-      }
-    }
+  hooks.on_tap = [&](Index, Index, std::span<const engine::BusCell> entries) {
+    rr_ss.insert(rr_ss.end(), entries.begin(), entries.end());
     return engine::HookAction::kContinue;
   };
   out.rev = engine::run_wavefront(rev, hooks, config.pool).stats;
 
-  if (!config.orthogonal) {
-    std::vector<Score> cc(cc_dd.size()), dd(cc.size()), rr(cc.size()), ss(cc.size());
-    for (std::size_t j = 0; j < cc.size(); ++j) {
-      cc[j] = cc_dd[j].h;
-      dd[j] = cc_dd[j].gap;
-      rr[j] = rr_ss[cc.size() - 1 - j].h;
-      ss[j] = rr_ss[cc.size() - 1 - j].gap;
-    }
-    const dp::RowMatch match = dp::match_row(cc, dd, rr, ss, scheme);
-    out.mid = crosspoint(match.j, match.state);
-    return out;
+  std::vector<Score> cc(cc_dd.size()), dd(cc.size()), rr(cc.size()), ss(cc.size());
+  for (std::size_t j = 0; j < cc.size(); ++j) {
+    cc[j] = cc_dd[j].h;
+    dd[j] = cc_dd[j].gap;
+    rr[j] = rr_ss[cc.size() - 1 - j].h;
+    ss[j] = rr_ss[cc.size() - 1 - j].gap;
   }
-  CUDALIGN_CHECK(hit.has_value(),
-                 "stage 4 orthogonal matching exhausted all columns without reaching "
-                 "the goal score (partition " + std::to_string(m) + "x" + std::to_string(n) +
-                     " start type " + std::to_string(static_cast<int>(part.start.type)) +
-                     " end type " + std::to_string(static_cast<int>(part.end.type)) + " goal " +
-                     std::to_string(part.score()) + ")");
-  out.mid = *hit;
+  const dp::RowMatch match = dp::match_row(cc, dd, rr, ss, scheme);
+  const auto j = static_cast<std::size_t>(match.j);
+  const Score prefix = match.state == dp::CellState::kH ? cc[j] : dd[j];
+  out.mid = Crosspoint{part.start.i + mid, part.start.j + match.j,
+                       static_cast<Score>(part.start.score + prefix), match.state};
   return out;
 }
 

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "alignment/alignment.hpp"
@@ -160,6 +161,29 @@ struct Stage2Result {
 
 [[nodiscard]] Stage2Result run_stage2(seq::SequenceView s0, seq::SequenceView s1,
                                       const Crosspoint& end_point, const Stage2Config& config);
+
+/// One goal-matched row crossing (Figure 6 with orthogonal execution), the
+/// step Stage 2 takes per special row and Stage 4 per middle row: `next` is
+/// the crosspoint on the row or, when the probe fires first, the start point
+/// (score corner.score, type H); none when neither was reached.
+struct RowCrossing {
+  std::optional<Crosspoint> next;
+  engine::RunStats run;
+};
+
+/// Crosses row corner.i on the way back from `from`: the engine runs the
+/// transposed, reversed global_end(transpose_state(from.type)) problem over
+/// rows [corner.i, from.i) x columns [corner.j, from.j) of the matrix whose
+/// reversed sequences are `a_rev` and `b_rev`, tapping the row from the
+/// right. forward[k] is the row's (H, F) at column corner.j + k, relative to
+/// corner.score (an empty `forward` taps nothing). `probe` adds the
+/// start-point probe when the goal is reachable. cross_row owns the tap and
+/// probe fields of `hooks`; the caller may set the others.
+[[nodiscard]] RowCrossing cross_row(seq::SequenceView a_rev, seq::SequenceView b_rev,
+                                    const Crosspoint& corner, const Crosspoint& from,
+                                    std::span<const engine::BusCell> forward, bool probe,
+                                    const engine::GridSpec& grid, const scoring::Scheme& scheme,
+                                    engine::Hooks hooks, ThreadPool* pool);
 
 // ---------------------------------------------------------------------------
 // Stage 3 — splitting partitions (paper §IV-D): forward execution inside each

@@ -423,15 +423,7 @@ using engine::GridSpec;
 using engine::Hooks;
 using engine::ProblemSpec;
 using test::rand_seq;
-
-GridSpec audit_grid(Index blocks, Index threads, Index alpha) {
-  GridSpec g;
-  g.blocks = blocks;
-  g.threads = threads;
-  g.alpha = alpha;
-  g.min_chunk_cols = check::checked_mul<Index>(2, threads);
-  return g;
-}
+using test::tiny_grid;
 
 TEST(EngineAudit, WavefrontProtocolCleanAcrossShapes) {
   std::uint64_t seed = 31000;
@@ -443,7 +435,7 @@ TEST(EngineAudit, WavefrontProtocolCleanAcrossShapes) {
       ProblemSpec spec;
       spec.a = a.bases();
       spec.b = b.bases();
-      spec.grid = audit_grid(blocks, threads, alpha);
+      spec.grid = tiny_grid(blocks, threads, alpha);
       spec.recurrence = mode == 0
                             ? engine::Recurrence::local(scoring::Scheme::paper_defaults())
                             : engine::Recurrence::global_start(CellState::kH,
@@ -466,7 +458,7 @@ TEST(EngineAudit, CleanUnderMultithreadedPool) {
   ProblemSpec spec;
   spec.a = a.bases();
   spec.b = b.bases();
-  spec.grid = audit_grid(5, 4, 2);
+  spec.grid = tiny_grid(5, 4, 2);
   spec.recurrence = engine::Recurrence::local(scoring::Scheme::paper_defaults());
   ThreadPool pool(4);
   check::BusAuditor auditor;
@@ -484,7 +476,7 @@ TEST(EngineAudit, CleanWithBlockPruning) {
   ProblemSpec spec;
   spec.a = pair.s0.bases();
   spec.b = pair.s1.bases();
-  spec.grid = audit_grid(6, 4, 2);
+  spec.grid = tiny_grid(6, 4, 2);
   spec.recurrence = engine::Recurrence::local(scoring::Scheme::paper_defaults());
   spec.block_pruning = true;
   ThreadPool pool(1);
@@ -508,7 +500,7 @@ TEST(EngineAudit, DataflowCleanAcrossShapes) {
     ProblemSpec spec;
     spec.a = a.bases();
     spec.b = b.bases();
-    spec.grid = audit_grid(blocks, threads, alpha);
+    spec.grid = tiny_grid(blocks, threads, alpha);
     spec.recurrence = engine::Recurrence::local(scoring::Scheme::paper_defaults());
     ThreadPool pool(4);
     check::BusAuditor auditor;
@@ -526,7 +518,7 @@ TEST(EngineAudit, DataflowCleanWithBlockPruning) {
   ProblemSpec spec;
   spec.a = pair.s0.bases();
   spec.b = pair.s1.bases();
-  spec.grid = audit_grid(6, 4, 2);
+  spec.grid = tiny_grid(6, 4, 2);
   spec.recurrence = engine::Recurrence::local(scoring::Scheme::paper_defaults());
   spec.block_pruning = true;
   ThreadPool pool(4);
@@ -546,7 +538,7 @@ TEST(EngineAudit, CleanOnDegenerateGeometry) {
       ProblemSpec spec;
       spec.a = a.bases();
       spec.b = b.bases();
-      spec.grid = audit_grid(8, 8, 4);  // Grid larger than the problem.
+      spec.grid = tiny_grid(8, 8, 4);  // Grid larger than the problem.
       spec.recurrence = engine::Recurrence::local(scoring::Scheme::paper_defaults());
       ThreadPool pool(workers);
       check::BusAuditor auditor;
@@ -569,7 +561,7 @@ TEST(EngineAudit, CleanWithMoreStripsThanTheRing) {
     ProblemSpec spec;
     spec.a = pair.s0.bases();
     spec.b = pair.s1.bases();
-    spec.grid = audit_grid(5, 2, 2);
+    spec.grid = tiny_grid(5, 2, 2);
     spec.recurrence = engine::Recurrence::local(scoring::Scheme::paper_defaults());
     spec.block_pruning = true;
     ThreadPool pool(workers);
@@ -671,7 +663,7 @@ TEST(EngineAudit, CleanWithSpecialRowFlushes) {
     ProblemSpec spec;
     spec.a = a.bases();
     spec.b = b.bases();
-    spec.grid = audit_grid(4, 4, 2);
+    spec.grid = tiny_grid(4, 4, 2);
     spec.recurrence = engine::Recurrence::local(scoring::Scheme::paper_defaults());
     ThreadPool pool(workers);
     check::BusAuditor auditor;

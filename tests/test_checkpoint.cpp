@@ -8,7 +8,6 @@
 #include <functional>
 #include <map>
 
-#include "check/checked.hpp"
 #include "common/io_util.hpp"
 #include "core/checkpoint.hpp"
 #include "core/pipeline.hpp"
@@ -21,14 +20,7 @@
 namespace cudalign::core {
 namespace {
 
-engine::GridSpec tiny_grid(Index blocks, Index threads, Index alpha) {
-  engine::GridSpec g;
-  g.blocks = blocks;
-  g.threads = threads;
-  g.alpha = alpha;
-  g.min_chunk_cols = check::checked_mul<Index>(2, threads);
-  return g;
-}
+using test::tiny_grid;
 
 PipelineOptions small_options() {
   PipelineOptions o;

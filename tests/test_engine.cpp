@@ -8,7 +8,6 @@
 #include <optional>
 
 #include "check/bus_audit.hpp"
-#include "check/checked.hpp"
 #include "common/rng.hpp"
 #include "dp/linear.hpp"
 #include "engine/executor.hpp"
@@ -25,21 +24,13 @@ using engine::HookAction;
 using engine::Hooks;
 using engine::ProblemSpec;
 using test::rand_seq;
+using test::tiny_grid;
 
 scoring::Scheme paper() { return scoring::Scheme::paper_defaults(); }
 
 /// Worker counts every equivalence check runs the wavefront at: one
 /// participant runs the tiles in a single order, four interleave them.
 constexpr int kWorkerCounts[] = {1, 4};
-
-GridSpec tiny_grid(Index blocks, Index threads, Index alpha) {
-  GridSpec g;
-  g.blocks = blocks;
-  g.threads = threads;
-  g.alpha = alpha;
-  g.min_chunk_cols = check::checked_mul<Index>(2, threads);
-  return g;
-}
 
 // The CPU fit is B = clamp(width / min_chunk_cols, 1, blocks): the most
 // chunks that keep each one at least min_chunk_cols wide, capped at blocks.

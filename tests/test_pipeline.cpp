@@ -12,7 +12,6 @@
 
 #include "baseline/full_matrix.hpp"
 #include "check/bus_audit.hpp"
-#include "check/checked.hpp"
 #include "common/io_util.hpp"
 #include "common/rng.hpp"
 #include "core/pipeline.hpp"
@@ -24,14 +23,7 @@
 namespace cudalign::core {
 namespace {
 
-engine::GridSpec tiny_grid(Index blocks, Index threads, Index alpha) {
-  engine::GridSpec g;
-  g.blocks = blocks;
-  g.threads = threads;
-  g.alpha = alpha;
-  g.min_chunk_cols = check::checked_mul<Index>(2, threads);
-  return g;
-}
+using test::tiny_grid;
 
 PipelineOptions small_options() {
   PipelineOptions o;

@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "check/checked.hpp"
 #include "common/io_util.hpp"
 #include "core/stages.hpp"
 #include "dp/linear.hpp"
@@ -18,17 +17,9 @@ namespace cudalign::core {
 namespace {
 
 using test::rand_seq;
+using test::tiny_grid;
 
 scoring::Scheme paper() { return scoring::Scheme::paper_defaults(); }
-
-engine::GridSpec tiny_grid(Index blocks = 3, Index threads = 4, Index alpha = 2) {
-  engine::GridSpec g;
-  g.blocks = blocks;
-  g.threads = threads;
-  g.alpha = alpha;
-  g.min_chunk_cols = check::checked_mul<Index>(2, threads);
-  return g;
-}
 
 /// A tally whose fields all differ and are non-zero: field k holds base + k.
 engine::Tally numbered_tally(std::int64_t base) {
@@ -109,7 +100,7 @@ struct StageHarness {
         rows(dir.path() / "rows", rows_budget),
         cols(dir.path() / "cols", cols_budget) {}
 
-  Stage1Result stage1(engine::GridSpec grid = tiny_grid(), bool block_pruning = true) {
+  Stage1Result stage1(engine::GridSpec grid = tiny_grid(3, 4, 2), bool block_pruning = true) {
     Stage1Config c;
     c.scheme = paper();
     c.grid = grid;
@@ -118,7 +109,7 @@ struct StageHarness {
     return run_stage1(pair.s0.bases(), pair.s1.bases(), c);
   }
 
-  Stage2Result stage2(const Crosspoint& end, engine::GridSpec grid = tiny_grid()) {
+  Stage2Result stage2(const Crosspoint& end, engine::GridSpec grid = tiny_grid(3, 4, 2)) {
     Stage2Config c;
     c.scheme = paper();
     c.grid = grid;
@@ -127,7 +118,7 @@ struct StageHarness {
     return run_stage2(pair.s0.bases(), pair.s1.bases(), end, c);
   }
 
-  Stage3Result stage3(const CrosspointList& l2, engine::GridSpec grid = tiny_grid()) {
+  Stage3Result stage3(const CrosspointList& l2, engine::GridSpec grid = tiny_grid(3, 4, 2)) {
     Stage3Config c;
     c.scheme = paper();
     c.grid = grid;
@@ -140,7 +131,7 @@ TEST(Stage1, BestMatchesLinearReference) {
   for (std::uint64_t seed = 0; seed < 4; ++seed) {
     for (const bool prune : {false, true}) {
       StageHarness h(test::small_related(180, 190, 2000 + seed));
-      const auto st1 = h.stage1(tiny_grid(), prune);
+      const auto st1 = h.stage1(tiny_grid(3, 4, 2), prune);
       const auto expected =
           dp::linear_local_best(h.pair.s0.bases(), h.pair.s1.bases(), paper());
       EXPECT_EQ(st1.end_point.score, expected.score);
@@ -164,7 +155,7 @@ TEST(Stage1, NoFlushWhenAreaAbsent) {
   StageHarness h(test::small_related(100, 100, 3000));
   Stage1Config c;
   c.scheme = paper();
-  c.grid = tiny_grid();
+  c.grid = tiny_grid(3, 4, 2);
   c.rows_area = nullptr;
   const auto st1 = run_stage1(h.pair.s0.bases(), h.pair.s1.bases(), c);
   EXPECT_EQ(st1.special_rows_saved, 0);
@@ -195,7 +186,7 @@ TEST(Stage1, StoredRowsMatchReferenceAcrossExecutors) {
     ThreadPool pool(workers);
     Stage1Config c;
     c.scheme = paper();
-    c.grid = tiny_grid();
+    c.grid = tiny_grid(3, 4, 2);
     c.block_pruning = false;  // The reference sweep computes every cell.
     c.rows_area = &h.rows;
     c.pool = &pool;

@@ -5,7 +5,9 @@
 #include <string_view>
 #include <vector>
 
+#include "check/checked.hpp"
 #include "common/rng.hpp"
+#include "engine/grid.hpp"
 #include "engine/kernel_registry.hpp"
 #include "scoring/scoring.hpp"
 #include "seq/generator.hpp"
@@ -23,6 +25,12 @@ inline seq::Sequence rand_seq(Index n, std::uint64_t seed) {
 /// A related pair (long optimal alignment) sized for unit tests.
 inline seq::SequencePair small_related(Index n0, Index n1, std::uint64_t seed) {
   return seq::make_related_pair(n0, n1, seed);
+}
+
+/// A test-sized grid: at most `blocks` column chunks of `threads` x `alpha`
+/// strips, chunks as narrow as two columns per thread.
+inline engine::GridSpec tiny_grid(Index blocks, Index threads, Index alpha) {
+  return engine::GridSpec{blocks, threads, alpha, check::checked_mul<Index>(2, threads)};
 }
 
 /// Scoring schemes exercised by parameterized suites: the paper's defaults
