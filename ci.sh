@@ -218,10 +218,10 @@ isa_matrix() {
   echo "$isas"
 }
 if [[ "$FAST" -eq 1 ]]; then
-  stage "release: kernel equivalence and admission, sentinel sweeps, grid fit and tile shapes, Stages 2 and 4, row crossing and CRC, forced ISAs"
+  stage "release: kernel equivalence and admission, sentinel sweeps, grid fit and tile shapes, Stages 2 and 4, row crossing and CRC, block and seeded pruning, forced ISAs"
   for isa in $(isa_matrix); do
     CUDALIGN_SIMD="$isa" build-ci-release/tests/cudalign_tests \
-      --gtest_filter='KernelEquivalence.*:KernelDispatch.*:Admission.*:LaneEnvelope.*:NarrowOverflow.*:Striped32Global.*:Striped32Local.*:Int16EnvelopeCrossing.*:EngineSentinel.*:Grid.*:TileShapeEquivalence.*:Stage2.*:CrossRow.*:Stage4Tiles.*:Crc32.*' \
+      --gtest_filter='KernelEquivalence.*:KernelDispatch.*:Admission.*:LaneEnvelope.*:NarrowOverflow.*:Striped32Global.*:Striped32Local.*:Int16EnvelopeCrossing.*:EngineSentinel.*:Grid.*:TileShapeEquivalence.*:Stage2.*:CrossRow.*:Stage4Tiles.*:Crc32.*:BlockPruning.*:SeededPruning.*' \
       --gtest_brief=1
   done
 else

@@ -267,6 +267,8 @@ PipelineResult align_pipeline(const seq::Sequence& s0, const seq::Sequence& s1,
     result.best_score = st1.end_point.score;
     result.special_rows_saved = resume_rows_base + st1.special_rows_saved;
     result.flush_interval = st1.flush_interval;
+    result.prune_floor = st1.prune_floor;
+    result.prune_floor_seconds = st1.prune_floor_seconds;
 
     if (manifest) {
       // Stage boundary: stage 1's outputs are durable; later stages never

@@ -126,6 +126,10 @@ struct PipelineResult {
   Index special_rows_saved = 0;
   Index special_cols_saved = 0;
   Index flush_interval = 0;
+  /// Stage 1's pruning seed and the time its pass took (Stage1Result; 0
+  /// when Stage 1 did not prune or was restored from a checkpoint).
+  Score prune_floor = 0;
+  double prune_floor_seconds = 0;
   std::int64_t sra_peak_bytes = 0;
 
   /// Stage-5 partition statistics (run report).

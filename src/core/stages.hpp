@@ -85,8 +85,9 @@ struct Stage1Config {
   scoring::Scheme scheme;
   engine::GridSpec grid = engine::GridSpec::stage1_defaults();
   /// Block pruning (post-paper CUDAlign optimization; engine/executor.hpp).
-  /// On by default: exact, and on related pairs it skips about half the
-  /// matrix. Cells_1 is then less than m*n (Tables IV-VIII turn it off).
+  /// On by default: exact, and seeded with prune_floor it skips over 90% of
+  /// a related pair's matrix. Cells_1 is then less than m*n (Tables IV-VIII
+  /// turn it off).
   bool block_pruning = true;
   /// Flush special rows to `rows_area` (nullptr disables; Table IV's
   /// "No Flush" column).
@@ -128,11 +129,25 @@ struct Stage1Result {
   Crosspoint end_point;          ///< Best score and its position (type 0).
   Index special_rows_saved = 0;
   Index flush_interval = 0;      ///< Strips between flushes (0 = no flushing).
+  /// The lower bound that seeded pruning (prune_floor; 0 without pruning) and
+  /// the time its pass took, part of stats.seconds. Its cells stay out of
+  /// the tally, so cells + pruned_cells is still m*n.
+  Score prune_floor = 0;
+  double prune_floor_seconds = 0;
   StageStats stats;
 };
 
 [[nodiscard]] Stage1Result run_stage1(seq::SequenceView s0, seq::SequenceView s1,
                                       const Stage1Config& config);
+
+/// A lower bound on the optimal local score of `a` x `b`, the score of a real
+/// local alignment found cheaply: seeds of 16 bases vote for the pair's
+/// dominant diagonal, and a local pass runs in a band of +-64 around it (64-row
+/// strips, one engine::run_tile each). 0 when no diagonal wins the vote, which
+/// skips the band. Stage 1 seeds block pruning with it
+/// (engine::ProblemSpec::prune_floor).
+[[nodiscard]] Score prune_floor(seq::SequenceView a, seq::SequenceView b,
+                                const scoring::Scheme& scheme);
 
 // ---------------------------------------------------------------------------
 // Stage 2 — partial traceback (paper §IV-C): reverse semi-global execution

@@ -57,6 +57,9 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
     CUDALIGN_CHECK(hooks.tap_columns.empty() && !hooks.find_value,
                    "block pruning cannot be combined with taps or value probes");
   }
+  CUDALIGN_CHECK(spec.prune_floor >= 0, "prune floor ", spec.prune_floor, " is negative");
+  CUDALIGN_CHECK(spec.prune_floor == 0 || spec.block_pruning, "prune floor ", spec.prune_floor,
+                 " set without block pruning");
   if (pool == nullptr) pool = &ThreadPool::shared();
 
   // Resolve the process-wide kernel pin once, here, and hand it to every tile
@@ -283,7 +286,7 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
       const auto& [lag_strip, lag_best] = lagged[static_cast<std::size_t>(g % kPruneLag)];
       CUDALIGN_CHECK(lag_strip == g - kPruneLag, "strip ", g, " was admitted before strip ",
                      g - kPruneLag, " retired");
-      closure_in = lag_best;
+      closure_in = std::max(lag_best, spec.prune_floor);
       if (s > 0) {
         closure_in = std::max(
             closure_in, closure[static_cast<std::size_t>(((s - 1) % ring) * blocks + b)]);

@@ -113,6 +113,15 @@ struct ProblemSpec {
   /// with taps or probes.
   bool block_pruning = false;
 
+  /// A lower bound L on the optimum, folded into every tile's closure_in
+  /// (block_pruning only; 0 = none). Exact when L is the score of a real
+  /// local alignment (core::prune_floor): then L <= optimum, so the argument
+  /// above holds with L as one more closure term, and the strict < still
+  /// never prunes a tile holding a cell of any optimal alignment. L is never
+  /// reported as a best and carries no end point; a run whose best comes out
+  /// below it had an invalid floor (Stage 1 refuses it).
+  Score prune_floor = 0;
+
   /// Resume support (checkpoint/resume, DESIGN.md "Checkpoint & resume"):
   /// start the wavefront at vertex row `start_row` instead of row 0. Must be
   /// a multiple of the grid's strip height and is only meaningful with

@@ -120,7 +120,9 @@ Json build_run_report(const ReportContext& ctx) {
   report.set("stage1", Json::object()
                            .set("special_rows_saved",
                                 static_cast<std::int64_t>(res.special_rows_saved))
-                           .set("flush_interval", static_cast<std::int64_t>(res.flush_interval)));
+                           .set("flush_interval", static_cast<std::int64_t>(res.flush_interval))
+                           .set("prune_floor", static_cast<std::int64_t>(res.prune_floor))
+                           .set("prune_floor_seconds", res.prune_floor_seconds));
 
   Json iterations = Json::array();
   for (const core::Stage4Iteration& it : res.stage4_iterations) {
@@ -294,6 +296,19 @@ std::vector<std::string> validate_run_report(const Json& report) {
           "stage 1 cells (" + std::to_string(stage1_cells) + ") + pruned (" +
               std::to_string(pruned) + ") + skipped (" + std::to_string(cells_skipped) +
               ") != m*n (" + std::to_string(m * n) + ")");
+
+  // Invariant: the prune floor is the score of a real local alignment, so it
+  // never exceeds the optimum.
+  if (const Json* floor = stage1->find("prune_floor"); floor != nullptr && floor->is_int()) {
+    const Json* result = report.find("result");
+    const Json* best = result != nullptr && result->is_object() ? result->find("best_score")
+                                                                : nullptr;
+    if (require(best != nullptr && best->is_int(), "result block missing best_score")) {
+      require(floor->as_int() <= best->as_int(),
+              "stage1 prune_floor (" + std::to_string(floor->as_int()) +
+                  ") > result.best_score (" + std::to_string(best->as_int()) + ")");
+    }
+  }
 
   // Invariant: every saved special row was either flushed by this run's
   // Stage 1 or restored from the checkpoint.

@@ -652,7 +652,8 @@ std::pair<WideScore, Index> pruned_through(const ExecRun& run, std::size_t k, In
 // Pruned resume at a random flushed row: a run restarted there from what the
 // flush delivered (row, best, pruning state), on 1 and 4 workers, must flush
 // the same later rows and pruning states, find the same best, and prune the
-// same cells and tiles as the uninterrupted run does after that row.
+// same cells and tiles as the uninterrupted run does after that row. Both
+// runs prune with one seeded floor drawn from {0, best, uniform in [0, best]}.
 TEST_P(EngineFuzz, PrunedResumeAtRandomFlushMatchesUninterrupted) {
   Rng rng(GetParam() * 104729);
   const Index m = 150 + static_cast<Index>(rng.below(250));
@@ -665,7 +666,12 @@ TEST_P(EngineFuzz, PrunedResumeAtRandomFlushMatchesUninterrupted) {
                         1 + static_cast<Index>(rng.below(2)));
   spec.recurrence = engine::Recurrence::local(paper());
   spec.block_pruning = true;
+  const Score best = run_with_workers(spec, 1, 1).best.score;
+  const std::uint64_t draw = rng.below(3);
+  const auto uniform = static_cast<Score>(rng.below(static_cast<std::uint64_t>(best) + 1));
+  spec.prune_floor = draw == 0 ? 0 : draw == 1 ? best : uniform;
   const ExecRun whole = run_with_workers(spec, 1, 1);
+  ASSERT_EQ(whole.best.score, best) << "floor " << spec.prune_floor;
   ASSERT_FALSE(whole.flushes.empty());
   EXPECT_GT(whole.stats.pruned_tiles, 0) << "case no longer exercises pruning";
 

@@ -6,6 +6,7 @@
 #include "alignment/cigar.hpp"
 #include "baseline/full_matrix.hpp"
 #include "common/args.hpp"
+#include "core/stages.hpp"
 #include "core/strand.hpp"
 #include "dp/gotoh.hpp"
 #include "engine/executor.hpp"
@@ -180,6 +181,159 @@ TEST(BlockPruning, PipelineEndToEndStillOptimal) {
         alignment::validate(result.alignment, pair.s0.bases(), pair.s1.bases(), paper()));
     EXPECT_GT(result.stages[0].pruned_cells, 0);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Seeded pruning (ProblemSpec::prune_floor, core::prune_floor)
+// ---------------------------------------------------------------------------
+
+engine::RunResult run_on(const engine::ProblemSpec& spec, std::size_t workers) {
+  ThreadPool pool(workers);
+  return engine::run_wavefront(spec, engine::Hooks{}, &pool);
+}
+
+TEST(SeededPruning, PlantedFloorsUpToTheOptimumAreExact) {
+  struct Case {
+    Index m, n;
+    std::uint64_t seed;
+    engine::GridSpec grid;
+  };
+  for (const Case& c : {Case{600, 600, 71, engine::GridSpec{6, 4, 2, 8}},
+                        Case{1200, 1000, 74, engine::GridSpec{8, 4, 2, 8}}}) {
+    const auto pair = test::small_related(c.m, c.n, c.seed);
+    engine::ProblemSpec spec;
+    spec.a = pair.s0.bases();
+    spec.b = pair.s1.bases();
+    spec.grid = c.grid;
+    spec.recurrence = engine::Recurrence::local(paper());
+    const auto plain = run_on(spec, 1);
+    const Score best = plain.best.score;
+    ASSERT_GT(best, 1);
+
+    spec.block_pruning = true;
+    std::vector<WideScore> pruned;
+    for (const Score floor : {0, best - 1, best}) {
+      spec.prune_floor = floor;
+      const auto one = run_on(spec, 1);
+      const auto four = run_on(spec, 4);
+      const std::string label = "seed " + std::to_string(c.seed) + ", floor " +
+                                std::to_string(floor);
+      EXPECT_EQ(one.best.score, best) << label;
+      EXPECT_EQ(one.best.i, plain.best.i) << label;
+      EXPECT_EQ(one.best.j, plain.best.j) << label;
+      EXPECT_EQ(one.stats.cells + one.stats.pruned_cells, plain.stats.cells) << label;
+      EXPECT_TRUE(pruned.empty() || one.stats.pruned_cells >= pruned.back()) << label;
+      pruned.push_back(one.stats.pruned_cells);
+      EXPECT_TRUE(static_cast<const engine::Tally&>(one.stats) ==
+                  static_cast<const engine::Tally&>(four.stats))
+          << label;
+      EXPECT_EQ(four.best.score, best) << label;
+      EXPECT_EQ(four.best.i, one.best.i) << label;
+      EXPECT_EQ(four.best.j, one.best.j) << label;
+    }
+    EXPECT_GT(pruned.back(), pruned.front()) << "the optimum as the floor pruned no more";
+
+    // A floor above the optimum may prune the optimum's tiles; either way the
+    // run's best comes out below the floor, the condition run_stage1 refuses.
+    spec.prune_floor = best + 1;
+    EXPECT_LT(run_on(spec, 1).best.score, spec.prune_floor) << "seed " << c.seed;
+  }
+}
+
+TEST(SeededPruning, EngineRejectsNegativeOrUnprunedFloors) {
+  const auto a = test::rand_seq(32, 73);
+  engine::ProblemSpec spec;
+  spec.a = a.bases();
+  spec.b = a.bases();
+  spec.grid = engine::GridSpec{2, 2, 2, 4};
+  spec.recurrence = engine::Recurrence::local(paper());
+  spec.prune_floor = 5;
+  EXPECT_THROW((void)engine::run_wavefront(spec, engine::Hooks{}), Error);
+  spec.block_pruning = true;
+  EXPECT_NO_THROW((void)engine::run_wavefront(spec, engine::Hooks{}));
+  spec.prune_floor = -1;
+  EXPECT_THROW((void)engine::run_wavefront(spec, engine::Hooks{}), Error);
+}
+
+TEST(SeededPruning, FloorNeverExceedsTheOptimum) {
+  // Masks a stretch of both sequences with N.
+  const auto masked = [](seq::SequencePair pair, std::size_t from, std::size_t length) {
+    for (auto* s : {&pair.s0, &pair.s1}) {
+      auto& bases = s->mutable_bases();
+      for (std::size_t k = from; k < std::min(bases.size(), from + length); ++k) {
+        bases[k] = seq::kN;
+      }
+    }
+    return pair;
+  };
+  // Prepends `length` random bases to s0 (`to_s0`) or s1, moving the
+  // alignment's diagonal j - i by -length or +length.
+  const auto shifted = [](seq::SequencePair pair, bool to_s0, Index length) {
+    seq::Sequence& s = to_s0 ? pair.s0 : pair.s1;
+    auto& bases = s.mutable_bases();
+    const seq::Sequence pad = test::rand_seq(length, 99);
+    bases.insert(bases.begin(), pad.bases().begin(), pad.bases().end());
+    return pair;
+  };
+  // Related pairs of 2K and more run the band (floor near the optimum), also
+  // far off the main diagonal; unrelated, all-N, short and empty ones skip it (floor 0).
+  struct Case {
+    std::string label;
+    seq::SequencePair pair;
+    bool band;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"related 2000x2100", test::small_related(2000, 2100, 91), true});
+  cases.push_back(
+      {"related 2000x2000, N run", masked(test::small_related(2000, 2000, 93), 900, 200), true});
+  cases.push_back(
+      {"related, diagonal -600", shifted(test::small_related(2000, 2000, 100), true, 600), true});
+  cases.push_back(
+      {"related, diagonal +600", shifted(test::small_related(2000, 2000, 101), false, 600), true});
+  cases.push_back({"all N", masked(test::small_related(2000, 2000, 94), 0, 2000), false});
+  cases.push_back({"unrelated 2000x1800", seq::make_unrelated_pair(2000, 1800, 120, 95), false});
+  cases.push_back({"related 31x20", test::small_related(31, 20, 96), false});
+  seq::SequencePair empty;
+  empty.s1 = test::rand_seq(25, 97);
+  cases.push_back({"empty x 25", empty, false});
+  std::swap(empty.s0, empty.s1);
+  cases.push_back({"25 x empty", empty, false});
+  cases.push_back({"empty x empty", seq::SequencePair{}, false});
+
+  for (const auto& scheme : test::test_schemes()) {
+    for (const Case& c : cases) {
+      const std::string label = c.label + ", " + test::scheme_name(scheme);
+      const Score floor = core::prune_floor(c.pair.s0.bases(), c.pair.s1.bases(), scheme);
+      const Score optimum =
+          baseline::align_full_matrix(c.pair.s0.bases(), c.pair.s1.bases(), scheme)
+              .alignment.score;
+      EXPECT_LE(floor, optimum) << label;
+      if (c.band) {
+        // The band sits on the alignment: most of the optimum, not noise.
+        EXPECT_GT(floor, optimum * 9 / 10) << label << ", optimum " << optimum;
+      } else {
+        EXPECT_EQ(floor, 0) << label;
+      }
+    }
+  }
+}
+
+TEST(SeededPruning, PipelineBinaryIdenticalWithAndWithoutPruning) {
+  const auto pair = test::small_related(6000, 6000, 98);
+  core::PipelineOptions options;
+  options.grid_stage1 = engine::GridSpec{24, 16, 2, 64};
+  options.grid_stage23 = engine::GridSpec{4, 16, 2, 64};
+  options.block_pruning = false;
+  const auto plain = core::align_pipeline(pair.s0, pair.s1, options);
+  options.block_pruning = true;
+  const auto pruned = core::align_pipeline(pair.s0, pair.s1, options);
+  EXPECT_EQ(plain.prune_floor, 0);
+  EXPECT_GT(pruned.prune_floor, 0);
+  EXPECT_LE(pruned.prune_floor, pruned.best_score);
+  EXPECT_EQ(pruned.best_score, plain.best_score);
+  EXPECT_TRUE(pruned.binary == plain.binary);
+  const double matrix = 6000.0 * 6000.0;
+  EXPECT_GT(static_cast<double>(pruned.stages[0].pruned_cells) / matrix, 0.8);
 }
 
 // ---------------------------------------------------------------------------

@@ -247,6 +247,7 @@ TEST(RunReport, BuildsValidConsistentDocument) {
   ASSERT_EQ(stages.size(), 6u);
   EXPECT_EQ(stages[0].at("cells").as_int(), m * n);
   EXPECT_EQ(stages[0].at("cells").as_int() + stages[0].at("pruned_cells").as_int(), m * n);
+  EXPECT_EQ(report.at("stage1").at("prune_floor").as_int(), 0);  // No pruning, no floor.
 
   // Every special row Stage 1 saved is one SRA flush, byte-accounted.
   EXPECT_EQ(stages[0].at("sra").at("rows_flushed").as_int(),
@@ -326,6 +327,15 @@ TEST(RunReport, ValidatorFlagsTampering) {
     totals.set("peak_rss_bytes", rss);
     bad_rss.set("totals", totals);
     EXPECT_FALSE(validate_run_report(bad_rss).empty()) << rss.dump(0);
+  }
+
+  // The prune floor is a lower bound on the optimum.
+  {
+    Json stage1 = report.at("stage1");
+    stage1.set("prune_floor", report.at("result").at("best_score").as_int() + 1);
+    Json bad_floor = report;
+    bad_floor.set("stage1", stage1);
+    EXPECT_FALSE(validate_run_report(bad_floor).empty());
   }
 
   EXPECT_FALSE(validate_run_report(Json("not an object")).empty());

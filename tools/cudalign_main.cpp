@@ -41,9 +41,12 @@ int usage() {
 
 Stage 1 prunes by default: a tile whose best possible continuation cannot
 beat the best score already seen (in its ancestor tiles, or 16 strips up) is
-skipped. Pruning is exact: the score, end point and --out are byte-identical
-to --no-prune, which computes all m*n cells (the paper's Stage 1). --stats
-prints the pruned cells and their share of m*n.
+skipped. Before Stage 1, a banded pass around the pair's dominant diagonal
+finds a real local alignment; its score seeds that bound (the prune floor;
+0 when no diagonal dominates, as on unrelated pairs). Pruning is exact: the
+score, end point and --out are byte-identical to --no-prune, which computes
+all m*n cells (the paper's Stage 1) and no floor. --stats prints the pruned
+cells, their share of m*n and the prune floor.
 
 --kernel pins a tile-kernel variant (e.g. legacy, scalar-local+best,
 scalar-global, v16-local+best, striped8-local+best, striped16-local+best,
@@ -217,6 +220,8 @@ int cmd_align(const common::Args& args) {
     const double matrix = static_cast<double>(s0.size()) * static_cast<double>(aligned_s1.size());
     std::printf("stage-1 pruned cells: %s (%.1f%% of m*n)\n", format_sci(pruned).c_str(),
                 matrix > 0 ? 100.0 * pruned / matrix : 0.0);
+    std::printf("stage-1 prune floor: %lld in %.1f ms\n",
+                static_cast<long long>(result.prune_floor), result.prune_floor_seconds * 1e3);
     std::printf("\nkernel usage (tiles/cells):\n");
     for (int k = 0; k < 6; ++k) {
       const auto& st = result.stages[static_cast<std::size_t>(k)];
