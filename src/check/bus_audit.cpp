@@ -249,7 +249,7 @@ void BusAuditor::flush_handoff(Index strip) {
   const BusEndpoint handoff{strip, BusEndpoint::kFlushBlock, this_thread_hash()};
   ++events_;
   // The prefix property: special rows reach the flush pipeline (and thus the
-  // SRA store, the durable-ack queue and the checkpoint cursor) in strictly
+  // SRA store, whose highest row a resume restarts from) in strictly
   // ascending strip order.
   if (strip <= last_flush_.strip) {
     record(BusViolation::Rule::kFlushOutOfOrder, true, 0, last_flush_, handoff);

@@ -127,8 +127,8 @@ class BusAuditor {
   /// Strip `strip` retires and hands its special row to the flush path —
   /// the SRA writer's queue (sra/async_writer.hpp). Validates the flush
   /// pipeline's contract: hand-offs arrive in strictly ascending strip order
-  /// (the prefix property the checkpoint cursor's durable-ack advance relies
-  /// on), and the assembled row is complete — no hbus slot still carries a
+  /// (the prefix property a resume from the highest durable row relies on),
+  /// and the assembled row is complete — no hbus slot still carries a
   /// pass older than this strip (row segments are captured per tile, so
   /// equal-or-newer overwrites by successor strips are legal). The copy into
   /// the queue happens on the hand-off thread; the SRA writer thread itself

@@ -1,9 +1,7 @@
 #include "core/checkpoint.hpp"
 
-#include "check/checked.hpp"
 #include "common/crc32.hpp"
 #include "common/io_util.hpp"
-#include "engine/executor.hpp"
 
 namespace cudalign::core {
 
@@ -79,20 +77,6 @@ CrosspointList list_from_json(const obs::Json& json) {
   return list;
 }
 
-obs::Json scores_to_json(const std::vector<Score>& scores) {
-  obs::Json array = obs::Json::array();
-  for (const Score score : scores) array.push(score);
-  return array;
-}
-
-std::vector<Score> scores_from_json(const obs::Json& json) {
-  std::vector<Score> scores;
-  for (const obs::Json& entry : json.as_array()) {
-    scores.push_back(check::checked_cast<Score>(entry.as_int()));
-  }
-  return scores;
-}
-
 obs::Json envelope_to_json(const CheckpointEnvelope& e) {
   return obs::Json::object()
       .set("s0_digest", hex64(e.s0_digest))
@@ -147,31 +131,8 @@ void validate_checkpoint_state(const CheckpointState& state) {
   CUDALIGN_CHECK(stage >= 1 && stage <= 6, "checkpoint names an unknown stage ", stage);
 
   const Stage1Progress& p = state.stage1;
-  CUDALIGN_CHECK(p.last_flushed_row >= 0 && p.last_flushed_row < std::max<Index>(m, 1) &&
-                     p.special_rows_saved >= 0 && p.flush_interval >= 0,
-                 "checkpoint stage-1 progress is out of range");
-  if (p.last_flushed_row > 0) {
-    // Only a flushed row needs the grid: a state with none may carry no
-    // options at all.
-    const obs::Json& grid = e.options.at("grid_stage1");
-    const Index strip_rows = grid.at("alpha").as_int() * grid.at("threads").as_int();
-    CUDALIGN_CHECK(strip_rows > 0 && p.flush_interval > 0 && p.special_rows_saved > 0,
-                   "checkpoint records a flushed row but no strip height / flush interval / "
-                   "saved rows");
-    CUDALIGN_CHECK(p.last_flushed_row % strip_rows == 0,
-                   "checkpoint stage-1 row ", p.last_flushed_row,
-                   " is not on a strip boundary (strip height ", strip_rows, ")");
-    CUDALIGN_CHECK((p.last_flushed_row / strip_rows) % p.flush_interval == 0,
-                   "checkpoint stage-1 row ", p.last_flushed_row,
-                   " is not on a flush boundary (interval ", p.flush_interval, " strips)");
-  }
-  // Pruning state is all or nothing: a closure row and kPruneLag lagged bests.
-  CUDALIGN_CHECK(p.prune_closure.empty() == p.prune_lagged.empty() &&
-                     (p.prune_lagged.empty() ||
-                      static_cast<Index>(p.prune_lagged.size()) == engine::kPruneLag),
-                 "checkpoint stage-1 pruning state holds ", p.prune_closure.size(),
-                 " closure entries and ", p.prune_lagged.size(), " lagged bests (expected none, "
-                 "or a closure row and ", engine::kPruneLag, ")");
+  CUDALIGN_CHECK(p.special_rows_saved >= 0 && p.flush_interval >= 0,
+                 "checkpoint stage-1 counts are negative");
 
   if (state.stage >= CheckpointStage::kStage2) {
     const Crosspoint& end = state.end_point;
@@ -203,18 +164,13 @@ obs::Json checkpoint_to_json(const CheckpointState& state) {
   obs::Json body = obs::Json::object();
   body.set("envelope", envelope_to_json(state.envelope));
   body.set("stage", static_cast<std::int64_t>(state.stage));
-  const obs::Json prune = obs::Json::object()
-                              .set("closure", scores_to_json(state.stage1.prune_closure))
-                              .set("lagged", scores_to_json(state.stage1.prune_lagged));
   body.set("stage1", obs::Json::object()
-                         .set("last_flushed_row", state.stage1.last_flushed_row)
                          .set("special_rows_saved", state.stage1.special_rows_saved)
                          .set("flush_interval", state.stage1.flush_interval)
                          .set("best", obs::Json::object()
                                           .set("score", state.stage1.best_score)
                                           .set("i", state.stage1.best_i)
-                                          .set("j", state.stage1.best_j))
-                         .set("prune", prune));
+                                          .set("j", state.stage1.best_j)));
   body.set("end_point", crosspoint_to_json(state.end_point));
   body.set("l2", list_to_json(state.l2));
   body.set("special_cols_saved", state.special_cols_saved);
@@ -252,16 +208,12 @@ CheckpointState checkpoint_from_json(const obs::Json& document) {
   CUDALIGN_CHECK(stage >= 1 && stage <= 6, "checkpoint names an unknown stage ", stage);
   state.stage = static_cast<CheckpointStage>(stage);
   const obs::Json& stage1 = body.at("stage1");
-  state.stage1.last_flushed_row = stage1.at("last_flushed_row").as_int();
   state.stage1.special_rows_saved = stage1.at("special_rows_saved").as_int();
   state.stage1.flush_interval = stage1.at("flush_interval").as_int();
   const obs::Json& best = stage1.at("best");
   state.stage1.best_score = static_cast<Score>(best.at("score").as_int());
   state.stage1.best_i = best.at("i").as_int();
   state.stage1.best_j = best.at("j").as_int();
-  const obs::Json& prune = stage1.at("prune");
-  state.stage1.prune_closure = scores_from_json(prune.at("closure"));
-  state.stage1.prune_lagged = scores_from_json(prune.at("lagged"));
   state.end_point = crosspoint_from_json(body.at("end_point"));
   state.l2 = list_from_json(body.at("l2"));
   state.special_cols_saved = body.at("special_cols_saved").as_int();

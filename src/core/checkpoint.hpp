@@ -3,11 +3,12 @@
 // A checkpointed pipeline run keeps two durable artifacts in its checkpoint
 // directory: the SRA stores (sra/sra.hpp, Durability::kDurable) holding the
 // special rows/columns themselves, and this manifest — a small JSON document
-// recording *how far* the pipeline provably got and *which problem* the
-// stores belong to. The manifest is only ever updated via the full
-// write-fsync-rename-fsync protocol (common/io_util.hpp), strictly AFTER the
-// data it references is durable, so at every instant the on-disk state is one
-// of two valid checkpoints — never a torn mixture.
+// recording *which problem* the stores belong to and the last stage boundary
+// the pipeline durably crossed. Inside Stage 1 the special rows are the
+// checkpoint: each row file carries its own resume state (core/stage1.cpp),
+// so the manifest is saved once before Stage 1 and then only at stage
+// boundaries, always via the full write-fsync-rename-fsync protocol
+// (common/io_util.hpp) and strictly AFTER the data it references is durable.
 //
 // Resume refuses to proceed unless the manifest's envelope (sequence digests
 // and lengths, plus the run's options_json: scoring scheme, grid shapes, SRA
@@ -29,7 +30,7 @@ namespace cudalign::core {
 
 /// Manifest schema identity (mirrors the run-report convention).
 inline constexpr const char* kCheckpointSchemaName = "cudalign-checkpoint";
-inline constexpr std::int64_t kCheckpointFormatVersion = 3;
+inline constexpr std::int64_t kCheckpointFormatVersion = 4;
 /// File name inside the checkpoint directory.
 inline constexpr const char* kCheckpointFileName = "checkpoint.json";
 
@@ -61,9 +62,9 @@ struct CheckpointEnvelope {
 };
 
 /// The pipeline stage a checkpoint has durably *completed up to*. kStage1
-/// with progress means "mid stage 1"; kStage2 means "stage 1 finished, its
-/// outputs durable"; kDone means the run finished (resume refuses — there is
-/// nothing left to do).
+/// means "in stage 1" (how far is the rows store's business); kStage2 means
+/// "stage 1 finished, its outputs durable"; kDone means the run finished
+/// (resume refuses — there is nothing left to do).
 enum class CheckpointStage : std::int64_t {
   kStage1 = 1,
   kStage2 = 2,
@@ -73,22 +74,14 @@ enum class CheckpointStage : std::int64_t {
   kDone = 6,
 };
 
-/// Mid-Stage-1 progress: everything a resumed wavefront needs beyond the SRA
-/// row itself (engine ProblemSpec::start_row / initial_best / initial_prune).
+/// Stage-1 outputs (stage >= kStage2; zero before): the special rows Stage 1
+/// saved, its flush interval and its best score with the score's position.
 struct Stage1Progress {
-  Index last_flushed_row = 0;   ///< 0 = nothing durable yet (restart row 0).
-  Index special_rows_saved = 0; ///< Rows durable at (and below) that point.
-  Index flush_interval = 0;     ///< Strips between flushes when it was written.
-  /// Merged best-so-far covering at least all rows <= last_flushed_row; the
-  /// total-order max merge makes re-merging recomputed candidates idempotent.
+  Index special_rows_saved = 0;
+  Index flush_interval = 0;  ///< Strips between flushes.
   Score best_score = 0;
   Index best_i = 0;
   Index best_j = 0;
-  /// Block-pruning state at last_flushed_row (engine::PruneState): the
-  /// closure row of the last flushed strip and the kPruneLag lagged bests.
-  /// Empty when pruning is off or nothing is flushed yet.
-  std::vector<Score> prune_closure;
-  std::vector<Score> prune_lagged;
 
   friend bool operator==(const Stage1Progress&, const Stage1Progress&) = default;
 };
@@ -109,9 +102,9 @@ struct CheckpointState {
 };
 
 /// Structural invariants of a loaded checkpoint (contracts): the stage cursor
-/// only implies data that is present, stage-1 progress is on a strip/flush
-/// boundary, crosspoint lists are non-empty when required. Throws on
-/// violation — a manifest that fails this is corrupt regardless of its CRC.
+/// only implies data that is present, counts are non-negative, crosspoint
+/// lists are non-empty when required. Throws on violation — a manifest that
+/// fails this is corrupt regardless of its CRC.
 void validate_checkpoint_state(const CheckpointState& state);
 
 [[nodiscard]] obs::Json checkpoint_to_json(const CheckpointState& state);

@@ -1,8 +1,11 @@
 #include "core/pipeline.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <csignal>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 #include "common/io_util.hpp"
 #include "core/checkpoint.hpp"
@@ -13,16 +16,24 @@ namespace cudalign::core {
 
 namespace {
 
-/// CUDALIGN_CHECKPOINT_CRASH_AFTER=N: raise SIGKILL after the Nth stage-1
-/// checkpoint save — whole-process crash realism for the CLI smoke test
-/// (0 / unset / unparsable = off).
-Index env_kill_after_saves() {
+/// CUDALIGN_CHECKPOINT_CRASH_AFTER=N: raise SIGKILL after the Nth durable
+/// stage-1 special row — whole-process crash realism for the CLI smoke test
+/// (0 / unset = off). Any other value exits with status 2, like an unknown
+/// CUDALIGN_KERNEL, rather than silently letting the run complete.
+Index env_kill_after_rows() {
   const char* env = std::getenv("CUDALIGN_CHECKPOINT_CRASH_AFTER");
   if (env == nullptr || *env == '\0') return 0;
-  char* end = nullptr;
-  const long long value = std::strtoll(env, &end, 10);
-  if (end == env || value <= 0) return 0;
-  return static_cast<Index>(value);
+  Index value = 0;
+  const char* end = env + std::strlen(env);
+  const auto [ptr, ec] = std::from_chars(env, end, value);
+  if (ec != std::errc{} || ptr != end || value < 0) {
+    std::fprintf(stderr,
+                 "cudalign: CUDALIGN_CHECKPOINT_CRASH_AFTER must be a non-negative integer, "
+                 "got \"%s\"\n",
+                 env);
+    std::exit(2);
+  }
+  return value;
 }
 
 }  // namespace
@@ -67,6 +78,7 @@ PipelineResult align_pipeline(const seq::Sequence& s0, const seq::Sequence& s1,
   const bool checkpointed = !options.checkpoint_dir.empty();
   CUDALIGN_CHECK(!options.resume || checkpointed,
                  "resume requires a checkpoint directory (PipelineOptions::checkpoint_dir)");
+  const Index kill_after = checkpointed ? env_kill_after_rows() : 0;
 
   // SRA setup. A temp dir keeps benchmark/test runs self-cleaning; an
   // explicit workdir lets users keep the special rows for inspection; a
@@ -121,81 +133,17 @@ PipelineResult align_pipeline(const seq::Sequence& s0, const seq::Sequence& s1,
   result.resume.resumed = resuming;
   if (resuming) result.resume.resumed_stage = static_cast<int>(start_stage);
 
-  // A reused working directory starts fresh unless this is a resume.
+  // A reused working directory starts fresh unless this is a resume. A fresh
+  // checkpointed run saves the manifest once before Stage 1, so a crash
+  // before the first special row resumes from row 0.
   if (!resuming) {
     rows_area.drop_all();
     cols_area.drop_all();
+    if (manifest) manifest->save(state);
   }
   // Special columns are only durable once stage 2 has fully completed (the
   // kStage3 manifest update); before that, any on-disk columns are partial.
   if (resuming && start_stage <= CheckpointStage::kStage2) cols_area.drop_all();
-
-  // The stage-1 flush interval is a pure function of envelope fields, so a
-  // resumed run recomputes the exact interval the checkpoint was written
-  // under (and flush rows land identically thanks to global strip numbering).
-  Index flush_interval = 0;
-  if (m > 0 && n > 0) {
-    flush_interval = sra::flush_interval_for_budget(
-        m, n, options.grid_stage1.strip_rows(), options.sra_rows_budget);
-  }
-
-  // ---- Stage-1 resume reconciliation ----
-  Index resume_row = 0;
-  Index resume_rows_base = 0;
-  std::vector<engine::BusCell> resume_hbus;
-  if (resuming && start_stage == CheckpointStage::kStage1) {
-    resume_row = state.stage1.last_flushed_row;
-    resume_rows_base = state.stage1.special_rows_saved;
-    CUDALIGN_ASSERT(resume_row == 0 || state.stage1.flush_interval == flush_interval,
-                    "checkpoint flush interval ", state.stage1.flush_interval,
-                    " disagrees with the recomputed interval ", flush_interval,
-                    " despite a matching envelope");
-    // Reconcile the SRA with the checkpoint: a crash between a row's put()
-    // and the checkpoint save can leave rows *beyond* the checkpoint — they
-    // will be recomputed, so drop them (keeping them would duplicate
-    // positions). The store's only index is its row files, so a deleted row
-    // file shows up here as a count short of the checkpoint's.
-    Index kept = 0;
-    bool found_restore_row = false;
-    std::size_t restore_index = 0;
-    std::vector<std::size_t> orphans;
-    for (const std::size_t index : rows_area.group_members(kRowsGroup)) {
-      const Index position = rows_area.key(index).position;
-      if (position > resume_row) {
-        orphans.push_back(index);
-      } else {
-        ++kept;
-        if (position == resume_row) {
-          found_restore_row = true;
-          restore_index = index;
-        }
-      }
-    }
-    for (const std::size_t index : orphans) rows_area.drop_row(index);
-    CUDALIGN_CHECK(kept == resume_rows_base, "cannot resume: the checkpoint records ",
-                   resume_rows_base, " special rows up to row ", resume_row,
-                   " but the SRA store holds ", kept,
-                   " — special row files are missing or the store was altered");
-    if (resume_row > 0) {
-      CUDALIGN_CHECK(found_restore_row, "cannot resume: the checkpoint references special row ",
-                     resume_row, " but its file is missing from the SRA store");
-      resume_hbus = rows_area.get(restore_index);  // CRC-verified restore.
-      CUDALIGN_CHECK(static_cast<Index>(resume_hbus.size()) == n + 1,
-                     "cannot resume: restored special row holds ", resume_hbus.size(),
-                     " cells, expected ", n + 1);
-      CUDALIGN_CHECK(options.block_pruning == !state.stage1.prune_lagged.empty(),
-                     "cannot resume: the checkpoint at row ", resume_row,
-                     options.block_pruning
-                         ? " carries no block-pruning state for this pruned run"
-                         : " carries block-pruning state but this run does not prune");
-    }
-    result.resume.resumed_from_row = resume_row;
-    result.resume.cells_skipped = static_cast<WideScore>(resume_row) * n;
-    result.resume.rows_restored = resume_rows_base;
-  } else if (resuming) {
-    result.resume.cells_skipped = static_cast<WideScore>(m) * n;
-    result.resume.rows_restored = state.stage1.special_rows_saved;
-  }
 
   const auto finalize_resume = [&] {
     if (manifest) {
@@ -205,15 +153,6 @@ PipelineResult align_pipeline(const seq::Sequence& s0, const seq::Sequence& s1,
     }
   };
 
-  // Fault injection: both forms fire right after the Nth checkpoint save, so
-  // the state left behind is exactly a real crash's (durable rows + a
-  // manifest that references them). The on_checkpoint callback below — and
-  // therefore the injected SIGKILL / throw — runs on the SRA writer thread;
-  // the state it mutates is untouched by this thread until run_stage1 has
-  // drained the writer, and the throw form is rethrown from that drain.
-  const Index kill_after = checkpointed ? env_kill_after_saves() : 0;
-  Index checkpoint_saves = 0;
-
   // Stage 1 — best score, end point, special rows.
   if (start_stage == CheckpointStage::kStage1) {
     Stage1Config c1;
@@ -222,32 +161,23 @@ PipelineResult align_pipeline(const seq::Sequence& s0, const seq::Sequence& s1,
     c1.rows_area = &rows_area;
     c1.block_pruning = options.block_pruning;
     c1.bus_audit = options.bus_audit;
-    c1.resume_row = resume_row;
-    c1.resume_hbus = resume_hbus;
-    c1.resume_best =
-        dp::LocalBest{state.stage1.best_score, state.stage1.best_i, state.stage1.best_j};
-    c1.resume_prune = engine::PruneState{state.stage1.prune_closure, state.stage1.prune_lagged};
-    if (manifest) {
-      c1.on_checkpoint = [&](Index row, Index rows_this_run, const dp::LocalBest& best,
-                             const engine::PruneState& prune) {
-        state.stage = CheckpointStage::kStage1;
-        state.stage1.last_flushed_row = row;
-        state.stage1.special_rows_saved = resume_rows_base + rows_this_run;
-        state.stage1.flush_interval = flush_interval;
-        state.stage1.best_score = best.score;
-        state.stage1.best_i = best.i;
-        state.stage1.best_j = best.j;
-        state.stage1.prune_closure = prune.closure;
-        state.stage1.prune_lagged = prune.lagged;
-        manifest->save(state);
-        ++checkpoint_saves;
-        if (kill_after > 0 && checkpoint_saves >= kill_after) {
+    c1.resume = resuming;
+    // Fault injection: both forms fire right after the Nth special row of
+    // this run is durable, so the state left behind is exactly a real
+    // crash's. The ack — and therefore the injected SIGKILL / throw — runs
+    // on the SRA writer thread; the throw form is rethrown from run_stage1's
+    // drain of the writer.
+    Index durable_rows = 0;
+    if (kill_after > 0 || options.checkpoint_crash_after_flushes > 0) {
+      c1.on_checkpoint = [&] {
+        ++durable_rows;
+        if (kill_after > 0 && durable_rows >= kill_after) {
           std::raise(SIGKILL);  // A real crash: no unwinding, no flushing.
         }
         if (options.checkpoint_crash_after_flushes > 0 &&
-            checkpoint_saves >= options.checkpoint_crash_after_flushes) {
-          throw Error("fault injection: crashed after stage-1 checkpoint save #" +
-                      std::to_string(checkpoint_saves));
+            durable_rows >= options.checkpoint_crash_after_flushes) {
+          throw Error("fault injection: crashed after durable stage-1 special row #" +
+                      std::to_string(durable_rows));
         }
       };
     }
@@ -265,7 +195,10 @@ PipelineResult align_pipeline(const seq::Sequence& s0, const seq::Sequence& s1,
     result.stages[0] = st1.stats;
     result.end_point = st1.end_point;
     result.best_score = st1.end_point.score;
-    result.special_rows_saved = resume_rows_base + st1.special_rows_saved;
+    result.special_rows_saved = st1.rows_restored + st1.special_rows_saved;
+    result.resume.resumed_from_row = st1.resumed_from_row;
+    result.resume.cells_skipped = static_cast<WideScore>(st1.resumed_from_row) * n;
+    result.resume.rows_restored = st1.rows_restored;
     result.flush_interval = st1.flush_interval;
     result.prune_floor = st1.prune_floor;
     result.prune_floor_seconds = st1.prune_floor_seconds;
@@ -274,7 +207,7 @@ PipelineResult align_pipeline(const seq::Sequence& s0, const seq::Sequence& s1,
       // Stage boundary: stage 1's outputs are durable; later stages never
       // need to recompute it.
       state.stage1.special_rows_saved = result.special_rows_saved;
-      state.stage1.flush_interval = flush_interval;
+      state.stage1.flush_interval = st1.flush_interval;
       state.stage1.best_score = st1.end_point.score;
       state.stage1.best_i = st1.end_point.i;
       state.stage1.best_j = st1.end_point.j;
@@ -289,6 +222,8 @@ PipelineResult align_pipeline(const seq::Sequence& s0, const seq::Sequence& s1,
     result.best_score = state.end_point.score;
     result.special_rows_saved = state.stage1.special_rows_saved;
     result.flush_interval = state.stage1.flush_interval;
+    result.resume.cells_skipped = static_cast<WideScore>(m) * n;
+    result.resume.rows_restored = state.stage1.special_rows_saved;
   }
   result.crosspoint_counts[0] = 1;
 

@@ -26,11 +26,11 @@ struct PipelineOptions {
 
   /// Checkpoint/resume (DESIGN.md "Checkpoint & resume"): when set, the SRA
   /// stores move under this directory in durable mode and the pipeline keeps
-  /// an atomically-updated manifest there recording stage progress — after
-  /// every stage-1 special-row flush and at every stage boundary. A killed
-  /// run re-invoked with `resume = true` continues from the last durable
-  /// point instead of recomputing from scratch. Takes precedence over
-  /// `workdir` for SRA placement.
+  /// an atomically-updated manifest there, saved before Stage 1 and at every
+  /// stage boundary. Inside Stage 1 every durable special row carries its
+  /// own resume state. A killed run re-invoked with `resume = true`
+  /// continues from the last durable point instead of recomputing from
+  /// scratch. Takes precedence over `workdir` for SRA placement.
   std::filesystem::path checkpoint_dir;
   /// Continue the checkpoint in `checkpoint_dir`. Refused (cudalign::Error,
   /// naming every differing field) when the manifest's envelope — the
@@ -40,9 +40,10 @@ struct PipelineOptions {
   /// manifest: checkpoints are never silently recomputed over.
   bool resume = false;
   /// Fault injection (tests): throw cudalign::Error right after the Nth
-  /// stage-1 checkpoint save (0 = off). The environment variable
-  /// CUDALIGN_CHECKPOINT_CRASH_AFTER does the same but raises SIGKILL — the
-  /// CLI smoke test's kill switch for whole-process crash realism.
+  /// durable stage-1 special row of this run (0 = off). The environment
+  /// variable CUDALIGN_CHECKPOINT_CRASH_AFTER does the same but raises
+  /// SIGKILL — the CLI smoke test's kill switch for whole-process crash
+  /// realism; a value that is not a non-negative integer exits with status 2.
   Index checkpoint_crash_after_flushes = 0;
 
   engine::GridSpec grid_stage1 = engine::GridSpec::stage1_defaults();

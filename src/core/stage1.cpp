@@ -1,8 +1,10 @@
 // Stage 1 (paper §IV-B): CUDAlign 1.0's wavefront Smith-Waterman with one
 // modification — special rows are flushed from the horizontal bus to the SRA
-// at the flush interval derived from the SRA budget. With block pruning on,
-// a cheap banded pass first finds a lower bound on the optimum that seeds
-// every tile's pruning closure (prune_floor below).
+// at the flush interval derived from the SRA budget. Each row file carries
+// the wavefront's resume state at that row in its trailer, so the rows are
+// Stage 1's checkpoint. With block pruning on, a cheap banded pass first
+// finds a lower bound on the optimum that seeds every tile's pruning closure
+// (prune_floor below).
 #include "core/stages.hpp"
 
 #include <algorithm>
@@ -10,6 +12,7 @@
 #include <optional>
 #include <utility>
 
+#include "check/checked.hpp"
 #include "common/timer.hpp"
 #include "engine/kernel_registry.hpp"
 #include "obs/telemetry.hpp"
@@ -99,6 +102,50 @@ std::optional<Index> dominant_diagonal(seq::SequenceView a, seq::SequenceView b)
   return static_cast<Index>(sum / count);
 }
 
+/// A special row's trailer: the merged best-so-far (score, i, j) covering
+/// every cell up to the row, then, when pruning, the strip's closure row and
+/// the kPruneLag lagged bests — the engine's resume state at the row.
+std::vector<std::int64_t> resume_trailer(const dp::LocalBest& best,
+                                         const engine::PruneState& prune) {
+  std::vector<std::int64_t> trailer{best.score, best.i, best.j};
+  trailer.insert(trailer.end(), prune.closure.begin(), prune.closure.end());
+  trailer.insert(trailer.end(), prune.lagged.begin(), prune.lagged.end());
+  return trailer;
+}
+
+/// Points `spec` at the highest special row in `area`, whose rows must be
+/// exactly the flush rows k * `step` for k = 1..K; `hbus` holds the restored
+/// row. Returns K.
+Index resume_from_rows(const sra::SpecialRowsArea& area, Index step, engine::ProblemSpec& spec,
+                       std::vector<engine::BusCell>& hbus) {
+  const std::vector<std::size_t> rows = area.group_members(kRowsGroup);
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    const Index expected = static_cast<Index>(k + 1) * step;
+    CUDALIGN_CHECK(area.key(rows[k]).position == expected, "cannot resume: special row ",
+                   expected, " is missing from the SRA store (the next row there is ",
+                   area.key(rows[k]).position, ")");
+  }
+  if (rows.empty()) return 0;
+  spec.start_row = static_cast<Index>(rows.size()) * step;
+  std::vector<std::int64_t> trailer;
+  hbus = area.get(rows.back(), &trailer);  // CRC-verified, trailer included.
+  spec.initial_hbus = hbus;
+  const auto words = static_cast<Index>(trailer.size());
+  const Index needed = spec.block_pruning ? 3 + engine::kPruneLag : 3;
+  CUDALIGN_CHECK(spec.block_pruning ? words > needed : words == needed,
+                 "cannot resume: special row ", spec.start_row, " carries ", words,
+                 " resume values; a", spec.block_pruning ? " pruned run needs more than "
+                                                         : "n unpruned run needs ",
+                 needed);
+  spec.initial_best = dp::LocalBest{check::checked_cast<Score>(trailer[0]), trailer[1], trailer[2]};
+  const auto lagged = trailer.end() - (spec.block_pruning ? engine::kPruneLag : 0);
+  for (auto it = trailer.begin() + 3; it != trailer.end(); ++it) {
+    (it < lagged ? spec.initial_prune.closure : spec.initial_prune.lagged)
+        .push_back(check::checked_cast<Score>(*it));
+  }
+  return static_cast<Index>(rows.size());
+}
+
 }  // namespace
 
 Score prune_floor(seq::SequenceView a, seq::SequenceView b, const scoring::Scheme& scheme) {
@@ -169,10 +216,6 @@ Stage1Result run_stage1(seq::SequenceView s0, seq::SequenceView s1, const Stage1
     result.prune_floor = spec.prune_floor;
     result.prune_floor_seconds = floor_timer.seconds();
   }
-  spec.start_row = config.resume_row;
-  spec.initial_hbus = config.resume_hbus;
-  spec.initial_best = config.resume_best;
-  spec.initial_prune = config.resume_prune;
 
   engine::Hooks hooks;
   hooks.bus_audit = config.bus_audit;
@@ -182,25 +225,27 @@ Stage1Result run_stage1(seq::SequenceView s0, seq::SequenceView s1, const Stage1
       config.progress(static_cast<double>(done) / static_cast<double>(total));
     };
   }
+  std::vector<engine::BusCell> restored_row;
   std::optional<sra::AsyncSraWriter> writer;
   if (config.rows_area != nullptr && m > 0 && n > 0) {
     result.flush_interval = sra::flush_interval_for_budget(
         m, n, config.grid.strip_rows(), config.rows_area->budget_bytes());
+    if (config.resume) {
+      result.rows_restored = resume_from_rows(
+          *config.rows_area, result.flush_interval * config.grid.strip_rows(), spec, restored_row);
+      result.resumed_from_row = spec.start_row;
+    }
     hooks.special_row_interval = result.flush_interval;
     // Flush pipeline (DESIGN.md "Stage-1 I/O overlap"): the hook copies the
     // row into the writer's queue at strip retirement, and the writer thread
-    // performs the put() and then the checkpoint ack, off the compute path.
+    // writes it with its resume trailer and then runs the ack, off the
+    // compute path.
     writer.emplace(*config.rows_area);
     hooks.on_special_row = [&](Index row, std::span<const engine::BusCell> cells,
                                const dp::LocalBest& best, const engine::PruneState& prune) {
-      const Index rows_saved = ++result.special_rows_saved;
-      std::function<void()> ack;
-      if (config.on_checkpoint) {
-        ack = [&config, row, rows_saved, best, prune] {
-          config.on_checkpoint(row, rows_saved, best, prune);
-        };
-      }
-      writer->submit(sra::RowKey{row, 0, n, kRowsGroup}, cells, std::move(ack));
+      ++result.special_rows_saved;
+      writer->submit(sra::RowKey{row, 0, n, kRowsGroup}, cells, config.on_checkpoint,
+                     resume_trailer(best, prune));
     };
   }
 
@@ -209,8 +254,8 @@ Stage1Result run_stage1(seq::SequenceView s0, seq::SequenceView s1, const Stage1
   const engine::RunResult run = engine::run_wavefront(spec, hooks, config.pool);
   if (writer) {
     // Rethrows a writer-thread failure (a failed put(), or the pipeline's
-    // fault-injected checkpoint throw) and hands ownership of the rows area
-    // and the checkpoint state back to this thread.
+    // fault-injected throw) and hands ownership of the rows area and of the
+    // ack's state back to this thread.
     writer->drain();
     const sra::AsyncWriterStats ws = writer->stats();
     result.stats.sra_rows_acked = ws.rows_acked;

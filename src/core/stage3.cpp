@@ -37,13 +37,21 @@ struct PartitionOutcome {
   engine::RunStats run;                 ///< The partition's engine run stats.
 };
 
+/// Splits `part` at the special columns Stage 2 stored in `group` of the
+/// columns area. The columns are read here, inside the partition's task, so
+/// Stage 3 holds only the columns of the partitions in flight.
 PartitionOutcome split_partition(seq::SequenceView s0, seq::SequenceView s1,
-                                 const Partition& part, std::vector<ReverseColumn> columns,
+                                 const Partition& part, std::int64_t group,
                                  const Stage3Config& config) {
   PartitionOutcome outcome;
+  std::vector<ReverseColumn> columns;  // Ascending: group_members sorts by position.
+  for (const std::size_t id : config.cols_area->group_members(group)) {
+    const sra::RowKey& key = config.cols_area->key(id);
+    // Only columns strictly inside the partition can carry a crosspoint.
+    if (key.position <= part.start.j || key.position >= part.end.j) continue;
+    columns.push_back(ReverseColumn{key.position, key.begin, config.cols_area->get(id)});
+  }
   if (columns.empty()) return outcome;
-  std::sort(columns.begin(), columns.end(),
-            [](const ReverseColumn& a, const ReverseColumn& b) { return a.column < b.column; });
 
   const Index m_p = part.height();
   const Index n_p = part.width();
@@ -111,31 +119,14 @@ Stage3Result run_stage3(seq::SequenceView s0, seq::SequenceView s1, const Crossp
   const std::int64_t cols_read_before = config.cols_area->total_bytes_read();
   const Index cols_count_before = config.cols_area->rows_read();
 
-  // Gather each partition's stored columns up front (SRA access is not
-  // thread-safe by design; the DP work below is the expensive part).
-  std::vector<std::vector<ReverseColumn>> per_partition(parts.size());
-  {
-    obs::ScopedSpan gather_span(config.telemetry, "gather special columns");
-    for (std::int64_t p = 0; p < part_count; ++p) {
-      const Partition& part = parts[static_cast<std::size_t>(p)];
-      // Stage 2 iterated from the end point backwards: partition p (from the
-      // start) was produced by iteration part_count - 1 - p.
-      const std::int64_t group = kColsGroupBase + (part_count - 1 - p);
-      for (std::size_t id : config.cols_area->group_members(group)) {
-        const sra::RowKey& key = config.cols_area->key(id);
-        // Only columns strictly inside the partition can carry a crosspoint.
-        if (key.position <= part.start.j || key.position >= part.end.j) continue;
-        per_partition[static_cast<std::size_t>(p)].push_back(
-            ReverseColumn{key.position, key.begin, config.cols_area->get(id)});
-      }
-    }
-  }
-
   std::vector<PartitionOutcome> outcomes(parts.size());
   {
     obs::ScopedSpan split_span(config.telemetry, "split partitions");
+    // Stage 2 iterated from the end point backwards: partition p (from the
+    // start) was produced by iteration part_count - 1 - p.
     const auto split = [&](std::size_t p) {
-      outcomes[p] = split_partition(s0, s1, parts[p], std::move(per_partition[p]), config);
+      const auto group = kColsGroupBase + part_count - 1 - static_cast<std::int64_t>(p);
+      outcomes[p] = split_partition(s0, s1, parts[p], group, config);
     };
     if (config.bus_audit != nullptr) {
       // One auditor audits one engine run at a time (check/bus_audit.hpp),

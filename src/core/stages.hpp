@@ -92,28 +92,23 @@ struct Stage1Config {
   /// Flush special rows to `rows_area` (nullptr disables; Table IV's
   /// "No Flush" column).
   sra::SpecialRowsArea* rows_area = nullptr;
-  /// Resume (DESIGN.md "Checkpoint & resume"): start the wavefront at vertex
-  /// row `resume_row` (a flush boundary; 0 = fresh run) with `resume_hbus` —
-  /// the restored special row at that boundary, n+1 (H, F) cells —
-  /// `resume_best`, the checkpointed best-so-far, and `resume_prune`, the
-  /// checkpointed pruning state (pruned runs only). Strip numbering stays
-  /// global, so flushes of the resumed run land on the same rows.
-  Index resume_row = 0;
-  std::span<const engine::BusCell> resume_hbus;
-  dp::LocalBest resume_best;
-  engine::PruneState resume_prune;
-  /// Checkpoint hand-off: invoked right after each special row is durable in
-  /// `rows_area`, with the row, the rows saved *by this run*, the merged
-  /// best-so-far covering every cell up to that row and the pruning state
-  /// there (empty unless pruning). Special rows are written
-  /// by a dedicated SRA writer thread (sra/async_writer.hpp; DESIGN.md
-  /// "Stage-1 I/O overlap"), so this runs on that thread, in ascending-row
-  /// order, strictly after its row's CRC'd write (+ fsync). Stage 1 drains
-  /// the writer before returning, handing everything the callback touched
-  /// back to the caller. The pipeline turns each call into a manifest save.
-  std::function<void(Index row, Index rows_saved, const dp::LocalBest& best,
-                     const engine::PruneState& prune)>
-      on_checkpoint;
+  /// Resume (DESIGN.md "Checkpoint & resume"): continue from the special
+  /// rows already in `rows_area` (required). Each row file carries its
+  /// resume state in its trailer — the merged best-so-far covering every
+  /// cell up to the row and, when pruning, the strip's closure row and the
+  /// kPruneLag lagged bests (engine::PruneState) — so the highest row is the
+  /// restart point. The rows must be exactly the flush rows
+  /// k * interval * strip_rows for k = 1..K; a gap is refused, naming the
+  /// missing row. Strip numbering stays global, so flushes of the resumed
+  /// run land on the same rows.
+  bool resume = false;
+  /// Durable-row ack: invoked right after each special row and its trailer
+  /// are durable in `rows_area`. Special rows are written by a dedicated SRA
+  /// writer thread (sra/async_writer.hpp; DESIGN.md "Stage-1 I/O overlap"),
+  /// so this runs on that thread, in ascending-row order. Stage 1 drains the
+  /// writer before returning, handing everything the callback touched back
+  /// to the caller. The pipeline's fault injection counts these calls.
+  std::function<void()> on_checkpoint;
   /// Liveness: fraction of Stage-1 cells completed (long chromosome runs).
   std::function<void(double fraction)> progress;
   /// Opt-in bus hand-off verification (engine/executor.hpp Hooks::bus_audit).
@@ -127,7 +122,11 @@ struct Stage1Config {
 
 struct Stage1Result {
   Crosspoint end_point;          ///< Best score and its position (type 0).
-  Index special_rows_saved = 0;
+  Index special_rows_saved = 0;  ///< By this run; rows_restored were there before.
+  /// Resume: the row the wavefront restarted at and the special rows on disk
+  /// up to it (0 and 0 on a fresh run or when no row was durable yet).
+  Index resumed_from_row = 0;
+  Index rows_restored = 0;
   Index flush_interval = 0;      ///< Strips between flushes (0 = no flushing).
   /// The lower bound that seeded pruning (prune_floor; 0 without pruning) and
   /// the time its pass took, part of stats.seconds. Its cells stay out of
@@ -208,10 +207,12 @@ struct RowCrossing {
 struct Stage3Config {
   scoring::Scheme scheme;
   engine::GridSpec grid = engine::GridSpec::stage23_defaults();
-  sra::SpecialRowsArea* cols_area = nullptr;  ///< Stage-2 columns (required).
+  /// Stage-2 columns (required). Each partition's task reads its own
+  /// columns, concurrently with the others (SpecialRowsArea::get).
+  sra::SpecialRowsArea* cols_area = nullptr;
   check::BusAuditor* bus_audit = nullptr;
-  /// Opt-in span telemetry: column gather vs. partition-split phases only
-  /// (partitions run on pool workers, so no per-partition engine spans).
+  /// Opt-in span telemetry: one partition-split span only (partitions run on
+  /// pool workers, so no per-partition engine spans).
   obs::Telemetry* telemetry = nullptr;
   ThreadPool* pool = nullptr;
 };

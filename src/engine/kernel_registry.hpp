@@ -165,6 +165,7 @@ enum class SimdIsa : std::uint8_t { kGeneric, kSse2, kAvx2, kAvx512 };
 /// unless CUDALIGN_SIMD (auto / generic / sse2 / avx2 / avx512) or
 /// set_simd_isa_override() forces a baseline. An unknown CUDALIGN_SIMD value
 /// terminates the process with exit code 2 at first use, like CUDALIGN_KERNEL.
+/// Called once per tile: after the first call the read takes no lock.
 [[nodiscard]] SimdIsa active_simd_isa() noexcept;
 
 /// Forces the striped kernels onto `isa` ("auto" via clear_simd_isa_override).

@@ -13,6 +13,7 @@
 // uses the classic bias trick: flip the sign bit, take the *unsigned* max,
 // flip back — xor with 0x80 is an order-isomorphism from signed to unsigned.
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -257,10 +258,14 @@ struct Sse2Backend<std::int32_t> {
   return SimdIsa::kGeneric;
 }
 
+// The mutex serializes loading CUDALIGN_SIMD and the overrides; the ISA they
+// resolve to is published in g_active_isa, so the per-tile read takes no lock.
 std::mutex g_isa_mutex;
 bool g_isa_env_loaded CUDALIGN_GUARDED_BY(g_isa_mutex) = false;
 bool g_isa_forced CUDALIGN_GUARDED_BY(g_isa_mutex) = false;
 SimdIsa g_isa CUDALIGN_GUARDED_BY(g_isa_mutex) = SimdIsa::kGeneric;
+/// The resolved ISA as an int, or -1 until the first resolution.
+std::atomic<int> g_active_isa{-1};
 
 /// Parses CUDALIGN_SIMD once (under g_isa_mutex). Unknown or unsupported
 /// values fail fast: a forced baseline that silently ran AVX2 anyway would
@@ -295,12 +300,25 @@ void load_isa_env_locked() CUDALIGN_REQUIRES(g_isa_mutex) {
   g_isa = isa;
 }
 
+/// Resolves the active ISA (loading CUDALIGN_SIMD on first use) and
+/// publishes it to the lock-free readers.
+SimdIsa publish_isa_locked() CUDALIGN_REQUIRES(g_isa_mutex) {
+  if (!g_isa_env_loaded) load_isa_env_locked();
+  const SimdIsa isa = g_isa_forced ? g_isa : best_isa();
+  // order: release — pairs with the acquire in active_simd_isa().
+  g_active_isa.store(static_cast<int>(isa), std::memory_order_release);
+  return isa;
+}
+
 }  // namespace
 
 SimdIsa active_simd_isa() noexcept {
+  // order: acquire — pairs with the release in publish_isa_locked(): a
+  // reader that sees an ISA sees it fully resolved.
+  const int active = g_active_isa.load(std::memory_order_acquire);
+  if (active >= 0) return static_cast<SimdIsa>(active);
   std::lock_guard lock(g_isa_mutex);
-  if (!g_isa_env_loaded) load_isa_env_locked();
-  return g_isa_forced ? g_isa : best_isa();
+  return publish_isa_locked();
 }
 
 void set_simd_isa_override(SimdIsa isa) {
@@ -310,18 +328,21 @@ void set_simd_isa_override(SimdIsa isa) {
   g_isa_env_loaded = true;  // An explicit override supersedes the environment.
   g_isa_forced = true;
   g_isa = isa;
+  (void)publish_isa_locked();
 }
 
 void clear_simd_isa_override() noexcept {
   std::lock_guard lock(g_isa_mutex);
   g_isa_env_loaded = true;
   g_isa_forced = false;
+  (void)publish_isa_locked();
 }
 
 void reload_simd_isa_from_env() {
   std::lock_guard lock(g_isa_mutex);
   g_isa_forced = false;
   load_isa_env_locked();
+  (void)publish_isa_locked();
 }
 
 std::string_view simd_isa_name(SimdIsa isa) noexcept {

@@ -16,7 +16,7 @@
 //   * Row-completion watermark: strips *retire* in ascending order, one at a
 //     time, on the participant that completes the watermark strip, with the
 //     mutex released. All deterministic post-processing (stats folds, best
-//     merges, special-row flushes, checkpoint cursors) happens there.
+//     merges, special-row flushes with their resume state) happens there.
 //   * Window gating: tile (s, 0) is parked until s <= watermark + window,
 //     which bounds in-flight strips to window + 1 and with them every
 //     per-strip resource the executor rotates.

@@ -284,6 +284,12 @@ std::vector<std::string> validate_run_report(const Json& report) {
     if (const Json* v = resume->find("rows_restored"); v != nullptr && v->is_int()) {
       rows_restored = v->as_int();
     }
+    // Invariant: the manifest is saved once before Stage 1 and at the five
+    // stage boundaries, never per special row.
+    if (const Json* v = resume->find("checkpoint_updates"); v != nullptr && v->is_int()) {
+      require(v->as_int() <= 6, "resume checkpoint_updates (" + std::to_string(v->as_int()) +
+                                    ") > 6 (one start save plus five stage boundaries)");
+    }
   }
 
   // Invariant: Stage 1 visits every cell of the m*n matrix except the pruned

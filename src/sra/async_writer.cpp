@@ -23,8 +23,9 @@ AsyncSraWriter::~AsyncSraWriter() {
 }
 
 void AsyncSraWriter::submit(const RowKey& key, std::span<const engine::BusCell> cells,
-                            std::function<void()> on_durable) {
-  StagedRow row{key, {}, std::move(on_durable)};
+                            std::function<void()> on_durable,
+                            std::vector<std::int64_t> trailer) {
+  StagedRow row{key, {}, std::move(on_durable), std::move(trailer)};
   {
     // Backpressure before the copy: waiting holds no extra row buffer, and
     // the copy then reuses the buffer the writer has just retired instead of
@@ -73,9 +74,9 @@ void AsyncSraWriter::writer_loop() {
     std::exception_ptr error;
     Timer busy;
     try {
-      area_.put(row.key, row.cells);
+      area_.put(row.key, row.cells, row.trailer);
       // Durable ack: put() has completed the CRC'd write (+ fsync protocol in
-      // durable mode), so the checkpoint cursor may now advance past this row.
+      // durable mode), so the row and its trailer are on disk.
       if (row.on_durable) row.on_durable();
     } catch (...) {
       error = std::current_exception();
@@ -90,8 +91,8 @@ void AsyncSraWriter::writer_loop() {
       free_buffers_.push_back(std::move(row.cells));
     } else {
       failure_ = error;
-      // Preserve the cursor's prefix property: later rows must not land on
-      // disk past a failed one. Recycling is pointless now; just drop them.
+      // Preserve the prefix property: later rows must not land on disk past
+      // a failed one. Recycling is pointless now; just drop them.
       queue_.clear();
     }
     space_cv_.notify_all();

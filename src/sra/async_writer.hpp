@@ -7,18 +7,17 @@
 // reason (paper §IV-B makes special-row saves the linear-space design's
 // recurring cost).
 //
-// Durability ordering: each row's durable-ack callback (the pipeline's
-// checkpoint save) runs on the writer thread strictly after
-// SpecialRowsArea::put() has returned for that row — i.e. after the CRC'd
-// write completes (and, in durable mode, after the write-fsync-rename-fsync
-// protocol). Rows are written in submission (= ascending flush-row) order by
-// the single writer, so the checkpoint cursor only ever references durable
-// rows: a crash between a row's put() and its checkpoint save leaves an orphan
-// row beyond the cursor, which the resume reconciliation sweeps.
+// Durability ordering: each row goes to disk whole with its trailer (Stage
+// 1's resume state) in one put(), and its durable-ack callback runs on the
+// writer thread strictly after that put() has returned — i.e. after the
+// CRC'd write completes (and, in durable mode, after the
+// write-fsync-rename-fsync protocol). Rows are written in submission
+// (= ascending flush-row) order by the single writer, so the rows on disk
+// are always a prefix of the submitted ones.
 //
 // Ownership protocol (phase-based, not lock-based): between construction and
 // drain() the writer thread is the sole owner of the SpecialRowsArea and of
-// everything the ack callbacks touch (checkpoint state and file). The
+// everything the ack callbacks touch (the pipeline's fault injection). The
 // submitting thread only copies cells into row buffers and moves them
 // through the queue; it must not read area statistics until drain() has
 // returned. drain() establishes the happens-before edge back to the caller
@@ -33,7 +32,7 @@
 //
 // Failure: a writer-thread exception (disk full, fault injection) poisons
 // the queue — no later row is written past a failed one, preserving the
-// cursor's prefix property — and drain() rethrows it on the submitting
+// prefix property — and drain() rethrows it on the submitting
 // thread. Submissions after a failure are silently dropped (the run's result
 // is discarded when drain() throws).
 #pragma once
@@ -76,13 +75,13 @@ class AsyncSraWriter {
   ~AsyncSraWriter();
 
   /// Copies `cells` into a row buffer (recycled from the free list when
-  /// possible) and enqueues it for writing, blocking while the queue is full
-  /// (backpressure). The copy happens on the calling thread because the
-  /// span's storage (the executor's special-row buffer) may be reused the moment the
-  /// flush hook returns. `on_durable` — may be empty — runs on the writer
-  /// thread after this row's put() has returned.
+  /// possible) and enqueues it, with `trailer`, for writing, blocking while
+  /// the queue is full (backpressure). The copy happens on the calling thread
+  /// because the span's storage (the executor's special-row buffer) may be
+  /// reused the moment the flush hook returns. `on_durable` — may be empty —
+  /// runs on the writer thread after this row's put() has returned.
   void submit(const RowKey& key, std::span<const engine::BusCell> cells,
-              std::function<void()> on_durable = {});
+              std::function<void()> on_durable = {}, std::vector<std::int64_t> trailer = {});
 
   /// Blocks until every submitted row is durable and acknowledged (or the
   /// writer failed), then rethrows any writer-thread exception. Establishes
@@ -97,6 +96,7 @@ class AsyncSraWriter {
     RowKey key;
     std::vector<engine::BusCell> cells;
     std::function<void()> on_durable;
+    std::vector<std::int64_t> trailer;
   };
 
   void writer_loop();

@@ -31,21 +31,29 @@ constexpr std::uint32_t kRowMagic = 0x53524157;  // "SRAW"
 
 /// Self-describing header at the start of every row file: a row file names
 /// exactly what it holds (which is what lets the files be the store's only
-/// index), and the CRC proves the payload is the one that was written.
+/// index), and the CRC proves the payload and trailer that follow it are the
+/// ones that were written.
 struct RowFileHeader {
   std::uint32_t magic = kRowMagic;
   std::uint16_t version = kSraFormatVersion;
   std::uint16_t reserved = 0;
   RowKey key;
   std::uint64_t cell_count = 0;
-  std::uint32_t payload_crc = 0;
-  std::uint32_t reserved2 = 0;
+  std::uint32_t crc = 0;            ///< CRC-32 of the cells, then the trailer.
+  std::uint32_t trailer_count = 0;  ///< int64 values after the cells.
 };
 static_assert(sizeof(RowFileHeader) == 8 + sizeof(RowKey) + 16);
 
 /// Payload bytes of a row: two 4-byte values per cell of its key's range.
 std::int64_t row_bytes(const RowKey& key) {
   return (key.end - key.begin + 1) * static_cast<std::int64_t>(sizeof(engine::BusCell));
+}
+
+/// The CRC a row file carries: over its cells, then its trailer.
+std::uint32_t row_crc(std::span<const engine::BusCell> cells,
+                      std::span<const std::int64_t> trailer) {
+  return common::crc32_update(common::crc32(cells.data(), cells.size_bytes()), trailer.data(),
+                              trailer.size_bytes());
 }
 
 /// The storage index n a row file's name `sra-<n>.bin` encodes; nullopt for
@@ -60,9 +68,10 @@ std::optional<std::size_t> row_index_of(std::string_view name) {
   return index;
 }
 
-/// Reads a row file's header and refuses a bad magic, another format version
-/// or a cell count that contradicts the header's own key range. The key
-/// comes from disk, so its range is checked before any arithmetic on it.
+/// Reads a row file's header and refuses a bad magic, another format version,
+/// a cell count that contradicts the header's own key range, or a file whose
+/// size does not match the header's counts. The key comes from disk, so its
+/// range is checked before any arithmetic on it.
 RowFileHeader read_header(std::istream& is, const std::filesystem::path& file) {
   const auto header = read_pod<RowFileHeader>(is);
   CUDALIGN_CHECK(header.magic == kRowMagic, "SRA row file ", file.string(),
@@ -75,6 +84,17 @@ RowFileHeader read_header(std::istream& is, const std::filesystem::path& file) {
   CUDALIGN_CHECK(key.begin >= 0 && key.end >= key.begin - 1 &&
                      static_cast<std::uint64_t>(key.end - key.begin) + 1 == header.cell_count,
                  "SRA row file ", file.string(), " cell count does not match its key range");
+  // The counts come from disk: divide the payload (at least a header was
+  // read) rather than multiply the cell count, which could wrap.
+  const std::uintmax_t actual = std::filesystem::file_size(file);
+  const std::uintmax_t overhead =
+      sizeof(RowFileHeader) + std::uintmax_t{header.trailer_count} * sizeof(std::int64_t);
+  const std::uintmax_t payload = actual - std::min(actual, overhead);
+  CUDALIGN_CHECK(actual >= overhead && payload % sizeof(engine::BusCell) == 0 &&
+                     payload / sizeof(engine::BusCell) == header.cell_count,
+                 "SRA row file ", file.string(), " is truncated: ", actual,
+                 " bytes on disk, expected a ", sizeof(RowFileHeader), "-byte header, ",
+                 header.cell_count, " cells and ", header.trailer_count, " trailer values");
   return header;
 }
 
@@ -106,23 +126,14 @@ void SpecialRowsArea::adopt_row(std::size_t index) {
   std::ifstream is(file, std::ios::binary);
   CUDALIGN_CHECK(is.good(), "cannot open SRA row file ", file.string());
   const RowFileHeader header = read_header(is, file);
-  // The count comes from disk: divide the payload (at least a header was
-  // read) rather than multiply the count, which could wrap.
-  const std::uintmax_t actual = std::filesystem::file_size(file);
-  const std::uintmax_t payload = actual - sizeof(RowFileHeader);
-  CUDALIGN_CHECK(payload % sizeof(engine::BusCell) == 0 &&
-                     payload / sizeof(engine::BusCell) == header.cell_count,
-                 "SRA row file ", file.string(), " is truncated: ", actual,
-                 " bytes on disk, expected a ", sizeof(RowFileHeader), "-byte header and ",
-                 header.cell_count, " cells");
   if (index >= keys_.size()) {
     keys_.resize(index + 1);
-    live_.resize(index + 1, false);
+    live_.resize(index + 1, 0);
     crcs_.resize(index + 1);
   }
   keys_[index] = header.key;
-  live_[index] = true;
-  crcs_[index] = header.payload_crc;
+  live_[index] = 1;
+  crcs_[index] = header.crc;
   used_ += row_bytes(header.key);
 }
 
@@ -130,7 +141,8 @@ std::filesystem::path SpecialRowsArea::file_for(std::size_t index) const {
   return dir_ / ("sra-" + std::to_string(index) + ".bin");
 }
 
-std::size_t SpecialRowsArea::put(const RowKey& key, std::span<const engine::BusCell> cells) {
+std::size_t SpecialRowsArea::put(const RowKey& key, std::span<const engine::BusCell> cells,
+                                 std::span<const std::int64_t> trailer) {
   CUDALIGN_CHECK(key.begin >= 0 && key.end - key.begin + 1 == static_cast<Index>(cells.size()),
                  "special row cell count does not match its key range");
   const std::int64_t bytes = row_bytes(key);
@@ -141,13 +153,15 @@ std::size_t SpecialRowsArea::put(const RowKey& key, std::span<const engine::BusC
   RowFileHeader header;
   header.key = key;
   header.cell_count = cells.size();
-  header.payload_crc = common::crc32(cells.data(), cells.size_bytes());
+  header.crc = row_crc(cells, trailer);
+  header.trailer_count = static_cast<std::uint32_t>(trailer.size());
 
   // Write-then-rename in both modes: `sra-<n>.bin` either holds its whole row
-  // or does not exist.
+  // and trailer or does not exist.
   const auto file = file_for(index);
   if (durability_ == Durability::kDurable) {
-    atomic_write_file_durable(file, {std::as_bytes(std::span(&header, 1)), std::as_bytes(cells)});
+    atomic_write_file_durable(file, {std::as_bytes(std::span(&header, 1)), std::as_bytes(cells),
+                                     std::as_bytes(trailer)});
   } else {
     std::filesystem::path tmp = file;
     tmp += ".tmp";
@@ -155,20 +169,22 @@ std::size_t SpecialRowsArea::put(const RowKey& key, std::span<const engine::BusC
     CUDALIGN_CHECK(os.good(), "cannot open SRA file for writing: " + tmp.string());
     write_pod(os, header);
     write_span(os, cells);
+    write_span(os, trailer);
     os.close();  // A full disk may only fail the final flush.
     CUDALIGN_CHECK(!os.fail(), "error while writing SRA file " + tmp.string());
     std::filesystem::rename(tmp, file);
   }
   keys_.push_back(key);
-  live_.push_back(true);
-  crcs_.push_back(header.payload_crc);
+  live_.push_back(1);
+  crcs_.push_back(header.crc);
   used_ += bytes;
   written_ += bytes;
   peak_ = std::max(peak_, used_);
   return index;
 }
 
-std::vector<engine::BusCell> SpecialRowsArea::get(std::size_t index) const {
+std::vector<engine::BusCell> SpecialRowsArea::get(std::size_t index,
+                                                  std::vector<std::int64_t>* trailer) const {
   const RowKey& expected = key(index);
   const auto file = file_for(index);
   std::ifstream is(file, std::ios::binary);
@@ -179,12 +195,17 @@ std::vector<engine::BusCell> SpecialRowsArea::get(std::size_t index) const {
                  "SRA row file ", file.string(), " describes a different row than the index");
   std::vector<engine::BusCell> cells(header.cell_count);
   read_span(is, std::span<engine::BusCell>(cells));
-  const std::uint32_t crc = common::crc32(cells.data(), cells.size() * sizeof(engine::BusCell));
-  CUDALIGN_CHECK(crc == header.payload_crc && crc == crcs_[index],
-                 "SRA row file ", file.string(),
-                 " failed its CRC-32 check — the payload on disk is corrupt");
-  read_ += static_cast<std::int64_t>(cells.size() * sizeof(engine::BusCell));
-  ++rows_read_;
+  std::vector<std::int64_t> values(header.trailer_count);
+  read_span(is, std::span<std::int64_t>(values));
+  const std::uint32_t crc = row_crc(cells, values);
+  CUDALIGN_CHECK(crc == header.crc && crc == crcs_[index],
+                 "SRA row file ", file.string(), " (position ", expected.position,
+                 ") failed its CRC-32 check — the payload or trailer on disk is corrupt");
+  // order: relaxed — tallies only; nothing is published through them.
+  read_.fetch_add(static_cast<std::int64_t>(cells.size() * sizeof(engine::BusCell)),
+                  std::memory_order_relaxed);
+  rows_read_.fetch_add(1, std::memory_order_relaxed);  // order: relaxed — as above.
+  if (trailer != nullptr) *trailer = std::move(values);
   return cells;
 }
 
@@ -212,7 +233,7 @@ void SpecialRowsArea::drop_rows(const std::function<bool(std::size_t)>& selected
     std::error_code ec;
     std::filesystem::remove(file, ec);
     CUDALIGN_CHECK(!ec, "cannot delete SRA row file ", file.string(), ": ", ec.message());
-    live_[i] = false;
+    live_[i] = 0;
     used_ -= row_bytes(keys_[i]);
     dropped = true;
   }

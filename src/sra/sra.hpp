@@ -7,15 +7,19 @@
 // at least ceil(8*m*n / (alpha*T*|SRA|)) blocks between flushes, i.e. the
 // budget is never exceeded no matter the matrix size.
 //
-// On-disk format (version 2, DESIGN.md "Checkpoint & resume"): one file
+// On-disk format (version 3, DESIGN.md "Checkpoint & resume"): one file
 // `sra-<n>.bin` per row, where n is the row's storage index, and nothing
 // else. Every row file is self-describing — magic, format version, its
-// RowKey, cell count and a CRC-32 of the payload — so the row files are the
-// store's only index, and truncation and bit rot are detected on open or
-// read instead of silently corrupting a resumed alignment. Version-1 stores
-// (no CRCs) are refused, never reinterpreted.
+// RowKey, cell count, trailer length and a CRC-32 of payload and trailer —
+// so the row files are the store's only index, and truncation and bit rot
+// are detected on open or read instead of silently corrupting a resumed
+// alignment. The trailer is a caller-defined list of int64 values written
+// and verified with the row: Stage 1 stores its resume state there, which
+// makes every special row its own checkpoint. Stores of another version
+// (v1 had no CRCs, v2 no trailers) are refused, never reinterpreted.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <functional>
@@ -40,7 +44,7 @@ struct RowKey {
 /// The SRA on-disk format version this build reads and writes. Bumped when
 /// the row-file layout changes; a store written by a different version is
 /// refused on open (checkpoints never cross format versions).
-inline constexpr std::uint16_t kSraFormatVersion = 2;
+inline constexpr std::uint16_t kSraFormatVersion = 3;
 
 /// How hard the store tries to survive a crash mid-write. Both modes write a
 /// row to `sra-<n>.bin.tmp` and rename it, so a live row file is never
@@ -79,12 +83,17 @@ class SpecialRowsArea {
   SpecialRowsArea(std::filesystem::path directory, std::int64_t budget_bytes,
                   Durability durability = Durability::kFast);
 
-  /// Persists a row; returns its storage index.
-  std::size_t put(const RowKey& key, std::span<const engine::BusCell> cells);
+  /// Persists a row and its `trailer` in one file; returns its storage
+  /// index. The budget and the byte counters below count the cells only.
+  std::size_t put(const RowKey& key, std::span<const engine::BusCell> cells,
+                  std::span<const std::int64_t> trailer = {});
 
   /// Loads a row by storage index, verifying the file header against the
-  /// index and the payload against its CRC-32. Throws on any mismatch.
-  [[nodiscard]] std::vector<engine::BusCell> get(std::size_t index) const;
+  /// index and payload and trailer against the CRC-32; stores the trailer in
+  /// `*trailer` when given. Throws on any mismatch. Safe to call from several
+  /// threads at once (not concurrently with put() or a drop).
+  [[nodiscard]] std::vector<engine::BusCell> get(std::size_t index,
+                                                 std::vector<std::int64_t>* trailer = nullptr) const;
   [[nodiscard]] const RowKey& key(std::size_t index) const;
   /// Storage indices in use so far, dropped rows included.
   [[nodiscard]] std::size_t size() const noexcept { return keys_.size(); }
@@ -92,9 +101,7 @@ class SpecialRowsArea {
   /// All indices in `group`, sorted by position ascending.
   [[nodiscard]] std::vector<std::size_t> group_members(std::int64_t group) const;
 
-  /// Deletes one row, reclaiming budget. Resume uses this to drop rows that
-  /// were flushed after the last checkpointed one (they are recomputed, and
-  /// keeping them would duplicate positions within the group).
+  /// Deletes one row, reclaiming budget.
   void drop_row(std::size_t index);
 
   /// Deletes everything (a fresh pipeline run on a reused working directory
@@ -109,8 +116,14 @@ class SpecialRowsArea {
   /// Cumulative read-back traffic (stage 2/3 matching); counts get() calls
   /// and the bytes they loaded. Observability only — not persisted, so a
   /// reopened store restarts them at zero.
-  [[nodiscard]] std::int64_t total_bytes_read() const noexcept { return read_; }
-  [[nodiscard]] Index rows_read() const noexcept { return rows_read_; }
+  // order: relaxed — tallies, read after the get() calls they count.
+  [[nodiscard]] std::int64_t total_bytes_read() const noexcept {
+    return read_.load(std::memory_order_relaxed);
+  }
+  // order: relaxed — as above.
+  [[nodiscard]] Index rows_read() const noexcept {
+    return rows_read_.load(std::memory_order_relaxed);
+  }
 
  private:
   [[nodiscard]] std::filesystem::path file_for(std::size_t index) const;
@@ -125,11 +138,11 @@ class SpecialRowsArea {
   std::int64_t used_ = 0;
   std::int64_t peak_ = 0;
   std::int64_t written_ = 0;
-  /// Read-traffic tallies; mutable so the logically-const get() can count.
-  mutable std::int64_t read_ = 0;
-  mutable Index rows_read_ = 0;
+  /// Read-traffic tallies, atomic so concurrent get() calls can count.
+  mutable std::atomic<std::int64_t> read_{0};
+  mutable std::atomic<Index> rows_read_{0};
   std::vector<RowKey> keys_;
-  std::vector<bool> live_;
+  std::vector<std::uint8_t> live_;  ///< Not vector<bool>: get() reads it concurrently.
   std::vector<std::uint32_t> crcs_;
 };
 

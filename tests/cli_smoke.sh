@@ -76,13 +76,27 @@ if "$CLI" score "$DIR/multi.fasta" "$DIR/b.fasta" 2>"$DIR/multi.err"; then
 fi
 grep -q "2 records" "$DIR/multi.err"
 # Kill-and-resume, pruned (the default): fault injection SIGKILLs the process
-# right after the 2nd stage-1 checkpoint save; the resumed run must produce
+# right after the 2nd durable special row; the resumed run must produce
 # byte-identical output, and the special rows an uninterrupted checkpointed
-# run writes, file for file (the checkpoint carries the pruning state).
+# run writes, file for file (each row carries its resume state, pruning
+# state included). The uninterrupted run saves its manifest at most six
+# times: once before Stage 1 and at the stage boundaries, never per row.
 "$CLI" align "$DIR/a.fasta" "$DIR/b.fasta" --out "$DIR/ref.bin" > "$DIR/ref.out"
 "$CLI" align "$DIR/a.fasta" "$DIR/b.fasta" --checkpoint-dir "$DIR/whole" \
-       --out "$DIR/whole.bin" >/dev/null
+       --out "$DIR/whole.bin" --report "$DIR/whole.json" >/dev/null
 cmp "$DIR/ref.bin" "$DIR/whole.bin"
+"$CLI" report-check "$DIR/whole.json" | grep -q "well-formed"
+grep -q '"checkpoint_updates": 6' "$DIR/whole.json"
+# A kill switch that is not a non-negative integer must fail fast with exit
+# status 2, not silently let the run complete.
+rc=0
+CUDALIGN_CHECKPOINT_CRASH_AFTER=two timeout 20 "$CLI" align "$DIR/a.fasta" "$DIR/b.fasta" \
+  --checkpoint-dir "$DIR/ckpt-bad" --out "$DIR/bad-kill.bin" 2>"$DIR/kill.err" || rc=$?
+if [ "$rc" -ne 2 ]; then
+  echo "CUDALIGN_CHECKPOINT_CRASH_AFTER=two: exit $rc, expected 2" >&2
+  exit 1
+fi
+grep -q "CUDALIGN_CHECKPOINT_CRASH_AFTER" "$DIR/kill.err"
 if CUDALIGN_CHECKPOINT_CRASH_AFTER=2 "$CLI" align "$DIR/a.fasta" "$DIR/b.fasta" \
      --checkpoint-dir "$DIR/ckpt" --out "$DIR/crash.bin" >/dev/null 2>&1; then
   echo "fault-injected run did not crash" >&2
@@ -105,11 +119,12 @@ if "$CLI" align "$DIR/a.fasta" "$DIR/b.fasta" --executor dataflow 2>"$DIR/exec.e
   exit 1
 fi
 grep -q -- "--executor" "$DIR/exec.err"
-# Kill-and-resume where SIGKILL lands mid-flush: the SRA writer thread
-# advances the checkpoint cursor only on durable acks, so the checkpoint never
-# points past a row that is not on disk. Resume must be byte-identical, and a
-# torn staging temp left in the rows directory must be swept: afterwards the
-# store holds only its sra-<n>.bin row files.
+# Kill-and-resume where SIGKILL lands while later rows are still queued: the
+# kill fires on the SRA writer thread right after the 3rd durable special
+# row, so the rows on disk are a prefix of the flush rows and the newest one
+# is the restart point. Resume must be byte-identical, and a torn staging
+# temp left in the rows directory must be swept: afterwards the store holds
+# only its sra-<n>.bin row files.
 if CUDALIGN_CHECKPOINT_CRASH_AFTER=3 "$CLI" align "$DIR/a.fasta" "$DIR/b.fasta" \
      --checkpoint-dir "$DIR/ckpt-async" --out "$DIR/crash-async.bin" \
      >/dev/null 2>&1; then

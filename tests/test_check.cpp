@@ -579,8 +579,8 @@ TEST(EngineAudit, CleanWithMoreStripsThanTheRing) {
 
 // ---------------------------------------------------------------------------
 // Flush-pipeline hand-off audits: special rows must retire in ascending strip
-// order (the prefix property the checkpoint cursor's durable-ack advance
-// relies on) and only after the whole row is assembled.
+// order (the prefix property a resume from the highest durable row relies
+// on) and only after the whole row is assembled.
 // ---------------------------------------------------------------------------
 
 TEST_F(BusAuditReplay, FlushHandoffCleanInAscendingOrder) {

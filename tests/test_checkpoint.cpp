@@ -1,7 +1,8 @@
 // Checkpoint/resume: the manifest format (round trip, tamper detection,
-// envelope matching) and the pipeline property that matters — a run killed at
-// any checkpoint and resumed produces the byte-identical alignment of an
-// uninterrupted run, while corrupt or mismatched checkpoints are refused.
+// envelope matching) and the pipeline property that matters — a run killed
+// after any durable special row or stage boundary and resumed produces the
+// byte-identical alignment of an uninterrupted run, while corrupt or
+// mismatched checkpoints are refused.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -11,6 +12,7 @@
 #include "common/io_util.hpp"
 #include "core/checkpoint.hpp"
 #include "core/pipeline.hpp"
+#include "core/stages.hpp"
 #include "engine/executor.hpp"
 #include "engine/kernel_registry.hpp"
 #include "obs/report.hpp"
@@ -27,7 +29,7 @@ PipelineOptions small_options() {
   o.grid_stage1 = tiny_grid(3, 4, 2);
   o.grid_stage23 = tiny_grid(2, 4, 2);
   // A roomy rows budget gives flush interval 1: one special row (and thus
-  // one checkpoint save) per strip, plenty of crash points on small problems.
+  // one crash point) per strip, plenty of them on small problems.
   o.sra_rows_budget = 1 << 20;
   o.sra_cols_budget = 1 << 20;
   o.max_partition_size = 16;
@@ -55,15 +57,11 @@ CheckpointState sample_state() {
   CheckpointState s;
   s.envelope = sample_envelope();
   s.stage = CheckpointStage::kStage1;
-  s.stage1.last_flushed_row = 16;  // Strip height 8, interval 2.
-  s.stage1.special_rows_saved = 1;
+  s.stage1.special_rows_saved = 17;
   s.stage1.flush_interval = 2;
   s.stage1.best_score = 42;
   s.stage1.best_i = 15;
   s.stage1.best_j = 99;
-  s.stage1.prune_closure = {42, 40, 42};  // small_options() prunes on 3 chunks.
-  s.stage1.prune_lagged.assign(static_cast<std::size_t>(engine::kPruneLag), 0);
-  s.stage1.prune_lagged.back() = 42;
   return s;
 }
 
@@ -175,9 +173,10 @@ TEST(CheckpointManifestTest, BodyTamperFailsCrc) {
   CheckpointManifest manifest(dir.path());
   manifest.save(sample_state());
   std::string text = read_file(manifest.path());
-  const auto pos = text.find("\"last_flushed_row\": 16");
+  const std::string field = "\"special_rows_saved\": 17";
+  const auto pos = text.find(field);
   ASSERT_NE(pos, std::string::npos);
-  text.replace(pos, 22, "\"last_flushed_row\": 24");
+  text.replace(pos, field.size(), "\"special_rows_saved\": 18");
   write_file(manifest.path(), text);
   try {
     (void)manifest.load();
@@ -216,30 +215,48 @@ TEST(CheckpointManifestTest, FormatVersionBumpRefused) {
 TEST(CheckpointManifestTest, Version2ManifestRefusedNamingBothVersions) {
   // A v2 manifest carries no pruning state, so a pruned run cannot resume
   // from it exactly: it is refused, not reinterpreted.
-  ASSERT_EQ(kCheckpointFormatVersion, 3);
+  ASSERT_EQ(kCheckpointFormatVersion, 4);
   const std::string error = load_error_as_version(2);
   EXPECT_NE(error.find("format version 2"), std::string::npos) << error;
-  EXPECT_NE(error.find("reads version 3"), std::string::npos) << error;
+  EXPECT_NE(error.find("reads version 4"), std::string::npos) << error;
 }
 
-TEST(CheckpointManifestTest, PruningStateIsAllOrNothing) {
-  CheckpointState state = sample_state();
-  EXPECT_NO_THROW(validate_checkpoint_state(state));
-  state.stage1.prune_lagged.pop_back();  // One lagged best short.
-  EXPECT_THROW(validate_checkpoint_state(state), Error);
-  state = sample_state();
-  state.stage1.prune_closure.clear();  // Lagged bests without a closure row.
-  EXPECT_THROW(validate_checkpoint_state(state), Error);
-  state = sample_state();
-  state.stage1.prune_closure.clear();  // No pruning state at all is valid.
-  state.stage1.prune_lagged.clear();
-  EXPECT_NO_THROW(validate_checkpoint_state(state));
+TEST(CheckpointManifestTest, Version3ManifestRefusedNamingBothVersions) {
+  // A v3 manifest holds a Stage-1 cursor (last_flushed_row and the pruning
+  // state) that v4 keeps in the special rows' trailers instead.
+  const std::string error = load_error_as_version(3);
+  EXPECT_NE(error.find("format version 3"), std::string::npos) << error;
+  EXPECT_NE(error.find("reads version 4"), std::string::npos) << error;
+}
+
+// The state e2ebench's checkpoint-save probe writes on every benchmark run: a
+// Stage-1 state with only the envelope lengths, the row counts and the best.
+TEST(CheckpointManifestTest, BenchmarkProbeStateSaves) {
+  CheckpointState state;
+  state.envelope.s0_length = 100000;
+  state.envelope.s1_length = 99000;
+  state.stage1.special_rows_saved = 199;
+  state.stage1.flush_interval = 1;
+  state.stage1.best_score = 95313;
+  state.stage1.best_i = 99990;
+  state.stage1.best_j = 98995;
+  TempDir dir;
+  CheckpointManifest manifest(dir.path());
+  ASSERT_NO_THROW(manifest.save(state));
+  EXPECT_EQ(manifest.load(), state);
+  // The manifest holds no Stage-1 cursor.
+  const std::string text = read_file(manifest.path());
+  EXPECT_EQ(text.find("last_flushed_row"), std::string::npos);
+  EXPECT_EQ(text.find("prune"), std::string::npos);
 }
 
 TEST(CheckpointManifestTest, StateInvariantsEnforced) {
-  // Flushed row off the strip/flush boundary.
+  // Negative stage-1 counts.
   CheckpointState state = sample_state();
-  state.stage1.last_flushed_row = 13;
+  state.stage1.special_rows_saved = -1;
+  EXPECT_THROW(validate_checkpoint_state(state), Error);
+  state = sample_state();
+  state.stage1.flush_interval = -2;
   EXPECT_THROW(validate_checkpoint_state(state), Error);
   // Stage cursor implies a crosspoint list that is absent.
   state = sample_state();
@@ -272,51 +289,78 @@ std::map<std::string, std::string> read_rows(const std::filesystem::path& dir) {
   return files;
 }
 
-/// Runs the uninterrupted pipeline and a crash-at-save-k + resume pair on the
-/// same problem (pruned: the default) and asserts byte-identical results,
-/// down to every special-row file an uninterrupted checkpointed run writes.
-/// `between_runs`, if set, gets the checkpoint directory after the crash and
-/// before the resume.
-void expect_resume_equivalence(
-    Index crash_after_saves,
-    const std::function<void(const std::filesystem::path&)>& between_runs = {}) {
-  const auto pair = seq::make_related_pair(300, 290, 4242);
+/// A related pair run without interruption (pruned: the default): the
+/// result, and the special-row files and manifest save count of the same
+/// run with a checkpoint directory.
+struct Uninterrupted {
+  seq::SequencePair pair = seq::make_related_pair(300, 290, 4242);
+  PipelineResult reference;
+  std::map<std::string, std::string> rows;
+  Index checkpoint_updates = 0;
+};
+
+Uninterrupted run_uninterrupted(const std::filesystem::path& dir) {
+  Uninterrupted u;
   PipelineOptions options = small_options();
-  const PipelineResult reference = align_pipeline(pair.s0, pair.s1, options);
-  ASSERT_GT(reference.best_score, 0);
-  ASSERT_GT(reference.special_rows_saved, 2);
+  u.reference = align_pipeline(u.pair.s0, u.pair.s1, options);
+  EXPECT_GT(u.reference.best_score, 0);
+  EXPECT_GT(u.reference.special_rows_saved, 3);
+  EXPECT_GT(u.reference.stages[0].pruned_cells, 0);
+  options.checkpoint_dir = dir;
+  const PipelineResult whole = align_pipeline(u.pair.s0, u.pair.s1, options);
+  EXPECT_EQ(whole.binary, u.reference.binary);
+  u.rows = read_rows(dir / "rows");
+  EXPECT_EQ(static_cast<Index>(u.rows.size()), u.reference.special_rows_saved);
+  u.checkpoint_updates = whole.resume.checkpoint_updates;
+  return u;
+}
 
-  ASSERT_GT(reference.stages[0].pruned_cells, 0);
-
-  TempDir dir;
-  options.checkpoint_dir = dir.path() / "whole";
-  (void)align_pipeline(pair.s0, pair.s1, options);
-  const auto whole_rows = read_rows(options.checkpoint_dir / "rows");
-  ASSERT_EQ(static_cast<Index>(whole_rows.size()), reference.special_rows_saved);
-
-  options.checkpoint_dir = dir.path() / "ckpt";
-  options.checkpoint_crash_after_flushes = crash_after_saves;
-  EXPECT_THROW((void)align_pipeline(pair.s0, pair.s1, options), Error);
-  if (between_runs) between_runs(options.checkpoint_dir);
+/// Crashes a checkpointed run of `u.pair` in `dir` right after its
+/// `crash_after`th durable special row, hands `dir` to `between_runs` (if
+/// set), resumes, and asserts the resumed run is byte-identical to the
+/// uninterrupted one, down to every special-row file. Returns the resumed
+/// result.
+PipelineResult crash_and_resume(
+    const Uninterrupted& u, const std::filesystem::path& dir, Index crash_after,
+    const std::function<void(const std::filesystem::path&)>& between_runs = {}) {
+  PipelineOptions options = small_options();
+  options.checkpoint_dir = dir;
+  options.checkpoint_crash_after_flushes = crash_after;
+  EXPECT_THROW((void)align_pipeline(u.pair.s0, u.pair.s1, options), Error);
+  EXPECT_EQ(static_cast<Index>(read_rows(dir / "rows").size()), crash_after);
+  if (between_runs) between_runs(dir);
 
   options.checkpoint_crash_after_flushes = 0;
   options.resume = true;
-  const PipelineResult resumed = align_pipeline(pair.s0, pair.s1, options);
-
-  EXPECT_EQ(resumed.best_score, reference.best_score);
-  EXPECT_EQ(resumed.end_point, reference.end_point);
-  EXPECT_EQ(resumed.start_point, reference.start_point);
-  EXPECT_TRUE(resumed.alignment.transcript == reference.alignment.transcript);
-  EXPECT_EQ(resumed.binary, reference.binary);
-  EXPECT_EQ(resumed.special_rows_saved, reference.special_rows_saved);
-  EXPECT_TRUE(read_rows(options.checkpoint_dir / "rows") == whole_rows)
+  const PipelineResult resumed = align_pipeline(u.pair.s0, u.pair.s1, options);
+  EXPECT_EQ(resumed.best_score, u.reference.best_score);
+  EXPECT_EQ(resumed.end_point, u.reference.end_point);
+  EXPECT_EQ(resumed.start_point, u.reference.start_point);
+  EXPECT_TRUE(resumed.alignment.transcript == u.reference.alignment.transcript);
+  EXPECT_EQ(resumed.binary, u.reference.binary);
+  EXPECT_EQ(resumed.special_rows_saved, u.reference.special_rows_saved);
+  EXPECT_TRUE(read_rows(dir / "rows") == u.rows)
       << "resumed special rows differ from the uninterrupted run's";
   EXPECT_TRUE(resumed.resume.resumed);
   EXPECT_EQ(resumed.resume.resumed_stage, 1);
-  EXPECT_GT(resumed.resume.resumed_from_row, 0);
-  EXPECT_GT(resumed.resume.rows_restored, 0);
-  EXPECT_GT(resumed.resume.cells_skipped, 0);
-  EXPECT_GT(resumed.resume.checkpoint_updates, 0);
+  // The resumed run saves the manifest only at the five stage boundaries.
+  EXPECT_EQ(resumed.resume.checkpoint_updates, 5);
+  return resumed;
+}
+
+/// Kill after the `crash_after`th durable row, then resume from that row.
+void expect_resume_equivalence(
+    Index crash_after,
+    const std::function<void(const std::filesystem::path&)>& between_runs = {}) {
+  TempDir dir;
+  const Uninterrupted u = run_uninterrupted(dir.path() / "whole");
+  const PipelineResult resumed =
+      crash_and_resume(u, dir.path() / "ckpt", crash_after, between_runs);
+  const Index step = small_options().grid_stage1.strip_rows();  // Flush interval 1.
+  EXPECT_EQ(resumed.resume.resumed_from_row, crash_after * step);
+  EXPECT_EQ(resumed.resume.rows_restored, crash_after);
+  EXPECT_EQ(resumed.resume.cells_skipped,
+            static_cast<WideScore>(crash_after * step) * static_cast<WideScore>(u.pair.s1.size()));
 }
 
 TEST(CheckpointResume, KilledAfterFirstSaveMatchesUninterrupted) {
@@ -327,6 +371,21 @@ TEST(CheckpointResume, KilledAfterThirdSaveMatchesUninterrupted) {
   expect_resume_equivalence(3);
 }
 
+// Every durable special row is a checkpoint: a kill after any of them
+// resumes to the uninterrupted run's alignment and row files.
+TEST(CheckpointResume, KilledAtEveryFlushRowMatchesUninterrupted) {
+  TempDir dir;
+  const Uninterrupted u = run_uninterrupted(dir.path() / "whole");
+  // One save before Stage 1 and one at each of the five stage boundaries.
+  EXPECT_EQ(u.checkpoint_updates, 6);
+  for (Index k = 1; k <= u.reference.special_rows_saved; ++k) {
+    SCOPED_TRACE("killed after durable row " + std::to_string(k));
+    const auto ckpt = dir.path() / ("ckpt-" + std::to_string(k));
+    EXPECT_EQ(crash_and_resume(u, ckpt, k).resume.rows_restored, k);
+    std::filesystem::remove_all(ckpt);
+  }
+}
+
 TEST(CheckpointResume, StaleSraManifestIgnoredOnResume) {
   // Older builds kept a manifest.bin next to the special-row files. The row
   // files are now the store's only index, so a stale manifest left in the
@@ -334,6 +393,114 @@ TEST(CheckpointResume, StaleSraManifestIgnoredOnResume) {
   expect_resume_equivalence(2, [](const std::filesystem::path& checkpoint_dir) {
     write_file(checkpoint_dir / "rows" / "manifest.bin", "stale index of an older build");
   });
+}
+
+// Deleting only the newest rows loses work, not correctness: the resume
+// point moves to the highest row left.
+TEST(CheckpointResume, DeletedNewestRowsMoveTheResumePointEarlier) {
+  TempDir dir;
+  const Uninterrupted u = run_uninterrupted(dir.path() / "whole");
+  const PipelineResult resumed =
+      crash_and_resume(u, dir.path() / "ckpt", 4, [](const std::filesystem::path& ckpt) {
+        ASSERT_TRUE(std::filesystem::remove(ckpt / "rows" / "sra-3.bin"));
+        ASSERT_TRUE(std::filesystem::remove(ckpt / "rows" / "sra-2.bin"));
+      });
+  EXPECT_EQ(resumed.resume.rows_restored, 2);
+  EXPECT_EQ(resumed.resume.resumed_from_row, 2 * small_options().grid_stage1.strip_rows());
+}
+
+/// Crashes a checkpointed run of a related pair after `crash_after` durable
+/// rows, lets `tamper` alter the checkpoint directory, and returns the message
+/// the resume is refused with ("" if it is not).
+std::string resume_error_after(
+    Index crash_after, const std::function<void(const std::filesystem::path&)>& tamper,
+    bool block_pruning = true) {
+  const auto pair = seq::make_related_pair(300, 290, 4343);
+  PipelineOptions options = small_options();
+  options.block_pruning = block_pruning;
+  TempDir dir;
+  options.checkpoint_dir = dir.path() / "ckpt";
+  options.checkpoint_crash_after_flushes = crash_after;
+  EXPECT_THROW((void)align_pipeline(pair.s0, pair.s1, options), Error);
+  tamper(options.checkpoint_dir);
+  options.checkpoint_crash_after_flushes = 0;
+  options.resume = true;
+  try {
+    (void)align_pipeline(pair.s0, pair.s1, options);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// Rewrites the newest special row of the checkpoint in `dir` with its
+/// trailer passed through `edit`, as a correctly CRC'd row file.
+void rewrite_newest_trailer(const std::filesystem::path& dir,
+                            const std::function<void(std::vector<std::int64_t>&)>& edit) {
+  sra::SpecialRowsArea rows(dir / "rows", small_options().sra_rows_budget,
+                            sra::Durability::kDurable);
+  const std::size_t newest = rows.group_members(kRowsGroup).back();
+  const sra::RowKey key = rows.key(newest);
+  std::vector<std::int64_t> trailer;
+  const std::vector<engine::BusCell> cells = rows.get(newest, &trailer);
+  edit(trailer);
+  rows.drop_row(newest);
+  (void)rows.put(key, cells, trailer);
+}
+
+TEST(CheckpointResume, FlippedTrailerByteRefusedNamingTheRow) {
+  const std::string error = resume_error_after(2, [](const std::filesystem::path& dir) {
+    // The trailer ends the file: flip a byte of its last value.
+    std::fstream io(dir / "rows" / "sra-1.bin", std::ios::binary | std::ios::in | std::ios::out);
+    io.seekg(-3, std::ios::end);
+    char byte = 0;
+    io.read(&byte, 1);
+    byte = static_cast<char>(byte ^ 0x5A);
+    io.seekp(-3, std::ios::end);
+    io.write(&byte, 1);
+  });
+  EXPECT_NE(error.find("CRC-32"), std::string::npos) << error;
+  EXPECT_NE(error.find("sra-1.bin"), std::string::npos) << error;
+  EXPECT_NE(error.find("position 16"), std::string::npos) << error;
+}
+
+TEST(CheckpointResume, DeletedMiddleRowRefusedNamingItsPosition) {
+  const std::string error = resume_error_after(3, [](const std::filesystem::path& dir) {
+    ASSERT_TRUE(std::filesystem::remove(dir / "rows" / "sra-1.bin"));
+  });
+  EXPECT_NE(error.find("special row 16 is missing"), std::string::npos) << error;
+}
+
+// The pruning state in a special row's trailer is all or nothing: a pruned
+// run needs the best, a closure row and kPruneLag lagged bests, an unpruned
+// run the best alone.
+TEST(CheckpointManifestTest, PruningStateIsAllOrNothing) {
+  const auto refusal = [](bool block_pruning,
+                          const std::function<void(std::vector<std::int64_t>&)>& edit) {
+    return resume_error_after(
+        2, [&](const std::filesystem::path& dir) { rewrite_newest_trailer(dir, edit); },
+        block_pruning);
+  };
+  // Pruned: the best without any pruning state, or lagged bests without a
+  // closure row. Unpruned: pruning state it cannot use.
+  for (const std::string& error :
+       {refusal(true, [](std::vector<std::int64_t>& t) { t.resize(3); }),
+        refusal(true,
+                [](std::vector<std::int64_t>& t) {
+                  t.erase(t.begin() + 3, t.end() - engine::kPruneLag);
+                }),
+        refusal(false, [](std::vector<std::int64_t>& t) { t.push_back(0); })}) {
+    EXPECT_NE(error.find("special row 16 carries"), std::string::npos) << error;
+  }
+  // One lagged best short leaves the closure row a column short: the engine
+  // refuses it.
+  const std::string short_error =
+      refusal(true, [](std::vector<std::int64_t>& t) { t.pop_back(); });
+  EXPECT_NE(short_error.find("pruning state"), std::string::npos) << short_error;
+  // The trailers as written resume, pruned or not.
+  for (const bool block_pruning : {true, false}) {
+    EXPECT_EQ(refusal(block_pruning, [](std::vector<std::int64_t>&) {}), "");
+  }
 }
 
 TEST(CheckpointResume, StageBoundaryResumeMatchesUninterrupted) {
@@ -484,8 +651,8 @@ TEST(CheckpointResume, ManifestReferencingMissingSraRowRefused) {
   options.checkpoint_dir = dir.path() / "ckpt";
   options.checkpoint_crash_after_flushes = 2;
   EXPECT_THROW((void)align_pipeline(pair.s0, pair.s1, options), Error);
-  // Remove one referenced special row: the reopened store no longer holds as
-  // many rows as the checkpoint records, and the resume refuses.
+  // Remove the first special row: the rows left no longer start at the first
+  // flush row, and the resume refuses, naming the missing one.
   ASSERT_TRUE(std::filesystem::remove(options.checkpoint_dir / "rows" / "sra-0.bin"));
   options.checkpoint_crash_after_flushes = 0;
   options.resume = true;

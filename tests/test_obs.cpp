@@ -338,6 +338,22 @@ TEST(RunReport, ValidatorFlagsTampering) {
     EXPECT_FALSE(validate_run_report(bad_floor).empty());
   }
 
+  // A checkpointed run saves its manifest once before Stage 1 and at the
+  // five stage boundaries, never once per special row.
+  for (const std::int64_t updates : {6, 7}) {
+    Json checkpointed = report;
+    checkpointed.set("resume", Json::object()
+                                   .set("resumed", false)
+                                   .set("resumed_stage", 0)
+                                   .set("resumed_from_row", 0)
+                                   .set("cells_skipped", 0)
+                                   .set("rows_restored", 0)
+                                   .set("checkpoint_bytes_written", 0)
+                                   .set("checkpoint_bytes_read", 0)
+                                   .set("checkpoint_updates", updates));
+    EXPECT_EQ(validate_run_report(checkpointed).empty(), updates == 6) << updates;
+  }
+
   EXPECT_FALSE(validate_run_report(Json("not an object")).empty());
 }
 

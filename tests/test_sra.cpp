@@ -178,7 +178,7 @@ TEST(Sra, FilesActuallyOnDisk) {
 }
 
 // ---------------------------------------------------------------------------
-// Durability edge cases (format v2): every way a crashed or tampered row
+// Durability edge cases (format v3): every way a crashed or tampered row
 // file can disagree with what was written must be detected on open or read —
 // resume must never silently compute over corrupt special rows.
 // ---------------------------------------------------------------------------
@@ -261,6 +261,30 @@ void expect_refused_on_reopen(const std::filesystem::path& store, std::int64_t o
   }
 }
 
+TEST(SraDurability, Version2RowRefusedNamingBothVersions) {
+  // A v2 row has no trailer, so it cannot carry Stage 1's resume state.
+  TempDir dir;
+  const auto store = dir.path() / "persist";
+  {
+    SpecialRowsArea area(store, 1 << 20);
+    (void)area.put(RowKey{64, 0, 31, 1}, make_row(32, 5));
+  }
+  {
+    std::fstream io(row_file(store, 0), std::ios::binary | std::ios::in | std::ios::out);
+    io.seekp(4);  // The version follows the 4-byte magic.
+    const std::uint16_t v2 = 2;
+    io.write(reinterpret_cast<const char*>(&v2), sizeof(v2));
+  }
+  ASSERT_EQ(kSraFormatVersion, 3);
+  try {
+    SpecialRowsArea reopened(store, 1 << 20);
+    FAIL() << "a v2 row file was not refused";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("format version 2"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("reads version 3"), std::string::npos) << e.what();
+  }
+}
+
 TEST(SraDurability, FormatVersionBumpRefusedOnReopen) {
   // The row header's version lives right after its 4-byte magic; flipping
   // it simulates a store written by a different format version.
@@ -314,6 +338,78 @@ TEST(SraDurability, DurableModeRoundTripsAndSweepsTornTmpFiles) {
   EXPECT_FALSE(std::filesystem::exists(store / "sra-99.bin.tmp"));
   ASSERT_EQ(reopened.size(), 1u);
   EXPECT_EQ(reopened.get(0), row);
+}
+
+// A row's trailer is written and verified with it, and is file overhead: the
+// budget and the byte counters count the cells only.
+TEST(SraDurability, TrailerRoundTripsOutsideTheBudget) {
+  TempDir dir;
+  const auto store = dir.path() / "persist";
+  const auto row = make_row(32, 5);
+  const std::vector<std::int64_t> trailer{42, -7, std::int64_t{1} << 40};
+  const auto bytes = static_cast<std::int64_t>(row.size() * sizeof(engine::BusCell));
+  for (const Durability durability : {Durability::kFast, Durability::kDurable}) {
+    std::filesystem::remove_all(store);
+    SpecialRowsArea area(store, bytes, durability);  // Room for the cells only.
+    const auto idx = area.put(RowKey{64, 0, 31, 1}, row, trailer);
+    EXPECT_EQ(area.used_bytes(), bytes);
+    EXPECT_EQ(area.peak_bytes(), bytes);
+    EXPECT_EQ(area.total_bytes_written(), bytes);
+    std::vector<std::int64_t> read_back;
+    EXPECT_EQ(area.get(idx, &read_back), row);
+    EXPECT_EQ(read_back, trailer);
+    EXPECT_EQ(area.total_bytes_read(), bytes);
+  }
+  SpecialRowsArea reopened(store, bytes, Durability::kDurable);
+  EXPECT_EQ(reopened.used_bytes(), bytes);
+  std::vector<std::int64_t> read_back;
+  EXPECT_EQ(reopened.get(0, &read_back), row);
+  EXPECT_EQ(read_back, trailer);
+}
+
+TEST(SraDurability, TrailerCorruptionFailsCrcNamingTheRow) {
+  TempDir dir;
+  const auto store = dir.path() / "persist";
+  SpecialRowsArea area(store, 1 << 20);
+  const auto idx = area.put(RowKey{64, 0, 31, 1}, make_row(32, 5), std::vector<std::int64_t>{1, 2});
+  corrupt_byte(row_file(store, idx), -5);  // Inside the last trailer value.
+  try {
+    (void)area.get(idx);
+    FAIL() << "trailer corruption was not detected";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("CRC-32"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("position 64"), std::string::npos) << e.what();
+  }
+  // A trailer cut short is a size mismatch on the next open.
+  std::filesystem::resize_file(row_file(store, idx),
+                               std::filesystem::file_size(row_file(store, idx)) - 8);
+  EXPECT_THROW(SpecialRowsArea(store, 1 << 20), Error);
+}
+
+// Stage 3 reads each partition's columns inside that partition's task, so
+// get() runs on several threads at once and its traffic tallies stay exact.
+TEST(Sra, ConcurrentGetsReadEveryRowAndCountExactly) {
+  TempDir dir;
+  SpecialRowsArea area(dir.path(), 1 << 20);
+  constexpr int kRows = 8;
+  for (int k = 0; k < kRows; ++k) (void)area.put(RowKey{k + 1, 0, 63, 1}, make_row(64, k));
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 25;
+  std::vector<std::thread> threads;
+  std::vector<int> mismatches(kThreads, 0);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        const int k = (t + round) % kRows;
+        if (area.get(static_cast<std::size_t>(k)) != make_row(64, k)) ++mismatches[t];
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches, std::vector<int>(kThreads, 0));
+  EXPECT_EQ(area.rows_read(), kThreads * kRounds);
+  EXPECT_EQ(area.total_bytes_read(),
+            std::int64_t{kThreads} * kRounds * 64 * static_cast<std::int64_t>(sizeof(engine::BusCell)));
 }
 
 // The durable path writes the header and cells straight from the caller's
@@ -467,9 +563,10 @@ TEST(AsyncWriter, FullDiskPoisonsLaterRowsAndDrainRethrows) {
 }
 
 TEST(AsyncWriter, AckFailurePoisonsBeforeCursorAdvance) {
-  // An ack (checkpoint save) that throws must stop the pipeline with the row
-  // on disk but unacked — the same state a crash between flush and checkpoint
-  // save leaves, which resume's orphan sweep already handles.
+  // An ack that throws (the pipeline's fault injection) must stop the writer
+  // with the row on disk but unacked and nothing written after it — the
+  // state a crash right after that row's write leaves, from which a resume
+  // continues.
   TempDir dir;
   SpecialRowsArea area(dir.path(), 1 << 20);
   AsyncSraWriter writer(area);

@@ -64,8 +64,7 @@ byte-identical for any thread count, including resume.
 --audit-bus verifies every wavefront bus hand-off against the grid model's
 happens-before relation (check/bus_audit.hpp) and fails the run on violation.
 Stage-1 special rows are written by a dedicated SRA writer thread that
-overlaps tile compute; the checkpoint cursor advances only after each row's
-durable write.
+overlaps tile compute; each row is written whole with its resume state.
   cudalign view ALN.bin A.fasta B.fasta [--text FILE] [--tsv FILE] [--plot]
   cudalign generate OUT.fasta --length N [--seed N] [--mutate-of FILE]
            [--substitution R] [--indel R]
@@ -75,9 +74,10 @@ durable write.
 counters, SRA and bus traffic; schema in DESIGN.md "Observability");
 --progress prints a live per-stage ETA line to stderr. report-check validates
 a report's schema and internal consistency (exit 0 = well-formed).
---checkpoint-dir keeps durable crash-safe progress (special rows + a stage
-manifest) under DIR; a killed run re-invoked with --resume continues from the
-last checkpoint instead of recomputing (DESIGN.md "Checkpoint & resume").
+--checkpoint-dir keeps durable crash-safe progress (special rows, each with
+its resume state, + a manifest saved at stage boundaries) under DIR; a killed
+run re-invoked with --resume continues from the newest durable special row or
+stage boundary instead of recomputing (DESIGN.md "Checkpoint & resume").
 Resume refuses mismatched sequences, scoring or grid options.
 
 Byte sizes accept K/M/G suffixes (e.g. --sra 2G).
