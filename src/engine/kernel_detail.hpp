@@ -41,9 +41,11 @@ inline TileResult make_tile_result(const TileJob& job) {
 /// baseline ("legacy" in the registry).
 TileResult run_legacy(const TileJob& job, TileScratch& scratch);
 
-/// Specialized row sweep: query-profile inner loop, every feature resolved at
-/// compile time. Exact for jobs whose traits match the instantiation.
-template <bool kLocal, bool kBest, bool kTaps, bool kFind>
+/// Global row sweep with a query-profile inner loop, for the tiles lane rows
+/// do not take: narrow tiles and the executor's peeled sentinel lines. Rows
+/// split at the tap columns at run time; the probe is a template parameter.
+/// Exact for global jobs without best tracking whose probe matches kFind.
+template <bool kFind>
 TileResult run_scalar(const TileJob& job, TileScratch& scratch);
 
 // --- kernels_vector.cpp ----------------------------------------------------
@@ -163,11 +165,8 @@ TileResult run_striped_avx512(const TileJob& job, TileScratch& scratch);
 /// True when kernels_striped_avx512.cpp was built with AVX-512BW codegen.
 [[nodiscard]] bool avx512_kernels_compiled() noexcept;
 
-extern template TileResult run_scalar<false, false, false, false>(const TileJob&, TileScratch&);
-extern template TileResult run_scalar<false, false, false, true>(const TileJob&, TileScratch&);
-extern template TileResult run_scalar<false, false, true, false>(const TileJob&, TileScratch&);
-extern template TileResult run_scalar<false, false, true, true>(const TileJob&, TileScratch&);
-extern template TileResult run_scalar<true, true, false, false>(const TileJob&, TileScratch&);
+extern template TileResult run_scalar<false>(const TileJob&, TileScratch&);
+extern template TileResult run_scalar<true>(const TileJob&, TileScratch&);
 
 extern template TileResult run_vector<std::int16_t, false>(const TileJob&, TileScratch&);
 extern template TileResult run_vector<std::int16_t, true>(const TileJob&, TileScratch&);

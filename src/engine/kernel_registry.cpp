@@ -32,41 +32,35 @@ constexpr unsigned kGlobalTapsFind = KernelTraits{AlignMode::kGlobal, false, tru
 constexpr unsigned kEveryTuple = 0xFFFF;
 
 /// The registry, in KernelId order. Columns: id, name, cost, tuples, lane
-/// rule, shape gate, entry point. The executor tracks the best on every
-/// local tile, so the int32 local sweep has only the best-tracking tuple.
+/// rule, entry point. The executor tracks the best on every local tile, so
+/// the int32 local sweep has only the best-tracking tuple.
 constexpr std::array<KernelVariant, kCount> kTable = {{
-    {KernelId::kLegacy, "legacy", 30, kEveryTuple, LaneRule::kNone, false, &detail::run_legacy},
-    {KernelId::kScalarLocalBest, "scalar-local+best", 20, kLocalBest, LaneRule::kNone, false,
-     &detail::run_scalar<true, true, false, false>},
-    {KernelId::kScalarGlobal, "scalar-global", 20, kGlobalPlain, LaneRule::kNone, false,
-     &detail::run_scalar<false, false, false, false>},
-    {KernelId::kScalarGlobalTaps, "scalar-global+taps", 20, kGlobalTaps, LaneRule::kNone, false,
-     &detail::run_scalar<false, false, true, false>},
-    {KernelId::kScalarGlobalFind, "scalar-global+find", 20, kGlobalFind, LaneRule::kNone, false,
-     &detail::run_scalar<false, false, false, true>},
-    {KernelId::kScalarGlobalTapsFind, "scalar-global+taps+find", 20, kGlobalTapsFind,
-     LaneRule::kNone, false, &detail::run_scalar<false, false, true, true>},
-    {KernelId::kVec16Local, "v16-local", 10, kLocalPlain, LaneRule::kInt16Reach, true,
+    {KernelId::kLegacy, "legacy", 30, kEveryTuple, LaneRule::kNone, &detail::run_legacy},
+    {KernelId::kScalarGlobal, "scalar-global", 20, kGlobalPlain | kGlobalTaps, LaneRule::kNone,
+     &detail::run_scalar<false>},
+    {KernelId::kScalarGlobalTapsFind, "scalar-global+taps+find", 20,
+     kGlobalFind | kGlobalTapsFind, LaneRule::kNone, &detail::run_scalar<true>},
+    {KernelId::kVec16Local, "v16-local", 10, kLocalPlain, LaneRule::kInt16Reach,
      &detail::run_vector<std::int16_t, false>},
-    {KernelId::kVec16LocalBest, "v16-local+best", 10, kLocalBest, LaneRule::kInt16Reach, true,
+    {KernelId::kVec16LocalBest, "v16-local+best", 10, kLocalBest, LaneRule::kInt16Reach,
      &detail::run_vector<std::int16_t, true>},
-    {KernelId::kVec32Local, "v32-local", 11, kLocalPlain, LaneRule::kInt32Drift, true,
+    {KernelId::kVec32Local, "v32-local", 11, kLocalPlain, LaneRule::kInt32Drift,
      &detail::run_vector<std::int32_t, false>},
-    {KernelId::kVec32LocalBest, "v32-local+best", 11, kLocalBest, LaneRule::kInt32Drift, true,
+    {KernelId::kVec32LocalBest, "v32-local+best", 11, kLocalBest, LaneRule::kInt32Drift,
      &detail::run_vector<std::int32_t, true>},
-    {KernelId::kStriped8Local, "striped8-local", 7, kLocalPlain, LaneRule::kInt8, true,
+    {KernelId::kStriped8Local, "striped8-local", 7, kLocalPlain, LaneRule::kInt8,
      &detail::run_striped<std::int8_t, false>},
-    {KernelId::kStriped8LocalBest, "striped8-local+best", 7, kLocalBest, LaneRule::kInt8, true,
+    {KernelId::kStriped8LocalBest, "striped8-local+best", 7, kLocalBest, LaneRule::kInt8,
      &detail::run_striped<std::int8_t, true>},
-    {KernelId::kStriped16Local, "striped16-local", 8, kLocalPlain, LaneRule::kInt16, true,
+    {KernelId::kStriped16Local, "striped16-local", 8, kLocalPlain, LaneRule::kInt16,
      &detail::run_striped<std::int16_t, false>},
     {KernelId::kStriped16LocalBest, "striped16-local+best", 8, kLocalBest, LaneRule::kInt16,
-     true, &detail::run_striped<std::int16_t, true>},
+     &detail::run_striped<std::int16_t, true>},
     {KernelId::kStriped32Global, "striped32-global", 9,
-     kGlobalPlain | kGlobalTaps | kGlobalFind | kGlobalTapsFind, LaneRule::kInt32, true,
+     kGlobalPlain | kGlobalTaps | kGlobalFind | kGlobalTapsFind, LaneRule::kInt32,
      &detail::run_striped32_global},
     {KernelId::kStriped32LocalBest, "striped32-local+best", 9, kLocalBest, LaneRule::kInt32,
-     true, &detail::run_striped<std::int32_t, true>},
+     &detail::run_striped<std::int32_t, true>},
 }};
 
 static_assert(
@@ -246,15 +240,15 @@ void reload_kernel_override_from_env() {
 
 namespace {
 
-/// The cheapest variant costlier than `min_cost` that passes its shape gate
-/// and admits the job.
+/// The cheapest variant costlier than `min_cost` that admits the job, a
+/// lane row only if the tile passes the shape gate.
 const KernelVariant& cheapest_eligible(const TileJob& job, const BusInputs& in, int min_cost) {
   const bool gate_passed =
       job.c1 - job.c0 >= kShapeGateMinWidth && job.r1 - job.r0 >= kShapeGateMinRows;
   for (std::size_t idx : cost_order()) {
     const KernelVariant& variant = kTable[idx];
     if (variant.cost <= min_cost) continue;
-    if (variant.shape_gate && !gate_passed) continue;
+    if (variant.lanes != LaneRule::kNone && !gate_passed) continue;
     if (admits(variant, job, in)) return variant;
   }
   return kernel_info(KernelId::kLegacy);  // Unreachable: legacy accepts any job.

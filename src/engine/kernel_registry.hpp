@@ -3,8 +3,8 @@
 //
 // Every kernel variant is one row of the table in kernel_registry.cpp: a
 // free function with the run_tile signature plus, as data, the envelope it
-// is exact for — the feature tuples it computes, a lane rule bounding the
-// values its lanes may hold, and whether automatic selection gates it by
+// is exact for — the feature tuples it computes and a lane rule bounding the
+// values its lanes may hold; automatic selection gates every lane row by
 // tile shape. One admits() evaluates any row against the tile's single
 // scan_bus_inputs pass, so admission is O(1) per row and no kernel
 // translation unit holds admission code. Dispatch walks the table in cost
@@ -12,7 +12,7 @@
 // path (plain local, small scores) lands on a narrow striped sweep, a
 // Stage-1 tile past the int16 window and a global tile of Stages 2-4 (taps
 // and probe included) on the int32 striped sweep, a global tile outside its
-// envelope (narrow, or with sentinel H inputs) on its specialized scalar row
+// envelope (narrow, or with sentinel H inputs) on the scalar global row
 // sweep, and anything else on the legacy do-everything loop. All variants
 // are bit-identical to run_reference; lane rules encode *exactness* (the
 // anti-diagonal 16-bit kernel refuses tiles whose scores could overflow its
@@ -71,7 +71,8 @@ struct KernelTraits {
 /// scan_bus_inputs (DESIGN.md "Kernel admission"). Every rule but kNone
 /// also needs a row, and in local mode a column, to sweep.
 enum class LaneRule : std::uint8_t {
-  /// Row sweeps in the scalar kernels' int32 arithmetic: any tile.
+  /// Row sweeps in the scalar kernels' int32 arithmetic: any tile, and the
+  /// one rule the shape gate does not apply to.
   kNone,
   /// int32 lanes that keep kNegInf and its drift, so the scalar kernels'
   /// arithmetic: any input.
@@ -87,9 +88,10 @@ enum class LaneRule : std::uint8_t {
   kInt32,
 };
 
-/// The automatic-selection shape gate: a gated row is picked automatically
-/// only for tiles at least this wide and this tall, where its lanes fill.
-/// It is a speed heuristic, not a correctness bound, so pins bypass it.
+/// The automatic-selection shape gate: a lane row (lanes != kNone) is picked
+/// automatically only for tiles at least this wide and this tall, where its
+/// lanes fill. It is a speed heuristic, not a correctness bound, so pins
+/// bypass it.
 inline constexpr Index kShapeGateMinWidth = 16;
 inline constexpr Index kShapeGateMinRows = 8;
 
@@ -101,7 +103,6 @@ struct KernelVariant {
   int cost = 0;           ///< Selection preference; lower wins among eligible variants.
   unsigned tuples = 0;               ///< KernelTraits::bit() of each tuple it computes.
   LaneRule lanes = LaneRule::kNone;  ///< The values its lanes are exact for.
-  bool shape_gate = false;           ///< Automatic selection applies the shape gate.
   TileResult (*run)(const TileJob& job, TileScratch& scratch) = nullptr;
 };
 
@@ -121,8 +122,9 @@ struct KernelVariant {
 
 /// Picks the variant that runs `job`, whose bus inputs scan to `in`:
 /// `forced` when non-null and admitted, otherwise the cheapest variant in
-/// automatic cost order that passes its shape gate and is admitted. The
-/// process-wide pin only applies through `forced` (run_wavefront passes it).
+/// automatic cost order that is admitted (a lane row only on a tile that
+/// passes the shape gate). The process-wide pin only applies through
+/// `forced` (run_wavefront passes it).
 [[nodiscard]] const KernelVariant& select_kernel(const TileJob& job, const BusInputs& in,
                                                  const KernelVariant* forced = nullptr);
 

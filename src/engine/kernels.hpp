@@ -37,11 +37,8 @@ namespace cudalign::engine {
 /// can see exactly which code path ran.
 enum class KernelId : std::uint8_t {
   kLegacy = 0,        ///< The original do-everything scalar loop (fallback + bench baseline).
-  kScalarLocalBest,   ///< Specialized row sweeps (query-profile inner loop) ...
-  kScalarGlobal,
-  kScalarGlobalTaps,
-  kScalarGlobalFind,
-  kScalarGlobalTapsFind,
+  kScalarGlobal,      ///< Global row sweep (query-profile inner loop), taps or not ...
+  kScalarGlobalTapsFind,  ///< ... and the same sweep with the value probe.
   kVec16Local,        ///< Branch-free anti-diagonal sweep, 16-bit lanes.
   kVec16LocalBest,
   kVec32Local,        ///< Branch-free anti-diagonal sweep, 32-bit lanes.

@@ -1,13 +1,15 @@
 // Scalar tile kernels: the legacy do-everything loop (preserved as fallback
-// and benchmark baseline) and the specialized row-sweep family.
+// and benchmark baseline) and the global row sweep for the tiles lane rows do
+// not take.
 //
-// The specialized sweeps differ from the legacy loop in two ways:
+// The global sweep differs from the legacy loop in two ways:
 //   * the substitution score is a query-profile table load (scoring/profile.hpp)
 //     instead of a per-cell match/mismatch branch, and
-//   * *every* feature — mode, best tracking, taps, value probe — is a template
-//     parameter, so a plain tile compiles to a loop with no feature tests at
-//     all (the legacy loop still branches per row on the tap list).
-// Both families produce bit-identical buses, taps, best and probe results.
+//   * it runs global mode only, so the zero floor and best tracking are gone
+//     from its loop, and the value probe is a template parameter.
+// Both split each row at the tap columns at run time and produce
+// bit-identical buses, taps and probe results. Each keeps its own row loop,
+// so legacy stays an independent oracle for the global sweep.
 #include <algorithm>
 
 #include "engine/kernel_detail.hpp"
@@ -120,10 +122,10 @@ void legacy_rows(const TileJob& job, Score* h, Score* f, const scoring::Scheme& 
 }
 
 // ---------------------------------------------------------------------------
-// Specialized row-sweep family.
+// Global row sweep.
 // ---------------------------------------------------------------------------
 
-template <bool kLocal, bool kBest, bool kFind>
+template <bool kFind>
 inline void profile_segment(const TileJob& job, Score* h, Score* f, Score& diag, Score& e_run,
                             Index i, const Score* prow, Index k_begin, Index k_end,
                             const scoring::Scheme& s, TileResult& result) {
@@ -135,15 +137,11 @@ inline void profile_segment(const TileJob& job, Score* h, Score* f, Score& diag,
     const Score new_e = std::max<Score>(e_run - gap_ext, h[k - 1] - gap_first);
     Score new_h = std::max(new_e, new_f);
     new_h = std::max<Score>(new_h, diag + prow[k]);
-    if constexpr (kLocal) new_h = std::max<Score>(new_h, 0);
     diag = up_h;
     h[k] = new_h;
     f[k] = new_f;
     e_run = new_e;
 
-    if constexpr (kBest) {
-      if (new_h > result.best.score) result.best = dp::LocalBest{new_h, i, job.c0 + k};
-    }
     if constexpr (kFind) {
       if (!result.found && new_h == *job.find_value) {
         result.found = true;
@@ -186,10 +184,9 @@ TileResult run_legacy(const TileJob& job, TileScratch& scratch) {
   return result;
 }
 
-template <bool kLocal, bool kBest, bool kTaps, bool kFind>
+template <bool kFind>
 TileResult run_scalar(const TileJob& job, TileScratch& scratch) {
-  const Recurrence& rec = *job.recurrence;
-  const scoring::Scheme& s = rec.scheme;
+  const scoring::Scheme& s = job.recurrence->scheme;
   const Index w = job.c1 - job.c0;
 
   TileResult result = make_tile_result(job);
@@ -199,25 +196,20 @@ TileResult run_scalar(const TileJob& job, TileScratch& scratch) {
   Score* f = scratch.f.data();
 
   for (Index i = job.r0 + 1; i <= job.r1; ++i) {
-    const seq::Base ai = job.a[static_cast<std::size_t>(i - 1)];
-    const Score* prow = scratch.profile.row(ai);
+    const Score* prow = scratch.profile.row(job.a[static_cast<std::size_t>(i - 1)]);
     const BusCell left = job.vbus_in[static_cast<std::size_t>(i - job.r0)];
     Score diag = h[0];
     h[0] = left.h;
     Score e_run = left.gap;
-    if constexpr (kTaps) {
-      Index k = 1;
-      for (std::size_t t = 0; t < job.tap_cols.size(); ++t) {
-        const Index tap_k = job.tap_cols[t] - job.c0;
-        profile_segment<kLocal, kBest, kFind>(job, h, f, diag, e_run, i, prow, k, tap_k, s,
-                                              result);
-        result.taps[t][static_cast<std::size_t>(i - job.r0 - 1)] = BusCell{h[tap_k], e_run};
-        k = tap_k + 1;
-      }
-      profile_segment<kLocal, kBest, kFind>(job, h, f, diag, e_run, i, prow, k, w, s, result);
-    } else {
-      profile_segment<kLocal, kBest, kFind>(job, h, f, diag, e_run, i, prow, 1, w, s, result);
+    // Split the row at tap columns so the hot loop stays branch-free.
+    Index k = 1;
+    for (std::size_t t = 0; t < job.tap_cols.size(); ++t) {
+      const Index tap_k = job.tap_cols[t] - job.c0;
+      profile_segment<kFind>(job, h, f, diag, e_run, i, prow, k, tap_k, s, result);
+      result.taps[t][static_cast<std::size_t>(i - job.r0 - 1)] = BusCell{h[tap_k], e_run};
+      k = tap_k + 1;
     }
+    profile_segment<kFind>(job, h, f, diag, e_run, i, prow, k, w, s, result);
     job.vbus_out[static_cast<std::size_t>(i - job.r0)] = BusCell{h[w], e_run};
   }
 
@@ -225,10 +217,7 @@ TileResult run_scalar(const TileJob& job, TileScratch& scratch) {
   return result;
 }
 
-template TileResult run_scalar<false, false, false, false>(const TileJob&, TileScratch&);
-template TileResult run_scalar<false, false, false, true>(const TileJob&, TileScratch&);
-template TileResult run_scalar<false, false, true, false>(const TileJob&, TileScratch&);
-template TileResult run_scalar<false, false, true, true>(const TileJob&, TileScratch&);
-template TileResult run_scalar<true, true, false, false>(const TileJob&, TileScratch&);
+template TileResult run_scalar<false>(const TileJob&, TileScratch&);
+template TileResult run_scalar<true>(const TileJob&, TileScratch&);
 
 }  // namespace cudalign::engine::detail

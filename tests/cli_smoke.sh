@@ -68,6 +68,14 @@ fi
 "$CLI" align "$DIR/a.fasta" "$DIR/b.fasta" --kernel striped16-local+best \
        --out "$DIR/pinned.bin" --report "$DIR/pinned.json" | grep -q "run report"
 grep -q '"kernel": "striped16-local+best"' "$DIR/pinned.json"
+# The scalar global rows run whole pipelines: pinned, every global tile with
+# or without taps (then with the probe) runs on one of them, and --out keeps
+# the default run's bytes.
+for kernel in scalar-global scalar-global+taps+find; do
+  "$CLI" align "$DIR/a.fasta" "$DIR/b.fasta" --kernel "$kernel" \
+         --out "$DIR/pin-$kernel.bin" > /dev/null
+  cmp "$DIR/aln.bin" "$DIR/pin-$kernel.bin"
+done
 # A multi-record FASTA input must be rejected, naming the record count.
 cat "$DIR/a.fasta" "$DIR/b.fasta" > "$DIR/multi.fasta"
 if "$CLI" score "$DIR/multi.fasta" "$DIR/b.fasta" 2>"$DIR/multi.err"; then
@@ -183,6 +191,18 @@ if [ "$rc" -ne 2 ]; then
 fi
 grep -q "unknown kernel name" "$DIR/kern.err"
 grep -q "valid names" "$DIR/kern.err"
+# --kernel with an unknown name fails the same way, on both commands.
+for cmd in score align; do
+  rc=0
+  timeout 20 "$CLI" "$cmd" "$DIR/a.fasta" "$DIR/b.fasta" --kernel nope \
+    2>"$DIR/kern.err" >/dev/null || rc=$?
+  if [ "$rc" -ne 2 ]; then
+    echo "$cmd --kernel nope: exit $rc, expected 2" >&2
+    exit 1
+  fi
+  grep -q "unknown kernel name" "$DIR/kern.err"
+  grep -q "valid names: legacy, " "$DIR/kern.err"
+done
 rc=0
 CUDALIGN_SIMD=avx9 timeout 20 "$CLI" score "$DIR/a.fasta" "$DIR/b.fasta" \
   2>"$DIR/isa.err" || rc=$?

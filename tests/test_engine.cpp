@@ -541,7 +541,7 @@ TEST(DataflowEquivalence, OneWorkerMatchesManyAcrossShapesPruningAndKernels) {
     spec.recurrence = engine::Recurrence::local(paper());
     for (const bool prune : {false, true}) {
       spec.block_pruning = prune;
-      for (const char* kernel : {"", "scalar-local+best"}) {
+      for (const char* kernel : {"", "legacy"}) {
         const test::ScopedKernelPin pin(kernel);
         const std::string shape = "B=" + std::to_string(blocks) +
                                   " T=" + std::to_string(threads) + " a=" + std::to_string(alpha) +

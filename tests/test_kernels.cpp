@@ -140,6 +140,15 @@ int check_all_variants(const TileCase& tc) {
   return ran;
 }
 
+/// The H value legacy computes at (row, col) of the tile (1-based within it).
+Score legacy_h_at(TileCase tc, Index row, Index col) {
+  tc.tap_cols = {tc.c0 + col};
+  tc.find_value.reset();
+  return run_variant(tc, engine::kernel_info(KernelId::kLegacy))
+      .result.taps[0][static_cast<std::size_t>(row - 1)]
+      .h;
+}
+
 BusCell random_bus_cell(Rng& rng, bool local) {
   const Score h = local ? static_cast<Score>(rng.below(60))
                         : static_cast<Score>(rng.below(100)) - 40;
@@ -184,6 +193,31 @@ TileCase make_case(Rng& rng, Index rows, Index w, int mode, bool best, bool taps
   return tc;
 }
 
+/// A global tile as the scalar rows serve it in production. `sentinel` 1 is
+/// the executor's peeled end-in-E column (every incoming vertical-bus entry,
+/// H and E, is -inf, so the tile's E chains drift below kNegInf), 2 its
+/// peeled end-in-F row (every horizontal-bus entry, H and F, is -inf), 0 a
+/// genuine tile. `taps` 0 requests none, 1 the first column, 2 the last, 3
+/// both, 4 random ones; a probe targets an H legacy computes, or a random
+/// value.
+TileCase scalar_row_case(Rng& rng, Index rows, Index w, int sentinel, int taps, bool find,
+                         const scoring::Scheme& scheme, const std::string& name) {
+  const int mode = sentinel == 1 ? 4 : sentinel == 2 ? 3 : 1 + static_cast<int>(rng.below(4));
+  TileCase tc = make_case(rng, rows, w, mode, false, taps == 4, false, scheme, name);
+  if (taps == 1 || taps == 3) tc.tap_cols.push_back(tc.c0 + 1);
+  if ((taps == 2 || taps == 3) && (tc.tap_cols.empty() || tc.tap_cols.back() != tc.c1)) {
+    tc.tap_cols.push_back(tc.c1);
+  }
+  if (sentinel == 1) std::fill(tc.vbus_in.begin(), tc.vbus_in.end(), BusCell{});
+  if (sentinel == 2) std::fill(tc.hbus.begin(), tc.hbus.end(), BusCell{});
+  if (find) {
+    tc.find_value = rng.chance(0.5) ? legacy_h_at(tc, 1 + static_cast<Index>(rng.below(rows)),
+                                                  1 + static_cast<Index>(rng.below(w)))
+                                    : static_cast<Score>(rng.below(30));
+  }
+  return tc;
+}
+
 // Every (mode, feature) combination over a fixed set of odd shapes.
 TEST(KernelEquivalence, FeatureMatrixAcrossShapes) {
   Rng rng(2024);
@@ -207,6 +241,22 @@ TEST(KernelEquivalence, FeatureMatrixAcrossShapes) {
   // The matrix must actually exercise the specialized kernels, vector ones
   // included (local plain/best cases with in-range buses).
   EXPECT_GT(vector_runs, 100);
+  // Every shape up to 20 x 20 with each sentinel line, tap set and probe:
+  // the scalar rows must take every such case, and match legacy.
+  for (Index rows = 1; rows <= 20; ++rows) {
+    for (Index w = 1; w <= 20; ++w) {
+      for (int sentinel = 0; sentinel < 3; ++sentinel) {
+        for (int feat = 0; feat < 10; ++feat) {
+          const std::string name = "scalar" + std::to_string(rows) + "x" + std::to_string(w) +
+                                   "_sentinel" + std::to_string(sentinel) + "_feat" +
+                                   std::to_string(feat);
+          const TileCase tc =
+              scalar_row_case(rng, rows, w, sentinel, feat % 5, feat >= 5, paper(), name);
+          EXPECT_GE(check_all_variants(tc), 1) << name;
+        }
+      }
+    }
+  }
 }
 
 // Random fuzz over shapes, schemes and bus contents.
@@ -222,6 +272,16 @@ TEST(KernelEquivalence, FuzzRandomTiles) {
                                   rng.chance(0.3), schemes[iter % schemes.size()],
                                   "fuzz" + std::to_string(iter));
     check_all_variants(tc);
+  }
+  // Global tiles as the scalar rows serve them: sentinel lines, tap sets and
+  // probes over random shapes and schemes.
+  for (int iter = 0; iter < 300; ++iter) {
+    const Index rows = 1 + static_cast<Index>(rng.below(40));
+    const Index w = 1 + static_cast<Index>(rng.below(40));
+    const TileCase tc = scalar_row_case(
+        rng, rows, w, static_cast<int>(rng.below(3)), static_cast<int>(rng.below(5)),
+        rng.chance(0.5), schemes[iter % schemes.size()], "fuzz-scalar" + std::to_string(iter));
+    EXPECT_GE(check_all_variants(tc), 1) << tc.name;
   }
   // Tall local tiles with bus H near the int8 ceiling: the narrow striped
   // kernels admit them by their inputs, and some overflow and re-run.
@@ -790,15 +850,10 @@ TEST(KernelDispatch, GlobalModeUsesSpecializedScalarSweep) {
 // tuple, under every compiled ISA, at every lane-count edge.
 // ---------------------------------------------------------------------------
 
-/// The scalar-global* variant whose feature tuple matches the case.
+/// The scalar-global* variant whose feature tuples include the case's.
 const KernelVariant& scalar_twin(const TileCase& tc) {
-  const bool taps = !tc.tap_cols.empty();
-  const bool find = tc.find_value.has_value();
-  const KernelId id = taps && find ? KernelId::kScalarGlobalTapsFind
-                      : taps       ? KernelId::kScalarGlobalTaps
-                      : find       ? KernelId::kScalarGlobalFind
-                                   : KernelId::kScalarGlobal;
-  return engine::kernel_info(id);
+  return engine::kernel_info(tc.find_value.has_value() ? KernelId::kScalarGlobalTapsFind
+                                                       : KernelId::kScalarGlobal);
 }
 
 /// Runs striped32-global on `tc` (bypassing the selector's width gate, which
@@ -826,15 +881,6 @@ std::vector<Index> lane_edge_taps(const TileCase& tc) {
   std::sort(cols.begin(), cols.end());
   cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
   return cols;
-}
-
-/// The H value legacy computes at (row, col) of the tile (1-based within it).
-Score legacy_h_at(TileCase tc, Index row, Index col) {
-  tc.tap_cols = {tc.c0 + col};
-  tc.find_value.reset();
-  return run_variant(tc, engine::kernel_info(KernelId::kLegacy))
-      .result.taps[0][static_cast<std::size_t>(row - 1)]
-      .h;
 }
 
 TEST(Striped32Global, FeatureTuplesAcrossLaneEdgesAndIsas) {
@@ -1417,16 +1463,12 @@ bool admits(KernelId id, const TileJob& job) {
   switch (id) {
     case KernelId::kLegacy:
       return true;
-    case KernelId::kScalarLocalBest:
-      return traits_are(job, AlignMode::kLocal, true, false, false);
     case KernelId::kScalarGlobal:
-      return traits_are(job, AlignMode::kGlobal, false, false, false);
-    case KernelId::kScalarGlobalTaps:
-      return traits_are(job, AlignMode::kGlobal, false, true, false);
-    case KernelId::kScalarGlobalFind:
-      return traits_are(job, AlignMode::kGlobal, false, false, true);
+      return traits_are(job, AlignMode::kGlobal, false, false, false) ||
+             traits_are(job, AlignMode::kGlobal, false, true, false);
     case KernelId::kScalarGlobalTapsFind:
-      return traits_are(job, AlignMode::kGlobal, false, true, true);
+      return traits_are(job, AlignMode::kGlobal, false, false, true) ||
+             traits_are(job, AlignMode::kGlobal, false, true, true);
     case KernelId::kVec16Local:
       return !job.track_best && vector16(job);
     case KernelId::kVec16LocalBest:

@@ -48,15 +48,15 @@ score, end point and --out are byte-identical to --no-prune, which computes
 all m*n cells (the paper's Stage 1) and no floor. --stats prints the pruned
 cells, their share of m*n and the prune floor.
 
---kernel pins a tile-kernel variant (e.g. legacy, scalar-local+best,
-scalar-global, v16-local+best, striped8-local+best, striped16-local+best,
-striped32-local+best, striped32-global; equivalent to CUDALIGN_KERNEL) for
-Stages 1-4; tiles outside the variant's envelope fall back to automatic
-selection, and a tile whose scores overflow a pinned striped8/striped16
-variant's lanes re-runs on wider lanes (counted as "narrow re-runs" by
---stats), so scores are unaffected. The striped kernels pick their SIMD
-backend at runtime; CUDALIGN_SIMD=auto|generic|sse2|avx2|avx512
-forces one (unknown or unsupported values fail fast with exit code 2).
+--kernel pins a tile-kernel variant for Stages 1-4, one of:
+  %s
+(equivalent to CUDALIGN_KERNEL; an unknown name fails with exit code 2).
+Tiles outside the variant's envelope fall back to automatic selection, and a
+tile whose scores overflow a pinned striped8/striped16 variant's lanes
+re-runs on wider lanes (counted as "narrow re-runs" by --stats), so scores
+are unaffected. The striped kernels pick their SIMD backend at runtime;
+CUDALIGN_SIMD=auto|generic|sse2|avx2|avx512 forces one (unknown or
+unsupported values fail fast with exit code 2).
 The wavefront of Stages 1-4 runs each tile once its inputs are published,
 with no barrier between external diagonals and a bounded window of strips in
 flight; results are delivered as each strip retires, so output is
@@ -81,8 +81,24 @@ stage boundary instead of recomputing (DESIGN.md "Checkpoint & resume").
 Resume refuses mismatched sequences, scoring or grid options.
 
 Byte sizes accept K/M/G suffixes (e.g. --sra 2G).
-)");
+)",
+               engine::kernel_names_list().c_str());
   return 2;
+}
+
+/// Applies --kernel NAME as the process-wide pin. For an unknown name it
+/// prints the valid names and returns false; the caller exits 2, as an
+/// unknown CUDALIGN_KERNEL does.
+bool pin_kernel(const common::Args& args) {
+  if (!args.has("kernel")) return true;
+  const std::string name = args.str("kernel");
+  if (engine::find_kernel(name) == nullptr) {
+    std::fprintf(stderr, "cudalign: unknown kernel name in --kernel: \"%s\"\nvalid names: %s\n",
+                 name.c_str(), engine::kernel_names_list().c_str());
+    return false;
+  }
+  engine::set_kernel_override(name);
+  return true;
 }
 
 scoring::Scheme scheme_from(const common::Args& args) {
@@ -100,7 +116,7 @@ int cmd_align(const common::Args& args) {
                     "gap-ext", "no-stage3", "stats", "no-prune", "both-strands", "cigar",
                     "kernel", "audit-bus", "report", "progress", "checkpoint-dir", "resume"});
   if (args.positional().size() != 2) return usage();
-  if (args.has("kernel")) engine::set_kernel_override(args.str("kernel"));
+  if (!pin_kernel(args)) return 2;
   const auto s0 = seq::read_single_fasta(args.positional()[0]);
   const auto s1 = seq::read_single_fasta(args.positional()[1]);
   std::printf("aligning %s (%s BP) x %s (%s BP)\n", s0.name().c_str(),
@@ -238,7 +254,7 @@ int cmd_align(const common::Args& args) {
 int cmd_score(const common::Args& args) {
   args.check_known({"match", "mismatch", "gap-first", "gap-ext", "kernel", "audit-bus"});
   if (args.positional().size() != 2) return usage();
-  if (args.has("kernel")) engine::set_kernel_override(args.str("kernel"));
+  if (!pin_kernel(args)) return 2;
   const auto s0 = seq::read_single_fasta(args.positional()[0]);
   const auto s1 = seq::read_single_fasta(args.positional()[1]);
   core::Stage1Config config;
