@@ -256,6 +256,7 @@ PipelineResult align_pipeline(const seq::Sequence& s0, const seq::Sequence& s1,
     if (options.progress) options.progress(2, 1.0);
     result.stages[1] = st2.stats;
     result.special_cols_saved = st2.special_cols_saved;
+    result.stage2_speculation = st2.speculation;
     l2 = std::move(st2.crosspoints);
     if (manifest) {
       state.stage = CheckpointStage::kStage3;

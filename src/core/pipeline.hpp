@@ -126,6 +126,8 @@ struct PipelineResult {
 
   Index special_rows_saved = 0;
   Index special_cols_saved = 0;
+  /// Stage 2's speculative waves (zeros when Stage 2 did not run here).
+  Stage2Speculation stage2_speculation;
   Index flush_interval = 0;
   /// Stage 1's pruning seed and the time its pass took (Stage1Result; 0
   /// when Stage 1 did not prune or was restored from a checkpoint).

@@ -22,8 +22,19 @@
 // The start point is detected with the engine's value probe (H == goal),
 // enabled only when the goal is reachable inside the current rectangle — the
 // paper's "only when the reverse alignment is near to its end" check.
+//
+// The paper's iterations form a chain: each starts from the crosspoint the
+// previous one found. run_stage2 runs them in speculative waves instead.
+// Each member of a wave reads its special row once, and the rightmost argmax
+// of H on that row is the guessed start of the member above it; all members
+// then cross at once. They commit in chain order: a member whose guess is
+// not the crosspoint its predecessor found re-runs from the true one, and
+// members above the start point are dropped. Every kept crossing ran from
+// the start the serial chain would use, so the crosspoints, the special
+// columns (put in iteration order) and the stage tally are the serial loop's.
 #include <algorithm>
 #include <memory>
+#include <utility>
 
 #include "common/timer.hpp"
 #include "core/stages.hpp"
@@ -87,6 +98,28 @@ RowCrossing cross_row(seq::SequenceView a_rev, seq::SequenceView b_rev, const Cr
   return RowCrossing{hit, run.stats};
 }
 
+namespace {
+
+/// One iteration of a Stage-2 wave: the crossing of special row `row` (of the
+/// top rectangle when `forward` is empty) from `from`.
+struct WaveMember {
+  Index row = 0;
+  std::vector<engine::BusCell> forward;  ///< The row's (H, F) per column.
+  /// The rightmost argmax of H on the row: the next member's guessed start.
+  Crosspoint guess;
+  Crosspoint from;
+  std::optional<RowCrossing> crossing;  ///< Set once it ran.
+  /// A speculative run's special columns, held until its commit.
+  std::vector<std::pair<sra::RowKey, std::vector<engine::BusCell>>> columns;
+  Index cols_saved = 0;
+};
+
+std::int64_t row_bytes(const std::vector<engine::BusCell>& row) {
+  return static_cast<std::int64_t>(row.size() * sizeof(engine::BusCell));
+}
+
+}  // namespace
+
 Stage2Result run_stage2(seq::SequenceView s0, seq::SequenceView s1, const Crosspoint& end_point,
                         const Stage2Config& config) {
   config.scheme.validate();
@@ -94,13 +127,16 @@ Stage2Result run_stage2(seq::SequenceView s0, seq::SequenceView s1, const Crossp
   CUDALIGN_CHECK(end_point.type == dp::CellState::kH, "the end point always has type 0");
   Timer timer;
   Stage2Result result;
-  sra::SpecialRowsArea& rows_area = *config.rows_area;
+  const sra::SpecialRowsArea& rows_area = *config.rows_area;
+  ThreadPool& pool = config.pool != nullptr ? *config.pool : ThreadPool::shared();
 
   // Stage-1 special rows above the end point, ascending by row: the loop
-  // takes them from the back, nearest row first.
+  // takes them from the back, nearest row first. The back `rows_left` are
+  // still to cross.
   std::vector<std::size_t> row_ids = rows_area.group_members(kRowsGroup);
   std::erase_if(row_ids,
                 [&](std::size_t id) { return rows_area.key(id).position >= end_point.i; });
+  std::size_t rows_left = row_ids.size();
 
   // Budget for special columns: spread the columns area across the expected
   // iterations (one per partition). When an iteration's share cannot hold a
@@ -115,84 +151,162 @@ Stage2Result run_stage2(seq::SequenceView s0, seq::SequenceView s1, const Crossp
   const std::vector<seq::Base> s0_rev(s0.rbegin(), s0.rend());
   const std::vector<seq::Base> s1_rev(s1.rbegin(), s1.rend());
 
+  // Runs one iteration's crossing from m.from. Special columns of a run whose
+  // start is known to be on the chain go straight to the columns area; a
+  // speculative run keeps them in m.columns until its commit.
+  const auto cross = [&](WaveMember& m, Index iteration, bool speculative) {
+    const Crosspoint from = m.from;
+    const Index rect_h = from.i - m.row;
+    const Index rect_w = from.j;
+    engine::Hooks hooks;
+    hooks.bus_audit = config.bus_audit;
+    m.columns.clear();
+    m.cols_saved = 0;
+    // Special columns for Stage 3 (the iteration's group is its partition's).
+    if (config.cols_area && per_iter_budget >= 8 * (rect_h + 1) && rect_w > 0) {
+      const std::int64_t group = kColsGroupBase + iteration;
+      hooks.special_row_interval = sra::flush_interval_for_budget(
+          rect_w, rect_h, config.grid.strip_rows(), per_iter_budget);
+      hooks.on_special_row = [&, from, group, speculative](
+                                 Index row_t, std::span<const engine::BusCell> cells,
+                                 const dp::LocalBest&, const engine::PruneState&) {
+        // Engine row row_t == original column from.j - row_t; entry q maps to
+        // original row from.i - q. Store in original (ascending-row) order.
+        const sra::RowKey key{from.j - row_t, m.row, from.i, group};
+        std::vector<engine::BusCell> original(cells.rbegin(), cells.rend());
+        if (!speculative) {
+          config.cols_area->put(key, original);
+        } else {
+          m.columns.emplace_back(key, std::move(original));
+        }
+        ++m.cols_saved;
+      };
+    }
+    m.crossing = cross_row(s0_rev, s1_rev, Crosspoint{m.row, 0, 0}, from, m.forward,
+                           /*probe=*/true, config.grid, config.scheme, std::move(hooks), &pool);
+  };
+
   std::vector<Crosspoint> reverse_chain{end_point};
   Crosspoint cur = end_point;
   Index iteration = 0;
   CUDALIGN_CHECK(cur.score > 0, "stage 2 needs a positive best score (empty alignments are "
                                 "resolved by the pipeline before stage 2)");
 
-  const std::int64_t rows_read_before = rows_area.total_bytes_read();
-  const Index rows_count_before = rows_area.rows_read();
   const std::int64_t cols_flushed_before =
       config.cols_area != nullptr ? config.cols_area->total_bytes_written() : 0;
+  Stage2Speculation& spec = result.speculation;
+  const auto discard = [&](const WaveMember& m) {
+    if (!m.crossing) return;
+    ++spec.discarded_iterations;
+    spec.discarded_cells += m.crossing->run.cells;
+  };
 
   // At most engine::kSpanBuckets spans, "iterations a-b", as Stage 1
   // buckets its retired strips: a span per iteration would grow the
-  // report with the number of special rows. Each iteration ends on the next
-  // special row up (or at the start point), so expected_iterations bounds the
-  // loop.
+  // report with the number of special rows. A bucket opens before the first
+  // wave that starts in its range, so it times the waves' reads and runs,
+  // not only their commits. Each iteration ends on the next special row up
+  // (or at the start point), so expected_iterations bounds the chain.
   const Index bucket_size =
       (expected_iterations + engine::kSpanBuckets - 1) / engine::kSpanBuckets;
+  Index bucket_end = 0;
   std::unique_ptr<obs::ScopedSpan> bucket_span;
+  // Wave width: 1 for the end point's wave, doubling up to every pool
+  // thread. An audited run crosses one row at a time (one auditor audits one
+  // engine run at a time).
+  const std::size_t max_width = config.bus_audit != nullptr ? 1 : pool.thread_count();
+  std::size_t width = 1;
   while (cur.score > 0) {
-    if (iteration % bucket_size == 0) {
-      const Index last = std::min(iteration + bucket_size, expected_iterations) - 1;
+    if (iteration >= bucket_end) {
+      bucket_end = (iteration / bucket_size + 1) * bucket_size;
+      const Index last = std::min(bucket_end, expected_iterations) - 1;
       bucket_span.reset();  // Closed before the next opens: buckets are siblings.
       bucket_span = std::make_unique<obs::ScopedSpan>(
           config.telemetry, "iterations " + std::to_string(iteration) + "-" + std::to_string(last));
     }
-    // The nearest special row above the current crosspoint, with its (H, F)
-    // per column vertex; none left means the top rectangle, where only the
-    // start-point probe can end the run.
-    Index r_star = 0;
-    std::vector<engine::BusCell> forward;
-    if (!row_ids.empty()) {
-      r_star = rows_area.key(row_ids.back()).position;
-      forward = rows_area.get(row_ids.back());
-      row_ids.pop_back();
-      // A vertical gap run crosses the row only from a positive forward
-      // prefix: a non-positive one cannot be on an optimal path (trimming it
-      // would improve the alignment). Local mode's rule, so Stage 2's alone.
-      for (engine::BusCell& cell : forward) {
+    // Member k crosses the k-th nearest remaining special row; a member past
+    // the last row crosses the top rectangle, where only the start-point
+    // probe can end the run. A first rectangle wide enough to keep every
+    // pool thread busy on its own runs alone, on the whole pool.
+    const Index first_row = rows_left > 0 ? rows_area.key(row_ids[rows_left - 1]).position : 0;
+    const bool fills_pool = engine::fit_to_width(config.grid, cur.i - first_row).blocks >=
+                            static_cast<Index>(pool.thread_count());
+    const std::size_t count = std::min(fills_pool ? 1 : width, rows_left + 1);
+    width = std::min(2 * width, max_width);
+    std::vector<WaveMember> wave(count);
+
+    // Read phase: each member reads its row once, applying the gap rule, and
+    // takes the rightmost argmax of H as the next member's guessed start.
+    pool.parallel_for(count, [&](std::size_t k) {
+      if (k >= rows_left) return;
+      WaveMember& m = wave[k];
+      const std::size_t id = row_ids[rows_left - 1 - k];
+      m.row = rows_area.key(id).position;
+      m.forward = rows_area.get(id);
+      std::size_t best = 0;
+      for (std::size_t j = 0; j < m.forward.size(); ++j) {
+        engine::BusCell& cell = m.forward[j];
+        if (cell.h >= m.forward[best].h) best = j;
+        // A vertical gap run crosses the row only from a positive forward
+        // prefix: a non-positive one cannot be on an optimal path (trimming
+        // it would improve the alignment). Local mode's rule, so Stage 2's
+        // alone.
         if (cell.gap <= 0) cell.gap = kNegInf;
       }
-    }
-    const Index rect_h = cur.i - r_star;
-    const Index rect_w = cur.j;
+      m.guess = Crosspoint{m.row, static_cast<Index>(best), m.forward[best].h, dp::CellState::kH};
+    });
+    wave[0].from = cur;
+    for (std::size_t k = 1; k < count; ++k) wave[k].from = wave[k - 1].guess;
 
-    engine::Hooks hooks;
-    hooks.bus_audit = config.bus_audit;
-    // Special columns for Stage 3 (the iteration's group is its partition's).
-    const std::int64_t group = kColsGroupBase + iteration;
-    if (config.cols_area && per_iter_budget >= 8 * (rect_h + 1) && rect_w > 0) {
-      hooks.special_row_interval = sra::flush_interval_for_budget(
-          rect_w, rect_h, config.grid.strip_rows(), per_iter_budget);
-      hooks.on_special_row = [&](Index row_t, std::span<const engine::BusCell> cells,
-                                 const dp::LocalBest&, const engine::PruneState&) {
-        // Engine row row_t == original column cur.j - row_t; entry q maps to
-        // original row cur.i - q. Store in original (ascending-row) order.
-        std::vector<engine::BusCell> original(cells.rbegin(), cells.rend());
-        config.cols_area->put(sra::RowKey{cur.j - row_t, r_star, cur.i, group}, original);
-        ++result.special_cols_saved;
-      };
-    }
+    // Cross phase: every member at once (a single member runs its engine on
+    // the whole pool; in a wider wave each runs inline on its thread). A
+    // guess with no score left cannot start a crossing.
+    pool.parallel_for(count, [&](std::size_t k) {
+      if (k > 0 && wave[k].from.score <= 0) return;
+      cross(wave[k], iteration + static_cast<Index>(k), /*speculative=*/k > 0);
+    });
 
-    const RowCrossing crossing = cross_row(s0_rev, s1_rev, Crosspoint{r_star, 0, 0}, cur, forward,
-                                           /*probe=*/true, config.grid, config.scheme,
-                                           std::move(hooks), config.pool);
-    result.stats.add_run(crossing.run);
-    CUDALIGN_CHECK(crossing.next.has_value(),
-                   "stage 2 found neither a crosspoint nor the start point — "
-                   "goal-based matching invariant violated");
-    cur = *crossing.next;
-    reverse_chain.push_back(cur);
-    ++iteration;
+    // Commit in chain order: a member stands only if it started from the
+    // crosspoint its predecessor found; otherwise it re-runs from there.
+    for (std::size_t k = 0; k < count; ++k) {
+      WaveMember& m = wave[k];
+      if (k == 0) {
+        ++spec.waves;
+      } else if (m.crossing && m.from == cur) {
+        ++spec.guess_hits;
+      } else {
+        discard(m);
+        m.from = cur;
+        cross(m, iteration, /*speculative=*/false);
+        ++spec.reruns;
+      }
+      CUDALIGN_CHECK(m.crossing->next.has_value(),
+                     "stage 2 found neither a crosspoint nor the start point — "
+                     "goal-based matching invariant violated");
+      result.stats.add_run(m.crossing->run);
+      for (const auto& [key, cells] : m.columns) config.cols_area->put(key, cells);
+      result.special_cols_saved += m.cols_saved;
+      if (!m.forward.empty()) {
+        --rows_left;
+        ++result.stats.sra_rows_read;
+        result.stats.sra_bytes_read += row_bytes(m.forward);
+      }
+      cur = *m.crossing->next;
+      reverse_chain.push_back(cur);
+      ++iteration;
+      if (cur.score <= 0) {
+        // The start point: every member above it is dropped.
+        for (std::size_t d = k + 1; d < count; ++d) {
+          discard(wave[d]);
+          spec.discarded_bytes_read += row_bytes(wave[d].forward);
+        }
+        break;
+      }
+    }
   }
 
   result.crosspoints.assign(reverse_chain.rbegin(), reverse_chain.rend());
   result.stats.crosspoints = static_cast<Index>(result.crosspoints.size());
-  result.stats.sra_rows_read = rows_area.rows_read() - rows_count_before;
-  result.stats.sra_bytes_read = rows_area.total_bytes_read() - rows_read_before;
   if (config.cols_area != nullptr) {
     result.stats.sra_rows_flushed = result.special_cols_saved;
     result.stats.sra_bytes_flushed =

@@ -152,7 +152,8 @@ struct Stage1Result {
 // Stage 2 — partial traceback (paper §IV-C): reverse semi-global execution
 // with goal-based matching and orthogonal execution; finds the crosspoints on
 // the stage-1 special rows and the alignment start point, saving special
-// columns for Stage 3.
+// columns for Stage 3. The row crossings run in speculative waves of up to
+// pool->thread_count() (stage2.cpp); the result is the serial chain's.
 // ---------------------------------------------------------------------------
 
 struct Stage2Config {
@@ -162,15 +163,35 @@ struct Stage2Config {
   sra::SpecialRowsArea* cols_area = nullptr;  ///< Sink for special columns (optional).
   check::BusAuditor* bus_audit = nullptr;
   /// Opt-in span telemetry: the traceback iterations (one per partition) in
-  /// at most engine::kSpanBuckets spans, "iterations a-b".
+  /// at most engine::kSpanBuckets spans, "iterations a-b"; a span holds the
+  /// waves that start in its range.
   obs::Telemetry* telemetry = nullptr;
   ThreadPool* pool = nullptr;
+};
+
+/// How Stage 2's speculative waves went (run_stage2). The counts depend on
+/// the wave widths, which follow the pool size, so they stay out of
+/// engine::Tally: the stage's tally counts kept iterations only. Every kept
+/// iteration is a wave's first member, a guess hit or a re-run, so
+/// waves + guess_hits + reruns == |L_2| - 1.
+struct Stage2Speculation {
+  Index waves = 0;
+  Index guess_hits = 0;  ///< Members kept as run from their guessed start.
+  Index reruns = 0;      ///< Members re-run from the true start.
+  /// Runs thrown away (a missed guess, or a member above the start point),
+  /// and their cells.
+  Index discarded_iterations = 0;
+  WideScore discarded_cells = 0;
+  /// Special rows read by members above the start point (not in the stage's
+  /// sra_bytes_read, which counts the kept iterations' rows).
+  std::int64_t discarded_bytes_read = 0;
 };
 
 struct Stage2Result {
   CrosspointList crosspoints;  ///< L_2: start point ... end point.
   Index special_cols_saved = 0;
   StageStats stats;
+  Stage2Speculation speculation;
 };
 
 [[nodiscard]] Stage2Result run_stage2(seq::SequenceView s0, seq::SequenceView s1,

@@ -124,6 +124,16 @@ Json build_run_report(const ReportContext& ctx) {
                            .set("prune_floor", static_cast<std::int64_t>(res.prune_floor))
                            .set("prune_floor_seconds", res.prune_floor_seconds));
 
+  const core::Stage2Speculation& spec = res.stage2_speculation;
+  report.set("stage2",
+             Json::object()
+                 .set("waves", static_cast<std::int64_t>(spec.waves))
+                 .set("guess_hits", static_cast<std::int64_t>(spec.guess_hits))
+                 .set("reruns", static_cast<std::int64_t>(spec.reruns))
+                 .set("discarded_iterations", static_cast<std::int64_t>(spec.discarded_iterations))
+                 .set("discarded_cells", static_cast<std::int64_t>(spec.discarded_cells))
+                 .set("discarded_bytes_read", spec.discarded_bytes_read));
+
   Json iterations = Json::array();
   for (const core::Stage4Iteration& it : res.stage4_iterations) {
     iterations.push(Json::object()
@@ -209,8 +219,8 @@ std::vector<std::string> validate_run_report(const Json& report) {
               version->as_int() == kReportSchemaVersion,
           "schema_version is not " + std::to_string(kReportSchemaVersion));
 
-  for (const char* key : {"inputs", "options", "result", "stages", "stage1", "stage4",
-                          "stage5", "sra", "crosspoint_counts", "totals"}) {
+  for (const char* key : {"inputs", "options", "result", "stages", "stage1", "stage2",
+                          "stage4", "stage5", "sra", "crosspoint_counts", "totals"}) {
     require(report.find(key) != nullptr, std::string("missing key \"") + key + "\"");
   }
 
@@ -314,6 +324,26 @@ std::vector<std::string> validate_run_report(const Json& report) {
               "stage1 prune_floor (" + std::to_string(floor->as_int()) +
                   ") > result.best_score (" + std::to_string(best->as_int()) + ")");
     }
+  }
+
+  // Invariant: every kept Stage-2 iteration is a wave's first member, a guess
+  // hit or a re-run, and each adds one crosspoint to L_2 (a run that did not
+  // reach Stage 2, or resumed past it, reports 0 crosspoints and no waves).
+  if (const Json* stage2 = report.find("stage2"); stage2 != nullptr && stage2->is_object()) {
+    const auto count = [&](const char* key) -> std::int64_t {
+      const Json* v = stage2->find(key);
+      const bool ok = v != nullptr && v->is_int() && v->as_int() >= 0;
+      require(ok, std::string("stage2 block: \"") + key + "\" is not a non-negative integer");
+      return ok ? v->as_int() : 0;
+    };
+    for (const char* key : {"discarded_iterations", "discarded_cells", "discarded_bytes_read"}) {
+      (void)count(key);
+    }
+    const std::int64_t kept = count("waves") + count("guess_hits") + count("reruns");
+    const std::int64_t crosspoints = stages->as_array()[1].at("crosspoints").as_int();
+    require(kept == std::max<std::int64_t>(crosspoints - 1, 0),
+            "stage2 waves + guess_hits + reruns (" + std::to_string(kept) +
+                ") != stage 2 crosspoints - 1 (" + std::to_string(crosspoints - 1) + ")");
   }
 
   // Invariant: every saved special row was either flushed by this run's

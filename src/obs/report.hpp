@@ -16,7 +16,7 @@
 namespace cudalign::obs {
 
 inline constexpr const char* kReportSchemaName = "cudalign-run-report";
-inline constexpr int kReportSchemaVersion = 5;
+inline constexpr int kReportSchemaVersion = 6;
 
 /// Everything the report builder reads. All pointers are borrowed and may not
 /// be null except `telemetry` (omitting it omits the "spans" subtree).
@@ -40,6 +40,7 @@ void write_report_file(const Json& report, const std::filesystem::path& path);
 /// Structural validation of a (parsed) run report: schema identity, required
 /// keys, six stages, and the cross-counter consistency invariants (Stage-1
 /// cells + pruned cells == m*n; Stage-1 rows flushed == special rows saved;
+/// Stage-2 waves + guess hits + re-runs == Stage-2 crosspoints - 1;
 /// totals == sum over stages). Returns human-readable problems, empty if the
 /// document is a well-formed report of kReportSchemaVersion. Used by `cudalign report-check`.
 [[nodiscard]] std::vector<std::string> validate_run_report(const Json& report);

@@ -48,6 +48,18 @@ grep -q "score $score, identity" "$DIR/match2.view"
 # several partitions, which must audit clean too.
 "$CLI" align "$DIR/a.fasta" "$DIR/b.fasta" --sra 128K --audit-bus --out "$DIR/audit.bin" \
   | grep -q "best score"
+# Stage 2 crosses its special rows in speculative waves; an audited run
+# crosses them one at a time (waves of one member, no guesses). Both must
+# write the same bytes, and the report accounts every kept iteration in its
+# stage2 block, which report-check requires.
+grep -Eq "^stage-2 waves: [0-9]+, guess hits [0-9]+, re-runs [0-9]+, discarded [0-9]+ " \
+  "$DIR/aln.out"
+"$CLI" align "$DIR/a.fasta" "$DIR/b.fasta" --audit-bus --out "$DIR/audit-waves.bin" \
+       --report "$DIR/audit-waves.json" | grep -q "bus audit: clean"
+cmp "$DIR/aln.bin" "$DIR/audit-waves.bin"
+"$CLI" report-check "$DIR/audit-waves.json" | grep -q "well-formed"
+grep -q '"stage2": {' "$DIR/audit-waves.json"
+grep -q '"guess_hits": 0,' "$DIR/audit-waves.json"
 # Both-strands path.
 "$CLI" align "$DIR/a.fasta" "$DIR/b.fasta" --both-strands --out "$DIR/aln2.bin" \
   | grep -q "strand: forward"

@@ -338,6 +338,21 @@ TEST(RunReport, ValidatorFlagsTampering) {
     EXPECT_FALSE(validate_run_report(bad_floor).empty());
   }
 
+  // Every kept Stage-2 iteration is a wave's first member, a guess hit or a
+  // re-run, and the block is required.
+  {
+    Json stage2 = report.at("stage2");
+    stage2.set("reruns", stage2.at("reruns").as_int() + 1);
+    Json bad_stage2 = report;
+    bad_stage2.set("stage2", stage2);
+    EXPECT_FALSE(validate_run_report(bad_stage2).empty());
+    Json no_stage2 = Json::object();
+    for (const auto& [key, value] : report.as_object()) {
+      if (key != "stage2") no_stage2.set(key, value);
+    }
+    EXPECT_FALSE(validate_run_report(no_stage2).empty());
+  }
+
   // A checkpointed run saves its manifest once before Stage 1 and at the
   // five stage boundaries, never once per special row.
   for (const std::int64_t updates : {6, 7}) {

@@ -5,6 +5,7 @@
 
 #include <cstring>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -109,13 +110,28 @@ struct StageHarness {
     return run_stage1(pair.s0.bases(), pair.s1.bases(), c);
   }
 
-  Stage2Result stage2(const Crosspoint& end, engine::GridSpec grid = tiny_grid(3, 4, 2)) {
+  Stage2Result stage2(const Crosspoint& end, engine::GridSpec grid = tiny_grid(3, 4, 2),
+                      ThreadPool* pool = nullptr, check::BusAuditor* bus_audit = nullptr) {
     Stage2Config c;
     c.scheme = paper();
     c.grid = grid;
     c.rows_area = &rows;
     c.cols_area = &cols;
+    c.pool = pool;
+    c.bus_audit = bus_audit;
     return run_stage2(pair.s0.bases(), pair.s1.bases(), end, c);
+  }
+
+  /// Every special column in the columns area, in storage order: key
+  /// (position, begin, end, group) and cells.
+  using StoredColumn = std::tuple<Index, Index, Index, std::int64_t, std::vector<engine::BusCell>>;
+  std::vector<StoredColumn> stored_columns() const {
+    std::vector<StoredColumn> out;
+    for (std::size_t id = 0; id < cols.size(); ++id) {
+      const sra::RowKey& key = cols.key(id);
+      out.emplace_back(key.position, key.begin, key.end, key.group, cols.get(id));
+    }
+    return out;
   }
 
   Stage3Result stage3(const CrosspointList& l2, engine::GridSpec grid = tiny_grid(3, 4, 2)) {
@@ -252,16 +268,107 @@ TEST(Stage2, CrosspointsSitOnSpecialRows) {
 }
 
 TEST(Stage2, ShortAlignmentFindsStartWithoutCrossingRows) {
-  // An unrelated pair with a small planted island: the optimal alignment is
-  // tiny and usually crosses no special row at all.
-  StageHarness h(seq::make_unrelated_pair(150, 150, 20, 4200));
+  // An unrelated pair with a small planted island (rows 62-85). A rows
+  // budget of three special rows flushes every 7th strip of 8 rows, rows 56
+  // and 112, so the optimal alignment crosses no special row at all.
+  StageHarness h(seq::make_unrelated_pair(150, 150, 20, 4200), 3 * 8 * 151);
   const auto st1 = h.stage1();
+  ASSERT_EQ(st1.special_rows_saved, 2);
   ASSERT_GT(st1.end_point.score, 0);
   const auto st2 = h.stage2(st1.end_point);
   validate_chain_scores(st2.crosspoints, h.pair.s0.bases(), h.pair.s1.bases(), paper());
+  ASSERT_EQ(st2.crosspoints.size(), 2u);  // The start point and the end point.
   const auto& start = st2.crosspoints.front();
   EXPECT_EQ(start.score, 0);
   EXPECT_EQ(start.type, dp::CellState::kH);
+  // The end point's wave is one member wide: nothing to speculate on.
+  EXPECT_EQ(st2.speculation.waves, 1);
+  EXPECT_EQ(st2.speculation.discarded_iterations, 0);
+}
+
+/// Stage 2 at `workers` pool workers must reproduce `want`, the audited run
+/// (which crosses one special row at a time, as the paper's chain does):
+/// the crosspoints, the special columns in storage order, and the tally.
+void expect_serial_chain(const seq::SequencePair& pair, std::int64_t rows_budget,
+                         bool block_pruning, const Stage2Result& want,
+                         const std::vector<StageHarness::StoredColumn>& want_columns,
+                         std::size_t workers, Stage2Speculation* speculation = nullptr) {
+  const std::string label = "workers " + std::to_string(workers);
+  StageHarness h(pair, rows_budget);
+  ThreadPool pool(workers);
+  const auto st1 = h.stage1(tiny_grid(3, 4, 2), block_pruning);
+  const auto got = h.stage2(st1.end_point, tiny_grid(3, 4, 2), &pool);
+  EXPECT_EQ(got.crosspoints, want.crosspoints) << label;
+  EXPECT_EQ(got.special_cols_saved, want.special_cols_saved) << label;
+  EXPECT_TRUE(h.stored_columns() == want_columns) << label << ": special columns differ";
+  EXPECT_EQ(got.stats.cells, want.stats.cells) << label;
+  EXPECT_TRUE(static_cast<const engine::Tally&>(got.stats) == want.stats) << label;
+  EXPECT_EQ(got.stats.sra_bytes_read, want.stats.sra_bytes_read) << label;
+  const Stage2Speculation& s = got.speculation;
+  EXPECT_EQ(s.waves + s.guess_hits + s.reruns + 1, static_cast<Index>(got.crosspoints.size()))
+      << label;
+  if (speculation != nullptr) *speculation = s;
+}
+
+TEST(Stage2, WavesReproduceTheSerialChainAtAnyPoolSize) {
+  const auto pair = test::small_related(300, 290, 4400);
+  // Dense rows (one per 8-row strip: one-chunk rectangles, so every pool
+  // speculates) and sparse ones (3-chunk rectangles: a pool of at most 3
+  // threads runs them one at a time, on the whole pool).
+  for (const std::int64_t rows_budget : {std::int64_t{1} << 20, std::int64_t{6 * 8 * 291}}) {
+    StageHarness serial(pair, rows_budget);
+    const auto st1 = serial.stage1();
+    check::BusAuditor auditor;
+    const auto want = serial.stage2(st1.end_point, tiny_grid(3, 4, 2), nullptr, &auditor);
+    EXPECT_TRUE(auditor.ok()) << auditor.report();
+    ASSERT_GT(want.crosspoints.size(), 4u);
+    // Audited: one member per wave.
+    EXPECT_EQ(want.speculation.waves + 1, static_cast<Index>(want.crosspoints.size()));
+    EXPECT_EQ(want.speculation.discarded_iterations, 0);
+    const auto want_columns = serial.stored_columns();
+    const bool sparse = rows_budget < (1 << 20);
+    // Sparse rows leave rectangles tall enough for special columns.
+    EXPECT_EQ(want_columns.empty(), !sparse);
+
+    for (const std::size_t workers : {1, 2, 4}) {
+      Stage2Speculation s;
+      expect_serial_chain(pair, rows_budget, true, want, want_columns, workers, &s);
+      if (sparse && workers < 3) {
+        EXPECT_EQ(s.waves + 1, static_cast<Index>(want.crosspoints.size())) << workers;
+      } else {
+        EXPECT_GT(s.guess_hits, 0) << workers;
+      }
+    }
+  }
+}
+
+TEST(Stage2, MissedGuessesRerunWithTheSameOutput) {
+  // s1 ends in an exact copy of s0's first 150 bases, off the optimal path.
+  // On the special rows crossing the copy, its diagonal out-scores the path,
+  // so the rightmost argmax of H lies on the copy: those guesses miss, and
+  // the members re-run from the true crosspoints.
+  const auto related = test::small_related(400, 400, 4500);
+  const std::string s0 = related.s0.to_string();
+  const std::string s1 =
+      related.s1.to_string() + test::rand_seq(100, 4501).to_string() + s0.substr(0, 150);
+  const seq::SequencePair pair{seq::Sequence::from_string("s0", s0),
+                               seq::Sequence::from_string("s1", s1), "decoy"};
+  const std::int64_t rows_budget = 1 << 20;
+  // Unpruned, so Stage 1 computes the copy's cells and they reach the rows.
+  StageHarness serial(pair, rows_budget);
+  const auto st1 = serial.stage1(tiny_grid(3, 4, 2), /*block_pruning=*/false);
+  ASSERT_LE(st1.end_point.j, 400);  // The optimum is the related pair's.
+  check::BusAuditor auditor;
+  const auto want = serial.stage2(st1.end_point, tiny_grid(3, 4, 2), nullptr, &auditor);
+  validate_chain_scores(want.crosspoints, pair.s0.bases(), pair.s1.bases(), paper());
+  const auto want_columns = serial.stored_columns();
+
+  for (const std::size_t workers : {1, 4}) {
+    Stage2Speculation s;
+    expect_serial_chain(pair, rows_budget, false, want, want_columns, workers, &s);
+    EXPECT_GE(s.reruns, 1) << workers;
+    EXPECT_GE(s.discarded_iterations, 1) << workers;
+  }
 }
 
 TEST(Stage2, ProcessedAreaShrinksWithMoreSpecialRows) {

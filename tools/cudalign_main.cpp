@@ -238,6 +238,12 @@ int cmd_align(const common::Args& args) {
                 matrix > 0 ? 100.0 * pruned / matrix : 0.0);
     std::printf("stage-1 prune floor: %lld in %.1f ms\n",
                 static_cast<long long>(result.prune_floor), result.prune_floor_seconds * 1e3);
+    const auto& spec = result.stage2_speculation;
+    std::printf("stage-2 waves: %lld, guess hits %lld, re-runs %lld, discarded %lld (%s cells)\n",
+                static_cast<long long>(spec.waves), static_cast<long long>(spec.guess_hits),
+                static_cast<long long>(spec.reruns),
+                static_cast<long long>(spec.discarded_iterations),
+                format_sci(static_cast<double>(spec.discarded_cells)).c_str());
     std::printf("\nkernel usage (tiles/cells):\n");
     for (int k = 0; k < 6; ++k) {
       const auto& st = result.stages[static_cast<std::size_t>(k)];
