@@ -29,8 +29,9 @@
 #      ctest (contract DCHECKs compiled in)
 #   4. ThreadSanitizer build + full ctest, suppressions in tsan.supp (kept
 #      empty: a race in cudalign code is a bug, not a suppression), then the
-#      scheduler suites (TileGraph, Dataflow*, EngineFuzz) and Stage 2's
-#      speculative waves (Stage2) repeated 20 times
+#      scheduler suites (TileGraph, Dataflow*, EngineFuzz), block pruning's
+#      lagged-best ring (BlockPruning) and Stage 2's speculative waves
+#      (Stage2) repeated 20 times
 #
 # Every suite's configure step is followed by a stale-cache check: a build
 # tree left over from a differently-configured run (say, sanitizer flags
@@ -326,12 +327,14 @@ stage "tsan: ctest"
     --timeout "$CTEST_TIMEOUT")
 # The scheduler suites once more, each test repeated until it fails or has
 # passed 20 times: a bad hand-off between dataflow participants may need many
-# interleavings to surface. Stage 2 joins them: its waves read special rows
-# and run engine problems on several pool threads at once.
+# interleavings to surface. Block pruning joins them: retire() writes the
+# lagged-best ring and the tiles of later strips read it, ordered only by the
+# window gate. So does Stage 2: its waves read special rows and run engine
+# problems on several pool threads at once.
 stage "tsan: scheduler suites x20"
 (cd build-ci-tsan &&
   TSAN_OPTIONS="suppressions=$(cd .. && pwd)/tsan.supp" ctest --output-on-failure -j "$JOBS" \
-    --timeout "$CTEST_TIMEOUT" -R '^(TileGraph\.|Dataflow|Seeds/EngineFuzz\.|Stage2\.)' \
+    --timeout "$CTEST_TIMEOUT" -R '^(TileGraph\.|Dataflow|Seeds/EngineFuzz\.|BlockPruning\.|Stage2\.)' \
     --repeat until-fail:20)
 
 echo "ci.sh: all suites passed"

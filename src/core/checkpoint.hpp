@@ -30,7 +30,7 @@ namespace cudalign::core {
 
 /// Manifest schema identity (mirrors the run-report convention).
 inline constexpr const char* kCheckpointSchemaName = "cudalign-checkpoint";
-inline constexpr std::int64_t kCheckpointFormatVersion = 4;
+inline constexpr std::int64_t kCheckpointFormatVersion = 5;
 /// File name inside the checkpoint directory.
 inline constexpr const char* kCheckpointFileName = "checkpoint.json";
 

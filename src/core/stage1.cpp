@@ -3,7 +3,7 @@
 // at the flush interval derived from the SRA budget. Each row file carries
 // the wavefront's resume state at that row in its trailer, so the rows are
 // Stage 1's checkpoint. With block pruning on, a cheap banded pass first
-// finds a lower bound on the optimum that seeds every tile's pruning closure
+// finds a lower bound on the optimum that seeds every tile's pruning bound
 // (prune_floor below).
 #include "core/stages.hpp"
 
@@ -103,12 +103,12 @@ std::optional<Index> dominant_diagonal(seq::SequenceView a, seq::SequenceView b)
 }
 
 /// A special row's trailer: the merged best-so-far (score, i, j) covering
-/// every cell up to the row, then, when pruning, the strip's closure row and
-/// the kPruneLag lagged bests — the engine's resume state at the row.
+/// every cell up to the row, then, when pruning, the kPruneLag lagged bests —
+/// the engine's resume state at the row: 3 + kPruneLag or 3 words, whatever
+/// the grid.
 std::vector<std::int64_t> resume_trailer(const dp::LocalBest& best,
                                          const engine::PruneState& prune) {
   std::vector<std::int64_t> trailer{best.score, best.i, best.j};
-  trailer.insert(trailer.end(), prune.closure.begin(), prune.closure.end());
   trailer.insert(trailer.end(), prune.lagged.begin(), prune.lagged.end());
   return trailer;
 }
@@ -132,16 +132,12 @@ Index resume_from_rows(const sra::SpecialRowsArea& area, Index step, engine::Pro
   spec.initial_hbus = hbus;
   const auto words = static_cast<Index>(trailer.size());
   const Index needed = spec.block_pruning ? 3 + engine::kPruneLag : 3;
-  CUDALIGN_CHECK(spec.block_pruning ? words > needed : words == needed,
-                 "cannot resume: special row ", spec.start_row, " carries ", words,
-                 " resume values; a", spec.block_pruning ? " pruned run needs more than "
-                                                         : "n unpruned run needs ",
-                 needed);
+  CUDALIGN_CHECK(words == needed, "cannot resume: special row ", spec.start_row, " carries ",
+                 words, " resume values; a", spec.block_pruning ? " pruned" : "n unpruned",
+                 " run needs ", needed);
   spec.initial_best = dp::LocalBest{check::checked_cast<Score>(trailer[0]), trailer[1], trailer[2]};
-  const auto lagged = trailer.end() - (spec.block_pruning ? engine::kPruneLag : 0);
   for (auto it = trailer.begin() + 3; it != trailer.end(); ++it) {
-    (it < lagged ? spec.initial_prune.closure : spec.initial_prune.lagged)
-        .push_back(check::checked_cast<Score>(*it));
+    spec.initial_prune.lagged.push_back(check::checked_cast<Score>(*it));
   }
   return static_cast<Index>(rows.size());
 }

@@ -95,12 +95,11 @@ struct Stage1Config {
   /// Resume (DESIGN.md "Checkpoint & resume"): continue from the special
   /// rows already in `rows_area` (required). Each row file carries its
   /// resume state in its trailer — the merged best-so-far covering every
-  /// cell up to the row and, when pruning, the strip's closure row and the
-  /// kPruneLag lagged bests (engine::PruneState) — so the highest row is the
-  /// restart point. The rows must be exactly the flush rows
-  /// k * interval * strip_rows for k = 1..K; a gap is refused, naming the
-  /// missing row. Strip numbering stays global, so flushes of the resumed
-  /// run land on the same rows.
+  /// cell up to the row and, when pruning, the kPruneLag lagged bests
+  /// (engine::PruneState) — so the highest row is the restart point. The
+  /// rows must be exactly the flush rows k * interval * strip_rows for
+  /// k = 1..K; a gap is refused, naming the missing row. Strip numbering
+  /// stays global, so flushes of the resumed run land on the same rows.
   bool resume = false;
   /// Durable-row ack: invoked right after each special row and its trailer
   /// are durable in `rows_area`. Special rows are written by a dedicated SRA

@@ -109,13 +109,11 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
   result.stats.blocks_used = blocks - peel_col0;
   const bool resumed_pruning = spec.block_pruning && row0 > 0;
   if (resumed_pruning) {
-    CUDALIGN_CHECK(static_cast<Index>(spec.initial_prune.closure.size()) == blocks &&
-                       static_cast<Index>(spec.initial_prune.lagged.size()) == kPruneLag,
-                   "a resumed pruned run needs the checkpoint's pruning state: ", blocks,
-                   " closure entries and ", kPruneLag, " lagged bests, got ",
-                   spec.initial_prune.closure.size(), " and ", spec.initial_prune.lagged.size());
+    CUDALIGN_CHECK(static_cast<Index>(spec.initial_prune.lagged.size()) == kPruneLag,
+                   "a resumed pruned run needs the checkpoint's pruning state: ", kPruneLag,
+                   " lagged bests, got ", spec.initial_prune.lagged.size());
   } else {
-    CUDALIGN_CHECK(spec.initial_prune.closure.empty() && spec.initial_prune.lagged.empty(),
+    CUDALIGN_CHECK(spec.initial_prune.lagged.empty(),
                    "initial pruning state is only meaningful when resuming a pruned run");
   }
 
@@ -151,7 +149,7 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
   // scheduler's window gate admits strip s only once strip s - window - 1 has
   // retired, so window + 2 slots never overlap a live strip. A run of fewer
   // strips needs one slot per strip. The window stays below kPruneLag, so
-  // strip s - kPruneLag, whose cumulative best the pruning closure of strip s
+  // strip s - kPruneLag, whose cumulative best the pruning bound of strip s
   // reads, has retired too (the tile body checks it). The window scales with
   // the scheduler's participants: the pool's workers and the caller.
   const auto participants = static_cast<Index>(pool->thread_count());
@@ -202,21 +200,13 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
   result.stats.bus_bytes =
       (hbus.size() + vbus.size() * vbus_len + row_buffers.size() * hbus.size()) * sizeof(BusCell);
 
-  // Pruning closure (see ProblemSpec::block_pruning): closure[s % ring][b]
-  // holds tile (s, b)'s closure. Tile (s, b) reads the entries written by
-  // (s - 1, b) — on a resume's first strip, the restored closure row instead
-  // — and (s, b - 1), which the scheduler orders before it, and the next
-  // writer of an entry is the same chunk's tile `ring` strips later, which it
-  // orders after its readers. Not allocated unless pruning.
-  std::vector<Score> closure(
-      spec.block_pruning ? static_cast<std::size_t>(ring) * static_cast<std::size_t>(blocks)
-                         : 0);
-  // Lagged bests: entry g % kPruneLag holds (g, cumulative best after global
-  // strip g retired), written only by retire(g). Strip g reads the entry of
-  // strip g - kPruneLag — the same slot, before retire(g) overwrites it — and
-  // the window gate orders that strip's retirement before strip g's
-  // admission. Seeded with the kPruneLag strips before the first: zeros for a
-  // fresh run, the checkpoint's for a resume.
+  // Lagged bests, the pruning bound's run-time state (see
+  // ProblemSpec::block_pruning): entry g % kPruneLag holds (g, cumulative
+  // best after global strip g retired), written only by retire(g). Strip g
+  // reads the entry of strip g - kPruneLag — the same slot, before retire(g)
+  // overwrites it — and the window gate orders that strip's retirement before
+  // strip g's admission. Seeded with the kPruneLag strips before the first:
+  // zeros for a fresh run, the checkpoint's for a resume.
   std::array<std::pair<Index, Score>, kPruneLag> lagged{};
   for (Index k = 0; k < kPruneLag; ++k) {
     lagged[static_cast<std::size_t>((base_strip + k) % kPruneLag)] = {
@@ -280,30 +270,19 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
     // pruning bound below both read it.
     const BusInputs in = scan_bus_inputs(job);
     bool pruned = false;
-    Score closure_in = 0;
     if (spec.block_pruning) {
       const Index g = base_strip + s;
       const auto& [lag_strip, lag_best] = lagged[static_cast<std::size_t>(g % kPruneLag)];
       CUDALIGN_CHECK(lag_strip == g - kPruneLag, "strip ", g, " was admitted before strip ",
                      g - kPruneLag, " retired");
-      closure_in = std::max(lag_best, spec.prune_floor);
-      if (s > 0) {
-        closure_in = std::max(
-            closure_in, closure[static_cast<std::size_t>(((s - 1) % ring) * blocks + b)]);
-      } else if (resumed_pruning) {
-        closure_in = std::max(closure_in, spec.initial_prune.closure[static_cast<std::size_t>(b)]);
-      }
-      if (b > 0) {
-        closure_in =
-            std::max(closure_in, closure[static_cast<std::size_t>((s % ring) * blocks + b - 1)]);
-      }
-      if (closure_in > 0) {
+      const Score target = std::max(lag_best, spec.prune_floor);
+      if (target > 0) {
         // Best incoming H across the tile's boundary (the corner arrives via
         // the vertical bus; hbus index 0 is the left neighbour's and stale),
         // and at least 0: in local mode a fresh alignment can start anywhere.
         const WideScore bound = WideScore{in.max_h()} +
                                 static_cast<WideScore>(rec.scheme.match) * std::min(m - r0, n - c0);
-        if (bound < closure_in) {
+        if (bound < target) {
           // Publish safe lower bounds and skip the kernel.
           for (std::size_t k = 1; k < job.hbus.size(); ++k) job.hbus[k] = BusCell{0, kNegInf};
           for (auto& cell : job.vbus_out) cell = BusCell{0, kNegInf};
@@ -314,7 +293,6 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
 
     // One kernel call, folded into the strip's slot. Scratch is reused
     // across tiles of the same worker thread.
-    Score tile_best = 0;
     auto call = [&](const TileJob& part, const BusInputs& part_in) {
       static thread_local TileScratch scratch;
       TileResult tr = run_tile(part, part_in, scratch, forced_kernel);
@@ -328,7 +306,6 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
         ++tally.narrow_rerun_tiles;
         tally.narrow_rerun_cells += tr.cells;
       }
-      tile_best = tr.best.score;
       if (tr.best.score > 0) merge_best(slot.best, tr.best);
       if (tr.found && (!slot.found || std::pair{tr.found_i, tr.found_j} <
                                           std::pair{slot.found_i, slot.found_j})) {
@@ -368,10 +345,6 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
     if (audit != nullptr) {
       audit->write_horizontal(s, b, c0, c1);
       audit->write_vertical(s, b, rows);
-    }
-    if (spec.block_pruning) {
-      closure[static_cast<std::size_t>((s % ring) * blocks + b)] =
-          std::max(closure_in, tile_best);
     }
 
     // Special-row capture happens here, inside the tile: the down successor
@@ -415,12 +388,9 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
     if (go && special) {
       if (audit != nullptr) audit->flush_handoff(s);
       // Checkpoint hand-off: the merged best covers every tile of strips
-      // <= s, exactly the cells of rows <= r1. The strip's closure slot is
-      // intact here: its next writer is `ring` strips on, not yet admitted.
+      // <= s, exactly the cells of rows <= r1.
       PruneState prune;
       if (spec.block_pruning) {
-        const auto row_begin = closure.begin() + (s % ring) * blocks;
-        prune.closure.assign(row_begin, row_begin + blocks);
         for (Index k = 1; k <= kPruneLag; ++k) {
           prune.lagged.push_back(lagged[static_cast<std::size_t>((g + k) % kPruneLag)].second);
         }

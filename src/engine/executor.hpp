@@ -72,7 +72,7 @@ namespace cudalign::engine {
 /// core::PipelineOptions::executor, and goes with them.
 enum class ExecutorKind : std::uint8_t { kDataflow };
 
-/// Strips between a retired strip and the strips whose pruning closure reads
+/// Strips between a retired strip and the strips whose pruning bound reads
 /// its cumulative best (ProblemSpec::block_pruning). The strip window is
 /// clamped below it, so the strip read has always retired.
 inline constexpr Index kPruneLag = 16;
@@ -80,8 +80,6 @@ inline constexpr Index kPruneLag = 16;
 /// Block-pruning state at a strip boundary: what a wavefront resumed there
 /// needs to prune exactly as an uninterrupted run does. Empty unless pruning.
 struct PruneState {
-  /// The closure of the boundary's strip, one entry per column chunk.
-  std::vector<Score> closure;
   /// Cumulative best score after each of the kPruneLag strips ending at the
   /// boundary retired, oldest first (0 for strips before row 0).
   std::vector<Score> lagged;
@@ -96,30 +94,26 @@ struct ProblemSpec {
   GridSpec grid;
 
   /// Block pruning (the optimization the CUDAlign lineage added after this
-  /// paper): in local mode, skip a tile when even a perfect-match
-  /// continuation of its best incoming bus value cannot *strictly* beat the
-  /// pruning bound. The bound is the tile's *closure*: the max of the
-  /// closures of (s - 1, b) and (s, b - 1), the cumulative best after strip
-  /// s - kPruneLag retired, and its own tile best once it has run — the best
-  /// score seen in its ancestor rectangle or anywhere kPruneLag strips above.
-  /// Every term is a function of the dependency DAG and of retired strips
-  /// only, so prune decisions are identical for any worker count (a global
-  /// evolving best would make them schedule-dependent). Exact: every closure
-  /// value is a score some alignment achieves, so closure <= optimum, and a
-  /// tile containing any cell of an optimal alignment has bound >= optimum
-  /// (the path itself gains optimum - prefix with at most min(m - r0, n - c0)
-  /// diagonal steps), so it is never pruned; pruned tiles publish valid lower
-  /// bounds (H = 0) on their buses. Only meaningful with kLocal; rejected
-  /// with taps or probes.
+  /// paper): in local mode, skip tile (s, b) when even a perfect-match
+  /// continuation of its best incoming bus value max_in cannot *strictly*
+  /// beat the larger of two scores: max_in + match * min(m - r0, n - c0) <
+  /// max(prune_floor, the cumulative best after strip s - kPruneLag retired).
+  /// The floor depends only on the sequences, the lagged best only on retired
+  /// strips, so prune decisions are
+  /// identical for any worker count (a global evolving best would make them
+  /// schedule-dependent). Exact: both terms are scores some alignment
+  /// achieves, so neither exceeds the optimum, and a tile containing any cell
+  /// of an optimal alignment has bound >= optimum (the path itself gains
+  /// optimum - prefix with at most min(m - r0, n - c0) diagonal steps), so it
+  /// is never pruned; pruned tiles publish valid lower bounds (H = 0) on
+  /// their buses. Only meaningful with kLocal; rejected with taps or probes.
   bool block_pruning = false;
 
-  /// A lower bound L on the optimum, folded into every tile's closure_in
+  /// A lower bound L on the optimum, the pruning bound's first term
   /// (block_pruning only; 0 = none). Exact when L is the score of a real
-  /// local alignment (core::prune_floor): then L <= optimum, so the argument
-  /// above holds with L as one more closure term, and the strict < still
-  /// never prunes a tile holding a cell of any optimal alignment. L is never
-  /// reported as a best and carries no end point; a run whose best comes out
-  /// below it had an invalid floor (Stage 1 refuses it).
+  /// local alignment (core::prune_floor). L is never reported as a best and
+  /// carries no end point; a run whose best comes out below it had an
+  /// invalid floor (Stage 1 refuses it).
   Score prune_floor = 0;
 
   /// Resume support (checkpoint/resume, DESIGN.md "Checkpoint & resume"):

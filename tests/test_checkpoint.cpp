@@ -215,18 +215,27 @@ TEST(CheckpointManifestTest, FormatVersionBumpRefused) {
 TEST(CheckpointManifestTest, Version2ManifestRefusedNamingBothVersions) {
   // A v2 manifest carries no pruning state, so a pruned run cannot resume
   // from it exactly: it is refused, not reinterpreted.
-  ASSERT_EQ(kCheckpointFormatVersion, 4);
+  ASSERT_EQ(kCheckpointFormatVersion, 5);
   const std::string error = load_error_as_version(2);
   EXPECT_NE(error.find("format version 2"), std::string::npos) << error;
-  EXPECT_NE(error.find("reads version 4"), std::string::npos) << error;
+  EXPECT_NE(error.find("reads version 5"), std::string::npos) << error;
 }
 
 TEST(CheckpointManifestTest, Version3ManifestRefusedNamingBothVersions) {
   // A v3 manifest holds a Stage-1 cursor (last_flushed_row and the pruning
-  // state) that v4 keeps in the special rows' trailers instead.
+  // state) that v4 and v5 keep in the special rows' trailers instead.
   const std::string error = load_error_as_version(3);
   EXPECT_NE(error.find("format version 3"), std::string::npos) << error;
-  EXPECT_NE(error.find("reads version 4"), std::string::npos) << error;
+  EXPECT_NE(error.find("reads version 5"), std::string::npos) << error;
+}
+
+TEST(CheckpointManifestTest, Version4ManifestRefusedNamingBothVersions) {
+  // A v4 checkpoint's special rows carry a per-chunk pruning closure row
+  // that v5 trailers do not: it is refused when the manifest loads, not
+  // partway through a resume.
+  const std::string error = load_error_as_version(4);
+  EXPECT_NE(error.find("format version 4"), std::string::npos) << error;
+  EXPECT_NE(error.find("reads version 5"), std::string::npos) << error;
 }
 
 // The state e2ebench's checkpoint-save probe writes on every benchmark run: a
@@ -471,9 +480,9 @@ TEST(CheckpointResume, DeletedMiddleRowRefusedNamingItsPosition) {
   EXPECT_NE(error.find("special row 16 is missing"), std::string::npos) << error;
 }
 
-// The pruning state in a special row's trailer is all or nothing: a pruned
-// run needs the best, a closure row and kPruneLag lagged bests, an unpruned
-// run the best alone.
+// A special row's trailer has one length per run kind: a pruned run needs
+// the best and exactly kPruneLag lagged bests, an unpruned run the best
+// alone. Any other length is refused, naming the row.
 TEST(CheckpointManifestTest, PruningStateIsAllOrNothing) {
   const auto refusal = [](bool block_pruning,
                           const std::function<void(std::vector<std::int64_t>&)>& edit) {
@@ -481,22 +490,15 @@ TEST(CheckpointManifestTest, PruningStateIsAllOrNothing) {
         2, [&](const std::filesystem::path& dir) { rewrite_newest_trailer(dir, edit); },
         block_pruning);
   };
-  // Pruned: the best without any pruning state, or lagged bests without a
-  // closure row. Unpruned: pruning state it cannot use.
+  // Pruned: the best without any pruning state, one lagged best short or
+  // one word long. Unpruned: pruning state it cannot use.
   for (const std::string& error :
        {refusal(true, [](std::vector<std::int64_t>& t) { t.resize(3); }),
-        refusal(true,
-                [](std::vector<std::int64_t>& t) {
-                  t.erase(t.begin() + 3, t.end() - engine::kPruneLag);
-                }),
+        refusal(true, [](std::vector<std::int64_t>& t) { t.pop_back(); }),
+        refusal(true, [](std::vector<std::int64_t>& t) { t.push_back(0); }),
         refusal(false, [](std::vector<std::int64_t>& t) { t.push_back(0); })}) {
     EXPECT_NE(error.find("special row 16 carries"), std::string::npos) << error;
   }
-  // One lagged best short leaves the closure row a column short: the engine
-  // refuses it.
-  const std::string short_error =
-      refusal(true, [](std::vector<std::int64_t>& t) { t.pop_back(); });
-  EXPECT_NE(short_error.find("pruning state"), std::string::npos) << short_error;
   // The trailers as written resume, pruned or not.
   for (const bool block_pruning : {true, false}) {
     EXPECT_EQ(refusal(block_pruning, [](std::vector<std::int64_t>&) {}), "");

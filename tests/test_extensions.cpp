@@ -115,10 +115,11 @@ TEST(BlockPruning, IdenticalResultsAndSavesWork) {
 }
 
 TEST(BlockPruning, LaggedBestPrunesMoreThanTheAncestorClosure) {
-  // 150 strips of height 8, far more than 2 * kPruneLag. Under the
-  // ancestor-only closure (tiles above and to the left, no lagged best) this
-  // pair pruned 401,000 of its 1,200,000 cells; the cumulative best of the
-  // strip kPruneLag up also reaches the lower-left triangle.
+  // 150 strips of height 8, far more than 2 * kPruneLag. An earlier bound,
+  // since removed, took only the bests of each tile's ancestors (the tiles
+  // above and to the left) and pruned 401,000 of this pair's 1,200,000
+  // cells. The cumulative best of the strip kPruneLag up also reaches the
+  // lower-left triangle, so the lagged best must keep pruning more.
   constexpr WideScore kAncestorOnlyPrunedCells = 401000;
   const auto pair = test::small_related(1200, 1000, 74);
   engine::ProblemSpec spec;

@@ -190,6 +190,26 @@ TEST(Stage1, TinyBudgetRaisesFlushInterval) {
   EXPECT_LE(h.rows.used_bytes(), budget);
 }
 
+// A special row's resume trailer is the best (score, i, j), then, when
+// pruning, the kPruneLag lagged bests: its length does not follow the grid.
+TEST(Stage1, ResumeTrailerLengthIsIndependentOfTheGrid) {
+  const auto pair = test::small_related(300, 290, 3150);
+  for (const Index blocks : {2, 3, 12}) {
+    for (const bool prune : {false, true}) {
+      StageHarness h(pair);
+      (void)h.stage1(tiny_grid(blocks, 4, 2), prune);
+      const auto members = h.rows.group_members(1);
+      ASSERT_GT(members.size(), 2u);
+      for (const std::size_t id : members) {
+        std::vector<std::int64_t> trailer;
+        (void)h.rows.get(id, &trailer);
+        EXPECT_EQ(trailer.size(), static_cast<std::size_t>(prune ? 3 + engine::kPruneLag : 3))
+            << blocks << " blocks, prune " << prune << ", row " << h.rows.key(id).position;
+      }
+    }
+  }
+}
+
 // Stage 1 hands special rows to the SRA writer thread (sra/async_writer.hpp).
 // At any worker count, every stored row must be byte-identical to the row
 // the reference sweep flushes at the same interval, and every flushed row
