@@ -330,11 +330,14 @@ stage "tsan: ctest"
 # interleavings to surface. Block pruning joins them: retire() writes the
 # lagged-best ring and the tiles of later strips read it, ordered only by the
 # window gate. So does Stage 2: its waves read special rows and run engine
-# problems on several pool threads at once.
+# problems on several pool threads at once. So does the SRA writer: submit()
+# moves a row buffer into its queue and takes a retired one back, which the
+# engine then refills while the writer thread writes the next.
 stage "tsan: scheduler suites x20"
 (cd build-ci-tsan &&
   TSAN_OPTIONS="suppressions=$(cd .. && pwd)/tsan.supp" ctest --output-on-failure -j "$JOBS" \
-    --timeout "$CTEST_TIMEOUT" -R '^(TileGraph\.|Dataflow|Seeds/EngineFuzz\.|BlockPruning\.|Stage2\.)' \
+    --timeout "$CTEST_TIMEOUT" \
+    -R '^(TileGraph\.|Dataflow|Seeds/EngineFuzz\.|BlockPruning\.|Stage2\.|AsyncWriter\.)' \
     --repeat until-fail:20)
 
 echo "ci.sh: all suites passed"

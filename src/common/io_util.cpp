@@ -1,6 +1,7 @@
 #include "common/io_util.hpp"
 
 #include <fcntl.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -57,14 +58,13 @@ void write_file(const std::filesystem::path& path, const std::string& contents) 
 
 namespace {
 
-/// RAII file descriptor: durable writes use raw POSIX I/O because fsync has
+/// RAII file descriptor: atomic writes use raw POSIX I/O because fsync has
 /// no std::ostream equivalent.
 class Fd {
  public:
   Fd(const std::filesystem::path& path, int flags, mode_t mode = 0644)
       : fd_(::open(path.c_str(), flags, mode)), path_(path.string()) {
-    CUDALIGN_CHECK(fd_ >= 0,
-                   "cannot open " + path_ + " for durable I/O: " + std::strerror(errno));
+    CUDALIGN_CHECK(fd_ >= 0, "cannot open " + path_ + ": " + std::strerror(errno));
   }
   Fd(const Fd&) = delete;
   Fd& operator=(const Fd&) = delete;
@@ -72,15 +72,23 @@ class Fd {
     if (fd_ >= 0) ::close(fd_);
   }
 
-  void write_all(const void* data, std::size_t size) const {
-    const char* p = static_cast<const char*>(data);
-    std::size_t remaining = size;
-    while (remaining > 0) {
-      const ::ssize_t n = ::write(fd_, p, remaining);
+  /// Writes `parts` in order with one writev() per pass, resuming after a
+  /// short write.
+  void write_all(std::initializer_list<std::span<const std::byte>> parts) const {
+    std::vector<::iovec> iov;
+    for (const std::span<const std::byte> part : parts) {
+      if (!part.empty()) iov.push_back({const_cast<std::byte*>(part.data()), part.size()});
+    }
+    for (std::size_t next = 0; next < iov.size();) {
+      const ::ssize_t n = ::writev(fd_, iov.data() + next, static_cast<int>(iov.size() - next));
       if (n < 0 && errno == EINTR) continue;
-      CUDALIGN_CHECK(n > 0, "durable write to " + path_ + " failed: " + std::strerror(errno));
-      p += n;
-      remaining -= static_cast<std::size_t>(n);
+      CUDALIGN_CHECK(n > 0, "write to " + path_ + " failed: " + std::strerror(errno));
+      auto done = static_cast<std::size_t>(n);
+      for (; next < iov.size() && done >= iov[next].iov_len; ++next) done -= iov[next].iov_len;
+      if (done > 0) {
+        iov[next].iov_base = static_cast<std::byte*>(iov[next].iov_base) + done;
+        iov[next].iov_len -= done;
+      }
     }
   }
 
@@ -100,24 +108,25 @@ void fsync_directory(const std::filesystem::path& dir) {
   fd.sync();
 }
 
-void atomic_write_file_durable(const std::filesystem::path& path,
-                               std::initializer_list<std::span<const std::byte>> parts) {
+void atomic_write_file(const std::filesystem::path& path,
+                       std::initializer_list<std::span<const std::byte>> parts, bool durable) {
   std::filesystem::path tmp = path;
   tmp += ".tmp";
   {
     const Fd fd(tmp, O_WRONLY | O_CREAT | O_TRUNC);
-    for (const std::span<const std::byte> part : parts) fd.write_all(part.data(), part.size());
-    fd.sync();
+    fd.write_all(parts);
+    if (durable) fd.sync();
   }
   std::error_code ec;
   std::filesystem::rename(tmp, path, ec);
   CUDALIGN_CHECK(!ec, "atomic rename " + tmp.string() + " -> " + path.string() +
                           " failed: " + ec.message());
-  fsync_directory(path.parent_path());
+  if (durable) fsync_directory(path.parent_path());
 }
 
 void atomic_write_file_durable(const std::filesystem::path& path, std::string_view contents) {
-  atomic_write_file_durable(path, {std::as_bytes(std::span(contents.data(), contents.size()))});
+  atomic_write_file(path, {std::as_bytes(std::span(contents.data(), contents.size()))},
+                    /*durable=*/true);
 }
 
 }  // namespace cudalign

@@ -93,14 +93,16 @@ void write_file(const std::filesystem::path& path, const std::string& contents);
 /// entries durable ("" is the working directory).
 void fsync_directory(const std::filesystem::path& dir);
 
-/// The full write-fsync-rename-fsync protocol in one call: the byte ranges
-/// `parts`, concatenated in order, land at `path` atomically and durably
-/// (via `<path>.tmp`). Each range is written from where it lies, so a
-/// header-plus-payload file needs no assembled copy.
-void atomic_write_file_durable(const std::filesystem::path& path,
-                               std::initializer_list<std::span<const std::byte>> parts);
+/// The byte ranges `parts`, concatenated in order, land at `path` atomically
+/// (written to `<path>.tmp`, then renamed), so `path` never holds a partial
+/// file after a normal exit. With `durable`, this is the full
+/// write-fsync-rename-fsync protocol, and `path` survives power loss too.
+/// Each range is written from where it lies, so a header-plus-payload file
+/// needs no assembled copy.
+void atomic_write_file(const std::filesystem::path& path,
+                       std::initializer_list<std::span<const std::byte>> parts, bool durable);
 
-/// atomic_write_file_durable for one contiguous buffer.
+/// The durable atomic_write_file for one contiguous buffer.
 void atomic_write_file_durable(const std::filesystem::path& path, std::string_view contents);
 
 }  // namespace cudalign

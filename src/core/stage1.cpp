@@ -232,16 +232,16 @@ Stage1Result run_stage1(seq::SequenceView s0, seq::SequenceView s1, const Stage1
       result.resumed_from_row = spec.start_row;
     }
     hooks.special_row_interval = result.flush_interval;
-    // Flush pipeline (DESIGN.md "Stage-1 I/O overlap"): the hook copies the
-    // row into the writer's queue at strip retirement, and the writer thread
-    // writes it with its resume trailer and then runs the ack, off the
-    // compute path.
+    // Flush pipeline (DESIGN.md "Stage-1 I/O overlap"): the hook moves the
+    // engine's row buffer into the writer's queue at strip retirement and
+    // leaves a retired one in its place; the writer thread writes the row
+    // with its resume trailer and then runs the ack, off the compute path.
     writer.emplace(*config.rows_area);
-    hooks.on_special_row = [&](Index row, std::span<const engine::BusCell> cells,
+    hooks.on_special_row = [&](Index row, std::vector<engine::BusCell>& cells,
                                const dp::LocalBest& best, const engine::PruneState& prune) {
       ++result.special_rows_saved;
-      writer->submit(sra::RowKey{row, 0, n, kRowsGroup}, cells, config.on_checkpoint,
-                     resume_trailer(best, prune));
+      cells = writer->submit(sra::RowKey{row, 0, n, kRowsGroup}, std::move(cells),
+                             config.on_checkpoint, resume_trailer(best, prune));
     };
   }
 

@@ -31,7 +31,8 @@
 // not the crosspoint its predecessor found re-runs from the true one, and
 // members above the start point are dropped. Every kept crossing ran from
 // the start the serial chain would use, so the crosspoints, the special
-// columns (put in iteration order) and the stage tally are the serial loop's.
+// columns (put at commit, in iteration order) and the stage tally are the
+// serial loop's.
 #include <algorithm>
 #include <memory>
 #include <utility>
@@ -109,9 +110,8 @@ struct WaveMember {
   Crosspoint guess;
   Crosspoint from;
   std::optional<RowCrossing> crossing;  ///< Set once it ran.
-  /// A speculative run's special columns, held until its commit.
+  /// The run's special columns in storage order, held until its commit.
   std::vector<std::pair<sra::RowKey, std::vector<engine::BusCell>>> columns;
-  Index cols_saved = 0;
 };
 
 std::int64_t row_bytes(const std::vector<engine::BusCell>& row) {
@@ -151,35 +151,28 @@ Stage2Result run_stage2(seq::SequenceView s0, seq::SequenceView s1, const Crossp
   const std::vector<seq::Base> s0_rev(s0.rbegin(), s0.rend());
   const std::vector<seq::Base> s1_rev(s1.rbegin(), s1.rend());
 
-  // Runs one iteration's crossing from m.from. Special columns of a run whose
-  // start is known to be on the chain go straight to the columns area; a
-  // speculative run keeps them in m.columns until its commit.
-  const auto cross = [&](WaveMember& m, Index iteration, bool speculative) {
+  // Runs one iteration's crossing from m.from. Its special columns wait in
+  // m.columns until its commit, which puts them.
+  const auto cross = [&](WaveMember& m, Index iteration) {
     const Crosspoint from = m.from;
     const Index rect_h = from.i - m.row;
     const Index rect_w = from.j;
     engine::Hooks hooks;
     hooks.bus_audit = config.bus_audit;
     m.columns.clear();
-    m.cols_saved = 0;
     // Special columns for Stage 3 (the iteration's group is its partition's).
     if (config.cols_area && per_iter_budget >= 8 * (rect_h + 1) && rect_w > 0) {
       const std::int64_t group = kColsGroupBase + iteration;
       hooks.special_row_interval = sra::flush_interval_for_budget(
           rect_w, rect_h, config.grid.strip_rows(), per_iter_budget);
-      hooks.on_special_row = [&, from, group, speculative](
-                                 Index row_t, std::span<const engine::BusCell> cells,
-                                 const dp::LocalBest&, const engine::PruneState&) {
+      hooks.on_special_row = [&, from, group](Index row_t, std::vector<engine::BusCell>& cells,
+                                              const dp::LocalBest&, const engine::PruneState&) {
         // Engine row row_t == original column from.j - row_t; entry q maps to
-        // original row from.i - q. Store in original (ascending-row) order.
-        const sra::RowKey key{from.j - row_t, m.row, from.i, group};
-        std::vector<engine::BusCell> original(cells.rbegin(), cells.rend());
-        if (!speculative) {
-          config.cols_area->put(key, original);
-        } else {
-          m.columns.emplace_back(key, std::move(original));
-        }
-        ++m.cols_saved;
+        // original row from.i - q. Stored in original (ascending-row) order,
+        // so the engine's buffer is reversed in place and taken.
+        std::reverse(cells.begin(), cells.end());
+        m.columns.emplace_back(sra::RowKey{from.j - row_t, m.row, from.i, group},
+                               std::move(cells));
       };
     }
     m.crossing = cross_row(s0_rev, s1_rev, Crosspoint{m.row, 0, 0}, from, m.forward,
@@ -263,7 +256,7 @@ Stage2Result run_stage2(seq::SequenceView s0, seq::SequenceView s1, const Crossp
     // guess with no score left cannot start a crossing.
     pool.parallel_for(count, [&](std::size_t k) {
       if (k > 0 && wave[k].from.score <= 0) return;
-      cross(wave[k], iteration + static_cast<Index>(k), /*speculative=*/k > 0);
+      cross(wave[k], iteration + static_cast<Index>(k));
     });
 
     // Commit in chain order: a member stands only if it started from the
@@ -277,7 +270,7 @@ Stage2Result run_stage2(seq::SequenceView s0, seq::SequenceView s1, const Crossp
       } else {
         discard(m);
         m.from = cur;
-        cross(m, iteration, /*speculative=*/false);
+        cross(m, iteration);
         ++spec.reruns;
       }
       CUDALIGN_CHECK(m.crossing->next.has_value(),
@@ -285,7 +278,7 @@ Stage2Result run_stage2(seq::SequenceView s0, seq::SequenceView s1, const Crossp
                      "goal-based matching invariant violated");
       result.stats.add_run(m.crossing->run);
       for (const auto& [key, cells] : m.columns) config.cols_area->put(key, cells);
-      result.special_cols_saved += m.cols_saved;
+      result.special_cols_saved += static_cast<Index>(m.columns.size());
       if (!m.forward.empty()) {
         --rows_left;
         ++result.stats.sra_rows_read;

@@ -44,9 +44,10 @@ struct StageStats : engine::Tally {
   /// counts durably acknowledged rows — equal to `sra_rows_flushed` at
   /// completion (the run-report validator enforces it).
   /// `sra_flush_wait_seconds` is the time spent inside the flush hook at
-  /// strip retirement: the row copy plus queue backpressure (engine RunStats
-  /// `special_row_wait_seconds`; compute time lost on the retiring
-  /// participant while the others keep computing).
+  /// strip retirement (engine RunStats `special_row_wait_seconds`; compute
+  /// time lost on the retiring participant while the others keep
+  /// computing). The hook moves the row rather than copying it, so in Stage
+  /// 1 this is the writer queue's backpressure.
   /// `sra_writer_busy_seconds` is the writer thread's time in put() + ack.
   Index sra_rows_acked = 0;
   std::size_t sra_flush_queue_peak = 0;

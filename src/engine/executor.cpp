@@ -38,7 +38,7 @@ struct StripSlot {
   bool found = false;                       ///< Row-major-first probe hit of the strip.
   Index found_i = 0, found_j = 0;
   std::vector<std::vector<BusCell>> taps;   ///< Per tap column: rows (r0, r1].
-  std::span<BusCell> row;                   ///< Special strips only: vertex row r1.
+  std::vector<BusCell>* row = nullptr;      ///< Special strips only: vertex row r1.
 };
 
 }  // namespace
@@ -191,9 +191,11 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
   };
 
   std::vector<StripSlot> slots(static_cast<std::size_t>(ring));
-  // Special-row buffers, reused: `ring` consecutive strips hold at most
+  // Special-row buffers: `ring` consecutive strips hold at most
   // (ring - 1) / interval + 1 special ones, so special strip k (counted
-  // globally) takes buffer k % count without overlapping a live row.
+  // globally) takes buffer k % count without overlapping a live row. The
+  // flush hook may swap a buffer's contents out (Hooks::on_special_row); the
+  // strip that takes the buffer next resizes it.
   std::vector<std::vector<BusCell>> row_buffers(
       interval == 0 ? 0 : static_cast<std::size_t>((ring - 1) / interval + 1),
       std::vector<BusCell>(static_cast<std::size_t>(n) + 1));
@@ -234,8 +236,9 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
       if (strip_is_special(s)) {
         auto& row = row_buffers[static_cast<std::size_t>((base_strip + s + 1) / interval) %
                                 row_buffers.size()];
+        row.resize(static_cast<std::size_t>(n) + 1);
         row[0] = BusCell{rec.left_boundary(r1).h, rec.left_boundary_f(r1)};
-        slot.row = row;
+        slot.row = &row;
       }
     }
 
@@ -349,8 +352,8 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
 
     // Special-row capture happens here, inside the tile: the down successor
     // (s + 1, b) may overwrite the hbus segment before the strip retires.
-    if (!slot.row.empty()) {
-      std::copy(hbus.begin() + c0 + 1, hbus.begin() + c1 + 1, slot.row.begin() + c0 + 1);
+    if (slot.row != nullptr) {
+      std::copy(hbus.begin() + c0 + 1, hbus.begin() + c1 + 1, slot.row->begin() + c0 + 1);
     }
   };
 
@@ -361,7 +364,7 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
     StripSlot& slot = slots[static_cast<std::size_t>(s % ring)];
     const Index r0 = row0 + s * strip_rows;
     const Index r1 = std::min(m, r0 + strip_rows);
-    const bool special = !slot.row.empty();
+    const bool special = slot.row != nullptr;
     RunStats& stats = result.stats;
     // Bus traffic (see Tally): each tile reads and writes its horizontal
     // segment (c1 - c0 + 1 cells, n + blocks over the strip) and vertical
@@ -396,7 +399,7 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
         }
       }
       Timer flush_timer;
-      hooks.on_special_row(r1, slot.row, result.best, prune);
+      hooks.on_special_row(r1, *slot.row, result.best, prune);
       stats.special_row_wait_seconds += flush_timer.seconds();
     }
     if (go && hooks.on_progress) hooks.on_progress((s + 1) * blocks, total_tiles);
@@ -481,6 +484,7 @@ RunResult run_reference(const ProblemSpec& spec, const Hooks& hooks) {
 
   // Accumulate tap entries per strip, then deliver at strip boundaries.
   std::vector<std::vector<BusCell>> tap_accum(hooks.tap_columns.size());
+  std::vector<BusCell> special_row;  // Handed to on_special_row as the engine's ring entry is.
   Index strip_r0 = 0;
   bool stop = false;
 
@@ -514,12 +518,12 @@ RunResult run_reference(const ProblemSpec& spec, const Hooks& hooks) {
       deliver_strip(row.i);
       if (!stop && hooks.special_row_interval != 0 && (s + 1) % hooks.special_row_interval == 0 &&
           (s + 1) * strip_rows < m && row.i == (s + 1) * strip_rows) {
-        std::vector<BusCell> cells(static_cast<std::size_t>(n) + 1);
+        special_row.resize(static_cast<std::size_t>(n) + 1);
         for (Index j = 0; j <= n; ++j) {
-          cells[static_cast<std::size_t>(j)] = BusCell{row.h[static_cast<std::size_t>(j)],
-                                                       row.f[static_cast<std::size_t>(j)]};
+          special_row[static_cast<std::size_t>(j)] = BusCell{row.h[static_cast<std::size_t>(j)],
+                                                             row.f[static_cast<std::size_t>(j)]};
         }
-        hooks.on_special_row(row.i, cells, result.best, PruneState{});
+        hooks.on_special_row(row.i, special_row, result.best, PruneState{});
       }
     }
   };

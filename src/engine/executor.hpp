@@ -28,8 +28,8 @@
 // two buffers per strip slot (a strip's tiles run in chunk order, so its
 // vertical hand-off needs only the buffer being read and the one being
 // written), where the ring holds the strips in flight, min(strips,
-// window + 2), plus one reused n-cell row buffer per special strip that can
-// be in flight: the engine is linear-space by construction.
+// window + 2), plus one n-cell row buffer per special strip that can be in
+// flight: the engine is linear-space by construction.
 //
 // Thread-safety discipline: the executor itself owns no atomics and no
 // locks. Every cross-thread hand-off is delegated to the schedulers
@@ -156,11 +156,15 @@ struct Hooks {
   /// best-so-far (local mode) covering every cell up to that row, and the
   /// pruning state there (empty unless pruning) — everything a checkpoint
   /// needs to make the flush durable progress.
+  /// `cells` is the engine's own row buffer: the hook may take its contents
+  /// and leave another buffer of any size, or an empty one, in its place
+  /// (the next special strip to use the buffer resizes it), so a row changes
+  /// hands without a copy.
   /// Called once per flush at strip retirement, in ascending row order; under
   /// dataflow that may be on a pool worker.
   /// 0 disables flushing.
   Index special_row_interval = 0;
-  std::function<void(Index row, std::span<const BusCell> cells, const dp::LocalBest& best_so_far,
+  std::function<void(Index row, std::vector<BusCell>& cells, const dp::LocalBest& best_so_far,
                      const PruneState& prune)>
       on_special_row;
 
@@ -270,9 +274,9 @@ struct RunStats : Tally {
   /// They depend on the worker count, so they stay outside the tally.
   Index tiles_stolen = 0;
   Index starvation_waits = 0;
-  /// Time strip retirement spent inside on_special_row. Stage 1's hook
-  /// copies the row into the SRA writer's queue and waits on backpressure
-  /// (core/stage1.cpp). That wait is compute time lost on the retiring
+  /// Time strip retirement spent inside on_special_row. Stage 1's hook moves
+  /// the row into the SRA writer's queue, so this is the queue's
+  /// backpressure (core/stage1.cpp): compute time lost on the retiring
   /// participant while the others keep computing.
   double special_row_wait_seconds = 0;
   double seconds = 0;

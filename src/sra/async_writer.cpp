@@ -7,8 +7,7 @@
 
 namespace cudalign::sra {
 
-AsyncSraWriter::AsyncSraWriter(SpecialRowsArea& area, std::size_t queue_capacity)
-    : area_(area), capacity_(std::max<std::size_t>(1, queue_capacity)) {
+AsyncSraWriter::AsyncSraWriter(SpecialRowsArea& area) : area_(area) {
   writer_ = std::thread([this] { writer_loop(); });
 }
 
@@ -22,33 +21,24 @@ AsyncSraWriter::~AsyncSraWriter() {
   if (writer_.joinable()) writer_.join();
 }
 
-void AsyncSraWriter::submit(const RowKey& key, std::span<const engine::BusCell> cells,
-                            std::function<void()> on_durable,
-                            std::vector<std::int64_t> trailer) {
-  StagedRow row{key, {}, std::move(on_durable), std::move(trailer)};
-  {
-    // Backpressure before the copy: waiting holds no extra row buffer, and
-    // the copy then reuses the buffer the writer has just retired instead of
-    // allocating a new one.
-    std::unique_lock<std::mutex> lock(mutex_);
-    space_cv_.wait(lock, [&] { return failure_ != nullptr || queue_.size() < capacity_; });
-    // Poisoned: drop the row — nothing may be written past a failed one, and
-    // drain() will surface the failure to the submitter.
-    if (failure_ != nullptr) return;
-    if (!free_buffers_.empty()) {
-      row.cells = std::move(free_buffers_.back());
-      free_buffers_.pop_back();
-    }
-  }
-  // The copy runs outside the lock: it is the bulk of the hand-off cost and
-  // must not serialize against the writer's retire path. Only this thread
-  // enqueues, so the slot found above is still free afterwards.
-  row.cells.assign(cells.begin(), cells.end());
+std::vector<engine::BusCell> AsyncSraWriter::submit(const RowKey& key,
+                                                    std::vector<engine::BusCell>&& cells,
+                                                    std::function<void()> on_durable,
+                                                    std::vector<std::int64_t> trailer) {
   std::unique_lock<std::mutex> lock(mutex_);
-  if (failure_ != nullptr) return;
-  queue_.push_back(std::move(row));
+  space_cv_.wait(lock, [&] { return failure_ != nullptr || queue_.size() < kQueueCapacity; });
+  // Poisoned: drop the row — nothing may be written past a failed one, and
+  // drain() will surface the failure to the submitter.
+  if (failure_ != nullptr) return std::move(cells);
+  queue_.push_back(StagedRow{key, std::move(cells), std::move(on_durable), std::move(trailer)});
   stats_.queue_peak = std::max(stats_.queue_peak, queue_.size());
   work_cv_.notify_one();
+  std::vector<engine::BusCell> spare;
+  if (!free_buffers_.empty()) {
+    spare = std::move(free_buffers_.back());
+    free_buffers_.pop_back();
+  }
+  return spare;
 }
 
 void AsyncSraWriter::drain() {
@@ -87,7 +77,6 @@ void AsyncSraWriter::writer_loop() {
     stats_.writer_busy_seconds += busy_seconds;
     if (error == nullptr) {
       ++stats_.rows_acked;
-      row.cells.clear();
       free_buffers_.push_back(std::move(row.cells));
     } else {
       failure_ = error;

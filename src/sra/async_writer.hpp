@@ -18,17 +18,17 @@
 // Ownership protocol (phase-based, not lock-based): between construction and
 // drain() the writer thread is the sole owner of the SpecialRowsArea and of
 // everything the ack callbacks touch (the pipeline's fault injection). The
-// submitting thread only copies cells into row buffers and moves them
-// through the queue; it must not read area statistics until drain() has
-// returned. drain() establishes the happens-before edge back to the caller
-// (queue mutex + condition variable), after which single-threaded access
-// resumes.
+// submitting thread only moves row buffers into the queue and takes retired
+// ones back; it must not read area statistics until drain() has returned.
+// drain() establishes the happens-before edge back to the caller (queue
+// mutex + condition variable), after which single-threaded access resumes.
 //
-// Backpressure: the queue holds at most `queue_capacity` staged rows
-// (triple-buffered by default — one in flight, two staged). A submit against
-// a full queue blocks until the writer retires a row; that wait is the
-// compute-side stall the stats expose. Retired buffers are recycled through
-// a free list, so steady state performs no per-row allocation.
+// Backpressure: the queue holds at most kQueueCapacity staged rows. A submit
+// against a full queue blocks until the writer retires a row; that wait is
+// the compute-side stall the stats expose. A row changes hands without a
+// copy: submit() takes the caller's buffer and hands back one the writer has
+// retired, so buffers circulate between the engine's row ring and the free
+// list, and steady state performs no per-row allocation.
 //
 // Failure: a writer-thread exception (disk full, fault injection) poisons
 // the queue — no later row is written past a failed one, preserving the
@@ -42,7 +42,6 @@
 #include <exception>
 #include <functional>
 #include <mutex>
-#include <span>
 #include <thread>
 #include <vector>
 
@@ -63,10 +62,9 @@ class AsyncSraWriter {
   /// One row in flight plus two staged absorbs flush bursts without
   /// unbounding memory: rows are n+1 BusCells each, the same size as the
   /// engine's horizontal bus and special-row buffers.
-  static constexpr std::size_t kDefaultQueueCapacity = 3;
+  static constexpr std::size_t kQueueCapacity = 3;
 
-  explicit AsyncSraWriter(SpecialRowsArea& area,
-                          std::size_t queue_capacity = kDefaultQueueCapacity);
+  explicit AsyncSraWriter(SpecialRowsArea& area);
   AsyncSraWriter(const AsyncSraWriter&) = delete;
   AsyncSraWriter& operator=(const AsyncSraWriter&) = delete;
   /// Stops the writer after flushing whatever is queued (acks included), then
@@ -74,14 +72,15 @@ class AsyncSraWriter {
   /// during unwinding; call drain() first to observe errors.
   ~AsyncSraWriter();
 
-  /// Copies `cells` into a row buffer (recycled from the free list when
-  /// possible) and enqueues it, with `trailer`, for writing, blocking while
-  /// the queue is full (backpressure). The copy happens on the calling thread
-  /// because the span's storage (the executor's special-row buffer) may be
-  /// reused the moment the flush hook returns. `on_durable` — may be empty —
-  /// runs on the writer thread after this row's put() has returned.
-  void submit(const RowKey& key, std::span<const engine::BusCell> cells,
-              std::function<void()> on_durable = {}, std::vector<std::int64_t> trailer = {});
+  /// Moves `cells` into the queue, with `trailer`, for writing, blocking
+  /// while the queue is full (backpressure), and returns a buffer the writer
+  /// has retired (stale contents, for the caller to overwrite), or an empty
+  /// one. A row submitted after a failure is dropped and its buffer handed
+  /// back. `on_durable` — may be empty — runs on the writer thread after this
+  /// row's put() has returned.
+  std::vector<engine::BusCell> submit(const RowKey& key, std::vector<engine::BusCell>&& cells,
+                                      std::function<void()> on_durable = {},
+                                      std::vector<std::int64_t> trailer = {});
 
   /// Blocks until every submitted row is durable and acknowledged (or the
   /// writer failed), then rethrows any writer-thread exception. Establishes
@@ -102,7 +101,6 @@ class AsyncSraWriter {
   void writer_loop();
 
   SpecialRowsArea& area_;
-  const std::size_t capacity_;
 
   mutable std::mutex mutex_;
   std::condition_variable work_cv_;   ///< Signals the writer: row queued / stop.

@@ -158,22 +158,10 @@ std::size_t SpecialRowsArea::put(const RowKey& key, std::span<const engine::BusC
 
   // Write-then-rename in both modes: `sra-<n>.bin` either holds its whole row
   // and trailer or does not exist.
-  const auto file = file_for(index);
-  if (durability_ == Durability::kDurable) {
-    atomic_write_file_durable(file, {std::as_bytes(std::span(&header, 1)), std::as_bytes(cells),
-                                     std::as_bytes(trailer)});
-  } else {
-    std::filesystem::path tmp = file;
-    tmp += ".tmp";
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    CUDALIGN_CHECK(os.good(), "cannot open SRA file for writing: " + tmp.string());
-    write_pod(os, header);
-    write_span(os, cells);
-    write_span(os, trailer);
-    os.close();  // A full disk may only fail the final flush.
-    CUDALIGN_CHECK(!os.fail(), "error while writing SRA file " + tmp.string());
-    std::filesystem::rename(tmp, file);
-  }
+  atomic_write_file(file_for(index),
+                    {std::as_bytes(std::span(&header, 1)), std::as_bytes(cells),
+                     std::as_bytes(trailer)},
+                    durability_ == Durability::kDurable);
   keys_.push_back(key);
   live_.push_back(1);
   crcs_.push_back(header.crc);

@@ -471,15 +471,32 @@ struct ExecRun {
   std::vector<engine::PruneState> flush_prune;
 };
 
+/// How the special-row hook gets the row out of the engine's buffer
+/// (Hooks::on_special_row): a copy; a move that leaves the buffer moved-from;
+/// a swap that leaves an empty buffer; a swap that leaves a short one of
+/// stale cells, as a recycled buffer would be.
+enum class Handoff : std::uint8_t { kCopy, kTake, kSwapEmpty, kSwapStale };
+
 /// Runs the wavefront on a pool of `workers`, or the reference sweep when it
 /// is empty, flushing a special row every `interval` strips.
-ExecRun run_with_workers(const ProblemSpec& spec, std::optional<int> workers, Index interval) {
+ExecRun run_with_workers(const ProblemSpec& spec, std::optional<int> workers, Index interval,
+                         Handoff handoff = Handoff::kCopy) {
   ExecRun out;
   Hooks hooks;
   hooks.special_row_interval = interval;
-  hooks.on_special_row = [&](Index row, std::span<const BusCell> cells,
-                             const dp::LocalBest& best, const engine::PruneState& prune) {
-    out.flushes.emplace_back(row, std::vector<BusCell>(cells.begin(), cells.end()));
+  hooks.on_special_row = [&](Index row, std::vector<BusCell>& cells, const dp::LocalBest& best,
+                             const engine::PruneState& prune) {
+    std::vector<BusCell> taken;
+    switch (handoff) {
+      case Handoff::kCopy: taken = cells; break;
+      case Handoff::kTake: taken = std::move(cells); break;
+      case Handoff::kSwapEmpty: taken.swap(cells); break;
+      case Handoff::kSwapStale:
+        taken.swap(cells);
+        cells.assign(taken.size() / 2, BusCell{-7, -7});
+        break;
+    }
+    out.flushes.emplace_back(row, std::move(taken));
     out.flush_best.push_back(best);
     out.flush_prune.push_back(prune);
   };
@@ -557,6 +574,47 @@ TEST(DataflowEquivalence, OneWorkerMatchesManyAcrossShapesPruningAndKernels) {
       }
     }
   }
+}
+
+// A hook that takes the engine's row buffer on every flush, whatever it
+// leaves behind, receives exactly the rows a copying hook does: the
+// reference sweep's when nothing is pruned, and (pruned tiles publish lower
+// bounds) a copying wavefront run's when pruning. The reference sweep hands
+// over its row the same way.
+void expect_handoff_receives_copied_rows(Handoff handoff) {
+  const auto pair = seq::make_related_pair(230, 240, 61100);
+  ProblemSpec spec;
+  spec.a = pair.s0.bases();
+  spec.b = pair.s1.bases();
+  spec.grid = tiny_grid(3, 2, 2);
+  spec.recurrence = engine::Recurrence::local(paper());
+  for (const bool prune : {false, true}) {
+    spec.block_pruning = prune;
+    for (const Index interval : {1, 3}) {
+      const std::string label = std::string("prune=") + (prune ? "1" : "0") +
+                                " interval=" + std::to_string(interval);
+      const ExecRun want = prune ? run_with_workers(spec, 1, interval)
+                                 : run_with_workers(spec, std::nullopt, interval);
+      ASSERT_GE(want.flushes.size(), 4u) << label;
+      if (!prune) {
+        expect_same_run(want, run_with_workers(spec, std::nullopt, interval, handoff),
+                        label + " ref");
+      }
+      for (const int workers : kWorkerCounts) {
+        expect_same_run(want, run_with_workers(spec, workers, interval, handoff),
+                        label + " workers=" + std::to_string(workers));
+      }
+    }
+  }
+}
+
+TEST(DataflowEquivalence, HookThatMovesTheRowBufferOutReceivesTheSameRows) {
+  expect_handoff_receives_copied_rows(Handoff::kTake);
+}
+
+TEST(DataflowEquivalence, HookThatSwapsInAnEmptyOrStaleBufferReceivesTheSameRows) {
+  expect_handoff_receives_copied_rows(Handoff::kSwapEmpty);
+  expect_handoff_receives_copied_rows(Handoff::kSwapStale);
 }
 
 TEST(DataflowEquivalence, StealHeavyGridMatchesOneWorker) {

@@ -412,8 +412,9 @@ TEST(Sra, ConcurrentGetsReadEveryRowAndCountExactly) {
             std::int64_t{kThreads} * kRounds * 64 * static_cast<std::int64_t>(sizeof(engine::BusCell)));
 }
 
-// The durable path writes the header and cells straight from the caller's
-// row; the bytes on disk must match the buffered (fast) path's exactly.
+// Both modes write the header and cells straight from the caller's row
+// through one writer, the fast one without the fsyncs; the bytes on disk
+// must match exactly.
 TEST(SraDurability, DurableAndFastStoresWriteIdenticalRowFiles) {
   TempDir dir;
   const auto row = make_row(257, 11);
@@ -453,7 +454,6 @@ TEST(SraDurability, FullDiskFailsPutAndLeavesNoRowFile) {
       SpecialRowsArea area(store, 1 << 20, durability);
       (void)area.put(RowKey{64, 0, 31, 1}, row);
       if (!plant_full_disk(store, 1)) GTEST_SKIP() << "/dev/full is absent";
-      // The row is smaller than a stream buffer: only the final flush fails.
       EXPECT_THROW((void)area.put(RowKey{128, 0, 31, 1}, row), Error);
       EXPECT_FALSE(present(row_file(store, 1)));
       EXPECT_EQ(area.size(), 1u);
@@ -487,7 +487,7 @@ TEST(AsyncWriter, WritesRowsDurablyInSubmissionOrder) {
   const AsyncWriterStats st = writer.stats();
   EXPECT_EQ(st.rows_acked, 8);
   EXPECT_GE(st.queue_peak, 1u);
-  EXPECT_LE(st.queue_peak, AsyncSraWriter::kDefaultQueueCapacity);
+  EXPECT_LE(st.queue_peak, AsyncSraWriter::kQueueCapacity);
 
   ASSERT_EQ(acked_sizes.size(), 8u);
   for (std::size_t k = 0; k < acked_sizes.size(); ++k) EXPECT_EQ(acked_sizes[k], k + 1);
@@ -502,17 +502,17 @@ TEST(AsyncWriter, WritesRowsDurablyInSubmissionOrder) {
 TEST(AsyncWriter, BackpressureBoundsQueueDepth) {
   TempDir dir;
   SpecialRowsArea area(dir.path(), 1 << 20);
-  AsyncSraWriter writer(area, 2);
+  AsyncSraWriter writer(area);
   for (Index k = 0; k < 12; ++k) {
     // A slow ack keeps the writer busy so the submitter must block on the
-    // bounded queue instead of staging unbounded copies.
+    // bounded queue instead of staging unbounded rows.
     writer.submit(RowKey{k + 1, 0, 15, 3}, make_row(16, 0),
                   [] { std::this_thread::sleep_for(std::chrono::milliseconds(2)); });
   }
   writer.drain();
   const AsyncWriterStats st = writer.stats();
   EXPECT_EQ(st.rows_acked, 12);
-  EXPECT_LE(st.queue_peak, 2u);
+  EXPECT_LE(st.queue_peak, AsyncSraWriter::kQueueCapacity);
   EXPECT_EQ(area.size(), 12u);
 }
 
@@ -524,7 +524,7 @@ TEST(AsyncWriter, PutFailurePoisonsLaterRowsAndDrainRethrows) {
   AsyncSraWriter writer(area);
   Index acks = 0;
   for (Index k = 0; k < 4; ++k) {
-    writer.submit(RowKey{k + 1, 0, 99, 1}, row, [&acks] { ++acks; });
+    writer.submit(RowKey{k + 1, 0, 99, 1}, std::vector(row), [&acks] { ++acks; });
   }
   EXPECT_THROW(writer.drain(), Error);
   // The prefix property: rows 1..2 are durable and acked, nothing after the
@@ -578,6 +578,27 @@ TEST(AsyncWriter, AckFailurePoisonsBeforeCursorAdvance) {
   EXPECT_THROW(writer.drain(), Error);
   EXPECT_EQ(area.size(), 2u);  // Row 2 was written; its ack then failed.
   EXPECT_EQ(writer.stats().rows_acked, 1);
+}
+
+TEST(AsyncWriter, RowsLandUnchangedWhenReturnedBuffersAreOverwritten) {
+  // submit() takes the row's buffer and hands back a retired one: the caller
+  // refills what it gets back (as the engine's row ring does), and no row
+  // still queued or being written may see that.
+  TempDir dir;
+  SpecialRowsArea area(dir.path(), 1 << 20);
+  AsyncSraWriter writer(area);
+  std::vector<engine::BusCell> buffer = make_row(64, 0);
+  for (Index k = 0; k < 10; ++k) {
+    buffer = writer.submit(RowKey{k + 1, 0, 63, 1}, std::move(buffer),
+                           [] { std::this_thread::sleep_for(std::chrono::milliseconds(1)); });
+    const auto next = make_row(64, static_cast<Score>(k + 1));
+    buffer.assign(next.begin(), next.end());
+  }
+  writer.drain();
+  ASSERT_EQ(area.size(), 10u);
+  for (std::size_t k = 0; k < area.size(); ++k) {
+    EXPECT_EQ(area.get(k), make_row(64, static_cast<Score>(k)));
+  }
 }
 
 TEST(AsyncWriter, DestructorFlushesPendingRows) {
