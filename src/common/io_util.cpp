@@ -4,9 +4,11 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstring>
 #include <sstream>
 
@@ -72,15 +74,17 @@ class Fd {
     if (fd_ >= 0) ::close(fd_);
   }
 
-  /// Writes `parts` in order with one writev() per pass, resuming after a
-  /// short write.
-  void write_all(std::initializer_list<std::span<const std::byte>> parts) const {
+  /// Writes `parts` in order with one writev() per pass of at most IOV_MAX
+  /// parts, resuming after a short write.
+  void write_all(std::span<const std::span<const std::byte>> parts) const {
     std::vector<::iovec> iov;
+    iov.reserve(parts.size());
     for (const std::span<const std::byte> part : parts) {
       if (!part.empty()) iov.push_back({const_cast<std::byte*>(part.data()), part.size()});
     }
     for (std::size_t next = 0; next < iov.size();) {
-      const ::ssize_t n = ::writev(fd_, iov.data() + next, static_cast<int>(iov.size() - next));
+      const std::size_t batch = std::min<std::size_t>(iov.size() - next, IOV_MAX);
+      const ::ssize_t n = ::writev(fd_, iov.data() + next, static_cast<int>(batch));
       if (n < 0 && errno == EINTR) continue;
       CUDALIGN_CHECK(n > 0, "write to " + path_ + " failed: " + std::strerror(errno));
       auto done = static_cast<std::size_t>(n);
@@ -109,7 +113,7 @@ void fsync_directory(const std::filesystem::path& dir) {
 }
 
 void atomic_write_file(const std::filesystem::path& path,
-                       std::initializer_list<std::span<const std::byte>> parts, bool durable) {
+                       std::span<const std::span<const std::byte>> parts, bool durable) {
   std::filesystem::path tmp = path;
   tmp += ".tmp";
   {
@@ -122,6 +126,11 @@ void atomic_write_file(const std::filesystem::path& path,
   CUDALIGN_CHECK(!ec, "atomic rename " + tmp.string() + " -> " + path.string() +
                           " failed: " + ec.message());
   if (durable) fsync_directory(path.parent_path());
+}
+
+void atomic_write_file(const std::filesystem::path& path,
+                       std::initializer_list<std::span<const std::byte>> parts, bool durable) {
+  atomic_write_file(path, std::span(parts.begin(), parts.size()), durable);
 }
 
 void atomic_write_file_durable(const std::filesystem::path& path, std::string_view contents) {

@@ -98,7 +98,9 @@ void fsync_directory(const std::filesystem::path& dir);
 /// file after a normal exit. With `durable`, this is the full
 /// write-fsync-rename-fsync protocol, and `path` survives power loss too.
 /// Each range is written from where it lies, so a header-plus-payload file
-/// needs no assembled copy.
+/// needs no assembled copy; any number of ranges may be given.
+void atomic_write_file(const std::filesystem::path& path,
+                       std::span<const std::span<const std::byte>> parts, bool durable);
 void atomic_write_file(const std::filesystem::path& path,
                        std::initializer_list<std::span<const std::byte>> parts, bool durable);
 

@@ -90,11 +90,6 @@ PipelineResult align_pipeline(const seq::Sequence& s0, const seq::Sequence& s1,
     temp.emplace("cudalign-sra");
     dir = temp->path();
   }
-  const sra::Durability durability =
-      checkpointed ? sra::Durability::kDurable : sra::Durability::kFast;
-  sra::SpecialRowsArea rows_area(dir / "rows", options.sra_rows_budget, durability);
-  sra::SpecialRowsArea cols_area(dir / "cols", options.sra_cols_budget, durability);
-
   // Checkpoint manifest: load-and-validate on resume, refuse to trample an
   // existing checkpoint otherwise.
   std::optional<CheckpointManifest> manifest;
@@ -133,14 +128,20 @@ PipelineResult align_pipeline(const seq::Sequence& s0, const seq::Sequence& s1,
   result.resume.resumed = resuming;
   if (resuming) result.resume.resumed_stage = static_cast<int>(start_stage);
 
-  // A reused working directory starts fresh unless this is a resume. A fresh
-  // checkpointed run saves the manifest once before Stage 1, so a crash
-  // before the first special row resumes from row 0.
+  // A reused working directory starts fresh unless this is a resume: its old
+  // rows go before the stores open, so neither their budget nor their format
+  // version is checked against this run's. A fresh checkpointed run saves
+  // the manifest once before Stage 1, so a crash before the first special
+  // row resumes from row 0.
+  const sra::Durability durability =
+      checkpointed ? sra::Durability::kDurable : sra::Durability::kFast;
   if (!resuming) {
-    rows_area.drop_all();
-    cols_area.drop_all();
-    if (manifest) manifest->save(state);
+    sra::SpecialRowsArea::remove_rows(dir / "rows", durability);
+    sra::SpecialRowsArea::remove_rows(dir / "cols", durability);
   }
+  sra::SpecialRowsArea rows_area(dir / "rows", options.sra_rows_budget, durability);
+  sra::SpecialRowsArea cols_area(dir / "cols", options.sra_cols_budget, durability);
+  if (!resuming && manifest) manifest->save(state);
   // Special columns are only durable once stage 2 has fully completed (the
   // kStage3 manifest update); before that, any on-disk columns are partial.
   if (resuming && start_stage <= CheckpointStage::kStage2) cols_area.drop_all();
@@ -306,6 +307,7 @@ PipelineResult align_pipeline(const seq::Sequence& s0, const seq::Sequence& s1,
     result.w_max_after_stage3 = std::max(result.w_max_after_stage3, p.width());
   }
   result.sra_peak_bytes = rows_area.peak_bytes() + cols_area.peak_bytes();
+  result.sra_stored_peak_bytes = rows_area.stored_peak_bytes() + cols_area.stored_peak_bytes();
 
   // Stage 4 — balanced splitting down to the maximum partition size.
   CrosspointList l4;

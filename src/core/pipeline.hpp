@@ -134,6 +134,9 @@ struct PipelineResult {
   Score prune_floor = 0;
   double prune_floor_seconds = 0;
   std::int64_t sra_peak_bytes = 0;
+  /// High-water mark of the special-row and -column cells actually on disk
+  /// (the segments the SRA stored); at most sra_peak_bytes.
+  std::int64_t sra_stored_peak_bytes = 0;
 
   /// Stage-5 partition statistics (run report).
   Index stage5_partitions = 0;

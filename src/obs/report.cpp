@@ -153,6 +153,7 @@ Json build_run_report(const ReportContext& ctx) {
 
   report.set("sra", Json::object()
                         .set("peak_bytes", res.sra_peak_bytes)
+                        .set("stored_peak_bytes", res.sra_stored_peak_bytes)
                         .set("special_rows_saved",
                              static_cast<std::int64_t>(res.special_rows_saved))
                         .set("special_cols_saved",
@@ -365,6 +366,18 @@ std::vector<std::string> validate_run_report(const Json& report) {
     require(rows_acked->as_int() == rows_flushed,
             "stage 1 SRA rows_acked (" + std::to_string(rows_acked->as_int()) +
                 ") != rows_flushed (" + std::to_string(rows_flushed) + ")");
+  }
+
+  // Invariant: the SRA stores at most every cell of its rows, so the bytes on
+  // disk never exceed the logical bytes.
+  const Json* peak = sra->find("peak_bytes");
+  const Json* stored_peak = sra->find("stored_peak_bytes");
+  if (require(peak != nullptr && peak->is_int() && stored_peak != nullptr &&
+                  stored_peak->is_int() && stored_peak->as_int() >= 0,
+              "sra block needs integer peak_bytes and stored_peak_bytes")) {
+    require(stored_peak->as_int() <= peak->as_int(),
+            "sra stored_peak_bytes (" + std::to_string(stored_peak->as_int()) +
+                ") > peak_bytes (" + std::to_string(peak->as_int()) + ")");
   }
 
   // Invariant: totals.cells is the sum over the stages array.

@@ -7,16 +7,22 @@
 // at least ceil(8*m*n / (alpha*T*|SRA|)) blocks between flushes, i.e. the
 // budget is never exceeded no matter the matrix size.
 //
-// On-disk format (version 3, DESIGN.md "Checkpoint & resume"): one file
+// On-disk format (version 4, DESIGN.md "Checkpoint & resume"): one file
 // `sra-<n>.bin` per row, where n is the row's storage index, and nothing
 // else. Every row file is self-describing — magic, format version, its
-// RowKey, cell count, trailer length and a CRC-32 of payload and trailer —
-// so the row files are the store's only index, and truncation and bit rot
-// are detected on open or read instead of silently corrupting a resumed
-// alignment. The trailer is a caller-defined list of int64 values written
-// and verified with the row: Stage 1 stores its resume state there, which
-// makes every special row its own checkpoint. Stores of another version
-// (v1 had no CRCs, v2 no trailers) are refused, never reinterpreted.
+// RowKey, cell count, trailer length, stored cell count and a CRC-32 — so
+// the row files are the store's only index, and truncation and bit rot are
+// detected on open or read instead of silently corrupting a resumed
+// alignment. The row is cut into kSraSegmentCells-cell segments; a segment
+// whose cells all equal kAbsentCell (what pruned tiles publish) is not
+// stored. A presence bitmap after the header names the stored segments,
+// which follow as contiguous runs, then the trailer; the CRC covers the
+// bitmap, the stored cells and the trailer, in that order. Absence is
+// decided by value, so the encoding is lossless for any row. The trailer
+// is a caller-defined list of int64 values written and verified with the
+// row: Stage 1 stores its resume state there, which makes every special
+// row its own checkpoint. Stores of another version (v1 had no CRCs, v2 no
+// trailers, v3 stored every cell) are refused, never reinterpreted.
 #pragma once
 
 #include <atomic>
@@ -44,7 +50,15 @@ struct RowKey {
 /// The SRA on-disk format version this build reads and writes. Bumped when
 /// the row-file layout changes; a store written by a different version is
 /// refused on open (checkpoints never cross format versions).
-inline constexpr std::uint16_t kSraFormatVersion = 3;
+inline constexpr std::uint16_t kSraFormatVersion = 4;
+
+/// Cells per segment of a row file; the unit in which constant runs are
+/// left off disk.
+inline constexpr std::size_t kSraSegmentCells = 1024;
+
+/// The cell a segment must be made of to be absent from a row file: the
+/// (H, F) = (0, -inf) pruned tiles publish.
+inline constexpr engine::BusCell kAbsentCell{0, kNegInf};
 
 /// How hard the store tries to survive a crash mid-write. Both modes write a
 /// row to `sra-<n>.bin.tmp` and rename it, so a live row file is never
@@ -76,7 +90,8 @@ enum class Durability : std::uint8_t {
 /// take many hours (18.5 h in the paper) and must not lose their special
 /// rows to a crash or restart. Opening sweeps stale `*.tmp` files (writes
 /// torn by a crash) and refuses any row file with a bad magic, another
-/// format version, a cell count that contradicts its key, or the wrong size.
+/// format version, a cell count that contradicts its key, or a size that
+/// contradicts its bitmap.
 /// Other files in the directory are ignored.
 class SpecialRowsArea {
  public:
@@ -84,7 +99,8 @@ class SpecialRowsArea {
                   Durability durability = Durability::kFast);
 
   /// Persists a row and its `trailer` in one file; returns its storage
-  /// index. The budget and the byte counters below count the cells only.
+  /// index. The budget and the byte counters below count every cell of the
+  /// row, 8 bytes each, stored or not; stored_bytes() counts what is on disk.
   std::size_t put(const RowKey& key, std::span<const engine::BusCell> cells,
                   std::span<const std::int64_t> trailer = {});
 
@@ -104,15 +120,26 @@ class SpecialRowsArea {
   /// Deletes one row, reclaiming budget.
   void drop_row(std::size_t index);
 
-  /// Deletes everything (a fresh pipeline run on a reused working directory
-  /// must not inherit a previous run's rows).
+  /// Deletes everything (a resume that redoes Stage 2 drops its partial
+  /// columns this way).
   void drop_all();
+
+  /// Deletes the row files in `directory` (`sra-<n>.bin`, and the
+  /// `sra-<n>.bin.tmp` a torn write leaves) without opening them, so neither
+  /// their format version nor their size is checked; every other file
+  /// stays. A fresh run empties a reused directory this way before its store
+  /// opens. Under kDurable the directory is fsync'd once if a file went.
+  static void remove_rows(const std::filesystem::path& directory, Durability durability);
 
   [[nodiscard]] std::int64_t budget_bytes() const noexcept { return budget_; }
   [[nodiscard]] std::int64_t used_bytes() const noexcept { return used_; }
   /// High-water mark of bytes simultaneously stored.
   [[nodiscard]] std::int64_t peak_bytes() const noexcept { return peak_; }
   [[nodiscard]] std::int64_t total_bytes_written() const noexcept { return written_; }
+  /// Bytes of the live rows' present segments: the cells actually on disk.
+  [[nodiscard]] std::int64_t stored_bytes() const noexcept { return stored_used_; }
+  /// High-water mark of stored_bytes().
+  [[nodiscard]] std::int64_t stored_peak_bytes() const noexcept { return stored_peak_; }
   /// Cumulative read-back traffic (stage 2/3 matching); counts get() calls
   /// and the bytes they loaded. Observability only — not persisted, so a
   /// reopened store restarts them at zero.
@@ -138,12 +165,15 @@ class SpecialRowsArea {
   std::int64_t used_ = 0;
   std::int64_t peak_ = 0;
   std::int64_t written_ = 0;
+  std::int64_t stored_used_ = 0;
+  std::int64_t stored_peak_ = 0;
   /// Read-traffic tallies, atomic so concurrent get() calls can count.
   mutable std::atomic<std::int64_t> read_{0};
   mutable std::atomic<Index> rows_read_{0};
   std::vector<RowKey> keys_;
   std::vector<std::uint8_t> live_;  ///< Not vector<bool>: get() reads it concurrently.
   std::vector<std::uint32_t> crcs_;
+  std::vector<std::int64_t> stored_;  ///< Stored cell bytes per row.
 };
 
 }  // namespace cudalign::sra

@@ -19,6 +19,8 @@ if grep -q "^stage-1 pruned cells: 0 " "$DIR/aln.out"; then
   echo "the default run pruned nothing on a related pair" >&2
   exit 1
 fi
+# --stats names the special-row bytes on disk next to the logical bytes.
+grep -Eq "^special rows: [0-9.]+ [KMG]?B on disk for [0-9.]+ [KMG]?B of rows$" "$DIR/aln.out"
 # Pruning is exact: --no-prune computes every cell and writes the same bytes.
 "$CLI" align "$DIR/a.fasta" "$DIR/b.fasta" --out "$DIR/noprune.bin" --stats --no-prune \
   | grep -q "^stage-1 pruned cells: 0 (0.0% of m\*n)$"

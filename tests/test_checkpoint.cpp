@@ -395,6 +395,36 @@ TEST(CheckpointResume, KilledAtEveryFlushRowMatchesUninterrupted) {
   }
 }
 
+// Rows whose pruned segments are left off disk (SRA format v4) are
+// checkpoints like any other: a resume from them recomputes the same
+// alignment and writes the same row files, absent segments included.
+TEST(CheckpointResume, KilledAmongSparseRowsMatchesUninterrupted) {
+  seq::MutationProfile close = seq::MutationProfile::related();
+  close.substitution_rate = 0.005;
+  const auto pair = seq::make_related_pair(2000, 20000, 4747, close);
+  PipelineOptions options = small_options();
+  options.grid_stage1 = tiny_grid(32, 8, 2);
+  options.sra_rows_budget = 4 << 20;
+  TempDir dir;
+  options.checkpoint_dir = dir.path() / "whole";
+  const PipelineResult whole = align_pipeline(pair.s0, pair.s1, options);
+  ASSERT_GT(whole.special_rows_saved, 4);
+  EXPECT_LT(whole.sra_stored_peak_bytes * 2, whole.sra_peak_bytes);
+  const auto rows = read_rows(options.checkpoint_dir / "rows");
+
+  const Index crash_after = whole.special_rows_saved / 2;
+  options.checkpoint_dir = dir.path() / "ckpt";
+  options.checkpoint_crash_after_flushes = crash_after;
+  EXPECT_THROW((void)align_pipeline(pair.s0, pair.s1, options), Error);
+  options.checkpoint_crash_after_flushes = 0;
+  options.resume = true;
+  const PipelineResult resumed = align_pipeline(pair.s0, pair.s1, options);
+  EXPECT_EQ(resumed.resume.rows_restored, crash_after);
+  EXPECT_EQ(resumed.binary, whole.binary);
+  EXPECT_TRUE(read_rows(options.checkpoint_dir / "rows") == rows)
+      << "resumed special rows differ from the uninterrupted run's";
+}
+
 TEST(CheckpointResume, StaleSraManifestIgnoredOnResume) {
   // Older builds kept a manifest.bin next to the special-row files. The row
   // files are now the store's only index, so a stale manifest left in the

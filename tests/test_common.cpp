@@ -10,7 +10,9 @@
 #include <limits>
 #include <mutex>
 #include <set>
+#include <span>
 #include <sstream>
+#include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
@@ -194,6 +196,28 @@ TEST(IoUtil, SpanRoundTrip) {
   std::vector<int> back(4);
   read_span(ss, std::span<int>(back));
   EXPECT_EQ(back, values);
+}
+
+// A sparse SRA row is written as one gathered write of many runs; writev
+// takes at most IOV_MAX parts per call, so larger lists go in batches.
+TEST(IoUtil, AtomicWriteOfThousandsOfPartsIsByteIdentical) {
+  std::vector<std::string> chunks;
+  std::string expected;
+  for (int k = 0; k < 3000; ++k) {
+    const auto width = static_cast<std::size_t>(k % 7 + 1);
+    chunks.push_back(std::string(width, static_cast<char>('a' + k % 26)) + std::to_string(k));
+    expected += chunks.back();
+  }
+  std::vector<std::span<const std::byte>> parts;
+  for (const std::string& chunk : chunks) {
+    parts.push_back(std::as_bytes(std::span(chunk.data(), chunk.size())));
+  }
+  TempDir dir;
+  for (const bool durable : {false, true}) {
+    const auto file = dir.path() / (durable ? "durable.bin" : "fast.bin");
+    atomic_write_file(file, parts, durable);
+    EXPECT_EQ(read_file(file), expected);
+  }
 }
 
 TEST(IoUtil, TempDirCreatesAndCleans) {

@@ -338,6 +338,24 @@ TEST(RunReport, ValidatorFlagsTampering) {
     EXPECT_FALSE(validate_run_report(bad_floor).empty());
   }
 
+  // The SRA stores at most every cell of its rows, and the stored peak is
+  // required.
+  {
+    Json sra = report.at("sra");
+    ASSERT_LE(sra.at("stored_peak_bytes").as_int(), sra.at("peak_bytes").as_int());
+    sra.set("stored_peak_bytes", sra.at("peak_bytes").as_int() + 1);
+    Json bad_stored = report;
+    bad_stored.set("sra", sra);
+    EXPECT_FALSE(validate_run_report(bad_stored).empty());
+    Json no_stored = Json::object();
+    for (const auto& [key, value] : report.at("sra").as_object()) {
+      if (key != "stored_peak_bytes") no_stored.set(key, value);
+    }
+    Json missing_stored = report;
+    missing_stored.set("sra", no_stored);
+    EXPECT_FALSE(validate_run_report(missing_stored).empty());
+  }
+
   // Every kept Stage-2 iteration is a wave's first member, a guess hit or a
   // re-run, and the block is required.
   {

@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <array>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -18,6 +20,7 @@
 #include "engine/executor.hpp"
 #include "engine/kernel_registry.hpp"
 #include "obs/telemetry.hpp"
+#include "sra/sra.hpp"
 #include "test_util.hpp"
 
 namespace cudalign::core {
@@ -329,6 +332,107 @@ TEST(Pipeline, ReusedWorkdirStartsFresh) {
   const auto second = align_pipeline(pair.s0, pair.s1, options);
   EXPECT_EQ(first.alignment.transcript, second.alignment.transcript);
   EXPECT_EQ(first.special_rows_saved, second.special_rows_saved);
+}
+
+// A fresh run empties a reused working directory before its stores open,
+// so old rows are neither checked against the new budget nor against the
+// row format version.
+TEST(Pipeline, FreshRunOnWorkdirWhoseRowsExceedTheNewBudget) {
+  const auto pair = test::small_related(400, 400, 559);
+  TempDir dir;
+  PipelineOptions roomy = small_options();
+  roomy.workdir = dir.path() / "reused";
+  const auto first = align_pipeline(pair.s0, pair.s1, roomy);
+  PipelineOptions tight = roomy;
+  tight.sra_rows_budget = 3 * 8 * (static_cast<std::int64_t>(pair.s1.size()) + 1);
+  ASSERT_GT(first.sra_peak_bytes, tight.sra_rows_budget);
+  const auto second = align_pipeline(pair.s0, pair.s1, tight);
+  EXPECT_EQ(second.alignment.score, first.alignment.score);
+  const auto files = std::distance(std::filesystem::directory_iterator(roomy.workdir / "rows"),
+                                   std::filesystem::directory_iterator{});
+  EXPECT_EQ(files, second.special_rows_saved);
+}
+
+TEST(Pipeline, FreshRunOnDirectoryHoldingOldFormatRows) {
+  const auto pair = test::small_related(300, 300, 561);
+  const PipelineResult reference = align_pipeline(pair.s0, pair.s1, small_options());
+  for (const bool checkpointed : {false, true}) {
+    SCOPED_TRACE(checkpointed ? "checkpoint directory" : "workdir");
+    TempDir dir;
+    PipelineOptions options = small_options();
+    (checkpointed ? options.checkpoint_dir : options.workdir) = dir.path();
+    // Row and column files of format version 3: a v4 store refuses to open
+    // them, so only a fresh start can get past them.
+    for (const char* store : {"rows", "cols"}) {
+      {
+        sra::SpecialRowsArea area(dir.path() / store, 1 << 20);
+        (void)area.put(sra::RowKey{64, 0, 31, 1}, std::vector<engine::BusCell>(32));
+      }
+      std::fstream io(dir.path() / store / "sra-0.bin",
+                      std::ios::binary | std::ios::in | std::ios::out);
+      io.seekp(4);  // The version follows the 4-byte magic.
+      const std::uint16_t v3 = 3;
+      io.write(reinterpret_cast<const char*>(&v3), sizeof(v3));
+    }
+    EXPECT_THROW(sra::SpecialRowsArea(dir.path() / "rows", 1 << 20), Error);
+    const PipelineResult result = align_pipeline(pair.s0, pair.s1, options);
+    EXPECT_EQ(result.binary, reference.binary);
+  }
+}
+
+// Clearing a reused directory deletes the stores' row files only: whatever
+// else the user keeps in rows/, cols/ or beside them survives a fresh run.
+TEST(Pipeline, FreshRunKeepsForeignFilesInTheWorkdir) {
+  const auto pair = test::small_related(300, 300, 563);
+  const PipelineResult reference = align_pipeline(pair.s0, pair.s1, small_options());
+  const std::vector<std::string> foreign = {"notes.txt", "rows/notes.txt", "rows/sra-01.bin",
+                                            "rows/keep/sra-0.bin", "cols/notes.txt"};
+  for (const bool checkpointed : {false, true}) {
+    SCOPED_TRACE(checkpointed ? "checkpoint directory" : "workdir");
+    TempDir dir;
+    PipelineOptions options = small_options();
+    (checkpointed ? options.checkpoint_dir : options.workdir) = dir.path();
+    {
+      sra::SpecialRowsArea stale(dir.path() / "rows", 1 << 20);
+      (void)stale.put(sra::RowKey{64, 0, 31, 1}, std::vector<engine::BusCell>(32));
+    }
+    std::filesystem::create_directories(dir.path() / "rows" / "keep");
+    std::filesystem::create_directories(dir.path() / "cols");
+    for (const std::string& name : foreign) write_file(dir.path() / name, name);
+
+    const PipelineResult result = align_pipeline(pair.s0, pair.s1, options);
+    EXPECT_EQ(result.binary, reference.binary);
+    for (const std::string& name : foreign) EXPECT_EQ(read_file(dir.path() / name), name);
+    // The stale row went: rows/ holds this run's rows besides the foreign names.
+    const auto entries = std::distance(std::filesystem::directory_iterator(dir.path() / "rows"),
+                                       std::filesystem::directory_iterator{});
+    EXPECT_EQ(entries, result.special_rows_saved + 3);
+  }
+}
+
+// Pruned tiles publish the constant (0, -inf), and the SRA leaves segments
+// made only of it off disk; an unrelated pair prunes almost nothing, and its
+// rows stay dense.
+TEST(Pipeline, PrunedRowsStoreUnderATenthOfTheirBytes) {
+  PipelineOptions options = small_options();
+  options.grid_stage1 = tiny_grid(64, 8, 2);
+  options.sra_rows_budget = 32 << 20;
+  // A close pair (so few rows lie above the prune floor's reach) whose
+  // descendant is padded with unrelated DNA past the ancestor's length: each
+  // row holds one related band among many pruned segments.
+  seq::MutationProfile close = seq::MutationProfile::related();
+  close.substitution_rate = 0.005;
+  const auto related = seq::make_related_pair(8000, 80000, 4545, close);
+  const PipelineResult pruned = align_pipeline(related.s0, related.s1, options);
+  EXPECT_GT(pruned.stages[0].pruned_cells, 0);
+  EXPECT_GT(pruned.sra_stored_peak_bytes, 0);
+  EXPECT_LT(pruned.sra_stored_peak_bytes * 10, pruned.sra_peak_bytes)
+      << pruned.sra_stored_peak_bytes << " of " << pruned.sra_peak_bytes << " bytes stored";
+
+  const auto unrelated = seq::make_unrelated_pair(12000, 12000, 40, 4546);
+  const PipelineResult dense = align_pipeline(unrelated.s0, unrelated.s1, options);
+  EXPECT_GE(dense.sra_stored_peak_bytes * 100, dense.sra_peak_bytes * 99);
+  EXPECT_LE(dense.sra_stored_peak_bytes, dense.sra_peak_bytes);
 }
 
 TEST(Pipeline, AlignmentBinaryRoundTripsThroughDisk) {

@@ -2,8 +2,10 @@
 // round trips.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <set>
 #include <string>
 #include <thread>
@@ -159,6 +161,41 @@ TEST(Sra, ReopenWithSmallerBudgetThrows) {
   EXPECT_THROW(SpecialRowsArea(dir.path() / "persist", bytes), Error);
 }
 
+// A fresh run clears a reused directory with remove_rows(): it deletes the
+// row files and torn writes without opening them (here they would exceed the
+// new budget) and leaves every other name alone.
+TEST(Sra, RemoveRowsDeletesOnlyRowFiles) {
+  for (const Durability mode : {Durability::kFast, Durability::kDurable}) {
+    SCOPED_TRACE(mode == Durability::kDurable ? "durable" : "fast");
+    TempDir dir;
+    const auto store = dir.path() / "persist";
+    const auto row = make_row(100, 1);
+    {
+      SpecialRowsArea area(store, 1 << 20, mode);
+      (void)area.put(RowKey{1, 0, 99, 1}, row);
+      (void)area.put(RowKey{2, 0, 99, 1}, row);
+    }
+    write_file(store / "sra-7.bin.tmp", "torn half-written row");
+    const std::vector<std::string> foreign = {"notes.txt", "sra-007.bin", "sra-1.bin.bak",
+                                              "sra-x.bin", "other.tmp", "keep/sra-3.bin"};
+    std::filesystem::create_directories(store / "keep");
+    for (const std::string& name : foreign) write_file(store / name, name);
+
+    SpecialRowsArea::remove_rows(store, mode);
+    for (const char* name : {"sra-0.bin", "sra-1.bin", "sra-7.bin.tmp"}) {
+      EXPECT_FALSE(std::filesystem::exists(store / name)) << name;
+    }
+    for (const std::string& name : foreign) EXPECT_EQ(read_file(store / name), name);
+    const SpecialRowsArea reopened(store, 8, mode);
+    EXPECT_EQ(reopened.size(), 0u);
+    EXPECT_EQ(reopened.used_bytes(), 0);
+
+    // A directory that does not exist has nothing to remove, and stays absent.
+    SpecialRowsArea::remove_rows(dir.path() / "missing", mode);
+    EXPECT_FALSE(std::filesystem::exists(dir.path() / "missing"));
+  }
+}
+
 TEST(Sra, FilesActuallyOnDisk) {
   // The store writes its row files and nothing else, in both modes, and a
   // drop deletes them.
@@ -178,13 +215,14 @@ TEST(Sra, FilesActuallyOnDisk) {
 }
 
 // ---------------------------------------------------------------------------
-// Durability edge cases (format v3): every way a crashed or tampered row
+// Durability edge cases: every way a crashed or tampered row
 // file can disagree with what was written must be detected on open or read —
 // resume must never silently compute over corrupt special rows.
 // ---------------------------------------------------------------------------
 
-/// Flips one byte at `offset` in `file` (negative = from the end).
-void corrupt_byte(const std::filesystem::path& file, std::int64_t offset) {
+/// XORs one byte at `offset` in `file` (negative = from the end) with `mask`.
+void corrupt_byte(const std::filesystem::path& file, std::int64_t offset,
+                  unsigned char mask = 0x5A) {
   std::fstream io(file, std::ios::binary | std::ios::in | std::ios::out);
   ASSERT_TRUE(io.good());
   io.seekg(0, std::ios::end);
@@ -195,7 +233,7 @@ void corrupt_byte(const std::filesystem::path& file, std::int64_t offset) {
   io.seekg(pos);
   char byte = 0;
   io.read(&byte, 1);
-  byte = static_cast<char>(byte ^ 0x5A);
+  byte = static_cast<char>(byte ^ mask);
   io.seekp(pos);
   io.write(&byte, 1);
 }
@@ -261,8 +299,9 @@ void expect_refused_on_reopen(const std::filesystem::path& store, std::int64_t o
   }
 }
 
-TEST(SraDurability, Version2RowRefusedNamingBothVersions) {
-  // A v2 row has no trailer, so it cannot carry Stage 1's resume state.
+/// Writes one row, rewrites its format version to `version` and expects the
+/// next open to refuse it naming both versions.
+void expect_version_refused(std::uint16_t version) {
   TempDir dir;
   const auto store = dir.path() / "persist";
   {
@@ -272,17 +311,29 @@ TEST(SraDurability, Version2RowRefusedNamingBothVersions) {
   {
     std::fstream io(row_file(store, 0), std::ios::binary | std::ios::in | std::ios::out);
     io.seekp(4);  // The version follows the 4-byte magic.
-    const std::uint16_t v2 = 2;
-    io.write(reinterpret_cast<const char*>(&v2), sizeof(v2));
+    io.write(reinterpret_cast<const char*>(&version), sizeof(version));
   }
-  ASSERT_EQ(kSraFormatVersion, 3);
+  ASSERT_EQ(kSraFormatVersion, 4);
   try {
     SpecialRowsArea reopened(store, 1 << 20);
-    FAIL() << "a v2 row file was not refused";
+    FAIL() << "a v" << version << " row file was not refused";
   } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("format version 2"), std::string::npos) << e.what();
-    EXPECT_NE(std::string(e.what()).find("reads version 3"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("format version " + std::to_string(version)),
+              std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("reads version 4"), std::string::npos) << e.what();
   }
+}
+
+TEST(SraDurability, Version2RowRefusedNamingBothVersions) {
+  // A v2 row has no trailer, so it cannot carry Stage 1's resume state.
+  expect_version_refused(2);
+}
+
+TEST(SraDurability, Version3RowRefusedNamingBothVersions) {
+  // A v3 row stores every cell and has no bitmap, so its bytes cannot be
+  // read as a v4 row.
+  expect_version_refused(3);
 }
 
 TEST(SraDurability, FormatVersionBumpRefusedOnReopen) {
@@ -430,6 +481,184 @@ TEST(SraDurability, DurableAndFastStoresWriteIdenticalRowFiles) {
   ASSERT_GT(fast.size(), payload);
   EXPECT_EQ(0, std::memcmp(fast.data() + fast.size() - payload, row.data(), payload));
   EXPECT_EQ(fast, read_file(files[1]));
+}
+
+// ---------------------------------------------------------------------------
+// Sparse rows (format v4): segments made only of kAbsentCell are left off
+// disk, and every row still comes back byte-identical.
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t kSeg = kSraSegmentCells;
+constexpr std::int64_t kRowHeaderBytes = 64;  // Magic word, RowKey, counts, CRC.
+
+/// A row of `segments` full segments plus `tail` cells, in which segment s is
+/// absent exactly when `absent(s)`; present segments hold distinct cells.
+std::vector<engine::BusCell> sparse_row(std::size_t segments, std::size_t tail,
+                                        const std::function<bool(std::size_t)>& absent) {
+  std::vector<engine::BusCell> cells(segments * kSeg + tail);
+  for (std::size_t k = 0; k < cells.size(); ++k) {
+    cells[k] = absent(k / kSeg) ? kAbsentCell
+                                : cell(static_cast<Score>(k % 977), -static_cast<Score>(k % 13));
+  }
+  return cells;
+}
+
+/// Cells a row stores on disk: every cell of its non-constant segments.
+std::int64_t stored_cells(const std::vector<engine::BusCell>& cells) {
+  std::int64_t stored = 0;
+  for (std::size_t begin = 0; begin < cells.size(); begin += kSeg) {
+    const std::size_t end = std::min(cells.size(), begin + kSeg);
+    if (!std::all_of(cells.begin() + static_cast<std::ptrdiff_t>(begin),
+                     cells.begin() + static_cast<std::ptrdiff_t>(end),
+                     [](const engine::BusCell& c) { return c == kAbsentCell; })) {
+      stored += static_cast<std::int64_t>(end - begin);
+    }
+  }
+  return stored;
+}
+
+TEST(Sra, SparseRowsRoundTripByteIdenticalInBothModes) {
+  std::vector<std::pair<std::string, std::vector<engine::BusCell>>> rows;
+  rows.emplace_back("all absent", sparse_row(5, 300, [](std::size_t) { return true; }));
+  rows.emplace_back("all present", sparse_row(5, 300, [](std::size_t) { return false; }));
+  rows.emplace_back("alternating", sparse_row(8, 0, [](std::size_t s) { return s % 2 == 1; }));
+  rows.emplace_back("short last segment present",
+                    sparse_row(3, 17, [](std::size_t s) { return s < 3; }));
+  rows.emplace_back("short last segment absent",
+                    sparse_row(3, 17, [](std::size_t s) { return s != 1; }));
+  // A present segment may hold the constant in all but one cell.
+  auto mixed = sparse_row(4, 0, [](std::size_t) { return true; });
+  mixed[2 * kSeg + 511] = cell(0, kNegInf + 1);
+  mixed[3 * kSeg + kSeg - 1] = cell(1, kNegInf);
+  rows.emplace_back("mostly constant present segments", mixed);
+  rows.emplace_back("one absent cell", std::vector<engine::BusCell>{kAbsentCell});
+  rows.emplace_back("one present cell", std::vector<engine::BusCell>{cell(7, -3)});
+  const std::vector<std::int64_t> trailer{5, -9};
+  const auto bytes = [](std::int64_t cells) {
+    return cells * static_cast<std::int64_t>(sizeof(engine::BusCell));
+  };
+  for (const Durability durability : {Durability::kFast, Durability::kDurable}) {
+    TempDir dir;
+    const auto store = dir.path() / "persist";
+    std::int64_t logical = 0;
+    std::int64_t stored = 0;
+    {
+      SpecialRowsArea area(store, 1 << 24, durability);
+      for (std::size_t r = 0; r < rows.size(); ++r) {
+        SCOPED_TRACE(rows[r].first);
+        const auto& cells = rows[r].second;
+        const RowKey key{static_cast<Index>(r + 1), 2,
+                         static_cast<Index>(cells.size()) + 1, 1};
+        const auto idx = area.put(key, cells, trailer);
+        logical += bytes(static_cast<std::int64_t>(cells.size()));
+        stored += bytes(stored_cells(cells));
+        std::vector<std::int64_t> read_back;
+        EXPECT_EQ(area.get(idx, &read_back), cells);
+        EXPECT_EQ(read_back, trailer);
+        // The file holds the header, the bitmap words, the stored cells and
+        // the trailer, nothing else.
+        const auto words = static_cast<std::int64_t>((cells.size() + 64 * kSeg - 1) / (64 * kSeg));
+        EXPECT_EQ(static_cast<std::int64_t>(std::filesystem::file_size(row_file(store, idx))),
+                  kRowHeaderBytes + 8 * words + bytes(stored_cells(cells)) + 16);
+      }
+      // The budget and the logical tallies count every cell; the stored
+      // tallies count the present segments.
+      EXPECT_EQ(area.used_bytes(), logical);
+      EXPECT_EQ(area.peak_bytes(), logical);
+      EXPECT_EQ(area.total_bytes_written(), logical);
+      EXPECT_EQ(area.total_bytes_read(), logical);
+      EXPECT_EQ(area.stored_bytes(), stored);
+      EXPECT_EQ(area.stored_peak_bytes(), stored);
+      EXPECT_LT(stored, logical);
+      area.drop_row(0);
+      EXPECT_EQ(area.stored_bytes(), stored);  // Row 0 stored nothing.
+      area.drop_row(1);
+      EXPECT_LT(area.stored_bytes(), stored);
+      EXPECT_EQ(area.stored_peak_bytes(), stored);
+    }
+    // A reopened store rebuilds the stored tally from the headers.
+    SpecialRowsArea reopened(store, 1 << 24, durability);
+    EXPECT_EQ(reopened.used_bytes(),
+              logical - bytes(static_cast<std::int64_t>(rows[0].second.size() +
+                                                        rows[1].second.size())));
+    EXPECT_EQ(reopened.stored_bytes(), stored - bytes(stored_cells(rows[1].second)));
+    for (std::size_t r = 2; r < rows.size(); ++r) {
+      SCOPED_TRACE(rows[r].first);
+      EXPECT_EQ(reopened.get(r), rows[r].second);
+    }
+  }
+}
+
+/// A store at `store` holding one alternating row (segments 0, 2, 4, 6 of
+/// 8 present, bitmap byte 0x55) with a two-value trailer, at position 64.
+void put_alternating_row(const std::filesystem::path& store) {
+  SpecialRowsArea area(store, 1 << 20);
+  (void)area.put(RowKey{64, 0, 8 * static_cast<Index>(kSeg) - 1, 1},
+                 sparse_row(8, 0, [](std::size_t s) { return s % 2 == 1; }),
+                 std::vector<std::int64_t>{1, 2});
+}
+
+TEST(SraDurability, SparseRowFlippedByteFailsCrcNamingFileAndPosition) {
+  // The bitmap byte 0x55 flipped by 0x5A is 0x0F: still four segments, so
+  // the file size agrees and only the CRC can tell.
+  const std::vector<std::pair<std::string, std::int64_t>> targets{
+      {"bitmap", kRowHeaderBytes}, {"stored cell", kRowHeaderBytes + 8 + 4093}, {"trailer", -5}};
+  for (const auto& [what, offset] : targets) {
+    SCOPED_TRACE(what);
+    TempDir dir;
+    const auto store = dir.path() / "persist";
+    put_alternating_row(store);
+    corrupt_byte(row_file(store, 0), offset);
+    SpecialRowsArea area(store, 1 << 20);
+    try {
+      (void)area.get(0);
+      FAIL() << "a flipped " << what << " byte was not detected";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("CRC-32"), std::string::npos) << e.what();
+      EXPECT_NE(std::string(e.what()).find("sra-0.bin"), std::string::npos) << e.what();
+      EXPECT_NE(std::string(e.what()).find("position 64"), std::string::npos) << e.what();
+    }
+  }
+}
+
+TEST(SraDurability, SparseRowSizeThatContradictsTheBitmapRefusedAsTruncated) {
+  // A bitmap that loses a segment (0x55 -> 0x54), one that gains one
+  // (0x55 -> 0x57), and a file cut short by one cell.
+  const std::vector<std::function<void(const std::filesystem::path&)>> tampers{
+      [](const std::filesystem::path& f) { corrupt_byte(f, kRowHeaderBytes, 0x01); },
+      [](const std::filesystem::path& f) { corrupt_byte(f, kRowHeaderBytes, 0x02); },
+      [](const std::filesystem::path& f) {
+        std::filesystem::resize_file(f, std::filesystem::file_size(f) - 8);
+      }};
+  for (std::size_t t = 0; t < tampers.size(); ++t) {
+    SCOPED_TRACE("tamper " + std::to_string(t));
+    TempDir dir;
+    const auto store = dir.path() / "persist";
+    put_alternating_row(store);
+    tampers[t](row_file(store, 0));
+    try {
+      SpecialRowsArea reopened(store, 1 << 20);
+      FAIL() << "the tampered row file was not refused";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos) << e.what();
+    }
+  }
+}
+
+TEST(SraDurability, SparseRowBitmapMarkingSegmentsPastTheRowRefused) {
+  TempDir dir;
+  const auto store = dir.path() / "persist";
+  {
+    SpecialRowsArea area(store, 1 << 20);
+    (void)area.put(RowKey{64, 0, 0, 1}, std::vector<engine::BusCell>{cell(7, -3)});
+  }
+  corrupt_byte(row_file(store, 0), kRowHeaderBytes, 0x02);  // Segment 1 of a 1-segment row.
+  try {
+    SpecialRowsArea reopened(store, 1 << 20);
+    FAIL() << "a bitmap bit past the row's end was not refused";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("past the row"), std::string::npos) << e.what();
+  }
 }
 
 /// Makes the write of row `index` fail with ENOSPC by planting its staging

@@ -238,6 +238,9 @@ int cmd_align(const common::Args& args) {
                 matrix > 0 ? 100.0 * pruned / matrix : 0.0);
     std::printf("stage-1 prune floor: %lld in %.1f ms\n",
                 static_cast<long long>(result.prune_floor), result.prune_floor_seconds * 1e3);
+    std::printf("special rows: %s on disk for %s of rows\n",
+                format_bytes(result.sra_stored_peak_bytes).c_str(),
+                format_bytes(result.sra_peak_bytes).c_str());
     const auto& spec = result.stage2_speculation;
     std::printf("stage-2 waves: %lld, guess hits %lld, re-runs %lld, discarded %lld (%s cells)\n",
                 static_cast<long long>(spec.waves), static_cast<long long>(spec.guess_hits),
