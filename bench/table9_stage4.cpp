@@ -34,6 +34,7 @@ int main() {
   core::Stage4Config base;
   base.scheme = scheme;
   base.max_partition_size = 16;
+  base.block_pruning = false;  // The paper's Time_1 and Time_2 compute every cell.
 
   auto run = [&](bool orthogonal, bool balanced) {
     core::Stage4Config c = base;

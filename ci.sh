@@ -198,7 +198,9 @@ stage "release: ctest"
 #   fast mode  — rerun just the kernel equivalence/dispatch suites, the
 #                narrow-overflow suite, the sentinel-sweep suite, the
 #                Stage-2, row-crossing and Stage-4 suites (striped32-global
-#                with taps and the probe) and the CRC-32 suite under every
+#                with taps and the probe), the pruning suites (goal pruning
+#                decides from scan_bus_inputs, which has generic, AVX2 and
+#                AVX-512 builds) and the CRC-32 suite under every
 #                supported backend (the cheap pre-push proof;
 #                CUDALIGN_SIMD=generic also moves the CRC onto its
 #                slice-by-8 fallback);
@@ -220,10 +222,10 @@ isa_matrix() {
   echo "$isas"
 }
 if [[ "$FAST" -eq 1 ]]; then
-  stage "release: kernel equivalence and admission, sentinel sweeps, grid fit and tile shapes, Stages 2 and 4, row crossing and CRC, block and seeded pruning, SRA row files, forced ISAs"
+  stage "release: kernel equivalence and admission, sentinel sweeps, grid fit and tile shapes, Stages 2 and 4, row crossing and CRC, block, seeded and goal pruning, SRA row files, forced ISAs"
   for isa in $(isa_matrix); do
     CUDALIGN_SIMD="$isa" build-ci-release/tests/cudalign_tests \
-      --gtest_filter='KernelEquivalence.*:KernelDispatch.*:Admission.*:LaneEnvelope.*:NarrowOverflow.*:Striped32Global.*:Striped32Local.*:Int16EnvelopeCrossing.*:EngineSentinel.*:Grid.*:TileShapeEquivalence.*:Stage2.*:CrossRow.*:Stage4Tiles.*:Crc32.*:BlockPruning.*:SeededPruning.*:Sra.*:SraDurability.*:AsyncWriter.*' \
+      --gtest_filter='KernelEquivalence.*:KernelDispatch.*:Admission.*:LaneEnvelope.*:NarrowOverflow.*:Striped32Global.*:Striped32Local.*:Int16EnvelopeCrossing.*:EngineSentinel.*:Grid.*:TileShapeEquivalence.*:Stage2.*:CrossRow.*:Stage4Tiles.*:Crc32.*:BlockPruning.*:SeededPruning.*:GoalPruning.*:Stage3.GoalPruning*:*PipelineFuzz.GoalPruning*:Sra.*:SraDurability.*:AsyncWriter.*' \
       --gtest_brief=1
   done
 else

@@ -10,7 +10,9 @@
 // score_e - score_s.
 #pragma once
 
+#include <algorithm>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "check/checked.hpp"
@@ -72,6 +74,28 @@ struct Partition {
     return gap;
   }
   return std::nullopt;
+}
+
+/// The most one side of a junction can contribute at a vertex: max(H,
+/// gap + G_open), -inf values skipped (kNegInf when both are). A path
+/// holding at most x at the vertex completes a junction there only if
+/// x + junction_value >= goal. Goal pruning bounds its tiles with it.
+[[nodiscard]] inline Score junction_value(const engine::BusCell& cell,
+                                          const scoring::Scheme& scheme) {
+  Score best = kNegInf;
+  if (!is_neg_inf(cell.h)) best = cell.h;
+  if (!is_neg_inf(cell.gap)) {
+    best = std::max(best, static_cast<Score>(cell.gap + scheme.gap_open()));
+  }
+  return best;
+}
+
+/// junction_value's maximum over `cells` (kNegInf for none).
+[[nodiscard]] inline Score best_junction(std::span<const engine::BusCell> cells,
+                                         const scoring::Scheme& scheme) {
+  Score best = kNegInf;
+  for (const engine::BusCell& cell : cells) best = std::max(best, junction_value(cell, scheme));
+  return best;
 }
 
 /// Consecutive pairs of a crosspoint list as partitions.

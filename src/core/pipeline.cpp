@@ -246,6 +246,7 @@ PipelineResult align_pipeline(const seq::Sequence& s0, const seq::Sequence& s1,
     c2.grid = options.grid_stage23;
     c2.rows_area = &rows_area;
     c2.cols_area = options.save_special_columns ? &cols_area : nullptr;
+    c2.block_pruning = options.block_pruning;
     c2.bus_audit = options.bus_audit;
     c2.telemetry = telemetry;
     c2.pool = options.pool;
@@ -281,6 +282,7 @@ PipelineResult align_pipeline(const seq::Sequence& s0, const seq::Sequence& s1,
       c3.scheme = options.scheme;
       c3.grid = options.grid_stage23;
       c3.cols_area = &cols_area;
+      c3.block_pruning = options.block_pruning;
       c3.bus_audit = options.bus_audit;
       c3.telemetry = telemetry;
       c3.pool = options.pool;
@@ -315,6 +317,7 @@ PipelineResult align_pipeline(const seq::Sequence& s0, const seq::Sequence& s1,
     Stage4Config c4;
     c4.scheme = options.scheme;
     c4.max_partition_size = options.max_partition_size;
+    c4.block_pruning = options.block_pruning;
     c4.telemetry = telemetry;
     c4.pool = options.pool;
     Stage4Result st4;

@@ -51,8 +51,10 @@ struct PipelineOptions {
 
   Index max_partition_size = 16;
 
-  /// Stage-1 block pruning (engine/executor.hpp): exact, and on by default.
-  /// Stage-1 cells then fall short of m*n by stages[0].pruned_cells.
+  /// Block pruning (engine/executor.hpp): exact, and on by default. Stage 1
+  /// prunes against the best score (its cells then fall short of m*n by
+  /// stages[0].pruned_cells), Stages 2-4 against their goals (DESIGN.md
+  /// "Goal pruning (Stages 2-4)"). Off computes every cell of every stage.
   bool block_pruning = true;
   /// Held only for e2ebench/traced.cpp:199, which reads it; the pipeline
   /// never does, and it is not in options_json. It goes together with that
@@ -68,9 +70,8 @@ struct PipelineOptions {
   std::function<void(int stage, double fraction)> progress;
 
   /// Opt-in bus hand-off auditing for every engine run of Stages 1-3
-  /// (check/bus_audit.hpp; the CLI's --audit-bus). Stage 4's one-chunk runs
-  /// are not audited. The caller inspects the auditor after the pipeline
-  /// returns.
+  /// (check/bus_audit.hpp; the CLI's --audit-bus). Stage 4's runs are not
+  /// audited. The caller inspects the auditor after the pipeline returns.
   check::BusAuditor* bus_audit = nullptr;
 
   /// Opt-in span telemetry (obs/telemetry.hpp; the CLI's --report): the

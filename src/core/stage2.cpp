@@ -45,7 +45,7 @@ namespace cudalign::core {
 
 RowCrossing cross_row(seq::SequenceView a_rev, seq::SequenceView b_rev, const Crosspoint& corner,
                       const Crosspoint& from, std::span<const engine::BusCell> forward, bool probe,
-                      const engine::GridSpec& grid, const scoring::Scheme& scheme,
+                      bool prune, const engine::GridSpec& grid, const scoring::Scheme& scheme,
                       engine::Hooks hooks, ThreadPool* pool) {
   const Index height = from.i - corner.i;
   const Index width = from.j - corner.j;
@@ -89,6 +89,19 @@ RowCrossing cross_row(seq::SequenceView a_rev, seq::SequenceView b_rev, const Cr
   // rectangle (at most match * min(h, w) can be gained by any sub-path).
   if (probe && static_cast<WideScore>(scheme.match) * std::min(height, width) >= goal) {
     hooks.find_value = goal;
+  }
+
+  // Goal pruning: a path from engine vertex (r0, c0) gains at most match per
+  // diagonal step before the row (engine column `height`) or the probe cell,
+  // and the row adds at most its best junction value (0 for the probe).
+  if (prune) {
+    Score tail = forward.empty() ? kNegInf : best_junction(forward.first(width + 1), scheme);
+    if (hooks.find_value) tail = std::max<Score>(tail, 0);
+    spec.block_pruning = true;
+    spec.goal = goal;
+    spec.goal_reach = [&, tail](Index r0, Index c0) {
+      return WideScore{scheme.match} * std::min(width - r0, height - c0) + tail;
+    };
   }
 
   const engine::RunResult run = engine::run_wavefront(spec, hooks, pool);
@@ -176,7 +189,8 @@ Stage2Result run_stage2(seq::SequenceView s0, seq::SequenceView s1, const Crossp
       };
     }
     m.crossing = cross_row(s0_rev, s1_rev, Crosspoint{m.row, 0, 0}, from, m.forward,
-                           /*probe=*/true, config.grid, config.scheme, std::move(hooks), &pool);
+                           /*probe=*/true, config.block_pruning, config.grid, config.scheme,
+                           std::move(hooks), &pool);
   };
 
   std::vector<Crosspoint> reverse_chain{end_point};

@@ -96,6 +96,41 @@ PartitionOutcome split_partition(seq::SequenceView s0, seq::SequenceView s1,
                                           : engine::HookAction::kContinue;
   };
 
+  // Goal pruning: a path still to be matched crosses some special column
+  // c > c0 at a row >= r0 — not necessarily the first column right of c0,
+  // since a path entering a tile from above may already be past it — and
+  // gains at most match * min(m_p - r0, c - c0) on the way. tails[t][k] is
+  // column t's best junction value over the rows of strip k and below: one
+  // entry per strip, not per row.
+  std::vector<std::vector<Score>> tails;
+  if (config.block_pruning) {
+    const Index strip_rows = config.grid.strip_rows();
+    const auto strips = static_cast<std::size_t>(m_p / strip_rows) + 1;
+    for (const ReverseColumn& col : columns) {
+      std::vector<Score>& tail = tails.emplace_back(strips + 1, kNegInf);
+      for (std::size_t q = 0; q < col.cells.size(); ++q) {
+        const Index i = col.row_begin + static_cast<Index>(q) - part.start.i;
+        if (i < 0 || i > m_p) continue;
+        Score& slot = tail[static_cast<std::size_t>(i / strip_rows)];
+        slot = std::max(slot, junction_value(col.cells[q], config.scheme));
+      }
+      for (std::size_t k = strips; k-- > 0;) tail[k] = std::max(tail[k], tail[k + 1]);
+    }
+    spec.block_pruning = true;
+    spec.goal = goal;
+    spec.goal_reach = [&, strip_rows](Index r0, Index c0) {
+      const auto k = static_cast<std::size_t>(r0 / strip_rows);
+      WideScore reach = kNegInf;
+      for (std::size_t t = 0; t < tails.size(); ++t) {
+        const Index c = hooks.tap_columns[t];
+        if (c <= c0) continue;
+        reach = std::max(reach, WideScore{config.scheme.match} * std::min(m_p - r0, c - c0) +
+                                    tails[t][k]);
+      }
+      return reach;
+    };
+  }
+
   const engine::RunResult run = engine::run_wavefront(spec, hooks, config.pool);
   outcome.run = run.stats;
   CUDALIGN_CHECK(found.size() == columns.size(),

@@ -13,11 +13,12 @@
 //    whose junction reaches the goal score — on average half of the bottom
 //    half is skipped.
 //
-// Every sweep is an engine run (engine::run_wavefront on a one-chunk grid
-// sized from the split), so Stage 4 computes its cells with the same
-// executor and kernel family as Stages 1-3 — the striped int32 global sweep
-// wherever its envelope admits the tile — and crosses the middle row with
-// Stage 2's cross_row. The implementation is iterative (a worklist, not
+// Every sweep is an engine run (engine::run_wavefront on a grid sized from
+// the split), so Stage 4 computes its cells with the same executor and
+// kernel family as Stages 1-3 — the striped int32 global sweep wherever its
+// envelope admits the tile — and crosses the middle row with Stage 2's
+// cross_row. The forward half and the orthogonal reverse pass skip the tiles
+// no path can cross at the partition's goal (Stage4Config::block_pruning). The implementation is iterative (a worklist, not
 // recursion), which the paper notes is the GPU-friendly formulation.
 #include <algorithm>
 #include <deque>
@@ -34,13 +35,22 @@ namespace cudalign::core {
 
 namespace {
 
-/// Rows per strip of the orthogonal reverse pass over n rows: n / 16, kept
-/// within [kShapeGateMinRows, 64]: the shape gate's row minimum, so every
-/// strip is tall enough for the striped kernels. The pass checks for the goal
-/// once per strip, so past the match it computes less than one strip — at
-/// most 1/16 of the reverse half once n >= 128.
-Index reverse_strip_rows(Index n) {
-  return std::clamp<Index>(n / 16, engine::kShapeGateMinRows, 64);
+/// Column chunks of a split's engine runs: at least 64 columns wide, so goal
+/// pruning has tiles to skip beside the path.
+constexpr Index kChunkCols = 64;
+constexpr Index kMaxChunks = 1024;
+
+/// The forward half's grid: 64-row strips.
+constexpr engine::GridSpec kForwardGrid{kMaxChunks, 64, 1, kChunkCols};
+
+/// The orthogonal reverse pass's grid over n rows: strips of n / 16 rows,
+/// kept within [kShapeGateMinRows, 64] (the shape gate's row minimum, so
+/// every strip is tall enough for the striped kernels). The pass checks for
+/// the goal once per strip, so past the match it computes less than one
+/// strip — at most 1/16 of the reverse half once n >= 128.
+engine::GridSpec reverse_grid(Index n) {
+  return engine::GridSpec{kMaxChunks, std::clamp<Index>(n / 16, engine::kShapeGateMinRows, 64),
+                          1, kChunkCols};
 }
 
 struct SplitOutcome {
@@ -77,7 +87,17 @@ SplitOutcome split_by_row(seq::SequenceView a, seq::SequenceView a_rev, seq::Seq
   fwd.a = slice(b, part.start.j, n);
   fwd.b = slice(a, part.start.i, mid);
   fwd.recurrence = engine::Recurrence::global_start(transpose_state(part.start.type), scheme);
-  fwd.grid = engine::GridSpec{1, std::max<Index>(n, 1), 1, 1};
+  fwd.grid = kForwardGrid;
+  if (config.block_pruning) {
+    // Goal pruning: engine vertex (r0, c0) is partition vertex (c0, r0), and a
+    // path from there to the partition's end gains at most match per
+    // diagonal step.
+    fwd.block_pruning = true;
+    fwd.goal = part.score();
+    fwd.goal_reach = [&](Index r0, Index c0) {
+      return WideScore{scheme.match} * std::min(m - c0, n - r0);
+    };
+  }
   std::vector<engine::BusCell> cc_dd;
   cc_dd.reserve(static_cast<std::size_t>(n) + 1);
   engine::Hooks hooks;
@@ -93,8 +113,8 @@ SplitOutcome split_by_row(seq::SequenceView a, seq::SequenceView a_rev, seq::Seq
   if (config.orthogonal) {
     const RowCrossing crossing =
         cross_row(a_rev, b_rev, Crosspoint{part.start.i + mid, part.start.j, part.start.score},
-                  part.end, cc_dd, /*probe=*/false,
-                  engine::GridSpec{1, reverse_strip_rows(n), 1, 1}, scheme, {}, config.pool);
+                  part.end, cc_dd, /*probe=*/false, config.block_pruning,
+                  reverse_grid(n), scheme, {}, config.pool);
     out.rev = crossing.run;
     CUDALIGN_CHECK(crossing.next.has_value(),
                    "stage 4 orthogonal matching reached no goal column (partition ", m, "x", n,

@@ -161,6 +161,10 @@ struct Stage2Config {
   engine::GridSpec grid = engine::GridSpec::stage23_defaults();
   sra::SpecialRowsArea* rows_area = nullptr;  ///< Stage-1 rows (required).
   sra::SpecialRowsArea* cols_area = nullptr;  ///< Sink for special columns (optional).
+  /// Goal pruning of every crossing (cross_row's `prune`; DESIGN.md "Goal
+  /// pruning (Stages 2-4)"). Exact: the crosspoints do not change, while
+  /// special-column cells off every optimal path may come out lower.
+  bool block_pruning = true;
   check::BusAuditor* bus_audit = nullptr;
   /// Opt-in span telemetry: the traceback iterations (one per partition) in
   /// at most engine::kSpanBuckets spans, "iterations a-b"; a span holds the
@@ -212,13 +216,18 @@ struct RowCrossing {
 /// reversed sequences are `a_rev` and `b_rev`, tapping the row from the
 /// right. forward[k] is the row's (H, F) at column corner.j + k, relative to
 /// corner.score (an empty `forward` taps nothing). `probe` adds the
-/// start-point probe when the goal is reachable. cross_row owns the tap and
+/// start-point probe when the goal is reachable. `prune` turns on goal
+/// pruning (engine::ProblemSpec::block_pruning): a tile is skipped when its
+/// best input plus match * min(rows left, columns left) plus the best
+/// junction value of `forward` (at least 0 with the probe on) cannot reach
+/// the goal; the crossing is the same either way. cross_row owns the tap and
 /// probe fields of `hooks`; the caller may set the others.
 [[nodiscard]] RowCrossing cross_row(seq::SequenceView a_rev, seq::SequenceView b_rev,
                                     const Crosspoint& corner, const Crosspoint& from,
                                     std::span<const engine::BusCell> forward, bool probe,
-                                    const engine::GridSpec& grid, const scoring::Scheme& scheme,
-                                    engine::Hooks hooks, ThreadPool* pool);
+                                    bool prune, const engine::GridSpec& grid,
+                                    const scoring::Scheme& scheme, engine::Hooks hooks,
+                                    ThreadPool* pool);
 
 // ---------------------------------------------------------------------------
 // Stage 3 — splitting partitions (paper §IV-D): forward execution inside each
@@ -231,6 +240,9 @@ struct Stage3Config {
   /// Stage-2 columns (required). Each partition's task reads its own
   /// columns, concurrently with the others (SpecialRowsArea::get).
   sra::SpecialRowsArea* cols_area = nullptr;
+  /// Goal pruning of the partitions' runs (split_partition in stage3.cpp;
+  /// DESIGN.md "Goal pruning (Stages 2-4)"). Exact: L_3 does not change.
+  bool block_pruning = true;
   check::BusAuditor* bus_audit = nullptr;
   /// Opt-in span telemetry: one partition-split span only (partitions run on
   /// pool workers, so no per-partition engine spans).
@@ -257,6 +269,9 @@ struct Stage4Config {
   Index max_partition_size = 16;  ///< The paper's chromosome run uses 16.
   bool balanced_splitting = true; ///< Off = classic middle-row MM (Figure 10a).
   bool orthogonal = true;         ///< Off = full reverse pass (Table IX Time_1).
+  /// Goal pruning of the forward halves and the orthogonal reverse passes
+  /// (DESIGN.md "Goal pruning (Stages 2-4)"). Exact: L_4 does not change.
+  bool block_pruning = true;
   /// Opt-in span telemetry: one span per splitting iteration.
   obs::Telemetry* telemetry = nullptr;
   ThreadPool* pool = nullptr;

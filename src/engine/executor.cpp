@@ -51,11 +51,15 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
                  "tap columns require an on_tap hook");
   CUDALIGN_CHECK(std::is_sorted(hooks.tap_columns.begin(), hooks.tap_columns.end()),
                  "tap columns must be ascending");
-  if (spec.block_pruning) {
-    CUDALIGN_CHECK(spec.recurrence.mode == AlignMode::kLocal,
-                   "block pruning requires local mode (a global run has no best bound)");
+  const bool local_pruning = spec.block_pruning && spec.recurrence.mode == AlignMode::kLocal;
+  const bool goal_pruning = spec.block_pruning && spec.recurrence.mode == AlignMode::kGlobal;
+  if (local_pruning) {
     CUDALIGN_CHECK(hooks.tap_columns.empty() && !hooks.find_value,
-                   "block pruning cannot be combined with taps or value probes");
+                   "local block pruning cannot be combined with taps or value probes");
+  }
+  if (goal_pruning) {
+    CUDALIGN_CHECK(static_cast<bool>(spec.goal_reach),
+                   "block pruning in global mode needs a goal and its goal_reach bound");
   }
   CUDALIGN_CHECK(spec.prune_floor >= 0, "prune floor ", spec.prune_floor, " is negative");
   CUDALIGN_CHECK(spec.prune_floor == 0 || spec.block_pruning, "prune floor ", spec.prune_floor,
@@ -107,7 +111,7 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
   const Index blocks = peel_col0 + std::max<Index>(1, std::min(grid.blocks, n - peel_col0));
   result.best = spec.initial_best;
   result.stats.blocks_used = blocks - peel_col0;
-  const bool resumed_pruning = spec.block_pruning && row0 > 0;
+  const bool resumed_pruning = local_pruning && row0 > 0;
   if (resumed_pruning) {
     CUDALIGN_CHECK(static_cast<Index>(spec.initial_prune.lagged.size()) == kPruneLag,
                    "a resumed pruned run needs the checkpoint's pruning state: ", kPruneLag,
@@ -216,6 +220,8 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
         resumed_pruning ? spec.initial_prune.lagged[static_cast<std::size_t>(k)] : 0};
   }
 
+  const Score pruned_h = goal_pruning ? goal_floor(rec.scheme, m, n) : 0;
+
   auto tile = [&](Index s, Index b) {
     const Index r0 = row0 + s * strip_rows;
     const Index r1 = std::min(m, r0 + strip_rows);
@@ -273,7 +279,21 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
     // pruning bound below both read it.
     const BusInputs in = scan_bus_inputs(job);
     bool pruned = false;
-    if (spec.block_pruning) {
+    if (goal_pruning) {
+      // Goal pruning (see ProblemSpec::block_pruning): publish the global
+      // lower bound on the buses and tap entries, and skip the kernel.
+      const WideScore max_in = std::max(in.h_hi, in.gap_hi);
+      if (max_in + spec.goal_reach(r0, c0) < spec.goal) {
+        const BusCell low{pruned_h, kNegInf};
+        std::fill(job.hbus.begin() + 1, job.hbus.end(), low);
+        std::fill(job.vbus_out.begin(), job.vbus_out.end(), low);
+        for (std::size_t k = 0; k < job.tap_cols.size(); ++k) {
+          auto& taps = slot.taps[tap_begin + k];
+          taps.insert(taps.end(), static_cast<std::size_t>(rows), low);
+        }
+        pruned = true;
+      }
+    } else if (local_pruning) {
       const Index g = base_strip + s;
       const auto& [lag_strip, lag_best] = lagged[static_cast<std::size_t>(g % kPruneLag)];
       CUDALIGN_CHECK(lag_strip == g - kPruneLag, "strip ", g, " was admitted before strip ",
@@ -393,7 +413,7 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
       // Checkpoint hand-off: the merged best covers every tile of strips
       // <= s, exactly the cells of rows <= r1.
       PruneState prune;
-      if (spec.block_pruning) {
+      if (local_pruning) {
         for (Index k = 1; k <= kPruneLag; ++k) {
           prune.lagged.push_back(lagged[static_cast<std::size_t>((g + k) % kPruneLag)].second);
         }
@@ -442,6 +462,11 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
 
   result.stats.seconds = timer.seconds();
   return result;
+}
+
+Score goal_floor(const scoring::Scheme& scheme, Index m, Index n) {
+  return check::checked_cast<Score>(-(2 * WideScore{scheme.gap_first} +
+                                      WideScore{scheme.gap_ext} * (WideScore{m} + n)));
 }
 
 std::string kernel_usage_summary(const std::array<KernelTally, kKernelIdCount>& kernels) {

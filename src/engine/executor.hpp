@@ -106,8 +106,28 @@ struct ProblemSpec {
   /// of an optimal alignment has bound >= optimum (the path itself gains
   /// optimum - prefix with at most min(m - r0, n - c0) diagonal steps), so it
   /// is never pruned; pruned tiles publish valid lower bounds (H = 0) on
-  /// their buses. Only meaningful with kLocal; rejected with taps or probes.
+  /// their buses. A local run with pruning rejects taps and probes.
+  ///
+  /// In kGlobal mode the same flag turns on *goal pruning* (DESIGN.md "Goal
+  /// pruning (Stages 2-4)"), which needs `goal` and `goal_reach`: tile
+  /// (s, b) is skipped when max_in + goal_reach(r0, c0) < goal, where max_in
+  /// is the largest H or gap value on its input buses. A path through the
+  /// tile enters it at or below-right of vertex (r0, c0) with at most max_in,
+  /// so if nothing it can still gain reaches the goal, no hit (tap match or
+  /// probe) lies on it. Cells of a path that reaches a hit at the goal keep
+  /// their exact values; every other value only gets lower, so the hits do
+  /// not change. A pruned global tile publishes H = goal_floor() and gap =
+  /// -inf on its buses and tap entries: a finite H, so the int32 lanes still
+  /// admit its successors.
   bool block_pruning = false;
+
+  /// Goal pruning (kGlobal with block_pruning): `goal` is the score a path
+  /// completes at a hit, which no path exceeds; goal_reach(r0, c0) bounds
+  /// what a path leaving any vertex in rows >= r0 and columns >= c0 can
+  /// still add before it completes a hit, the hook's side of a junction
+  /// included. Called once per tile, concurrently from the pool's workers.
+  Score goal = 0;
+  std::function<WideScore(Index r0, Index c0)> goal_reach;
 
   /// A lower bound L on the optimum, the pruning bound's first term
   /// (block_pruning only; 0 = none). Exact when L is the score of a real
@@ -142,6 +162,11 @@ struct ProblemSpec {
   /// never reads it. It goes together with that line.
   ExecutorKind executor = ExecutorKind::kDataflow;
 };
+
+/// The H a pruned global tile publishes: -(2 * G_first + G_ext * (m + n)),
+/// below the score of the two-gap-run path that reaches any cell of an
+/// m x n global problem from either boundary, and so below every cell's H.
+[[nodiscard]] Score goal_floor(const scoring::Scheme& scheme, Index m, Index n);
 
 /// Hook verdict after observing a special row / tap segment.
 enum class HookAction {

@@ -19,11 +19,19 @@ if grep -q "^stage-1 pruned cells: 0 " "$DIR/aln.out"; then
   echo "the default run pruned nothing on a related pair" >&2
   exit 1
 fi
+# Stages 2-4 prune against their goals; --stats prints their pruned cells.
+grep -Eq "^stages 2-4 pruned cells: [0-9.e+]+, [0-9.e+]+, [0-9.e+]+$" "$DIR/aln.out"
+if grep -q "^stages 2-4 pruned cells: 0, 0, 0$" "$DIR/aln.out"; then
+  echo "the default run pruned nothing in Stages 2-4 on a related pair" >&2
+  exit 1
+fi
 # --stats names the special-row bytes on disk next to the logical bytes.
 grep -Eq "^special rows: [0-9.]+ [KMG]?B on disk for [0-9.]+ [KMG]?B of rows$" "$DIR/aln.out"
 # Pruning is exact: --no-prune computes every cell and writes the same bytes.
 "$CLI" align "$DIR/a.fasta" "$DIR/b.fasta" --out "$DIR/noprune.bin" --stats --no-prune \
-  | grep -q "^stage-1 pruned cells: 0 (0.0% of m\*n)$"
+  > "$DIR/noprune.out"
+grep -q "^stage-1 pruned cells: 0 (0.0% of m\*n)$" "$DIR/noprune.out"
+grep -q "^stages 2-4 pruned cells: 0, 0, 0$" "$DIR/noprune.out"
 cmp "$DIR/aln.bin" "$DIR/noprune.bin"
 # --prune is gone (pruning is the default): it is an unknown flag.
 if "$CLI" align "$DIR/a.fasta" "$DIR/b.fasta" --prune --out "$DIR/prune.bin" \

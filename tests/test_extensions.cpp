@@ -3,12 +3,15 @@
 // (N-run) handling.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "alignment/cigar.hpp"
 #include "baseline/full_matrix.hpp"
 #include "common/args.hpp"
 #include "core/stages.hpp"
 #include "core/strand.hpp"
 #include "dp/gotoh.hpp"
+#include "dp/linear.hpp"
 #include "engine/executor.hpp"
 #include "test_util.hpp"
 
@@ -182,6 +185,90 @@ TEST(BlockPruning, PipelineEndToEndStillOptimal) {
         alignment::validate(result.alignment, pair.s0.bases(), pair.s1.bases(), paper()));
     EXPECT_GT(result.stages[0].pruned_cells, 0);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Goal pruning (block pruning in global mode; Stages 2-4)
+// ---------------------------------------------------------------------------
+
+TEST(GoalPruning, FloorLiesBelowEveryCell) {
+  const auto pair = test::small_related(70, 90, 76);
+  const auto m = static_cast<Index>(pair.s0.size());
+  const auto n = static_cast<Index>(pair.s1.size());
+  for (const scoring::Scheme& scheme : test::test_schemes()) {
+    for (const dp::CellState state :
+         {dp::CellState::kH, dp::CellState::kE, dp::CellState::kF}) {
+      for (const engine::Recurrence& rec : {engine::Recurrence::global_start(state, scheme),
+                                            engine::Recurrence::global_end(state, scheme)}) {
+        Score lowest = 0;
+        (void)dp::sweep_rows_from(pair.s0.bases(), pair.s1.bases(), scheme, rec.corner,
+                                  [&](const dp::RowView& row) {
+                                    for (std::size_t j = 1; j < row.h.size() && row.i > 0; ++j) {
+                                      lowest = std::min(lowest, row.h[j]);
+                                    }
+                                  });
+        EXPECT_FALSE(is_neg_inf(lowest));
+        EXPECT_LE(engine::goal_floor(scheme, m, n), lowest)
+            << "scheme " << scheme.match << "/" << scheme.mismatch << "/" << scheme.gap_first
+            << "/" << scheme.gap_ext << ", state " << static_cast<int>(state);
+      }
+    }
+  }
+}
+
+// A global run aimed at H(m, n): goal pruning skips tiles far from the
+// optimal paths into (m, n), and every tap entry it publishes is a lower
+// bound on the unpruned value, exact at (m, n) itself, on any worker count.
+TEST(GoalPruning, PrunedTilesPublishLowerBounds) {
+  const auto pair = test::small_related(300, 320, 77);
+  const auto m = static_cast<Index>(pair.s0.size());
+  const auto n = static_cast<Index>(pair.s1.size());
+  engine::ProblemSpec spec;
+  spec.a = pair.s0.bases();
+  spec.b = pair.s1.bases();
+  spec.grid = engine::GridSpec{6, 4, 2, 8};
+  spec.recurrence = engine::Recurrence::global_start(dp::CellState::kH, paper());
+
+  using Taps = std::map<Index, std::vector<engine::BusCell>>;
+  const auto run = [&](std::size_t workers, Taps& taps) {
+    engine::Hooks hooks;
+    for (Index c = 10; c < n; c += 10) hooks.tap_columns.push_back(c);
+    hooks.tap_columns.push_back(n);
+    hooks.on_tap = [&](Index col, Index, std::span<const engine::BusCell> entries) {
+      taps[col].insert(taps[col].end(), entries.begin(), entries.end());
+      return engine::HookAction::kContinue;
+    };
+    ThreadPool pool(workers);
+    return engine::run_wavefront(spec, hooks, &pool);
+  };
+  Taps all;
+  const engine::RunResult plain = run(1, all);
+  const Score goal = all.at(n).back().h;
+
+  spec.block_pruning = true;
+  spec.goal = goal;
+  spec.goal_reach = [&](Index r0, Index c0) {
+    return WideScore{paper().match} * std::min(m - r0, n - c0);
+  };
+  Taps one, four;
+  const engine::RunResult pruned = run(1, one);
+  const engine::RunResult pruned4 = run(4, four);
+  EXPECT_GT(pruned.stats.pruned_tiles, 0);
+  EXPECT_EQ(pruned.stats.cells + pruned.stats.pruned_cells, plain.stats.cells);
+  EXPECT_TRUE(static_cast<const engine::Tally&>(pruned.stats) ==
+              static_cast<const engine::Tally&>(pruned4.stats));
+  EXPECT_TRUE(one == four);
+  EXPECT_EQ(one.at(n).back().h, goal);
+  std::size_t lowered = 0;
+  for (const auto& [col, entries] : all) {
+    ASSERT_EQ(one.at(col).size(), entries.size()) << col;
+    for (std::size_t r = 0; r < entries.size(); ++r) {
+      EXPECT_LE(one.at(col)[r].h, entries[r].h) << col << ", " << r;
+      EXPECT_LE(one.at(col)[r].gap, entries[r].gap) << col << ", " << r;
+      lowered += one.at(col)[r].h < entries[r].h ? 1 : 0;
+    }
+  }
+  EXPECT_GT(lowered, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -121,17 +121,23 @@ INSTANTIATE_TEST_SUITE_P(Sweep, PipelineEndToEnd, ::testing::ValuesIn(pipeline_c
 // pipeline must stay optimal and valid in every drawn configuration.
 class PipelineFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(PipelineFuzz, RandomConfigurationStaysOptimal) {
-  Rng rng(GetParam() * 7919);
+struct FuzzCase {
+  seq::SequencePair pair;
+  PipelineOptions options;
+};
+
+FuzzCase draw_fuzz_case(std::uint64_t seed) {
+  Rng rng(seed * 7919);
   const Index n0 = 40 + static_cast<Index>(rng.below(360));
   const Index n1 = 40 + static_cast<Index>(rng.below(360));
   const bool related = rng.chance(0.6);
   const auto island = static_cast<Index>(rng.below(static_cast<std::uint64_t>(
       std::min(n0, n1) / 2 + 1)));
-  const auto pair = related ? seq::make_related_pair(n0, n1, rng.next())
-                            : seq::make_unrelated_pair(n0, n1, island, rng.next());
+  FuzzCase c{related ? seq::make_related_pair(n0, n1, rng.next())
+                     : seq::make_unrelated_pair(n0, n1, island, rng.next()),
+             PipelineOptions{}};
 
-  PipelineOptions options;
+  PipelineOptions& options = c.options;
   options.scheme = test::test_schemes()[rng.below(4)];
   options.grid_stage1 = tiny_grid(1 + static_cast<Index>(rng.below(6)),
                                   1 + static_cast<Index>(rng.below(6)),
@@ -144,6 +150,13 @@ TEST_P(PipelineFuzz, RandomConfigurationStaysOptimal) {
   options.sra_cols_budget = options.sra_rows_budget;
   options.block_pruning = rng.chance(0.4);
   options.save_special_columns = rng.chance(0.8);
+  return c;
+}
+
+TEST_P(PipelineFuzz, RandomConfigurationStaysOptimal) {
+  const FuzzCase c = draw_fuzz_case(GetParam());
+  const seq::SequencePair& pair = c.pair;
+  const PipelineOptions& options = c.options;
 
   const PipelineResult result = align_pipeline(pair.s0, pair.s1, options);
   const auto reference =
@@ -164,7 +177,123 @@ TEST_P(PipelineFuzz, RandomConfigurationStaysOptimal) {
   }
 }
 
+/// What Stages 1-5 produce, run stage by stage as align_pipeline chains
+/// them (Stage 1 pruned as `options` says), with goal pruning on or off in
+/// Stages 2-4.
+struct Traceback {
+  CrosspointList l2, l3, l4;
+  alignment::BinaryAlignment binary;
+  std::array<engine::Tally, 3> tallies{};  ///< Stages 2, 3 and 4.
+};
+
+Traceback run_traceback(const seq::SequencePair& pair, const PipelineOptions& options,
+                        bool goal_pruning, ThreadPool* pool = nullptr) {
+  const seq::SequenceView s0 = pair.s0.bases();
+  const seq::SequenceView s1 = pair.s1.bases();
+  TempDir dir("goal-pruning");
+  sra::SpecialRowsArea rows(dir.path() / "rows", options.sra_rows_budget);
+  sra::SpecialRowsArea cols(dir.path() / "cols", options.sra_cols_budget);
+  Traceback out;
+  Stage1Config c1;
+  c1.scheme = options.scheme;
+  c1.grid = options.grid_stage1;
+  c1.block_pruning = options.block_pruning;
+  c1.rows_area = &rows;
+  c1.pool = pool;
+  const Stage1Result st1 = run_stage1(s0, s1, c1);
+  if (st1.end_point.score == 0) return out;
+
+  Stage2Config c2;
+  c2.scheme = options.scheme;
+  c2.grid = options.grid_stage23;
+  c2.rows_area = &rows;
+  c2.cols_area = options.save_special_columns ? &cols : nullptr;
+  c2.block_pruning = goal_pruning;
+  c2.pool = pool;
+  const Stage2Result st2 = run_stage2(s0, s1, st1.end_point, c2);
+  out.l2 = st2.crosspoints;
+  out.tallies[0] = st2.stats;
+
+  out.l3 = out.l2;
+  if (st2.special_cols_saved > 0) {
+    Stage3Config c3;
+    c3.scheme = options.scheme;
+    c3.grid = options.grid_stage23;
+    c3.cols_area = &cols;
+    c3.block_pruning = goal_pruning;
+    c3.pool = pool;
+    const Stage3Result st3 = run_stage3(s0, s1, out.l2, c3);
+    out.l3 = st3.crosspoints;
+    out.tallies[1] = st3.stats;
+  }
+
+  Stage4Config c4;
+  c4.scheme = options.scheme;
+  c4.max_partition_size = options.max_partition_size;
+  c4.block_pruning = goal_pruning;
+  c4.pool = pool;
+  const Stage4Result st4 = run_stage4(s0, s1, out.l3, c4);
+  out.l4 = st4.crosspoints;
+  out.tallies[2] = st4.stats;
+
+  Stage5Config c5;
+  c5.scheme = options.scheme;
+  c5.pool = pool;
+  out.binary = run_stage5(s0, s1, out.l4, c5).binary;
+  return out;
+}
+
+/// Goal pruning on against off: the same L_2, L_3, L_4 and binary alignment.
+/// Returns the pruned run's tallies of Stages 2-4.
+std::array<engine::Tally, 3> expect_goal_pruning_exact(const seq::SequencePair& pair,
+                                                       const PipelineOptions& options,
+                                                       const std::string& label,
+                                                       ThreadPool* pool = nullptr) {
+  const Traceback all = run_traceback(pair, options, false, pool);
+  const Traceback pruned = run_traceback(pair, options, true, pool);
+  EXPECT_EQ(pruned.l2, all.l2) << label;
+  EXPECT_EQ(pruned.l3, all.l3) << label;
+  EXPECT_EQ(pruned.l4, all.l4) << label;
+  EXPECT_TRUE(pruned.binary == all.binary) << label;
+  for (const engine::Tally& t : all.tallies) EXPECT_EQ(t.pruned_tiles, 0) << label;
+  return pruned.tallies;
+}
+
+TEST_P(PipelineFuzz, GoalPruningKeepsEveryCrosspoint) {
+  const FuzzCase c = draw_fuzz_case(GetParam());
+  (void)expect_goal_pruning_exact(c.pair, c.options, "seed " + std::to_string(GetParam()));
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, PipelineFuzz, ::testing::Range<std::uint64_t>(1, 25));
+
+// The fuzz differential above is not vacuous: over its seeds, goal pruning
+// skips tiles in each of Stages 2, 3 and 4.
+TEST(GoalPruning, FuzzSeedsPruneInEveryStage) {
+  std::array<Index, 3> pruned_tiles{};
+  for (std::uint64_t seed = 1; seed < 25; ++seed) {
+    const FuzzCase c = draw_fuzz_case(seed);
+    const auto tallies =
+        expect_goal_pruning_exact(c.pair, c.options, "seed " + std::to_string(seed));
+    for (std::size_t k = 0; k < 3; ++k) pruned_tiles[k] += tallies[k].pruned_tiles;
+  }
+  for (std::size_t k = 0; k < 3; ++k) EXPECT_GT(pruned_tiles[k], 0) << "stage " << k + 2;
+}
+
+// The 100 Kbp related pair (cudalign generate --length 100000 --seed 7, then
+// --mutate-of with seed 8) at a 10 MiB SRA: few special rows, so Stages 2-4
+// cross large rectangles around an almost diagonal path.
+TEST(GoalPruning, Related100KAtTenMiBKeepsEveryCrosspoint) {
+  const seq::Sequence s0 = seq::random_dna(100000, 7, "synthetic");
+  const seq::Sequence s1 =
+      seq::mutate(s0, seq::MutationProfile::related(), 8, "synthetic_mutant");
+  const seq::SequencePair pair{s0, s1, "related-100k"};
+  PipelineOptions options;
+  options.sra_rows_budget = std::int64_t{10} << 20;
+  options.sra_cols_budget = options.sra_rows_budget;
+  ThreadPool pool(4);
+  const auto tallies = expect_goal_pruning_exact(pair, options, "related 100K", &pool);
+  for (std::size_t k = 0; k < 3; ++k) EXPECT_GT(tallies[k].pruned_tiles, 0) << "stage " << k + 2;
+}
 
 TEST(Pipeline, IdenticalSequences) {
   const auto s = seq::random_dna(300, 123, "same");

@@ -205,9 +205,10 @@ seq::SequenceView span_of(seq::SequenceView s, Index from, Index to) {
   return s.subspan(static_cast<std::size_t>(from), static_cast<std::size_t>(to - from));
 }
 
-/// cross_row over the pair on one and on four workers. Both runs must agree
-/// on the crossing and on the cells computed, and every cell must be
-/// attributed to a kernel.
+/// cross_row over the pair on one and on four workers, with goal pruning off
+/// and on. All four runs must agree on the crossing, the runs of one pruning
+/// setting on the cells computed, and every cell must be attributed to a
+/// kernel.
 std::optional<Crosspoint> checked_cross_row(const seq::SequencePair& pair, const Crosspoint& corner,
                                             const Crosspoint& from,
                                             std::span<const engine::BusCell> forward, bool probe,
@@ -216,22 +217,25 @@ std::optional<Crosspoint> checked_cross_row(const seq::SequencePair& pair, const
                                             const std::string& label) {
   const std::vector<seq::Base> s0_rev(pair.s0.bases().rbegin(), pair.s0.bases().rend());
   const std::vector<seq::Base> s1_rev(pair.s1.bases().rbegin(), pair.s1.bases().rend());
-  std::optional<core::RowCrossing> first;
-  for (const std::size_t workers : {1u, 4u}) {
-    ThreadPool pool(workers);
-    const core::RowCrossing got =
-        core::cross_row(s0_rev, s1_rev, corner, from, forward, probe, grid, scheme, {}, &pool);
-    WideScore kernel_cells = 0;
-    for (const auto& tally : got.run.kernels) kernel_cells += tally.cells;
-    EXPECT_EQ(kernel_cells, got.run.cells) << label;
-    if (!first) {
-      first = got;
-      continue;
+  std::optional<core::RowCrossing> unpruned;
+  for (const bool prune : {false, true}) {
+    std::optional<core::RowCrossing> first;
+    for (const std::size_t workers : {1u, 4u}) {
+      const std::string where = label + " on " + std::to_string(workers) + " workers, prune " +
+                                std::to_string(prune);
+      ThreadPool pool(workers);
+      const core::RowCrossing got = core::cross_row(s0_rev, s1_rev, corner, from, forward, probe,
+                                                    prune, grid, scheme, {}, &pool);
+      WideScore kernel_cells = 0;
+      for (const auto& tally : got.run.kernels) kernel_cells += tally.cells;
+      EXPECT_EQ(kernel_cells, got.run.cells) << where;
+      if (!unpruned) unpruned = got;
+      EXPECT_EQ(got.next, unpruned->next) << where;
+      if (!first) first = got;
+      EXPECT_EQ(got.run.cells, first->run.cells) << where;
     }
-    EXPECT_EQ(got.next, first->next) << label << " on " << workers << " workers";
-    EXPECT_EQ(got.run.cells, first->run.cells) << label << " on " << workers << " workers";
   }
-  return first->next;
+  return unpruned->next;
 }
 
 /// The chain's H-type end at (m, n), continuing the path from `last`.

@@ -431,6 +431,66 @@ TEST(Stage3, AddsCrosspointsOnSpecialColumns) {
   validate_chain_scores(st3.crosspoints, h.pair.s0.bases(), h.pair.s1.bases(), paper());
 }
 
+// Goal pruning in Stage 3 bounds a tile over every special column right of
+// it, not only the first: a path that enters a tile from above may already
+// be past that column. Here s0 is s1 with 60 bases inserted at 100, so the
+// optimal global path crosses the special column at 52 on its diagonal,
+// runs down column 100 through the insertion, and crosses the column at 150
+// further down. The chunk (50, 100] holds column 52, and each of its tiles
+// in the insertion rows is entered from above at column 100, right of it:
+// a bound over column 52 alone would prune them and lose the crossing at
+// 150.
+TEST(Stage3, GoalPruningBoundsEveryColumnRightOfTheTile) {
+  const std::string a = rand_seq(100, 5200).to_string();
+  const std::string b = rand_seq(100, 5201).to_string();
+  // The insertion's ends differ from the bases beside it, so the gap run
+  // cannot slide to another column at the same score.
+  std::string insert = rand_seq(60, 5202).to_string();
+  insert.front() = b.front() == 'A' ? 'C' : 'A';
+  insert.back() = a.back() == 'A' ? 'C' : 'A';
+  const seq::SequencePair pair{seq::Sequence::from_string("s0", a + insert + b),
+                               seq::Sequence::from_string("s1", a + b), "insertion"};
+  const auto m = static_cast<Index>(pair.s0.size());
+  const auto n = static_cast<Index>(pair.s1.size());
+  const dp::RowVectors last = dp::sweep_rows(pair.s0.bases(), pair.s1.bases(), paper(),
+                                             dp::AlignMode::kGlobal, dp::CellState::kH);
+  const Score goal = last.h[static_cast<std::size_t>(n)];
+  const CrosspointList l2 = {Crosspoint{0, 0, 0, dp::CellState::kH},
+                             Crosspoint{m, n, goal, dp::CellState::kH}};
+
+  // Stage 2's special columns of the one partition: the reverse (H, E) at
+  // each column, rows 0..m, from the transposed reverse sweep.
+  StageHarness h(pair);
+  for (const Index col : {52, 150}) {
+    const dp::MiddleRow rev =
+        dp::reverse_to_row(pair.s1.bases(), pair.s0.bases(), col, paper(), dp::CellState::kH);
+    std::vector<engine::BusCell> cells;
+    for (std::size_t i = 0; i < rev.cc.size(); ++i) cells.push_back({rev.cc[i], rev.dd[i]});
+    (void)h.cols.put(sra::RowKey{col, 0, m, kColsGroupBase}, cells);
+  }
+
+  std::optional<Stage3Result> all;
+  for (const bool prune : {false, true}) {
+    Stage3Config c;
+    c.scheme = paper();
+    c.grid = tiny_grid(4, 4, 2);  // 8-row strips, chunks (0, 50], (50, 100], ...
+    c.cols_area = &h.cols;
+    c.block_pruning = prune;
+    Stage3Result st3 = run_stage3(pair.s0.bases(), pair.s1.bases(), l2, c);
+    ASSERT_EQ(st3.crosspoints.size(), 4u) << "prune " << prune;
+    EXPECT_EQ(st3.crosspoints[1].j, 52);
+    EXPECT_EQ(st3.crosspoints[2].j, 150);
+    EXPECT_GT(st3.crosspoints[2].i, 160);  // Below the insertion.
+    validate_chain_scores(st3.crosspoints, pair.s0.bases(), pair.s1.bases(), paper());
+    if (!prune) {
+      all = std::move(st3);
+      continue;
+    }
+    EXPECT_EQ(st3.crosspoints, all->crosspoints);
+    EXPECT_GT(st3.stats.pruned_tiles, 0);
+  }
+}
+
 TEST(Stage4, PartitionsShrinkBelowMaxSize) {
   // Tight SRA budget: few special rows, so Stage 4 receives large partitions.
   StageHarness h(test::small_related(300, 300, 6000), 3 * 8 * 301);

@@ -40,13 +40,15 @@ int usage() {
            [--gap-ext N] [--kernel NAME] [--audit-bus]
 
 Stage 1 prunes by default: a tile whose best possible continuation cannot
-beat the best score already seen (in its ancestor tiles, or 16 strips up) is
-skipped. Before Stage 1, a banded pass around the pair's dominant diagonal
-finds a real local alignment; its score seeds that bound (the prune floor;
-0 when no diagonal dominates, as on unrelated pairs). Pruning is exact: the
-score, end point and --out are byte-identical to --no-prune, which computes
-all m*n cells (the paper's Stage 1) and no floor. --stats prints the pruned
-cells, their share of m*n and the prune floor.
+beat the best score already seen 16 strips up is skipped. Before Stage 1, a
+banded pass around the pair's dominant diagonal finds a real local
+alignment; its score seeds that bound (the prune floor; 0 when no diagonal
+dominates, as on unrelated pairs). Stages 2-4 prune against their goal
+scores: a tile from which no path can still reach the goal is skipped.
+Pruning is exact: the score, end point and --out are byte-identical to
+--no-prune, which computes every cell of every stage (all m*n in Stage 1,
+the paper's) and no floor. --stats prints the pruned cells, their share of
+m*n and the prune floor, and the cells Stages 2-4 pruned.
 
 --kernel pins a tile-kernel variant for Stages 1-4, one of:
   %s
@@ -238,6 +240,10 @@ int cmd_align(const common::Args& args) {
                 matrix > 0 ? 100.0 * pruned / matrix : 0.0);
     std::printf("stage-1 prune floor: %lld in %.1f ms\n",
                 static_cast<long long>(result.prune_floor), result.prune_floor_seconds * 1e3);
+    std::printf("stages 2-4 pruned cells: %s, %s, %s\n",
+                format_sci(static_cast<double>(result.stages[1].pruned_cells)).c_str(),
+                format_sci(static_cast<double>(result.stages[2].pruned_cells)).c_str(),
+                format_sci(static_cast<double>(result.stages[3].pruned_cells)).c_str());
     std::printf("special rows: %s on disk for %s of rows\n",
                 format_bytes(result.sra_stored_peak_bytes).c_str(),
                 format_bytes(result.sra_peak_bytes).c_str());
