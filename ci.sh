@@ -24,7 +24,8 @@
 #      busy dev box is too noisy for the pre-push loop). Full mode also runs
 #      the micro_kernels kernel sweep into ci-artifacts/BENCH_kernels.json
 #      (an artifact, no gate). Both modes then run the repo benchmark's smoke
-#      check (e2ebench/run.sh --smoke).
+#      check (e2ebench/run.sh --smoke) and its related workload at seed 631,
+#      which must report a correct alignment.
 #   3. Debug build with AddressSanitizer + UndefinedBehaviorSanitizer + full
 #      ctest (contract DCHECKs compiled in)
 #   4. ThreadSanitizer build + full ctest, suppressions in tsan.supp (kept
@@ -197,11 +198,11 @@ stage "release: ctest"
 # (AVX2 on modern hosts). The ISA is a real matrix axis:
 #   fast mode  — rerun just the kernel equivalence/dispatch suites, the
 #                narrow-overflow suite, the sentinel-sweep suite, the
-#                Stage-2, row-crossing and Stage-4 suites (striped32-global
-#                with taps and the probe), the pruning suites (goal pruning
-#                decides from scan_bus_inputs, which has generic, AVX2 and
-#                AVX-512 builds) and the CRC-32 suite under every
-#                supported backend (the cheap pre-push proof;
+#                Stage-2, Stage-3, row-crossing and Stage-4 suites
+#                (striped32-global with taps and the probe), the pruning
+#                suites (goal pruning decides from scan_bus_inputs, which
+#                has generic, AVX2 and AVX-512 builds) and the CRC-32 suite
+#                under every supported backend (the cheap pre-push proof;
 #                CUDALIGN_SIMD=generic also moves the CRC onto its
 #                slice-by-8 fallback);
 #   full mode  — rerun the ENTIRE ctest suite under every ISA the runner
@@ -222,10 +223,10 @@ isa_matrix() {
   echo "$isas"
 }
 if [[ "$FAST" -eq 1 ]]; then
-  stage "release: kernel equivalence and admission, sentinel sweeps, grid fit and tile shapes, Stages 2 and 4, row crossing and CRC, block, seeded and goal pruning, SRA row files, forced ISAs"
+  stage "release: kernel equivalence and admission, sentinel sweeps, grid fit and tile shapes, Stages 2-4, row crossing and CRC, block, seeded and goal pruning, SRA row files, forced ISAs"
   for isa in $(isa_matrix); do
     CUDALIGN_SIMD="$isa" build-ci-release/tests/cudalign_tests \
-      --gtest_filter='KernelEquivalence.*:KernelDispatch.*:Admission.*:LaneEnvelope.*:NarrowOverflow.*:Striped32Global.*:Striped32Local.*:Int16EnvelopeCrossing.*:EngineSentinel.*:Grid.*:TileShapeEquivalence.*:Stage2.*:CrossRow.*:Stage4Tiles.*:Crc32.*:BlockPruning.*:SeededPruning.*:GoalPruning.*:Stage3.GoalPruning*:*PipelineFuzz.GoalPruning*:Sra.*:SraDurability.*:AsyncWriter.*' \
+      --gtest_filter='KernelEquivalence.*:KernelDispatch.*:Admission.*:LaneEnvelope.*:NarrowOverflow.*:Striped32Global.*:Striped32Local.*:Int16EnvelopeCrossing.*:EngineSentinel.*:Grid.*:TileShapeEquivalence.*:Stage2.*:CrossRow.*:Stage4Tiles.*:Crc32.*:BlockPruning.*:SeededPruning.*:GoalPruning.*:Stage3.*:*PipelineFuzz.GoalPruning*:Sra.*:SraDurability.*:AsyncWriter.*' \
       --gtest_brief=1
   done
 else
@@ -300,6 +301,11 @@ fi
 # build or the benchmark's result checks.
 stage "bench: e2ebench smoke"
 e2ebench/run.sh --smoke
+# Seed 631 of the related workload once made Stage 3 take crosspoints from
+# two different optimal paths, and Stage 4 aborted: its run must be correct.
+stage "bench: e2ebench related seed 631"
+e2ebench/run.sh --workload related --seed 631 --seconds 1 --trace 0 | tail -n 1 |
+  grep -q '"correct":true'
 
 if [[ "$FAST" -eq 1 ]]; then
   echo "ci.sh: fast mode — lint + release suite passed"

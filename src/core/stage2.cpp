@@ -4,7 +4,8 @@
 // direction with the global recurrence, one strip at a time: each iteration
 // covers the rectangle between the current crosspoint and the nearest
 // special row above it. Two of the paper's optimizations shape the code, and
-// both live in cross_row, which Stage 4 shares for its middle rows:
+// both live in cross_row, which Stage 3 shares for its special columns and
+// Stage 4 for its middle rows:
 //
 //  * Orthogonal execution: the reverse computation runs along original
 //    *columns* (implemented by handing the engine the transposed+reversed
@@ -45,8 +46,8 @@ namespace cudalign::core {
 
 RowCrossing cross_row(seq::SequenceView a_rev, seq::SequenceView b_rev, const Crosspoint& corner,
                       const Crosspoint& from, std::span<const engine::BusCell> forward, bool probe,
-                      bool prune, const engine::GridSpec& grid, const scoring::Scheme& scheme,
-                      engine::Hooks hooks, ThreadPool* pool) {
+                      bool from_starts, bool prune, const engine::GridSpec& grid,
+                      const scoring::Scheme& scheme, engine::Hooks hooks, ThreadPool* pool) {
   const Index height = from.i - corner.i;
   const Index width = from.j - corner.j;
   CUDALIGN_CHECK(height > 0 && width >= 0, "the row to cross must lie above the crosspoint");
@@ -60,7 +61,9 @@ RowCrossing cross_row(seq::SequenceView a_rev, seq::SequenceView b_rev, const Cr
                          static_cast<std::size_t>(width));
   spec.b = a_rev.subspan(a_rev.size() - static_cast<std::size_t>(from.i),
                          static_cast<std::size_t>(height));
-  spec.recurrence = engine::Recurrence::global_end(transpose_state(from.type), scheme);
+  const dp::CellState origin = transpose_state(from.type);
+  spec.recurrence = from_starts ? engine::Recurrence::global_start(origin, scheme)
+                                : engine::Recurrence::global_end(origin, scheme);
   spec.grid = grid;
 
   // Matching vector: the engine problem's final column == the row to cross.
@@ -189,8 +192,8 @@ Stage2Result run_stage2(seq::SequenceView s0, seq::SequenceView s1, const Crossp
       };
     }
     m.crossing = cross_row(s0_rev, s1_rev, Crosspoint{m.row, 0, 0}, from, m.forward,
-                           /*probe=*/true, config.block_pruning, config.grid, config.scheme,
-                           std::move(hooks), &pool);
+                           /*probe=*/true, /*from_starts=*/false, config.block_pruning,
+                           config.grid, config.scheme, std::move(hooks), &pool);
   };
 
   std::vector<Crosspoint> reverse_chain{end_point};

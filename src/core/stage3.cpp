@@ -1,13 +1,23 @@
 // Stage 3 (paper §IV-D): splitting partitions.
 //
-// Each stage-2 partition is recomputed *forward* (threads horizontal, like
-// Stage 1, orthogonal to Stage 2's execution — Figure 9) with the global
-// recurrence and the start-type-adjusted initialization. Whenever the
-// computation passes one of the special columns saved by Stage 2, the forward
-// (H, E) values are matched against the stored reverse values with the
-// goal-based procedure; once every special column of the partition has its
-// crosspoint — the paper's "last special column intercepted" — the partition's
-// run stops early.
+// Each stage-2 partition is split at the special columns Stage 2 saved in it
+// by goal-based matching (Figure 6), one column at a time in ascending order.
+// Column c is crossed by one cross_row call (stage2.cpp) that starts at the
+// crosspoint `prev` found on the column before it (the partition start for
+// the first): the engine recomputes s0[prev.i, end.i) x s1[prev.j, c)
+// *forward* (threads horizontal, like Stage 1, orthogonal to Stage 2's
+// execution — Figure 9) with the global recurrence entering in prev's state,
+// taps column c, and stops at the first row where the forward values and the
+// stored reverse ones reach the goal end.score - prev.score. So every
+// crosspoint lies on an optimal path through the one before it, and the runs
+// cover only the rectangles between consecutive crosspoints.
+//
+// cross_row crosses a row of the matrix it is handed, coming from a corner
+// with larger coordinates. Stage 3 hands it the transposed, mirrored matrix:
+// vertex (i, j) is (n - j, m - i) there and a score s is -s, so column c is
+// row n - c, `prev` is the corner it comes from, the stored column (reversed
+// to descending rows) is the row's forward values, and the engine problem is
+// the original forward one.
 //
 // Partitions are processed in parallel ("the order of execution of the
 // partitions is irrelevant, so they can be processed in parallel" — and the
@@ -15,7 +25,6 @@
 // implementation delivers it via the thread pool, with the per-partition
 // engine runs degrading to inline execution inside pool workers).
 #include <algorithm>
-#include <map>
 
 #include "common/timer.hpp"
 #include "core/stages.hpp"
@@ -25,117 +34,52 @@ namespace cudalign::core {
 
 namespace {
 
-/// A stored special column ready for matching.
-struct ReverseColumn {
-  Index column = 0;      ///< Original column vertex.
-  Index row_begin = 0;   ///< First original row covered.
-  std::vector<engine::BusCell> cells;  ///< (H, E) of the reverse DP, by row.
-};
-
 struct PartitionOutcome {
   std::vector<Crosspoint> crosspoints;  ///< New crosspoints, ascending column.
-  engine::RunStats run;                 ///< The partition's engine run stats.
+  std::vector<engine::RunStats> runs;   ///< One per crossing.
 };
 
 /// Splits `part` at the special columns Stage 2 stored in `group` of the
-/// columns area. The columns are read here, inside the partition's task, so
-/// Stage 3 holds only the columns of the partitions in flight.
+/// columns area. Each column is read here, right before its crossing, so
+/// Stage 3 holds one column per partition in flight.
 PartitionOutcome split_partition(seq::SequenceView s0, seq::SequenceView s1,
                                  const Partition& part, std::int64_t group,
                                  const Stage3Config& config) {
-  PartitionOutcome outcome;
-  std::vector<ReverseColumn> columns;  // Ascending: group_members sorts by position.
-  for (const std::size_t id : config.cols_area->group_members(group)) {
-    const sra::RowKey& key = config.cols_area->key(id);
-    // Only columns strictly inside the partition can carry a crosspoint.
-    if (key.position <= part.start.j || key.position >= part.end.j) continue;
-    columns.push_back(ReverseColumn{key.position, key.begin, config.cols_area->get(id)});
-  }
-  if (columns.empty()) return outcome;
-
-  const Index m_p = part.height();
-  const Index n_p = part.width();
-  const Score goal = part.score();
-
-  engine::ProblemSpec spec;
-  spec.a = s0.subspan(static_cast<std::size_t>(part.start.i), static_cast<std::size_t>(m_p));
-  spec.b = s1.subspan(static_cast<std::size_t>(part.start.j), static_cast<std::size_t>(n_p));
-  spec.recurrence = engine::Recurrence::global_start(part.start.type, config.scheme);
-  spec.grid = config.grid;
-
+  const auto m = static_cast<Index>(s0.size());
+  const auto n = static_cast<Index>(s1.size());
   engine::Hooks hooks;
   hooks.bus_audit = config.bus_audit;
-  std::map<Index, Crosspoint> found;  // Keyed by column, ordered.
-  hooks.tap_columns.reserve(columns.size());
-  for (const auto& col : columns) hooks.tap_columns.push_back(col.column - part.start.j);
+  PartitionOutcome outcome;
+  Crosspoint prev = part.start;
+  // Ascending by column: group_members sorts by position.
+  for (const std::size_t id : config.cols_area->group_members(group)) {
+    const sra::RowKey& key = config.cols_area->key(id);
+    const Index c = key.position;
+    // Only columns strictly inside the partition can carry a crosspoint.
+    if (c <= part.start.j || c >= part.end.j) continue;
+    CUDALIGN_ASSERT(key.end == part.end.i);
+    // Stored by ascending row; reversed, entry k is row end.i - k, the
+    // mirrored column m - end.i + k.
+    std::vector<engine::BusCell> column = config.cols_area->get(id);
+    std::reverse(column.begin(), column.end());
 
-  hooks.on_tap = [&](Index col_local, Index first_row,
-                     std::span<const engine::BusCell> entries) {
-    const Index col = col_local + part.start.j;
-    if (found.contains(col)) {
-      return found.size() == columns.size() ? engine::HookAction::kStop
-                                            : engine::HookAction::kContinue;
-    }
-    const auto it = std::find_if(columns.begin(), columns.end(),
-                                 [&](const ReverseColumn& c) { return c.column == col; });
-    CUDALIGN_ASSERT(it != columns.end());
-    for (std::size_t k = 0; k < entries.size(); ++k) {
-      const Index i = part.start.i + first_row + static_cast<Index>(k);
-      if (i < it->row_begin) continue;
-      const engine::BusCell& fwd = entries[k];
-      // A horizontal gap run (E) is what crosses a column.
-      if (const auto state = junction(fwd, it->cells[static_cast<std::size_t>(i - it->row_begin)],
-                                      goal, config.scheme, dp::CellState::kE)) {
-        const Score prefix = *state == dp::CellState::kH ? fwd.h : fwd.gap;
-        found.emplace(col, Crosspoint{i, col, static_cast<Score>(part.start.score + prefix),
-                                      *state});
-        break;
-      }
-    }
-    return found.size() == columns.size() ? engine::HookAction::kStop
-                                          : engine::HookAction::kContinue;
-  };
-
-  // Goal pruning: a path still to be matched crosses some special column
-  // c > c0 at a row >= r0 — not necessarily the first column right of c0,
-  // since a path entering a tile from above may already be past it — and
-  // gains at most match * min(m_p - r0, c - c0) on the way. tails[t][k] is
-  // column t's best junction value over the rows of strip k and below: one
-  // entry per strip, not per row.
-  std::vector<std::vector<Score>> tails;
-  if (config.block_pruning) {
-    const Index strip_rows = config.grid.strip_rows();
-    const auto strips = static_cast<std::size_t>(m_p / strip_rows) + 1;
-    for (const ReverseColumn& col : columns) {
-      std::vector<Score>& tail = tails.emplace_back(strips + 1, kNegInf);
-      for (std::size_t q = 0; q < col.cells.size(); ++q) {
-        const Index i = col.row_begin + static_cast<Index>(q) - part.start.i;
-        if (i < 0 || i > m_p) continue;
-        Score& slot = tail[static_cast<std::size_t>(i / strip_rows)];
-        slot = std::max(slot, junction_value(col.cells[q], config.scheme));
-      }
-      for (std::size_t k = strips; k-- > 0;) tail[k] = std::max(tail[k], tail[k + 1]);
-    }
-    spec.block_pruning = true;
-    spec.goal = goal;
-    spec.goal_reach = [&, strip_rows](Index r0, Index c0) {
-      const auto k = static_cast<std::size_t>(r0 / strip_rows);
-      WideScore reach = kNegInf;
-      for (std::size_t t = 0; t < tails.size(); ++t) {
-        const Index c = hooks.tap_columns[t];
-        if (c <= c0) continue;
-        reach = std::max(reach, WideScore{config.scheme.match} * std::min(m_p - r0, c - c0) +
-                                    tails[t][k]);
-      }
-      return reach;
-    };
+    const RowCrossing crossing =
+        cross_row(s1, s0, Crosspoint{n - c, m - part.end.i, -part.end.score},
+                  Crosspoint{n - prev.j, m - prev.i, -prev.score, transpose_state(prev.type)},
+                  column, /*probe=*/false, /*from_starts=*/true, config.block_pruning,
+                  config.grid, config.scheme, hooks, config.pool);
+    outcome.runs.push_back(crossing.run);
+    CUDALIGN_CHECK(crossing.next.has_value(), "stage 3 found no crosspoint on special column ", c,
+                   " (partition ", part.height(), "x", part.width(), " goal ", part.score(), ")");
+    // Mirrored back, the hit scores end.score minus the reverse suffix. A
+    // gap crossing's L_k score is the forward gap prefix, which is G_open
+    // lower, since the two gap halves each charge the run's opening.
+    const Crosspoint& hit = *crossing.next;
+    Score score = -hit.score;
+    if (hit.type != dp::CellState::kH) score -= config.scheme.gap_open();
+    prev = Crosspoint{m - hit.j, c, score, transpose_state(hit.type)};
+    outcome.crosspoints.push_back(prev);
   }
-
-  const engine::RunResult run = engine::run_wavefront(spec, hooks, config.pool);
-  outcome.run = run.stats;
-  CUDALIGN_CHECK(found.size() == columns.size(),
-                 "stage 3 failed to intercept every special column of a partition");
-  for (const auto& [col, cp] : found) outcome.crosspoints.push_back(cp);
   return outcome;
 }
 
@@ -176,7 +120,7 @@ Stage3Result run_stage3(seq::SequenceView s0, seq::SequenceView s1, const Crossp
   for (std::size_t p = 0; p < parts.size(); ++p) {
     result.crosspoints.push_back(parts[p].start);
     for (const Crosspoint& cp : outcomes[p].crosspoints) result.crosspoints.push_back(cp);
-    result.stats.add_run(outcomes[p].run);
+    for (const engine::RunStats& run : outcomes[p].runs) result.stats.add_run(run);
   }
   result.crosspoints.push_back(l2.back());
   result.stats.sra_rows_read = config.cols_area->rows_read() - cols_count_before;

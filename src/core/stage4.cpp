@@ -18,8 +18,10 @@
 // kernel family as Stages 1-3 — the striped int32 global sweep wherever its
 // envelope admits the tile — and crosses the middle row with Stage 2's
 // cross_row. The forward half and the orthogonal reverse pass skip the tiles
-// no path can cross at the partition's goal (Stage4Config::block_pruning). The implementation is iterative (a worklist, not
-// recursion), which the paper notes is the GPU-friendly formulation.
+// no path can cross at the partition's goal (Stage4Config::block_pruning).
+//
+// The implementation is iterative (a worklist, not recursion), which the
+// paper notes is the GPU-friendly formulation.
 #include <algorithm>
 #include <deque>
 #include <span>
@@ -113,8 +115,8 @@ SplitOutcome split_by_row(seq::SequenceView a, seq::SequenceView a_rev, seq::Seq
   if (config.orthogonal) {
     const RowCrossing crossing =
         cross_row(a_rev, b_rev, Crosspoint{part.start.i + mid, part.start.j, part.start.score},
-                  part.end, cc_dd, /*probe=*/false, config.block_pruning,
-                  reverse_grid(n), scheme, {}, config.pool);
+                  part.end, cc_dd, /*probe=*/false, /*from_starts=*/false,
+                  config.block_pruning, reverse_grid(n), scheme, {}, config.pool);
     out.rev = crossing.run;
     CUDALIGN_CHECK(crossing.next.has_value(),
                    "stage 4 orthogonal matching reached no goal column (partition ", m, "x", n,

@@ -201,20 +201,27 @@ struct Stage2Result {
 [[nodiscard]] Stage2Result run_stage2(seq::SequenceView s0, seq::SequenceView s1,
                                       const Crosspoint& end_point, const Stage2Config& config);
 
-/// One goal-matched row crossing (Figure 6 with orthogonal execution), the
-/// step Stage 2 takes per special row and Stage 4 per middle row: `next` is
-/// the crosspoint on the row or, when the probe fires first, the start point
-/// (score corner.score, type H); none when neither was reached.
+/// One goal-matched crossing (Figure 6 with orthogonal execution), the step
+/// Stage 2 takes per special row, Stage 3 per special column and Stage 4 per
+/// middle row: `next` is the crosspoint on the row or, when the probe fires
+/// first, the start point (score corner.score, type H); none when neither was
+/// reached.
 struct RowCrossing {
   std::optional<Crosspoint> next;
   engine::RunStats run;
 };
 
-/// Crosses row corner.i on the way back from `from`: the engine runs the
-/// transposed, reversed global_end(transpose_state(from.type)) problem over
-/// rows [corner.i, from.i) x columns [corner.j, from.j) of the matrix whose
-/// reversed sequences are `a_rev` and `b_rev`, tapping the row from the
-/// right. forward[k] is the row's (H, F) at column corner.j + k, relative to
+/// Crosses row corner.i coming from `from`: the engine runs the transposed,
+/// reversed problem over rows [corner.i, from.i) x columns [corner.j, from.j)
+/// of the matrix whose reversed sequences are `a_rev` and `b_rev`, tapping
+/// the row from the right. Its origin is `from`, in state
+/// transpose_state(from.type): global_start when `from_starts` (the sub-path
+/// starts at `from`, entering in from.type with the gap-open discount),
+/// global_end otherwise (it ends there). Stages 2 and 4 cross a row on the
+/// way back from a later crosspoint. Stage 3 crosses a column forward from
+/// an earlier one, by handing over the transposed, mirrored matrix
+/// (stage3.cpp), where the engine's problem is the original one.
+/// forward[k] is the row's (H, F) at column corner.j + k, relative to
 /// corner.score (an empty `forward` taps nothing). `probe` adds the
 /// start-point probe when the goal is reachable. `prune` turns on goal
 /// pruning (engine::ProblemSpec::block_pruning): a tile is skipped when its
@@ -225,13 +232,13 @@ struct RowCrossing {
 [[nodiscard]] RowCrossing cross_row(seq::SequenceView a_rev, seq::SequenceView b_rev,
                                     const Crosspoint& corner, const Crosspoint& from,
                                     std::span<const engine::BusCell> forward, bool probe,
-                                    bool prune, const engine::GridSpec& grid,
+                                    bool from_starts, bool prune, const engine::GridSpec& grid,
                                     const scoring::Scheme& scheme, engine::Hooks hooks,
                                     ThreadPool* pool);
 
 // ---------------------------------------------------------------------------
 // Stage 3 — splitting partitions (paper §IV-D): forward execution inside each
-// partition, matching the stage-2 special columns.
+// partition, crossing the stage-2 special columns one after another.
 // ---------------------------------------------------------------------------
 
 struct Stage3Config {
@@ -240,8 +247,8 @@ struct Stage3Config {
   /// Stage-2 columns (required). Each partition's task reads its own
   /// columns, concurrently with the others (SpecialRowsArea::get).
   sra::SpecialRowsArea* cols_area = nullptr;
-  /// Goal pruning of the partitions' runs (split_partition in stage3.cpp;
-  /// DESIGN.md "Goal pruning (Stages 2-4)"). Exact: L_3 does not change.
+  /// Goal pruning of every crossing (cross_row's `prune`; DESIGN.md "Goal
+  /// pruning (Stages 2-4)"). Exact: L_3 does not change.
   bool block_pruning = true;
   check::BusAuditor* bus_audit = nullptr;
   /// Opt-in span telemetry: one partition-split span only (partitions run on

@@ -264,6 +264,84 @@ TEST_P(PipelineFuzz, GoalPruningKeepsEveryCrosspoint) {
   (void)expect_goal_pruning_exact(c.pair, c.options, "seed " + std::to_string(GetParam()));
 }
 
+// Pairs rich in co-optimal paths: stretches of tandem repeats of a short
+// unit between random flanks. s1 gains or loses whole units in each repeat,
+// and sometimes a long random insertion at a unit boundary, so a gap run can
+// sit at many rows or columns at one score. Point mutations beside the runs
+// add paths that score close to them, such as closing a run and reopening
+// it a few bases on. Stage 2 saves a special column at every strip boundary
+// (a budget for all of them and few special rows), so a partition holds
+// several.
+FuzzCase draw_co_optimal_case(std::uint64_t seed) {
+  Rng rng(seed * 104729);
+  const auto bases = [&](std::uint64_t len) {
+    std::string out;
+    for (std::uint64_t k = 0; k < len; ++k) out += "ACGT"[rng.below(4)];
+    return out;
+  };
+  const auto mutated = [&](std::string text, double rate) {
+    for (char& base : text) {
+      if (rng.chance(rate)) base = "ACGT"[rng.below(4)];
+    }
+    return text;
+  };
+  const std::string unit = bases(1 + rng.below(4));
+  std::string a, b;
+  for (std::uint64_t stretch = 2 + rng.below(3); stretch-- > 0;) {
+    const std::string flank = bases(20 + rng.below(40));
+    a += flank;
+    b += mutated(flank, 0.05);
+    // s1 keeps at least half of the units and gains up to 19; an insertion
+    // at b_copies is none.
+    const std::uint64_t copies = 10 + rng.below(30);
+    const std::uint64_t b_copies = copies - copies / 2 + rng.below(copies / 2 + 20);
+    const std::uint64_t insert_at = rng.chance(0.5) ? rng.below(b_copies) : b_copies;
+    for (std::uint64_t k = 0; k < copies; ++k) a += unit;
+    std::string repeat;
+    for (std::uint64_t k = 0; k < b_copies; ++k) {
+      if (k == insert_at) repeat += bases(20 + rng.below(40));
+      repeat += unit;
+    }
+    b += mutated(repeat, 0.03);
+  }
+  a += bases(20);
+  b += bases(20);
+  FuzzCase c{seq::SequencePair{seq::Sequence::from_string("s0", a),
+                               seq::Sequence::from_string("s1", b), "co-optimal"},
+             PipelineOptions{}};
+  PipelineOptions& options = c.options;
+  options.scheme = test::test_schemes()[rng.below(4)];
+  options.grid_stage1 = tiny_grid(1 + static_cast<Index>(rng.below(6)),
+                                  1 + static_cast<Index>(rng.below(6)),
+                                  1 + static_cast<Index>(rng.below(3)));
+  options.grid_stage23 = tiny_grid(2 + static_cast<Index>(rng.below(3)),
+                                   1 + static_cast<Index>(rng.below(4)),
+                                   1 + static_cast<Index>(rng.below(2)));
+  options.max_partition_size = 4 + static_cast<Index>(rng.below(60));
+  options.sra_rows_budget =
+      8 * (static_cast<std::int64_t>(b.size()) + 1) * (1 + static_cast<std::int64_t>(rng.below(6)));
+  options.sra_cols_budget = std::int64_t{1} << 24;
+  options.block_pruning = rng.chance(0.5);
+  return c;
+}
+
+// Consecutive L_3 crosspoints lie on one optimal path: every partition of
+// L_3 scores its goal under dp::align_global, and so does every one of L_4.
+TEST_P(PipelineFuzz, CoOptimalPairsKeepL3OnOnePath) {
+  const FuzzCase c = draw_co_optimal_case(GetParam());
+  const seq::SequenceView s0 = c.pair.s0.bases();
+  const seq::SequenceView s1 = c.pair.s1.bases();
+  Traceback t;
+  ASSERT_NO_THROW(t = run_traceback(c.pair, c.options, c.options.block_pruning));
+  ASSERT_GE(t.l2.size(), 2u);
+  // Stage 3 adds at least two crosspoints per L_2 partition on average.
+  EXPECT_GE(t.l3.size() - t.l2.size(), 2 * (t.l2.size() - 1));
+  EXPECT_NO_THROW(validate_chain_scores(t.l3, s0, s1, c.options.scheme));
+  EXPECT_NO_THROW(validate_chain_scores(t.l4, s0, s1, c.options.scheme));
+  EXPECT_EQ(t.binary.score,
+            baseline::align_full_matrix(s0, s1, c.options.scheme).alignment.score);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, PipelineFuzz, ::testing::Range<std::uint64_t>(1, 25));
 
 // The fuzz differential above is not vacuous: over its seeds, goal pruning

@@ -224,8 +224,9 @@ std::optional<Crosspoint> checked_cross_row(const seq::SequencePair& pair, const
       const std::string where = label + " on " + std::to_string(workers) + " workers, prune " +
                                 std::to_string(prune);
       ThreadPool pool(workers);
-      const core::RowCrossing got = core::cross_row(s0_rev, s1_rev, corner, from, forward, probe,
-                                                    prune, grid, scheme, {}, &pool);
+      const core::RowCrossing got =
+          core::cross_row(s0_rev, s1_rev, corner, from, forward, probe, /*from_starts=*/false,
+                          prune, grid, scheme, {}, &pool);
       WideScore kernel_cells = 0;
       for (const auto& tally : got.run.kernels) kernel_cells += tally.cells;
       EXPECT_EQ(kernel_cells, got.run.cells) << where;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -431,15 +432,13 @@ TEST(Stage3, AddsCrosspointsOnSpecialColumns) {
   validate_chain_scores(st3.crosspoints, h.pair.s0.bases(), h.pair.s1.bases(), paper());
 }
 
-// Goal pruning in Stage 3 bounds a tile over every special column right of
-// it, not only the first: a path that enters a tile from above may already
-// be past that column. Here s0 is s1 with 60 bases inserted at 100, so the
-// optimal global path crosses the special column at 52 on its diagonal,
-// runs down column 100 through the insertion, and crosses the column at 150
-// further down. The chunk (50, 100] holds column 52, and each of its tiles
-// in the insertion rows is entered from above at column 100, right of it:
-// a bound over column 52 alone would prune them and lose the crossing at
-// 150.
+// Goal pruning keeps a crossing whose path runs down a long vertical gap
+// between two special columns. Here s0 is s1 with 60 bases inserted at 100,
+// so the optimal global path crosses the special column at 52 on its
+// diagonal, runs down column 100 through the insertion, and crosses the
+// column at 150 further down. The crossing of column 150 starts from the
+// crosspoint on 52 and enters the tiles of the insertion rows from above.
+// Pruned or not, L_3 is the same, and pruning skips tiles.
 TEST(Stage3, GoalPruningBoundsEveryColumnRightOfTheTile) {
   const std::string a = rand_seq(100, 5200).to_string();
   const std::string b = rand_seq(100, 5201).to_string();
@@ -489,6 +488,92 @@ TEST(Stage3, GoalPruningBoundsEveryColumnRightOfTheTile) {
     EXPECT_EQ(st3.crosspoints, all->crosspoints);
     EXPECT_GT(st3.stats.pruned_tiles, 0);
   }
+}
+
+/// Stage 3 on the one-partition L_2 from (0, 0) to (m, n) of `pair`, both
+/// ends in state H, whose special `columns` are put by hand as Stage 2
+/// stores them: the reverse (H, E) at each column, rows 0..m, from the
+/// transposed reverse sweep. L_3 must telescope, with one crosspoint per
+/// column, and be the same with goal pruning on and off.
+CrosspointList split_by_hand(const seq::SequencePair& pair, const std::vector<Index>& columns,
+                             const engine::GridSpec& grid) {
+  const auto m = static_cast<Index>(pair.s0.size());
+  const auto n = static_cast<Index>(pair.s1.size());
+  const Score goal = dp::sweep_rows(pair.s0.bases(), pair.s1.bases(), paper(),
+                                    dp::AlignMode::kGlobal, dp::CellState::kH)
+                         .h[static_cast<std::size_t>(n)];
+  const CrosspointList l2 = {Crosspoint{0, 0, 0, dp::CellState::kH},
+                             Crosspoint{m, n, goal, dp::CellState::kH}};
+  StageHarness h(pair);
+  for (const Index col : columns) {
+    const dp::MiddleRow rev =
+        dp::reverse_to_row(pair.s1.bases(), pair.s0.bases(), col, paper(), dp::CellState::kH);
+    std::vector<engine::BusCell> cells;
+    for (std::size_t i = 0; i < rev.cc.size(); ++i) cells.push_back({rev.cc[i], rev.dd[i]});
+    (void)h.cols.put(sra::RowKey{col, 0, m, kColsGroupBase}, cells);
+  }
+  std::optional<CrosspointList> all;
+  for (const bool prune : {false, true}) {
+    Stage3Config c;
+    c.scheme = paper();
+    c.grid = grid;
+    c.cols_area = &h.cols;
+    c.block_pruning = prune;
+    const Stage3Result st3 = run_stage3(pair.s0.bases(), pair.s1.bases(), l2, c);
+    EXPECT_EQ(st3.crosspoints.size(), columns.size() + 2) << "prune " << prune;
+    EXPECT_NO_THROW(validate_chain_scores(st3.crosspoints, pair.s0.bases(), pair.s1.bases(),
+                                          paper()))
+        << "prune " << prune;
+    if (all) {
+      EXPECT_EQ(st3.crosspoints, *all);
+    }
+    all = st3.crosspoints;
+  }
+  return *all;
+}
+
+// A special column inside a horizontal gap run: s1 is s0 with 60 bases
+// inserted at 100, so the optimal path crosses column 130 inside the run, in
+// state E. Its L_3 score must be the forward gap prefix, end.score -
+// rev.gap - G_open (validate_chain_scores telescopes it), and the crossing
+// of column 200 starts from it, inside the run.
+TEST(Stage3, CrossesASpecialColumnInsideAGapRun) {
+  const std::string a = rand_seq(100, 5300).to_string();
+  const std::string b = rand_seq(100, 5301).to_string();
+  // The insertion's ends differ from the bases beside it, so the gap run
+  // cannot slide to another row at the same score.
+  std::string insert = rand_seq(60, 5302).to_string();
+  insert.front() = b.front() == 'A' ? 'C' : 'A';
+  insert.back() = a.back() == 'A' ? 'C' : 'A';
+  const seq::SequencePair pair{seq::Sequence::from_string("s0", a + b),
+                               seq::Sequence::from_string("s1", a + insert + b), "gap-run"};
+  const CrosspointList l3 = split_by_hand(pair, {52, 130, 200}, tiny_grid(4, 4, 2));
+  ASSERT_EQ(l3.size(), 5u);
+  EXPECT_EQ(l3[2], (Crosspoint{100, 130, l3[2].score, dp::CellState::kE}));
+  EXPECT_EQ(l3[3].i, 140);
+}
+
+// Regression for e2ebench `related` seed 631 (seq::make_related_pair(100000,
+// 100000, 631), default grids, 256 MiB SRA). The optimal paths of Stage 2's
+// partition (90112, 85476) -> (90624, 88910) cross its special columns
+// 85838, 86350, ..., 88398 inside a long horizontal gap run, where each
+// column has hits on several co-optimal paths. Matched each on its own against the run
+// from the partition start, the crosspoints on 87886 and 88398 came from two
+// different paths: the partition between them had goal -1018, its best path
+// scores -1021, and Stage 4 aborted. Crossed in turn, each from the
+// crosspoint before it, they lie on one path. Here the partition is cut out
+// as its own pair, its columns put by hand.
+TEST(Stage3, RelatedSeed631CrosspointsLieOnOnePath) {
+  const seq::SequencePair whole = seq::make_related_pair(100000, 100000, 631);
+  const auto cut = [](const seq::Sequence& s, Index from, Index to) {
+    const seq::SequenceView v = s.bases().subspan(static_cast<std::size_t>(from),
+                                                  static_cast<std::size_t>(to - from));
+    return seq::Sequence(s.name(), std::vector<seq::Base>(v.begin(), v.end()));
+  };
+  const seq::SequencePair pair{cut(whole.s0, 90112, 90624), cut(whole.s1, 85476, 88910),
+                               "related-631-partition"};
+  (void)split_by_hand(pair, {362, 874, 1386, 1898, 2410, 2922},
+                      engine::GridSpec::stage23_defaults());
 }
 
 TEST(Stage4, PartitionsShrinkBelowMaxSize) {
