@@ -54,7 +54,6 @@ struct TileArchetype {
   const char* name;
   bool local;
   bool best;
-  bool taps;
   bool find;
   Score bus_h = 0;  ///< Added to every boundary H (and genuine gap) of the tile.
 };
@@ -63,11 +62,10 @@ struct TileArchetype {
 /// have left the int16 envelope: the int32 local kernels (striped32 and the
 /// anti-diagonal v32) run it side by side on identical inputs.
 constexpr TileArchetype kArchetypes[] = {
-    {"local", true, false, false, false},
-    {"local+best", true, true, false, false},
-    {"global", false, false, false, false},
-    {"global+taps", false, false, true, false},
-    {"local+best-past-int16", true, true, false, false, 30000},
+    {"local", true, false, false},
+    {"local+best", true, true, false},
+    {"global", false, false, false},
+    {"local+best-past-int16", true, true, false, 30000},
 };
 
 /// Stage-1 tile shapes swept: 256-row strips at chunk widths 417, 834, 1667
@@ -90,7 +88,6 @@ struct TileBench {
   engine::Recurrence rec;
   std::vector<engine::BusCell> hbus0, vin;
   std::vector<engine::BusCell> hbus, vout;
-  std::vector<Index> tap_cols;
   std::optional<Score> find_value;
   bool track_best = false;
 
@@ -110,7 +107,6 @@ struct TileBench {
       }
     }
     hbus = hbus0;
-    if (arch.taps) tap_cols = {cols / 2, cols};
     if (arch.find) find_value = kNegInf / 8;  // Never hit: times the full scan.
     track_best = arch.best;
   }
@@ -127,7 +123,6 @@ struct TileBench {
     j.hbus = hbus;
     j.vbus_in = vin;
     j.vbus_out = vout;
-    j.tap_cols = tap_cols;
     j.track_best = track_best;
     j.find_value = find_value;
     return j;

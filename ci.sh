@@ -198,8 +198,9 @@ stage "release: ctest"
 # (AVX2 on modern hosts). The ISA is a real matrix axis:
 #   fast mode  — rerun just the kernel equivalence/dispatch suites, the
 #                narrow-overflow suite, the sentinel-sweep suite, the
+#                engine equivalence and last-column suites, the
 #                Stage-2, Stage-3, row-crossing and Stage-4 suites
-#                (striped32-global with taps and the probe), the pruning
+#                (striped32-global with and without the probe), the pruning
 #                suites (goal pruning decides from scan_bus_inputs, which
 #                has generic, AVX2 and AVX-512 builds) and the CRC-32 suite
 #                under every supported backend (the cheap pre-push proof;
@@ -223,10 +224,10 @@ isa_matrix() {
   echo "$isas"
 }
 if [[ "$FAST" -eq 1 ]]; then
-  stage "release: kernel equivalence and admission, sentinel sweeps, grid fit and tile shapes, Stages 2-4, row crossing and CRC, block, seeded and goal pruning, SRA row files, forced ISAs"
+  stage "release: kernel equivalence and admission, sentinel sweeps, engine equivalence and last column, grid fit and tile shapes, Stages 2-4, row crossing and CRC, block, seeded and goal pruning, SRA row files, forced ISAs"
   for isa in $(isa_matrix); do
     CUDALIGN_SIMD="$isa" build-ci-release/tests/cudalign_tests \
-      --gtest_filter='KernelEquivalence.*:KernelDispatch.*:Admission.*:LaneEnvelope.*:NarrowOverflow.*:Striped32Global.*:Striped32Local.*:Int16EnvelopeCrossing.*:EngineSentinel.*:Grid.*:TileShapeEquivalence.*:Stage2.*:CrossRow.*:Stage4Tiles.*:Crc32.*:BlockPruning.*:SeededPruning.*:GoalPruning.*:Stage3.*:*PipelineFuzz.GoalPruning*:Sra.*:SraDurability.*:AsyncWriter.*' \
+      --gtest_filter='KernelEquivalence.*:KernelDispatch.*:Admission.*:LaneEnvelope.*:NarrowOverflow.*:Striped32Global.*:Striped32Local.*:Int16EnvelopeCrossing.*:EngineSentinel.*:EngineEquivalence.*:Engine.*:EngineLastColumn.*:Grid.*:TileShapeEquivalence.*:Stage2.*:CrossRow.*:Stage4Tiles.*:Crc32.*:BlockPruning.*:SeededPruning.*:GoalPruning.*:Stage3.*:*PipelineFuzz.GoalPruning*:Sra.*:SraDurability.*:AsyncWriter.*' \
       --gtest_brief=1
   done
 else

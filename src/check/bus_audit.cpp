@@ -69,7 +69,6 @@ void BusAuditor::begin_run(Index n, Index strips, Index blocks, Index strip_rows
   std::lock_guard lock(mutex_);
   n_ = n;
   strips_ = strips;
-  blocks_ = blocks;
   strip_rows_ = strip_rows;
   ring_ = ring;
   cuts_ = std::move(cuts);
@@ -94,7 +93,7 @@ BusAuditor::Shadow& BusAuditor::vcell(Index strip, Index boundary, Index row) {
 }
 
 bool BusAuditor::vertical_consumed(const Shadow& cell) const {
-  return !cell.written || cell.read_since_write || cell.writer.block + 1 == blocks_;
+  return !cell.written || cell.read_since_write;
 }
 
 void BusAuditor::record(BusViolation::Rule rule, bool horizontal, Index slot,

@@ -8,7 +8,9 @@
 //     it is written exactly once per strip pass — by tile (s, b), holding row
 //     r1 — and read exactly once, by the successor tile (s+1, b);
 //   * vertical bus boundary k is written by tile (s, k-1) (or seeded by the
-//     executor for k = 0) and read by tile (s, k) within the same strip;
+//     executor for k = 0) and read by tile (s, k) within the same strip; the
+//     final boundary k = blocks, the problem's last column, is read by the
+//     strip's retirement, which hands it to Hooks::on_tap;
 //   * no tile may read a slot before its writer has published
 //     (read-before-write), and no tile may overwrite a slot whose previous
 //     value has not been consumed.
@@ -23,7 +25,7 @@
 // (b + 1) % 2. A buffer thus carries boundaries b - 2, b, b + 2, ... of one
 // strip and then of strip s + ring, so a read must find its left
 // neighbour's value (the seed, for b = 0), and a write may replace only a
-// consumed value or the final boundary, which has no reader. A ring smaller
+// consumed value. A ring smaller
 // than the strips the schedule keeps in flight surfaces as
 // overwrite-before-read.
 //
@@ -117,7 +119,8 @@ class BusAuditor {
   void read_horizontal(Index strip, Index block, Index c0, Index c1);
   /// Tile (strip, block) publishes its row-r1 output: slots (c0..c1].
   void write_horizontal(Index strip, Index block, Index c0, Index c1);
-  /// Tile (strip, block) reads vertical boundary `block`, rows [0..rows].
+  /// Tile (strip, block) reads vertical boundary `block`, rows [0..rows];
+  /// block == blocks is the strip's retirement reading the last column.
   void read_vertical(Index strip, Index block, Index rows);
   /// Tile (strip, block) writes vertical boundary `block + 1`, rows [0..rows].
   void write_vertical(Index strip, Index block, Index rows);
@@ -172,14 +175,13 @@ class BusAuditor {
   /// buffer boundary % 2 of slot strip % ring, as in the executor.
   [[nodiscard]] Shadow& vcell(Index strip, Index boundary, Index row) CUDALIGN_REQUIRES(mutex_);
   /// Whether a write may replace the vertical value in `cell`: it was
-  /// consumed, or it is the final boundary, which has no reader.
+  /// consumed.
   [[nodiscard]] bool vertical_consumed(const Shadow& cell) const CUDALIGN_REQUIRES(mutex_);
 
   mutable std::mutex mutex_;
   std::size_t max_recorded_;  ///< Immutable after construction.
   Index n_ CUDALIGN_GUARDED_BY(mutex_) = 0;
   Index strips_ CUDALIGN_GUARDED_BY(mutex_) = 0;
-  Index blocks_ CUDALIGN_GUARDED_BY(mutex_) = 0;
   Index strip_rows_ CUDALIGN_GUARDED_BY(mutex_) = 0;
   Index ring_ CUDALIGN_GUARDED_BY(mutex_) = 2;
   std::vector<Index> cuts_ CUDALIGN_GUARDED_BY(mutex_);

@@ -10,10 +10,10 @@
 //  * Orthogonal execution: the reverse computation runs along original
 //    *columns* (implemented by handing the engine the transposed+reversed
 //    problem, so "rows" of the engine problem are original columns). The
-//    matching vector — the row to cross — is then the engine problem's final
-//    column, delivered strip by strip as the rectified vertical bus; the run
-//    stops at the first goal match, skipping the remaining area (Figure 7's
-//    gray region).
+//    matching vector — the row to cross — is then the engine problem's last
+//    column: the executor hands each strip's share to on_tap as the last
+//    chunk's rectified vertical bus, with no copy, and the run stops at the
+//    first goal match, skipping the remaining area (Figure 7's gray region).
 //
 //  * Goal-based matching: the optimal score through the current crosspoint is
 //    known, so the matcher scans for equality (Hf + Hr == goal, or
@@ -72,8 +72,7 @@ RowCrossing cross_row(seq::SequenceView a_rev, seq::SequenceView b_rev, const Cr
   if (!forward.empty()) {
     CUDALIGN_CHECK(static_cast<Index>(forward.size()) > width,
                    "the forward row must cover every column of the rectangle");
-    hooks.tap_columns = {height};
-    hooks.on_tap = [&](Index /*col*/, Index first_row, std::span<const engine::BusCell> entries) {
+    hooks.on_tap = [&](Index first_row, std::span<const engine::BusCell> entries) {
       for (std::size_t k = 0; k < entries.size(); ++k) {
         const Index j = width - first_row - static_cast<Index>(k);
         const engine::BusCell& fwd = forward[static_cast<std::size_t>(j)];

@@ -7,8 +7,9 @@
 // the first): the engine recomputes s0[prev.i, end.i) x s1[prev.j, c)
 // *forward* (threads horizontal, like Stage 1, orthogonal to Stage 2's
 // execution — Figure 9) with the global recurrence entering in prev's state,
-// taps column c, and stops at the first row where the forward values and the
-// stored reverse ones reach the goal end.score - prev.score. So every
+// reads column c as the engine problem's last column, and stops at the first
+// row where the forward values and the stored reverse ones reach the goal
+// end.score - prev.score. So every
 // crosspoint lies on an optimal path through the one before it, and the runs
 // cover only the rectangles between consecutive crosspoints.
 //

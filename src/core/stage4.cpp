@@ -81,10 +81,10 @@ SplitOutcome split_by_row(seq::SequenceView a, seq::SequenceView a_rev, seq::Seq
   CUDALIGN_ASSERT(mid >= 1 && mid < m);
   SplitOutcome out;
 
-  // Forward half, transposed: engine row j is partition column j and engine
-  // column `mid` the middle row, so the tap there carries (CC, DD) = (H, F)
-  // of vertex (mid, j) — the transposition maps F to E. Entry 0 is the
-  // row-0 tap delivery.
+  // Forward half, transposed: engine row j is partition column j and the
+  // last engine column, `mid`, the middle row, so on_tap carries (CC, DD) =
+  // (H, F) of vertex (mid, j) — the transposition maps F to E. Entry 0 is
+  // the row-0 delivery.
   engine::ProblemSpec fwd;
   fwd.a = slice(b, part.start.j, n);
   fwd.b = slice(a, part.start.i, mid);
@@ -103,8 +103,7 @@ SplitOutcome split_by_row(seq::SequenceView a, seq::SequenceView a_rev, seq::Seq
   std::vector<engine::BusCell> cc_dd;
   cc_dd.reserve(static_cast<std::size_t>(n) + 1);
   engine::Hooks hooks;
-  hooks.tap_columns = {mid};
-  hooks.on_tap = [&](Index, Index, std::span<const engine::BusCell> entries) {
+  hooks.on_tap = [&](Index, std::span<const engine::BusCell> entries) {
     cc_dd.insert(cc_dd.end(), entries.begin(), entries.end());
     return engine::HookAction::kContinue;
   };
@@ -127,8 +126,8 @@ SplitOutcome split_by_row(seq::SequenceView a, seq::SequenceView a_rev, seq::Seq
   }
 
   // The full reverse pass (the ablation), transposed and reversed: engine row
-  // r is partition column n - r and engine column q* = m - mid the middle
-  // row, so the tap at q* carries (RR, SS) of vertex (mid, n - r). It
+  // r is partition column n - r and the last engine column, q* = m - mid,
+  // the middle row, so on_tap carries (RR, SS) of vertex (mid, n - r). It
   // collects the whole row for dp::match_row's maximum search.
   const Index q_star = m - mid;
   engine::ProblemSpec rev;
@@ -137,8 +136,7 @@ SplitOutcome split_by_row(seq::SequenceView a, seq::SequenceView a_rev, seq::Seq
   rev.recurrence = engine::Recurrence::global_end(transpose_state(part.end.type), scheme);
   rev.grid = engine::GridSpec{1, std::max<Index>(n, 1), 1, 1};
   std::vector<engine::BusCell> rr_ss;  // Entry r: partition column n - r.
-  hooks.tap_columns = {q_star};
-  hooks.on_tap = [&](Index, Index, std::span<const engine::BusCell> entries) {
+  hooks.on_tap = [&](Index, std::span<const engine::BusCell> entries) {
     rr_ss.insert(rr_ss.end(), entries.begin(), entries.end());
     return engine::HookAction::kContinue;
   };

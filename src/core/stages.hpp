@@ -213,8 +213,9 @@ struct RowCrossing {
 
 /// Crosses row corner.i coming from `from`: the engine runs the transposed,
 /// reversed problem over rows [corner.i, from.i) x columns [corner.j, from.j)
-/// of the matrix whose reversed sequences are `a_rev` and `b_rev`, tapping
-/// the row from the right. Its origin is `from`, in state
+/// of the matrix whose reversed sequences are `a_rev` and `b_rev`, matching
+/// the row, the engine problem's last column (engine::Hooks::on_tap), from
+/// the right. Its origin is `from`, in state
 /// transpose_state(from.type): global_start when `from_starts` (the sub-path
 /// starts at `from`, entering in from.type with the gap-open discount),
 /// global_end otherwise (it ends there). Stages 2 and 4 cross a row on the
@@ -222,13 +223,13 @@ struct RowCrossing {
 /// an earlier one, by handing over the transposed, mirrored matrix
 /// (stage3.cpp), where the engine's problem is the original one.
 /// forward[k] is the row's (H, F) at column corner.j + k, relative to
-/// corner.score (an empty `forward` taps nothing). `probe` adds the
+/// corner.score (an empty `forward` matches nothing). `probe` adds the
 /// start-point probe when the goal is reachable. `prune` turns on goal
 /// pruning (engine::ProblemSpec::block_pruning): a tile is skipped when its
 /// best input plus match * min(rows left, columns left) plus the best
 /// junction value of `forward` (at least 0 with the probe on) cannot reach
-/// the goal; the crossing is the same either way. cross_row owns the tap and
-/// probe fields of `hooks`; the caller may set the others.
+/// the goal; the crossing is the same either way. cross_row owns the on_tap
+/// and probe fields of `hooks`; the caller may set the others.
 [[nodiscard]] RowCrossing cross_row(seq::SequenceView a_rev, seq::SequenceView b_rev,
                                     const Crosspoint& corner, const Crosspoint& from,
                                     std::span<const engine::BusCell> forward, bool probe,

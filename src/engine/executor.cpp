@@ -37,7 +37,6 @@ struct StripSlot {
   dp::LocalBest best;
   bool found = false;                       ///< Row-major-first probe hit of the strip.
   Index found_i = 0, found_j = 0;
-  std::vector<std::vector<BusCell>> taps;   ///< Per tap column: rows (r0, r1].
   std::vector<BusCell>* row = nullptr;      ///< Special strips only: vertex row r1.
 };
 
@@ -47,15 +46,11 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
   spec.recurrence.scheme.validate();
   CUDALIGN_CHECK(hooks.special_row_interval == 0 || hooks.on_special_row,
                  "special-row flushing requires an on_special_row sink");
-  CUDALIGN_CHECK(hooks.tap_columns.empty() || hooks.on_tap,
-                 "tap columns require an on_tap hook");
-  CUDALIGN_CHECK(std::is_sorted(hooks.tap_columns.begin(), hooks.tap_columns.end()),
-                 "tap columns must be ascending");
   const bool local_pruning = spec.block_pruning && spec.recurrence.mode == AlignMode::kLocal;
   const bool goal_pruning = spec.block_pruning && spec.recurrence.mode == AlignMode::kGlobal;
   if (local_pruning) {
-    CUDALIGN_CHECK(hooks.tap_columns.empty() && !hooks.find_value,
-                   "local block pruning cannot be combined with taps or value probes");
+    CUDALIGN_CHECK(!hooks.on_tap && !hooks.find_value,
+                   "local block pruning cannot be combined with on_tap or value probes");
   }
   if (goal_pruning) {
     CUDALIGN_CHECK(static_cast<bool>(spec.goal_reach),
@@ -78,12 +73,7 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
 
   const Index m = check::checked_cast<Index>(spec.a.size());
   const Index n = check::checked_cast<Index>(spec.b.size());
-  const std::vector<Index>& tap_columns = hooks.tap_columns;
-  for (std::size_t t = 0; t < tap_columns.size(); ++t) {
-    const Index c = tap_columns[t];
-    CUDALIGN_CHECK(c >= 1 && c <= n, "tap columns must be in [1, n]");
-    CUDALIGN_CHECK(t == 0 || tap_columns[t - 1] < c, "tap columns must be unique");
-  }
+  CUDALIGN_CHECK(!hooks.on_tap || n >= 1, "on_tap needs a last column: the problem has n = 0");
 
   Timer timer;
   RunResult result;
@@ -96,8 +86,8 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
                    "resume start row must be a strip boundary (a flushed special row)");
     CUDALIGN_CHECK(static_cast<Index>(spec.initial_hbus.size()) == n + 1,
                    "resume needs the complete restored horizontal bus (n+1 cells)");
-    CUDALIGN_CHECK(tap_columns.empty() && !hooks.find_value,
-                   "resume cannot be combined with taps or value probes (their row-0 "
+    CUDALIGN_CHECK(!hooks.on_tap && !hooks.find_value,
+                   "resume cannot be combined with on_tap or value probes (their row-0 "
                    "boundary delivery would not reflect the restored bus)");
   }
   const Recurrence& rec = spec.recurrence;
@@ -121,10 +111,10 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
                    "initial pruning state is only meaningful when resuming a pruned run");
   }
 
-  // Row-0 tap delivery (boundary vertices, before any strip).
-  for (const Index col : tap_columns) {
-    const BusCell entry{rec.top_boundary(col).h, rec.top_boundary_e(col)};
-    if (hooks.on_tap(col, 0, std::span<const BusCell>(&entry, 1)) == HookAction::kStop) {
+  // Row-0 delivery of the last column (its boundary vertex, before any strip).
+  if (hooks.on_tap) {
+    const BusCell entry{rec.top_boundary(n).h, rec.top_boundary_e(n)};
+    if (hooks.on_tap(0, std::span<const BusCell>(&entry, 1)) == HookAction::kStop) {
       result.stopped_early = true;
       result.stats.seconds = timer.seconds();
       return result;
@@ -136,16 +126,12 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
   }
 
   // Chunk boundaries: near-equal column spans after the peeled column, if
-  // any. Chunk b covers the tap columns with indices [tap_lo[b], tap_lo[b + 1]).
+  // any.
   std::vector<Index> cuts(static_cast<std::size_t>(blocks) + 1);
-  std::vector<std::size_t> tap_lo(static_cast<std::size_t>(blocks) + 1);
   for (Index b = 0; b <= blocks; ++b) {
-    const auto k = static_cast<std::size_t>(b);
-    cuts[k] = b < peel_col0
-                  ? 0
-                  : peel_col0 + (n - peel_col0) * (b - peel_col0) / (blocks - peel_col0);
-    tap_lo[k] = static_cast<std::size_t>(
-        std::upper_bound(tap_columns.begin(), tap_columns.end(), cuts[k]) - tap_columns.begin());
+    cuts[static_cast<std::size_t>(b)] =
+        b < peel_col0 ? 0
+                      : peel_col0 + (n - peel_col0) * (b - peel_col0) / (blocks - peel_col0);
   }
 
   // The schedule fixes how many strips are in flight at once, and with it how
@@ -176,7 +162,10 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
   // Vertical buses: (H, E) per row vertex of a strip, two buffers per strip
   // slot. Tile (s, b) reads buffer b % 2 and writes buffer (b + 1) % 2 of
   // slot s % ring; the tiles of one strip run in chunk order, so the buffer a
-  // tile overwrites was consumed by its left neighbour.
+  // tile overwrites was consumed by its left neighbour. The last tile's
+  // output, boundary `blocks`, is vertex column n: retire(s) hands it to
+  // on_tap, and the window gate keeps strip s + ring, the next writer of
+  // that slot, out until strip s has retired.
   const std::size_t vbus_len = static_cast<std::size_t>(strip_rows) + 1;
   std::vector<std::vector<BusCell>> vbus(2 * static_cast<std::size_t>(ring),
                                          std::vector<BusCell>(vbus_len));
@@ -220,6 +209,8 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
         resumed_pruning ? spec.initial_prune.lagged[static_cast<std::size_t>(k)] : 0};
   }
 
+  // The H a pruned tile publishes: 0 in local mode, where a fresh alignment
+  // can start anywhere, and below every cell's H in global mode.
   const Score pruned_h = goal_pruning ? goal_floor(rec.scheme, m, n) : 0;
 
   auto tile = [&](Index s, Index b) {
@@ -238,7 +229,6 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
         buf[static_cast<std::size_t>(i - r0)] = rec.left_boundary(i);
       }
       if (audit != nullptr) audit->seed_vertical(s, rows);
-      slot.taps.resize(tap_columns.size());
       if (strip_is_special(s)) {
         auto& row = row_buffers[static_cast<std::size_t>((base_strip + s + 1) / interval) %
                                 row_buffers.size()];
@@ -248,7 +238,6 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
       }
     }
 
-    const std::size_t tap_begin = tap_lo[static_cast<std::size_t>(b)];
     TileJob job;
     job.r0 = r0;
     job.r1 = r1;
@@ -262,8 +251,6 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
     const auto vbus_rows = static_cast<std::size_t>(rows) + 1;
     job.vbus_in = std::span<const BusCell>(vbus_at(b, s)).subspan(0, vbus_rows);
     job.vbus_out = std::span<BusCell>(vbus_at(b + 1, s)).subspan(0, vbus_rows);
-    job.tap_cols = std::span<const Index>(tap_columns)
-                       .subspan(tap_begin, tap_lo[static_cast<std::size_t>(b + 1)] - tap_begin);
     job.track_best = rec.mode == AlignMode::kLocal;
     job.find_value = hooks.find_value;
 
@@ -280,38 +267,27 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
     const BusInputs in = scan_bus_inputs(job);
     bool pruned = false;
     if (goal_pruning) {
-      // Goal pruning (see ProblemSpec::block_pruning): publish the global
-      // lower bound on the buses and tap entries, and skip the kernel.
+      // Goal pruning (see ProblemSpec::block_pruning).
       const WideScore max_in = std::max(in.h_hi, in.gap_hi);
-      if (max_in + spec.goal_reach(r0, c0) < spec.goal) {
-        const BusCell low{pruned_h, kNegInf};
-        std::fill(job.hbus.begin() + 1, job.hbus.end(), low);
-        std::fill(job.vbus_out.begin(), job.vbus_out.end(), low);
-        for (std::size_t k = 0; k < job.tap_cols.size(); ++k) {
-          auto& taps = slot.taps[tap_begin + k];
-          taps.insert(taps.end(), static_cast<std::size_t>(rows), low);
-        }
-        pruned = true;
-      }
+      pruned = max_in + spec.goal_reach(r0, c0) < spec.goal;
     } else if (local_pruning) {
       const Index g = base_strip + s;
       const auto& [lag_strip, lag_best] = lagged[static_cast<std::size_t>(g % kPruneLag)];
       CUDALIGN_CHECK(lag_strip == g - kPruneLag, "strip ", g, " was admitted before strip ",
                      g - kPruneLag, " retired");
       const Score target = std::max(lag_best, spec.prune_floor);
-      if (target > 0) {
-        // Best incoming H across the tile's boundary (the corner arrives via
-        // the vertical bus; hbus index 0 is the left neighbour's and stale),
-        // and at least 0: in local mode a fresh alignment can start anywhere.
-        const WideScore bound = WideScore{in.max_h()} +
-                                static_cast<WideScore>(rec.scheme.match) * std::min(m - r0, n - c0);
-        if (bound < target) {
-          // Publish safe lower bounds and skip the kernel.
-          for (std::size_t k = 1; k < job.hbus.size(); ++k) job.hbus[k] = BusCell{0, kNegInf};
-          for (auto& cell : job.vbus_out) cell = BusCell{0, kNegInf};
-          pruned = true;
-        }
-      }
+      // Best incoming H across the tile's boundary (the corner arrives via
+      // the vertical bus; hbus index 0 is the left neighbour's and stale),
+      // and at least 0: in local mode a fresh alignment can start anywhere.
+      const WideScore bound = WideScore{in.max_h()} +
+                              static_cast<WideScore>(rec.scheme.match) * std::min(m - r0, n - c0);
+      pruned = target > 0 && bound < target;
+    }
+    if (pruned) {
+      // Publish safe lower bounds on both buses and skip the kernel.
+      const BusCell low{pruned_h, kNegInf};
+      std::fill(job.hbus.begin() + 1, job.hbus.end(), low);
+      std::fill(job.vbus_out.begin(), job.vbus_out.end(), low);
     }
 
     // One kernel call, folded into the strip's slot. Scratch is reused
@@ -336,10 +312,6 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
         slot.found_i = tr.found_i;
         slot.found_j = tr.found_j;
       }
-      for (std::size_t k = 0; k < tr.taps.size(); ++k) {
-        auto& taps = slot.taps[tap_begin + k];
-        taps.insert(taps.end(), tr.taps[k].begin(), tr.taps[k].end());
-      }
     };
     if (pruned) {
       ++slot.tally.tiles;
@@ -348,8 +320,7 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
     } else if (peel_row0 && s == 0 && rows > 1) {
       // Row 1 apart, then rows (1, r1] from genuine H. The second call
       // publishes its corner (row 1) without E, so the first call's entry is
-      // kept; taps append and the row-major-first probe hit wins, as across
-      // tiles.
+      // kept; the row-major-first probe hit wins, as across tiles.
       TileJob head = job;
       head.r1 = 1;
       head.vbus_in = job.vbus_in.first(2);
@@ -397,6 +368,8 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
     if (slot.best.score > 0) merge_best(result.best, slot.best);
     const Index g = base_strip + s;
     lagged[static_cast<std::size_t>(g % kPruneLag)] = {g, result.best.score};
+    // The strip's last column is the last tile's outgoing vertical bus.
+    if (audit != nullptr) audit->read_vertical(s, blocks, r1 - r0);
 
     bool go = true;
     if (slot.found) {
@@ -405,8 +378,10 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
       result.found_j = slot.found_j;
       go = false;
     }
-    for (std::size_t t = 0; t < tap_columns.size() && go; ++t) {
-      go = hooks.on_tap(tap_columns[t], r0 + 1, slot.taps[t]) != HookAction::kStop;
+    if (go && hooks.on_tap) {
+      const auto column = std::span<const BusCell>(vbus_at(blocks, s))
+                              .subspan(1, static_cast<std::size_t>(r1 - r0));
+      go = hooks.on_tap(r0 + 1, column) != HookAction::kStop;
     }
     if (go && special) {
       if (audit != nullptr) audit->flush_handoff(s);
@@ -497,29 +472,27 @@ RunResult run_reference(const ProblemSpec& spec, const Hooks& hooks) {
   const GridSpec grid = fit_to_width(spec.grid, n);
   const Index strip_rows = grid.strip_rows();
 
-  // Row-0 tap delivery, mirroring run_wavefront.
-  for (Index col : hooks.tap_columns) {
-    const BusCell entry{spec.recurrence.top_boundary(col).h, spec.recurrence.top_boundary_e(col)};
-    if (hooks.on_tap(col, 0, std::span<const BusCell>(&entry, 1)) == HookAction::kStop) {
+  CUDALIGN_CHECK(!hooks.on_tap || n >= 1, "on_tap needs a last column: the problem has n = 0");
+
+  // Row-0 delivery of the last column, mirroring run_wavefront.
+  if (hooks.on_tap) {
+    const BusCell entry{spec.recurrence.top_boundary(n).h, spec.recurrence.top_boundary_e(n)};
+    if (hooks.on_tap(0, std::span<const BusCell>(&entry, 1)) == HookAction::kStop) {
       result.stopped_early = true;
       return result;
     }
   }
   if (m == 0 || n == 0) return result;
 
-  // Accumulate tap entries per strip, then deliver at strip boundaries.
-  std::vector<std::vector<BusCell>> tap_accum(hooks.tap_columns.size());
+  // Accumulate the last column per strip, then deliver at strip boundaries.
+  std::vector<BusCell> column;
   std::vector<BusCell> special_row;  // Handed to on_special_row as the engine's ring entry is.
   Index strip_r0 = 0;
   bool stop = false;
 
   auto deliver_strip = [&](Index r1) {
-    for (std::size_t t = 0; t < hooks.tap_columns.size() && !stop; ++t) {
-      if (hooks.on_tap(hooks.tap_columns[t], strip_r0 + 1, tap_accum[t]) == HookAction::kStop) {
-        stop = true;
-      }
-      tap_accum[t].clear();
-    }
+    if (hooks.on_tap && hooks.on_tap(strip_r0 + 1, column) == HookAction::kStop) stop = true;
+    column.clear();
     strip_r0 = r1;
   };
 
@@ -532,10 +505,8 @@ RunResult run_reference(const ProblemSpec& spec, const Hooks& hooks) {
           result.best = dp::LocalBest{row.h[j], row.i, static_cast<Index>(j)};
         }
       }
-      for (std::size_t t = 0; t < hooks.tap_columns.size(); ++t) {
-        const auto col = static_cast<std::size_t>(hooks.tap_columns[t]);
-        tap_accum[t].push_back(BusCell{row.h[col], row.e[col]});
-      }
+      const auto last = static_cast<std::size_t>(n);
+      column.push_back(BusCell{row.h[last], row.e[last]});
     }
     const bool strip_end = row.i > 0 && (row.i % strip_rows == 0 || row.i == m);
     if (strip_end) {

@@ -4,7 +4,7 @@
 // chunks). One wavefront core covers the tile grid: a tile body (s, b) that
 // runs the kernel and folds its result into its strip's slot, and a strip
 // retirement step that makes the slot observable — stats, best, probe hit,
-// taps, special row, progress — in ascending strip order.
+// last column, special row, progress — in ascending strip order.
 //
 // The schedule is dataflow: each tile runs the moment its left-bus and
 // top-bus inputs are published, and the pool's workers take ready tiles from
@@ -106,19 +106,19 @@ struct ProblemSpec {
   /// of an optimal alignment has bound >= optimum (the path itself gains
   /// optimum - prefix with at most min(m - r0, n - c0) diagonal steps), so it
   /// is never pruned; pruned tiles publish valid lower bounds (H = 0) on
-  /// their buses. A local run with pruning rejects taps and probes.
+  /// their buses. A local run with pruning rejects on_tap and probes.
   ///
   /// In kGlobal mode the same flag turns on *goal pruning* (DESIGN.md "Goal
   /// pruning (Stages 2-4)"), which needs `goal` and `goal_reach`: tile
   /// (s, b) is skipped when max_in + goal_reach(r0, c0) < goal, where max_in
   /// is the largest H or gap value on its input buses. A path through the
   /// tile enters it at or below-right of vertex (r0, c0) with at most max_in,
-  /// so if nothing it can still gain reaches the goal, no hit (tap match or
-  /// probe) lies on it. Cells of a path that reaches a hit at the goal keep
-  /// their exact values; every other value only gets lower, so the hits do
-  /// not change. A pruned global tile publishes H = goal_floor() and gap =
-  /// -inf on its buses and tap entries: a finite H, so the int32 lanes still
-  /// admit its successors.
+  /// so if nothing it can still gain reaches the goal, no hit (last-column
+  /// match or probe) lies on it. Cells of a path that reaches a hit at the
+  /// goal keep their exact values; every other value only gets lower, so the
+  /// hits do not change. A pruned global tile publishes H = goal_floor() and
+  /// gap = -inf on its buses: a finite H, so the int32 lanes still admit its
+  /// successors.
   bool block_pruning = false;
 
   /// Goal pruning (kGlobal with block_pruning): `goal` is the score a path
@@ -168,7 +168,7 @@ struct ProblemSpec {
 /// m x n global problem from either boundary, and so below every cell's H.
 [[nodiscard]] Score goal_floor(const scoring::Scheme& scheme, Index m, Index n);
 
-/// Hook verdict after observing a special row / tap segment.
+/// Hook verdict after observing a last-column segment.
 enum class HookAction {
   kContinue,
   kStop,  ///< Stop scheduling further tiles (orthogonal early exit).
@@ -193,16 +193,16 @@ struct Hooks {
                      const PruneState& prune)>
       on_special_row;
 
-  /// Column taps (ascending vertex columns in (0..n]): as each strip retires,
-  /// the hook receives the (H, E) values at each tap column in ascending
-  /// column order; entry k of the span is row first_row + k (inclusive). The
-  /// row-0 boundary values are delivered once up front as a single-entry
-  /// span with first_row = 0.
-  std::vector<Index> tap_columns;
-  std::function<HookAction(Index col, Index first_row, std::span<const BusCell>)> on_tap;
+  /// The last column (paper §IV-C2: orthogonal execution matches against it):
+  /// as each strip retires, the hook receives the (H, E) values of vertex
+  /// column n for its rows; entry k of the span is row first_row + k. The
+  /// span is the last chunk's outgoing vertical bus itself, no copy. The
+  /// row-0 boundary value is delivered once up front as a single-entry span
+  /// with first_row = 0. A problem with n = 0 is refused.
+  std::function<HookAction(Index first_row, std::span<const BusCell>)> on_tap;
 
   /// Probe: report the row-major-first cell whose H equals this value, then
-  /// stop. Checked as each strip retires, before its taps: the first strip
+  /// stop. Checked as each strip retires, before on_tap: the first strip
   /// with a hit reports the smallest (i, j) among its tiles' hits.
   std::optional<Score> find_value;
 

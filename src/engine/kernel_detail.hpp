@@ -19,8 +19,8 @@
 
 namespace cudalign::engine::detail {
 
-/// Validates the job's bus geometry and returns a result sized for it (cells
-/// count, tap buffers). Shared prologue of every kernel variant.
+/// Validates the job's bus geometry and returns a result carrying its cells
+/// count. Shared prologue of every kernel variant.
 inline TileResult make_tile_result(const TileJob& job) {
   const Index w = job.c1 - job.c0;
   const Index rows = job.r1 - job.r0;
@@ -30,8 +30,6 @@ inline TileResult make_tile_result(const TileJob& job) {
   CUDALIGN_ASSERT(static_cast<Index>(job.vbus_out.size()) == rows + 1);
   TileResult result;
   result.cells = static_cast<WideScore>(w) * rows;
-  result.taps.resize(job.tap_cols.size());
-  for (auto& tap : result.taps) tap.resize(static_cast<std::size_t>(rows));
   return result;
 }
 
@@ -42,16 +40,16 @@ inline TileResult make_tile_result(const TileJob& job) {
 TileResult run_legacy(const TileJob& job, TileScratch& scratch);
 
 /// Global row sweep with a query-profile inner loop, for the tiles lane rows
-/// do not take: narrow tiles and the executor's peeled sentinel lines. Rows
-/// split at the tap columns at run time; the probe is a template parameter.
-/// Exact for global jobs without best tracking whose probe matches kFind.
+/// do not take: narrow tiles and the executor's peeled sentinel lines. The
+/// probe is a template parameter. Exact for global jobs without best
+/// tracking whose probe matches kFind.
 template <bool kFind>
 TileResult run_scalar(const TileJob& job, TileScratch& scratch);
 
 // --- kernels_vector.cpp ----------------------------------------------------
 
 /// Branch-free anti-diagonal sweep over LaneT lanes (int16_t or int32_t),
-/// local mode only, no taps/probe. The int16_t instantiation is exact only
+/// local mode only, no probe. The int16_t instantiation is exact only
 /// within its registry row's kInt16Reach rule; int32_t is exact on every
 /// non-empty local tile.
 template <typename LaneT, bool kBest>
@@ -130,28 +128,26 @@ template <typename LaneT, bool kBest>
 TileResult run_striped(const TileJob& job, TileScratch& scratch);
 
 /// The same sweep in global mode on int32 lanes (plain arithmetic, no zero
-/// floor, the kInt32 rule), dispatched to its taps/probe specialisation and
-/// then to the ISA.
+/// floor, the kInt32 rule), dispatched to its probe specialisation and then
+/// to the ISA.
 TileResult run_striped32_global(const TileJob& job, TileScratch& scratch);
 
 /// The striped tuples every ISA backend TU compiles, as (lane, local, best,
-/// taps, find): the four narrow local (lane, best) pairs, int32 local+best,
-/// and the four global int32 (taps, find) pairs. `PREFIX` is `template` in
-/// the defining TU and `extern template` here.
-#define CUDALIGN_STRIPED_ISA_INSTANTIATIONS(PREFIX, FN)                                        \
-  PREFIX TileResult FN<std::int8_t, true, false, false, false>(const TileJob&, TileScratch&);  \
-  PREFIX TileResult FN<std::int8_t, true, true, false, false>(const TileJob&, TileScratch&);   \
-  PREFIX TileResult FN<std::int16_t, true, false, false, false>(const TileJob&, TileScratch&); \
-  PREFIX TileResult FN<std::int16_t, true, true, false, false>(const TileJob&, TileScratch&);  \
-  PREFIX TileResult FN<std::int32_t, true, true, false, false>(const TileJob&, TileScratch&);  \
-  PREFIX TileResult FN<std::int32_t, false, false, false, false>(const TileJob&, TileScratch&); \
-  PREFIX TileResult FN<std::int32_t, false, false, false, true>(const TileJob&, TileScratch&);  \
-  PREFIX TileResult FN<std::int32_t, false, false, true, false>(const TileJob&, TileScratch&);  \
-  PREFIX TileResult FN<std::int32_t, false, false, true, true>(const TileJob&, TileScratch&);
+/// find): the four narrow local (lane, best) pairs, int32 local+best, and
+/// the two global int32 find values. `PREFIX` is `template` in the defining
+/// TU and `extern template` here.
+#define CUDALIGN_STRIPED_ISA_INSTANTIATIONS(PREFIX, FN)                                 \
+  PREFIX TileResult FN<std::int8_t, true, false, false>(const TileJob&, TileScratch&);  \
+  PREFIX TileResult FN<std::int8_t, true, true, false>(const TileJob&, TileScratch&);   \
+  PREFIX TileResult FN<std::int16_t, true, false, false>(const TileJob&, TileScratch&); \
+  PREFIX TileResult FN<std::int16_t, true, true, false>(const TileJob&, TileScratch&);  \
+  PREFIX TileResult FN<std::int32_t, true, true, false>(const TileJob&, TileScratch&);  \
+  PREFIX TileResult FN<std::int32_t, false, false, false>(const TileJob&, TileScratch&); \
+  PREFIX TileResult FN<std::int32_t, false, false, true>(const TileJob&, TileScratch&);
 
 /// AVX2 entry points, compiled in the -mavx2 translation unit. Only called
 /// when avx2_kernels_compiled() and the CPU supports AVX2.
-template <typename LaneT, bool kLocal, bool kBest, bool kTaps, bool kFind>
+template <typename LaneT, bool kLocal, bool kBest, bool kFind>
 TileResult run_striped_avx2(const TileJob& job, TileScratch& scratch);
 
 /// True when kernels_striped_avx2.cpp was built with AVX2 code generation.
@@ -159,7 +155,7 @@ TileResult run_striped_avx2(const TileJob& job, TileScratch& scratch);
 
 /// AVX-512 entry points, compiled in the -mavx512bw translation unit. Only
 /// called when avx512_kernels_compiled() and the CPU supports AVX-512BW.
-template <typename LaneT, bool kLocal, bool kBest, bool kTaps, bool kFind>
+template <typename LaneT, bool kLocal, bool kBest, bool kFind>
 TileResult run_striped_avx512(const TileJob& job, TileScratch& scratch);
 
 /// True when kernels_striped_avx512.cpp was built with AVX-512BW codegen.

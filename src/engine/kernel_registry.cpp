@@ -22,24 +22,23 @@ using dp::AlignMode;
 
 constexpr std::size_t kCount = kKernelIdCount;
 
-// The tuples the rows compute; legacy computes all 16.
-constexpr unsigned kLocalPlain = KernelTraits{AlignMode::kLocal, false, false, false}.bit();
-constexpr unsigned kLocalBest = KernelTraits{AlignMode::kLocal, true, false, false}.bit();
-constexpr unsigned kGlobalPlain = KernelTraits{AlignMode::kGlobal, false, false, false}.bit();
-constexpr unsigned kGlobalTaps = KernelTraits{AlignMode::kGlobal, false, true, false}.bit();
-constexpr unsigned kGlobalFind = KernelTraits{AlignMode::kGlobal, false, false, true}.bit();
-constexpr unsigned kGlobalTapsFind = KernelTraits{AlignMode::kGlobal, false, true, true}.bit();
-constexpr unsigned kEveryTuple = 0xFFFF;
+// The tuples the rows compute; legacy computes all 8.
+constexpr unsigned kLocalPlain = KernelTraits{AlignMode::kLocal, false, false}.bit();
+constexpr unsigned kLocalBest = KernelTraits{AlignMode::kLocal, true, false}.bit();
+constexpr unsigned kGlobalPlain = KernelTraits{AlignMode::kGlobal, false, false}.bit();
+constexpr unsigned kGlobalFind = KernelTraits{AlignMode::kGlobal, false, true}.bit();
+constexpr unsigned kEveryTuple = 0xFF;
 
 /// The registry, in KernelId order. Columns: id, name, cost, tuples, lane
 /// rule, entry point. The executor tracks the best on every local tile, so
-/// the int32 local sweep has only the best-tracking tuple.
+/// the int32 local sweep has only the best-tracking tuple. The scalar probe
+/// row keeps the name "scalar-global+taps+find", which pins and traces use.
 constexpr std::array<KernelVariant, kCount> kTable = {{
     {KernelId::kLegacy, "legacy", 30, kEveryTuple, LaneRule::kNone, &detail::run_legacy},
-    {KernelId::kScalarGlobal, "scalar-global", 20, kGlobalPlain | kGlobalTaps, LaneRule::kNone,
+    {KernelId::kScalarGlobal, "scalar-global", 20, kGlobalPlain, LaneRule::kNone,
      &detail::run_scalar<false>},
-    {KernelId::kScalarGlobalTapsFind, "scalar-global+taps+find", 20,
-     kGlobalFind | kGlobalTapsFind, LaneRule::kNone, &detail::run_scalar<true>},
+    {KernelId::kScalarGlobalTapsFind, "scalar-global+taps+find", 20, kGlobalFind,
+     LaneRule::kNone, &detail::run_scalar<true>},
     {KernelId::kVec16Local, "v16-local", 10, kLocalPlain, LaneRule::kInt16Reach,
      &detail::run_vector<std::int16_t, false>},
     {KernelId::kVec16LocalBest, "v16-local+best", 10, kLocalBest, LaneRule::kInt16Reach,
@@ -56,9 +55,8 @@ constexpr std::array<KernelVariant, kCount> kTable = {{
      &detail::run_striped<std::int16_t, false>},
     {KernelId::kStriped16LocalBest, "striped16-local+best", 8, kLocalBest, LaneRule::kInt16,
      &detail::run_striped<std::int16_t, true>},
-    {KernelId::kStriped32Global, "striped32-global", 9,
-     kGlobalPlain | kGlobalTaps | kGlobalFind | kGlobalTapsFind, LaneRule::kInt32,
-     &detail::run_striped32_global},
+    {KernelId::kStriped32Global, "striped32-global", 9, kGlobalPlain | kGlobalFind,
+     LaneRule::kInt32, &detail::run_striped32_global},
     {KernelId::kStriped32LocalBest, "striped32-local+best", 9, kLocalBest, LaneRule::kInt32,
      &detail::run_striped<std::int32_t, true>},
 }};

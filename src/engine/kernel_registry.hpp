@@ -10,8 +10,8 @@
 // translation unit holds admission code. Dispatch walks the table in cost
 // order and picks the cheapest row that admits the job — so the Stage-1 hot
 // path (plain local, small scores) lands on a narrow striped sweep, a
-// Stage-1 tile past the int16 window and a global tile of Stages 2-4 (taps
-// and probe included) on the int32 striped sweep, a global tile outside its
+// Stage-1 tile past the int16 window and a global tile of Stages 2-4 (probe
+// included) on the int32 striped sweep, a global tile outside its
 // envelope (narrow, or with sentinel H inputs) on the scalar global row
 // sweep, and anything else on the legacy do-everything loop. All variants
 // are bit-identical to run_reference; lane rules encode *exactness* (the
@@ -50,18 +50,15 @@ namespace cudalign::engine {
 struct KernelTraits {
   dp::AlignMode mode = dp::AlignMode::kLocal;
   bool best = false;
-  bool taps = false;
   bool find = false;
 
   [[nodiscard]] static KernelTraits of(const TileJob& job) noexcept {
-    return KernelTraits{job.recurrence->mode, job.track_best, !job.tap_cols.empty(),
-                        job.find_value.has_value()};
+    return KernelTraits{job.recurrence->mode, job.track_best, job.find_value.has_value()};
   }
-  /// This tuple's bit in a row's tuple set: one of 16 (mode x best x taps x
-  /// find).
+  /// This tuple's bit in a row's tuple set: one of 8 (mode x best x find).
   [[nodiscard]] constexpr unsigned bit() const noexcept {
-    const unsigned index = (mode == dp::AlignMode::kGlobal ? 8U : 0U) | (best ? 4U : 0U) |
-                           (taps ? 2U : 0U) | (find ? 1U : 0U);
+    const unsigned index =
+        (mode == dp::AlignMode::kGlobal ? 4U : 0U) | (best ? 2U : 0U) | (find ? 1U : 0U);
     return 1U << index;
   }
   friend bool operator==(const KernelTraits&, const KernelTraits&) = default;

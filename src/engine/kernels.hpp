@@ -7,11 +7,11 @@
 // updates the horizontal bus in place to the row-r1 values and emits a fresh
 // vertical-bus segment for column c1 — the paper's "rectified vertical bus"
 // (§IV-C2): the true last-column values, not a trailing internal diagonal.
+// The last chunk's segment is the problem's last column, which the executor
+// hands to the goal-based matching of Stages 2-4 (Hooks::on_tap) as is.
 //
 // On top of the plain DP the kernel supports the probes the stages need:
 //   * local-best tracking (Stage 1),
-//   * column taps — (H, E) vectors at requested interior columns, feeding the
-//     goal-based matching procedures of Stages 2/3,
 //   * a value probe — report the first cell whose H equals a target (Stage
 //     2's start-point detection).
 #pragma once
@@ -37,7 +37,7 @@ namespace cudalign::engine {
 /// can see exactly which code path ran.
 enum class KernelId : std::uint8_t {
   kLegacy = 0,        ///< The original do-everything scalar loop (fallback + bench baseline).
-  kScalarGlobal,      ///< Global row sweep (query-profile inner loop), taps or not ...
+  kScalarGlobal,      ///< Global row sweep (query-profile inner loop) ...
   kScalarGlobalTapsFind,  ///< ... and the same sweep with the value probe.
   kVec16Local,        ///< Branch-free anti-diagonal sweep, 16-bit lanes.
   kVec16LocalBest,
@@ -47,7 +47,7 @@ enum class KernelId : std::uint8_t {
   kStriped8LocalBest,
   kStriped16Local,    ///< Farrar-striped row sweep, 16-bit lanes.
   kStriped16LocalBest,
-  kStriped32Global,   ///< Farrar-striped row sweep, global mode, 32-bit lanes (taps/probe).
+  kStriped32Global,   ///< Farrar-striped row sweep, global mode, 32-bit lanes (probe or not).
   kStriped32LocalBest,  ///< Farrar-striped row sweep, local mode, 32-bit lanes (past int16).
   kCount,
 };
@@ -93,7 +93,7 @@ struct Recurrence {
   [[nodiscard]] BusCell top_boundary(Index j) const;
   /// Column-0 boundary vertex values at row i (H and E for the vertical bus).
   [[nodiscard]] BusCell left_boundary(Index i) const;
-  /// E value on the row-0 boundary (needed for tap entries at row 0).
+  /// E value on the row-0 boundary (the last column's row-0 entry).
   [[nodiscard]] Score top_boundary_e(Index j) const;
   /// F value on the column-0 boundary (needed for special-row entries at
   /// column 0; the vertical bus itself carries E, not F).
@@ -111,7 +111,6 @@ struct TileJob {
   std::span<const BusCell> vbus_in;   ///< Vertices [r0..r1] at column c0.
   std::span<BusCell> vbus_out;        ///< Vertices [r0..r1] at column c1.
 
-  std::span<const Index> tap_cols;    ///< Ascending, each within (c0..c1].
   bool track_best = false;
   std::optional<Score> find_value;
 };
@@ -143,7 +142,6 @@ struct TileResult {
   dp::LocalBest best;                            ///< Valid if track_best.
   bool found = false;                            ///< find_value hit.
   Index found_i = 0, found_j = 0;                ///< First hit in row-major order.
-  std::vector<std::vector<BusCell>> taps;        ///< Per tap col: rows (r0..r1].
   WideScore cells = 0;
   KernelId kernel = KernelId::kLegacy;           ///< Variant that computed the tile.
   /// Set by a narrow striped kernel whose lanes passed their envelope

@@ -7,9 +7,8 @@
 //     instead of a per-cell match/mismatch branch, and
 //   * it runs global mode only, so the zero floor and best tracking are gone
 //     from its loop, and the value probe is a template parameter.
-// Both split each row at the tap columns at run time and produce
-// bit-identical buses, taps and probe results. Each keeps its own row loop,
-// so legacy stays an independent oracle for the global sweep.
+// Both produce bit-identical buses and probe results. Each keeps its own row
+// loop, so legacy stays an independent oracle for the global sweep.
 #include <algorithm>
 
 #include "engine/kernel_detail.hpp"
@@ -52,44 +51,11 @@ void publish_row_state(const TileJob& job, const Score* h, const Score* f, Index
 // Legacy kernel: the seed's monolithic loop, kept bit-for-bit.
 // ---------------------------------------------------------------------------
 
-/// Hot inner loop over one row segment, cells k in [k_begin, k_end].
-///
-/// Plain (non-saturating) adds are safe: -infinity sentinel chains drift by
-/// at most (m+n)*G_first below kNegInf, which stays far above INT32_MIN for
-/// any m+n < ~300M while remaining detected by is_neg_inf(); genuine scores
-/// are bounded well inside the sentinel threshold (see common/types.hpp).
-template <bool kLocal, bool kBest, bool kFind>
-inline void legacy_segment(const TileJob& job, Score* h, Score* f, Score& diag, Score& e_run,
-                           Index i, seq::Base ai, Index k_begin, Index k_end,
-                           const scoring::Scheme& s, TileResult& result) {
-  const Score gap_ext = s.gap_ext;
-  const Score gap_first = s.gap_first;
-  const seq::Base* b = job.b.data() + job.c0;
-  for (Index k = k_begin; k <= k_end; ++k) {
-    const Score up_h = h[k];
-    const Score new_f = std::max<Score>(f[k] - gap_ext, up_h - gap_first);
-    const Score new_e = std::max<Score>(e_run - gap_ext, h[k - 1] - gap_first);
-    Score new_h = std::max(new_e, new_f);
-    new_h = std::max<Score>(new_h, diag + s.pair(ai, b[k - 1]));
-    if constexpr (kLocal) new_h = std::max<Score>(new_h, 0);
-    diag = up_h;
-    h[k] = new_h;
-    f[k] = new_f;
-    e_run = new_e;
-
-    if constexpr (kBest) {
-      if (new_h > result.best.score) result.best = dp::LocalBest{new_h, i, job.c0 + k};
-    }
-    if constexpr (kFind) {
-      if (!result.found && new_h == *job.find_value) {
-        result.found = true;
-        result.found_i = i;
-        result.found_j = job.c0 + k;
-      }
-    }
-  }
-}
-
+/// The row sweep. Plain (non-saturating) adds are safe: -infinity sentinel
+/// chains drift by at most (m+n)*G_first below kNegInf, which stays far
+/// above INT32_MIN for any m+n < ~300M while remaining detected by
+/// is_neg_inf(); genuine scores are bounded well inside the sentinel
+/// threshold (see common/types.hpp).
 template <bool kLocal, bool kBest, bool kFind>
 void legacy_rows(const TileJob& job, Score* h, Score* f, const scoring::Scheme& s,
                  TileResult& result) {
@@ -98,57 +64,39 @@ void legacy_rows(const TileJob& job, Score* h, Score* f, const scoring::Scheme& 
   // of this scalar sweep on x86 (register pressure; the row arrays are
   // L1-resident anyway), so the scalar loop is the deliberate choice here.
   const Index w = job.c1 - job.c0;
+  const Score gap_ext = s.gap_ext;
+  const Score gap_first = s.gap_first;
+  const seq::Base* b = job.b.data() + job.c0;
   for (Index i = job.r0 + 1; i <= job.r1; ++i) {
     const seq::Base ai = job.a[static_cast<std::size_t>(i - 1)];
     const BusCell left = job.vbus_in[static_cast<std::size_t>(i - job.r0)];
     Score diag = h[0];
     h[0] = left.h;
     Score e_run = left.gap;
-    if (job.tap_cols.empty()) {
-      legacy_segment<kLocal, kBest, kFind>(job, h, f, diag, e_run, i, ai, 1, w, s, result);
-    } else {
-      // Split the row at tap columns so the hot loop stays branch-free.
-      Index k = 1;
-      for (std::size_t t = 0; t < job.tap_cols.size(); ++t) {
-        const Index tap_k = job.tap_cols[t] - job.c0;
-        legacy_segment<kLocal, kBest, kFind>(job, h, f, diag, e_run, i, ai, k, tap_k, s, result);
-        result.taps[t][static_cast<std::size_t>(i - job.r0 - 1)] = BusCell{h[tap_k], e_run};
-        k = tap_k + 1;
+    for (Index k = 1; k <= w; ++k) {
+      const Score up_h = h[k];
+      const Score new_f = std::max<Score>(f[k] - gap_ext, up_h - gap_first);
+      const Score new_e = std::max<Score>(e_run - gap_ext, h[k - 1] - gap_first);
+      Score new_h = std::max(new_e, new_f);
+      new_h = std::max<Score>(new_h, diag + s.pair(ai, b[k - 1]));
+      if constexpr (kLocal) new_h = std::max<Score>(new_h, 0);
+      diag = up_h;
+      h[k] = new_h;
+      f[k] = new_f;
+      e_run = new_e;
+
+      if constexpr (kBest) {
+        if (new_h > result.best.score) result.best = dp::LocalBest{new_h, i, job.c0 + k};
       }
-      legacy_segment<kLocal, kBest, kFind>(job, h, f, diag, e_run, i, ai, k, w, s, result);
+      if constexpr (kFind) {
+        if (!result.found && new_h == *job.find_value) {
+          result.found = true;
+          result.found_i = i;
+          result.found_j = job.c0 + k;
+        }
+      }
     }
     job.vbus_out[static_cast<std::size_t>(i - job.r0)] = BusCell{h[w], e_run};
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Global row sweep.
-// ---------------------------------------------------------------------------
-
-template <bool kFind>
-inline void profile_segment(const TileJob& job, Score* h, Score* f, Score& diag, Score& e_run,
-                            Index i, const Score* prow, Index k_begin, Index k_end,
-                            const scoring::Scheme& s, TileResult& result) {
-  const Score gap_ext = s.gap_ext;
-  const Score gap_first = s.gap_first;
-  for (Index k = k_begin; k <= k_end; ++k) {
-    const Score up_h = h[k];
-    const Score new_f = std::max<Score>(f[k] - gap_ext, up_h - gap_first);
-    const Score new_e = std::max<Score>(e_run - gap_ext, h[k - 1] - gap_first);
-    Score new_h = std::max(new_e, new_f);
-    new_h = std::max<Score>(new_h, diag + prow[k]);
-    diag = up_h;
-    h[k] = new_h;
-    f[k] = new_f;
-    e_run = new_e;
-
-    if constexpr (kFind) {
-      if (!result.found && new_h == *job.find_value) {
-        result.found = true;
-        result.found_i = i;
-        result.found_j = job.c0 + k;
-      }
-    }
   }
 }
 
@@ -187,6 +135,8 @@ TileResult run_legacy(const TileJob& job, TileScratch& scratch) {
 template <bool kFind>
 TileResult run_scalar(const TileJob& job, TileScratch& scratch) {
   const scoring::Scheme& s = job.recurrence->scheme;
+  const Score gap_ext = s.gap_ext;
+  const Score gap_first = s.gap_first;
   const Index w = job.c1 - job.c0;
 
   TileResult result = make_tile_result(job);
@@ -201,15 +151,25 @@ TileResult run_scalar(const TileJob& job, TileScratch& scratch) {
     Score diag = h[0];
     h[0] = left.h;
     Score e_run = left.gap;
-    // Split the row at tap columns so the hot loop stays branch-free.
-    Index k = 1;
-    for (std::size_t t = 0; t < job.tap_cols.size(); ++t) {
-      const Index tap_k = job.tap_cols[t] - job.c0;
-      profile_segment<kFind>(job, h, f, diag, e_run, i, prow, k, tap_k, s, result);
-      result.taps[t][static_cast<std::size_t>(i - job.r0 - 1)] = BusCell{h[tap_k], e_run};
-      k = tap_k + 1;
+    for (Index k = 1; k <= w; ++k) {
+      const Score up_h = h[k];
+      const Score new_f = std::max<Score>(f[k] - gap_ext, up_h - gap_first);
+      const Score new_e = std::max<Score>(e_run - gap_ext, h[k - 1] - gap_first);
+      Score new_h = std::max(new_e, new_f);
+      new_h = std::max<Score>(new_h, diag + prow[k]);
+      diag = up_h;
+      h[k] = new_h;
+      f[k] = new_f;
+      e_run = new_e;
+
+      if constexpr (kFind) {
+        if (!result.found && new_h == *job.find_value) {
+          result.found = true;
+          result.found_i = i;
+          result.found_j = job.c0 + k;
+        }
+      }
     }
-    profile_segment<kFind>(job, h, f, diag, e_run, i, prow, k, w, s, result);
     job.vbus_out[static_cast<std::size_t>(i - job.r0)] = BusCell{h[w], e_run};
   }
 

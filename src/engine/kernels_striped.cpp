@@ -364,16 +364,16 @@ namespace detail {
 namespace {
 
 /// Runtime ISA dispatch shared by every striped entry point.
-template <typename LaneT, bool kLocal, bool kBest, bool kTaps, bool kFind>
+template <typename LaneT, bool kLocal, bool kBest, bool kFind>
 TileResult run_striped_isa(const TileJob& job, TileScratch& scratch) {
   switch (active_simd_isa()) {
     case SimdIsa::kAvx512:
-      return run_striped_avx512<LaneT, kLocal, kBest, kTaps, kFind>(job, scratch);
+      return run_striped_avx512<LaneT, kLocal, kBest, kFind>(job, scratch);
     case SimdIsa::kAvx2:
-      return run_striped_avx2<LaneT, kLocal, kBest, kTaps, kFind>(job, scratch);
+      return run_striped_avx2<LaneT, kLocal, kBest, kFind>(job, scratch);
     case SimdIsa::kSse2:
 #if defined(__SSE2__)
-      return run_striped_core<Sse2Backend<LaneT>, kLocal, kBest, kTaps, kFind>(job, scratch);
+      return run_striped_core<Sse2Backend<LaneT>, kLocal, kBest, kFind>(job, scratch);
 #else
       break;  // Unreachable: active_simd_isa never reports an unsupported ISA.
 #endif
@@ -381,11 +381,11 @@ TileResult run_striped_isa(const TileJob& job, TileScratch& scratch) {
       break;
   }
   if constexpr (sizeof(LaneT) == 1) {
-    return run_striped_core<Generic8, kLocal, kBest, kTaps, kFind>(job, scratch);
+    return run_striped_core<Generic8, kLocal, kBest, kFind>(job, scratch);
   } else if constexpr (sizeof(LaneT) == 2) {
-    return run_striped_core<Generic16, kLocal, kBest, kTaps, kFind>(job, scratch);
+    return run_striped_core<Generic16, kLocal, kBest, kFind>(job, scratch);
   } else {
-    return run_striped_core<Generic32, kLocal, kBest, kTaps, kFind>(job, scratch);
+    return run_striped_core<Generic32, kLocal, kBest, kFind>(job, scratch);
   }
 }
 
@@ -393,16 +393,12 @@ TileResult run_striped_isa(const TileJob& job, TileScratch& scratch) {
 
 template <typename LaneT, bool kBest>
 TileResult run_striped(const TileJob& job, TileScratch& scratch) {
-  return run_striped_isa<LaneT, true, kBest, false, false>(job, scratch);
+  return run_striped_isa<LaneT, true, kBest, false>(job, scratch);
 }
 
 TileResult run_striped32_global(const TileJob& job, TileScratch& scratch) {
-  const bool taps = !job.tap_cols.empty();
-  const bool find = job.find_value.has_value();
-  if (taps && find) return run_striped_isa<std::int32_t, false, false, true, true>(job, scratch);
-  if (taps) return run_striped_isa<std::int32_t, false, false, true, false>(job, scratch);
-  if (find) return run_striped_isa<std::int32_t, false, false, false, true>(job, scratch);
-  return run_striped_isa<std::int32_t, false, false, false, false>(job, scratch);
+  if (job.find_value) return run_striped_isa<std::int32_t, false, false, true>(job, scratch);
+  return run_striped_isa<std::int32_t, false, false, false>(job, scratch);
 }
 
 template TileResult run_striped<std::int8_t, false>(const TileJob&, TileScratch&);

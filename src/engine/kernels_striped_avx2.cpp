@@ -123,9 +123,9 @@ BusInputs scan_bus_inputs_avx2(const TileJob& job) noexcept {
   return scan_bus_inputs_for<Avx2Isa>(job);
 }
 
-template <typename LaneT, bool kLocal, bool kBest, bool kTaps, bool kFind>
+template <typename LaneT, bool kLocal, bool kBest, bool kFind>
 TileResult run_striped_avx2(const TileJob& job, TileScratch& scratch) {
-  return run_striped_core<Avx2Backend<LaneT>, kLocal, kBest, kTaps, kFind>(job, scratch);
+  return run_striped_core<Avx2Backend<LaneT>, kLocal, kBest, kFind>(job, scratch);
 }
 
 CUDALIGN_STRIPED_ISA_INSTANTIATIONS(template, run_striped_avx2)
@@ -143,7 +143,7 @@ BusInputs scan_bus_inputs_avx2(const TileJob& job) noexcept {
   return scan_bus_inputs_for<BaselineIsa>(job);
 }
 
-template <typename LaneT, bool kLocal, bool kBest, bool kTaps, bool kFind>
+template <typename LaneT, bool kLocal, bool kBest, bool kFind>
 TileResult run_striped_avx2(const TileJob& job, TileScratch& scratch) {
   (void)job;
   (void)scratch;

@@ -17,8 +17,8 @@
 // is ruled out *before* running, and dispatch falls back to the wide kernel
 // (kernel_registry.cpp), so no saturation can silently corrupt a score.
 //
-// Feature envelope: local mode, optional best tracking; no taps, no value
-// probe (those stay on the specialized row sweeps). Best tracking preserves
+// Feature envelope: local mode, optional best tracking; no value probe (it
+// stays on the specialized row sweeps). Best tracking preserves
 // the scalar kernels' row-major first-occurrence tie-break by reducing each
 // diagonal to its max and, only when that max can beat the running best,
 // re-scanning the diagonal with the full (score, i, j) comparator.

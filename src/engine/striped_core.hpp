@@ -66,8 +66,8 @@
 //     form above is an identity of exact integer arithmetic, so the sweep is
 //     byte-identical wherever nothing wraps — which the same kInt32 rule
 //     guarantees.
-//     Taps read (H, E) after pass 2; the value probe scans a row in
-//     row-major order once a vector compare has seen the target in it.
+//     The value probe scans a row in row-major order once a vector compare
+//     has seen the target in it.
 //
 // Pad columns (slots >= w of the last lanes) receive real values but — all
 // dataflow being non-decreasing in column index — never feed one; the
@@ -136,8 +136,8 @@ struct StripedBindings<std::int32_t> {
 /// (narrow adds/subs saturate, int32 ones wrap; inside the envelope no
 /// genuine value does either). Every lane movement and test of the row
 /// epilogue goes through these ops, so it stays in vector registers. kBest
-/// is local-only; kTaps and kFind are global-only.
-template <typename B, bool kLocal, bool kBest, bool kTaps = false, bool kFind = false>
+/// is local-only; kFind is global-only.
+template <typename B, bool kLocal, bool kBest, bool kFind = false>
 TileResult run_striped_core(const TileJob& job, TileScratch& scratch) {
   using Lane = typename B::Lane;
   using V = typename B::V;
@@ -147,8 +147,8 @@ TileResult run_striped_core(const TileJob& job, TileScratch& scratch) {
   /// int32 lanes perform the scalar kernels' own arithmetic.
   static constexpr bool kNarrow = sizeof(Lane) < sizeof(Score);
   static_assert(kLocal || !kNarrow, "global mode needs the scalar kernels' int32 arithmetic");
-  static_assert(kLocal ? !kTaps && !kFind : !kBest,
-                "striped features: best tracking in local mode, taps/probe in global mode");
+  static_assert(kLocal ? !kFind : !kBest,
+                "striped features: best tracking in local mode, the probe in global mode");
 
   const Recurrence& rec = *job.recurrence;
   const scoring::Scheme& s = rec.scheme;
@@ -183,7 +183,7 @@ TileResult run_striped_core(const TileJob& job, TileScratch& scratch) {
   // Workspace: three lane planes — H (previous row during pass 1, rewritten
   // in place), F, and the intra-segment gap scan E (one spare vector so pass
   // 1 can store the shifted scan unconditionally) — plus entry_row, the
-  // bridge result, stored once per row for the last-column E and the taps.
+  // bridge result, stored once per row for the last-column E.
   auto& ws = StripedBindings<Lane>::workspace(scratch);
   ws.resize(static_cast<std::size_t>(3 * wpad + 2 * p));
   Lane* H = ws.data();
@@ -410,20 +410,6 @@ TileResult run_striped_core(const TileJob& job, TileScratch& scratch) {
     }
     job.vbus_out[static_cast<std::size_t>(i)] = BusCell{h_last, e_pub};
     h0_prev = left.h;
-
-    if constexpr (kTaps) {
-      // Tap (H, E) at column j (0-based, lane l, vector k): E folds the
-      // lane's entry exactly as pass 2 did, as e_pub does for the last column.
-      for (std::size_t tp = 0; tp < job.tap_cols.size(); ++tp) {
-        const Index j = job.tap_cols[tp] - job.c0 - 1;
-        const std::size_t sl = slot(j);
-        const Score e_tap = std::max(static_cast<Score>(E[sl]),
-                                     static_cast<Score>(entry_row[j / t]) -
-                                         static_cast<Score>(j % t) * ext);
-        result.taps[tp][static_cast<std::size_t>(i - 1)] =
-            BusCell{static_cast<Score>(H[sl]), e_tap};
-      }
-    }
 
     if constexpr (kFind) {
       // A lane compare saw the target somewhere in this row (perhaps only in

@@ -90,9 +90,9 @@ fi
 "$CLI" align "$DIR/a.fasta" "$DIR/b.fasta" --kernel striped16-local+best \
        --out "$DIR/pinned.bin" --report "$DIR/pinned.json" | grep -q "run report"
 grep -q '"kernel": "striped16-local+best"' "$DIR/pinned.json"
-# The scalar global rows run whole pipelines: pinned, every global tile with
-# or without taps (then with the probe) runs on one of them, and --out keeps
-# the default run's bytes.
+# The scalar global rows run whole pipelines: pinned, every global tile
+# without the probe (then with it) runs on one of them, and --out keeps the
+# default run's bytes.
 for kernel in scalar-global scalar-global+taps+find; do
   "$CLI" align "$DIR/a.fasta" "$DIR/b.fasta" --kernel "$kernel" \
          --out "$DIR/pin-$kernel.bin" > /dev/null

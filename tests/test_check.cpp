@@ -147,10 +147,12 @@ class BusAuditReplay : public ::testing::Test {
     a.seed_vertical(1, 2);
     if (tiles < 2) return;
     tile(a, 0, 1);
+    retire(a, 0);
     if (tiles < 3) return;
     tile(a, 1, 0);
     if (tiles < 4) return;
     tile(a, 1, 1);
+    retire(a, 1);
   }
 
   void tile(BusAuditor& a, Index s, Index b) {
@@ -160,6 +162,9 @@ class BusAuditReplay : public ::testing::Test {
     a.write_horizontal(s, b, c0, c1);
     a.write_vertical(s, b, 2);
   }
+
+  // Strip retirement reads the final boundary, the last column.
+  void retire(BusAuditor& a, Index s) { a.read_vertical(s, 2, 2); }
 };
 
 TEST_F(BusAuditReplay, LegalScheduleIsClean) {
@@ -357,14 +362,41 @@ TEST_F(BusAuditHappensBefore, ConsumedPlaneIsReusableAfterRotation) {
   auditor.seed_vertical(0, 2);
   tile(auditor, 0, 0);  // Consumes boundary 0 of slot 0, publishes boundary 1.
   auditor.seed_vertical(1, 2);
-  tile(auditor, 0, 1);  // Consumes boundary 1.
+  tile(auditor, 0, 1);  // Consumes boundary 1, publishes the last column.
+  retire(auditor, 0);   // Consumes the last column.
   auditor.seed_vertical(2, 2);
   tile(auditor, 1, 0);
   tile(auditor, 1, 1);
+  retire(auditor, 1);
   tile(auditor, 2, 0);
   tile(auditor, 2, 1);
-  auditor.seed_vertical(3, 2);  // Slot 0 again — everything on it was read or final.
+  retire(auditor, 2);
+  auditor.seed_vertical(3, 2);  // Slot 0 again — everything on it was read.
   EXPECT_TRUE(auditor.ok()) << auditor.report();
+}
+
+TEST_F(BusAuditHappensBefore, LastColumnOverwrittenBeforeRetirementIsFlagged) {
+  // Strip 0 never retired, so its last column (boundary 2, buffer 0 of slot
+  // 0) is unread when strip 3 seeds that buffer: the hand-off to on_tap is
+  // lost. Retiring strip 0 after that reads strip 3's seed.
+  BusAuditor auditor;
+  begin_hb(auditor, 3);
+  auditor.seed_horizontal();
+  auditor.seed_vertical(0, 2);
+  tile(auditor, 0, 0);
+  tile(auditor, 0, 1);
+  auditor.seed_vertical(3, 2);
+  ASSERT_FALSE(auditor.ok());
+  const auto v = auditor.violations();
+  EXPECT_EQ(v[0].rule, BusViolation::Rule::kOverwriteBeforeRead);
+  EXPECT_FALSE(v[0].horizontal);
+  EXPECT_EQ(v[0].prior.strip, 0);
+  EXPECT_EQ(v[0].prior.block, 1);
+  EXPECT_EQ(v[0].current.strip, 3);
+  const std::size_t before = v.size();
+  retire(auditor, 0);
+  ASSERT_GT(auditor.violations().size(), before);
+  EXPECT_EQ(auditor.violations()[before].rule, BusViolation::Rule::kReadAfterOverwrite);
 }
 
 TEST(BusAuditModel, RejectsEmptyRing) {
@@ -392,6 +424,7 @@ void replay_diagonals(BusAuditor& a, Index strips, Index blocks, Index ring) {
       a.read_vertical(s, b, 2);
       a.write_horizontal(s, b, 2 * b, 2 * b + 2);
       a.write_vertical(s, b, 2);
+      if (b + 1 == blocks) a.read_vertical(s, blocks, 2);  // Retirement.
     }
   }
 }

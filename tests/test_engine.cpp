@@ -1,5 +1,5 @@
 // The wavefront engine vs the single-sweep reference: identical DP values,
-// special rows, taps and best cells for every grid shape and worker count.
+// special rows, last column and best cells for every grid shape and worker count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -135,13 +135,13 @@ class EngineEquivalence : public ::testing::TestWithParam<EngineCase> {};
 
 struct Captured {
   std::map<Index, std::vector<BusCell>> special_rows;
-  std::map<std::pair<Index, Index>, std::vector<BusCell>> taps;  // (col, first_row).
+  std::map<Index, std::vector<BusCell>> last_column;  ///< By first_row.
 };
 
 /// Runs the engine on a pool of `workers`, or the reference sweep when it is
-/// empty.
-Captured run_with_hooks(const ProblemSpec& spec, Index interval, std::vector<Index> taps,
-                        std::optional<int> workers, dp::LocalBest* best_out) {
+/// empty, capturing its special rows and last column.
+Captured run_with_hooks(const ProblemSpec& spec, Index interval, std::optional<int> workers,
+                        dp::LocalBest* best_out) {
   Captured captured;
   Hooks hooks;
   hooks.special_row_interval = interval;
@@ -151,13 +151,10 @@ Captured run_with_hooks(const ProblemSpec& spec, Index interval, std::vector<Ind
       captured.special_rows[row] = std::vector<BusCell>(cells.begin(), cells.end());
     };
   }
-  hooks.tap_columns = std::move(taps);
-  if (!hooks.tap_columns.empty()) {
-    hooks.on_tap = [&](Index col, Index first_row, std::span<const BusCell> cells) {
-      captured.taps[{col, first_row}] = std::vector<BusCell>(cells.begin(), cells.end());
-      return HookAction::kContinue;
-    };
-  }
+  hooks.on_tap = [&](Index first_row, std::span<const BusCell> cells) {
+    captured.last_column[first_row] = std::vector<BusCell>(cells.begin(), cells.end());
+    return HookAction::kContinue;
+  };
   std::optional<ThreadPool> pool;
   if (workers) pool.emplace(*workers);
   const auto result =
@@ -181,17 +178,15 @@ TEST_P(EngineEquivalence, MatchesReferenceSweep) {
   spec.recurrence = p.mode == 0 ? engine::Recurrence::local(paper())
                                 : engine::Recurrence::global_start(start, paper());
 
-  const Index interval = 2;
-  std::vector<Index> taps{std::max<Index>(1, p.n / 3), std::max<Index>(1, p.n / 2), p.n};
-  taps.erase(std::unique(taps.begin(), taps.end()), taps.end());
+  // Interval 1: every strip boundary's row, interior columns included.
+  const Index interval = 1;
 
   dp::LocalBest reference_best;
-  const Captured reference_out =
-      run_with_hooks(spec, interval, taps, std::nullopt, &reference_best);
+  const Captured reference_out = run_with_hooks(spec, interval, std::nullopt, &reference_best);
   for (const int workers : kWorkerCounts) {
     SCOPED_TRACE("workers " + std::to_string(workers));
     dp::LocalBest engine_best;
-    const Captured engine_out = run_with_hooks(spec, interval, taps, workers, &engine_best);
+    const Captured engine_out = run_with_hooks(spec, interval, workers, &engine_best);
 
     EXPECT_EQ(engine_best.score, reference_best.score);
     EXPECT_EQ(engine_best.i, reference_best.i);
@@ -202,13 +197,7 @@ TEST_P(EngineEquivalence, MatchesReferenceSweep) {
       ASSERT_TRUE(engine_out.special_rows.contains(row)) << "missing special row " << row;
       EXPECT_EQ(engine_out.special_rows.at(row), cells) << "special row " << row;
     }
-    ASSERT_EQ(engine_out.taps.size(), reference_out.taps.size());
-    for (const auto& [key, cells] : reference_out.taps) {
-      ASSERT_TRUE(engine_out.taps.contains(key))
-          << "missing tap col " << key.first << " first_row " << key.second;
-      EXPECT_EQ(engine_out.taps.at(key), cells)
-          << "tap col " << key.first << " first_row " << key.second;
-    }
+    EXPECT_EQ(engine_out.last_column, reference_out.last_column);
   }
 }
 
@@ -247,8 +236,8 @@ INSTANTIATE_TEST_SUITE_P(Shapes, EngineEquivalence, ::testing::ValuesIn(engine_c
                            return name;
                          });
 
-// Fuzz: random geometry, grids, modes and tap sets, engine (1 and 4 workers)
-// vs reference.
+// Fuzz: random geometry, grids, modes and special-row intervals, engine (1
+// and 4 workers) vs reference, at interval 1 (every strip boundary) too.
 class EngineFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(EngineFuzz, RandomConfigurationMatchesReference) {
@@ -268,24 +257,21 @@ TEST_P(EngineFuzz, RandomConfigurationMatchesReference) {
   spec.recurrence = mode == 0 ? engine::Recurrence::local(paper())
                               : engine::Recurrence::global_start(start, paper());
 
-  // Random ascending unique tap set.
-  std::vector<Index> taps;
-  for (Index c = 1; c <= n; ++c) {
-    if (rng.chance(0.05)) taps.push_back(c);
-  }
-  const Index interval = 1 + static_cast<Index>(rng.below(4));
-
-  dp::LocalBest rb;
-  const Captured reference_out = run_with_hooks(spec, interval, taps, std::nullopt, &rb);
-  for (const int workers : kWorkerCounts) {
-    SCOPED_TRACE("workers " + std::to_string(workers));
-    dp::LocalBest eb;
-    const Captured engine_out = run_with_hooks(spec, interval, taps, workers, &eb);
-    EXPECT_EQ(eb.score, rb.score);
-    EXPECT_EQ(eb.i, rb.i);
-    EXPECT_EQ(eb.j, rb.j);
-    EXPECT_EQ(engine_out.special_rows, reference_out.special_rows);
-    EXPECT_EQ(engine_out.taps, reference_out.taps);
+  const Index drawn = 1 + static_cast<Index>(rng.below(4));
+  for (const Index interval : {Index{1}, drawn}) {
+    dp::LocalBest rb;
+    const Captured reference_out = run_with_hooks(spec, interval, std::nullopt, &rb);
+    for (const int workers : kWorkerCounts) {
+      SCOPED_TRACE("interval " + std::to_string(interval) + ", workers " +
+                   std::to_string(workers));
+      dp::LocalBest eb;
+      const Captured engine_out = run_with_hooks(spec, interval, workers, &eb);
+      EXPECT_EQ(eb.score, rb.score);
+      EXPECT_EQ(eb.i, rb.i);
+      EXPECT_EQ(eb.j, rb.j);
+      EXPECT_EQ(engine_out.special_rows, reference_out.special_rows);
+      EXPECT_EQ(engine_out.last_column, reference_out.last_column);
+    }
   }
 }
 
@@ -370,9 +356,8 @@ TEST(Engine, TapStopEndsRun) {
   for (const int workers : kWorkerCounts) {
     SCOPED_TRACE("workers " + std::to_string(workers));
     Hooks hooks;
-    hooks.tap_columns = {50};
     int calls = 0;
-    hooks.on_tap = [&](Index, Index first_row, std::span<const BusCell>) {
+    hooks.on_tap = [&](Index first_row, std::span<const BusCell>) {
       ++calls;
       // Stop as soon as rows past 16 arrive.
       return first_row > 16 ? HookAction::kStop : HookAction::kContinue;
@@ -395,14 +380,12 @@ TEST(Engine, EmptyProblemDeliversBoundaryTaps) {
   spec.grid = tiny_grid(2, 2, 2);
   spec.recurrence = engine::Recurrence::global_start(CellState::kH, paper());
   Hooks hooks;
-  hooks.tap_columns = {2};
   int calls = 0;
-  hooks.on_tap = [&](Index col, Index first_row, std::span<const BusCell> cells) {
+  hooks.on_tap = [&](Index first_row, std::span<const BusCell> cells) {
     ++calls;
-    EXPECT_EQ(col, 2);
     EXPECT_EQ(first_row, 0);
     EXPECT_EQ(cells.size(), 1u);
-    EXPECT_EQ(cells[0].h, -(5 + 2));  // Gap run of length 2 on row 0.
+    EXPECT_EQ(cells[0].h, -(5 + 2 * 2));  // Gap run of length 3 on row 0.
     return HookAction::kContinue;
   };
   const auto run = engine::run_wavefront(spec, hooks);
@@ -410,17 +393,18 @@ TEST(Engine, EmptyProblemDeliversBoundaryTaps) {
   EXPECT_EQ(run.stats.cells, 0);
 }
 
+// The last column of an n = 0 problem is column 0, the left boundary: no
+// tile publishes it, so on_tap is refused there.
 TEST(Engine, TapColumnZeroRejected) {
   const auto a = rand_seq(4, 2);
   ProblemSpec spec;
-  spec.a = a.bases();
-  spec.b = a.bases();
+  spec.a = a.bases();  // b stays empty: a 4 x 0 problem.
   spec.grid = tiny_grid(1, 1, 1);
   spec.recurrence = engine::Recurrence::global_start(CellState::kH, paper());
   Hooks hooks;
-  hooks.tap_columns = {0};
-  hooks.on_tap = [](Index, Index, std::span<const BusCell>) { return HookAction::kContinue; };
+  hooks.on_tap = [](Index, std::span<const BusCell>) { return HookAction::kContinue; };
   EXPECT_THROW((void)engine::run_wavefront(spec, hooks), Error);
+  EXPECT_THROW((void)engine::run_reference(spec, hooks), Error);
 }
 
 TEST(Engine, BusMemoryIsLinear) {
@@ -434,16 +418,6 @@ TEST(Engine, BusMemoryIsLinear) {
   const auto run = engine::run_wavefront(spec, Hooks{});
   // Far below quadratic: buses are O(n + B*strip).
   EXPECT_LT(run.stats.bus_bytes, 100u * 1024u);
-}
-
-TEST(Engine, UnsortedTapColumnsRejected) {
-  ProblemSpec spec;
-  spec.recurrence = engine::Recurrence::global_start(CellState::kH, paper());
-  spec.grid = tiny_grid(1, 1, 1);
-  Hooks hooks;
-  hooks.tap_columns = {5, 3};
-  hooks.on_tap = [](Index, Index, std::span<const BusCell>) { return HookAction::kContinue; };
-  EXPECT_THROW((void)engine::run_wavefront(spec, hooks), Error);
 }
 
 TEST(Engine, SpecialRowsNeedSink) {
@@ -1015,7 +989,7 @@ TEST(EngineSentinel, PeeledSweepsMatchReferenceOnStripedTiles) {
         std::find(row1.begin() + 1, row1.end(), target) - row1.begin());
     for (const Index blocks : {1, 4}) {
       spec.grid = tiny_grid(blocks, 16, 2);  // Strips of 32 rows.
-      const Captured reference = run_with_hooks(spec, 1, {1, n}, std::nullopt, nullptr);
+      const Captured reference = run_with_hooks(spec, 1, std::nullopt, nullptr);
       for (const int workers : kWorkerCounts) {
         const std::string label = std::string("end") + std::to_string(static_cast<int>(end)) +
                                   " B=" + std::to_string(blocks) +
@@ -1030,9 +1004,8 @@ TEST(EngineSentinel, PeeledSweepsMatchReferenceOnStripedTiles) {
                                    const dp::LocalBest&, const engine::PruneState&) {
           got.special_rows[row] = std::vector<BusCell>(cells.begin(), cells.end());
         };
-        hooks.tap_columns = {1, n};
-        hooks.on_tap = [&](Index col, Index first_row, std::span<const BusCell> cells) {
-          got.taps[{col, first_row}] = std::vector<BusCell>(cells.begin(), cells.end());
+        hooks.on_tap = [&](Index first_row, std::span<const BusCell> cells) {
+          got.last_column[first_row] = std::vector<BusCell>(cells.begin(), cells.end());
           return HookAction::kContinue;
         };
         const auto run = engine::run_wavefront(spec, hooks, &pool);
@@ -1052,10 +1025,10 @@ TEST(EngineSentinel, PeeledSweepsMatchReferenceOnStripedTiles) {
           EXPECT_TRUE(same_or_both_unreachable(got.special_rows[row], cells))
               << label << " special row " << row;
         }
-        ASSERT_EQ(got.taps.size(), reference.taps.size()) << label;
-        for (const auto& [key, cells] : reference.taps) {
-          EXPECT_TRUE(same_or_both_unreachable(got.taps[key], cells))
-              << label << " tap col " << key.first << " first_row " << key.second;
+        ASSERT_EQ(got.last_column.size(), reference.last_column.size()) << label;
+        for (const auto& [first_row, cells] : reference.last_column) {
+          EXPECT_TRUE(same_or_both_unreachable(got.last_column[first_row], cells))
+              << label << " last column from row " << first_row;
         }
 
         Hooks probe;
@@ -1084,6 +1057,83 @@ TEST(EngineSentinel, PeeledColumnIsNotCountedAsABlock) {
       spec.recurrence = engine::Recurrence::global_end(end, paper());
       const auto run = engine::run_wavefront(spec, Hooks{});
       EXPECT_EQ(run.stats.blocks_used, blocks) << "end " << static_cast<int>(end);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The last-column hand-off: on_tap reads the last tile's outgoing vertical
+// bus in place, with no copy. Checked against run_reference's column n for
+// every corner seed (end types E and F make the executor peel column 0 and
+// row 0) on 50 strips, far more than the ring holds at any worker count, so
+// each buffer is reused while later strips compute.
+// ---------------------------------------------------------------------------
+
+/// x is at most y, a sentinel counting as the lowest value.
+bool at_most(Score x, Score y) { return is_neg_inf(x) || (!is_neg_inf(y) && x <= y); }
+
+TEST(EngineLastColumn, HookEntriesAreTheReferenceLastColumn) {
+  const auto pair = test::small_related(200, 180, 7300);
+  const auto m = static_cast<Index>(pair.s0.size());
+  const auto n = static_cast<Index>(pair.s1.size());
+  using Column = std::vector<BusCell>;
+  const auto collect = [](Column& out) {
+    return [&out](Index first_row, std::span<const BusCell> cells) {
+      EXPECT_EQ(first_row, static_cast<Index>(out.size()));
+      out.insert(out.end(), cells.begin(), cells.end());
+      return HookAction::kContinue;
+    };
+  };
+  for (const bool start : {true, false}) {
+    for (const CellState state : {CellState::kH, CellState::kE, CellState::kF}) {
+      ProblemSpec spec;
+      spec.a = pair.s0.bases();
+      spec.b = pair.s1.bases();
+      spec.grid = tiny_grid(4, 2, 2);  // Strips of 4 rows.
+      spec.recurrence = start ? engine::Recurrence::global_start(state, paper())
+                              : engine::Recurrence::global_end(state, paper());
+      Column reference;
+      Hooks reference_hooks;
+      reference_hooks.on_tap = collect(reference);
+      (void)engine::run_reference(spec, reference_hooks);
+      ASSERT_EQ(static_cast<Index>(reference.size()), m + 1);
+
+      for (const bool prune : {false, true}) {
+        if (prune) {
+          // Goal pruning aimed at (m, n): entries elsewhere may only drop.
+          spec.block_pruning = true;
+          spec.goal = reference.back().h;
+          spec.goal_reach = [&](Index r0, Index c0) {
+            return WideScore{paper().match} * std::min(m - r0, n - c0);
+          };
+        }
+        Column one_worker;
+        for (const int workers : kWorkerCounts) {
+          const std::string label = std::string(start ? "start" : "end") +
+                                    std::to_string(static_cast<int>(state)) +
+                                    (prune ? " pruned" : "") + " workers " +
+                                    std::to_string(workers);
+          ThreadPool pool(workers);
+          Column got;
+          Hooks hooks;
+          hooks.on_tap = collect(got);
+          const auto run = engine::run_wavefront(spec, hooks, &pool);
+          ASSERT_GT(run.stats.strips, 12) << label;
+          ASSERT_EQ(got.size(), reference.size()) << label;
+          if (!prune) {
+            EXPECT_TRUE(same_or_both_unreachable(got, reference)) << label;
+            continue;
+          }
+          EXPECT_GT(run.stats.pruned_tiles, 0) << label;
+          EXPECT_EQ(got.back(), reference.back()) << label;
+          for (std::size_t r = 0; r < got.size(); ++r) {
+            EXPECT_TRUE(at_most(got[r].h, reference[r].h)) << label << " row " << r;
+            EXPECT_TRUE(at_most(got[r].gap, reference[r].gap)) << label << " row " << r;
+          }
+          if (one_worker.empty()) one_worker = got;
+          EXPECT_EQ(got, one_worker) << label;
+        }
+      }
     }
   }
 }

@@ -217,8 +217,10 @@ TEST(GoalPruning, FloorLiesBelowEveryCell) {
 }
 
 // A global run aimed at H(m, n): goal pruning skips tiles far from the
-// optimal paths into (m, n), and every tap entry it publishes is a lower
-// bound on the unpruned value, exact at (m, n) itself, on any worker count.
+// optimal paths into (m, n), and every value it publishes — the special rows
+// at every strip boundary, interior columns included, and the last column —
+// is a lower bound on the unpruned value, exact at (m, n) itself, on any
+// worker count.
 TEST(GoalPruning, PrunedTilesPublishLowerBounds) {
   const auto pair = test::small_related(300, 320, 77);
   const auto m = static_cast<Index>(pair.s0.size());
@@ -229,28 +231,32 @@ TEST(GoalPruning, PrunedTilesPublishLowerBounds) {
   spec.grid = engine::GridSpec{6, 4, 2, 8};
   spec.recurrence = engine::Recurrence::global_start(dp::CellState::kH, paper());
 
-  using Taps = std::map<Index, std::vector<engine::BusCell>>;
-  const auto run = [&](std::size_t workers, Taps& taps) {
+  // Special rows by row, and the last column under key -1.
+  using Lines = std::map<Index, std::vector<engine::BusCell>>;
+  const auto run = [&](std::size_t workers, Lines& lines) {
     engine::Hooks hooks;
-    for (Index c = 10; c < n; c += 10) hooks.tap_columns.push_back(c);
-    hooks.tap_columns.push_back(n);
-    hooks.on_tap = [&](Index col, Index, std::span<const engine::BusCell> entries) {
-      taps[col].insert(taps[col].end(), entries.begin(), entries.end());
+    hooks.special_row_interval = 1;
+    hooks.on_special_row = [&](Index row, std::span<const engine::BusCell> cells,
+                               const dp::LocalBest&, const engine::PruneState&) {
+      lines[row].assign(cells.begin(), cells.end());
+    };
+    hooks.on_tap = [&](Index, std::span<const engine::BusCell> entries) {
+      lines[-1].insert(lines[-1].end(), entries.begin(), entries.end());
       return engine::HookAction::kContinue;
     };
     ThreadPool pool(workers);
     return engine::run_wavefront(spec, hooks, &pool);
   };
-  Taps all;
+  Lines all;
   const engine::RunResult plain = run(1, all);
-  const Score goal = all.at(n).back().h;
+  const Score goal = all.at(-1).back().h;
 
   spec.block_pruning = true;
   spec.goal = goal;
   spec.goal_reach = [&](Index r0, Index c0) {
     return WideScore{paper().match} * std::min(m - r0, n - c0);
   };
-  Taps one, four;
+  Lines one, four;
   const engine::RunResult pruned = run(1, one);
   const engine::RunResult pruned4 = run(4, four);
   EXPECT_GT(pruned.stats.pruned_tiles, 0);
@@ -258,17 +264,20 @@ TEST(GoalPruning, PrunedTilesPublishLowerBounds) {
   EXPECT_TRUE(static_cast<const engine::Tally&>(pruned.stats) ==
               static_cast<const engine::Tally&>(pruned4.stats));
   EXPECT_TRUE(one == four);
-  EXPECT_EQ(one.at(n).back().h, goal);
-  std::size_t lowered = 0;
-  for (const auto& [col, entries] : all) {
-    ASSERT_EQ(one.at(col).size(), entries.size()) << col;
-    for (std::size_t r = 0; r < entries.size(); ++r) {
-      EXPECT_LE(one.at(col)[r].h, entries[r].h) << col << ", " << r;
-      EXPECT_LE(one.at(col)[r].gap, entries[r].gap) << col << ", " << r;
-      lowered += one.at(col)[r].h < entries[r].h ? 1 : 0;
+  EXPECT_EQ(one.at(-1).back().h, goal);
+  std::size_t lowered = 0, lowered_interior = 0;
+  for (const auto& [key, entries] : all) {
+    ASSERT_EQ(one.at(key).size(), entries.size()) << key;
+    for (std::size_t k = 0; k < entries.size(); ++k) {
+      EXPECT_LE(one.at(key)[k].h, entries[k].h) << key << ", " << k;
+      EXPECT_LE(one.at(key)[k].gap, entries[k].gap) << key << ", " << k;
+      const std::size_t drop = one.at(key)[k].h < entries[k].h ? 1 : 0;
+      lowered += drop;
+      lowered_interior += key >= 0 && k > 0 && k < entries.size() - 1 ? drop : 0;
     }
   }
   EXPECT_GT(lowered, 0u);
+  EXPECT_GT(lowered_interior, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 // Kernel-family equivalence: every registered kernel variant must be
 // byte-identical to the legacy loop (tile level) and to run_reference
-// (problem level) on everything it claims to run — buses, taps, best cell and
+// (problem level) on everything it claims to run — buses, best cell and
 // probe results — across modes, feature combinations, odd tile shapes and
-// boundary corners.
+// boundary corners. Interior columns are checked through the vertical bus of
+// the tile cut back to them (prefix_case).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -42,7 +43,6 @@ struct TileCase {
   seq::Sequence a, b;
   Recurrence recurrence;
   std::vector<BusCell> hbus, vbus_in;
-  std::vector<Index> tap_cols;
   bool track_best = false;
   std::optional<Score> find_value;
 };
@@ -66,7 +66,6 @@ TileJob job_view(const TileCase& tc, std::vector<BusCell>& hbus, std::vector<Bus
   job.hbus = hbus;
   job.vbus_in = tc.vbus_in;
   job.vbus_out = vbus_out;
-  job.tap_cols = tc.tap_cols;
   job.track_best = tc.track_best;
   job.find_value = tc.find_value;
   return job;
@@ -114,7 +113,6 @@ void expect_identical(const TileOutputs& expected, const TileOutputs& got,
                       const std::string& label) {
   EXPECT_EQ(expected.hbus, got.hbus) << label << ": horizontal bus differs";
   EXPECT_EQ(expected.vbus_out, got.vbus_out) << label << ": vertical bus differs";
-  EXPECT_EQ(expected.result.taps, got.result.taps) << label << ": taps differ";
   EXPECT_EQ(expected.result.best.score, got.result.best.score) << label;
   EXPECT_EQ(expected.result.best.i, got.result.best.i) << label;
   EXPECT_EQ(expected.result.best.j, got.result.best.j) << label;
@@ -140,12 +138,29 @@ int check_all_variants(const TileCase& tc) {
   return ran;
 }
 
+/// The case cut back to its first `cols` columns. No value depends on a
+/// column to its right, so the cut tile's vertical bus out is the (H, E) the
+/// whole tile computes at its interior column c0 + cols.
+TileCase prefix_case(TileCase tc, Index cols) {
+  tc.c1 = tc.c0 + cols;
+  tc.hbus.resize(static_cast<std::size_t>(cols) + 1);
+  tc.name += "_prefix" + std::to_string(cols);
+  return tc;
+}
+
+/// check_all_variants on the case and, for 0 < cols < width, on its prefix
+/// of `cols` columns.
+int check_with_prefix(const TileCase& tc, Index cols) {
+  int ran = check_all_variants(tc);
+  if (cols > 0 && cols < tc.c1 - tc.c0) ran += check_all_variants(prefix_case(tc, cols));
+  return ran;
+}
+
 /// The H value legacy computes at (row, col) of the tile (1-based within it).
 Score legacy_h_at(TileCase tc, Index row, Index col) {
-  tc.tap_cols = {tc.c0 + col};
   tc.find_value.reset();
-  return run_variant(tc, engine::kernel_info(KernelId::kLegacy))
-      .result.taps[0][static_cast<std::size_t>(row - 1)]
+  return run_variant(prefix_case(tc, col), engine::kernel_info(KernelId::kLegacy))
+      .vbus_out[static_cast<std::size_t>(row)]
       .h;
 }
 
@@ -156,7 +171,7 @@ BusCell random_bus_cell(Rng& rng, bool local) {
   return BusCell{h, gap};
 }
 
-TileCase make_case(Rng& rng, Index rows, Index w, int mode, bool best, bool taps, bool find,
+TileCase make_case(Rng& rng, Index rows, Index w, int mode, bool best, bool find,
                    const scoring::Scheme& scheme, const std::string& name) {
   TileCase tc;
   tc.name = name;
@@ -182,12 +197,6 @@ TileCase make_case(Rng& rng, Index rows, Index w, int mode, bool best, bool taps
   for (auto& cell : tc.hbus) cell = random_bus_cell(rng, local);
   tc.vbus_in.resize(static_cast<std::size_t>(rows) + 1);
   for (auto& cell : tc.vbus_in) cell = random_bus_cell(rng, local);
-  if (taps && w >= 1) {
-    for (Index c = tc.c0 + 1; c <= tc.c1; ++c) {
-      if (rng.chance(0.15)) tc.tap_cols.push_back(c);
-    }
-    if (tc.tap_cols.empty()) tc.tap_cols.push_back(tc.c0 + 1 + static_cast<Index>(rng.below(w)));
-  }
   tc.track_best = best;
   if (find) tc.find_value = static_cast<Score>(rng.below(30));
   return tc;
@@ -197,17 +206,11 @@ TileCase make_case(Rng& rng, Index rows, Index w, int mode, bool best, bool taps
 /// the executor's peeled end-in-E column (every incoming vertical-bus entry,
 /// H and E, is -inf, so the tile's E chains drift below kNegInf), 2 its
 /// peeled end-in-F row (every horizontal-bus entry, H and F, is -inf), 0 a
-/// genuine tile. `taps` 0 requests none, 1 the first column, 2 the last, 3
-/// both, 4 random ones; a probe targets an H legacy computes, or a random
-/// value.
-TileCase scalar_row_case(Rng& rng, Index rows, Index w, int sentinel, int taps, bool find,
+/// genuine tile. A probe targets an H legacy computes, or a random value.
+TileCase scalar_row_case(Rng& rng, Index rows, Index w, int sentinel, bool find,
                          const scoring::Scheme& scheme, const std::string& name) {
   const int mode = sentinel == 1 ? 4 : sentinel == 2 ? 3 : 1 + static_cast<int>(rng.below(4));
-  TileCase tc = make_case(rng, rows, w, mode, false, taps == 4, false, scheme, name);
-  if (taps == 1 || taps == 3) tc.tap_cols.push_back(tc.c0 + 1);
-  if ((taps == 2 || taps == 3) && (tc.tap_cols.empty() || tc.tap_cols.back() != tc.c1)) {
-    tc.tap_cols.push_back(tc.c1);
-  }
+  TileCase tc = make_case(rng, rows, w, mode, false, false, scheme, name);
   if (sentinel == 1) std::fill(tc.vbus_in.begin(), tc.vbus_in.end(), BusCell{});
   if (sentinel == 2) std::fill(tc.hbus.begin(), tc.hbus.end(), BusCell{});
   if (find) {
@@ -228,31 +231,35 @@ TEST(KernelEquivalence, FeatureMatrixAcrossShapes) {
     for (int mode = 0; mode < 5; ++mode) {
       for (int feat = 0; feat < 8; ++feat) {
         const bool best = feat & 1;
-        const bool taps = feat & 2;
+        const bool interior = feat & 2;
         const bool find = feat & 4;
         const std::string name = "shape" + std::to_string(rows) + "x" + std::to_string(w) +
                                  "_mode" + std::to_string(mode) + "_feat" + std::to_string(feat);
-        const TileCase tc =
-            make_case(rng, rows, w, mode, best, taps, find, paper(), name);
-        vector_runs += check_all_variants(tc);
+        const TileCase tc = make_case(rng, rows, w, mode, best, find, paper(), name);
+        vector_runs += check_with_prefix(tc, interior ? 1 + static_cast<Index>(rng.below(w)) : 0);
       }
     }
   }
   // The matrix must actually exercise the specialized kernels, vector ones
   // included (local plain/best cases with in-range buses).
   EXPECT_GT(vector_runs, 100);
-  // Every shape up to 20 x 20 with each sentinel line, tap set and probe:
-  // the scalar rows must take every such case, and match legacy.
+  // Every shape up to 20 x 20 with each sentinel line, interior column and
+  // probe: the scalar rows must take every such case, and match legacy.
+  // Interior 0 checks the last column only, 1 the first as well, 2 a random
+  // one.
   for (Index rows = 1; rows <= 20; ++rows) {
     for (Index w = 1; w <= 20; ++w) {
       for (int sentinel = 0; sentinel < 3; ++sentinel) {
-        for (int feat = 0; feat < 10; ++feat) {
+        for (int feat = 0; feat < 6; ++feat) {
           const std::string name = "scalar" + std::to_string(rows) + "x" + std::to_string(w) +
                                    "_sentinel" + std::to_string(sentinel) + "_feat" +
                                    std::to_string(feat);
-          const TileCase tc =
-              scalar_row_case(rng, rows, w, sentinel, feat % 5, feat >= 5, paper(), name);
-          EXPECT_GE(check_all_variants(tc), 1) << name;
+          const TileCase tc = scalar_row_case(rng, rows, w, sentinel, feat >= 3, paper(), name);
+          const int interior = feat % 3;
+          const Index cols = interior == 0   ? 0
+                             : interior == 1 ? 1
+                                             : 1 + static_cast<Index>(rng.below(w));
+          EXPECT_GE(check_with_prefix(tc, cols), 1) << name;
         }
       }
     }
@@ -268,20 +275,19 @@ TEST(KernelEquivalence, FuzzRandomTiles) {
     const Index rows = 1 + static_cast<Index>(rng.below(40));
     const Index w = 1 + static_cast<Index>(rng.below(40));
     const int mode = static_cast<int>(rng.below(5));
-    const TileCase tc = make_case(rng, rows, w, mode, rng.chance(0.5), rng.chance(0.4),
-                                  rng.chance(0.3), schemes[iter % schemes.size()],
-                                  "fuzz" + std::to_string(iter));
-    check_all_variants(tc);
+    const TileCase tc = make_case(rng, rows, w, mode, rng.chance(0.5), rng.chance(0.3),
+                                  schemes[iter % schemes.size()], "fuzz" + std::to_string(iter));
+    check_with_prefix(tc, rng.chance(0.4) ? 1 + static_cast<Index>(rng.below(w)) : 0);
   }
-  // Global tiles as the scalar rows serve them: sentinel lines, tap sets and
-  // probes over random shapes and schemes.
+  // Global tiles as the scalar rows serve them: sentinel lines, interior
+  // columns and probes over random shapes and schemes.
   for (int iter = 0; iter < 300; ++iter) {
     const Index rows = 1 + static_cast<Index>(rng.below(40));
     const Index w = 1 + static_cast<Index>(rng.below(40));
-    const TileCase tc = scalar_row_case(
-        rng, rows, w, static_cast<int>(rng.below(3)), static_cast<int>(rng.below(5)),
-        rng.chance(0.5), schemes[iter % schemes.size()], "fuzz-scalar" + std::to_string(iter));
-    EXPECT_GE(check_all_variants(tc), 1) << tc.name;
+    const TileCase tc =
+        scalar_row_case(rng, rows, w, static_cast<int>(rng.below(3)), rng.chance(0.5),
+                        schemes[iter % schemes.size()], "fuzz-scalar" + std::to_string(iter));
+    EXPECT_GE(check_with_prefix(tc, 1 + static_cast<Index>(rng.below(w))), 1) << tc.name;
   }
   // Tall local tiles with bus H near the int8 ceiling: the narrow striped
   // kernels admit them by their inputs, and some overflow and re-run.
@@ -289,7 +295,7 @@ TEST(KernelEquivalence, FuzzRandomTiles) {
   for (int iter = 0; iter < 40; ++iter) {
     const Index rows = 100 + static_cast<Index>(rng.below(200));
     const Index w = 1 + static_cast<Index>(rng.below(120));
-    TileCase tc = make_case(rng, rows, w, 0, rng.chance(0.7), false, false, paper(),
+    TileCase tc = make_case(rng, rows, w, 0, rng.chance(0.7), false, paper(),
                             "fuzz-tall" + std::to_string(iter));
     for (auto* bus : {&tc.hbus, &tc.vbus_in}) {
       for (BusCell& cell : *bus) cell.h = 100 - static_cast<Score>(rng.below(30));
@@ -304,7 +310,7 @@ TEST(KernelEquivalence, FuzzRandomTiles) {
 // dispatch must quietly fall back to an exact variant.
 TEST(KernelEquivalence, Vector16OverflowFallsBackToWideKernel) {
   Rng rng(99);
-  TileCase tc = make_case(rng, 24, 24, 0, true, false, false, paper(), "overflow");
+  TileCase tc = make_case(rng, 24, 24, 0, true, false, paper(), "overflow");
   // A bus value near the int16 ceiling makes the reachable-score bound fail.
   tc.hbus[5].h = 30000;
   const KernelVariant* v16 = engine::find_kernel("v16-local+best");
@@ -317,7 +323,7 @@ TEST(KernelEquivalence, Vector16OverflowFallsBackToWideKernel) {
                    run_variant(tc, *v32), "overflow/v32");
 
   // Oversized penalties are rejected up front too.
-  TileCase big = make_case(rng, 8, 8, 0, true, false, false,
+  TileCase big = make_case(rng, 8, 8, 0, true, false,
                            scoring::Scheme{5000, -5000, 5000, 5000}, "big-scheme");
   EXPECT_FALSE(variant_accepts(big, *v16));
 }
@@ -326,7 +332,7 @@ TEST(KernelEquivalence, Vector16OverflowFallsBackToWideKernel) {
 // arithmetic; the 16-bit kernel cannot reproduce that and must refuse.
 TEST(KernelEquivalence, Vector16RejectsSentinelHInputs) {
   Rng rng(123);
-  TileCase tc = make_case(rng, 16, 16, 0, false, false, false, paper(), "sentinel-h");
+  TileCase tc = make_case(rng, 16, 16, 0, false, false, paper(), "sentinel-h");
   tc.vbus_in[3].h = kNegInf;
   const KernelVariant* v16 = engine::find_kernel("v16-local");
   ASSERT_NE(v16, nullptr);
@@ -430,7 +436,7 @@ TEST(KernelDispatch, ProcessOverridePinsSelection) {
 // is active.
 TEST(KernelDispatch, DirectRunTileIgnoresProcessPin) {
   Rng rng(4040);
-  const TileCase tc = make_case(rng, 64, 96, 0, true, false, false, paper(), "direct");
+  const TileCase tc = make_case(rng, 64, 96, 0, true, false, paper(), "direct");
   const KernelId automatic = auto_selected(tc);
   ASSERT_NE(automatic, KernelId::kLegacy);
   const test::ScopedKernelPin pin("legacy");
@@ -452,7 +458,7 @@ TEST(KernelDispatch, DirectRunTileIgnoresProcessPin) {
 
 TEST(LaneEnvelope, Int16CeilingBoundaryStaysAdmittedAndExact) {
   Rng rng(4242);
-  TileCase tc = make_case(rng, 24, 24, 0, true, false, false, paper(), "ceiling-16");
+  TileCase tc = make_case(rng, 24, 24, 0, true, false, paper(), "ceiling-16");
   // paper match = 1, min(rows, w) = 24: v16's reachable-score bound is
   // max_h + 24, so max_h = 27976 lands exactly on the 28000 ceiling.
   tc.hbus[5].h = 27976;
@@ -480,7 +486,7 @@ TEST(LaneEnvelope, Int16CeilingBoundaryStaysAdmittedAndExact) {
 
 TEST(LaneEnvelope, Int16GapFloorBoundary) {
   Rng rng(4243);
-  TileCase tc = make_case(rng, 20, 20, 0, false, false, false, paper(), "floor-16");
+  TileCase tc = make_case(rng, 20, 20, 0, false, false, paper(), "floor-16");
   // A gap-chain value grazing the real floor: admitted and bit-exact (its
   // decayed continuations lose to genuine >= -gap_first values before any
   // published cell, so lane drift below the floor is unobservable).
@@ -501,7 +507,7 @@ TEST(LaneEnvelope, Int16GapFloorBoundary) {
 
 TEST(LaneEnvelope, Int8CeilingEscalatesToWiderLanes) {
   Rng rng(4244);
-  TileCase tc = make_case(rng, 16, 16, 0, true, false, false, paper(), "ceiling-8");
+  TileCase tc = make_case(rng, 16, 16, 0, true, false, paper(), "ceiling-8");
   // Inputs up to the 100 ceiling are admitted; an H the tile computes past it
   // makes striped8 report an overflow, and run_tile re-runs the tile on
   // striped16, which publishes.
@@ -530,7 +536,7 @@ TEST(LaneEnvelope, Int8CeilingEscalatesToWiderLanes) {
 
 TEST(LaneEnvelope, Int8GapFloorEscalatesToWiderLanes) {
   Rng rng(4245);
-  TileCase tc = make_case(rng, 16, 16, 0, false, false, false, paper(), "floor-8");
+  TileCase tc = make_case(rng, 16, 16, 0, false, false, paper(), "floor-8");
   tc.hbus[2].gap = -64;  // Exactly the 8-bit real floor: still admitted.
   const KernelVariant* s8 = engine::find_kernel("striped8-local");
   const KernelVariant* s16 = engine::find_kernel("striped16-local");
@@ -555,7 +561,7 @@ TEST(LaneEnvelope, TallLowValueTileRunsOnInt8) {
   ASSERT_NE(s8, nullptr);
   Rng rng(4246);
   for (const Index rows : {100, 101, 256}) {
-    TileCase tc = make_case(rng, rows, 417, 0, true, false, false, paper(),
+    TileCase tc = make_case(rng, rows, 417, 0, true, false, paper(),
                             "tall" + std::to_string(rows));
     for (BusCell& cell : tc.hbus) cell = BusCell{0, kNegInf};
     for (BusCell& cell : tc.vbus_in) cell = BusCell{0, kNegInf};
@@ -629,7 +635,7 @@ TEST(StripedIsa, EveryCompiledBackendMatchesLegacyByteForByte) {
   for (int iter = 0; iter < 12; ++iter) {
     const Index rows = 1 + static_cast<Index>(rng.below(40));
     const Index w = 1 + static_cast<Index>(rng.below(70));
-    cases.push_back(make_case(rng, rows, w, 0, iter % 2 == 1, false, false, paper(),
+    cases.push_back(make_case(rng, rows, w, 0, iter % 2 == 1, false, paper(),
                               "isa" + std::to_string(iter)));
   }
   expect_striped_local_exact(cases);
@@ -650,7 +656,7 @@ TEST(StripedIsa, LaneEdgeWidthsAtRealSegmentLengths) {
         name += "_w";
         name += std::to_string(w);
         cases.push_back(
-            make_case(rng, rows, w, 0, rng.chance(0.5), false, false, paper(), name));
+            make_case(rng, rows, w, 0, rng.chance(0.5), false, paper(), name));
       }
     }
   }
@@ -866,20 +872,22 @@ void expect_striped32_exact(const TileCase& tc, const std::string& label) {
   expect_identical(expected, run_variant(tc, striped), label + " / striped32-global");
 }
 
-/// Columns worth tapping: the first and last, and the first and last column
-/// of every lane segment for p = 4, 8 and 16 lanes.
-std::vector<Index> lane_edge_taps(const TileCase& tc) {
+/// Interior columns worth checking (tile-relative, below the width): the
+/// first, and the first and last column of every lane segment for p = 4, 8
+/// and 16 lanes of the whole tile.
+std::vector<Index> lane_edge_columns(const TileCase& tc) {
   const Index w = tc.c1 - tc.c0;
-  std::vector<Index> cols = {tc.c0 + 1, tc.c1};
+  std::vector<Index> cols = {1};
   for (const Index p : {4, 8, 16}) {
     const Index t = (w + p - 1) / p;
     for (Index l = 1; l < p && l * t < w; ++l) {
-      cols.push_back(tc.c0 + l * t);      // Last column of lane l - 1.
-      cols.push_back(tc.c0 + l * t + 1);  // First column of lane l.
+      cols.push_back(l * t);      // Last column of lane l - 1.
+      cols.push_back(l * t + 1);  // First column of lane l.
     }
   }
   std::sort(cols.begin(), cols.end());
   cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
+  std::erase_if(cols, [w](Index c) { return c >= w; });
   return cols;
 }
 
@@ -889,15 +897,14 @@ TEST(Striped32Global, FeatureTuplesAcrossLaneEdgesAndIsas) {
   std::vector<TileCase> cases;
   for (const Index w : widths) {
     for (int feat = 0; feat < 4; ++feat) {
-      const bool taps = feat & 1;
+      const bool interior = feat & 1;
       const bool find = feat & 2;
       std::string name = "w";
       name += std::to_string(w);
       name += "_feat";
       name += std::to_string(feat);
       TileCase tc = make_case(rng, 1 + static_cast<Index>(rng.below(24)), w, 1 + feat % 4, false,
-                              false, false, paper(), name);
-      if (taps) tc.tap_cols = lane_edge_taps(tc);
+                              false, paper(), name);
       if (find) {
         // Rotate the probe target: the first cell, the last cell, absent.
         const Index rows = tc.r1 - tc.r0;
@@ -905,6 +912,9 @@ TEST(Striped32Global, FeatureTuplesAcrossLaneEdgesAndIsas) {
         tc.find_value = which == 0   ? legacy_h_at(tc, 1, 1)
                         : which == 1 ? legacy_h_at(tc, rows, w)
                                      : Score{1000000};
+      }
+      if (interior) {
+        for (const Index cols : lane_edge_columns(tc)) cases.push_back(prefix_case(tc, cols));
       }
       cases.push_back(std::move(tc));
     }
@@ -917,7 +927,7 @@ TEST(Striped32Global, FeatureTuplesAcrossLaneEdgesAndIsas) {
 
 TEST(Striped32Global, ProbeReportsFirstCellHitAndAbsence) {
   Rng rng(8081);
-  TileCase tc = make_case(rng, 20, 40, 1, false, false, false, paper(), "probe");
+  TileCase tc = make_case(rng, 20, 40, 1, false, false, paper(), "probe");
   const KernelVariant& striped = engine::kernel_info(KernelId::kStriped32Global);
   tc.find_value = legacy_h_at(tc, 1, 1);
   TileOutputs got = run_variant(tc, striped);
@@ -936,7 +946,7 @@ TEST(Striped32Global, ProbeReportsFirstCellHitAndAbsence) {
 TEST(Striped32Global, ProbeHitInPadAdjacentLaneUnderEveryIsa) {
   Rng rng(8083);
   for (const Index w : {63, 191}) {
-    TileCase tc = make_case(rng, 12, w, 1, false, false, false, paper(),
+    TileCase tc = make_case(rng, 12, w, 1, false, false, paper(),
                             "pad-probe" + std::to_string(w));
     // Left-boundary H climbing 1000 per row makes each row's H the left
     // gap run — strictly falling along the row — above every earlier row's,
@@ -961,7 +971,7 @@ TEST(Striped32Global, ProbeHitInPadAdjacentLaneUnderEveryIsa) {
 TEST(Striped32Global, EnvelopeAdmitsGenuineTilesOnly) {
   Rng rng(8082);
   const KernelVariant& striped = engine::kernel_info(KernelId::kStriped32Global);
-  TileCase tc = make_case(rng, 12, 16, 1, false, true, true, paper(), "envelope");
+  TileCase tc = make_case(rng, 12, 16, 1, false, true, paper(), "envelope");
   EXPECT_TRUE(variant_accepts(tc, striped));
   expect_striped32_exact(tc, "envelope");
   // Gap sentinels are admitted: the genuine H branch wins within one step.
@@ -984,12 +994,12 @@ TEST(Striped32Global, EnvelopeAdmitsGenuineTilesOnly) {
   EXPECT_TRUE(variant_accepts(corner, striped));
   // Narrow tiles are exact too: width is the selector's shape gate, not part
   // of the envelope. Best tracking and local mode are rejected.
-  const TileCase narrow = make_case(rng, 12, 3, 1, false, true, true, paper(), "narrow");
+  const TileCase narrow = make_case(rng, 12, 3, 1, false, true, paper(), "narrow");
   EXPECT_TRUE(variant_accepts(narrow, striped));
   expect_striped32_exact(narrow, "narrow");
-  EXPECT_FALSE(variant_accepts(make_case(rng, 12, 32, 1, true, false, false, paper(), "best"),
+  EXPECT_FALSE(variant_accepts(make_case(rng, 12, 32, 1, true, false, paper(), "best"),
                                striped));
-  EXPECT_FALSE(variant_accepts(make_case(rng, 12, 32, 0, false, false, false, paper(), "local"),
+  EXPECT_FALSE(variant_accepts(make_case(rng, 12, 32, 0, false, false, paper(), "local"),
                                striped));
   // The reachable-score bound: inputs near |kNegInf| / 2 are refused.
   TileCase huge = tc;
@@ -1009,22 +1019,34 @@ TEST(Striped32Global, FuzzAgainstLegacyAndScalar) {
     const Index rows = 1 + static_cast<Index>(rng.below(50));
     const Index w = 1 + static_cast<Index>(rng.below(90));
     const int mode = 1 + static_cast<int>(rng.below(4));
-    TileCase tc = make_case(rng, rows, w, mode, false, rng.chance(0.5), rng.chance(0.5),
+    TileCase tc = make_case(rng, rows, w, mode, false, rng.chance(0.5),
                             schemes[iter % schemes.size()], "s32fuzz" + std::to_string(iter));
     expect_striped32_exact(tc, tc.name);
+    if (w > 1 && rng.chance(0.5)) {
+      const TileCase cut = prefix_case(tc, 1 + static_cast<Index>(rng.below(w - 1)));
+      expect_striped32_exact(cut, cut.name);
+    }
   }
 }
 
 /// Problem level: run_wavefront with automatic selection (striped32 wherever
-/// admitted) against run_reference (taps) and a legacy-pinned run (taps and
-/// probe), for every global start/end state and every (taps, find) tuple.
+/// admitted) against run_reference (special rows and the last column) and a
+/// legacy-pinned run (both, and the probe), for every global start/end state
+/// and every (last column, find) tuple.
 TEST(Striped32Global, ProblemLevelMatchesReferenceForEveryCellState) {
   const auto a = rand_seq(150, 6100);
   const auto b = rand_seq(170, 6101);
-  const auto same_or_both_unreachable = [](const BusCell& x, const BusCell& y) {
+  const auto same_or_both_unreachable = [](const std::vector<BusCell>& x,
+                                           const std::vector<BusCell>& y) {
     const auto eq = [](Score u, Score v) { return u == v || (is_neg_inf(u) && is_neg_inf(v)); };
-    return eq(x.h, y.h) && eq(x.gap, y.gap);
+    return x.size() == y.size() &&
+           std::equal(x.begin(), x.end(), y.begin(), [&](const BusCell& p, const BusCell& q) {
+             return eq(p.h, q.h) && eq(p.gap, q.gap);
+           });
   };
+  // Special rows (every strip boundary, interior columns included) and the
+  // last column, keyed by row; the last column under key -1.
+  using Lines = std::map<Index, std::vector<BusCell>>;
   for (const dp::CellState state : {dp::CellState::kH, dp::CellState::kE, dp::CellState::kF}) {
     for (const bool end : {false, true}) {
       engine::ProblemSpec spec;
@@ -1033,37 +1055,38 @@ TEST(Striped32Global, ProblemLevelMatchesReferenceForEveryCellState) {
       spec.grid = engine::GridSpec{3, 8, 4, 16};
       spec.recurrence = end ? Recurrence::global_end(state, paper())
                             : Recurrence::global_start(state, paper());
-      std::map<Index, std::vector<BusCell>> taps;
+      Lines lines;
       engine::Hooks hooks;
-      hooks.tap_columns = {1, 57, 113, 170};
-      hooks.on_tap = [&](Index col, Index, std::span<const BusCell> cells) {
-        auto& out = taps[col];
+      hooks.special_row_interval = 1;
+      hooks.on_special_row = [&](Index row, std::span<const BusCell> cells, const dp::LocalBest&,
+                                 const engine::PruneState&) {
+        lines[row].assign(cells.begin(), cells.end());
+      };
+      hooks.on_tap = [&](Index, std::span<const BusCell> cells) {
+        auto& out = lines[-1];
         out.insert(out.end(), cells.begin(), cells.end());
         return engine::HookAction::kContinue;
       };
-      const auto run_taps = [&](const engine::ProblemSpec& sp, const engine::Hooks& hk,
-                                bool reference) {
-        taps.clear();
+      const auto run_lines = [&](const engine::ProblemSpec& sp, const engine::Hooks& hk,
+                                 bool reference) {
+        lines.clear();
         auto result = reference ? engine::run_reference(sp, hk) : engine::run_wavefront(sp, hk);
-        return std::make_pair(result, taps);
+        return std::make_pair(result, lines);
       };
-      const auto [ref, ref_taps] = run_taps(spec, hooks, true);
-      // A probe target the sweep reaches mid-problem: H at vertex (100, 113).
-      const Score target = ref_taps.at(113)[100].h;
+      const auto [ref, ref_lines] = run_lines(spec, hooks, true);
+      // A probe target the sweep reaches mid-problem: H at vertex (96, 113).
+      const Score target = ref_lines.at(96)[113].h;
       for (int feat = 0; feat < 4; ++feat) {
         const std::string label = std::string(end ? "end" : "start") +
                                   std::to_string(static_cast<int>(state)) + "_feat" +
                                   std::to_string(feat);
         engine::Hooks hk = hooks;
-        if ((feat & 1) == 0) {
-          hk.tap_columns.clear();
-          hk.on_tap = nullptr;
-        }
+        if ((feat & 1) == 0) hk.on_tap = nullptr;
         if (feat & 2) hk.find_value = target;
-        const auto [run, got_taps] = run_taps(spec, hk, false);
-        const auto [legacy, legacy_taps] = [&] {
+        const auto [run, got_lines] = run_lines(spec, hk, false);
+        const auto [legacy, legacy_lines] = [&] {
           const test::ScopedKernelPin pin("legacy");
-          return run_taps(spec, hk, false);
+          return run_lines(spec, hk, false);
         }();
 
         // A probe may stop inside the first strip, which an end-in-F sweep
@@ -1073,22 +1096,19 @@ TEST(Striped32Global, ProblemLevelMatchesReferenceForEveryCellState) {
               run.stats.kernels[static_cast<std::size_t>(KernelId::kStriped32Global)].tiles, 0)
               << label << ": " << engine::kernel_usage_summary(run.stats.kernels);
         }
-        EXPECT_EQ(got_taps, legacy_taps) << label;
+        EXPECT_EQ(got_lines, legacy_lines) << label;
         EXPECT_EQ(run.found, legacy.found) << label;
         EXPECT_EQ(run.found_i, legacy.found_i) << label;
         EXPECT_EQ(run.found_j, legacy.found_j) << label;
         if (feat & 2) {
           EXPECT_TRUE(run.found) << label;
-          EXPECT_LE(run.found_i, 100) << label;
-        } else if (feat & 1) {
-          ASSERT_EQ(got_taps.size(), ref_taps.size()) << label;
-          for (const auto& [col, cells] : ref_taps) {
-            const auto& entries = got_taps.at(col);
-            ASSERT_EQ(entries.size(), cells.size()) << label << " tap " << col;
-            for (std::size_t k = 0; k < cells.size(); ++k) {
-              EXPECT_TRUE(same_or_both_unreachable(entries[k], cells[k]))
-                  << label << " tap " << col << " entry " << k;
-            }
+          EXPECT_LE(run.found_i, 96) << label;
+        } else {
+          EXPECT_EQ(got_lines.contains(-1), (feat & 1) != 0) << label;
+          for (const auto& [key, cells] : got_lines) {
+            ASSERT_TRUE(ref_lines.contains(key)) << label << " line " << key;
+            EXPECT_TRUE(same_or_both_unreachable(cells, ref_lines.at(key)))
+                << label << " line " << key;
           }
         }
       }
@@ -1127,7 +1147,7 @@ TEST(Striped32Local, MatchesLegacyPastInt16UnderEveryIsa) {
   std::vector<TileCase> cases;
   for (std::size_t k = 0; k < widths.size() * bases.size(); ++k) {
     const Index w = widths[k % widths.size()];
-    TileCase tc = make_case(rng, 1 + static_cast<Index>(rng.below(40)), w, 0, true, false, false,
+    TileCase tc = make_case(rng, 1 + static_cast<Index>(rng.below(40)), w, 0, true, false,
                             schemes[k % schemes.size()], "lift" + std::to_string(k));
     lift_bus(tc, bases[k / widths.size()]);
     cases.push_back(std::move(tc));
@@ -1150,7 +1170,7 @@ TEST(Striped32Local, EnvelopeEdges) {
   // An input just past the int16 ceiling (see
   // LaneEnvelope.Int16CeilingBoundary...): striped16 refuses, the int32 lanes
   // take the tile and stay exact.
-  TileCase tc = make_case(rng, 24, 24, 0, true, false, false, paper(), "past-16");
+  TileCase tc = make_case(rng, 24, 24, 0, true, false, paper(), "past-16");
   tc.hbus[5].h = 28001;
   EXPECT_FALSE(variant_accepts(tc, *engine::find_kernel("striped16-local+best")));
   ASSERT_TRUE(variant_accepts(tc, striped32_local()));
@@ -1191,17 +1211,14 @@ TEST(Striped32Local, EnvelopeEdges) {
   expect_identical(run_variant(edge, engine::kernel_info(KernelId::kLegacy)),
                    run_variant(edge, striped32_local()), "bound-edge");
 
-  // Local mode without taps or probe only; best tracking is the registry's.
-  TileCase taps = tc;
-  taps.tap_cols = {tc.c0 + 3};
-  EXPECT_FALSE(variant_accepts(taps, striped32_local()));
+  // Local mode without the probe only; best tracking is the registry's.
   TileCase find = tc;
   find.find_value = 5;
   EXPECT_FALSE(variant_accepts(find, striped32_local()));
   TileCase no_best = tc;
   no_best.track_best = false;
   EXPECT_FALSE(variant_accepts(no_best, striped32_local()));
-  EXPECT_FALSE(variant_accepts(make_case(rng, 12, 32, 1, false, false, false, paper(), "global"),
+  EXPECT_FALSE(variant_accepts(make_case(rng, 12, 32, 1, false, false, paper(), "global"),
                                striped32_local()));
 }
 
@@ -1239,7 +1256,7 @@ TEST(Striped32Local, RepeatedRowMaximaKeepFirstOccurrence) {
 
 TEST(Striped32Local, AutomaticSelectionTakesStage1TilesPastInt16) {
   Rng rng(9092);
-  TileCase tc = make_case(rng, 64, 512, 0, true, false, false, paper(), "stage1");
+  TileCase tc = make_case(rng, 64, 512, 0, true, false, paper(), "stage1");
   EXPECT_NE(auto_selected(tc), KernelId::kStriped32LocalBest);  // Inside int16: narrower lanes.
   lift_bus(tc, 30000);
   EXPECT_EQ(auto_selected(tc), KernelId::kStriped32LocalBest);
@@ -1390,7 +1407,7 @@ constexpr Envelope kInt16{4096, -4096, 28000};
 constexpr Index kMaxLanes = 64;
 
 bool vector_shape(const TileJob& job) {
-  return job.recurrence->mode == dp::AlignMode::kLocal && job.tap_cols.empty() &&
+  return job.recurrence->mode == dp::AlignMode::kLocal &&
          !job.find_value.has_value() && job.c1 > job.c0 && job.r1 > job.r0;
 }
 
@@ -1453,8 +1470,8 @@ bool striped32_inputs(const TileJob& job) {
          -(WideScore{kNegInf} / 2);
 }
 
-bool traits_are(const TileJob& job, dp::AlignMode mode, bool best, bool taps, bool find) {
-  return engine::KernelTraits::of(job) == engine::KernelTraits{mode, best, taps, find};
+bool traits_are(const TileJob& job, dp::AlignMode mode, bool best, bool find) {
+  return engine::KernelTraits::of(job) == engine::KernelTraits{mode, best, find};
 }
 
 bool admits(KernelId id, const TileJob& job) {
@@ -1464,11 +1481,9 @@ bool admits(KernelId id, const TileJob& job) {
     case KernelId::kLegacy:
       return true;
     case KernelId::kScalarGlobal:
-      return traits_are(job, AlignMode::kGlobal, false, false, false) ||
-             traits_are(job, AlignMode::kGlobal, false, true, false);
+      return traits_are(job, AlignMode::kGlobal, false, false);
     case KernelId::kScalarGlobalTapsFind:
-      return traits_are(job, AlignMode::kGlobal, false, false, true) ||
-             traits_are(job, AlignMode::kGlobal, false, true, true);
+      return traits_are(job, AlignMode::kGlobal, false, true);
     case KernelId::kVec16Local:
       return !job.track_best && vector16(job);
     case KernelId::kVec16LocalBest:
@@ -1531,13 +1546,12 @@ TEST(Admission, OnePassScanAgreesWithPerCellPredicatesAtEveryEdge) {
     const Index w = static_cast<Index>(rng.below(65));
     const int mode = rng.chance(0.7) ? 0 : 1 + static_cast<int>(rng.below(4));
     // Local jobs mostly track the best, as the executor's do; global jobs
-    // mostly do not, and draw taps and the probe often, so every tuple a
+    // mostly do not, and draw the probe often, so every tuple a
     // row computes is drawn.
     const bool local = mode == 0;
     const double features = local ? 0.15 : 0.5;
     TileCase tc = make_case(rng, rows, w, mode, rng.chance(local ? 0.6 : 0.2),
-                            rng.chance(features), rng.chance(features), scheme,
-                            "admission" + std::to_string(iter));
+                            rng.chance(features), scheme, "admission" + std::to_string(iter));
 
     // The int32 reachable-score bound for this shape and scheme: an input of
     // |bound32| is refused, one less is admitted.
