@@ -42,6 +42,13 @@ const seq::Sequence& seq_b() {
   static const seq::Sequence s = seq::random_dna(1 << 16, 12, "bench_b");
   return s;
 }
+/// A related pair (about 95% identity): the tiles its alignment diagonal
+/// crosses raise their best on nearly every row, as Stage 1's unpruned
+/// tiles of a related pair do.
+const seq::SequencePair& related_pair() {
+  static const seq::SequencePair p = seq::make_related_pair(20000, 20000, 7);
+  return p;
+}
 
 // ---------------------------------------------------------------------------
 // Kernel-variant sweep (self-timed; feeds BENCH_kernels.json and the
@@ -56,17 +63,30 @@ struct TileArchetype {
   bool best;
   bool find;
   Score bus_h = 0;  ///< Added to every boundary H (and genuine gap) of the tile.
+  /// Cut along the alignment diagonal of related_pair() instead of from the
+  /// random sequences, so the tile's best rises on nearly every row.
+  bool rising = false;
 };
 
-/// The last archetype is a Stage-1 tile of a related pair after its scores
-/// have left the int16 envelope: the int32 local kernels (striped32 and the
-/// anti-diagonal v32) run it side by side on identical inputs.
+/// The random archetypes' best almost never rises after the first rows;
+/// `local+best-past-int16` is the same random tile with its buses lifted
+/// past the int16 envelope, so the int32 local kernels (striped32 and the
+/// anti-diagonal v32) run it side by side on identical inputs. The `rising`
+/// archetypes are the branch Stage 1's related tiles take: a best that rises
+/// row after row, on int16 lanes and (biased) past them.
 constexpr TileArchetype kArchetypes[] = {
     {"local", true, false, false},
     {"local+best", true, true, false},
     {"global", false, false, false},
     {"local+best-past-int16", true, true, false, 30000},
+    {"local+best-rising", true, true, false, 0, true},
+    {"local+best-rising-past-int16", true, true, false, 40000, true},
 };
+
+/// First row of a rising tile, half way through the related pair; its
+/// columns are centred on the pair's diagonal, which then crosses the tile
+/// through its middle, as it crosses a Stage-1 chunk anywhere in its width.
+constexpr Index kRisingRow = 10000;
 
 /// Stage-1 tile shapes swept: 256-row strips at chunk widths 417, 834, 1667
 /// and 3334 (a 100 Kbp pair on 240, 120, 60 and 30 blocks; the default grid
@@ -84,7 +104,10 @@ constexpr std::pair<Index, Index> kTileShapes[] = {
 /// horizontal bus is updated in place and would otherwise feed back).
 struct TileBench {
   Index rows, cols;
-  Index c0 = 0;  ///< First column of the tile's segment of seq_b().
+  const seq::Sequence* a = &seq_a();
+  const seq::Sequence* b = &seq_b();
+  Index r0 = 0;
+  Index c0 = 0;  ///< First column of the tile's segment of b.
   engine::Recurrence rec;
   std::vector<engine::BusCell> hbus0, vin;
   std::vector<engine::BusCell> hbus, vout;
@@ -107,18 +130,24 @@ struct TileBench {
       }
     }
     hbus = hbus0;
+    if (arch.rising) {
+      a = &related_pair().s0;
+      b = &related_pair().s1;
+      r0 = kRisingRow;
+      c0 = kRisingRow + rows / 2 - cols / 2;
+    }
     if (arch.find) find_value = kNegInf / 8;  // Never hit: times the full scan.
     track_best = arch.best;
   }
 
   engine::TileJob job() {
     engine::TileJob j;
-    j.r0 = 0;
-    j.r1 = rows;
+    j.r0 = r0;
+    j.r1 = r0 + rows;
     j.c0 = c0;
     j.c1 = c0 + cols;
-    j.a = seq_a().bases();
-    j.b = seq_b().bases();
+    j.a = a->bases();
+    j.b = b->bases();
     j.recurrence = &rec;
     j.hbus = hbus;
     j.vbus_in = vin;
@@ -162,18 +191,25 @@ std::optional<TileTiming> time_variant(const engine::KernelVariant& variant, Til
     bench.reset_bus();
     if (engine::run_tile(bench.job(), scratch, &variant).kernel != variant.id) return std::nullopt;
   }
-  long iters = 0;
-  const auto t0 = std::chrono::steady_clock::now();
-  double elapsed = 0;
-  do {
-    if (cold) bench.switch_segment();
-    bench.reset_bus();
-    benchmark::DoNotOptimize(engine::run_tile(bench.job(), scratch, &variant));
-    ++iters;
-    elapsed = seconds_since(t0);
-  } while (elapsed < 0.15);
-  const double rows = static_cast<double>(bench.rows) * static_cast<double>(iters);
-  return TileTiming{rows * static_cast<double>(bench.cols) / elapsed / 1e9, elapsed / rows * 1e9};
+  // The fastest of three 0.15 s windows: one window alone reads up to 15%
+  // apart between runs on a shared host.
+  TileTiming fastest;
+  for (int window = 0; window < 3; ++window) {
+    long iters = 0;
+    const auto t0 = std::chrono::steady_clock::now();
+    double elapsed = 0;
+    do {
+      if (cold) bench.switch_segment();
+      bench.reset_bus();
+      benchmark::DoNotOptimize(engine::run_tile(bench.job(), scratch, &variant));
+      ++iters;
+      elapsed = seconds_since(t0);
+    } while (elapsed < 0.15);
+    const double rows = static_cast<double>(bench.rows) * static_cast<double>(iters);
+    const double gcups = rows * static_cast<double>(bench.cols) / elapsed / 1e9;
+    if (gcups > fastest.gcups) fastest = TileTiming{gcups, elapsed / rows * 1e9};
+  }
+  return fastest;
 }
 
 struct VariantSample {
@@ -253,7 +289,7 @@ void run_kernel_sweep(const std::string& path) {
           s.timing = *timing;
           tile_samples.push_back(s);
           std::fprintf(stderr,
-                       "[kernel-sweep] %4ldx%-4ld %-21s %-24s %-4s %7.3f GCUPS %8.1f ns/row\n",
+                       "[kernel-sweep] %4ldx%-4ld %-28s %-24s %-4s %7.3f GCUPS %8.1f ns/row\n",
                        long(rows), long(cols), s.archetype.c_str(), s.kernel.c_str(),
                        cold ? "cold" : "warm", s.timing.gcups, s.timing.ns_per_row);
         }

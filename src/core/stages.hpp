@@ -4,6 +4,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <filesystem>
 #include <optional>
 #include <span>
@@ -53,6 +54,9 @@ struct StageStats : engine::Tally {
   std::size_t sra_flush_queue_peak = 0;
   double sra_flush_wait_seconds = 0;
   double sra_writer_busy_seconds = 0;
+  /// Kernel wall time per variant (engine RunStats `kernel_seconds`, summed
+  /// over runs).
+  std::array<double, engine::kKernelIdCount> kernel_seconds{};
 
   /// The paper's throughput metric (§V-A) at giga scale.
   [[nodiscard]] double gcups() const noexcept {
@@ -67,6 +71,9 @@ struct StageStats : engine::Tally {
     tiles_stolen += run.tiles_stolen;
     starvation_waits += run.starvation_waits;
     sra_flush_wait_seconds += run.special_row_wait_seconds;
+    for (std::size_t k = 0; k < kernel_seconds.size(); ++k) {
+      kernel_seconds[k] += run.kernel_seconds[k];
+    }
     blocks_used = std::max(blocks_used, run.blocks_used);
     ram_bytes = std::max(ram_bytes, run.bus_bytes);
   }

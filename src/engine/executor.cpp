@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <utility>
 
@@ -34,6 +35,7 @@ void merge_best(dp::LocalBest& best, const dp::LocalBest& cand) {
 /// (s, b - 1) — so the fold needs no synchronization.
 struct StripSlot {
   Tally tally;
+  std::array<double, kKernelIdCount> kernel_seconds{};  ///< See RunStats.
   dp::LocalBest best;
   bool found = false;                       ///< Row-major-first probe hit of the strip.
   Index found_i = 0, found_j = 0;
@@ -294,7 +296,9 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
     // across tiles of the same worker thread.
     auto call = [&](const TileJob& part, const BusInputs& part_in) {
       static thread_local TileScratch scratch;
+      const Timer kernel_timer;
       TileResult tr = run_tile(part, part_in, scratch, forced_kernel);
+      slot.kernel_seconds[static_cast<std::size_t>(tr.kernel)] += kernel_timer.seconds();
       Tally& tally = slot.tally;
       ++tally.tiles;
       tally.cells += tr.cells;
@@ -364,6 +368,9 @@ RunResult run_wavefront(const ProblemSpec& spec, const Hooks& hooks, ThreadPool*
     slot.tally.hbus_bytes = (2 * (n + blocks) + (special ? n : 0)) * kCell;
     slot.tally.vbus_bytes = 2 * blocks * (r1 - r0 + 1) * kCell;
     stats += slot.tally;
+    for (std::size_t k = 0; k < kKernelIdCount; ++k) {
+      stats.kernel_seconds[k] += slot.kernel_seconds[k];
+    }
     ++stats.strips;
     if (slot.best.score > 0) merge_best(result.best, slot.best);
     const Index g = base_strip + s;
@@ -444,7 +451,10 @@ Score goal_floor(const scoring::Scheme& scheme, Index m, Index n) {
                                       WideScore{scheme.gap_ext} * (WideScore{m} + n)));
 }
 
-std::string kernel_usage_summary(const std::array<KernelTally, kKernelIdCount>& kernels) {
+namespace {
+
+std::string usage_summary(const std::array<KernelTally, kKernelIdCount>& kernels,
+                          const std::array<double, kKernelIdCount>* seconds) {
   std::string out;
   for (std::size_t id = 0; id < kKernelIdCount; ++id) {
     const KernelTally& tally = kernels[id];
@@ -455,8 +465,24 @@ std::string kernel_usage_summary(const std::array<KernelTally, kKernelIdCount>& 
     out += std::to_string(tally.tiles);
     out += "/";
     out += std::to_string(tally.cells);
+    if (seconds != nullptr) {
+      char buf[32];
+      std::snprintf(buf, sizeof buf, "/%.3fs", (*seconds)[id]);
+      out += buf;
+    }
   }
   return out;
+}
+
+}  // namespace
+
+std::string kernel_usage_summary(const std::array<KernelTally, kKernelIdCount>& kernels) {
+  return usage_summary(kernels, nullptr);
+}
+
+std::string kernel_usage_summary(const std::array<KernelTally, kKernelIdCount>& kernels,
+                                 const std::array<double, kKernelIdCount>& seconds) {
+  return usage_summary(kernels, &seconds);
 }
 
 RunResult run_reference(const ProblemSpec& spec, const Hooks& hooks) {

@@ -304,6 +304,11 @@ struct RunStats : Tally {
   /// backpressure (core/stage1.cpp): compute time lost on the retiring
   /// participant while the others keep computing.
   double special_row_wait_seconds = 0;
+  /// Wall time of the kernel calls per variant, re-runs included (the
+  /// variant that published the tile, as in `kernels`): the kernel layer's
+  /// share of the run. Timing depends on the machine, so it stays outside
+  /// the tally.
+  std::array<double, kKernelIdCount> kernel_seconds{};
   double seconds = 0;
 };
 
@@ -312,6 +317,12 @@ struct RunStats : Tally {
 /// output.
 [[nodiscard]] std::string kernel_usage_summary(
     const std::array<KernelTally, kKernelIdCount>& kernels);
+
+/// The same with each variant's kernel wall time (RunStats::kernel_seconds)
+/// appended: "name=tiles/cells/0.123s".
+[[nodiscard]] std::string kernel_usage_summary(
+    const std::array<KernelTally, kKernelIdCount>& kernels,
+    const std::array<double, kKernelIdCount>& seconds);
 
 struct RunResult {
   dp::LocalBest best;          ///< kLocal mode: best H and its vertex (retired strips).

@@ -165,8 +165,9 @@ struct TileScratch {
   std::vector<std::int32_t> lanes32;
   std::vector<seq::Base> arev;  ///< Tile's row sequence, reversed.
   std::vector<seq::Base> bseg;  ///< Tile's column sequence, 1-based.
-  // Striped kernels: H/F/Htmp/E lane planes plus shift/entry staging, per
-  // lane width, and the pad mask used for the (local) row-max reduction.
+  // Striped kernels: H/F/Htmp/E lane planes plus entry staging and, with
+  // best tracking, the kept H plane of the row that last raised the best,
+  // per lane width, and the pad mask used for the (local) row-max reduction.
   std::vector<std::int8_t> striped8;
   std::vector<std::int16_t> striped16;
   std::vector<std::int32_t> striped32;

@@ -114,6 +114,7 @@ struct GenericBackend {
     for (int i = 0; i < N; ++i) r.v[i] = i >= k ? a.v[i - k] : kNinf;
     return r;
   }
+  static Lane hmax(V a) { return *std::max_element(std::begin(a.v), std::end(a.v)); }
   static bool any_gt(V a, Lane x) {
     return std::any_of(std::begin(a.v), std::end(a.v), [x](Lane e) { return e > x; });
   }
@@ -133,6 +134,18 @@ using Generic32 = GenericBackend<std::int32_t, 4, kNegInf>;
 template <int kBytes>
 __m128i sse2_shift_up(__m128i v, __m128i fill) {
   return _mm_or_si128(_mm_slli_si128(v, kBytes), _mm_srli_si128(fill, 16 - kBytes));
+}
+
+/// The largest lane of v: log2(16 / sizeof(Lane)) steps, each folding the
+/// upper half of the live bytes onto the lower half with B::max.
+template <typename B>
+typename B::Lane sse2_hmax(__m128i v) {
+  using Lane = typename B::Lane;
+  v = B::max(v, _mm_srli_si128(v, 8));
+  v = B::max(v, _mm_srli_si128(v, 4));
+  if constexpr (sizeof(Lane) <= 2) v = B::max(v, _mm_srli_si128(v, 2));
+  if constexpr (sizeof(Lane) <= 1) v = B::max(v, _mm_srli_si128(v, 1));
+  return static_cast<Lane>(_mm_cvtsi128_si32(v));
 }
 
 template <typename LaneT>
@@ -158,6 +171,7 @@ struct Sse2Backend<std::int16_t> {
   static V shift_up(V v) {
     return sse2_shift_up<(sizeof(Lane) << kSt)>(v, set1(kNinfLane));
   }
+  static Lane hmax(V v) { return sse2_hmax<Sse2Backend>(v); }
   static bool any_gt(V v, Lane x) { return _mm_movemask_epi8(_mm_cmpgt_epi16(v, set1(x))) != 0; }
 };
 
@@ -185,6 +199,7 @@ struct Sse2Backend<std::int8_t> {
   static V shift_up(V v) {
     return sse2_shift_up<(sizeof(Lane) << kSt)>(v, set1(kNinfLane));
   }
+  static Lane hmax(V v) { return sse2_hmax<Sse2Backend>(v); }
   static bool any_gt(V v, Lane x) { return _mm_movemask_epi8(_mm_cmpgt_epi8(v, set1(x))) != 0; }
 };
 
@@ -216,6 +231,7 @@ struct Sse2Backend<std::int32_t> {
   static V shift_up(V v) {
     return sse2_shift_up<(sizeof(Lane) << kSt)>(v, set1(kNinfLane));
   }
+  static Lane hmax(V v) { return sse2_hmax<Sse2Backend>(v); }
   static bool any_gt(V v, Lane x) { return _mm_movemask_epi8(_mm_cmpgt_epi32(v, set1(x))) != 0; }
   static bool any_nonzero(V v) {
     return _mm_movemask_epi8(_mm_cmpeq_epi32(v, zero())) != 0xFFFF;

@@ -38,6 +38,19 @@ __m256i avx2_shift_up(__m256i v, __m256i fill) {
   }
 }
 
+/// The largest lane of v, in log2(32 / sizeof(Lane)) steps of B::max: the
+/// 128-bit halves swapped, then byte shifts within each half.
+template <typename B>
+typename B::Lane avx2_hmax(__m256i v) {
+  using Lane = typename B::Lane;
+  v = B::max(v, _mm256_permute2x128_si256(v, v, 0x01));
+  v = B::max(v, _mm256_srli_si256(v, 8));
+  v = B::max(v, _mm256_srli_si256(v, 4));
+  if constexpr (sizeof(Lane) <= 2) v = B::max(v, _mm256_srli_si256(v, 2));
+  if constexpr (sizeof(Lane) <= 1) v = B::max(v, _mm256_srli_si256(v, 1));
+  return static_cast<Lane>(_mm256_cvtsi256_si32(v));
+}
+
 template <typename LaneT>
 struct Avx2Backend;
 
@@ -61,6 +74,7 @@ struct Avx2Backend<std::int16_t> {
   static V shift_up(V v) {
     return avx2_shift_up<(sizeof(Lane) << kSt)>(v, set1(kNinfLane));
   }
+  static Lane hmax(V v) { return avx2_hmax<Avx2Backend>(v); }
   static bool any_gt(V v, Lane x) { return _mm256_movemask_epi8(_mm256_cmpgt_epi16(v, set1(x))) != 0; }
 };
 
@@ -84,6 +98,7 @@ struct Avx2Backend<std::int8_t> {
   static V shift_up(V v) {
     return avx2_shift_up<(sizeof(Lane) << kSt)>(v, set1(kNinfLane));
   }
+  static Lane hmax(V v) { return avx2_hmax<Avx2Backend>(v); }
   static bool any_gt(V v, Lane x) { return _mm256_movemask_epi8(_mm256_cmpgt_epi8(v, set1(x))) != 0; }
 };
 
@@ -110,6 +125,7 @@ struct Avx2Backend<std::int32_t> {
   static V shift_up(V v) {
     return avx2_shift_up<(sizeof(Lane) << kSt)>(v, set1(kNinfLane));
   }
+  static Lane hmax(V v) { return avx2_hmax<Avx2Backend>(v); }
   static bool any_gt(V v, Lane x) { return _mm256_movemask_epi8(_mm256_cmpgt_epi32(v, set1(x))) != 0; }
   static bool any_nonzero(V v) { return _mm256_testz_si256(v, v) == 0; }
 };

@@ -53,6 +53,22 @@ __m512i avx512_shift_up(__m512i v, __m512i fill) {
   }
 }
 
+/// The largest lane of v, in log2(64 / sizeof(Lane)) steps of B::max: the
+/// 256-bit halves swapped, the 128-bit blocks of each half swapped, then
+/// byte shifts within each 128-bit block (the maskz shuffle keeps GCC from
+/// passing an undefined vector through, as in avx512_shift_up).
+template <typename B>
+typename B::Lane avx512_hmax(__m512i v) {
+  using Lane = typename B::Lane;
+  v = B::max(v, _mm512_maskz_shuffle_i64x2(0xFF, v, v, 0x4E));
+  v = B::max(v, _mm512_maskz_shuffle_i64x2(0xFF, v, v, 0xB1));
+  v = B::max(v, _mm512_bsrli_epi128(v, 8));
+  v = B::max(v, _mm512_bsrli_epi128(v, 4));
+  if constexpr (sizeof(Lane) <= 2) v = B::max(v, _mm512_bsrli_epi128(v, 2));
+  if constexpr (sizeof(Lane) <= 1) v = B::max(v, _mm512_bsrli_epi128(v, 1));
+  return static_cast<Lane>(_mm512_cvtsi512_si32(v));
+}
+
 template <typename LaneT>
 struct Avx512Backend;
 
@@ -76,6 +92,7 @@ struct Avx512Backend<std::int16_t> {
   static V shift_up(V v) {
     return avx512_shift_up<(sizeof(Lane) << kSt)>(v, set1(kNinfLane));
   }
+  static Lane hmax(V v) { return avx512_hmax<Avx512Backend>(v); }
   static bool any_gt(V v, Lane x) { return _mm512_cmpgt_epi16_mask(v, set1(x)) != 0; }
 };
 
@@ -99,6 +116,7 @@ struct Avx512Backend<std::int8_t> {
   static V shift_up(V v) {
     return avx512_shift_up<(sizeof(Lane) << kSt)>(v, set1(kNinfLane));
   }
+  static Lane hmax(V v) { return avx512_hmax<Avx512Backend>(v); }
   static bool any_gt(V v, Lane x) { return _mm512_cmpgt_epi8_mask(v, set1(x)) != 0; }
 };
 
@@ -129,6 +147,7 @@ struct Avx512Backend<std::int32_t> {
   static V shift_up(V v) {
     return avx512_shift_up<(sizeof(Lane) << kSt)>(v, set1(kNinfLane));
   }
+  static Lane hmax(V v) { return avx512_hmax<Avx512Backend>(v); }
   static bool any_gt(V v, Lane x) { return _mm512_cmpgt_epi32_mask(v, set1(x)) != 0; }
   static bool any_nonzero(V v) { return _mm512_test_epi32_mask(v, v) != 0; }
 };

@@ -38,6 +38,16 @@
 //            (shift_up);
 //   pass 2   E = max(Eseg, entry - k*G_ext), H = max(Htmp, E), row max.
 //
+// Best tracking never searches a row for its cell. A row whose masked row
+// max beats the running best (one lane compare) reduces that max in
+// registers (hmax), and the next row's pass 1 stores the H vectors it loads
+// anyway into best_row, a copy of the raising row's plane. After the last
+// row the first (smallest-j) cell holding the best — in best_row, or in H
+// when the last row raised it — is the tile's best cell. This is the scalar
+// kernels' progressive row-major report: only a strict improvement replaces
+// the kept row, so every earlier row's max is below the final best and the
+// kept row is the first to reach it.
+//
 // Two recurrence modes share the sweep, chosen by the kLocal template
 // parameter; the lane width only picks the arithmetic. Three (mode, lane)
 // pairings exist:
@@ -131,6 +141,8 @@ struct StripedBindings<std::int32_t> {
 ///   shift_up<st>(v)    lane l takes lane l-2^st of v, the low 2^st lanes
 ///                      take kNinfLane (st < log2(p))
 ///   any_gt(v, x)       whether any lane of v is above x
+///   hmax(v)            the largest lane of v, reduced in registers in
+///                      log2(p) shuffle+max steps (best tracking)
 ///   eq/or_/any_nonzero (int32 only, for the value probe) lane compare, and
 ///                      whether any lane of v is nonzero
 /// (narrow adds/subs saturate, int32 ones wrap; inside the envelope no
@@ -183,13 +195,16 @@ TileResult run_striped_core(const TileJob& job, TileScratch& scratch) {
   // Workspace: three lane planes — H (previous row during pass 1, rewritten
   // in place), F, and the intra-segment gap scan E (one spare vector so pass
   // 1 can store the shifted scan unconditionally) — plus entry_row, the
-  // bridge result, stored once per row for the last-column E.
+  // bridge result, stored once per row for the last-column E, and with best
+  // tracking best_row, a copy of the H plane of the row that last raised the
+  // best (written by the next row's pass 1).
   auto& ws = StripedBindings<Lane>::workspace(scratch);
-  ws.resize(static_cast<std::size_t>(3 * wpad + 2 * p));
+  ws.resize(static_cast<std::size_t>((kBest ? 4 : 3) * wpad + 2 * p));
   Lane* H = ws.data();
   Lane* F = H + wpad;
   Lane* E = F + wpad;
   Lane* entry_row = E + static_cast<std::size_t>(wpad + p);
+  [[maybe_unused]] Lane* best_row = entry_row + p;
 
   [[maybe_unused]] Lane* mask = nullptr;
   if constexpr (kBest) {
@@ -267,6 +282,7 @@ TileResult run_striped_core(const TileJob& job, TileScratch& scratch) {
   }
 
   Score h0_prev = job.vbus_in[0].h;  // H of the previous row at column c0.
+  [[maybe_unused]] bool raised = false;  // The previous row raised the best.
 
   const Index kw = (w - 1) % t;  ///< Last real column's vector index...
   const Index lw = (w - 1) / t;  ///< ...and owning lane.
@@ -288,19 +304,30 @@ TileResult run_striped_core(const TileJob& job, TileScratch& scratch) {
     //           diagonal chain), and
     //   E[k+1]  the intra-segment gap scan Eseg (shifted by one vector; the
     //           scan at k feeds k+1, and vector 0 enters as -inf).
+    // After a row that raised the best (kKeep, compiled only with best
+    // tracking), it also stores the previous row's H, loaded before Htmp
+    // overwrites it, into best_row.
     V v_e = v_ninf;
     B::store(E, v_e);
-    for (Index k = 0; k < t; ++k) {
-      const V v_hp = B::load(H + k * p);
-      const V v_f = B::max(B::subs(B::load(F + k * p), v_ext), B::subs(v_hp, v_first));
-      B::store(F + k * p, v_f);
-      V v_ht = B::adds(v_diag, B::load(prow + k * p));
-      v_ht = B::max(v_ht, v_f);
-      if constexpr (kLocal) v_ht = B::max(v_ht, v_zero);
-      B::store(H + k * p, v_ht);
-      v_diag = v_hp;
-      v_e = B::max(B::subs(v_e, v_ext), B::subs(v_ht, v_first));
-      B::store(E + (k + 1) * p, v_e);
+    const auto pass1 = [&]<bool kKeep>() {
+      for (Index k = 0; k < t; ++k) {
+        const V v_hp = B::load(H + k * p);
+        if constexpr (kKeep) B::store(best_row + k * p, v_hp);
+        const V v_f = B::max(B::subs(B::load(F + k * p), v_ext), B::subs(v_hp, v_first));
+        B::store(F + k * p, v_f);
+        V v_ht = B::adds(v_diag, B::load(prow + k * p));
+        v_ht = B::max(v_ht, v_f);
+        if constexpr (kLocal) v_ht = B::max(v_ht, v_zero);
+        B::store(H + k * p, v_ht);
+        v_diag = v_hp;
+        v_e = B::max(B::subs(v_e, v_ext), B::subs(v_ht, v_first));
+        B::store(E + (k + 1) * p, v_e);
+      }
+    };
+    if (kBest && raised) {
+      pass1.template operator()<kBest>();
+    } else {
+      pass1.template operator()<false>();
     }
 
     // Bridge: the exact gap value entering each lane's segment,
@@ -364,36 +391,22 @@ TileResult run_striped_core(const TileJob& job, TileScratch& scratch) {
     if constexpr (kBest) {
       // Only a row whose masked max strictly improves on the best (a lane
       // compare; the best starts at 0 and only ever takes a lane value, so it
-      // fits the lane exactly) is reduced, and its first (smallest-j)
-      // occurrence located — exactly the scalar kernels' progressive
-      // row-major tie-break. In narrow lanes the best never passes the
-      // ceiling, so a row with an H past it always takes this branch, which
-      // is where the overflow test runs.
-      if (B::any_gt(v_rowmax, static_cast<Lane>(result.best.score))) {
-        alignas(64) Lane lanes[p];
-        B::store(lanes, v_rowmax);
-        Lane rm = 0;
-        for (const Lane x : lanes) rm = std::max(rm, x);
-        const Score row_max = static_cast<Score>(rm);
+      // fits the lane exactly) is reduced — in registers — and its H plane
+      // kept by the next row's pass 1; the cell is located once, after the
+      // last row. In narrow lanes the best never passes the ceiling, so a row
+      // with an H past it always takes this branch, which is where the
+      // overflow test runs.
+      raised = B::any_gt(v_rowmax, static_cast<Lane>(result.best.score));
+      if (raised) {
+        const Score row_max = static_cast<Score>(B::hmax(v_rowmax));
         if constexpr (kNarrow) {
           if (row_max > StripedBindings<Lane>::kWindow.ceiling) {
             result.overflowed = true;
             return result;
           }
         }
-        for (Index l = 0; l < p; ++l) {
-          Index hit = -1;
-          for (Index k = 0; k < t && l * t + k < w; ++k) {
-            if (static_cast<Score>(H[static_cast<std::size_t>(k * p + l)]) == row_max) {
-              hit = l * t + k;
-              break;
-            }
-          }
-          if (hit >= 0) {
-            result.best = dp::LocalBest{row_max, job.r0 + i, job.c0 + hit + 1};
-            break;
-          }
-        }
+        result.best.score = row_max;
+        result.best.i = job.r0 + i;
       }
     } else if constexpr (kNarrow) {
       if (B::any_gt(v_rowmax, static_cast<Lane>(StripedBindings<Lane>::kWindow.ceiling))) {
@@ -426,6 +439,25 @@ TileResult run_striped_core(const TileJob& job, TileScratch& scratch) {
         }
       }
     }
+  }
+
+  if constexpr (kBest) {
+    // The kept row is the first to reach the tile's best (only a strict
+    // improvement replaced it), so its first (smallest-j) occurrence is the
+    // row-major-first cell holding the best: the scalar kernels' report. It
+    // is still the H plane when the last row raised the best. Lane-major,
+    // j = l*t + k ascending.
+    const Lane* kept = raised ? H : best_row;
+    Index hit = -1;
+    for (Index l = 0; l < p && hit < 0 && result.best.score > 0; ++l) {
+      for (Index k = 0; k < t && l * t + k < w; ++k) {
+        if (static_cast<Score>(kept[static_cast<std::size_t>(k * p + l)]) == result.best.score) {
+          hit = l * t + k;
+          break;
+        }
+      }
+    }
+    if (hit >= 0) result.best.j = job.c0 + hit + 1;
   }
 
   // Publish row r1 back to the horizontal bus (index 0 belongs to the left

@@ -3,6 +3,9 @@
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <array>
+#include <cmath>
+#include <string>
 
 #include "common/io_util.hpp"
 #include "engine/kernel_registry.hpp"
@@ -27,15 +30,18 @@ Json crosspoint_json(const core::Crosspoint& cp) {
       .set("type", static_cast<std::int64_t>(static_cast<int>(cp.type)));
 }
 
-/// Every engine::Tally counter, in one place for every stage entry.
-void set_tally(Json& out, const engine::Tally& t) {
+/// Every engine::Tally counter, in one place for every stage entry, with
+/// each kernel's wall time next to its tiles and cells.
+void set_tally(Json& out, const engine::Tally& t,
+               const std::array<double, engine::kKernelIdCount>& kernel_seconds) {
   Json kernels = Json::array();
   for (std::size_t k = 0; k < t.kernels.size(); ++k) {
     if (t.kernels[k].tiles == 0) continue;
     kernels.push(Json::object()
                      .set("name", engine::kernel_info(static_cast<engine::KernelId>(k)).name)
                      .set("tiles", static_cast<std::int64_t>(t.kernels[k].tiles))
-                     .set("cells", static_cast<std::int64_t>(t.kernels[k].cells)));
+                     .set("cells", static_cast<std::int64_t>(t.kernels[k].cells))
+                     .set("seconds", kernel_seconds[k]));
   }
   out.set("cells", static_cast<std::int64_t>(t.cells))
       .set("pruned_cells", static_cast<std::int64_t>(t.pruned_cells))
@@ -51,7 +57,7 @@ void set_tally(Json& out, const engine::Tally& t) {
 Json stage_json(int stage, const core::StageStats& s) {
   Json out = Json::object();
   out.set("stage", stage);
-  set_tally(out, s);
+  set_tally(out, s, s.kernel_seconds);
   out.set("seconds", s.seconds)
       .set("gcups", s.gcups())
       .set("crosspoints", static_cast<std::int64_t>(s.crosspoints))
@@ -254,17 +260,23 @@ std::vector<std::string> validate_run_report(const Json& report) {
     // of its cells — the per-kernel cells sum to the stage's.
     if (const Json* kernels = stage.find("kernels");
         kernels != nullptr && kernels->is_array() && !kernels->as_array().empty()) {
+      const Json* id = stage.find("stage");
+      const std::string label =
+          id != nullptr && id->is_int() ? std::to_string(id->as_int()) : "?";
       std::int64_t kernel_cells = 0;
       for (const Json& k : kernels->as_array()) {
         if (const Json* kc = k.find("cells"); kc != nullptr && kc->is_int()) {
           kernel_cells += kc->as_int();
         }
+        // Per-kernel wall time: a finite, non-negative number of seconds.
+        const Json* ks = k.find("seconds");
+        require(ks != nullptr && ks->is_number() && std::isfinite(ks->as_double()) &&
+                    ks->as_double() >= 0,
+                "stage " + label + " kernel entry has no finite non-negative \"seconds\"");
       }
-      const Json* id = stage.find("stage");
       require(kernel_cells == cells->as_int(),
-              "stage " + (id != nullptr && id->is_int() ? std::to_string(id->as_int()) : "?") +
-                  " kernel cells (" + std::to_string(kernel_cells) + ") != stage cells (" +
-                  std::to_string(cells->as_int()) + ")");
+              "stage " + label + " kernel cells (" + std::to_string(kernel_cells) +
+                  ") != stage cells (" + std::to_string(cells->as_int()) + ")");
     }
   }
 

@@ -16,7 +16,7 @@
 namespace cudalign::obs {
 
 inline constexpr const char* kReportSchemaName = "cudalign-run-report";
-inline constexpr int kReportSchemaVersion = 7;
+inline constexpr int kReportSchemaVersion = 8;
 
 /// Everything the report builder reads. All pointers are borrowed and may not
 /// be null except `telemetry` (omitting it omits the "spans" subtree).

@@ -25,6 +25,8 @@ if grep -q "^stages 2-4 pruned cells: 0, 0, 0$" "$DIR/aln.out"; then
   echo "the default run pruned nothing in Stages 2-4 on a related pair" >&2
   exit 1
 fi
+# --stats prints each stage's kernel usage with the kernels' wall time.
+grep -Eq "^  stage 1: [a-z0-9+-]+=[0-9]+/[0-9]+/[0-9]+\.[0-9]{3}s" "$DIR/aln.out"
 # --stats names the special-row bytes on disk next to the logical bytes.
 grep -Eq "^special rows: [0-9.]+ [KMG]?B on disk for [0-9.]+ [KMG]?B of rows$" "$DIR/aln.out"
 # Pruning is exact: --no-prune computes every cell and writes the same bytes.
@@ -90,10 +92,13 @@ fi
 "$CLI" align "$DIR/a.fasta" "$DIR/b.fasta" --kernel striped16-local+best \
        --out "$DIR/pinned.bin" --report "$DIR/pinned.json" | grep -q "run report"
 grep -q '"kernel": "striped16-local+best"' "$DIR/pinned.json"
-# The scalar global rows run whole pipelines: pinned, every global tile
-# without the probe (then with it) runs on one of them, and --out keeps the
-# default run's bytes.
-for kernel in scalar-global scalar-global+taps+find; do
+# Pinned kernels run whole pipelines and --out keeps the default run's
+# bytes: the scalar global rows take every global tile without the probe
+# (then with it); legacy and the striped +best rows take the related pair's
+# Stage-1 tiles, whose best rises row after row (a narrow row re-runs the
+# tiles that overflow its lanes).
+for kernel in scalar-global scalar-global+taps+find legacy striped8-local+best \
+              striped16-local+best striped32-local+best; do
   "$CLI" align "$DIR/a.fasta" "$DIR/b.fasta" --kernel "$kernel" \
          --out "$DIR/pin-$kernel.bin" > /dev/null
   cmp "$DIR/aln.bin" "$DIR/pin-$kernel.bin"

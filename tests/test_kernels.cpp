@@ -202,6 +202,52 @@ TileCase make_case(Rng& rng, Index rows, Index w, int mode, bool best, bool find
   return tc;
 }
 
+/// Lifts a local case's genuine bus values by `base` (sentinel gaps stay),
+/// so the tile starts where a related pair's Stage 1 is after many rows.
+void lift_bus(TileCase& tc, Score base) {
+  for (auto* bus : {&tc.hbus, &tc.vbus_in}) {
+    for (BusCell& cell : *bus) {
+      cell.h += base;
+      if (!is_neg_inf(cell.gap)) cell.gap += base;
+    }
+  }
+}
+
+/// Fresh local buses — the top and left boundaries, (0, -inf) — on a case
+/// whose rows, columns, sequences and recurrence are set.
+void fresh_local_buses(TileCase& tc) {
+  tc.hbus.resize(static_cast<std::size_t>(tc.c1 - tc.c0) + 1);
+  for (std::size_t j = 0; j < tc.hbus.size(); ++j) {
+    tc.hbus[j] = tc.recurrence.top_boundary(static_cast<Index>(j));
+  }
+  tc.vbus_in.resize(static_cast<std::size_t>(tc.r1 - tc.r0) + 1);
+  for (std::size_t i = 0; i < tc.vbus_in.size(); ++i) {
+    tc.vbus_in[i] = tc.recurrence.left_boundary(static_cast<Index>(i));
+  }
+}
+
+/// A local tile of a related pair (about 95% identity) cut around its
+/// alignment diagonal from row `r0`, with fresh buses lifted by `bus_h`:
+/// its best rises on most rows, the branch Stage 1's related tiles take
+/// (a random tile's best almost never rises after its first rows).
+TileCase related_tile(Index rows, Index w, Index r0, Score bus_h, bool best,
+                      const std::string& name) {
+  static const seq::SequencePair pair = seq::make_related_pair(3000, 3000, 4242);
+  TileCase tc;
+  tc.name = name;
+  tc.r0 = r0;
+  tc.c0 = std::max<Index>(0, r0 + rows / 2 - w / 2);
+  tc.r1 = tc.r0 + rows;
+  tc.c1 = tc.c0 + w;
+  tc.a = pair.s0;
+  tc.b = pair.s1;
+  tc.recurrence = Recurrence::local(paper());
+  tc.track_best = best;
+  fresh_local_buses(tc);
+  lift_bus(tc, bus_h);
+  return tc;
+}
+
 /// A global tile as the scalar rows serve it in production. `sentinel` 1 is
 /// the executor's peeled end-in-E column (every incoming vertical-bus entry,
 /// H and E, is -inf, so the tile's E chains drift below kNegInf), 2 its
@@ -237,6 +283,21 @@ TEST(KernelEquivalence, FeatureMatrixAcrossShapes) {
                                  "_mode" + std::to_string(mode) + "_feat" + std::to_string(feat);
         const TileCase tc = make_case(rng, rows, w, mode, best, find, paper(), name);
         vector_runs += check_with_prefix(tc, interior ? 1 + static_cast<Index>(rng.below(w)) : 0);
+      }
+    }
+  }
+  // Related-pair tiles, with and without best tracking: at bus level 0 the
+  // int8 lanes overflow part way down, at 27900 the int16 lanes do, and at
+  // 40000 only int32 lanes admit the tile.
+  Index r0 = 0;
+  for (const auto& [rows, w] : std::vector<std::pair<Index, Index>>{
+           {24, 40}, {64, 200}, {100, 64}, {256, 417}}) {
+    for (const Score bus_h : {0, 27900, 40000}) {
+      for (const bool best : {false, true}) {
+        r0 = (r0 + 397) % 1500;
+        const std::string name = "related" + std::to_string(rows) + "x" + std::to_string(w) +
+                                 "_h" + std::to_string(bus_h) + (best ? "_best" : "");
+        vector_runs += check_with_prefix(related_tile(rows, w, r0, bus_h, best, name), w / 3);
       }
     }
   }
@@ -717,6 +778,131 @@ TEST(StripedIsa, RowMaxTiesKeepTheEarlierCellAndPadAdjacentWinsReplaceIt) {
   }
 }
 
+/// A fresh-bus local best-tracking tile over rows `a` and columns `b`, at
+/// offset (2, 3) of the problem.
+TileCase designed_tile(const std::string& name, std::vector<seq::Base> a,
+                       std::vector<seq::Base> b) {
+  TileCase tc;
+  tc.name = name;
+  tc.r0 = 2;
+  tc.c0 = 3;
+  tc.r1 = tc.r0 + static_cast<Index>(a.size());
+  tc.c1 = tc.c0 + static_cast<Index>(b.size());
+  a.insert(a.begin(), 2, seq::kT);
+  b.insert(b.begin(), 3, seq::kT);
+  tc.a = seq::Sequence("a", std::move(a));
+  tc.b = seq::Sequence("b", std::move(b));
+  tc.recurrence = Recurrence::local(paper());
+  tc.track_best = true;
+  fresh_local_buses(tc);
+  return tc;
+}
+
+/// A base unlike both x and y.
+seq::Base other_than(seq::Base x, seq::Base y) {
+  for (const seq::Base c : {seq::kA, seq::kC, seq::kG, seq::kT}) {
+    if (c != x && c != y) return c;
+  }
+  return seq::kA;
+}
+
+// Best tracking on tiles whose best rises row after row. Each tile states
+// the legacy best it was built for, and every striped +best lane width must
+// report it (and publish both buses) identically under every backend:
+//   * rise-tie: rows 1..R rise along diagonal c (R matches), row R + 1 ties
+//     the best on diagonal d (a copy of the same run, one row later) and no
+//     later row reaches it — the best stays in row R, whether the tie lies
+//     at a larger column (d > c) or a smaller one (d < c);
+//   * rise-tie-rise: the run on diagonal d then continues S rows, so the
+//     best moves past the tie and ends on the last row;
+//   * repeats: every row raises the best and ties it at every later column
+//     (a homopolymer under a lifted top bus), so the first occurrence sits
+//     mid-lane, after columns of higher lanes in the striped layout;
+//   * row 1: one lifted top-bus cell puts the best on the first row.
+// The values stay under the int8 ceiling, so all three widths run them.
+TEST(StripedIsa, RisingBestKeepsTheFirstRowToReachIt) {
+  constexpr Index kR = 40;
+  constexpr Index kS = 20;
+  Rng rng(5152);
+  std::vector<std::pair<TileCase, dp::LocalBest>> cases;
+  for (const Index w : {300, 447}) {
+    for (const bool rise_again : {false, true}) {
+      for (const bool tie_right : {true, false}) {
+        const Index far = w - kR - kS - 2;
+        const Index c = tie_right ? 7 : far;
+        const Index d = tie_right ? far : 7;
+        const Index rows = kR + 1 + kS;
+        std::vector<seq::Base> b = rand_seq(w, rng.next()).mutable_bases();
+        std::vector<seq::Base> a(static_cast<std::size_t>(rows));
+        const auto at = [](std::vector<seq::Base>& v, Index k) -> seq::Base& {
+          return v[static_cast<std::size_t>(k)];
+        };
+        for (Index k = 0; k < kR; ++k) at(a, k) = at(b, c + k);
+        for (Index k = 1; k < kR; ++k) at(b, d + k) = at(b, c + k);
+        at(b, d) = other_than(at(a, 0), at(a, 0));
+        at(a, kR) = other_than(at(b, c + kR), at(b, c + kR));
+        at(b, d + kR) = at(a, kR);
+        for (Index k = kR + 1; k < rows; ++k) {
+          at(a, k) = rise_again ? at(b, d + k) : other_than(at(b, c + k), at(b, d + k));
+        }
+        std::string name = "w" + std::to_string(w);
+        name += rise_again ? "_rise-tie-rise" : "_rise-tie";
+        name += tie_right ? "_right" : "_left";
+        TileCase tc = designed_tile(name, std::move(a), std::move(b));
+        const dp::LocalBest want =
+            rise_again ? dp::LocalBest{kR + kS, tc.r0 + rows, tc.c0 + d + rows}
+                       : dp::LocalBest{kR, tc.r0 + kR, tc.c0 + c + kR};
+        if (!rise_again) {
+          ASSERT_EQ(legacy_h_at(tc, kR + 1, d + kR + 1), kR) << name << ": row R + 1 ties";
+        }
+        cases.emplace_back(std::move(tc), want);
+      }
+    }
+  }
+  for (const Index j0 : {5, 37, 100}) {
+    constexpr Index kRows = 40;
+    TileCase tc = designed_tile("repeats_j" + std::to_string(j0),
+                                std::vector<seq::Base>(kRows, seq::kA),
+                                std::vector<seq::Base>(191, seq::kA));
+    for (Index j = j0; j <= 191; ++j) tc.hbus[static_cast<std::size_t>(j)].h = 50;
+    const dp::LocalBest want{50 + kRows, tc.r0 + kRows, tc.c0 + j0 + kRows};
+    cases.emplace_back(std::move(tc), want);
+  }
+  for (const Index j1 : {1, 63, 150}) {
+    std::vector<seq::Base> b = rand_seq(191, rng.next()).mutable_bases();
+    std::vector<seq::Base> a = rand_seq(30, rng.next()).mutable_bases();
+    a[0] = b[static_cast<std::size_t>(j1)];
+    a[1] = other_than(b[static_cast<std::size_t>(j1) + 1], b[static_cast<std::size_t>(j1) + 1]);
+    TileCase tc = designed_tile("row1_j" + std::to_string(j1), std::move(a), std::move(b));
+    tc.hbus[static_cast<std::size_t>(j1)].h = 60;
+    const dp::LocalBest want{61, tc.r0 + 1, tc.c0 + j1 + 1};
+    cases.emplace_back(std::move(tc), want);
+  }
+
+  std::vector<TileOutputs> legacy;
+  for (const auto& [tile, want] : cases) {
+    legacy.push_back(run_variant(tile, engine::kernel_info(KernelId::kLegacy)));
+    ASSERT_EQ(legacy.back().result.best.score, want.score) << tile.name;
+    ASSERT_EQ(legacy.back().result.best.i, want.i) << tile.name;
+    ASSERT_EQ(legacy.back().result.best.j, want.j) << tile.name;
+  }
+  const int forced = for_each_isa([&](const std::string& isa) {
+    for (std::size_t k = 0; k < cases.size(); ++k) {
+      const TileCase& tc = cases[k].first;
+      for (const KernelId id : {KernelId::kStriped8LocalBest, KernelId::kStriped16LocalBest,
+                                KernelId::kStriped32LocalBest}) {
+        const KernelVariant& variant = engine::kernel_info(id);
+        ASSERT_TRUE(variant_accepts(tc, variant)) << tc.name << " / " << variant.name;
+        const TileOutputs got = run_variant(tc, variant);
+        const std::string label = tc.name + " / " + variant.name + " / " + isa;
+        EXPECT_EQ(got.result.kernel, id) << label << ": re-ran on wider lanes";
+        expect_identical(legacy[k], got, label);
+      }
+    }
+  });
+  EXPECT_GE(forced, 1);
+}
+
 TEST(StripedIsa, ForcedGenericBaselineMatchesReferenceProblemLevel) {
   engine::set_simd_isa_override(engine::SimdIsa::kGeneric);
   const auto run = run_pinned("striped16-local+best", 150, 170, 6001);
@@ -1127,17 +1313,6 @@ const KernelVariant& striped32_local() {
   return engine::kernel_info(KernelId::kStriped32LocalBest);
 }
 
-/// Lifts a local case's genuine bus values by `base` (sentinel gaps stay),
-/// so the tile starts where a related pair's Stage 1 is after many rows.
-void lift_bus(TileCase& tc, Score base) {
-  for (auto* bus : {&tc.hbus, &tc.vbus_in}) {
-    for (BusCell& cell : *bus) {
-      cell.h += base;
-      if (!is_neg_inf(cell.gap)) cell.gap += base;
-    }
-  }
-}
-
 TEST(Striped32Local, MatchesLegacyPastInt16UnderEveryIsa) {
   const std::vector<Index> widths = {3, 4, 5, 8, 9, 16, 17, 31, 33, 64, 65, 100};
   const std::vector<Score> bases = {28001, 40000, 250000, 1000000};
@@ -1346,6 +1521,32 @@ TEST(NarrowOverflow, Int16TileNearCeilingOverflows) {
     EXPECT_EQ(got.result.kernel, KernelId::kStriped32LocalBest) << isa;
   });
   EXPECT_GE(forced, 1);
+}
+
+// A related-pair tile whose best rises for many rows before its diagonal
+// passes the lane ceiling: the narrow attempt reports the overflow with the
+// horizontal bus untouched, and the re-run's best is legacy's.
+TEST(NarrowOverflow, RisingBestThenOverflowReRunsToLegacysBest) {
+  for (const auto& [id, bus_h] : std::vector<std::pair<KernelId, Score>>{
+           {KernelId::kStriped8LocalBest, 0}, {KernelId::kStriped16LocalBest, 27900}}) {
+    const KernelVariant& variant = engine::kernel_info(id);
+    const TileCase tc =
+        related_tile(256, 417, 1200, bus_h, true, std::string("rising_") + variant.name);
+    ASSERT_TRUE(variant_accepts(tc, variant)) << tc.name;
+    const TileOutputs legacy = run_variant(tc, engine::kernel_info(KernelId::kLegacy));
+    // The diagonal climbs past the ceiling (100 above the bus level) well
+    // inside the tile.
+    ASSERT_GT(legacy.result.best.score, bus_h + 150) << tc.name;
+    ASSERT_GT(legacy.result.best.i, tc.r0 + 150) << tc.name;
+    const int forced = for_each_isa([&](const std::string& isa) {
+      expect_overflow_publishes_nothing(tc, variant, tc.name + " / " + isa);
+      const TileOutputs got = run_variant(tc, variant);
+      EXPECT_TRUE(got.result.rerun) << isa;
+      EXPECT_NE(got.result.kernel, id) << isa;
+      expect_identical(legacy, got, tc.name + " / " + isa);
+    });
+    EXPECT_GE(forced, 1);
+  }
 }
 
 TEST(NarrowOverflow, PinnedStriped8TileOverflowsAndRunCountsIt) {

@@ -459,6 +459,63 @@ TEST(RunReport, KernelCellsSumToStageCells) {
   EXPECT_NE(problems.front().find("stage 4 kernel cells"), std::string::npos) << problems.front();
 }
 
+TEST(RunReport, KernelSecondsSitBesideEachKernelTally) {
+  // Each kernels[] entry carries the wall time of that variant's kernel
+  // calls; the validator requires a finite, non-negative number.
+  const SmallRun run = small_pipeline_run();
+  for (const std::size_t k : {0, 1, 3}) {
+    const core::StageStats& st = run.result.stages[k];
+    double total = 0;
+    for (std::size_t id = 0; id < engine::kKernelIdCount; ++id) {
+      EXPECT_GE(st.kernel_seconds[id], 0.0) << "stage " << k + 1;
+      if (st.kernels[id].tiles == 0) {
+        EXPECT_EQ(st.kernel_seconds[id], 0.0) << "stage " << k + 1;
+      }
+      total += st.kernel_seconds[id];
+    }
+    EXPECT_GT(total, 0.0) << "stage " << k + 1;
+  }
+  const Json report = build_run_report(context_of(run));
+  EXPECT_TRUE(validate_run_report(report).empty());
+  const auto& original = report.at("stages").as_array();
+  for (std::size_t k = 0; k < original.size(); ++k) {
+    for (const Json& entry : original[k].at("kernels").as_array()) {
+      const engine::KernelVariant* variant = engine::find_kernel(entry.at("name").as_string());
+      ASSERT_NE(variant, nullptr);
+      EXPECT_EQ(entry.at("seconds").as_double(),
+                run.result.stages[k].kernel_seconds[static_cast<std::size_t>(variant->id)]);
+    }
+  }
+
+  // A negative, a non-numeric and a missing value are each flagged.
+  for (int tamper = 0; tamper < 3; ++tamper) {
+    Json stage1 = original[0];
+    Json kernels = stage1.at("kernels");
+    Json entry = kernels.as_array()[0];
+    if (tamper == 0) entry.set("seconds", -0.5);
+    if (tamper == 1) entry.set("seconds", "fast");
+    if (tamper == 2) {
+      Json stripped = Json::object();
+      for (const auto& [key, value] : entry.as_object()) {
+        if (key != "seconds") stripped.set(key, value);
+      }
+      entry = stripped;
+    }
+    Json rebuilt = Json::array();
+    rebuilt.push(entry);
+    for (std::size_t e = 1; e < kernels.as_array().size(); ++e) rebuilt.push(kernels.as_array()[e]);
+    stage1.set("kernels", rebuilt);
+    Json stages = Json::array();
+    for (std::size_t k = 0; k < original.size(); ++k) stages.push(k == 0 ? stage1 : original[k]);
+    Json tampered = report;
+    tampered.set("stages", stages);
+    const auto problems = validate_run_report(tampered);
+    ASSERT_EQ(problems.size(), 1u) << "tamper " << tamper;
+    EXPECT_NE(problems.front().find("stage 1 kernel entry"), std::string::npos)
+        << problems.front();
+  }
+}
+
 TEST(RunReport, OptionsBlockIsTheRunConfiguration) {
   // The report writes exactly the run configuration the checkpoint envelope
   // stores.

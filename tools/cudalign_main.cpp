@@ -253,10 +253,10 @@ int cmd_align(const common::Args& args) {
                 static_cast<long long>(spec.reruns),
                 static_cast<long long>(spec.discarded_iterations),
                 format_sci(static_cast<double>(spec.discarded_cells)).c_str());
-    std::printf("\nkernel usage (tiles/cells):\n");
+    std::printf("\nkernel usage (tiles/cells/kernel seconds):\n");
     for (int k = 0; k < 6; ++k) {
       const auto& st = result.stages[static_cast<std::size_t>(k)];
-      const std::string usage = engine::kernel_usage_summary(st.kernels);
+      const std::string usage = engine::kernel_usage_summary(st.kernels, st.kernel_seconds);
       if (usage.empty()) continue;
       std::printf("  stage %d: %s; narrow re-runs %lld/%lld\n", k + 1, usage.c_str(),
                   static_cast<long long>(st.narrow_rerun_tiles),
